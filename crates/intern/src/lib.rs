@@ -565,8 +565,13 @@ mod tests {
         assert!(!snap.is_empty());
         assert!(snap.strings.iter().any(|s| s == "snapshot-node"));
         assert!(snap.wire_size() >= 8 + "snapshot-node".len());
-        snap.restore(); // idempotent
-        assert_eq!(Interner::snapshot().len(), snap.len());
+        // Restoring is idempotent: every string is already interned, so it
+        // mints nothing. The pool is process-global and sibling tests mint
+        // concurrently, so assert containment and `>=`, not an exact length.
+        snap.restore();
+        let after = Interner::snapshot();
+        assert!(after.len() >= snap.len());
+        assert_eq!(after.strings[..snap.len()], snap.strings[..]);
     }
 
     #[test]

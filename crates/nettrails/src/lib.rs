@@ -16,6 +16,14 @@
 //! change the topology, and issue distributed provenance queries — all while
 //! the platform incrementally maintains both network state and its provenance.
 //!
+//! [`NetTrails::run_to_fixpoint`] is a round loop: run the engines that have
+//! queued deltas (in node-name order), apply the round's firings to the
+//! provenance stores, flush query frames, deliver the network's next batch.
+//! The loop is work-proportional — engines sit in a dense table with a ready
+//! set that is marked wherever work is queued (a seeded fact, a delivery, an
+//! engine stopped by its delta budget), and a round visits only those, so an
+//! event costs the nodes it touches, not the size of the network.
+//!
 //! ```
 //! use nettrails::{NetTrails, NetTrailsConfig};
 //! use provenance::QueryKind;
@@ -50,6 +58,7 @@
 //! ```
 
 pub mod demo;
+mod engines;
 pub mod platform;
 pub mod report;
 

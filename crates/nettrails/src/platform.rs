@@ -1,5 +1,6 @@
 //! The NetTrails platform: engines + network + provenance, orchestrated.
 
+use crate::engines::EngineTable;
 use nt_runtime::{
     Addr, CompiledProgram, Delta, DeltaBatch, Derivation, EngineConfig, EngineStats, Firing,
     NodeEngine, Tuple, TupleId,
@@ -11,7 +12,6 @@ use provenance::{
 };
 use serde::{Deserialize, Serialize};
 use simnet::{Delivered, Network, NetworkConfig, SimTime, Topology, TopologyEvent, TrafficStats};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Traffic category used for protocol (tuple-shipping) messages.
@@ -250,7 +250,8 @@ pub struct PlatformStats {
 #[derive(Debug)]
 pub struct NetTrails {
     program: Arc<CompiledProgram>,
-    engines: BTreeMap<Addr, NodeEngine>,
+    /// One engine per node, with the ready set the round loop drains.
+    engines: EngineTable,
     network: Network<NetMessage>,
     provenance: ProvenanceSystem,
     /// The in-process query engine: the [`QueryMode::Local`] path.
@@ -273,18 +274,14 @@ impl NetTrails {
         config: NetTrailsConfig,
     ) -> nt_runtime::Result<Self> {
         let program = Arc::new(CompiledProgram::from_source(program_src)?);
-        let mut engines = BTreeMap::new();
-        for node in topology.nodes() {
+        let engines = EngineTable::new(topology.nodes().map(|node| {
             let mut engine_config = EngineConfig::new(node);
             engine_config.use_join_indexes = config.use_join_indexes;
             engine_config.fixpoint_workers = config.fixpoint_workers.max(1);
             engine_config.fixpoint_dispatch_threshold = config.fixpoint_dispatch_threshold;
             engine_config.columnar_storage = config.columnar_storage;
-            engines.insert(
-                Addr::new(node),
-                NodeEngine::new(program.clone(), engine_config),
-            );
-        }
+            NodeEngine::new(program.clone(), engine_config)
+        }));
         let provenance = ProvenanceSystem::with_shards(topology.nodes(), config.prov_shards);
         let network = Network::new(topology, config.network.clone());
         // The local engine's estimate charges one round trip (request +
@@ -320,7 +317,7 @@ impl NetTrails {
 
     /// Node names, in deterministic order.
     pub fn nodes(&self) -> Vec<Addr> {
-        self.engines.keys().cloned().collect()
+        self.engines.names().to_vec()
     }
 
     /// The simulated network (topology + traffic counters).
@@ -382,8 +379,7 @@ impl NetTrails {
             traffic: self.network.stats().clone(),
             ..Default::default()
         };
-        for node in self.nodes() {
-            let engine = self.engines.get(&node).expect("engine exists");
+        for (node, engine) in self.engines.iter() {
             snap.nodes.insert(
                 node,
                 logstore::NodeSnapshot::capture(node.as_str(), engine.database(), &self.provenance),
@@ -395,7 +391,7 @@ impl NetTrails {
 
     /// A node's engine, if it exists.
     pub fn engine(&self, node: &str) -> Option<&NodeEngine> {
-        self.engines.get(&Addr::new(node))
+        self.engines.get(Addr::new(node))
     }
 
     // ------------------------------------------------------------------
@@ -404,14 +400,14 @@ impl NetTrails {
 
     /// Queue the insertion of a base tuple at `node`.
     pub fn insert_fact(&mut self, node: &str, tuple: Tuple) {
-        if let Some(engine) = self.engines.get_mut(&Addr::new(node)) {
+        if let Some(engine) = self.engines.enqueue(Addr::new(node)) {
             engine.insert_base(tuple);
         }
     }
 
     /// Queue the deletion of a base tuple at `node`.
     pub fn delete_fact(&mut self, node: &str, tuple: Tuple) {
-        if let Some(engine) = self.engines.get_mut(&Addr::new(node)) {
+        if let Some(engine) = self.engines.enqueue(Addr::new(node)) {
             engine.delete_base(tuple);
         }
     }
@@ -429,25 +425,18 @@ impl NetTrails {
     // execution
     // ------------------------------------------------------------------
 
-    /// Run engines and the network until the whole system is quiescent.
+    /// Run engines and the network until the whole system is quiescent. A
+    /// round costs in proportion to the engines that have work, not to the
+    /// size of the network: only the table's ready set is visited.
     pub fn run_to_fixpoint(&mut self) -> RunReport {
         let mut report = RunReport::default();
+        // One round's firing stream: collected across engines (in
+        // deterministic node order) and applied once per round through the
+        // sharded maintenance pipeline, which partitions it by `head_home`.
+        let mut round_firings: Vec<Firing> = Vec::new();
         loop {
-            let mut progressed = false;
-            // This round's firing stream: collected across engines (in
-            // deterministic node order) and applied once per round through
-            // the sharded maintenance pipeline, which partitions it by
-            // `head_home`.
-            let mut round_firings: Vec<Firing> = Vec::new();
             // 1. Run every engine with pending deltas to its local fixpoint.
-            let nodes: Vec<Addr> = self.engines.keys().cloned().collect();
-            for node in &nodes {
-                let engine = self.engines.get_mut(node).expect("known node");
-                if !engine.has_pending() {
-                    continue;
-                }
-                progressed = true;
-                let mut out = engine.run();
+            let mut progressed = self.engines.run_ready(|node, mut out| {
                 report.truncated |= out.truncated;
                 for change in &out.local_changes {
                     match change {
@@ -499,9 +488,10 @@ impl NetTrails {
                         }
                     }
                 }
-            }
+            });
             if !round_firings.is_empty() {
                 self.provenance.apply_round(&round_firings);
+                round_firings.clear();
             }
             // 2. Ship whatever the query executor staged (concurrent query
             // sessions ride the same wire discipline as everything else).
@@ -518,6 +508,9 @@ impl NetTrails {
                 progressed |= self.flush_query_frames();
             }
             if !progressed {
+                // Every site that queues work marks its engine ready; one that
+                // forgot would strand deltas here.
+                debug_assert!(self.engines.iter().all(|(_, e)| !e.has_pending()));
                 break;
             }
             report.rounds += 1;
@@ -538,13 +531,13 @@ impl NetTrails {
         let (added, removed) = self.network.topology_mut().apply(event);
         for link in removed {
             self.delete_fact(
-                &link.from.clone(),
+                &link.from,
                 protocols::link_tuple(&link.from, &link.to, link.cost),
             );
         }
         for link in added {
             self.insert_fact(
-                &link.from.clone(),
+                &link.from,
                 protocols::link_tuple(&link.from, &link.to, link.cost),
             );
         }
@@ -571,7 +564,7 @@ impl NetTrails {
     /// Tuples of `relation` stored at `node`.
     pub fn relation_at(&self, node: &str, relation: &str) -> Vec<Tuple> {
         self.engines
-            .get(&Addr::new(node))
+            .get(Addr::new(node))
             .map(|e| e.relation(relation))
             .unwrap_or_default()
     }
@@ -579,9 +572,9 @@ impl NetTrails {
     /// All tuples of `relation` across every node, tagged with their node.
     pub fn relation(&self, relation: &str) -> Vec<(Addr, Tuple)> {
         let mut out = Vec::new();
-        for (node, engine) in &self.engines {
+        for (node, engine) in self.engines.iter() {
             for t in engine.relation(relation) {
-                out.push((*node, t));
+                out.push((node, t));
             }
         }
         out
@@ -651,7 +644,7 @@ impl NetTrails {
         let querier = self
             .provenance
             .vertex_home(vid)
-            .or_else(|| self.engines.keys().next().copied())
+            .or_else(|| self.engines.names().first().copied())
             .unwrap_or_default();
         QuerySession {
             nt: self,
@@ -798,7 +791,7 @@ impl NetTrails {
                 self.query_executor.deliver(&self.provenance, batch, now);
             }
             payload => {
-                let Some(engine) = self.engines.get_mut(&delivered.to) else {
+                let Some(engine) = self.engines.enqueue(delivered.to) else {
                     report.misrouted += 1;
                     debug_assert!(
                         self.config.tolerate_misrouted,
@@ -837,7 +830,7 @@ impl NetTrails {
     pub fn stats(&self) -> PlatformStats {
         let mut engine = EngineStats::default();
         let mut stored_tuples = 0usize;
-        for e in self.engines.values() {
+        for (_, e) in self.engines.iter() {
             let s = e.stats();
             engine.deltas_processed += s.deltas_processed;
             engine.rule_firings += s.rule_firings;

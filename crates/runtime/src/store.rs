@@ -44,8 +44,8 @@ use crate::catalog::RelationSchema;
 use crate::tuple::{Tuple, TupleId};
 use crate::value::{values_match, NodeId, Sym, Value};
 use serde::{Deserialize, Serialize};
+use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The rule name used for base (externally inserted) tuples.
 pub const BASE_RULE: &str = "__base";
@@ -210,17 +210,21 @@ fn matches_normalized(v: &Value, norm: &Value) -> bool {
     }
 }
 
-/// Process-wide count of tuples materialized out of columnar slots. Probing
-/// and column matching never materialize; only [`TupleRef::to_tuple`] /
-/// [`TupleRef::to_stored`] (and row replacement/removal bookkeeping) do.
-/// The regression test for the vectorized probe kernel asserts this stays
-/// flat while candidates are scanned and filtered.
-static TUPLE_MATERIALIZATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// This thread's count of tuples materialized out of columnar slots.
+    /// Probing and column matching never materialize; only
+    /// [`TupleRef::to_tuple`] / [`TupleRef::to_stored`] (and row
+    /// replacement/removal bookkeeping) do. The regression test for the
+    /// vectorized probe kernel asserts this stays flat while candidates are
+    /// scanned and filtered — per thread, so tests running beside it cannot
+    /// move the count under it.
+    static TUPLE_MATERIALIZATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
-/// Current value of the columnar-materialization counter (monotonic,
-/// process-wide). Intended for allocation-regression tests.
+/// Current value of the calling thread's columnar-materialization counter
+/// (monotonic). Intended for allocation-regression tests.
 pub fn tuple_materializations() -> u64 {
-    TUPLE_MATERIALIZATIONS.load(Ordering::Relaxed)
+    TUPLE_MATERIALIZATIONS.with(Cell::get)
 }
 
 // --------------------------------------------------------------------------
@@ -460,7 +464,7 @@ impl ColumnStore {
     /// Materialize the tuple stored in a slot (counted — see
     /// [`tuple_materializations`]).
     fn tuple_at(&self, slot: u32) -> Tuple {
-        TUPLE_MATERIALIZATIONS.fetch_add(1, Ordering::Relaxed);
+        TUPLE_MATERIALIZATIONS.with(|count| count.set(count.get() + 1));
         Tuple {
             relation: self.rels[slot as usize],
             values: self

@@ -39,6 +39,12 @@ test_job() {
     trap 'rm -rf "$regen"' EXIT
     (cd "$regen" && cargo run --release --manifest-path "$OLDPWD/Cargo.toml" -p nettrails-bench --bin report > /dev/null)
     python3 scripts/check_bench_schema.py BENCH_results.json "$regen/BENCH_results.json"
+
+    echo "==> [test] ntbench tests (product loop vs its layered twin)"
+    (cd benchmark && cargo test --release --offline)
+
+    echo "==> [test] ntbench traced smoke: churn_as, 2 s"
+    bash benchmark/run.sh --workload churn_as --seed 12 --seconds 2 --trace 1 > /dev/null
 }
 
 nightly_job() {
