@@ -178,6 +178,17 @@ pub fn from_content<T: Deserialize>(content: Content) -> Result<T, Error> {
     T::deserialize(content)
 }
 
+/// Move the value of the first entry keyed `key` out of a map's entry list,
+/// leaving `Null` in its place. Derived `Deserialize` impls take each field's
+/// subtree this way, so lifting a value costs its size once, not once per
+/// nesting level.
+pub fn take_field(entries: &mut [(Content, Content)], key: &str) -> Option<Content> {
+    entries
+        .iter_mut()
+        .find(|(k, _)| k.as_str() == Some(key))
+        .map(|(_, v)| std::mem::replace(v, Content::Null))
+}
+
 // ---------------------------------------------------------------------------
 // Serialize impls for std types
 // ---------------------------------------------------------------------------

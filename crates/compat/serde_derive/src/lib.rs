@@ -414,7 +414,9 @@ fn gen_enum_serialize(name: &str, variants: &[Variant]) -> String {
     )
 }
 
-fn named_fields_deserialize(type_path: &str, fields: &[NamedField], map_expr: &str) -> String {
+/// A block that moves the named fields out of the map `source` and evaluates
+/// to `Ok(ctor { .. })`; `not_map` is the message when `source` is no map.
+fn named_body(ctor: &str, fields: &[NamedField], source: &str, not_map: &str) -> String {
     let mut inits = Vec::new();
     for f in fields {
         let n = &f.name;
@@ -422,49 +424,62 @@ fn named_fields_deserialize(type_path: &str, fields: &[NamedField], map_expr: &s
             format!("{n}: core::default::Default::default(),")
         } else if let Some(path) = &f.attrs.deserialize_with {
             format!(
-                "{n}: {path}({map_expr}.map_get(\"{n}\").cloned().unwrap_or(serde::Content::Null))?,"
+                "{n}: {path}(serde::take_field(&mut entries, \"{n}\").unwrap_or(serde::Content::Null))?,"
             )
         } else {
             format!(
-                "{n}: match {map_expr}.map_get(\"{n}\") {{\n\
-                 Some(v) => serde::from_content(v.clone())?,\n\
-                 None => serde::from_content(serde::Content::Null).map_err(|_| serde::Error::custom(format!(\"missing field `{n}` in {type_path}\")))?,\n\
+                "{n}: match serde::take_field(&mut entries, \"{n}\") {{\n\
+                 Some(v) => serde::from_content(v)?,\n\
+                 None => serde::from_content(serde::Content::Null).map_err(|_| serde::Error::custom(format!(\"missing field `{n}` in {ctor}\")))?,\n\
                  }},"
             )
         };
         inits.push(init);
     }
-    inits.join("\n")
+    format!(
+        "{{\n\
+         let serde::Content::Map(mut entries) = {source} else {{ return Err(serde::Error::custom(\"{not_map}\").into()); }};\n\
+         let _ = &mut entries;\n\
+         Ok({ctor} {{\n{inits}\n}})\n\
+         }}",
+        inits = inits.join("\n")
+    )
+}
+
+/// A block that moves the `n` elements out of the sequence `source` and
+/// evaluates to `Ok(ctor(..))`; `not_seq` and `bad_arity` are the messages
+/// when `source` is no sequence or has another length.
+fn tuple_body(ctor: &str, n: usize, source: &str, not_seq: &str, bad_arity: &str) -> String {
+    let items = vec!["serde::from_content(items.next().expect(\"arity checked\"))?"; n].join(", ");
+    format!(
+        "{{\n\
+         let serde::Content::Seq(items) = {source} else {{ return Err(serde::Error::custom(\"{not_seq}\").into()); }};\n\
+         if items.len() != {n} {{ return Err(serde::Error::custom(\"{bad_arity}\").into()); }}\n\
+         let mut items = items.into_iter();\n\
+         Ok({ctor}({items}))\n\
+         }}"
+    )
 }
 
 fn gen_struct_deserialize(name: &str, body: &Body) -> String {
     let build = match body {
-        Body::Unit => format!("Ok({name})"),
+        Body::Unit => format!("{{ let _ = content; Ok({name}) }}"),
         Body::Tuple(1) => format!("Ok({name}(serde::from_content(content)?))"),
-        Body::Tuple(n) => {
-            let items: Vec<String> = (0..*n)
-                .map(|i| format!("serde::from_content(items[{i}].clone())?"))
-                .collect();
-            format!(
-                "let items = content.as_seq().ok_or_else(|| serde::Error::custom(\"expected sequence for {name}\"))?;\n\
-                 if items.len() != {n} {{ return Err(serde::Error::custom(\"wrong tuple arity for {name}\").into()); }}\n\
-                 Ok({name}({items}))",
-                items = items.join(", ")
-            )
-        }
+        Body::Tuple(n) => tuple_body(
+            name,
+            *n,
+            "content",
+            &format!("expected sequence for {name}"),
+            &format!("wrong tuple arity for {name}"),
+        ),
         Body::Named(fields) => {
-            let inits = named_fields_deserialize(name, fields, "content");
-            format!(
-                "if content.as_map().is_none() {{ return Err(serde::Error::custom(\"expected map for {name}\").into()); }}\n\
-                 Ok({name} {{\n{inits}\n}})"
-            )
+            named_body(name, fields, "content", &format!("expected map for {name}"))
         }
     };
     format!(
         "impl serde::Deserialize for {name} {{\n\
          fn deserialize<'de, D: serde::Deserializer<'de>>(deserializer: D) -> core::result::Result<Self, D::Error> {{\n\
          let content = deserializer.into_content()?;\n\
-         let _ = &content;\n\
          {build}\n\
          }}\n\
          }}"
@@ -476,50 +491,47 @@ fn gen_enum_deserialize(name: &str, variants: &[Variant]) -> String {
     let mut tagged_arms = Vec::new();
     for v in variants {
         let vn = &v.name;
+        let ctor = format!("{name}::{vn}");
         match &v.body {
-            Body::Unit => unit_arms.push(format!("\"{vn}\" => return Ok({name}::{vn}),")),
+            Body::Unit => unit_arms.push(format!("\"{vn}\" => return Ok({ctor}),")),
             Body::Tuple(1) => tagged_arms.push(format!(
-                "\"{vn}\" => return Ok({name}::{vn}(serde::from_content(payload.clone())?)),"
+                "\"{vn}\" => return Ok({ctor}(serde::from_content(payload)?)),"
             )),
-            Body::Tuple(n) => {
-                let items: Vec<String> = (0..*n)
-                    .map(|i| format!("serde::from_content(items[{i}].clone())?"))
-                    .collect();
-                tagged_arms.push(format!(
-                    "\"{vn}\" => {{\n\
-                     let items = payload.as_seq().ok_or_else(|| serde::Error::custom(\"expected sequence payload for {name}::{vn}\"))?;\n\
-                     if items.len() != {n} {{ return Err(serde::Error::custom(\"wrong arity for {name}::{vn}\").into()); }}\n\
-                     return Ok({name}::{vn}({items}));\n\
-                     }}",
-                    items = items.join(", ")
-                ));
-            }
-            Body::Named(fields) => {
-                let inits = named_fields_deserialize(&format!("{name}::{vn}"), fields, "payload");
-                tagged_arms.push(format!(
-                    "\"{vn}\" => {{\n\
-                     if payload.as_map().is_none() {{ return Err(serde::Error::custom(\"expected map payload for {name}::{vn}\").into()); }}\n\
-                     return Ok({name}::{vn} {{\n{inits}\n}});\n\
-                     }}"
-                ));
-            }
+            Body::Tuple(n) => tagged_arms.push(format!(
+                "\"{vn}\" => return {},",
+                tuple_body(
+                    &ctor,
+                    *n,
+                    "payload",
+                    &format!("expected sequence payload for {ctor}"),
+                    &format!("wrong arity for {ctor}"),
+                )
+            )),
+            Body::Named(fields) => tagged_arms.push(format!(
+                "\"{vn}\" => return {},",
+                named_body(
+                    &ctor,
+                    fields,
+                    "payload",
+                    &format!("expected map payload for {ctor}"),
+                )
+            )),
         }
     }
+    // A bare string names a unit variant; a one-entry map is `{{tag: payload}}`
+    // and the payload is moved out of it.
     format!(
         "impl serde::Deserialize for {name} {{\n\
          fn deserialize<'de, D: serde::Deserializer<'de>>(deserializer: D) -> core::result::Result<Self, D::Error> {{\n\
-         let content = deserializer.into_content()?;\n\
-         if let Some(tag) = content.as_str() {{\n\
-         match tag {{\n{unit_arms}\n_ => {{}}\n}}\n\
-         }}\n\
-         if let Some(entries) = content.as_map() {{\n\
-         if entries.len() == 1 {{\n\
-         if let Some(tag) = entries[0].0.as_str() {{\n\
-         let payload = &entries[0].1;\n\
-         let _ = payload;\n\
-         match tag {{\n{tagged_arms}\n_ => {{}}\n}}\n\
+         match deserializer.into_content()? {{\n\
+         serde::Content::Str(tag) => match tag.as_str() {{\n{unit_arms}\n_ => {{}}\n}},\n\
+         serde::Content::Map(mut tagged) if tagged.len() == 1 => {{\n\
+         if let Some((serde::Content::Str(tag), payload)) = tagged.pop() {{\n\
+         let _ = &payload;\n\
+         match tag.as_str() {{\n{tagged_arms}\n_ => {{}}\n}}\n\
          }}\n\
          }}\n\
+         _ => {{}}\n\
          }}\n\
          Err(serde::Error::custom(\"no variant of {name} matched\").into())\n\
          }}\n\

@@ -52,14 +52,11 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String> {
 
 /// Deserialize a value from JSON text.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T> {
-    let mut parser = Parser {
-        bytes: s.as_bytes(),
-        pos: 0,
-    };
+    let mut parser = Parser::new(s);
     parser.skip_ws();
     let content = parser.parse_value()?;
     parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
+    if parser.pos != s.len() {
         return Err(Error::new(format!(
             "trailing characters at offset {}",
             parser.pos
@@ -175,24 +172,33 @@ fn write_content(
 // parsing
 // ---------------------------------------------------------------------------
 
+/// Containers may nest this deep, as in real `serde_json`; deeper input is an
+/// error, not a stack overflow.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
+    fn new(src: &'a str) -> Self {
+        Parser {
+            src,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
     fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<()> {
@@ -207,93 +213,106 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn eat_keyword(&mut self, kw: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
+    /// True when the unread input starts with `prefix`.
+    fn at(&self, prefix: &str) -> bool {
+        self.src
+            .as_bytes()
+            .get(self.pos..)
+            .is_some_and(|rest| rest.starts_with(prefix.as_bytes()))
+    }
+
+    fn keyword(&mut self, kw: &str, value: Content) -> Result<Content> {
+        if self.at(kw) {
             self.pos += kw.len();
-            true
+            Ok(value)
         } else {
-            false
+            Err(Error::new(format!("bad literal at offset {}", self.pos)))
         }
+    }
+
+    /// Step into a container, refusing input nested past [`MAX_DEPTH`].
+    fn descend(&mut self) -> Result<()> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::new(format!(
+                "recursion limit exceeded at offset {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        self.pos += 1;
+        Ok(())
     }
 
     fn parse_value(&mut self) -> Result<Content> {
         self.skip_ws();
         match self.peek() {
             None => Err(Error::new("unexpected end of input")),
-            Some(b'n') => {
-                if self.eat_keyword("null") {
-                    Ok(Content::Null)
-                } else {
-                    Err(Error::new(format!("bad literal at offset {}", self.pos)))
-                }
-            }
-            Some(b't') => {
-                if self.eat_keyword("true") {
-                    Ok(Content::Bool(true))
-                } else {
-                    Err(Error::new(format!("bad literal at offset {}", self.pos)))
-                }
-            }
-            Some(b'f') => {
-                if self.eat_keyword("false") {
-                    Ok(Content::Bool(false))
-                } else {
-                    Err(Error::new(format!("bad literal at offset {}", self.pos)))
-                }
-            }
+            Some(b'n') => self.keyword("null", Content::Null),
+            Some(b't') => self.keyword("true", Content::Bool(true)),
+            Some(b'f') => self.keyword("false", Content::Bool(false)),
             Some(b'"') => Ok(Content::Str(self.parse_string()?)),
             Some(b'[') => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(Content::Seq(items));
-                }
-                loop {
-                    items.push(self.parse_value()?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => {
-                            self.pos += 1;
-                        }
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Content::Seq(items));
-                        }
-                        _ => return Err(Error::new(format!("bad array at offset {}", self.pos))),
-                    }
-                }
+                self.descend()?;
+                let items = self.parse_array()?;
+                self.depth -= 1;
+                Ok(Content::Seq(items))
             }
             Some(b'{') => {
-                self.pos += 1;
-                let mut entries = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(Content::Map(entries));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.parse_string()?;
-                    self.skip_ws();
-                    self.expect(b':')?;
-                    let value = self.parse_value()?;
-                    entries.push((Content::Str(key), value));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => {
-                            self.pos += 1;
-                        }
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Content::Map(entries));
-                        }
-                        _ => return Err(Error::new(format!("bad object at offset {}", self.pos))),
-                    }
-                }
+                self.descend()?;
+                let entries = self.parse_object()?;
+                self.depth -= 1;
+                Ok(Content::Map(entries))
             }
             Some(_) => self.parse_number(),
+        }
+    }
+
+    /// The elements after an opening `[`, through the closing `]`.
+    fn parse_array(&mut self) -> Result<Vec<Content>> {
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(items);
+        }
+        loop {
+            items.push(self.parse_value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(items);
+                }
+                _ => return Err(Error::new(format!("bad array at offset {}", self.pos))),
+            }
+        }
+    }
+
+    /// The entries after an opening `{`, through the closing `}`.
+    fn parse_object(&mut self) -> Result<Vec<(Content, Content)>> {
+        let mut entries = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(entries);
+        }
+        loop {
+            self.skip_ws();
+            let key = self.parse_string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            let value = self.parse_value()?;
+            entries.push((Content::Str(key), value));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(entries);
+                }
+                _ => return Err(Error::new(format!("bad object at offset {}", self.pos))),
+            }
         }
     }
 
@@ -301,55 +320,81 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote or backslash in one piece.
+            // Both are ASCII, so the run ends on a char boundary of the
+            // (already valid) source text.
+            let start = self.pos;
+            while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                self.pos += 1;
+            }
+            out.push_str(&self.src[start..self.pos]);
             match self.peek() {
                 None => return Err(Error::new("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{0008}'),
-                        Some(b'f') => out.push('\u{000c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| Error::new("bad \\u escape"))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex)
-                                    .map_err(|_| Error::new("bad \\u escape"))?,
-                                16,
-                            )
-                            .map_err(|_| Error::new("bad \\u escape"))?;
-                            out.push(
-                                char::from_u32(code).ok_or_else(|| Error::new("bad \\u escape"))?,
-                            );
-                            self.pos += 4;
-                        }
-                        other => {
-                            return Err(Error::new(format!("bad escape: {other:?}")));
-                        }
-                    }
-                    self.pos += 1;
-                }
                 Some(_) => {
-                    // Consume one UTF-8 encoded char.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| Error::new("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    self.pos += 1;
+                    out.push(self.parse_escape()?);
                 }
             }
         }
+    }
+
+    /// The character an escape stands for; `pos` is just past the backslash
+    /// on entry and just past the escape on return.
+    fn parse_escape(&mut self) -> Result<char> {
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'b') => '\u{0008}',
+            Some(b'f') => '\u{000c}',
+            Some(b'u') => {
+                self.pos += 1;
+                return self.parse_unicode_escape();
+            }
+            other => return Err(Error::new(format!("bad escape: {other:?}"))),
+        };
+        self.pos += 1;
+        Ok(c)
+    }
+
+    /// Four hex digits at `pos`.
+    fn hex4(&mut self) -> Result<u32> {
+        let bad = || Error::new("bad \\u escape");
+        let digits = self
+            .src
+            .get(self.pos..self.pos + 4)
+            .filter(|d| d.bytes().all(|b| b.is_ascii_hexdigit()))
+            .ok_or_else(bad)?;
+        self.pos += 4;
+        u32::from_str_radix(digits, 16).map_err(|_| bad())
+    }
+
+    /// A `\uXXXX` escape after its `\u`: a code point of the basic plane, or
+    /// a high surrogate that must be followed by the `\uXXXX` of a low one.
+    fn parse_unicode_escape(&mut self) -> Result<char> {
+        let lone = |code: u32| Error::new(format!("lone surrogate \\u{code:04x} in string"));
+        let code = match self.hex4()? {
+            high @ 0xD800..=0xDBFF => {
+                if !self.at("\\u") {
+                    return Err(lone(high));
+                }
+                self.pos += 2;
+                match self.hex4()? {
+                    low @ 0xDC00..=0xDFFF => 0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00),
+                    _ => return Err(lone(high)),
+                }
+            }
+            low @ 0xDC00..=0xDFFF => return Err(lone(low)),
+            code => code,
+        };
+        char::from_u32(code).ok_or_else(|| Error::new("bad \\u escape"))
     }
 
     fn parse_number(&mut self) -> Result<Content> {
@@ -361,8 +406,7 @@ impl<'a> Parser<'a> {
                 break;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error::new("invalid number"))?;
+        let text = &self.src[start..self.pos];
         if text.is_empty() {
             return Err(Error::new(format!(
                 "unexpected character at offset {start}"

@@ -216,10 +216,17 @@ impl SnapshotDelta {
     /// canonical capture order so the result is bit-identical to the full
     /// snapshot; the caller re-stamps the dictionary afterwards
     /// (see [`SystemSnapshot::stamp_dictionary`]).
-    pub fn apply(&self, base: &mut SystemSnapshot) {
+    ///
+    /// Returns the tuples it took out of `base`, each with its node: the
+    /// delta names removals by id only, and a replay step reports the tuples.
+    pub fn apply(&self, base: &mut SystemSnapshot) -> Vec<(Addr, Tuple)> {
+        let mut taken = Vec::new();
         base.time = self.time;
         for addr in &self.nodes_removed {
-            base.nodes.remove(addr);
+            if let Some(node) = base.nodes.remove(addr) {
+                let tuples = node.relations.into_values().flatten();
+                taken.extend(tuples.map(|t| (*addr, t)));
+            }
         }
         for (addr, nd) in &self.nodes {
             let node = base.nodes.entry(*addr).or_insert_with(|| NodeSnapshot {
@@ -229,7 +236,13 @@ impl SnapshotDelta {
             for (rel, removed) in &nd.removed {
                 let gone: BTreeSet<TupleId> = removed.iter().copied().collect();
                 if let Some(tuples) = node.relations.get_mut(rel) {
-                    tuples.retain(|t| !gone.contains(&t.id()));
+                    tuples.retain(|t| {
+                        let keep = !gone.contains(&t.id());
+                        if !keep {
+                            taken.push((*addr, t.clone()));
+                        }
+                        keep
+                    });
                 }
             }
             for (rel, added) in &nd.added {
@@ -240,7 +253,7 @@ impl SnapshotDelta {
             }
             for rel in nd.removed.keys().chain(nd.added.keys()) {
                 if let Some(tuples) = node.relations.get_mut(rel) {
-                    tuples.sort_by_key(tuple_sort_key);
+                    tuples.sort_by_cached_key(tuple_sort_key);
                 }
             }
             node.relations.retain(|_, tuples| !tuples.is_empty());
@@ -272,6 +285,7 @@ impl SnapshotDelta {
         if let Some(traffic) = &self.traffic {
             base.traffic = traffic.clone();
         }
+        taken
     }
 
     /// Upload cost of shipping this delta: per-node edits, graph edits, the

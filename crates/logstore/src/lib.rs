@@ -30,6 +30,21 @@
 //! * [`Replay`] — iteration over the stored snapshots with per-step diffs
 //!   (which tuples appeared / disappeared between consecutive snapshots),
 //!   which is what the visualizer's replay slider consumes.
+//!
+//! ## What a read costs
+//!
+//! A durable read costs what the bytes it reads cost. The façade keeps one
+//! materialization cursor — the snapshot of the last index read — shared by
+//! every backend. `get(i)`, `at(t)` and `Replay::seek` that land at or after
+//! the cursor on the same checkpoint→delta chain decode only the records in
+//! between and apply them forward; any other read decodes its chain's
+//! checkpoint and the deltas up to the index, so no read costs more than one
+//! chain. `Replay::step` decodes one record: a delta is applied in place and
+//! the step's [`SnapshotDiff`] is built from the delta and the tuples it
+//! took out; only a step onto a checkpoint compares two snapshots.
+//! `append_record` and `compact` drop the cursor. The segment-file backend
+//! checks every payload it reads against its frame checksum, one pass over
+//! the bytes.
 
 pub mod backend;
 pub mod capture;

@@ -7,12 +7,14 @@
 //! consecutive snapshots — which tuples appeared and disappeared, and how the
 //! topology changed — which is exactly what an animation layer needs.
 
-use crate::snapshot::SystemSnapshot;
-use crate::store::LogStore;
+use crate::backend::LogRecord;
+use crate::delta::SnapshotDelta;
+use crate::snapshot::{NodeSnapshot, SystemSnapshot};
+use crate::store::{Cursor, LogStore};
 use nt_runtime::{Addr, Tuple};
 use serde::{Deserialize, Serialize};
-use simnet::SimTime;
-use std::collections::BTreeSet;
+use simnet::{SimTime, Topology};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// The difference between two consecutive snapshots.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -31,6 +33,45 @@ pub struct SnapshotDiff {
     pub links_removed: Vec<(String, String)>,
 }
 
+/// A node's tuples by rendering; of two tuples that render alike, the first
+/// in relation order stands for both.
+fn tuples_by_text(node: Option<&NodeSnapshot>) -> BTreeMap<String, &Tuple> {
+    let mut by_text = BTreeMap::new();
+    for t in node
+        .into_iter()
+        .flat_map(|n| n.relations.values().flatten())
+    {
+        by_text.entry(t.to_string()).or_insert(t);
+    }
+    by_text
+}
+
+/// Changed tuples in the order [`SnapshotDiff::between`] lists them: by node,
+/// then by rendering, one entry per rendering.
+fn in_diff_order(tuples: impl IntoIterator<Item = (Addr, Tuple)>) -> Vec<(Addr, Tuple)> {
+    let mut keyed: Vec<(Addr, String, Tuple)> = tuples
+        .into_iter()
+        .map(|(node, t)| (node, t.to_string(), t))
+        .collect();
+    keyed.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
+    keyed.dedup_by(|later, first| (later.0, &later.1) == (first.0, &first.1));
+    keyed.into_iter().map(|(node, _, t)| (node, t)).collect()
+}
+
+/// Directed links `(added, removed)` going from topology `a` to `b`.
+type LinkChanges = (Vec<(String, String)>, Vec<(String, String)>);
+
+fn link_changes(a: &Topology, b: &Topology) -> LinkChanges {
+    let links = |t: &Topology| -> BTreeSet<(String, String)> {
+        t.links().map(|l| (l.from.clone(), l.to.clone())).collect()
+    };
+    let (links_a, links_b) = (links(a), links(b));
+    (
+        links_b.difference(&links_a).cloned().collect(),
+        links_a.difference(&links_b).cloned().collect(),
+    )
+}
+
 impl SnapshotDiff {
     /// True when nothing changed between the two snapshots.
     pub fn is_empty(&self) -> bool {
@@ -40,65 +81,78 @@ impl SnapshotDiff {
             && self.links_removed.is_empty()
     }
 
-    /// Compute the diff between two snapshots.
+    /// Compute the diff between two snapshots. Tuples are compared by their
+    /// rendering, node by node; a node whose relations are equal on both
+    /// sides is skipped without rendering anything.
     pub fn between(a: &SystemSnapshot, b: &SystemSnapshot) -> Self {
-        let tuples = |s: &SystemSnapshot| -> BTreeSet<(Addr, String)> {
-            s.nodes
-                .iter()
-                .flat_map(|(node, ns)| {
-                    ns.relations
-                        .values()
-                        .flatten()
-                        .map(move |t| (*node, t.to_string()))
-                })
-                .collect()
-        };
-        let set_a = tuples(a);
-        let set_b = tuples(b);
-        let lookup = |s: &SystemSnapshot, key: &(Addr, String)| -> Option<(Addr, Tuple)> {
-            s.nodes.get(&key.0).and_then(|ns| {
-                ns.relations
-                    .values()
-                    .flatten()
-                    .find(|t| t.to_string() == key.1)
-                    .map(|t| (key.0, t.clone()))
-            })
-        };
-        let appeared = set_b
-            .difference(&set_a)
-            .filter_map(|k| lookup(b, k))
-            .collect();
-        let disappeared = set_a
-            .difference(&set_b)
-            .filter_map(|k| lookup(a, k))
-            .collect();
-
-        let links = |s: &SystemSnapshot| -> BTreeSet<(String, String)> {
-            s.topology
-                .links()
-                .map(|l| (l.from.clone(), l.to.clone()))
-                .collect()
-        };
-        let links_a = links(a);
-        let links_b = links(b);
+        let mut appeared = Vec::new();
+        let mut disappeared = Vec::new();
+        let nodes: BTreeSet<Addr> = a.nodes.keys().chain(b.nodes.keys()).copied().collect();
+        for node in nodes {
+            let (node_a, node_b) = (a.nodes.get(&node), b.nodes.get(&node));
+            if node_a.map(|n| &n.relations) == node_b.map(|n| &n.relations) {
+                continue;
+            }
+            let (in_a, in_b) = (tuples_by_text(node_a), tuples_by_text(node_b));
+            let only_in = |x: &BTreeMap<String, &Tuple>, y: &BTreeMap<String, &Tuple>| {
+                x.iter()
+                    .filter(|(text, _)| !y.contains_key(*text))
+                    .map(|(_, t)| (node, (*t).clone()))
+                    .collect::<Vec<_>>()
+            };
+            appeared.extend(only_in(&in_b, &in_a));
+            disappeared.extend(only_in(&in_a, &in_b));
+        }
+        let (links_added, links_removed) = link_changes(&a.topology, &b.topology);
         SnapshotDiff {
             from: a.time,
             to: b.time,
             appeared,
             disappeared,
-            links_added: links_b.difference(&links_a).cloned().collect(),
-            links_removed: links_a.difference(&links_b).cloned().collect(),
+            links_added,
+            links_removed,
+        }
+    }
+
+    /// Turn `snapshot` into the next capture by applying `delta` in place,
+    /// and report the step from the delta's added tuples and the tuples it
+    /// took out of the snapshot. Equal to [`SnapshotDiff::between`] of the
+    /// two snapshots whenever distinct tuples of a node render distinctly
+    /// (captured tables do; `Int(3)` beside `Double(3.0)` would not), at the
+    /// cost of the delta instead of both snapshots.
+    fn stepping(snapshot: &mut SystemSnapshot, delta: &SnapshotDelta) -> Self {
+        let from = snapshot.time;
+        let (links_added, links_removed) = match &delta.topology {
+            Some(next) => link_changes(&snapshot.topology, next),
+            None => Default::default(),
+        };
+        let taken = delta.apply(snapshot);
+        snapshot.stamp_dictionary();
+        let added = delta.nodes.iter().flat_map(|(node, nd)| {
+            let tuples = nd.added.values().flatten();
+            tuples.map(|t| (*node, t.clone()))
+        });
+        SnapshotDiff {
+            from,
+            to: delta.time,
+            appeared: in_diff_order(added),
+            disappeared: in_diff_order(taken),
+            links_added,
+            links_removed,
         }
     }
 }
 
 /// An iterator-style replay cursor over a log store.
 ///
-/// The store holds checkpoint/delta records, so the cursor keeps the
-/// *materialized* snapshot at its position cached: stepping over a delta
-/// record applies it to the cached snapshot instead of re-walking the chain
-/// from the last checkpoint, making a full replay O(records), not
-/// O(records × chain length).
+/// A replay works on the store's one materialization cursor: it takes the
+/// snapshot out of the store and steps it in place, and a seek hands it back
+/// before taking the cursor at the new index, so seeking forward along a
+/// chain continues from where the replay stands. Stepping over a delta
+/// record decodes that record, applies it to the snapshot held and reports
+/// the step from the delta; stepping onto a checkpoint decodes it and diffs
+/// the two snapshots. A full replay is O(records), not O(records × chain
+/// length).
 #[derive(Debug)]
 pub struct Replay<'a> {
     store: &'a LogStore,
@@ -109,11 +163,13 @@ pub struct Replay<'a> {
 impl<'a> Replay<'a> {
     /// Start a replay at the first snapshot.
     pub fn new(store: &'a LogStore) -> Self {
-        Replay {
+        let mut replay = Replay {
             store,
             position: 0,
-            current: store.get(0),
-        }
+            current: None,
+        };
+        replay.move_to(0);
+        replay
     }
 
     /// The materialized snapshot the cursor currently points at.
@@ -124,19 +180,16 @@ impl<'a> Replay<'a> {
     /// Advance to the next snapshot, returning the diff from the previous one.
     pub fn step(&mut self) -> Option<SnapshotDiff> {
         let record = self.store.record(self.position + 1)?;
-        let current = self.current.as_ref()?;
-        let next = match record {
-            crate::LogRecord::Checkpoint(snapshot) => snapshot,
-            crate::LogRecord::Delta(delta) => {
-                let mut next = current.clone();
-                delta.apply(&mut next);
-                next.stamp_dictionary();
-                next
+        let current = self.current.as_mut()?;
+        let diff = match record {
+            LogRecord::Checkpoint(next) => {
+                let diff = SnapshotDiff::between(current, &next);
+                *current = next;
+                diff
             }
+            LogRecord::Delta(delta) => SnapshotDiff::stepping(current, &delta),
         };
-        let diff = SnapshotDiff::between(current, &next);
         self.position += 1;
-        self.current = Some(next);
         Some(diff)
     }
 
@@ -146,10 +199,23 @@ impl<'a> Replay<'a> {
     }
 
     /// Jump to the snapshot closest to (at or before) `time`, as when a user
-    /// drags the replay slider — a binary search over the record index.
+    /// drags the replay slider — a binary search over the record index, then
+    /// the store's cursor moved there.
     pub fn seek(&mut self, time: SimTime) {
-        self.position = self.store.index_at(time).unwrap_or(0);
-        self.current = self.store.get(self.position);
+        self.move_to(self.store.index_at(time).unwrap_or(0));
+    }
+
+    /// Hand the snapshot held back to the store, then take the store's
+    /// cursor at `index`.
+    fn move_to(&mut self, index: usize) {
+        if let Some(snapshot) = self.current.take() {
+            self.store.park_cursor(Cursor {
+                index: self.position,
+                snapshot,
+            });
+        }
+        self.position = index;
+        self.current = self.store.take_cursor_at(index).map(|c| c.snapshot);
     }
 }
 

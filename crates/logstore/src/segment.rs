@@ -15,11 +15,15 @@
 //! checksum mismatch, i.e. a crash mid-append — silently ends that segment's
 //! scan, keeping the intact prefix. Compaction rewrites all live records
 //! into fresh sealed segments, reclaiming dead tail bytes.
+//!
+//! Every read checks the payload against the frame checksum again, so bytes
+//! that rot after `open` are a "checksum mismatch" error, never a record.
 
 use crate::backend::{CompactionStats, LogBackend, LogRecord, RecordKind};
 use simnet::SimTime;
+use std::cell::RefCell;
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 const FOOTER_SENTINEL: u32 = 0xFFFF_FFFF;
@@ -59,6 +63,7 @@ struct Slot {
     segment: u32,
     offset: u64,
     payload_len: u32,
+    checksum: u64,
     time: SimTime,
     kind: RecordKind,
 }
@@ -82,6 +87,9 @@ pub struct SegmentFileBackend {
     next_segment: u32,
     segment_capacity: usize,
     storage_bytes: u64,
+    /// The read handle of the segment last read from, kept open across
+    /// reads: a replay reads a segment's records one after another.
+    reader: RefCell<Option<(u32, File)>>,
 }
 
 impl SegmentFileBackend {
@@ -116,6 +124,7 @@ impl SegmentFileBackend {
             next_segment: segment_files.last().map(|(n, _)| n + 1).unwrap_or(0),
             segment_capacity: DEFAULT_SEGMENT_CAPACITY,
             storage_bytes: 0,
+            reader: RefCell::new(None),
         };
         let mut recovered: Vec<Slot> = Vec::new();
         for (number, path) in &segment_files {
@@ -192,7 +201,8 @@ impl SegmentFileBackend {
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         frame.push(kind_byte(kind));
         frame.extend_from_slice(&time.as_micros().to_le_bytes());
-        frame.extend_from_slice(&fnv64(&payload).to_le_bytes());
+        let checksum = fnv64(&payload);
+        frame.extend_from_slice(&checksum.to_le_bytes());
         frame.extend_from_slice(&payload);
 
         let active = self.active.as_mut().expect("active segment");
@@ -205,6 +215,7 @@ impl SegmentFileBackend {
             segment: active.number,
             offset,
             payload_len: payload.len() as u32,
+            checksum,
             time,
             kind,
         };
@@ -214,13 +225,40 @@ impl SegmentFileBackend {
         Ok(slot)
     }
 
-    fn read_slot(&self, slot: &Slot) -> std::io::Result<LogRecord> {
-        let mut file = File::open(self.segment_path(slot.segment))?;
-        file.seek(SeekFrom::Start(slot.offset + FRAME_HEADER as u64))?;
+    /// Read and decode the record at a logical index. Unlike
+    /// [`LogBackend::get`], which answers `None`, this says what went wrong:
+    /// an I/O error, a payload that no longer matches its frame checksum
+    /// (`InvalidData`, "checksum mismatch in seg-N at offset O"), or a
+    /// payload that does not decode.
+    pub fn read(&self, index: usize) -> io::Result<LogRecord> {
+        let slot = self
+            .slots
+            .get(index)
+            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("no record {index}")))?;
         let mut payload = vec![0u8; slot.payload_len as usize];
-        file.read_exact(&mut payload)?;
-        let text = String::from_utf8(payload).map_err(|e| std::io::Error::other(e.to_string()))?;
-        serde_json::from_str(&text).map_err(|e| std::io::Error::other(e.to_string()))
+        {
+            let mut reader = self.reader.borrow_mut();
+            let file = match &mut *reader {
+                Some((segment, file)) if *segment == slot.segment => file,
+                other => {
+                    let file = File::open(self.segment_path(slot.segment))?;
+                    &mut other.insert((slot.segment, file)).1
+                }
+            };
+            file.seek(SeekFrom::Start(slot.offset + FRAME_HEADER as u64))?;
+            file.read_exact(&mut payload)?;
+        }
+        if fnv64(&payload) != slot.checksum {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "checksum mismatch in seg-{:05} at offset {}",
+                    slot.segment, slot.offset
+                ),
+            ));
+        }
+        let text = String::from_utf8(payload).map_err(|e| io::Error::other(e.to_string()))?;
+        serde_json::from_str(&text).map_err(|e| io::Error::other(e.to_string()))
     }
 }
 
@@ -252,6 +290,7 @@ fn scan_segment(number: u32, bytes: &[u8]) -> Vec<Slot> {
             segment: number,
             offset: offset as u64,
             payload_len: len,
+            checksum,
             time: SimTime::from_micros(time_us),
             kind,
         });
@@ -276,8 +315,7 @@ impl LogBackend for SegmentFileBackend {
     }
 
     fn get(&self, index: usize) -> Option<LogRecord> {
-        let slot = self.slots.get(index)?;
-        self.read_slot(slot).ok()
+        self.read(index).ok()
     }
 
     fn time_index(&self) -> &[SimTime] {
@@ -299,6 +337,7 @@ impl LogBackend for SegmentFileBackend {
         let records: Vec<LogRecord> = self.iter().collect();
         let old_segments: Vec<u32> = (0..self.next_segment).collect();
         self.active = None;
+        *self.reader.get_mut() = None;
         self.slots.clear();
         self.times.clear();
         self.kinds.clear();

@@ -4,16 +4,36 @@ use crate::backend::{CompactionStats, LogBackend, LogRecord, MemBackend, RecordK
 use crate::snapshot::SystemSnapshot;
 use serde::{Deserialize, Serialize};
 use simnet::SimTime;
+use std::cell::RefCell;
 use std::collections::BTreeSet;
+
+/// A materialized snapshot and the record index it stands at.
+#[derive(Debug)]
+pub(crate) struct Cursor {
+    pub(crate) index: usize,
+    pub(crate) snapshot: SystemSnapshot,
+}
 
 /// The store of system snapshots that lives at the visualization node,
 /// now a thin façade over a pluggable [`LogBackend`]. Records are full
 /// checkpoints or incremental deltas; every read (`get`, `at`, `snapshots`)
-/// *materializes* a full [`SystemSnapshot`] by walking back to the nearest
-/// checkpoint and applying the delta chain forward, so callers never see the
+/// *materializes* a full [`SystemSnapshot`], so callers never see the
 /// encoding. The store tracks how many bytes have been uploaded to it (the
 /// centralization cost of Section 2.3), with delta dictionary bytes broken
 /// out separately.
+///
+/// # What a read costs
+///
+/// The store keeps one *materialization cursor*: the snapshot of the last
+/// index read, whatever the backend. A read of index `i` whose chain (the
+/// nearest checkpoint at or before `i`, and the deltas after it) holds the
+/// cursor at or before `i` decodes and applies only the deltas between the
+/// two; any other read decodes the checkpoint and the deltas up to `i`. So
+/// reading forward costs one record decode per index, and a read elsewhere
+/// costs at most one chain. [`LogStore::get`] and [`LogStore::at`] return a
+/// clone of the cursor's snapshot; a [`crate::Replay`] takes the snapshot
+/// out of the store and steps it in place. [`LogStore::append_record`] and
+/// [`LogStore::compact`] drop the cursor.
 #[derive(Debug)]
 pub struct LogStore {
     backend: Box<dyn LogBackend>,
@@ -21,6 +41,7 @@ pub struct LogStore {
     delta_dict_bytes: u64,
     checkpoints: usize,
     deltas: usize,
+    cursor: RefCell<Option<Cursor>>,
 }
 
 impl Default for LogStore {
@@ -43,6 +64,7 @@ impl LogStore {
             delta_dict_bytes: 0,
             checkpoints: 0,
             deltas: 0,
+            cursor: RefCell::new(None),
         }
     }
 
@@ -92,6 +114,7 @@ impl LogStore {
         }
         self.uploaded_bytes += record.upload_bytes() as u64;
         self.backend.append(record);
+        *self.cursor.get_mut() = None;
     }
 
     /// Number of stored records (each materializes one snapshot).
@@ -138,6 +161,7 @@ impl LogStore {
 
     /// Reclaim dead backend storage without changing any answer.
     pub fn compact(&mut self) -> CompactionStats {
+        *self.cursor.get_mut() = None;
         self.backend.compact()
     }
 
@@ -158,9 +182,19 @@ impl LogStore {
         (0..self.len()).filter_map(|i| self.get(i)).collect()
     }
 
-    /// The snapshot at a given index, materialized from the nearest
-    /// checkpoint at or before it plus the delta chain between them.
+    /// The snapshot at a given index (see "What a read costs" above).
     pub fn get(&self, index: usize) -> Option<SystemSnapshot> {
+        let cursor = self.take_cursor_at(index)?;
+        let snapshot = cursor.snapshot.clone();
+        self.park_cursor(cursor);
+        Some(snapshot)
+    }
+
+    /// Move the cursor to `index` and take it out of the store: forward from
+    /// where it stands when that is on `index`'s chain at or before `index`,
+    /// otherwise from the chain's checkpoint. The store holds no cursor
+    /// until [`LogStore::park_cursor`] hands one back.
+    pub(crate) fn take_cursor_at(&self, index: usize) -> Option<Cursor> {
         if index >= self.len() {
             return None;
         }
@@ -168,19 +202,35 @@ impl LogStore {
         let base = (0..=index)
             .rev()
             .find(|i| kinds[*i] == RecordKind::Checkpoint)?;
-        let Some(LogRecord::Checkpoint(mut snapshot)) = self.backend.get(base) else {
-            return None;
+        let mut cursor = match self.cursor.take() {
+            Some(cursor) if (base..=index).contains(&cursor.index) => cursor,
+            _ => {
+                let LogRecord::Checkpoint(snapshot) = self.backend.get(base)? else {
+                    return None;
+                };
+                Cursor {
+                    index: base,
+                    snapshot,
+                }
+            }
         };
-        for i in base + 1..=index {
-            let LogRecord::Delta(delta) = self.backend.get(i)? else {
-                return None;
-            };
-            delta.apply(&mut snapshot);
+        if cursor.index < index {
+            for i in cursor.index + 1..=index {
+                let LogRecord::Delta(delta) = self.backend.get(i)? else {
+                    return None;
+                };
+                delta.apply(&mut cursor.snapshot);
+            }
+            cursor.snapshot.stamp_dictionary();
+            cursor.index = index;
         }
-        if base != index {
-            snapshot.stamp_dictionary();
-        }
-        Some(snapshot)
+        Some(cursor)
+    }
+
+    /// Hand a cursor back (one taken with [`LogStore::take_cursor_at`] and
+    /// possibly stepped since).
+    pub(crate) fn park_cursor(&self, cursor: Cursor) {
+        self.cursor.replace(Some(cursor));
     }
 
     /// The index of the latest record captured at or before `time` — a
@@ -236,6 +286,7 @@ impl LogStore {
             delta_dict_bytes: 0,
             checkpoints,
             deltas: 0,
+            cursor: RefCell::new(None),
         })
     }
 }
@@ -370,6 +421,19 @@ mod tests {
             captures[2],
             "at() materializes through the delta chain"
         );
+    }
+
+    #[test]
+    fn a_late_checkpoint_drops_the_cursor_it_would_renumber() {
+        let mut store = LogStore::new();
+        store.add(snapshot_at(5));
+        store.add(snapshot_at(9));
+        assert_eq!(store.get(1).unwrap().time, SimTime::from_secs(9));
+        // Slots in at index 1; a cursor kept from the read above would
+        // still answer index 1 with the 9 s snapshot.
+        store.add(snapshot_at(7));
+        assert_eq!(store.get(1).unwrap().time, SimTime::from_secs(7));
+        assert_eq!(store.get(2).unwrap().time, SimTime::from_secs(9));
     }
 
     #[test]

@@ -1,0 +1,388 @@
+//! The materialization cursor and the in-place replay step against their
+//! oracles, on every backend.
+//!
+//! `LogStore::get`, `at` and `Replay::seek` move one shared cursor forward
+//! where they can instead of re-decoding a chain, and `Replay::step` applies
+//! a delta in place and reports the step from the delta. The oracles are the
+//! code they replaced, kept here: a `get` that walks back to the nearest
+//! checkpoint and applies every delta on every call, and a step diff that
+//! renders every tuple of both snapshots. Reads come in random order,
+//! interleaved with `append_record` and `compact`.
+
+use logstore::snapshot::{tuple_sort_key, NodeSnapshot};
+use logstore::{
+    KvBackend, LogBackend, LogRecord, LogStore, MemBackend, Replay, SegmentFileBackend,
+    SnapshotCapturer, SnapshotDiff, SystemSnapshot,
+};
+use nt_runtime::{Addr, Tuple, Value};
+use proptest::prelude::*;
+use provenance::{ProvEdge, ProvVertex, VertexId};
+use simnet::{SimTime, Topology};
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// The `LogStore::get` this PR replaced: decode the nearest checkpoint at or
+/// before `index` and every delta after it, on every call.
+fn chain_walk(store: &LogStore, index: usize) -> Option<SystemSnapshot> {
+    if index >= store.len() {
+        return None;
+    }
+    let base = (0..=index)
+        .rev()
+        .find(|i| matches!(store.record(*i), Some(LogRecord::Checkpoint(_))))?;
+    let Some(LogRecord::Checkpoint(mut snapshot)) = store.record(base) else {
+        return None;
+    };
+    for i in base + 1..=index {
+        let LogRecord::Delta(delta) = store.record(i)? else {
+            return None;
+        };
+        delta.apply(&mut snapshot);
+    }
+    if base != index {
+        snapshot.stamp_dictionary();
+    }
+    Some(snapshot)
+}
+
+/// The `SnapshotDiff::between` this PR replaced: render every tuple of both
+/// snapshots into two sets, then look each changed rendering up again.
+fn between_reference(a: &SystemSnapshot, b: &SystemSnapshot) -> SnapshotDiff {
+    let tuples = |s: &SystemSnapshot| -> BTreeSet<(Addr, String)> {
+        s.nodes
+            .iter()
+            .flat_map(|(node, ns)| {
+                ns.relations
+                    .values()
+                    .flatten()
+                    .map(move |t| (*node, t.to_string()))
+            })
+            .collect()
+    };
+    let set_a = tuples(a);
+    let set_b = tuples(b);
+    let lookup = |s: &SystemSnapshot, key: &(Addr, String)| -> Option<(Addr, Tuple)> {
+        s.nodes.get(&key.0).and_then(|ns| {
+            ns.relations
+                .values()
+                .flatten()
+                .find(|t| t.to_string() == key.1)
+                .map(|t| (key.0, t.clone()))
+        })
+    };
+    let links = |s: &SystemSnapshot| -> BTreeSet<(String, String)> {
+        s.topology
+            .links()
+            .map(|l| (l.from.clone(), l.to.clone()))
+            .collect()
+    };
+    let links_a = links(a);
+    let links_b = links(b);
+    SnapshotDiff {
+        from: a.time,
+        to: b.time,
+        appeared: set_b
+            .difference(&set_a)
+            .filter_map(|k| lookup(b, k))
+            .collect(),
+        disappeared: set_a
+            .difference(&set_b)
+            .filter_map(|k| lookup(a, k))
+            .collect(),
+        links_added: links_b.difference(&links_a).cloned().collect(),
+        links_removed: links_a.difference(&links_b).cloned().collect(),
+    }
+}
+
+const NODES: [&str; 4] = ["c1", "c2", "c3", "c4"];
+const RELATIONS: [&str; 3] = ["cost", "hop", "seen"];
+
+fn tuple(node: &str, relation: &str, value: i64) -> Tuple {
+    Tuple::new(
+        relation,
+        vec![
+            Value::addr(node),
+            Value::Int(value),
+            Value::str(format!("v{value}")),
+            Value::List(vec![Value::addr(NODES[value as usize % NODES.len()])]),
+        ],
+    )
+}
+
+/// A `(node, relation, value)` fact, by index into [`NODES`] and
+/// [`RELATIONS`].
+type Fact = (usize, usize, i64);
+
+/// One capture per entry of `edits`: each edit toggles facts and sets the
+/// length of the line topology. A node with no facts left
+/// drops out of the capture; the graph holds a vertex per `cost` fact,
+/// chained by edges.
+fn captures(edits: &[(Vec<Fact>, usize)]) -> Vec<SystemSnapshot> {
+    let mut facts: BTreeSet<Fact> = BTreeSet::new();
+    let mut out = Vec::new();
+    for (i, (toggles, line)) in edits.iter().enumerate() {
+        for fact in toggles {
+            if !facts.remove(fact) {
+                facts.insert(*fact);
+            }
+        }
+        let mut snap = SystemSnapshot {
+            time: SimTime::from_secs(i as u64 + 1),
+            topology: Topology::line(2 + line),
+            ..Default::default()
+        };
+        let mut chain = Vec::new();
+        for (node, relation, value) in &facts {
+            let t = tuple(NODES[*node], RELATIONS[*relation], *value);
+            if *relation == 0 {
+                let vid = VertexId::Tuple(t.id());
+                chain.push(vid);
+                snap.graph.vertices.insert(
+                    vid,
+                    ProvVertex::Tuple {
+                        vid: t.id(),
+                        tuple: Some(t.clone()),
+                        home: NODES[*node].into(),
+                        is_base: value % 2 == 0,
+                    },
+                );
+            }
+            let node_snap = snap
+                .nodes
+                .entry(NODES[*node].into())
+                .or_insert_with(|| NodeSnapshot {
+                    node: NODES[*node].into(),
+                    ..Default::default()
+                });
+            node_snap.provenance.prov_entries += 1;
+            node_snap
+                .relations
+                .entry(RELATIONS[*relation].to_string())
+                .or_default()
+                .push(t);
+        }
+        for node_snap in snap.nodes.values_mut() {
+            for tuples in node_snap.relations.values_mut() {
+                tuples.sort_by_key(tuple_sort_key);
+            }
+        }
+        snap.graph.edges = chain
+            .windows(2)
+            .map(|w| ProvEdge {
+                from: w[0],
+                to: w[1],
+            })
+            .collect();
+        snap.graph.edges.sort();
+        snap.traffic.messages = facts.len() as u64;
+        snap.stamp_dictionary();
+        out.push(snap);
+    }
+    out
+}
+
+static CASE: AtomicUsize = AtomicUsize::new(0);
+
+fn segment_dir(case: usize) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("ntl-cursor-seg-{}-{case}", std::process::id()))
+}
+
+fn backends(case: usize) -> Vec<Box<dyn LogBackend>> {
+    let dir = segment_dir(case);
+    let _ = std::fs::remove_dir_all(&dir);
+    vec![
+        Box::new(MemBackend::new()),
+        Box::new(
+            SegmentFileBackend::open(&dir)
+                .expect("segment dir opens")
+                .with_segment_capacity(3),
+        ),
+        Box::new(KvBackend::new()),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn cursor_reads_and_in_place_steps_equal_their_oracles(
+        every in 0usize..3,
+        edits in collection::vec(
+            (collection::vec((0usize..4, 0usize..3, 0i64..5), 0..7), 0usize..3),
+            2..10,
+        ),
+        // Per round: records to append first, whether to compact, then reads
+        // as (kind, argument).
+        rounds in collection::vec(
+            (1usize..4, any::<bool>(), collection::vec((0usize..4, 0usize..64), 1..14)),
+            1..5,
+        ),
+    ) {
+        let checkpoint_every = [1, 3, 4][every];
+        let captured = captures(&edits);
+        let case = CASE.fetch_add(1, Ordering::Relaxed);
+        for backend in backends(case) {
+            let mut store = LogStore::with_backend(backend);
+            let name = store.backend_name();
+            let mut capturer = SnapshotCapturer::new(checkpoint_every);
+            for (appends, compact, reads) in &rounds {
+                for snap in captured.iter().skip(store.len()).take(*appends) {
+                    store.append_record(capturer.capture(snap.clone()));
+                }
+                if *compact {
+                    store.compact();
+                }
+                let len = store.len();
+                let latest_at = |t: SimTime| captured[..len].iter().rev().find(|s| s.time <= t);
+
+                let mut replay = Replay::new(&store);
+                let mut position = 0;
+                prop_assert_eq!(replay.current(), Some(&captured[0]));
+                for (kind, x) in reads {
+                    // Half-second grid from before the first capture to
+                    // after the last.
+                    let t = SimTime::from_micros((*x % (2 * len + 3)) as u64 * 500_000);
+                    match kind {
+                        0 => {
+                            let i = x % (len + 1);
+                            let got = store.get(i);
+                            prop_assert_eq!(&got, &chain_walk(&store, i), "{} get({})", name, i);
+                            prop_assert_eq!(got.as_ref(), captured[..len].get(i), "{} get({})", name, i);
+                        }
+                        1 => {
+                            prop_assert_eq!(store.at(t).as_ref(), latest_at(t), "{} at({:?})", name, t);
+                        }
+                        2 => {
+                            replay.seek(t);
+                            position = store.index_at(t).unwrap_or(0);
+                            prop_assert_eq!(
+                                replay.current(), Some(&captured[position]),
+                                "{} seek({:?})", name, t
+                            );
+                        }
+                        _ => {
+                            let diff = replay.step();
+                            if position + 1 == len {
+                                prop_assert_eq!(diff, None);
+                            } else {
+                                let (prev, next) = (&captured[position], &captured[position + 1]);
+                                let between = SnapshotDiff::between(prev, next);
+                                prop_assert_eq!(&between, &between_reference(prev, next));
+                                prop_assert_eq!(
+                                    diff.as_ref(), Some(&between),
+                                    "{} step {} -> {}", name, position, position + 1
+                                );
+                                position += 1;
+                                prop_assert_eq!(replay.current(), Some(next));
+                            }
+                            prop_assert_eq!(replay.remaining(), len - position - 1);
+                        }
+                    }
+                }
+            }
+
+            // A replay from the start, over everything stored.
+            let len = store.len();
+            let mut replay = Replay::new(&store);
+            for (prev, next) in captured[..len].iter().zip(&captured[1..len]) {
+                prop_assert_eq!(replay.step(), Some(between_reference(prev, next)));
+                prop_assert_eq!(replay.current(), Some(next));
+            }
+            prop_assert_eq!(replay.step(), None);
+            prop_assert_eq!(store.snapshots(), captured[..len].to_vec());
+        }
+        let _ = std::fs::remove_dir_all(segment_dir(case));
+    }
+}
+
+/// `between` collapses tuples of a node that render alike (the first in
+/// relation order stands for both), compares nodes present on one side only,
+/// and lists changes by node, then by rendering. The indexed `between` keeps
+/// all of that.
+#[test]
+fn between_keeps_the_reference_semantics_on_awkward_snapshots() {
+    let node = |name: &str, relations: Vec<(&str, Vec<Tuple>)>| {
+        let mut n = NodeSnapshot {
+            node: name.into(),
+            ..Default::default()
+        };
+        for (relation, tuples) in relations {
+            n.relations.insert(relation.to_string(), tuples);
+        }
+        n
+    };
+    let t = |relation: &str, values: Vec<Value>| Tuple::new(relation, values);
+    let snapshot = |secs: u64, nodes: Vec<NodeSnapshot>| {
+        let mut s = SystemSnapshot {
+            time: SimTime::from_secs(secs),
+            topology: Topology::line(secs as usize + 1),
+            ..Default::default()
+        };
+        s.nodes = nodes
+            .into_iter()
+            .map(|n| (n.node, n))
+            .collect::<BTreeMap<_, _>>();
+        s
+    };
+    // `3` and `3.0` render alike, as do `true` and the address `true`;
+    // tuples are unsorted and one is repeated; `w3` exists on one side only.
+    let a = snapshot(
+        1,
+        vec![
+            node(
+                "w1",
+                vec![
+                    (
+                        "m",
+                        vec![t("m", vec![Value::Int(3)]), t("m", vec![Value::Int(9)])],
+                    ),
+                    (
+                        "k",
+                        vec![
+                            t("m", vec![Value::Double(3.0)]),
+                            t("k", vec![Value::Bool(true)]),
+                        ],
+                    ),
+                ],
+            ),
+            node("w2", vec![("m", vec![t("m", vec![Value::Int(1)])])]),
+            node(
+                "w3",
+                vec![(
+                    "m",
+                    vec![t("m", vec![Value::Int(5)]), t("m", vec![Value::Int(5)])],
+                )],
+            ),
+        ],
+    );
+    let b = snapshot(
+        2,
+        vec![
+            node(
+                "w1",
+                vec![
+                    (
+                        "m",
+                        vec![
+                            t("m", vec![Value::Double(3.0)]),
+                            t("m", vec![Value::Int(2)]),
+                        ],
+                    ),
+                    (
+                        "k",
+                        vec![
+                            t("k", vec![Value::addr("true")]),
+                            t("k", vec![Value::Int(0)]),
+                        ],
+                    ),
+                ],
+            ),
+            node("w2", vec![("m", vec![t("m", vec![Value::Int(1)])])]),
+            node("w4", vec![("z", vec![t("z", vec![]), t("a", vec![])])]),
+        ],
+    );
+    for (x, y) in [(&a, &b), (&b, &a), (&a, &a)] {
+        assert_eq!(SnapshotDiff::between(x, y), between_reference(x, y));
+    }
+    assert!(!SnapshotDiff::between(&a, &b).appeared.is_empty());
+}

@@ -4,10 +4,11 @@
 //! `SegmentFileBackend`, drop the handle, reopen the directory from disk —
 //! including once with a truncated tail simulating a crash mid-append — and
 //! assert every `at(time)` answer matches an in-memory store fed the same
-//! captures.
+//! captures. And once with a single bit flipped in a payload *after* open:
+//! the read must fail its checksum, not decode to a different record.
 
 use logstore::snapshot::{tuple_sort_key, NodeSnapshot};
-use logstore::{LogStore, SegmentFileBackend, SnapshotCapturer, SystemSnapshot};
+use logstore::{LogBackend, LogStore, SegmentFileBackend, SnapshotCapturer, SystemSnapshot};
 use nt_runtime::{Tuple, Value};
 use simnet::{SimTime, Topology};
 use std::fs;
@@ -143,5 +144,64 @@ fn sealed_segments_compact_and_keep_answers() {
             "index {i} diverged after compaction"
         );
     }
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_bit_flipped_after_open_fails_the_checksum_on_read() {
+    const FRAME_HEADER: usize = 4 + 1 + 8 + 8;
+    let dir = tempdir("bitrot");
+    let snaps = captures();
+    {
+        let backend = SegmentFileBackend::open(&dir)
+            .unwrap()
+            .with_segment_capacity(100);
+        let mut seg = LogStore::with_backend(Box::new(backend));
+        fill(&mut seg, &snaps, 3);
+        seg.flush();
+    }
+    let backend = SegmentFileBackend::open(&dir).unwrap();
+    assert_eq!(backend.len(), snaps.len());
+    // Reading first leaves the segment's read handle open across the flip.
+    let intact = backend.read(1).unwrap();
+
+    // Record 1 is a delta adding `cost(n1,2)`; turn its `2` into a `3`.
+    // The payload is still well-formed JSON and would decode.
+    let seg_file = dir.join("seg-00000.ntl");
+    let mut bytes = fs::read(&seg_file).unwrap();
+    let frame1 = FRAME_HEADER + u32::from_le_bytes(bytes[..4].try_into().unwrap()) as usize;
+    let needle = br#"{"Int":2}"#;
+    let digit = frame1
+        + bytes[frame1..]
+            .windows(needle.len())
+            .position(|w| w == needle)
+            .expect("the delta carries the new cost")
+        + needle.len()
+        - 2;
+    bytes[digit] ^= 0x01;
+    fs::write(&seg_file, &bytes).unwrap();
+
+    let err = backend.read(1).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert_eq!(
+        err.to_string(),
+        format!("checksum mismatch in seg-00000 at offset {frame1}")
+    );
+    assert!(backend.get(1).is_none());
+    assert!(backend.read(0).is_ok(), "other records still read");
+
+    // Through the façade the rotten delta and the rest of its chain are
+    // absent, never a snapshot that differs from what was captured.
+    let store = LogStore::with_backend(Box::new(backend));
+    assert_eq!(store.get(0).as_ref(), Some(&snaps[0]));
+    assert_eq!(store.get(1), None);
+    assert_eq!(store.get(2), None);
+    assert_eq!(store.get(3).as_ref(), Some(&snaps[3]));
+
+    // Flipping the bit back heals it.
+    bytes[digit] ^= 0x01;
+    fs::write(&seg_file, &bytes).unwrap();
+    assert_eq!(store.record(1), Some(intact));
+    assert_eq!(store.get(2).as_ref(), Some(&snaps[2]));
     fs::remove_dir_all(&dir).unwrap();
 }

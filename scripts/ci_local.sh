@@ -45,6 +45,9 @@ test_job() {
 
     echo "==> [test] ntbench traced smoke: churn_as, 2 s"
     bash benchmark/run.sh --workload churn_as --seed 12 --seconds 2 --trace 1 > /dev/null
+
+    echo "==> [test] ntbench traced smoke: snapshot_replay, 2 s"
+    bash benchmark/run.sh --workload snapshot_replay --seed 12 --seconds 2 --trace 1 > /dev/null
 }
 
 nightly_job() {
