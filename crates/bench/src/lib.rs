@@ -1,13 +1,14 @@
-//! Shared experiment drivers for the NetTrails benchmark harness.
+//! Shared experiment drivers for the NetTrails experiment report.
 //!
-//! Every experiment of DESIGN.md §2 (E1–E8) has a driver here that builds the
-//! workload, runs it and returns a [`ReportTable`] with the measured shape
-//! (work, traffic, state sizes, savings). The Criterion benches in `benches/`
-//! time the same operations; the `report` binary prints every table so that
-//! EXPERIMENTS.md can record paper-claim vs. measured side by side.
+//! The paper is a demonstration, so its results are shapes, not timings.
+//! Each experiment E2–E8 (E1, the architecture walk-through, is the
+//! `quickstart` example) has a driver here that builds the workload, runs it
+//! and returns a [`ReportTable`] with the measured shape (work, traffic,
+//! state sizes, savings) as deterministic counts; the `report` binary prints
+//! every table. Timings are `ntbench`'s (`benchmark/`), not this crate's.
 
 use bgp::{AsTopology, BgpHarness, TraceGenerator};
-use logstore::{LogStore, Replay, SystemSnapshot};
+use logstore::{LogStore, Replay};
 use nettrails::{ExperimentRow, NetTrails, NetTrailsConfig, ReportTable};
 use provenance::{QueryEngine, QueryKind, QueryOptions, QueryResult, TraversalOrder};
 use simnet::{Topology, TopologyEvent};
@@ -29,12 +30,6 @@ pub fn converged(program: &str, topology: Topology, provenance: bool) -> NetTrai
 /// A converged MINCOST platform on a ladder of the given length.
 pub fn mincost_ladder(n: usize) -> NetTrails {
     converged(protocols::mincost::PROGRAM, Topology::ladder(n), true)
-}
-
-/// Capture a full system snapshot of a platform (the canonical capture path
-/// lives on the platform itself since the incremental-snapshot refactor).
-pub fn capture_snapshot(nt: &NetTrails) -> SystemSnapshot {
-    nt.capture_snapshot()
 }
 
 /// E2 — provenance of a running MINCOST program (Figures 2 and 3): graph size,
@@ -301,7 +296,7 @@ pub fn experiment_logstore_replay(cadences: &[usize]) -> ReportTable {
     for &events_per_snapshot in cadences {
         let mut nt = mincost_ladder(4);
         let mut store = LogStore::new();
-        store.add(capture_snapshot(&nt));
+        store.add(nt.capture_snapshot());
         let events = [
             TopologyEvent::LinkDown {
                 a: "n1".into(),
@@ -321,10 +316,10 @@ pub fn experiment_logstore_replay(cadences: &[usize]) -> ReportTable {
         for (i, event) in events.iter().enumerate() {
             nt.apply_topology_event(event);
             if (i + 1) % events_per_snapshot == 0 {
-                store.add(capture_snapshot(&nt));
+                store.add(nt.capture_snapshot());
             }
         }
-        store.add(capture_snapshot(&nt));
+        store.add(nt.capture_snapshot());
         let mut replay = Replay::new(&store);
         let mut total_changes = 0usize;
         while let Some(diff) = replay.step() {
@@ -340,24 +335,17 @@ pub fn experiment_logstore_replay(cadences: &[usize]) -> ReportTable {
     table
 }
 
-/// The standard experiments as lazily-built closures, so callers (the
-/// `report` binary) can time each table's construction individually.
-#[allow(clippy::type_complexity)]
-pub fn experiment_builders() -> Vec<Box<dyn Fn() -> ReportTable>> {
-    vec![
-        Box::new(|| experiment_mincost_provenance(&[2, 4, 8])),
-        Box::new(|| experiment_incremental(&[2, 3, 4])),
-        Box::new(|| experiment_maintenance_overhead(&[2, 4, 8])),
-        Box::new(|| experiment_bgp(&[(2, 3, 5), (3, 6, 12), (3, 8, 20)])),
-        Box::new(experiment_query_types),
-        Box::new(experiment_query_optimizations),
-        Box::new(|| experiment_logstore_replay(&[1, 2, 4])),
-    ]
-}
-
 /// All experiment tables, in order (used by the `report` binary).
 pub fn all_experiments() -> Vec<ReportTable> {
-    experiment_builders().iter().map(|build| build()).collect()
+    vec![
+        experiment_mincost_provenance(&[2, 4, 8]),
+        experiment_incremental(&[2, 3, 4]),
+        experiment_maintenance_overhead(&[2, 4, 8]),
+        experiment_bgp(&[(2, 3, 5), (3, 6, 12), (3, 8, 20)]),
+        experiment_query_types(),
+        experiment_query_optimizations(),
+        experiment_logstore_replay(&[1, 2, 4]),
+    ]
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! Regression guard for the planned, index-backed join pipeline: converging
 //! the query_optimizations scenario (PATH-VECTOR on a ladder, the workload
-//! `benches/query_optimizations.rs` times) must examine strictly fewer join
-//! candidates with index probing than the recorded full-scan baseline —
-//! while computing exactly the same relations.
+//! of `report`'s E7 table) must examine strictly fewer join candidates with
+//! index probing than the recorded full-scan baseline — while computing
+//! exactly the same relations.
 
 use nettrails::{NetTrails, NetTrailsConfig};
 use simnet::Topology;

@@ -10,7 +10,7 @@
 //! derivation histories and origins of routing entries." (Section 3.)
 //!
 //! Quagga binaries and RouteViews feeds are not available in this environment,
-//! so this crate provides behaviour-preserving substitutes (see DESIGN.md §5):
+//! so this crate provides behaviour-preserving substitutes:
 //!
 //! * [`topology`] — AS-level topologies with customer/provider/peer
 //!   relationships (a few large ISPs peering with each other, mid-size ISPs

@@ -485,10 +485,10 @@ impl StableHasher {
 /// `shards` home shards by a stable hash of its *name*.
 ///
 /// Every layer that partitions work by node — the runtime's firing stream
-/// tags, the provenance shard router, the bench sweep — calls this function,
-/// so a node can never be homed to different shards by different layers. The
-/// hash covers the resolved string (never the intern id), making placement
-/// identical across processes and independent of interning order.
+/// tags, the provenance shard router — calls this function, so a node can
+/// never be homed to different shards by different layers. The hash covers
+/// the resolved string (never the intern id), making placement identical
+/// across processes and independent of interning order.
 pub fn shard_route(node: NodeId, shards: usize) -> usize {
     if shards <= 1 {
         return 0;
@@ -649,6 +649,11 @@ mod tests {
             seen[shard_route(NodeId::new(&format!("spread{i}")), 4)] = true;
         }
         assert!(seen.iter().all(|&s| s), "all 4 shards receive nodes");
+        // Absolute pins: placement is part of the cross-shard record counts
+        // every sharded run reports, so a change to the hash must fail here.
+        for (name, shards, home) in [("n1", 4, 2), ("n17", 8, 4), ("route-node", 4, 3)] {
+            assert_eq!(shard_route(NodeId::new(name), shards), home, "{name}");
+        }
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! The Log Store of Section 2.3 is an append-only sequence of records — full
 //! [`SystemSnapshot`] checkpoints interleaved with [`SnapshotDelta`]s that
 //! carry only what changed since the previous capture. *Where* those records
-//! live is a [`LogBackend`] decision: in memory ([`MemBackend`]), in
-//! append-only segment files ([`crate::SegmentFileBackend`]), or in a page/KV
-//! layout ([`crate::KvBackend`]). The façade materializes point-in-time
-//! snapshots from checkpoint + delta chains regardless of the backend.
+//! live is a [`LogBackend`] decision: in memory ([`MemBackend`]) or in
+//! append-only segment files ([`crate::SegmentFileBackend`]). The façade
+//! materializes point-in-time snapshots from checkpoint + delta chains
+//! regardless of the backend.
 
 use crate::delta::SnapshotDelta;
 use crate::snapshot::SystemSnapshot;
@@ -92,7 +92,7 @@ pub struct CompactionStats {
 /// chain invariants (deltas append at the end, checkpoints never split an
 /// existing checkpoint→delta chain) before calling in.
 pub trait LogBackend: std::fmt::Debug {
-    /// A short name for reports ("mem", "segment_file", "kv").
+    /// A short name for reports ("mem", "segment_file").
     fn name(&self) -> &'static str;
 
     /// Insert a record at the position its capture time dictates (records
@@ -134,8 +134,9 @@ pub trait LogBackend: std::fmt::Debug {
     /// Push buffered writes to durable storage (no-op for volatile backends).
     fn flush(&mut self) {}
 
-    /// Reclaim dead storage (truncated tails, page padding, superseded
-    /// segments) without changing any `get`/`at` answer.
+    /// Reclaim dead storage (truncated tails, superseded segments) without
+    /// changing any `get`/`at` answer. A backend that cannot read one of its
+    /// records changes nothing and reports `bytes_after == bytes_before`.
     fn compact(&mut self) -> CompactionStats;
 
     /// Current storage footprint in bytes.

@@ -38,8 +38,8 @@ impl SnapshotCapturer {
     }
 
     /// Convert the next capture into a log record, reading the current
-    /// interner watermark. When replaying a pre-captured list (as the bench
-    /// does, to feed several backends identical records), use
+    /// interner watermark. When replaying a pre-captured list (as the
+    /// equivalence proptests do, to feed both backends identical records), use
     /// [`SnapshotCapturer::capture_with_watermark`] with watermarks recorded
     /// at the original capture times instead.
     pub fn capture(&mut self, snapshot: SystemSnapshot) -> LogRecord {

@@ -21,9 +21,8 @@
 //! * [`SnapshotCapturer`] — the capture path that turns full captures into a
 //!   checkpoint + delta record stream ([`LogRecord`]);
 //! * [`LogBackend`] — the pluggable storage layer: [`MemBackend`] (default,
-//!   volatile), [`SegmentFileBackend`] (append-only segment files with
-//!   footer indexes, fsync on seal, and truncated-tail recovery on open),
-//!   and [`KvBackend`] (page/KV layout keyed by `(epoch, seq)`);
+//!   volatile) and [`SegmentFileBackend`] (append-only segment files with
+//!   footer indexes, fsync on seal, and truncated-tail recovery on open);
 //! * [`LogStore`] — the central store, a thin façade over a backend: reads
 //!   materialize full snapshots from checkpoint + delta chains, JSON
 //!   (de)serialization and upload-size accounting are unchanged;
@@ -49,7 +48,6 @@
 pub mod backend;
 pub mod capture;
 pub mod delta;
-pub mod kv;
 pub mod replay;
 pub mod segment;
 pub mod snapshot;
@@ -58,7 +56,6 @@ pub mod store;
 pub use backend::{CompactionStats, LogBackend, LogRecord, MemBackend, RecordKind};
 pub use capture::SnapshotCapturer;
 pub use delta::{GraphDelta, NodeDelta, SnapshotDelta};
-pub use kv::KvBackend;
 pub use replay::{Replay, SnapshotDiff};
 pub use segment::SegmentFileBackend;
 pub use snapshot::{NodeSnapshot, SystemSnapshot};

@@ -14,7 +14,8 @@
 //! truncated tail — an incomplete header, an incomplete payload, or a
 //! checksum mismatch, i.e. a crash mid-append — silently ends that segment's
 //! scan, keeping the intact prefix. Compaction rewrites all live records
-//! into fresh sealed segments, reclaiming dead tail bytes.
+//! into fresh sealed segments, reclaiming dead tail bytes; if any record
+//! fails to read it rewrites nothing.
 //!
 //! Every read checks the payload against the frame checksum again, so bytes
 //! that rot after `open` are a "checksum mismatch" error, never a record.
@@ -334,7 +335,17 @@ impl LogBackend for SegmentFileBackend {
 
     fn compact(&mut self) -> CompactionStats {
         let bytes_before = self.storage_bytes as usize;
-        let records: Vec<LogRecord> = self.iter().collect();
+        // The old segments are the only copy and are deleted below, so a
+        // record that cannot be read stops the pass before anything changes;
+        // it is never left out of the rewrite.
+        let records: io::Result<Vec<LogRecord>> = (0..self.len()).map(|i| self.read(i)).collect();
+        let Ok(records) = records else {
+            return CompactionStats {
+                bytes_before,
+                bytes_after: bytes_before,
+                records: self.len(),
+            };
+        };
         let old_segments: Vec<u32> = (0..self.next_segment).collect();
         self.active = None;
         *self.reader.get_mut() = None;

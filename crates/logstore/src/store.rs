@@ -68,7 +68,7 @@ impl LogStore {
         }
     }
 
-    /// The backend's short name ("mem", "segment_file", "kv").
+    /// The backend's short name ("mem", "segment_file").
     pub fn backend_name(&self) -> &'static str {
         self.backend.name()
     }
@@ -166,8 +166,7 @@ impl LogStore {
     }
 
     /// The raw record at an index (checkpoint or delta, undecoded by any
-    /// materialization) — what the replay timeline and the bench accounting
-    /// read.
+    /// materialization) — what the replay timeline reads.
     pub fn record(&self, index: usize) -> Option<LogRecord> {
         self.backend.get(index)
     }
@@ -303,7 +302,7 @@ struct StoreJson {
 mod tests {
     use super::*;
     use crate::capture::SnapshotCapturer;
-    use crate::kv::KvBackend;
+    use crate::segment::SegmentFileBackend;
     use crate::snapshot::NodeSnapshot;
     use nt_runtime::{InternerSnapshot, Tuple, Value};
 
@@ -399,8 +398,11 @@ mod tests {
 
     #[test]
     fn deltas_materialize_through_any_backend() {
+        let dir = std::env::temp_dir().join(format!("ntl-store-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         let mut capturer = SnapshotCapturer::new(3);
-        let mut store = LogStore::with_backend(Box::new(KvBackend::new()));
+        let mut store =
+            LogStore::with_backend(Box::new(SegmentFileBackend::open(&dir).expect("temp dir")));
         let captures = [
             snapshot_with_costs(1, &[1]),
             snapshot_with_costs(2, &[1, 2]),
@@ -410,7 +412,7 @@ mod tests {
         for snap in &captures {
             store.append_record(capturer.capture(snap.clone()));
         }
-        assert_eq!(store.backend_name(), "kv");
+        assert_eq!(store.backend_name(), "segment_file");
         assert_eq!(store.checkpoint_count(), 2);
         assert_eq!(store.delta_count(), 2);
         for (i, expected) in captures.iter().enumerate() {
@@ -421,6 +423,7 @@ mod tests {
             captures[2],
             "at() materializes through the delta chain"
         );
+        std::fs::remove_dir_all(&dir).expect("temp dir removed");
     }
 
     #[test]

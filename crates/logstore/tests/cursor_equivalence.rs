@@ -11,8 +11,8 @@
 
 use logstore::snapshot::{tuple_sort_key, NodeSnapshot};
 use logstore::{
-    KvBackend, LogBackend, LogRecord, LogStore, MemBackend, Replay, SegmentFileBackend,
-    SnapshotCapturer, SnapshotDiff, SystemSnapshot,
+    LogBackend, LogRecord, LogStore, MemBackend, Replay, SegmentFileBackend, SnapshotCapturer,
+    SnapshotDiff, SystemSnapshot,
 };
 use nt_runtime::{Addr, Tuple, Value};
 use proptest::prelude::*;
@@ -197,7 +197,6 @@ fn backends(case: usize) -> Vec<Box<dyn LogBackend>> {
                 .expect("segment dir opens")
                 .with_segment_capacity(3),
         ),
-        Box::new(KvBackend::new()),
     ]
 }
 

@@ -5,7 +5,8 @@
 //! including once with a truncated tail simulating a crash mid-append — and
 //! assert every `at(time)` answer matches an in-memory store fed the same
 //! captures. And once with a single bit flipped in a payload *after* open:
-//! the read must fail its checksum, not decode to a different record.
+//! the read must fail its checksum, not decode to a different record, and a
+//! compaction must refuse to run rather than rewrite the log without it.
 
 use logstore::snapshot::{tuple_sort_key, NodeSnapshot};
 use logstore::{LogBackend, LogStore, SegmentFileBackend, SnapshotCapturer, SystemSnapshot};
@@ -18,6 +19,15 @@ fn tempdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ntl-recovery-{}-{tag}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
     dir
+}
+
+fn segment_names(dir: &std::path::Path) -> Vec<String> {
+    let mut names: Vec<String> = fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    names
 }
 
 fn snapshot(secs: u64, costs: &[i64], topo: Topology) -> SystemSnapshot {
@@ -192,16 +202,32 @@ fn a_bit_flipped_after_open_fails_the_checksum_on_read() {
 
     // Through the façade the rotten delta and the rest of its chain are
     // absent, never a snapshot that differs from what was captured.
-    let store = LogStore::with_backend(Box::new(backend));
+    let mut store = LogStore::with_backend(Box::new(backend));
     assert_eq!(store.get(0).as_ref(), Some(&snaps[0]));
     assert_eq!(store.get(1), None);
     assert_eq!(store.get(2), None);
     assert_eq!(store.get(3).as_ref(), Some(&snaps[3]));
 
-    // Flipping the bit back heals it.
+    // A compaction over the rotten record changes nothing: the segment is
+    // the only copy, and rewriting the log without record 1 would chain
+    // delta 2 onto checkpoint 0, a snapshot nobody captured.
+    let stats = store.compact();
+    assert_eq!(stats.bytes_after, stats.bytes_before);
+    assert_eq!(stats.records, snaps.len());
+    assert_eq!(store.len(), snaps.len());
+    assert_eq!(segment_names(&dir), ["seg-00000.ntl"]);
+    assert_eq!(fs::read(&seg_file).unwrap(), bytes);
+    assert_eq!(store.get(1), None);
+
+    // Flipping the bit back heals it, and the compaction goes through.
     bytes[digit] ^= 0x01;
     fs::write(&seg_file, &bytes).unwrap();
     assert_eq!(store.record(1), Some(intact));
     assert_eq!(store.get(2).as_ref(), Some(&snaps[2]));
+    assert_eq!(store.compact().records, snaps.len());
+    assert_eq!(segment_names(&dir), ["seg-00001.ntl"]);
+    for (i, snap) in snaps.iter().enumerate() {
+        assert_eq!(store.get(i).as_ref(), Some(snap), "index {i}");
+    }
     fs::remove_dir_all(&dir).unwrap();
 }

@@ -1,10 +1,10 @@
-//! Small reporting helpers shared by the examples and the benchmark harness.
+//! Small reporting helpers shared by the examples and the experiment report.
 //!
 //! The NetTrails paper is a demonstration, so its "results" are scenario
-//! walk-throughs rather than numeric tables; the benchmark harness
-//! (`nettrails-bench`, binary `report`) nevertheless prints every experiment
-//! as a table so EXPERIMENTS.md can record paper-claim vs. measured-shape side
-//! by side. This module holds the tiny table type used for that output.
+//! walk-throughs rather than numeric tables; `nettrails-bench`'s `report`
+//! binary nevertheless prints every experiment as a table, so the paper's
+//! claim and the measured shape can be read side by side. This module holds
+//! the tiny table type used for that output.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;

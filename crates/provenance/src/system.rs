@@ -35,9 +35,10 @@
 //! The cross-node shipments of `prov` entries are the **maintenance traffic**
 //! of provenance capture; the system records it in a
 //! [`simnet::TrafficStats`] under the `"prov-maintenance"` category so the
-//! overhead experiment (E4 in DESIGN.md) can report it next to the protocol's
-//! own traffic. Cross-**shard** exchange is a separate, shard-count-dependent
-//! metric reported by [`ProvenanceSystem::shard_stats`].
+//! overhead experiment (E4 of `nettrails-bench`'s `report`) can report it
+//! next to the protocol's own traffic. Cross-**shard** exchange is a
+//! separate, shard-count-dependent metric reported by
+//! [`ProvenanceSystem::shard_stats`].
 
 pub use crate::shard::MAINTENANCE_CATEGORY;
 
@@ -379,8 +380,8 @@ impl ProvenanceSystem {
     }
 
     /// A stable digest of the whole system's canonical content (stores in
-    /// name order) — the quantity the sharding equivalence tests and the
-    /// bench sweep compare across shard counts.
+    /// name order) — the quantity the sharding equivalence tests compare
+    /// across shard counts.
     pub fn content_digest(&self) -> u64 {
         let mut h = nt_runtime::StableHasher::new();
         for store in self.stores() {

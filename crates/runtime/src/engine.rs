@@ -87,8 +87,7 @@ pub struct EngineConfig {
     pub fixpoint_dispatch_threshold: usize,
     /// Store tables column-major (the default). When disabled the engine
     /// keeps the row-major reference layout — used by the equivalence
-    /// proptests and the `vectorized_joins` benchmark, which prove both
-    /// backings bit-identical and measure the wall-clock gap.
+    /// proptests, which prove both backings bit-identical.
     pub columnar_storage: bool,
 }
 

@@ -29,8 +29,7 @@
 //!   allocation (see [`tuple_materializations`]).
 //! * **Row** (`TableBacking::Row`): the original `BTreeMap<key,
 //!   StoredTuple>` layout, kept as the reference implementation the
-//!   equivalence proptests and the `vectorized_joins` benchmark compare the
-//!   columnar path against.
+//!   equivalence proptests compare the columnar path against.
 //!
 //! Both backings answer [`Table::probe`] with **exactly the same candidate
 //! sequence**: the anchor posting list is chosen identically (first
@@ -1339,8 +1338,8 @@ impl Table {
 
     /// Resident bytes of the table's payload under its current backing:
     /// column vectors + slot ids + bitmap (+ derivations) for columnar,
-    /// wire-priced stored tuples for row. Reported by the
-    /// `vectorized_joins` benchmark to compare layout footprints.
+    /// wire-priced stored tuples for row. `ntbench` reports it as
+    /// `runtime.storage_bytes`.
     pub fn storage_bytes(&self) -> usize {
         match &self.repr {
             Repr::Row(row) => row.resident_bytes(),

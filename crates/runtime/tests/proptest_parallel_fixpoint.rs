@@ -10,9 +10,9 @@
 //! W = 1 engine.
 //!
 //! The dispatch threshold is pinned to 0 so even tiny generations take the
-//! pool path (the host sweep in the bench covers large generations); a
-//! second property leaves the default threshold in place to exercise the
-//! inline fallback's equality too.
+//! pool path; a second property leaves the default threshold in place to
+//! exercise the inline fallback's equality too, and a fixed generation of a
+//! few hundred trigger tasks covers the merge across many morsels.
 
 use nt_runtime::{
     CompiledProgram, EngineConfig, EngineStats, NodeEngine, StepOutput, Tuple, Value,
@@ -103,6 +103,29 @@ fn run_ops(
         state.insert(table.schema.name.clone(), tuples);
     }
     (outputs, state, engine.stats().clone())
+}
+
+/// One generation well past the default dispatch threshold (several morsels
+/// per worker), then a retraction of half of it: candidates computed on
+/// different workers must merge back in task order, for every program.
+#[test]
+fn a_multi_morsel_generation_matches_sequential() {
+    let e_fact = |insert: bool, a: i64| (insert, true, a, a % 8, false);
+    let f_facts = (0..8i64).flat_map(|b| (0..4i64).map(move |c| (true, false, b, c, false)));
+    let mut ops: Vec<Op> = f_facts.chain((0..192).map(|a| e_fact(true, a))).collect();
+    let inserted = ops.len();
+    ops.extend((0..192).step_by(2).map(|a| e_fact(false, a)));
+    for source in PROGRAMS {
+        let program = Arc::new(CompiledProgram::from_source(source).expect("programs compile"));
+        let baseline = run_ops(&program, EngineConfig::new("n1"), &ops, inserted);
+        for workers in [2usize, 4] {
+            let config = EngineConfig::new("n1").with_fixpoint_workers(workers);
+            assert!(
+                baseline == run_ops(&program, config, &ops, inserted),
+                "W={workers} diverged from W=1 on:\n{source}"
+            );
+        }
+    }
 }
 
 proptest! {

@@ -23,11 +23,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use simnet::{SimTime, Topology};
-use std::time::Instant;
 
-/// What a scenario replay produced. Wall-clock fields vary by machine; every
-/// other field — and [`ScenarioOutcome::replay_digest`] in particular — is a
-/// pure function of the [`ScenarioSpec`].
+/// What a scenario replay produced. Every field — and
+/// [`ScenarioOutcome::replay_digest`] in particular — is a pure function of
+/// the [`ScenarioSpec`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ScenarioOutcome {
     /// Row identifier (`family_size_workload`).
@@ -46,10 +45,6 @@ pub struct ScenarioOutcome {
     pub converge_rounds: usize,
     /// Tuples stored across all nodes after initial convergence.
     pub converged_tuples: usize,
-    /// Wall-clock time of initial convergence (machine-dependent).
-    pub converge_wall_ms: f64,
-    /// Wall-clock time of the trace replay (machine-dependent).
-    pub replay_wall_ms: f64,
     /// Simulated span of the replay.
     pub sim_ms: f64,
     /// Churn events replayed.
@@ -80,17 +75,6 @@ impl ScenarioOutcome {
     /// 99th-percentile measured query latency (simulated milliseconds).
     pub fn p99_ms(&self) -> f64 {
         crate::percentile(&self.latencies_ms, 99.0)
-    }
-
-    /// Trace events (churn + queries) per wall-clock second of replay.
-    pub fn events_per_sec(&self) -> f64 {
-        let events = (self.churn_events + self.queries) as f64;
-        events / (self.replay_wall_ms / 1000.0).max(1e-9)
-    }
-
-    /// Tuples touched per wall-clock second of replay.
-    pub fn tuples_per_sec(&self) -> f64 {
-        self.tuples_touched as f64 / (self.replay_wall_ms / 1000.0).max(1e-9)
     }
 }
 
@@ -145,18 +129,15 @@ pub fn run_scenario_with_workers(spec: &ScenarioSpec, workers: usize) -> Scenari
         NetTrails::new(&program, topology, config).expect("scenario program compiles and loads");
 
     // Seed base state: every link tuple plus the anchor advertisements.
-    let converge_start = Instant::now();
     nt.seed_links_from_topology();
     for anchor in pick_anchors(spec, &mut nt) {
         let tuple = programs::anchor_tuple(&anchor);
         nt.insert_fact(&anchor, tuple);
     }
     let converge = nt.run_to_fixpoint();
-    let converge_wall_ms = converge_start.elapsed().as_secs_f64() * 1000.0;
     let converged_tuples = nt.stats().stored_tuples;
 
     // Replay the trace.
-    let replay_start = Instant::now();
     let t0 = nt.now();
     let mut qrng = StdRng::seed_from_u64(spec.seed ^ 0x6a09_e667_f3bc_c908);
     let mut churn_events = 0usize;
@@ -183,7 +164,6 @@ pub fn run_scenario_with_workers(spec: &ScenarioSpec, workers: usize) -> Scenari
             }
         }
     }
-    let replay_wall_ms = replay_start.elapsed().as_secs_f64() * 1000.0;
     let sim_ms = (nt.now().as_secs_f64() - t0.as_secs_f64()) * 1000.0;
     latencies_ms.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
 
@@ -220,8 +200,6 @@ pub fn run_scenario_with_workers(spec: &ScenarioSpec, workers: usize) -> Scenari
         anchors: spec.anchors,
         converge_rounds: converge.rounds,
         converged_tuples,
-        converge_wall_ms,
-        replay_wall_ms,
         sim_ms,
         churn_events,
         queries,
@@ -232,6 +210,14 @@ pub fn run_scenario_with_workers(spec: &ScenarioSpec, workers: usize) -> Scenari
         trace_digest,
         replay_digest: h.finish(),
     }
+}
+
+/// Re-derive the topology and trace from the spec's seed and check the
+/// outcome's digests against them.
+pub fn verify_seed(spec: &ScenarioSpec, outcome: &ScenarioOutcome) -> bool {
+    let topology = spec.family.build(spec.seed);
+    topology_digest(&topology) == outcome.topo_digest
+        && WorkloadTrace::generate(spec, &topology).digest() == outcome.trace_digest
 }
 
 /// Seeded anchor pick: `spec.anchors` distinct connected nodes, chosen from

@@ -3,32 +3,28 @@
 //! The paper evaluates NetTrails on realistic distributed settings: AS-level
 //! topologies derived from RouteViews, mobile DSR networks, multiple
 //! declarative protocols running concurrently. This crate is the reproduction
-//! counterpart: seeded topology families at 10^3–10^4 nodes
-//! ([`TopologyFamily`]), deterministic trace schedules of link churn and
-//! flash-crowd query storms ([`WorkloadTrace`]), and a replay driver
-//! ([`run_scenario`]) that executes a trace against a full [`nettrails`]
-//! platform and reports throughput plus p50/p99 query latency *measured* off
-//! the simulated clock.
+//! counterpart: seeded topology families of any size ([`TopologyFamily`];
+//! `ntbench` runs `internet_as` at 10^3 nodes), deterministic trace
+//! schedules of link churn and flash-crowd query storms ([`WorkloadTrace`]),
+//! and a replay driver ([`run_scenario`]) that executes a trace against a
+//! full [`nettrails`] platform and reports work counts plus p50/p99 query
+//! latency *measured* off the simulated clock.
 //!
 //! Everything downstream of a [`ScenarioSpec`] is a pure function of its
 //! `u64` seed: the topology, the trace, the replayed engine state and the
-//! replay digest. `scripts/check_bench_schema.py` gates exactly that —
-//! `matches_seed` must hold for every row of the `scenario_suite` section of
-//! `BENCH_results.json`, and the committed digests must match a fresh run.
+//! replay digest. `tests/replay_determinism.rs` holds the driver to that:
+//! [`verify_seed`], bit-identical reruns at every worker count, and one
+//! golden replay digest per topology family.
 
 pub mod driver;
 pub mod programs;
 pub mod service;
 pub mod spec;
-pub mod suite;
 pub mod trace;
 
-pub use driver::{run_scenario, run_scenario_with_workers, ScenarioOutcome};
-pub use service::{
-    run_service_scenario, service_suite, ServiceScenarioOutcome, ServiceScenarioSpec,
-};
+pub use driver::{run_scenario, run_scenario_with_workers, verify_seed, ScenarioOutcome};
+pub use service::{run_service_scenario, ServiceScenarioOutcome, ServiceScenarioSpec};
 pub use spec::{ScenarioSpec, TopologyFamily, WorkloadKind};
-pub use suite::{suite, verify_seed, SuiteScale};
 pub use trace::{TraceAction, TraceStep, WorkloadTrace};
 
 /// Nearest-rank percentile over an ascending-sorted slice (`p` in `0..=100`).

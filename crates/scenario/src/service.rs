@@ -16,8 +16,7 @@
 //! measured latency — must be bit-identical across the two modes
 //! ([`ServiceScenarioOutcome::merged_matches_split`]): merging collapses
 //! frames on the wire without perturbing any session's execution. The only
-//! sanctioned difference is the frame count itself, which the bench gates
-//! as sublinear in session count.
+//! sanctioned difference is the frame count itself.
 
 use crate::programs::{self, PATHVECTOR_RESULTS};
 use crate::spec::TopologyFamily;
@@ -30,7 +29,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use simnet::{Link, TopologyEvent};
-use std::time::Instant;
 
 /// One query-service scenario row: an `internet_as` topology, a tenant
 /// population, and a wave schedule of offered sessions.
@@ -65,8 +63,6 @@ pub struct ServiceScenarioSpec {
     /// Also rerun the merged mode with 2 fixpoint workers and require a
     /// bit-identical digest (worker-count independence).
     pub verify_workers: bool,
-    /// Member of the per-PR CI slice (false: nightly full sweep only).
-    pub slice: bool,
 }
 
 impl ServiceScenarioSpec {
@@ -81,9 +77,9 @@ impl ServiceScenarioSpec {
     }
 }
 
-/// What one query-service scenario produced. Wall-clock fields vary by
-/// machine; everything else — [`ServiceScenarioOutcome::service_digest`] in
-/// particular — is a pure function of the spec.
+/// What one query-service scenario produced. Every field —
+/// [`ServiceScenarioOutcome::service_digest`] in particular — is a pure
+/// function of the spec.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ServiceScenarioOutcome {
     /// Row identifier (see [`ServiceScenarioSpec::name`]).
@@ -140,10 +136,6 @@ pub struct ServiceScenarioOutcome {
     pub service_digest: u64,
     /// Simulated span of the merged run.
     pub sim_ms: f64,
-    /// Wall-clock time of initial convergence (machine-dependent).
-    pub converge_wall_ms: f64,
-    /// Wall-clock time of the merged run's waves (machine-dependent).
-    pub run_wall_ms: f64,
 }
 
 impl ServiceScenarioOutcome {
@@ -155,11 +147,6 @@ impl ServiceScenarioOutcome {
     /// 99th-percentile completed-session latency (simulated milliseconds).
     pub fn p99_ms(&self) -> f64 {
         crate::percentile(&self.latencies_ms, 99.0)
-    }
-
-    /// Completed sessions per wall-clock second of the merged run.
-    pub fn sessions_per_sec(&self) -> f64 {
-        self.completed as f64 / (self.run_wall_ms / 1000.0).max(1e-9)
     }
 }
 
@@ -186,8 +173,6 @@ struct ModeRun {
     dict_bytes: u64,
     links: usize,
     sim_ms: f64,
-    converge_wall_ms: f64,
-    run_wall_ms: f64,
 }
 
 /// Run one scenario in both sealing modes (plus determinism reruns) and
@@ -232,8 +217,6 @@ pub fn run_service_scenario(spec: &ServiceScenarioSpec) -> ServiceScenarioOutcom
         matches_workers,
         service_digest: merged.digest,
         sim_ms: merged.sim_ms,
-        converge_wall_ms: merged.converge_wall_ms,
-        run_wall_ms: merged.run_wall_ms,
     }
 }
 
@@ -253,16 +236,13 @@ fn run_mode(spec: &ServiceScenarioSpec, merge_frames: bool, workers: usize) -> M
     };
     let mut nt = NetTrails::new(&program, topology, config).expect("service program compiles");
 
-    let converge_start = Instant::now();
     nt.seed_links_from_topology();
     for anchor in pick_anchors(spec, &nt) {
         let tuple = programs::anchor_tuple(&anchor);
         nt.insert_fact(&anchor, tuple);
     }
     nt.run_to_fixpoint();
-    let converge_wall_ms = converge_start.elapsed().as_secs_f64() * 1000.0;
 
-    let run_start = Instant::now();
     let t0 = nt.now();
     let mut svc = QueryService::new(ServiceConfig {
         max_in_flight: spec.max_in_flight,
@@ -346,7 +326,6 @@ fn run_mode(spec: &ServiceScenarioSpec, merge_frames: bool, workers: usize) -> M
         svc.run(&mut nt);
         completions.extend(svc.take_completions());
     }
-    let run_wall_ms = run_start.elapsed().as_secs_f64() * 1000.0;
     let sim_ms = (nt.now().as_secs_f64() - t0.as_secs_f64()) * 1000.0;
 
     let per_tenant = svc.tenant_stats();
@@ -429,8 +408,6 @@ fn run_mode(spec: &ServiceScenarioSpec, merge_frames: bool, workers: usize) -> M
         dict_bytes,
         links,
         sim_ms,
-        converge_wall_ms,
-        run_wall_ms,
     }
 }
 
@@ -457,59 +434,6 @@ fn pick_anchors(spec: &ServiceScenarioSpec, nt: &NetTrails) -> Vec<String> {
     picked
 }
 
-/// The query-service suite: the per-PR CI slice, extended by the nightly
-/// full sweep.
-pub fn service_suite(scale: crate::SuiteScale) -> Vec<ServiceScenarioSpec> {
-    let base = ServiceScenarioSpec {
-        seed: 0,
-        nodes: 192,
-        degree: 2,
-        anchors: 4,
-        max_hops: 4,
-        tenants: 8,
-        waves: Vec::new(),
-        churn_per_wave: 6,
-        max_in_flight: 64,
-        queue_cap: 4096,
-        deadline_ms: 3.0,
-        deadline_every: 13,
-        verify_workers: false,
-        slice: true,
-    };
-    let mut specs = vec![
-        // The small row: the sublinearity baseline, plus the (cheap)
-        // worker-count independence check.
-        ServiceScenarioSpec {
-            seed: 10101,
-            waves: vec![64, 64, 128],
-            verify_workers: true,
-            ..base.clone()
-        },
-        // The 10^3-session flash crowd: 1024 sessions offered in one wave
-        // (128 per tenant), against a queue cap of 112 — every tenant is
-        // equally Overloaded for its last 16, deterministically.
-        ServiceScenarioSpec {
-            seed: 10102,
-            waves: vec![128, 128, 1024],
-            max_in_flight: 256,
-            queue_cap: 112,
-            ..base.clone()
-        },
-    ];
-    if scale == crate::SuiteScale::Full {
-        specs.push(ServiceScenarioSpec {
-            seed: 10201,
-            nodes: 512,
-            waves: vec![256, 256, 2048],
-            max_in_flight: 512,
-            queue_cap: 224,
-            slice: false,
-            ..base
-        });
-    }
-    specs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -529,7 +453,6 @@ mod tests {
             deadline_ms: 2.0,
             deadline_every: 5,
             verify_workers: true,
-            slice: true,
         }
     }
 
@@ -561,21 +484,49 @@ mod tests {
         assert!(outcome.fairness_ratio.is_finite());
     }
 
+    /// The 10^3-session flash crowd: the last wave offers 128 sessions per
+    /// tenant against a queue cap of 112, so every tenant is `Overloaded`
+    /// for its last 16. Every number is a function of the spec alone (same
+    /// in debug and release, on any host); one that moves means behaviour
+    /// changed, and the PR that moves it must say why.
     #[test]
-    fn suite_slices_cover_the_flash_crowd_scales() {
-        let slice = service_suite(crate::SuiteScale::Slice);
-        assert_eq!(slice.len(), 2);
-        assert!(slice.iter().all(|s| s.slice));
-        assert!(slice.iter().all(|s| s.tenants >= 8));
-        assert!(
-            slice.iter().any(|s| s.offered() >= 1000),
-            "the slice must include a 10^3-session row"
+    fn flash_crowd_of_1280_sessions_holds_its_exact_counts() {
+        let outcome = run_service_scenario(&ServiceScenarioSpec {
+            seed: 10102,
+            nodes: 192,
+            degree: 2,
+            anchors: 4,
+            max_hops: 4,
+            tenants: 8,
+            waves: vec![128, 128, 1024],
+            churn_per_wave: 6,
+            max_in_flight: 256,
+            queue_cap: 112,
+            deadline_ms: 3.0,
+            deadline_every: 13,
+            verify_workers: false,
+        });
+        assert!(outcome.merged_matches_split && outcome.matches_rerun);
+        assert_eq!(
+            (outcome.offered, outcome.completed, outcome.expired),
+            (1280, 1064, 88)
         );
-        let full = service_suite(crate::SuiteScale::Full);
-        assert!(full.len() > slice.len());
-        assert!(full.iter().any(|s| s.offered() >= 2000));
-        let mut names: Vec<String> = full.iter().map(|s| s.name()).collect();
-        names.dedup();
-        assert_eq!(names.len(), full.len(), "row names are unique");
+        assert_eq!(outcome.rejected, 8 * 16);
+        assert_eq!(outcome.dests, 192);
+        assert_eq!(
+            (outcome.frames_merged, outcome.frames_split),
+            (10192, 16052)
+        );
+        assert_eq!(
+            (outcome.dict_bytes_merged, outcome.dict_bytes_split),
+            (77040, 77040)
+        );
+        assert!(outcome.fairness_ratio <= 1.5, "{}", outcome.fairness_ratio);
+        assert!(outcome.p99_ms() >= outcome.p50_ms());
+        assert_eq!(
+            outcome.service_digest, 0xf24b_e4a2_efd2_8cb0,
+            "service digest moved to {:016x}",
+            outcome.service_digest
+        );
     }
 }

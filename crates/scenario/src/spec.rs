@@ -42,7 +42,7 @@ pub enum TopologyFamily {
 }
 
 impl TopologyFamily {
-    /// Short family name used in report rows and CI gates.
+    /// Short family name, the first part of [`ScenarioSpec::name`].
     pub fn name(&self) -> &'static str {
         match self {
             TopologyFamily::FatTree { .. } => "fat_tree",
@@ -92,7 +92,7 @@ pub enum WorkloadKind {
 }
 
 impl WorkloadKind {
-    /// Short workload name used in report rows and CI gates.
+    /// Short workload name, the last part of [`ScenarioSpec::name`].
     pub fn name(&self) -> &'static str {
         match self {
             WorkloadKind::Churn => "churn",
@@ -122,8 +122,6 @@ pub struct ScenarioSpec {
     pub churn_steps: usize,
     /// Queries per flash-crowd storm wave.
     pub storm_queries: usize,
-    /// Member of the representative per-PR CI slice (nightly runs the rest).
-    pub slice: bool,
 }
 
 impl ScenarioSpec {
@@ -153,7 +151,6 @@ mod tests {
             max_hops: 3,
             churn_steps: 10,
             storm_queries: 8,
-            slice: true,
         };
         assert_eq!(spec.name(), "fat_tree_k16_churn");
         assert_eq!(spec.family.build(1), spec.family.build(1));

@@ -247,7 +247,6 @@ mod tests {
             max_hops: 3,
             churn_steps: 12,
             storm_queries: 8,
-            slice: true,
         }
     }
 
@@ -291,7 +290,6 @@ mod tests {
             max_hops: 3,
             churn_steps: 10,
             storm_queries: 8,
-            slice: true,
         };
         let topo = s.family.build(s.seed);
         let a = WorkloadTrace::generate(&s, &topo);

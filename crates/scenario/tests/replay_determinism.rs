@@ -1,6 +1,7 @@
-//! End-to-end scenario replay: sanity of a full run and the bit-identity
+//! End-to-end scenario replay: sanity of a full run, the bit-identity
 //! contract — a trace replays identically across runs and across engine
-//! worker counts.
+//! worker counts — and one golden replay digest per topology family, which
+//! is what catches behaviour drift from one commit to the next.
 
 use proptest::prelude::*;
 use scenario::{
@@ -8,20 +9,25 @@ use scenario::{
     WorkloadKind,
 };
 
+const SMALL_WORLD: TopologyFamily = TopologyFamily::SmallWorld {
+    n: 32,
+    k: 4,
+    beta_percent: 20,
+};
+
 fn small_spec(workload: WorkloadKind, seed: u64) -> ScenarioSpec {
+    family_spec(SMALL_WORLD, workload, seed)
+}
+
+fn family_spec(family: TopologyFamily, workload: WorkloadKind, seed: u64) -> ScenarioSpec {
     ScenarioSpec {
-        family: TopologyFamily::SmallWorld {
-            n: 32,
-            k: 4,
-            beta_percent: 20,
-        },
+        family,
         workload,
         seed,
         anchors: 3,
         max_hops: 3,
         churn_steps: 9,
         storm_queries: 6,
-        slice: true,
     }
 }
 
@@ -57,6 +63,39 @@ fn storms_measure_nonzero_latency_on_remote_queries() {
         outcome.latencies_ms.iter().any(|&l| l > 0.0),
         "some session crossed the wire"
     );
+}
+
+/// A replay digest covers the final protocol state, every measured session
+/// latency and the simulated-clock counters, and is the same in debug and
+/// release builds and on any host. A digest that changes here means the
+/// platform's behaviour changed: the PR that changes it must say why.
+#[test]
+fn every_topology_family_replays_to_its_golden_digest() {
+    use TopologyFamily::{FatTree, InternetAs, MobilityMesh};
+    use WorkloadKind::{Churn, Mixed, Storm};
+    let mesh = MobilityMesh {
+        n: 24,
+        horizon_secs: 10,
+    };
+    let golden = [
+        (FatTree { k: 4 }, Churn, 0x17e6_0bb0_996e_09a0_u64),
+        (InternetAs { n: 48, m: 2 }, Storm, 0xadf7_c0dd_2525_18e3),
+        (SMALL_WORLD, Mixed, 0x4afc_9c88_c249_ea3a),
+        (mesh, Mixed, 0x964a_3b88_5c58_e4e8),
+    ];
+    for (family, workload, digest) in golden {
+        let spec = family_spec(family, workload, 42);
+        let outcome = run_scenario(&spec);
+        let name = &outcome.name;
+        assert!(verify_seed(&spec, &outcome), "{name}: seed-derived inputs");
+        assert!(outcome.queries > 0, "{name}: sessions ran");
+        assert!(outcome.p99_ms() >= outcome.p50_ms(), "{name}");
+        assert_eq!(
+            outcome.replay_digest, digest,
+            "{name}: replay digest moved to {:016x}",
+            outcome.replay_digest
+        );
+    }
 }
 
 proptest! {

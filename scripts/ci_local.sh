@@ -1,13 +1,11 @@
 #!/usr/bin/env bash
-# Run the exact steps CI runs (.github/workflows/ci.yml and nightly.yml),
-# locally.
+# Run the exact steps CI runs (.github/workflows/ci.yml), locally.
 #
-#   scripts/ci_local.sh          # everything per-PR (lint job, then test job)
+#   scripts/ci_local.sh          # everything (lint job, then test job)
 #   scripts/ci_local.sh lint     # just the lint job
 #   scripts/ci_local.sh test     # just the test job
-#   scripts/ci_local.sh nightly  # the nightly full 10^4-node scenario sweep
 #
-# Keep this file and the workflows in sync: a builder who passes this script
+# Keep this file and the workflow in sync: a builder who passes this script
 # must pass CI, and vice versa.
 
 set -euo pipefail
@@ -31,15 +29,6 @@ test_job() {
     echo "==> [test] cargo test -q --workspace"
     cargo test -q --workspace
 
-    echo "==> [test] cargo build --benches --workspace"
-    cargo build --benches --workspace
-
-    echo "==> [test] bench schema + regression gates (incl. scenario + query-service slices)"
-    regen="$(mktemp -d)"
-    trap 'rm -rf "$regen"' EXIT
-    (cd "$regen" && cargo run --release --manifest-path "$OLDPWD/Cargo.toml" -p nettrails-bench --bin report > /dev/null)
-    python3 scripts/check_bench_schema.py BENCH_results.json "$regen/BENCH_results.json"
-
     echo "==> [test] ntbench tests (product loop vs its layered twin)"
     (cd benchmark && cargo test --release --offline)
 
@@ -50,27 +39,15 @@ test_job() {
     bash benchmark/run.sh --workload snapshot_replay --seed 12 --seconds 2 --trace 1 > /dev/null
 }
 
-nightly_job() {
-    echo "==> [nightly] cargo build --release --workspace"
-    cargo build --release --workspace
-
-    echo "==> [nightly] full scenario + query-service sweep + gates (NT_SCENARIO_SCALE=full)"
-    regen="$(mktemp -d)"
-    trap 'rm -rf "$regen"' EXIT
-    (cd "$regen" && NT_SCENARIO_SCALE=full cargo run --release --manifest-path "$OLDPWD/Cargo.toml" -p nettrails-bench --bin report)
-    python3 scripts/check_bench_schema.py BENCH_results.json "$regen/BENCH_results.json"
-}
-
 case "${1:-all}" in
     lint) lint ;;
     test) test_job ;;
-    nightly) nightly_job ;;
     all)
         lint
         test_job
         ;;
     *)
-        echo "usage: $0 [lint|test|nightly|all]" >&2
+        echo "usage: $0 [lint|test|all]" >&2
         exit 2
         ;;
 esac

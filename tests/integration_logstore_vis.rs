@@ -1,6 +1,8 @@
 //! Integration tests for the log store, replay and the visualizer backend.
 
-use logstore::{KvBackend, LogStore, Replay, SnapshotCapturer, SnapshotDiff, SystemSnapshot};
+use logstore::{
+    LogStore, Replay, SegmentFileBackend, SnapshotCapturer, SnapshotDiff, SystemSnapshot,
+};
 use nettrails::{NetTrails, NetTrailsConfig};
 use nt_runtime::Interner;
 use provenance::{QueryKind, QueryResult};
@@ -122,7 +124,10 @@ fn visualizer_exports_are_well_formed_for_real_provenance() {
 fn incremental_chain_replays_and_renders_through_a_kv_backend() {
     let mut nt = platform();
     let mut full = LogStore::new();
-    let mut store = LogStore::with_backend(Box::new(KvBackend::new()));
+    let dir = std::env::temp_dir().join(format!("ntl-integration-seg-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let backend = SegmentFileBackend::open(&dir).expect("segment dir opens");
+    let mut store = LogStore::with_backend(Box::new(backend));
     let mut capturer = SnapshotCapturer::new(3);
     let events = [
         TopologyEvent::LinkDown {
@@ -145,7 +150,7 @@ fn incremental_chain_replays_and_renders_through_a_kv_backend() {
         store.append_record(capturer.capture_with_watermark(snap, Interner::watermark()));
     }
 
-    assert_eq!(store.backend_name(), "kv");
+    assert_eq!(store.backend_name(), "segment_file");
     assert_eq!(store.checkpoint_count(), 2);
     assert_eq!(store.delta_count(), 2);
     assert_eq!(
@@ -172,6 +177,7 @@ fn incremental_chain_replays_and_renders_through_a_kv_backend() {
 
     // The timeline renderer reads the store through the backend trait only.
     let timeline = render_replay_timeline(&store);
-    assert!(timeline.contains("[kv]"));
+    assert!(timeline.contains("[segment_file]"));
     assert!(timeline.contains("4 records (2 checkpoints, 2 deltas)"));
+    std::fs::remove_dir_all(&dir).expect("segment dir removed");
 }

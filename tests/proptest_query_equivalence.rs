@@ -321,8 +321,8 @@ proptest! {
             prop_assert_eq!(rd, rb);
             // Chain-shaped proofs (every vertex a single derivation) have
             // nothing to overlap, so equality is legitimate; the strict
-            // multi-hop gate lives in scripts/check_bench_schema.py over
-            // branching ladder scenarios.
+            // multi-hop assertion is the traversal-order test of
+            // `tests/integration_queries.rs`, on a branching ladder.
             prop_assert!(
                 bfs.latency_ms <= dfs.latency_ms,
                 "measured BFS {}ms must not exceed DFS {}ms ({} records)",

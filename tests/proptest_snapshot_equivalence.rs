@@ -5,14 +5,12 @@
 //! chains are built from the same captures: a *full* chain (every capture a
 //! checkpoint, in-memory backend — the pre-incremental behavior) and an
 //! *incremental* chain (periodic checkpoints + deltas via
-//! `SnapshotCapturer`) through each of the three backends. The materialized
+//! `SnapshotCapturer`) through each of the two backends. The materialized
 //! snapshot at every capture index and at every probed `at(time)` must be
 //! bit-identical between the chains — the same discipline the worker and
 //! storage-backing refactors of earlier PRs used.
 
-use logstore::{
-    KvBackend, LogStore, MemBackend, SegmentFileBackend, SnapshotCapturer, SystemSnapshot,
-};
+use logstore::{LogStore, MemBackend, SegmentFileBackend, SnapshotCapturer, SystemSnapshot};
 use nettrails::{NetTrails, NetTrailsConfig};
 use nt_runtime::Interner;
 use proptest::prelude::*;
@@ -64,7 +62,6 @@ fn backends(case: usize) -> Vec<(&'static str, Box<dyn logstore::LogBackend>)> {
             "segment_file",
             Box::new(SegmentFileBackend::open(&dir).expect("segment dir opens")),
         ),
-        ("kv", Box::new(KvBackend::new())),
     ]
 }
 
