@@ -161,7 +161,7 @@ impl ProvGraph {
                     VertexId::Tuple(vid),
                     ProvVertex::Tuple {
                         vid,
-                        tuple: system.tuple(vid).cloned(),
+                        tuple: system.tuple_at(store.node, vid).cloned(),
                         home: store.node,
                         is_base,
                     },
@@ -189,7 +189,7 @@ impl ProvGraph {
                         .entry(VertexId::Tuple(*input))
                         .or_insert_with(|| ProvVertex::Tuple {
                             vid: *input,
-                            tuple: system.tuple(*input).cloned(),
+                            tuple: system.tuple_at(exec.node, *input).cloned(),
                             home: exec.node,
                             is_base: false,
                         });

@@ -51,7 +51,7 @@ use crate::query::api::{
 use crate::query::wire::{QueryBatch, QueryOp};
 use crate::store::{ProvEntry, RuleExecId};
 use crate::system::ProvenanceSystem;
-use nt_runtime::{NodeId, Tuple, TupleId};
+use nt_runtime::{NodeId, Sym, Tuple, TupleId};
 use simnet::{SimTime, TrafficStats};
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
@@ -270,7 +270,7 @@ impl QueryEngine {
         visited: &mut HashSet<TupleId>,
     ) -> ProofTree {
         stats.vertices_visited += 1;
-        let tuple = system.tuple(vid).cloned();
+        let tuple = system.tuple_at(node, vid).cloned();
         if options.use_cache {
             if let Some(cached) = self.cache.lookup(system, vid, node) {
                 stats.cache_hits += 1;
@@ -542,9 +542,11 @@ pub struct QueryExecutor {
     sessions: HashMap<u64, Session>,
     finished: HashMap<u64, Finished>,
     cache: QueryCache,
-    /// Per-destination dictionary memory: interned strings already shipped,
-    /// so later frames carry only first-use entries.
-    dict_sent: HashMap<NodeId, HashSet<&'static str>>,
+    /// Per-destination dictionary memory: interned names already shipped,
+    /// so later frames carry only first-use entries. Node and rule/relation
+    /// handles index one pool (one string, one handle), so a set of handles
+    /// is exactly the set of strings.
+    dict_sent: HashMap<NodeId, HashSet<Sym>>,
     staged: Vec<StagedOp>,
     /// Merge concurrent sessions' records into one frame per (endpoints,
     /// direction) at [`QueryExecutor::poll`] time (see
@@ -752,24 +754,26 @@ impl QueryExecutor {
             let sent = self.dict_sent.entry(to).or_default();
             let mut dict: Vec<String> = Vec::new();
             let mut ops: Vec<QueryOp> = Vec::new();
+            let mut frame_bytes = 0usize;
             for key in members {
                 let qid = key.0;
                 let group = groups.remove(&key).expect("group exists");
-                let mut needed: BTreeSet<&'static str> = BTreeSet::new();
-                for op in &group {
-                    op.dictionary(&mut needed);
-                }
+                // One walk per record gives its body size and its names.
                 // The session pays for exactly the entries its records are
-                // first to ship toward this destination.
-                let header: usize = needed
-                    .into_iter()
-                    .filter(|s| sent.insert(s))
-                    .map(|s| {
-                        dict.push(s.to_string());
-                        nt_runtime::dict_entry_wire_size(s)
-                    })
-                    .sum();
-                let body: usize = group.iter().map(QueryOp::wire_size).sum();
+                // first to ship toward this destination; a name the
+                // destination has seen costs one handle probe and no string
+                // work.
+                let mut header = 0usize;
+                let mut body = 0usize;
+                for op in &group {
+                    body += op.seal(&mut |name| {
+                        if sent.insert(name) {
+                            let name = name.as_str();
+                            header += nt_runtime::dict_entry_wire_size(name);
+                            dict.push(name.to_string());
+                        }
+                    });
+                }
                 let stats = match self.sessions.get_mut(&qid) {
                     Some(session) => Some(&mut session.stats),
                     None => self.finished.get_mut(&qid).map(|f| &mut f.stats),
@@ -782,19 +786,19 @@ impl QueryExecutor {
                     stats.bytes += (body + header) as u64;
                     stats.dict_bytes += header as u64;
                 }
+                frame_bytes += body + header;
                 ops.extend(group);
             }
             // Keep the wire contract: dictionary entries travel sorted.
             dict.sort();
-            let batch = QueryBatch {
+            self.traffic
+                .record_batch(&from, &to, QUERY_CATEGORY, frame_bytes, ops.len());
+            batches.push(QueryBatch {
                 from,
                 to,
                 dict,
                 ops,
-            };
-            self.traffic
-                .record_batch(&from, &to, QUERY_CATEGORY, batch.wire_size(), batch.len());
-            batches.push(batch);
+            });
         }
         batches
     }
@@ -1022,7 +1026,7 @@ impl Session {
                 return;
             }
         }
-        let tuple = ctx.system.tuple(vid).cloned();
+        let tuple = ctx.system.tuple_at(node, vid).cloned();
         self.vertex(f).tree.tuple = tuple;
         if path_has_self {
             // Cycle guard: return the bare vertex, never cached. Checked
@@ -1725,22 +1729,22 @@ mod tests {
         let mut sys = ProvenanceSystem::new(["n1"]);
         let t = tuple("x", "n1", 1);
         let rid = RuleExecId::compute("r".into(), "n1".into(), &[t.id()]);
-        let store = sys.store_mut("n1");
-        store.register_tuple(&t);
-        store.add_rule_exec(RuleExec {
+        sys.store_mut("n1").add_rule_exec(RuleExec {
             rid,
             rule: "r".into(),
             node: "n1".into(),
             inputs: vec![t.id()],
         });
         // x is derived from itself: a cycle no well-formed capture produces.
-        store.add_prov(
-            t.id(),
+        sys.add_prov(
+            "n1".into(),
+            &t,
             ProvEntry {
                 rid: Some(rid),
                 rloc: "n1".into(),
             },
         );
+        assert_eq!(sys.vertex_home(t.id()), Some(NodeId::new("n1")));
         for traversal in [TraversalOrder::DepthFirst, TraversalOrder::BreadthFirst] {
             let opts = QueryOptions {
                 use_cache: true,

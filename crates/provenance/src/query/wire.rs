@@ -23,10 +23,9 @@
 //! decoding logic: every record still names its session via [`QueryOp::qid`].
 
 use crate::query::api::{ProofTree, RuleExecNode};
-use crate::store::{collect_addr_names, RuleExecId};
-use nt_runtime::{NodeId, Sym, Tuple, TupleId};
+use crate::store::{visit_addrs, RuleExecId};
+use nt_runtime::{NodeId, Sym, TupleId};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 
 /// One record of the query protocol. `qid` names the session, `frame` the
 /// continuation in the session's frame arena that the record targets (the
@@ -120,30 +119,25 @@ impl QueryOp {
     /// the interned subtree payload for responses. Dictionary cost is
     /// carried by the batch header ([`QueryBatch::header_bytes`]), not here.
     pub fn wire_size(&self) -> usize {
+        self.seal(&mut |_| {})
+    }
+
+    /// One walk of the record for sealing: returns [`Self::wire_size`] and
+    /// reports every interned name a receiver must know to decode the record
+    /// (repeats included). Requests are string-free. Node and rule/relation
+    /// handles index one pool, so all are reported as [`Sym`].
+    pub(crate) fn seal(&self, names: &mut impl FnMut(Sym)) -> usize {
         let header = 1 + 8 + 4;
         header
             + match self {
                 QueryOp::ExpandVertex { path, .. } => 8 + 4 + 8 * path.len(),
                 QueryOp::ExpandExec { path, .. } => 8 + 4 + 8 * path.len(),
-                QueryOp::VertexDone { tree, .. } => tree_wire_size(tree),
+                QueryOp::VertexDone { tree, .. } => walk_tree(tree, names),
                 QueryOp::ExecDone { exec, .. } => {
-                    1 + exec.as_ref().map(exec_wire_size).unwrap_or(0)
+                    1 + exec.as_ref().map_or(0, |exec| walk_exec(exec, names))
                 }
                 QueryOp::Cancel { .. } => 0,
             }
-    }
-
-    /// The interned strings a receiver must know to decode this record.
-    pub fn dictionary(&self, out: &mut BTreeSet<&'static str>) {
-        match self {
-            QueryOp::ExpandVertex { .. } | QueryOp::ExpandExec { .. } | QueryOp::Cancel { .. } => {}
-            QueryOp::VertexDone { tree, .. } => tree_dictionary(tree, out),
-            QueryOp::ExecDone { exec, .. } => {
-                if let Some(exec) = exec {
-                    exec_dictionary(exec, out);
-                }
-            }
-        }
     }
 }
 
@@ -212,47 +206,48 @@ impl QueryBatch {
     }
 }
 
-/// Wire size of a proof subtree in the interned encoding: per tuple vertex
-/// an 8-byte vid, 4-byte home id and 2 flag bytes plus the optional tuple
-/// payload; per rule-execution vertex an 8-byte rid and 4-byte rule/node
-/// ids.
-pub fn tree_wire_size(tree: &ProofTree) -> usize {
-    8 + NodeId::WIRE_SIZE
-        + 2
-        + tree.tuple.as_ref().map(Tuple::wire_size).unwrap_or(0)
-        + tree.derivations.iter().map(exec_wire_size).sum::<usize>()
-}
-
-/// Wire size of a rule-execution subtree (see [`tree_wire_size`]).
-pub fn exec_wire_size(exec: &RuleExecNode) -> usize {
-    8 + Sym::WIRE_SIZE + NodeId::WIRE_SIZE + exec.inputs.iter().map(tree_wire_size).sum::<usize>()
-}
-
-/// Collect the interned strings referenced by a proof subtree.
-pub fn tree_dictionary(tree: &ProofTree, out: &mut BTreeSet<&'static str>) {
-    out.insert(tree.home.as_str());
+/// Size and names of a proof subtree in the interned encoding: per tuple
+/// vertex an 8-byte vid, 4-byte home id and 2 flag bytes plus the optional
+/// tuple payload; per rule-execution vertex an 8-byte rid and 4-byte
+/// rule/node ids.
+fn walk_tree<F: FnMut(Sym)>(tree: &ProofTree, names: &mut F) -> usize {
+    names(tree.home.as_sym());
+    let mut bytes = 8 + NodeId::WIRE_SIZE + 2;
     if let Some(tuple) = &tree.tuple {
-        out.insert(tuple.relation.as_str());
-        collect_addr_names(&tuple.values, out);
+        names(tuple.relation);
+        visit_addrs(&tuple.values, &mut |a| names(a.as_sym()));
+        bytes += tuple.wire_size();
     }
-    for d in &tree.derivations {
-        exec_dictionary(d, out);
+    for exec in &tree.derivations {
+        bytes += walk_exec(exec, names);
     }
+    bytes
 }
 
-/// Collect the interned strings referenced by a rule-execution subtree.
-pub fn exec_dictionary(exec: &RuleExecNode, out: &mut BTreeSet<&'static str>) {
-    out.insert(exec.rule.as_str());
-    out.insert(exec.node.as_str());
+/// Size and names of a rule-execution subtree (see [`walk_tree`]).
+fn walk_exec<F: FnMut(Sym)>(exec: &RuleExecNode, names: &mut F) -> usize {
+    names(exec.rule);
+    names(exec.node.as_sym());
+    let mut bytes = 8 + Sym::WIRE_SIZE + NodeId::WIRE_SIZE;
     for input in &exec.inputs {
-        tree_dictionary(input, out);
+        bytes += walk_tree(input, names);
     }
+    bytes
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nt_runtime::Value;
+    use nt_runtime::{Tuple, Value};
+    use std::collections::BTreeSet;
+
+    fn names_of(op: &QueryOp) -> BTreeSet<&'static str> {
+        let mut names = BTreeSet::new();
+        op.seal(&mut |name| {
+            names.insert(name.as_str());
+        });
+        names
+    }
 
     fn leaf(rel: &str, node: &str, x: i64) -> ProofTree {
         let tuple = Tuple::new(rel, vec![Value::addr(node), Value::Int(x)]);
@@ -277,9 +272,7 @@ mod tests {
         };
         assert_eq!(op.wire_size(), (1 + 8 + 4) + 8 + 4 + 16);
         assert!(op.is_request());
-        let mut dict = BTreeSet::new();
-        op.dictionary(&mut dict);
-        assert!(dict.is_empty(), "requests ship no strings");
+        assert!(names_of(&op).is_empty(), "requests ship no strings");
     }
 
     #[test]
@@ -293,8 +286,7 @@ mod tests {
         };
         assert_eq!(op.wire_size(), (1 + 8 + 4) + 8 + 4 + 2 + tuple_bytes);
         assert!(!op.is_request());
-        let mut dict = BTreeSet::new();
-        op.dictionary(&mut dict);
+        let dict = names_of(&op);
         for name in ["link", "n1"] {
             assert!(dict.contains(name), "{name} missing from dictionary");
         }

@@ -32,6 +32,7 @@ use crate::store::{collect_addr_names, ProvEntry, ProvenanceStore, RuleExec, Rul
 use nt_runtime::{Firing, NodeId, Sym, Tuple, TupleId};
 use serde::{Deserialize, Serialize};
 use simnet::TrafficStats;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
 
 /// Category name used for provenance-maintenance traffic.
@@ -191,14 +192,76 @@ pub struct ShardStats {
     pub cross_shard_dict_bytes: u64,
 }
 
+/// Which store of a shard has a tuple vertex: `vid → arena slot`, the keyed
+/// read behind [`crate::ProvenanceSystem::vertex_home`]. It answers exactly
+/// what a scan of the arena in creation order would: the lowest slot whose
+/// store has the vertex.
+///
+/// A lookup structure, not state: derived from the stores' `prov` tables,
+/// maintained where a vertex is created or dropped, rebuilt when a store is
+/// adopted, never iterated, serialized, compared or priced.
+#[derive(Debug, Clone, Default)]
+struct HomeIndex {
+    /// The lowest arena slot whose store has the vertex.
+    first: HashMap<TupleId, u32>,
+    /// Vids homed at more than one store of this shard (one base fact
+    /// inserted at two nodes): every further slot, ascending, so dropping
+    /// the first home falls to the next without a scan. Empty otherwise.
+    rest: HashMap<TupleId, Vec<u32>>,
+}
+
+impl HomeIndex {
+    /// The store at `slot` did not have the vertex and now does.
+    fn created(&mut self, vid: TupleId, slot: u32) {
+        match self.first.entry(vid) {
+            Entry::Vacant(first) => {
+                first.insert(slot);
+            }
+            Entry::Occupied(mut first) => {
+                let later = if slot < *first.get() {
+                    first.insert(slot)
+                } else {
+                    slot
+                };
+                let rest = self.rest.entry(vid).or_default();
+                rest.insert(rest.partition_point(|&s| s < later), later);
+            }
+        }
+    }
+
+    /// The store at `slot` had the vertex and no longer does.
+    fn dropped(&mut self, vid: TupleId, slot: u32) {
+        if !self.rest.is_empty() {
+            if let Entry::Occupied(mut rest) = self.rest.entry(vid) {
+                let first = self
+                    .first
+                    .get_mut(&vid)
+                    .expect("a multi-homed vid has a first home");
+                if *first == slot {
+                    *first = rest.get_mut().remove(0);
+                } else {
+                    rest.get_mut().retain(|&s| s != slot);
+                }
+                if rest.get().is_empty() {
+                    rest.remove();
+                }
+                return;
+            }
+        }
+        self.first.remove(&vid);
+    }
+}
+
 /// One shard of the provenance arena: the stores of every node whose stable
 /// name hash routes here, in a dense creation-order arena (the same layout
-/// the pre-sharding `ProvenanceSystem` used for the whole network).
+/// the pre-sharding `ProvenanceSystem` used for the whole network), read
+/// through the `vid → store` home index the shard maintains with its writes.
 #[derive(Debug, Clone, Default)]
 pub struct ProvenanceShard {
     index: usize,
     stores: Vec<ProvenanceStore>,
     by_node: HashMap<NodeId, u32>,
+    homes: HomeIndex,
 }
 
 impl ProvenanceShard {
@@ -252,11 +315,52 @@ impl ProvenanceShard {
             .map(|&slot| &self.stores[slot as usize])
     }
 
-    /// Adopt a fully built store (snapshot restore path).
+    /// Adopt a fully built store (snapshot restore path), re-indexing the
+    /// vertices of the slot it takes. A dump naming one node twice replaces
+    /// the store adopted first, so its vertices leave the index too.
     pub(crate) fn insert_store(&mut self, store: ProvenanceStore) {
-        let node = store.node;
-        let slot = self.slot(node);
-        self.stores[slot] = store;
+        let slot = self.slot(store.node);
+        let replaced = std::mem::replace(&mut self.stores[slot], store);
+        for (vid, _) in replaced.iter_prov() {
+            self.homes.dropped(vid, slot as u32);
+        }
+        for (vid, _) in self.stores[slot].iter_prov() {
+            self.homes.created(vid, slot as u32);
+        }
+    }
+
+    /// The first store in arena order whose `prov` table has the vertex.
+    pub(crate) fn vertex_home(&self, vid: TupleId) -> Option<NodeId> {
+        self.homes
+            .first
+            .get(&vid)
+            .map(|&slot| self.stores[slot as usize].node)
+    }
+
+    /// Record one derivation of `head` (whose id is `vid`) at `home`'s store:
+    /// the tuple's content and its `prov` entry. Every vertex of this shard
+    /// is created here, so this is where the home index learns of it.
+    pub(crate) fn add_prov(&mut self, home: NodeId, vid: TupleId, head: &Tuple, entry: ProvEntry) {
+        let slot = self.slot(home);
+        let store = &mut self.stores[slot];
+        store.register_tuple(head);
+        let vertices = store.vertex_count();
+        store.add_prov(vid, entry);
+        if store.vertex_count() != vertices {
+            self.homes.created(vid, slot as u32);
+        }
+    }
+
+    /// Remove a `prov` entry at `home`'s store; the counterpart of
+    /// [`Self::add_prov`] for the vertex its last entry drops.
+    fn remove_prov(&mut self, home: NodeId, vid: TupleId, entry: &ProvEntry) {
+        let slot = self.slot(home);
+        let store = &mut self.stores[slot];
+        let vertices = store.vertex_count();
+        store.remove_prov(vid, entry);
+        if store.vertex_count() != vertices {
+            self.homes.dropped(vid, slot as u32);
+        }
     }
 
     /// Iterate over this shard's stores in arena (creation) order.
@@ -289,13 +393,14 @@ impl ProvenanceShard {
     fn apply_home_insert(&mut self, firing: &Firing, exec_local: bool, traffic: &mut TrafficStats) {
         let vid = firing.head.id();
         if firing.rule == nt_runtime::base_rule_sym() {
-            let store = self.store_mut(firing.head_home);
-            store.register_tuple(&firing.head);
-            store.add_prov(
+            let home = firing.head_home;
+            self.add_prov(
+                home,
                 vid,
+                &firing.head,
                 ProvEntry {
                     rid: None,
-                    rloc: firing.head_home,
+                    rloc: home,
                 },
             );
             return;
@@ -330,9 +435,7 @@ impl ProvenanceShard {
                 entry.wire_size() + firing.head.wire_size(),
             );
         }
-        let store = self.store_mut(firing.head_home);
-        store.register_tuple(&firing.head);
-        store.add_prov(vid, entry);
+        self.add_prov(firing.head_home, vid, &firing.head, entry);
     }
 
     fn apply_home_retract(
@@ -344,7 +447,8 @@ impl ProvenanceShard {
         let vid = firing.head.id();
         if firing.rule == nt_runtime::base_rule_sym() {
             let home = firing.head_home;
-            self.store_mut(home).remove_prov(
+            self.remove_prov(
+                home,
                 vid,
                 &ProvEntry {
                     rid: None,
@@ -369,7 +473,7 @@ impl ProvenanceShard {
                 entry.wire_size(),
             );
         }
-        self.store_mut(firing.head_home).remove_prov(vid, &entry);
+        self.remove_prov(firing.head_home, vid, &entry);
     }
 
     /// Apply a shipped `ruleExec` half at the executing node's store (which

@@ -285,6 +285,14 @@ impl ProvenanceStore {
         self.vertex_index.contains_key(&vid)
     }
 
+    /// Number of tuple vertices at this node. It moves exactly when
+    /// [`Self::add_prov`] creates a vertex or [`Self::remove_prov`] drops
+    /// one, which is how the owning shard keeps its home index in step
+    /// without a second probe per entry.
+    pub(crate) fn vertex_count(&self) -> usize {
+        self.vertex_index.len()
+    }
+
     /// Iterate over all (VID, entries) pairs in arena order.
     pub fn iter_prov(&self) -> impl Iterator<Item = (TupleId, &[ProvEntry])> {
         self.vertices
@@ -445,17 +453,22 @@ impl ProvenanceStore {
     }
 }
 
-/// Collect interned address names appearing in a value tree.
-pub(crate) fn collect_addr_names(values: &[Value], out: &mut BTreeSet<&'static str>) {
+/// Visit every interned address appearing in a value tree.
+pub(crate) fn visit_addrs(values: &[Value], visit: &mut impl FnMut(NodeId)) {
     for v in values {
         match v {
-            Value::Addr(a) => {
-                out.insert(a.as_str());
-            }
-            Value::List(l) => collect_addr_names(l, out),
+            Value::Addr(a) => visit(*a),
+            Value::List(l) => visit_addrs(l, visit),
             _ => {}
         }
     }
+}
+
+/// Collect interned address names appearing in a value tree.
+pub(crate) fn collect_addr_names(values: &[Value], out: &mut BTreeSet<&'static str>) {
+    visit_addrs(values, &mut |a| {
+        out.insert(a.as_str());
+    });
 }
 
 impl PartialEq for ProvenanceStore {

@@ -32,6 +32,14 @@
 //! resulting stores and [`SystemStats`] are bit-identical for every shard
 //! count.
 //!
+//! ## Reads
+//!
+//! Resolving a vertex is a keyed read, as `prov(@Loc, VID, ..)` keyed by VID
+//! at `Loc` is in the paper: [`ProvenanceSystem::vertex_home`] reads the
+//! `vid → store` home index each shard maintains with its writes, and
+//! [`ProvenanceSystem::tuple_at`] reads the store of the node the vertex is
+//! expanded at. Neither grows with the number of nodes.
+//!
 //! The cross-node shipments of `prov` entries are the **maintenance traffic**
 //! of provenance capture; the system records it in a
 //! [`simnet::TrafficStats`] under the `"prov-maintenance"` category so the
@@ -156,8 +164,10 @@ impl ProvenanceSystem {
         self.shards.iter()
     }
 
-    /// Access a node's store (creating it lazily if unknown).
-    pub fn store_mut(&mut self, node: impl Into<NodeId>) -> &mut ProvenanceStore {
+    /// Access a node's store (creating it lazily if unknown). Crate-private:
+    /// a caller holding `&mut` to a store inside the system could create or
+    /// drop vertices behind the shard's home index.
+    pub(crate) fn store_mut(&mut self, node: impl Into<NodeId>) -> &mut ProvenanceStore {
         let node = node.into();
         let shard = self.shard_of(node);
         self.shards[shard].store_mut(node)
@@ -343,22 +353,33 @@ impl ProvenanceSystem {
         batch
     }
 
-    /// Find the content of a tuple vertex. Tuple identifiers are content
-    /// digests, so every store that knows a VID knows the same content.
-    pub fn tuple(&self, vid: TupleId) -> Option<&Tuple> {
-        self.shards
-            .iter()
-            .flat_map(ProvenanceShard::stores)
-            .find_map(|s| s.tuple(vid))
+    /// The content of a tuple vertex, read at `node` — the node the vertex
+    /// is being expanded at, which has the content whenever the vertex
+    /// exists there. Tuple identifiers are content digests, so every store
+    /// that knows a VID knows the same content; only a miss at `node` falls
+    /// back to asking every store.
+    pub fn tuple_at(&self, node: NodeId, vid: TupleId) -> Option<&Tuple> {
+        self.store(node).and_then(|s| s.tuple(vid)).or_else(|| {
+            self.shards
+                .iter()
+                .flat_map(ProvenanceShard::stores)
+                .find_map(|s| s.tuple(vid))
+        })
     }
 
-    /// The home node of a tuple vertex: the node whose `prov` table has it.
+    /// The home node of a tuple vertex: the node whose `prov` table has it
+    /// (the first in shard, then store-creation order when one base fact was
+    /// inserted at several nodes). A keyed read of each shard's home index.
     pub fn vertex_home(&self, vid: TupleId) -> Option<NodeId> {
-        self.shards
-            .iter()
-            .flat_map(ProvenanceShard::stores)
-            .find(|s| s.has_vertex(vid))
-            .map(|s| s.node)
+        self.shards.iter().find_map(|shard| shard.vertex_home(vid))
+    }
+
+    /// Record a raw `prov` entry for `head` at `node`, through the shard's
+    /// indexed write — for tests that hand-build stores no capture produces.
+    #[cfg(test)]
+    pub(crate) fn add_prov(&mut self, node: NodeId, head: &Tuple, entry: crate::store::ProvEntry) {
+        let shard = self.shard_of(node);
+        self.shards[shard].add_prov(node, head.id(), head, entry);
     }
 
     /// Aggregate statistics across all stores. Shard-count invariant.
@@ -535,7 +556,10 @@ mod tests {
             1
         );
         assert_eq!(sys.vertex_home(cost.id()), Some(NodeId::new("n2")));
-        assert_eq!(sys.tuple(link.id()), Some(&link));
+        assert_eq!(sys.tuple_at("n1".into(), link.id()), Some(&link));
+        // A miss at the asked node still finds the content elsewhere.
+        assert_eq!(sys.tuple_at("n2".into(), link.id()), Some(&link));
+        assert_eq!(sys.tuple_at("n2".into(), TupleId(0)), None);
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! graph-shape projection the suites compare up to isomorphism.
 //!
 //! Used by `proptest_prov_equivalence.rs` (incremental churn vs scratch
-//! rebuild) and `proptest_sharded_equivalence.rs` (sharded vs single-shard
-//! maintenance).
+//! rebuild), `proptest_sharded_equivalence.rs` (sharded vs single-shard
+//! maintenance) and `proptest_home_index.rs` (keyed vertex reads vs the
+//! any-store scan); `size_independence.rs` borrows [`base_firing`].
 
 use nt_runtime::{base_rule_sym, Firing, NodeId, Sym, Tuple, Value};
 use provenance::ProvGraph;
@@ -24,6 +25,19 @@ pub fn tuple(layer: usize, i: usize) -> Tuple {
     )
 }
 
+/// The environment inserting (or deleting) the base fact `head` at `home`.
+pub fn base_firing(head: &Tuple, home: NodeId, insert: bool) -> Firing {
+    Firing {
+        rule: base_rule_sym(),
+        node: home,
+        head: head.clone(),
+        head_home: home,
+        inputs: vec![],
+        input_tuples: vec![],
+        insert,
+    }
+}
+
 /// A deterministic pool of candidate firings: `width` base tuples in layer 0,
 /// and for each later layer one derived firing per position joining two
 /// layer-below tuples, plus an alternative derivation every third position
@@ -32,15 +46,7 @@ pub fn tuple(layer: usize, i: usize) -> Tuple {
 pub fn firing_pool(layers: usize, width: usize) -> Vec<Firing> {
     let mut pool = Vec::new();
     for i in 0..width {
-        pool.push(Firing {
-            rule: base_rule_sym(),
-            node: node(i),
-            head: tuple(0, i),
-            head_home: node(i),
-            inputs: vec![],
-            input_tuples: vec![],
-            insert: true,
-        });
+        pool.push(base_firing(&tuple(0, i), node(i), true));
     }
     for layer in 1..layers {
         for i in 0..width {

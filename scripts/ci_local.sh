@@ -37,6 +37,9 @@ test_job() {
 
     echo "==> [test] ntbench traced smoke: snapshot_replay, 2 s"
     bash benchmark/run.sh --workload snapshot_replay --seed 12 --seconds 2 --trace 1 > /dev/null
+
+    echo "==> [test] ntbench traced smoke: query_storm, 2 s"
+    bash benchmark/run.sh --workload query_storm --seed 12 --seconds 2 --trace 1 > /dev/null
 }
 
 case "${1:-all}" in
