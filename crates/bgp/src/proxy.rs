@@ -23,11 +23,17 @@
 //! base vertices. A `recv` edge links each `inputRoute` to the `outputRoute`
 //! message that carried it across the AS boundary, so derivation histories
 //! trace all the way back to the origin announcement.
+//!
+//! The maybe rules are lowered once, at [`Proxy`] construction, through the
+//! runtime's slot compiler (`SlotProgram::compile`) and evaluated per
+//! observation over a slot `Frame`: the observed output binds the head, each
+//! candidate input is matched against the body atoms, and the rule's
+//! assignments and filters run through the same expression evaluator the
+//! engine uses — the proxy has no interpreter of its own.
 
 use crate::speaker::BgpMessage;
-use ndlog::{BodyElem, Rule, RuleKind};
-use nt_runtime::engine::match_atom;
-use nt_runtime::eval::{eval_filter, Bindings};
+use ndlog::{Rule, RuleKind};
+use nt_runtime::eval::{Frame, SlotProgram};
 use nt_runtime::{Firing, NodeId, Sym, Tuple, Value, BASE_RULE};
 use std::collections::BTreeMap;
 
@@ -55,6 +61,9 @@ pub struct Observation {
 #[derive(Debug, Clone)]
 pub struct Proxy {
     maybe_rules: Vec<Rule>,
+    /// `maybe_rules` lowered to slot programs once, index for index — the
+    /// same compiler and evaluator the engine runs its rules through.
+    programs: Vec<SlotProgram>,
     /// Recently observed `inputRoute` tuples per AS (the matching window).
     recent_inputs: BTreeMap<String, Vec<Tuple>>,
     /// Outputs whose cause was inferred by a maybe rule.
@@ -79,12 +88,13 @@ impl Proxy {
     /// ignored).
     pub fn with_rules(src: &str) -> Result<Self, ndlog::NdlogError> {
         let program = ndlog::compile(src)?;
-        let maybe_rules = program
+        let maybe_rules: Vec<Rule> = program
             .rules
             .into_iter()
             .filter(|r| r.kind == RuleKind::Maybe)
             .collect();
         Ok(Proxy {
+            programs: maybe_rules.iter().map(SlotProgram::compile).collect(),
             maybe_rules,
             recent_inputs: BTreeMap::new(),
             matched_outputs: 0,
@@ -203,7 +213,9 @@ impl Proxy {
     }
 
     /// Evaluate the maybe rules: which recently observed inputs could have
-    /// caused `output` at `asn`?
+    /// caused `output` at `asn`? The observed output binds the head; a
+    /// candidate is a cause when every positive body atom matches it and the
+    /// rule's assignments and filters then hold.
     fn infer_causes(
         &self,
         asn: &str,
@@ -211,52 +223,31 @@ impl Proxy {
         candidates: &[Tuple],
     ) -> Vec<(String, Tuple)> {
         let mut causes = Vec::new();
-        for rule in &self.maybe_rules {
+        let mut frame = Frame::new();
+        for (rule, program) in self.maybe_rules.iter().zip(&self.programs) {
+            frame.reset(program.slot_count());
             // Bind the head against the observed output.
-            let mut head_bindings = Bindings::new();
-            if !match_atom(&rule.head, output, &mut head_bindings) {
+            if !program.head.match_row(output, &mut frame) {
                 continue;
             }
             // The location variable of the head must be this AS.
             if let Some(loc) = rule.head.location_variable() {
-                if head_bindings.get(loc).and_then(|v| v.as_addr()) != Some(asn) {
+                let bound = program.slot_of(loc).and_then(|slot| frame.get(slot));
+                if bound.and_then(Value::as_addr) != Some(asn) {
                     continue;
                 }
             }
+            let head_bound = frame.mark();
             for candidate in candidates {
-                let mut bindings = head_bindings.clone();
-                let mut ok = true;
-                for elem in &rule.body {
-                    match elem {
-                        BodyElem::Atom(atom) if !atom.negated => {
-                            if !match_atom(atom, candidate, &mut bindings) {
-                                ok = false;
-                                break;
-                            }
-                        }
-                        BodyElem::Filter(expr) => {
-                            if !eval_filter(expr, &bindings).unwrap_or(false) {
-                                ok = false;
-                                break;
-                            }
-                        }
-                        BodyElem::Assign { var, expr } => {
-                            match nt_runtime::eval::eval_expr(expr, &bindings) {
-                                Ok(v) => {
-                                    bindings.insert(var.clone(), v);
-                                }
-                                Err(_) => {
-                                    ok = false;
-                                    break;
-                                }
-                            }
-                        }
-                        BodyElem::Atom(_) => {}
-                    }
-                }
-                if ok {
+                let caused = program
+                    .positive
+                    .iter()
+                    .all(|atom| atom.match_row(candidate, &mut frame))
+                    && program.apply_steps(&mut frame);
+                if caused {
                     causes.push((rule.name.clone(), candidate.clone()));
                 }
+                frame.undo_to(head_bound);
             }
         }
         causes

@@ -3,18 +3,25 @@
 //! Compilation performs, in order: validation, automatic localization
 //! ([`crate::transform::localize_program`]), catalog construction, and
 //! per-rule analysis (execution location, aggregate detection, trigger
-//! tables). The result is shared (via `Arc`) by every node engine in a
-//! deployment — nodes differ only in their data, not in their code, just as a
-//! RapidNet binary is identical on every node.
+//! tables). Everything a rule evaluation would otherwise look up by name is
+//! resolved here, once: the join order per trigger position, the columns each
+//! join step can probe on, and — [`SlotProgram::compile`] — every variable to
+//! a dense slot index, every constant to a [`Value`] and every builtin call
+//! to a [`Builtin`], so the evaluator (module `eval`, driven by the join
+//! kernel in module `morsel`) never sees a variable name. The result is
+//! shared (via `Arc`) by every node engine in a deployment — nodes differ
+//! only in their data, not in their code, just as a RapidNet binary is
+//! identical on every node.
 
 use crate::catalog::Catalog;
 use crate::error::{Result, RuntimeError};
-use crate::value::Sym;
+use crate::eval::{literal_value, Builtin, SlotAtom, SlotExpr, SlotProgram, SlotStep, SlotTerm};
+use crate::value::{Sym, Value};
 use ndlog::localize::{localize_rule, RuleLocation};
-use ndlog::{AggregateFunc, BodyElem, Literal, Predicate, Program, Rule, RuleKind, Term};
+use ndlog::{AggregateFunc, BodyElem, Expr, Predicate, Program, Rule, RuleKind, Term};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 /// Aggregate specification for rules such as `minCost(@S,D,min<C>) :- ...`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -23,23 +30,23 @@ pub struct AggSpec {
     pub func: AggregateFunc,
     /// Column of the head that receives the aggregate value.
     pub agg_col: usize,
-    /// The aggregated body variable (`*` for `count<*>`).
-    pub var: String,
+    /// Slot of the aggregated body variable (`None` for `count<*>`).
+    pub slot: Option<usize>,
 }
 
 /// How a column of a body atom is bound at probe time.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum BoundTerm {
     /// The column carries a constant from the rule text.
-    Const(Literal),
-    /// The column carries a variable bound by an earlier atom in the plan
-    /// (or by the trigger delta).
-    Var(String),
+    Const(Value),
+    /// The column carries the variable in this slot, bound by an earlier atom
+    /// in the plan (or by the trigger delta).
+    Slot(usize),
 }
 
 /// How a plan step expects [`crate::store::Table::probe`] to find its
-/// candidates, decided per bound set at compile time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// candidates: a property of its bound set ([`PlanStep::strategy`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProbeStrategy {
     /// No column is bound when the step runs: the probe degrades to a
     /// key-order scan of the whole table (a contiguous column sweep in the
@@ -56,12 +63,21 @@ pub enum ProbeStrategy {
 /// an index lookup instead of a scan.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PlanStep {
-    /// Index into [`CompiledRule::positive`].
+    /// Index into [`SlotProgram::positive`].
     pub atom: usize,
     /// `(column, binding source)` pairs known bound when this step runs.
     pub bound_cols: Vec<(usize, BoundTerm)>,
+}
+
+impl PlanStep {
     /// How the probe kernel will evaluate this step.
-    pub strategy: ProbeStrategy,
+    pub fn strategy(&self) -> ProbeStrategy {
+        if self.bound_cols.is_empty() {
+            ProbeStrategy::ColumnScan
+        } else {
+            ProbeStrategy::PostingList
+        }
+    }
 }
 
 /// A per-trigger join plan: the order in which the remaining positive atoms
@@ -77,37 +93,143 @@ pub struct JoinPlan {
     pub steps: Vec<PlanStep>,
 }
 
-/// Variables bound by matching an atom.
-fn atom_vars(atom: &Predicate) -> BTreeSet<String> {
-    atom.terms
-        .iter()
-        .filter_map(|t| match t {
-            Term::Variable { name, .. } => Some(name.clone()),
-            _ => None,
-        })
-        .collect()
+// --------------------------------------------------------------------------
+// lowering to slots
+// --------------------------------------------------------------------------
+
+/// The slot table under construction: a variable gets the next free index
+/// the first time any atom, step or head term mentions it.
+#[derive(Default)]
+struct SlotTable {
+    names: Vec<String>,
 }
 
-/// The columns of `atom` that are bound given `bound_vars`: constants and
-/// variables already bound.
-fn bound_cols_of(atom: &Predicate, bound_vars: &BTreeSet<String>) -> Vec<(usize, BoundTerm)> {
+impl SlotTable {
+    fn slot(&mut self, name: &str) -> usize {
+        self.names
+            .iter()
+            .position(|n| n == name)
+            .unwrap_or_else(|| {
+                self.names.push(name.to_string());
+                self.names.len() - 1
+            })
+    }
+
+    fn atom(&mut self, atom: &Predicate) -> SlotAtom {
+        let terms = atom
+            .terms
+            .iter()
+            .map(|term| match term {
+                Term::Wildcard => SlotTerm::Wild,
+                Term::Variable { name, .. } => SlotTerm::Slot(self.slot(name)),
+                Term::Constant { value, .. } => SlotTerm::Const(literal_value(value)),
+                Term::Aggregate(agg) => {
+                    if agg.var != "*" {
+                        self.slot(&agg.var);
+                    }
+                    SlotTerm::Agg
+                }
+            })
+            .collect();
+        SlotAtom {
+            relation: Sym::new(&atom.relation),
+            terms,
+        }
+    }
+
+    fn expr(&mut self, expr: &Expr) -> SlotExpr {
+        match expr {
+            Expr::Var(name) => SlotExpr::Slot(self.slot(name)),
+            Expr::Const(lit) => SlotExpr::Const(literal_value(lit)),
+            Expr::Unary { op, expr } => SlotExpr::Unary {
+                op: *op,
+                expr: Box::new(self.expr(expr)),
+            },
+            Expr::Binary { op, lhs, rhs } => SlotExpr::Binary {
+                op: *op,
+                lhs: Box::new(self.expr(lhs)),
+                rhs: Box::new(self.expr(rhs)),
+            },
+            Expr::Call { func, args } => match Builtin::lookup(func) {
+                Some(func) => SlotExpr::Call {
+                    func,
+                    args: args.iter().map(|a| self.expr(a)).collect(),
+                },
+                None => SlotExpr::UnknownCall(func.clone()),
+            },
+        }
+    }
+}
+
+impl SlotProgram {
+    /// Lower one rule to slots. Purely syntactic — it neither validates nor
+    /// localizes, so the engine compiles its localized rules through it and
+    /// the legacy-application proxy its `maybe` rules.
+    pub fn compile(rule: &Rule) -> SlotProgram {
+        let mut table = SlotTable::default();
+        let mut positive = Vec::new();
+        let mut negated = Vec::new();
+        let mut steps = Vec::new();
+        for elem in &rule.body {
+            match elem {
+                BodyElem::Atom(p) if p.negated => negated.push(table.atom(p)),
+                BodyElem::Atom(p) => positive.push(table.atom(p)),
+                BodyElem::Assign { var, expr } => {
+                    let expr = table.expr(expr);
+                    steps.push(SlotStep::Assign {
+                        slot: table.slot(var),
+                        expr,
+                    });
+                }
+                BodyElem::Filter(expr) => steps.push(SlotStep::Filter(table.expr(expr))),
+            }
+        }
+        let head = table.atom(&rule.head);
+        SlotProgram {
+            names: table.names,
+            head,
+            positive,
+            negated,
+            steps,
+        }
+    }
+}
+
+// --------------------------------------------------------------------------
+// join planning
+// --------------------------------------------------------------------------
+
+/// Mark the slots an atom binds.
+fn bind_atom_slots(atom: &SlotAtom, bound: &mut [bool]) {
+    for term in &atom.terms {
+        if let SlotTerm::Slot(slot) = term {
+            bound[*slot] = true;
+        }
+    }
+}
+
+/// The columns of `atom` that are bound given the `bound` slots: constants
+/// and variables already bound.
+fn bound_cols_of(atom: &SlotAtom, bound: &[bool]) -> Vec<(usize, BoundTerm)> {
     atom.terms
         .iter()
         .enumerate()
         .filter_map(|(col, term)| match term {
-            Term::Constant { value, .. } => Some((col, BoundTerm::Const(value.clone()))),
-            Term::Variable { name, .. } if bound_vars.contains(name) => {
-                Some((col, BoundTerm::Var(name.clone())))
-            }
+            SlotTerm::Const(value) => Some((col, BoundTerm::Const(value.clone()))),
+            SlotTerm::Slot(slot) if bound[*slot] => Some((col, BoundTerm::Slot(*slot))),
             _ => None,
         })
         .collect()
 }
 
-/// Build the join plan for `positive` triggered at `trigger` (or a full
-/// recomputation plan when `trigger` is `None`).
-fn build_join_plan(positive: &[Predicate], trigger: Option<usize>) -> JoinPlan {
-    let mut bound_vars = trigger.map(|t| atom_vars(&positive[t])).unwrap_or_default();
+/// Build the join plan for a program's positive atoms triggered at `trigger`
+/// (or a full recomputation plan when `trigger` is `None`).
+fn build_join_plan(slots: &SlotProgram, trigger: Option<usize>) -> JoinPlan {
+    let positive = &slots.positive;
+    let mut bound = vec![false; slots.slot_count()];
+    if let Some(t) = trigger {
+        bind_atom_slots(&positive[t], &mut bound);
+    }
     let mut remaining: Vec<usize> = (0..positive.len())
         .filter(|i| Some(*i) != trigger)
         .collect();
@@ -118,23 +240,17 @@ fn build_join_plan(positive: &[Predicate], trigger: Option<usize>) -> JoinPlan {
             .enumerate()
             .max_by_key(|(_, &atom_idx)| {
                 (
-                    bound_cols_of(&positive[atom_idx], &bound_vars).len(),
+                    bound_cols_of(&positive[atom_idx], &bound).len(),
                     Reverse(atom_idx),
                 )
             })
             .expect("remaining is non-empty");
         let atom_idx = remaining.remove(pick);
-        let bound_cols = bound_cols_of(&positive[atom_idx], &bound_vars);
-        bound_vars.extend(atom_vars(&positive[atom_idx]));
-        let strategy = if bound_cols.is_empty() {
-            ProbeStrategy::ColumnScan
-        } else {
-            ProbeStrategy::PostingList
-        };
+        let bound_cols = bound_cols_of(&positive[atom_idx], &bound);
+        bind_atom_slots(&positive[atom_idx], &mut bound);
         steps.push(PlanStep {
             atom: atom_idx,
             bound_cols,
-            strategy,
         });
     }
     JoinPlan { trigger, steps }
@@ -147,21 +263,15 @@ pub struct CompiledRule {
     pub rule: Rule,
     /// The rule name, interned once at compile time (what firings carry).
     pub name_sym: Sym,
-    /// Interned relation names of `positive`, in the same order (what the
-    /// join hot path uses for table lookups).
-    pub positive_syms: Vec<Sym>,
     /// Index of this rule within the compiled program.
     pub index: usize,
     /// Where the rule executes.
     pub exec: RuleLocation,
     /// Location column of the head relation.
     pub head_loc_col: usize,
-    /// Positive body atoms, in body order.
-    pub positive: Vec<Predicate>,
-    /// Negated body atoms.
-    pub negated: Vec<Predicate>,
-    /// Assignments and filters, in body order.
-    pub steps: Vec<BodyElem>,
+    /// The rule over slots: head, positive and negated atoms, assignments
+    /// and filters — what evaluation actually walks.
+    pub slots: SlotProgram,
     /// Aggregate specification, if the head contains one.
     pub aggregate: Option<AggSpec>,
     /// Join plans, one per positive atom: `plans[i]` joins the remaining
@@ -182,7 +292,7 @@ impl CompiledRule {
     /// True when the rule needs non-monotonic (reconciliation-based)
     /// maintenance: it has negated body atoms.
     pub fn has_negation(&self) -> bool {
-        !self.negated.is_empty()
+        !self.slots.negated.is_empty()
     }
 }
 
@@ -230,15 +340,15 @@ impl CompiledProgram {
             }
             let index = rules.len();
             let compiled = compile_rule(rule, index, &catalog)?;
-            for (atom_idx, atom) in compiled.positive.iter().enumerate() {
+            for (atom_idx, atom) in compiled.slots.positive.iter().enumerate() {
                 triggers
-                    .entry(Sym::new(&atom.relation))
+                    .entry(atom.relation)
                     .or_default()
                     .push((index, atom_idx));
             }
-            for atom in &compiled.negated {
+            for atom in &compiled.slots.negated {
                 negation_triggers
-                    .entry(Sym::new(&atom.relation))
+                    .entry(atom.relation)
                     .or_default()
                     .push(index);
             }
@@ -282,43 +392,31 @@ fn compile_rule(rule: &Rule, index: usize, catalog: &Catalog) -> Result<Compiled
         RuntimeError::compile(Some(&rule.name), "head relation missing from catalog")
     })?;
 
-    let mut positive = Vec::new();
-    let mut negated = Vec::new();
-    let mut steps = Vec::new();
-    for elem in &rule.body {
-        match elem {
-            BodyElem::Atom(p) if p.negated => negated.push(p.clone()),
-            BodyElem::Atom(p) => positive.push(p.clone()),
-            other => steps.push(other.clone()),
-        }
-    }
+    let slots = SlotProgram::compile(rule);
 
     let aggregate = rule.head.aggregate_column().map(|(col, agg)| AggSpec {
         func: agg.func,
         agg_col: col,
-        var: agg.var.clone(),
+        slot: slots.slot_of(&agg.var),
     });
 
-    if let Some(spec) = &aggregate {
-        if positive.len() != 1 {
+    if aggregate.is_some() {
+        if slots.positive.len() != 1 {
             return Err(RuntimeError::compile(
                 Some(&rule.name),
                 "aggregate rules must have exactly one positive body atom",
             ));
         }
-        if !negated.is_empty() {
+        if !slots.negated.is_empty() {
             return Err(RuntimeError::compile(
                 Some(&rule.name),
                 "aggregate rules cannot contain negation",
             ));
         }
-        if spec.func == AggregateFunc::Count && spec.var == "*" {
-            // fine: count<*> needs no bound variable
-        }
     }
 
     // Wildcards in heads are not executable.
-    if rule.head.terms.iter().any(|t| matches!(t, Term::Wildcard)) {
+    if slots.head.terms.contains(&SlotTerm::Wild) {
         return Err(RuntimeError::compile(
             Some(&rule.name),
             "rule heads cannot contain wildcards",
@@ -326,54 +424,46 @@ fn compile_rule(rule: &Rule, index: usize, catalog: &Catalog) -> Result<Compiled
     }
 
     // Join plans: one per trigger position plus the full-recompute plan.
-    let plans: Vec<JoinPlan> = (0..positive.len())
-        .map(|t| build_join_plan(&positive, Some(t)))
+    let plans: Vec<JoinPlan> = (0..slots.positive.len())
+        .map(|t| build_join_plan(&slots, Some(t)))
         .collect();
-    let full_plan = build_join_plan(&positive, None);
+    let full_plan = build_join_plan(&slots, None);
 
     // After the positive body matched, every positive variable plus every
     // assigned variable is bound; negated atoms probe with those.
-    let mut body_vars: BTreeSet<String> = positive.iter().flat_map(atom_vars).collect();
-    for step in &steps {
-        if let BodyElem::Assign { var, .. } = step {
-            body_vars.insert(var.clone());
+    let mut body_bound = vec![false; slots.slot_count()];
+    for atom in &slots.positive {
+        bind_atom_slots(atom, &mut body_bound);
+    }
+    for step in &slots.steps {
+        if let SlotStep::Assign { slot, .. } = step {
+            body_bound[*slot] = true;
         }
     }
-    let negated_probes: Vec<Vec<(usize, BoundTerm)>> = negated
+    let negated_probes: Vec<Vec<(usize, BoundTerm)>> = slots
+        .negated
         .iter()
-        .map(|n| bound_cols_of(n, &body_vars))
+        .map(|n| bound_cols_of(n, &body_bound))
         .collect();
 
     // Aggregate rules re-scan their group: the group key binds the head
     // variables outside the aggregate column.
     let aggregate_probe = match &aggregate {
-        Some(spec) => {
-            let group_vars: BTreeSet<String> = rule
-                .head
-                .terms
-                .iter()
-                .enumerate()
-                .filter(|(idx, _)| *idx != spec.agg_col)
-                .filter_map(|(_, t)| match t {
-                    Term::Variable { name, .. } => Some(name.clone()),
-                    _ => None,
-                })
-                .collect();
-            bound_cols_of(&positive[0], &group_vars)
+        Some(_) => {
+            let mut group_bound = vec![false; slots.slot_count()];
+            bind_atom_slots(&slots.head, &mut group_bound);
+            bound_cols_of(&slots.positive[0], &group_bound)
         }
         None => Vec::new(),
     };
 
     Ok(CompiledRule {
         name_sym: Sym::new(&rule.name),
-        positive_syms: positive.iter().map(|p| Sym::new(&p.relation)).collect(),
         rule: rule.clone(),
         index,
         exec: localized.exec_location,
         head_loc_col: head_schema.location_col,
-        positive,
-        negated,
-        steps,
+        slots,
         aggregate,
         plans,
         full_plan,
@@ -446,7 +536,10 @@ mod tests {
         assert_eq!(plan.steps[0].atom, 1);
         let cols: Vec<usize> = plan.steps[0].bound_cols.iter().map(|(c, _)| *c).collect();
         assert_eq!(cols, vec![0, 1]);
-        assert!(matches!(&plan.steps[0].bound_cols[0].1, BoundTerm::Var(v) if v == "S"));
+        assert!(matches!(
+            &plan.steps[0].bound_cols[0].1,
+            BoundTerm::Slot(s) if rule.slots.names[*s] == "S"
+        ));
 
         // Triggered by atom 1 (binds S, Z, D): atom 0 fully bound.
         let plan = &rule.plans[1];
@@ -466,11 +559,23 @@ mod tests {
         let rule = cp.rule("r1").unwrap();
         // Delta-triggered steps always have bound columns (the trigger binds
         // shared variables) -> posting-list probes.
-        assert_eq!(rule.plans[0].steps[0].strategy, ProbeStrategy::PostingList);
-        assert_eq!(rule.plans[1].steps[0].strategy, ProbeStrategy::PostingList);
+        assert_eq!(
+            rule.plans[0].steps[0].strategy(),
+            ProbeStrategy::PostingList
+        );
+        assert_eq!(
+            rule.plans[1].steps[0].strategy(),
+            ProbeStrategy::PostingList
+        );
         // A full-recompute plan starts unbound -> column scan, then probes.
-        assert_eq!(rule.full_plan.steps[0].strategy, ProbeStrategy::ColumnScan);
-        assert_eq!(rule.full_plan.steps[1].strategy, ProbeStrategy::PostingList);
+        assert_eq!(
+            rule.full_plan.steps[0].strategy(),
+            ProbeStrategy::ColumnScan
+        );
+        assert_eq!(
+            rule.full_plan.steps[1].strategy(),
+            ProbeStrategy::PostingList
+        );
     }
 
     #[test]
@@ -482,7 +587,7 @@ mod tests {
         let step = &rule.plans[0].steps[0];
         assert_eq!(step.atom, 1);
         assert_eq!(step.bound_cols.len(), 3);
-        assert!(matches!(&step.bound_cols[2].1, BoundTerm::Const(_)));
+        assert_eq!(step.bound_cols[2].1, BoundTerm::Const(Value::Int(5)));
         // The negated atom is fully bound by the positive body.
         assert_eq!(rule.negated_probes.len(), 1);
         assert_eq!(rule.negated_probes[0].len(), 2);
@@ -508,5 +613,115 @@ mod tests {
                 .unwrap();
         assert_eq!(cp.negation_triggers[&Sym::new("link")], vec![0]);
         assert!(cp.rules[0].has_negation());
+    }
+
+    fn lowered(src: &str) -> SlotProgram {
+        SlotProgram::compile(&ndlog::parse_rule(src).expect("test rule parses"))
+    }
+
+    #[test]
+    fn slot_table_has_one_slot_per_distinct_variable() {
+        // S and Z repeat across atoms, C only exists through the assignment,
+        // the wildcard takes no slot, the head adds nothing new.
+        let p = lowered("r1 out(@S,D,C) :- a(@S,Z,_), b(@S,Z,D,Z), C := D + 1, C < 9.");
+        assert_eq!(p.names, ["S", "Z", "D", "C"]);
+        assert_eq!(p.slot_count(), 4);
+        assert_eq!(
+            p.positive[0].terms,
+            [SlotTerm::Slot(0), SlotTerm::Slot(1), SlotTerm::Wild]
+        );
+        // A variable repeated inside one atom is the same slot twice.
+        assert_eq!(p.positive[1].terms[1], p.positive[1].terms[3]);
+        assert!(matches!(p.steps[0], SlotStep::Assign { slot: 3, .. }));
+        assert_eq!(
+            p.head.terms,
+            [SlotTerm::Slot(0), SlotTerm::Slot(2), SlotTerm::Slot(3)]
+        );
+        assert_eq!(p.slot_of("Z"), Some(1));
+        assert_eq!(p.slot_of("Q"), None);
+    }
+
+    #[test]
+    fn constants_and_aggregates_lower_to_values_and_slots() {
+        let cp = CompiledProgram::from_source(
+            "materialize(hops, infinity, infinity, keys(1,2)).\n\
+             r1 hops(@S,\"all\",min<L>) :- route(@S,\"x\",2.5,P), L := f_size(P).",
+        )
+        .unwrap();
+        let rule = cp.rule("r1").unwrap();
+        assert_eq!(
+            rule.slots.positive[0].terms[1],
+            SlotTerm::Const(Value::str("x"))
+        );
+        assert_eq!(
+            rule.slots.positive[0].terms[2],
+            SlotTerm::Const(Value::Double(2.5))
+        );
+        assert_eq!(rule.slots.head.terms[1], SlotTerm::Const(Value::str("all")));
+        assert_eq!(rule.slots.head.terms[2], SlotTerm::Agg);
+        // The aggregated variable is bound by the assignment, not the atom.
+        let spec = rule.aggregate.as_ref().unwrap();
+        assert_eq!(spec.slot, rule.slots.slot_of("L"));
+        assert!(matches!(
+            &rule.slots.steps[0],
+            SlotStep::Assign {
+                expr: SlotExpr::Call {
+                    func: Builtin::Size,
+                    ..
+                },
+                ..
+            }
+        ));
+        // count<*> aggregates no variable.
+        let cp = CompiledProgram::from_source("r1 n(@S,count<*>) :- e(@S,A).").unwrap();
+        assert_eq!(cp.rules[0].aggregate.as_ref().unwrap().slot, None);
+    }
+
+    #[test]
+    fn a_filter_over_a_never_bound_variable_rejects_instead_of_panicking() {
+        use crate::eval::Frame;
+        use crate::tuple::Tuple;
+        // The validator refuses this rule; lowered directly, Q still gets a
+        // slot, nothing ever fills it, and the filter fails to evaluate.
+        let p = lowered("r1 out(@S) :- a(@S,X), Q > 1.");
+        assert_eq!(p.names, ["S", "X", "Q"]);
+        let mut frame = Frame::new();
+        frame.reset(p.slot_count());
+        let row = Tuple::new("a", vec![Value::addr("n1"), Value::Int(5)]);
+        assert!(p.positive[0].match_row(&row, &mut frame));
+        assert!(!p.apply_steps(&mut frame));
+    }
+
+    #[test]
+    fn an_unknown_builtin_is_refused_by_validation_and_rejects_when_lowered_anyway() {
+        use crate::eval::Frame;
+        let err =
+            CompiledProgram::from_source("r1 out(@S,Y) :- a(@S,X), Y := f_nosuch(X).").unwrap_err();
+        assert!(err.to_string().contains("unknown builtin"));
+        let p = lowered("r1 out(@S,Y) :- a(@S,X), Y := f_nosuch(X).");
+        assert!(matches!(
+            &p.steps[0],
+            SlotStep::Assign { expr: SlotExpr::UnknownCall(name), .. } if name == "f_nosuch"
+        ));
+        let mut frame = Frame::new();
+        frame.reset(p.slot_count());
+        frame.set(p.slot_of("X").unwrap(), Value::Int(1));
+        assert!(!p.apply_steps(&mut frame));
+    }
+
+    #[test]
+    fn slot_programs_survive_serialization() {
+        // The slot tables are data like the plans are: a deserialized program
+        // evaluates without being recompiled.
+        let cp = CompiledProgram::from_source(
+            "materialize(m, infinity, infinity, keys(1)).\n\
+             r1 m(@S,min<L>) :- p(@S,_,P), L := f_size(P) + 0.5.\n\
+             r2 q(@S,A) :- e(@S,A,1), !f(@S,A,\"x\"), f_member(f_initlist(A), A) == 1.",
+        )
+        .unwrap();
+        let json = serde_json::to_string(&cp).expect("program serializes");
+        let restored: CompiledProgram = serde_json::from_str(&json).expect("program deserializes");
+        assert_eq!(restored, cp);
+        assert!(!restored.rules[1].slots.steps.is_empty());
     }
 }

@@ -44,16 +44,16 @@
 //! provenance graph contains the base vertices.
 
 use crate::compile::{CompiledProgram, CompiledRule};
-use crate::eval::{literal_value, Bindings};
+use crate::eval::{localized, Frame, SlotAtom, SlotTerm};
 use crate::morsel::{self, Candidate, EvalContext, MonoTask};
 #[cfg(test)]
 use crate::store::BASE_RULE;
 use crate::store::{base_rule_sym, Database, Derivation, Membership, TableBacking};
 use crate::tuple::{Delta, Tuple, TupleId};
 use crate::value::{Addr, Sym, Value};
-use ndlog::{AggregateFunc, Literal, Predicate, Term};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Prefix for the internal outbox tables that track derivations whose head
@@ -69,9 +69,11 @@ pub struct EngineConfig {
     /// call; prevents a diverging program from hanging the simulator.
     pub max_deltas_per_run: usize,
     /// Use the precomputed join plans' bound columns to probe secondary
-    /// indexes (the default). When disabled every join step scans its whole
-    /// table — kept as the reference path for equivalence tests and as the
-    /// baseline the index regression tests compare against.
+    /// indexes (the default). When disabled the join kernel probes with no
+    /// bound columns, so every step scans its whole table and the matching
+    /// that follows does the filtering — the same kernel, not a second path;
+    /// the equivalence tests and the index regression tests compare against
+    /// it.
     pub use_join_indexes: bool,
     /// Worker-pool parallelism for the morsel-driven fixpoint: the maximum
     /// number of [`nt_pool`] workers a generation's monotonic trigger tasks
@@ -334,10 +336,11 @@ enum WorkItem {
 enum GenEvent {
     /// A base tuple gained or lost a derivation (reported to provenance).
     BaseFire { tuple: Tuple, insert: bool },
-    /// A tuple became visible.
-    Appeared(Tuple),
+    /// A tuple became visible. The id was hashed once when the delta was
+    /// applied and travels with the event.
+    Appeared { tuple: Tuple, id: TupleId },
     /// A tuple lost its last derivation (cascade runs at merge time).
-    Disappeared(Tuple),
+    Disappeared { tuple: Tuple, id: TupleId },
 }
 
 /// One rule trigger planned for an [`GenEvent::Appeared`] event. `Mono`
@@ -379,6 +382,9 @@ pub struct NodeEngine {
     /// a batch's dictionary header carries only the strings its destination
     /// has never seen.
     dict_sent: HashMap<Addr, HashSet<u32>>,
+    /// The slot frame every evaluation on this engine's thread binds
+    /// variables in (pool morsels use their own).
+    frame: Frame,
     stats: EngineStats,
 }
 
@@ -401,6 +407,7 @@ impl NodeEngine {
             pending_sends: Vec::new(),
             pending_index: HashMap::new(),
             dict_sent: HashMap::new(),
+            frame: Frame::new(),
             stats: EngineStats::default(),
         }
     }
@@ -503,34 +510,37 @@ impl NodeEngine {
         }
         let skip = self.net_events(&events);
 
-        let mut ops: Vec<Vec<TriggerOp>> = Vec::with_capacity(events.len());
-        let mut tasks: Vec<MonoTask> = Vec::new();
-        for (idx, event) in events.iter().enumerate() {
-            ops.push(match event {
-                GenEvent::Appeared(tuple) if !skip[idx] => {
-                    self.plan_insert_triggers(tuple, &mut tasks)
-                }
-                _ => Vec::new(),
-            });
-        }
-
+        // One flat op list; event `idx` owns `ops[op_ranges[idx]]`.
+        let mut ops: Vec<TriggerOp> = Vec::new();
+        let mut op_ranges: Vec<Range<usize>> = Vec::with_capacity(events.len());
         let evaluated = {
-            let ctx = EvalContext {
-                db: &self.db,
-                program: self.program.as_ref(),
-                use_join_indexes: self.config.use_join_indexes,
-            };
+            // Tasks borrow their delta tuples from `events`.
+            let mut tasks: Vec<MonoTask<'_>> = Vec::new();
+            for (idx, event) in events.iter().enumerate() {
+                let start = ops.len();
+                if let GenEvent::Appeared { tuple, id } = event {
+                    if !skip[idx] {
+                        self.plan_insert_triggers(tuple, *id, &mut ops, &mut tasks);
+                    }
+                }
+                op_ranges.push(start..ops.len());
+            }
             morsel::evaluate_tasks(
-                &ctx,
+                &EvalContext {
+                    db: &self.db,
+                    program: self.program.as_ref(),
+                    use_join_indexes: self.config.use_join_indexes,
+                },
                 &tasks,
                 self.config.fixpoint_workers,
                 self.config.fixpoint_dispatch_threshold,
+                &mut self.frame,
             )
         };
 
         let mut results = evaluated.into_iter();
         let mut reconciled: HashSet<usize> = HashSet::new();
-        for ((idx, event), event_ops) in events.into_iter().enumerate().zip(ops) {
+        for ((idx, event), op_range) in events.into_iter().enumerate().zip(op_ranges) {
             if skip[idx] {
                 continue;
             }
@@ -544,9 +554,9 @@ impl NodeEngine {
                     input_tuples: Vec::new(),
                     insert,
                 }),
-                GenEvent::Appeared(tuple) => {
+                GenEvent::Appeared { tuple, .. } => {
                     out.local_changes.push(Delta::Insert(tuple.clone()));
-                    for op in event_ops {
+                    for &op in &ops[op_range] {
                         match op {
                             TriggerOp::Mono => {
                                 let (candidates, probes) =
@@ -567,9 +577,9 @@ impl NodeEngine {
                         }
                     }
                 }
-                GenEvent::Disappeared(tuple) => {
+                GenEvent::Disappeared { tuple, id } => {
                     out.local_changes.push(Delta::Delete(tuple.clone()));
-                    self.on_disappear(&tuple, &mut reconciled, out);
+                    self.on_disappear(&tuple, id, &mut reconciled, out);
                 }
             }
         }
@@ -578,11 +588,11 @@ impl NodeEngine {
     /// Is `tuple` (by exact identity) still stored at the end of the apply
     /// phase? Filters out insertions that were deleted — or displaced by a
     /// keyed replacement — later in the same generation.
-    fn is_live(&self, tuple: &Tuple) -> bool {
+    fn is_live(&self, tuple: &Tuple, id: TupleId) -> bool {
         self.db
             .table_sym(tuple.relation)
             .and_then(|table| table.get(tuple))
-            .is_some_and(|stored| stored.id() == tuple.id())
+            .is_some_and(|stored| stored.id() == id)
     }
 
     /// Decide which membership events of a generation are *transient churn*
@@ -612,16 +622,26 @@ impl NodeEngine {
     /// removed, and provenance capture tracks both sides.
     fn net_events(&self, events: &[GenEvent]) -> Vec<bool> {
         let mut skip = vec![false; events.len()];
+        // Churn needs two membership events of one tuple; the tiny
+        // generations that dominate steady-state maintenance have at most
+        // one, and pay for no map.
+        let membership_events = events
+            .iter()
+            .filter(|e| !matches!(e, GenEvent::BaseFire { .. }))
+            .count();
+        if membership_events < 2 {
+            return skip;
+        }
         let mut per_id: HashMap<TupleId, (bool, Vec<usize>)> = HashMap::new();
         for (idx, event) in events.iter().enumerate() {
             match event {
-                GenEvent::Appeared(t) => per_id
-                    .entry(t.id())
+                GenEvent::Appeared { id, .. } => per_id
+                    .entry(*id)
                     .or_insert_with(|| (false, Vec::new()))
                     .1
                     .push(idx),
-                GenEvent::Disappeared(t) => per_id
-                    .entry(t.id())
+                GenEvent::Disappeared { id, .. } => per_id
+                    .entry(*id)
                     .or_insert_with(|| (true, Vec::new()))
                     .1
                     .push(idx),
@@ -633,7 +653,9 @@ impl NodeEngine {
                 continue;
             }
             let live = match &events[idxs[0]] {
-                GenEvent::Appeared(t) | GenEvent::Disappeared(t) => self.is_live(t),
+                GenEvent::Appeared { tuple, id } | GenEvent::Disappeared { tuple, id } => {
+                    self.is_live(tuple, *id)
+                }
                 GenEvent::BaseFire { .. } => unreachable!("only membership events are indexed"),
             };
             let keep = match (first_is_disappear, live) {
@@ -643,7 +665,7 @@ impl NodeEngine {
                 (false, true) => idxs
                     .iter()
                     .rev()
-                    .find(|&&i| matches!(events[i], GenEvent::Appeared(_)))
+                    .find(|&&i| matches!(events[i], GenEvent::Appeared { .. }))
                     .copied(),
                 // Deleted tuple: the first disappearance cascades once.
                 (true, false) => Some(idxs[0]),
@@ -659,8 +681,13 @@ impl NodeEngine {
 
     /// Expand an appeared tuple into its trigger ops (in the program's
     /// trigger order), appending the monotonic ones to `tasks`.
-    fn plan_insert_triggers(&self, tuple: &Tuple, tasks: &mut Vec<MonoTask>) -> Vec<TriggerOp> {
-        let mut ops = Vec::new();
+    fn plan_insert_triggers<'e>(
+        &self,
+        tuple: &'e Tuple,
+        id: TupleId,
+        ops: &mut Vec<TriggerOp>,
+        tasks: &mut Vec<MonoTask<'e>>,
+    ) {
         if let Some(triggers) = self.program.triggers.get(&tuple.relation) {
             for &(rule_idx, atom_idx) in triggers {
                 let rule = &self.program.rules[rule_idx];
@@ -672,7 +699,8 @@ impl NodeEngine {
                     tasks.push(MonoTask {
                         rule_idx,
                         atom_idx,
-                        tuple: tuple.clone(),
+                        tuple,
+                        id,
                     });
                     ops.push(TriggerOp::Mono);
                 }
@@ -683,19 +711,26 @@ impl NodeEngine {
                 ops.push(TriggerOp::Reconcile { rule_idx });
             }
         }
-        ops
     }
 
     /// Commit one precomputed candidate firing: build its derivation record
     /// and route it through the normal emission path.
     fn commit_candidate(&mut self, candidate: Candidate, out: &mut StepOutput) {
-        let rule_sym = self.program.rules[candidate.rule_idx].name_sym;
+        let rule = &self.program.rules[candidate.rule_idx];
+        let loc_col = rule.head_loc_col;
         let derivation = Derivation {
-            rule: rule_sym,
+            rule: rule.name_sym,
             node: self.config.node,
-            inputs: candidate.inputs.iter().map(Tuple::id).collect(),
+            inputs: candidate.input_ids,
         };
-        self.emit_derivation(candidate.head, derivation, true, candidate.inputs, out);
+        self.emit_derivation(
+            candidate.head,
+            loc_col,
+            derivation,
+            true,
+            candidate.inputs,
+            out,
+        );
     }
 
     // ----------------------------------------------------------------------
@@ -709,12 +744,9 @@ impl NodeEngine {
     /// deduplicated. The outbox membership transitions guarantee polarities
     /// for one (tuple, derivation) strictly alternate, so "same pair, same
     /// polarity" only arises from redundant re-derivation paths.
-    fn queue_send(&mut self, dest: Addr, delta: Delta, derivation: Derivation) {
+    fn queue_send(&mut self, dest: Addr, delta: Delta, id: TupleId, derivation: Derivation) {
         let sends = &mut self.pending_sends;
-        let slots = self
-            .pending_index
-            .entry((dest, delta.tuple().id()))
-            .or_default();
+        let slots = self.pending_index.entry((dest, id)).or_default();
         // Almost every (dest, tuple) has one pending derivation, so a linear
         // scan of the slot list beats keying the map on the derivation (which
         // would clone its heap-allocated input list once per send).
@@ -810,34 +842,39 @@ impl NodeEngine {
     /// id-keyed structure (dependency index, `by_id`, column indexes) must
     /// see one representation only: the one already stored. Canonicalize
     /// incoming deltas to it.
-    fn canonical_tuple(&self, tuple: Tuple) -> Tuple {
+    ///
+    /// Returns the tuple with its id: the one hash of the apply path. Every
+    /// later use — storage, the dependency index, the generation's events and
+    /// the trigger tasks planned from them — is handed this id.
+    fn canonical_tuple(&self, tuple: Tuple) -> (Tuple, TupleId) {
+        let id = tuple.id();
         match self
             .db
             .table_sym(tuple.relation)
             .and_then(|table| table.get(&tuple))
         {
-            Some(stored) if stored.id() != tuple.id() => stored.to_tuple(),
-            _ => tuple,
+            Some(stored) if stored.id() != id => (stored.to_tuple(), stored.id()),
+            _ => (tuple, id),
         }
     }
 
     fn apply_add(&mut self, tuple: Tuple, derivation: Derivation, events: &mut Vec<GenEvent>) {
         self.ensure_table(&tuple);
-        let tuple = self.canonical_tuple(tuple);
+        let (tuple, id) = self.canonical_tuple(tuple);
         let is_base = derivation.is_base();
         let inputs = derivation.inputs.clone();
         let membership = self
             .db
             .table_mut_sym(tuple.relation)
             .expect("table ensured")
-            .add_derivation(&tuple, derivation);
+            .add_derivation_with_id(&tuple, id, derivation);
 
         if matches!(
             membership,
             Membership::Appeared | Membership::AddedDerivation | Membership::Replaced(_)
         ) {
             for input in &inputs {
-                self.db.index_dependency(*input, tuple.relation, tuple.id());
+                self.db.index_dependency(*input, tuple.relation, id);
             }
             if is_base {
                 // Report base tuples to the provenance layer.
@@ -850,18 +887,22 @@ impl NodeEngine {
 
         match membership {
             Membership::Unchanged | Membership::AddedDerivation | Membership::NotFound => {}
-            Membership::Appeared => events.push(GenEvent::Appeared(tuple)),
+            Membership::Appeared => events.push(GenEvent::Appeared { tuple, id }),
             Membership::Replaced(old) => {
                 // Update-in-place: the displaced tuple disappears first.
-                events.push(GenEvent::Disappeared(old));
-                events.push(GenEvent::Appeared(tuple));
+                let old_id = old.id();
+                events.push(GenEvent::Disappeared {
+                    tuple: old,
+                    id: old_id,
+                });
+                events.push(GenEvent::Appeared { tuple, id });
             }
             Membership::Disappeared | Membership::RemovedDerivation => unreachable!(),
         }
     }
 
     fn apply_remove(&mut self, tuple: Tuple, derivation: Derivation, events: &mut Vec<GenEvent>) {
-        let tuple = self.canonical_tuple(tuple);
+        let (tuple, id) = self.canonical_tuple(tuple);
         let Some(table) = self.db.table_mut_sym(tuple.relation) else {
             return;
         };
@@ -878,7 +919,7 @@ impl NodeEngine {
             });
         }
         if membership == Membership::Disappeared {
-            events.push(GenEvent::Disappeared(tuple));
+            events.push(GenEvent::Disappeared { tuple, id });
         }
     }
 
@@ -889,10 +930,10 @@ impl NodeEngine {
     fn on_disappear(
         &mut self,
         tuple: &Tuple,
+        id: TupleId,
         reconciled: &mut HashSet<usize>,
         out: &mut StepOutput,
     ) {
-        let id = tuple.id();
         let dependents = self.db.dependents_of(id);
         self.db.clear_dependency(id);
         for (relation, dep_tuple, derivations) in dependents {
@@ -946,27 +987,17 @@ impl NodeEngine {
         reconciled: &mut HashSet<usize>,
         out: &mut StepOutput,
     ) {
-        let triggers = self
-            .program
-            .triggers
-            .get(&tuple.relation)
-            .cloned()
-            .unwrap_or_default();
-        for (rule_idx, _) in triggers {
-            let rule = &self.program.rules[rule_idx];
+        let program = Arc::clone(&self.program);
+        for &(rule_idx, _) in program.triggers.get(&tuple.relation).into_iter().flatten() {
+            let rule = &program.rules[rule_idx];
             if rule.aggregate.is_some() {
                 self.recompute_aggregate_for(rule_idx, tuple, out);
             } else if rule.has_negation() && reconciled.insert(rule_idx) {
                 self.reconcile_rule(rule_idx, out);
             }
         }
-        let neg = self
-            .program
-            .negation_triggers
-            .get(&tuple.relation)
-            .cloned()
-            .unwrap_or_default();
-        for rule_idx in neg {
+        let negated_in = program.negation_triggers.get(&tuple.relation);
+        for &rule_idx in negated_in.into_iter().flatten() {
             if reconciled.insert(rule_idx) {
                 self.reconcile_rule(rule_idx, out);
             }
@@ -974,17 +1005,21 @@ impl NodeEngine {
     }
 
     /// Route a derivation of `head`: apply locally when the head lives here,
-    /// otherwise record it in the outbox and produce a send.
+    /// otherwise record it in the outbox and produce a send. `loc_col` is
+    /// the deriving rule's [`CompiledRule::head_loc_col`].
     fn emit_derivation(
         &mut self,
         head: Tuple,
+        loc_col: usize,
         derivation: Derivation,
         insert: bool,
         input_tuples: Vec<Tuple>,
         out: &mut StepOutput,
     ) {
-        let home = self
-            .head_home(&head.relation, &head)
+        let home = head
+            .values
+            .get(loc_col)
+            .and_then(Value::as_node_id)
             .unwrap_or(self.config.node);
         if insert {
             self.stats.rule_firings += 1;
@@ -1043,20 +1078,20 @@ impl NodeEngine {
             });
         }
         if insert {
-            let inputs = derivation.inputs.clone();
+            let head_id = head.id();
             let membership = self
                 .db
                 .table_mut_sym(outbox_sym)
                 .expect("outbox registered")
-                .add_derivation(&head, derivation.clone());
+                .add_derivation_with_id(&head, head_id, derivation.clone());
             if matches!(
                 membership,
                 Membership::Appeared | Membership::AddedDerivation | Membership::Replaced(_)
             ) {
-                for input in inputs {
-                    self.db.index_dependency(input, outbox_sym, head.id());
+                for input in &derivation.inputs {
+                    self.db.index_dependency(*input, outbox_sym, head_id);
                 }
-                self.queue_send(home, Delta::Insert(head), derivation);
+                self.queue_send(home, Delta::Insert(head), head_id, derivation);
             }
         } else {
             self.retract_outbox(outbox_sym, &head, derivation, home);
@@ -1088,7 +1123,7 @@ impl NodeEngine {
             membership,
             Membership::Disappeared | Membership::RemovedDerivation
         ) {
-            self.queue_send(home, Delta::Delete(tuple.clone()), derivation);
+            self.queue_send(home, Delta::Delete(tuple.clone()), tuple.id(), derivation);
         }
     }
 
@@ -1120,154 +1155,74 @@ impl NodeEngine {
     fn recompute_aggregate_for(&mut self, rule_idx: usize, changed: &Tuple, out: &mut StepOutput) {
         let program = Arc::clone(&self.program);
         let rule = &program.rules[rule_idx];
-        let atom = &rule.positive[0];
-        let mut bindings = Bindings::new();
-        if !match_atom(atom, changed, &mut bindings) {
+        let spec = rule.aggregate.as_ref().expect("aggregate rule");
+        self.frame.reset(rule.slots.slot_count());
+        if !rule.slots.positive[0].match_row(changed, &mut self.frame) {
             return;
         }
-        let Some(group) = group_key(rule, &bindings) else {
+        let Some(group) = morsel::group_key(rule, spec, &self.frame) else {
             return;
         };
-        self.recompute_group(rule_idx, rule, group, out);
+        self.recompute_group(rule, group, out);
     }
 
-    fn recompute_group(
-        &mut self,
-        rule_idx: usize,
-        rule: &CompiledRule,
-        group: Vec<Value>,
-        out: &mut StepOutput,
-    ) {
+    fn recompute_group(&mut self, rule: &CompiledRule, group: Vec<Value>, out: &mut StepOutput) {
         self.stats.agg_recomputes += 1;
-        let spec = rule.aggregate.clone().expect("aggregate rule");
-        let atom = &rule.positive[0];
+        let spec = rule.aggregate.as_ref().expect("aggregate rule");
         // Collect contributions to this group, probing by the group-key
         // columns so unrelated groups are never visited.
-        let mut contributions: Vec<(Value, Tuple)> = Vec::new();
-        let mut probes = 0u64;
-        let bound = if self.config.use_join_indexes {
-            let mut group_bindings = Bindings::new();
-            let mut group_iter = group.iter();
-            for (idx, term) in rule.rule.head.terms.iter().enumerate() {
-                if idx == spec.agg_col {
-                    continue;
-                }
-                let value = group_iter.next();
-                if let (Term::Variable { name, .. }, Some(value)) = (term, value) {
-                    group_bindings.insert(name.clone(), value.clone());
-                }
-            }
-            morsel::resolve_bound_cols(&rule.aggregate_probe, &group_bindings)
-        } else {
-            Vec::new()
-        };
-        if let Some(table) = self.db.table(&atom.relation) {
-            for cand in table.probe(&bound) {
-                probes += 1;
-                let mut b = Bindings::new();
-                let mut added = Vec::new();
-                if !morsel::match_candidate_undo(atom, &cand, &mut b, &mut added) {
-                    continue;
-                }
-                let Some(b) = morsel::apply_steps(rule, b) else {
-                    continue;
-                };
-                let Some(g) = group_key(rule, &b) else {
-                    continue;
-                };
-                if g != group {
-                    continue;
-                }
-                let value = if spec.var == "*" {
-                    Value::Int(1)
-                } else {
-                    match b.get(&spec.var) {
-                        Some(v) => v.clone(),
-                        None => continue,
-                    }
-                };
-                contributions.push((value, cand.to_tuple()));
-            }
+        let (aggregate, probes) = EvalContext {
+            db: &self.db,
+            program: self.program.as_ref(),
+            use_join_indexes: self.config.use_join_indexes,
         }
+        .aggregate_group(rule, spec, &group, &mut self.frame);
         self.stats.join_probes += probes;
 
-        let new_state: Option<(Tuple, Derivation, Vec<Tuple>)> = if contributions.is_empty() {
-            None
-        } else {
-            let (agg_value, witnesses): (Value, Vec<Tuple>) = match spec.func {
-                AggregateFunc::Min => {
-                    let (v, t) = contributions
-                        .iter()
-                        .min_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.id().cmp(&b.1.id())))
-                        .cloned()
-                        .expect("non-empty");
-                    (v, vec![t])
-                }
-                AggregateFunc::Max => {
-                    let (v, t) = contributions
-                        .iter()
-                        .max_by(|a, b| a.0.cmp(&b.0).then_with(|| b.1.id().cmp(&a.1.id())))
-                        .cloned()
-                        .expect("non-empty");
-                    (v, vec![t])
-                }
-                AggregateFunc::Count => (
-                    Value::Int(contributions.len() as i64),
-                    contributions.iter().map(|(_, t)| t.clone()).collect(),
-                ),
-                AggregateFunc::Sum => {
-                    let mut acc = 0f64;
-                    let mut all_int = true;
-                    for (v, _) in &contributions {
-                        match v {
-                            Value::Int(i) => acc += *i as f64,
-                            Value::Double(d) => {
-                                all_int = false;
-                                acc += *d;
-                            }
-                            _ => {}
-                        }
-                    }
-                    let sum = if all_int {
-                        Value::Int(acc as i64)
-                    } else {
-                        Value::Double(acc)
-                    };
-                    (sum, contributions.iter().map(|(_, t)| t.clone()).collect())
-                }
+        // The new head and derivation need only the witnesses' stored ids.
+        let new_state = aggregate.and_then(|aggregate| {
+            let head = build_agg_head(
+                &rule.slots.head,
+                &group,
+                &aggregate.value,
+                rule.head_loc_col,
+            )?;
+            let derivation = Derivation {
+                rule: rule.name_sym,
+                node: self.config.node,
+                inputs: aggregate.witnesses.iter().map(|w| w.id()).collect(),
             };
-            // Rebuild head bindings from the group key + aggregate value.
-            let head = build_agg_head(&rule.rule.head, &group, &agg_value, rule.head_loc_col);
-            head.map(|head| {
-                let derivation = Derivation {
-                    rule: rule.name_sym,
-                    node: self.config.node,
-                    inputs: witnesses.iter().map(Tuple::id).collect(),
-                };
-                (head, derivation, witnesses)
-            })
-        };
+            Some((head, derivation, aggregate.witnesses))
+        });
 
-        let key = (rule_idx, group);
-        let old_state = self.agg_state.remove(&key);
-        match (&old_state, &new_state) {
-            (Some((old_head, old_deriv)), Some((new_head, new_deriv, _)))
-                if old_head == new_head && old_deriv == new_deriv =>
-            {
-                // Nothing changed.
-                self.agg_state
-                    .insert(key, (old_head.clone(), old_deriv.clone()));
+        let key = (rule.index, group);
+        if let (Some((old_head, old_deriv)), Some((new_head, new_deriv, _))) =
+            (self.agg_state.get(&key), &new_state)
+        {
+            if old_head == new_head && old_deriv == new_deriv {
+                // Nothing changed, nothing materialized.
                 return;
             }
-            _ => {}
         }
-        if let Some((old_head, old_deriv)) = old_state {
-            self.emit_derivation(old_head, old_deriv, false, Vec::new(), out);
+        // The group moved: the witness tuples leave storage only now.
+        let new_state = new_state.map(|(head, derivation, witnesses)| {
+            let witnesses: Vec<Tuple> = witnesses.iter().map(|w| w.to_tuple()).collect();
+            (head, derivation, witnesses)
+        });
+        if let Some((old_head, old_deriv)) = self.agg_state.remove(&key) {
+            self.emit_derivation(
+                old_head,
+                rule.head_loc_col,
+                old_deriv,
+                false,
+                Vec::new(),
+                out,
+            );
         }
         if let Some((new_head, new_deriv, witnesses)) = new_state {
             self.agg_state
                 .insert(key, (new_head.clone(), new_deriv.clone()));
-            self.emit_derivation(new_head, new_deriv, true, witnesses, out);
+            self.emit_derivation(new_head, rule.head_loc_col, new_deriv, true, witnesses, out);
         }
     }
 
@@ -1280,61 +1235,39 @@ impl NodeEngine {
     fn reconcile_rule(&mut self, rule_idx: usize, out: &mut StepOutput) {
         let program = Arc::clone(&self.program);
         let rule = &program.rules[rule_idx];
-        let mut new_derivations: Vec<(Tuple, Derivation, Vec<Tuple>)> = Vec::new();
+        // Read phase: the current matches are a full join along the
+        // precomputed plan, from an empty frame; all mutation happens after.
+        let mut matches: Vec<Candidate> = Vec::new();
         let mut probes = 0u64;
-        {
-            // Read phase: a scoped evaluation context computes the current
-            // matches (full join along the precomputed plan); all mutation
-            // happens after the scope ends.
-            let ctx = EvalContext {
-                db: &self.db,
-                program: program.as_ref(),
-                use_join_indexes: self.config.use_join_indexes,
+        self.frame.reset(rule.slots.slot_count());
+        EvalContext {
+            db: &self.db,
+            program: program.as_ref(),
+            use_join_indexes: self.config.use_join_indexes,
+        }
+        .join(
+            rule,
+            &rule.full_plan.steps,
+            &mut self.frame,
+            &mut vec![None; rule.slots.positive.len()],
+            &mut matches,
+            &mut probes,
+        );
+        self.stats.join_probes += probes;
+        let mut new_derivations: Vec<(Tuple, Derivation, Vec<Tuple>)> = Vec::new();
+        for found in matches {
+            let derivation = Derivation {
+                rule: rule.name_sym,
+                node: self.config.node,
+                inputs: found.input_ids,
             };
-            let mut matched: Vec<Option<Tuple>> = vec![None; rule.positive.len()];
-            let mut results = Vec::new();
-            let mut bindings = Bindings::new();
-            ctx.join_plan(
-                rule,
-                &rule.full_plan.steps,
-                0,
-                &mut bindings,
-                &mut matched,
-                &mut results,
-                &mut probes,
-            );
-            for (bindings, inputs) in results {
-                let Some(bindings) = morsel::apply_steps(rule, bindings) else {
-                    continue;
-                };
-                let negated_hit =
-                    rule.negated
-                        .iter()
-                        .zip(&rule.negated_probes)
-                        .any(|(neg, probe_cols)| {
-                            ctx.exists_match(neg, probe_cols, &bindings, &mut probes)
-                        });
-                if negated_hit {
-                    continue;
-                }
-                let Some(head) = build_head(&rule.rule.head, &bindings, rule.head_loc_col, None)
-                else {
-                    continue;
-                };
-                let derivation = Derivation {
-                    rule: rule.name_sym,
-                    node: self.config.node,
-                    inputs: inputs.iter().map(Tuple::id).collect(),
-                };
-                if !new_derivations
-                    .iter()
-                    .any(|(h, d, _)| *h == head && *d == derivation)
-                {
-                    new_derivations.push((head, derivation, inputs));
-                }
+            if !new_derivations
+                .iter()
+                .any(|(h, d, _)| *h == found.head && *d == derivation)
+            {
+                new_derivations.push((found.head, derivation, found.inputs));
             }
         }
-        self.stats.join_probes += probes;
 
         // Currently recorded derivations of this rule at this node (local
         // tables and outbox tables).
@@ -1364,7 +1297,14 @@ impl NodeEngine {
                 .any(|(h, d, _)| h == tuple && d == derivation);
             if !still_valid {
                 if relation.starts_with(OUTBOX_PREFIX) {
-                    self.emit_derivation(tuple.clone(), derivation.clone(), false, Vec::new(), out);
+                    self.emit_derivation(
+                        tuple.clone(),
+                        rule.head_loc_col,
+                        derivation.clone(),
+                        false,
+                        Vec::new(),
+                        out,
+                    );
                 } else {
                     out.firings.push(Firing {
                         rule: derivation.rule,
@@ -1389,43 +1329,10 @@ impl NodeEngine {
                 .iter()
                 .any(|(_, t, d)| *t == head && *d == derivation);
             if !already {
-                self.emit_derivation(head, derivation, true, inputs, out);
+                self.emit_derivation(head, rule.head_loc_col, derivation, true, inputs, out);
             }
         }
     }
-}
-
-// --------------------------------------------------------------------------
-// matching helpers
-// --------------------------------------------------------------------------
-
-/// Match a tuple against a body atom pattern, extending `bindings`.
-pub fn match_atom(atom: &Predicate, tuple: &Tuple, bindings: &mut Bindings) -> bool {
-    if atom.relation != tuple.relation || atom.terms.len() != tuple.values.len() {
-        return false;
-    }
-    for (term, value) in atom.terms.iter().zip(&tuple.values) {
-        match term {
-            Term::Wildcard => {}
-            Term::Variable { name, .. } => match bindings.get(name) {
-                Some(bound) => {
-                    if !values_match(bound, value) {
-                        return false;
-                    }
-                }
-                None => {
-                    bindings.insert(name.clone(), value.clone());
-                }
-            },
-            Term::Constant { value: lit, .. } => {
-                if !literal_matches(lit, value) {
-                    return false;
-                }
-            }
-            Term::Aggregate(_) => return false,
-        }
-    }
-    true
 }
 
 /// Collect the interned strings referenced by a shipped record that the
@@ -1479,76 +1386,23 @@ fn collect_record_dict(
 /// share it); re-exported here for the evaluation-layer callers.
 pub use crate::value::values_match;
 
-fn literal_matches(lit: &Literal, value: &Value) -> bool {
-    values_match(&literal_value(lit), value)
-}
-
-/// Construct a head tuple from bindings. `agg` supplies the aggregate value
-/// when the head contains an aggregate term.
-pub fn build_head(
-    head: &Predicate,
-    bindings: &Bindings,
-    head_loc_col: usize,
-    agg: Option<&Value>,
-) -> Option<Tuple> {
-    let mut values = Vec::with_capacity(head.terms.len());
-    for (idx, term) in head.terms.iter().enumerate() {
-        let mut value = match term {
-            Term::Variable { name, .. } => bindings.get(name)?.clone(),
-            Term::Constant { value, .. } => literal_value(value),
-            Term::Aggregate(_) => agg?.clone(),
-            Term::Wildcard => return None,
-        };
-        if idx == head_loc_col {
-            if let Value::Str(s) = value {
-                value = Value::Addr(s.into());
-            }
-        }
-        values.push(value);
-    }
-    Some(Tuple::new(head.relation.clone(), values))
-}
-
-/// The group key of an aggregate head under `bindings`: every head term except
-/// the aggregate column.
-fn group_key(rule: &CompiledRule, bindings: &Bindings) -> Option<Vec<Value>> {
-    let spec = rule.aggregate.as_ref()?;
-    let mut key = Vec::new();
-    for (idx, term) in rule.rule.head.terms.iter().enumerate() {
-        if idx == spec.agg_col {
-            continue;
-        }
-        match term {
-            Term::Variable { name, .. } => key.push(bindings.get(name)?.clone()),
-            Term::Constant { value, .. } => key.push(literal_value(value)),
-            _ => return None,
-        }
-    }
-    Some(key)
-}
-
 /// Build an aggregate head tuple from a group key and the aggregate value.
 fn build_agg_head(
-    head: &Predicate,
+    head: &SlotAtom,
     group: &[Value],
     agg_value: &Value,
     head_loc_col: usize,
 ) -> Option<Tuple> {
     let mut values = Vec::with_capacity(head.terms.len());
     let mut group_iter = group.iter();
-    for (idx, term) in head.terms.iter().enumerate() {
-        let mut value = match term {
-            Term::Aggregate(_) => agg_value.clone(),
+    for (col, term) in head.terms.iter().enumerate() {
+        let value = match term {
+            SlotTerm::Agg => agg_value.clone(),
             _ => group_iter.next()?.clone(),
         };
-        if idx == head_loc_col {
-            if let Value::Str(s) = value {
-                value = Value::Addr(s.into());
-            }
-        }
-        values.push(value);
+        values.push(localized(value, col == head_loc_col));
     }
-    Some(Tuple::new(head.relation.clone(), values))
+    Some(Tuple::new(head.relation, values))
 }
 
 #[cfg(test)]
@@ -1656,6 +1510,64 @@ mod tests {
         e.run();
         assert!(e.relation("minCost").is_empty());
         assert!(e.relation("cost").is_empty());
+    }
+
+    /// `sum<>` adds integers exactly (wrapping like `+`) and becomes a double
+    /// only from the first `Double` contribution on: a group holding
+    /// 2^53 + 1 used to be summed through `f64` and come back off by one.
+    #[test]
+    fn sum_aggregate_is_exact_over_integers_and_widens_on_the_first_double() {
+        let mut e = engine(
+            "n1",
+            "materialize(total, infinity, infinity, keys(1,2)).\n\
+             r1 total(@S,G,sum<B>) :- e(@S,G,K,B).",
+        );
+        let fact = |g: &str, k: i64, b: Value| {
+            Tuple::new(
+                "e",
+                vec![Value::addr("n1"), Value::str(g), Value::Int(k), b],
+            )
+        };
+        let total = |e: &NodeEngine, g: &str| -> Option<Value> {
+            e.relation("total")
+                .into_iter()
+                .find(|t| t.values[1] == Value::str(g))
+                .map(|t| t.values[2].clone())
+        };
+        let exact = |v: Option<Value>, want: i64| matches!(v, Some(Value::Int(i)) if i == want);
+        const BIG: i64 = (1 << 53) + 1;
+
+        e.insert_base(fact("big", 1, Value::Int(BIG)));
+        e.insert_base(fact("big", 2, Value::Int(1)));
+        e.run();
+        assert!(exact(total(&e, "big"), BIG + 1), "{:?}", total(&e, "big"));
+        e.delete_base(fact("big", 2, Value::Int(1)));
+        e.run();
+        assert!(exact(total(&e, "big"), BIG), "{:?}", total(&e, "big"));
+
+        // Mixed: an Int-only group is an Int, one Double makes it a Double,
+        // retracting the Double makes it an Int again.
+        e.insert_base(fact("mix", 1, Value::Int(2)));
+        e.insert_base(fact("mix", 2, Value::Int(3)));
+        e.run();
+        assert!(exact(total(&e, "mix"), 5));
+        e.insert_base(fact("mix", 3, Value::Double(0.5)));
+        e.run();
+        assert!(matches!(total(&e, "mix"), Some(Value::Double(d)) if d == 5.5));
+        e.delete_base(fact("mix", 3, Value::Double(0.5)));
+        e.run();
+        assert!(exact(total(&e, "mix"), 5));
+
+        // Overflow wraps, as `i64::MAX + 1` does in an assignment.
+        e.insert_base(fact("wrap", 1, Value::Int(i64::MAX)));
+        e.insert_base(fact("wrap", 2, Value::Int(1)));
+        e.run();
+        assert!(exact(total(&e, "wrap"), i64::MIN));
+
+        // The last retraction removes the group.
+        e.delete_base(fact("big", 1, Value::Int(BIG)));
+        e.run();
+        assert_eq!(total(&e, "big"), None);
     }
 
     #[test]
@@ -1867,13 +1779,21 @@ mod tests {
 
     #[test]
     fn match_atom_binds_and_checks_constants() {
-        use ndlog::parse_rule;
-        let rule = parse_rule("r1 out(@S) :- link(@S,D,3).").unwrap();
-        let atom = rule.body_atoms().next().unwrap();
-        let mut b = Bindings::new();
-        assert!(match_atom(atom, &link("n1", "n2", 3), &mut b));
-        assert_eq!(b["S"], Value::addr("n1"));
-        let mut b = Bindings::new();
-        assert!(!match_atom(atom, &link("n1", "n2", 4), &mut b));
+        use crate::eval::SlotProgram;
+        let program = SlotProgram::compile(
+            &ndlog::parse_rule("r1 out(@S) :- link(@S,D,3), link(@D,S,_).").unwrap(),
+        );
+        let (atom, back) = (&program.positive[0], &program.positive[1]);
+        let s = program.slot_of("S").unwrap();
+        let mut frame = Frame::new();
+        frame.reset(program.slot_count());
+        assert!(atom.match_row(&link("n1", "n2", 3), &mut frame));
+        assert_eq!(frame.get(s), Some(&Value::addr("n1")));
+        // Bound slots are checked, not rebound; a failed match binds nothing.
+        assert!(!back.match_row(&link("n2", "n9", 1), &mut frame));
+        assert!(back.match_row(&link("n2", "n1", 1), &mut frame));
+        frame.reset(program.slot_count());
+        assert!(!atom.match_row(&link("n1", "n2", 4), &mut frame));
+        assert_eq!(frame.get(s), None);
     }
 }

@@ -1,20 +1,23 @@
-//! Expression evaluation and builtin function implementations.
+//! Slot programs and their interpreter: expression evaluation, atom matching
+//! and builtin function implementations.
 //!
-//! Expressions appear in assignments (`C := C1 + C2`), selection predicates
-//! (`f_member(P, S) == 0`) and in the arguments of `maybe` rules evaluated by
-//! the legacy-application proxy. Evaluation happens against a set of
-//! *bindings* produced by matching body atoms against stored tuples.
+//! A rule is lowered once, by [`crate::compile`], to a [`SlotProgram`]: every
+//! variable is a dense slot index, every term is
+//! `Wild | Slot | Const | Agg`, every constant is already a [`Value`] and
+//! every builtin call is a [`Builtin`] variant. Evaluation runs against a
+//! [`Frame`] — one `Option<Value>` per slot plus an undo trail — so matching a
+//! stored tuple, applying an assignment or rejecting a candidate never touches
+//! a variable name. This module is the only expression interpreter in the
+//! tree: the engine's join kernel (module `morsel`) and the legacy-application
+//! proxy's `maybe` rules (crate `bgp`) both walk slot programs through it.
 
 use crate::error::{Result, RuntimeError};
-use crate::value::{StableHasher, Value};
-use ndlog::{BinOp, Expr, Literal, UnOp};
-use std::collections::BTreeMap;
-
-/// Variable bindings accumulated while evaluating a rule body.
-///
-/// A `BTreeMap` keeps iteration deterministic, which matters for reproducible
-/// provenance identifiers and simulator runs.
-pub type Bindings = BTreeMap<String, Value>;
+use crate::store::TupleRef;
+use crate::tuple::Tuple;
+use crate::value::{StableHasher, Sym, Value};
+use ndlog::{BinOp, Literal, UnOp};
+use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// Convert an AST literal to a runtime value.
 pub fn literal_value(lit: &Literal) -> Value {
@@ -27,43 +30,322 @@ pub fn literal_value(lit: &Literal) -> Value {
     }
 }
 
-/// Evaluate an expression under the given bindings.
-pub fn eval_expr(expr: &Expr, bindings: &Bindings) -> Result<Value> {
-    match expr {
-        Expr::Var(name) => bindings
-            .get(name)
-            .cloned()
-            .ok_or_else(|| RuntimeError::eval(format!("unbound variable `{name}`"))),
-        Expr::Const(lit) => Ok(literal_value(lit)),
-        Expr::Unary { op, expr } => {
-            let v = eval_expr(expr, bindings)?;
-            match op {
-                UnOp::Neg => match v {
-                    Value::Int(i) => Ok(Value::Int(-i)),
-                    Value::Double(d) => Ok(Value::Double(-d)),
-                    other => Err(RuntimeError::eval(format!("cannot negate {other}"))),
-                },
-                UnOp::Not => Ok(Value::Bool(!v.truthy())),
-            }
-        }
-        Expr::Binary { op, lhs, rhs } => {
-            let l = eval_expr(lhs, bindings)?;
-            let r = eval_expr(rhs, bindings)?;
-            eval_binop(*op, &l, &r)
-        }
-        Expr::Call { func, args } => {
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                vals.push(eval_expr(a, bindings)?);
-            }
-            call_builtin(func, &vals)
+// --------------------------------------------------------------------------
+// the frame
+// --------------------------------------------------------------------------
+
+/// The variable store of one rule evaluation: one slot per variable of the
+/// rule's [`SlotProgram`], all empty after [`Frame::reset`]. Every write is
+/// recorded on a trail, so a join level (or a failed match) restores the
+/// frame with [`Frame::undo_to`] instead of cloning it. A frame carries no
+/// borrow and is reused across tasks; each evaluating thread owns its own.
+#[derive(Debug, Clone, Default)]
+pub struct Frame {
+    slots: Vec<Option<Value>>,
+    /// `(slot, previous content)` per write, oldest first.
+    trail: Vec<(usize, Option<Value>)>,
+}
+
+impl Frame {
+    /// An empty frame; [`Frame::reset`] sizes it for a rule.
+    pub fn new() -> Self {
+        Frame::default()
+    }
+
+    /// Empty every slot and size the frame for a program with `slots`
+    /// variables.
+    pub fn reset(&mut self, slots: usize) {
+        self.slots.clear();
+        self.slots.resize(slots, None);
+        self.trail.clear();
+    }
+
+    /// The value bound to `slot`, if any.
+    pub fn get(&self, slot: usize) -> Option<&Value> {
+        self.slots[slot].as_ref()
+    }
+
+    /// Bind (or overwrite) `slot`, remembering what it held.
+    pub fn set(&mut self, slot: usize, value: Value) {
+        let old = self.slots[slot].replace(value);
+        self.trail.push((slot, old));
+    }
+
+    /// A point on the trail to return to with [`Frame::undo_to`].
+    pub fn mark(&self) -> usize {
+        self.trail.len()
+    }
+
+    /// Revert every write made since `mark`, newest first.
+    pub fn undo_to(&mut self, mark: usize) {
+        while self.trail.len() > mark {
+            let (slot, old) = self.trail.pop().expect("trail is longer than the mark");
+            self.slots[slot] = old;
         }
     }
 }
 
-/// Evaluate an expression and coerce the result to a boolean (for filters).
-pub fn eval_filter(expr: &Expr, bindings: &Bindings) -> Result<bool> {
-    Ok(eval_expr(expr, bindings)?.truthy())
+// --------------------------------------------------------------------------
+// expressions
+// --------------------------------------------------------------------------
+
+/// A builtin function (`f_*`), resolved from its name once at compile time.
+/// The set matches [`ndlog::builtins::BUILTINS`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Builtin {
+    /// `f_initlist(X)` — the singleton list.
+    InitList,
+    /// `f_initlist2(X, Y)` — a two-element list.
+    InitList2,
+    /// `f_concat(A, B)` — concatenate lists (a non-list counts as one item).
+    Concat,
+    /// `f_append(List, X)`.
+    Append,
+    /// `f_prepend(X, List)` — the path-vector idiom `P := f_prepend(S, P2)`.
+    Prepend,
+    /// `f_member(List, X)` — 1 when `X` is in the list, else 0.
+    Member,
+    /// `f_last(List)`.
+    Last,
+    /// `f_first(List)`.
+    First,
+    /// `f_size(List)`.
+    Size,
+    /// `f_isExtend(Route2, Route1, N)` — see [`is_extend`].
+    IsExtend,
+    /// `f_min(A, B)`.
+    Min,
+    /// `f_max(A, B)`.
+    Max,
+    /// `f_abs(X)`.
+    Abs,
+    /// `f_sha1(X)` — stable 64-bit digest.
+    Sha1,
+    /// `f_tostr(X)`.
+    ToStr,
+}
+
+/// The largest [`Builtin::arity`]; a call's arguments fit a fixed array.
+const MAX_ARITY: usize = 3;
+
+/// The names programs write, one per [`Builtin`].
+const BUILTIN_NAMES: [(&str, Builtin); 15] = [
+    ("f_initlist", Builtin::InitList),
+    ("f_initlist2", Builtin::InitList2),
+    ("f_concat", Builtin::Concat),
+    ("f_append", Builtin::Append),
+    ("f_prepend", Builtin::Prepend),
+    ("f_member", Builtin::Member),
+    ("f_last", Builtin::Last),
+    ("f_first", Builtin::First),
+    ("f_size", Builtin::Size),
+    ("f_isExtend", Builtin::IsExtend),
+    ("f_min", Builtin::Min),
+    ("f_max", Builtin::Max),
+    ("f_abs", Builtin::Abs),
+    ("f_sha1", Builtin::Sha1),
+    ("f_tostr", Builtin::ToStr),
+];
+
+impl Builtin {
+    /// Resolve a builtin by the name programs write (compile time only).
+    pub fn lookup(name: &str) -> Option<Builtin> {
+        BUILTIN_NAMES
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|(_, builtin)| *builtin)
+    }
+
+    /// The name programs write (error messages only).
+    pub fn name(self) -> &'static str {
+        BUILTIN_NAMES
+            .iter()
+            .find(|(_, builtin)| *builtin == self)
+            .map_or("f_?", |(name, _)| name)
+    }
+
+    /// Number of arguments the builtin takes.
+    pub fn arity(self) -> usize {
+        match self {
+            Builtin::InitList
+            | Builtin::Last
+            | Builtin::First
+            | Builtin::Size
+            | Builtin::Abs
+            | Builtin::Sha1
+            | Builtin::ToStr => 1,
+            Builtin::InitList2
+            | Builtin::Concat
+            | Builtin::Append
+            | Builtin::Prepend
+            | Builtin::Member
+            | Builtin::Min
+            | Builtin::Max => 2,
+            Builtin::IsExtend => 3,
+        }
+    }
+
+    /// Apply the builtin to exactly [`Builtin::arity`] arguments (the caller
+    /// checks the count). Arguments arrive by reference; only what ends up in
+    /// the result is cloned.
+    fn call(self, args: &[Cow<'_, Value>]) -> Result<Value> {
+        match self {
+            Builtin::InitList => Ok(Value::List(vec![args[0].as_ref().clone()])),
+            Builtin::InitList2 => Ok(Value::List(vec![
+                args[0].as_ref().clone(),
+                args[1].as_ref().clone(),
+            ])),
+            Builtin::Concat => {
+                let mut out = match args[0].as_ref() {
+                    Value::List(l) => l.clone(),
+                    v => vec![v.clone()],
+                };
+                match args[1].as_ref() {
+                    Value::List(l) => out.extend(l.iter().cloned()),
+                    v => out.push(v.clone()),
+                }
+                Ok(Value::List(out))
+            }
+            Builtin::Append => {
+                let mut l = self.list_arg(&args[0])?.to_vec();
+                l.push(args[1].as_ref().clone());
+                Ok(Value::List(l))
+            }
+            Builtin::Prepend => {
+                let l = self.list_arg(&args[1])?;
+                let mut out = Vec::with_capacity(l.len() + 1);
+                out.push(args[0].as_ref().clone());
+                out.extend(l.iter().cloned());
+                Ok(Value::List(out))
+            }
+            Builtin::Member => {
+                let l = self.list_arg(&args[0])?;
+                Ok(Value::Int(l.contains(args[1].as_ref()) as i64))
+            }
+            Builtin::Last => self
+                .list_arg(&args[0])?
+                .last()
+                .cloned()
+                .ok_or_else(|| RuntimeError::eval("f_last of empty list")),
+            Builtin::First => self
+                .list_arg(&args[0])?
+                .first()
+                .cloned()
+                .ok_or_else(|| RuntimeError::eval("f_first of empty list")),
+            Builtin::Size => Ok(Value::Int(self.list_arg(&args[0])?.len() as i64)),
+            Builtin::IsExtend => Ok(Value::Int(is_extend(&args[0], &args[1], &args[2]) as i64)),
+            Builtin::Min => Ok(std::cmp::min(&args[0], &args[1]).as_ref().clone()),
+            Builtin::Max => Ok(std::cmp::max(&args[0], &args[1]).as_ref().clone()),
+            Builtin::Abs => match args[0].as_ref() {
+                Value::Int(v) => Ok(Value::Int(v.abs())),
+                Value::Double(v) => Ok(Value::Double(v.abs())),
+                other => Err(RuntimeError::eval(format!("f_abs of non-number {other}"))),
+            },
+            Builtin::Sha1 => {
+                let mut h = StableHasher::new();
+                args[0].stable_hash_into(&mut h);
+                Ok(Value::Id(h.finish()))
+            }
+            Builtin::ToStr => Ok(Value::Str(args[0].to_string())),
+        }
+    }
+
+    fn list_arg(self, v: &Value) -> Result<&[Value]> {
+        v.as_list()
+            .ok_or_else(|| RuntimeError::eval(format!("{}: expected a list, got {v}", self.name())))
+    }
+}
+
+/// An expression over slots: the right-hand side of an assignment or a
+/// selection predicate, with variables resolved to slot indices, constants to
+/// values and calls to [`Builtin`]s.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub enum SlotExpr {
+    /// The variable held in a slot.
+    Slot(usize),
+    /// A constant.
+    Const(Value),
+    /// Unary operation.
+    Unary {
+        /// Operator.
+        op: UnOp,
+        /// Operand.
+        expr: Box<SlotExpr>,
+    },
+    /// Binary operation.
+    Binary {
+        /// Operator.
+        op: BinOp,
+        /// Left operand.
+        lhs: Box<SlotExpr>,
+        /// Right operand.
+        rhs: Box<SlotExpr>,
+    },
+    /// Builtin call.
+    Call {
+        /// The resolved builtin.
+        func: Builtin,
+        /// Argument expressions.
+        args: Vec<SlotExpr>,
+    },
+    /// A call to a function no builtin answers to. The validator rejects
+    /// these, so only a rule compiled without validation reaches here;
+    /// evaluating it is an error, as calling an unknown name always was.
+    UnknownCall(String),
+}
+
+impl SlotExpr {
+    /// Evaluate against `frame`. A slot or constant is returned by
+    /// reference; only computed results are owned.
+    pub fn eval<'a>(&'a self, frame: &'a Frame) -> Result<Cow<'a, Value>> {
+        match self {
+            SlotExpr::Slot(slot) => frame
+                .get(*slot)
+                .map(Cow::Borrowed)
+                .ok_or_else(|| RuntimeError::eval(format!("unbound variable (slot {slot})"))),
+            SlotExpr::Const(value) => Ok(Cow::Borrowed(value)),
+            SlotExpr::Unary { op, expr } => {
+                let v = expr.eval(frame)?;
+                match op {
+                    UnOp::Neg => match v.as_ref() {
+                        Value::Int(i) => Ok(Cow::Owned(Value::Int(-i))),
+                        Value::Double(d) => Ok(Cow::Owned(Value::Double(-d))),
+                        other => Err(RuntimeError::eval(format!("cannot negate {other}"))),
+                    },
+                    UnOp::Not => Ok(Cow::Owned(Value::Bool(!v.truthy()))),
+                }
+            }
+            SlotExpr::Binary { op, lhs, rhs } => {
+                let l = lhs.eval(frame)?;
+                let r = rhs.eval(frame)?;
+                eval_binop(*op, &l, &r).map(Cow::Owned)
+            }
+            SlotExpr::Call { func, args } => {
+                if args.len() != func.arity() {
+                    return Err(RuntimeError::eval(format!(
+                        "builtin `{}` expects {} argument(s), got {}",
+                        func.name(),
+                        func.arity(),
+                        args.len()
+                    )));
+                }
+                const UNSET: Cow<'static, Value> = Cow::Borrowed(&Value::Infinity);
+                let mut vals: [Cow<'a, Value>; MAX_ARITY] = [UNSET; MAX_ARITY];
+                for (val, arg) in vals.iter_mut().zip(args) {
+                    *val = arg.eval(frame)?;
+                }
+                func.call(&vals[..args.len()]).map(Cow::Owned)
+            }
+            SlotExpr::UnknownCall(name) => {
+                Err(RuntimeError::eval(format!("unknown builtin `{name}`")))
+            }
+        }
+    }
+
+    /// Evaluate and coerce the result to a boolean (for filters).
+    pub fn holds(&self, frame: &Frame) -> Result<bool> {
+        Ok(self.eval(frame)?.truthy())
+    }
 }
 
 fn eval_binop(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
@@ -137,148 +419,6 @@ fn arith(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
     }
 }
 
-/// Call a builtin function by name.
-///
-/// The set of builtins matches [`ndlog::builtins::BUILTINS`]; the validator
-/// guarantees arity, but we re-check defensively because the proxy calls these
-/// directly with observed values.
-pub fn call_builtin(name: &str, args: &[Value]) -> Result<Value> {
-    let wrong_arity = |n: usize| {
-        RuntimeError::eval(format!(
-            "builtin `{name}` expects {n} argument(s), got {}",
-            args.len()
-        ))
-    };
-    match name {
-        "f_initlist" => {
-            if args.len() != 1 {
-                return Err(wrong_arity(1));
-            }
-            Ok(Value::List(vec![args[0].clone()]))
-        }
-        "f_initlist2" => {
-            if args.len() != 2 {
-                return Err(wrong_arity(2));
-            }
-            Ok(Value::List(vec![args[0].clone(), args[1].clone()]))
-        }
-        "f_concat" => {
-            if args.len() != 2 {
-                return Err(wrong_arity(2));
-            }
-            let mut out = match &args[0] {
-                Value::List(l) => l.clone(),
-                v => vec![v.clone()],
-            };
-            match &args[1] {
-                Value::List(l) => out.extend(l.iter().cloned()),
-                v => out.push(v.clone()),
-            }
-            Ok(Value::List(out))
-        }
-        "f_append" => {
-            if args.len() != 2 {
-                return Err(wrong_arity(2));
-            }
-            let mut l = list_arg(name, &args[0])?.to_vec();
-            l.push(args[1].clone());
-            Ok(Value::List(l))
-        }
-        "f_prepend" => {
-            if args.len() != 2 {
-                return Err(wrong_arity(2));
-            }
-            // f_prepend(X, List) -> [X | List]  (matches the path-vector idiom
-            // `P := f_prepend(S, P2)`).
-            let l = list_arg(name, &args[1])?;
-            let mut out = Vec::with_capacity(l.len() + 1);
-            out.push(args[0].clone());
-            out.extend(l.iter().cloned());
-            Ok(Value::List(out))
-        }
-        "f_member" => {
-            if args.len() != 2 {
-                return Err(wrong_arity(2));
-            }
-            let l = list_arg(name, &args[0])?;
-            Ok(Value::Int(l.contains(&args[1]) as i64))
-        }
-        "f_last" => {
-            if args.len() != 1 {
-                return Err(wrong_arity(1));
-            }
-            let l = list_arg(name, &args[0])?;
-            l.last()
-                .cloned()
-                .ok_or_else(|| RuntimeError::eval("f_last of empty list"))
-        }
-        "f_first" => {
-            if args.len() != 1 {
-                return Err(wrong_arity(1));
-            }
-            let l = list_arg(name, &args[0])?;
-            l.first()
-                .cloned()
-                .ok_or_else(|| RuntimeError::eval("f_first of empty list"))
-        }
-        "f_size" => {
-            if args.len() != 1 {
-                return Err(wrong_arity(1));
-            }
-            let l = list_arg(name, &args[0])?;
-            Ok(Value::Int(l.len() as i64))
-        }
-        "f_isExtend" => {
-            if args.len() != 3 {
-                return Err(wrong_arity(3));
-            }
-            Ok(Value::Int(is_extend(&args[0], &args[1], &args[2]) as i64))
-        }
-        "f_min" => {
-            if args.len() != 2 {
-                return Err(wrong_arity(2));
-            }
-            Ok(std::cmp::min(&args[0], &args[1]).clone())
-        }
-        "f_max" => {
-            if args.len() != 2 {
-                return Err(wrong_arity(2));
-            }
-            Ok(std::cmp::max(&args[0], &args[1]).clone())
-        }
-        "f_abs" => {
-            if args.len() != 1 {
-                return Err(wrong_arity(1));
-            }
-            match &args[0] {
-                Value::Int(v) => Ok(Value::Int(v.abs())),
-                Value::Double(v) => Ok(Value::Double(v.abs())),
-                other => Err(RuntimeError::eval(format!("f_abs of non-number {other}"))),
-            }
-        }
-        "f_sha1" => {
-            if args.len() != 1 {
-                return Err(wrong_arity(1));
-            }
-            let mut h = StableHasher::new();
-            args[0].stable_hash_into(&mut h);
-            Ok(Value::Id(h.finish()))
-        }
-        "f_tostr" => {
-            if args.len() != 1 {
-                return Err(wrong_arity(1));
-            }
-            Ok(Value::Str(args[0].to_string()))
-        }
-        other => Err(RuntimeError::eval(format!("unknown builtin `{other}`"))),
-    }
-}
-
-fn list_arg<'a>(func: &str, v: &'a Value) -> Result<&'a [Value]> {
-    v.as_list()
-        .ok_or_else(|| RuntimeError::eval(format!("{func}: expected a list, got {v}")))
-}
-
 /// `f_isExtend(route2, route1, n)`: true when `route2` is `route1` with the
 /// node `n` prepended — the check the paper's `maybe` rule `br1` uses to infer
 /// that an outgoing BGP advertisement was caused by an incoming one.
@@ -289,31 +429,232 @@ pub fn is_extend(route2: &Value, route1: &Value, node: &Value) -> bool {
     }
 }
 
+// --------------------------------------------------------------------------
+// atoms, steps and whole rules
+// --------------------------------------------------------------------------
+
+/// One argument of a body or head atom after slot resolution.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub enum SlotTerm {
+    /// `_`: matches anything, binds nothing.
+    Wild,
+    /// A variable, by slot index.
+    Slot(usize),
+    /// A constant from the rule text.
+    Const(Value),
+    /// The aggregate column of a head (`min<C>`); never matches in a body.
+    Agg,
+}
+
+/// An atom whose relation is interned and whose terms are slot-resolved.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct SlotAtom {
+    /// The relation the atom ranges over.
+    pub relation: Sym,
+    /// One term per column.
+    pub terms: Vec<SlotTerm>,
+}
+
+/// What atom matching reads of a tuple: implemented by an owned [`Tuple`]
+/// (the trigger delta, a proxy observation) and by a borrowed stored
+/// [`TupleRef`] (a probe candidate, matched column by column without being
+/// materialized).
+pub trait Row {
+    /// The relation the tuple belongs to.
+    fn relation(&self) -> Sym;
+    /// Number of attributes.
+    fn arity(&self) -> usize;
+    /// One attribute as an owned value.
+    fn value(&self, col: usize) -> Value;
+    /// [`crate::value::values_match`] against one attribute.
+    fn matches(&self, col: usize, v: &Value) -> bool;
+}
+
+impl Row for Tuple {
+    fn relation(&self) -> Sym {
+        self.relation
+    }
+    fn arity(&self) -> usize {
+        self.values.len()
+    }
+    fn value(&self, col: usize) -> Value {
+        self.values[col].clone()
+    }
+    fn matches(&self, col: usize, v: &Value) -> bool {
+        crate::value::values_match(v, &self.values[col])
+    }
+}
+
+impl Row for TupleRef<'_> {
+    fn relation(&self) -> Sym {
+        TupleRef::relation(self)
+    }
+    fn arity(&self) -> usize {
+        TupleRef::arity(self)
+    }
+    fn value(&self, col: usize) -> Value {
+        TupleRef::value(self, col)
+    }
+    fn matches(&self, col: usize, v: &Value) -> bool {
+        TupleRef::matches(self, col, v)
+    }
+}
+
+impl SlotAtom {
+    /// Match `row` against the atom: a bound slot or a constant must agree
+    /// with the column, an empty slot is bound to it. On a mismatch the frame
+    /// is restored and `false` returned; on success the new bindings stay on
+    /// the trail for the caller to undo.
+    pub fn match_row(&self, row: &impl Row, frame: &mut Frame) -> bool {
+        if row.relation() != self.relation || row.arity() != self.terms.len() {
+            return false;
+        }
+        let mark = frame.mark();
+        for (col, term) in self.terms.iter().enumerate() {
+            let ok = match term {
+                SlotTerm::Wild => true,
+                SlotTerm::Slot(slot) => match frame.get(*slot) {
+                    Some(bound) => row.matches(col, bound),
+                    None => {
+                        frame.set(*slot, row.value(col));
+                        true
+                    }
+                },
+                SlotTerm::Const(value) => row.matches(col, value),
+                SlotTerm::Agg => false,
+            };
+            if !ok {
+                frame.undo_to(mark);
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Construct a tuple of this (head) atom from the frame. `agg` supplies
+    /// the aggregate column; a string in the location column becomes an
+    /// address. `None` when a slot is empty or the head cannot be built.
+    pub fn build(&self, frame: &Frame, loc_col: usize, agg: Option<&Value>) -> Option<Tuple> {
+        let mut values = Vec::with_capacity(self.terms.len());
+        for (col, term) in self.terms.iter().enumerate() {
+            let value = match term {
+                SlotTerm::Slot(slot) => frame.get(*slot)?.clone(),
+                SlotTerm::Const(value) => value.clone(),
+                SlotTerm::Agg => agg?.clone(),
+                SlotTerm::Wild => return None,
+            };
+            values.push(localized(value, col == loc_col));
+        }
+        Some(Tuple::new(self.relation, values))
+    }
+}
+
+/// A head value in its column: programs write location constants as strings,
+/// tuples carry addresses.
+pub(crate) fn localized(value: Value, is_loc_col: bool) -> Value {
+    match value {
+        Value::Str(s) if is_loc_col => Value::Addr(s.into()),
+        other => other,
+    }
+}
+
+/// An assignment or filter of a rule body, over slots.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub enum SlotStep {
+    /// `Var := Expr`.
+    Assign {
+        /// The assigned variable's slot.
+        slot: usize,
+        /// The value expression.
+        expr: SlotExpr,
+    },
+    /// A selection predicate.
+    Filter(SlotExpr),
+}
+
+/// One rule lowered to slots (built by `SlotProgram::compile` in
+/// [`crate::compile`]): the slot table plus the head, the body atoms and the
+/// assignment/filter steps expressed over it.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct SlotProgram {
+    /// The slot table: `names[i]` is the variable slot `i` stands for. One
+    /// slot per distinct variable across atoms, steps and head.
+    pub names: Vec<String>,
+    /// The head atom.
+    pub head: SlotAtom,
+    /// Positive body atoms, in body order.
+    pub positive: Vec<SlotAtom>,
+    /// Negated body atoms, in body order.
+    pub negated: Vec<SlotAtom>,
+    /// Assignments and filters, in body order.
+    pub steps: Vec<SlotStep>,
+}
+
+impl SlotProgram {
+    /// Number of slots a [`Frame`] for this program needs.
+    pub fn slot_count(&self) -> usize {
+        self.names.len()
+    }
+
+    /// The slot of a variable, if the rule mentions it.
+    pub fn slot_of(&self, name: &str) -> Option<usize> {
+        self.names.iter().position(|n| n == name)
+    }
+
+    /// Apply the assignments and filters in place. An assignment to a bound
+    /// slot must agree with it (and then replaces it, so the assigned
+    /// representation is what a head carries). `false` when a filter rejects
+    /// or an expression fails; the caller undoes the writes either way.
+    pub fn apply_steps(&self, frame: &mut Frame) -> bool {
+        for step in &self.steps {
+            match step {
+                SlotStep::Assign { slot, expr } => {
+                    let Ok(value) = expr.eval(frame).map(Cow::into_owned) else {
+                        return false;
+                    };
+                    if frame.get(*slot).is_some_and(|bound| *bound != value) {
+                        return false;
+                    }
+                    frame.set(*slot, value);
+                }
+                SlotStep::Filter(expr) => {
+                    if !matches!(expr.holds(frame), Ok(true)) {
+                        return false;
+                    }
+                }
+            }
+        }
+        true
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use ndlog::parse_rule;
 
-    fn bindings(pairs: &[(&str, Value)]) -> Bindings {
-        pairs
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.clone()))
-            .collect()
-    }
-
-    fn eval_str(expr_src: &str, b: &Bindings) -> Result<Value> {
-        // Parse through a dummy rule to reuse the expression parser.
+    /// Compile `expr_src` through the slot compiler (inside a dummy rule, to
+    /// reuse the parser) and evaluate it with the named variables bound.
+    fn eval_str(expr_src: &str, vars: &[(&str, Value)]) -> Result<Value> {
         let rule = parse_rule(&format!("r1 out(@A,X) :- in(@A), X := {expr_src}."))
             .expect("test expression parses");
-        match &rule.body[1] {
-            ndlog::BodyElem::Assign { expr, .. } => eval_expr(expr, b),
-            _ => unreachable!(),
+        let program = SlotProgram::compile(&rule);
+        let mut frame = Frame::new();
+        frame.reset(program.slot_count());
+        for (name, value) in vars {
+            if let Some(slot) = program.slot_of(name) {
+                frame.set(slot, value.clone());
+            }
+        }
+        match &program.steps[0] {
+            SlotStep::Assign { expr, .. } => expr.eval(&frame).map(Cow::into_owned),
+            SlotStep::Filter(_) => unreachable!(),
         }
     }
 
     #[test]
     fn arithmetic_and_precedence() {
-        let b = bindings(&[("A", Value::Int(2)), ("B", Value::Int(5))]);
+        let b = [("A", Value::Int(2)), ("B", Value::Int(5))];
         assert_eq!(eval_str("A + B * 2", &b).unwrap(), Value::Int(12));
         assert_eq!(eval_str("(A + B) * 2", &b).unwrap(), Value::Int(14));
         assert_eq!(eval_str("B % A", &b).unwrap(), Value::Int(1));
@@ -322,26 +663,26 @@ mod tests {
 
     #[test]
     fn mixed_int_double_arithmetic() {
-        let b = bindings(&[("A", Value::Int(2)), ("B", Value::Double(0.5))]);
+        let b = [("A", Value::Int(2)), ("B", Value::Double(0.5))];
         assert_eq!(eval_str("A + B", &b).unwrap(), Value::Double(2.5));
     }
 
     #[test]
     fn infinity_absorbs_addition() {
-        let b = bindings(&[("A", Value::Infinity), ("B", Value::Int(3))]);
+        let b = [("A", Value::Infinity), ("B", Value::Int(3))];
         assert_eq!(eval_str("A + B", &b).unwrap(), Value::Infinity);
     }
 
     #[test]
     fn division_by_zero_is_an_error() {
-        let b = bindings(&[("A", Value::Int(1)), ("B", Value::Int(0))]);
+        let b = [("A", Value::Int(1)), ("B", Value::Int(0))];
         assert!(eval_str("A / B", &b).is_err());
         assert!(eval_str("A % B", &b).is_err());
     }
 
     #[test]
     fn comparisons_and_logic() {
-        let b = bindings(&[("A", Value::Int(2)), ("B", Value::Int(5))]);
+        let b = [("A", Value::Int(2)), ("B", Value::Int(5))];
         assert_eq!(eval_str("A < B", &b).unwrap(), Value::Bool(true));
         assert_eq!(eval_str("A == 2 && B == 5", &b).unwrap(), Value::Bool(true));
         assert_eq!(eval_str("A > B || B >= 5", &b).unwrap(), Value::Bool(true));
@@ -350,17 +691,17 @@ mod tests {
 
     #[test]
     fn unbound_variable_is_an_error() {
-        let err = eval_str("Z + 1", &Bindings::new()).unwrap_err();
+        let err = eval_str("Z + 1", &[]).unwrap_err();
         assert!(err.to_string().contains("unbound"));
     }
 
     #[test]
     fn list_builtins() {
-        let b = bindings(&[
+        let b = [
             ("S", Value::addr("n1")),
             ("D", Value::addr("n2")),
             ("P", Value::List(vec![Value::addr("n2"), Value::addr("n3")])),
-        ]);
+        ];
         assert_eq!(
             eval_str("f_initlist2(S, D)", &b).unwrap(),
             Value::List(vec![Value::addr("n1"), Value::addr("n2")])
@@ -393,42 +734,66 @@ mod tests {
         assert!(!is_extend(&r1, &r2, &Value::addr("AS1")));
         // Non-list arguments never match.
         assert!(!is_extend(&Value::Int(1), &r1, &Value::addr("AS1")));
+        // The builtin is the same predicate, arguments passed by reference.
+        let b = [("R2", r2), ("R1", r1), ("N", Value::addr("AS1"))];
+        assert_eq!(
+            eval_str("f_isExtend(R2, R1, N)", &b).unwrap(),
+            Value::Int(1)
+        );
+        assert_eq!(
+            eval_str("f_isExtend(R1, R2, N)", &b).unwrap(),
+            Value::Int(0)
+        );
     }
 
     #[test]
     fn misc_builtins() {
-        assert_eq!(
-            call_builtin("f_min", &[Value::Int(3), Value::Int(5)]).unwrap(),
-            Value::Int(3)
-        );
-        assert_eq!(
-            call_builtin("f_max", &[Value::Int(3), Value::Int(5)]).unwrap(),
-            Value::Int(5)
-        );
-        assert_eq!(
-            call_builtin("f_abs", &[Value::Int(-3)]).unwrap(),
-            Value::Int(3)
-        );
-        assert!(matches!(
-            call_builtin("f_sha1", &[Value::str("x")]).unwrap(),
-            Value::Id(_)
-        ));
-        assert_eq!(
-            call_builtin("f_tostr", &[Value::Int(7)]).unwrap(),
-            Value::str("7")
-        );
-        assert!(call_builtin("f_nosuch", &[]).is_err());
-        assert!(call_builtin("f_last", &[Value::List(vec![])]).is_err());
-        assert!(call_builtin("f_size", &[Value::Int(1)]).is_err());
+        let b = [
+            ("E", Value::List(vec![])),
+            ("N", Value::Int(1)),
+            ("X", Value::str("x")),
+        ];
+        assert_eq!(eval_str("f_min(3, 5)", &b).unwrap(), Value::Int(3));
+        assert_eq!(eval_str("f_max(3, 5)", &b).unwrap(), Value::Int(5));
+        assert_eq!(eval_str("f_abs(-3)", &b).unwrap(), Value::Int(3));
+        assert!(matches!(eval_str("f_sha1(X)", &b).unwrap(), Value::Id(_)));
+        assert_eq!(eval_str("f_tostr(7)", &b).unwrap(), Value::str("7"));
+        let err = eval_str("f_nosuch(N)", &b).unwrap_err();
+        assert!(err.to_string().contains("unknown builtin `f_nosuch`"));
+        assert!(eval_str("f_last(E)", &b).is_err());
+        assert!(eval_str("f_size(N)", &b).is_err());
+        // The slot compiler keeps whatever argument list it is given; the
+        // count is checked when the call runs.
+        let err = eval_str("f_size(E, E)", &b).unwrap_err();
+        assert!(err.to_string().contains("expects 1 argument(s), got 2"));
     }
 
     #[test]
     fn filter_coercion_follows_truthiness() {
-        let b = bindings(&[("X", Value::Int(3))]);
         let rule = parse_rule("r1 out(@A,X) :- in(@A,X), f_abs(X) == 3.").unwrap();
-        match &rule.body[1] {
-            ndlog::BodyElem::Filter(e) => assert!(eval_filter(e, &b).unwrap()),
-            _ => unreachable!(),
+        let program = SlotProgram::compile(&rule);
+        let mut frame = Frame::new();
+        frame.reset(program.slot_count());
+        frame.set(program.slot_of("X").unwrap(), Value::Int(3));
+        match &program.steps[0] {
+            SlotStep::Filter(e) => assert!(e.holds(&frame).unwrap()),
+            SlotStep::Assign { .. } => unreachable!(),
         }
+    }
+
+    #[test]
+    fn frames_undo_binds_and_overwrites_newest_first() {
+        let mut frame = Frame::new();
+        frame.reset(2);
+        frame.set(0, Value::Int(1));
+        let mark = frame.mark();
+        frame.set(0, Value::Double(1.0));
+        frame.set(1, Value::Int(7));
+        frame.set(0, Value::Int(9));
+        frame.undo_to(mark);
+        assert!(matches!(frame.get(0), Some(Value::Int(1))));
+        assert!(frame.get(1).is_none());
+        frame.undo_to(0);
+        assert!(frame.get(0).is_none());
     }
 }

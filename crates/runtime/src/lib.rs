@@ -15,7 +15,10 @@
 //! * [`store::Database`] — per-node tables with derivation tracking;
 //! * [`transform::localize_program`] — the automatic localization rewrite that
 //!   turns link-restricted rules into purely local rules plus tuple shipping;
-//! * [`compile::CompiledProgram`] — a validated, localized, executable program;
+//! * [`compile::CompiledProgram`] — a validated, localized, executable program:
+//!   join plans plus one [`eval::SlotProgram`] per rule;
+//! * [`eval::Frame`] / [`eval::SlotExpr`] — the slot-program interpreter (the
+//!   only expression evaluator in the tree);
 //! * [`engine::NodeEngine`] — the incremental evaluator;
 //! * [`engine::Firing`] — the rule-execution events consumed by the
 //!   provenance layer (crate `provenance`).
@@ -37,7 +40,6 @@ pub use engine::{
     StepOutput, FIXPOINT_DISPATCH_THRESHOLD,
 };
 pub use error::{Result, RuntimeError};
-pub use eval::Bindings;
 pub use store::{
     base_rule_sym, normalize_for_index, tuple_materializations, Database, Derivation, Membership,
     ProbeIter, StoredTuple, Table, TableBacking, TupleRef, BASE_RULE,

@@ -34,14 +34,27 @@
 //!
 //! Probe counters are summed per task and folded in task order, so
 //! `EngineStats` is identical too.
+//!
+//! ## The join kernel
+//!
+//! Rules arrive here already lowered to slot programs (module `compile`), so
+//! one kernel serves all three evaluation paths — monotonic triggers,
+//! negation reconciliation ([`EvalContext::join`]) and aggregate group
+//! recomputation ([`EvalContext::aggregate_group`]). It binds variables in a
+//! flat [`Frame`] (one per evaluating thread, reset between tasks, undone by
+//! trail mark at each join level), holds the matched atoms as borrowed
+//! [`Matched`] handles, and runs the assignments, filters and negated-atom
+//! checks in place at the join leaf. A join result that a filter rejects has
+//! cost no allocation: tuples are materialized out of their columnar slots
+//! only for a result that built a head. Candidate order is probe order, and
+//! `join_probes` counts every candidate examined.
 
-use crate::compile::{BoundTerm, CompiledProgram, CompiledRule, ProbeStrategy};
-use crate::engine::{build_head, match_atom};
-use crate::eval::{eval_expr, eval_filter, literal_value, Bindings};
+use crate::compile::{AggSpec, BoundTerm, CompiledProgram, CompiledRule, PlanStep};
+use crate::eval::{Frame, SlotAtom, SlotTerm};
 use crate::store::{Database, TupleRef};
-use crate::tuple::Tuple;
+use crate::tuple::{Tuple, TupleId};
 use crate::value::Value;
-use ndlog::{BodyElem, Literal, Predicate, Term};
+use ndlog::AggregateFunc;
 
 /// Tasks per morsel. Small enough that a generation of a few hundred tasks
 /// still load-balances across workers, large enough that the per-dispatch
@@ -53,22 +66,60 @@ pub(crate) const MORSEL_TASKS: usize = 32;
 /// bound to body atom `atom_idx`, following the precomputed join plan for
 /// that trigger position. Only monotonic rules (no aggregate, no negation)
 /// become `MonoTask`s; everything else stays on the sequential merge path.
-#[derive(Debug, Clone)]
-pub(crate) struct MonoTask {
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MonoTask<'a> {
     pub rule_idx: usize,
     pub atom_idx: usize,
-    pub tuple: Tuple,
+    /// The delta tuple (borrowed from the generation's event list) and its
+    /// id, hashed once when the delta was applied.
+    pub tuple: &'a Tuple,
+    pub id: TupleId,
 }
 
-/// A candidate firing produced by a trigger task: the constructed head and
-/// the body tuples that matched, in body order. The derivation record is
-/// built at commit time by the merge phase (it only needs the rule symbol,
-/// the engine's node and the input ids).
+/// A candidate firing produced by the join kernel: the constructed head and
+/// the body tuples that matched, in body order, with their ids (read from
+/// storage, not re-hashed). The derivation record is built at commit time by
+/// the merge phase (it only needs the rule symbol, the engine's node and the
+/// input ids).
 #[derive(Debug, Clone)]
 pub(crate) struct Candidate {
     pub rule_idx: usize,
     pub head: Tuple,
     pub inputs: Vec<Tuple>,
+    pub input_ids: Vec<TupleId>,
+}
+
+/// A body atom's match while a join is in flight: the trigger delta by
+/// reference, a probe candidate as its storage handle. Materialized only when
+/// the join result builds a head.
+#[derive(Clone, Copy)]
+pub(crate) enum Matched<'a> {
+    Trigger(&'a Tuple, TupleId),
+    Stored(TupleRef<'a>),
+}
+
+impl Matched<'_> {
+    fn id(&self) -> TupleId {
+        match self {
+            Matched::Trigger(_, id) => *id,
+            Matched::Stored(stored) => stored.id(),
+        }
+    }
+
+    fn to_tuple(self) -> Tuple {
+        match self {
+            Matched::Trigger(tuple, _) => tuple.clone(),
+            Matched::Stored(stored) => stored.to_tuple(),
+        }
+    }
+}
+
+/// What an aggregate group currently evaluates to: the aggregate value and
+/// the stored tuples that witness it (the winner alone for `min`/`max`, every
+/// contribution for `count`/`sum`), still unmaterialized.
+pub(crate) struct GroupAggregate<'a> {
+    pub value: Value,
+    pub witnesses: Vec<TupleRef<'a>>,
 }
 
 /// A read-only view of everything rule evaluation needs: the frozen tables,
@@ -84,267 +135,358 @@ pub(crate) struct EvalContext<'a> {
 
 impl<'a> EvalContext<'a> {
     /// Evaluate one monotonic trigger task: match the delta against its
-    /// trigger atom, join the remaining atoms along the precomputed plan,
-    /// apply assignments/filters and construct heads. Returns the candidates
-    /// in discovery order plus the number of join candidates examined.
-    pub fn eval_candidates(&self, task: &MonoTask) -> (Vec<Candidate>, u64) {
+    /// trigger atom, then join the remaining atoms along the precomputed
+    /// plan. Returns the candidates in discovery order plus the number of
+    /// join candidates examined.
+    pub fn eval_task(
+        &self,
+        task: &MonoTask<'a>,
+        frame: &mut Frame,
+        matched: &mut Vec<Option<Matched<'a>>>,
+    ) -> (Vec<Candidate>, u64) {
         let rule = &self.program.rules[task.rule_idx];
-        let mut bindings = Bindings::new();
-        if !match_atom(&rule.positive[task.atom_idx], &task.tuple, &mut bindings) {
-            return (Vec::new(), 0);
-        }
-        let mut matched: Vec<Option<Tuple>> = vec![None; rule.positive.len()];
-        matched[task.atom_idx] = Some(task.tuple.clone());
-        let mut results = Vec::new();
-        let mut probes = 0u64;
-        self.join_plan(
-            rule,
-            &rule.plans[task.atom_idx].steps,
-            0,
-            &mut bindings,
-            &mut matched,
-            &mut results,
-            &mut probes,
-        );
         let mut candidates = Vec::new();
-        for (bindings, inputs) in results {
-            let Some(bindings) = apply_steps(rule, bindings) else {
-                continue;
-            };
-            // Monotonic rules carry no negated atoms; the loop is kept so
-            // the candidate pipeline stays a faithful port of `fire_rule`.
-            let mut negated_hit = false;
-            for (neg, probe_cols) in rule.negated.iter().zip(&rule.negated_probes) {
-                if self.exists_match(neg, probe_cols, &bindings, &mut probes) {
-                    negated_hit = true;
-                    break;
-                }
-            }
-            if negated_hit {
-                continue;
-            }
-            let Some(head) = build_head(&rule.rule.head, &bindings, rule.head_loc_col, None) else {
-                continue;
-            };
-            candidates.push(Candidate {
-                rule_idx: task.rule_idx,
-                head,
-                inputs,
-            });
+        let mut probes = 0u64;
+        frame.reset(rule.slots.slot_count());
+        if rule.slots.positive[task.atom_idx].match_row(task.tuple, frame) {
+            matched.clear();
+            matched.resize(rule.slots.positive.len(), None);
+            matched[task.atom_idx] = Some(Matched::Trigger(task.tuple, task.id));
+            self.join(
+                rule,
+                &rule.plans[task.atom_idx].steps,
+                frame,
+                matched,
+                &mut candidates,
+                &mut probes,
+            );
         }
         (candidates, probes)
     }
 
     /// Recursively join the atoms of a plan. Each step probes its table
-    /// through the bound columns the plan computed at compile time, so the
-    /// candidate set is an index posting list rather than the whole table;
-    /// bindings are extended in place (with undo) instead of cloned per
-    /// candidate. `probes` counts the candidates actually examined.
-    #[allow(clippy::too_many_arguments)]
-    pub fn join_plan(
+    /// through the bound columns the plan computed at compile time (none
+    /// when join indexes are off), so the candidate set is an index posting
+    /// list rather than the whole table; the frame is extended in place and
+    /// undone by trail mark. With every atom matched, [`Self::leaf`] decides
+    /// whether the join result becomes a candidate. `probes` counts the
+    /// candidates actually examined.
+    pub fn join(
         &self,
         rule: &CompiledRule,
-        steps: &[crate::compile::PlanStep],
-        pos: usize,
-        bindings: &mut Bindings,
-        matched: &mut Vec<Option<Tuple>>,
-        results: &mut Vec<(Bindings, Vec<Tuple>)>,
+        steps: &[PlanStep],
+        frame: &mut Frame,
+        matched: &mut Vec<Option<Matched<'a>>>,
+        out: &mut Vec<Candidate>,
         probes: &mut u64,
     ) {
-        if pos == steps.len() {
-            let inputs: Vec<Tuple> = matched
-                .iter()
-                .map(|t| t.clone().expect("all atoms matched"))
-                .collect();
-            results.push((bindings.clone(), inputs));
-            return;
-        }
-        let step = &steps[pos];
-        let atom = &rule.positive[step.atom];
-        let Some(table) = self.db.table_sym(rule.positive_syms[step.atom]) else {
+        let Some((step, rest)) = steps.split_first() else {
+            self.leaf(rule, frame, matched, out, probes);
             return;
         };
-        let bound = if self.use_join_indexes && step.strategy == ProbeStrategy::PostingList {
-            resolve_bound_cols(&step.bound_cols, bindings)
-        } else {
-            Vec::new()
+        let atom = &rule.slots.positive[step.atom];
+        let Some(table) = self.db.table_sym(atom.relation) else {
+            return;
         };
+        let bound = self.resolve_bound_cols(&step.bound_cols, frame);
         for cand in table.probe(&bound) {
             *probes += 1;
-            let mut added = Vec::new();
-            if match_candidate_undo(atom, &cand, bindings, &mut added) {
-                // Only a surviving candidate is materialized out of its
-                // columnar slot; the matching above reads the columns in
-                // place.
-                matched[step.atom] = Some(cand.to_tuple());
-                self.join_plan(rule, steps, pos + 1, bindings, matched, results, probes);
-                matched[step.atom] = None;
-                for name in added {
-                    bindings.remove(&name);
-                }
+            let mark = frame.mark();
+            if atom.match_row(&cand, frame) {
+                matched[step.atom] = Some(Matched::Stored(cand));
+                self.join(rule, rest, frame, matched, out, probes);
+                frame.undo_to(mark);
             }
         }
     }
 
-    /// Does any stored tuple match `atom` under `bindings`? Probes the
-    /// relation's indexes through the compile-time bound columns instead of
-    /// scanning; `probes` counts the candidates examined.
-    pub fn exists_match(
+    /// The join leaf: apply assignments and filters in place, check the
+    /// negated atoms, build the head. Only a result that gets this far
+    /// materializes its matched tuples; the frame is left as it was found.
+    fn leaf(
         &self,
-        atom: &Predicate,
+        rule: &CompiledRule,
+        frame: &mut Frame,
+        matched: &[Option<Matched<'a>>],
+        out: &mut Vec<Candidate>,
+        probes: &mut u64,
+    ) {
+        let mark = frame.mark();
+        let accepted = rule.slots.apply_steps(frame)
+            && !rule
+                .slots
+                .negated
+                .iter()
+                .zip(&rule.negated_probes)
+                .any(|(neg, probe_cols)| self.exists_match(neg, probe_cols, frame, probes));
+        if accepted {
+            if let Some(head) = rule.slots.head.build(frame, rule.head_loc_col, None) {
+                let rows = || matched.iter().map(|m| m.expect("all atoms matched"));
+                out.push(Candidate {
+                    rule_idx: rule.index,
+                    head,
+                    inputs: rows().map(Matched::to_tuple).collect(),
+                    input_ids: rows().map(|m| m.id()).collect(),
+                });
+            }
+        }
+        frame.undo_to(mark);
+    }
+
+    /// Does any stored tuple match `atom` under the frame? Probes the
+    /// relation's indexes through the compile-time bound columns instead of
+    /// scanning; `probes` counts the candidates examined. The frame is left
+    /// as it was found.
+    fn exists_match(
+        &self,
+        atom: &SlotAtom,
         probe_cols: &[(usize, BoundTerm)],
-        bindings: &Bindings,
+        frame: &mut Frame,
         probes: &mut u64,
     ) -> bool {
-        let Some(table) = self.db.table(&atom.relation) else {
+        let Some(table) = self.db.table_sym(atom.relation) else {
             return false;
         };
-        let bound = if self.use_join_indexes {
-            resolve_bound_cols(probe_cols, bindings)
-        } else {
-            Vec::new()
-        };
-        // One scratch clone for the whole check instead of one per candidate.
-        let mut scratch = bindings.clone();
+        let bound = self.resolve_bound_cols(probe_cols, frame);
         for cand in table.probe(&bound) {
             *probes += 1;
-            let mut added = Vec::new();
-            if match_candidate_undo(atom, &cand, &mut scratch, &mut added) {
+            let mark = frame.mark();
+            if atom.match_row(&cand, frame) {
+                frame.undo_to(mark);
                 return true;
             }
         }
         false
+    }
+
+    /// Resolve a plan's bound columns against the frame into concrete probe
+    /// values. With join indexes off every probe is unbound: a scan of the
+    /// whole table, filtered by the matching that follows.
+    fn resolve_bound_cols(
+        &self,
+        bound_cols: &[(usize, BoundTerm)],
+        frame: &Frame,
+    ) -> Vec<(usize, Value)> {
+        if !self.use_join_indexes {
+            return Vec::new();
+        }
+        bound_cols
+            .iter()
+            .filter_map(|(col, bound)| match bound {
+                BoundTerm::Const(value) => Some((*col, value.clone())),
+                BoundTerm::Slot(slot) => frame.get(*slot).map(|v| (*col, v.clone())),
+            })
+            .collect()
+    }
+
+    /// Evaluate the aggregate of `rule` over one group: probe the body atom
+    /// by the group-key columns, run assignments and filters per candidate,
+    /// and fold the contributions whose group key equals `group`. `min` and
+    /// `max` keep only the running best (ties go to the smaller tuple id);
+    /// nothing is materialized. `None` when the group is empty. Also returns
+    /// the number of candidates examined.
+    pub fn aggregate_group(
+        &self,
+        rule: &CompiledRule,
+        spec: &AggSpec,
+        group: &[Value],
+        frame: &mut Frame,
+    ) -> (Option<GroupAggregate<'a>>, u64) {
+        let atom = &rule.slots.positive[0];
+        let Some(table) = self.db.table_sym(atom.relation) else {
+            return (None, 0);
+        };
+        // The probe values are the group's: load the key into the head's
+        // slots just long enough to resolve them, then match every candidate
+        // from an empty frame.
+        frame.reset(rule.slots.slot_count());
+        for (term, value) in group_terms(rule, spec).zip(group) {
+            if let SlotTerm::Slot(slot) = term {
+                frame.set(*slot, value.clone());
+            }
+        }
+        let bound = self.resolve_bound_cols(&rule.aggregate_probe, frame);
+        frame.undo_to(0);
+
+        let mut fold = Fold::new(spec.func);
+        let mut probes = 0u64;
+        for cand in table.probe(&bound) {
+            probes += 1;
+            if atom.match_row(&cand, frame) {
+                if rule.slots.apply_steps(frame) && group_matches(rule, spec, group, frame) {
+                    match spec.slot {
+                        None => fold.add(&Value::Int(1), cand),
+                        Some(slot) => {
+                            if let Some(value) = frame.get(slot) {
+                                fold.add(value, cand);
+                            }
+                        }
+                    }
+                }
+                frame.undo_to(0);
+            }
+        }
+        (fold.finish(), probes)
+    }
+}
+
+/// The head terms that make up an aggregate rule's group key: every column
+/// except the aggregate's.
+fn group_terms<'r>(
+    rule: &'r CompiledRule,
+    spec: &'r AggSpec,
+) -> impl Iterator<Item = &'r SlotTerm> {
+    rule.slots
+        .head
+        .terms
+        .iter()
+        .enumerate()
+        .filter(|(col, _)| *col != spec.agg_col)
+        .map(|(_, term)| term)
+}
+
+/// The group key of an aggregate head under the frame; `None` when a group
+/// variable is unbound.
+pub(crate) fn group_key(rule: &CompiledRule, spec: &AggSpec, frame: &Frame) -> Option<Vec<Value>> {
+    group_terms(rule, spec)
+        .map(|term| match term {
+            SlotTerm::Slot(slot) => frame.get(*slot).cloned(),
+            SlotTerm::Const(value) => Some(value.clone()),
+            SlotTerm::Wild | SlotTerm::Agg => None,
+        })
+        .collect()
+}
+
+/// `group_key(..) == Some(group)`, compared in place.
+fn group_matches(rule: &CompiledRule, spec: &AggSpec, group: &[Value], frame: &Frame) -> bool {
+    group_terms(rule, spec).zip(group).all(|(term, expected)| {
+        match term {
+            SlotTerm::Slot(slot) => frame.get(*slot),
+            SlotTerm::Const(value) => Some(value),
+            SlotTerm::Wild | SlotTerm::Agg => None,
+        }
+        .is_some_and(|value| value == expected)
+    })
+}
+
+/// The running state of one aggregate group's fold.
+enum Fold<'a> {
+    /// `min` / `max`: the best `(value, witness)` so far.
+    Best {
+        max: bool,
+        best: Option<(Value, TupleRef<'a>)>,
+    },
+    /// `count`: every contribution witnesses the count.
+    Count(Vec<TupleRef<'a>>),
+    /// `sum`: integers add exactly (wrapping, like `+`); from the first
+    /// `Double` on the sum is a double. Non-numbers count as witnesses only.
+    Sum {
+        total: Value,
+        witnesses: Vec<TupleRef<'a>>,
+    },
+}
+
+impl<'a> Fold<'a> {
+    fn new(func: AggregateFunc) -> Self {
+        match func {
+            AggregateFunc::Min => Fold::Best {
+                max: false,
+                best: None,
+            },
+            AggregateFunc::Max => Fold::Best {
+                max: true,
+                best: None,
+            },
+            AggregateFunc::Count => Fold::Count(Vec::new()),
+            AggregateFunc::Sum => Fold::Sum {
+                total: Value::Int(0),
+                witnesses: Vec::new(),
+            },
+        }
+    }
+
+    fn add(&mut self, value: &Value, cand: TupleRef<'a>) {
+        match self {
+            Fold::Best { max, best } => {
+                let wins = match best {
+                    None => true,
+                    Some((held, witness)) => {
+                        let by_value = if *max {
+                            (*held).cmp(value)
+                        } else {
+                            value.cmp(held)
+                        };
+                        // Equal values: the smaller tuple id wins either way.
+                        by_value.then_with(|| cand.id().cmp(&witness.id())).is_lt()
+                    }
+                };
+                if wins {
+                    *best = Some((value.clone(), cand));
+                }
+            }
+            Fold::Count(witnesses) => witnesses.push(cand),
+            Fold::Sum { total, witnesses } => {
+                *total = match (&*total, value) {
+                    (Value::Int(a), Value::Int(b)) => Value::Int(a.wrapping_add(*b)),
+                    (Value::Int(a), Value::Double(b)) => Value::Double(*a as f64 + b),
+                    (Value::Double(a), Value::Int(b)) => Value::Double(a + *b as f64),
+                    (Value::Double(a), Value::Double(b)) => Value::Double(a + b),
+                    _ => total.clone(),
+                };
+                witnesses.push(cand);
+            }
+        }
+    }
+
+    fn finish(self) -> Option<GroupAggregate<'a>> {
+        let (value, witnesses) = match self {
+            Fold::Best { best, .. } => {
+                let (value, witness) = best?;
+                (value, vec![witness])
+            }
+            Fold::Count(witnesses) => (Value::Int(witnesses.len() as i64), witnesses),
+            Fold::Sum { total, witnesses } => (total, witnesses),
+        };
+        (!witnesses.is_empty()).then_some(GroupAggregate { value, witnesses })
     }
 }
 
 /// Evaluate every task, returning `(candidates, probes)` per task in task
 /// order. Dispatches morsels to the shared worker pool only when the engine
 /// is configured for parallelism *and* the generation is large enough to
-/// amortize dispatch — small generations run inline with zero pool traffic.
+/// amortize dispatch — small generations run inline, on the caller's frame,
+/// with zero pool traffic; a pool morsel evaluates on a frame of its own.
 /// Both paths produce identical output (see the module documentation).
-pub(crate) fn evaluate_tasks(
-    ctx: &EvalContext<'_>,
-    tasks: &[MonoTask],
+pub(crate) fn evaluate_tasks<'a>(
+    ctx: &EvalContext<'a>,
+    tasks: &[MonoTask<'a>],
     workers: usize,
     dispatch_threshold: usize,
+    frame: &mut Frame,
 ) -> Vec<(Vec<Candidate>, u64)> {
     type MorselJob<'env> = Box<dyn FnOnce() -> Vec<(Vec<Candidate>, u64)> + Send + 'env>;
     if workers <= 1 || tasks.is_empty() || tasks.len() < dispatch_threshold {
-        return tasks.iter().map(|t| ctx.eval_candidates(t)).collect();
+        let mut matched = Vec::new();
+        return tasks
+            .iter()
+            .map(|t| ctx.eval_task(t, frame, &mut matched))
+            .collect();
     }
     let jobs: Vec<MorselJob<'_>> = tasks
         .chunks(MORSEL_TASKS)
         .map(|morsel| {
             let ctx = *ctx;
-            Box::new(move || morsel.iter().map(|t| ctx.eval_candidates(t)).collect())
-                as MorselJob<'_>
+            Box::new(move || {
+                let (mut frame, mut matched) = (Frame::new(), Vec::new());
+                morsel
+                    .iter()
+                    .map(|t| ctx.eval_task(t, &mut frame, &mut matched))
+                    .collect()
+            }) as MorselJob<'_>
         })
         .collect();
     nt_pool::run_borrowed_limited(jobs, workers)
         .into_iter()
         .flatten()
         .collect()
-}
-
-/// Evaluate assignments and filters; `None` when a filter rejects the
-/// bindings or an expression fails to evaluate.
-pub(crate) fn apply_steps(rule: &CompiledRule, mut bindings: Bindings) -> Option<Bindings> {
-    for step in &rule.steps {
-        match step {
-            BodyElem::Assign { var, expr } => match eval_expr(expr, &bindings) {
-                Ok(value) => match bindings.get(var) {
-                    Some(existing) if *existing != value => return None,
-                    _ => {
-                        bindings.insert(var.clone(), value);
-                    }
-                },
-                Err(_) => return None,
-            },
-            BodyElem::Filter(expr) => match eval_filter(expr, &bindings) {
-                Ok(true) => {}
-                _ => return None,
-            },
-            BodyElem::Atom(_) => {}
-        }
-    }
-    Some(bindings)
-}
-
-/// Resolve a plan's bound columns against the current bindings into concrete
-/// probe values.
-pub(crate) fn resolve_bound_cols(
-    bound_cols: &[(usize, BoundTerm)],
-    bindings: &Bindings,
-) -> Vec<(usize, crate::value::Value)> {
-    bound_cols
-        .iter()
-        .filter_map(|(col, bt)| match bt {
-            BoundTerm::Const(lit) => Some((*col, literal_value(lit))),
-            BoundTerm::Var(name) => bindings.get(name).map(|v| (*col, v.clone())),
-        })
-        .collect()
-}
-
-/// Like [`match_atom`], but works on a borrowed probe candidate (matching
-/// column by column against the storage without materializing a `Tuple`) and
-/// extends `bindings` in place instead of requiring the caller to clone them
-/// per candidate: variables newly bound are recorded in `added`, and on a
-/// failed match they are removed again before returning. On success the
-/// caller owns the cleanup (after recursing).
-pub(crate) fn match_candidate_undo(
-    atom: &Predicate,
-    cand: &TupleRef<'_>,
-    bindings: &mut Bindings,
-    added: &mut Vec<String>,
-) -> bool {
-    if cand.relation().as_str() != atom.relation || atom.terms.len() != cand.arity() {
-        return false;
-    }
-    let mut ok = true;
-    for (col, term) in atom.terms.iter().enumerate() {
-        match term {
-            Term::Wildcard => {}
-            Term::Variable { name, .. } => match bindings.get(name) {
-                Some(bound) => {
-                    if !cand.matches(col, bound) {
-                        ok = false;
-                        break;
-                    }
-                }
-                None => {
-                    bindings.insert(name.clone(), cand.value(col));
-                    added.push(name.clone());
-                }
-            },
-            Term::Constant { value: lit, .. } => {
-                if !literal_matches_ref(lit, cand, col) {
-                    ok = false;
-                    break;
-                }
-            }
-            Term::Aggregate(_) => {
-                ok = false;
-                break;
-            }
-        }
-    }
-    if !ok {
-        for name in added.drain(..) {
-            bindings.remove(&name);
-        }
-    }
-    ok
-}
-
-/// Does the candidate's column `col` match a program literal? String
-/// literals compare as text (matching `Addr` too) without allocating the
-/// `Value::Str` that [`literal_value`] would build per candidate.
-fn literal_matches_ref(lit: &Literal, cand: &TupleRef<'_>, col: usize) -> bool {
-    match lit {
-        Literal::Str(s) => cand.matches_text(col, s),
-        Literal::Int(v) => cand.matches(col, &Value::Int(*v)),
-        Literal::Double(v) => cand.matches(col, &Value::Double(*v)),
-        Literal::Bool(b) => cand.matches(col, &Value::Bool(*b)),
-        Literal::Infinity => cand.matches(col, &Value::Infinity),
-    }
 }

@@ -475,13 +475,19 @@ impl ColumnStore {
     }
 
     /// Insert a brand-new entry (the key must be vacant), reusing a free
-    /// slot when one exists.
-    fn insert_row(&mut self, key: Vec<Value>, tuple: &Tuple, derivations: Vec<Derivation>) {
+    /// slot when one exists. `id` is `tuple.id()`, hashed by the caller.
+    fn insert_row(
+        &mut self,
+        key: Vec<Value>,
+        tuple: &Tuple,
+        id: TupleId,
+        derivations: Vec<Derivation>,
+    ) {
         debug_assert_eq!(tuple.values.len(), self.cols.len());
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.rels[slot as usize] = tuple.relation;
-                self.ids[slot as usize] = tuple.id();
+                self.ids[slot as usize] = id;
                 self.derivs[slot as usize] = derivations;
                 for (col, v) in self.cols.iter_mut().zip(&tuple.values) {
                     col.write(slot as usize, v);
@@ -491,7 +497,7 @@ impl ColumnStore {
             None => {
                 let slot = u32::try_from(self.ids.len()).expect("columnar slot overflow");
                 self.rels.push(tuple.relation);
-                self.ids.push(tuple.id());
+                self.ids.push(id);
                 self.derivs.push(derivations);
                 for (col, v) in self.cols.iter_mut().zip(&tuple.values) {
                     col.push(v);
@@ -501,7 +507,7 @@ impl ColumnStore {
         };
         self.set_live(slot, true);
         self.live_count += 1;
-        self.by_id.insert(tuple.id(), slot);
+        self.by_id.insert(id, slot);
         self.by_key.insert(key, slot);
         self.index_slot(slot, &tuple.values);
     }
@@ -1158,6 +1164,18 @@ impl Table {
     /// [`Membership::Replaced`]; the caller is responsible for cascading the
     /// implied deletion.
     pub fn add_derivation(&mut self, tuple: &Tuple, derivation: Derivation) -> Membership {
+        self.add_derivation_with_id(tuple, tuple.id(), derivation)
+    }
+
+    /// [`Table::add_derivation`] for a caller that already hashed the tuple:
+    /// `id` must be `tuple.id()`.
+    pub(crate) fn add_derivation_with_id(
+        &mut self,
+        tuple: &Tuple,
+        id: TupleId,
+        derivation: Derivation,
+    ) -> Membership {
+        debug_assert_eq!(id, tuple.id());
         let key = self.key_of(tuple);
         match &mut self.repr {
             Repr::Row(row) => match row.tuples.get_mut(&key) {
@@ -1181,10 +1199,11 @@ impl Table {
                             },
                         )
                         .expect("entry existed");
-                    row.by_id.remove(&old.tuple.id());
-                    row.by_id.insert(tuple.id(), key);
-                    row.unindex_tuple_values(old.tuple.id(), &old.tuple.values);
-                    row.index_tuple_values(tuple.id(), &tuple.values);
+                    let old_id = old.tuple.id();
+                    row.by_id.remove(&old_id);
+                    row.by_id.insert(id, key);
+                    row.unindex_tuple_values(old_id, &old.tuple.values);
+                    row.index_tuple_values(id, &tuple.values);
                     Membership::Replaced(old.tuple)
                 }
                 None => {
@@ -1195,8 +1214,8 @@ impl Table {
                             derivations: vec![derivation],
                         },
                     );
-                    row.by_id.insert(tuple.id(), key);
-                    row.index_tuple_values(tuple.id(), &tuple.values);
+                    row.by_id.insert(id, key);
+                    row.index_tuple_values(id, &tuple.values);
                     Membership::Appeared
                 }
             },
@@ -1220,17 +1239,17 @@ impl Table {
                     col.unindex_slot(slot, &old.values);
                     col.by_id.remove(&old_id);
                     col.rels[slot as usize] = tuple.relation;
-                    col.ids[slot as usize] = tuple.id();
+                    col.ids[slot as usize] = id;
                     col.derivs[slot as usize] = vec![derivation];
                     for (c, v) in col.cols.iter_mut().zip(&tuple.values) {
                         c.write(slot as usize, v);
                     }
-                    col.by_id.insert(tuple.id(), slot);
+                    col.by_id.insert(id, slot);
                     col.index_slot(slot, &tuple.values);
                     Membership::Replaced(old)
                 }
                 None => {
-                    col.insert_row(key, tuple, vec![derivation]);
+                    col.insert_row(key, tuple, id, vec![derivation]);
                     Membership::Appeared
                 }
             },
@@ -1269,9 +1288,10 @@ impl Table {
                     return Membership::NotFound;
                 }
                 if existing.derivations.is_empty() {
+                    let id = tuple.id();
                     row.tuples.remove(&key);
-                    row.by_id.remove(&tuple.id());
-                    row.unindex_tuple_values(tuple.id(), &tuple.values);
+                    row.by_id.remove(&id);
+                    row.unindex_tuple_values(id, &tuple.values);
                     Membership::Disappeared
                 } else {
                     Membership::RemovedDerivation
@@ -1309,8 +1329,9 @@ impl Table {
         match &mut self.repr {
             Repr::Row(row) => match row.tuples.get(&key) {
                 Some(st) if st.tuple == *tuple => {
-                    row.by_id.remove(&tuple.id());
-                    row.unindex_tuple_values(tuple.id(), &tuple.values);
+                    let id = tuple.id();
+                    row.by_id.remove(&id);
+                    row.unindex_tuple_values(id, &tuple.values);
                     row.tuples.remove(&key)
                 }
                 _ => None,
@@ -1351,14 +1372,15 @@ impl Table {
     /// rebuild path).
     fn insert_stored(&mut self, stored: StoredTuple) {
         let key = self.key_of(&stored.tuple);
+        let id = stored.tuple.id();
         match &mut self.repr {
             Repr::Row(row) => {
-                row.by_id.insert(stored.tuple.id(), key.clone());
-                row.index_tuple_values(stored.tuple.id(), &stored.tuple.values);
+                row.by_id.insert(id, key.clone());
+                row.index_tuple_values(id, &stored.tuple.values);
                 row.tuples.insert(key, stored);
             }
             Repr::Col(col) => {
-                col.insert_row(key, &stored.tuple, stored.derivations);
+                col.insert_row(key, &stored.tuple, id, stored.derivations);
             }
         }
     }

@@ -40,6 +40,12 @@ test_job() {
 
     echo "==> [test] ntbench traced smoke: query_storm, 2 s"
     bash benchmark/run.sh --workload query_storm --seed 12 --seconds 2 --trace 1 > /dev/null
+
+    echo "==> [test] ntbench traced smoke: converge_as, 2 s"
+    bash benchmark/run.sh --workload converge_as --seed 12 --seconds 2 --trace 1 > /dev/null
+
+    echo "==> [test] ntbench traced smoke: churn_query_mixed, 2 s"
+    bash benchmark/run.sh --workload churn_query_mixed --seed 12 --seconds 2 --trace 1 > /dev/null
 }
 
 case "${1:-all}" in
