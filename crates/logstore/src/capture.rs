@@ -13,7 +13,7 @@
 use crate::backend::LogRecord;
 use crate::delta::SnapshotDelta;
 use crate::snapshot::SystemSnapshot;
-use nt_runtime::{Interner, InternerSnapshot};
+use nt_runtime::Interner;
 
 /// Converts consecutive full captures into checkpoint/delta records.
 #[derive(Debug)]
@@ -82,14 +82,6 @@ impl SnapshotCapturer {
     pub fn watermark(&self) -> usize {
         self.watermark
     }
-}
-
-/// The dictionary slice minted between two watermarks of the process intern
-/// pool (a convenience over [`InternerSnapshot::diff_since`] + truncation).
-pub fn dict_diff_between(from: usize, to: usize) -> InternerSnapshot {
-    let mut diff = Interner::snapshot().diff_since(from);
-    diff.strings.truncate(to.saturating_sub(from));
-    diff
 }
 
 #[cfg(test)]

@@ -11,8 +11,7 @@ use std::collections::{BTreeMap, BTreeSet};
 pub struct NodeSnapshot {
     /// Node name.
     pub node: Addr,
-    /// Visible relations and their tuples (internal outbox relations are
-    /// excluded).
+    /// The node's non-empty relations and their tuples.
     pub relations: BTreeMap<String, Vec<Tuple>>,
     /// Size of the node's provenance partition.
     pub provenance: ProvStoreStats,
@@ -35,7 +34,7 @@ impl NodeSnapshot {
     pub fn capture(node: &str, db: &Database, provenance: &ProvenanceSystem) -> Self {
         let mut relations = BTreeMap::new();
         for table in db.tables() {
-            if table.schema.name.starts_with("__out::") || table.is_empty() {
+            if table.is_empty() {
                 continue;
             }
             let mut tuples = table.tuples();
@@ -131,12 +130,6 @@ impl SystemSnapshot {
         InternerSnapshot {
             strings: names.into_iter().map(str::to_string).collect(),
         }
-    }
-
-    /// Restore the snapshot's dictionary into the local intern pool (call
-    /// after loading a snapshot from disk, before resolving ids).
-    pub fn restore_dictionary(&self) {
-        self.dictionary.restore();
     }
 
     /// Total tuples across every node.

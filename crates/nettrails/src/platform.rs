@@ -241,8 +241,7 @@ pub struct PlatformStats {
     /// Cross-shard exchange of the sharded maintenance engine (batches,
     /// records, dictionary bytes). All zeros when `prov_shards == 1`.
     pub provenance_sharding: ShardStats,
-    /// Tuples currently stored across all nodes (excluding internal outbox
-    /// relations).
+    /// Tuples currently stored across all nodes.
     pub stored_tuples: usize,
 }
 
@@ -840,11 +839,7 @@ impl NetTrails {
             engine.dict_bytes_sent += s.dict_bytes_sent;
             engine.join_probes += s.join_probes;
             engine.agg_recomputes += s.agg_recomputes;
-            for table in e.database().tables() {
-                if !table.schema.name.starts_with("__out::") {
-                    stored_tuples += table.len();
-                }
-            }
+            stored_tuples += e.database().tables().map(|t| t.len()).sum::<usize>();
         }
         PlatformStats {
             engine,

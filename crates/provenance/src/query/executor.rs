@@ -599,12 +599,6 @@ impl QueryExecutor {
         self.merge_frames = on;
     }
 
-    /// True when [`QueryExecutor::poll`] merges concurrent sessions' records
-    /// into shared per-destination frames.
-    pub fn frame_merging(&self) -> bool {
-        self.merge_frames
-    }
-
     /// Number of sessions still executing.
     pub fn active_sessions(&self) -> usize {
         self.sessions.len()
@@ -614,11 +608,6 @@ impl QueryExecutor {
     /// shipment.
     pub fn idle(&self) -> bool {
         self.sessions.is_empty() && self.staged.is_empty()
-    }
-
-    /// True when there are records staged for the next flush.
-    pub fn has_staged(&self) -> bool {
-        !self.staged.is_empty()
     }
 
     /// Submit a query session. Local work (everything reachable without

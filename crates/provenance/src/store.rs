@@ -201,13 +201,6 @@ impl ProvenanceStore {
         }
     }
 
-    /// Forget a tuple's content (after its last derivation disappears).
-    pub fn unregister_tuple(&mut self, vid: TupleId) {
-        if self.tuples.remove(&vid).is_some() {
-            self.version += 1;
-        }
-    }
-
     /// The recorded content of a tuple, if known.
     pub fn tuple(&self, vid: TupleId) -> Option<&Tuple> {
         self.tuples.get(&vid)
@@ -344,11 +337,6 @@ impl ProvenanceStore {
     /// Iterate over rule executions recorded at this node, in arena order.
     pub fn iter_rule_execs(&self) -> impl Iterator<Item = &RuleExec> {
         self.execs.iter().filter(|s| s.live).map(|s| &s.exec)
-    }
-
-    /// Iterate over the registered tuple contents (display metadata).
-    pub fn iter_tuples(&self) -> impl Iterator<Item = &Tuple> {
-        self.tuples.values()
     }
 
     /// The distinct interned names this store references (rule names and node

@@ -15,21 +15,26 @@
 //! cascade deletion — happens. Derived tuples feed the next generation's
 //! queue until a local fixpoint is reached, and the output — tables,
 //! [`EngineStats`], outbox batches, provenance firings — is bit-identical at
-//! every worker count. Derived tuples whose home (location attribute) is another node are
-//! not stored locally; instead the engine records them in an *outbox*,
-//! coalesces the implied sends (an insert/delete pair for the same tuple and
-//! derivation within one round cancels; identical re-emissions dedupe) and
-//! flushes them as per-destination [`DeltaBatch`]es — fixed-width
-//! [`DeltaRecord`] bodies plus a shared dictionary header carrying each
-//! batch's first-use strings — for the network layer (crate `simnet`,
-//! orchestrated by the `nettrails` platform) to deliver.
+//! every worker count. Derived tuples whose home (location attribute) is
+//! another node are not stored locally; instead the engine records them in
+//! the database's *outbox* ([`Database::outbox_insert`]: remote heads by
+//! tuple id with their destination and derivations — a structure of its own,
+//! not a relation), ships a (tuple, derivation) pair when it is new there and
+//! its retraction when the pair was there, coalesces the implied sends (an
+//! insert/delete pair for the same tuple and derivation within one round
+//! cancels; identical re-emissions dedupe) and flushes them as
+//! per-destination [`DeltaBatch`]es — fixed-width [`DeltaRecord`] bodies plus
+//! a shared dictionary header carrying each batch's first-use strings — for
+//! the network layer (crate `simnet`, orchestrated by the `nettrails`
+//! platform) to deliver.
 //!
 //! ## Incremental deletions
 //!
 //! Every derived tuple carries the derivations that support it
 //! ([`crate::store`]). When a tuple disappears, the engine looks up — through
-//! the reverse-dependency index — every derivation that used it, retracts
-//! those derivations, and cascades. This is the counting form of incremental
+//! the reverse-dependency index — every derivation that used it, in the
+//! outbox first and then in the tables, retracts those derivations, and
+//! cascades. This is the counting form of incremental
 //! view maintenance; it is exact for the protocol programs shipped with
 //! NetTrails (their recursion goes through strictly increasing costs or
 //! loop-suppressed paths, so no tuple can support itself). Aggregate rules are
@@ -56,8 +61,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::ops::Range;
 use std::sync::Arc;
 
-/// Prefix for the internal outbox tables that track derivations whose head
-/// lives on another node.
+/// Names nothing any more; stays while `benchmark/src/layered.rs`, fenced off, refers to it.
 pub const OUTBOX_PREFIX: &str = "__out::";
 
 /// Engine configuration.
@@ -367,8 +371,6 @@ pub struct NodeEngine {
     queue: VecDeque<WorkItem>,
     /// (rule index, group key) -> current aggregate head tuple + derivation.
     agg_state: HashMap<(usize, Vec<Value>), (Tuple, Derivation)>,
-    /// Memoized `relation -> __out::relation` symbols.
-    outbox_syms: HashMap<Sym, Sym>,
     /// Sends queued during the current run, coalesced into per-destination
     /// batches when the run flushes. A slot is `None` when a later opposite
     /// delta for the same (dest, tuple, derivation) cancelled it.
@@ -403,7 +405,6 @@ impl NodeEngine {
             db,
             queue: VecDeque::new(),
             agg_state: HashMap::new(),
-            outbox_syms: HashMap::new(),
             pending_sends: Vec::new(),
             pending_index: HashMap::new(),
             dict_sent: HashMap::new(),
@@ -936,40 +937,26 @@ impl NodeEngine {
     ) {
         let dependents = self.db.dependents_of(id);
         self.db.clear_dependency(id);
-        for (relation, dep_tuple, derivations) in dependents {
-            if let Some(outbox_rel) = relation.strip_prefix(OUTBOX_PREFIX) {
-                // Derivations whose head lives on another node: retract the
-                // outbox entry and notify the remote home.
-                let home = self
-                    .head_home(outbox_rel, &dep_tuple)
-                    .unwrap_or(self.config.node);
-                for derivation in derivations {
-                    self.stats.retractions += 1;
-                    out.firings.push(Firing {
-                        rule: derivation.rule,
-                        node: self.config.node,
-                        head: dep_tuple.clone(),
-                        head_home: home,
-                        inputs: derivation.inputs.clone(),
-                        input_tuples: Vec::new(),
-                        insert: false,
-                    });
-                    self.retract_outbox(relation, &dep_tuple, derivation, home);
-                }
-            } else {
-                for derivation in derivations {
-                    self.stats.retractions += 1;
-                    out.firings.push(Firing {
-                        rule: derivation.rule,
-                        node: self.config.node,
-                        head: dep_tuple.clone(),
-                        head_home: self.config.node,
-                        inputs: derivation.inputs.clone(),
-                        input_tuples: Vec::new(),
-                        insert: false,
-                    });
+        for dependent in dependents {
+            // A remote head is retracted from the outbox and at its home; a
+            // stored tuple loses the derivation in the next generation.
+            let home = dependent.destination.unwrap_or(self.config.node);
+            for derivation in dependent.derivations {
+                self.stats.retractions += 1;
+                out.firings.push(Firing {
+                    rule: derivation.rule,
+                    node: self.config.node,
+                    head: dependent.tuple.clone(),
+                    head_home: home,
+                    inputs: derivation.inputs.clone(),
+                    input_tuples: Vec::new(),
+                    insert: false,
+                });
+                if dependent.destination.is_some() {
+                    self.retract_outbox(&dependent.tuple, dependent.id, derivation, home);
+                } else {
                     self.queue.push_back(WorkItem::Remove {
-                        tuple: dep_tuple.clone(),
+                        tuple: dependent.tuple.clone(),
                         derivation,
                     });
                 }
@@ -1049,101 +1036,26 @@ impl NodeEngine {
             }
             return;
         }
-        // Remote head: track in the outbox so that later input deletions can
-        // retract the remote derivation, and ship the delta.
-        let outbox_sym = self.outbox_sym(head.relation);
-        if self.db.table_sym(outbox_sym).is_none() {
-            let base = self
-                .program
-                .catalog
-                .schema(&head.relation)
-                .cloned()
-                .unwrap_or(crate::catalog::RelationSchema {
-                    name: head.relation.as_str().to_string(),
-                    arity: head.arity(),
-                    location_col: 0,
-                    key_cols: (0..head.arity()).collect(),
-                    is_base: false,
-                    lifetime: None,
-                });
-            self.db.register(crate::catalog::RelationSchema {
-                name: outbox_sym.as_str().to_string(),
-                arity: base.arity,
-                location_col: base.location_col,
-                // Set semantics: the authoritative replacement decision is
-                // made at the home node.
-                key_cols: (0..base.arity).collect(),
-                is_base: false,
-                lifetime: None,
-            });
-        }
-        if insert {
-            let head_id = head.id();
-            let membership = self
-                .db
-                .table_mut_sym(outbox_sym)
-                .expect("outbox registered")
-                .add_derivation_with_id(&head, head_id, derivation.clone());
-            if matches!(
-                membership,
-                Membership::Appeared | Membership::AddedDerivation | Membership::Replaced(_)
-            ) {
-                for input in &derivation.inputs {
-                    self.db.index_dependency(*input, outbox_sym, head_id);
-                }
-                self.queue_send(home, Delta::Insert(head), head_id, derivation);
-            }
-        } else {
-            self.retract_outbox(outbox_sym, &head, derivation, home);
+        // Remote head: remember it in the outbox so that later input
+        // deletions can retract the remote derivation, and ship the delta.
+        let head_id = head.id();
+        if !insert {
+            self.retract_outbox(&head, head_id, derivation, home);
+        } else if self.db.outbox_insert(&head, head_id, home, &derivation) {
+            self.queue_send(home, Delta::Insert(head), head_id, derivation);
         }
     }
 
     /// The single outbox-retraction path. Every caller — the input-cascade in
     /// [`Self::on_disappear`] and the aggregate/negation reconciliation in
     /// [`Self::emit_derivation`] — funnels through here, so a remote
-    /// retraction performs exactly one membership transition and is queued
-    /// for shipment at most once per round.
-    fn retract_outbox(
-        &mut self,
-        outbox_sym: Sym,
-        tuple: &Tuple,
-        derivation: Derivation,
-        home: Addr,
-    ) {
-        // Both callers hold the invariant that the outbox table exists (the
-        // dependency index / reconciliation only yield registered outbox
-        // relations); fail loudly rather than silently dropping a remote
-        // retraction and leaving the destination with a stale tuple.
-        let table = self
-            .db
-            .table_mut_sym(outbox_sym)
-            .expect("outbox table exists for retraction");
-        let membership = table.remove_derivation(tuple, &derivation);
-        if matches!(
-            membership,
-            Membership::Disappeared | Membership::RemovedDerivation
-        ) {
-            self.queue_send(home, Delta::Delete(tuple.clone()), tuple.id(), derivation);
+    /// retraction is queued for shipment exactly when the outbox held the
+    /// (tuple, derivation) pair, at most once per round. `id` is
+    /// `tuple.id()`.
+    fn retract_outbox(&mut self, tuple: &Tuple, id: TupleId, derivation: Derivation, home: Addr) {
+        if self.db.outbox_remove(id, &derivation) {
+            self.queue_send(home, Delta::Delete(tuple.clone()), id, derivation);
         }
-    }
-
-    /// The interned `__out::<relation>` symbol, memoized per relation so the
-    /// hot send path never formats a string.
-    fn outbox_sym(&mut self, relation: Sym) -> Sym {
-        *self
-            .outbox_syms
-            .entry(relation)
-            .or_insert_with(|| Sym::new(&format!("{OUTBOX_PREFIX}{relation}")))
-    }
-
-    fn head_home(&self, relation: &str, tuple: &Tuple) -> Option<Addr> {
-        let loc_col = self
-            .program
-            .catalog
-            .schema(relation)
-            .map(|s| s.location_col)
-            .unwrap_or(0);
-        tuple.values.get(loc_col).and_then(Value::as_node_id)
     }
 
     // ----------------------------------------------------------------------
@@ -1269,34 +1181,38 @@ impl NodeEngine {
             }
         }
 
-        // Currently recorded derivations of this rule at this node (local
-        // tables and outbox tables).
-        let mut old_derivations: Vec<(Sym, Tuple, Derivation)> = Vec::new();
-        for (relation, table) in self.db.tables_with_syms() {
-            for entry in table.iter() {
-                let matching: Vec<Derivation> = entry
-                    .derivations()
-                    .iter()
-                    .filter(|d| d.rule == rule.name_sym && d.node == self.config.node)
-                    .cloned()
-                    .collect();
-                if matching.is_empty() {
-                    continue;
-                }
-                let tuple = entry.to_tuple();
-                for d in matching {
-                    old_derivations.push((relation, tuple.clone(), d));
-                }
+        // Currently recorded derivations of this rule at this node. They can
+        // only be where its heads go: the outbox entries of the head
+        // relation (met first), then that relation's table.
+        let head_relation = rule.slots.head.relation;
+        let mine = |d: &&Derivation| d.rule == rule.name_sym && d.node == self.config.node;
+        // (held in the outbox?, head, derivation)
+        let mut old_derivations: Vec<(bool, Tuple, Derivation)> = Vec::new();
+        for entry in self.db.outbox_of(head_relation) {
+            for d in entry.derivations.iter().filter(mine) {
+                old_derivations.push((true, entry.tuple.clone(), d.clone()));
+            }
+        }
+        for stored in self
+            .db
+            .table_sym(head_relation)
+            .iter()
+            .flat_map(|t| t.iter())
+        {
+            let mut tuple = None;
+            for d in stored.derivations().iter().filter(mine) {
+                let tuple = tuple.get_or_insert_with(|| stored.to_tuple());
+                old_derivations.push((false, tuple.clone(), d.clone()));
             }
         }
 
         // Retract derivations that no longer hold.
-        for (relation, tuple, derivation) in &old_derivations {
+        for (remote, tuple, derivation) in &old_derivations {
             let still_valid = new_derivations
                 .iter()
                 .any(|(h, d, _)| h == tuple && d == derivation);
             if !still_valid {
-                if relation.starts_with(OUTBOX_PREFIX) {
+                if *remote {
                     self.emit_derivation(
                         tuple.clone(),
                         rule.head_loc_col,

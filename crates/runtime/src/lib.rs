@@ -12,7 +12,8 @@
 //!
 //! * [`value::Value`] / [`tuple::Tuple`] / [`tuple::Delta`] — the data model;
 //! * [`catalog::Catalog`] — relation schemas inferred from a program;
-//! * [`store::Database`] — per-node tables with derivation tracking;
+//! * [`store::Database`] — per-node tables with derivation tracking, the
+//!   outbox of remote heads and the reverse dependency index;
 //! * [`transform::localize_program`] — the automatic localization rewrite that
 //!   turns link-restricted rules into purely local rules plus tuple shipping;
 //! * [`compile::CompiledProgram`] — a validated, localized, executable program:
@@ -41,8 +42,8 @@ pub use engine::{
 };
 pub use error::{Result, RuntimeError};
 pub use store::{
-    base_rule_sym, normalize_for_index, tuple_materializations, Database, Derivation, Membership,
-    ProbeIter, StoredTuple, Table, TableBacking, TupleRef, BASE_RULE,
+    base_rule_sym, normalize_for_index, tuple_materializations, Database, Dependent, Derivation,
+    Membership, OutboxEntry, ProbeIter, StoredTuple, Table, TableBacking, TupleRef, BASE_RULE,
 };
 pub use tuple::{Delta, Tuple, TupleId};
 pub use value::{

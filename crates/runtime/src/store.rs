@@ -1,5 +1,6 @@
-//! Tuple storage: per-relation tables with derivation tracking and the
-//! per-node database.
+//! Tuple storage: per-relation tables with derivation tracking, and the
+//! per-node database that holds them beside the outbox of remote heads and
+//! the reverse dependency index.
 //!
 //! Every stored tuple carries the multiset of **derivations** that currently
 //! support it. A derivation is either the distinguished *base* derivation
@@ -11,6 +12,13 @@
 //! through the reverse-dependency index. This is exactly the information the
 //! ExSPAN provenance graph records, which is why NetTrails can reuse the same
 //! machinery for both incremental maintenance and provenance.
+//!
+//! A table stores tuples of its own relation. A tuple derived here for
+//! another node is not stored in any table: the [`Database`] remembers it in
+//! its **outbox**, a map from tuple id to [`OutboxEntry`] (tuple, destination,
+//! derivations) that nothing probes and nothing names as a relation. The
+//! dependency index says of each dependent whether it is stored or in the
+//! outbox.
 //!
 //! ## Storage backings
 //!
@@ -391,14 +399,10 @@ fn decode_dict(code: u32) -> NodeId {
 /// physical slot, a validity bitmap, a slot free-list, and the lookaside
 /// maps (primary key, tuple id, per-column posting lists) that answer point
 /// lookups and probes.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct ColumnStore {
-    /// Per-slot relation symbol. Usually constant across the table, but the
-    /// engine's outbox tables are *named* `__out::<relation>` while storing
-    /// tuples of `<relation>` — the tuple's own relation is part of its
-    /// identity (row-store equality compares it), so it is kept per slot
-    /// (one dictionary code) rather than derived from the schema.
-    rels: Vec<Sym>,
+    /// The relation every stored tuple belongs to (the table's own).
+    rel: Sym,
     /// Per-slot content-addressed tuple id (parallel to the columns).
     ids: Vec<TupleId>,
     /// Per-slot supporting derivations.
@@ -423,11 +427,20 @@ struct ColumnStore {
 }
 
 impl ColumnStore {
-    fn new(arity: usize) -> Self {
+    fn new(rel: Sym, arity: usize) -> Self {
+        // Spelled out: `Sym::default()` interns the empty name, one pool
+        // lookup per table of every engine.
         ColumnStore {
+            rel,
+            ids: Vec::new(),
+            derivs: Vec::new(),
             cols: (0..arity).map(|_| Column::Other(Vec::new())).collect(),
+            live: Vec::new(),
+            free: Vec::new(),
+            live_count: 0,
+            by_key: BTreeMap::new(),
+            by_id: HashMap::new(),
             postings: (0..arity).map(|_| HashMap::new()).collect(),
-            ..ColumnStore::default()
         }
     }
 
@@ -451,7 +464,7 @@ impl ColumnStore {
     /// Structural equality (the row store's `existing.tuple == *tuple`)
     /// against a live slot, column by column.
     fn slot_eq_tuple(&self, slot: u32, tuple: &Tuple) -> bool {
-        self.rels[slot as usize] == tuple.relation
+        self.rel == tuple.relation
             && tuple.values.len() == self.cols.len()
             && self
                 .cols
@@ -465,7 +478,7 @@ impl ColumnStore {
     fn tuple_at(&self, slot: u32) -> Tuple {
         TUPLE_MATERIALIZATIONS.with(|count| count.set(count.get() + 1));
         Tuple {
-            relation: self.rels[slot as usize],
+            relation: self.rel,
             values: self
                 .cols
                 .iter()
@@ -486,7 +499,6 @@ impl ColumnStore {
         debug_assert_eq!(tuple.values.len(), self.cols.len());
         let slot = match self.free.pop() {
             Some(slot) => {
-                self.rels[slot as usize] = tuple.relation;
                 self.ids[slot as usize] = id;
                 self.derivs[slot as usize] = derivations;
                 for (col, v) in self.cols.iter_mut().zip(&tuple.values) {
@@ -496,7 +508,6 @@ impl ColumnStore {
             }
             None => {
                 let slot = u32::try_from(self.ids.len()).expect("columnar slot overflow");
-                self.rels.push(tuple.relation);
                 self.ids.push(id);
                 self.derivs.push(derivations);
                 for (col, v) in self.cols.iter_mut().zip(&tuple.values) {
@@ -571,13 +582,12 @@ impl ColumnStore {
             .collect();
     }
 
-    /// Resident bytes: column payloads, per-slot relation codes and ids,
-    /// bitmap, posting lists (4-byte slot entries), and derivation records
-    /// (priced like their wire encoding).
+    /// Resident bytes: column payloads, per-slot ids, bitmap, posting lists
+    /// (4-byte slot entries), and derivation records (priced like their wire
+    /// encoding).
     fn resident_bytes(&self) -> usize {
         self.cols.iter().map(Column::resident_bytes).sum::<usize>()
             + 8 * self.ids.len()
-            + 4 * self.rels.len()
             + 8 * self.live.len()
             + 4 * self
                 .postings
@@ -595,6 +605,11 @@ impl ColumnStore {
 // --------------------------------------------------------------------------
 // row backing (the reference layout)
 // --------------------------------------------------------------------------
+
+/// What a tuple held as a row costs: its wire size plus its derivations'.
+fn entry_wire_size(tuple: &Tuple, derivations: &[Derivation]) -> usize {
+    tuple.wire_size() + derivations.iter().map(Derivation::wire_size).sum::<usize>()
+}
 
 /// The original row-major layout: stored tuples keyed by their primary-key
 /// projection, with id and per-column secondary indexes on the side.
@@ -664,13 +679,7 @@ impl RowStore {
     fn resident_bytes(&self) -> usize {
         self.tuples
             .values()
-            .map(|st| {
-                st.tuple.wire_size()
-                    + st.derivations
-                        .iter()
-                        .map(Derivation::wire_size)
-                        .sum::<usize>()
-            })
+            .map(|st| entry_wire_size(&st.tuple, &st.derivations))
             .sum::<usize>()
             + 8 * self
                 .col_indexes
@@ -702,7 +711,7 @@ impl<'a> TupleRef<'a> {
     pub fn relation(&self) -> Sym {
         match self.0 {
             RefInner::Stored(st) => st.tuple.relation,
-            RefInner::Slot(store, slot) => store.rels[slot as usize],
+            RefInner::Slot(store, _) => store.rel,
         }
     }
 
@@ -746,27 +755,6 @@ impl<'a> TupleRef<'a> {
         match self.0 {
             RefInner::Stored(st) => values_match(v, &st.tuple.values[col]),
             RefInner::Slot(store, slot) => store.cols[col].matches_value(slot as usize, v),
-        }
-    }
-
-    /// Does attribute `col` match text `s` (a `Str` or `Addr` with that
-    /// text)? The allocation-free equivalent of matching a string literal.
-    pub fn matches_text(&self, col: usize, s: &str) -> bool {
-        match self.0 {
-            RefInner::Stored(st) => match &st.tuple.values[col] {
-                Value::Str(t) => t == s,
-                Value::Addr(a) => a.as_str() == s,
-                _ => false,
-            },
-            RefInner::Slot(store, slot) => match &store.cols[col] {
-                Column::Dict(xs) => decode_dict(xs[slot as usize]).as_str() == s,
-                Column::Other(xs) => match &xs[slot as usize] {
-                    Value::Str(t) => t == s,
-                    Value::Addr(a) => a.as_str() == s,
-                    _ => false,
-                },
-                _ => false,
-            },
         }
     }
 
@@ -950,9 +938,15 @@ impl Table {
 
     /// Create an empty table with an explicit backing.
     pub fn with_backing(schema: RelationSchema, backing: TableBacking) -> Self {
+        Table::of(Sym::new(&schema.name), schema, backing)
+    }
+
+    /// [`Table::with_backing`] for a caller that already interned the
+    /// relation: `relation` must be `Sym::new(&schema.name)`.
+    fn of(relation: Sym, schema: RelationSchema, backing: TableBacking) -> Self {
         let repr = match backing {
             TableBacking::Row => Repr::Row(RowStore::new(schema.arity)),
-            TableBacking::Columnar => Repr::Col(ColumnStore::new(schema.arity)),
+            TableBacking::Columnar => Repr::Col(ColumnStore::new(relation, schema.arity)),
         };
         Table { schema, repr }
     }
@@ -1140,17 +1134,6 @@ impl Table {
         }
     }
 
-    /// Look up by primary key only.
-    pub fn get_by_key(&self, key: &[Value]) -> Option<TupleRef<'_>> {
-        match &self.repr {
-            Repr::Row(row) => row.tuples.get(key).map(|st| TupleRef(RefInner::Stored(st))),
-            Repr::Col(col) => col
-                .by_key
-                .get(key)
-                .map(|slot| TupleRef(RefInner::Slot(col, *slot))),
-        }
-    }
-
     /// True when the exact tuple is present.
     pub fn contains(&self, tuple: &Tuple) -> bool {
         self.get(tuple).is_some()
@@ -1176,6 +1159,11 @@ impl Table {
         derivation: Derivation,
     ) -> Membership {
         debug_assert_eq!(id, tuple.id());
+        debug_assert_eq!(
+            tuple.relation.as_str(),
+            self.schema.name,
+            "a table stores tuples of its own relation only"
+        );
         let key = self.key_of(tuple);
         match &mut self.repr {
             Repr::Row(row) => match row.tuples.get_mut(&key) {
@@ -1238,7 +1226,6 @@ impl Table {
                     let old_id = col.ids[slot as usize];
                     col.unindex_slot(slot, &old.values);
                     col.by_id.remove(&old_id);
-                    col.rels[slot as usize] = tuple.relation;
                     col.ids[slot as usize] = id;
                     col.derivs[slot as usize] = vec![derivation];
                     for (c, v) in col.cols.iter_mut().zip(&tuple.values) {
@@ -1259,20 +1246,6 @@ impl Table {
     /// Remove one derivation of `tuple` (matching exactly). Returns
     /// [`Membership::Disappeared`] when that was the last derivation.
     pub fn remove_derivation(&mut self, tuple: &Tuple, derivation: &Derivation) -> Membership {
-        self.remove_matching(tuple, |d| d == derivation)
-    }
-
-    /// Remove every derivation of `tuple` produced by `rule` at `node`.
-    /// Used when reconciling non-monotonic (negation / aggregate) rules.
-    pub fn remove_rule_derivations(&mut self, tuple: &Tuple, rule: &str) -> Membership {
-        self.remove_matching(tuple, |d| d.rule == rule)
-    }
-
-    fn remove_matching(
-        &mut self,
-        tuple: &Tuple,
-        doomed: impl Fn(&Derivation) -> bool,
-    ) -> Membership {
         let key = self.key_of(tuple);
         match &mut self.repr {
             Repr::Row(row) => {
@@ -1283,7 +1256,7 @@ impl Table {
                     return Membership::NotFound;
                 }
                 let before = existing.derivations.len();
-                existing.derivations.retain(|d| !doomed(d));
+                existing.derivations.retain(|d| d != derivation);
                 if existing.derivations.len() == before {
                     return Membership::NotFound;
                 }
@@ -1306,7 +1279,7 @@ impl Table {
                 }
                 let derivs = &mut col.derivs[slot as usize];
                 let before = derivs.len();
-                derivs.retain(|d| !doomed(d));
+                derivs.retain(|d| d != derivation);
                 if derivs.len() == before {
                     return Membership::NotFound;
                 }
@@ -1317,37 +1290,6 @@ impl Table {
                 } else {
                     Membership::RemovedDerivation
                 }
-            }
-        }
-    }
-
-    /// Forcefully remove a tuple and all of its derivations (used for
-    /// update-in-place replacement cascades). Returns the stored entry if it
-    /// was present.
-    pub fn remove_tuple(&mut self, tuple: &Tuple) -> Option<StoredTuple> {
-        let key = self.key_of(tuple);
-        match &mut self.repr {
-            Repr::Row(row) => match row.tuples.get(&key) {
-                Some(st) if st.tuple == *tuple => {
-                    let id = tuple.id();
-                    row.by_id.remove(&id);
-                    row.unindex_tuple_values(id, &tuple.values);
-                    row.tuples.remove(&key)
-                }
-                _ => None,
-            },
-            Repr::Col(col) => {
-                let slot = col.by_key.get(&key).copied()?;
-                if !col.slot_eq_tuple(slot, tuple) {
-                    return None;
-                }
-                let stored = StoredTuple {
-                    tuple: col.tuple_at(slot),
-                    derivations: std::mem::take(&mut col.derivs[slot as usize]),
-                };
-                let id = col.ids[slot as usize];
-                col.kill_slot(slot, &key, id, &tuple.values);
-                Some(stored)
             }
         }
     }
@@ -1409,20 +1351,69 @@ impl Deserialize for Table {
     }
 }
 
-/// Statistics about a database, used by the benchmarks to report state size
-/// and by the log store for snapshot metadata.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DatabaseStats {
-    /// Total number of present tuples across relations.
-    pub tuples: usize,
-    /// Total number of derivations across tuples.
-    pub derivations: usize,
-    /// Number of relations with at least one tuple.
-    pub nonempty_relations: usize,
+/// One remote head in a [`Database`]'s outbox: a tuple this node derived for
+/// another node, where it was shipped, and the local derivations behind it —
+/// what a later input deletion needs to retract it there.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct OutboxEntry {
+    /// The shipped head tuple, in the representation it was shipped in.
+    pub tuple: Tuple,
+    /// The node the tuple lives at.
+    pub destination: NodeId,
+    /// The derivations shipped and not retracted since, in emission order.
+    pub derivations: Vec<Derivation>,
 }
 
-/// The per-node database: one [`Table`] per relation plus the reverse
-/// dependency index used for cascading deletions.
+/// Where a dependent of the dependency index is held. Ordered: the cascade
+/// visits outbox dependents before stored ones.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+enum Held {
+    Outbox,
+    Table,
+}
+
+/// One tuple with derivations that used a given input
+/// ([`Database::dependents_of`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Dependent {
+    /// Where a remote head was shipped; `None` for a tuple stored in one of
+    /// this node's tables.
+    pub destination: Option<NodeId>,
+    /// The dependent tuple.
+    pub tuple: Tuple,
+    /// Its identifier.
+    pub id: TupleId,
+    /// Its derivations that used the input, in recorded order.
+    pub derivations: Vec<Derivation>,
+}
+
+impl Dependent {
+    /// The dependent, if one of `derivations` used `input`. An index entry
+    /// outlives the derivation it was recorded for, so there may be none;
+    /// the tuple is materialized only when there is one.
+    fn on(
+        input: TupleId,
+        id: TupleId,
+        destination: Option<NodeId>,
+        derivations: &[Derivation],
+        tuple: impl FnOnce() -> Tuple,
+    ) -> Option<Dependent> {
+        let derivations: Vec<Derivation> = derivations
+            .iter()
+            .filter(|d| d.inputs.contains(&input))
+            .cloned()
+            .collect();
+        (!derivations.is_empty()).then(|| Dependent {
+            destination,
+            tuple: tuple(),
+            id,
+            derivations,
+        })
+    }
+}
+
+/// The per-node database: one [`Table`] per relation, the outbox of remote
+/// heads, and the reverse dependency index used for cascading deletions.
 #[derive(Debug, Clone, Default)]
 pub struct Database {
     /// Tables keyed by interned relation symbol. A `HashMap` so the join hot
@@ -1433,10 +1424,15 @@ pub struct Database {
     /// Relation symbols in name order (maintained on register), so iteration
     /// and serialization stay deterministic despite the hash map.
     order: Vec<Sym>,
-    /// input tuple id -> (relation, derived tuple id) pairs of derivations
-    /// that used it. The derived tuple ids refer to tuples stored in
-    /// `tables`.
-    dependents: HashMap<TupleId, HashSet<(Sym, TupleId)>>,
+    /// Remote heads by tuple id. No join reads them, so they are not a
+    /// table: no key order, no posting lists. Keyed by id, two numeric
+    /// representations of one head (`3` and `3.0`) are two entries, each
+    /// retracted under the representation it was shipped in.
+    outbox: HashMap<TupleId, OutboxEntry>,
+    /// input tuple id -> (where held, relation, derived tuple id) of
+    /// derivations that used it: a tuple stored in `tables` or an entry of
+    /// `outbox`.
+    dependents: HashMap<TupleId, HashSet<(Held, Sym, TupleId)>>,
     /// Backing used for tables registered on this database.
     backing: TableBacking,
 }
@@ -1472,7 +1468,7 @@ impl Database {
     pub fn register(&mut self, schema: RelationSchema) {
         let sym = Sym::new(&schema.name);
         if let std::collections::hash_map::Entry::Vacant(v) = self.tables.entry(sym) {
-            v.insert(Table::with_backing(schema, self.backing));
+            v.insert(Table::of(sym, schema, self.backing));
             let pos = self.order.partition_point(|s| *s < sym);
             self.order.insert(pos, sym);
         }
@@ -1509,39 +1505,100 @@ impl Database {
         self.order.iter().map(|s| (*s, &self.tables[s]))
     }
 
-    /// Record that `derived` (in `relation`) has a derivation using `input`.
+    /// Record that `derivation` derives the remote head `tuple` (`id` is
+    /// `tuple.id()`) living at `destination`, and index its inputs. True
+    /// when the (tuple, derivation) pair is new to the outbox: the caller
+    /// ships it. A repeated pair is recorded, and shipped, once.
+    pub fn outbox_insert(
+        &mut self,
+        tuple: &Tuple,
+        id: TupleId,
+        destination: NodeId,
+        derivation: &Derivation,
+    ) -> bool {
+        debug_assert_eq!(id, tuple.id());
+        let entry = self.outbox.entry(id).or_insert_with(|| OutboxEntry {
+            tuple: tuple.clone(),
+            destination,
+            derivations: Vec::new(),
+        });
+        if entry.derivations.contains(derivation) {
+            return false;
+        }
+        entry.derivations.push(derivation.clone());
+        for input in &derivation.inputs {
+            self.dependents
+                .entry(*input)
+                .or_default()
+                .insert((Held::Outbox, tuple.relation, id));
+        }
+        true
+    }
+
+    /// Forget one derivation of the remote head `id`; the entry goes with
+    /// its last derivation. True when the pair was there: the caller ships
+    /// the retraction.
+    pub fn outbox_remove(&mut self, id: TupleId, derivation: &Derivation) -> bool {
+        let Some(entry) = self.outbox.get_mut(&id) else {
+            return false;
+        };
+        let Some(pos) = entry.derivations.iter().position(|d| d == derivation) else {
+            return false;
+        };
+        entry.derivations.remove(pos);
+        if entry.derivations.is_empty() {
+            self.outbox.remove(&id);
+        }
+        true
+    }
+
+    /// Number of remote heads currently held in the outbox.
+    pub fn outbox_len(&self) -> usize {
+        self.outbox.len()
+    }
+
+    /// The outbox entries of one relation, in (values, id) order.
+    pub fn outbox_of(&self, relation: Sym) -> Vec<&OutboxEntry> {
+        let mut entries: Vec<(&TupleId, &OutboxEntry)> = self
+            .outbox
+            .iter()
+            .filter(|(_, e)| e.tuple.relation == relation)
+            .collect();
+        entries
+            .sort_by(|(a_id, a), (b_id, b)| (&a.tuple.values, a_id).cmp(&(&b.tuple.values, b_id)));
+        entries.into_iter().map(|(_, e)| e).collect()
+    }
+
+    /// Record that `derived` (stored in the table of `relation`) has a
+    /// derivation using `input`.
     pub fn index_dependency(&mut self, input: TupleId, relation: Sym, derived: TupleId) {
         self.dependents
             .entry(input)
             .or_default()
-            .insert((relation, derived));
+            .insert((Held::Table, relation, derived));
     }
 
-    /// Tuples that have a derivation using `input`, as (relation, stored
-    /// tuple, matching derivations) triples.
-    pub fn dependents_of(&self, input: TupleId) -> Vec<(Sym, Tuple, Vec<Derivation>)> {
+    /// Tuples that have a derivation using `input`: outbox entries first,
+    /// then stored tuples, each group in (relation name, tuple id) order.
+    pub fn dependents_of(&self, input: TupleId) -> Vec<Dependent> {
+        let Some(deps) = self.dependents.get(&input) else {
+            return Vec::new();
+        };
+        let mut deps: Vec<_> = deps.iter().copied().collect();
+        deps.sort();
         let mut out = Vec::new();
-        if let Some(deps) = self.dependents.get(&input) {
-            // Deterministic order.
-            let mut deps: Vec<_> = deps.iter().copied().collect();
-            deps.sort();
-            for (relation, derived_id) in deps {
-                if let Some(r) = self
+        for (held, relation, id) in deps {
+            out.extend(match held {
+                Held::Outbox => self.outbox.get(&id).and_then(|e| {
+                    let at = Some(e.destination);
+                    Dependent::on(input, id, at, &e.derivations, || e.tuple.clone())
+                }),
+                Held::Table => self
                     .tables
                     .get(&relation)
-                    .and_then(|table| table.get_by_id(derived_id))
-                {
-                    let matching: Vec<Derivation> = r
-                        .derivations()
-                        .iter()
-                        .filter(|d| d.inputs.contains(&input))
-                        .cloned()
-                        .collect();
-                    if !matching.is_empty() {
-                        out.push((relation, r.to_tuple(), matching));
-                    }
-                }
-            }
+                    .and_then(|table| table.get_by_id(id))
+                    .and_then(|r| Dependent::on(input, id, None, r.derivations(), || r.to_tuple())),
+            });
         }
         out
     }
@@ -1552,22 +1609,16 @@ impl Database {
         self.dependents.remove(&input);
     }
 
-    /// Compute summary statistics.
-    pub fn stats(&self) -> DatabaseStats {
-        let mut stats = DatabaseStats::default();
-        for t in self.tables.values() {
-            if !t.is_empty() {
-                stats.nonempty_relations += 1;
-            }
-            stats.tuples += t.len();
-            stats.derivations += t.iter().map(|r| r.derivations().len()).sum::<usize>();
-        }
-        stats
-    }
-
-    /// Resident bytes across all tables (see [`Table::storage_bytes`]).
+    /// Resident bytes: every table (see [`Table::storage_bytes`]) plus the
+    /// outbox, an entry priced like a row entry — the wire sizes of its
+    /// tuple and derivations.
     pub fn storage_bytes(&self) -> usize {
-        self.tables.values().map(Table::storage_bytes).sum()
+        let tables: usize = self.tables.values().map(Table::storage_bytes).sum();
+        let outbox = self.outbox.values();
+        let outbox: usize = outbox
+            .map(|e| entry_wire_size(&e.tuple, &e.derivations))
+            .sum();
+        tables + outbox
     }
 
     /// All tuples of a relation (empty vec when the relation is unknown).
@@ -1576,27 +1627,33 @@ impl Database {
     }
 }
 
-// Serialized as a name-ordered (relation, table) list; the dependency index
-// is derived state and is rebuilt by the engine as derivations re-index.
+// Serialized as a name-ordered (relation, table) list plus the outbox entries
+// in id order. The outbox is state — nothing else remembers what was shipped;
+// the dependency index is derived and is rebuilt by the engine as derivations
+// re-index.
 impl Serialize for Database {
     fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let entries: Vec<(Sym, &Table)> = self.tables_with_syms().collect();
-        entries.serialize(serializer)
+        let tables: Vec<(Sym, &Table)> = self.tables_with_syms().collect();
+        let mut outbox: Vec<(&TupleId, &OutboxEntry)> = self.outbox.iter().collect();
+        outbox.sort_by_key(|(id, _)| **id);
+        let outbox: Vec<&OutboxEntry> = outbox.into_iter().map(|(_, e)| e).collect();
+        (tables, outbox).serialize(serializer)
     }
 }
 
 impl Deserialize for Database {
     fn deserialize<'de, D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let entries = Vec::<(Sym, Table)>::deserialize(d)?;
+        let (tables, outbox) = <(Vec<(Sym, Table)>, Vec<OutboxEntry>)>::deserialize(d)?;
         let mut db = Database::default();
-        if let Some((_, table)) = entries.first() {
+        if let Some((_, table)) = tables.first() {
             db.backing = table.backing();
         }
-        for (sym, table) in entries {
+        for (sym, table) in tables {
             db.order.push(sym);
             db.tables.insert(sym, table);
         }
         db.order.sort();
+        db.outbox = outbox.into_iter().map(|e| (e.tuple.id(), e)).collect();
         Ok(db)
     }
 }
@@ -1677,32 +1734,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_rule_derivations_only_touches_that_rule() {
-        for_both_backings(|backing| {
-            let mut t = Table::with_backing(schema("cost", 3, vec![0, 1, 2]), backing);
-            let tup = link("a", "b", 4);
-            t.add_derivation(&tup, Derivation::base("a"));
-            t.add_derivation(
-                &tup,
-                Derivation {
-                    rule: "r2".into(),
-                    node: "a".into(),
-                    inputs: vec![],
-                },
-            );
-            assert_eq!(
-                t.remove_rule_derivations(&tup, "r2"),
-                Membership::RemovedDerivation
-            );
-            assert_eq!(t.remove_rule_derivations(&tup, "r2"), Membership::NotFound);
-            assert_eq!(
-                t.remove_rule_derivations(&tup, BASE_RULE),
-                Membership::Disappeared
-            );
-        });
-    }
-
-    #[test]
     fn database_dependency_index_round_trip() {
         let mut db = Database::new(vec![
             schema("link", 3, vec![0, 1, 2]),
@@ -1726,29 +1757,142 @@ mod tests {
             .add_derivation(&derived, deriv.clone());
         db.index_dependency(base.id(), Sym::new("cost"), derived.id());
 
-        let deps = db.dependents_of(base.id());
-        assert_eq!(deps.len(), 1);
-        assert_eq!(deps[0].0, "cost");
-        assert_eq!(deps[0].1, derived);
-        assert_eq!(deps[0].2, vec![deriv]);
+        assert_eq!(
+            db.dependents_of(base.id()),
+            vec![Dependent {
+                destination: None,
+                id: derived.id(),
+                tuple: derived,
+                derivations: vec![deriv],
+            }]
+        );
 
         db.clear_dependency(base.id());
         assert!(db.dependents_of(base.id()).is_empty());
     }
 
+    /// A rule firing at node `a` over `inputs`.
+    fn fired(rule: &str, inputs: &[&Tuple]) -> Derivation {
+        Derivation {
+            rule: rule.into(),
+            node: "a".into(),
+            inputs: inputs.iter().map(|t| t.id()).collect(),
+        }
+    }
+
+    fn head(relation: &str, d: &str, c: Value) -> Tuple {
+        Tuple::new(relation, vec![Value::addr(d), c])
+    }
+
     #[test]
-    fn stats_count_tuples_and_derivations() {
+    fn outbox_ships_a_pair_once_and_drops_an_entry_with_its_last_derivation() {
+        let mut db = Database::default();
+        let (e, f) = (link("a", "b", 3), link("a", "b", 4));
+        let h = head("h", "b", Value::Int(3));
+        let (d1, d2) = (fired("r1", &[&e]), fired("r2", &[&f]));
+        assert!(db.outbox_insert(&h, h.id(), "b".into(), &d1));
+        // A repeated derivation is not shipped twice; a second one is.
+        assert!(!db.outbox_insert(&h, h.id(), "b".into(), &d1));
+        assert!(db.outbox_insert(&h, h.id(), "b".into(), &d2));
+        assert_eq!(db.outbox_len(), 1);
+        // The same head under another numeric representation is an entry of
+        // its own, retracted under that representation.
+        let h_double = head("h", "b", Value::Double(3.0));
+        assert_eq!(h, h_double);
+        assert!(db.outbox_insert(&h_double, h_double.id(), "b".into(), &d1));
+        assert_eq!(db.outbox_len(), 2);
+        assert!(db.outbox_remove(h_double.id(), &d1));
+        assert_eq!(db.outbox_len(), 1);
+
+        // Removing an unknown pair ships nothing and changes nothing.
+        assert!(!db.outbox_remove(h_double.id(), &d1));
+        assert!(!db.outbox_remove(h.id(), &fired("r3", &[&e])));
+        assert_eq!(
+            db.outbox_of("h".into())[0].derivations,
+            [d1.clone(), d2.clone()]
+        );
+        // Removing the last derivation drops the entry.
+        assert!(db.outbox_remove(h.id(), &d1));
+        assert_eq!(db.outbox_len(), 1);
+        assert!(db.outbox_remove(h.id(), &d2));
+        assert_eq!(db.outbox_len(), 0);
+        assert!(!db.outbox_remove(h.id(), &d2));
+        // The index entries outlive the derivations and yield nothing.
+        assert!(db.dependents_of(e.id()).is_empty());
+    }
+
+    #[test]
+    fn dependents_come_outbox_first_each_group_in_relation_then_id_order() {
+        let mut db = Database::new(vec![
+            schema("aa", 2, vec![0, 1]),
+            schema("zz", 2, vec![0, 1]),
+        ]);
+        let input = link("a", "b", 1);
+        let deriv = fired("r1", &[&input]);
+        // Stored dependents in relations sorting before and after the
+        // outbox ones, two per relation.
+        let mut stored = Vec::new();
+        for relation in ["zz", "aa"] {
+            for c in [1, 2] {
+                let t = head(relation, "a", Value::Int(c));
+                db.table_mut(relation)
+                    .unwrap()
+                    .add_derivation(&t, deriv.clone());
+                db.index_dependency(input.id(), relation.into(), t.id());
+                stored.push(t);
+            }
+        }
+        let mut shipped = Vec::new();
+        for relation in ["mm", "bb"] {
+            for c in [1, 2] {
+                let t = head(relation, "b", Value::Int(c));
+                assert!(db.outbox_insert(&t, t.id(), "b".into(), &deriv));
+                shipped.push(t);
+            }
+        }
+        // One more outbox derivation that does not use the input.
+        let other = head("bb", "b", Value::Int(9));
+        db.outbox_insert(&other, other.id(), "b".into(), &fired("r1", &[&other]));
+
+        let order = |ts: &mut Vec<Tuple>| ts.sort_by_key(|t| (t.relation, t.id()));
+        order(&mut shipped);
+        order(&mut stored);
+        let got = db.dependents_of(input.id());
+        assert_eq!(got.len(), 8);
+        for (dependent, want) in got.iter().zip(shipped.iter().chain(&stored)) {
+            assert_eq!(dependent.tuple, *want);
+            assert_eq!(dependent.id, want.id());
+            assert_eq!(dependent.derivations, std::slice::from_ref(&deriv));
+        }
+        assert!(got[..4].iter().all(|d| d.destination == Some("b".into())));
+        assert!(got[4..].iter().all(|d| d.destination.is_none()));
+    }
+
+    #[test]
+    fn database_serde_round_trip_keeps_the_outbox() {
         let mut db = Database::new(vec![schema("link", 3, vec![0, 1, 2])]);
+        let e = link("a", "b", 3);
         db.table_mut("link")
             .unwrap()
-            .add_derivation(&link("a", "b", 1), Derivation::base("a"));
-        db.table_mut("link")
-            .unwrap()
-            .add_derivation(&link("a", "c", 2), Derivation::base("a"));
-        let stats = db.stats();
-        assert_eq!(stats.tuples, 2);
-        assert_eq!(stats.derivations, 2);
-        assert_eq!(stats.nonempty_relations, 1);
+            .add_derivation(&e, Derivation::base("a"));
+        for c in [Value::Int(3), Value::Double(3.0), Value::Int(4)] {
+            let h = head("h", "b", c);
+            db.outbox_insert(&h, h.id(), "b".into(), &fired("r1", &[&e]));
+        }
+        let h = head("h", "b", Value::Int(4));
+        db.outbox_insert(&h, h.id(), "b".into(), &fired("r2", &[&e]));
+
+        let json = serde_json::to_string(&db).expect("database serializes");
+        let mut back: Database = serde_json::from_str(&json).expect("database deserializes");
+        assert_eq!(back.outbox_len(), 3);
+        assert_eq!(back.outbox_of("h".into()), db.outbox_of("h".into()));
+        assert_eq!(back.relation_tuples("link"), vec![e.clone()]);
+        assert_eq!(back.storage_bytes(), db.storage_bytes());
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+        // The restored entries retract by id like the originals.
+        assert!(back.outbox_remove(h.id(), &fired("r2", &[&e])));
+        assert!(back.outbox_remove(h.id(), &fired("r1", &[&e])));
+        assert_eq!(back.outbox_len(), 2);
     }
 
     #[test]
@@ -1838,10 +1982,10 @@ mod tests {
         for_both_backings(|backing| {
             // Value's total order equates Int(2) and Double(2.0); the index
             // must agree with the scan path on such cross-type matches.
-            let mut t = Table::with_backing(schema("cost", 3, vec![0, 1, 2]), backing);
+            let mut t = Table::with_backing(schema("link", 3, vec![0, 1, 2]), backing);
             t.add_derivation(&link("a", "b", 2), Derivation::base("a"));
             let double_tuple = Tuple::new(
-                "cost",
+                "link",
                 vec![Value::addr("a"), Value::addr("c"), Value::Double(3.0)],
             );
             t.add_derivation(&double_tuple, Derivation::base("a"));
@@ -1853,7 +1997,7 @@ mod tests {
             assert_eq!(t.probe(&[(2, Value::Double(2.5))]).count(), 0);
             // Lists normalize their elements too.
             let list_tuple = Tuple::new(
-                "cost",
+                "link",
                 vec![
                     Value::addr("z"),
                     Value::List(vec![Value::Double(1.0)]),
@@ -1906,12 +2050,12 @@ mod tests {
 
     #[test]
     fn columnar_mixed_type_columns_promote_to_overflow() {
-        let mut t = Table::new(schema("cost", 3, vec![0, 1, 2]));
+        let mut t = Table::new(schema("link", 3, vec![0, 1, 2]));
         t.add_derivation(&link("a", "b", 2), Derivation::base("a"));
         // An integral column receiving a Double promotes to the overflow
         // column without corrupting the earlier value.
         let d = Tuple::new(
-            "cost",
+            "link",
             vec![Value::addr("a"), Value::addr("c"), Value::Double(2.5)],
         );
         t.add_derivation(&d, Derivation::base("a"));

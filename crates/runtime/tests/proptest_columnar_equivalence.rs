@@ -34,9 +34,8 @@ const PROGRAMS: &[&str] = &[
     // Three-atom chain join: the probe kernel anchored on different columns
     // per step.
     "r1 chain(@S,A,D) :- e(@S,A,B), f(@S,B,C), e(@S,C,D).",
-    // Remote heads: outbox tables store tuples of the *head* relation under
-    // a `__out::` table name — the columnar per-slot relation must preserve
-    // that distinction or retractions stop shipping.
+    // Remote heads: shipped derivations are remembered in the outbox, not in
+    // a table, and their retractions must ship under either backing.
     "r1 ship(@D,A,B) :- e(@S,A,B), peer(@S,D).\n\
      r2 h(@S,A,C) :- e(@S,A,B), f(@S,B,C).",
 ];

@@ -130,7 +130,7 @@ pub fn run_scenario_with_workers(spec: &ScenarioSpec, workers: usize) -> Scenari
 
     // Seed base state: every link tuple plus the anchor advertisements.
     nt.seed_links_from_topology();
-    for anchor in pick_anchors(spec, &mut nt) {
+    for anchor in pick_anchors(nt.network().topology(), spec.seed, spec.anchors) {
         let tuple = programs::anchor_tuple(&anchor);
         nt.insert_fact(&anchor, tuple);
     }
@@ -220,20 +220,18 @@ pub fn verify_seed(spec: &ScenarioSpec, outcome: &ScenarioOutcome) -> bool {
         && WorkloadTrace::generate(spec, &topology).digest() == outcome.trace_digest
 }
 
-/// Seeded anchor pick: `spec.anchors` distinct connected nodes, chosen from
-/// the sorted node list so the choice is machine-independent.
-fn pick_anchors(spec: &ScenarioSpec, nt: &mut NetTrails) -> Vec<String> {
-    let mut names: Vec<String> = nt
-        .network()
-        .topology()
+/// Seeded anchor pick: `count` distinct connected nodes, chosen from the
+/// sorted node list so the choice is machine-independent.
+pub(crate) fn pick_anchors(topology: &Topology, seed: u64, count: usize) -> Vec<String> {
+    let mut names: Vec<String> = topology
         .nodes()
-        .filter(|n| nt.network().topology().degree(n) > 0)
+        .filter(|n| topology.degree(n) > 0)
         .map(str::to_string)
         .collect();
     names.sort();
-    let mut rng = StdRng::seed_from_u64(spec.seed ^ 0xbb67_ae85_84ca_a73b);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xbb67_ae85_84ca_a73b);
     let mut picked = Vec::new();
-    while picked.len() < spec.anchors.min(names.len()) {
+    while picked.len() < count.min(names.len()) {
         let candidate = names[rng.gen_range(0..names.len())].clone();
         if !picked.contains(&candidate) {
             picked.push(candidate);

@@ -18,6 +18,7 @@
 //! frames on the wire without perturbing any session's execution. The only
 //! sanctioned difference is the frame count itself.
 
+use crate::driver::pick_anchors;
 use crate::programs::{self, PATHVECTOR_RESULTS};
 use crate::spec::TopologyFamily;
 use crate::Fnv;
@@ -237,7 +238,7 @@ fn run_mode(spec: &ServiceScenarioSpec, merge_frames: bool, workers: usize) -> M
     let mut nt = NetTrails::new(&program, topology, config).expect("service program compiles");
 
     nt.seed_links_from_topology();
-    for anchor in pick_anchors(spec, &nt) {
+    for anchor in pick_anchors(nt.network().topology(), spec.seed, spec.anchors) {
         let tuple = programs::anchor_tuple(&anchor);
         nt.insert_fact(&anchor, tuple);
     }
@@ -409,29 +410,6 @@ fn run_mode(spec: &ServiceScenarioSpec, merge_frames: bool, workers: usize) -> M
         links,
         sim_ms,
     }
-}
-
-/// Seeded anchor pick (same discipline as the trace driver: sorted
-/// connected names, seeded choice).
-fn pick_anchors(spec: &ServiceScenarioSpec, nt: &NetTrails) -> Vec<String> {
-    let mut names: Vec<String> = nt
-        .network()
-        .topology()
-        .nodes()
-        .filter(|n| nt.network().topology().degree(n) > 0)
-        .map(str::to_string)
-        .collect();
-    names.sort();
-    let mut rng = StdRng::seed_from_u64(spec.seed ^ 0xbb67_ae85_84ca_a73b);
-    let mut picked = Vec::new();
-    while picked.len() < spec.anchors.min(names.len()) {
-        let candidate = names[rng.gen_range(0..names.len())].clone();
-        if !picked.contains(&candidate) {
-            picked.push(candidate);
-        }
-    }
-    picked.sort();
-    picked
 }
 
 #[cfg(test)]

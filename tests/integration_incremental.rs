@@ -160,3 +160,35 @@ fn parallel_fixpoint_platform_matches_sequential() {
         );
     }
 }
+
+/// One remote head derived under two numeric representations: `r1` ships
+/// `h(n2,3)` and `r2` ships `h(n2,3.0)`, equal under `Value`'s order but with
+/// different tuple ids. The sender must remember both shipments so that both
+/// are retracted; an outbox keyed on values kept one entry and the receiver
+/// was left holding `h(n2,3)` with a derivation nobody would ever retract.
+#[test]
+fn a_remote_head_shipped_as_int_and_as_double_is_retracted() {
+    use nt_runtime::{Tuple, Value};
+    const PROGRAM: &str = "materialize(e, infinity, infinity, keys(1,2,3)).\n\
+         materialize(f, infinity, infinity, keys(1,2,3)).\n\
+         materialize(h, infinity, infinity, keys(1,2)).\n\
+         r1 h(@D,C) :- e(@S,D,C).\n\
+         r2 h(@D,C) :- f(@S,D,C).";
+    let fact = |relation: &str, c: Value| {
+        Tuple::new(relation, vec![Value::addr("n1"), Value::addr("n2"), c])
+    };
+    let mut nt = NetTrails::new(PROGRAM, Topology::line(2), NetTrailsConfig::default()).unwrap();
+    nt.insert_fact("n1", fact("e", Value::Int(3)));
+    nt.insert_fact("n1", fact("f", Value::Double(3.0)));
+    nt.run_to_fixpoint();
+    assert_eq!(normalized(&nt, "h"), ["n2:h(n2,3)"]);
+
+    nt.delete_fact("n1", fact("e", Value::Int(3)));
+    nt.delete_fact("n1", fact("f", Value::Double(3.0)));
+    nt.run_to_fixpoint();
+    assert_eq!(
+        normalized(&nt, "h"),
+        Vec::<String>::new(),
+        "both base facts are gone, so nothing derives h any more"
+    );
+}

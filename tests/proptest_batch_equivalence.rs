@@ -35,15 +35,12 @@ fn graph_shape(g: &ProvGraph) -> Vec<String> {
     shape
 }
 
-/// Every visible (non-outbox) tuple across all nodes, sorted.
+/// Every stored tuple across all nodes, sorted.
 fn table_dump(nt: &NetTrails) -> Vec<String> {
     let mut rows = Vec::new();
     for node in nt.nodes() {
         let engine = nt.engine(&node).expect("engine exists");
         for table in engine.database().tables() {
-            if table.schema.name.starts_with("__out::") {
-                continue;
-            }
             for tuple in table.tuples() {
                 rows.push(format!("{node}: {tuple}"));
             }

@@ -209,11 +209,7 @@ impl Platform for FullScan {
             engine.dict_bytes_sent += s.dict_bytes_sent;
             engine.join_probes += s.join_probes;
             engine.agg_recomputes += s.agg_recomputes;
-            for table in e.database().tables() {
-                if !table.schema.name.starts_with("__out::") {
-                    stored_tuples += table.len();
-                }
-            }
+            stored_tuples += e.database().tables().map(|t| t.len()).sum::<usize>();
             routes.extend(e.relation("bestRoute").into_iter().map(|t| (*node, t)));
         }
         EndState {
