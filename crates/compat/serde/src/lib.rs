@@ -469,6 +469,14 @@ impl<T: Deserialize> Deserialize for Box<T> {
     }
 }
 
+/// A fresh allocation per value: sharing is not part of the data model (as in
+/// serde proper).
+impl<T: Deserialize> Deserialize for std::sync::Arc<T> {
+    fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
+        Ok(std::sync::Arc::new(T::deserialize(d)?))
+    }
+}
+
 fn content_seq<'de, D: Deserializer<'de>>(d: D) -> Result<Vec<Content>, D::Error> {
     match d.into_content()? {
         Content::Seq(items) => Ok(items),

@@ -218,9 +218,11 @@ impl ProvenanceStore {
                         self.vertices.len() - 1
                     }
                 };
+                // Nearly every vertex has one derivation; a growing empty
+                // `Vec` would start at room for four.
                 self.vertices[slot] = VertexSlot {
                     vid,
-                    entries: Vec::new(),
+                    entries: Vec::with_capacity(1),
                     live: true,
                 };
                 self.vertex_index.insert(vid, slot as u32);

@@ -10,6 +10,7 @@ use crate::error::{Result, RuntimeError};
 use ndlog::{Predicate, Program};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Schema of a single relation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -36,10 +37,12 @@ impl RelationSchema {
     }
 }
 
-/// The catalog of every relation used by a program.
+/// The catalog of every relation used by a program. A schema is allocated
+/// once and shared from here: every engine's table of the relation points at
+/// the same one.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Catalog {
-    relations: BTreeMap<String, RelationSchema>,
+    relations: BTreeMap<String, Arc<RelationSchema>>,
 }
 
 impl Catalog {
@@ -61,14 +64,14 @@ impl Catalog {
             let entry = catalog.relations.entry(pred.relation.clone());
             match entry {
                 std::collections::btree_map::Entry::Vacant(v) => {
-                    v.insert(RelationSchema {
+                    v.insert(Arc::new(RelationSchema {
                         name: pred.relation.clone(),
                         arity: pred.arity(),
                         location_col: loc,
                         key_cols: (0..pred.arity()).collect(),
                         is_base: !derived.contains(&pred.relation),
                         lifetime: None,
-                    });
+                    }));
                 }
                 std::collections::btree_map::Entry::Occupied(o) => {
                     let existing = o.get();
@@ -101,22 +104,20 @@ impl Catalog {
         // Apply materialize declarations (keys are 1-based in source).
         for m in &program.materializations {
             if let Some(schema) = catalog.relations.get_mut(&m.relation) {
+                let schema = Arc::make_mut(schema);
                 schema.key_cols = m.keys.iter().map(|k| k - 1).collect();
                 schema.lifetime = m.lifetime;
             } else {
                 // Materialized relation never used by a rule: still register it
                 // so the platform can insert base tuples into it.
-                catalog.relations.insert(
-                    m.relation.clone(),
-                    RelationSchema {
-                        name: m.relation.clone(),
-                        arity: *m.keys.iter().max().unwrap_or(&1),
-                        location_col: 0,
-                        key_cols: m.keys.iter().map(|k| k - 1).collect(),
-                        is_base: true,
-                        lifetime: m.lifetime,
-                    },
-                );
+                catalog.register(RelationSchema {
+                    name: m.relation.clone(),
+                    arity: *m.keys.iter().max().unwrap_or(&1),
+                    location_col: 0,
+                    key_cols: m.keys.iter().map(|k| k - 1).collect(),
+                    is_base: true,
+                    lifetime: m.lifetime,
+                });
             }
         }
         Ok(catalog)
@@ -124,18 +125,23 @@ impl Catalog {
 
     /// Look up a relation schema.
     pub fn schema(&self, relation: &str) -> Option<&RelationSchema> {
-        self.relations.get(relation)
+        self.relations.get(relation).map(|schema| &**schema)
     }
 
     /// Iterate over all schemas in name order.
     pub fn schemas(&self) -> impl Iterator<Item = &RelationSchema> {
+        self.shared_schemas().map(|schema| &**schema)
+    }
+
+    /// [`Catalog::schemas`], as the shared allocations.
+    pub fn shared_schemas(&self) -> impl Iterator<Item = &Arc<RelationSchema>> {
         self.relations.values()
     }
 
     /// Register an externally defined relation (used by the provenance layer
     /// for its `prov` / `ruleExec` tables and by tests).
     pub fn register(&mut self, schema: RelationSchema) {
-        self.relations.insert(schema.name.clone(), schema);
+        self.relations.insert(schema.name.clone(), Arc::new(schema));
     }
 
     /// Number of relations known.

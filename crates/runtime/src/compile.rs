@@ -8,7 +8,9 @@
 //! join step can probe on, and — [`SlotProgram::compile`] — every variable to
 //! a dense slot index, every constant to a [`Value`] and every builtin call
 //! to a [`Builtin`], so the evaluator (module `eval`, driven by the join
-//! kernel in module `morsel`) never sees a variable name. The result is
+//! kernel in module `morsel`) never sees a variable name. The plans also
+//! decide what storage indexes: [`CompiledProgram::tables`] lists, per
+//! relation, the columns some plan probes. The result is
 //! shared (via `Arc`) by every node engine in a deployment — nodes differ
 //! only in their data, not in their code, just as a RapidNet binary is
 //! identical on every node.
@@ -16,12 +18,14 @@
 use crate::catalog::Catalog;
 use crate::error::{Result, RuntimeError};
 use crate::eval::{literal_value, Builtin, SlotAtom, SlotExpr, SlotProgram, SlotStep, SlotTerm};
+use crate::store::TableSpec;
 use crate::value::{Sym, Value};
 use ndlog::localize::{localize_rule, RuleLocation};
 use ndlog::{AggregateFunc, BodyElem, Expr, Predicate, Program, Rule, RuleKind, Term};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Aggregate specification for rules such as `minCost(@S,D,min<C>) :- ...`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -314,6 +318,11 @@ pub struct CompiledProgram {
     /// relation symbol -> rule indices that must be *reconciled* when the
     /// relation changes (rules where the relation appears negated).
     pub negation_triggers: HashMap<Sym, Vec<usize>>,
+    /// One entry per relation of the catalog, in relation-name order: its
+    /// shared schema and the columns the plans above probe. An engine builds
+    /// its tables from this list, so a column no plan reads carries no index
+    /// on any node.
+    pub tables: Vec<TableSpec>,
 }
 
 impl CompiledProgram {
@@ -355,6 +364,7 @@ impl CompiledProgram {
             rules.push(compiled);
         }
 
+        let tables = table_specs(&catalog, &rules);
         Ok(CompiledProgram {
             source: program,
             localized,
@@ -362,6 +372,7 @@ impl CompiledProgram {
             rules,
             triggers,
             negation_triggers,
+            tables,
         })
     }
 
@@ -378,6 +389,43 @@ impl CompiledProgram {
     pub fn rule(&self, name: &str) -> Option<&CompiledRule> {
         self.rules.iter().find(|r| r.rule.name == name)
     }
+}
+
+/// The table of every relation in the catalog, with the columns `rules` can
+/// probe it on: the bound columns of every join step (delta-triggered and
+/// full), every negated-atom check and every aggregate group scan — each
+/// site [`crate::store::Table::probe`] is called from.
+fn table_specs(catalog: &Catalog, rules: &[CompiledRule]) -> Vec<TableSpec> {
+    let mut probed: HashMap<Sym, Vec<usize>> = HashMap::new();
+    for rule in rules {
+        let plans = rule.plans.iter().chain([&rule.full_plan]);
+        let joins = plans
+            .flat_map(|plan| &plan.steps)
+            .map(|step| (&rule.slots.positive[step.atom], &step.bound_cols));
+        let negations = rule.slots.negated.iter().zip(&rule.negated_probes);
+        let group_scan = rule
+            .aggregate
+            .iter()
+            .map(|_| (&rule.slots.positive[0], &rule.aggregate_probe));
+        for (atom, bound_cols) in joins.chain(negations).chain(group_scan) {
+            let columns = bound_cols.iter().map(|(col, _)| *col);
+            probed.entry(atom.relation).or_default().extend(columns);
+        }
+    }
+    catalog
+        .shared_schemas()
+        .map(|schema| {
+            let relation = Sym::new(&schema.name);
+            let mut columns = probed.remove(&relation).unwrap_or_default();
+            columns.sort_unstable();
+            columns.dedup();
+            TableSpec {
+                relation,
+                schema: schema.clone(),
+                probed: Arc::new(columns),
+            }
+        })
+        .collect()
 }
 
 fn compile_rule(rule: &Rule, index: usize, catalog: &Catalog) -> Result<CompiledRule> {
@@ -604,6 +652,37 @@ mod tests {
         // Group key (S, D) binds the first two columns of `cost`.
         let cols: Vec<usize> = rule.aggregate_probe.iter().map(|(c, _)| *c).collect();
         assert_eq!(cols, vec![0, 1]);
+    }
+
+    #[test]
+    fn tables_index_exactly_the_columns_plans_probe() {
+        fn probed<'a>(cp: &'a CompiledProgram, relation: &str) -> &'a [usize] {
+            let spec = cp.tables.iter().find(|t| t.schema.name == relation);
+            spec.map_or(&[], |t| t.probed.as_slice())
+        }
+        let cp = CompiledProgram::from_source(MINCOST).unwrap();
+        // One spec per catalog relation, in name order, sharing its schema.
+        let names: Vec<&str> = cp.tables.iter().map(|t| t.schema.name.as_str()).collect();
+        assert_eq!(names, ["cost", "link", "minCost", "r2_aux"]);
+        for (spec, schema) in cp.tables.iter().zip(cp.catalog.shared_schemas()) {
+            assert!(Arc::ptr_eq(&spec.schema, schema));
+            assert_eq!(spec.relation, Sym::new(&schema.name));
+        }
+        // r3 re-scans its group (S, D) of `cost`; r2 joins `r2_aux` and
+        // `minCost` on Z, whichever arrives second. Nothing probes `link`,
+        // which only triggers, nor any cost column.
+        assert_eq!(probed(&cp, "cost"), [0, 1]);
+        assert_eq!(probed(&cp, "minCost"), [0]);
+        assert_eq!(probed(&cp, "r2_aux"), [0]);
+        assert!(probed(&cp, "link").is_empty());
+
+        // Constants, negated atoms and full (reconciliation) plans count.
+        let cp =
+            CompiledProgram::from_source("r1 out(@S) :- a(@S,Z), b(@S,Z,5), !c(@S,Z).").unwrap();
+        assert_eq!(probed(&cp, "a"), [0, 1]);
+        assert_eq!(probed(&cp, "b"), [0, 1, 2]);
+        assert_eq!(probed(&cp, "c"), [0, 1]);
+        assert!(probed(&cp, "out").is_empty());
     }
 
     #[test]

@@ -398,7 +398,7 @@ impl NodeEngine {
         } else {
             TableBacking::Row
         };
-        let db = Database::with_backing(program.catalog.schemas().cloned(), backing);
+        let db = Database::for_program(&program.tables, backing);
         NodeEngine {
             config,
             program,
@@ -472,10 +472,19 @@ impl NodeEngine {
             let take = self.queue.len().min(budget);
             budget -= take;
             self.stats.deltas_processed += take as u64;
-            let generation: Vec<WorkItem> = self.queue.drain(..take).collect();
+            // Unless the budget cuts it short, a generation is the whole
+            // queue: hand the buffer over instead of copying it out.
+            let generation: Vec<WorkItem> = if take == self.queue.len() {
+                std::mem::take(&mut self.queue).into()
+            } else {
+                self.queue.drain(..take).collect()
+            };
             self.process_generation(generation, &mut out);
         }
         self.flush_sends(&mut out);
+        // An engine may never run again; its scratch frame goes with the run
+        // (the queue and the send index went the same way above).
+        self.frame = Frame::new();
         out
     }
 
@@ -781,7 +790,7 @@ impl NodeEngine {
     /// bumped, so engine counters are the source of truth the platform's
     /// network charge must agree with.
     fn flush_sends(&mut self, out: &mut StepOutput) {
-        self.pending_index.clear();
+        self.pending_index = HashMap::new();
         if self.pending_sends.is_empty() {
             return;
         }

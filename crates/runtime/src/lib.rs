@@ -28,6 +28,7 @@ pub mod compile;
 pub mod engine;
 pub mod error;
 pub mod eval;
+mod few;
 mod morsel;
 pub mod store;
 pub mod transform;
@@ -43,7 +44,8 @@ pub use engine::{
 pub use error::{Result, RuntimeError};
 pub use store::{
     base_rule_sym, normalize_for_index, tuple_materializations, Database, Dependent, Derivation,
-    Membership, OutboxEntry, ProbeIter, StoredTuple, Table, TableBacking, TupleRef, BASE_RULE,
+    Membership, OutboxEntry, ProbeIter, StoredTuple, Table, TableBacking, TableSpec, TupleRef,
+    BASE_RULE,
 };
 pub use tuple::{Delta, Tuple, TupleId};
 pub use value::{

@@ -24,35 +24,48 @@
 //!
 //! A [`Table`] has two interchangeable representations behind one API:
 //!
-//! * **Columnar** (the default): tuples live column-major in a
-//!   `ColumnStore`-shaped arena — one dictionary-encoded `u32` column per
-//!   `Addr`-valued attribute (the dictionary *is* the process-global intern
-//!   pool, so encoding is free), plain `Vec<i64>` / `Vec<f64>` columns for
-//!   numeric attributes, and a `Vec<Value>` overflow column for strings,
-//!   lists and mixed-type attributes. A validity bitmap plus a slot
-//!   free-list keeps physical slots stable across churn, and secondary
-//!   indexes are per-column posting lists of `u32` slot numbers. Join
-//!   probes verify bound columns directly against the contiguous column
-//!   vectors — no per-candidate pointer chase and no per-candidate
-//!   allocation (see [`tuple_materializations`]).
+//! * **Columnar** (the default, module `columnar`): tuples live
+//!   column-major in a `ColumnStore`-shaped arena — one dictionary-encoded
+//!   `u32` column per `Addr`-valued attribute (the dictionary *is* the
+//!   process-global intern pool, so encoding is free), plain `Vec<i64>` /
+//!   `Vec<f64>` columns for numeric attributes, and a `Vec<Value>` overflow
+//!   column for strings, lists and mixed-type attributes. A validity bitmap
+//!   plus a slot free-list keeps physical slots stable across churn. The
+//!   columns hold the only copy of a tuple's values: the primary-key index
+//!   is a vector of live slot numbers kept in key order and compared through
+//!   the columns, and the secondary indexes are posting lists of slot
+//!   numbers. Join probes verify bound columns directly against the
+//!   contiguous column vectors — no per-candidate pointer chase and no
+//!   per-candidate allocation (see [`tuple_materializations`]).
 //! * **Row** (`TableBacking::Row`): the original `BTreeMap<key,
 //!   StoredTuple>` layout, kept as the reference implementation the
 //!   equivalence proptests compare the columnar path against.
 //!
+//! A table carries posting lists on its **indexed columns** only. For an
+//! engine's table those are the columns some plan of the compiled program
+//! probes ([`TableSpec::probed`], computed once per program); a table built
+//! without a program indexes every column.
+//!
 //! Both backings answer [`Table::probe`] with **exactly the same candidate
 //! sequence**: the anchor posting list is chosen identically (first
-//! strictly-smallest among the bound columns), posting lists append on
-//! insert and compact on remove in the same order, the no-bound-column scan
-//! iterates in primary-key order, and the residual bound columns are
+//! strictly-smallest among the indexed bound columns), posting lists append
+//! on insert and compact on remove in the same order, the no-bound-column
+//! scan iterates in primary-key order, and the residual bound columns are
 //! verified with the shared [`normalize_for_index`] predicate. That is what
 //! lets the engine prove runs bit-identical across backings.
 
+mod columnar;
+
 use crate::catalog::RelationSchema;
+use crate::few::Few;
 use crate::tuple::{Tuple, TupleId};
 use crate::value::{values_match, NodeId, Sym, Value};
+use columnar::{ColProbe, ColumnStore};
 use serde::{Deserialize, Serialize};
-use std::cell::Cell;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
+
+pub use columnar::tuple_materializations;
 
 /// The rule name used for base (externally inserted) tuples.
 pub const BASE_RULE: &str = "__base";
@@ -217,391 +230,6 @@ fn matches_normalized(v: &Value, norm: &Value) -> bool {
     }
 }
 
-thread_local! {
-    /// This thread's count of tuples materialized out of columnar slots.
-    /// Probing and column matching never materialize; only
-    /// [`TupleRef::to_tuple`] / [`TupleRef::to_stored`] (and row
-    /// replacement/removal bookkeeping) do. The regression test for the
-    /// vectorized probe kernel asserts this stays flat while candidates are
-    /// scanned and filtered — per thread, so tests running beside it cannot
-    /// move the count under it.
-    static TUPLE_MATERIALIZATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Current value of the calling thread's columnar-materialization counter
-/// (monotonic). Intended for allocation-regression tests.
-pub fn tuple_materializations() -> u64 {
-    TUPLE_MATERIALIZATIONS.with(Cell::get)
-}
-
-// --------------------------------------------------------------------------
-// columnar backing
-// --------------------------------------------------------------------------
-
-/// One attribute's storage in a columnar table. The kind is picked from the
-/// first value written while the table has no physical slots; a later write
-/// of an incompatible variant promotes the column to `Other` (materializing
-/// the existing codes — always possible because the intern pool is
-/// append-only, so every dictionary code stays decodable).
-#[derive(Debug, Clone)]
-enum Column {
-    /// Dictionary-encoded `Addr` attribute: the `u32` codes are raw intern
-    /// pool indexes, so encoding a tuple is free and decoding is one array
-    /// index into the pool.
-    Dict(Vec<u32>),
-    /// Plain integers.
-    Int(Vec<i64>),
-    /// Plain doubles (bit-exact storage; NaN payloads survive).
-    Double(Vec<f64>),
-    /// Overflow: strings, lists, bools, ids, infinity, or mixed types.
-    Other(Vec<Value>),
-}
-
-impl Column {
-    fn new_for(v: &Value) -> Column {
-        match v {
-            Value::Addr(_) => Column::Dict(Vec::new()),
-            Value::Int(_) => Column::Int(Vec::new()),
-            Value::Double(_) => Column::Double(Vec::new()),
-            _ => Column::Other(Vec::new()),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Column::Dict(xs) => xs.len(),
-            Column::Int(xs) => xs.len(),
-            Column::Double(xs) => xs.len(),
-            Column::Other(xs) => xs.len(),
-        }
-    }
-
-    /// Decode the value at a physical slot. Zero-allocation for the typed
-    /// columns; `Other` clones the stored value.
-    fn value_at(&self, slot: usize) -> Value {
-        match self {
-            Column::Dict(xs) => Value::Addr(decode_dict(xs[slot])),
-            Column::Int(xs) => Value::Int(xs[slot]),
-            Column::Double(xs) => Value::Double(xs[slot]),
-            Column::Other(xs) => xs[slot].clone(),
-        }
-    }
-
-    /// Structural equality of the slot against `v` under `Value`'s own `Eq`
-    /// (which equates `Int`/`Double` numerically), without materializing.
-    fn eq_value(&self, slot: usize, v: &Value) -> bool {
-        match self {
-            Column::Dict(xs) => matches!(v, Value::Addr(a) if a.index() == xs[slot]),
-            Column::Int(xs) => Value::Int(xs[slot]) == *v,
-            Column::Double(xs) => Value::Double(xs[slot]) == *v,
-            Column::Other(xs) => xs[slot] == *v,
-        }
-    }
-
-    /// `values_match` semantics (structural equality plus `Addr`↔`Str` text
-    /// equality) against the slot, without materializing.
-    fn matches_value(&self, slot: usize, v: &Value) -> bool {
-        match self {
-            Column::Dict(xs) => match v {
-                Value::Addr(a) => a.index() == xs[slot],
-                Value::Str(s) => decode_dict(xs[slot]).as_str() == s,
-                _ => false,
-            },
-            Column::Int(xs) => values_match(v, &Value::Int(xs[slot])),
-            Column::Double(xs) => values_match(v, &Value::Double(xs[slot])),
-            Column::Other(xs) => values_match(v, &xs[slot]),
-        }
-    }
-
-    /// [`matches_normalized`] against the slot, without materializing.
-    fn matches_norm(&self, slot: usize, norm: &Value) -> bool {
-        match self {
-            Column::Dict(xs) => {
-                matches!(norm, Value::Str(s) if decode_dict(xs[slot]).as_str() == s)
-            }
-            Column::Int(xs) => matches_normalized(&Value::Int(xs[slot]), norm),
-            Column::Double(xs) => matches_normalized(&Value::Double(xs[slot]), norm),
-            Column::Other(xs) => matches_normalized(&xs[slot], norm),
-        }
-    }
-
-    /// Append a physical slot holding `v` (promoting the column first if the
-    /// variant does not fit).
-    fn push(&mut self, v: &Value) {
-        if self.len() == 0 {
-            *self = Column::new_for(v);
-        }
-        match (&mut *self, v) {
-            (Column::Dict(xs), Value::Addr(a)) => xs.push(a.index()),
-            (Column::Int(xs), Value::Int(i)) => xs.push(*i),
-            (Column::Double(xs), Value::Double(d)) => xs.push(*d),
-            (Column::Other(xs), v) => xs.push(v.clone()),
-            _ => {
-                self.promote();
-                match self {
-                    Column::Other(xs) => xs.push(v.clone()),
-                    _ => unreachable!("promotion yields Other"),
-                }
-            }
-        }
-    }
-
-    /// Overwrite an existing physical slot with `v` (promoting if needed).
-    fn write(&mut self, slot: usize, v: &Value) {
-        match (&mut *self, v) {
-            (Column::Dict(xs), Value::Addr(a)) => xs[slot] = a.index(),
-            (Column::Int(xs), Value::Int(i)) => xs[slot] = *i,
-            (Column::Double(xs), Value::Double(d)) => xs[slot] = *d,
-            (Column::Other(xs), v) => xs[slot] = v.clone(),
-            _ => {
-                self.promote();
-                match self {
-                    Column::Other(xs) => xs[slot] = v.clone(),
-                    _ => unreachable!("promotion yields Other"),
-                }
-            }
-        }
-    }
-
-    /// Widen the column to `Other`, materializing every physical slot (dead
-    /// slots still carry a decodable last value).
-    fn promote(&mut self) {
-        let widened = match self {
-            Column::Dict(xs) => xs.iter().map(|c| Value::Addr(decode_dict(*c))).collect(),
-            Column::Int(xs) => xs.iter().map(|i| Value::Int(*i)).collect(),
-            Column::Double(xs) => xs.iter().map(|d| Value::Double(*d)).collect(),
-            Column::Other(_) => return,
-        };
-        *self = Column::Other(widened);
-    }
-
-    /// Resident bytes of the column's payload (dictionary columns are 4
-    /// bytes per slot — the dictionary itself lives once in the process-wide
-    /// intern pool).
-    fn resident_bytes(&self) -> usize {
-        match self {
-            Column::Dict(xs) => 4 * xs.len(),
-            Column::Int(xs) => 8 * xs.len(),
-            Column::Double(xs) => 8 * xs.len(),
-            Column::Other(xs) => xs.iter().map(Value::wire_size).sum(),
-        }
-    }
-}
-
-/// Decode a dictionary code written by this process. Codes are only ever
-/// produced from live handles, and the intern pool is append-only, so the
-/// lookup cannot fail on uncorrupted state.
-fn decode_dict(code: u32) -> NodeId {
-    NodeId::from_index(code).expect("dictionary code decodes against the intern pool")
-}
-
-/// Column-major storage for one relation: parallel column vectors indexed by
-/// physical slot, a validity bitmap, a slot free-list, and the lookaside
-/// maps (primary key, tuple id, per-column posting lists) that answer point
-/// lookups and probes.
-#[derive(Debug, Clone)]
-struct ColumnStore {
-    /// The relation every stored tuple belongs to (the table's own).
-    rel: Sym,
-    /// Per-slot content-addressed tuple id (parallel to the columns).
-    ids: Vec<TupleId>,
-    /// Per-slot supporting derivations.
-    derivs: Vec<Vec<Derivation>>,
-    /// One column per attribute; every column has `ids.len()` physical
-    /// slots.
-    cols: Vec<Column>,
-    /// Validity bitmap: bit = slot holds a live tuple.
-    live: Vec<u64>,
-    /// Dead slots available for reuse (keeps `TupleId`-addressed state and
-    /// the posting lists stable across churn instead of shifting slots).
-    free: Vec<u32>,
-    live_count: usize,
-    /// Primary-key projection -> slot (iteration order of the table).
-    by_key: BTreeMap<Vec<Value>, u32>,
-    /// Tuple id -> slot (provenance queries and cascade deletions address
-    /// tuples by id).
-    by_id: HashMap<TupleId, u32>,
-    /// Per-column posting lists: normalized value -> live slots carrying it,
-    /// in insertion order.
-    postings: Vec<HashMap<Value, Vec<u32>>>,
-}
-
-impl ColumnStore {
-    fn new(rel: Sym, arity: usize) -> Self {
-        // Spelled out: `Sym::default()` interns the empty name, one pool
-        // lookup per table of every engine.
-        ColumnStore {
-            rel,
-            ids: Vec::new(),
-            derivs: Vec::new(),
-            cols: (0..arity).map(|_| Column::Other(Vec::new())).collect(),
-            live: Vec::new(),
-            free: Vec::new(),
-            live_count: 0,
-            by_key: BTreeMap::new(),
-            by_id: HashMap::new(),
-            postings: (0..arity).map(|_| HashMap::new()).collect(),
-        }
-    }
-
-    fn is_live(&self, slot: u32) -> bool {
-        let (word, bit) = (slot as usize / 64, slot as usize % 64);
-        self.live.get(word).is_some_and(|w| w & (1 << bit) != 0)
-    }
-
-    fn set_live(&mut self, slot: u32, value: bool) {
-        let (word, bit) = (slot as usize / 64, slot as usize % 64);
-        if self.live.len() <= word {
-            self.live.resize(word + 1, 0);
-        }
-        if value {
-            self.live[word] |= 1 << bit;
-        } else {
-            self.live[word] &= !(1 << bit);
-        }
-    }
-
-    /// Structural equality (the row store's `existing.tuple == *tuple`)
-    /// against a live slot, column by column.
-    fn slot_eq_tuple(&self, slot: u32, tuple: &Tuple) -> bool {
-        self.rel == tuple.relation
-            && tuple.values.len() == self.cols.len()
-            && self
-                .cols
-                .iter()
-                .zip(&tuple.values)
-                .all(|(col, v)| col.eq_value(slot as usize, v))
-    }
-
-    /// Materialize the tuple stored in a slot (counted — see
-    /// [`tuple_materializations`]).
-    fn tuple_at(&self, slot: u32) -> Tuple {
-        TUPLE_MATERIALIZATIONS.with(|count| count.set(count.get() + 1));
-        Tuple {
-            relation: self.rel,
-            values: self
-                .cols
-                .iter()
-                .map(|c| c.value_at(slot as usize))
-                .collect(),
-        }
-    }
-
-    /// Insert a brand-new entry (the key must be vacant), reusing a free
-    /// slot when one exists. `id` is `tuple.id()`, hashed by the caller.
-    fn insert_row(
-        &mut self,
-        key: Vec<Value>,
-        tuple: &Tuple,
-        id: TupleId,
-        derivations: Vec<Derivation>,
-    ) {
-        debug_assert_eq!(tuple.values.len(), self.cols.len());
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.ids[slot as usize] = id;
-                self.derivs[slot as usize] = derivations;
-                for (col, v) in self.cols.iter_mut().zip(&tuple.values) {
-                    col.write(slot as usize, v);
-                }
-                slot
-            }
-            None => {
-                let slot = u32::try_from(self.ids.len()).expect("columnar slot overflow");
-                self.ids.push(id);
-                self.derivs.push(derivations);
-                for (col, v) in self.cols.iter_mut().zip(&tuple.values) {
-                    col.push(v);
-                }
-                slot
-            }
-        };
-        self.set_live(slot, true);
-        self.live_count += 1;
-        self.by_id.insert(id, slot);
-        self.by_key.insert(key, slot);
-        self.index_slot(slot, &tuple.values);
-    }
-
-    fn index_slot(&mut self, slot: u32, values: &[Value]) {
-        for (col, v) in values.iter().enumerate() {
-            if let Some(index) = self.postings.get_mut(col) {
-                index.entry(normalize_for_index(v)).or_default().push(slot);
-            }
-        }
-    }
-
-    fn unindex_slot(&mut self, slot: u32, values: &[Value]) {
-        for (col, v) in values.iter().enumerate() {
-            if let Some(index) = self.postings.get_mut(col) {
-                let key = normalize_for_index(v);
-                if let Some(slots) = index.get_mut(&key) {
-                    slots.retain(|s| *s != slot);
-                    if slots.is_empty() {
-                        index.remove(&key);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Kill a live slot: clear the bit, recycle the slot, drop the lookaside
-    /// entries. `values` are the stored tuple's values (for unindexing).
-    fn kill_slot(&mut self, slot: u32, key: &[Value], id: TupleId, values: &[Value]) {
-        self.unindex_slot(slot, values);
-        self.by_key.remove(key);
-        self.by_id.remove(&id);
-        self.set_live(slot, false);
-        self.live_count -= 1;
-        self.free.push(slot);
-        self.derivs[slot as usize].clear();
-    }
-
-    /// Rebuild the bitmap, id map and posting lists from the primary-key map
-    /// and the column arenas (key order, like the row store's rebuild).
-    fn rebuild_indexes(&mut self) {
-        self.live.iter_mut().for_each(|w| *w = 0);
-        self.by_id.clear();
-        self.postings = (0..self.cols.len()).map(|_| HashMap::new()).collect();
-        let slots: Vec<u32> = self.by_key.values().copied().collect();
-        self.live_count = slots.len();
-        for slot in slots {
-            self.set_live(slot, true);
-            self.by_id.insert(self.ids[slot as usize], slot);
-            let values: Vec<Value> = self
-                .cols
-                .iter()
-                .map(|c| c.value_at(slot as usize))
-                .collect();
-            self.index_slot(slot, &values);
-        }
-        let live: HashSet<u32> = self.by_key.values().copied().collect();
-        self.free = (0..self.ids.len() as u32)
-            .filter(|s| !live.contains(s))
-            .rev()
-            .collect();
-    }
-
-    /// Resident bytes: column payloads, per-slot ids, bitmap, posting lists
-    /// (4-byte slot entries), and derivation records (priced like their wire
-    /// encoding).
-    fn resident_bytes(&self) -> usize {
-        self.cols.iter().map(Column::resident_bytes).sum::<usize>()
-            + 8 * self.ids.len()
-            + 8 * self.live.len()
-            + 4 * self
-                .postings
-                .iter()
-                .flat_map(|index| index.values().map(Vec::len))
-                .sum::<usize>()
-            + self
-                .derivs
-                .iter()
-                .flat_map(|ds| ds.iter().map(Derivation::wire_size))
-                .sum::<usize>()
-    }
-}
-
 // --------------------------------------------------------------------------
 // row backing (the reference layout)
 // --------------------------------------------------------------------------
@@ -613,19 +241,24 @@ fn entry_wire_size(tuple: &Tuple, derivations: &[Derivation]) -> usize {
 
 /// The original row-major layout: stored tuples keyed by their primary-key
 /// projection, with id and per-column secondary indexes on the side.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct RowStore {
     tuples: BTreeMap<Vec<Value>, StoredTuple>,
     by_id: HashMap<TupleId, Vec<Value>>,
-    /// value (normalized) -> ids of the tuples carrying it, per column.
+    /// The columns that carry an index, ascending (the same set the columnar
+    /// backing of this table would index).
+    indexed: Arc<Vec<usize>>,
+    /// value (normalized) -> ids of the tuples carrying it, per column; the
+    /// maps of the columns outside `indexed` stay empty.
     col_indexes: Vec<HashMap<Value, Vec<TupleId>>>,
 }
 
 impl RowStore {
-    fn new(arity: usize) -> Self {
+    fn new(arity: usize, indexed: Arc<Vec<usize>>) -> Self {
         RowStore {
             tuples: BTreeMap::new(),
             by_id: HashMap::new(),
+            indexed,
             col_indexes: vec![HashMap::new(); arity],
         }
     }
@@ -635,16 +268,16 @@ impl RowStore {
     }
 
     fn index_tuple_values(&mut self, id: TupleId, values: &[Value]) {
-        for (col, v) in values.iter().enumerate() {
-            if let Some(index) = self.col_indexes.get_mut(col) {
+        for &col in self.indexed.iter() {
+            if let (Some(index), Some(v)) = (self.col_indexes.get_mut(col), values.get(col)) {
                 index.entry(normalize_for_index(v)).or_default().push(id);
             }
         }
     }
 
     fn unindex_tuple_values(&mut self, id: TupleId, values: &[Value]) {
-        for (col, v) in values.iter().enumerate() {
-            if let Some(index) = self.col_indexes.get_mut(col) {
+        for &col in self.indexed.iter() {
+            if let (Some(index), Some(v)) = (self.col_indexes.get_mut(col), values.get(col)) {
                 let key = normalize_for_index(v);
                 if let Some(ids) = index.get_mut(&key) {
                     ids.retain(|i| *i != id);
@@ -711,7 +344,7 @@ impl<'a> TupleRef<'a> {
     pub fn relation(&self) -> Sym {
         match self.0 {
             RefInner::Stored(st) => st.tuple.relation,
-            RefInner::Slot(store, _) => store.rel,
+            RefInner::Slot(store, _) => store.relation(),
         }
     }
 
@@ -719,7 +352,7 @@ impl<'a> TupleRef<'a> {
     pub fn arity(&self) -> usize {
         match self.0 {
             RefInner::Stored(st) => st.tuple.values.len(),
-            RefInner::Slot(store, _) => store.cols.len(),
+            RefInner::Slot(store, _) => store.arity(),
         }
     }
 
@@ -728,7 +361,7 @@ impl<'a> TupleRef<'a> {
     pub fn id(&self) -> TupleId {
         match self.0 {
             RefInner::Stored(st) => st.tuple.id(),
-            RefInner::Slot(store, slot) => store.ids[slot as usize],
+            RefInner::Slot(store, slot) => store.id_at(slot),
         }
     }
 
@@ -736,7 +369,7 @@ impl<'a> TupleRef<'a> {
     pub fn derivations(&self) -> &'a [Derivation] {
         match self.0 {
             RefInner::Stored(st) => &st.derivations,
-            RefInner::Slot(store, slot) => &store.derivs[slot as usize],
+            RefInner::Slot(store, slot) => store.derivations_at(slot),
         }
     }
 
@@ -745,7 +378,7 @@ impl<'a> TupleRef<'a> {
     pub fn value(&self, col: usize) -> Value {
         match self.0 {
             RefInner::Stored(st) => st.tuple.values[col].clone(),
-            RefInner::Slot(store, slot) => store.cols[col].value_at(slot as usize),
+            RefInner::Slot(store, slot) => store.value_at(slot, col),
         }
     }
 
@@ -754,7 +387,7 @@ impl<'a> TupleRef<'a> {
     pub fn matches(&self, col: usize, v: &Value) -> bool {
         match self.0 {
             RefInner::Stored(st) => values_match(v, &st.tuple.values[col]),
-            RefInner::Slot(store, slot) => store.cols[col].matches_value(slot as usize, v),
+            RefInner::Slot(store, slot) => store.matches_at(slot, col, v),
         }
     }
 
@@ -773,7 +406,7 @@ impl<'a> TupleRef<'a> {
             RefInner::Stored(st) => st.clone(),
             RefInner::Slot(store, slot) => StoredTuple {
                 tuple: store.tuple_at(slot),
-                derivations: store.derivs[slot as usize].clone(),
+                derivations: store.derivations_at(slot).to_vec(),
             },
         }
     }
@@ -782,16 +415,6 @@ impl<'a> TupleRef<'a> {
 // --------------------------------------------------------------------------
 // probe iterator (the vectorized kernel's cursor)
 // --------------------------------------------------------------------------
-
-/// One residual bound-column check of a columnar probe, pre-encoded so the
-/// per-candidate work is a typed compare against a contiguous column.
-enum ColFilter {
-    /// Dictionary column: compare raw codes (the probe text resolved to a
-    /// pool code without interning).
-    DictCode(usize, u32),
-    /// Any other column: compare against the normalized probe key.
-    Norm(usize, Value),
-}
 
 enum ProbeInner<'a> {
     Empty,
@@ -808,18 +431,10 @@ enum ProbeInner<'a> {
         values: std::collections::btree_map::Values<'a, Vec<Value>, StoredTuple>,
         filter: Vec<(usize, Value)>,
     },
-    /// Columnar backing, posting-list anchored: candidate slots verified
-    /// directly against the column vectors.
-    ColSlots {
-        store: &'a ColumnStore,
-        slots: std::slice::Iter<'a, u32>,
-        filter: Vec<ColFilter>,
-    },
-    /// Columnar backing, no bound columns: key-order scan.
-    ColScan {
-        store: &'a ColumnStore,
-        slots: std::collections::btree_map::Values<'a, Vec<Value>, u32>,
-    },
+    /// Columnar backing: candidate slots — of the anchor posting list, or of
+    /// the key index when no column is bound — verified directly against
+    /// the column vectors.
+    Col(ColProbe<'a>),
 }
 
 /// Iterator returned by [`Table::probe`]. Yields exactly the stored tuples
@@ -858,31 +473,12 @@ impl<'a> Iterator for ProbeIter<'a> {
                 }
                 None
             }
-            ProbeInner::ColSlots {
-                store,
-                slots,
-                filter,
-            } => {
-                for slot in slots.by_ref() {
-                    debug_assert!(store.is_live(*slot), "posting lists only hold live slots");
-                    let ok = filter.iter().all(|f| match f {
-                        ColFilter::DictCode(col, code) => match &store.cols[*col] {
-                            Column::Dict(xs) => xs[*slot as usize] == *code,
-                            _ => unreachable!("DictCode filters target Dict columns"),
-                        },
-                        ColFilter::Norm(col, key) => {
-                            store.cols[*col].matches_norm(*slot as usize, key)
-                        }
-                    });
-                    if ok {
-                        return Some(TupleRef(RefInner::Slot(store, *slot)));
-                    }
-                }
-                None
+            ProbeInner::Col(probe) => {
+                let store = probe.store();
+                probe
+                    .next()
+                    .map(|slot| TupleRef(RefInner::Slot(store, slot)))
             }
-            ProbeInner::ColScan { store, slots } => slots
-                .next()
-                .map(|slot| TupleRef(RefInner::Slot(store, *slot))),
         }
     }
 }
@@ -894,7 +490,7 @@ enum TableIterInner<'a> {
     Row(std::collections::btree_map::Values<'a, Vec<Value>, StoredTuple>),
     Col {
         store: &'a ColumnStore,
-        slots: std::collections::btree_map::Values<'a, Vec<Value>, u32>,
+        slots: std::slice::Iter<'a, u32>,
     },
 }
 
@@ -915,6 +511,21 @@ impl<'a> Iterator for TableIter<'a> {
 // the table
 // --------------------------------------------------------------------------
 
+/// What a compiled program fixes about one relation's table. Computed once
+/// per program ([`crate::CompiledProgram::tables`]) and shared, by reference
+/// count, with the table of every engine that runs it.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct TableSpec {
+    /// The relation, interned.
+    pub relation: Sym,
+    /// Its schema.
+    pub schema: Arc<RelationSchema>,
+    /// The columns some plan of the program probes, ascending: the bound
+    /// columns of every join step, negated-atom check and aggregate group
+    /// scan over this relation. Only these carry posting lists.
+    pub probed: Arc<Vec<usize>>,
+}
+
 #[derive(Debug, Clone)]
 enum Repr {
     Row(RowStore),
@@ -926,27 +537,57 @@ enum Repr {
 #[derive(Debug, Clone)]
 pub struct Table {
     /// Schema of the relation.
-    pub schema: RelationSchema,
+    pub schema: Arc<RelationSchema>,
     repr: Repr,
 }
 
 impl Table {
-    /// Create an empty table with the default (columnar) backing.
-    pub fn new(schema: RelationSchema) -> Self {
+    /// Create an empty table with the default (columnar) backing, indexing
+    /// every column.
+    pub fn new(schema: impl Into<Arc<RelationSchema>>) -> Self {
         Table::with_backing(schema, TableBacking::default())
     }
 
-    /// Create an empty table with an explicit backing.
-    pub fn with_backing(schema: RelationSchema, backing: TableBacking) -> Self {
-        Table::of(Sym::new(&schema.name), schema, backing)
+    /// Create an empty table with an explicit backing, indexing every
+    /// column.
+    pub fn with_backing(schema: impl Into<Arc<RelationSchema>>, backing: TableBacking) -> Self {
+        let schema = schema.into();
+        let every_column: Vec<usize> = (0..schema.arity).collect();
+        Table::indexing(schema, backing, &every_column)
     }
 
-    /// [`Table::with_backing`] for a caller that already interned the
-    /// relation: `relation` must be `Sym::new(&schema.name)`.
-    fn of(relation: Sym, schema: RelationSchema, backing: TableBacking) -> Self {
+    /// Create an empty table that keeps posting lists on `columns` only. A
+    /// probe that binds none of them (and binds something) degrades to a
+    /// filtered key-order scan.
+    pub fn indexing(
+        schema: impl Into<Arc<RelationSchema>>,
+        backing: TableBacking,
+        columns: &[usize],
+    ) -> Self {
+        let schema = schema.into();
+        let mut columns: Vec<usize> = columns
+            .iter()
+            .copied()
+            .filter(|c| *c < schema.arity)
+            .collect();
+        columns.sort_unstable();
+        columns.dedup();
+        Table::of(Sym::new(&schema.name), schema, Arc::new(columns), backing)
+    }
+
+    /// `relation` is `Sym::new(&schema.name)`; `indexed` is ascending and
+    /// within the arity.
+    fn of(
+        relation: Sym,
+        schema: Arc<RelationSchema>,
+        indexed: Arc<Vec<usize>>,
+        backing: TableBacking,
+    ) -> Self {
         let repr = match backing {
-            TableBacking::Row => Repr::Row(RowStore::new(schema.arity)),
-            TableBacking::Columnar => Repr::Col(ColumnStore::new(relation, schema.arity)),
+            TableBacking::Row => Repr::Row(RowStore::new(schema.arity, indexed)),
+            TableBacking::Columnar => {
+                Repr::Col(ColumnStore::new(relation, schema.clone(), indexed))
+            }
         };
         Table { schema, repr }
     }
@@ -970,111 +611,62 @@ impl Table {
     }
 
     /// Iterate over the candidate tuples for a join probe with the given
-    /// bound columns. The most selective posting list among the bound
-    /// columns anchors the probe and the remaining bound columns are
+    /// bound columns. The most selective posting list among the indexed
+    /// bound columns anchors the probe and the remaining bound columns are
     /// verified against the stored columns directly, so the iterator yields
     /// exactly the tuples matching every bound column. With no bound
     /// columns it degrades to a key-order scan. A bound value absent from
     /// its posting index short-circuits to an empty iterator.
     pub fn probe<'a>(&'a self, bound_cols: &[(usize, Value)]) -> ProbeIter<'a> {
-        if bound_cols.is_empty() {
-            return ProbeIter(match &self.repr {
-                Repr::Row(row) => ProbeInner::RowScan {
-                    values: row.tuples.values(),
-                    filter: Vec::new(),
-                },
-                Repr::Col(col) => ProbeInner::ColScan {
-                    store: col,
-                    slots: col.by_key.values(),
-                },
-            });
-        }
+        let row = match &self.repr {
+            Repr::Col(col) => {
+                return ProbeIter(
+                    col.probe(bound_cols)
+                        .map_or(ProbeInner::Empty, ProbeInner::Col),
+                )
+            }
+            Repr::Row(row) => row,
+        };
         let norm: Vec<(usize, Value)> = bound_cols
             .iter()
             .map(|(col, v)| (*col, normalize_for_index(v)))
             .collect();
-        match &self.repr {
-            Repr::Row(row) => {
-                if row.col_indexes.len() != self.schema.arity {
-                    // Stale indexes (post-surgery): filtered key-order scan.
-                    return ProbeIter(ProbeInner::RowScan {
-                        values: row.tuples.values(),
-                        filter: norm,
-                    });
+        let mut best: Option<(usize, &Vec<TupleId>)> = None;
+        // Stale indexes (post-surgery) anchor nothing.
+        if row.col_indexes.len() == self.schema.arity {
+            for (pos, (col, key)) in norm.iter().enumerate() {
+                if row.indexed.binary_search(col).is_err() {
+                    continue;
                 }
-                let mut best: Option<(usize, &Vec<TupleId>)> = None;
-                for (pos, (col, key)) in norm.iter().enumerate() {
-                    let Some(index) = row.col_indexes.get(*col) else {
-                        continue;
-                    };
-                    match index.get(key) {
-                        None => return ProbeIter(ProbeInner::Empty),
-                        Some(ids) => {
-                            if best.is_none_or(|(_, b)| ids.len() < b.len()) {
-                                best = Some((pos, ids));
-                            }
+                match row.col_indexes[*col].get(key) {
+                    None => return ProbeIter(ProbeInner::Empty),
+                    Some(ids) => {
+                        if best.is_none_or(|(_, b)| ids.len() < b.len()) {
+                            best = Some((pos, ids));
                         }
                     }
                 }
-                let Some((anchor, ids)) = best else {
-                    return ProbeIter(ProbeInner::Empty);
-                };
-                let filter: Vec<(usize, Value)> = norm
-                    .into_iter()
-                    .enumerate()
-                    .filter(|(pos, _)| *pos != anchor)
-                    .map(|(_, entry)| entry)
-                    .collect();
-                ProbeIter(ProbeInner::RowIds {
-                    store: row,
-                    ids: ids.iter(),
-                    filter,
-                })
-            }
-            Repr::Col(col) => {
-                let mut best: Option<(usize, &Vec<u32>)> = None;
-                for (pos, (c, key)) in norm.iter().enumerate() {
-                    let Some(index) = col.postings.get(*c) else {
-                        continue;
-                    };
-                    match index.get(key) {
-                        None => return ProbeIter(ProbeInner::Empty),
-                        Some(slots) => {
-                            if best.is_none_or(|(_, b)| slots.len() < b.len()) {
-                                best = Some((pos, slots));
-                            }
-                        }
-                    }
-                }
-                let Some((anchor, slots)) = best else {
-                    return ProbeIter(ProbeInner::Empty);
-                };
-                let mut filter = Vec::with_capacity(norm.len().saturating_sub(1));
-                for (pos, (c, key)) in norm.iter().enumerate() {
-                    if pos == anchor {
-                        continue;
-                    }
-                    match &col.cols[*c] {
-                        Column::Dict(_) => match key {
-                            Value::Str(s) => match NodeId::lookup(s) {
-                                // Text never interned ⇒ no stored address
-                                // carries it ⇒ nothing can match.
-                                None => return ProbeIter(ProbeInner::Empty),
-                                Some(n) => filter.push(ColFilter::DictCode(*c, n.index())),
-                            },
-                            // A non-text key can never equal an address.
-                            _ => return ProbeIter(ProbeInner::Empty),
-                        },
-                        _ => filter.push(ColFilter::Norm(*c, key.clone())),
-                    }
-                }
-                ProbeIter(ProbeInner::ColSlots {
-                    store: col,
-                    slots: slots.iter(),
-                    filter,
-                })
             }
         }
+        let Some((anchor, ids)) = best else {
+            // Nothing bound, or nothing bound that is indexed: key-order
+            // scan, filtered.
+            return ProbeIter(ProbeInner::RowScan {
+                values: row.tuples.values(),
+                filter: norm,
+            });
+        };
+        let filter: Vec<(usize, Value)> = norm
+            .into_iter()
+            .enumerate()
+            .filter(|(pos, _)| *pos != anchor)
+            .map(|(_, entry)| entry)
+            .collect();
+        ProbeIter(ProbeInner::RowIds {
+            store: row,
+            ids: ids.iter(),
+            filter,
+        })
     }
 
     /// Look up a stored tuple by its content-addressed identifier.
@@ -1082,21 +674,16 @@ impl Table {
         match &self.repr {
             Repr::Row(row) => row.get_by_id(id).map(|st| TupleRef(RefInner::Stored(st))),
             Repr::Col(col) => col
-                .by_id
-                .get(&id)
-                .map(|slot| TupleRef(RefInner::Slot(col, *slot))),
+                .slot_of_id(id)
+                .map(|slot| TupleRef(RefInner::Slot(col, slot))),
         }
-    }
-
-    fn key_of(&self, tuple: &Tuple) -> Vec<Value> {
-        tuple.project(&self.schema.key_cols)
     }
 
     /// Number of stored (present) tuples.
     pub fn len(&self) -> usize {
         match &self.repr {
             Repr::Row(row) => row.tuples.len(),
-            Repr::Col(col) => col.live_count,
+            Repr::Col(col) => col.len(),
         }
     }
 
@@ -1111,7 +698,7 @@ impl Table {
             Repr::Row(row) => TableIterInner::Row(row.tuples.values()),
             Repr::Col(col) => TableIterInner::Col {
                 store: col,
-                slots: col.by_key.values(),
+                slots: col.slots(),
             },
         })
     }
@@ -1119,18 +706,15 @@ impl Table {
     /// Look up the stored entry for an exact tuple (same key *and* same
     /// content).
     pub fn get(&self, tuple: &Tuple) -> Option<TupleRef<'_>> {
-        let key = self.key_of(tuple);
         match &self.repr {
             Repr::Row(row) => row
                 .tuples
-                .get(&key)
+                .get(&tuple.project(&self.schema.key_cols))
                 .filter(|st| st.tuple == *tuple)
                 .map(|st| TupleRef(RefInner::Stored(st))),
             Repr::Col(col) => col
-                .by_key
-                .get(&key)
-                .filter(|slot| col.slot_eq_tuple(**slot, tuple))
-                .map(|slot| TupleRef(RefInner::Slot(col, *slot))),
+                .get(tuple)
+                .map(|slot| TupleRef(RefInner::Slot(col, slot))),
         }
     }
 
@@ -1164,133 +748,81 @@ impl Table {
             self.schema.name,
             "a table stores tuples of its own relation only"
         );
-        let key = self.key_of(tuple);
-        match &mut self.repr {
-            Repr::Row(row) => match row.tuples.get_mut(&key) {
-                Some(existing) if existing.tuple == *tuple => {
-                    if existing.derivations.contains(&derivation) {
-                        Membership::Unchanged
-                    } else {
-                        existing.derivations.push(derivation);
-                        Membership::AddedDerivation
-                    }
+        let row = match &mut self.repr {
+            Repr::Col(col) => return col.add_derivation(tuple, id, derivation),
+            Repr::Row(row) => row,
+        };
+        let key = tuple.project(&self.schema.key_cols);
+        match row.tuples.get_mut(&key) {
+            Some(existing) if existing.tuple == *tuple => {
+                if existing.derivations.contains(&derivation) {
+                    Membership::Unchanged
+                } else {
+                    existing.derivations.push(derivation);
+                    Membership::AddedDerivation
                 }
-                Some(_) => {
-                    // Key collision with different content: replace.
-                    let old = row
-                        .tuples
-                        .insert(
-                            key.clone(),
-                            StoredTuple {
-                                tuple: tuple.clone(),
-                                derivations: vec![derivation],
-                            },
-                        )
-                        .expect("entry existed");
-                    let old_id = old.tuple.id();
-                    row.by_id.remove(&old_id);
-                    row.by_id.insert(id, key);
-                    row.unindex_tuple_values(old_id, &old.tuple.values);
-                    row.index_tuple_values(id, &tuple.values);
-                    Membership::Replaced(old.tuple)
-                }
-                None => {
-                    row.tuples.insert(
+            }
+            Some(_) => {
+                // Key collision with different content: replace.
+                let old = row
+                    .tuples
+                    .insert(
                         key.clone(),
                         StoredTuple {
                             tuple: tuple.clone(),
                             derivations: vec![derivation],
                         },
-                    );
-                    row.by_id.insert(id, key);
-                    row.index_tuple_values(id, &tuple.values);
-                    Membership::Appeared
-                }
-            },
-            Repr::Col(col) => match col.by_key.get(&key).copied() {
-                Some(slot) if col.slot_eq_tuple(slot, tuple) => {
-                    let derivs = &mut col.derivs[slot as usize];
-                    if derivs.contains(&derivation) {
-                        Membership::Unchanged
-                    } else {
-                        derivs.push(derivation);
-                        Membership::AddedDerivation
-                    }
-                }
-                Some(slot) => {
-                    // Key collision with different content: rewrite the slot
-                    // in place (same physical slot, fresh id and postings —
-                    // the posting lists see the new tuple appended, exactly
-                    // like the row store's replacement).
-                    let old = col.tuple_at(slot);
-                    let old_id = col.ids[slot as usize];
-                    col.unindex_slot(slot, &old.values);
-                    col.by_id.remove(&old_id);
-                    col.ids[slot as usize] = id;
-                    col.derivs[slot as usize] = vec![derivation];
-                    for (c, v) in col.cols.iter_mut().zip(&tuple.values) {
-                        c.write(slot as usize, v);
-                    }
-                    col.by_id.insert(id, slot);
-                    col.index_slot(slot, &tuple.values);
-                    Membership::Replaced(old)
-                }
-                None => {
-                    col.insert_row(key, tuple, id, vec![derivation]);
-                    Membership::Appeared
-                }
-            },
+                    )
+                    .expect("entry existed");
+                let old_id = old.tuple.id();
+                row.by_id.remove(&old_id);
+                row.by_id.insert(id, key);
+                row.unindex_tuple_values(old_id, &old.tuple.values);
+                row.index_tuple_values(id, &tuple.values);
+                Membership::Replaced(old.tuple)
+            }
+            None => {
+                row.tuples.insert(
+                    key.clone(),
+                    StoredTuple {
+                        tuple: tuple.clone(),
+                        derivations: vec![derivation],
+                    },
+                );
+                row.by_id.insert(id, key);
+                row.index_tuple_values(id, &tuple.values);
+                Membership::Appeared
+            }
         }
     }
 
     /// Remove one derivation of `tuple` (matching exactly). Returns
     /// [`Membership::Disappeared`] when that was the last derivation.
     pub fn remove_derivation(&mut self, tuple: &Tuple, derivation: &Derivation) -> Membership {
-        let key = self.key_of(tuple);
-        match &mut self.repr {
-            Repr::Row(row) => {
-                let Some(existing) = row.tuples.get_mut(&key) else {
-                    return Membership::NotFound;
-                };
-                if existing.tuple != *tuple {
-                    return Membership::NotFound;
-                }
-                let before = existing.derivations.len();
-                existing.derivations.retain(|d| d != derivation);
-                if existing.derivations.len() == before {
-                    return Membership::NotFound;
-                }
-                if existing.derivations.is_empty() {
-                    let id = tuple.id();
-                    row.tuples.remove(&key);
-                    row.by_id.remove(&id);
-                    row.unindex_tuple_values(id, &tuple.values);
-                    Membership::Disappeared
-                } else {
-                    Membership::RemovedDerivation
-                }
-            }
-            Repr::Col(col) => {
-                let Some(slot) = col.by_key.get(&key).copied() else {
-                    return Membership::NotFound;
-                };
-                if !col.slot_eq_tuple(slot, tuple) {
-                    return Membership::NotFound;
-                }
-                let derivs = &mut col.derivs[slot as usize];
-                let before = derivs.len();
-                derivs.retain(|d| d != derivation);
-                if derivs.len() == before {
-                    return Membership::NotFound;
-                }
-                if derivs.is_empty() {
-                    let id = col.ids[slot as usize];
-                    col.kill_slot(slot, &key, id, &tuple.values);
-                    Membership::Disappeared
-                } else {
-                    Membership::RemovedDerivation
-                }
-            }
+        let row = match &mut self.repr {
+            Repr::Col(col) => return col.remove_derivation(tuple, derivation),
+            Repr::Row(row) => row,
+        };
+        let key = tuple.project(&self.schema.key_cols);
+        let Some(existing) = row.tuples.get_mut(&key) else {
+            return Membership::NotFound;
+        };
+        if existing.tuple != *tuple {
+            return Membership::NotFound;
+        }
+        let before = existing.derivations.len();
+        existing.derivations.retain(|d| d != derivation);
+        if existing.derivations.len() == before {
+            return Membership::NotFound;
+        }
+        if existing.derivations.is_empty() {
+            let id = tuple.id();
+            row.tuples.remove(&key);
+            row.by_id.remove(&id);
+            row.unindex_tuple_values(id, &tuple.values);
+            Membership::Disappeared
+        } else {
+            Membership::RemovedDerivation
         }
     }
 
@@ -1313,17 +845,15 @@ impl Table {
     /// Insert a deserialized entry (key must be vacant — used by the serde
     /// rebuild path).
     fn insert_stored(&mut self, stored: StoredTuple) {
-        let key = self.key_of(&stored.tuple);
-        let id = stored.tuple.id();
         match &mut self.repr {
             Repr::Row(row) => {
+                let key = stored.tuple.project(&self.schema.key_cols);
+                let id = stored.tuple.id();
                 row.by_id.insert(id, key.clone());
                 row.index_tuple_values(id, &stored.tuple.values);
                 row.tuples.insert(key, stored);
             }
-            Repr::Col(col) => {
-                col.insert_row(key, &stored.tuple, id, stored.derivations);
-            }
+            Repr::Col(col) => col.insert_stored(&stored.tuple, stored.derivations),
         }
     }
 }
@@ -1331,11 +861,11 @@ impl Table {
 // A table serializes as (schema, backing, rows in key order): dictionary
 // codes and slot numbers are process-local and never leave the process —
 // deserialization re-encodes every row, rebuilding the column arenas,
-// bitmap, free-list and posting lists from scratch.
+// bitmap, free-list and posting lists (on every column) from scratch.
 impl Serialize for Table {
     fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         let rows: Vec<StoredTuple> = self.iter().map(|r| r.to_stored()).collect();
-        (&self.schema, self.backing(), rows).serialize(serializer)
+        (&*self.schema, self.backing(), rows).serialize(serializer)
     }
 }
 
@@ -1412,18 +942,23 @@ impl Dependent {
     }
 }
 
+/// One entry of the dependency index: where the dependent is held, its
+/// relation and its id.
+type DependentKey = (Held, Sym, TupleId);
+
 /// The per-node database: one [`Table`] per relation, the outbox of remote
 /// heads, and the reverse dependency index used for cascading deletions.
 #[derive(Debug, Clone, Default)]
 pub struct Database {
-    /// Tables keyed by interned relation symbol. A `HashMap` so the join hot
-    /// path pays one integer hash per lookup — `Sym`'s `Ord` resolves
-    /// strings, which would put lock-taking string compares inside a B-tree
-    /// walk.
-    tables: HashMap<Sym, Table>,
-    /// Relation symbols in name order (maintained on register), so iteration
-    /// and serialization stay deterministic despite the hash map.
+    /// Relation symbols in name order (maintained on register): iteration
+    /// and serialization order, and the key of [`Database::table_sym`]. A
+    /// program has a handful of relations, so the join hot path finds a
+    /// table by comparing interned handles along one cache line — no hash,
+    /// and none of the string compares `Sym`'s `Ord` would put in a search.
     order: Vec<Sym>,
+    /// The table of `order[i]`. An engine that stores nothing owns this
+    /// vector and `order`, and no other heap block.
+    tables: Vec<Table>,
     /// Remote heads by tuple id. No join reads them, so they are not a
     /// table: no key order, no posting lists. Keyed by id, two numeric
     /// representations of one head (`3` and `3.0`) are two entries, each
@@ -1431,32 +966,42 @@ pub struct Database {
     outbox: HashMap<TupleId, OutboxEntry>,
     /// input tuple id -> (where held, relation, derived tuple id) of
     /// derivations that used it: a tuple stored in `tables` or an entry of
-    /// `outbox`.
-    dependents: HashMap<TupleId, HashSet<(Held, Sym, TupleId)>>,
+    /// `outbox`. Each list is a set, kept sorted by the handles' integer
+    /// values; [`Database::dependents_of`] puts it in name order.
+    dependents: HashMap<TupleId, Few<DependentKey>>,
     /// Backing used for tables registered on this database.
     backing: TableBacking,
 }
 
 impl Database {
     /// Create an empty database with the given relation schemas (columnar
-    /// tables).
+    /// tables indexing every column).
     pub fn new(schemas: impl IntoIterator<Item = RelationSchema>) -> Self {
-        Database::with_backing(schemas, TableBacking::default())
-    }
-
-    /// Create an empty database whose tables use an explicit backing.
-    pub fn with_backing(
-        schemas: impl IntoIterator<Item = RelationSchema>,
-        backing: TableBacking,
-    ) -> Self {
-        let mut db = Database {
-            backing,
-            ..Database::default()
-        };
+        let mut db = Database::default();
         for s in schemas {
             db.register(s);
         }
         db
+    }
+
+    /// Create the empty database of an engine running a compiled program:
+    /// one table per [`TableSpec`] (in relation-name order, as
+    /// [`crate::CompiledProgram::tables`] lists them), sharing the program's
+    /// schemas and indexing the columns its plans probe.
+    pub fn for_program(specs: &[TableSpec], backing: TableBacking) -> Self {
+        debug_assert!(specs.windows(2).all(|w| w[0].relation < w[1].relation));
+        Database {
+            order: specs.iter().map(|spec| spec.relation).collect(),
+            tables: specs
+                .iter()
+                .map(|spec| {
+                    let (schema, probed) = (spec.schema.clone(), spec.probed.clone());
+                    Table::of(spec.relation, schema, probed, backing)
+                })
+                .collect(),
+            backing,
+            ..Database::default()
+        }
     }
 
     /// The backing newly registered tables use.
@@ -1464,45 +1009,64 @@ impl Database {
         self.backing
     }
 
-    /// Register an additional relation (idempotent).
+    /// Register an additional relation (idempotent). Its table indexes
+    /// every column.
     pub fn register(&mut self, schema: RelationSchema) {
         let sym = Sym::new(&schema.name);
-        if let std::collections::hash_map::Entry::Vacant(v) = self.tables.entry(sym) {
-            v.insert(Table::of(sym, schema, self.backing));
+        if self.position(sym).is_none() {
             let pos = self.order.partition_point(|s| *s < sym);
             self.order.insert(pos, sym);
+            self.tables
+                .insert(pos, Table::with_backing(schema, self.backing));
         }
+    }
+
+    /// Where `relation`'s table sits in `tables` (and `order`).
+    fn position(&self, relation: Sym) -> Option<usize> {
+        self.order.iter().position(|s| *s == relation)
     }
 
     /// Access a table by (boundary) relation name.
     pub fn table(&self, relation: &str) -> Option<&Table> {
-        self.tables.get(&Sym::new(relation))
+        self.table_sym(Sym::new(relation))
     }
 
     /// Access a table by interned relation symbol (the hot-path lookup).
     pub fn table_sym(&self, relation: Sym) -> Option<&Table> {
-        self.tables.get(&relation)
+        self.position(relation).map(|i| &self.tables[i])
     }
 
     /// Mutable access to a table.
     pub fn table_mut(&mut self, relation: &str) -> Option<&mut Table> {
-        self.tables.get_mut(&Sym::new(relation))
+        self.table_mut_sym(Sym::new(relation))
     }
 
     /// Mutable access to a table by interned symbol.
     pub fn table_mut_sym(&mut self, relation: Sym) -> Option<&mut Table> {
-        self.tables.get_mut(&relation)
+        self.position(relation).map(|i| &mut self.tables[i])
     }
 
     /// Iterate over all tables, in relation-name order.
     pub fn tables(&self) -> impl Iterator<Item = &Table> {
-        self.order.iter().map(|s| &self.tables[s])
+        self.tables.iter()
     }
 
     /// Iterate over `(relation symbol, table)` pairs in relation-name order
     /// (saves callers re-interning `schema.name`).
     pub fn tables_with_syms(&self) -> impl Iterator<Item = (Sym, &Table)> {
-        self.order.iter().map(|s| (*s, &self.tables[s]))
+        self.order.iter().copied().zip(&self.tables)
+    }
+
+    /// Record `dependent` under `input` in the dependency index.
+    fn add_dependent(&mut self, input: TupleId, dependent: DependentKey) {
+        let by_handle = |(held, relation, id): &DependentKey| (*held, relation.index(), *id);
+        let dependents = self.dependents.entry(input).or_default();
+        let at = dependents
+            .as_slice()
+            .binary_search_by_key(&by_handle(&dependent), by_handle);
+        if let Err(pos) = at {
+            dependents.insert(pos, dependent);
+        }
     }
 
     /// Record that `derivation` derives the remote head `tuple` (`id` is
@@ -1527,10 +1091,7 @@ impl Database {
         }
         entry.derivations.push(derivation.clone());
         for input in &derivation.inputs {
-            self.dependents
-                .entry(*input)
-                .or_default()
-                .insert((Held::Outbox, tuple.relation, id));
+            self.add_dependent(*input, (Held::Outbox, tuple.relation, id));
         }
         true
     }
@@ -1572,10 +1133,7 @@ impl Database {
     /// Record that `derived` (stored in the table of `relation`) has a
     /// derivation using `input`.
     pub fn index_dependency(&mut self, input: TupleId, relation: Sym, derived: TupleId) {
-        self.dependents
-            .entry(input)
-            .or_default()
-            .insert((Held::Table, relation, derived));
+        self.add_dependent(input, (Held::Table, relation, derived));
     }
 
     /// Tuples that have a derivation using `input`: outbox entries first,
@@ -1584,7 +1142,7 @@ impl Database {
         let Some(deps) = self.dependents.get(&input) else {
             return Vec::new();
         };
-        let mut deps: Vec<_> = deps.iter().copied().collect();
+        let mut deps = deps.as_slice().to_vec();
         deps.sort();
         let mut out = Vec::new();
         for (held, relation, id) in deps {
@@ -1594,8 +1152,7 @@ impl Database {
                     Dependent::on(input, id, at, &e.derivations, || e.tuple.clone())
                 }),
                 Held::Table => self
-                    .tables
-                    .get(&relation)
+                    .table_sym(relation)
                     .and_then(|table| table.get_by_id(id))
                     .and_then(|r| Dependent::on(input, id, None, r.derivations(), || r.to_tuple())),
             });
@@ -1613,7 +1170,7 @@ impl Database {
     /// outbox, an entry priced like a row entry — the wire sizes of its
     /// tuple and derivations.
     pub fn storage_bytes(&self) -> usize {
-        let tables: usize = self.tables.values().map(Table::storage_bytes).sum();
+        let tables: usize = self.tables.iter().map(Table::storage_bytes).sum();
         let outbox = self.outbox.values();
         let outbox: usize = outbox
             .map(|e| entry_wire_size(&e.tuple, &e.derivations))
@@ -1643,16 +1200,14 @@ impl Serialize for Database {
 
 impl Deserialize for Database {
     fn deserialize<'de, D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let (tables, outbox) = <(Vec<(Sym, Table)>, Vec<OutboxEntry>)>::deserialize(d)?;
+        let (mut tables, outbox) = <(Vec<(Sym, Table)>, Vec<OutboxEntry>)>::deserialize(d)?;
         let mut db = Database::default();
         if let Some((_, table)) = tables.first() {
             db.backing = table.backing();
         }
-        for (sym, table) in tables {
-            db.order.push(sym);
-            db.tables.insert(sym, table);
-        }
-        db.order.sort();
+        tables.sort_by_key(|(sym, _)| *sym);
+        tables.dedup_by_key(|(sym, _)| *sym);
+        (db.order, db.tables) = tables.into_iter().unzip();
         db.outbox = outbox.into_iter().map(|e| (e.tuple.id(), e)).collect();
         Ok(db)
     }
@@ -2038,9 +1593,8 @@ mod tests {
         t.add_derivation(&link("b", "m2", 11), Derivation::base("b"));
         match &t.repr {
             Repr::Col(col) => {
-                assert_eq!(col.ids.len(), 4, "free slots were not reused");
-                assert_eq!(col.live_count, 4);
-                assert!(col.free.is_empty());
+                assert_eq!(col.arena(), (4, 0), "free slots were not reused");
+                assert_eq!(col.len(), 4);
             }
             Repr::Row(_) => unreachable!("default backing is columnar"),
         }
@@ -2113,11 +1667,7 @@ mod tests {
                     // than missing tuples.
                     assert_eq!(t.probe(&[(0, Value::addr("a"))]).count(), 2);
                 }
-                Repr::Col(col) => {
-                    col.by_id.clear();
-                    col.postings = vec![HashMap::new(); 3];
-                    col.live.iter_mut().for_each(|w| *w = 0);
-                }
+                Repr::Col(col) => col.clear_indexes(),
             }
             t.rebuild_index();
             assert_eq!(t.probe(&[(0, Value::addr("a"))]).count(), 2);

@@ -1,0 +1,730 @@
+//! The columnar table backing: column vectors indexed by physical slot, one
+//! copy of every stored value, a key index of sorted slot numbers and posting
+//! lists on the columns a plan probes. See the parent module for how it sits
+//! beside the row reference layout.
+
+use super::{matches_normalized, normalize_for_index, Derivation, Membership};
+use crate::catalog::RelationSchema;
+use crate::few::Few;
+use crate::tuple::{Tuple, TupleId};
+use crate::value::{values_match, NodeId, Sym, Value};
+use std::cell::Cell;
+use std::cmp::Ordering;
+use std::collections::HashMap;
+use std::sync::Arc;
+
+thread_local! {
+    /// This thread's count of tuples materialized out of columnar slots.
+    /// Probing and column matching never materialize; only
+    /// [`super::TupleRef::to_tuple`] / [`super::TupleRef::to_stored`] (and
+    /// replacement bookkeeping) do. The regression test for the vectorized
+    /// probe kernel asserts this stays flat while candidates are scanned and
+    /// filtered — per thread, so tests running beside it cannot move the
+    /// count under it.
+    static TUPLE_MATERIALIZATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Current value of the calling thread's columnar-materialization counter
+/// (monotonic). Intended for allocation-regression tests.
+pub fn tuple_materializations() -> u64 {
+    TUPLE_MATERIALIZATIONS.with(Cell::get)
+}
+
+/// One attribute's storage in a columnar table. The kind is picked from the
+/// first value written while the table has no physical slots; a later write
+/// of an incompatible variant promotes the column to `Other` (materializing
+/// the existing codes — always possible because the intern pool is
+/// append-only, so every dictionary code stays decodable).
+#[derive(Debug, Clone)]
+enum Column {
+    /// Dictionary-encoded `Addr` attribute: the `u32` codes are raw intern
+    /// pool indexes, so encoding a tuple is free and decoding is one array
+    /// index into the pool.
+    Dict(Vec<u32>),
+    /// Plain integers.
+    Int(Vec<i64>),
+    /// Plain doubles (bit-exact storage; NaN payloads survive).
+    Double(Vec<f64>),
+    /// Overflow: strings, lists, bools, ids, infinity, or mixed types.
+    Other(Vec<Value>),
+}
+
+impl Column {
+    fn new_for(v: &Value) -> Column {
+        match v {
+            Value::Addr(_) => Column::Dict(Vec::new()),
+            Value::Int(_) => Column::Int(Vec::new()),
+            Value::Double(_) => Column::Double(Vec::new()),
+            _ => Column::Other(Vec::new()),
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Column::Dict(xs) => xs.len(),
+            Column::Int(xs) => xs.len(),
+            Column::Double(xs) => xs.len(),
+            Column::Other(xs) => xs.len(),
+        }
+    }
+
+    /// Decode the value at a physical slot. Zero-allocation for the typed
+    /// columns; `Other` clones the stored value.
+    fn value_at(&self, slot: usize) -> Value {
+        match self {
+            Column::Dict(xs) => Value::Addr(decode_dict(xs[slot])),
+            Column::Int(xs) => Value::Int(xs[slot]),
+            Column::Double(xs) => Value::Double(xs[slot]),
+            Column::Other(xs) => xs[slot].clone(),
+        }
+    }
+
+    /// The slot's value against `v` under `Value`'s total order, without
+    /// materializing: what orders the key index, and (as equality, which
+    /// equates `Int`/`Double` numerically) what tells a stored tuple from a
+    /// different one under the same key.
+    fn cmp_value(&self, slot: usize, v: &Value) -> Ordering {
+        match self {
+            Column::Dict(xs) => Value::Addr(decode_dict(xs[slot])).cmp(v),
+            Column::Int(xs) => Value::Int(xs[slot]).cmp(v),
+            Column::Double(xs) => Value::Double(xs[slot]).cmp(v),
+            Column::Other(xs) => xs[slot].cmp(v),
+        }
+    }
+
+    /// `values_match` semantics (structural equality plus `Addr`↔`Str` text
+    /// equality) against the slot, without materializing.
+    fn matches_value(&self, slot: usize, v: &Value) -> bool {
+        match self {
+            Column::Dict(xs) => match v {
+                Value::Addr(a) => a.index() == xs[slot],
+                Value::Str(s) => decode_dict(xs[slot]).as_str() == s,
+                _ => false,
+            },
+            Column::Int(xs) => values_match(v, &Value::Int(xs[slot])),
+            Column::Double(xs) => values_match(v, &Value::Double(xs[slot])),
+            Column::Other(xs) => values_match(v, &xs[slot]),
+        }
+    }
+
+    /// The slot's value as a posting-list key ([`normalize_for_index`]).
+    fn norm_key(&self, slot: usize) -> Value {
+        match self {
+            Column::Other(xs) => normalize_for_index(&xs[slot]),
+            typed => normalize_for_index(&typed.value_at(slot)),
+        }
+    }
+
+    /// [`matches_normalized`] against the slot, without materializing.
+    fn matches_norm(&self, slot: usize, norm: &Value) -> bool {
+        match self {
+            Column::Dict(xs) => {
+                matches!(norm, Value::Str(s) if decode_dict(xs[slot]).as_str() == s)
+            }
+            Column::Int(xs) => matches_normalized(&Value::Int(xs[slot]), norm),
+            Column::Double(xs) => matches_normalized(&Value::Double(xs[slot]), norm),
+            Column::Other(xs) => matches_normalized(&xs[slot], norm),
+        }
+    }
+
+    /// Append a physical slot holding `v` (promoting the column first if the
+    /// variant does not fit).
+    fn push(&mut self, v: &Value) {
+        if self.len() == 0 {
+            *self = Column::new_for(v);
+        }
+        match (&mut *self, v) {
+            (Column::Dict(xs), Value::Addr(a)) => xs.push(a.index()),
+            (Column::Int(xs), Value::Int(i)) => xs.push(*i),
+            (Column::Double(xs), Value::Double(d)) => xs.push(*d),
+            (Column::Other(xs), v) => xs.push(v.clone()),
+            _ => {
+                self.promote();
+                match self {
+                    Column::Other(xs) => xs.push(v.clone()),
+                    _ => unreachable!("promotion yields Other"),
+                }
+            }
+        }
+    }
+
+    /// Overwrite an existing physical slot with `v` (promoting if needed).
+    fn write(&mut self, slot: usize, v: &Value) {
+        match (&mut *self, v) {
+            (Column::Dict(xs), Value::Addr(a)) => xs[slot] = a.index(),
+            (Column::Int(xs), Value::Int(i)) => xs[slot] = *i,
+            (Column::Double(xs), Value::Double(d)) => xs[slot] = *d,
+            (Column::Other(xs), v) => xs[slot] = v.clone(),
+            _ => {
+                self.promote();
+                match self {
+                    Column::Other(xs) => xs[slot] = v.clone(),
+                    _ => unreachable!("promotion yields Other"),
+                }
+            }
+        }
+    }
+
+    /// Widen the column to `Other`, materializing every physical slot (dead
+    /// slots still carry a decodable last value).
+    fn promote(&mut self) {
+        let widened = match self {
+            Column::Dict(xs) => xs.iter().map(|c| Value::Addr(decode_dict(*c))).collect(),
+            Column::Int(xs) => xs.iter().map(|i| Value::Int(*i)).collect(),
+            Column::Double(xs) => xs.iter().map(|d| Value::Double(*d)).collect(),
+            Column::Other(_) => return,
+        };
+        *self = Column::Other(widened);
+    }
+
+    /// Resident bytes of the column's payload (dictionary columns are 4
+    /// bytes per slot — the dictionary itself lives once in the process-wide
+    /// intern pool).
+    fn resident_bytes(&self) -> usize {
+        match self {
+            Column::Dict(xs) => 4 * xs.len(),
+            Column::Int(xs) => 8 * xs.len(),
+            Column::Double(xs) => 8 * xs.len(),
+            Column::Other(xs) => xs.iter().map(Value::wire_size).sum(),
+        }
+    }
+}
+
+/// Decode a dictionary code written by this process. Codes are only ever
+/// produced from live handles, and the intern pool is append-only, so the
+/// lookup cannot fail on uncorrupted state.
+fn decode_dict(code: u32) -> NodeId {
+    NodeId::from_index(code).expect("dictionary code decodes against the intern pool")
+}
+
+/// The pool code an address column would hold for a probe value, resolved
+/// without interning: `None` when no stored address can equal the value (a
+/// text never interned, or not a text at all).
+fn dict_code(v: &Value) -> Option<u32> {
+    match v {
+        Value::Addr(a) => Some(a.index()),
+        Value::Str(s) => NodeId::lookup(s).map(NodeId::index),
+        _ => None,
+    }
+}
+
+/// The posting lists of one indexed column: value -> live slots carrying it,
+/// in the order they were indexed. Keyed the way the column is typed, so the
+/// address columns — every column the shipped programs probe — hash a pool
+/// code and never build a string.
+#[derive(Debug, Clone)]
+enum Postings {
+    /// A [`Column::Dict`] column, by pool code.
+    Code(HashMap<u32, Vec<u32>>),
+    /// Any other column, by [`normalize_for_index`] key.
+    Norm(HashMap<Value, Vec<u32>>),
+}
+
+impl Postings {
+    /// Key the lists the way `column` is typed now. A column changes type
+    /// while it has no physical slot (nothing is indexed then) or by
+    /// promotion out of `Dict`, which turns each code into the text key the
+    /// widened column's addresses normalize to.
+    fn follow(&mut self, column: &Column) {
+        let dict = matches!(column, Column::Dict(_));
+        match self {
+            Postings::Norm(lists) if dict => {
+                debug_assert!(lists.is_empty(), "a column only becomes Dict while empty");
+                *self = Postings::Code(HashMap::new());
+            }
+            Postings::Code(lists) if !dict => {
+                let by_text = std::mem::take(lists).into_iter().map(|(code, slots)| {
+                    (Value::Str(decode_dict(code).as_str().to_string()), slots)
+                });
+                *self = Postings::Norm(by_text.collect());
+            }
+            _ => {}
+        }
+    }
+
+    fn entries(&self) -> usize {
+        match self {
+            Postings::Code(lists) => lists.values().map(Vec::len).sum(),
+            Postings::Norm(lists) => lists.values().map(Vec::len).sum(),
+        }
+    }
+}
+
+fn unlist<K: std::hash::Hash + Eq>(lists: &mut HashMap<K, Vec<u32>>, key: K, slot: u32) {
+    if let Some(slots) = lists.get_mut(&key) {
+        slots.retain(|s| *s != slot);
+        if slots.is_empty() {
+            lists.remove(&key);
+        }
+    }
+}
+
+/// One bound column of a probe, encoded the way its column is typed so the
+/// per-candidate work is a typed compare against a contiguous vector.
+enum ColFilter {
+    /// Dictionary column: compare raw codes.
+    DictCode(usize, u32),
+    /// Any other column: compare against the normalized probe key.
+    Norm(usize, Value),
+}
+
+/// The candidates of a columnar probe: slots of the anchor posting list (or
+/// of the key index, for a scan) that pass every residual bound column.
+pub(super) struct ColProbe<'a> {
+    store: &'a ColumnStore,
+    slots: std::slice::Iter<'a, u32>,
+    filter: Vec<ColFilter>,
+}
+
+impl<'a> ColProbe<'a> {
+    pub(super) fn store(&self) -> &'a ColumnStore {
+        self.store
+    }
+}
+
+impl Iterator for ColProbe<'_> {
+    type Item = u32;
+
+    fn next(&mut self) -> Option<u32> {
+        let cols = &self.store.cols;
+        self.slots.by_ref().copied().find(|&slot| {
+            debug_assert!(self.store.is_live(slot), "indexes only hold live slots");
+            self.filter.iter().all(|f| match f {
+                ColFilter::DictCode(col, code) => match &cols[*col] {
+                    Column::Dict(xs) => xs[slot as usize] == *code,
+                    _ => unreachable!("DictCode filters target Dict columns"),
+                },
+                ColFilter::Norm(col, key) => cols[*col].matches_norm(slot as usize, key),
+            })
+        })
+    }
+}
+
+/// Column-major storage for one relation: parallel column vectors indexed by
+/// physical slot, a validity bitmap, a slot free-list, and the lookaside
+/// structures (key index, tuple-id map, posting lists) that answer point
+/// lookups and probes. A tuple's values are stored once, in the columns;
+/// every index holds slot numbers.
+#[derive(Debug, Clone)]
+pub(super) struct ColumnStore {
+    /// The relation every stored tuple belongs to (the table's own).
+    rel: Sym,
+    schema: Arc<RelationSchema>,
+    /// The columns that carry posting lists, ascending: the ones some plan
+    /// of the program probes, or all of them for a table built without one.
+    indexed: Arc<Vec<usize>>,
+    /// Per-slot content-addressed tuple id (parallel to the columns).
+    ids: Vec<TupleId>,
+    /// Per-slot supporting derivations.
+    derivs: Vec<Few<Derivation>>,
+    /// One column per attribute, each with `ids.len()` physical slots. Empty
+    /// until the first tuple arrives: an empty table owns no heap block.
+    cols: Vec<Column>,
+    /// Validity bitmap: bit = slot holds a live tuple.
+    live: Vec<u64>,
+    /// Dead slots available for reuse (keeps `TupleId`-addressed state and
+    /// the posting lists stable across churn instead of shifting slots).
+    free: Vec<u32>,
+    /// The live slots in primary-key order (the table's iteration order),
+    /// compared through the columns by [`ColumnStore::find`].
+    by_key: Vec<u32>,
+    /// Tuple id -> slot (provenance queries and cascade deletions address
+    /// tuples by id).
+    by_id: HashMap<TupleId, u32>,
+    /// The posting lists of `indexed[i]`, parallel to it; allocated with
+    /// `cols`.
+    postings: Vec<Postings>,
+}
+
+impl ColumnStore {
+    pub(super) fn new(rel: Sym, schema: Arc<RelationSchema>, indexed: Arc<Vec<usize>>) -> Self {
+        debug_assert!(indexed.iter().all(|c| *c < schema.arity));
+        debug_assert!(indexed.windows(2).all(|w| w[0] < w[1]));
+        ColumnStore {
+            rel,
+            schema,
+            indexed,
+            ids: Vec::new(),
+            derivs: Vec::new(),
+            cols: Vec::new(),
+            live: Vec::new(),
+            free: Vec::new(),
+            by_key: Vec::new(),
+            by_id: HashMap::new(),
+            postings: Vec::new(),
+        }
+    }
+
+    pub(super) fn relation(&self) -> Sym {
+        self.rel
+    }
+
+    pub(super) fn arity(&self) -> usize {
+        self.schema.arity
+    }
+
+    pub(super) fn len(&self) -> usize {
+        self.by_key.len()
+    }
+
+    /// The live slots in primary-key order.
+    pub(super) fn slots(&self) -> std::slice::Iter<'_, u32> {
+        self.by_key.iter()
+    }
+
+    pub(super) fn slot_of_id(&self, id: TupleId) -> Option<u32> {
+        self.by_id.get(&id).copied()
+    }
+
+    pub(super) fn id_at(&self, slot: u32) -> TupleId {
+        self.ids[slot as usize]
+    }
+
+    pub(super) fn derivations_at(&self, slot: u32) -> &[Derivation] {
+        self.derivs[slot as usize].as_slice()
+    }
+
+    pub(super) fn value_at(&self, slot: u32, col: usize) -> Value {
+        self.cols[col].value_at(slot as usize)
+    }
+
+    pub(super) fn matches_at(&self, slot: u32, col: usize, v: &Value) -> bool {
+        self.cols[col].matches_value(slot as usize, v)
+    }
+
+    fn is_live(&self, slot: u32) -> bool {
+        let (word, bit) = (slot as usize / 64, slot as usize % 64);
+        self.live.get(word).is_some_and(|w| w & (1 << bit) != 0)
+    }
+
+    fn set_live(&mut self, slot: u32, value: bool) {
+        let (word, bit) = (slot as usize / 64, slot as usize % 64);
+        if self.live.len() <= word {
+            self.live.resize(word + 1, 0);
+        }
+        if value {
+            self.live[word] |= 1 << bit;
+        } else {
+            self.live[word] &= !(1 << bit);
+        }
+    }
+
+    /// Where `tuple`'s primary key sits in the key index: `Ok(position)` of
+    /// the live slot holding that key, or `Err(position)` to insert it at.
+    /// The order is `Vec<Value>`'s over the key projection — `Value`'s total
+    /// order, key column by key column — read straight from the columns and
+    /// from `tuple.values`, so no key is ever built. `tuple` has the table's
+    /// arity.
+    fn find(&self, tuple: &Tuple) -> Result<usize, usize> {
+        let arity = self.schema.arity;
+        let key_cols = &self.schema.key_cols;
+        self.by_key.binary_search_by(|&slot| {
+            key_cols
+                .iter()
+                .filter(|&&c| c < arity)
+                .map(|&c| self.cols[c].cmp_value(slot as usize, &tuple.values[c]))
+                .find(|order| order.is_ne())
+                .unwrap_or(Ordering::Equal)
+        })
+    }
+
+    /// The live slot holding `tuple`'s key, with its position in the key
+    /// index, if what it holds is `tuple` itself (structural equality, the
+    /// row store's `existing.tuple == *tuple`) and not another tuple under
+    /// the same key.
+    fn find_exact(&self, tuple: &Tuple) -> Option<(usize, u32)> {
+        if tuple.values.len() != self.schema.arity {
+            return None;
+        }
+        let pos = self.find(tuple).ok()?;
+        let slot = self.by_key[pos];
+        self.slot_eq_tuple(slot, tuple).then_some((pos, slot))
+    }
+
+    fn slot_eq_tuple(&self, slot: u32, tuple: &Tuple) -> bool {
+        self.rel == tuple.relation
+            && self
+                .cols
+                .iter()
+                .zip(&tuple.values)
+                .all(|(col, v)| col.cmp_value(slot as usize, v).is_eq())
+    }
+
+    /// The slot storing exactly `tuple`.
+    pub(super) fn get(&self, tuple: &Tuple) -> Option<u32> {
+        self.find_exact(tuple).map(|(_, slot)| slot)
+    }
+
+    /// Materialize the tuple stored in a slot (counted — see
+    /// [`tuple_materializations`]).
+    pub(super) fn tuple_at(&self, slot: u32) -> Tuple {
+        TUPLE_MATERIALIZATIONS.with(|count| count.set(count.get() + 1));
+        Tuple {
+            relation: self.rel,
+            values: self
+                .cols
+                .iter()
+                .map(|c| c.value_at(slot as usize))
+                .collect(),
+        }
+    }
+
+    /// See [`super::Table::add_derivation`]. `id` is `tuple.id()`.
+    pub(super) fn add_derivation(
+        &mut self,
+        tuple: &Tuple,
+        id: TupleId,
+        derivation: Derivation,
+    ) -> Membership {
+        // Every column gets a value per slot, or the slots fall out of step.
+        assert_eq!(
+            tuple.values.len(),
+            self.schema.arity,
+            "tuple arity does not match relation `{}`",
+            self.schema.name
+        );
+        match self.find(tuple) {
+            Ok(pos) => {
+                let slot = self.by_key[pos];
+                if self.slot_eq_tuple(slot, tuple) {
+                    let derivs = &mut self.derivs[slot as usize];
+                    if derivs.as_slice().contains(&derivation) {
+                        Membership::Unchanged
+                    } else {
+                        derivs.push(derivation);
+                        Membership::AddedDerivation
+                    }
+                } else {
+                    // Key collision with different content: rewrite the slot
+                    // in place. It keeps its physical slot and — the keys
+                    // being equal — its place in the key index; it gets a
+                    // fresh id and is appended to its posting lists, exactly
+                    // like the row store's replacement.
+                    let old = self.tuple_at(slot);
+                    self.unindex_slot(slot);
+                    self.by_id.remove(&self.ids[slot as usize]);
+                    self.ids[slot as usize] = id;
+                    self.derivs[slot as usize] = Few::One(derivation);
+                    for (c, v) in self.cols.iter_mut().zip(&tuple.values) {
+                        c.write(slot as usize, v);
+                    }
+                    self.by_id.insert(id, slot);
+                    self.index_slot(slot);
+                    Membership::Replaced(old)
+                }
+            }
+            Err(pos) => {
+                self.insert_row(pos, tuple, id, Few::One(derivation));
+                Membership::Appeared
+            }
+        }
+    }
+
+    /// See [`super::Table::remove_derivation`].
+    pub(super) fn remove_derivation(
+        &mut self,
+        tuple: &Tuple,
+        derivation: &Derivation,
+    ) -> Membership {
+        let Some((pos, slot)) = self.find_exact(tuple) else {
+            return Membership::NotFound;
+        };
+        let derivs = &mut self.derivs[slot as usize];
+        let before = derivs.as_slice().len();
+        derivs.retain(|d| d != derivation);
+        let after = derivs.as_slice().len();
+        if after == before {
+            Membership::NotFound
+        } else if after > 0 {
+            Membership::RemovedDerivation
+        } else {
+            // The slot dies; its columns keep their values until it is
+            // reused, so the indexes are cleared from them first.
+            self.unindex_slot(slot);
+            self.by_key.remove(pos);
+            self.by_id.remove(&self.ids[slot as usize]);
+            self.set_live(slot, false);
+            self.free.push(slot);
+            Membership::Disappeared
+        }
+    }
+
+    /// Append a deserialized entry (rows arrive in key order; a repeated key
+    /// is ignored).
+    pub(super) fn insert_stored(&mut self, tuple: &Tuple, derivations: Vec<Derivation>) {
+        if tuple.values.len() != self.schema.arity {
+            return;
+        }
+        if let Err(pos) = self.find(tuple) {
+            self.insert_row(pos, tuple, tuple.id(), derivations.into());
+        }
+    }
+
+    /// Store a tuple whose key is vacant at position `pos` of the key index,
+    /// reusing a free slot when one exists.
+    fn insert_row(&mut self, pos: usize, tuple: &Tuple, id: TupleId, derivations: Few<Derivation>) {
+        if self.cols.is_empty() {
+            self.cols = (0..self.schema.arity)
+                .map(|_| Column::Other(Vec::new()))
+                .collect();
+            self.postings = vec![Postings::Norm(HashMap::new()); self.indexed.len()];
+        }
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.ids[slot as usize] = id;
+                self.derivs[slot as usize] = derivations;
+                for (col, v) in self.cols.iter_mut().zip(&tuple.values) {
+                    col.write(slot as usize, v);
+                }
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.ids.len()).expect("columnar slot overflow");
+                self.ids.push(id);
+                self.derivs.push(derivations);
+                for (col, v) in self.cols.iter_mut().zip(&tuple.values) {
+                    col.push(v);
+                }
+                slot
+            }
+        };
+        self.set_live(slot, true);
+        self.by_id.insert(id, slot);
+        self.by_key.insert(pos, slot);
+        self.index_slot(slot);
+    }
+
+    /// Append `slot` to the posting list of the value it holds in each
+    /// indexed column.
+    fn index_slot(&mut self, slot: u32) {
+        for (&col, postings) in self.indexed.iter().zip(&mut self.postings) {
+            let column = &self.cols[col];
+            postings.follow(column);
+            match (postings, column) {
+                (Postings::Code(lists), Column::Dict(xs)) => {
+                    lists.entry(xs[slot as usize]).or_default().push(slot)
+                }
+                (Postings::Norm(lists), column) => lists
+                    .entry(column.norm_key(slot as usize))
+                    .or_default()
+                    .push(slot),
+                (Postings::Code(_), _) => unreachable!("postings follow the column's type"),
+            }
+        }
+    }
+
+    /// Take `slot` out of its posting lists. Reads the slot's columns, so it
+    /// runs before anything overwrites them.
+    fn unindex_slot(&mut self, slot: u32) {
+        for (&col, postings) in self.indexed.iter().zip(&mut self.postings) {
+            match (postings, &self.cols[col]) {
+                (Postings::Code(lists), Column::Dict(xs)) => unlist(lists, xs[slot as usize], slot),
+                (Postings::Norm(lists), column) => {
+                    unlist(lists, column.norm_key(slot as usize), slot)
+                }
+                (Postings::Code(_), _) => unreachable!("postings follow the column's type"),
+            }
+        }
+    }
+
+    /// Rebuild the bitmap, id map, free list and posting lists from the key
+    /// index and the column arenas (key order, like the row store's
+    /// rebuild).
+    pub(super) fn rebuild_indexes(&mut self) {
+        self.clear_indexes();
+        for pos in 0..self.by_key.len() {
+            let slot = self.by_key[pos];
+            self.set_live(slot, true);
+            self.by_id.insert(self.ids[slot as usize], slot);
+            self.index_slot(slot);
+        }
+        self.free = (0..self.ids.len() as u32)
+            .filter(|s| !self.is_live(*s))
+            .rev()
+            .collect();
+    }
+
+    /// See [`super::Table::probe`]. `None` when some bound value is carried
+    /// by no stored tuple.
+    ///
+    /// Every posting list holds its slots in the order they were indexed and
+    /// the probe verifies every residual bound column, so whichever indexed
+    /// column anchors a probe, the candidates are the same subsequence of
+    /// the same order.
+    pub(super) fn probe(&self, bound_cols: &[(usize, Value)]) -> Option<ColProbe<'_>> {
+        let mut anchor: Option<(usize, &Vec<u32>)> = None;
+        let mut filter = Vec::with_capacity(bound_cols.len());
+        for (pos, (col, value)) in bound_cols.iter().enumerate() {
+            // No column yet means no tuple yet.
+            let bound = match self.cols.get(*col)? {
+                Column::Dict(_) => ColFilter::DictCode(*col, dict_code(value)?),
+                _ => ColFilter::Norm(*col, normalize_for_index(value)),
+            };
+            if let Ok(i) = self.indexed.binary_search(col) {
+                let slots = match (&self.postings[i], &bound) {
+                    (Postings::Code(lists), ColFilter::DictCode(_, code)) => lists.get(code),
+                    (Postings::Norm(lists), ColFilter::Norm(_, key)) => lists.get(key),
+                    _ => unreachable!("postings follow the column's type"),
+                }?;
+                if anchor.is_none_or(|(_, best)| slots.len() < best.len()) {
+                    anchor = Some((pos, slots));
+                }
+            }
+            filter.push(bound);
+        }
+        let slots = match anchor {
+            Some((pos, slots)) => {
+                filter.remove(pos);
+                slots.iter()
+            }
+            None => {
+                // Plans bind indexed columns only (`CompiledProgram::tables`
+                // is computed from them), so this is a caller outside the
+                // plans: a key-order scan, filtered.
+                debug_assert!(
+                    bound_cols.is_empty(),
+                    "probe of `{}` binds no indexed column: {:?}",
+                    self.schema.name,
+                    bound_cols.iter().map(|(c, _)| c).collect::<Vec<_>>()
+                );
+                self.by_key.iter()
+            }
+        };
+        Some(ColProbe {
+            store: self,
+            slots,
+            filter,
+        })
+    }
+
+    /// Resident bytes: column payloads, per-slot ids, bitmap, posting lists
+    /// (4-byte slot entries), and derivation records (priced like their wire
+    /// encoding).
+    pub(super) fn resident_bytes(&self) -> usize {
+        self.cols.iter().map(Column::resident_bytes).sum::<usize>()
+            + 8 * self.ids.len()
+            + 8 * self.live.len()
+            + 4 * self.postings.iter().map(Postings::entries).sum::<usize>()
+            + self
+                .derivs
+                .iter()
+                .flat_map(|ds| ds.as_slice().iter().map(Derivation::wire_size))
+                .sum::<usize>()
+    }
+
+    /// Empty the bitmap, the id map and every posting list (what
+    /// [`ColumnStore::rebuild_indexes`] refills).
+    pub(super) fn clear_indexes(&mut self) {
+        self.live.iter_mut().for_each(|w| *w = 0);
+        self.by_id.clear();
+        for postings in &mut self.postings {
+            *postings = Postings::Norm(HashMap::new());
+        }
+    }
+
+    /// Test view: (physical slots, free slots).
+    #[cfg(test)]
+    pub(super) fn arena(&self) -> (usize, usize) {
+        (self.ids.len(), self.free.len())
+    }
+}

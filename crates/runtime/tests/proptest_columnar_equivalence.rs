@@ -10,9 +10,17 @@
 //! vectorized probe kernel must yield exactly the candidates the row store's
 //! probe yields, in the same order) as a row-backed engine, at every worker
 //! count.
+//!
+//! The columnar key index is a vector of slot numbers ordered by comparing key
+//! columns in place; the row store's is a `BTreeMap` over cloned keys.
+//! `key_order_matches_the_row_store` holds the first to the second over keys
+//! that mix every variant. Seeded mutations it caught: ordering the key index
+//! by slot number (insert at the end), and leaving the last key column out of
+//! the comparator (`ColumnStore::find`).
 
 use nt_runtime::{
-    CompiledProgram, EngineConfig, EngineStats, NodeEngine, StepOutput, TableBacking, Tuple, Value,
+    CompiledProgram, Derivation, EngineConfig, EngineStats, Membership, NodeEngine, RelationSchema,
+    StepOutput, Table, TableBacking, Tuple, TupleId, Value,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -101,8 +109,86 @@ fn run_ops(
     (outputs, state, engine.stats().clone())
 }
 
+/// A key value: numbers whose `Int` and `Double` spellings compare equal
+/// (all inside ±2^53, where the order is transitive), addresses and strings
+/// with the same text, lists, and the infinity sentinel.
+fn key_value(code: u8) -> Value {
+    const BIG: i64 = (1 << 53) - 1;
+    match code % 16 {
+        0 => Value::Int(-1),
+        1 => Value::Int(2),
+        2 => Value::Double(2.0),
+        3 => Value::Double(2.5),
+        4 => Value::Double(-0.5),
+        5 => Value::Int(BIG),
+        6 => Value::Double(BIG as f64),
+        7 => Value::addr("b"),
+        8 => Value::addr("a"),
+        9 => Value::str("a"),
+        10 => Value::str("b"),
+        11 => Value::List(vec![Value::Int(2), Value::addr("a")]),
+        12 => Value::List(vec![Value::Double(2.0)]),
+        13 => Value::List(Vec::new()),
+        14 => Value::Infinity,
+        _ => Value::Bool(true),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// The key index orders tuples exactly as the row store's `BTreeMap`
+    /// does, whatever mix of variants the key columns hold, through
+    /// interleaved inserts, removals and replacements by key; `get` finds
+    /// the same entries.
+    #[test]
+    fn key_order_matches_the_row_store(
+        ops in proptest::collection::vec((0u8..3, any::<u8>(), any::<u8>(), 0i64..3), 1..60),
+    ) {
+        // Two key columns, one payload column: an insert that changes only
+        // the payload replaces by key.
+        let schema = RelationSchema {
+            name: "t".into(),
+            arity: 3,
+            location_col: 0,
+            key_cols: vec![0, 1],
+            is_base: true,
+            lifetime: None,
+        };
+        let mut col = Table::with_backing(schema.clone(), TableBacking::Columnar);
+        let mut row = Table::with_backing(schema, TableBacking::Row);
+        let base = Derivation { rule: "r".into(), node: "n1".into(), inputs: vec![TupleId(1)] };
+        let seen = |t: &Table| -> Vec<(String, TupleId, usize)> {
+            t.iter().map(|r| (r.to_tuple().to_string(), r.id(), r.derivations().len())).collect()
+        };
+        for (kind, k0, k1, payload) in ops {
+            let mut tuple =
+                Tuple::new("t", vec![key_value(k0), key_value(k1), Value::Int(payload)]);
+            // The engine addresses a stored tuple in its stored spelling; a
+            // removal takes whatever payload the key holds.
+            let held = row.iter().find(|r| {
+                (kind == 2 || r.value(2) == tuple.values[2])
+                    && r.value(0) == tuple.values[0]
+                    && r.value(1) == tuple.values[1]
+            });
+            if let Some(stored) = held {
+                tuple = stored.to_tuple();
+            }
+            let outcomes: Vec<Membership> = [&mut col, &mut row]
+                .into_iter()
+                .map(|t| match kind {
+                    0 | 1 => t.add_derivation(&tuple, base.clone()),
+                    _ => t.remove_derivation(&tuple, &base),
+                })
+                .collect();
+            prop_assert_eq!(&outcomes[0], &outcomes[1]);
+            prop_assert_eq!(seen(&col), seen(&row), "key order diverged after {}", tuple);
+            prop_assert_eq!(
+                col.get(&tuple).map(|r| r.id()),
+                row.get(&tuple).map(|r| r.id())
+            );
+        }
+    }
 
     /// Columnar storage equals the row reference bit for bit: per-run
     /// outputs, final tables and counters, at W ∈ {1, 4} (the parallel

@@ -73,6 +73,9 @@ pub fn anchor_tuple(a: &str) -> Tuple {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nt_runtime::compile::BoundTerm;
+    use nt_runtime::eval::SlotAtom;
+    use nt_runtime::{CompiledProgram, CompiledRule};
 
     #[test]
     fn anchored_pathvector_compiles_and_localizes() {
@@ -88,6 +91,105 @@ mod tests {
         }
         for rel in ["bestRoute", "aBest", "anchorHops"] {
             assert!(compiled.catalog.schema(rel).is_some(), "missing {rel}");
+        }
+    }
+
+    /// `relation.column` of every column the program's tables index.
+    fn probed(compiled: &CompiledProgram) -> Vec<String> {
+        let specs = compiled.tables.iter();
+        specs
+            .flat_map(|t| t.probed.iter().map(|c| format!("{}.{c}", t.schema.name)))
+            .collect()
+    }
+
+    fn columns(compiled: &CompiledProgram) -> usize {
+        compiled.catalog.schemas().map(|s| s.arity).sum()
+    }
+
+    /// What the benchmark's engines index. A column here costs a posting
+    /// entry per stored tuple on every node; a column missing here is probed
+    /// by scanning.
+    #[test]
+    fn the_benchmark_programs_index_a_third_of_their_columns() {
+        let pv = CompiledProgram::from_source(&anchored_pathvector(3)).unwrap();
+        assert_eq!(
+            probed(&pv),
+            [
+                "anchor.0",
+                "anchor.1",
+                "route.0",
+                "route.1",
+                "sc1_aux.0",
+                "sc2_aux.0"
+            ]
+        );
+        assert_eq!(columns(&pv), 18);
+
+        let mixed = CompiledProgram::from_source(&mixed_protocols(3)).unwrap();
+        assert_eq!(
+            probed(&mixed),
+            [
+                "acost.0",
+                "acost.1",
+                "anchor.0",
+                "anchor.1",
+                "dx1_aux.0",
+                "dx2_aux.0",
+                "mx1_aux.0",
+                "mx2_aux.0",
+                "route.0",
+                "route.1",
+                "sc1_aux.0",
+                "sc2_aux.0",
+                "sroute.0",
+                "sroute.1",
+            ]
+        );
+        assert_eq!(columns(&mixed), 41);
+    }
+
+    /// Every column a probe site binds is indexed: each join step of each
+    /// plan (delta-triggered and full), each negated-atom check, each
+    /// aggregate group scan, of every rule of every shipped program. The
+    /// sites are read off the rules here, apart from the code that computes
+    /// the set, so a site that code forgets — it would still answer, by
+    /// scanning — fails this.
+    #[test]
+    fn every_probe_site_of_every_shipped_program_is_indexed() {
+        let mut sources = vec![anchored_pathvector(3), mixed_protocols(3)];
+        sources.extend(
+            protocols::all_protocols()
+                .iter()
+                .map(|p| p.source.to_string()),
+        );
+        // Negation, constants and a reconciliation (full) plan.
+        sources.push("r1 out(@S) :- a(@S,Z), b(@S,Z,5), !c(@S,Z).".to_string());
+        for source in &sources {
+            let cp = CompiledProgram::from_source(source).unwrap();
+            let indexed = probed(&cp);
+            let check = |rule: &CompiledRule, atom: &SlotAtom, cols: &[(usize, BoundTerm)]| {
+                let relation = atom.relation.as_str();
+                for (col, _) in cols {
+                    assert!(
+                        indexed.contains(&format!("{relation}.{col}")),
+                        "rule {} probes {relation}.{col}, which no table indexes",
+                        rule.rule.name
+                    );
+                }
+            };
+            for rule in &cp.rules {
+                for plan in rule.plans.iter().chain([&rule.full_plan]) {
+                    for step in &plan.steps {
+                        check(rule, &rule.slots.positive[step.atom], &step.bound_cols);
+                    }
+                }
+                for (atom, cols) in rule.slots.negated.iter().zip(&rule.negated_probes) {
+                    check(rule, atom, cols);
+                }
+                if rule.aggregate.is_some() {
+                    check(rule, &rule.slots.positive[0], &rule.aggregate_probe);
+                }
+            }
         }
     }
 }

@@ -28,8 +28,24 @@ test_job() {
     echo "==> [test] cargo build --release --workspace"
     cargo build --release --workspace
 
+    # Among them, the oracles of the storage layout:
+    #   nt-runtime proptest_probe_mask — a table indexing a random column set
+    #     reads like one indexing every column, on both backings;
+    #   nt-runtime proptest_columnar_equivalence (key_order_matches_the_row_store)
+    #     — the sorted-slot key index orders tuples as the row store's B-tree;
+    #   scenario programs::tests (every_probe_site_of_every_shipped_program_is_indexed,
+    #     the_benchmark_programs_index_a_third_of_their_columns) — the probe
+    #     sets of the shipped programs, pinned, and no probe site outside them;
+    #   nettrails bytes_per_node — counted heap per empty node and per stored
+    #     tuple under pinned ceilings, and all of it back on drop.
     echo "==> [test] cargo test -q --workspace"
     cargo test -q --workspace
+
+    # The counting-allocator probe behind those ceilings, at 200 nodes: one
+    # line per phase (start / new / seed / fixpoint / drop) with live bytes,
+    # blocks, per node, per tuple and VmHWM. `-- 2000` is converge_as.
+    echo "==> [test] bytes_per_node example, 200 nodes"
+    cargo run --release --quiet --example bytes_per_node -- 200
 
     # ntbench's LayeredNet recomposes the platform round loop from the
     # public layer calls and every traced run compares its end state with the
