@@ -42,7 +42,7 @@ pub fn experiment_mincost_provenance(sizes: &[usize]) -> ReportTable {
         let (node, target) = nt
             .relation("minCost")
             .into_iter()
-            .max_by_key(|(_, t)| t.values[2].as_int())
+            .max_by_key(|(_, t)| t.values()[2].as_int())
             .expect("at least one minCost tuple");
         let (result, stats) = nt
             .query(&target)

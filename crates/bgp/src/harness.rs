@@ -324,7 +324,7 @@ mod tests {
         assert!(
             bases.iter().any(|(_, t)| t
                 .as_ref()
-                .map(|t| t.relation == "outputRoute" && t.values[0].as_addr() == Some("AS1000"))
+                .map(|t| t.relation() == "outputRoute" && t.values()[0].as_addr() == Some("AS1000"))
                 .unwrap_or(false)),
             "origin announcement is a base vertex: {bases:?}"
         );

@@ -275,9 +275,9 @@ mod tests {
         let firings = proxy.observe(&announce("AS1000", "AS200", "p", &["AS1000"]));
         assert_eq!(firings.len(), 2);
         assert_eq!(firings[0].rule, BASE_RULE);
-        assert_eq!(firings[0].head.relation, "outputRoute");
+        assert_eq!(firings[0].head.relation(), "outputRoute");
         assert_eq!(firings[1].rule, RECV_RULE);
-        assert_eq!(firings[1].head.relation, "inputRoute");
+        assert_eq!(firings[1].head.relation(), "inputRoute");
         assert_eq!(firings[1].head_home, "AS200");
         assert_eq!(proxy.unmatched_outputs, 1);
     }
@@ -292,7 +292,7 @@ mod tests {
         // The outputRoute at AS200 is attributed to the inputRoute it extends.
         let br1 = firings.iter().find(|f| f.rule == "br1").expect("br1 fired");
         assert_eq!(br1.node, "AS200");
-        assert_eq!(br1.input_tuples[0].relation, "inputRoute");
+        assert_eq!(br1.input_tuples[0].relation(), "inputRoute");
         assert_eq!(proxy.matched_outputs, 1);
     }
 

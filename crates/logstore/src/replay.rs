@@ -118,8 +118,8 @@ impl SnapshotDiff {
     /// and report the step from the delta's added tuples and the tuples it
     /// took out of the snapshot. Equal to [`SnapshotDiff::between`] of the
     /// two snapshots whenever distinct tuples of a node render distinctly
-    /// (captured tables do; `Int(3)` beside `Double(3.0)` would not), at the
-    /// cost of the delta instead of both snapshots.
+    /// (captured tables do; `true` beside the address `true` would not), at
+    /// the cost of the delta instead of both snapshots.
     fn stepping(snapshot: &mut SystemSnapshot, delta: &SnapshotDelta) -> Self {
         let from = snapshot.time;
         let (links_added, links_removed) = match &delta.topology {

@@ -10,12 +10,26 @@
 //! A segment is *sealed* once it reaches its record capacity: the footer
 //! index is appended and the file is fsynced, making the segment immutable.
 //! Opening a directory recovers every record by scanning frames (the header
-//! carries time and kind, so recovery never decodes JSON payloads): a
-//! truncated tail — an incomplete header, an incomplete payload, or a
-//! checksum mismatch, i.e. a crash mid-append — silently ends that segment's
-//! scan, keeping the intact prefix. Compaction rewrites all live records
-//! into fresh sealed segments, reclaiming dead tail bytes; if any record
-//! fails to read it rewrites nothing.
+//! carries time and kind, so recovery never decodes JSON payloads). A torn
+//! tail — an incomplete header, an incomplete payload, or a *last* frame
+//! whose payload fails its checksum, i.e. a crash mid-append — silently ends
+//! that segment's scan, keeping the intact prefix. A complete frame that
+//! fails its checksum but whose length lands on a frame that verifies, or on
+//! the footer, is a bit flipped mid-segment: the scan counts it
+//! ([`SegmentFileBackend::skipped_frames`]) and goes on to the records
+//! behind it. The corrupt frame keeps its place in the index and fails every
+//! read, like one that rots after `open`: a delta names no base, so leaving
+//! the record out would chain the deltas behind it onto the wrong snapshot,
+//! while an unreadable record makes the rest of its chain absent.
+//!
+//! The checksum covers the payload only. A flip in `len` (the frame no longer
+//! lands on one that verifies) or one that makes `kind` invalid still ends
+//! the scan there; one that makes `kind` the other valid value, or changes
+//! `time_us`, is not detected.
+//!
+//! Compaction rewrites all live records into fresh sealed segments,
+//! reclaiming dead tail bytes; if any record fails to read it rewrites
+//! nothing.
 //!
 //! Every read checks the payload against the frame checksum again, so bytes
 //! that rot after `open` are a "checksum mismatch" error, never a record.
@@ -88,6 +102,8 @@ pub struct SegmentFileBackend {
     next_segment: u32,
     segment_capacity: usize,
     storage_bytes: u64,
+    /// Frames `open` found corrupt mid-segment (indexed, unreadable).
+    skipped_frames: usize,
     /// The read handle of the segment last read from, kept open across
     /// reads: a replay reads a segment's records one after another.
     reader: RefCell<Option<(u32, File)>>,
@@ -125,13 +141,14 @@ impl SegmentFileBackend {
             next_segment: segment_files.last().map(|(n, _)| n + 1).unwrap_or(0),
             segment_capacity: DEFAULT_SEGMENT_CAPACITY,
             storage_bytes: 0,
+            skipped_frames: 0,
             reader: RefCell::new(None),
         };
         let mut recovered: Vec<Slot> = Vec::new();
         for (number, path) in &segment_files {
             let bytes = fs::read(path)?;
             backend.storage_bytes += bytes.len() as u64;
-            recovered.extend(scan_segment(*number, &bytes));
+            backend.skipped_frames += scan_segment(*number, &bytes, &mut recovered);
         }
         // Logical order: capture time, file order as the stable tiebreak
         // (recovered is already in file order, and sort_by_key is stable).
@@ -142,6 +159,12 @@ impl SegmentFileBackend {
             backend.slots.push(slot);
         }
         Ok(backend)
+    }
+
+    /// How many frames `open` found corrupt in the middle of a segment: each
+    /// is a record of the index that no read returns (module documentation).
+    pub fn skipped_frames(&self) -> usize {
+        self.skipped_frames
     }
 
     /// Override how many records a segment holds before sealing.
@@ -263,41 +286,54 @@ impl SegmentFileBackend {
     }
 }
 
-/// Scan one segment's bytes, returning the slots of every intact record. A
-/// truncated or corrupt tail ends the scan; the footer sentinel ends it
-/// cleanly.
-fn scan_segment(number: u32, bytes: &[u8]) -> Vec<Slot> {
-    let mut slots = Vec::new();
-    let mut offset = 0usize;
-    while offset + FRAME_HEADER <= bytes.len() {
-        let len = u32::from_le_bytes(bytes[offset..offset + 4].try_into().unwrap());
-        if len == FOOTER_SENTINEL {
-            break; // sealed segment's footer index
-        }
-        let Some(kind) = byte_kind(bytes[offset + 4]) else {
-            break;
-        };
-        let time_us = u64::from_le_bytes(bytes[offset + 5..offset + 13].try_into().unwrap());
-        let checksum = u64::from_le_bytes(bytes[offset + 13..offset + 21].try_into().unwrap());
-        let payload_start = offset + FRAME_HEADER;
-        let payload_end = payload_start + len as usize;
-        if payload_end > bytes.len() {
-            break; // truncated tail: incomplete payload
-        }
-        if fnv64(&bytes[payload_start..payload_end]) != checksum {
-            break; // torn write
-        }
-        slots.push(Slot {
-            segment: number,
-            offset: offset as u64,
-            payload_len: len,
-            checksum,
-            time: SimTime::from_micros(time_us),
-            kind,
-        });
-        offset = payload_end;
+/// The complete frame at `offset`: its slot, where the next frame starts, and
+/// whether its payload matches its checksum. `None` at the footer sentinel,
+/// an invalid kind, an incomplete header or an incomplete payload.
+fn frame_at(number: u32, bytes: &[u8], offset: usize) -> Option<(Slot, usize, bool)> {
+    let header = bytes.get(offset..offset.checked_add(FRAME_HEADER)?)?;
+    let len = u32::from_le_bytes(header[..4].try_into().unwrap());
+    if len == FOOTER_SENTINEL {
+        return None; // sealed segment's footer index
     }
-    slots
+    let kind = byte_kind(header[4])?;
+    let time_us = u64::from_le_bytes(header[5..13].try_into().unwrap());
+    let checksum = u64::from_le_bytes(header[13..21].try_into().unwrap());
+    let payload_start = offset + FRAME_HEADER;
+    let payload_end = payload_start.checked_add(len as usize)?;
+    let payload = bytes.get(payload_start..payload_end)?;
+    let slot = Slot {
+        segment: number,
+        offset: offset as u64,
+        payload_len: len,
+        checksum,
+        time: SimTime::from_micros(time_us),
+        kind,
+    };
+    Some((slot, payload_end, fnv64(payload) == checksum))
+}
+
+/// Scan one segment's bytes, appending the slot of every frame to `slots`;
+/// returns how many of them are corrupt. A torn tail ends the scan, the
+/// footer sentinel ends it cleanly; a frame that fails its checksum is a torn
+/// tail unless its length lands on the footer or on a frame that verifies
+/// (module documentation).
+fn scan_segment(number: u32, bytes: &[u8], slots: &mut Vec<Slot>) -> usize {
+    let footer = FOOTER_SENTINEL.to_le_bytes();
+    let mut skipped = 0;
+    let mut offset = 0usize;
+    while let Some((slot, next, intact)) = frame_at(number, bytes, offset) {
+        if !intact {
+            let resumes = bytes[next..].starts_with(&footer)
+                || frame_at(number, bytes, next).is_some_and(|(_, _, intact)| intact);
+            if !resumes {
+                break; // torn write
+            }
+            skipped += 1;
+        }
+        slots.push(slot);
+        offset = next;
+    }
+    skipped
 }
 
 impl LogBackend for SegmentFileBackend {

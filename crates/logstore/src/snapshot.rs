@@ -108,7 +108,7 @@ impl SystemSnapshot {
             for (relation, tuples) in &snap.relations {
                 names.insert(relation);
                 for t in tuples {
-                    collect_value_names(&t.values, &mut names);
+                    collect_value_names(t.values(), &mut names);
                 }
             }
         }
@@ -117,8 +117,8 @@ impl SystemSnapshot {
                 provenance::ProvVertex::Tuple { tuple, home, .. } => {
                     names.insert(home.as_str());
                     if let Some(t) = tuple {
-                        names.insert(t.relation.as_str());
-                        collect_value_names(&t.values, &mut names);
+                        names.insert(t.relation().as_str());
+                        collect_value_names(t.values(), &mut names);
                     }
                 }
                 provenance::ProvVertex::RuleExec { rule, node, .. } => {

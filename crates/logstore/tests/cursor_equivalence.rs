@@ -97,12 +97,17 @@ fn between_reference(a: &SystemSnapshot, b: &SystemSnapshot) -> SnapshotDiff {
 const NODES: [&str; 4] = ["c1", "c2", "c3", "c4"];
 const RELATIONS: [&str; 3] = ["cost", "hop", "seen"];
 
-fn tuple(node: &str, relation: &str, value: i64) -> Tuple {
+/// One fact; `as_double` spells its number `3.0` instead of `3`, which names
+/// the same tuple.
+fn tuple(node: &str, relation: &str, value: i64, as_double: bool) -> Tuple {
     Tuple::new(
         relation,
         vec![
             Value::addr(node),
-            Value::Int(value),
+            match as_double {
+                true => Value::Double(value as f64),
+                false => Value::Int(value),
+            },
             Value::str(format!("v{value}")),
             Value::List(vec![Value::addr(NODES[value as usize % NODES.len()])]),
         ],
@@ -114,7 +119,10 @@ fn tuple(node: &str, relation: &str, value: i64) -> Tuple {
 type Fact = (usize, usize, i64);
 
 /// One capture per entry of `edits`: each edit toggles facts and sets the
-/// length of the line topology. A node with no facts left
+/// length of the line topology. Every other capture spells its numbers as
+/// doubles, so a fact that stays is `3` in one capture and `3.0` in the next:
+/// the pair an in-place step and `between` must both see as no change. A node
+/// with no facts left
 /// drops out of the capture; the graph holds a vertex per `cost` fact,
 /// chained by edges.
 fn captures(edits: &[(Vec<Fact>, usize)]) -> Vec<SystemSnapshot> {
@@ -133,7 +141,7 @@ fn captures(edits: &[(Vec<Fact>, usize)]) -> Vec<SystemSnapshot> {
         };
         let mut chain = Vec::new();
         for (node, relation, value) in &facts {
-            let t = tuple(NODES[*node], RELATIONS[*relation], *value);
+            let t = tuple(NODES[*node], RELATIONS[*relation], *value, i % 2 == 1);
             if *relation == 0 {
                 let vid = VertexId::Tuple(t.id());
                 chain.push(vid);

@@ -7,6 +7,12 @@
 //! captures. And once with a single bit flipped in a payload *after* open:
 //! the read must fail its checksum, not decode to a different record, and a
 //! compaction must refuse to run rather than rewrite the log without it.
+//!
+//! And bytes damaged *before* open: every single-bit flip in the payload or
+//! the checksum field of a record that another frame (or the footer) follows
+//! costs exactly that record, in a sealed and in an unsealed segment; every
+//! truncation offset keeps exactly the intact prefix; a flip in `len` or one
+//! that makes `kind` invalid still ends the scan at that frame.
 
 use logstore::snapshot::{tuple_sort_key, NodeSnapshot};
 use logstore::{LogBackend, LogStore, SegmentFileBackend, SnapshotCapturer, SystemSnapshot};
@@ -159,7 +165,6 @@ fn sealed_segments_compact_and_keep_answers() {
 
 #[test]
 fn a_bit_flipped_after_open_fails_the_checksum_on_read() {
-    const FRAME_HEADER: usize = 4 + 1 + 8 + 8;
     let dir = tempdir("bitrot");
     let snaps = captures();
     {
@@ -229,5 +234,155 @@ fn a_bit_flipped_after_open_fails_the_checksum_on_read() {
     for (i, snap) in snaps.iter().enumerate() {
         assert_eq!(store.get(i).as_ref(), Some(snap), "index {i}");
     }
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+const FRAME_HEADER: usize = 4 + 1 + 8 + 8;
+
+/// The six captures as one segment file, sealed (capacity 6: the footer
+/// follows the last record) or not; returns the directory, the file's bytes
+/// and each frame's `(offset, payload length)`.
+fn one_segment(tag: &str, sealed: bool) -> (PathBuf, Vec<u8>, Vec<(usize, usize)>) {
+    let dir = tempdir(tag);
+    let capacity = if sealed { 6 } else { 100 };
+    let backend = SegmentFileBackend::open(&dir)
+        .unwrap()
+        .with_segment_capacity(capacity);
+    let mut seg = LogStore::with_backend(Box::new(backend));
+    fill(&mut seg, &captures(), 3);
+    seg.flush();
+    drop(seg);
+    let bytes = fs::read(dir.join("seg-00000.ntl")).unwrap();
+    let mut frames = Vec::new();
+    let mut offset = 0;
+    for _ in 0..6 {
+        let len = u32::from_le_bytes(bytes[offset..offset + 4].try_into().unwrap()) as usize;
+        frames.push((offset, len));
+        offset += FRAME_HEADER + len;
+    }
+    assert_eq!(sealed, offset < bytes.len(), "a footer follows iff sealed");
+    (dir, bytes, frames)
+}
+
+/// Reopen `dir` with `bytes` as its only segment.
+fn reopen_with(dir: &std::path::Path, bytes: &[u8]) -> SegmentFileBackend {
+    fs::write(dir.join("seg-00000.ntl"), bytes).unwrap();
+    SegmentFileBackend::open(dir).unwrap()
+}
+
+/// Every single-bit flip in the checksum field or the payload of every record
+/// that something follows: the record is unreadable, the other five are the
+/// records that were written.
+fn flip_every_bit(sealed: bool) {
+    let (dir, bytes, frames) = one_segment(&format!("flip-{sealed}"), sealed);
+    let intact = reopen_with(&dir, &bytes);
+    assert_eq!((intact.len(), intact.skipped_frames()), (6, 0));
+    let records: Vec<_> = (0..6).map(|i| intact.read(i).unwrap()).collect();
+    let times = intact.time_index().to_vec();
+
+    // The last record of an unsealed segment is the torn-tail case.
+    let followed = if sealed { 6 } else { 5 };
+    let mut flips = 0usize;
+    for (r, &(offset, len)) in frames.iter().enumerate().take(followed) {
+        let field = offset + 13..offset + 21;
+        let payload = offset + FRAME_HEADER..offset + FRAME_HEADER + len;
+        for byte in field.chain(payload) {
+            for bit in 0..8 {
+                let mut damaged = bytes.clone();
+                damaged[byte] ^= 1 << bit;
+                let b = reopen_with(&dir, &damaged);
+                assert_eq!(
+                    (b.len(), b.skipped_frames(), b.time_index()),
+                    (6, 1, &times[..]),
+                    "record {r}, byte {byte}, bit {bit}, sealed {sealed}"
+                );
+                assert!(b.get(r).is_none(), "record {r}, byte {byte}, bit {bit}");
+                // Decoding the five survivors is the slow part: every flip
+                // reads one of them, every 61st reads them all.
+                flips += 1;
+                for i in (0..6).filter(|i| *i != r) {
+                    if flips.is_multiple_of(61) || i == (r + 1 + flips % 5) % 6 {
+                        assert_eq!(b.read(i).unwrap(), records[i], "record {i} after {r}");
+                    }
+                }
+            }
+        }
+    }
+    assert!(flips > 8 * 64 * followed);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_bit_flipped_before_open_costs_exactly_its_record_in_an_unsealed_segment() {
+    flip_every_bit(false);
+}
+
+#[test]
+fn a_bit_flipped_before_open_costs_exactly_its_record_in_a_sealed_segment() {
+    flip_every_bit(true);
+}
+
+#[test]
+fn every_truncation_offset_keeps_exactly_the_intact_prefix() {
+    for sealed in [false, true] {
+        let (dir, bytes, frames) = one_segment(&format!("cut-{sealed}"), sealed);
+        for cut in 0..=bytes.len() {
+            let b = reopen_with(&dir, &bytes[..cut]);
+            let whole = frames
+                .iter()
+                .filter(|(offset, len)| offset + FRAME_HEADER + len <= cut)
+                .count();
+            assert_eq!(
+                (b.len(), b.skipped_frames()),
+                (whole, 0),
+                "cut at {cut} of {}, sealed {sealed}",
+                bytes.len()
+            );
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+#[test]
+fn a_flip_in_the_length_or_to_an_invalid_kind_still_ends_the_scan_there() {
+    let (dir, bytes, frames) = one_segment("header", true);
+    for (r, &(offset, _)) in frames.iter().enumerate() {
+        // All 32 bits of `len`; bits 1..8 of `kind` (bit 0 names the other
+        // valid kind, which no checksum covers).
+        for bit in (0..32).chain(33..40) {
+            let mut damaged = bytes.clone();
+            damaged[offset + bit / 8] ^= 1 << (bit % 8);
+            let b = reopen_with(&dir, &damaged);
+            assert_eq!(
+                (b.len(), b.skipped_frames()),
+                (r, 0),
+                "record {r}, header bit {bit}"
+            );
+        }
+    }
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Through the façade: a delta found corrupt at open is absent together with
+/// the rest of its chain — never re-based onto the wrong snapshot — the next
+/// checkpoint and everything behind it are back, and a compaction refuses to
+/// make the loss permanent.
+#[test]
+fn a_store_reopened_over_a_corrupt_delta_keeps_the_chains_behind_it() {
+    let snaps = captures();
+    let (dir, mut bytes, frames) = one_segment("facade", false);
+    // Records: checkpoint 0, deltas 1 2, checkpoint 3, deltas 4 5.
+    let (offset, len) = frames[1];
+    bytes[offset + FRAME_HEADER + len / 2] ^= 0x10;
+    let backend = reopen_with(&dir, &bytes);
+    assert_eq!((backend.len(), backend.skipped_frames()), (6, 1));
+    let mut store = LogStore::with_backend(Box::new(backend));
+    for (i, snap) in snaps.iter().enumerate() {
+        let expected = (i != 1 && i != 2).then_some(snap);
+        assert_eq!(store.get(i).as_ref(), expected, "index {i}");
+    }
+    let stats = store.compact();
+    assert_eq!(stats.bytes_after, stats.bytes_before);
+    assert_eq!(fs::read(dir.join("seg-00000.ntl")).unwrap(), bytes);
     fs::remove_dir_all(&dir).unwrap();
 }

@@ -118,7 +118,7 @@ impl DemoScript {
                 } => {
                     let target = nt.find_tuple(relation, |t| {
                         constraints.iter().all(|(col, value)| {
-                            t.values.get(*col).and_then(|v| v.as_addr()) == Some(value)
+                            t.values().get(*col).and_then(|v| v.as_addr()) == Some(value)
                         })
                     });
                     match target {
@@ -170,7 +170,7 @@ mod tests {
                 result: Some(QueryResult::Lineage(tree)),
                 stats,
             } => {
-                assert_eq!(t.relation, "minCost");
+                assert_eq!(t.relation(), "minCost");
                 assert!(tree.size() > 1);
                 assert!(stats.vertices_visited > 0);
             }

@@ -41,11 +41,11 @@
 //! // n1 knows the cheapest cost to n3 (two hops of cost 1).
 //! let (node, min_cost) = nt
 //!     .find_tuple("minCost", |t| {
-//!         t.values[0].as_addr() == Some("n1") && t.values[1].as_addr() == Some("n3")
+//!         t.values()[0].as_addr() == Some("n1") && t.values()[1].as_addr() == Some("n3")
 //!     })
 //!     .expect("minCost(n1,n3) derived");
 //! assert_eq!(node, "n1");
-//! assert_eq!(min_cost.values[2].as_int(), Some(2));
+//! assert_eq!(min_cost.values()[2].as_int(), Some(2));
 //!
 //! // And its provenance can be queried from any node: the session rides the
 //! // simulated wire as real per-destination query frames.

@@ -1079,9 +1079,9 @@ mod tests {
 
     fn min_cost(nt: &NetTrails, from: &str, to: &str) -> Option<i64> {
         nt.find_tuple("minCost", |t| {
-            t.values[0].as_addr() == Some(from) && t.values[1].as_addr() == Some(to)
+            t.values()[0].as_addr() == Some(from) && t.values()[1].as_addr() == Some(to)
         })
-        .and_then(|(_, t)| t.values[2].as_int())
+        .and_then(|(_, t)| t.values()[2].as_int())
     }
 
     #[test]
@@ -1142,7 +1142,7 @@ mod tests {
         let mut nt = mincost_on(Topology::line(3));
         let (_, target) = nt
             .find_tuple("minCost", |t| {
-                t.values[0].as_addr() == Some("n1") && t.values[1].as_addr() == Some("n3")
+                t.values()[0].as_addr() == Some("n1") && t.values()[1].as_addr() == Some("n3")
             })
             .unwrap();
         let (result, stats) = nt
@@ -1173,7 +1173,7 @@ mod tests {
         assert!(
             bases
                 .iter()
-                .all(|(_, t)| t.as_ref().map(|t| t.relation == "link").unwrap_or(true)),
+                .all(|(_, t)| t.as_ref().map(|t| t.relation() == "link").unwrap_or(true)),
             "base tuples of minCost are links"
         );
         assert!(!bases.is_empty());
@@ -1208,7 +1208,7 @@ mod tests {
         let mut nt = mincost_on(Topology::line(4));
         let (node, target) = nt
             .find_tuple("minCost", |t| {
-                t.values[0].as_addr() == Some("n1") && t.values[1].as_addr() == Some("n4")
+                t.values()[0].as_addr() == Some("n1") && t.values()[1].as_addr() == Some("n4")
             })
             .unwrap();
         let (r_dfs, dfs) = nt
@@ -1239,7 +1239,7 @@ mod tests {
         let mut nt = mincost_on(Topology::line(4));
         let (_, target) = nt
             .find_tuple("minCost", |t| {
-                t.values[0].as_addr() == Some("n1") && t.values[1].as_addr() == Some("n4")
+                t.values()[0].as_addr() == Some("n1") && t.values()[1].as_addr() == Some("n4")
             })
             .unwrap();
         let full = nt.query(&target).from_node("n4").run().1;
@@ -1266,7 +1266,7 @@ mod tests {
         let mut nt = mincost_on(Topology::line(4));
         let (_, target) = nt
             .find_tuple("minCost", |t| {
-                t.values[0].as_addr() == Some("n1") && t.values[1].as_addr() == Some("n4")
+                t.values()[0].as_addr() == Some("n1") && t.values()[1].as_addr() == Some("n4")
             })
             .unwrap();
         let handle = nt.query(&target).from_node("n4").submit();
@@ -1307,7 +1307,7 @@ mod tests {
             nt.run_to_fixpoint();
             let (_, target) = nt
                 .find_tuple("minCost", |t| {
-                    t.values[0].as_addr() == Some("n1") && t.values[1].as_addr() == Some("n3")
+                    t.values()[0].as_addr() == Some("n1") && t.values()[1].as_addr() == Some("n3")
                 })
                 .unwrap();
             let handles: Vec<QueryHandle> = ["n3", "n3", "n5", "n1"]
@@ -1372,7 +1372,7 @@ mod tests {
         let mut nt = mincost_on(Topology::line(3));
         let (_, target) = nt
             .find_tuple("minCost", |t| {
-                t.values[0].as_addr() == Some("n1") && t.values[1].as_addr() == Some("n3")
+                t.values()[0].as_addr() == Some("n1") && t.values()[1].as_addr() == Some("n3")
             })
             .unwrap();
         let request = nt
@@ -1405,7 +1405,7 @@ mod tests {
         let mut nt = mincost_on(Topology::ring(4));
         let (node, target) = nt
             .find_tuple("minCost", |t| {
-                t.values[0].as_addr() == Some("n1") && t.values[1].as_addr() == Some("n2")
+                t.values()[0].as_addr() == Some("n1") && t.values()[1].as_addr() == Some("n2")
             })
             .unwrap();
         let (before, _) = nt.query(&target).from_node(node.as_str()).cached().run();
@@ -1416,7 +1416,7 @@ mod tests {
         });
         let (_, fresh_target) = nt
             .find_tuple("minCost", |t| {
-                t.values[0].as_addr() == Some("n1") && t.values[1].as_addr() == Some("n2")
+                t.values()[0].as_addr() == Some("n1") && t.values()[1].as_addr() == Some("n2")
             })
             .expect("still reachable the long way");
         let (cached_after, _) = nt
@@ -1474,19 +1474,19 @@ mod tests {
         nt.run_to_fixpoint();
         let (_, best) = nt
             .find_tuple("bestPathCost", |t| {
-                t.values[0].as_addr() == Some("n1") && t.values[1].as_addr() == Some("n3")
+                t.values()[0].as_addr() == Some("n1") && t.values()[1].as_addr() == Some("n3")
             })
             .expect("best path cost derived");
-        assert_eq!(best.values[2].as_int(), Some(2));
+        assert_eq!(best.values()[2].as_int(), Some(2));
         // The path relation holds the explicit route n1 -> n2 -> n3.
         let path = nt
             .find_tuple("path", |t| {
-                t.values[0].as_addr() == Some("n1")
-                    && t.values[1].as_addr() == Some("n3")
-                    && t.values[3].as_int() == Some(2)
+                t.values()[0].as_addr() == Some("n1")
+                    && t.values()[1].as_addr() == Some("n3")
+                    && t.values()[3].as_int() == Some(2)
             })
             .expect("path tuple");
-        let route = path.1.values[2].as_list().unwrap();
+        let route = path.1.values()[2].as_list().unwrap();
         assert_eq!(route.len(), 3);
         assert_eq!(route[0], Value::addr("n1"));
         assert_eq!(route[2], Value::addr("n3"));

@@ -93,9 +93,12 @@ mod tests {
         let topo = Topology::line(3);
         let links = link_tuples(&topo);
         assert_eq!(links.len(), 4);
-        assert!(links
-            .iter()
-            .all(|(node, t)| t.relation == "link" && t.values[0] == Value::addr(node.as_str())));
+        assert!(
+            links
+                .iter()
+                .all(|(node, t)| t.relation() == "link"
+                    && t.values()[0] == Value::addr(node.as_str()))
+        );
     }
 
     #[test]

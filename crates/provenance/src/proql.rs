@@ -117,7 +117,7 @@ pub fn evaluate(graph: &ProvGraph, query: &ProqlQuery) -> ProqlResult {
                 tuple: Some(t),
                 home,
                 ..
-            } if t.relation == query.relation && query.node.map(|n| n == *home).unwrap_or(true) => {
+            } if t.relation() == query.relation && query.node.is_none_or(|n| n == *home) => {
                 Some(*id)
             }
             _ => None,

@@ -214,8 +214,8 @@ fn walk_tree<F: FnMut(Sym)>(tree: &ProofTree, names: &mut F) -> usize {
     names(tree.home.as_sym());
     let mut bytes = 8 + NodeId::WIRE_SIZE + 2;
     if let Some(tuple) = &tree.tuple {
-        names(tuple.relation);
-        visit_addrs(&tuple.values, &mut |a| names(a.as_sym()));
+        names(tuple.relation());
+        visit_addrs(tuple.values(), &mut |a| names(a.as_sym()));
         bytes += tuple.wire_size();
     }
     for exec in &tree.derivations {

@@ -114,8 +114,8 @@ impl MaintRecord {
         out.insert(self.rule.as_str());
         out.insert(self.node.as_str());
         for t in &self.input_tuples {
-            out.insert(t.relation.as_str());
-            collect_addr_names(&t.values, out);
+            out.insert(t.relation().as_str());
+            collect_addr_names(t.values(), out);
         }
     }
 }
@@ -337,11 +337,11 @@ impl ProvenanceShard {
             .map(|&slot| self.stores[slot as usize].node)
     }
 
-    /// Record one derivation of `head` (whose id is `vid`) at `home`'s store:
-    /// the tuple's content and its `prov` entry. Every vertex of this shard
-    /// is created here, so this is where the home index learns of it.
-    pub(crate) fn add_prov(&mut self, home: NodeId, vid: TupleId, head: &Tuple, entry: ProvEntry) {
-        let slot = self.slot(home);
+    /// Record one derivation of `head` at `home`'s store: the tuple's content
+    /// and its `prov` entry. Every vertex of this shard is created here, so
+    /// this is where the home index learns of it.
+    pub(crate) fn add_prov(&mut self, home: NodeId, head: &Tuple, entry: ProvEntry) {
+        let (slot, vid) = (self.slot(home), head.id());
         let store = &mut self.stores[slot];
         store.register_tuple(head);
         let vertices = store.vertex_count();
@@ -391,19 +391,13 @@ impl ProvenanceShard {
     }
 
     fn apply_home_insert(&mut self, firing: &Firing, exec_local: bool, traffic: &mut TrafficStats) {
-        let vid = firing.head.id();
         if firing.rule == nt_runtime::base_rule_sym() {
             let home = firing.head_home;
-            self.add_prov(
-                home,
-                vid,
-                &firing.head,
-                ProvEntry {
-                    rid: None,
-                    rloc: home,
-                },
-            );
-            return;
+            let entry = ProvEntry {
+                rid: None,
+                rloc: home,
+            };
+            return self.add_prov(home, &firing.head, entry);
         }
         let rid = RuleExecId::compute(firing.rule, firing.node, &firing.inputs);
         // ruleExec lives where the rule fired; apply it here when that is
@@ -435,7 +429,7 @@ impl ProvenanceShard {
                 entry.wire_size() + firing.head.wire_size(),
             );
         }
-        self.add_prov(firing.head_home, vid, &firing.head, entry);
+        self.add_prov(firing.head_home, &firing.head, entry);
     }
 
     fn apply_home_retract(

@@ -356,10 +356,10 @@ impl ProvenanceStore {
             dict.insert(s.exec.node.as_str());
         }
         for t in self.tuples.values() {
-            dict.insert(t.relation.as_str());
+            dict.insert(t.relation().as_str());
             // Address values inside tuples are priced at fixed id width by
             // `Tuple::wire_size`, so their names belong to the dictionary too.
-            collect_addr_names(&t.values, &mut dict);
+            collect_addr_names(t.values(), &mut dict);
         }
         dict
     }

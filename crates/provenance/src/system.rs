@@ -379,7 +379,7 @@ impl ProvenanceSystem {
     #[cfg(test)]
     pub(crate) fn add_prov(&mut self, node: NodeId, head: &Tuple, entry: crate::store::ProvEntry) {
         let shard = self.shard_of(node);
-        self.shards[shard].add_prov(node, head.id(), head, entry);
+        self.shards[shard].add_prov(node, head, entry);
     }
 
     /// Aggregate statistics across all stores. Shard-count invariant.

@@ -395,7 +395,7 @@ mod tests {
 
     fn far_target(nt: &NetTrails) -> Tuple {
         nt.find_tuple("minCost", |t| {
-            t.values[0].as_addr() == Some("n1") && t.values[1].as_addr() == Some("n4")
+            t.values()[0].as_addr() == Some("n1") && t.values()[1].as_addr() == Some("n4")
         })
         .map(|(_, t)| t)
         .expect("minCost(n1,n4) converged")

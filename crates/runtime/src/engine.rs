@@ -31,7 +31,9 @@
 //! ## Incremental deletions
 //!
 //! Every derived tuple carries the derivations that support it
-//! ([`crate::store`]). When a tuple disappears, the engine looks up — through
+//! ([`crate::store`]), and every structure here names a tuple by the id it
+//! carries: equal tuples have one (the identity rule atop [`crate::value`]),
+//! however a rule or a sender spelled their numbers. When a tuple disappears, the engine looks up — through
 //! the reverse-dependency index — every derivation that used it, in the
 //! outbox first and then in the tables, retracts those derivations, and
 //! cascades. This is the counting form of incremental
@@ -340,11 +342,10 @@ enum WorkItem {
 enum GenEvent {
     /// A base tuple gained or lost a derivation (reported to provenance).
     BaseFire { tuple: Tuple, insert: bool },
-    /// A tuple became visible. The id was hashed once when the delta was
-    /// applied and travels with the event.
-    Appeared { tuple: Tuple, id: TupleId },
+    /// A tuple became visible.
+    Appeared(Tuple),
     /// A tuple lost its last derivation (cascade runs at merge time).
-    Disappeared { tuple: Tuple, id: TupleId },
+    Disappeared(Tuple),
 }
 
 /// One rule trigger planned for an [`GenEvent::Appeared`] event. `Mono`
@@ -528,9 +529,9 @@ impl NodeEngine {
             let mut tasks: Vec<MonoTask<'_>> = Vec::new();
             for (idx, event) in events.iter().enumerate() {
                 let start = ops.len();
-                if let GenEvent::Appeared { tuple, id } = event {
+                if let GenEvent::Appeared(tuple) = event {
                     if !skip[idx] {
-                        self.plan_insert_triggers(tuple, *id, &mut ops, &mut tasks);
+                        self.plan_insert_triggers(tuple, &mut ops, &mut tasks);
                     }
                 }
                 op_ranges.push(start..ops.len());
@@ -564,7 +565,7 @@ impl NodeEngine {
                     input_tuples: Vec::new(),
                     insert,
                 }),
-                GenEvent::Appeared { tuple, .. } => {
+                GenEvent::Appeared(tuple) => {
                     out.local_changes.push(Delta::Insert(tuple.clone()));
                     for &op in &ops[op_range] {
                         match op {
@@ -587,22 +588,12 @@ impl NodeEngine {
                         }
                     }
                 }
-                GenEvent::Disappeared { tuple, id } => {
+                GenEvent::Disappeared(tuple) => {
                     out.local_changes.push(Delta::Delete(tuple.clone()));
-                    self.on_disappear(&tuple, id, &mut reconciled, out);
+                    self.on_disappear(&tuple, &mut reconciled, out);
                 }
             }
         }
-    }
-
-    /// Is `tuple` (by exact identity) still stored at the end of the apply
-    /// phase? Filters out insertions that were deleted — or displaced by a
-    /// keyed replacement — later in the same generation.
-    fn is_live(&self, tuple: &Tuple, id: TupleId) -> bool {
-        self.db
-            .table_sym(tuple.relation)
-            .and_then(|table| table.get(tuple))
-            .is_some_and(|stored| stored.id() == id)
     }
 
     /// Decide which membership events of a generation are *transient churn*
@@ -645,13 +636,13 @@ impl NodeEngine {
         let mut per_id: HashMap<TupleId, (bool, Vec<usize>)> = HashMap::new();
         for (idx, event) in events.iter().enumerate() {
             match event {
-                GenEvent::Appeared { id, .. } => per_id
-                    .entry(*id)
+                GenEvent::Appeared(tuple) => per_id
+                    .entry(tuple.id())
                     .or_insert_with(|| (false, Vec::new()))
                     .1
                     .push(idx),
-                GenEvent::Disappeared { id, .. } => per_id
-                    .entry(*id)
+                GenEvent::Disappeared(tuple) => per_id
+                    .entry(tuple.id())
                     .or_insert_with(|| (true, Vec::new()))
                     .1
                     .push(idx),
@@ -662,9 +653,12 @@ impl NodeEngine {
             if idxs.len() < 2 {
                 continue;
             }
+            // Still stored at the end of the apply phase? Not if a later item
+            // of the generation deleted it or displaced it by key.
             let live = match &events[idxs[0]] {
-                GenEvent::Appeared { tuple, id } | GenEvent::Disappeared { tuple, id } => {
-                    self.is_live(tuple, *id)
+                GenEvent::Appeared(tuple) | GenEvent::Disappeared(tuple) => {
+                    let table = self.db.table_sym(tuple.relation());
+                    table.is_some_and(|table| table.contains(tuple))
                 }
                 GenEvent::BaseFire { .. } => unreachable!("only membership events are indexed"),
             };
@@ -675,7 +669,7 @@ impl NodeEngine {
                 (false, true) => idxs
                     .iter()
                     .rev()
-                    .find(|&&i| matches!(events[i], GenEvent::Appeared { .. }))
+                    .find(|&&i| matches!(events[i], GenEvent::Appeared(_)))
                     .copied(),
                 // Deleted tuple: the first disappearance cascades once.
                 (true, false) => Some(idxs[0]),
@@ -694,11 +688,10 @@ impl NodeEngine {
     fn plan_insert_triggers<'e>(
         &self,
         tuple: &'e Tuple,
-        id: TupleId,
         ops: &mut Vec<TriggerOp>,
         tasks: &mut Vec<MonoTask<'e>>,
     ) {
-        if let Some(triggers) = self.program.triggers.get(&tuple.relation) {
+        if let Some(triggers) = self.program.triggers.get(&tuple.relation()) {
             for &(rule_idx, atom_idx) in triggers {
                 let rule = &self.program.rules[rule_idx];
                 if rule.aggregate.is_some() {
@@ -710,13 +703,12 @@ impl NodeEngine {
                         rule_idx,
                         atom_idx,
                         tuple,
-                        id,
                     });
                     ops.push(TriggerOp::Mono);
                 }
             }
         }
-        if let Some(neg) = self.program.negation_triggers.get(&tuple.relation) {
+        if let Some(neg) = self.program.negation_triggers.get(&tuple.relation()) {
             for &rule_idx in neg {
                 ops.push(TriggerOp::Reconcile { rule_idx });
             }
@@ -731,7 +723,7 @@ impl NodeEngine {
         let derivation = Derivation {
             rule: rule.name_sym,
             node: self.config.node,
-            inputs: candidate.input_ids,
+            inputs: candidate.inputs.iter().map(Tuple::id).collect(),
         };
         self.emit_derivation(
             candidate.head,
@@ -754,9 +746,10 @@ impl NodeEngine {
     /// deduplicated. The outbox membership transitions guarantee polarities
     /// for one (tuple, derivation) strictly alternate, so "same pair, same
     /// polarity" only arises from redundant re-derivation paths.
-    fn queue_send(&mut self, dest: Addr, delta: Delta, id: TupleId, derivation: Derivation) {
+    fn queue_send(&mut self, dest: Addr, delta: Delta, derivation: Derivation) {
         let sends = &mut self.pending_sends;
-        let slots = self.pending_index.entry((dest, id)).or_default();
+        let pending = (dest, delta.tuple().id());
+        let slots = self.pending_index.entry(pending).or_default();
         // Almost every (dest, tuple) has one pending derivation, so a linear
         // scan of the slot list beats keying the map on the derivation (which
         // would clone its heap-allocated input list once per send).
@@ -832,12 +825,12 @@ impl NodeEngine {
     // ----------------------------------------------------------------------
 
     fn ensure_table(&mut self, tuple: &Tuple) {
-        if self.db.table_sym(tuple.relation).is_none() {
+        if self.db.table_sym(tuple.relation()).is_none() {
             // Relations unknown to the program (e.g. environment relations fed
             // for observation only) get a lenient schema: location column 0,
             // set semantics.
             self.db.register(crate::catalog::RelationSchema {
-                name: tuple.relation.as_str().to_string(),
+                name: tuple.relation().as_str().to_string(),
                 arity: tuple.arity(),
                 location_col: 0,
                 key_cols: (0..tuple.arity()).collect(),
@@ -847,44 +840,23 @@ impl NodeEngine {
         }
     }
 
-    /// `Value`'s total order equates `Int` and `Double` numerically, so two
-    /// `Tuple`s can be equal while their content-addressed ids differ. Every
-    /// id-keyed structure (dependency index, `by_id`, column indexes) must
-    /// see one representation only: the one already stored. Canonicalize
-    /// incoming deltas to it.
-    ///
-    /// Returns the tuple with its id: the one hash of the apply path. Every
-    /// later use — storage, the dependency index, the generation's events and
-    /// the trigger tasks planned from them — is handed this id.
-    fn canonical_tuple(&self, tuple: Tuple) -> (Tuple, TupleId) {
-        let id = tuple.id();
-        match self
-            .db
-            .table_sym(tuple.relation)
-            .and_then(|table| table.get(&tuple))
-        {
-            Some(stored) if stored.id() != id => (stored.to_tuple(), stored.id()),
-            _ => (tuple, id),
-        }
-    }
-
     fn apply_add(&mut self, tuple: Tuple, derivation: Derivation, events: &mut Vec<GenEvent>) {
         self.ensure_table(&tuple);
-        let (tuple, id) = self.canonical_tuple(tuple);
         let is_base = derivation.is_base();
         let inputs = derivation.inputs.clone();
         let membership = self
             .db
-            .table_mut_sym(tuple.relation)
+            .table_mut_sym(tuple.relation())
             .expect("table ensured")
-            .add_derivation_with_id(&tuple, id, derivation);
+            .add_derivation(&tuple, derivation);
 
         if matches!(
             membership,
             Membership::Appeared | Membership::AddedDerivation | Membership::Replaced(_)
         ) {
             for input in &inputs {
-                self.db.index_dependency(*input, tuple.relation, id);
+                self.db
+                    .index_dependency(*input, tuple.relation(), tuple.id());
             }
             if is_base {
                 // Report base tuples to the provenance layer.
@@ -897,23 +869,18 @@ impl NodeEngine {
 
         match membership {
             Membership::Unchanged | Membership::AddedDerivation | Membership::NotFound => {}
-            Membership::Appeared => events.push(GenEvent::Appeared { tuple, id }),
+            Membership::Appeared => events.push(GenEvent::Appeared(tuple)),
             Membership::Replaced(old) => {
                 // Update-in-place: the displaced tuple disappears first.
-                let old_id = old.id();
-                events.push(GenEvent::Disappeared {
-                    tuple: old,
-                    id: old_id,
-                });
-                events.push(GenEvent::Appeared { tuple, id });
+                events.push(GenEvent::Disappeared(old));
+                events.push(GenEvent::Appeared(tuple));
             }
             Membership::Disappeared | Membership::RemovedDerivation => unreachable!(),
         }
     }
 
     fn apply_remove(&mut self, tuple: Tuple, derivation: Derivation, events: &mut Vec<GenEvent>) {
-        let (tuple, id) = self.canonical_tuple(tuple);
-        let Some(table) = self.db.table_mut_sym(tuple.relation) else {
+        let Some(table) = self.db.table_mut_sym(tuple.relation()) else {
             return;
         };
         let is_base = derivation.is_base();
@@ -929,7 +896,7 @@ impl NodeEngine {
             });
         }
         if membership == Membership::Disappeared {
-            events.push(GenEvent::Disappeared { tuple, id });
+            events.push(GenEvent::Disappeared(tuple));
         }
     }
 
@@ -940,12 +907,11 @@ impl NodeEngine {
     fn on_disappear(
         &mut self,
         tuple: &Tuple,
-        id: TupleId,
         reconciled: &mut HashSet<usize>,
         out: &mut StepOutput,
     ) {
-        let dependents = self.db.dependents_of(id);
-        self.db.clear_dependency(id);
+        let dependents = self.db.dependents_of(tuple.id());
+        self.db.clear_dependency(tuple.id());
         for dependent in dependents {
             // A remote head is retracted from the outbox and at its home; a
             // stored tuple loses the derivation in the next generation.
@@ -962,7 +928,7 @@ impl NodeEngine {
                     insert: false,
                 });
                 if dependent.destination.is_some() {
-                    self.retract_outbox(&dependent.tuple, dependent.id, derivation, home);
+                    self.retract_outbox(&dependent.tuple, derivation, home);
                 } else {
                     self.queue.push_back(WorkItem::Remove {
                         tuple: dependent.tuple.clone(),
@@ -983,8 +949,8 @@ impl NodeEngine {
         reconciled: &mut HashSet<usize>,
         out: &mut StepOutput,
     ) {
-        let program = Arc::clone(&self.program);
-        for &(rule_idx, _) in program.triggers.get(&tuple.relation).into_iter().flatten() {
+        let (program, relation) = (Arc::clone(&self.program), tuple.relation());
+        for &(rule_idx, _) in program.triggers.get(&relation).into_iter().flatten() {
             let rule = &program.rules[rule_idx];
             if rule.aggregate.is_some() {
                 self.recompute_aggregate_for(rule_idx, tuple, out);
@@ -992,7 +958,7 @@ impl NodeEngine {
                 self.reconcile_rule(rule_idx, out);
             }
         }
-        let negated_in = program.negation_triggers.get(&tuple.relation);
+        let negated_in = program.negation_triggers.get(&relation);
         for &rule_idx in negated_in.into_iter().flatten() {
             if reconciled.insert(rule_idx) {
                 self.reconcile_rule(rule_idx, out);
@@ -1013,7 +979,7 @@ impl NodeEngine {
         out: &mut StepOutput,
     ) {
         let home = head
-            .values
+            .values()
             .get(loc_col)
             .and_then(Value::as_node_id)
             .unwrap_or(self.config.node);
@@ -1047,11 +1013,10 @@ impl NodeEngine {
         }
         // Remote head: remember it in the outbox so that later input
         // deletions can retract the remote derivation, and ship the delta.
-        let head_id = head.id();
         if !insert {
-            self.retract_outbox(&head, head_id, derivation, home);
-        } else if self.db.outbox_insert(&head, head_id, home, &derivation) {
-            self.queue_send(home, Delta::Insert(head), head_id, derivation);
+            self.retract_outbox(&head, derivation, home);
+        } else if self.db.outbox_insert(&head, home, &derivation) {
+            self.queue_send(home, Delta::Insert(head), derivation);
         }
     }
 
@@ -1059,11 +1024,10 @@ impl NodeEngine {
     /// [`Self::on_disappear`] and the aggregate/negation reconciliation in
     /// [`Self::emit_derivation`] — funnels through here, so a remote
     /// retraction is queued for shipment exactly when the outbox held the
-    /// (tuple, derivation) pair, at most once per round. `id` is
-    /// `tuple.id()`.
-    fn retract_outbox(&mut self, tuple: &Tuple, id: TupleId, derivation: Derivation, home: Addr) {
-        if self.db.outbox_remove(id, &derivation) {
-            self.queue_send(home, Delta::Delete(tuple.clone()), id, derivation);
+    /// (tuple, derivation) pair, at most once per round.
+    fn retract_outbox(&mut self, tuple: &Tuple, derivation: Derivation, home: Addr) {
+        if self.db.outbox_remove(tuple.id(), &derivation) {
+            self.queue_send(home, Delta::Delete(tuple.clone()), derivation);
         }
     }
 
@@ -1180,7 +1144,7 @@ impl NodeEngine {
             let derivation = Derivation {
                 rule: rule.name_sym,
                 node: self.config.node,
-                inputs: found.input_ids,
+                inputs: found.inputs.iter().map(Tuple::id).collect(),
             };
             if !new_derivations
                 .iter()
@@ -1288,8 +1252,9 @@ fn collect_record_dict(
             _ => {}
         }
     }
-    push_entry(tuple.relation.index(), tuple.relation.as_str(), seen, dict);
-    for v in &tuple.values {
+    let relation = tuple.relation();
+    push_entry(relation.index(), relation.as_str(), seen, dict);
+    for v in tuple.values() {
         walk_value(v, seen, dict);
     }
     push_entry(
@@ -1305,11 +1270,6 @@ fn collect_record_dict(
         dict,
     );
 }
-
-/// Value equality that treats `Addr` and `Str` with the same text as equal —
-/// now defined next to `Value` itself (the storage layer's column matchers
-/// share it); re-exported here for the evaluation-layer callers.
-pub use crate::value::values_match;
 
 /// Build an aggregate head tuple from a group key and the aggregate value.
 fn build_agg_head(
@@ -1360,10 +1320,10 @@ mod tests {
         assert!(!out.truncated);
         let cost = e.relation("cost");
         assert_eq!(cost.len(), 1);
-        assert_eq!(cost[0].values[2], Value::Int(5));
+        assert_eq!(cost[0].values()[2], Value::Int(5));
         let min_cost = e.relation("minCost");
         assert_eq!(min_cost.len(), 1);
-        assert_eq!(min_cost[0].values[2], Value::Int(5));
+        assert_eq!(min_cost[0].values()[2], Value::Int(5));
         // Base firing + r1 firing + r3 firing at least.
         assert!(out.firings.iter().any(|f| f.rule == BASE_RULE));
         assert!(out.firings.iter().any(|f| f.rule == "r1"));
@@ -1423,13 +1383,13 @@ mod tests {
         e.run();
         let min_cost = e.relation("minCost");
         assert_eq!(min_cost.len(), 1);
-        assert_eq!(min_cost[0].values[2], Value::Int(3));
+        assert_eq!(min_cost[0].values()[2], Value::Int(3));
         // Deleting the cheaper link falls back to the more expensive one.
         e.delete_base(link("n1", "n2", 3));
         e.run();
         let min_cost = e.relation("minCost");
         assert_eq!(min_cost.len(), 1);
-        assert_eq!(min_cost[0].values[2], Value::Int(5));
+        assert_eq!(min_cost[0].values()[2], Value::Int(5));
         // Deleting the last link removes the aggregate entirely.
         e.delete_base(link("n1", "n2", 5));
         e.run();
@@ -1456,8 +1416,8 @@ mod tests {
         let total = |e: &NodeEngine, g: &str| -> Option<Value> {
             e.relation("total")
                 .into_iter()
-                .find(|t| t.values[1] == Value::str(g))
-                .map(|t| t.values[2].clone())
+                .find(|t| t.values()[1] == Value::str(g))
+                .map(|t| t.values()[2].clone())
         };
         let exact = |v: Option<Value>, want: i64| matches!(v, Some(Value::Int(i)) if i == want);
         const BIG: i64 = (1 << 53) + 1;
@@ -1507,7 +1467,7 @@ mod tests {
         assert!(out
             .local_changes
             .iter()
-            .any(|d| matches!(d, Delta::Delete(t) if t.relation == "cost")));
+            .any(|d| matches!(d, Delta::Delete(t) if t.relation() == "cost")));
     }
 
     #[test]
@@ -1544,7 +1504,7 @@ mod tests {
         e.run();
         let cost = e.relation("cost");
         assert_eq!(cost.len(), 1);
-        assert_eq!(cost[0].values[2], Value::Int(2));
+        assert_eq!(cost[0].values()[2], Value::Int(2));
     }
 
     #[test]
@@ -1580,7 +1540,7 @@ mod tests {
         let doubles: Vec<i64> = e
             .relation("double")
             .iter()
-            .map(|t| t.values[2].as_int().unwrap())
+            .map(|t| t.values()[2].as_int().unwrap())
             .collect();
         assert_eq!(doubles.len(), 2);
         assert!(doubles.contains(&6) && doubles.contains(&18));

@@ -472,16 +472,16 @@ pub trait Row {
 
 impl Row for Tuple {
     fn relation(&self) -> Sym {
-        self.relation
+        Tuple::relation(self)
     }
     fn arity(&self) -> usize {
-        self.values.len()
+        Tuple::arity(self)
     }
     fn value(&self, col: usize) -> Value {
-        self.values[col].clone()
+        self.values()[col].clone()
     }
     fn matches(&self, col: usize, v: &Value) -> bool {
-        crate::value::values_match(v, &self.values[col])
+        crate::value::values_match(v, &self.values()[col])
     }
 }
 

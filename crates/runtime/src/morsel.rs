@@ -52,7 +52,7 @@
 use crate::compile::{AggSpec, BoundTerm, CompiledProgram, CompiledRule, PlanStep};
 use crate::eval::{Frame, SlotAtom, SlotTerm};
 use crate::store::{Database, TupleRef};
-use crate::tuple::{Tuple, TupleId};
+use crate::tuple::Tuple;
 use crate::value::Value;
 use ndlog::AggregateFunc;
 
@@ -70,23 +70,20 @@ pub(crate) const MORSEL_TASKS: usize = 32;
 pub(crate) struct MonoTask<'a> {
     pub rule_idx: usize,
     pub atom_idx: usize,
-    /// The delta tuple (borrowed from the generation's event list) and its
-    /// id, hashed once when the delta was applied.
+    /// The delta tuple (borrowed from the generation's event list).
     pub tuple: &'a Tuple,
-    pub id: TupleId,
 }
 
 /// A candidate firing produced by the join kernel: the constructed head and
-/// the body tuples that matched, in body order, with their ids (read from
-/// storage, not re-hashed). The derivation record is built at commit time by
-/// the merge phase (it only needs the rule symbol, the engine's node and the
-/// input ids).
+/// the body tuples that matched, in body order (each carrying the id storage
+/// held for it). The derivation record is built at commit time by the merge
+/// phase (it only needs the rule symbol, the engine's node and the input
+/// ids).
 #[derive(Debug, Clone)]
 pub(crate) struct Candidate {
     pub rule_idx: usize,
     pub head: Tuple,
     pub inputs: Vec<Tuple>,
-    pub input_ids: Vec<TupleId>,
 }
 
 /// A body atom's match while a join is in flight: the trigger delta by
@@ -94,21 +91,14 @@ pub(crate) struct Candidate {
 /// the join result builds a head.
 #[derive(Clone, Copy)]
 pub(crate) enum Matched<'a> {
-    Trigger(&'a Tuple, TupleId),
+    Trigger(&'a Tuple),
     Stored(TupleRef<'a>),
 }
 
 impl Matched<'_> {
-    fn id(&self) -> TupleId {
-        match self {
-            Matched::Trigger(_, id) => *id,
-            Matched::Stored(stored) => stored.id(),
-        }
-    }
-
     fn to_tuple(self) -> Tuple {
         match self {
-            Matched::Trigger(tuple, _) => tuple.clone(),
+            Matched::Trigger(tuple) => tuple.clone(),
             Matched::Stored(stored) => stored.to_tuple(),
         }
     }
@@ -151,7 +141,7 @@ impl<'a> EvalContext<'a> {
         if rule.slots.positive[task.atom_idx].match_row(task.tuple, frame) {
             matched.clear();
             matched.resize(rule.slots.positive.len(), None);
-            matched[task.atom_idx] = Some(Matched::Trigger(task.tuple, task.id));
+            matched[task.atom_idx] = Some(Matched::Trigger(task.tuple));
             self.join(
                 rule,
                 &rule.plans[task.atom_idx].steps,
@@ -226,7 +216,6 @@ impl<'a> EvalContext<'a> {
                     rule_idx: rule.index,
                     head,
                     inputs: rows().map(Matched::to_tuple).collect(),
-                    input_ids: rows().map(|m| m.id()).collect(),
                 });
             }
         }

@@ -27,9 +27,9 @@
 //! * **Columnar** (the default, module `columnar`): tuples live
 //!   column-major in a `ColumnStore`-shaped arena — one dictionary-encoded
 //!   `u32` column per `Addr`-valued attribute (the dictionary *is* the
-//!   process-global intern pool, so encoding is free), plain `Vec<i64>` /
-//!   `Vec<f64>` columns for numeric attributes, and a `Vec<Value>` overflow
-//!   column for strings, lists and mixed-type attributes. A validity bitmap
+//!   process-global intern pool, so encoding is free), a plain `Vec<i64>`
+//!   column per integer attribute, and a `Vec<Value>` overflow column for
+//!   everything else (fractions, strings, lists, mixed types). A validity bitmap
 //!   plus a slot free-list keeps physical slots stable across churn. The
 //!   columns hold the only copy of a tuple's values: the primary-key index
 //!   is a vector of live slot numbers kept in key order and compared through
@@ -51,8 +51,9 @@
 //! strictly-smallest among the indexed bound columns), posting lists append
 //! on insert and compact on remove in the same order, the no-bound-column
 //! scan iterates in primary-key order, and the residual bound columns are
-//! verified with the shared [`normalize_for_index`] predicate. That is what
-//! lets the engine prove runs bit-identical across backings.
+//! verified with one shared predicate (`matches_normalized`, the in-place
+//! form of [`normalize_for_index`]). That is what lets the engine prove runs
+//! bit-identical across backings.
 
 mod columnar;
 
@@ -144,20 +145,6 @@ pub enum Membership {
     NotFound,
 }
 
-impl Membership {
-    /// True when the tuple is present after the operation.
-    pub fn present(&self) -> bool {
-        matches!(
-            self,
-            Membership::Appeared
-                | Membership::AddedDerivation
-                | Membership::RemovedDerivation
-                | Membership::Unchanged
-                | Membership::Replaced(_)
-        )
-    }
-}
-
 /// Which physical layout a [`Table`] stores its tuples in.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TableBacking {
@@ -169,37 +156,17 @@ pub enum TableBacking {
     Row,
 }
 
-/// Normalize a value for secondary-index keys — the **single source of
-/// truth** for both the legacy row-store index keys and the columnar
-/// store's posting-list keys and dictionary-code lookups: whenever two
-/// values are equal for matching purposes they must land on the same key,
-/// or index probes would miss tuples the scan path finds.
-///
-/// * The engine's `values_match` treats `Addr` and `Str` with the same text
-///   as equal (programs write location constants as strings; tuples carry
-///   addresses) → `Addr` keys become `Str`. A dictionary-encoded column
-///   resolves the normalized text back to its pool code (without interning)
-///   when probing.
-/// * `Value`'s total order compares `Int` and `Double` numerically
-///   (`Int(2) == Double(2.0)`) while their stable hashes differ → integral
-///   doubles become `Int`. (Doubles at or beyond ±2^63 keep their own key;
-///   equality with a saturating `Int` there is not representable anyway.)
-/// * NaNs compare equal to each other regardless of payload bits → all NaNs
-///   share one canonical key.
-/// * Lists compare elementwise, so their elements are normalized
-///   recursively.
+/// The key a value is posted under in a secondary index: the value with
+/// every `Addr` as the `Str` of its text, lists elementwise. [`values_match`]
+/// equates an `Addr` with a `Str` of the same text (programs write location
+/// constants as strings; tuples carry addresses) while `Eq` and `Hash` keep
+/// them apart, so without this an index probe would miss tuples the scan
+/// path finds. (A dictionary-encoded column resolves a probe text to its
+/// pool code instead.) Numbers need nothing: equal numbers are equal and
+/// hash alike however they are spelled ([`crate::value`]).
 pub fn normalize_for_index(v: &Value) -> Value {
     match v {
         Value::Addr(a) => Value::Str(a.as_str().to_string()),
-        Value::Double(d) => {
-            if d.is_nan() {
-                Value::Double(f64::NAN)
-            } else if d.fract() == 0.0 && *d >= i64::MIN as f64 && *d < i64::MAX as f64 {
-                Value::Int(*d as i64)
-            } else {
-                Value::Double(*d)
-            }
-        }
         Value::List(l) => Value::List(l.iter().map(normalize_for_index).collect()),
         other => other.clone(),
     }
@@ -212,15 +179,6 @@ pub fn normalize_for_index(v: &Value) -> Value {
 fn matches_normalized(v: &Value, norm: &Value) -> bool {
     match v {
         Value::Addr(a) => matches!(norm, Value::Str(s) if a.as_str() == s),
-        Value::Double(d) => {
-            if d.is_nan() {
-                matches!(norm, Value::Double(n) if n.is_nan())
-            } else if d.fract() == 0.0 && *d >= i64::MIN as f64 && *d < i64::MAX as f64 {
-                matches!(norm, Value::Int(i) if *i == *d as i64)
-            } else {
-                matches!(norm, Value::Double(n) if n == d)
-            }
-        }
         Value::List(l) => matches!(
             norm,
             Value::List(n) if l.len() == n.len()
@@ -299,7 +257,7 @@ impl RowStore {
         let entries: Vec<(TupleId, Vec<Value>)> = self
             .tuples
             .values()
-            .map(|st| (st.tuple.id(), st.tuple.values.clone()))
+            .map(|st| (st.tuple.id(), st.tuple.values().to_vec()))
             .collect();
         for (id, values) in entries {
             self.index_tuple_values(id, &values);
@@ -343,7 +301,7 @@ impl<'a> TupleRef<'a> {
     /// The relation the tuple belongs to.
     pub fn relation(&self) -> Sym {
         match self.0 {
-            RefInner::Stored(st) => st.tuple.relation,
+            RefInner::Stored(st) => st.tuple.relation(),
             RefInner::Slot(store, _) => store.relation(),
         }
     }
@@ -351,7 +309,7 @@ impl<'a> TupleRef<'a> {
     /// Number of attributes.
     pub fn arity(&self) -> usize {
         match self.0 {
-            RefInner::Stored(st) => st.tuple.values.len(),
+            RefInner::Stored(st) => st.tuple.values().len(),
             RefInner::Slot(store, _) => store.arity(),
         }
     }
@@ -377,7 +335,7 @@ impl<'a> TupleRef<'a> {
     /// dictionary and numeric columns).
     pub fn value(&self, col: usize) -> Value {
         match self.0 {
-            RefInner::Stored(st) => st.tuple.values[col].clone(),
+            RefInner::Stored(st) => st.tuple.values()[col].clone(),
             RefInner::Slot(store, slot) => store.value_at(slot, col),
         }
     }
@@ -386,7 +344,7 @@ impl<'a> TupleRef<'a> {
     /// materializing.
     pub fn matches(&self, col: usize, v: &Value) -> bool {
         match self.0 {
-            RefInner::Stored(st) => values_match(v, &st.tuple.values[col]),
+            RefInner::Stored(st) => values_match(v, &st.tuple.values()[col]),
             RefInner::Slot(store, slot) => store.matches_at(slot, col, v),
         }
     }
@@ -455,7 +413,7 @@ impl<'a> Iterator for ProbeIter<'a> {
                     };
                     if filter
                         .iter()
-                        .all(|(col, key)| matches_normalized(&st.tuple.values[*col], key))
+                        .all(|(col, key)| matches_normalized(&st.tuple.values()[*col], key))
                     {
                         return Some(TupleRef(RefInner::Stored(st)));
                     }
@@ -466,7 +424,7 @@ impl<'a> Iterator for ProbeIter<'a> {
                 for st in values.by_ref() {
                     if filter
                         .iter()
-                        .all(|(col, key)| matches_normalized(&st.tuple.values[*col], key))
+                        .all(|(col, key)| matches_normalized(&st.tuple.values()[*col], key))
                     {
                         return Some(TupleRef(RefInner::Stored(st)));
                     }
@@ -703,19 +661,9 @@ impl Table {
         })
     }
 
-    /// Look up the stored entry for an exact tuple (same key *and* same
-    /// content).
+    /// Look up the stored entry for an exact tuple: equal tuples have one id.
     pub fn get(&self, tuple: &Tuple) -> Option<TupleRef<'_>> {
-        match &self.repr {
-            Repr::Row(row) => row
-                .tuples
-                .get(&tuple.project(&self.schema.key_cols))
-                .filter(|st| st.tuple == *tuple)
-                .map(|st| TupleRef(RefInner::Stored(st))),
-            Repr::Col(col) => col
-                .get(tuple)
-                .map(|slot| TupleRef(RefInner::Slot(col, slot))),
-        }
+        self.get_by_id(tuple.id())
     }
 
     /// True when the exact tuple is present.
@@ -731,28 +679,16 @@ impl Table {
     /// [`Membership::Replaced`]; the caller is responsible for cascading the
     /// implied deletion.
     pub fn add_derivation(&mut self, tuple: &Tuple, derivation: Derivation) -> Membership {
-        self.add_derivation_with_id(tuple, tuple.id(), derivation)
-    }
-
-    /// [`Table::add_derivation`] for a caller that already hashed the tuple:
-    /// `id` must be `tuple.id()`.
-    pub(crate) fn add_derivation_with_id(
-        &mut self,
-        tuple: &Tuple,
-        id: TupleId,
-        derivation: Derivation,
-    ) -> Membership {
-        debug_assert_eq!(id, tuple.id());
         debug_assert_eq!(
-            tuple.relation.as_str(),
+            tuple.relation().as_str(),
             self.schema.name,
             "a table stores tuples of its own relation only"
         );
         let row = match &mut self.repr {
-            Repr::Col(col) => return col.add_derivation(tuple, id, derivation),
+            Repr::Col(col) => return col.add_derivation(tuple, derivation),
             Repr::Row(row) => row,
         };
-        let key = tuple.project(&self.schema.key_cols);
+        let (id, key) = (tuple.id(), tuple.project(&self.schema.key_cols));
         match row.tuples.get_mut(&key) {
             Some(existing) if existing.tuple == *tuple => {
                 if existing.derivations.contains(&derivation) {
@@ -777,8 +713,8 @@ impl Table {
                 let old_id = old.tuple.id();
                 row.by_id.remove(&old_id);
                 row.by_id.insert(id, key);
-                row.unindex_tuple_values(old_id, &old.tuple.values);
-                row.index_tuple_values(id, &tuple.values);
+                row.unindex_tuple_values(old_id, old.tuple.values());
+                row.index_tuple_values(id, tuple.values());
                 Membership::Replaced(old.tuple)
             }
             None => {
@@ -790,7 +726,7 @@ impl Table {
                     },
                 );
                 row.by_id.insert(id, key);
-                row.index_tuple_values(id, &tuple.values);
+                row.index_tuple_values(id, tuple.values());
                 Membership::Appeared
             }
         }
@@ -819,7 +755,7 @@ impl Table {
             let id = tuple.id();
             row.tuples.remove(&key);
             row.by_id.remove(&id);
-            row.unindex_tuple_values(id, &tuple.values);
+            row.unindex_tuple_values(id, tuple.values());
             Membership::Disappeared
         } else {
             Membership::RemovedDerivation
@@ -850,7 +786,7 @@ impl Table {
                 let key = stored.tuple.project(&self.schema.key_cols);
                 let id = stored.tuple.id();
                 row.by_id.insert(id, key.clone());
-                row.index_tuple_values(id, &stored.tuple.values);
+                row.index_tuple_values(id, stored.tuple.values());
                 row.tuples.insert(key, stored);
             }
             Repr::Col(col) => col.insert_stored(&stored.tuple, stored.derivations),
@@ -886,7 +822,7 @@ impl Deserialize for Table {
 /// what a later input deletion needs to retract it there.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OutboxEntry {
-    /// The shipped head tuple, in the representation it was shipped in.
+    /// The shipped head tuple.
     pub tuple: Tuple,
     /// The node the tuple lives at.
     pub destination: NodeId,
@@ -911,8 +847,6 @@ pub struct Dependent {
     pub destination: Option<NodeId>,
     /// The dependent tuple.
     pub tuple: Tuple,
-    /// Its identifier.
-    pub id: TupleId,
     /// Its derivations that used the input, in recorded order.
     pub derivations: Vec<Derivation>,
 }
@@ -923,7 +857,6 @@ impl Dependent {
     /// the tuple is materialized only when there is one.
     fn on(
         input: TupleId,
-        id: TupleId,
         destination: Option<NodeId>,
         derivations: &[Derivation],
         tuple: impl FnOnce() -> Tuple,
@@ -936,7 +869,6 @@ impl Dependent {
         (!derivations.is_empty()).then(|| Dependent {
             destination,
             tuple: tuple(),
-            id,
             derivations,
         })
     }
@@ -960,9 +892,7 @@ pub struct Database {
     /// vector and `order`, and no other heap block.
     tables: Vec<Table>,
     /// Remote heads by tuple id. No join reads them, so they are not a
-    /// table: no key order, no posting lists. Keyed by id, two numeric
-    /// representations of one head (`3` and `3.0`) are two entries, each
-    /// retracted under the representation it was shipped in.
+    /// table: no key order, no posting lists.
     outbox: HashMap<TupleId, OutboxEntry>,
     /// input tuple id -> (where held, relation, derived tuple id) of
     /// derivations that used it: a tuple stored in `tables` or an entry of
@@ -1069,18 +999,17 @@ impl Database {
         }
     }
 
-    /// Record that `derivation` derives the remote head `tuple` (`id` is
-    /// `tuple.id()`) living at `destination`, and index its inputs. True
-    /// when the (tuple, derivation) pair is new to the outbox: the caller
-    /// ships it. A repeated pair is recorded, and shipped, once.
+    /// Record that `derivation` derives the remote head `tuple` living at
+    /// `destination`, and index its inputs. True when the (tuple, derivation)
+    /// pair is new to the outbox: the caller ships it. A repeated pair is
+    /// recorded, and shipped, once.
     pub fn outbox_insert(
         &mut self,
         tuple: &Tuple,
-        id: TupleId,
         destination: NodeId,
         derivation: &Derivation,
     ) -> bool {
-        debug_assert_eq!(id, tuple.id());
+        let id = tuple.id();
         let entry = self.outbox.entry(id).or_insert_with(|| OutboxEntry {
             tuple: tuple.clone(),
             destination,
@@ -1091,7 +1020,7 @@ impl Database {
         }
         entry.derivations.push(derivation.clone());
         for input in &derivation.inputs {
-            self.add_dependent(*input, (Held::Outbox, tuple.relation, id));
+            self.add_dependent(*input, (Held::Outbox, tuple.relation(), id));
         }
         true
     }
@@ -1123,10 +1052,11 @@ impl Database {
         let mut entries: Vec<(&TupleId, &OutboxEntry)> = self
             .outbox
             .iter()
-            .filter(|(_, e)| e.tuple.relation == relation)
+            .filter(|(_, e)| e.tuple.relation() == relation)
             .collect();
-        entries
-            .sort_by(|(a_id, a), (b_id, b)| (&a.tuple.values, a_id).cmp(&(&b.tuple.values, b_id)));
+        entries.sort_by(|(a_id, a), (b_id, b)| {
+            (a.tuple.values(), a_id).cmp(&(b.tuple.values(), b_id))
+        });
         entries.into_iter().map(|(_, e)| e).collect()
     }
 
@@ -1149,12 +1079,12 @@ impl Database {
             out.extend(match held {
                 Held::Outbox => self.outbox.get(&id).and_then(|e| {
                     let at = Some(e.destination);
-                    Dependent::on(input, id, at, &e.derivations, || e.tuple.clone())
+                    Dependent::on(input, at, &e.derivations, || e.tuple.clone())
                 }),
                 Held::Table => self
                     .table_sym(relation)
                     .and_then(|table| table.get_by_id(id))
-                    .and_then(|r| Dependent::on(input, id, None, r.derivations(), || r.to_tuple())),
+                    .and_then(|r| Dependent::on(input, None, r.derivations(), || r.to_tuple())),
             });
         }
         out
@@ -1316,7 +1246,6 @@ mod tests {
             db.dependents_of(base.id()),
             vec![Dependent {
                 destination: None,
-                id: derived.id(),
                 tuple: derived,
                 derivations: vec![deriv],
             }]
@@ -1345,29 +1274,26 @@ mod tests {
         let (e, f) = (link("a", "b", 3), link("a", "b", 4));
         let h = head("h", "b", Value::Int(3));
         let (d1, d2) = (fired("r1", &[&e]), fired("r2", &[&f]));
-        assert!(db.outbox_insert(&h, h.id(), "b".into(), &d1));
+        assert!(db.outbox_insert(&h, "b".into(), &d1));
         // A repeated derivation is not shipped twice; a second one is.
-        assert!(!db.outbox_insert(&h, h.id(), "b".into(), &d1));
-        assert!(db.outbox_insert(&h, h.id(), "b".into(), &d2));
+        assert!(!db.outbox_insert(&h, "b".into(), &d1));
+        assert!(db.outbox_insert(&h, "b".into(), &d2));
         assert_eq!(db.outbox_len(), 1);
-        // The same head under another numeric representation is an entry of
-        // its own, retracted under that representation.
+        // The same head spelled with a double is the same entry.
         let h_double = head("h", "b", Value::Double(3.0));
-        assert_eq!(h, h_double);
-        assert!(db.outbox_insert(&h_double, h_double.id(), "b".into(), &d1));
-        assert_eq!(db.outbox_len(), 2);
-        assert!(db.outbox_remove(h_double.id(), &d1));
+        assert_eq!((&h, h.id()), (&h_double, h_double.id()));
+        assert!(!db.outbox_insert(&h_double, "b".into(), &d1));
         assert_eq!(db.outbox_len(), 1);
 
         // Removing an unknown pair ships nothing and changes nothing.
-        assert!(!db.outbox_remove(h_double.id(), &d1));
+        assert!(!db.outbox_remove(head("h", "b", Value::Double(3.5)).id(), &d1));
         assert!(!db.outbox_remove(h.id(), &fired("r3", &[&e])));
         assert_eq!(
             db.outbox_of("h".into())[0].derivations,
             [d1.clone(), d2.clone()]
         );
         // Removing the last derivation drops the entry.
-        assert!(db.outbox_remove(h.id(), &d1));
+        assert!(db.outbox_remove(h_double.id(), &d1));
         assert_eq!(db.outbox_len(), 1);
         assert!(db.outbox_remove(h.id(), &d2));
         assert_eq!(db.outbox_len(), 0);
@@ -1401,22 +1327,22 @@ mod tests {
         for relation in ["mm", "bb"] {
             for c in [1, 2] {
                 let t = head(relation, "b", Value::Int(c));
-                assert!(db.outbox_insert(&t, t.id(), "b".into(), &deriv));
+                assert!(db.outbox_insert(&t, "b".into(), &deriv));
                 shipped.push(t);
             }
         }
         // One more outbox derivation that does not use the input.
         let other = head("bb", "b", Value::Int(9));
-        db.outbox_insert(&other, other.id(), "b".into(), &fired("r1", &[&other]));
+        db.outbox_insert(&other, "b".into(), &fired("r1", &[&other]));
 
-        let order = |ts: &mut Vec<Tuple>| ts.sort_by_key(|t| (t.relation, t.id()));
+        let order = |ts: &mut Vec<Tuple>| ts.sort_by_key(|t| (t.relation(), t.id()));
         order(&mut shipped);
         order(&mut stored);
         let got = db.dependents_of(input.id());
         assert_eq!(got.len(), 8);
         for (dependent, want) in got.iter().zip(shipped.iter().chain(&stored)) {
             assert_eq!(dependent.tuple, *want);
-            assert_eq!(dependent.id, want.id());
+            assert_eq!(dependent.tuple.id(), want.id());
             assert_eq!(dependent.derivations, std::slice::from_ref(&deriv));
         }
         assert!(got[..4].iter().all(|d| d.destination == Some("b".into())));
@@ -1430,12 +1356,12 @@ mod tests {
         db.table_mut("link")
             .unwrap()
             .add_derivation(&e, Derivation::base("a"));
-        for c in [Value::Int(3), Value::Double(3.0), Value::Int(4)] {
+        for c in [Value::Int(3), Value::Double(3.5), Value::Int(4)] {
             let h = head("h", "b", c);
-            db.outbox_insert(&h, h.id(), "b".into(), &fired("r1", &[&e]));
+            db.outbox_insert(&h, "b".into(), &fired("r1", &[&e]));
         }
         let h = head("h", "b", Value::Int(4));
-        db.outbox_insert(&h, h.id(), "b".into(), &fired("r2", &[&e]));
+        db.outbox_insert(&h, "b".into(), &fired("r2", &[&e]));
 
         let json = serde_json::to_string(&db).expect("database serializes");
         let mut back: Database = serde_json::from_str(&json).expect("database deserializes");
@@ -1648,7 +1574,7 @@ mod tests {
         );
         // An explicit materialization is counted.
         let first = t.probe(&[(0, Value::addr("a"))]).next().unwrap().to_tuple();
-        assert_eq!(first.relation.as_str(), "link");
+        assert_eq!(first.relation().as_str(), "link");
         assert_eq!(tuple_materializations(), before + 1);
     }
 

@@ -41,11 +41,10 @@ enum Column {
     /// pool indexes, so encoding a tuple is free and decoding is one array
     /// index into the pool.
     Dict(Vec<u32>),
-    /// Plain integers.
+    /// Plain integers (every integral number: a stored value is canonical).
     Int(Vec<i64>),
-    /// Plain doubles (bit-exact storage; NaN payloads survive).
-    Double(Vec<f64>),
-    /// Overflow: strings, lists, bools, ids, infinity, or mixed types.
+    /// Overflow: fractional doubles, strings, lists, bools, ids, infinity, or
+    /// mixed types.
     Other(Vec<Value>),
 }
 
@@ -54,7 +53,6 @@ impl Column {
         match v {
             Value::Addr(_) => Column::Dict(Vec::new()),
             Value::Int(_) => Column::Int(Vec::new()),
-            Value::Double(_) => Column::Double(Vec::new()),
             _ => Column::Other(Vec::new()),
         }
     }
@@ -63,7 +61,6 @@ impl Column {
         match self {
             Column::Dict(xs) => xs.len(),
             Column::Int(xs) => xs.len(),
-            Column::Double(xs) => xs.len(),
             Column::Other(xs) => xs.len(),
         }
     }
@@ -74,20 +71,16 @@ impl Column {
         match self {
             Column::Dict(xs) => Value::Addr(decode_dict(xs[slot])),
             Column::Int(xs) => Value::Int(xs[slot]),
-            Column::Double(xs) => Value::Double(xs[slot]),
             Column::Other(xs) => xs[slot].clone(),
         }
     }
 
     /// The slot's value against `v` under `Value`'s total order, without
-    /// materializing: what orders the key index, and (as equality, which
-    /// equates `Int`/`Double` numerically) what tells a stored tuple from a
-    /// different one under the same key.
+    /// materializing: what orders the key index.
     fn cmp_value(&self, slot: usize, v: &Value) -> Ordering {
         match self {
             Column::Dict(xs) => Value::Addr(decode_dict(xs[slot])).cmp(v),
             Column::Int(xs) => Value::Int(xs[slot]).cmp(v),
-            Column::Double(xs) => Value::Double(xs[slot]).cmp(v),
             Column::Other(xs) => xs[slot].cmp(v),
         }
     }
@@ -102,7 +95,6 @@ impl Column {
                 _ => false,
             },
             Column::Int(xs) => values_match(v, &Value::Int(xs[slot])),
-            Column::Double(xs) => values_match(v, &Value::Double(xs[slot])),
             Column::Other(xs) => values_match(v, &xs[slot]),
         }
     }
@@ -121,8 +113,7 @@ impl Column {
             Column::Dict(xs) => {
                 matches!(norm, Value::Str(s) if decode_dict(xs[slot]).as_str() == s)
             }
-            Column::Int(xs) => matches_normalized(&Value::Int(xs[slot]), norm),
-            Column::Double(xs) => matches_normalized(&Value::Double(xs[slot]), norm),
+            Column::Int(xs) => Value::Int(xs[slot]) == *norm,
             Column::Other(xs) => matches_normalized(&xs[slot], norm),
         }
     }
@@ -136,7 +127,6 @@ impl Column {
         match (&mut *self, v) {
             (Column::Dict(xs), Value::Addr(a)) => xs.push(a.index()),
             (Column::Int(xs), Value::Int(i)) => xs.push(*i),
-            (Column::Double(xs), Value::Double(d)) => xs.push(*d),
             (Column::Other(xs), v) => xs.push(v.clone()),
             _ => {
                 self.promote();
@@ -153,7 +143,6 @@ impl Column {
         match (&mut *self, v) {
             (Column::Dict(xs), Value::Addr(a)) => xs[slot] = a.index(),
             (Column::Int(xs), Value::Int(i)) => xs[slot] = *i,
-            (Column::Double(xs), Value::Double(d)) => xs[slot] = *d,
             (Column::Other(xs), v) => xs[slot] = v.clone(),
             _ => {
                 self.promote();
@@ -171,7 +160,6 @@ impl Column {
         let widened = match self {
             Column::Dict(xs) => xs.iter().map(|c| Value::Addr(decode_dict(*c))).collect(),
             Column::Int(xs) => xs.iter().map(|i| Value::Int(*i)).collect(),
-            Column::Double(xs) => xs.iter().map(|d| Value::Double(*d)).collect(),
             Column::Other(_) => return,
         };
         *self = Column::Other(widened);
@@ -184,7 +172,6 @@ impl Column {
         match self {
             Column::Dict(xs) => 4 * xs.len(),
             Column::Int(xs) => 8 * xs.len(),
-            Column::Double(xs) => 8 * xs.len(),
             Column::Other(xs) => xs.iter().map(Value::wire_size).sum(),
         }
     }
@@ -413,7 +400,7 @@ impl ColumnStore {
     /// the live slot holding that key, or `Err(position)` to insert it at.
     /// The order is `Vec<Value>`'s over the key projection — `Value`'s total
     /// order, key column by key column — read straight from the columns and
-    /// from `tuple.values`, so no key is ever built. `tuple` has the table's
+    /// from `tuple.values()`, so no key is ever built. `tuple` has the table's
     /// arity.
     fn find(&self, tuple: &Tuple) -> Result<usize, usize> {
         let arity = self.schema.arity;
@@ -422,63 +409,25 @@ impl ColumnStore {
             key_cols
                 .iter()
                 .filter(|&&c| c < arity)
-                .map(|&c| self.cols[c].cmp_value(slot as usize, &tuple.values[c]))
+                .map(|&c| self.cols[c].cmp_value(slot as usize, &tuple.values()[c]))
                 .find(|order| order.is_ne())
                 .unwrap_or(Ordering::Equal)
         })
-    }
-
-    /// The live slot holding `tuple`'s key, with its position in the key
-    /// index, if what it holds is `tuple` itself (structural equality, the
-    /// row store's `existing.tuple == *tuple`) and not another tuple under
-    /// the same key.
-    fn find_exact(&self, tuple: &Tuple) -> Option<(usize, u32)> {
-        if tuple.values.len() != self.schema.arity {
-            return None;
-        }
-        let pos = self.find(tuple).ok()?;
-        let slot = self.by_key[pos];
-        self.slot_eq_tuple(slot, tuple).then_some((pos, slot))
-    }
-
-    fn slot_eq_tuple(&self, slot: u32, tuple: &Tuple) -> bool {
-        self.rel == tuple.relation
-            && self
-                .cols
-                .iter()
-                .zip(&tuple.values)
-                .all(|(col, v)| col.cmp_value(slot as usize, v).is_eq())
-    }
-
-    /// The slot storing exactly `tuple`.
-    pub(super) fn get(&self, tuple: &Tuple) -> Option<u32> {
-        self.find_exact(tuple).map(|(_, slot)| slot)
     }
 
     /// Materialize the tuple stored in a slot (counted — see
     /// [`tuple_materializations`]).
     pub(super) fn tuple_at(&self, slot: u32) -> Tuple {
         TUPLE_MATERIALIZATIONS.with(|count| count.set(count.get() + 1));
-        Tuple {
-            relation: self.rel,
-            values: self
-                .cols
-                .iter()
-                .map(|c| c.value_at(slot as usize))
-                .collect(),
-        }
+        let values = self.cols.iter().map(|c| c.value_at(slot as usize));
+        Tuple::stored(self.rel, values.collect(), self.ids[slot as usize])
     }
 
-    /// See [`super::Table::add_derivation`]. `id` is `tuple.id()`.
-    pub(super) fn add_derivation(
-        &mut self,
-        tuple: &Tuple,
-        id: TupleId,
-        derivation: Derivation,
-    ) -> Membership {
+    /// See [`super::Table::add_derivation`].
+    pub(super) fn add_derivation(&mut self, tuple: &Tuple, derivation: Derivation) -> Membership {
         // Every column gets a value per slot, or the slots fall out of step.
         assert_eq!(
-            tuple.values.len(),
+            tuple.values().len(),
             self.schema.arity,
             "tuple arity does not match relation `{}`",
             self.schema.name
@@ -486,7 +435,9 @@ impl ColumnStore {
         match self.find(tuple) {
             Ok(pos) => {
                 let slot = self.by_key[pos];
-                if self.slot_eq_tuple(slot, tuple) {
+                // Equal tuples have one id; another id is another tuple
+                // under the same key.
+                if self.ids[slot as usize] == tuple.id() {
                     let derivs = &mut self.derivs[slot as usize];
                     if derivs.as_slice().contains(&derivation) {
                         Membership::Unchanged
@@ -503,18 +454,18 @@ impl ColumnStore {
                     let old = self.tuple_at(slot);
                     self.unindex_slot(slot);
                     self.by_id.remove(&self.ids[slot as usize]);
-                    self.ids[slot as usize] = id;
+                    self.ids[slot as usize] = tuple.id();
                     self.derivs[slot as usize] = Few::One(derivation);
-                    for (c, v) in self.cols.iter_mut().zip(&tuple.values) {
+                    for (c, v) in self.cols.iter_mut().zip(tuple.values()) {
                         c.write(slot as usize, v);
                     }
-                    self.by_id.insert(id, slot);
+                    self.by_id.insert(tuple.id(), slot);
                     self.index_slot(slot);
                     Membership::Replaced(old)
                 }
             }
             Err(pos) => {
-                self.insert_row(pos, tuple, id, Few::One(derivation));
+                self.insert_row(pos, tuple, Few::One(derivation));
                 Membership::Appeared
             }
         }
@@ -526,7 +477,7 @@ impl ColumnStore {
         tuple: &Tuple,
         derivation: &Derivation,
     ) -> Membership {
-        let Some((pos, slot)) = self.find_exact(tuple) else {
+        let Some(&slot) = self.by_id.get(&tuple.id()) else {
             return Membership::NotFound;
         };
         let derivs = &mut self.derivs[slot as usize];
@@ -541,8 +492,11 @@ impl ColumnStore {
             // The slot dies; its columns keep their values until it is
             // reused, so the indexes are cleared from them first.
             self.unindex_slot(slot);
+            let pos = self
+                .find(tuple)
+                .expect("a stored tuple is in the key index");
             self.by_key.remove(pos);
-            self.by_id.remove(&self.ids[slot as usize]);
+            self.by_id.remove(&tuple.id());
             self.set_live(slot, false);
             self.free.push(slot);
             Membership::Disappeared
@@ -552,17 +506,18 @@ impl ColumnStore {
     /// Append a deserialized entry (rows arrive in key order; a repeated key
     /// is ignored).
     pub(super) fn insert_stored(&mut self, tuple: &Tuple, derivations: Vec<Derivation>) {
-        if tuple.values.len() != self.schema.arity {
+        if tuple.values().len() != self.schema.arity {
             return;
         }
         if let Err(pos) = self.find(tuple) {
-            self.insert_row(pos, tuple, tuple.id(), derivations.into());
+            self.insert_row(pos, tuple, derivations.into());
         }
     }
 
     /// Store a tuple whose key is vacant at position `pos` of the key index,
     /// reusing a free slot when one exists.
-    fn insert_row(&mut self, pos: usize, tuple: &Tuple, id: TupleId, derivations: Few<Derivation>) {
+    fn insert_row(&mut self, pos: usize, tuple: &Tuple, derivations: Few<Derivation>) {
+        let id = tuple.id();
         if self.cols.is_empty() {
             self.cols = (0..self.schema.arity)
                 .map(|_| Column::Other(Vec::new()))
@@ -573,7 +528,7 @@ impl ColumnStore {
             Some(slot) => {
                 self.ids[slot as usize] = id;
                 self.derivs[slot as usize] = derivations;
-                for (col, v) in self.cols.iter_mut().zip(&tuple.values) {
+                for (col, v) in self.cols.iter_mut().zip(tuple.values()) {
                     col.write(slot as usize, v);
                 }
                 slot
@@ -582,7 +537,7 @@ impl ColumnStore {
                 let slot = u32::try_from(self.ids.len()).expect("columnar slot overflow");
                 self.ids.push(id);
                 self.derivs.push(derivations);
-                for (col, v) in self.cols.iter_mut().zip(&tuple.values) {
+                for (col, v) in self.cols.iter_mut().zip(tuple.values()) {
                     col.push(v);
                 }
                 slot

@@ -22,21 +22,61 @@ impl fmt::Display for TupleId {
 /// A ground tuple: relation name plus attribute values. The relation name is
 /// interned ([`Sym`]), so cloning a tuple never copies it and relation
 /// comparisons on the join/provenance hot paths are integer compares.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+///
+/// Sealed: [`Tuple::new`] is the one way to make one (serde goes through it).
+/// It stores every value in canonical form (the identity rule at the top of
+/// [`crate::value`]) and hashes once, so equal tuples have one id and one
+/// representation, and [`Tuple::id`] is a field read.
+#[derive(Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct Tuple {
-    /// Relation this tuple belongs to.
-    pub relation: Sym,
-    /// Attribute values, in schema order.
-    pub values: Vec<Value>,
+    relation: Sym,
+    /// Derived from the other two; compared before the values.
+    #[serde(skip)]
+    id: TupleId,
+    values: Box<[Value]>,
 }
 
 impl Tuple {
-    /// Create a tuple (interning the relation name).
-    pub fn new(relation: impl Into<Sym>, values: Vec<Value>) -> Self {
+    /// Create a tuple: interns the relation, canonicalizes the values, hashes.
+    pub fn new(relation: impl Into<Sym>, mut values: Vec<Value>) -> Self {
+        values.iter_mut().for_each(Value::canonicalize);
+        let relation = relation.into();
         Tuple {
-            relation: relation.into(),
+            relation,
+            id: Tuple::content_id(relation, &values),
+            values: values.into(),
+        }
+    }
+
+    /// A tuple read back out of storage, which kept the values and the id a
+    /// [`Tuple::new`] gave it.
+    pub(crate) fn stored(relation: Sym, values: Box<[Value]>, id: TupleId) -> Self {
+        debug_assert_eq!(id, Tuple::content_id(relation, &values));
+        Tuple {
+            relation,
+            id,
             values,
         }
+    }
+
+    fn content_id(relation: Sym, values: &[Value]) -> TupleId {
+        let mut h = StableHasher::new();
+        h.write_str(&relation);
+        h.write_u64(values.len() as u64);
+        for v in values {
+            v.stable_hash_into(&mut h);
+        }
+        TupleId(h.finish())
+    }
+
+    /// Relation this tuple belongs to.
+    pub fn relation(&self) -> Sym {
+        self.relation
+    }
+
+    /// Attribute values, in schema order.
+    pub fn values(&self) -> &[Value] {
+        &self.values
     }
 
     /// Number of attributes.
@@ -46,13 +86,7 @@ impl Tuple {
 
     /// The stable content-addressed identifier of this tuple.
     pub fn id(&self) -> TupleId {
-        let mut h = StableHasher::new();
-        h.write_str(&self.relation);
-        h.write_u64(self.values.len() as u64);
-        for v in &self.values {
-            v.stable_hash_into(&mut h);
-        }
-        TupleId(h.finish())
+        self.id
     }
 
     /// The value of the location attribute given its column index.
@@ -72,6 +106,31 @@ impl Tuple {
         cols.iter()
             .filter_map(|&c| self.values.get(c).cloned())
             .collect()
+    }
+}
+
+// `{relation, values}` on the wire, as before the id was carried; reading
+// goes through the constructor, so a tuple written as `3.0` loads as `3`.
+impl Deserialize for Tuple {
+    fn deserialize<'de, D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
+        #[derive(Deserialize)]
+        struct Wire {
+            relation: Sym,
+            values: Vec<Value>,
+        }
+        let wire = Wire::deserialize(d)?;
+        Ok(Tuple::new(wire.relation, wire.values))
+    }
+}
+
+// The content only, as before the id was carried: snapshot captures order
+// their tuples by this text.
+impl fmt::Debug for Tuple {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Tuple")
+            .field("relation", &self.relation)
+            .field("values", &self.values)
+            .finish()
     }
 }
 
@@ -149,6 +208,37 @@ mod tests {
                 vec![Value::addr("n1"), Value::addr("n2"), Value::Int(3)]
             )
             .id()
+        );
+    }
+
+    /// 32 bytes before the id was carried (`Sym` + `Vec<Value>`) and after
+    /// (`Sym` + `TupleId` + `Box<[Value]>`): the id took the vector's capacity
+    /// word.
+    #[test]
+    fn a_tuple_is_four_words_and_carries_its_canonical_content_and_id() {
+        assert_eq!(std::mem::size_of::<Tuple>(), 32);
+        let spelled = Tuple::new(
+            "t",
+            vec![
+                Value::Double(3.0),
+                Value::List(vec![Value::Double(-0.0)]),
+                Value::Double(2.5),
+            ],
+        );
+        let canonical = [
+            Value::Int(3),
+            Value::List(vec![Value::Int(0)]),
+            Value::Double(2.5),
+        ];
+        assert!(matches!(spelled.values()[0], Value::Int(3)));
+        assert!(matches!(&spelled.values()[1], Value::List(l) if matches!(l[0], Value::Int(0))));
+        assert_eq!(spelled.id(), Tuple::new("t", canonical.to_vec()).id());
+        assert_eq!(
+            format!("{spelled:?}"),
+            format!("{:?}", Tuple::new("t", canonical.to_vec()))
+        );
+        assert!(
+            format!("{spelled:?}").starts_with("Tuple { relation: Sym(\"t\"), values: [Int(3), ")
         );
     }
 

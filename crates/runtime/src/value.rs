@@ -5,6 +5,24 @@
 //! compares) and a *stable* 64-bit digest: provenance vertex identifiers (VIDs)
 //! are content hashes of tuples, and they must be identical on every node and
 //! across runs so that distributed provenance queries can follow them.
+//!
+//! ## Identity
+//!
+//! **A number's identity is its numeric value.** `Int(3)` and `Double(3.0)`
+//! are one value, as are `0.0` and `-0.0`, as is every NaN payload. One
+//! function (`Num::of`) decides the canonical form: an integral double inside
+//! `[-2^63, 2^63)` is that `Int`, every NaN is [`f64::NAN`], any other double
+//! is itself. `Eq`, `Ord`, `Hash`, [`Value::stable_hash_into`] and `Display`
+//! read numbers through it — `Int` against `Double` exactly, never through
+//! `as f64` — so `a == b` implies equal hashes and `Ord` is a total order;
+//! lists follow elementwise. A [`crate::Tuple`] stores the canonical form, so
+//! equal tuples have one id and one stored, displayed and serialized
+//! representation. A value in flight (a rule constant, an arithmetic result)
+//! keeps its spelling, and arithmetic reads it: `3.0 / 2` is `1.5`.
+//!
+//! [`values_match`] also equates an `Addr` with the `Str` of the same text.
+//! That is the evaluation layer's matching predicate, not identity: the two
+//! are unequal, hash apart and make different tuple ids.
 
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
@@ -28,7 +46,8 @@ pub type Addr = NodeId;
 pub enum Value {
     /// Signed 64-bit integer.
     Int(i64),
-    /// IEEE double. Ordered with a total order (NaN sorts last).
+    /// IEEE double. One value with the `Int` it equals, and one NaN that
+    /// sorts after every other number (see the module documentation).
     Double(f64),
     /// UTF-8 string.
     Str(String),
@@ -131,17 +150,34 @@ impl Value {
         }
     }
 
-    /// Feed the value into a stable FNV-1a style hasher.
+    /// Rewrite the value to its canonical form (module documentation), lists
+    /// recursively. What [`crate::Tuple`]'s constructor stores.
+    pub(crate) fn canonicalize(&mut self) {
+        match self {
+            Value::Double(v) => match Num::of(*v) {
+                Num::Int(i) => *self = Value::Int(i),
+                Num::Frac(d) => *v = d,
+            },
+            Value::List(l) => l.iter_mut().for_each(Value::canonicalize),
+            _ => {}
+        }
+    }
+
+    /// Feed the value into a stable FNV-1a style hasher. Equal values feed
+    /// equal bytes.
     pub fn stable_hash_into(&self, h: &mut StableHasher) {
         match self {
             Value::Int(v) => {
                 h.write_u8(1);
                 h.write_u64(*v as u64);
             }
-            Value::Double(v) => {
-                h.write_u8(2);
-                h.write_u64(v.to_bits());
-            }
+            Value::Double(v) => match Num::of(*v) {
+                Num::Int(v) => Value::Int(v).stable_hash_into(h),
+                Num::Frac(v) => {
+                    h.write_u8(2);
+                    h.write_u64(v.to_bits());
+                }
+            },
             Value::Str(s) => {
                 h.write_u8(3);
                 h.write_bytes(s.as_bytes());
@@ -206,9 +242,9 @@ impl Ord for Value {
         use Value::*;
         match (self, other) {
             (Int(a), Int(b)) => a.cmp(b),
-            (Double(a), Double(b)) => total_f64_cmp(*a, *b),
-            (Int(a), Double(b)) => total_f64_cmp(*a as f64, *b),
-            (Double(a), Int(b)) => total_f64_cmp(*a, *b as f64),
+            (Double(a), Double(b)) => Num::of(*a).cmp(Num::of(*b)),
+            (Int(a), Double(b)) => Num::Int(*a).cmp(Num::of(*b)),
+            (Double(a), Int(b)) => Num::of(*a).cmp(Num::Int(*b)),
             (Str(a), Str(b)) => a.cmp(b),
             (Bool(a), Bool(b)) => a.cmp(b),
             (Addr(a), Addr(b)) => a.cmp(b),
@@ -246,23 +282,63 @@ pub fn values_match(a: &Value, b: &Value) -> bool {
     }
 }
 
-fn total_f64_cmp(a: f64, b: f64) -> Ordering {
-    a.partial_cmp(&b).unwrap_or_else(|| {
-        // NaNs sort after everything; two NaNs are equal.
-        match (a.is_nan(), b.is_nan()) {
-            (true, true) => Ordering::Equal,
-            (true, false) => Ordering::Greater,
-            (false, true) => Ordering::Less,
-            (false, false) => unreachable!(),
+/// A number in its canonical form: the one place numeric identity is
+/// decided (module documentation).
+#[derive(Clone, Copy)]
+enum Num {
+    /// An integer, however it was spelled.
+    Int(i64),
+    /// A double no `i64` equals: fractional, beyond `[-2^63, 2^63)`,
+    /// infinite, or NaN — and then [`f64::NAN`], whatever the payload was.
+    Frac(f64),
+}
+
+impl Num {
+    fn of(d: f64) -> Num {
+        // `i64::MAX as f64` rounds up to 2^63, the first double out of range.
+        if d.is_nan() {
+            Num::Frac(f64::NAN)
+        } else if d.fract() == 0.0 && d >= i64::MIN as f64 && d < i64::MAX as f64 {
+            Num::Int(d as i64)
+        } else {
+            Num::Frac(d)
         }
-    })
+    }
+
+    /// Exact numeric order; NaN sorts after every other number.
+    fn cmp(self, other: Num) -> Ordering {
+        match (self, other) {
+            (Num::Int(a), Num::Int(b)) => a.cmp(&b),
+            (Num::Int(a), Num::Frac(b)) => Num::int_cmp_frac(a, b),
+            (Num::Frac(a), Num::Int(b)) => Num::int_cmp_frac(b, a).reverse(),
+            // No `-0.0` and one (positive) NaN: the IEEE total order is it.
+            (Num::Frac(a), Num::Frac(b)) => a.total_cmp(&b),
+        }
+    }
+
+    /// `i` against a double that equals no `i64`.
+    fn int_cmp_frac(i: i64, d: f64) -> Ordering {
+        if d.is_nan() || d >= i64::MAX as f64 {
+            Ordering::Less
+        } else if d < i64::MIN as f64 {
+            Ordering::Greater
+        } else if i <= d.floor() as i64 {
+            // `d` is fractional and in range: its floor converts exactly.
+            Ordering::Less
+        } else {
+            Ordering::Greater
+        }
+    }
 }
 
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Value::Int(v) => write!(f, "{v}"),
-            Value::Double(v) => write!(f, "{v}"),
+            Value::Double(v) => match Num::of(*v) {
+                Num::Int(v) => write!(f, "{v}"),
+                Num::Frac(v) => write!(f, "{v}"),
+            },
             Value::Str(s) => write!(f, "\"{s}\""),
             Value::Bool(b) => write!(f, "{b}"),
             Value::Addr(a) => write!(f, "{a}"),

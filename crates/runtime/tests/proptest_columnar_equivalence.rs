@@ -167,9 +167,9 @@ proptest! {
             // The engine addresses a stored tuple in its stored spelling; a
             // removal takes whatever payload the key holds.
             let held = row.iter().find(|r| {
-                (kind == 2 || r.value(2) == tuple.values[2])
-                    && r.value(0) == tuple.values[0]
-                    && r.value(1) == tuple.values[1]
+                (kind == 2 || r.value(2) == tuple.values()[2])
+                    && r.value(0) == tuple.values()[0]
+                    && r.value(1) == tuple.values()[1]
             });
             if let Some(stored) = held {
                 tuple = stored.to_tuple();

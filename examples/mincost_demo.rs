@@ -60,7 +60,7 @@ fn main() {
     // Screenshot (b)/(c): select a table, then a tuple, and look at it.
     let (home, target) = nt
         .find_tuple("minCost", |t| {
-            t.values[0].as_addr() == Some("n1") && t.values[1].as_addr() == Some("n8")
+            t.values()[0].as_addr() == Some("n1") && t.values()[1].as_addr() == Some("n8")
         })
         .expect("minCost(n1,n8) derived");
     println!("\nfocusing on {target} stored at {home}");

@@ -58,7 +58,7 @@ fn main() {
         .filter(|(n, t)| {
             !before
                 .iter()
-                .any(|(n2, t2)| n2 == n && t2.values == t.values)
+                .any(|(n2, t2)| n2 == n && t2.values() == t.values())
         })
         .collect();
     println!(

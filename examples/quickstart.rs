@@ -37,7 +37,7 @@ fn main() {
     // 4. Ask for the provenance of minCost(n1, n3, 2).
     let (_, target) = nt
         .find_tuple("minCost", |t| {
-            t.values[0].as_addr() == Some("n1") && t.values[1].as_addr() == Some("n3")
+            t.values()[0].as_addr() == Some("n1") && t.values()[1].as_addr() == Some("n3")
         })
         .expect("minCost(n1,n3) exists");
 

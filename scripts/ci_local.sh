@@ -5,6 +5,7 @@
 #   scripts/ci_local.sh          # everything (lint job, then test job)
 #   scripts/ci_local.sh lint     # just the lint job
 #   scripts/ci_local.sh test     # just the test job
+#   scripts/ci_local.sh lines    # non-test product lines, per file and total
 #
 # Every exact fact CI gates on (golden replay and service digests,
 # equivalence proofs, pinned counts) is a tier-1 test; numbers come from
@@ -79,15 +80,33 @@ test_job() {
     done
 }
 
+# What a [simplicity] PR reports (ROADMAP ground rules): the lines of every
+# file under crates/*/src outside crates/compat, each up to its trailing
+# `#[cfg(test)] mod`. Not a CI job; run it on the parent and on the change.
+lines() {
+    find crates/*/src -name '*.rs' -not -path 'crates/compat/*' | sort | while read -r file; do
+        awk -v file="$file" '
+            held != "" && /^mod / { held = ""; exit }
+            held != "" { n++; held = "" }
+            /^#\[cfg\(test\)\]$/ { held = $0; next }
+            { n++ }
+            END { if (held != "") n++; printf "%7d %s\n", n, file }' "$file"
+    done | awk '{ total += $1; print } END { printf "%7d total\n", total }'
+}
+
 case "${1:-all}" in
     lint) lint ;;
     test) test_job ;;
+    lines)
+        lines
+        exit 0
+        ;;
     all)
         lint
         test_job
         ;;
     *)
-        echo "usage: $0 [lint|test|all]" >&2
+        echo "usage: $0 [lint|test|lines|all]" >&2
         exit 2
         ;;
 esac

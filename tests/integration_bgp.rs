@@ -78,7 +78,7 @@ fn derivation_histories_reach_the_origin_announcement() {
             assert!(
                 bases.iter().any(|(_, t)| t
                     .as_ref()
-                    .map(|t| t.values[0].as_addr() == Some(event.origin.as_str()))
+                    .map(|t| t.values()[0].as_addr() == Some(event.origin.as_str()))
                     .unwrap_or(false)),
                 "route at {asn} for {} does not trace back to {}",
                 event.prefix,

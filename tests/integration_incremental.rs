@@ -161,11 +161,12 @@ fn parallel_fixpoint_platform_matches_sequential() {
     }
 }
 
-/// One remote head derived under two numeric representations: `r1` ships
-/// `h(n2,3)` and `r2` ships `h(n2,3.0)`, equal under `Value`'s order but with
-/// different tuple ids. The sender must remember both shipments so that both
-/// are retracted; an outbox keyed on values kept one entry and the receiver
-/// was left holding `h(n2,3)` with a derivation nobody would ever retract.
+/// One remote head derived from two spellings of one number: `r1` reads
+/// `e(n1,n2,3)` and `r2` reads `f(n1,n2,3.0)`, and both ship `h(n2,3)`. The
+/// sender must remember both derivations so that both are retracted; when
+/// `3` and `3.0` made two tuples with two ids, an outbox keyed on values kept
+/// one entry and the receiver was left holding `h(n2,3)` with a derivation
+/// nobody would ever retract.
 #[test]
 fn a_remote_head_shipped_as_int_and_as_double_is_retracted() {
     use nt_runtime::{Tuple, Value};

@@ -57,10 +57,10 @@ fn min_costs(nt: &NetTrails) -> BTreeMap<(String, String), i64> {
         .map(|(_, t)| {
             (
                 (
-                    t.values[0].as_addr().unwrap().to_string(),
-                    t.values[1].as_addr().unwrap().to_string(),
+                    t.values()[0].as_addr().unwrap().to_string(),
+                    t.values()[1].as_addr().unwrap().to_string(),
                 ),
-                t.values[2].as_int().unwrap(),
+                t.values()[2].as_int().unwrap(),
             )
         })
         .collect()
@@ -112,7 +112,7 @@ fn provenance_graph_is_acyclic_and_rooted_in_links() {
     for id in graph.base_vertices() {
         if let Some(provenance::ProvVertex::Tuple { tuple: Some(t), .. }) = graph.vertices.get(&id)
         {
-            assert_eq!(t.relation, "link", "base vertices are links, got {t}");
+            assert_eq!(t.relation(), "link", "base vertices are links, got {t}");
         }
     }
 }
@@ -135,7 +135,7 @@ fn every_min_cost_tuple_has_provenance_and_link_ancestry() {
         assert!(!bases.is_empty(), "{tuple} has no contributing base tuples");
         for (_, base) in bases {
             let base = base.expect("base tuple content is known");
-            assert_eq!(base.relation, "link");
+            assert_eq!(base.relation(), "link");
         }
     }
 }

@@ -25,7 +25,7 @@ fn every_path_tuple_is_a_loop_free_walk_of_the_topology() {
     let paths = nt.relation("path");
     assert!(!paths.is_empty());
     for (_, tuple) in paths {
-        let hops = tuple.values[2].as_list().expect("path is a list");
+        let hops = tuple.values()[2].as_list().expect("path is a list");
         // Loop free.
         let mut seen = std::collections::BTreeSet::new();
         for h in hops {
@@ -43,12 +43,12 @@ fn every_path_tuple_is_a_loop_free_walk_of_the_topology() {
         }
         assert_eq!(
             cost,
-            tuple.values[3].as_int().unwrap(),
+            tuple.values()[3].as_int().unwrap(),
             "cost mismatch in {tuple}"
         );
         // Path endpoints match the tuple's source and destination.
-        assert_eq!(hops.first().unwrap().as_addr(), tuple.values[0].as_addr());
-        assert_eq!(hops.last().unwrap().as_addr(), tuple.values[1].as_addr());
+        assert_eq!(hops.first().unwrap().as_addr(), tuple.values()[0].as_addr());
+        assert_eq!(hops.last().unwrap().as_addr(), tuple.values()[1].as_addr());
     }
 }
 
@@ -66,17 +66,17 @@ fn best_path_costs_agree_with_mincost() {
     mc.run_to_fixpoint();
 
     for (_, best) in pv.relation("bestPathCost") {
-        let s = best.values[0].as_addr().unwrap();
-        let d = best.values[1].as_addr().unwrap();
+        let s = best.values()[0].as_addr().unwrap();
+        let d = best.values()[1].as_addr().unwrap();
         if s == d {
             continue;
         }
         let min_cost = mc
             .find_tuple("minCost", |t| {
-                t.values[0].as_addr() == Some(s) && t.values[1].as_addr() == Some(d)
+                t.values()[0].as_addr() == Some(s) && t.values()[1].as_addr() == Some(d)
             })
-            .map(|(_, t)| t.values[2].as_int().unwrap());
-        assert_eq!(min_cost, best.values[2].as_int(), "({s},{d})");
+            .map(|(_, t)| t.values()[2].as_int().unwrap());
+        assert_eq!(min_cost, best.values()[2].as_int(), "({s},{d})");
     }
 }
 
@@ -86,7 +86,7 @@ fn best_path_provenance_spans_the_nodes_on_the_path() {
     let mut nt = run(Topology::line(4));
     let (_, target) = nt
         .find_tuple("bestPathCost", |t| {
-            t.values[0].as_addr() == Some("n1") && t.values[1].as_addr() == Some("n4")
+            t.values()[0].as_addr() == Some("n1") && t.values()[1].as_addr() == Some("n4")
         })
         .expect("bestPathCost(n1,n4)");
     let (result, _) = nt

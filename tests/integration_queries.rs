@@ -56,7 +56,7 @@ fn base_tuples_of_protocol_state_are_always_links() {
         };
         assert!(!bases.is_empty());
         for (_, base) in bases {
-            assert_eq!(base.unwrap().relation, "link");
+            assert_eq!(base.unwrap().relation(), "link");
         }
     }
 }
@@ -91,7 +91,7 @@ fn pruning_bounds_the_result_and_reduces_traffic() {
     let (node, tuple) = nt
         .relation("bestPathCost")
         .into_iter()
-        .max_by_key(|(_, t)| t.values[2].as_int())
+        .max_by_key(|(_, t)| t.values()[2].as_int())
         .unwrap();
     let (full, full_stats) = nt.query(&tuple).from_node(&node).run();
     let (pruned, pruned_stats) = nt
@@ -117,7 +117,7 @@ fn traversal_orders_agree_on_results_and_differ_on_measured_latency() {
     let (node, tuple) = nt
         .relation("bestPathCost")
         .into_iter()
-        .max_by_key(|(_, t)| t.values[2].as_int())
+        .max_by_key(|(_, t)| t.values()[2].as_int())
         .unwrap();
     let (r1, s1) = nt
         .query(&tuple)
