@@ -10,11 +10,5 @@
 //! ```
 
 fn main() {
-    println!("NetTrails experiment report: the paper's E2-E8 shapes as exact counts\n");
-    println!(
-        "E1 (architecture / end-to-end flow) is exercised by `cargo run --example quickstart`.\n"
-    );
-    for table in nettrails_bench::all_experiments() {
-        println!("{table}");
-    }
+    print!("{}", nettrails_bench::report_text());
 }

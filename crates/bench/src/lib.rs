@@ -5,7 +5,8 @@
 //! `quickstart` example) has a driver here that builds the workload, runs it
 //! and returns a [`ReportTable`] with the measured shape (work, traffic,
 //! state sizes, savings) as deterministic counts; the `report` binary prints
-//! every table. Timings are `ntbench`'s (`benchmark/`), not this crate's.
+//! every table ([`report_text`]). Timings are `ntbench`'s (`benchmark/`), not
+//! this crate's.
 
 use bgp::{AsTopology, BgpHarness, TraceGenerator};
 use logstore::{LogStore, Replay};
@@ -335,7 +336,20 @@ pub fn experiment_logstore_replay(cadences: &[usize]) -> ReportTable {
     table
 }
 
-/// All experiment tables, in order (used by the `report` binary).
+/// Everything the `report` binary prints, byte for byte. Deterministic:
+/// `tests/report_golden.rs` pins it.
+pub fn report_text() -> String {
+    let mut text = String::from(
+        "NetTrails experiment report: the paper's E2-E8 shapes as exact counts\n\n\
+         E1 (architecture / end-to-end flow) is exercised by `cargo run --example quickstart`.\n\n",
+    );
+    for table in all_experiments() {
+        text.push_str(&format!("{table}\n"));
+    }
+    text
+}
+
+/// All experiment tables, in order.
 pub fn all_experiments() -> Vec<ReportTable> {
     vec![
         experiment_mincost_provenance(&[2, 4, 8]),

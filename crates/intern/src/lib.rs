@@ -18,9 +18,9 @@
 //!   `String`-keyed code and independent of interning order.
 //! * **Serialization** writes the string, never the raw id: snapshots stay
 //!   self-describing and can be reloaded by a process with a differently
-//!   populated pool. The one-time dictionary cost of shipping a snapshot is
-//!   modelled by [`InternerSnapshot`] instead (carried once per snapshot, not
-//!   once per message — see `logstore`).
+//!   populated pool. What shipping fixed-width ids costs a receiver that has
+//!   never seen the strings is modelled by [`Dictionary`], which states the
+//!   discipline every wire of the system follows.
 //! * Interned strings are leaked (`&'static str`): the set of node and rule
 //!   names in a deployment is small and bounded, which is exactly the case
 //!   dictionary encoding is designed for.
@@ -32,7 +32,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::{OnceLock, RwLock};
 
@@ -104,32 +104,56 @@ impl Interner {
     pub fn len() -> usize {
         pool().read().expect("interner lock").strings.len()
     }
+}
 
-    /// Dump the pool as a serializable dictionary (id order).
-    pub fn snapshot() -> InternerSnapshot {
-        let p = pool().read().expect("interner lock");
-        InternerSnapshot {
-            strings: p.strings.iter().map(|s| s.to_string()).collect(),
-        }
+/// A sender's memory of the names one destination has been sent.
+///
+/// **The dictionary discipline.** Everything NetTrails ships between nodes —
+/// protocol deltas (`DeltaBatch`), provenance query frames (`QueryBatch`) and
+/// system snapshots to the central log store — carries names as fixed-width
+/// handles ([`Sym::WIRE_SIZE`] bytes each) plus a dictionary header: the
+/// strings behind the handles the destination has not been sent before. A
+/// sender keeps one `Dictionary` per destination; for every record it ships
+/// it walks the record's names once (a tuple's walk is
+/// `nt_runtime::Tuple::visit_names`) and puts a name in the frame's header
+/// exactly when [`Dictionary::first_use`] says so; the header is priced by
+/// [`dict_wire_size`]. So a name costs its string once per (sender,
+/// destination) and four bytes ever after, and a receiver that adds each
+/// frame's header to what it knows, in delivery order, can decode every
+/// record it is handed. Forgetting is the sender's to decide and always
+/// whole: [`Dictionary::clear`] re-ships everything (a benchmark resetting
+/// between configurations; a checkpoint, which must stand on its own because
+/// replay starts there). The order of entries inside one header belongs to
+/// the wire (first use for `DeltaBatch`, sorted for `QueryBatch` and
+/// snapshots); which entries it holds is decided here and nowhere else.
+///
+/// The memory is a set of handles: node and rule/relation handles index one
+/// pool (one string, one handle), so that is exactly a set of strings.
+#[derive(Debug, Clone, Default)]
+pub struct Dictionary {
+    sent: HashSet<Sym>,
+}
+
+impl Dictionary {
+    /// True exactly the first time `name` is asked about since the memory
+    /// was created or cleared: the caller ships the string with this frame.
+    pub fn first_use(&mut self, name: Sym) -> bool {
+        self.sent.insert(name)
     }
 
-    /// The current dictionary watermark: the number of symbols minted so
-    /// far. The pool is append-only, so two watermarks delimit exactly the
-    /// symbols minted between them — incremental snapshot uploads record a
-    /// watermark at every checkpoint and ship only
-    /// [`InternerSnapshot::diff_since`] that watermark afterwards.
-    pub fn watermark() -> usize {
-        Interner::len()
+    /// Forget everything: the destination is treated as new.
+    pub fn clear(&mut self) {
+        self.sent.clear();
     }
 }
 
-/// A serializable dump of the intern pool: the dictionary a snapshot carries
-/// *once* so that every fixed-width id inside it resolves on the receiving
-/// side. Restoring re-interns every string (ids may be remapped — handles
-/// serialize as strings, so nothing depends on the raw id values).
+/// The strings a snapshot or a snapshot delta carries *once* so that every
+/// fixed-width id inside it resolves on the receiving side (a [`Dictionary`]
+/// header in serializable form). Handles serialize as strings, so nothing
+/// depends on raw id values.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct InternerSnapshot {
-    /// Dictionary entries, in the capturing process's id order.
+    /// Dictionary entries, sorted.
     pub strings: Vec<String>,
 }
 
@@ -144,48 +168,22 @@ impl InternerSnapshot {
         self.strings.is_empty()
     }
 
-    /// Re-intern every dictionary entry into the local pool (warm-up on
-    /// snapshot load).
-    pub fn restore(&self) {
-        for s in &self.strings {
-            intern(s);
-        }
-    }
-
-    /// The dictionary entries minted at or after `watermark` (an id-order
-    /// index previously obtained from [`Interner::watermark`] by the process
-    /// that captured this snapshot). This is the *dictionary diff* an
-    /// incremental snapshot ships: a delta whose base checkpoint recorded
-    /// `watermark` only needs the symbols minted since, because every older
-    /// id already resolves on the receiving side. Restoring a checkpoint and
-    /// then its deltas' diffs **in capture order** reconstructs the full
-    /// dictionary ([`InternerSnapshot::restore`] is append/idempotent, so
-    /// applying diffs in order can never un-intern or reorder anything).
-    pub fn diff_since(&self, watermark: usize) -> InternerSnapshot {
-        InternerSnapshot {
-            strings: self
-                .strings
-                .get(watermark..)
-                .map(<[String]>::to_vec)
-                .unwrap_or_default(),
-        }
-    }
-
-    /// One-time wire cost of shipping the dictionary: a 4-byte id plus a
-    /// length-prefixed string per entry.
+    /// One-time wire cost of shipping the dictionary.
     pub fn wire_size(&self) -> usize {
-        self.strings.iter().map(|s| dict_entry_wire_size(s)).sum()
+        dict_wire_size(&self.strings)
     }
 }
 
 /// The wire cost of one dictionary entry: a 4-byte id plus a length-prefixed
-/// string. This is the *single* pricing rule for every dictionary in the
-/// system — snapshot dictionaries ([`InternerSnapshot::wire_size`]), the
-/// engine's per-destination `DeltaBatch` headers, the provenance stores'
-/// `dict_bytes` accounting and the cross-shard `MaintBatch` headers all
-/// delegate here, so the layers cannot drift apart.
+/// string. The single pricing rule for every dictionary in the system.
 pub fn dict_entry_wire_size(s: &str) -> usize {
     4 + 4 + s.len()
+}
+
+/// The wire cost of a dictionary header: its entries at
+/// [`dict_entry_wire_size`] each.
+pub fn dict_wire_size(dict: &[String]) -> usize {
+    dict.iter().map(|s| dict_entry_wire_size(s)).sum()
 }
 
 // ---------------------------------------------------------------------------
@@ -560,66 +558,32 @@ mod tests {
 
     #[test]
     fn snapshot_round_trips_and_prices_the_dictionary() {
-        let _ = NodeId::new("snapshot-node");
-        let snap = Interner::snapshot();
-        assert!(!snap.is_empty());
-        assert!(snap.strings.iter().any(|s| s == "snapshot-node"));
-        assert!(snap.wire_size() >= 8 + "snapshot-node".len());
-        // Restoring is idempotent: every string is already interned, so it
-        // mints nothing. The pool is process-global and sibling tests mint
-        // concurrently, so assert containment and `>=`, not an exact length.
-        snap.restore();
-        let after = Interner::snapshot();
-        assert!(after.len() >= snap.len());
-        assert_eq!(after.strings[..snap.len()], snap.strings[..]);
+        let snap = InternerSnapshot {
+            strings: vec!["link".to_string(), "snapshot-node".to_string()],
+        };
+        assert_eq!(snap.len(), 2);
+        assert_eq!(snap.wire_size(), (8 + 4) + (8 + 13));
+        assert_eq!(snap.wire_size(), dict_wire_size(&snap.strings));
+        let back: InternerSnapshot =
+            serde::from_content(serde::to_content(&snap).unwrap()).unwrap();
+        assert_eq!(back, snap);
+        assert!(InternerSnapshot::default().is_empty());
+        assert_eq!(InternerSnapshot::default().wire_size(), 0);
     }
 
     #[test]
-    fn dictionary_diff_covers_the_symbols_minted_since_the_watermark() {
-        // The pool is process-global and other test threads may mint
-        // concurrently, so assert containment and order, not exact contents.
-        let _ = Sym::new("diff-warmup-symbol");
-        let watermark = Interner::watermark();
-        let before = Interner::snapshot().diff_since(watermark);
-        assert!(!before.strings.iter().any(|s| s == "diff-warmup-symbol"));
-        let fresh = [
-            "diff-fresh-one-9431",
-            "diff-fresh-two-9431",
-            "diff-fresh-three-9431",
-        ];
-        for s in fresh {
-            let _ = Sym::new(s);
-        }
-        let diff = Interner::snapshot().diff_since(watermark);
-        let positions: Vec<usize> = fresh
-            .iter()
-            .map(|f| {
-                diff.strings
-                    .iter()
-                    .position(|s| s == f)
-                    .expect("minted symbol appears in the diff")
-            })
-            .collect();
-        assert!(
-            positions.windows(2).all(|w| w[0] < w[1]),
-            "diff preserves mint (id) order: {positions:?}"
-        );
-        // Re-interning an old symbol mints nothing: the warmup symbol never
-        // enters a later diff.
-        let _ = Sym::new("diff-warmup-symbol");
-        assert!(!Interner::snapshot()
-            .diff_since(watermark)
-            .strings
-            .iter()
-            .any(|s| s == "diff-warmup-symbol"));
-        // A watermark past the end yields an empty diff, not a panic.
-        assert!(Interner::snapshot()
-            .diff_since(Interner::watermark() + 100)
-            .is_empty());
-        // Applying diffs in order is idempotent: every entry resolves after
-        // restore, and re-restoring changes nothing it covers.
-        diff.restore();
-        assert!(diff.strings.iter().all(|s| Sym::lookup(s).is_some()));
+    fn a_dictionary_ships_a_name_once_until_it_is_cleared() {
+        let mut to_n2 = Dictionary::default();
+        let mut to_n3 = Dictionary::default();
+        let link = Sym::new("dict-link");
+        assert!(to_n2.first_use(link));
+        assert!(!to_n2.first_use(link), "second use ships four bytes only");
+        // A node and a relation spelled alike are one string, one entry.
+        assert!(!to_n2.first_use(NodeId::new("dict-link").as_sym()));
+        assert!(to_n3.first_use(link), "memory is per destination");
+        to_n2.clear();
+        assert!(to_n2.first_use(link), "a cleared destination is new");
+        assert!(!to_n3.first_use(link));
     }
 
     #[test]

@@ -49,9 +49,10 @@ impl LogRecord {
     }
 
     /// The dictionary bytes this record carries: the full stamped dictionary
-    /// for a checkpoint, only the symbols minted since the last capture for
-    /// a delta. Deltas' dictionary cost goes to zero once the system stops
-    /// minting new names — the "sublinear after warmup" property.
+    /// for a checkpoint, only the names nothing since that checkpoint has
+    /// shipped for a delta. Deltas' dictionary cost goes to zero once
+    /// captures stop referencing new names — the "sublinear after warmup"
+    /// property.
     pub fn dict_bytes(&self) -> usize {
         match self {
             LogRecord::Checkpoint(s) => s.dictionary.wire_size(),

@@ -4,16 +4,18 @@
 //! into the checkpoint + delta record stream the log stores: the first
 //! capture (and every `checkpoint_every`-th after it) becomes a full
 //! [`LogRecord::Checkpoint`]; every other capture becomes a
-//! [`LogRecord::Delta`] against the previous capture. The capturer also
-//! tracks the interner *watermark* at each capture, so a delta's dictionary
-//! diff ships exactly the symbols minted between the two captures — nothing
-//! the previous upload already carried, and nothing some unrelated part of
-//! the process interned later.
+//! [`LogRecord::Delta`] against the previous capture. The capturer is one
+//! more sender under the dictionary discipline (`nt_runtime::Dictionary`),
+//! its one destination the log store: a checkpoint ships its whole
+//! dictionary and starts the memory over, because replay starts there; a
+//! delta ships the names of its capture the store has not been sent since.
+//! What a record ships depends on the captures alone, never on what else
+//! the process interned.
 
 use crate::backend::LogRecord;
 use crate::delta::SnapshotDelta;
 use crate::snapshot::SystemSnapshot;
-use nt_runtime::Interner;
+use nt_runtime::{Dictionary, InternerSnapshot, Sym};
 
 /// Converts consecutive full captures into checkpoint/delta records.
 #[derive(Debug)]
@@ -21,7 +23,8 @@ pub struct SnapshotCapturer {
     checkpoint_every: usize,
     since_checkpoint: usize,
     last: Option<SystemSnapshot>,
-    watermark: usize,
+    /// What the log store has been sent since the last checkpoint.
+    sent: Dictionary,
 }
 
 impl SnapshotCapturer {
@@ -33,42 +36,39 @@ impl SnapshotCapturer {
             checkpoint_every: checkpoint_every.max(1),
             since_checkpoint: 0,
             last: None,
-            watermark: 0,
+            sent: Dictionary::default(),
         }
     }
 
-    /// Convert the next capture into a log record, reading the current
-    /// interner watermark. When replaying a pre-captured list (as the
-    /// equivalence proptests do, to feed both backends identical records), use
-    /// [`SnapshotCapturer::capture_with_watermark`] with watermarks recorded
-    /// at the original capture times instead.
+    /// Convert the next capture into a log record.
     pub fn capture(&mut self, snapshot: SystemSnapshot) -> LogRecord {
-        let watermark = Interner::watermark();
-        self.capture_with_watermark(snapshot, watermark)
-    }
-
-    /// Convert the next capture into a log record, with `watermark` the
-    /// interner length observed when `snapshot` was captured. The delta's
-    /// dictionary diff covers `[previous watermark, watermark)`.
-    pub fn capture_with_watermark(
-        &mut self,
-        snapshot: SystemSnapshot,
-        watermark: usize,
-    ) -> LogRecord {
-        let record = match &self.last {
-            Some(prev) if self.since_checkpoint < self.checkpoint_every => {
-                let fresh = watermark.saturating_sub(self.watermark);
-                let mut dict_diff = Interner::snapshot().diff_since(self.watermark);
-                dict_diff.strings.truncate(fresh);
+        let prev = self
+            .last
+            .as_ref()
+            .filter(|_| self.since_checkpoint < self.checkpoint_every);
+        if prev.is_none() {
+            self.sent.clear();
+        }
+        // A name the previous capture held is in the memory, and a name this
+        // one holds and that one did not is in the delta, so the capture's
+        // unsent names are exactly the delta's. A checkpoint carries its
+        // dictionary itself and only feeds the memory.
+        let mut dict_diff = InternerSnapshot::default();
+        for name in &snapshot.shipped_dictionary().strings {
+            if self.sent.first_use(Sym::new(name)) && prev.is_some() {
+                dict_diff.strings.push(name.clone());
+            }
+        }
+        let record = match prev {
+            Some(prev) => {
                 self.since_checkpoint += 1;
                 LogRecord::Delta(SnapshotDelta::between(prev, &snapshot, dict_diff))
             }
-            _ => {
+            None => {
                 self.since_checkpoint = 1;
                 LogRecord::Checkpoint(snapshot.clone())
             }
         };
-        self.watermark = watermark.max(self.watermark);
         self.last = Some(snapshot);
         record
     }
@@ -76,11 +76,6 @@ impl SnapshotCapturer {
     /// The snapshot of the most recent capture, if any.
     pub fn last(&self) -> Option<&SystemSnapshot> {
         self.last.as_ref()
-    }
-
-    /// The interner watermark recorded at the most recent capture.
-    pub fn watermark(&self) -> usize {
-        self.watermark
     }
 }
 
@@ -116,9 +111,8 @@ mod tests {
     #[test]
     fn delta_dict_diff_is_empty_when_no_symbols_were_minted() {
         let mut cap = SnapshotCapturer::new(8);
-        let wm = Interner::watermark();
-        cap.capture_with_watermark(snapshot_at(1), wm);
-        let record = cap.capture_with_watermark(snapshot_at(2), wm);
+        cap.capture(snapshot_at(1));
+        let record = cap.capture(snapshot_at(2));
         let LogRecord::Delta(delta) = record else {
             panic!("second capture must be a delta");
         };

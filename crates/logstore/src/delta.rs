@@ -6,8 +6,9 @@
 //! the previous capture: per-node tuple additions/removals (removals priced
 //! as bare [`TupleId`]s), provenance-graph vertex/edge edits, the topology
 //! and traffic counters only when they moved, and a *dictionary diff* — just
-//! the symbols minted since the last capture's interner watermark
-//! (`InternerSnapshot::diff_since`). Applying a delta to the previous
+//! the names the log store has not been sent since the last checkpoint
+//! (`nt_runtime::Dictionary`; [`crate::SnapshotCapturer`] keeps the memory).
+//! Applying a delta to the previous
 //! materialized snapshot reproduces the next snapshot bit-for-bit, which the
 //! equivalence proptest verifies across every backend.
 
@@ -160,18 +161,16 @@ pub struct SnapshotDelta {
     pub graph: GraphDelta,
     /// The new cumulative traffic counters, when they moved.
     pub traffic: Option<TrafficStats>,
-    /// The symbols minted since the previous capture's interner watermark —
-    /// the *only* dictionary content this delta ships. Empty once the system
-    /// stops minting new names.
+    /// The names this delta references that no record since the last
+    /// checkpoint (that checkpoint included) has shipped, sorted — the *only*
+    /// dictionary content this delta ships. Empty once captures stop
+    /// referencing new names.
     pub dict_diff: InternerSnapshot,
 }
 
 impl SnapshotDelta {
-    /// Diff two consecutive captures. `dict_diff` is the dictionary slice
-    /// minted between the two captures' interner watermarks; the capture
-    /// path ([`crate::SnapshotCapturer`]) computes it from recorded
-    /// watermarks so the cost is independent of what else the process
-    /// interned since.
+    /// Diff two consecutive captures. `dict_diff` is what the capture path
+    /// ([`crate::SnapshotCapturer`]) found unsent among `next`'s names.
     pub fn between(
         prev: &SystemSnapshot,
         next: &SystemSnapshot,

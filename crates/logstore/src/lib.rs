@@ -17,7 +17,7 @@
 //!   topology and the assembled provenance graph;
 //! * [`SnapshotDelta`] — the changes between two consecutive captures:
 //!   per-node tuple diffs, graph edits, and a *dictionary diff* carrying only
-//!   the symbols minted since the previous capture's interner watermark;
+//!   the names the store has not been sent since the last checkpoint;
 //! * [`SnapshotCapturer`] — the capture path that turns full captures into a
 //!   checkpoint + delta record stream ([`LogRecord`]);
 //! * [`LogBackend`] — the pluggable storage layer: [`MemBackend`] (default,

@@ -1,9 +1,10 @@
 //! Snapshot types.
 
-use nt_runtime::{Addr, Database, InternerSnapshot, Tuple, Value};
+use nt_runtime::{Addr, Database, InternerSnapshot, Tuple};
 use provenance::{ProvGraph, ProvStoreStats, ProvenanceSystem};
 use serde::{Deserialize, Serialize};
 use simnet::{SimTime, Topology, TrafficStats};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One node's captured state at a point in (simulated) time.
@@ -83,9 +84,9 @@ pub struct SystemSnapshot {
     /// Cumulative traffic counters at capture time (the "bandwidth
     /// utilization" the paper mentions).
     pub traffic: TrafficStats,
-    /// The identifier dictionary: every interned node/rule/relation name the
-    /// snapshot's fixed-width ids refer to. Carried **once per snapshot** —
-    /// individual tuples, prov entries and messages ship 4-byte ids only.
+    /// The identifier dictionary: every node/rule/relation name the
+    /// snapshot's fixed-width ids refer to, sorted — what a checkpoint ships
+    /// so that it stands on its own (see `nt_runtime::Dictionary`).
     pub dictionary: InternerSnapshot,
 }
 
@@ -108,7 +109,7 @@ impl SystemSnapshot {
             for (relation, tuples) in &snap.relations {
                 names.insert(relation);
                 for t in tuples {
-                    collect_value_names(t.values(), &mut names);
+                    insert_names(t, &mut names);
                 }
             }
         }
@@ -117,8 +118,7 @@ impl SystemSnapshot {
                 provenance::ProvVertex::Tuple { tuple, home, .. } => {
                     names.insert(home.as_str());
                     if let Some(t) = tuple {
-                        names.insert(t.relation().as_str());
-                        collect_value_names(t.values(), &mut names);
+                        insert_names(t, &mut names);
                     }
                 }
                 provenance::ProvVertex::RuleExec { rule, node, .. } => {
@@ -129,6 +129,16 @@ impl SystemSnapshot {
         }
         InternerSnapshot {
             strings: names.into_iter().map(str::to_string).collect(),
+        }
+    }
+
+    /// The dictionary an upload of this snapshot is charged for: the stamped
+    /// one, or the one stamping would produce.
+    pub(crate) fn shipped_dictionary(&self) -> Cow<'_, InternerSnapshot> {
+        if self.dictionary.is_empty() {
+            Cow::Owned(self.referenced_dictionary())
+        } else {
+            Cow::Borrowed(&self.dictionary)
         }
     }
 
@@ -144,11 +154,7 @@ impl SystemSnapshot {
     /// accounting cannot be silently skipped by forgetting
     /// [`SystemSnapshot::stamp_dictionary`].
     pub fn upload_bytes(&self) -> usize {
-        let dict_bytes = if self.dictionary.is_empty() {
-            self.referenced_dictionary().wire_size()
-        } else {
-            self.dictionary.wire_size()
-        };
+        let dict_bytes = self.shipped_dictionary().wire_size();
         self.nodes
             .values()
             .map(NodeSnapshot::upload_bytes)
@@ -174,19 +180,10 @@ impl SystemSnapshot {
     }
 }
 
-/// Collect the interned address names appearing in a value tree (plain `Str`
-/// values are not interned and ship inline, so they are not dictionary
-/// entries).
-fn collect_value_names<'a>(values: &'a [Value], out: &mut BTreeSet<&'a str>) {
-    for v in values {
-        match v {
-            Value::Addr(a) => {
-                out.insert(a.as_str());
-            }
-            Value::List(l) => collect_value_names(l, out),
-            _ => {}
-        }
-    }
+fn insert_names(tuple: &Tuple, names: &mut BTreeSet<&str>) {
+    tuple.visit_names(&mut |name| {
+        names.insert(name.as_str());
+    });
 }
 
 #[cfg(test)]

@@ -5,7 +5,6 @@ use crate::snapshot::SystemSnapshot;
 use serde::{Deserialize, Serialize};
 use simnet::SimTime;
 use std::cell::RefCell;
-use std::collections::BTreeSet;
 
 /// A materialized snapshot and the record index it stands at.
 #[derive(Debug)]
@@ -256,23 +255,11 @@ impl LogStore {
         serde_json::to_string_pretty(&doc)
     }
 
-    /// Load a store (in-memory backend) from JSON. The snapshots'
-    /// identifier dictionaries are restored into the local intern pool so
-    /// the fixed-width ids inside them resolve — each dictionary entry
-    /// exactly once, in time order, skipping symbols the pool already holds,
-    /// rather than re-walking every snapshot's full dictionary.
+    /// Load a store (in-memory backend) from JSON. Handles are written as
+    /// strings and interned as they are read, so the snapshots need no
+    /// dictionary to resolve.
     pub fn from_json(json: &str) -> serde_json::Result<Self> {
         let doc: StoreJson = serde_json::from_str(json)?;
-        let mut by_time: Vec<&SystemSnapshot> = doc.snapshots.iter().collect();
-        by_time.sort_by_key(|s| s.time);
-        let mut seen: BTreeSet<&str> = BTreeSet::new();
-        for snap in by_time {
-            for s in &snap.dictionary.strings {
-                if seen.insert(s) && nt_runtime::Sym::lookup(s).is_none() {
-                    nt_runtime::Sym::new(s);
-                }
-            }
-        }
         let mut backend = MemBackend::new();
         let mut checkpoints = 0;
         for snap in doc.snapshots {

@@ -65,7 +65,7 @@ pub mod report;
 pub use demo::{DemoOutcome, DemoScript, DemoStep};
 pub use platform::{
     NetMessage, NetTrails, NetTrailsConfig, PlatformStats, QuerySession, RunReport, ServiceBuilder,
-    ServiceRequest, ServiceSession,
+    ServiceRequest,
 };
 pub use report::{ExperimentRow, ReportTable};
 

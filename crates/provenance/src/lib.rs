@@ -48,6 +48,6 @@ pub use query::{
     QueryOptions, QueryResult, QuerySpec, QueryStats, RuleExecNode, TraversalOrder, QUERY_CATEGORY,
 };
 pub use rewrite::{rewrite_for_provenance, PROV_RELATION, RULE_EXEC_RELATION};
-pub use shard::{MaintBatch, MaintRecord, ProvenanceShard, ShardStats, MAINTENANCE_CATEGORY};
+pub use shard::{MaintRecord, ProvenanceShard, ShardStats, MAINTENANCE_CATEGORY};
 pub use store::{ProvEntry, ProvStoreStats, ProvenanceStore, RuleExec, RuleExecId};
 pub use system::{ProvenanceSystem, SystemStats};

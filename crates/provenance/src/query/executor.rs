@@ -51,7 +51,7 @@ use crate::query::api::{
 use crate::query::wire::{QueryBatch, QueryOp};
 use crate::store::{ProvEntry, RuleExecId};
 use crate::system::ProvenanceSystem;
-use nt_runtime::{NodeId, Sym, Tuple, TupleId};
+use nt_runtime::{Dictionary, NodeId, Tuple, TupleId};
 use simnet::{SimTime, TrafficStats};
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
@@ -542,11 +542,9 @@ pub struct QueryExecutor {
     sessions: HashMap<u64, Session>,
     finished: HashMap<u64, Finished>,
     cache: QueryCache,
-    /// Per-destination dictionary memory: interned names already shipped,
-    /// so later frames carry only first-use entries. Node and rule/relation
-    /// handles index one pool (one string, one handle), so a set of handles
-    /// is exactly the set of strings.
-    dict_sent: HashMap<NodeId, HashSet<Sym>>,
+    /// What each destination has been sent ([`Dictionary`]): a frame's
+    /// header carries only the strings its destination has never seen.
+    dict_sent: HashMap<NodeId, Dictionary>,
     staged: Vec<StagedOp>,
     /// Merge concurrent sessions' records into one frame per (endpoints,
     /// direction) at [`QueryExecutor::poll`] time (see
@@ -756,7 +754,7 @@ impl QueryExecutor {
                 let mut body = 0usize;
                 for op in &group {
                     body += op.seal(&mut |name| {
-                        if sent.insert(name) {
+                        if sent.first_use(name) {
                             let name = name.as_str();
                             header += nt_runtime::dict_entry_wire_size(name);
                             dict.push(name.to_string());

@@ -3,12 +3,10 @@
 //!
 //! Cross-node hops of the distributed traversal are [`QueryOp`] records.
 //! Within one executor flush, every record a node produces for one
-//! destination is coalesced into a single [`QueryBatch`] frame — the same
-//! per-(source, destination) discipline as the engine's `DeltaBatch` delta
-//! shipping and the shard router's `MaintBatch` exchange: fixed-width record
-//! headers, interned identifiers priced at 4 bytes, and each identifier's
-//! string shipped to a destination exactly once, in the dictionary header of
-//! the first frame that references it.
+//! destination is coalesced into a single [`QueryBatch`] frame: fixed-width
+//! record headers, interned identifiers priced at 4 bytes, and a dictionary
+//! header under the discipline of [`nt_runtime::Dictionary`] (the executor
+//! keeps one per destination), entries sorted.
 //!
 //! Requests are tiny and string-free (ids and digests only); responses carry
 //! completed proof subtrees, whose interned rule/node/relation names are what
@@ -23,7 +21,7 @@
 //! decoding logic: every record still names its session via [`QueryOp::qid`].
 
 use crate::query::api::{ProofTree, RuleExecNode};
-use crate::store::{visit_addrs, RuleExecId};
+use crate::store::RuleExecId;
 use nt_runtime::{NodeId, Sym, TupleId};
 use serde::{Deserialize, Serialize};
 
@@ -158,14 +156,9 @@ pub struct QueryBatch {
 }
 
 impl QueryBatch {
-    /// Bytes of the dictionary header: one shared pricing rule
-    /// ([`nt_runtime::dict_entry_wire_size`]) with `DeltaBatch` headers,
-    /// `MaintBatch` headers and snapshot dictionaries.
+    /// Bytes of the dictionary header.
     pub fn header_bytes(&self) -> usize {
-        self.dict
-            .iter()
-            .map(|s| nt_runtime::dict_entry_wire_size(s))
-            .sum()
+        nt_runtime::dict_wire_size(&self.dict)
     }
 
     /// Bytes of the record bodies.
@@ -214,8 +207,7 @@ fn walk_tree<F: FnMut(Sym)>(tree: &ProofTree, names: &mut F) -> usize {
     names(tree.home.as_sym());
     let mut bytes = 8 + NodeId::WIRE_SIZE + 2;
     if let Some(tuple) = &tree.tuple {
-        names(tuple.relation());
-        visit_addrs(tuple.values(), &mut |a| names(a.as_sym()));
+        tuple.visit_names(names);
         bytes += tuple.wire_size();
     }
     for exec in &tree.derivations {

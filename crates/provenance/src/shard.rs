@@ -1,5 +1,5 @@
-//! One shard of the partitioned provenance arena, plus the cross-shard
-//! maintenance batch format.
+//! One shard of the partitioned provenance arena, plus the record that
+//! crosses between shards.
 //!
 //! The [`crate::ProvenanceSystem`] router hashes every node into one of `S`
 //! shards ([`nt_runtime::shard_route`] — a stable name hash shared with the
@@ -11,10 +11,9 @@
 //!    [`nt_runtime::Firing::home_shard`], each firing tagged with its stream
 //!    sequence number. Firings whose executing node is homed on a different
 //!    shard than their head get the `ruleExec` half of their maintenance
-//!    work — a [`MaintRecord`] — shipped to the executing node's shard in a
-//!    per-(source, destination) [`MaintBatch`]: fixed-width records behind a
-//!    once-per-destination dictionary header, the same wire discipline as
-//!    the engine's `DeltaBatch` delta shipping.
+//!    work — a [`MaintRecord`] — handed to the executing node's shard. The
+//!    hand-off is in-process (shards share an address space), so it is
+//!    counted ([`ShardStats`]), not priced: no wire, no dictionary.
 //! 2. **Apply** (parallel, scoped threads over disjoint `&mut` shard
 //!    slices): each shard merge-applies its routed substream (the `prov`
 //!    entry + head registration of each firing, plus the `ruleExec` half
@@ -28,22 +27,21 @@
 //! for every shard count; only the cross-shard exchange metrics
 //! ([`ShardStats`]) vary with `S`.
 
-use crate::store::{collect_addr_names, ProvEntry, ProvenanceStore, RuleExec, RuleExecId};
+use crate::store::{ProvEntry, ProvenanceStore, RuleExec, RuleExecId};
 use nt_runtime::{Firing, NodeId, Sym, Tuple, TupleId};
 use serde::{Deserialize, Serialize};
 use simnet::TrafficStats;
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 /// Category name used for provenance-maintenance traffic.
 pub const MAINTENANCE_CATEGORY: &str = "prov-maintenance";
 
 /// The `ruleExec` half of a firing whose executing node is homed on another
 /// shard: everything the destination shard needs to maintain its `ruleExec`
-/// table and input-tuple display cache at the right stream position. A
-/// fixed-width header (sequence number, polarity, rid, interned rule/node
-/// ids) plus the input posting list and, for insertions, the input tuple
-/// contents.
+/// table and input-tuple display cache at the right stream position: the
+/// sequence number, polarity, rule and node, the input posting list and, for
+/// insertions, the input tuple contents.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MaintRecord {
     /// Round-local stream sequence number of the originating firing; the
@@ -66,10 +64,8 @@ impl MaintRecord {
     /// Build the shippable `ruleExec` half of a derived firing. The caller
     /// (the router) is responsible for only doing this when the executing
     /// node is homed on a different shard than the head. The rule-execution
-    /// id is *not* shipped: it is a stable digest of (rule, node, inputs),
-    /// so the destination shard derives it — off the serial routing path and
-    /// off the wire, exactly like delta-shipping receivers re-derive
-    /// content-addressed identifiers.
+    /// id is *not* carried: it is a stable digest of (rule, node, inputs),
+    /// so the destination shard derives it, off the serial routing path.
     pub fn from_firing(seq: u32, firing: &Firing) -> Self {
         debug_assert!(firing.rule != nt_runtime::base_rule_sym());
         MaintRecord {
@@ -91,83 +87,6 @@ impl MaintRecord {
     pub fn rid(&self) -> RuleExecId {
         RuleExecId::compute(self.rule, self.node, &self.inputs)
     }
-
-    /// Wire size of the record body in the interned encoding: 4-byte
-    /// sequence number, 1-byte polarity, fixed-width rule/node ids, 8 bytes
-    /// per input VID, plus the interned input-tuple payloads. Dictionary
-    /// cost is carried by the batch header ([`MaintBatch::header_bytes`]),
-    /// not here.
-    pub fn wire_size(&self) -> usize {
-        4 + 1
-            + Sym::WIRE_SIZE
-            + NodeId::WIRE_SIZE
-            + 8 * self.inputs.len()
-            + self
-                .input_tuples
-                .iter()
-                .map(Tuple::wire_size)
-                .sum::<usize>()
-    }
-
-    /// The interned strings a receiver must know to decode this record.
-    pub(crate) fn dictionary(&self, out: &mut BTreeSet<&'static str>) {
-        out.insert(self.rule.as_str());
-        out.insert(self.node.as_str());
-        for t in &self.input_tuples {
-            out.insert(t.relation().as_str());
-            collect_addr_names(t.values(), out);
-        }
-    }
-}
-
-/// One routing outbox sealed for shipment: every [`MaintRecord`] one source
-/// shard produced for one destination shard during a round, behind the
-/// dictionary entries the destination has not been sent before. Mirrors the
-/// engine's `DeltaBatch` wire format (PR 3): fixed-width bodies, first-use
-/// strings shipped once per destination, one framing unit per batch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MaintBatch {
-    /// Shard that produced the records.
-    pub src_shard: usize,
-    /// Shard that must apply them.
-    pub dst_shard: usize,
-    /// Dictionary entries first shipped to `dst_shard` by this batch, in
-    /// sorted order.
-    pub dict: Vec<String>,
-    /// The records, in ascending sequence order.
-    pub records: Vec<MaintRecord>,
-}
-
-impl MaintBatch {
-    /// Bytes of the dictionary header: one shared pricing rule
-    /// ([`nt_runtime::dict_entry_wire_size`]) with `DeltaBatch` headers and
-    /// snapshot dictionaries.
-    pub fn header_bytes(&self) -> usize {
-        self.dict
-            .iter()
-            .map(|s| nt_runtime::dict_entry_wire_size(s))
-            .sum()
-    }
-
-    /// Bytes of the record bodies.
-    pub fn body_bytes(&self) -> usize {
-        self.records.iter().map(MaintRecord::wire_size).sum()
-    }
-
-    /// Total priced payload: dictionary header + fixed-width record bodies.
-    pub fn wire_size(&self) -> usize {
-        self.header_bytes() + self.body_bytes()
-    }
-
-    /// Number of records in the batch.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// True when the batch carries no records.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
 }
 
 /// Cross-shard exchange metrics of the sharded maintenance engine. These are
@@ -182,14 +101,11 @@ pub struct ShardStats {
     /// Rounds whose apply phase actually ran on scoped worker threads
     /// (small rounds run the same phase inline).
     pub parallel_rounds: u64,
-    /// Cross-shard maintenance batches sealed.
+    /// Non-empty (source shard, destination shard) hand-offs, one per pair
+    /// per round.
     pub cross_shard_batches: u64,
-    /// Maintenance records those batches carried.
+    /// Maintenance records those hand-offs carried.
     pub cross_shard_records: u64,
-    /// Fixed-width record-body bytes exchanged across shards.
-    pub cross_shard_body_bytes: u64,
-    /// Once-per-destination dictionary-header bytes exchanged across shards.
-    pub cross_shard_dict_bytes: u64,
 }
 
 /// Which store of a shard has a tuple vertex: `vid → arena slot`, the keyed
@@ -499,26 +415,6 @@ mod tests {
     use nt_runtime::Value;
 
     #[test]
-    fn maint_record_wire_size_is_fixed_width_plus_payload() {
-        let t = Tuple::new("link", vec![Value::addr("n1"), Value::Int(1)]);
-        let rec = MaintRecord {
-            seq: 0,
-            insert: true,
-            rule: Sym::new("r1"),
-            node: NodeId::new("n1"),
-            inputs: vec![t.id()],
-            input_tuples: vec![t.clone()],
-        };
-        assert_eq!(rec.wire_size(), 4 + 1 + 4 + 4 + 8 + t.wire_size());
-        let retract = MaintRecord {
-            insert: false,
-            input_tuples: Vec::new(),
-            ..rec.clone()
-        };
-        assert_eq!(retract.wire_size(), 4 + 1 + 4 + 4 + 8);
-    }
-
-    #[test]
     fn maint_record_from_firing_carries_the_exec_half() {
         let input = Tuple::new("link", vec![Value::addr("n1"), Value::Int(1)]);
         let head = Tuple::new("cost", vec![Value::addr("n2"), Value::Int(1)]);
@@ -546,46 +442,5 @@ mod tests {
             retract.input_tuples.is_empty(),
             "retractions ship without input contents"
         );
-    }
-
-    #[test]
-    fn maint_batch_prices_header_and_bodies() {
-        let rec = MaintRecord {
-            seq: 1,
-            insert: false,
-            rule: Sym::new("r1"),
-            node: NodeId::new("n1"),
-            inputs: vec![],
-            input_tuples: vec![],
-        };
-        let batch = MaintBatch {
-            src_shard: 0,
-            dst_shard: 1,
-            dict: vec!["r1".to_string(), "n1".to_string()],
-            records: vec![rec.clone(), rec],
-        };
-        assert_eq!(batch.header_bytes(), (4 + 4 + 2) * 2);
-        assert_eq!(batch.body_bytes(), 2 * (4 + 1 + 4 + 4));
-        assert_eq!(batch.wire_size(), batch.header_bytes() + batch.body_bytes());
-        assert_eq!(batch.len(), 2);
-        assert!(!batch.is_empty());
-    }
-
-    #[test]
-    fn record_dictionary_covers_rule_node_and_tuple_names() {
-        let t = Tuple::new("link", vec![Value::addr("n9"), Value::Int(1)]);
-        let rec = MaintRecord {
-            seq: 0,
-            insert: true,
-            rule: Sym::new("ruleX"),
-            node: NodeId::new("nodeY"),
-            inputs: vec![t.id()],
-            input_tuples: vec![t],
-        };
-        let mut dict = BTreeSet::new();
-        rec.dictionary(&mut dict);
-        for name in ["ruleX", "nodeY", "link", "n9"] {
-            assert!(dict.contains(name), "{name} missing from dictionary");
-        }
     }
 }

@@ -25,9 +25,12 @@
 //! re-hashes strings; the string dictionary travels once per snapshot (see
 //! [`ProvStoreStats::dict_bytes`]), not once per entry.
 
-use nt_runtime::{rule_exec_digest, NodeId, StableHasher, Sym, Tuple, TupleId, Value};
+use nt_runtime::{
+    dict_entry_wire_size, rule_exec_digest, Dictionary, NodeId, StableHasher, Sym, Tuple, TupleId,
+};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::fmt;
 
 /// Identifier of a rule-execution vertex: a stable digest of the rule name,
@@ -194,9 +197,11 @@ impl ProvenanceStore {
 
     /// Record the content of a tuple homed at this node (so queries and the
     /// visualizer can show attribute values, as in Figure 2(c) of the paper).
+    /// Called for every input of every firing, so a known id costs a probe
+    /// and nothing else (equal ids are equal tuples: `Tuple` is sealed).
     pub fn register_tuple(&mut self, tuple: &Tuple) {
-        let prev = self.tuples.insert(tuple.id(), tuple.clone());
-        if prev.as_ref() != Some(tuple) {
+        if let Entry::Vacant(slot) = self.tuples.entry(tuple.id()) {
+            slot.insert(tuple.clone());
             self.version += 1;
         }
     }
@@ -341,27 +346,32 @@ impl ProvenanceStore {
         self.execs.iter().filter(|s| s.live).map(|s| &s.exec)
     }
 
-    /// The distinct interned names this store references (rule names and node
-    /// names) — the dictionary a snapshot of this store must carry once.
-    fn dictionary(&self) -> BTreeSet<&'static str> {
-        let mut dict: BTreeSet<&'static str> = BTreeSet::new();
-        dict.insert(self.node.as_str());
+    /// The one-time dictionary a snapshot of this store must carry: every
+    /// distinct name it references (its node, rule locations, rules, and the
+    /// names of its tuples), each priced once — the store shipped as a single
+    /// frame to a destination that knows nothing ([`Dictionary`]).
+    fn dict_bytes(&self) -> usize {
+        let mut sent = Dictionary::default();
+        let mut bytes = 0usize;
+        let mut price = |name: Sym| {
+            if sent.first_use(name) {
+                bytes += dict_entry_wire_size(name.as_str());
+            }
+        };
+        price(self.node.as_sym());
         for v in self.vertices.iter().filter(|v| v.live) {
             for e in &v.entries {
-                dict.insert(e.rloc.as_str());
+                price(e.rloc.as_sym());
             }
         }
         for s in self.execs.iter().filter(|s| s.live) {
-            dict.insert(s.exec.rule.as_str());
-            dict.insert(s.exec.node.as_str());
+            price(s.exec.rule);
+            price(s.exec.node.as_sym());
         }
         for t in self.tuples.values() {
-            dict.insert(t.relation().as_str());
-            // Address values inside tuples are priced at fixed id width by
-            // `Tuple::wire_size`, so their names belong to the dictionary too.
-            collect_addr_names(t.values(), &mut dict);
+            t.visit_names(&mut price);
         }
-        dict
+        bytes
     }
 
     /// Size counters.
@@ -378,12 +388,7 @@ impl ProvenanceStore {
             record_bytes += s.exec.wire_size();
         }
         record_bytes += self.tuples.values().map(Tuple::wire_size).sum::<usize>();
-        // One-time dictionary: 4-byte id + length-prefixed string per name.
-        let dict_bytes: usize = self
-            .dictionary()
-            .iter()
-            .map(|s| nt_runtime::dict_entry_wire_size(s))
-            .sum();
+        let dict_bytes = self.dict_bytes();
         ProvStoreStats {
             prov_entries,
             rule_execs,
@@ -441,24 +446,6 @@ impl ProvenanceStore {
         }
         h.finish()
     }
-}
-
-/// Visit every interned address appearing in a value tree.
-pub(crate) fn visit_addrs(values: &[Value], visit: &mut impl FnMut(NodeId)) {
-    for v in values {
-        match v {
-            Value::Addr(a) => visit(*a),
-            Value::List(l) => visit_addrs(l, visit),
-            _ => {}
-        }
-    }
-}
-
-/// Collect interned address names appearing in a value tree.
-pub(crate) fn collect_addr_names(values: &[Value], out: &mut BTreeSet<&'static str>) {
-    visit_addrs(values, &mut |a| {
-        out.insert(a.as_str());
-    });
 }
 
 impl PartialEq for ProvenanceStore {

@@ -20,10 +20,9 @@
 //! arena, so one firing is applied with two integer-keyed lookups and zero
 //! string clones or comparisons. A round of firings
 //! ([`ProvenanceSystem::apply_round`]) is partitioned by
-//! [`Firing::home_shard`], cross-shard `ruleExec` halves are exchanged as
-//! per-destination [`MaintBatch`]es with once-per-destination dictionary
-//! headers (the same wire discipline as the engine's batched delta
-//! shipping), and per-shard maintenance then runs in parallel — the
+//! [`Firing::home_shard`], cross-shard `ruleExec` halves are handed to the
+//! shard that owns the executing node ([`MaintRecord`]s, in process), and
+//! per-shard maintenance then runs in parallel — the
 //! per-shard apply closures (over disjoint `&mut` shard slices) are
 //! dispatched to the persistent worker pool ([`crate::pool`]), each
 //! merge-applying its substream and incoming records in stream-sequence
@@ -50,12 +49,11 @@
 
 pub use crate::shard::MAINTENANCE_CATEGORY;
 
-use crate::shard::{MaintBatch, MaintRecord, ProvenanceShard, ShardStats};
+use crate::shard::{MaintRecord, ProvenanceShard, ShardStats};
 use crate::store::ProvenanceStore;
 use nt_runtime::{shard_route, Addr, Firing, NodeId, Tuple, TupleId};
 use serde::{Deserialize, Serialize};
 use simnet::TrafficStats;
-use std::collections::{BTreeSet, HashSet};
 use std::sync::OnceLock;
 
 /// Rounds at least this large run their apply phase on the persistent
@@ -104,10 +102,6 @@ pub struct ProvenanceSystem {
     traffic: TrafficStats,
     firings_applied: u64,
     retractions_applied: u64,
-    /// Per-destination-shard dictionary memory: interned strings already
-    /// shipped, so later batches carry only first-use entries (the same
-    /// lifecycle as the engine's per-destination delta dictionaries).
-    dict_sent: Vec<HashSet<&'static str>>,
     shard_stats: ShardStats,
 }
 
@@ -140,7 +134,6 @@ impl ProvenanceSystem {
             traffic: TrafficStats::default(),
             firings_applied: 0,
             retractions_applied: 0,
-            dict_sent: (0..shards).map(|_| HashSet::new()).collect(),
             shard_stats: ShardStats {
                 shards,
                 ..ShardStats::default()
@@ -204,8 +197,8 @@ impl ProvenanceSystem {
         &self.traffic
     }
 
-    /// Cross-shard exchange metrics (batches, records, bytes). The only
-    /// numbers that vary with the shard count.
+    /// Cross-shard exchange metrics (hand-offs, records). The only numbers
+    /// that vary with the shard count.
     pub fn shard_stats(&self) -> &ShardStats {
         &self.shard_stats
     }
@@ -222,8 +215,8 @@ impl ProvenanceSystem {
     }
 
     /// Apply one round's firing stream through the sharded pipeline:
-    /// partition by [`Firing::home_shard`], exchange cross-shard `ruleExec`
-    /// halves as [`MaintBatch`]es, then run per-shard maintenance in
+    /// partition by [`Firing::home_shard`], hand cross-shard `ruleExec`
+    /// halves to their shards, then run per-shard maintenance in
     /// parallel, each shard merge-applying its substream and incoming
     /// records in stream-sequence order. With a single shard this
     /// degenerates to the sequential path; the result is bit-identical
@@ -274,18 +267,17 @@ impl ProvenanceSystem {
             }
             routed[home].push((seq, exec_local, f));
         }
-        // Exchange: seal the outboxes into cross-shard batches — serial, in
-        // (src, dst) order, so dictionary first-use accounting is
-        // deterministic — and hand each destination its records in ascending
-        // sequence order.
+        // Exchange: hand each destination its records in ascending sequence
+        // order, counting one hand-off per non-empty (src, dst) pair.
         let mut incoming: Vec<Vec<MaintRecord>> = vec![Vec::new(); n];
-        for (src, outbox) in outboxes.into_iter().enumerate() {
+        for outbox in outboxes {
             for (dst, records) in outbox.into_iter().enumerate() {
                 if records.is_empty() {
                     continue;
                 }
-                let batch = self.seal_batch(src, dst, records);
-                incoming[dst].extend(batch.records);
+                self.shard_stats.cross_shard_batches += 1;
+                self.shard_stats.cross_shard_records += records.len() as u64;
+                incoming[dst].extend(records);
             }
         }
         for records in &mut incoming {
@@ -324,33 +316,6 @@ impl ProvenanceSystem {
         for delta in &deltas {
             self.traffic.merge(delta);
         }
-    }
-
-    /// Seal one outbox into a [`MaintBatch`], shipping only the dictionary
-    /// entries the destination shard has not been sent before, and account
-    /// the exchange.
-    fn seal_batch(&mut self, src: usize, dst: usize, records: Vec<MaintRecord>) -> MaintBatch {
-        let mut needed: BTreeSet<&'static str> = BTreeSet::new();
-        for r in &records {
-            r.dictionary(&mut needed);
-        }
-        let sent = &mut self.dict_sent[dst];
-        let dict: Vec<String> = needed
-            .into_iter()
-            .filter(|s| sent.insert(s))
-            .map(str::to_string)
-            .collect();
-        let batch = MaintBatch {
-            src_shard: src,
-            dst_shard: dst,
-            dict,
-            records,
-        };
-        self.shard_stats.cross_shard_batches += 1;
-        self.shard_stats.cross_shard_records += batch.len() as u64;
-        self.shard_stats.cross_shard_body_bytes += batch.body_bytes() as u64;
-        self.shard_stats.cross_shard_dict_bytes += batch.header_bytes() as u64;
-        batch
     }
 
     /// The content of a tuple vertex, read at `node` — the node the vertex
@@ -481,10 +446,7 @@ impl Deserialize for ProvenanceSystem {
         system.firings_applied = dump.firings_applied;
         system.retractions_applied = dump.retractions_applied;
         system.shard_stats = dump.shard_stats;
-        // Re-home every store through the same routing hash. The
-        // per-destination dictionary memory deliberately starts cold: a
-        // restored system re-ships first-use strings, exactly like the
-        // engine's per-destination delta dictionaries after a snapshot load.
+        // Re-home every store through the same routing hash.
         for store in dump.stores {
             let shard = system.shard_of(store.node);
             system.shards[shard].insert_store(store);
@@ -753,10 +715,10 @@ mod tests {
         );
     }
 
-    /// Cross-shard exchange is batched: records are counted, dictionaries
-    /// ship first-use-only, and a repeated round re-ships no dictionary.
+    /// Cross-shard exchange is counted per (source, destination) pair per
+    /// round, and a repeated round hands over the same records again.
     #[test]
-    fn cross_shard_exchange_is_batched_with_first_use_dictionaries() {
+    fn cross_shard_exchange_is_counted_per_shard_pair_and_round() {
         let nodes: Vec<String> = (0..8).map(|i| format!("x{i}")).collect();
         let mut stream = Vec::new();
         for (i, node) in nodes.iter().enumerate() {
@@ -777,19 +739,13 @@ mod tests {
         assert_eq!(first.shards, 4);
         assert!(first.cross_shard_records > 0, "stream crosses shards");
         assert!(first.cross_shard_batches <= first.cross_shard_records);
-        assert!(first.cross_shard_dict_bytes > 0, "first round ships dict");
-        // Re-apply the same round: same records, but the per-destination
-        // dictionaries are already warm.
+        assert!(first.cross_shard_batches <= 4 * 3, "one per shard pair");
         sys.apply_round(&stream);
         let second = sys.shard_stats().clone();
         assert_eq!(
-            second.cross_shard_records,
-            first.cross_shard_records * 2,
+            (second.cross_shard_batches, second.cross_shard_records),
+            (first.cross_shard_batches * 2, first.cross_shard_records * 2),
             "same exchange volume"
-        );
-        assert_eq!(
-            second.cross_shard_dict_bytes, first.cross_shard_dict_bytes,
-            "no dictionary re-shipping"
         );
     }
 }

@@ -7,7 +7,7 @@
 //! resolved here, once: the join order per trigger position, the columns each
 //! join step can probe on, and — [`SlotProgram::compile`] — every variable to
 //! a dense slot index, every constant to a [`Value`] and every builtin call
-//! to a [`Builtin`], so the evaluator (module `eval`, driven by the join
+//! to a [`BuiltinFn`], so the evaluator (module `eval`, driven by the join
 //! kernel in module `morsel`) never sees a variable name. The plans also
 //! decide what storage indexes: [`CompiledProgram::tables`] lists, per
 //! relation, the columns some plan probes. The result is
@@ -17,9 +17,10 @@
 
 use crate::catalog::Catalog;
 use crate::error::{Result, RuntimeError};
-use crate::eval::{literal_value, Builtin, SlotAtom, SlotExpr, SlotProgram, SlotStep, SlotTerm};
+use crate::eval::{literal_value, SlotAtom, SlotExpr, SlotProgram, SlotStep, SlotTerm};
 use crate::store::TableSpec;
 use crate::value::{Sym, Value};
+use ndlog::builtins::BuiltinFn;
 use ndlog::localize::{localize_rule, RuleLocation};
 use ndlog::{AggregateFunc, BodyElem, Expr, Predicate, Program, Rule, RuleKind, Term};
 use serde::{Deserialize, Serialize};
@@ -154,7 +155,7 @@ impl SlotTable {
                 lhs: Box::new(self.expr(lhs)),
                 rhs: Box::new(self.expr(rhs)),
             },
-            Expr::Call { func, args } => match Builtin::lookup(func) {
+            Expr::Call { func, args } => match BuiltinFn::lookup(func) {
                 Some(func) => SlotExpr::Call {
                     func,
                     args: args.iter().map(|a| self.expr(a)).collect(),
@@ -745,7 +746,7 @@ mod tests {
             &rule.slots.steps[0],
             SlotStep::Assign {
                 expr: SlotExpr::Call {
-                    func: Builtin::Size,
+                    func: BuiltinFn::Size,
                     ..
                 },
                 ..

@@ -23,8 +23,8 @@
 //! its retraction when the pair was there, coalesces the implied sends (an
 //! insert/delete pair for the same tuple and derivation within one round
 //! cancels; identical re-emissions dedupe) and flushes them as
-//! per-destination [`DeltaBatch`]es — fixed-width [`DeltaRecord`] bodies plus
-//! a shared dictionary header carrying each batch's first-use strings — for
+//! per-destination [`DeltaBatch`]es — fixed-width [`DeltaRecord`] bodies
+//! behind a dictionary header (the discipline is [`Dictionary`]'s) — for
 //! the network layer (crate `simnet`, orchestrated by the `nettrails`
 //! platform) to deliver.
 //!
@@ -57,7 +57,7 @@ use crate::morsel::{self, Candidate, EvalContext, MonoTask};
 use crate::store::BASE_RULE;
 use crate::store::{base_rule_sym, Database, Derivation, Membership, TableBacking};
 use crate::tuple::{Delta, Tuple, TupleId};
-use crate::value::{Addr, Sym, Value};
+use crate::value::{Addr, Dictionary, Sym, Value};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::ops::Range;
@@ -228,8 +228,7 @@ pub struct RemoteDelta {
 
 /// One record inside a [`DeltaBatch`]: the shipped change plus the derivation
 /// that justifies it. Every identifier in the body is a fixed-width interned
-/// handle; the strings behind the handles travel in the batch's dictionary
-/// header the first time the destination sees them.
+/// handle.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DeltaRecord {
     /// The insertion or deletion to apply at the destination.
@@ -246,13 +245,10 @@ impl DeltaRecord {
     }
 }
 
-/// All deltas an engine ships to one destination in one round, plus the
-/// dictionary header resolving every interned handle the destination has not
-/// been sent before. The network layer prices a batch as
-/// `header_bytes + Σ record bytes` and charges one per-message framing header
-/// for the whole batch instead of one per tuple — dictionary entries are
-/// charged exactly once per (destination, first use), like a snapshot's
-/// `dict_bytes`.
+/// All deltas an engine ships to one destination in one round, behind the
+/// dictionary header [`Dictionary`] owes that destination. The network layer
+/// prices a batch as `header_bytes + Σ record bytes` and charges one
+/// per-message framing header for the whole batch instead of one per tuple.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DeltaBatch {
     /// Destination node.
@@ -265,14 +261,9 @@ pub struct DeltaBatch {
 }
 
 impl DeltaBatch {
-    /// Bytes of the shared dictionary header: a 4-byte id plus a
-    /// length-prefixed string per entry (the same pricing as
-    /// `InternerSnapshot::wire_size`).
+    /// Bytes of the shared dictionary header.
     pub fn header_bytes(&self) -> usize {
-        self.dict
-            .iter()
-            .map(|s| crate::dict_entry_wire_size(s))
-            .sum()
+        crate::dict_wire_size(&self.dict)
     }
 
     /// Bytes of the record bodies.
@@ -381,10 +372,9 @@ pub struct NodeEngine {
     /// round. Each slot list holds one entry per distinct pending
     /// derivation of that tuple.
     pending_index: HashMap<(Addr, TupleId), Vec<usize>>,
-    /// Interned strings (raw pool ids) already shipped to each destination;
-    /// a batch's dictionary header carries only the strings its destination
-    /// has never seen.
-    dict_sent: HashMap<Addr, HashSet<u32>>,
+    /// What each destination has been sent ([`Dictionary`]): a batch's
+    /// header carries only the strings its destination has never seen.
+    dict_sent: HashMap<Addr, Dictionary>,
     /// The slot frame every evaluation on this engine's thread binds
     /// variables in (pool morsels use their own).
     frame: Frame,
@@ -799,8 +789,17 @@ impl NodeEngine {
                     records: Vec::new(),
                 }
             });
-            let seen = self.dict_sent.entry(send.dest).or_default();
-            collect_record_dict(send.delta.tuple(), &send.derivation, seen, &mut batch.dict);
+            // The record's names in first-use order: the tuple's, then the
+            // derivation's rule and node.
+            let sent = self.dict_sent.entry(send.dest).or_default();
+            let mut ship = |name: Sym| {
+                if sent.first_use(name) {
+                    batch.dict.push(name.as_str().to_string());
+                }
+            };
+            send.delta.tuple().visit_names(&mut ship);
+            ship(send.derivation.rule);
+            ship(send.derivation.node.as_sym());
             batch.records.push(DeltaRecord {
                 delta: send.delta,
                 derivation: send.derivation,
@@ -1222,53 +1221,6 @@ impl NodeEngine {
             }
         }
     }
-}
-
-/// Collect the interned strings referenced by a shipped record that the
-/// destination has not been sent before, in first-use order: the relation
-/// name, every address value (recursively through lists) and the
-/// derivation's rule and node. `seen` tracks raw pool ids already shipped to
-/// the destination ([`Sym`] and [`crate::value::NodeId`] share one pool, so
-/// one id space covers both).
-fn collect_record_dict(
-    tuple: &Tuple,
-    derivation: &Derivation,
-    seen: &mut HashSet<u32>,
-    dict: &mut Vec<String>,
-) {
-    fn push_entry(id: u32, s: &str, seen: &mut HashSet<u32>, dict: &mut Vec<String>) {
-        if seen.insert(id) {
-            dict.push(s.to_string());
-        }
-    }
-    fn walk_value(v: &Value, seen: &mut HashSet<u32>, dict: &mut Vec<String>) {
-        match v {
-            Value::Addr(a) => push_entry(a.index(), a.as_str(), seen, dict),
-            Value::List(l) => {
-                for v in l {
-                    walk_value(v, seen, dict);
-                }
-            }
-            _ => {}
-        }
-    }
-    let relation = tuple.relation();
-    push_entry(relation.index(), relation.as_str(), seen, dict);
-    for v in tuple.values() {
-        walk_value(v, seen, dict);
-    }
-    push_entry(
-        derivation.rule.index(),
-        derivation.rule.as_str(),
-        seen,
-        dict,
-    );
-    push_entry(
-        derivation.node.index(),
-        derivation.node.as_str(),
-        seen,
-        dict,
-    );
 }
 
 /// Build an aggregate head tuple from a group key and the aggregate value.

@@ -4,7 +4,7 @@
 //! A rule is lowered once, by [`crate::compile`], to a [`SlotProgram`]: every
 //! variable is a dense slot index, every term is
 //! `Wild | Slot | Const | Agg`, every constant is already a [`Value`] and
-//! every builtin call is a [`Builtin`] variant. Evaluation runs against a
+//! every builtin call is a [`BuiltinFn`] tag. Evaluation runs against a
 //! [`Frame`] — one `Option<Value>` per slot plus an undo trail — so matching a
 //! stored tuple, applying an assignment or rejecting a candidate never touches
 //! a variable name. This module is the only expression interpreter in the
@@ -15,6 +15,7 @@ use crate::error::{Result, RuntimeError};
 use crate::store::TupleRef;
 use crate::tuple::Tuple;
 use crate::value::{StableHasher, Sym, Value};
+use ndlog::builtins::BuiltinFn;
 use ndlog::{BinOp, Literal, UnOp};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -89,176 +90,83 @@ impl Frame {
 // expressions
 // --------------------------------------------------------------------------
 
-/// A builtin function (`f_*`), resolved from its name once at compile time.
-/// The set matches [`ndlog::builtins::BUILTINS`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Builtin {
-    /// `f_initlist(X)` — the singleton list.
-    InitList,
-    /// `f_initlist2(X, Y)` — a two-element list.
-    InitList2,
-    /// `f_concat(A, B)` — concatenate lists (a non-list counts as one item).
-    Concat,
-    /// `f_append(List, X)`.
-    Append,
-    /// `f_prepend(X, List)` — the path-vector idiom `P := f_prepend(S, P2)`.
-    Prepend,
-    /// `f_member(List, X)` — 1 when `X` is in the list, else 0.
-    Member,
-    /// `f_last(List)`.
-    Last,
-    /// `f_first(List)`.
-    First,
-    /// `f_size(List)`.
-    Size,
-    /// `f_isExtend(Route2, Route1, N)` — see [`is_extend`].
-    IsExtend,
-    /// `f_min(A, B)`.
-    Min,
-    /// `f_max(A, B)`.
-    Max,
-    /// `f_abs(X)`.
-    Abs,
-    /// `f_sha1(X)` — stable 64-bit digest.
-    Sha1,
-    /// `f_tostr(X)`.
-    ToStr,
-}
-
-/// The largest [`Builtin::arity`]; a call's arguments fit a fixed array.
+/// The largest arity in [`ndlog::builtins::BUILTINS`] (the test that
+/// evaluates every row checks it); a call's arguments fit a fixed array.
 const MAX_ARITY: usize = 3;
 
-/// The names programs write, one per [`Builtin`].
-const BUILTIN_NAMES: [(&str, Builtin); 15] = [
-    ("f_initlist", Builtin::InitList),
-    ("f_initlist2", Builtin::InitList2),
-    ("f_concat", Builtin::Concat),
-    ("f_append", Builtin::Append),
-    ("f_prepend", Builtin::Prepend),
-    ("f_member", Builtin::Member),
-    ("f_last", Builtin::Last),
-    ("f_first", Builtin::First),
-    ("f_size", Builtin::Size),
-    ("f_isExtend", Builtin::IsExtend),
-    ("f_min", Builtin::Min),
-    ("f_max", Builtin::Max),
-    ("f_abs", Builtin::Abs),
-    ("f_sha1", Builtin::Sha1),
-    ("f_tostr", Builtin::ToStr),
-];
-
-impl Builtin {
-    /// Resolve a builtin by the name programs write (compile time only).
-    pub fn lookup(name: &str) -> Option<Builtin> {
-        BUILTIN_NAMES
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, builtin)| *builtin)
-    }
-
-    /// The name programs write (error messages only).
-    pub fn name(self) -> &'static str {
-        BUILTIN_NAMES
-            .iter()
-            .find(|(_, builtin)| *builtin == self)
-            .map_or("f_?", |(name, _)| name)
-    }
-
-    /// Number of arguments the builtin takes.
-    pub fn arity(self) -> usize {
-        match self {
-            Builtin::InitList
-            | Builtin::Last
-            | Builtin::First
-            | Builtin::Size
-            | Builtin::Abs
-            | Builtin::Sha1
-            | Builtin::ToStr => 1,
-            Builtin::InitList2
-            | Builtin::Concat
-            | Builtin::Append
-            | Builtin::Prepend
-            | Builtin::Member
-            | Builtin::Min
-            | Builtin::Max => 2,
-            Builtin::IsExtend => 3,
+/// Apply `func` to exactly as many arguments as its row of
+/// [`ndlog::builtins::BUILTINS`] says (the caller checks the count).
+/// Arguments arrive by reference; only what ends up in the result is cloned.
+fn call(func: BuiltinFn, args: &[Cow<'_, Value>]) -> Result<Value> {
+    let list_arg = |v| list_arg(func, v);
+    match func {
+        BuiltinFn::InitList => Ok(Value::List(vec![args[0].as_ref().clone()])),
+        BuiltinFn::InitList2 => Ok(Value::List(vec![
+            args[0].as_ref().clone(),
+            args[1].as_ref().clone(),
+        ])),
+        BuiltinFn::Concat => {
+            let mut out = match args[0].as_ref() {
+                Value::List(l) => l.clone(),
+                v => vec![v.clone()],
+            };
+            match args[1].as_ref() {
+                Value::List(l) => out.extend(l.iter().cloned()),
+                v => out.push(v.clone()),
+            }
+            Ok(Value::List(out))
         }
-    }
-
-    /// Apply the builtin to exactly [`Builtin::arity`] arguments (the caller
-    /// checks the count). Arguments arrive by reference; only what ends up in
-    /// the result is cloned.
-    fn call(self, args: &[Cow<'_, Value>]) -> Result<Value> {
-        match self {
-            Builtin::InitList => Ok(Value::List(vec![args[0].as_ref().clone()])),
-            Builtin::InitList2 => Ok(Value::List(vec![
-                args[0].as_ref().clone(),
-                args[1].as_ref().clone(),
-            ])),
-            Builtin::Concat => {
-                let mut out = match args[0].as_ref() {
-                    Value::List(l) => l.clone(),
-                    v => vec![v.clone()],
-                };
-                match args[1].as_ref() {
-                    Value::List(l) => out.extend(l.iter().cloned()),
-                    v => out.push(v.clone()),
-                }
-                Ok(Value::List(out))
-            }
-            Builtin::Append => {
-                let mut l = self.list_arg(&args[0])?.to_vec();
-                l.push(args[1].as_ref().clone());
-                Ok(Value::List(l))
-            }
-            Builtin::Prepend => {
-                let l = self.list_arg(&args[1])?;
-                let mut out = Vec::with_capacity(l.len() + 1);
-                out.push(args[0].as_ref().clone());
-                out.extend(l.iter().cloned());
-                Ok(Value::List(out))
-            }
-            Builtin::Member => {
-                let l = self.list_arg(&args[0])?;
-                Ok(Value::Int(l.contains(args[1].as_ref()) as i64))
-            }
-            Builtin::Last => self
-                .list_arg(&args[0])?
-                .last()
-                .cloned()
-                .ok_or_else(|| RuntimeError::eval("f_last of empty list")),
-            Builtin::First => self
-                .list_arg(&args[0])?
-                .first()
-                .cloned()
-                .ok_or_else(|| RuntimeError::eval("f_first of empty list")),
-            Builtin::Size => Ok(Value::Int(self.list_arg(&args[0])?.len() as i64)),
-            Builtin::IsExtend => Ok(Value::Int(is_extend(&args[0], &args[1], &args[2]) as i64)),
-            Builtin::Min => Ok(std::cmp::min(&args[0], &args[1]).as_ref().clone()),
-            Builtin::Max => Ok(std::cmp::max(&args[0], &args[1]).as_ref().clone()),
-            Builtin::Abs => match args[0].as_ref() {
-                Value::Int(v) => Ok(Value::Int(v.abs())),
-                Value::Double(v) => Ok(Value::Double(v.abs())),
-                other => Err(RuntimeError::eval(format!("f_abs of non-number {other}"))),
-            },
-            Builtin::Sha1 => {
-                let mut h = StableHasher::new();
-                args[0].stable_hash_into(&mut h);
-                Ok(Value::Id(h.finish()))
-            }
-            Builtin::ToStr => Ok(Value::Str(args[0].to_string())),
+        BuiltinFn::Append => {
+            let mut l = list_arg(&args[0])?.to_vec();
+            l.push(args[1].as_ref().clone());
+            Ok(Value::List(l))
         }
+        BuiltinFn::Prepend => {
+            let l = list_arg(&args[1])?;
+            let mut out = Vec::with_capacity(l.len() + 1);
+            out.push(args[0].as_ref().clone());
+            out.extend(l.iter().cloned());
+            Ok(Value::List(out))
+        }
+        BuiltinFn::Member => {
+            let l = list_arg(&args[0])?;
+            Ok(Value::Int(l.contains(args[1].as_ref()) as i64))
+        }
+        BuiltinFn::Last => list_arg(&args[0])?
+            .last()
+            .cloned()
+            .ok_or_else(|| RuntimeError::eval("f_last of empty list")),
+        BuiltinFn::First => list_arg(&args[0])?
+            .first()
+            .cloned()
+            .ok_or_else(|| RuntimeError::eval("f_first of empty list")),
+        BuiltinFn::Size => Ok(Value::Int(list_arg(&args[0])?.len() as i64)),
+        BuiltinFn::IsExtend => Ok(Value::Int(is_extend(&args[0], &args[1], &args[2]) as i64)),
+        BuiltinFn::Min => Ok(std::cmp::min(&args[0], &args[1]).as_ref().clone()),
+        BuiltinFn::Max => Ok(std::cmp::max(&args[0], &args[1]).as_ref().clone()),
+        BuiltinFn::Abs => match args[0].as_ref() {
+            Value::Int(v) => Ok(Value::Int(v.abs())),
+            Value::Double(v) => Ok(Value::Double(v.abs())),
+            other => Err(RuntimeError::eval(format!("f_abs of non-number {other}"))),
+        },
+        BuiltinFn::Sha1 => {
+            let mut h = StableHasher::new();
+            args[0].stable_hash_into(&mut h);
+            Ok(Value::Id(h.finish()))
+        }
+        BuiltinFn::ToStr => Ok(Value::Str(args[0].to_string())),
     }
+}
 
-    fn list_arg(self, v: &Value) -> Result<&[Value]> {
-        v.as_list()
-            .ok_or_else(|| RuntimeError::eval(format!("{}: expected a list, got {v}", self.name())))
-    }
+fn list_arg(func: BuiltinFn, v: &Value) -> Result<&[Value]> {
+    v.as_list().ok_or_else(|| {
+        RuntimeError::eval(format!("{}: expected a list, got {v}", func.info().name))
+    })
 }
 
 /// An expression over slots: the right-hand side of an assignment or a
 /// selection predicate, with variables resolved to slot indices, constants to
-/// values and calls to [`Builtin`]s.
+/// values and calls to [`BuiltinFn`]s.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum SlotExpr {
     /// The variable held in a slot.
@@ -284,7 +192,7 @@ pub enum SlotExpr {
     /// Builtin call.
     Call {
         /// The resolved builtin.
-        func: Builtin,
+        func: BuiltinFn,
         /// Argument expressions.
         args: Vec<SlotExpr>,
     },
@@ -321,11 +229,12 @@ impl SlotExpr {
                 eval_binop(*op, &l, &r).map(Cow::Owned)
             }
             SlotExpr::Call { func, args } => {
-                if args.len() != func.arity() {
+                let info = func.info();
+                if args.len() != info.arity {
                     return Err(RuntimeError::eval(format!(
                         "builtin `{}` expects {} argument(s), got {}",
-                        func.name(),
-                        func.arity(),
+                        info.name,
+                        info.arity,
                         args.len()
                     )));
                 }
@@ -334,7 +243,7 @@ impl SlotExpr {
                 for (val, arg) in vals.iter_mut().zip(args) {
                     *val = arg.eval(frame)?;
                 }
-                func.call(&vals[..args.len()]).map(Cow::Owned)
+                call(*func, &vals[..args.len()]).map(Cow::Owned)
             }
             SlotExpr::UnknownCall(name) => {
                 Err(RuntimeError::eval(format!("unknown builtin `{name}`")))
@@ -766,6 +675,49 @@ mod tests {
         // count is checked when the call runs.
         let err = eval_str("f_size(E, E)", &b).unwrap_err();
         assert!(err.to_string().contains("expects 1 argument(s), got 2"));
+    }
+
+    /// The one builtin table ([`ndlog::builtins::BUILTINS`]) row by row:
+    /// every name resolves, takes its arity's worth of arguments and
+    /// evaluates. A row added there without a case here fails.
+    #[test]
+    fn every_builtin_in_the_table_evaluates() {
+        let (n1, n2, n3) = (Value::addr("n1"), Value::addr("n2"), Value::addr("n3"));
+        let list = |items: &[&Value]| Value::List(items.iter().copied().cloned().collect());
+        let b = [("S", n1.clone()), ("P", list(&[&n2, &n3]))];
+        let mut h = StableHasher::new();
+        n1.stable_hash_into(&mut h);
+        let digest = Value::Id(h.finish());
+        let cases = [
+            ("f_concat", "f_concat(P, S)", list(&[&n2, &n3, &n1])),
+            ("f_append", "f_append(P, S)", list(&[&n2, &n3, &n1])),
+            ("f_prepend", "f_prepend(S, P)", list(&[&n1, &n2, &n3])),
+            ("f_initlist", "f_initlist(S)", list(&[&n1])),
+            ("f_initlist2", "f_initlist2(S, S)", list(&[&n1, &n1])),
+            ("f_member", "f_member(P, S)", Value::Int(0)),
+            ("f_last", "f_last(P)", n3.clone()),
+            ("f_first", "f_first(P)", n2.clone()),
+            ("f_size", "f_size(P)", Value::Int(2)),
+            (
+                "f_isExtend",
+                "f_isExtend(f_prepend(S, P), P, S)",
+                Value::Int(1),
+            ),
+            ("f_min", "f_min(3, 5)", Value::Int(3)),
+            ("f_max", "f_max(3, 5)", Value::Int(5)),
+            ("f_abs", "f_abs(-3)", Value::Int(3)),
+            ("f_sha1", "f_sha1(S)", digest),
+            ("f_tostr", "f_tostr(7)", Value::str("7")),
+        ];
+        let table: Vec<&str> = ndlog::builtins::BUILTINS.iter().map(|b| b.name).collect();
+        let covered: Vec<&str> = cases.iter().map(|(name, ..)| *name).collect();
+        assert_eq!(covered, table, "one case per row, in table order");
+        for (name, call, expected) in &cases {
+            let info = BuiltinFn::lookup(name).expect("row resolves").info();
+            assert!(info.arity <= MAX_ARITY, "{name}");
+            assert!(call.starts_with(&format!("{name}(")), "{call}");
+            assert_eq!(&eval_str(call, &b).unwrap(), expected, "{call}");
+        }
     }
 
     #[test]

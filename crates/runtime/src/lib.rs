@@ -49,6 +49,6 @@ pub use store::{
 };
 pub use tuple::{Delta, Tuple, TupleId};
 pub use value::{
-    dict_entry_wire_size, rule_exec_digest, shard_route, Addr, Interner, InternerSnapshot, NodeId,
-    StableHasher, Sym, Value,
+    dict_entry_wire_size, dict_wire_size, rule_exec_digest, shard_route, Addr, Dictionary,
+    Interner, InternerSnapshot, NodeId, StableHasher, Sym, Value,
 };

@@ -101,6 +101,24 @@ impl Tuple {
         8 + Sym::WIRE_SIZE + self.values.iter().map(Value::wire_size).sum::<usize>()
     }
 
+    /// The one walk of a tuple's names: its relation, then every address
+    /// among its values in order, lists included (repeats too). These are
+    /// what [`Tuple::wire_size`] prices at handle width, so they are what a
+    /// dictionary header owes a receiver — see [`crate::Dictionary`].
+    pub fn visit_names(&self, visit: &mut impl FnMut(Sym)) {
+        fn walk(values: &[Value], visit: &mut impl FnMut(Sym)) {
+            for v in values {
+                match v {
+                    Value::Addr(a) => visit(a.as_sym()),
+                    Value::List(l) => walk(l, visit),
+                    _ => {}
+                }
+            }
+        }
+        visit(self.relation);
+        walk(&self.values, visit);
+    }
+
     /// Project the tuple onto the given column indices.
     pub fn project(&self, cols: &[usize]) -> Vec<Value> {
         cols.iter()

@@ -29,8 +29,8 @@ use std::cmp::Ordering;
 use std::fmt;
 
 pub use nt_intern::{
-    dict_entry_wire_size, rule_exec_digest, shard_route, Interner, InternerSnapshot, NodeId,
-    StableHasher, Sym,
+    dict_entry_wire_size, dict_wire_size, rule_exec_digest, shard_route, Dictionary, Interner,
+    InternerSnapshot, NodeId, StableHasher, Sym,
 };
 
 /// A network address / node name. NetTrails identifies nodes by name (the

@@ -16,8 +16,8 @@
 use crate::programs::{self, MIXED_RESULTS, PATHVECTOR_RESULTS};
 use crate::spec::{ScenarioSpec, WorkloadKind};
 use crate::trace::{TraceAction, WorkloadTrace};
-use crate::Fnv;
 use nettrails::{NetTrails, NetTrailsConfig, RunReport};
+use nt_runtime::StableHasher;
 use provenance::{QueryKind, TraversalOrder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -81,13 +81,13 @@ impl ScenarioOutcome {
 /// Machine-independent digest of a topology: sorted nodes and links with
 /// costs and latencies.
 pub fn topology_digest(topology: &Topology) -> u64 {
-    let mut h = Fnv::default();
+    let mut h = StableHasher::new();
     for node in topology.nodes() {
-        h.write(node.as_bytes());
-        h.write(b"\n");
+        h.write_bytes(node.as_bytes());
+        h.write_bytes(b"\n");
     }
     for link in topology.links() {
-        h.write(
+        h.write_bytes(
             format!(
                 "{}>{}:{}:{}\n",
                 link.from, link.to, link.cost, link.latency_ms
@@ -169,7 +169,7 @@ pub fn run_scenario_with_workers(spec: &ScenarioSpec, workers: usize) -> Scenari
 
     // Replay digest: final protocol state, measured latencies, and the
     // simulated-clock counters of the run.
-    let mut h = Fnv::default();
+    let mut h = StableHasher::new();
     for rel in result_relations {
         let mut rows: Vec<String> = nt
             .relation(rel)
@@ -178,18 +178,18 @@ pub fn run_scenario_with_workers(spec: &ScenarioSpec, workers: usize) -> Scenari
             .collect();
         rows.sort();
         for row in rows {
-            h.write(row.as_bytes());
-            h.write(b"\n");
+            h.write_bytes(row.as_bytes());
+            h.write_bytes(b"\n");
         }
     }
     for &l in &latencies_ms {
-        h.write_f64(l);
+        h.write_u64(l.to_bits());
     }
     h.write_u64(converge.rounds as u64);
     h.write_u64(replayed.insertions as u64);
     h.write_u64(replayed.deletions as u64);
     h.write_u64(replayed.deliveries as u64);
-    h.write_f64(sim_ms);
+    h.write_u64(sim_ms.to_bits());
 
     ScenarioOutcome {
         name: spec.name(),

@@ -37,43 +37,6 @@ pub fn percentile(sorted: &[f64], p: f64) -> f64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-/// FNV-1a, the digest primitive shared by traces and replay outcomes. The
-/// inputs are simulated-clock quantities and sorted tuple dumps, never wall
-/// clock, so digests are machine-independent.
-#[derive(Debug, Clone, Copy)]
-pub struct Fnv(u64);
-
-impl Default for Fnv {
-    fn default() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Fnv {
-    /// Fold raw bytes into the digest.
-    pub fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    /// Fold a `u64` (little-endian) into the digest.
-    pub fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    /// Fold an `f64`'s bit pattern into the digest.
-    pub fn write_f64(&mut self, v: f64) {
-        self.write_u64(v.to_bits());
-    }
-
-    /// The digest value.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,14 +49,5 @@ mod tests {
         assert_eq!(percentile(&v, 100.0), 4.0);
         assert_eq!(percentile(&[], 50.0), 0.0);
         assert_eq!(percentile(&[7.5], 99.0), 7.5);
-    }
-
-    #[test]
-    fn fnv_depends_on_input() {
-        let mut a = Fnv::default();
-        a.write(b"hello");
-        let mut b = Fnv::default();
-        b.write(b"hellp");
-        assert_ne!(a.finish(), b.finish());
     }
 }

@@ -21,9 +21,8 @@
 use crate::driver::pick_anchors;
 use crate::programs::{self, PATHVECTOR_RESULTS};
 use crate::spec::TopologyFamily;
-use crate::Fnv;
 use nettrails::{NetTrails, NetTrailsConfig};
-use nt_runtime::Tuple;
+use nt_runtime::{StableHasher, Tuple};
 use provenance::{QueryKind, TraversalOrder};
 use qsvc::{QueryService, ServiceConfig, TenantStats};
 use rand::rngs::StdRng;
@@ -353,21 +352,21 @@ fn run_mode(spec: &ServiceScenarioSpec, merge_frames: bool, workers: usize) -> M
     // below, are mode-invariant). Everything else — messages, records,
     // visits, cache hits, measured latency — must be bit-identical across
     // merged, per-session and rerun digests.
-    let mut h = Fnv::default();
+    let mut h = StableHasher::new();
     let mut latencies_ms = Vec::new();
     let mut completed = 0usize;
     let mut expired = 0usize;
     let mut total_bytes = 0u64;
     let mut total_dict = 0u64;
     for c in &completions {
-        h.write(c.tenant.as_bytes());
+        h.write_bytes(c.tenant.as_bytes());
         h.write_u64(c.ticket);
         h.write_u64(c.expired as u64);
         h.write_u64(c.stats.messages);
         h.write_u64(c.stats.records);
         h.write_u64(c.stats.vertices_visited);
         h.write_u64(c.stats.cache_hits);
-        h.write_f64(c.stats.latency_ms);
+        h.write_u64(c.stats.latency_ms.to_bits());
         total_bytes += c.stats.bytes;
         total_dict += c.stats.dict_bytes;
         if c.expired {
@@ -380,7 +379,7 @@ fn run_mode(spec: &ServiceScenarioSpec, merge_frames: bool, workers: usize) -> M
     h.write_u64(total_bytes);
     h.write_u64(total_dict);
     for (name, stats) in &per_tenant {
-        h.write(name.as_bytes());
+        h.write_bytes(name.as_bytes());
         for v in [
             stats.offered,
             stats.rejected,
@@ -392,7 +391,7 @@ fn run_mode(spec: &ServiceScenarioSpec, merge_frames: bool, workers: usize) -> M
         }
     }
     h.write_u64(churn_events as u64);
-    h.write_f64(sim_ms);
+    h.write_u64(sim_ms.to_bits());
 
     ModeRun {
         digest: h.finish(),

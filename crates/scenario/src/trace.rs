@@ -8,7 +8,7 @@
 //! latencies and the trace schedule share one clock.
 
 use crate::spec::{ScenarioSpec, TopologyFamily, WorkloadKind};
-use crate::Fnv;
+use nt_runtime::StableHasher;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -220,10 +220,10 @@ impl WorkloadTrace {
 
     /// Machine-independent digest of the schedule.
     pub fn digest(&self) -> u64 {
-        let mut h = Fnv::default();
+        let mut h = StableHasher::new();
         for step in &self.steps {
             h.write_u64(step.at_ms);
-            h.write(format!("{:?}", step.action).as_bytes());
+            h.write_bytes(format!("{:?}", step.action).as_bytes());
         }
         h.finish()
     }

@@ -6,6 +6,8 @@
 #   scripts/ci_local.sh lint     # just the lint job
 #   scripts/ci_local.sh test     # just the test job
 #   scripts/ci_local.sh lines    # non-test product lines, per file and total
+#   scripts/ci_local.sh lines <git-ref>   # the same, <git-ref> -> working tree:
+#                                         # every file that differs, both totals
 #
 # Every exact fact CI gates on (golden replay and service digests,
 # equivalence proofs, pinned counts) is a tier-1 test; numbers come from
@@ -39,6 +41,13 @@ test_job() {
     #     sets of the shipped programs, pinned, and no probe site outside them;
     #   nettrails bytes_per_node — counted heap per empty node and per stored
     #     tuple under pinned ceilings, and all of it back on drop.
+    # the oracle of the dictionary discipline:
+    #   nettrails dictionary_discipline — every DeltaBatch, QueryBatch and log
+    #     record decodable from the headers delivered before it, a name
+    #     shipped once, header bytes pinned;
+    # and the paper's shapes:
+    #   nettrails-bench report_golden — the E2-E8 tables `report` prints, one
+    #     golden text (crates/bench/tests/golden/report.txt).
     echo "==> [test] cargo test -q --workspace"
     cargo test -q --workspace
 
@@ -82,23 +91,54 @@ test_job() {
 
 # What a [simplicity] PR reports (ROADMAP ground rules): the lines of every
 # file under crates/*/src outside crates/compat, each up to its trailing
-# `#[cfg(test)] mod`. Not a CI job; run it on the parent and on the change.
+# `#[cfg(test)] mod`. Not a CI job. With a git ref, the parent -> change
+# table: the files whose count differs between that ref and the working
+# tree, and both totals.
+product_lines() {
+    awk '
+        held != "" && /^mod / { held = ""; exit }
+        held != "" { n++; held = "" }
+        /^#\[cfg\(test\)\]$/ { held = $0; next }
+        { n++ }
+        END { if (held != "") n++; print n + 0 }'
+}
+
 lines() {
     find crates/*/src -name '*.rs' -not -path 'crates/compat/*' | sort | while read -r file; do
-        awk -v file="$file" '
-            held != "" && /^mod / { held = ""; exit }
-            held != "" { n++; held = "" }
-            /^#\[cfg\(test\)\]$/ { held = $0; next }
-            { n++ }
-            END { if (held != "") n++; printf "%7d %s\n", n, file }' "$file"
+        printf '%7d %s\n' "$(product_lines < "$file")" "$file"
     done | awk '{ total += $1; print } END { printf "%7d total\n", total }'
+}
+
+lines_since() {
+    local ref="$1"
+    git rev-parse --verify --quiet "$ref^{commit}" > /dev/null || {
+        echo "lines: not a commit: $ref" >&2
+        exit 2
+    }
+    {
+        git ls-tree -r --name-only "$ref" -- crates | grep -E '^crates/[^/]+/src/.*\.rs$' |
+            grep -v '^crates/compat/' | while read -r file; do
+            printf 'parent %d %s\n' "$(git show "$ref:$file" | product_lines)" "$file"
+        done
+        lines | awk '$2 != "total" { print "change", $1, $2 }'
+    } | awk -v ref="$ref" '
+        { files[$3] = 1 }
+        $1 == "parent" { parent[$3] = $2; parent_total += $2 }
+        $1 == "change" { change[$3] = $2; change_total += $2 }
+        END {
+            for (f in files)
+                if (parent[f] + 0 != change[f] + 0)
+                    printf "0\t%s\t%7d -> %7d  %+6d  %s\n", f, parent[f], change[f], change[f] - parent[f], f
+            printf "1\t\t%7d -> %7d  %+6d  total (%s -> working tree)\n",
+                parent_total, change_total, change_total - parent_total, ref
+        }' | sort -t "$(printf '\t')" -k1,1n -k2,2 | cut -f3
 }
 
 case "${1:-all}" in
     lint) lint ;;
     test) test_job ;;
     lines)
-        lines
+        if [ $# -ge 2 ]; then lines_since "$2"; else lines; fi
         exit 0
         ;;
     all)
@@ -106,7 +146,7 @@ case "${1:-all}" in
         test_job
         ;;
     *)
-        echo "usage: $0 [lint|test|lines|all]" >&2
+        echo "usage: $0 [lint|test|lines [<git-ref>]|all]" >&2
         exit 2
         ;;
 esac

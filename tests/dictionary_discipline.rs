@@ -1,0 +1,533 @@
+//! The dictionary discipline (`nt_runtime::Dictionary`), checked from the
+//! receiving side: every frame NetTrails ships — `DeltaBatch`, `QueryBatch`,
+//! checkpoint and delta records to the log store — must be decodable by a
+//! receiver that knows only the headers of the frames delivered before it.
+//!
+//! The oracle here walks names on its own ([`tuple_names`] and the walks
+//! built on it; never `Tuple::visit_names`) and keeps one [`Receiver`] per
+//! destination. A frame is handed to it as (header, names the records
+//! reference): the header must be new to the receiver entry by entry (a name
+//! ships once), and name the frame's own records only (nothing rides along);
+//! every referenced name must then be known. Exact header byte totals are
+//! pinned beside it.
+//!
+//! Seeded mutations and who caught them:
+//!
+//! | mutation | caught by |
+//! |---|---|
+//! | `Dictionary::first_use` always false | the three decodability tests, "not decodable" (batch 0, frame 161, record 4 at `checkpoint_every` 3), and `a_delta_ships_…` |
+//! | `Dictionary::first_use` always true | the three decodability tests, "shipped twice" / "in no record", both delta tests; every pinned byte total would move |
+//! | `Tuple::visit_names` not descending into lists | `delta_batches_…`: batch 350 `as1->as2`, `"as51"` first met inside a route's path |
+//! | capturer not resetting at a checkpoint | `log_records_…` at `checkpoint_every` 3, record 4: the re-advertised anchors' names, `"anchor"` not decodable |
+//! | capturer not fed by its checkpoint | `log_records_…` record 1 ("in the header and in no record") and both delta tests |
+//!
+//! At the parent commit (a watermark over the process-global pool) the two
+//! delta tests and `log_records_…` fail and the other two pass with these
+//! pins: `DeltaBatch` and `QueryBatch` headers did not move.
+
+use logstore::{LogRecord, SnapshotCapturer, SnapshotDelta, SystemSnapshot};
+use nettrails::{NetTrails, NetTrailsConfig};
+use nt_runtime::{Addr, CompiledProgram, EngineConfig, NodeEngine, Sym, Tuple, Value};
+use provenance::{
+    ProofTree, ProvVertex, QueryBatch, QueryExecutor, QueryKind, QueryMode, QueryOp, QueryOptions,
+    QuerySpec, RuleExecNode, TraversalOrder,
+};
+use simnet::{Link, SimTime, Topology, TopologyEvent};
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
+
+const ANCHORS: [&str; 2] = ["as1", "as17"];
+
+fn program() -> String {
+    scenario::programs::anchored_pathvector(3)
+}
+
+// ---------------------------------------------------------------------------
+// the oracle
+// ---------------------------------------------------------------------------
+
+/// The names a receiver needs for one tuple: its relation and every address
+/// among its values, at any list depth.
+fn tuple_names(tuple: &Tuple, out: &mut BTreeSet<String>) {
+    out.insert(tuple.relation().to_string());
+    let mut pending: Vec<&Value> = tuple.values().iter().collect();
+    while let Some(value) = pending.pop() {
+        match value {
+            Value::Addr(a) => {
+                out.insert(a.to_string());
+            }
+            Value::List(items) => pending.extend(items),
+            _ => {}
+        }
+    }
+}
+
+fn tree_names(tree: &ProofTree, out: &mut BTreeSet<String>) {
+    out.insert(tree.home.to_string());
+    if let Some(tuple) = &tree.tuple {
+        tuple_names(tuple, out);
+    }
+    for exec in &tree.derivations {
+        exec_names(exec, out);
+    }
+}
+
+fn exec_names(exec: &RuleExecNode, out: &mut BTreeSet<String>) {
+    out.insert(exec.rule.to_string());
+    out.insert(exec.node.to_string());
+    for input in &exec.inputs {
+        tree_names(input, out);
+    }
+}
+
+fn vertex_names(vertex: &ProvVertex, out: &mut BTreeSet<String>) {
+    match vertex {
+        ProvVertex::Tuple { tuple, home, .. } => {
+            out.insert(home.to_string());
+            if let Some(tuple) = tuple {
+                tuple_names(tuple, out);
+            }
+        }
+        ProvVertex::RuleExec { rule, node, .. } => {
+            out.insert(rule.to_string());
+            out.insert(node.to_string());
+        }
+    }
+}
+
+fn snapshot_names(snapshot: &SystemSnapshot) -> BTreeSet<String> {
+    let mut out = BTreeSet::new();
+    for (node, state) in &snapshot.nodes {
+        out.insert(node.to_string());
+        for (relation, tuples) in &state.relations {
+            out.insert(relation.clone());
+            tuples.iter().for_each(|t| tuple_names(t, &mut out));
+        }
+    }
+    for vertex in snapshot.graph.vertices.values() {
+        vertex_names(vertex, &mut out);
+    }
+    out
+}
+
+fn delta_names(delta: &SnapshotDelta) -> BTreeSet<String> {
+    let mut out = BTreeSet::new();
+    out.extend(delta.nodes_removed.iter().map(Addr::to_string));
+    for (node, changes) in &delta.nodes {
+        out.insert(node.to_string());
+        out.extend(changes.removed.keys().cloned());
+        for (relation, tuples) in &changes.added {
+            out.insert(relation.clone());
+            tuples.iter().for_each(|t| tuple_names(t, &mut out));
+        }
+    }
+    for (_, vertex) in &delta.graph.vertices_added {
+        vertex_names(vertex, &mut out);
+    }
+    out
+}
+
+/// What one destination knows: the headers of the frames delivered so far.
+#[derive(Default)]
+struct Receiver {
+    known: BTreeSet<String>,
+    header_bytes: usize,
+}
+
+impl Receiver {
+    fn frame(&mut self, header: &[String], referenced: &BTreeSet<String>, what: &str) {
+        for entry in header {
+            assert!(
+                referenced.contains(entry),
+                "{what}: {entry:?} is in the header and in no record"
+            );
+            assert!(
+                self.known.insert(entry.clone()),
+                "{what}: {entry:?} shipped twice"
+            );
+        }
+        for name in referenced {
+            assert!(self.known.contains(name), "{what}: {name:?} not decodable");
+        }
+        self.header_bytes += nt_runtime::dict_wire_size(header);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// the runs
+// ---------------------------------------------------------------------------
+
+/// SplitMix64.
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        ((z ^ (z >> 31)) % n as u64) as usize
+    }
+}
+
+/// `cycles` × (link down, recover at a new cost) over seeded links.
+fn churn_trace(topology: &Topology, cycles: usize, seed: u64) -> Vec<TopologyEvent> {
+    let links: Vec<&Link> = topology.links().filter(|l| l.from < l.to).collect();
+    let mut rng = Rng(seed);
+    let mut events = Vec::new();
+    for _ in 0..cycles {
+        let link = links[rng.below(links.len())];
+        events.push(TopologyEvent::LinkDown {
+            a: link.from.clone(),
+            b: link.to.clone(),
+        });
+        events.push(TopologyEvent::LinkUp(Link {
+            cost: 1 + rng.below(9) as i64,
+            ..link.clone()
+        }));
+    }
+    events
+}
+
+fn converged(topology: &Topology) -> NetTrails {
+    let mut nt = NetTrails::new(&program(), topology.clone(), NetTrailsConfig::default()).unwrap();
+    nt.seed_links_from_topology();
+    for anchor in ANCHORS {
+        nt.insert_fact(anchor, scenario::programs::anchor_tuple(anchor));
+    }
+    nt.run_to_fixpoint();
+    nt
+}
+
+/// Engines composed by hand, so the test sees every batch between them:
+/// each round runs the engines that have work, in name order, then delivers
+/// what they sent — the platform's schedule.
+struct Engines {
+    engines: BTreeMap<Addr, NodeEngine>,
+    /// One receiver per (sender, destination): a sender's memory is its own.
+    receivers: BTreeMap<(Addr, Addr), Receiver>,
+    batches: usize,
+}
+
+impl Engines {
+    fn new(topology: &Topology) -> Self {
+        let program = Arc::new(CompiledProgram::from_source(&program()).unwrap());
+        Engines {
+            engines: topology
+                .nodes()
+                .map(|n| {
+                    let engine = NodeEngine::new(program.clone(), EngineConfig::new(n));
+                    (Addr::new(n), engine)
+                })
+                .collect(),
+            receivers: BTreeMap::new(),
+            batches: 0,
+        }
+    }
+
+    fn engine(&mut self, node: &str) -> &mut NodeEngine {
+        self.engines.get_mut(&Addr::new(node)).expect("known node")
+    }
+
+    fn settle(&mut self) {
+        loop {
+            let mut in_flight = Vec::new();
+            for (node, engine) in self.engines.iter_mut() {
+                if engine.has_pending() {
+                    let sends = engine.run().sends;
+                    in_flight.extend(sends.into_iter().map(|batch| (*node, batch)));
+                }
+            }
+            if in_flight.is_empty() {
+                return;
+            }
+            for (from, batch) in in_flight {
+                let mut referenced = BTreeSet::new();
+                for record in &batch.records {
+                    tuple_names(record.delta.tuple(), &mut referenced);
+                    referenced.insert(record.derivation.rule.to_string());
+                    referenced.insert(record.derivation.node.to_string());
+                }
+                let what = format!("batch {} {from}->{}", self.batches, batch.dest);
+                self.receivers.entry((from, batch.dest)).or_default().frame(
+                    &batch.dict,
+                    &referenced,
+                    &what,
+                );
+                self.batches += 1;
+                let engine = self.engines.get_mut(&batch.dest).expect("known node");
+                for record in batch.records {
+                    engine.apply_remote(record.delta, record.derivation);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn delta_batches_are_decodable_in_delivery_order() {
+    for (seed, pinned) in [(12u64, 32_186usize), (4242, 33_029)] {
+        let mut topology = Topology::internet_as(64, 2, seed);
+        let events = churn_trace(&topology, 12, seed);
+        let mut net = Engines::new(&topology);
+        for (node, tuple) in protocols::link_tuples(&topology) {
+            net.engine(&node).insert_base(tuple);
+        }
+        for anchor in ANCHORS {
+            net.engine(anchor)
+                .insert_base(scenario::programs::anchor_tuple(anchor));
+        }
+        net.settle();
+        for event in &events {
+            let (added, removed) = topology.apply(event);
+            for link in removed {
+                let tuple = protocols::link_tuple(&link.from, &link.to, link.cost);
+                net.engine(&link.from).delete_base(tuple);
+            }
+            for link in added {
+                let tuple = protocols::link_tuple(&link.from, &link.to, link.cost);
+                net.engine(&link.from).insert_base(tuple);
+            }
+            net.settle();
+        }
+        assert!(net.batches > 500, "seed {seed}: {} batches", net.batches);
+        let shipped: usize = net.receivers.values().map(|r| r.header_bytes).sum();
+        let counted: u64 = net
+            .engines
+            .values()
+            .map(|e| e.stats().dict_bytes_sent)
+            .sum();
+        assert_eq!(
+            shipped as u64, counted,
+            "seed {seed}: engines count what they ship"
+        );
+        assert_eq!(shipped, pinned, "seed {seed}: dictionary bytes moved");
+        // The platform composes the same engines: same bytes.
+        let mut nt = converged(&Topology::internet_as(64, 2, seed));
+        for event in &events {
+            nt.apply_topology_event(event);
+        }
+        assert_eq!(nt.stats().engine.dict_bytes_sent, counted, "seed {seed}");
+    }
+}
+
+fn op_names(op: &QueryOp, out: &mut BTreeSet<String>) {
+    match op {
+        QueryOp::VertexDone { tree, .. } => tree_names(tree, out),
+        QueryOp::ExecDone {
+            exec: Some(exec), ..
+        } => exec_names(exec, out),
+        _ => {}
+    }
+}
+
+#[test]
+fn query_frames_are_decodable_in_delivery_order() {
+    let topology = Topology::internet_as(64, 2, 12);
+    let nt = converged(&topology);
+    let system = nt.provenance();
+    let targets = nt.relation("bestRoute");
+    assert!(targets.len() > 64);
+    let mut executor = QueryExecutor::new();
+    // One destination's memory covers every sender: the executor seals for
+    // all of them.
+    let mut receivers: BTreeMap<Addr, Receiver> = BTreeMap::new();
+    let mut frames = 0usize;
+    let mut rng = Rng(12);
+    for wave in 0..2 {
+        let handles: Vec<_> = (0..64)
+            .map(|_| {
+                let (_, target) = &targets[rng.below(targets.len())];
+                let querier = Addr::new(&format!("as{}", rng.below(64)));
+                let spec = QuerySpec {
+                    querier,
+                    vid: target.id(),
+                    kind: QueryKind::Lineage,
+                    mode: QueryMode::Distributed,
+                    options: QueryOptions {
+                        traversal: TraversalOrder::BreadthFirst,
+                        use_cache: true,
+                        ..QueryOptions::default()
+                    },
+                };
+                executor.submit(system, spec, SimTime::ZERO)
+            })
+            .collect();
+        while !handles.iter().all(|h| executor.is_done(*h)) {
+            let batches: Vec<QueryBatch> = executor.poll();
+            assert!(!batches.is_empty(), "wave {wave} stalled");
+            for batch in batches {
+                let mut referenced = BTreeSet::new();
+                batch
+                    .ops
+                    .iter()
+                    .for_each(|op| op_names(op, &mut referenced));
+                let what = format!("frame {frames} {}->{}", batch.from, batch.to);
+                receivers
+                    .entry(batch.to)
+                    .or_default()
+                    .frame(&batch.dict, &referenced, &what);
+                frames += 1;
+                executor.deliver(system, batch, SimTime::ZERO);
+            }
+        }
+        let mut paid = 0;
+        for handle in handles {
+            let (result, stats) = executor.take_result(handle).expect("done");
+            assert!(result.is_some());
+            paid += stats.dict_bytes as usize;
+        }
+        let shipped: usize = receivers.values().map(|r| r.header_bytes).sum();
+        let pinned = [11_589, 14_806][wave];
+        assert_eq!(shipped, pinned, "wave {wave}: dictionary bytes moved");
+        let before = if wave == 0 { 0 } else { 11_589 };
+        assert_eq!(paid, shipped - before, "sessions pay what is shipped");
+    }
+    assert!(frames > 500, "{frames} frames");
+}
+
+/// The captures of a churned run in which the names of everything derived
+/// leave and come back: both anchors are withdrawn at capture 2 and
+/// advertised again at capture 4, links churn around them.
+fn churned_captures() -> Vec<SystemSnapshot> {
+    let topology = Topology::internet_as(64, 2, 12);
+    let events = churn_trace(&topology, 5, 12);
+    let mut nt = converged(&topology);
+    let mut captures = vec![nt.capture_snapshot()];
+    for (i, event) in events.iter().enumerate() {
+        match i + 1 {
+            2 => ANCHORS
+                .iter()
+                .for_each(|a| nt.delete_fact(a, scenario::programs::anchor_tuple(a))),
+            4 => ANCHORS
+                .iter()
+                .for_each(|a| nt.insert_fact(a, scenario::programs::anchor_tuple(a))),
+            _ => {}
+        }
+        nt.apply_topology_event(event);
+        captures.push(nt.capture_snapshot());
+    }
+    assert!(captures[1].relation("bestRoute").len() > 64);
+    assert!(captures[2].relation("bestRoute").is_empty());
+    assert!(captures[4].relation("bestRoute").len() > 64);
+    captures
+}
+
+#[test]
+fn log_records_are_decodable_from_their_checkpoint_on() {
+    let captures = churned_captures();
+    for (checkpoint_every, pinned) in [(1usize, 9_812usize), (3, 3_624), (8, 1_812)] {
+        let mut capturer = SnapshotCapturer::new(checkpoint_every);
+        let mut store = Receiver::default();
+        let mut shipped = 0;
+        for (i, capture) in captures.iter().enumerate() {
+            let record = capturer.capture(capture.clone());
+            let what = format!("every {checkpoint_every}, record {i}");
+            assert_eq!(
+                i % checkpoint_every == 0,
+                matches!(record, LogRecord::Checkpoint(_))
+            );
+            shipped += record.dict_bytes();
+            match &record {
+                // Replay starts at a checkpoint: it is read by a store that
+                // knows nothing.
+                LogRecord::Checkpoint(snapshot) => {
+                    store = Receiver::default();
+                    let referenced = snapshot_names(snapshot);
+                    store.frame(&snapshot.dictionary.strings, &referenced, &what);
+                    assert_eq!(
+                        store.known, referenced,
+                        "{what}: a checkpoint ships its names"
+                    );
+                }
+                LogRecord::Delta(delta) => {
+                    store.frame(&delta.dict_diff.strings, &delta_names(delta), &what);
+                }
+            }
+        }
+        assert_eq!(
+            shipped, pinned,
+            "every {checkpoint_every}: dictionary bytes moved"
+        );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// what a delta ships depends on the captures alone
+// ---------------------------------------------------------------------------
+
+/// PR 17's fact, which the process-global watermark could state only
+/// single-threaded: once captures stop referencing new names, deltas ship
+/// no dictionary — whatever else the process interns meanwhile.
+#[test]
+fn the_last_delta_ships_no_dictionary_whatever_else_is_interned() {
+    let topology = Topology::ladder(3);
+    let mut nt = NetTrails::new(
+        protocols::mincost::PROGRAM,
+        topology.clone(),
+        NetTrailsConfig::default(),
+    )
+    .unwrap();
+    nt.seed_links_from_topology();
+    nt.run_to_fixpoint();
+    let mut capturer = SnapshotCapturer::new(8);
+    let mut records = vec![capturer.capture(nt.capture_snapshot())];
+    for (i, event) in churn_trace(&topology, 2, 7).iter().enumerate() {
+        nt.apply_topology_event(event);
+        // Another thread mints names between every two captures, as the
+        // tests running beside this one do.
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for j in 0..8 {
+                    Sym::new(&format!("unrelated-name-{i}-{j}"));
+                }
+            });
+        });
+        records.push(capturer.capture(nt.capture_snapshot()));
+    }
+    assert!(
+        records[0].dict_bytes() > 0,
+        "the checkpoint ships its names"
+    );
+    for (i, record) in records.iter().enumerate().skip(1) {
+        assert!(matches!(record, LogRecord::Delta(_)));
+        assert_eq!(record.dict_bytes(), 0, "delta {i} ships a dictionary");
+    }
+}
+
+/// The converse: a name interned before the checkpoint and first referenced
+/// after it is owed to the store by the delta that references it. (A
+/// watermark over the pool omits it: the name was minted too early.)
+#[test]
+fn a_delta_ships_a_name_interned_before_its_checkpoint() {
+    let mut nt = NetTrails::new(
+        protocols::mincost::PROGRAM,
+        Topology::line(3),
+        NetTrailsConfig::default(),
+    )
+    .unwrap();
+    nt.seed_links_from_topology();
+    nt.run_to_fixpoint();
+    let probe = Tuple::new("earlyProbe", vec![Value::addr("n2"), Value::Int(1)]);
+    let mut capturer = SnapshotCapturer::new(8);
+    let checkpoint = capturer.capture(nt.capture_snapshot());
+    let LogRecord::Checkpoint(snapshot) = &checkpoint else {
+        panic!("first capture is a checkpoint");
+    };
+    assert!(!snapshot
+        .dictionary
+        .strings
+        .iter()
+        .any(|s| s == "earlyProbe"));
+    nt.insert_fact("n2", probe);
+    nt.run_to_fixpoint();
+    let LogRecord::Delta(delta) = capturer.capture(nt.capture_snapshot()) else {
+        panic!("second capture is a delta");
+    };
+    assert_eq!(delta.dict_diff.strings, ["earlyProbe"]);
+    // Shipped once: the next delta owes nothing.
+    let LogRecord::Delta(next) = capturer.capture(nt.capture_snapshot()) else {
+        panic!("third capture is a delta");
+    };
+    assert!(next.dict_diff.is_empty());
+}

@@ -4,7 +4,6 @@ use logstore::{
     LogStore, Replay, SegmentFileBackend, SnapshotCapturer, SnapshotDiff, SystemSnapshot,
 };
 use nettrails::{NetTrails, NetTrailsConfig};
-use nt_runtime::Interner;
 use provenance::{QueryKind, QueryResult};
 use simnet::{Topology, TopologyEvent};
 use vis::{
@@ -142,12 +141,12 @@ fn incremental_chain_replays_and_renders_through_a_kv_backend() {
     ];
     let snap = snapshot(&nt);
     full.add(snap.clone());
-    store.append_record(capturer.capture_with_watermark(snap, Interner::watermark()));
+    store.append_record(capturer.capture(snap));
     for event in &events {
         nt.apply_topology_event(event);
         let snap = snapshot(&nt);
         full.add(snap.clone());
-        store.append_record(capturer.capture_with_watermark(snap, Interner::watermark()));
+        store.append_record(capturer.capture(snap));
     }
 
     assert_eq!(store.backend_name(), "segment_file");

@@ -12,7 +12,6 @@
 
 use logstore::{LogStore, MemBackend, SegmentFileBackend, SnapshotCapturer, SystemSnapshot};
 use nettrails::{NetTrails, NetTrailsConfig};
-use nt_runtime::Interner;
 use proptest::prelude::*;
 use simnet::{SimTime, Topology, TopologyEvent};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -25,21 +24,21 @@ fn topology_for(kind: usize, size: usize) -> Topology {
     }
 }
 
-/// Run a churned platform, capturing a canonical snapshot (plus the interner
-/// watermark at capture time) after the fixpoint and after every event.
+/// Run a churned platform, capturing a canonical snapshot after the fixpoint
+/// and after every event.
 fn captured_run(
     program: &str,
     topology: &Topology,
     events: &[TopologyEvent],
-) -> Vec<(SystemSnapshot, usize)> {
+) -> Vec<SystemSnapshot> {
     let mut nt = NetTrails::new(program, topology.clone(), NetTrailsConfig::default())
         .expect("program compiles");
     nt.seed_links_from_topology();
     nt.run_to_fixpoint();
-    let mut captures = vec![(nt.capture_snapshot(), Interner::watermark())];
+    let mut captures = vec![nt.capture_snapshot()];
     for event in events {
         nt.apply_topology_event(event);
-        captures.push((nt.capture_snapshot(), Interner::watermark()));
+        captures.push(nt.capture_snapshot());
     }
     captures
 }
@@ -95,7 +94,7 @@ proptest! {
 
         // The reference: every capture uploaded in full (pre-refactor path).
         let mut full = LogStore::new();
-        for (snap, _) in &captures {
+        for snap in &captures {
             full.add(snap.clone());
         }
 
@@ -103,20 +102,20 @@ proptest! {
         for (name, backend) in backends(case) {
             let mut store = LogStore::with_backend(backend);
             let mut capturer = SnapshotCapturer::new(checkpoint_every);
-            for (snap, watermark) in &captures {
-                store.append_record(capturer.capture_with_watermark(snap.clone(), *watermark));
+            for snap in &captures {
+                store.append_record(capturer.capture(snap.clone()));
             }
             prop_assert_eq!(store.len(), captures.len());
 
             // Bit-identical materialization at every capture index...
-            for (i, (snap, _)) in captures.iter().enumerate() {
+            for (i, snap) in captures.iter().enumerate() {
                 prop_assert_eq!(
                     store.get(i).as_ref(), Some(snap),
                     "backend {} diverged at index {}", name, i
                 );
             }
             // ...at probed times between captures...
-            let last_us = captures.last().unwrap().0.time.as_micros();
+            let last_us = captures.last().unwrap().time.as_micros();
             for probe_us in (0..=last_us + 1_000_000).step_by(700_000) {
                 let t = SimTime::from_micros(probe_us);
                 prop_assert_eq!(
@@ -127,7 +126,7 @@ proptest! {
             // ...and still after compaction.
             let stats = store.compact();
             prop_assert!(stats.bytes_after <= stats.bytes_before);
-            for (i, (snap, _)) in captures.iter().enumerate() {
+            for (i, snap) in captures.iter().enumerate() {
                 prop_assert_eq!(
                     store.get(i).as_ref(), Some(snap),
                     "backend {} diverged at index {} after compaction", name, i
