@@ -32,7 +32,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::{OnceLock, RwLock};
 
@@ -128,17 +128,26 @@ impl Interner {
 /// snapshots); which entries it holds is decided here and nowhere else.
 ///
 /// The memory is a set of handles: node and rule/relation handles index one
-/// pool (one string, one handle), so that is exactly a set of strings.
+/// pool (one string, one handle), so that is exactly a set of strings. It is
+/// asked once per name of every record shipped, so it is a bitmap over pool
+/// indexes — a shift and a mask per question, one bit per name the process
+/// has interned up to the highest one sent.
 #[derive(Debug, Clone, Default)]
 pub struct Dictionary {
-    sent: HashSet<Sym>,
+    sent: Vec<u64>,
 }
 
 impl Dictionary {
     /// True exactly the first time `name` is asked about since the memory
     /// was created or cleared: the caller ships the string with this frame.
     pub fn first_use(&mut self, name: Sym) -> bool {
-        self.sent.insert(name)
+        let (word, bit) = ((name.0 / 64) as usize, 1u64 << (name.0 % 64));
+        if word >= self.sent.len() {
+            self.sent.resize(word + 1, 0);
+        }
+        let first = self.sent[word] & bit == 0;
+        self.sent[word] |= bit;
+        first
     }
 
     /// Forget everything: the destination is treated as new.

@@ -1,0 +1,138 @@
+//! What a provenance query session allocates, counted — not sampled — by
+//! wrapping the system allocator: 256 uncached lineage sessions offered at
+//! once to a converged 400-node network and pumped to completion, the way
+//! the query service runs a wave. One test in its own binary counting its own
+//! thread, so the count repeats exactly; a ceiling that fails here names a
+//! per-frame or per-vertex allocation that came back.
+//!
+//! The ceiling is the measured value + 10 %. At the parent of the change
+//! that added this test the same run read 265 allocations per session at the
+//! same 12.9 frames: every frame paid for two strings to find its link, a
+//! formatted link key and a category string in each of two sets of counters,
+//! a category string in the queue, and two vectors sealing copied through.
+//! What is left (scratch tags, by owner, per session): the root-level
+//! derivations cloned for `take_partials` 24.8, `start_vertex` 23.1,
+//! `issue_exec` 19.5, sealing 13.9, `start_exec` and `advance_vertex` 12.9
+//! each, `spawn_input` 10.9, `advance_exec` 6.4.
+
+use nettrails::{NetTrails, NetTrailsConfig};
+use nt_runtime::Tuple;
+use simnet::Topology;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+
+struct Counting;
+
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Set by the test on its own thread: the harness's main thread
+    /// allocates now and then while it waits, and is not what is measured.
+    static MEASURED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count() {
+    if MEASURED.try_with(Cell::get).unwrap_or(false) {
+        ALLOCATIONS.fetch_add(1, Relaxed);
+    }
+}
+
+// SAFETY: every call is forwarded to `System` unchanged; the counter is a
+// statistic and publishes no other data, and the thread-local it reads is
+// const-initialized and has no destructor, so reading it never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
+        System.dealloc(p, layout);
+    }
+
+    unsafe fn realloc(&self, p: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        System.realloc(p, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+const NODES: usize = 400;
+const SESSIONS: usize = 256;
+
+/// Allocations per session: measured 127.
+const ALLOCATIONS_PER_SESSION: usize = 140;
+
+/// Offer one wave — session `i` asks node `7i mod N` for the lineage of every
+/// `stride`-th route — pump it dry and redeem every handle. Returns the
+/// frames the wave put on the wire.
+fn wave(nt: &mut NetTrails, targets: &[Tuple], queriers: &[String]) -> u64 {
+    let frames = nt.query_executor().traffic().messages;
+    let stride = targets.len() / SESSIONS;
+    let handles: Vec<_> = (0..SESSIONS)
+        .map(|i| {
+            nt.query(&targets[i * stride])
+                .from_node(&queriers[i * 7 % queriers.len()])
+                .submit()
+        })
+        .collect();
+    while handles.iter().any(|h| !nt.query_done(*h)) {
+        assert!(nt.poll_queries(), "a session stalled on an idle network");
+    }
+    for handle in handles {
+        nt.try_wait_query(handle).expect("the session completed");
+    }
+    nt.query_executor().traffic().messages - frames
+}
+
+#[test]
+fn a_session_allocates_under_its_ceiling() {
+    let topology = Topology::internet_as(NODES, 2, 2011);
+    let program = scenario::programs::anchored_pathvector(3);
+    let mut nt = NetTrails::new(&program, topology.clone(), NetTrailsConfig::default())
+        .expect("the anchored path-vector program compiles");
+    nt.seed_links_from_topology();
+    let connected: Vec<&str> = topology
+        .nodes()
+        .filter(|n| topology.degree(n) > 0)
+        .collect();
+    for anchor in connected.iter().step_by(connected.len() / 8) {
+        nt.insert_fact(anchor, scenario::programs::anchor_tuple(anchor));
+    }
+    nt.run_to_fixpoint();
+
+    let mut rows: Vec<(String, Tuple)> = nt
+        .relation("bestRoute")
+        .into_iter()
+        .map(|(addr, tuple)| (format!("{addr} {tuple}"), tuple))
+        .collect();
+    rows.sort_by(|a, b| a.0.cmp(&b.0));
+    let targets: Vec<Tuple> = rows.into_iter().map(|(_, tuple)| tuple).collect();
+    let queriers: Vec<String> = topology.nodes().map(str::to_string).collect();
+    assert!(targets.len() >= SESSIONS, "{} routes", targets.len());
+
+    // Warm-up: every link and destination dictionary the wave touches has
+    // been counted and shipped once, so the measured wave is the steady
+    // state the benchmark's second block is.
+    wave(&mut nt, &targets, &queriers);
+
+    MEASURED.set(true);
+    let before = ALLOCATIONS.load(Relaxed);
+    let frames = wave(&mut nt, &targets, &queriers);
+    let allocations = ALLOCATIONS.load(Relaxed) - before;
+    MEASURED.set(false);
+
+    println!(
+        "{SESSIONS} sessions, {frames} frames, {allocations} allocations: {} per session",
+        allocations / SESSIONS
+    );
+    assert!(frames as usize > 4 * SESSIONS, "sessions crossed the wire");
+    assert!(
+        allocations / SESSIONS <= ALLOCATIONS_PER_SESSION,
+        "a session costs {} allocations, over the {ALLOCATIONS_PER_SESSION} ceiling",
+        allocations / SESSIONS
+    );
+}

@@ -367,8 +367,8 @@ impl QueryEngine {
         stats.messages += 2;
         stats.records += 2;
         stats.bytes += (bytes + 64) as u64;
-        self.traffic.record(&from, &to, QUERY_CATEGORY, bytes);
-        self.traffic.record(&to, &from, QUERY_CATEGORY, 64);
+        self.traffic.record(from, to, QUERY_CATEGORY, bytes);
+        self.traffic.record(to, from, QUERY_CATEGORY, 64);
     }
 }
 
@@ -717,10 +717,11 @@ impl QueryExecutor {
         // Fold session groups into frames: merged mode coalesces every
         // session group sharing (endpoints, direction) into the frame keyed
         // by the first of them; per-session mode keeps one group per frame.
-        let frames: Vec<Vec<SessionKey>> = if self.merge_frames {
+        let merged: Vec<Vec<SessionKey>>;
+        let frames: Vec<&[SessionKey]> = if self.merge_frames {
             let mut frame_order: Vec<(NodeId, NodeId, bool)> = Vec::new();
             let mut folded: HashMap<(NodeId, NodeId, bool), Vec<SessionKey>> = HashMap::new();
-            for key in order {
+            for &key in &order {
                 let fkey = (key.1, key.2, key.3);
                 let members = folded.entry(fkey).or_default();
                 if members.is_empty() {
@@ -728,14 +729,15 @@ impl QueryExecutor {
                 }
                 members.push(key);
             }
-            frame_order
+            merged = frame_order
                 .into_iter()
                 .map(|fkey| folded.remove(&fkey).expect("frame exists"))
-                .collect()
+                .collect();
+            merged.iter().map(Vec::as_slice).collect()
         } else {
-            order.into_iter().map(|key| vec![key]).collect()
+            order.chunks(1).collect()
         };
-        let mut batches = Vec::new();
+        let mut batches = Vec::with_capacity(frames.len());
         for members in frames {
             let (_, from, to, _) = members[0];
             let sent = self.dict_sent.entry(to).or_default();
@@ -744,7 +746,7 @@ impl QueryExecutor {
             let mut frame_bytes = 0usize;
             for key in members {
                 let qid = key.0;
-                let group = groups.remove(&key).expect("group exists");
+                let group = groups.remove(key).expect("group exists");
                 // One walk per record gives its body size and its names.
                 // The session pays for exactly the entries its records are
                 // first to ship toward this destination; a name the
@@ -774,12 +776,18 @@ impl QueryExecutor {
                     stats.dict_bytes += header as u64;
                 }
                 frame_bytes += body + header;
-                ops.extend(group);
+                // The first member's records become the frame's: a
+                // single-session frame never copies them.
+                if ops.is_empty() {
+                    ops = group;
+                } else {
+                    ops.extend(group);
+                }
             }
             // Keep the wire contract: dictionary entries travel sorted.
             dict.sort();
             self.traffic
-                .record_batch(&from, &to, QUERY_CATEGORY, frame_bytes, ops.len());
+                .record_batch(from, to, QUERY_CATEGORY, frame_bytes, ops.len());
             batches.push(QueryBatch {
                 from,
                 to,

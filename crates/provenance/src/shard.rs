@@ -339,8 +339,8 @@ impl ProvenanceShard {
         };
         if firing.head_home != firing.node {
             traffic.record(
-                &firing.node,
-                &firing.head_home,
+                firing.node,
+                firing.head_home,
                 MAINTENANCE_CATEGORY,
                 entry.wire_size() + firing.head.wire_size(),
             );
@@ -377,8 +377,8 @@ impl ProvenanceShard {
         };
         if firing.head_home != firing.node {
             traffic.record(
-                &firing.node,
-                &firing.head_home,
+                firing.node,
+                firing.head_home,
                 MAINTENANCE_CATEGORY,
                 entry.wire_size(),
             );

@@ -283,13 +283,15 @@ impl ProvenanceSystem {
         for records in &mut incoming {
             records.sort_by_key(|r| r.seq);
         }
-        // Apply: per-shard maintenance over disjoint `&mut` shard slices
-        // (long-lived pool workers for large rounds), merging each shard's
-        // substream with its incoming records by sequence number. Per-shard
-        // traffic deltas are merged in shard order afterwards (commutative
-        // sums, so the totals are identical to the sequential path).
+        // Apply: per-shard maintenance, merging each shard's substream with
+        // its incoming records by sequence number. Small rounds run the
+        // shards one after another and count traffic straight into the
+        // system's counters; large ones hand disjoint `&mut` shard slices to
+        // long-lived pool workers, each counting into a delta of its own
+        // that is merged afterwards (commutative sums, so the totals are
+        // identical either way).
         let threaded = firings.len() >= SPAWN_THRESHOLD && workers_available();
-        let deltas: Vec<TrafficStats> = if threaded {
+        if threaded {
             self.shard_stats.parallel_rounds += 1;
             // Dispatch the per-shard apply closures to the persistent worker
             // pool: long-lived threads parked on a queue, so deep fixpoints
@@ -301,20 +303,24 @@ impl ProvenanceSystem {
                 .iter_mut()
                 .zip(routed.iter().zip(incoming.iter()))
                 .map(|(shard, (stream, execs))| {
-                    Box::new(move || apply_pass(shard, stream, execs))
-                        as Box<dyn FnOnce() -> TrafficStats + Send + '_>
+                    Box::new(move || {
+                        let mut traffic = TrafficStats::default();
+                        apply_pass(shard, stream, execs, &mut traffic);
+                        traffic
+                    }) as Box<dyn FnOnce() -> TrafficStats + Send + '_>
                 })
                 .collect();
-            crate::pool::run_borrowed(tasks)
+            for delta in crate::pool::run_borrowed(tasks) {
+                self.traffic.merge(&delta);
+            }
         } else {
-            self.shards
+            for (shard, (stream, execs)) in self
+                .shards
                 .iter_mut()
                 .zip(routed.iter().zip(incoming.iter()))
-                .map(|(shard, (stream, execs))| apply_pass(shard, stream, execs))
-                .collect()
-        };
-        for delta in &deltas {
-            self.traffic.merge(delta);
+            {
+                apply_pass(shard, stream, execs, &mut self.traffic);
+            }
         }
     }
 
@@ -381,25 +387,24 @@ impl ProvenanceSystem {
 /// local exec halves) with the [`MaintRecord`]s shipped to it, in ascending
 /// stream-sequence order — exactly the schedule the sequential single-shard
 /// engine would run for the stores this shard owns. Cross-node maintenance
-/// traffic is recorded locally and merged by the router afterwards.
+/// traffic is counted into `traffic`.
 fn apply_pass(
     shard: &mut ProvenanceShard,
     stream: &[(u32, bool, &Firing)],
     execs: &[MaintRecord],
-) -> TrafficStats {
-    let mut traffic = TrafficStats::default();
+    traffic: &mut TrafficStats,
+) {
     let mut next_exec = 0usize;
     for &(seq, exec_local, firing) in stream {
         while next_exec < execs.len() && execs[next_exec].seq < seq {
             shard.apply_exec(&execs[next_exec]);
             next_exec += 1;
         }
-        shard.apply_home(firing, exec_local, &mut traffic);
+        shard.apply_home(firing, exec_local, traffic);
     }
     for record in &execs[next_exec..] {
         shard.apply_exec(record);
     }
-    traffic
 }
 
 impl PartialEq for ProvenanceSystem {

@@ -5,6 +5,10 @@
 //! [`Network::advance`] to pop the next batch of deliveries and hand them to
 //! the destination engines; engine reactions produce further sends, and the
 //! simulation proceeds until the queue drains or a time horizon is reached.
+//!
+//! Handles on the record path, strings at the view (see [`crate::stats`]):
+//! a send looks its link up and charges its counters by [`NodeId`] pair, and
+//! a queued message carries nothing but its endpoints and its payload.
 
 use crate::stats::TrafficStats;
 use crate::time::SimTime;
@@ -46,8 +50,6 @@ pub struct Delivered<M> {
     pub to: NodeId,
     /// Payload.
     pub payload: M,
-    /// Category the message was charged to.
-    pub category: String,
 }
 
 #[derive(Debug, Clone)]
@@ -57,7 +59,6 @@ struct InFlight<M> {
     from: NodeId,
     to: NodeId,
     payload: M,
-    category: String,
 }
 
 // Order by (time, seq) — BinaryHeap is a max-heap, so wrap in Reverse at the
@@ -135,11 +136,10 @@ impl<M> Network<M> {
 
     /// Latency between two nodes: the direct link's latency when one exists,
     /// the configured default otherwise.
-    fn latency(&self, from: &str, to: &str) -> SimTime {
+    fn latency(&self, from: NodeId, to: NodeId) -> SimTime {
         let ms = self
             .topology
-            .link(from, to)
-            .map(|l| l.latency_ms)
+            .latency_ms(from, to)
             .unwrap_or(self.config.default_latency_ms);
         SimTime::from_millis(ms)
     }
@@ -152,7 +152,7 @@ impl<M> Network<M> {
         to: impl Into<NodeId>,
         payload: M,
         payload_bytes: usize,
-        category: &str,
+        category: &'static str,
     ) -> SimTime {
         self.send_batch(from, to, payload, payload_bytes, 1, category)
     }
@@ -170,15 +170,15 @@ impl<M> Network<M> {
         payload: M,
         payload_bytes: usize,
         records: usize,
-        category: &str,
+        category: &'static str,
     ) -> SimTime {
         let from = from.into();
         let to = to.into();
-        let deliver_at = self.now + self.latency(&from, &to);
+        let deliver_at = self.now + self.latency(from, to);
         self.seq += 1;
         self.stats.record_batch(
-            &from,
-            &to,
+            from,
+            to,
             category,
             payload_bytes + self.config.header_bytes,
             records,
@@ -189,24 +189,8 @@ impl<M> Network<M> {
             from,
             to,
             payload,
-            category: category.to_string(),
         }));
         deliver_at
-    }
-
-    /// Deliver a message to a node immediately (zero latency, no traffic
-    /// charge). Used for a node's messages to itself.
-    pub fn loopback(&mut self, node: impl Into<NodeId>, payload: M, category: &str) {
-        let node = node.into();
-        self.seq += 1;
-        self.queue.push(Reverse(InFlight {
-            deliver_at: self.now,
-            seq: self.seq,
-            from: node,
-            to: node,
-            payload,
-            category: category.to_string(),
-        }));
     }
 
     /// Advance simulated time to the next pending delivery and return every
@@ -229,7 +213,6 @@ impl<M> Network<M> {
                 from: m.from,
                 to: m.to,
                 payload: m.payload,
-                category: m.category,
             });
         }
         out
@@ -300,16 +283,6 @@ mod tests {
             net.stats().category_bytes("prov-query"),
             100 + NetworkConfig::default().header_bytes as u64
         );
-    }
-
-    #[test]
-    fn loopback_is_free_and_immediate() {
-        let mut net = network();
-        net.loopback("n1", "self".to_string(), "internal");
-        let batch = net.advance();
-        assert_eq!(batch.len(), 1);
-        assert_eq!(net.now(), SimTime::ZERO);
-        assert_eq!(net.stats().messages, 0);
     }
 
     #[test]

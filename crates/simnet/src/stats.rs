@@ -6,12 +6,24 @@
 //! *category* (protocol maintenance, provenance maintenance, provenance query,
 //! snapshot upload, ...), so experiments can report per-category message and
 //! byte counts.
+//!
+//! **Handles on the record path, strings at the view.** Charging a message
+//! must cost less than the message: [`TrafficStats::record_batch`] takes the
+//! endpoints as [`NodeId`] handles and the category as the `&'static str`
+//! constant its caller already holds, and does integer adds and one hash
+//! probe — no formatting, no allocation, no intern-pool lock. The
+//! `"src->dst"` keys and category names of the stored format are spelled in
+//! one place, the private `view` form below, which `Serialize`,
+//! `Deserialize` and `Debug` all go through; snapshot JSON and the `{:?}`
+//! text are what the string-keyed maps this replaced produced, byte for byte.
 
+use nt_intern::{NodeId, Sym};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::fmt;
 
-/// Message/byte counters, total and per category.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// Message/byte counters, total, per category and per directed link.
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct TrafficStats {
     /// Total messages sent.
     pub messages: u64,
@@ -22,34 +34,34 @@ pub struct TrafficStats {
     /// records into one message, so `messages < records` measures how much
     /// coalescing happened.
     pub records: u64,
-    /// Per-category (messages, bytes).
-    pub by_category: BTreeMap<String, (u64, u64)>,
-    /// Per-directed-link message counts, keyed by `"src->dst"`.
-    pub by_link: BTreeMap<String, u64>,
+    /// Per-category (messages, bytes). A handful of entries, in name order.
+    by_category: BTreeMap<&'static str, (u64, u64)>,
+    /// Per-directed-link message counts.
+    by_link: HashMap<(NodeId, NodeId), u64>,
 }
 
 impl TrafficStats {
     /// Record one message carrying a single record.
-    pub fn record(&mut self, src: &str, dst: &str, category: &str, bytes: usize) {
+    pub fn record(&mut self, src: NodeId, dst: NodeId, category: &'static str, bytes: usize) {
         self.record_batch(src, dst, category, bytes, 1);
     }
 
     /// Record one message carrying `records` coalesced records.
     pub fn record_batch(
         &mut self,
-        src: &str,
-        dst: &str,
-        category: &str,
+        src: NodeId,
+        dst: NodeId,
+        category: &'static str,
         bytes: usize,
         records: usize,
     ) {
         self.messages += 1;
         self.bytes += bytes as u64;
         self.records += records as u64;
-        let entry = self.by_category.entry(category.to_string()).or_default();
+        let entry = self.by_category.entry(category).or_default();
         entry.0 += 1;
         entry.1 += bytes as u64;
-        *self.by_link.entry(format!("{src}->{dst}")).or_default() += 1;
+        *self.by_link.entry((src, dst)).or_default() += 1;
     }
 
     /// Messages charged to a category.
@@ -62,13 +74,19 @@ impl TrafficStats {
         self.by_category.get(category).map(|e| e.1).unwrap_or(0)
     }
 
+    /// Every directed link that carried a message, as `(src, dst, messages)`,
+    /// in no particular order.
+    pub fn links(&self) -> impl Iterator<Item = (NodeId, NodeId, u64)> + '_ {
+        self.by_link.iter().map(|(&(src, dst), &m)| (src, dst, m))
+    }
+
     /// Approximate upload cost of shipping these counters inside a snapshot:
     /// the three u64 totals plus per-category and per-link entries (a 4-byte
     /// interned id stands in for each key — names travel once in the
-    /// snapshot's dictionary). Default/empty stats price to zero so an empty
-    /// snapshot uploads nothing.
+    /// snapshot's dictionary). Stats that counted nothing price to zero so
+    /// an empty snapshot uploads nothing.
     pub fn wire_size(&self) -> usize {
-        if *self == TrafficStats::default() {
+        if self.messages == 0 {
             return 0;
         }
         24 + self.by_category.len() * (4 + 16) + self.by_link.len() * (4 + 8)
@@ -79,38 +97,96 @@ impl TrafficStats {
         self.messages += other.messages;
         self.bytes += other.bytes;
         self.records += other.records;
-        for (k, (m, b)) in &other.by_category {
-            let e = self.by_category.entry(k.clone()).or_default();
+        for (&category, (m, b)) in &other.by_category {
+            let e = self.by_category.entry(category).or_default();
             e.0 += m;
             e.1 += b;
         }
-        for (k, m) in &other.by_link {
-            *self.by_link.entry(k.clone()).or_default() += m;
+        for (&link, m) in &other.by_link {
+            *self.by_link.entry(link).or_default() += m;
+        }
+    }
+}
+
+/// The counters as a file or a person reads them: every key a string, every
+/// map sorted by it. This is the stored format (field names, field order,
+/// `"src->dst"` link keys), and the only place that spells a link key.
+mod view {
+    use super::*;
+
+    #[derive(Debug, Serialize, Deserialize)]
+    pub(super) struct TrafficStats {
+        messages: u64,
+        bytes: u64,
+        records: u64,
+        by_category: BTreeMap<String, (u64, u64)>,
+        by_link: BTreeMap<String, u64>,
+    }
+
+    impl From<&super::TrafficStats> for TrafficStats {
+        fn from(stats: &super::TrafficStats) -> Self {
+            TrafficStats {
+                messages: stats.messages,
+                bytes: stats.bytes,
+                records: stats.records,
+                by_category: stats
+                    .by_category
+                    .iter()
+                    .map(|(category, counts)| (category.to_string(), *counts))
+                    .collect(),
+                by_link: stats
+                    .links()
+                    .map(|(src, dst, m)| (format!("{src}->{dst}"), m))
+                    .collect(),
+            }
         }
     }
 
-    /// Difference relative to an earlier snapshot of the same counters
-    /// (used to measure the traffic of a single query or a single event).
-    pub fn since(&self, earlier: &TrafficStats) -> TrafficStats {
-        let mut out = TrafficStats {
-            messages: self.messages - earlier.messages,
-            bytes: self.bytes - earlier.bytes,
-            records: self.records - earlier.records,
-            ..TrafficStats::default()
-        };
-        for (k, (m, b)) in &self.by_category {
-            let (em, eb) = earlier.by_category.get(k).copied().unwrap_or((0, 0));
-            if *m > em || *b > eb {
-                out.by_category.insert(k.clone(), (m - em, b - eb));
+    impl TryFrom<TrafficStats> for super::TrafficStats {
+        type Error = serde::Error;
+
+        /// A link key splits at its first `->`: the format cannot hold a
+        /// source name containing one, a destination name may.
+        fn try_from(view: TrafficStats) -> Result<Self, serde::Error> {
+            let mut by_link = HashMap::with_capacity(view.by_link.len());
+            for (key, m) in view.by_link {
+                let (src, dst) = key.split_once("->").ok_or_else(|| {
+                    serde::Error::custom(format!("traffic link key {key:?} is not src->dst"))
+                })?;
+                by_link.insert((NodeId::new(src), NodeId::new(dst)), m);
             }
+            Ok(super::TrafficStats {
+                messages: view.messages,
+                bytes: view.bytes,
+                records: view.records,
+                // Interning is what turns a stored name into the `'static`
+                // string a category is keyed by, once per distinct name.
+                by_category: view
+                    .by_category
+                    .into_iter()
+                    .map(|(category, counts)| (Sym::new(&category).as_str(), counts))
+                    .collect(),
+                by_link,
+            })
         }
-        for (k, m) in &self.by_link {
-            let em = earlier.by_link.get(k).copied().unwrap_or(0);
-            if *m > em {
-                out.by_link.insert(k.clone(), m - em);
-            }
-        }
-        out
+    }
+}
+
+impl fmt::Debug for TrafficStats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        view::TrafficStats::from(self).fmt(f)
+    }
+}
+
+impl Serialize for TrafficStats {
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        view::TrafficStats::from(self).serialize(serializer)
+    }
+}
+
+impl Deserialize for TrafficStats {
+    fn deserialize<'de, D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
+        Ok(view::TrafficStats::deserialize(d)?.try_into()?)
     }
 }
 
@@ -118,38 +194,39 @@ impl TrafficStats {
 mod tests {
     use super::*;
 
+    fn n(name: &str) -> NodeId {
+        NodeId::new(name)
+    }
+
     #[test]
     fn record_and_query() {
         let mut s = TrafficStats::default();
-        s.record("n1", "n2", "proto", 100);
-        s.record("n1", "n2", "prov-query", 40);
-        s.record("n2", "n1", "prov-query", 60);
+        s.record(n("n1"), n("n2"), "proto", 100);
+        s.record(n("n1"), n("n2"), "prov-query", 40);
+        s.record(n("n2"), n("n1"), "prov-query", 60);
         assert_eq!(s.messages, 3);
         assert_eq!(s.bytes, 200);
         assert_eq!(s.category_messages("prov-query"), 2);
         assert_eq!(s.category_bytes("prov-query"), 100);
         assert_eq!(s.category_messages("nope"), 0);
-        assert_eq!(s.by_link["n1->n2"], 2);
+        let mut links: Vec<_> = s.links().collect();
+        links.sort();
+        assert_eq!(links, [(n("n1"), n("n2"), 2), (n("n2"), n("n1"), 1)]);
     }
 
     #[test]
-    fn merge_and_since() {
+    fn merge_adds_counters_and_keys() {
         let mut a = TrafficStats::default();
-        a.record("n1", "n2", "proto", 10);
-        let snapshot = a.clone();
-        a.record("n1", "n2", "proto", 20);
-        a.record("n2", "n3", "query", 5);
-
-        let diff = a.since(&snapshot);
-        assert_eq!(diff.messages, 2);
-        assert_eq!(diff.bytes, 25);
-        assert_eq!(diff.category_messages("proto"), 1);
-        assert_eq!(diff.category_messages("query"), 1);
+        a.record(n("n1"), n("n2"), "proto", 10);
+        a.record(n("n1"), n("n2"), "proto", 20);
+        a.record(n("n2"), n("n3"), "query", 5);
 
         let mut b = TrafficStats::default();
-        b.record("n9", "n8", "query", 7);
+        b.record(n("n9"), n("n8"), "query", 7);
         b.merge(&a);
         assert_eq!(b.messages, 4);
         assert_eq!(b.category_messages("query"), 2);
+        assert_eq!(b.category_messages("proto"), 2);
+        assert_eq!(b.links().count(), 3);
     }
 }

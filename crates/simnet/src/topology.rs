@@ -10,10 +10,11 @@
 //! Watts–Strogatz small-world meshes. Every seeded generator is a pure
 //! function of its parameters and a `u64` seed.
 
+use nt_intern::NodeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// A directed link between two named nodes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -68,34 +69,56 @@ pub enum TopologyEvent {
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Topology {
     nodes: BTreeSet<String>,
-    /// (from, to) -> link. Serialized as a plain list of links so snapshots
-    /// can be stored as JSON (JSON maps need string keys).
-    #[serde(
-        serialize_with = "serialize_links",
-        deserialize_with = "deserialize_links"
-    )]
-    links: BTreeMap<(String, String), Link>,
+    links: LinkMap,
 }
 
-fn serialize_links<S>(
-    links: &BTreeMap<(String, String), Link>,
-    serializer: S,
-) -> Result<S::Ok, S::Error>
-where
-    S: serde::Serializer,
-{
-    serializer.collect_seq(links.values())
+/// The directed links. `ordered` is what lists and range-scans them: keyed
+/// by the interned names themselves, so its order is (from, to) name order,
+/// a comparison is a plain string comparison and no key is a copy of a name.
+/// `latency_ms` answers the one question asked per message — a pair's
+/// latency, which most pairs answer with "no link" — by one hash probe of
+/// the two handles. Serialized as a plain list of links so snapshots can be
+/// stored as JSON (JSON maps need string keys).
+#[derive(Debug, Clone, Default, PartialEq)]
+struct LinkMap {
+    ordered: BTreeMap<(&'static str, &'static str), Link>,
+    latency_ms: HashMap<(NodeId, NodeId), u64>,
 }
 
-fn deserialize_links<'de, D>(deserializer: D) -> Result<BTreeMap<(String, String), Link>, D::Error>
-where
-    D: serde::Deserializer<'de>,
-{
-    let links = Vec::<Link>::deserialize(deserializer)?;
-    Ok(links
-        .into_iter()
-        .map(|l| ((l.from.clone(), l.to.clone()), l))
-        .collect())
+impl LinkMap {
+    fn insert(&mut self, link: Link) {
+        let (from, to) = (NodeId::new(&link.from), NodeId::new(&link.to));
+        self.latency_ms.insert((from, to), link.latency_ms);
+        self.ordered.insert((from.as_str(), to.as_str()), link);
+    }
+
+    fn remove(&mut self, from: &str, to: &str) -> Option<Link> {
+        let (from, to) = (NodeId::lookup(from)?, NodeId::lookup(to)?);
+        self.latency_ms.remove(&(from, to))?;
+        self.ordered.remove(&(from.as_str(), to.as_str()))
+    }
+}
+
+/// The interned copy of a name: `None` when it was never interned, and so
+/// names no node of any topology.
+fn interned(name: &str) -> Option<&'static str> {
+    Some(NodeId::lookup(name)?.as_str())
+}
+
+impl Serialize for LinkMap {
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        serializer.collect_seq(self.ordered.values())
+    }
+}
+
+impl Deserialize for LinkMap {
+    fn deserialize<'de, D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        let mut links = LinkMap::default();
+        for link in Vec::<Link>::deserialize(deserializer)? {
+            links.insert(link);
+        }
+        Ok(links)
+    }
 }
 
 impl Topology {
@@ -111,10 +134,12 @@ impl Topology {
 
     /// Add a directed link (endpoints are added as nodes automatically).
     pub fn add_link(&mut self, link: Link) {
-        self.nodes.insert(link.from.clone());
-        self.nodes.insert(link.to.clone());
-        self.links
-            .insert((link.from.clone(), link.to.clone()), link);
+        for name in [&link.from, &link.to] {
+            if !self.nodes.contains(name) {
+                self.nodes.insert(name.clone());
+            }
+        }
+        self.links.insert(link);
     }
 
     /// Add a bidirectional link with equal cost/latency in both directions.
@@ -125,7 +150,7 @@ impl Topology {
 
     /// Remove the directed link `from -> to`.
     pub fn remove_link(&mut self, from: &str, to: &str) -> Option<Link> {
-        self.links.remove(&(from.to_string(), to.to_string()))
+        self.links.remove(from, to)
     }
 
     /// Remove both directions between `a` and `b`.
@@ -140,7 +165,7 @@ impl Topology {
     /// travel once in the snapshot's dictionary (see `nt_intern`), like every
     /// other identifier on the wire.
     pub fn wire_size(&self) -> usize {
-        self.nodes.len() * 4 + self.links.len() * (4 + 4 + 8 + 8)
+        self.nodes.len() * 4 + self.link_count() * (4 + 4 + 8 + 8)
     }
 
     /// Node names in deterministic order.
@@ -155,17 +180,24 @@ impl Topology {
 
     /// Directed links in deterministic order.
     pub fn links(&self) -> impl Iterator<Item = &Link> {
-        self.links.values()
+        self.links.ordered.values()
     }
 
     /// Number of directed links.
     pub fn link_count(&self) -> usize {
-        self.links.len()
+        self.links.ordered.len()
     }
 
     /// Look up a directed link.
     pub fn link(&self, from: &str, to: &str) -> Option<&Link> {
-        self.links.get(&(from.to_string(), to.to_string()))
+        self.links.ordered.get(&(interned(from)?, interned(to)?))
+    }
+
+    /// Latency of the directed link between two handles, `None` when there
+    /// is none: one hash probe, no string built or compared and no
+    /// intern-pool lock taken (the per-message path).
+    pub fn latency_ms(&self, from: NodeId, to: NodeId) -> Option<u64> {
+        self.links.latency_ms.get(&(from, to)).copied()
     }
 
     /// True when the directed link exists.
@@ -185,13 +217,13 @@ impl Topology {
     /// the O(E) full scan — the difference between quadratic and linear
     /// topology construction at 10^4 nodes.
     pub fn neighbors_iter<'a>(&'a self, node: &str) -> impl Iterator<Item = &'a Link> {
-        self.links
-            .range((node.to_string(), String::new())..)
-            .take_while({
-                let node = node.to_string();
-                move |((from, _), _)| *from == node
-            })
-            .map(|(_, l)| l)
+        interned(node).into_iter().flat_map(move |node| {
+            self.links
+                .ordered
+                .range((node, "")..)
+                .take_while(move |((from, _), _)| *from == node)
+                .map(|(_, l)| l)
+        })
     }
 
     /// Out-degree of `node`.

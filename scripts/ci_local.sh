@@ -45,6 +45,13 @@ test_job() {
     #   nettrails dictionary_discipline — every DeltaBatch, QueryBatch and log
     #     record decodable from the headers delivered before it, a name
     #     shipped once, header bytes pinned;
+    # the oracle and the price of the message plane's bookkeeping:
+    #   simnet proptest_traffic_view — TrafficStats counts under handles and
+    #     reads (JSON, {:?}, wire_size, merge) like the string-keyed counters
+    #     it replaced, which the test file keeps;
+    #   simnet send_allocations, nettrails allocations_per_session — counted
+    #     heap allocations per message (none once its link is counted) and
+    #     per query session (under a pinned ceiling);
     # and the paper's shapes:
     #   nettrails-bench report_golden — the E2-E8 tables `report` prints, one
     #     golden text (crates/bench/tests/golden/report.txt).
