@@ -23,6 +23,7 @@ use nt_runtime::{Firing, Sym, Tuple, TupleId, Value, BASE_RULE};
 use provenance::ProvenanceSystem;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 /// Name of the rule that attributes a FIB entry to the announcement it was
 /// selected from.
@@ -205,14 +206,14 @@ impl BgpHarness {
         let key = (asn.to_string(), prefix.to_string());
         let new_firing = current.as_ref().map(|route| {
             let head = Self::route_tuple(asn, route);
-            let (rule, inputs, input_tuples): (Sym, Vec<TupleId>, Vec<Tuple>) =
+            let (rule, inputs, input_tuples): (Sym, Arc<[TupleId]>, Vec<Tuple>) =
                 match &route.learned_from {
                     Some(neighbor) => {
                         let input =
                             Proxy::input_route_tuple(asn, neighbor, &route.prefix, &route.as_path);
-                        (Sym::new(SELECT_RULE), vec![input.id()], vec![input])
+                        (Sym::new(SELECT_RULE), [input.id()].into(), vec![input])
                     }
-                    None => (Sym::new(BASE_RULE), vec![], vec![]),
+                    None => (Sym::new(BASE_RULE), Arc::default(), vec![]),
                 };
             Firing {
                 rule,

@@ -36,6 +36,7 @@ use ndlog::{Rule, RuleKind};
 use nt_runtime::eval::{Frame, SlotProgram};
 use nt_runtime::{Firing, NodeId, Sym, Tuple, Value, BASE_RULE};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// The maybe rules used by the BGP proxy (the paper's rule `br1`).
 pub const MAYBE_RULES: &str = "\
@@ -172,7 +173,7 @@ impl Proxy {
                 node: NodeId::new(&observation.from),
                 head: output.clone(),
                 head_home: NodeId::new(&observation.from),
-                inputs: vec![],
+                inputs: Arc::default(),
                 input_tuples: vec![],
                 insert: true,
             });
@@ -184,7 +185,7 @@ impl Proxy {
                     node: NodeId::new(&observation.from),
                     head: output.clone(),
                     head_home: NodeId::new(&observation.from),
-                    inputs: vec![cause.id()],
+                    inputs: [cause.id()].into(),
                     input_tuples: vec![cause],
                     insert: true,
                 });
@@ -198,7 +199,7 @@ impl Proxy {
             node: NodeId::new(&observation.from),
             head: input.clone(),
             head_home: NodeId::new(&observation.to),
-            inputs: vec![output.id()],
+            inputs: [output.id()].into(),
             input_tuples: vec![output],
             insert: true,
         });

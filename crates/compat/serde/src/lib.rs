@@ -205,7 +205,7 @@ impl<T: Serialize + ?Sized> Serialize for Box<T> {
     }
 }
 
-impl<T: Serialize> Serialize for std::sync::Arc<T> {
+impl<T: Serialize + ?Sized> Serialize for std::sync::Arc<T> {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         (**self).serialize(serializer)
     }
@@ -474,6 +474,19 @@ impl<T: Deserialize> Deserialize for Box<T> {
 impl<T: Deserialize> Deserialize for std::sync::Arc<T> {
     fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
         Ok(std::sync::Arc::new(T::deserialize(d)?))
+    }
+}
+
+/// A shared slice reads like a `Vec`, into one fresh allocation — none for an
+/// empty one, which shares std's static empty slice.
+impl<T: Deserialize> Deserialize for std::sync::Arc<[T]> {
+    fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
+        let items = Vec::<T>::deserialize(d)?;
+        Ok(if items.is_empty() {
+            std::sync::Arc::default()
+        } else {
+            items.into()
+        })
     }
 }
 

@@ -14,7 +14,7 @@ fn route(cost: i64, via: &str) -> Tuple {
         vec![
             Value::addr("g1"),
             Value::Int(cost),
-            Value::List(vec![Value::addr("g1"), Value::addr(via)]),
+            Value::list(vec![Value::addr("g1"), Value::addr(via)]),
         ],
     )
 }

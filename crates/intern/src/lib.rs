@@ -190,9 +190,9 @@ pub fn dict_entry_wire_size(s: &str) -> usize {
 }
 
 /// The wire cost of a dictionary header: its entries at
-/// [`dict_entry_wire_size`] each.
-pub fn dict_wire_size(dict: &[String]) -> usize {
-    dict.iter().map(|s| dict_entry_wire_size(s)).sum()
+/// [`dict_entry_wire_size`] each, whether held as strings or as handles.
+pub fn dict_wire_size<S: AsRef<str>>(dict: &[S]) -> usize {
+    dict.iter().map(|s| dict_entry_wire_size(s.as_ref())).sum()
 }
 
 // ---------------------------------------------------------------------------

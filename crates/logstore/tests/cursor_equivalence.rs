@@ -109,7 +109,7 @@ fn tuple(node: &str, relation: &str, value: i64, as_double: bool) -> Tuple {
                 false => Value::Int(value),
             },
             Value::str(format!("v{value}")),
-            Value::List(vec![Value::addr(NODES[value as usize % NODES.len()])]),
+            Value::list(vec![Value::addr(NODES[value as usize % NODES.len()])]),
         ],
     )
 }

@@ -57,7 +57,7 @@ fn a_tuple_written_with_an_integral_double_loads_as_the_int_spelling() {
     assert!(matches!(to("n3").values()[2], Value::Double(d) if d == 2.5));
     assert_eq!(
         to("n4").id(),
-        spelled("n4", Value::List(vec![Value::Int(0), Value::Int(7)])).id()
+        spelled("n4", Value::list(vec![Value::Int(0), Value::Int(7)])).id()
     );
 
     let rewritten = store.to_json().expect("stores serialize");

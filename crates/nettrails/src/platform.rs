@@ -160,16 +160,6 @@ impl NetTrailsConfig {
         }
     }
 
-    /// A configuration whose engines keep tuples in the row-major reference
-    /// layout (the pre-columnar baseline the vectorized-join experiment
-    /// compares against).
-    pub fn with_row_storage() -> Self {
-        NetTrailsConfig {
-            columnar_storage: false,
-            ..NetTrailsConfig::default()
-        }
-    }
-
     /// A configuration that maintains provenance across `shards` worker
     /// shards.
     pub fn with_prov_shards(shards: usize) -> Self {

@@ -10,10 +10,13 @@
 //! same 12.9 frames: every frame paid for two strings to find its link, a
 //! formatted link key and a category string in each of two sets of counters,
 //! a category string in the queue, and two vectors sealing copied through.
-//! What is left (scratch tags, by owner, per session): the root-level
+//! What was left then (scratch tags, by owner, per session): the root-level
 //! derivations cloned for `take_partials` 24.8, `start_vertex` 23.1,
 //! `issue_exec` 19.5, sealing 13.9, `start_exec` and `advance_vertex` 12.9
-//! each, `spawn_input` 10.9, `advance_exec` 6.4.
+//! each, `spawn_input` 10.9, `advance_exec` 6.4. Sharing tuples, input lists
+//! and dictionary entries (PR 25) took the count from 127 to 95: a tuple or a
+//! `ruleExec`'s inputs copied into a frame or a tree is a count bump, and a
+//! header entry is a handle, not a `String`.
 
 use nettrails::{NetTrails, NetTrailsConfig};
 use nt_runtime::Tuple;
@@ -63,8 +66,8 @@ static ALLOC: Counting = Counting;
 const NODES: usize = 400;
 const SESSIONS: usize = 256;
 
-/// Allocations per session: measured 127.
-const ALLOCATIONS_PER_SESSION: usize = 140;
+/// Allocations per session: measured 95.
+const ALLOCATIONS_PER_SESSION: usize = 105;
 
 /// Offer one wave — session `i` asks node `7i mod N` for the lineage of every
 /// `stride`-th route — pump it dry and redeem every handle. Returns the

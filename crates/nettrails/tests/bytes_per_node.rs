@@ -1,30 +1,53 @@
 //! What a node costs in heap bytes, counted — not sampled — by wrapping the
 //! system allocator: live heap per node of a freshly built platform, live
-//! heap per stored tuple at the fixpoint, and all of it back when the
-//! platform is dropped. One test in its own binary, so the counts are one
+//! blocks once it is seeded, the allocations convergence makes per stored
+//! tuple, live heap per stored tuple at the fixpoint, and all of it back when
+//! the platform is dropped. One test in its own binary, so the counts are one
 //! thread's and repeat exactly; a ceiling that fails here names a structure
 //! that grew on every node (`examples/bytes_per_node.rs` prints the same
 //! phases at any size).
 //!
-//! Ceilings are the measured value + 10 %. At the parent of the change that
-//! added this test the same run read 6,046 B per node and 2,251 B per tuple.
+//! Ceilings are the measured value + ≈10 %; the allocation count is exact.
+//! At the parent of the change that added this test the same run read
+//! 6,046 B per node and 2,251 B per tuple. Before tuples, lists, input lists
+//! and dictionary headers were shared handles (PR 25) it read 3,204 B per
+//! node, 7,114 blocks after seeding, 335,214 allocations from seeding to the
+//! fixpoint (34.8 per stored tuple) and 1,322 B per tuple.
 
 use nettrails::{NetTrails, NetTrailsConfig};
 use simnet::Topology;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 struct Counting;
 
 static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
+static LIVE_BLOCKS: AtomicUsize = AtomicUsize::new(0);
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 
-// SAFETY: every call is forwarded to `System` unchanged; the counter is a
-// statistic and publishes no other data.
+thread_local! {
+    /// Set by the test on its own thread for the allocation count: the
+    /// harness's main thread allocates now and then while it waits.
+    static MEASURED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count_allocation() {
+    if MEASURED.try_with(Cell::get).unwrap_or(false) {
+        ALLOCATIONS.fetch_add(1, Relaxed);
+    }
+}
+
+// SAFETY: every call is forwarded to `System` unchanged; the counters are
+// statistics and publish no other data, and the thread-local they read is
+// const-initialized and has no destructor, so reading it never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let p = System.alloc(layout);
         if !p.is_null() {
             LIVE_BYTES.fetch_add(layout.size(), Relaxed);
+            LIVE_BLOCKS.fetch_add(1, Relaxed);
+            count_allocation();
         }
         p
     }
@@ -32,6 +55,7 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
         System.dealloc(p, layout);
         LIVE_BYTES.fetch_sub(layout.size(), Relaxed);
+        LIVE_BLOCKS.fetch_sub(1, Relaxed);
     }
 
     unsafe fn realloc(&self, p: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
@@ -39,6 +63,7 @@ unsafe impl GlobalAlloc for Counting {
         if !q.is_null() {
             LIVE_BYTES.fetch_add(new_size, Relaxed);
             LIVE_BYTES.fetch_sub(layout.size(), Relaxed);
+            count_allocation();
         }
         q
     }
@@ -49,18 +74,37 @@ static ALLOC: Counting = Counting;
 
 const NODES: usize = 400;
 
-/// Live heap per node right after `NetTrails::new`: measured 3,249.
-const NEW_BYTES_PER_NODE: usize = 3_574;
-/// Live heap per stored tuple at the fixpoint: measured 1,362.
-const FIXPOINT_BYTES_PER_TUPLE: usize = 1_498;
+/// Live heap per node right after `NetTrails::new`: measured 3,202.
+const NEW_BYTES_PER_NODE: usize = 3_522;
+/// Live blocks once every base fact is queued: measured 7,114, as at the
+/// parent, and the ceiling. An empty input list built as `Vec::new().into()`
+/// allocates — one block per base derivation — where `Arc::default()`
+/// shares one.
+const SEEDED_BLOCKS: usize = 7_114;
+/// Allocations from seeding to the fixpoint, exactly: 21.1 per stored tuple
+/// (9,627 tuples).
+const CONVERGE_ALLOCATIONS: usize = 203_000;
+/// Live heap per stored tuple at the fixpoint: measured 1,085.
+const FIXPOINT_BYTES_PER_TUPLE: usize = 1_194;
 
-/// Build the platform, seed it, converge it. Returns the platform and the
-/// live heap it held right after `new`.
-fn converge(topology: &Topology, program: &str) -> (NetTrails, usize) {
-    let before = LIVE_BYTES.load(Relaxed);
+/// What one convergence costs, by phase.
+struct Phases {
+    /// Live heap right after `new`.
+    after_new: usize,
+    /// Live blocks once seeded, off the baseline the run started from.
+    seeded_blocks: usize,
+    /// Allocations from seeding to the fixpoint (this thread's).
+    converge_allocations: usize,
+}
+
+/// Build the platform, seed it, converge it.
+fn converge(topology: &Topology, program: &str) -> (NetTrails, Phases) {
+    let (bytes, blocks) = (LIVE_BYTES.load(Relaxed), LIVE_BLOCKS.load(Relaxed));
     let mut nt = NetTrails::new(program, topology.clone(), NetTrailsConfig::default())
         .expect("the anchored path-vector program compiles");
-    let after_new = LIVE_BYTES.load(Relaxed) - before;
+    let after_new = LIVE_BYTES.load(Relaxed) - bytes;
+    let allocations = ALLOCATIONS.load(Relaxed);
+    MEASURED.set(true);
     nt.seed_links_from_topology();
     let connected: Vec<&str> = topology
         .nodes()
@@ -69,8 +113,15 @@ fn converge(topology: &Topology, program: &str) -> (NetTrails, usize) {
     for anchor in connected.iter().step_by(connected.len() / 8) {
         nt.insert_fact(anchor, scenario::programs::anchor_tuple(anchor));
     }
+    let seeded_blocks = LIVE_BLOCKS.load(Relaxed) - blocks;
     nt.run_to_fixpoint();
-    (nt, after_new)
+    MEASURED.set(false);
+    let phases = Phases {
+        after_new,
+        seeded_blocks,
+        converge_allocations: ALLOCATIONS.load(Relaxed) - allocations,
+    };
+    (nt, phases)
 }
 
 #[test]
@@ -84,23 +135,36 @@ fn heap_per_node_and_per_tuple_stay_under_their_ceilings() {
     drop(converge(&topology, &program));
 
     let baseline = LIVE_BYTES.load(Relaxed);
-    let (nt, after_new) = converge(&topology, &program);
+    let (nt, phases) = converge(&topology, &program);
     let at_fixpoint = LIVE_BYTES.load(Relaxed) - baseline;
     let tuples = nt.stats().stored_tuples;
     drop(nt);
     let after_drop = LIVE_BYTES.load(Relaxed).abs_diff(baseline);
 
     println!(
-        "{NODES} nodes: {} B/node after new, {tuples} tuples, {} B/tuple at the fixpoint \
+        "{NODES} nodes: {} B/node after new, {} blocks seeded, {} allocations to the \
+         fixpoint ({} per tuple), {tuples} tuples, {} B/tuple at the fixpoint \
          ({at_fixpoint} B live), {after_drop} B off the baseline after drop",
-        after_new / NODES,
+        phases.after_new / NODES,
+        phases.seeded_blocks,
+        phases.converge_allocations,
+        phases.converge_allocations / tuples,
         at_fixpoint / tuples
     );
     assert!(tuples > 5_000, "the network converged to {tuples} tuples");
     assert!(
-        after_new / NODES <= NEW_BYTES_PER_NODE,
+        phases.after_new / NODES <= NEW_BYTES_PER_NODE,
         "an empty node costs {} B, over the {NEW_BYTES_PER_NODE} B ceiling",
-        after_new / NODES
+        phases.after_new / NODES
+    );
+    assert!(
+        phases.seeded_blocks <= SEEDED_BLOCKS,
+        "seeding left {} blocks live, over the {SEEDED_BLOCKS} ceiling",
+        phases.seeded_blocks
+    );
+    assert_eq!(
+        phases.converge_allocations, CONVERGE_ALLOCATIONS,
+        "allocations from seeding to the fixpoint ({tuples} tuples)"
     );
     assert!(
         at_fixpoint / tuples <= FIXPOINT_BYTES_PER_TUPLE,

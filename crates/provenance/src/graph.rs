@@ -180,7 +180,7 @@ impl ProvGraph {
                         node: exec.node,
                     },
                 );
-                for input in &exec.inputs {
+                for input in exec.inputs.iter() {
                     // Input tuples may live on the executing node but it is
                     // possible the prov table hasn't a vertex (pruned); add a
                     // placeholder vertex so the edge renders.
@@ -352,7 +352,7 @@ mod tests {
             node: "n1".into(),
             head: link.clone(),
             head_home: "n1".into(),
-            inputs: vec![],
+            inputs: Default::default(),
             input_tuples: vec![],
             insert: true,
         });
@@ -361,7 +361,7 @@ mod tests {
             node: "n1".into(),
             head: cost.clone(),
             head_home: "n2".into(),
-            inputs: vec![link.id()],
+            inputs: [link.id()].into(),
             input_tuples: vec![link],
             insert: true,
         });

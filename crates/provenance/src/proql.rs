@@ -234,7 +234,7 @@ mod tests {
                 node: "n1".into(),
                 head: link.clone(),
                 head_home: "n1".into(),
-                inputs: vec![],
+                inputs: Default::default(),
                 input_tuples: vec![],
                 insert: true,
             },
@@ -243,7 +243,7 @@ mod tests {
                 node: "n1".into(),
                 head: cost.clone(),
                 head_home: "n1".into(),
-                inputs: vec![link.id()],
+                inputs: [link.id()].into(),
                 input_tuples: vec![link.clone()],
                 insert: true,
             },
@@ -252,7 +252,7 @@ mod tests {
                 node: "n1".into(),
                 head: min_cost.clone(),
                 head_home: "n2".into(),
-                inputs: vec![cost.id()],
+                inputs: [cost.id()].into(),
                 input_tuples: vec![cost.clone()],
                 insert: true,
             },

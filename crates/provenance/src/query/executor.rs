@@ -51,9 +51,10 @@ use crate::query::api::{
 use crate::query::wire::{QueryBatch, QueryOp};
 use crate::store::{ProvEntry, RuleExecId};
 use crate::system::ProvenanceSystem;
-use nt_runtime::{Dictionary, NodeId, Tuple, TupleId};
+use nt_runtime::{Dictionary, NodeId, Sym, Tuple, TupleId};
 use simnet::{SimTime, TrafficStats};
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // shared result cache
@@ -331,7 +332,7 @@ impl QueryEngine {
                 inputs: Vec::new(),
             };
             // Inputs are local to the executing node: recurse there.
-            for input in &exec.inputs {
+            for input in exec.inputs.iter() {
                 let subtree = self.expand(
                     system,
                     entry.rloc,
@@ -433,7 +434,8 @@ struct ExecFrame {
     /// travels back as a [`QueryOp::ExecDone`] frame.
     remote: bool,
     header: Option<RuleExecNode>,
-    input_vids: Vec<TupleId>,
+    /// The stored `ruleExec`'s input list, shared.
+    input_vids: Arc<[TupleId]>,
     inputs: Vec<Option<ProofTree>>,
     next_input: usize,
     outstanding: usize,
@@ -741,7 +743,7 @@ impl QueryExecutor {
         for members in frames {
             let (_, from, to, _) = members[0];
             let sent = self.dict_sent.entry(to).or_default();
-            let mut dict: Vec<String> = Vec::new();
+            let mut dict: Vec<Sym> = Vec::new();
             let mut ops: Vec<QueryOp> = Vec::new();
             let mut frame_bytes = 0usize;
             for key in members {
@@ -757,9 +759,8 @@ impl QueryExecutor {
                 for op in &group {
                     body += op.seal(&mut |name| {
                         if sent.first_use(name) {
-                            let name = name.as_str();
-                            header += nt_runtime::dict_entry_wire_size(name);
-                            dict.push(name.to_string());
+                            header += nt_runtime::dict_entry_wire_size(name.as_str());
+                            dict.push(name);
                         }
                     });
                 }
@@ -1197,7 +1198,7 @@ impl Session {
             parent_slot: slot,
             remote,
             header: None,
-            input_vids: Vec::new(),
+            input_vids: Arc::default(),
             inputs: Vec::new(),
             next_input: 0,
             outstanding: 0,
@@ -1455,7 +1456,7 @@ mod tests {
             node: node.into(),
             head: t.clone(),
             head_home: node.into(),
-            inputs: vec![],
+            inputs: Default::default(),
             input_tuples: vec![],
             insert: true,
         });
@@ -1642,7 +1643,7 @@ mod tests {
             node: "n2".into(),
             head: best.clone(),
             head_home: "n3".into(),
-            inputs: vec![l2.id()],
+            inputs: [l2.id()].into(),
             input_tuples: vec![],
             insert: false,
         });
@@ -1689,7 +1690,7 @@ mod tests {
             node: "n1".into(),
             head: cost,
             head_home: "n2".into(),
-            inputs: vec![l1.id()],
+            inputs: [l1.id()].into(),
             input_tuples: vec![],
             insert: false,
         });
@@ -1728,7 +1729,7 @@ mod tests {
             rid,
             rule: "r".into(),
             node: "n1".into(),
-            inputs: vec![t.id()],
+            inputs: [t.id()].into(),
         });
         // x is derived from itself: a cycle no well-formed capture produces.
         sys.add_prov(
@@ -2062,7 +2063,7 @@ mod tests {
         let b = ex.submit(&sys, spec("n1"), SimTime::ZERO);
         // Interleaved drain, asserting per poll that no destination is ever
         // sent the same dictionary entry twice.
-        let mut shipped: HashMap<NodeId, HashSet<String>> = HashMap::new();
+        let mut shipped: HashMap<NodeId, HashSet<Sym>> = HashMap::new();
         let mut safety = 0;
         while !(ex.is_done(a) && ex.is_done(b)) {
             let batches = ex.poll();
@@ -2071,7 +2072,7 @@ mod tests {
                 let seen = shipped.entry(batch.to).or_default();
                 for entry in &batch.dict {
                     assert!(
-                        seen.insert(entry.clone()),
+                        seen.insert(*entry),
                         "symbol {entry:?} re-shipped to {}",
                         batch.to
                     );

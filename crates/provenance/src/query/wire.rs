@@ -149,8 +149,8 @@ pub struct QueryBatch {
     /// Receiving node.
     pub to: NodeId,
     /// Dictionary entries first shipped to `to` by this frame, in sorted
-    /// order.
-    pub dict: Vec<String>,
+    /// (string) order. Handles: each serializes as its string.
+    pub dict: Vec<Sym>,
     /// The records.
     pub ops: Vec<QueryOp>,
 }
@@ -289,7 +289,7 @@ mod tests {
         let batch = QueryBatch {
             from: NodeId::new("n1"),
             to: NodeId::new("n2"),
-            dict: vec!["link".to_string()],
+            dict: vec![Sym::new("link")],
             ops: vec![
                 QueryOp::Cancel { qid: 4 },
                 QueryOp::ExecDone {

@@ -33,6 +33,7 @@ use serde::{Deserialize, Serialize};
 use simnet::TrafficStats;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Category name used for provenance-maintenance traffic.
 pub const MAINTENANCE_CATEGORY: &str = "prov-maintenance";
@@ -54,8 +55,8 @@ pub struct MaintRecord {
     pub rule: Sym,
     /// The executing node — the record's destination store.
     pub node: NodeId,
-    /// Input tuple identifiers, in body order.
-    pub inputs: Vec<TupleId>,
+    /// Input tuple identifiers, in body order (the firing's list, shared).
+    pub inputs: Arc<[TupleId]>,
     /// Input tuple contents (empty for retractions, which carry only ids).
     pub input_tuples: Vec<Tuple>,
 }
@@ -423,7 +424,7 @@ mod tests {
             node: NodeId::new("n1"),
             head,
             head_home: NodeId::new("n2"),
-            inputs: vec![input.id()],
+            inputs: [input.id()].into(),
             input_tuples: vec![input.clone()],
             insert: true,
         };

@@ -32,6 +32,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of a rule-execution vertex: a stable digest of the rule name,
 /// the executing node and the input tuple identifiers.
@@ -91,7 +92,8 @@ impl ProvEntry {
 }
 
 /// One entry of the `ruleExec` relation: a fixed-size header (rid + interned
-/// rule and node ids) plus the posting list of input VIDs.
+/// rule and node ids) plus the posting list of input VIDs — the list of the
+/// derivation that fired, shared with it, not a copy.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RuleExec {
     /// Identifier of this execution.
@@ -101,7 +103,7 @@ pub struct RuleExec {
     /// Node where the rule executed (interned).
     pub node: NodeId,
     /// Input tuple identifiers, in body order.
-    pub inputs: Vec<TupleId>,
+    pub inputs: Arc<[TupleId]>,
 }
 
 impl RuleExec {
@@ -328,7 +330,7 @@ impl ProvenanceStore {
             return false;
         };
         self.execs[slot as usize].live = false;
-        self.execs[slot as usize].exec.inputs.clear();
+        self.execs[slot as usize].exec.inputs = Arc::default();
         self.free_execs.push(slot);
         self.version += 1;
         true
@@ -440,7 +442,7 @@ impl ProvenanceStore {
             h.write_str(e.rule.as_str());
             h.write_str(e.node.as_str());
             h.write_u64(e.inputs.len() as u64);
-            for i in &e.inputs {
+            for i in e.inputs.iter() {
                 h.write_u64(i.0);
             }
         }
@@ -582,7 +584,7 @@ mod tests {
             rid,
             rule: "r2".into(),
             node: "n1".into(),
-            inputs: vec![TupleId(1), TupleId(2)],
+            inputs: [TupleId(1), TupleId(2)].into(),
         };
         assert!(store.add_rule_exec(exec.clone()));
         assert!(!store.add_rule_exec(exec.clone()));
@@ -607,7 +609,7 @@ mod tests {
             rid: RuleExecId::compute(sym("r1"), nid("n1"), &[t.id()]),
             rule: "r1".into(),
             node: "n1".into(),
-            inputs: vec![t.id()],
+            inputs: [t.id()].into(),
         });
         let stats = store.stats();
         assert_eq!(stats.prov_entries, 1);
@@ -686,7 +688,7 @@ mod tests {
             rid: RuleExecId(42),
             rule: "r1".into(),
             node: "n1".into(),
-            inputs: vec![t.id()],
+            inputs: [t.id()].into(),
         });
         let content = serde::to_content(&store).unwrap();
         let back: ProvenanceStore = serde::from_content(content).unwrap();

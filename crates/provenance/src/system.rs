@@ -475,7 +475,7 @@ mod tests {
             node: node.into(),
             head: t.clone(),
             head_home: node.into(),
-            inputs: vec![],
+            inputs: Default::default(),
             input_tuples: vec![],
             insert: true,
         }

@@ -32,7 +32,7 @@ pub fn base_firing(head: &Tuple, home: NodeId, insert: bool) -> Firing {
         node: home,
         head: head.clone(),
         head_home: home,
-        inputs: vec![],
+        inputs: Default::default(),
         input_tuples: vec![],
         insert,
     }
@@ -57,7 +57,7 @@ pub fn firing_pool(layers: usize, width: usize) -> Vec<Firing> {
                 node: node(i),
                 head: tuple(layer, i),
                 head_home: node(i + 1),
-                inputs: vec![a.id(), b.id()],
+                inputs: [a.id(), b.id()].into(),
                 input_tuples: vec![a.clone(), b],
                 insert: true,
             });
@@ -68,7 +68,7 @@ pub fn firing_pool(layers: usize, width: usize) -> Vec<Firing> {
                     node: node(i + 1),
                     head: tuple(layer, i),
                     head_home: node(i + 1),
-                    inputs: vec![a.id()],
+                    inputs: [a.id()].into(),
                     input_tuples: vec![a],
                     insert: true,
                 });

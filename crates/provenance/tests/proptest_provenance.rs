@@ -24,7 +24,7 @@ fn layered_firings(layers: usize, width: usize, nodes: usize) -> Vec<Firing> {
             node: node(i),
             head: tuple(0, i),
             head_home: node(i),
-            inputs: vec![],
+            inputs: Default::default(),
             input_tuples: vec![],
             insert: true,
         });
@@ -38,7 +38,7 @@ fn layered_firings(layers: usize, width: usize, nodes: usize) -> Vec<Firing> {
                 node: node(i),
                 head: tuple(layer, i),
                 head_home: node(i + 1),
-                inputs: vec![input_a.id(), input_b.id()],
+                inputs: [input_a.id(), input_b.id()].into(),
                 input_tuples: vec![input_a, input_b],
                 insert: true,
             });

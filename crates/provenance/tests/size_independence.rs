@@ -59,7 +59,7 @@ fn ring(n: usize) -> ProvenanceSystem {
             node: node.into(),
             head: Tuple::new("cost", vec![Value::addr(next), Value::Int(i as i64)]),
             head_home: next.into(),
-            inputs: vec![l.id()],
+            inputs: [l.id()].into(),
             input_tuples: vec![l],
             insert: true,
         });

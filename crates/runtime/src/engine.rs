@@ -189,8 +189,9 @@ pub struct Firing {
     pub head: Tuple,
     /// The node where the head tuple lives.
     pub head_home: Addr,
-    /// Identifiers of the body tuples, in body order.
-    pub inputs: Vec<TupleId>,
+    /// Identifiers of the body tuples, in body order: the derivation's own
+    /// list, shared.
+    pub inputs: Arc<[TupleId]>,
     /// The body tuples themselves (present for insert firings; retractions
     /// carry only the identifiers).
     pub input_tuples: Vec<Tuple>,
@@ -253,9 +254,9 @@ impl DeltaRecord {
 pub struct DeltaBatch {
     /// Destination node.
     pub dest: Addr,
-    /// Dictionary entries (interned strings) first shipped to `dest` by this
-    /// batch, in first-use order.
-    pub dict: Vec<String>,
+    /// Dictionary entries first shipped to `dest` by this batch, in
+    /// first-use order. Handles: each serializes as its string.
+    pub dict: Vec<Sym>,
     /// The shipped records, in emission order.
     pub records: Vec<DeltaRecord>,
 }
@@ -551,7 +552,7 @@ impl NodeEngine {
                     node: self.config.node,
                     head: tuple.clone(),
                     head_home: self.config.node,
-                    inputs: Vec::new(),
+                    inputs: Arc::default(),
                     input_tuples: Vec::new(),
                     insert,
                 }),
@@ -742,7 +743,7 @@ impl NodeEngine {
         let slots = self.pending_index.entry(pending).or_default();
         // Almost every (dest, tuple) has one pending derivation, so a linear
         // scan of the slot list beats keying the map on the derivation (which
-        // would clone its heap-allocated input list once per send).
+        // would hash its input list once per send).
         if let Some(pos) = slots.iter().position(|&s| {
             sends[s]
                 .as_ref()
@@ -794,7 +795,7 @@ impl NodeEngine {
             let sent = self.dict_sent.entry(send.dest).or_default();
             let mut ship = |name: Sym| {
                 if sent.first_use(name) {
-                    batch.dict.push(name.as_str().to_string());
+                    batch.dict.push(name);
                 }
             };
             send.delta.tuple().visit_names(&mut ship);
@@ -853,7 +854,7 @@ impl NodeEngine {
             membership,
             Membership::Appeared | Membership::AddedDerivation | Membership::Replaced(_)
         ) {
-            for input in &inputs {
+            for input in inputs.iter() {
                 self.db
                     .index_dependency(*input, tuple.relation(), tuple.id());
             }
@@ -1230,16 +1231,19 @@ fn build_agg_head(
     agg_value: &Value,
     head_loc_col: usize,
 ) -> Option<Tuple> {
-    let mut values = Vec::with_capacity(head.terms.len());
-    let mut group_iter = group.iter();
-    for (col, term) in head.terms.iter().enumerate() {
-        let value = match term {
-            SlotTerm::Agg => agg_value.clone(),
-            _ => group_iter.next()?.clone(),
-        };
-        values.push(localized(value, col == head_loc_col));
+    let group_cols = head.terms.iter().filter(|t| !matches!(t, SlotTerm::Agg));
+    if group_cols.count() > group.len() {
+        return None;
     }
-    Some(Tuple::new(head.relation, values))
+    let mut group = group.iter();
+    let values = head.terms.iter().enumerate().map(|(col, term)| {
+        let value = match term {
+            SlotTerm::Agg => agg_value,
+            _ => group.next().expect("the group has a value per column"),
+        };
+        localized(value.clone(), col == head_loc_col)
+    });
+    Some(Tuple::new(head.relation, values.collect::<Arc<[Value]>>()))
 }
 
 #[cfg(test)]

@@ -19,6 +19,7 @@ use ndlog::builtins::BuiltinFn;
 use ndlog::{BinOp, Literal, UnOp};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
+use std::sync::Arc;
 
 /// Convert an AST literal to a runtime value.
 pub fn literal_value(lit: &Literal) -> Value {
@@ -100,33 +101,31 @@ const MAX_ARITY: usize = 3;
 fn call(func: BuiltinFn, args: &[Cow<'_, Value>]) -> Result<Value> {
     let list_arg = |v| list_arg(func, v);
     match func {
-        BuiltinFn::InitList => Ok(Value::List(vec![args[0].as_ref().clone()])),
-        BuiltinFn::InitList2 => Ok(Value::List(vec![
+        BuiltinFn::InitList => Ok(Value::list([args[0].as_ref().clone()])),
+        BuiltinFn::InitList2 => Ok(Value::list([
             args[0].as_ref().clone(),
             args[1].as_ref().clone(),
         ])),
+        // Each builds its list in one exact-size allocation.
         BuiltinFn::Concat => {
-            let mut out = match args[0].as_ref() {
-                Value::List(l) => l.clone(),
-                v => vec![v.clone()],
-            };
-            match args[1].as_ref() {
-                Value::List(l) => out.extend(l.iter().cloned()),
-                v => out.push(v.clone()),
+            fn items(v: &Value) -> &[Value] {
+                match v {
+                    Value::List(l) => l,
+                    v => std::slice::from_ref(v),
+                }
             }
-            Ok(Value::List(out))
+            let (head, tail) = (items(args[0].as_ref()), items(args[1].as_ref()));
+            Ok(Value::List(head.iter().chain(tail).cloned().collect()))
         }
         BuiltinFn::Append => {
-            let mut l = list_arg(&args[0])?.to_vec();
-            l.push(args[1].as_ref().clone());
-            Ok(Value::List(l))
+            let l = list_arg(&args[0])?.iter().cloned();
+            Ok(Value::List(l.chain([args[1].as_ref().clone()]).collect()))
         }
         BuiltinFn::Prepend => {
-            let l = list_arg(&args[1])?;
-            let mut out = Vec::with_capacity(l.len() + 1);
-            out.push(args[0].as_ref().clone());
-            out.extend(l.iter().cloned());
-            Ok(Value::List(out))
+            let l = list_arg(&args[1])?.iter().cloned();
+            Ok(Value::List(
+                [args[0].as_ref().clone()].into_iter().chain(l).collect(),
+            ))
         }
         BuiltinFn::Member => {
             let l = list_arg(&args[0])?;
@@ -355,6 +354,18 @@ pub enum SlotTerm {
     Agg,
 }
 
+impl SlotTerm {
+    /// The value a head term takes from `frame` and the aggregate column.
+    fn head_value<'v>(&'v self, frame: &'v Frame, agg: Option<&'v Value>) -> Option<&'v Value> {
+        match self {
+            SlotTerm::Slot(slot) => frame.get(*slot),
+            SlotTerm::Const(value) => Some(value),
+            SlotTerm::Agg => agg,
+            SlotTerm::Wild => None,
+        }
+    }
+}
+
 /// An atom whose relation is interned and whose terms are slot-resolved.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SlotAtom {
@@ -444,17 +455,16 @@ impl SlotAtom {
     /// the aggregate column; a string in the location column becomes an
     /// address. `None` when a slot is empty or the head cannot be built.
     pub fn build(&self, frame: &Frame, loc_col: usize, agg: Option<&Value>) -> Option<Tuple> {
-        let mut values = Vec::with_capacity(self.terms.len());
-        for (col, term) in self.terms.iter().enumerate() {
-            let value = match term {
-                SlotTerm::Slot(slot) => frame.get(*slot)?.clone(),
-                SlotTerm::Const(value) => value.clone(),
-                SlotTerm::Agg => agg?.clone(),
-                SlotTerm::Wild => return None,
-            };
-            values.push(localized(value, col == loc_col));
+        let value = |term| SlotTerm::head_value(term, frame, agg);
+        if !self.terms.iter().all(|term| value(term).is_some()) {
+            return None;
         }
-        Some(Tuple::new(self.relation, values))
+        // Every term has a value: they collect into the tuple's one slice.
+        let values = self.terms.iter().enumerate().map(|(col, term)| {
+            let value = value(term).expect("every term has a value").clone();
+            localized(value, col == loc_col)
+        });
+        Some(Tuple::new(self.relation, values.collect::<Arc<[Value]>>()))
     }
 }
 
@@ -609,15 +619,15 @@ mod tests {
         let b = [
             ("S", Value::addr("n1")),
             ("D", Value::addr("n2")),
-            ("P", Value::List(vec![Value::addr("n2"), Value::addr("n3")])),
+            ("P", Value::list(vec![Value::addr("n2"), Value::addr("n3")])),
         ];
         assert_eq!(
             eval_str("f_initlist2(S, D)", &b).unwrap(),
-            Value::List(vec![Value::addr("n1"), Value::addr("n2")])
+            Value::list(vec![Value::addr("n1"), Value::addr("n2")])
         );
         assert_eq!(
             eval_str("f_prepend(S, P)", &b).unwrap(),
-            Value::List(vec![
+            Value::list(vec![
                 Value::addr("n1"),
                 Value::addr("n2"),
                 Value::addr("n3")
@@ -632,8 +642,8 @@ mod tests {
 
     #[test]
     fn is_extend_matches_bgp_prepending() {
-        let r1 = Value::List(vec![Value::addr("AS2"), Value::addr("AS3")]);
-        let r2 = Value::List(vec![
+        let r1 = Value::list(vec![Value::addr("AS2"), Value::addr("AS3")]);
+        let r2 = Value::list(vec![
             Value::addr("AS1"),
             Value::addr("AS2"),
             Value::addr("AS3"),
@@ -658,7 +668,7 @@ mod tests {
     #[test]
     fn misc_builtins() {
         let b = [
-            ("E", Value::List(vec![])),
+            ("E", Value::list(vec![])),
             ("N", Value::Int(1)),
             ("X", Value::str("x")),
         ];

@@ -3,6 +3,7 @@
 use crate::value::{StableHasher, Sym, Value};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// Content-addressed tuple identifier (the ExSPAN "VID").
 ///
@@ -20,37 +21,46 @@ impl fmt::Display for TupleId {
 }
 
 /// A ground tuple: relation name plus attribute values. The relation name is
-/// interned ([`Sym`]), so cloning a tuple never copies it and relation
-/// comparisons on the join/provenance hot paths are integer compares.
+/// interned ([`Sym`]) and the values are one shared, immutable slice, so a
+/// clone — into a table's queue, a firing, a provenance store, an outbox, a
+/// shipped record — copies four words and bumps a reference count; it never
+/// copies a value. Relation comparisons on the join/provenance hot paths are
+/// integer compares.
 ///
 /// Sealed: [`Tuple::new`] is the one way to make one (serde goes through it).
 /// It stores every value in canonical form (the identity rule at the top of
 /// [`crate::value`]) and hashes once, so equal tuples have one id and one
-/// representation, and [`Tuple::id`] is a field read.
+/// representation, and [`Tuple::id`] is a field read. Equality, hashing,
+/// `Debug` and serde read the content, never the handle: two tuples built
+/// apart are as equal as two clones of one.
 #[derive(Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct Tuple {
     relation: Sym,
     /// Derived from the other two; compared before the values.
     #[serde(skip)]
     id: TupleId,
-    values: Box<[Value]>,
+    values: Arc<[Value]>,
 }
 
 impl Tuple {
     /// Create a tuple: interns the relation, canonicalizes the values, hashes.
-    pub fn new(relation: impl Into<Sym>, mut values: Vec<Value>) -> Self {
-        values.iter_mut().for_each(Value::canonicalize);
+    /// Values collected straight into a shared slice are stored in it, with
+    /// no copy when they are canonical already; a slice someone else holds is
+    /// copied before anything in it is rewritten (see [`crate::value`]).
+    pub fn new(relation: impl Into<Sym>, values: impl Into<Arc<[Value]>>) -> Self {
+        let mut values = values.into();
+        Value::canonicalize_all(&mut values);
         let relation = relation.into();
         Tuple {
             relation,
             id: Tuple::content_id(relation, &values),
-            values: values.into(),
+            values,
         }
     }
 
     /// A tuple read back out of storage, which kept the values and the id a
     /// [`Tuple::new`] gave it.
-    pub(crate) fn stored(relation: Sym, values: Box<[Value]>, id: TupleId) -> Self {
+    pub(crate) fn stored(relation: Sym, values: Arc<[Value]>, id: TupleId) -> Self {
         debug_assert_eq!(id, Tuple::content_id(relation, &values));
         Tuple {
             relation,
@@ -229,9 +239,9 @@ mod tests {
         );
     }
 
-    /// 32 bytes before the id was carried (`Sym` + `Vec<Value>`) and after
-    /// (`Sym` + `TupleId` + `Box<[Value]>`): the id took the vector's capacity
-    /// word.
+    /// 32 bytes before the id was carried (`Sym` + `Vec<Value>`), after it
+    /// (`Sym` + `TupleId` + `Box<[Value]>`: the id took the vector's capacity
+    /// word) and with shared values (`Arc<[Value]>`, as wide as the box).
     #[test]
     fn a_tuple_is_four_words_and_carries_its_canonical_content_and_id() {
         assert_eq!(std::mem::size_of::<Tuple>(), 32);
@@ -239,13 +249,13 @@ mod tests {
             "t",
             vec![
                 Value::Double(3.0),
-                Value::List(vec![Value::Double(-0.0)]),
+                Value::list(vec![Value::Double(-0.0)]),
                 Value::Double(2.5),
             ],
         );
         let canonical = [
             Value::Int(3),
-            Value::List(vec![Value::Int(0)]),
+            Value::list(vec![Value::Int(0)]),
             Value::Double(2.5),
         ];
         assert!(matches!(spelled.values()[0], Value::Int(3)));

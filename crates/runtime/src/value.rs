@@ -20,6 +20,11 @@
 //! representation. A value in flight (a rule constant, an arithmetic result)
 //! keeps its spelling, and arithmetic reads it: `3.0 / 2` is `1.5`.
 //!
+//! A list is a shared, immutable slice: cloning one bumps a count. Its
+//! identity is its content, exactly as for an unshared value — no law above
+//! reads the handle — and canonicalizing a list someone else holds copies it
+//! (never writes through the handle), so the other holder keeps its spelling.
+//!
 //! [`values_match`] also equates an `Addr` with the `Str` of the same text.
 //! That is the evaluation layer's matching predicate, not identity: the two
 //! are unequal, hash apart and make different tuple ids.
@@ -27,6 +32,7 @@
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
+use std::sync::Arc;
 
 pub use nt_intern::{
     dict_entry_wire_size, dict_wire_size, rule_exec_digest, shard_route, Dictionary, Interner,
@@ -56,8 +62,9 @@ pub enum Value {
     /// Network address (node name / AS name). Kept distinct from `Str` so the
     /// provenance graph and the visualizer can recognise locations.
     Addr(Addr),
-    /// Homogeneous or heterogeneous list (paths, AS paths, source routes).
-    List(Vec<Value>),
+    /// Homogeneous or heterogeneous list (paths, AS paths, source routes):
+    /// one shared slice however many tuples and frames hold it.
+    List(Arc<[Value]>),
     /// Opaque 64-bit identifier (provenance VIDs/RIDs travel as values).
     Id(u64),
     /// Sentinel "infinity" used as an unreachable cost.
@@ -73,6 +80,11 @@ impl Value {
     /// Build a string value.
     pub fn str(s: impl Into<String>) -> Value {
         Value::Str(s.into())
+    }
+
+    /// Build a list value.
+    pub fn list(items: impl Into<Arc<[Value]>>) -> Value {
+        Value::List(items.into())
     }
 
     /// Interpret the value as an integer if possible (bools coerce to 0/1).
@@ -151,15 +163,41 @@ impl Value {
     }
 
     /// Rewrite the value to its canonical form (module documentation), lists
-    /// recursively. What [`crate::Tuple`]'s constructor stores.
-    pub(crate) fn canonicalize(&mut self) {
+    /// recursively.
+    fn canonicalize(&mut self) {
         match self {
             Value::Double(v) => match Num::of(*v) {
                 Num::Int(i) => *self = Value::Int(i),
                 Num::Frac(d) => *v = d,
             },
-            Value::List(l) => l.iter_mut().for_each(Value::canonicalize),
+            Value::List(l) => Value::canonicalize_all(l),
             _ => {}
+        }
+    }
+
+    /// Canonicalize every value of a shared slice: what [`crate::Tuple`]'s
+    /// constructor stores, and what a list holds. A slice that is canonical
+    /// already is kept, handle and all; one that is not is rebuilt, so
+    /// whoever else holds it sees no change.
+    pub(crate) fn canonicalize_all(values: &mut Arc<[Value]>) {
+        if !values.iter().all(Value::is_canonical) {
+            *values = values
+                .iter()
+                .map(|v| {
+                    let mut v = v.clone();
+                    v.canonicalize();
+                    v
+                })
+                .collect();
+        }
+    }
+
+    /// True when [`Value::canonicalize`] would leave the value as it is.
+    fn is_canonical(&self) -> bool {
+        match self {
+            Value::Double(v) => matches!(Num::of(*v), Num::Frac(d) if d.to_bits() == v.to_bits()),
+            Value::List(l) => l.iter().all(Value::is_canonical),
+            _ => true,
         }
     }
 
@@ -193,7 +231,7 @@ impl Value {
             Value::List(l) => {
                 h.write_u8(6);
                 h.write_u64(l.len() as u64);
-                for v in l {
+                for v in l.iter() {
                     v.stable_hash_into(h);
                 }
             }
@@ -422,7 +460,7 @@ mod tests {
         assert!(!Value::Int(0).truthy());
         assert!(!Value::Bool(false).truthy());
         assert!(Value::str("x").truthy());
-        assert!(!Value::List(vec![]).truthy());
+        assert!(!Value::list([]).truthy());
     }
 
     #[test]
@@ -446,9 +484,18 @@ mod tests {
         assert_ne!(h1, h3);
     }
 
+    /// 32 bytes while a list was a `Vec<Value>` (two three-word variants: the
+    /// tag needed a word of its own); 24 with lists shared. `Arc<[Value]>` is
+    /// two words, every variant but `Str` fits beside the `String`'s
+    /// capacity, and the tag lives in that capacity's unused range.
+    #[test]
+    fn a_value_is_three_words() {
+        assert_eq!(std::mem::size_of::<Value>(), 24);
+    }
+
     #[test]
     fn wire_size_counts_nested_lists() {
-        let v = Value::List(vec![Value::Int(1), Value::str("ab")]);
+        let v = Value::list([Value::Int(1), Value::str("ab")]);
         assert_eq!(v.wire_size(), 4 + 8 + (4 + 2));
     }
 

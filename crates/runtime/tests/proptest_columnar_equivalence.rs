@@ -126,9 +126,9 @@ fn key_value(code: u8) -> Value {
         8 => Value::addr("a"),
         9 => Value::str("a"),
         10 => Value::str("b"),
-        11 => Value::List(vec![Value::Int(2), Value::addr("a")]),
-        12 => Value::List(vec![Value::Double(2.0)]),
-        13 => Value::List(Vec::new()),
+        11 => Value::list(vec![Value::Int(2), Value::addr("a")]),
+        12 => Value::list(vec![Value::Double(2.0)]),
+        13 => Value::list(Vec::new()),
         14 => Value::Infinity,
         _ => Value::Bool(true),
     }
@@ -157,7 +157,7 @@ proptest! {
         };
         let mut col = Table::with_backing(schema.clone(), TableBacking::Columnar);
         let mut row = Table::with_backing(schema, TableBacking::Row);
-        let base = Derivation { rule: "r".into(), node: "n1".into(), inputs: vec![TupleId(1)] };
+        let base = Derivation { rule: "r".into(), node: "n1".into(), inputs: [TupleId(1)].into() };
         let seen = |t: &Table| -> Vec<(String, TupleId, usize)> {
             t.iter().map(|r| (r.to_tuple().to_string(), r.id(), r.derivations().len())).collect()
         };

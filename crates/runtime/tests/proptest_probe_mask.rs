@@ -45,8 +45,8 @@ fn cell(palette: u8, code: u8) -> Value {
             Value::str("a"),
             Value::Int(1),
             Value::Double(1.0),
-            Value::List(vec![Value::Int(1)]),
-            Value::List(vec![Value::Double(1.0)]),
+            Value::list(vec![Value::Int(1)]),
+            Value::list(vec![Value::Double(1.0)]),
             Value::Bool(true),
         ][code as usize % 7]
             .clone(),
@@ -67,7 +67,7 @@ fn derivation(d: u8) -> Derivation {
     Derivation {
         rule: format!("r{d}").into(),
         node: "n1".into(),
-        inputs: vec![TupleId(d as u64)],
+        inputs: [TupleId(d as u64)].into(),
     }
 }
 

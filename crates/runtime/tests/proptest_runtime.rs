@@ -11,7 +11,7 @@ fn value_strategy() -> impl Strategy<Value = Value> {
         "[a-z0-9]{1,4}".prop_map(Value::addr),
         (-1000.0f64..1000.0).prop_map(Value::Double),
         Just(Value::Infinity),
-        proptest::collection::vec(any::<i64>().prop_map(Value::Int), 0..4).prop_map(Value::List),
+        proptest::collection::vec(any::<i64>().prop_map(Value::Int), 0..4).prop_map(Value::list),
     ]
 }
 
@@ -73,7 +73,7 @@ proptest! {
             .map(|i| Derivation {
                 rule: format!("r{i}").into(),
                 node: "n1".into(),
-                inputs: vec![TupleId(i as u64)],
+                inputs: [TupleId(i as u64)].into(),
             })
             .collect();
         for (op, t_idx, d_idx) in ops {

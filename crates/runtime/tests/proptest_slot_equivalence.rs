@@ -178,7 +178,7 @@ fn eval(expr: &Expr, env: &Env) -> Option<Value> {
                 ("f_prepend", [x, list]) => {
                     let mut out = vec![x.clone()];
                     out.extend(list.as_list()?.iter().cloned());
-                    Value::List(out)
+                    Value::list(out)
                 }
                 _ => return None,
             }
@@ -311,7 +311,7 @@ impl Oracle {
             };
             let mut emit = |env: &Env, agg: Option<&Value>, mut inputs: Vec<TupleId>| {
                 let values = rule.head.terms.iter().map(|t| head_value(env, t, agg));
-                let head = Tuple::new(rule.head.relation.as_str(), values.collect());
+                let head = Tuple::new(rule.head.relation.as_str(), values.collect::<Vec<_>>());
                 if agg.is_some() && unordered_witnesses(rule) {
                     inputs.sort();
                 }
@@ -410,7 +410,7 @@ type FiringKey = (bool, Derived, String);
 fn engine_firings(out: &StepOutput, unordered: &BTreeSet<String>) -> BTreeMap<FiringKey, usize> {
     let mut firings = BTreeMap::new();
     for f in out.firings.iter().filter(|f| f.rule != BASE_RULE) {
-        let mut inputs = f.inputs.clone();
+        let mut inputs = f.inputs.to_vec();
         if unordered.contains(f.rule.as_str()) {
             inputs.sort();
         }
@@ -433,7 +433,7 @@ fn engine_tables(engine: &NodeEngine, unordered: &BTreeSet<String>) -> Tables {
     for table in engine.database().tables() {
         for stored in table.iter() {
             for d in stored.derivations().iter().filter(|d| d.rule != BASE_RULE) {
-                let mut inputs = d.inputs.clone();
+                let mut inputs = d.inputs.to_vec();
                 if unordered.contains(d.rule.as_str()) {
                     inputs.sort();
                 }

@@ -21,6 +21,18 @@
 //! `total(n1,3,5)`).
 //!
 //! Seeded mutations each of these catches are listed in CHANGES.md (PR 22).
+//!
+//! A list is a shared slice and a tuple's values are one (PR 25): two more
+//! tests hold sharing invisible. `a_shared_list_is_its_content` compares a
+//! value with its clone (which shares every list) and with a copy rebuilt
+//! from nothing (which shares none), bare and inside tuples, under `==`,
+//! `Ord`, `Hash`, `{:?}`, JSON and tuple id.
+//! `canonicalizing_a_shared_list_copies_it` puts a list that another holder
+//! keeps, holding `Double(3.0)`, into a tuple: the tuple stores `Int(3)`, the
+//! other holder still reads `Double(3.0)`. Seeded mutations, each caught
+//! (CHANGES.md, PR 25): list equality by `Arc::ptr_eq` and hashing a list's
+//! pointer (the first test, every case with a non-empty list); skipping
+//! canonicalization when `Arc::get_mut` fails (the second).
 
 use nt_runtime::{CompiledProgram, EngineConfig, NodeEngine, StableHasher, Tuple, Value};
 use proptest::prelude::*;
@@ -82,7 +94,7 @@ fn palette() -> Vec<Value> {
         Value::str("a"),
         Value::addr("a"),
         Value::Id(3),
-        Value::List(vec![]),
+        Value::list(vec![]),
     ]);
     values
 }
@@ -245,12 +257,12 @@ fn value_strategy() -> impl Strategy<Value = Value> {
         let values = palette();
         (0..values.len()).prop_map(move |i| values[i].clone())
     };
-    let list = || collection::vec(scalar(), 0..3).prop_map(Value::List);
+    let list = || collection::vec(scalar(), 0..3).prop_map(Value::list);
     prop_oneof![
         scalar(),
         scalar(),
         list(),
-        collection::vec(prop_oneof![scalar(), list()], 0..3).prop_map(Value::List),
+        collection::vec(prop_oneof![scalar(), list()], 0..3).prop_map(Value::list),
     ]
 }
 
@@ -268,8 +280,40 @@ fn respelled(v: &Value) -> Value {
     }
 }
 
+/// `v` built again from nothing: the same content, no list shared with `v`.
+fn rebuilt(v: &Value) -> Value {
+    match v {
+        Value::List(l) => Value::list(l.iter().map(rebuilt).collect::<Vec<_>>()),
+        other => other.clone(),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    #[test]
+    fn a_shared_list_is_its_content(a in value_strategy(), b in value_strategy()) {
+        let json = |v: &Value| serde_json::to_string(v).expect("values serialize");
+        // A clone shares every list of `a`; a rebuilt copy shares none.
+        for twin in [a.clone(), rebuilt(&a)] {
+            prop_assert_eq!(&a, &twin);
+            prop_assert_eq!(a.cmp(&twin), Ordering::Equal);
+            prop_assert_eq!(a.cmp(&b), twin.cmp(&b));
+            prop_assert_eq!(std_hash(&a), std_hash(&twin));
+            prop_assert_eq!(stable_hash(&a), stable_hash(&twin));
+            prop_assert_eq!(format!("{a:?}"), format!("{twin:?}"));
+            prop_assert_eq!(json(&a), json(&twin));
+        }
+        // Tuples holding `a` twice, over its lists, over rebuilt ones, and a
+        // clone of the first (one shared slice of values).
+        let tuple = |v: &Value| Tuple::new("t", vec![Value::addr("n1"), v.clone(), v.clone()]);
+        let shared = tuple(&a);
+        for twin in [shared.clone(), tuple(&rebuilt(&a))] {
+            prop_assert_eq!(&shared, &twin);
+            prop_assert_eq!(format!("{shared:?}"), format!("{twin:?}"));
+            tuple_laws(&shared, &twin).map_err(TestCaseError::fail)?;
+        }
+    }
 
     #[test]
     fn the_laws_hold_for_nested_values(
@@ -295,7 +339,7 @@ proptest! {
     ) {
         let (ta, tb) = (Tuple::new("t", a.clone()), Tuple::new("t", b));
         tuple_laws(&ta, &tb).map_err(TestCaseError::fail)?;
-        let twin = Tuple::new("t", a.iter().map(respelled).collect());
+        let twin = Tuple::new("t", a.iter().map(respelled).collect::<Vec<_>>());
         prop_assert_eq!(&ta, &twin);
         tuple_laws(&ta, &twin).map_err(TestCaseError::fail)?;
         // What is stored is what is read: a round trip changes nothing. (JSON
@@ -306,6 +350,40 @@ proptest! {
             prop_assert_eq!(back.id(), ta.id());
             prop_assert_eq!(serde_json::to_string(&back).expect("tuples serialize"), json);
         }
+    }
+}
+
+/// A tuple stores canonical values; a list someone else holds is not theirs
+/// to rewrite.
+#[test]
+fn canonicalizing_a_shared_list_copies_it() {
+    let inner = Value::list(vec![Value::Double(3.0)]);
+    let path = Value::list(vec![Value::addr("n1"), Value::Double(3.0), inner.clone()]);
+    let held = path.clone();
+    let t = Tuple::new("t", vec![path]);
+    let stored = t.values()[0].as_list().expect("a list");
+    assert!(matches!(stored[1], Value::Int(3)), "{stored:?}");
+    assert!(
+        matches!(stored[2].as_list().expect("a list")[0], Value::Int(3)),
+        "{stored:?}"
+    );
+    let kept = held.as_list().expect("a list");
+    assert!(matches!(kept[1], Value::Double(d) if d == 3.0), "{held:?}");
+    assert!(matches!(inner.as_list().expect("a list")[0], Value::Double(d) if d == 3.0));
+    let ints = Value::list(vec![Value::Int(3)]);
+    let spelled = Tuple::new(
+        "t",
+        vec![Value::list(vec![Value::addr("n1"), Value::Int(3), ints])],
+    );
+    assert_eq!(t.id(), spelled.id());
+    assert_eq!(format!("{t:?}"), format!("{spelled:?}"));
+    // A list that is canonical already is stored as it is: one slice, two
+    // holders.
+    let canonical = Value::list(vec![Value::addr("n1"), Value::Int(3)]);
+    let t = Tuple::new("t", vec![canonical.clone()]);
+    match (&t.values()[0], &canonical) {
+        (Value::List(stored), Value::List(held)) => assert!(Arc::ptr_eq(stored, held)),
+        _ => unreachable!("both are lists"),
     }
 }
 

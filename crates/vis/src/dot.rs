@@ -109,7 +109,7 @@ mod tests {
             node: "n1".into(),
             head: link.clone(),
             head_home: "n1".into(),
-            inputs: vec![],
+            inputs: Default::default(),
             input_tuples: vec![],
             insert: true,
         });
@@ -118,7 +118,7 @@ mod tests {
             node: "n1".into(),
             head: cost,
             head_home: "n1".into(),
-            inputs: vec![link.id()],
+            inputs: [link.id()].into(),
             input_tuples: vec![link],
             insert: true,
         });

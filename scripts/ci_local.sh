@@ -40,7 +40,14 @@ test_job() {
     #     the_benchmark_programs_index_a_third_of_their_columns) — the probe
     #     sets of the shipped programs, pinned, and no probe site outside them;
     #   nettrails bytes_per_node — counted heap per empty node and per stored
-    #     tuple under pinned ceilings, and all of it back on drop.
+    #     tuple under pinned ceilings, live blocks once seeded no higher than
+    #     before shared handles, the exact allocations from seeding to the
+    #     fixpoint, and all of it back on drop.
+    # the laws of one identity per value, shared or not:
+    #   nt-runtime proptest_value_laws (a_shared_list_is_its_content,
+    #     canonicalizing_a_shared_list_copies_it) — a clone and a rebuilt
+    #     copy are one value to ==, Ord, Hash, {:?}, JSON and tuple id, and a
+    #     tuple never rewrites a list another holder keeps;
     # the oracle of the dictionary discipline:
     #   nettrails dictionary_discipline — every DeltaBatch, QueryBatch and log
     #     record decodable from the headers delivered before it, a name

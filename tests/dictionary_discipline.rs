@@ -56,7 +56,7 @@ fn tuple_names(tuple: &Tuple, out: &mut BTreeSet<String>) {
             Value::Addr(a) => {
                 out.insert(a.to_string());
             }
-            Value::List(items) => pending.extend(items),
+            Value::List(items) => pending.extend(items.iter()),
             _ => {}
         }
     }
@@ -135,14 +135,14 @@ struct Receiver {
 }
 
 impl Receiver {
-    fn frame(&mut self, header: &[String], referenced: &BTreeSet<String>, what: &str) {
-        for entry in header {
+    fn frame(&mut self, header: &[impl AsRef<str>], referenced: &BTreeSet<String>, what: &str) {
+        for entry in header.iter().map(AsRef::as_ref) {
             assert!(
                 referenced.contains(entry),
                 "{what}: {entry:?} is in the header and in no record"
             );
             assert!(
-                self.known.insert(entry.clone()),
+                self.known.insert(entry.to_string()),
                 "{what}: {entry:?} shipped twice"
             );
         }
