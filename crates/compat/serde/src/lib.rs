@@ -9,9 +9,9 @@
 //! the attribute subset the workspace uses: `#[serde(skip)]`,
 //! `#[serde(serialize_with = "..")]` and `#[serde(deserialize_with = "..")]`.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::hash::Hash;
+use std::hash::{BuildHasher, Hash};
 
 pub use serde_derive::{Deserialize, Serialize};
 
@@ -301,7 +301,8 @@ impl<T: Serialize> Serialize for BTreeSet<T> {
     }
 }
 
-impl<T: Serialize> Serialize for HashSet<T> {
+#[allow(clippy::disallowed_types)]
+impl<T: Serialize, H> Serialize for std::collections::HashSet<T, H> {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         serializer.collect_seq(self.iter())
     }
@@ -327,7 +328,8 @@ impl<K: Serialize, V: Serialize> Serialize for BTreeMap<K, V> {
     }
 }
 
-impl<K: Serialize, V: Serialize> Serialize for HashMap<K, V> {
+#[allow(clippy::disallowed_types)]
+impl<K: Serialize, V: Serialize, H> Serialize for std::collections::HashMap<K, V, H> {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         serialize_map_entries(serializer, self.iter())
     }
@@ -518,7 +520,10 @@ impl<T: Deserialize + Ord> Deserialize for BTreeSet<T> {
     }
 }
 
-impl<T: Deserialize + Eq + Hash> Deserialize for HashSet<T> {
+#[allow(clippy::disallowed_types)]
+impl<T: Deserialize + Eq + Hash, H: BuildHasher + Default> Deserialize
+    for std::collections::HashSet<T, H>
+{
     fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
         Ok(Vec::<T>::deserialize(d)?.into_iter().collect())
     }
@@ -546,7 +551,13 @@ impl<K: Deserialize + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
     }
 }
 
-impl<K: Deserialize + Eq + Hash, V: Deserialize> Deserialize for HashMap<K, V> {
+#[allow(clippy::disallowed_types)]
+impl<K, V, H> Deserialize for std::collections::HashMap<K, V, H>
+where
+    K: Deserialize + Eq + Hash,
+    V: Deserialize,
+    H: BuildHasher + Default,
+{
     fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
         Ok(content_map_entries::<_, K, V>(d)?.into_iter().collect())
     }

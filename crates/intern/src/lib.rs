@@ -11,8 +11,10 @@
 //! Both are 4-byte `Copy` handles into the same append-only string pool.
 //! Design points:
 //!
-//! * **Equality and hashing** use the `u32` id (one string ⇒ one id), so
-//!   `HashMap<(TupleId, NodeId), _>` keys hash a couple of machine words.
+//! * **Equality and hashing** use the `u32` id (one string ⇒ one id), so a
+//!   handle is one word to [`IdHasher`], the hasher of every product map
+//!   ([`IdMap`], [`IdSet`]): an `IdMap<(TupleId, NodeId), _>` probe folds two
+//!   words, one multiply each.
 //! * **Ordering** compares the *resolved strings*, so `BTreeMap` iteration
 //!   order, sorted reports and test expectations are identical to the old
 //!   `String`-keyed code and independent of interning order.
@@ -25,15 +27,20 @@
 //!   names in a deployment is small and bounded, which is exactly the case
 //!   dictionary encoding is designed for.
 //!
-//! The crate also owns the *stable digest* primitives ([`StableHasher`] and
-//! [`rule_exec_digest`]) so that every layer — runtime tuple ids, provenance
-//! rule-execution ids — derives identifiers from one implementation and
-//! interned vs. string inputs cannot silently diverge.
+//! The crate also owns both hashers, which do two different jobs:
+//!
+//! * [`StableHasher`] makes *identities* — runtime tuple ids, provenance
+//!   rule-execution ids ([`rule_exec_digest`]), shard routes: FNV-1a, byte by
+//!   byte, the same in every process, so every layer derives identifiers from
+//!   one implementation and interned vs. string inputs cannot silently
+//!   diverge.
+//! * [`IdHasher`] *probes maps*: one multiply per word, keyed per process.
+//!   What it returns is never stored, shipped or compared across processes.
 
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::sync::{OnceLock, RwLock};
 
 // ---------------------------------------------------------------------------
@@ -42,7 +49,7 @@ use std::sync::{OnceLock, RwLock};
 
 struct Pool {
     strings: Vec<&'static str>,
-    index: HashMap<&'static str, u32>,
+    index: IdMap<&'static str, u32>,
 }
 
 fn pool() -> &'static RwLock<Pool> {
@@ -50,7 +57,7 @@ fn pool() -> &'static RwLock<Pool> {
     POOL.get_or_init(|| {
         RwLock::new(Pool {
             strings: Vec::new(),
-            index: HashMap::new(),
+            index: IdMap::default(),
         })
     })
 }
@@ -304,7 +311,7 @@ macro_rules! handle_type {
 
         // NOTE: deliberately NO `Borrow<str>` impl. `Hash` uses the pool
         // index (not the string bytes), so a str-keyed lookup into a
-        // handle-keyed `HashMap` would hash differently and silently miss.
+        // handle-keyed `IdMap` would hash differently and silently miss.
         // Lookups by name must intern first: `map.get(&Sym::new(name))`.
 
         impl fmt::Debug for $name {
@@ -527,6 +534,98 @@ where
     }
     h.finish()
 }
+
+// ---------------------------------------------------------------------------
+// map hashing
+// ---------------------------------------------------------------------------
+
+/// The hasher of every product hash map and set ([`IdMap`], [`IdSet`]).
+///
+/// The keys those maps hold are identities already: tuple and rule-execution
+/// ids are 64-bit digests, [`NodeId`] and [`Sym`] dense `u32` handles. A probe
+/// only needs their bits spread over the bucket index (the low bits) and
+/// hashbrown's control byte (the top seven). So each word written is folded
+/// into the state with one 64×64→128-bit multiply, keeping the XOR of the
+/// product's two halves: both ends of the result depend on every bit of the
+/// word. Byte strings go in as 8-byte words, the last one zero-padded, then
+/// their length.
+///
+/// The state starts at a key drawn once per process from std's
+/// `RandomState`. Iteration order therefore differs between processes, as it
+/// does under std's SipHash, and no output may depend on it; identities that
+/// must agree across processes come from [`StableHasher`]. The key moves
+/// collisions from process to process, but one multiply is no defence against
+/// an adversary choosing keys: these maps hold ids the program derived.
+#[derive(Debug, Clone)]
+pub struct IdHasher {
+    state: u64,
+}
+
+impl IdHasher {
+    /// 2^64 / φ, odd: the multiplier of Fibonacci hashing.
+    const MULTIPLIER: u64 = 0x9e37_79b9_7f4a_7c15;
+
+    fn fold(&mut self, word: u64) {
+        let product = u128::from(self.state ^ word) * u128::from(Self::MULTIPLIER);
+        self.state = (product as u64) ^ ((product >> 64) as u64);
+    }
+}
+
+impl Default for IdHasher {
+    fn default() -> Self {
+        static KEY: OnceLock<u64> = OnceLock::new();
+        let key = *KEY.get_or_init(|| std::collections::hash_map::RandomState::new().hash_one(0));
+        IdHasher { state: key }
+    }
+}
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.fold(u64::from_le_bytes(
+                word.try_into().expect("an 8-byte chunk"),
+            ));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut word = [0u8; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            self.fold(u64::from_le_bytes(word));
+        }
+        self.fold(bytes.len() as u64);
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.fold(u64::from(n));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.fold(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.fold(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.fold(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.state
+    }
+}
+
+/// A `HashMap` probed through [`IdHasher`]: what every product map is. Make
+/// one with `IdMap::default()` or
+/// `IdMap::with_capacity_and_hasher(n, Default::default())`.
+#[allow(clippy::disallowed_types)]
+pub type IdMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// A `HashSet` probed through [`IdHasher`]: what every product set is.
+#[allow(clippy::disallowed_types)]
+pub type IdSet<K> = std::collections::HashSet<K, BuildHasherDefault<IdHasher>>;
 
 #[cfg(test)]
 mod tests {

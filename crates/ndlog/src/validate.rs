@@ -23,11 +23,11 @@
 use crate::ast::{BodyElem, Expr, Predicate, Program, Rule, RuleKind, Term};
 use crate::builtins;
 use crate::error::{NdlogError, Result};
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 /// Validate a whole program. Returns the first problem found.
 pub fn validate_program(program: &Program) -> Result<()> {
-    let mut names = HashSet::new();
+    let mut names = BTreeSet::new();
     for rule in &program.rules {
         if !names.insert(rule.name.clone()) {
             return Err(NdlogError::validation(
@@ -42,7 +42,7 @@ pub fn validate_program(program: &Program) -> Result<()> {
 }
 
 fn validate_materializations(program: &Program) -> Result<()> {
-    let mut seen = HashSet::new();
+    let mut seen = BTreeSet::new();
     for m in &program.materializations {
         if !seen.insert(m.relation.clone()) {
             return Err(NdlogError::validation(
@@ -130,8 +130,8 @@ fn check_locations(rule: &Rule) -> Result<()> {
     Ok(())
 }
 
-fn bound_variables(rule: &Rule) -> HashSet<String> {
-    let mut bound: HashSet<String> = HashSet::new();
+fn bound_variables(rule: &Rule) -> BTreeSet<String> {
+    let mut bound: BTreeSet<String> = BTreeSet::new();
     for elem in &rule.body {
         match elem {
             BodyElem::Atom(p) if !p.negated => {

@@ -11,8 +11,7 @@
 //! truncated by `max_rounds`, or a delta delivered by `poll_queries` between
 //! runs, leaves its slots marked for the next one.
 
-use nt_runtime::{Addr, NodeEngine, StepOutput};
-use std::collections::HashMap;
+use nt_runtime::{Addr, IdMap, NodeEngine, StepOutput};
 
 /// Dense, name-ordered engine storage with a ready set.
 #[derive(Debug)]
@@ -23,7 +22,7 @@ pub(crate) struct EngineTable {
     engines: Vec<NodeEngine>,
     /// Node → slot. `Addr` hashes and compares by interned id, so a lookup
     /// never touches the name's bytes.
-    slots: HashMap<Addr, u32>,
+    slots: IdMap<Addr, u32>,
     /// Slots that may have queued deltas, unordered, each at most once.
     ready: Vec<u32>,
     /// Slot → "is in `ready`".

@@ -74,8 +74,9 @@ static ALLOC: Counting = Counting;
 
 const NODES: usize = 400;
 
-/// Live heap per node right after `NetTrails::new`: measured 3,202.
-const NEW_BYTES_PER_NODE: usize = 3_522;
+/// Live heap per node right after `NetTrails::new`: measured 2,965; 3,202
+/// while every map carried std's 16-byte `RandomState`.
+const NEW_BYTES_PER_NODE: usize = 3_262;
 /// Live blocks once every base fact is queued: measured 7,114, as at the
 /// parent, and the ceiling. An empty input list built as `Vec::new().into()`
 /// allocates — one block per base derivation — where `Arc::default()`
@@ -84,8 +85,9 @@ const SEEDED_BLOCKS: usize = 7_114;
 /// Allocations from seeding to the fixpoint, exactly: 21.1 per stored tuple
 /// (9,627 tuples).
 const CONVERGE_ALLOCATIONS: usize = 203_000;
-/// Live heap per stored tuple at the fixpoint: measured 1,085.
-const FIXPOINT_BYTES_PER_TUPLE: usize = 1_194;
+/// Live heap per stored tuple at the fixpoint: measured 1,072; 1,085 under
+/// `RandomState`.
+const FIXPOINT_BYTES_PER_TUPLE: usize = 1_179;
 
 /// What one convergence costs, by phase.
 struct Phases {

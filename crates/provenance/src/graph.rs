@@ -11,9 +11,9 @@
 
 use crate::store::RuleExecId;
 use crate::system::ProvenanceSystem;
-use nt_runtime::{Addr, NodeId, Sym, Tuple, TupleId};
+use nt_runtime::{Addr, IdMap, NodeId, Sym, Tuple, TupleId};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// A vertex of the provenance graph.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -105,10 +105,10 @@ pub struct ProvGraph {
     pub edges: Vec<ProvEdge>,
     /// Posting lists: vertex -> successors (dataflow direction).
     #[serde(skip)]
-    out_adj: HashMap<VertexId, Vec<VertexId>>,
+    out_adj: IdMap<VertexId, Vec<VertexId>>,
     /// Posting lists: vertex -> predecessors.
     #[serde(skip)]
-    in_adj: HashMap<VertexId, Vec<VertexId>>,
+    in_adj: IdMap<VertexId, Vec<VertexId>>,
 }
 
 impl PartialEq for ProvGraph {

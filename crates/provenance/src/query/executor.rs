@@ -51,9 +51,9 @@ use crate::query::api::{
 use crate::query::wire::{QueryBatch, QueryOp};
 use crate::store::{ProvEntry, RuleExecId};
 use crate::system::ProvenanceSystem;
-use nt_runtime::{Dictionary, NodeId, Sym, Tuple, TupleId};
+use nt_runtime::{Dictionary, IdMap, IdSet, NodeId, Sym, Tuple, TupleId};
 use simnet::{SimTime, TrafficStats};
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
@@ -78,7 +78,7 @@ struct CacheEntry {
 /// evicted instead of served.
 #[derive(Debug, Default)]
 pub struct QueryCache {
-    map: HashMap<(TupleId, NodeId), CacheEntry>,
+    map: IdMap<(TupleId, NodeId), CacheEntry>,
 }
 
 impl QueryCache {
@@ -245,7 +245,7 @@ impl QueryEngine {
         if home != spec.querier {
             self.charge(&mut stats, spec.querier, home, 64);
         }
-        let mut visited = HashSet::new();
+        let mut visited = IdSet::default();
         let tree = self.expand(
             system,
             home,
@@ -268,7 +268,7 @@ impl QueryEngine {
         depth: usize,
         options: &QueryOptions,
         stats: &mut QueryStats,
-        visited: &mut HashSet<TupleId>,
+        visited: &mut IdSet<TupleId>,
     ) -> ProofTree {
         stats.vertices_visited += 1;
         let tuple = system.tuple_at(node, vid).cloned();
@@ -520,9 +520,9 @@ struct Session {
     partials: Vec<RuleExecNode>,
     /// Caching on: `(vid, node)` sub-queries currently being computed, so
     /// concurrent breadth-first duplicates defer instead of racing.
-    in_flight: HashMap<(TupleId, NodeId), u32>,
+    in_flight: IdMap<(TupleId, NodeId), u32>,
     /// Frames deferred onto an in-flight computation, woken at completion.
-    waiters: HashMap<u32, Vec<u32>>,
+    waiters: IdMap<u32, Vec<u32>>,
     /// Set when the root tree is complete; the executor finalizes it.
     root_result: Option<ProofTree>,
 }
@@ -541,12 +541,12 @@ struct Finished {
 #[derive(Debug, Default)]
 pub struct QueryExecutor {
     next_qid: u64,
-    sessions: HashMap<u64, Session>,
-    finished: HashMap<u64, Finished>,
+    sessions: IdMap<u64, Session>,
+    finished: IdMap<u64, Finished>,
     cache: QueryCache,
     /// What each destination has been sent ([`Dictionary`]): a frame's
     /// header carries only the strings its destination has never seen.
-    dict_sent: HashMap<NodeId, Dictionary>,
+    dict_sent: IdMap<NodeId, Dictionary>,
     staged: Vec<StagedOp>,
     /// Merge concurrent sessions' records into one frame per (endpoints,
     /// direction) at [`QueryExecutor::poll`] time (see
@@ -632,8 +632,8 @@ impl QueryExecutor {
             queue: VecDeque::new(),
             stats: QueryStats::default(),
             partials: Vec::new(),
-            in_flight: HashMap::new(),
-            waiters: HashMap::new(),
+            in_flight: IdMap::default(),
+            waiters: IdMap::default(),
             root_result: None,
         };
         session.frames.push(Frame::Vertex(VertexFrame {
@@ -707,7 +707,7 @@ impl QueryExecutor {
         // is deterministic.
         type SessionKey = (u64, NodeId, NodeId, bool);
         let mut order: Vec<SessionKey> = Vec::new();
-        let mut groups: HashMap<SessionKey, Vec<QueryOp>> = HashMap::new();
+        let mut groups: IdMap<SessionKey, Vec<QueryOp>> = IdMap::default();
         for s in staged {
             let key = (s.qid, s.from, s.to, s.op.is_request());
             let group = groups.entry(key).or_default();
@@ -722,7 +722,7 @@ impl QueryExecutor {
         let merged: Vec<Vec<SessionKey>>;
         let frames: Vec<&[SessionKey]> = if self.merge_frames {
             let mut frame_order: Vec<(NodeId, NodeId, bool)> = Vec::new();
-            let mut folded: HashMap<(NodeId, NodeId, bool), Vec<SessionKey>> = HashMap::new();
+            let mut folded: IdMap<(NodeId, NodeId, bool), Vec<SessionKey>> = IdMap::default();
             for &key in &order {
                 let fkey = (key.1, key.2, key.3);
                 let members = folded.entry(fkey).or_default();
@@ -2063,7 +2063,7 @@ mod tests {
         let b = ex.submit(&sys, spec("n1"), SimTime::ZERO);
         // Interleaved drain, asserting per poll that no destination is ever
         // sent the same dictionary entry twice.
-        let mut shipped: HashMap<NodeId, HashSet<Sym>> = HashMap::new();
+        let mut shipped: IdMap<NodeId, IdSet<Sym>> = IdMap::default();
         let mut safety = 0;
         while !(ex.is_done(a) && ex.is_done(b)) {
             let batches = ex.poll();

@@ -28,11 +28,10 @@
 //! ([`ShardStats`]) vary with `S`.
 
 use crate::store::{ProvEntry, ProvenanceStore, RuleExec, RuleExecId};
-use nt_runtime::{Firing, NodeId, Sym, Tuple, TupleId};
+use nt_runtime::{Firing, IdMap, NodeId, Sym, Tuple, TupleId};
 use serde::{Deserialize, Serialize};
 use simnet::TrafficStats;
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Category name used for provenance-maintenance traffic.
@@ -120,11 +119,11 @@ pub struct ShardStats {
 #[derive(Debug, Clone, Default)]
 struct HomeIndex {
     /// The lowest arena slot whose store has the vertex.
-    first: HashMap<TupleId, u32>,
+    first: IdMap<TupleId, u32>,
     /// Vids homed at more than one store of this shard (one base fact
     /// inserted at two nodes): every further slot, ascending, so dropping
     /// the first home falls to the next without a scan. Empty otherwise.
-    rest: HashMap<TupleId, Vec<u32>>,
+    rest: IdMap<TupleId, Vec<u32>>,
 }
 
 impl HomeIndex {
@@ -177,7 +176,7 @@ impl HomeIndex {
 pub struct ProvenanceShard {
     index: usize,
     stores: Vec<ProvenanceStore>,
-    by_node: HashMap<NodeId, u32>,
+    by_node: IdMap<NodeId, u32>,
     homes: HomeIndex,
 }
 

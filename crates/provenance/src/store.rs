@@ -17,8 +17,10 @@
 //! ## Storage layout
 //!
 //! The store is arena-backed: vertices and rule executions live in dense
-//! `Vec` slots (with free-list reuse) addressed through `HashMap` id → slot
-//! indexes, and every record is fixed-size — a [`ProvEntry`] is a `Copy`
+//! `Vec` slots (with free-list reuse) addressed through `IdMap` id → slot
+//! indexes. The ids are `StableHasher` digests, the same on every node; an
+//! index probe re-hashes one through `IdHasher`, one multiply, keyed per
+//! process. Every record is fixed-size — a [`ProvEntry`] is a `Copy`
 //! 16-byte record (8-byte rid + interned 4-byte `rloc`), a [`RuleExec`] is a
 //! fixed header plus the posting list of its input VIDs. Rule and node names
 //! are interned ([`Sym`]/[`NodeId`]), so maintenance never clones or
@@ -26,11 +28,11 @@
 //! [`ProvStoreStats::dict_bytes`]), not once per entry.
 
 use nt_runtime::{
-    dict_entry_wire_size, rule_exec_digest, Dictionary, NodeId, StableHasher, Sym, Tuple, TupleId,
+    dict_entry_wire_size, rule_exec_digest, Dictionary, IdMap, NodeId, StableHasher, Sym, Tuple,
+    TupleId,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -169,13 +171,13 @@ pub struct ProvenanceStore {
     /// The node this store belongs to.
     pub node: NodeId,
     vertices: Vec<VertexSlot>,
-    vertex_index: HashMap<TupleId, u32>,
+    vertex_index: IdMap<TupleId, u32>,
     free_vertices: Vec<u32>,
     execs: Vec<ExecSlot>,
-    exec_index: HashMap<RuleExecId, u32>,
+    exec_index: IdMap<RuleExecId, u32>,
     free_execs: Vec<u32>,
     /// Display information: VID -> tuple content, for tuples homed here.
-    tuples: HashMap<TupleId, Tuple>,
+    tuples: IdMap<TupleId, Tuple>,
     /// Mutation counter: bumped whenever the store's content actually
     /// changes (idempotent re-inserts do not count). Query caches stamp
     /// their entries with this version, so incremental maintenance — deletes

@@ -19,13 +19,13 @@ use crate::catalog::Catalog;
 use crate::error::{Result, RuntimeError};
 use crate::eval::{literal_value, SlotAtom, SlotExpr, SlotProgram, SlotStep, SlotTerm};
 use crate::store::TableSpec;
-use crate::value::{Sym, Value};
+use crate::value::{IdMap, Sym, Value};
 use ndlog::builtins::BuiltinFn;
 use ndlog::localize::{localize_rule, RuleLocation};
 use ndlog::{AggregateFunc, BodyElem, Expr, Predicate, Program, Rule, RuleKind, Term};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Aggregate specification for rules such as `minCost(@S,D,min<C>) :- ...`.
@@ -315,10 +315,12 @@ pub struct CompiledProgram {
     pub rules: Vec<CompiledRule>,
     /// relation symbol -> (rule index, positive-atom index) pairs to evaluate
     /// when a delta of that relation arrives.
-    pub triggers: HashMap<Sym, Vec<(usize, usize)>>,
+    #[serde(serialize_with = "serialize_by_relation")]
+    pub triggers: IdMap<Sym, Vec<(usize, usize)>>,
     /// relation symbol -> rule indices that must be *reconciled* when the
     /// relation changes (rules where the relation appears negated).
-    pub negation_triggers: HashMap<Sym, Vec<usize>>,
+    #[serde(serialize_with = "serialize_by_relation")]
+    pub negation_triggers: IdMap<Sym, Vec<usize>>,
     /// One entry per relation of the catalog, in relation-name order: its
     /// shared schema and the columns the plans above probe. An engine builds
     /// its tables from this list, so a column no plan reads carries no index
@@ -341,8 +343,8 @@ impl CompiledProgram {
         let catalog = Catalog::from_program(&localized)?;
 
         let mut rules = Vec::new();
-        let mut triggers: HashMap<Sym, Vec<(usize, usize)>> = HashMap::new();
-        let mut negation_triggers: HashMap<Sym, Vec<usize>> = HashMap::new();
+        let mut triggers: IdMap<Sym, Vec<(usize, usize)>> = IdMap::default();
+        let mut negation_triggers: IdMap<Sym, Vec<usize>> = IdMap::default();
 
         for rule in &localized.rules {
             if rule.kind == RuleKind::Maybe {
@@ -392,12 +394,25 @@ impl CompiledProgram {
     }
 }
 
+/// A trigger map in relation-name order: map order differs between processes,
+/// and one program must serialize to the same bytes in every one of them.
+fn serialize_by_relation<V, S>(
+    map: &IdMap<Sym, V>,
+    serializer: S,
+) -> std::result::Result<S::Ok, S::Error>
+where
+    V: Serialize,
+    S: serde::Serializer,
+{
+    map.iter().collect::<BTreeMap<_, _>>().serialize(serializer)
+}
+
 /// The table of every relation in the catalog, with the columns `rules` can
 /// probe it on: the bound columns of every join step (delta-triggered and
 /// full), every negated-atom check and every aggregate group scan — each
 /// site [`crate::store::Table::probe`] is called from.
 fn table_specs(catalog: &Catalog, rules: &[CompiledRule]) -> Vec<TableSpec> {
-    let mut probed: HashMap<Sym, Vec<usize>> = HashMap::new();
+    let mut probed: IdMap<Sym, Vec<usize>> = IdMap::default();
     for rule in rules {
         let plans = rule.plans.iter().chain([&rule.full_plan]);
         let joins = plans
@@ -803,5 +818,25 @@ mod tests {
         let restored: CompiledProgram = serde_json::from_str(&json).expect("program deserializes");
         assert_eq!(restored, cp);
         assert!(!restored.rules[1].slots.steps.is_empty());
+    }
+
+    #[test]
+    fn equal_programs_serialize_to_equal_bytes() {
+        // Two maps with the same entries iterate in different orders when
+        // their tables differ in size; the JSON must not follow either.
+        let source: String = (0..24)
+            .map(|i| format!("r{i} h{i}(@S,X) :- b{i}(@S,X), !n{i}(@S,X).\n"))
+            .collect();
+        let cp = CompiledProgram::from_source(&source).unwrap();
+        let mut wide = cp.clone();
+        wide.triggers = IdMap::with_capacity_and_hasher(4096, Default::default());
+        wide.triggers.extend(cp.triggers.clone());
+        wide.negation_triggers = IdMap::with_capacity_and_hasher(4096, Default::default());
+        wide.negation_triggers.extend(cp.negation_triggers.clone());
+        assert_eq!(wide, cp);
+        assert_eq!(
+            serde_json::to_string(&wide).unwrap(),
+            serde_json::to_string(&cp).unwrap()
+        );
     }
 }

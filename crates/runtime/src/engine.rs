@@ -57,9 +57,9 @@ use crate::morsel::{self, Candidate, EvalContext, MonoTask};
 use crate::store::BASE_RULE;
 use crate::store::{base_rule_sym, Database, Derivation, Membership, TableBacking};
 use crate::tuple::{Delta, Tuple, TupleId};
-use crate::value::{Addr, Dictionary, Sym, Value};
+use crate::value::{Addr, Dictionary, IdMap, IdSet, Sym, Value};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -363,7 +363,7 @@ pub struct NodeEngine {
     db: Database,
     queue: VecDeque<WorkItem>,
     /// (rule index, group key) -> current aggregate head tuple + derivation.
-    agg_state: HashMap<(usize, Vec<Value>), (Tuple, Derivation)>,
+    agg_state: IdMap<(usize, Vec<Value>), (Tuple, Derivation)>,
     /// Sends queued during the current run, coalesced into per-destination
     /// batches when the run flushes. A slot is `None` when a later opposite
     /// delta for the same (dest, tuple, derivation) cancelled it.
@@ -372,10 +372,10 @@ pub struct NodeEngine {
     /// guarantees a (tuple, derivation) pair is shipped at most once per
     /// round. Each slot list holds one entry per distinct pending
     /// derivation of that tuple.
-    pending_index: HashMap<(Addr, TupleId), Vec<usize>>,
+    pending_index: IdMap<(Addr, TupleId), Vec<usize>>,
     /// What each destination has been sent ([`Dictionary`]): a batch's
     /// header carries only the strings its destination has never seen.
-    dict_sent: HashMap<Addr, Dictionary>,
+    dict_sent: IdMap<Addr, Dictionary>,
     /// The slot frame every evaluation on this engine's thread binds
     /// variables in (pool morsels use their own).
     frame: Frame,
@@ -396,10 +396,10 @@ impl NodeEngine {
             program,
             db,
             queue: VecDeque::new(),
-            agg_state: HashMap::new(),
+            agg_state: IdMap::default(),
             pending_sends: Vec::new(),
-            pending_index: HashMap::new(),
-            dict_sent: HashMap::new(),
+            pending_index: IdMap::default(),
+            dict_sent: IdMap::default(),
             frame: Frame::new(),
             stats: EngineStats::default(),
         }
@@ -541,7 +541,7 @@ impl NodeEngine {
         };
 
         let mut results = evaluated.into_iter();
-        let mut reconciled: HashSet<usize> = HashSet::new();
+        let mut reconciled: IdSet<usize> = IdSet::default();
         for ((idx, event), op_range) in events.into_iter().enumerate().zip(op_ranges) {
             if skip[idx] {
                 continue;
@@ -624,7 +624,7 @@ impl NodeEngine {
         if membership_events < 2 {
             return skip;
         }
-        let mut per_id: HashMap<TupleId, (bool, Vec<usize>)> = HashMap::new();
+        let mut per_id: IdMap<TupleId, (bool, Vec<usize>)> = IdMap::default();
         for (idx, event) in events.iter().enumerate() {
             match event {
                 GenEvent::Appeared(tuple) => per_id
@@ -774,12 +774,12 @@ impl NodeEngine {
     /// bumped, so engine counters are the source of truth the platform's
     /// network charge must agree with.
     fn flush_sends(&mut self, out: &mut StepOutput) {
-        self.pending_index = HashMap::new();
+        self.pending_index = IdMap::default();
         if self.pending_sends.is_empty() {
             return;
         }
         let mut order: Vec<Addr> = Vec::new();
-        let mut batches: HashMap<Addr, DeltaBatch> = HashMap::new();
+        let mut batches: IdMap<Addr, DeltaBatch> = IdMap::default();
         for slot in std::mem::take(&mut self.pending_sends) {
             let Some(send) = slot else { continue };
             let batch = batches.entry(send.dest).or_insert_with(|| {
@@ -904,12 +904,7 @@ impl NodeEngine {
     /// and re-trigger aggregate / negation rules. Runs at the event's merge
     /// position, so its queue pushes interleave with the generation's other
     /// emissions in sequence order.
-    fn on_disappear(
-        &mut self,
-        tuple: &Tuple,
-        reconciled: &mut HashSet<usize>,
-        out: &mut StepOutput,
-    ) {
+    fn on_disappear(&mut self, tuple: &Tuple, reconciled: &mut IdSet<usize>, out: &mut StepOutput) {
         let dependents = self.db.dependents_of(tuple.id());
         self.db.clear_dependency(tuple.id());
         for dependent in dependents {
@@ -946,7 +941,7 @@ impl NodeEngine {
     fn trigger_nonmonotonic(
         &mut self,
         tuple: &Tuple,
-        reconciled: &mut HashSet<usize>,
+        reconciled: &mut IdSet<usize>,
         out: &mut StepOutput,
     ) {
         let (program, relation) = (Arc::clone(&self.program), tuple.relation());

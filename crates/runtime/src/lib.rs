@@ -50,5 +50,5 @@ pub use store::{
 pub use tuple::{Delta, Tuple, TupleId};
 pub use value::{
     dict_entry_wire_size, dict_wire_size, rule_exec_digest, shard_route, Addr, Dictionary,
-    Interner, InternerSnapshot, NodeId, StableHasher, Sym, Value,
+    IdHasher, IdMap, IdSet, Interner, InternerSnapshot, NodeId, StableHasher, Sym, Value,
 };

@@ -60,10 +60,10 @@ mod columnar;
 use crate::catalog::RelationSchema;
 use crate::few::Few;
 use crate::tuple::{Tuple, TupleId};
-use crate::value::{values_match, NodeId, Sym, Value};
+use crate::value::{values_match, IdMap, NodeId, Sym, Value};
 use columnar::{ColProbe, ColumnStore};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 pub use columnar::tuple_materializations;
@@ -205,22 +205,22 @@ fn entry_wire_size(tuple: &Tuple, derivations: &[Derivation]) -> usize {
 #[derive(Debug, Clone)]
 struct RowStore {
     tuples: BTreeMap<Vec<Value>, StoredTuple>,
-    by_id: HashMap<TupleId, Vec<Value>>,
+    by_id: IdMap<TupleId, Vec<Value>>,
     /// The columns that carry an index, ascending (the same set the columnar
     /// backing of this table would index).
     indexed: Arc<Vec<usize>>,
     /// value (normalized) -> ids of the tuples carrying it, per column; the
     /// maps of the columns outside `indexed` stay empty.
-    col_indexes: Vec<HashMap<Value, Vec<TupleId>>>,
+    col_indexes: Vec<IdMap<Value, Vec<TupleId>>>,
 }
 
 impl RowStore {
     fn new(arity: usize, indexed: Arc<Vec<usize>>) -> Self {
         RowStore {
             tuples: BTreeMap::new(),
-            by_id: HashMap::new(),
+            by_id: IdMap::default(),
             indexed,
-            col_indexes: vec![HashMap::new(); arity],
+            col_indexes: vec![IdMap::default(); arity],
         }
     }
 
@@ -256,7 +256,7 @@ impl RowStore {
             .iter()
             .map(|(k, st)| (st.tuple.id(), k.clone()))
             .collect();
-        self.col_indexes = vec![HashMap::new(); arity];
+        self.col_indexes = vec![IdMap::default(); arity];
         let entries: Vec<(TupleId, Vec<Value>)> = self
             .tuples
             .values()
@@ -896,12 +896,12 @@ pub struct Database {
     tables: Vec<Table>,
     /// Remote heads by tuple id. No join reads them, so they are not a
     /// table: no key order, no posting lists.
-    outbox: HashMap<TupleId, OutboxEntry>,
+    outbox: IdMap<TupleId, OutboxEntry>,
     /// input tuple id -> (where held, relation, derived tuple id) of
     /// derivations that used it: a tuple stored in `tables` or an entry of
     /// `outbox`. Each list is a set, kept sorted by the handles' integer
     /// values; [`Database::dependents_of`] puts it in name order.
-    dependents: HashMap<TupleId, Few<DependentKey>>,
+    dependents: IdMap<TupleId, Few<DependentKey>>,
     /// Backing used for tables registered on this database.
     backing: TableBacking,
 }

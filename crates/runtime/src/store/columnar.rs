@@ -7,10 +7,9 @@ use super::{matches_normalized, normalize_for_index, Derivation, Membership};
 use crate::catalog::RelationSchema;
 use crate::few::Few;
 use crate::tuple::{Tuple, TupleId};
-use crate::value::{values_match, NodeId, Sym, Value};
+use crate::value::{values_match, IdMap, NodeId, Sym, Value};
 use std::cell::Cell;
 use std::cmp::Ordering;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 thread_local! {
@@ -202,9 +201,9 @@ fn dict_code(v: &Value) -> Option<u32> {
 #[derive(Debug, Clone)]
 enum Postings {
     /// A [`Column::Dict`] column, by pool code.
-    Code(HashMap<u32, Vec<u32>>),
+    Code(IdMap<u32, Vec<u32>>),
     /// Any other column, by [`normalize_for_index`] key.
-    Norm(HashMap<Value, Vec<u32>>),
+    Norm(IdMap<Value, Vec<u32>>),
 }
 
 impl Postings {
@@ -217,7 +216,7 @@ impl Postings {
         match self {
             Postings::Norm(lists) if dict => {
                 debug_assert!(lists.is_empty(), "a column only becomes Dict while empty");
-                *self = Postings::Code(HashMap::new());
+                *self = Postings::Code(IdMap::default());
             }
             Postings::Code(lists) if !dict => {
                 let by_text = std::mem::take(lists).into_iter().map(|(code, slots)| {
@@ -237,7 +236,7 @@ impl Postings {
     }
 }
 
-fn unlist<K: std::hash::Hash + Eq>(lists: &mut HashMap<K, Vec<u32>>, key: K, slot: u32) {
+fn unlist<K: std::hash::Hash + Eq>(lists: &mut IdMap<K, Vec<u32>>, key: K, slot: u32) {
     if let Some(slots) = lists.get_mut(&key) {
         slots.retain(|s| *s != slot);
         if slots.is_empty() {
@@ -317,7 +316,7 @@ pub(super) struct ColumnStore {
     by_key: Vec<u32>,
     /// Tuple id -> slot (provenance queries and cascade deletions address
     /// tuples by id).
-    by_id: HashMap<TupleId, u32>,
+    by_id: IdMap<TupleId, u32>,
     /// The posting lists of `indexed[i]`, parallel to it; allocated with
     /// `cols`.
     postings: Vec<Postings>,
@@ -337,7 +336,7 @@ impl ColumnStore {
             live: Vec::new(),
             free: Vec::new(),
             by_key: Vec::new(),
-            by_id: HashMap::new(),
+            by_id: IdMap::default(),
             postings: Vec::new(),
         }
     }
@@ -522,7 +521,7 @@ impl ColumnStore {
             self.cols = (0..self.schema.arity)
                 .map(|_| Column::Other(Vec::new()))
                 .collect();
-            self.postings = vec![Postings::Norm(HashMap::new()); self.indexed.len()];
+            self.postings = vec![Postings::Norm(IdMap::default()); self.indexed.len()];
         }
         let slot = match self.free.pop() {
             Some(slot) => {
@@ -673,7 +672,7 @@ impl ColumnStore {
         self.live.iter_mut().for_each(|w| *w = 0);
         self.by_id.clear();
         for postings in &mut self.postings {
-            *postings = Postings::Norm(HashMap::new());
+            *postings = Postings::Norm(IdMap::default());
         }
     }
 

@@ -22,14 +22,13 @@ use crate::driver::pick_anchors;
 use crate::programs::{self, PATHVECTOR_RESULTS};
 use crate::spec::TopologyFamily;
 use nettrails::{NetTrails, NetTrailsConfig};
-use nt_runtime::{NodeId, StableHasher, Tuple};
+use nt_runtime::{IdSet, NodeId, StableHasher, Tuple};
 use provenance::{QueryKind, TraversalOrder};
 use qsvc::{QueryService, ServiceConfig, TenantStats};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use simnet::{Link, TopologyEvent};
-use std::collections::HashSet;
 
 /// One query-service scenario row: an `internet_as` topology, a tenant
 /// population, and a wave schedule of offered sessions.
@@ -331,7 +330,7 @@ fn run_mode(spec: &ServiceScenarioSpec, merge_frames: bool, workers: usize) -> M
 
     let per_tenant = svc.tenant_stats();
     let traffic = nt.query_executor().traffic();
-    let dests: HashSet<NodeId> = traffic.links().map(|(_, dst, _)| dst).collect();
+    let dests: IdSet<NodeId> = traffic.links().map(|(_, dst, _)| dst).collect();
     let dict_bytes = per_tenant
         .iter()
         .map(|(_, stats)| stats.rollup.dict_bytes)

@@ -17,9 +17,9 @@
 //! `Deserialize` and `Debug` all go through; snapshot JSON and the `{:?}`
 //! text are what the string-keyed maps this replaced produced, byte for byte.
 
-use nt_intern::{NodeId, Sym};
+use nt_intern::{IdMap, NodeId, Sym};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Message/byte counters, total, per category and per directed link.
@@ -37,7 +37,7 @@ pub struct TrafficStats {
     /// Per-category (messages, bytes). A handful of entries, in name order.
     by_category: BTreeMap<&'static str, (u64, u64)>,
     /// Per-directed-link message counts.
-    by_link: HashMap<(NodeId, NodeId), u64>,
+    by_link: IdMap<(NodeId, NodeId), u64>,
 }
 
 impl TrafficStats {
@@ -148,7 +148,8 @@ mod view {
         /// A link key splits at its first `->`: the format cannot hold a
         /// source name containing one, a destination name may.
         fn try_from(view: TrafficStats) -> Result<Self, serde::Error> {
-            let mut by_link = HashMap::with_capacity(view.by_link.len());
+            let mut by_link =
+                IdMap::with_capacity_and_hasher(view.by_link.len(), Default::default());
             for (key, m) in view.by_link {
                 let (src, dst) = key.split_once("->").ok_or_else(|| {
                     serde::Error::custom(format!("traffic link key {key:?} is not src->dst"))

@@ -10,11 +10,11 @@
 //! Watts–Strogatz small-world meshes. Every seeded generator is a pure
 //! function of its parameters and a `u64` seed.
 
-use nt_intern::NodeId;
+use nt_intern::{IdMap, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A directed link between two named nodes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -82,7 +82,7 @@ pub struct Topology {
 #[derive(Debug, Clone, Default, PartialEq)]
 struct LinkMap {
     ordered: BTreeMap<(&'static str, &'static str), Link>,
-    latency_ms: HashMap<(NodeId, NodeId), u64>,
+    latency_ms: IdMap<(NodeId, NodeId), u64>,
 }
 
 impl LinkMap {

@@ -20,6 +20,9 @@ lint() {
     echo "==> [lint] cargo fmt --all --check"
     cargo fmt --all --check
 
+    # clippy.toml disallows std's HashMap and HashSet: every map goes through
+    # nt_intern::{IdMap, IdSet}, and only those aliases and the vendored
+    # serde's generic impls name std's types.
     echo "==> [lint] cargo clippy --workspace --all-targets -- -D warnings"
     cargo clippy --workspace --all-targets -- -D warnings
 
@@ -59,6 +62,10 @@ test_job() {
     #   simnet send_allocations, nettrails allocations_per_session — counted
     #     heap allocations per message (none once its link is counted) and
     #     per query session (under a pinned ceiling);
+    # the laws of the one map hasher:
+    #   nt-intern id_hasher — equal keys hash equal, and the low 16 bits and
+    #     the top-7-bit tags of four key families (sequential handles, tuple
+    #     ids, words differing in their top bits, node names) spread;
     # and the paper's shapes:
     #   nettrails-bench report_golden — the E2-E8 tables `report` prints, one
     #     golden text (crates/bench/tests/golden/report.txt).
