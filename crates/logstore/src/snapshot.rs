@@ -199,7 +199,8 @@ mod tests {
         e.insert_base(Tuple::new(
             "link",
             vec![Value::addr("n1"), Value::addr("n2"), Value::Int(3)],
-        ));
+        ))
+        .unwrap();
         e.run();
         e
     }

@@ -129,7 +129,9 @@ mod tests {
         assert!(table.enqueue(Addr::new("ghost")).is_none());
         for (node, peer) in [("n2", "n1"), ("n2", "n3"), ("n1", "n2"), ("n1", "n3")] {
             let engine = table.enqueue(node.into()).expect("known node");
-            engine.insert_base(protocols::link_tuple(node, peer, 1));
+            engine
+                .insert_base(protocols::link_tuple(node, peer, 1))
+                .unwrap();
         }
         let mut rounds: Vec<Vec<(Addr, bool)>> = Vec::new();
         loop {

@@ -387,17 +387,18 @@ impl NetTrails {
     // seeding facts
     // ------------------------------------------------------------------
 
-    /// Queue the insertion of a base tuple at `node`.
+    /// Queue the insertion of a base tuple at `node`; one that does not fit
+    /// is refused and counted ([`EngineStats::rejected_facts`]).
     pub fn insert_fact(&mut self, node: &str, tuple: Tuple) {
         if let Some(engine) = self.engines.enqueue(Addr::new(node)) {
-            engine.insert_base(tuple);
+            let _ = engine.insert_base(tuple);
         }
     }
 
-    /// Queue the deletion of a base tuple at `node`.
+    /// Queue the deletion of a base tuple at `node` (refused alike).
     pub fn delete_fact(&mut self, node: &str, tuple: Tuple) {
         if let Some(engine) = self.engines.enqueue(Addr::new(node)) {
-            engine.delete_base(tuple);
+            let _ = engine.delete_base(tuple);
         }
     }
 
@@ -830,6 +831,7 @@ impl NetTrails {
             engine.dict_bytes_sent += s.dict_bytes_sent;
             engine.join_probes += s.join_probes;
             engine.agg_recomputes += s.agg_recomputes;
+            engine.rejected_facts += s.rejected_facts;
             stored_tuples += e.database().tables().map(|t| t.len()).sum::<usize>();
         }
         PlatformStats {
@@ -1465,6 +1467,28 @@ mod tests {
         assert!(stats.network.messages > 0);
         assert!(stats.provenance.prov_entries > 0);
         assert!(stats.stored_tuples > 0);
+    }
+
+    /// A fact that does not fit its relation — another arity, a text where
+    /// an address goes — is refused once per call, counted, never stored,
+    /// and panics nothing.
+    #[test]
+    fn facts_that_do_not_fit_are_refused_and_counted() {
+        let mut nt = mincost_on(Topology::line(3));
+        let stored = nt.stats().stored_tuples;
+        let short = Tuple::new("link", vec![Value::addr("n1"), Value::addr("n2")]);
+        let text = Tuple::new(
+            "link",
+            vec![Value::str("n1"), Value::addr("n3"), Value::Int(1)],
+        );
+        nt.insert_fact("n1", short.clone());
+        nt.insert_fact("n1", text.clone());
+        nt.delete_fact("n1", short);
+        nt.run_to_fixpoint();
+        assert_eq!(nt.stats().engine.rejected_facts, 3);
+        assert_eq!(nt.stats().stored_tuples, stored);
+        assert_eq!(min_cost(&nt, "n1", "n3"), Some(2));
+        assert!(nt.relation("link").iter().all(|(_, t)| *t != text));
     }
 
     /// The engine is the single source of truth for protocol payload bytes:

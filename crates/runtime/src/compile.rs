@@ -6,7 +6,9 @@
 //! tables). Everything a rule evaluation would otherwise look up by name is
 //! resolved here, once: the join order per trigger position, the columns each
 //! join step can probe on, and — [`SlotProgram::compile`] — every variable to
-//! a dense slot index, every constant to a [`Value`] and every builtin call
+//! a dense slot index, every constant to a [`Value`] — a text where an
+//! address goes to an address (the catalog decides where, see
+//! [`crate::catalog`]) — and every builtin call
 //! to a [`BuiltinFn`], so the evaluator (module `eval`, driven by the join
 //! kernel in module `morsel`) never sees a variable name. The plans also
 //! decide what storage indexes: [`CompiledProgram::tables`] lists, per
@@ -21,8 +23,7 @@ use crate::eval::{literal_value, SlotAtom, SlotExpr, SlotProgram, SlotStep, Slot
 use crate::store::TableSpec;
 use crate::value::{IdMap, Sym, Value};
 use ndlog::builtins::BuiltinFn;
-use ndlog::localize::{localize_rule, RuleLocation};
-use ndlog::{AggregateFunc, BodyElem, Expr, Predicate, Program, Rule, RuleKind, Term};
+use ndlog::{AggregateFunc, BinOp, BodyElem, Expr, Predicate, Program, Rule, RuleKind, Term};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
@@ -270,10 +271,11 @@ pub struct CompiledRule {
     pub name_sym: Sym,
     /// Index of this rule within the compiled program.
     pub index: usize,
-    /// Where the rule executes.
-    pub exec: RuleLocation,
     /// Location column of the head relation.
     pub head_loc_col: usize,
+    /// Address columns of the head relation
+    /// ([`crate::RelationSchema::addr_cols`]).
+    pub head_addr_cols: u64,
     /// The rule over slots: head, positive and negated atoms, assignments
     /// and filters — what evaluation actually walks.
     pub slots: SlotProgram,
@@ -444,19 +446,60 @@ fn table_specs(catalog: &Catalog, rules: &[CompiledRule]) -> Vec<TableSpec> {
         .collect()
 }
 
-fn compile_rule(rule: &Rule, index: usize, catalog: &Catalog) -> Result<CompiledRule> {
-    let localized = localize_rule(rule)?;
-    if !localized.remote_locations.is_empty() {
-        return Err(RuntimeError::compile(
-            Some(&rule.name),
-            "rule is not local after localization (internal error)",
-        ));
+/// Make every constant written where an address goes an address: in an
+/// address column of an atom, and in `V == "…"`, `V != "…"` and `V := "…"`
+/// when `V` holds addresses. Any constant there but a text is an error.
+fn type_addresses(slots: &mut SlotProgram, rule: &Rule, catalog: &Catalog) -> Result<()> {
+    let vars = catalog.address_vars(rule);
+    let addr_slot = |slot: &usize| vars.contains(slots.names[*slot].as_str());
+    let mut constants = Vec::new();
+    let atoms = std::iter::once(&mut slots.head).chain(&mut slots.positive);
+    for atom in atoms.chain(&mut slots.negated) {
+        let schema = catalog.schema(&atom.relation).expect("a catalog relation");
+        for (col, term) in atom.terms.iter_mut().enumerate() {
+            match term {
+                SlotTerm::Const(value) if schema.is_addr(col) => constants.push(value),
+                _ => {}
+            }
+        }
     }
+    for step in &mut slots.steps {
+        let (slot, expr) = match step {
+            SlotStep::Assign { slot, expr } => (&*slot, expr),
+            SlotStep::Filter(SlotExpr::Binary {
+                op: BinOp::Eq | BinOp::Ne,
+                lhs,
+                rhs,
+            }) => match (&mut **lhs, &mut **rhs) {
+                (SlotExpr::Slot(slot), expr) | (expr, SlotExpr::Slot(slot)) => (&*slot, expr),
+                _ => continue,
+            },
+            _ => continue,
+        };
+        match expr {
+            SlotExpr::Const(value) if addr_slot(slot) => constants.push(value),
+            _ => {}
+        }
+    }
+    for value in constants {
+        let Value::Str(text) = value else {
+            return Err(RuntimeError::schema(format!(
+                "`{}`: {value} is no address",
+                rule.name
+            )));
+        };
+        *value = Value::addr(text.as_str());
+    }
+    Ok(())
+}
+
+fn compile_rule(rule: &Rule, index: usize, catalog: &Catalog) -> Result<CompiledRule> {
     let head_schema = catalog.schema(&rule.head.relation).ok_or_else(|| {
         RuntimeError::compile(Some(&rule.name), "head relation missing from catalog")
     })?;
 
-    let slots = SlotProgram::compile(rule);
+    let mut slots = SlotProgram::compile(rule);
+    type_addresses(&mut slots, rule, catalog)?;
 
     let aggregate = rule.head.aggregate_column().map(|(col, agg)| AggSpec {
         func: agg.func,
@@ -525,8 +568,8 @@ fn compile_rule(rule: &Rule, index: usize, catalog: &Catalog) -> Result<Compiled
         name_sym: Sym::new(&rule.name),
         rule: rule.clone(),
         index,
-        exec: localized.exec_location,
         head_loc_col: head_schema.location_col,
+        head_addr_cols: head_schema.addr_cols,
         slots,
         aggregate,
         plans,
@@ -770,6 +813,60 @@ mod tests {
         // count<*> aggregates no variable.
         let cp = CompiledProgram::from_source("r1 n(@S,count<*>) :- e(@S,A).").unwrap();
         assert_eq!(cp.rules[0].aggregate.as_ref().unwrap().slot, None);
+    }
+
+    /// Every constant where an address goes compiles to an address: in body,
+    /// negated and head atoms, and beside an address variable in `==`, `!=`
+    /// and `:=`. Texts elsewhere stay texts.
+    #[test]
+    fn texts_where_addresses_go_compile_to_addresses() {
+        let cp = CompiledProgram::from_source(
+            "r1 out(@\"n9\",S,\"x\") :- link(@S,\"n3\",C), !link(@S,\"n4\",C), \
+             D := \"n5\", S != \"n6\", \"n7\" == S, link(@S,D,C2), \"x\" != \"n8\".\n\
+             r2 reach(@D,S) :- link(@S,D,C).",
+        )
+        .unwrap();
+        let rule = cp.rule("r1").unwrap();
+        let addr = |s: &str| SlotTerm::Const(Value::addr(s));
+        assert_eq!(rule.slots.head.terms[0], addr("n9"));
+        assert_eq!(rule.slots.head.terms[2], SlotTerm::Const(Value::str("x")));
+        assert_eq!(rule.slots.positive[0].terms[1], addr("n3"));
+        assert_eq!(rule.slots.negated[0].terms[1], addr("n4"));
+        let constants: Vec<Value> = (rule.slots.steps.iter())
+            .flat_map(|step| match step {
+                SlotStep::Assign { expr, .. } => vec![expr],
+                SlotStep::Filter(SlotExpr::Binary { lhs, rhs, .. }) => vec![&**lhs, &**rhs],
+                SlotStep::Filter(other) => vec![other],
+            })
+            .filter_map(|expr| match expr {
+                SlotExpr::Const(value) => Some(value.clone()),
+                _ => None,
+            })
+            .collect();
+        let want = [
+            Value::addr("n5"),
+            Value::addr("n6"),
+            Value::addr("n7"),
+            Value::str("x"),
+            Value::str("n8"),
+        ];
+        assert_eq!(constants, want);
+    }
+
+    /// A constant that is not a text cannot stand where an address goes.
+    #[test]
+    fn a_number_where_an_address_goes_is_a_schema_error() {
+        for rule in [
+            "r1 hop(@S,C) :- link(@S,5,C).",
+            "r1 hop(@S,C) :- link(@S,D,C), D == 5.",
+            "r1 hop(@S,C) :- link(@S,D,C), D := 5.",
+        ] {
+            let src = format!("{rule}\nr2 reach(@D,S) :- link(@S,D,C).");
+            let err = CompiledProgram::from_source(&src).unwrap_err();
+            assert!(matches!(err, RuntimeError::Schema(_)), "{rule}: {err}");
+        }
+        // Where `link.1` is no address, 5 is just a number.
+        assert!(CompiledProgram::from_source("r1 hop(@S,C) :- link(@S,5,C).").is_ok());
     }
 
     #[test]

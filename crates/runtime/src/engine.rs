@@ -50,8 +50,10 @@
 //! relations of ExSPAN. Base-tuple insertions are reported too so the
 //! provenance graph contains the base vertices.
 
+use crate::catalog::{fits, RelationSchema};
 use crate::compile::{CompiledProgram, CompiledRule};
-use crate::eval::{localized, Frame, SlotAtom, SlotTerm};
+use crate::error::Result;
+use crate::eval::{Frame, SlotAtom, SlotTerm};
 use crate::morsel::{self, Candidate, EvalContext, MonoTask};
 #[cfg(test)]
 use crate::store::BASE_RULE;
@@ -174,6 +176,8 @@ pub struct EngineStats {
     pub join_probes: u64,
     /// Aggregate group recomputations.
     pub agg_recomputes: u64,
+    /// Base facts refused because they do not fit their relation.
+    pub rejected_facts: u64,
 }
 
 /// A rule-execution event, reported for provenance capture. Every identifier
@@ -430,16 +434,30 @@ impl NodeEngine {
         !self.queue.is_empty()
     }
 
-    /// Queue the insertion of a base (extensional) tuple at this node.
-    pub fn insert_base(&mut self, tuple: Tuple) {
-        let derivation = Derivation::base(self.config.node);
-        self.queue.push_back(WorkItem::Add { tuple, derivation });
+    /// Queue the insertion of a base (extensional) tuple at this node. A
+    /// tuple that does not fit its relation ([`RelationSchema::check`]) is
+    /// refused and counted in [`EngineStats::rejected_facts`].
+    pub fn insert_base(&mut self, tuple: Tuple) -> Result<()> {
+        self.queue_base(tuple, true)
     }
 
-    /// Queue the deletion of a base tuple previously inserted at this node.
-    pub fn delete_base(&mut self, tuple: Tuple) {
+    /// Queue the deletion of a base tuple previously inserted at this node,
+    /// refused like [`NodeEngine::insert_base`] refuses one.
+    pub fn delete_base(&mut self, tuple: Tuple) -> Result<()> {
+        self.queue_base(tuple, false)
+    }
+
+    fn queue_base(&mut self, tuple: Tuple, insert: bool) -> Result<()> {
+        self.ensure_table(&tuple);
+        let table = self.db.table_sym(tuple.relation()).expect("table ensured");
+        let checked = table.schema.check(tuple.values());
+        checked.inspect_err(|_| self.stats.rejected_facts += 1)?;
         let derivation = Derivation::base(self.config.node);
-        self.queue.push_back(WorkItem::Remove { tuple, derivation });
+        self.queue.push_back(match insert {
+            true => WorkItem::Add { tuple, derivation },
+            false => WorkItem::Remove { tuple, derivation },
+        });
+        Ok(())
     }
 
     /// Queue a delta received from another node.
@@ -827,12 +845,13 @@ impl NodeEngine {
     fn ensure_table(&mut self, tuple: &Tuple) {
         if self.db.table_sym(tuple.relation()).is_none() {
             // Relations unknown to the program (e.g. environment relations fed
-            // for observation only) get a lenient schema: location column 0,
-            // set semantics.
-            self.db.register(crate::catalog::RelationSchema {
+            // for observation only) get a lenient schema: location and
+            // address column 0, set semantics.
+            self.db.register(RelationSchema {
                 name: tuple.relation().as_str().to_string(),
                 arity: tuple.arity(),
                 location_col: 0,
+                addr_cols: 1,
                 key_cols: (0..tuple.arity()).collect(),
                 is_base: true,
                 lifetime: None,
@@ -1065,7 +1084,7 @@ impl NodeEngine {
                 &rule.slots.head,
                 &group,
                 &aggregate.value,
-                rule.head_loc_col,
+                rule.head_addr_cols,
             )?;
             let derivation = Derivation {
                 rule: rule.name_sym,
@@ -1219,26 +1238,25 @@ impl NodeEngine {
     }
 }
 
-/// Build an aggregate head tuple from a group key and the aggregate value.
+/// Build an aggregate head tuple from a group key and the aggregate value;
+/// `None` when a value other than an address lands in one of `addr_cols`.
 fn build_agg_head(
     head: &SlotAtom,
     group: &[Value],
     agg_value: &Value,
-    head_loc_col: usize,
+    addr_cols: u64,
 ) -> Option<Tuple> {
     let group_cols = head.terms.iter().filter(|t| !matches!(t, SlotTerm::Agg));
     if group_cols.count() > group.len() {
         return None;
     }
     let mut group = group.iter();
-    let values = head.terms.iter().enumerate().map(|(col, term)| {
-        let value = match term {
-            SlotTerm::Agg => agg_value,
-            _ => group.next().expect("the group has a value per column"),
-        };
-        localized(value.clone(), col == head_loc_col)
+    let values = head.terms.iter().map(|term| match term {
+        SlotTerm::Agg => agg_value,
+        _ => group.next().expect("the group has a value per column"),
     });
-    Some(Tuple::new(head.relation, values.collect::<Arc<[Value]>>()))
+    let values: Arc<[Value]> = values.cloned().collect();
+    fits(addr_cols, &values).then(|| Tuple::new(head.relation, values))
 }
 
 #[cfg(test)]
@@ -1266,7 +1284,7 @@ mod tests {
     #[test]
     fn local_rule_derives_cost_and_min_cost() {
         let mut e = engine("n1", MINCOST);
-        e.insert_base(link("n1", "n2", 5));
+        e.insert_base(link("n1", "n2", 5)).unwrap();
         let out = e.run();
         assert!(!out.truncated);
         let cost = e.relation("cost");
@@ -1285,7 +1303,7 @@ mod tests {
     fn remote_heads_go_to_the_outbox_and_are_sent() {
         // reach is derived at S but lives at D -> must be shipped.
         let mut e = engine("n1", "r1 reach(@D,S) :- link(@S,D,C).");
-        e.insert_base(link("n1", "n2", 1));
+        e.insert_base(link("n1", "n2", 1)).unwrap();
         let out = e.run();
         assert_eq!(out.sends.len(), 1);
         assert_eq!(out.sends[0].dest, "n2");
@@ -1300,7 +1318,7 @@ mod tests {
         // Deleting the link retracts the remote derivation; the dictionary
         // was already shipped, so the retraction batch carries none of the
         // already-sent strings again.
-        e.delete_base(link("n1", "n2", 1));
+        e.delete_base(link("n1", "n2", 1)).unwrap();
         let out = e.run();
         assert_eq!(out.sends.len(), 1);
         assert_eq!(out.sends[0].records.len(), 1);
@@ -1314,7 +1332,7 @@ mod tests {
             Arc::new(CompiledProgram::from_source("r1 reach(@D,S) :- link(@S,D,C).").unwrap());
         let mut sender = NodeEngine::new(program.clone(), EngineConfig::new("n1"));
         let mut receiver = NodeEngine::new(program, EngineConfig::new("n2"));
-        sender.insert_base(link("n1", "n2", 1));
+        sender.insert_base(link("n1", "n2", 1)).unwrap();
         let out = sender.run();
         for batch in out.sends {
             assert_eq!(batch.dest, "n2");
@@ -1329,20 +1347,20 @@ mod tests {
     #[test]
     fn min_aggregate_tracks_the_minimum_incrementally() {
         let mut e = engine("n1", MINCOST);
-        e.insert_base(link("n1", "n2", 5));
-        e.insert_base(link("n1", "n2", 3));
+        e.insert_base(link("n1", "n2", 5)).unwrap();
+        e.insert_base(link("n1", "n2", 3)).unwrap();
         e.run();
         let min_cost = e.relation("minCost");
         assert_eq!(min_cost.len(), 1);
         assert_eq!(min_cost[0].values()[2], Value::Int(3));
         // Deleting the cheaper link falls back to the more expensive one.
-        e.delete_base(link("n1", "n2", 3));
+        e.delete_base(link("n1", "n2", 3)).unwrap();
         e.run();
         let min_cost = e.relation("minCost");
         assert_eq!(min_cost.len(), 1);
         assert_eq!(min_cost[0].values()[2], Value::Int(5));
         // Deleting the last link removes the aggregate entirely.
-        e.delete_base(link("n1", "n2", 5));
+        e.delete_base(link("n1", "n2", 5)).unwrap();
         e.run();
         assert!(e.relation("minCost").is_empty());
         assert!(e.relation("cost").is_empty());
@@ -1373,35 +1391,36 @@ mod tests {
         let exact = |v: Option<Value>, want: i64| matches!(v, Some(Value::Int(i)) if i == want);
         const BIG: i64 = (1 << 53) + 1;
 
-        e.insert_base(fact("big", 1, Value::Int(BIG)));
-        e.insert_base(fact("big", 2, Value::Int(1)));
+        e.insert_base(fact("big", 1, Value::Int(BIG))).unwrap();
+        e.insert_base(fact("big", 2, Value::Int(1))).unwrap();
         e.run();
         assert!(exact(total(&e, "big"), BIG + 1), "{:?}", total(&e, "big"));
-        e.delete_base(fact("big", 2, Value::Int(1)));
+        e.delete_base(fact("big", 2, Value::Int(1))).unwrap();
         e.run();
         assert!(exact(total(&e, "big"), BIG), "{:?}", total(&e, "big"));
 
         // Mixed: an Int-only group is an Int, one Double makes it a Double,
         // retracting the Double makes it an Int again.
-        e.insert_base(fact("mix", 1, Value::Int(2)));
-        e.insert_base(fact("mix", 2, Value::Int(3)));
+        e.insert_base(fact("mix", 1, Value::Int(2))).unwrap();
+        e.insert_base(fact("mix", 2, Value::Int(3))).unwrap();
         e.run();
         assert!(exact(total(&e, "mix"), 5));
-        e.insert_base(fact("mix", 3, Value::Double(0.5)));
+        e.insert_base(fact("mix", 3, Value::Double(0.5))).unwrap();
         e.run();
         assert!(matches!(total(&e, "mix"), Some(Value::Double(d)) if d == 5.5));
-        e.delete_base(fact("mix", 3, Value::Double(0.5)));
+        e.delete_base(fact("mix", 3, Value::Double(0.5))).unwrap();
         e.run();
         assert!(exact(total(&e, "mix"), 5));
 
         // Overflow wraps, as `i64::MAX + 1` does in an assignment.
-        e.insert_base(fact("wrap", 1, Value::Int(i64::MAX)));
-        e.insert_base(fact("wrap", 2, Value::Int(1)));
+        e.insert_base(fact("wrap", 1, Value::Int(i64::MAX)))
+            .unwrap();
+        e.insert_base(fact("wrap", 2, Value::Int(1))).unwrap();
         e.run();
         assert!(exact(total(&e, "wrap"), i64::MIN));
 
         // The last retraction removes the group.
-        e.delete_base(fact("big", 1, Value::Int(BIG)));
+        e.delete_base(fact("big", 1, Value::Int(BIG))).unwrap();
         e.run();
         assert_eq!(total(&e, "big"), None);
     }
@@ -1409,10 +1428,10 @@ mod tests {
     #[test]
     fn deleting_base_tuples_cascades_through_derived_relations() {
         let mut e = engine("n1", "r1 cost(@S,D,C) :- link(@S,D,C).");
-        e.insert_base(link("n1", "n2", 5));
+        e.insert_base(link("n1", "n2", 5)).unwrap();
         e.run();
         assert_eq!(e.relation("cost").len(), 1);
-        e.delete_base(link("n1", "n2", 5));
+        e.delete_base(link("n1", "n2", 5)).unwrap();
         let out = e.run();
         assert!(e.relation("cost").is_empty());
         assert!(out
@@ -1425,18 +1444,18 @@ mod tests {
     fn alternative_derivations_keep_tuples_alive() {
         // Two links derive the same `reachable` tuple; deleting one keeps it.
         let mut e = engine("n1", "r1 reachable(@S,D) :- link(@S,D,C).");
-        e.insert_base(link("n1", "n2", 1));
-        e.insert_base(link("n1", "n2", 7));
+        e.insert_base(link("n1", "n2", 1)).unwrap();
+        e.insert_base(link("n1", "n2", 7)).unwrap();
         e.run();
         assert_eq!(e.relation("reachable").len(), 1);
-        e.delete_base(link("n1", "n2", 1));
+        e.delete_base(link("n1", "n2", 1)).unwrap();
         e.run();
         assert_eq!(
             e.relation("reachable").len(),
             1,
             "still one derivation left"
         );
-        e.delete_base(link("n1", "n2", 7));
+        e.delete_base(link("n1", "n2", 7)).unwrap();
         e.run();
         assert!(e.relation("reachable").is_empty());
     }
@@ -1449,9 +1468,9 @@ mod tests {
             "materialize(link, infinity, infinity, keys(1,2)).\n\
              r1 cost(@S,D,C) :- link(@S,D,C).",
         );
-        e.insert_base(link("n1", "n2", 5));
+        e.insert_base(link("n1", "n2", 5)).unwrap();
         e.run();
-        e.insert_base(link("n1", "n2", 2));
+        e.insert_base(link("n1", "n2", 2)).unwrap();
         e.run();
         let cost = e.relation("cost");
         assert_eq!(cost.len(), 1);
@@ -1466,15 +1485,15 @@ mod tests {
         let mut e = engine("n1", src);
         let node = Tuple::new("node", vec![Value::addr("n1"), Value::addr("n2")]);
         let l = Tuple::new("link", vec![Value::addr("n1"), Value::addr("n2")]);
-        e.insert_base(node.clone());
+        e.insert_base(node.clone()).unwrap();
         e.run();
         assert_eq!(e.relation("missing").len(), 1);
         // Adding the link removes the `missing` tuple...
-        e.insert_base(l.clone());
+        e.insert_base(l.clone()).unwrap();
         e.run();
         assert!(e.relation("missing").is_empty());
         // ... and deleting it brings the tuple back.
-        e.delete_base(l);
+        e.delete_base(l).unwrap();
         e.run();
         assert_eq!(e.relation("missing").len(), 1);
     }
@@ -1484,8 +1503,8 @@ mod tests {
         let src = "r1 close(@S,D,C) :- link(@S,D,C), C < 5.\n\
                    r2 double(@S,D,C2) :- link(@S,D,C), C2 := C * 2.";
         let mut e = engine("n1", src);
-        e.insert_base(link("n1", "n2", 3));
-        e.insert_base(link("n1", "n3", 9));
+        e.insert_base(link("n1", "n2", 3)).unwrap();
+        e.insert_base(link("n1", "n3", 9)).unwrap();
         e.run();
         assert_eq!(e.relation("close").len(), 1);
         let doubles: Vec<i64> = e
@@ -1500,7 +1519,7 @@ mod tests {
     #[test]
     fn stats_count_work() {
         let mut e = engine("n1", MINCOST);
-        e.insert_base(link("n1", "n2", 5));
+        e.insert_base(link("n1", "n2", 5)).unwrap();
         e.run();
         let stats = e.stats();
         assert!(stats.deltas_processed > 0);
@@ -1517,8 +1536,8 @@ mod tests {
                 ..EngineConfig::new("n1")
             },
         );
-        e.insert_base(link("n1", "n2", 5));
-        e.insert_base(link("n1", "n3", 5));
+        e.insert_base(link("n1", "n2", 5)).unwrap();
+        e.insert_base(link("n1", "n3", 5)).unwrap();
         let out = e.run();
         assert!(out.truncated);
     }
@@ -1533,7 +1552,7 @@ mod tests {
         // The same delta matches both body-atom positions, so the rule fires
         // twice with an identical head and derivation.
         let mut e = engine("n1", "r1 reach(@D,S) :- link(@S,D,C), link(@S,D,C).");
-        e.insert_base(link("n1", "n2", 1));
+        e.insert_base(link("n1", "n2", 1)).unwrap();
         let out = e.run();
         let records: usize = out.sends.iter().map(|b| b.records.len()).sum();
         assert_eq!(records, 1, "identical re-derivation must ship once");
@@ -1543,11 +1562,12 @@ mod tests {
             "n1",
             "r1 reach(@D,S) :- link(@S,D,C).\nr2 reach(@D,S) :- back(@S,D,C).",
         );
-        e.insert_base(link("n1", "n2", 1));
+        e.insert_base(link("n1", "n2", 1)).unwrap();
         e.insert_base(Tuple::new(
             "back",
             vec![Value::addr("n1"), Value::addr("n2"), Value::Int(9)],
-        ));
+        ))
+        .unwrap();
         let out = e.run();
         let records: usize = out.sends.iter().map(|b| b.records.len()).sum();
         assert_eq!(records, 2, "distinct derivations both ship");
@@ -1559,8 +1579,8 @@ mod tests {
     #[test]
     fn same_round_insert_delete_pairs_cancel() {
         let mut e = engine("n1", "r1 reach(@D,S) :- link(@S,D,C).");
-        e.insert_base(link("n1", "n2", 1));
-        e.delete_base(link("n1", "n2", 1));
+        e.insert_base(link("n1", "n2", 1)).unwrap();
+        e.delete_base(link("n1", "n2", 1)).unwrap();
         let out = e.run();
         assert!(
             out.sends.iter().all(|b| b.records.is_empty()),
@@ -1577,9 +1597,9 @@ mod tests {
     #[test]
     fn sends_coalesce_into_one_batch_per_destination() {
         let mut e = engine("n1", "r1 reach(@D,S) :- link(@S,D,C).");
-        e.insert_base(link("n1", "n2", 1));
-        e.insert_base(link("n1", "n2", 2));
-        e.insert_base(link("n1", "n3", 1));
+        e.insert_base(link("n1", "n2", 1)).unwrap();
+        e.insert_base(link("n1", "n2", 2)).unwrap();
+        e.insert_base(link("n1", "n3", 1)).unwrap();
         let out = e.run();
         assert_eq!(out.sends.len(), 2, "one batch per destination");
         let to_n2 = out.sends.iter().find(|b| b.dest == "n2").unwrap();
@@ -1598,19 +1618,80 @@ mod tests {
     #[test]
     fn dictionary_is_shipped_once_per_destination() {
         let mut e = engine("n1", "r1 reach(@D,S) :- link(@S,D,C).");
-        e.insert_base(link("n1", "n2", 1));
+        e.insert_base(link("n1", "n2", 1)).unwrap();
         let first = e.run();
         assert!(!first.sends[0].dict.is_empty());
         // Another tuple to the same destination: all identifiers already
         // shipped, so the new batch's header is empty.
-        e.insert_base(link("n1", "n2", 7));
+        e.insert_base(link("n1", "n2", 7)).unwrap();
         let second = e.run();
         assert_eq!(second.sends.len(), 1);
         assert!(second.sends[0].dict.is_empty());
         // A new destination starts its own dictionary from scratch.
-        e.insert_base(link("n1", "n3", 1));
+        e.insert_base(link("n1", "n3", 1)).unwrap();
         let third = e.run();
         assert!(third.sends[0].dict.iter().any(|s| s == "reach"));
+    }
+
+    /// A constant in an atom and the same constant in a filter are one
+    /// value: where `link.1` holds addresses (r3 ships to it), both rules
+    /// derive the links to n3. (While a text matched an address in atoms
+    /// only, `via_atom` derived one tuple and `via_filter` none.)
+    #[test]
+    fn an_atom_constant_and_a_filter_constant_agree() {
+        let mut e = engine(
+            "n1",
+            "r1 viaAtom(@S,C) :- link(@S,\"n3\",C).\n\
+             r2 viaFilter(@S,C) :- link(@S,D,C), D == \"n3\".\n\
+             r3 reach(@D,S) :- link(@S,D,C).",
+        );
+        for (to, cost) in [("n2", 1), ("n3", 4), ("n3", 6)] {
+            e.insert_base(link("n1", to, cost)).unwrap();
+        }
+        e.run();
+        let costs = |relation: &str| -> Vec<Value> {
+            e.relation(relation)
+                .iter()
+                .map(|t| t.values()[1].clone())
+                .collect()
+        };
+        assert_eq!(costs("viaAtom"), [Value::Int(4), Value::Int(6)]);
+        assert_eq!(costs("viaFilter"), costs("viaAtom"));
+    }
+
+    /// A base fact that does not fit its relation is refused before it is
+    /// queued: counted, not stored, and no panic.
+    #[test]
+    fn a_fact_that_does_not_fit_its_relation_is_refused() {
+        let mut e = engine("n1", "r1 cost(@S,D,C) :- link(@S,D,C).");
+        let short = Tuple::new("link", vec![Value::addr("n1"), Value::addr("n2")]);
+        let text = Tuple::new(
+            "link",
+            vec![Value::str("n1"), Value::addr("n2"), Value::Int(1)],
+        );
+        for tuple in [short, text] {
+            let err = e.insert_base(tuple.clone()).unwrap_err();
+            assert!(matches!(err, crate::RuntimeError::BadTuple(_)), "{err}");
+            assert!(e.delete_base(tuple).is_err());
+        }
+        assert_eq!(e.stats().rejected_facts, 4);
+        assert!(!e.has_pending());
+        e.run();
+        assert!(e.relation("link").is_empty() && e.relation("cost").is_empty());
+    }
+
+    /// A head whose address column would hold a number is not derived.
+    #[test]
+    fn a_head_that_does_not_fit_its_relation_is_not_derived() {
+        let mut e = engine(
+            "n1",
+            "r1 far(@S,X) :- link(@S,D,C), X := C + 0.\n\
+             r2 back(@X) :- far(@S,X).",
+        );
+        e.insert_base(link("n1", "n2", 5)).unwrap();
+        let out = e.run();
+        assert!(e.relation("far").is_empty());
+        assert!(out.firings.iter().all(|f| f.rule == BASE_RULE));
     }
 
     #[test]

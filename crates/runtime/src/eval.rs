@@ -11,6 +11,7 @@
 //! tree: the engine's join kernel (module `morsel`) and the legacy-application
 //! proxy's `maybe` rules (crate `bgp`) both walk slot programs through it.
 
+use crate::catalog::fits;
 use crate::error::{Result, RuntimeError};
 use crate::store::TupleRef;
 use crate::tuple::Tuple;
@@ -386,7 +387,7 @@ pub trait Row {
     fn arity(&self) -> usize;
     /// One attribute as an owned value.
     fn value(&self, col: usize) -> Value;
-    /// [`crate::value::values_match`] against one attribute.
+    /// Whether one attribute `==` `v`.
     fn matches(&self, col: usize, v: &Value) -> bool;
 }
 
@@ -401,7 +402,7 @@ impl Row for Tuple {
         self.values()[col].clone()
     }
     fn matches(&self, col: usize, v: &Value) -> bool {
-        crate::value::values_match(v, &self.values()[col])
+        self.values()[col] == *v
     }
 }
 
@@ -452,28 +453,18 @@ impl SlotAtom {
     }
 
     /// Construct a tuple of this (head) atom from the frame. `agg` supplies
-    /// the aggregate column; a string in the location column becomes an
-    /// address. `None` when a slot is empty or the head cannot be built.
-    pub fn build(&self, frame: &Frame, loc_col: usize, agg: Option<&Value>) -> Option<Tuple> {
+    /// the aggregate column. `None` when a slot is empty or a value other
+    /// than an address lands in one of `addr_cols`
+    /// ([`crate::RelationSchema::addr_cols`]).
+    pub fn build(&self, frame: &Frame, addr_cols: u64, agg: Option<&Value>) -> Option<Tuple> {
         let value = |term| SlotTerm::head_value(term, frame, agg);
         if !self.terms.iter().all(|term| value(term).is_some()) {
             return None;
         }
         // Every term has a value: they collect into the tuple's one slice.
-        let values = self.terms.iter().enumerate().map(|(col, term)| {
-            let value = value(term).expect("every term has a value").clone();
-            localized(value, col == loc_col)
-        });
-        Some(Tuple::new(self.relation, values.collect::<Arc<[Value]>>()))
-    }
-}
-
-/// A head value in its column: programs write location constants as strings,
-/// tuples carry addresses.
-pub(crate) fn localized(value: Value, is_loc_col: bool) -> Value {
-    match value {
-        Value::Str(s) if is_loc_col => Value::Addr(s.into()),
-        other => other,
+        let values = (self.terms.iter()).map(|term| value(term).expect("every term has a value"));
+        let values: Arc<[Value]> = values.cloned().collect();
+        fits(addr_cols, &values).then(|| Tuple::new(self.relation, values))
     }
 }
 

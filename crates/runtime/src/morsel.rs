@@ -210,7 +210,7 @@ impl<'a> EvalContext<'a> {
                 .zip(&rule.negated_probes)
                 .any(|(neg, probe_cols)| self.exists_match(neg, probe_cols, frame, probes));
         if accepted {
-            if let Some(head) = rule.slots.head.build(frame, rule.head_loc_col, None) {
+            if let Some(head) = rule.slots.head.build(frame, rule.head_addr_cols, None) {
                 let rows = || matched.iter().map(|m| m.expect("all atoms matched"));
                 out.push(Candidate {
                     rule_idx: rule.index,

@@ -26,10 +26,11 @@
 //!
 //! * **Columnar** (the default, module `columnar`): tuples live
 //!   column-major in a `ColumnStore`-shaped arena — one dictionary-encoded
-//!   `u32` column per `Addr`-valued attribute (the dictionary *is* the
+//!   `u32` column per address column of the schema (the dictionary *is* the
 //!   process-global intern pool, so encoding is free), a plain `Vec<i64>`
-//!   column per integer attribute, and a `Vec<Value>` overflow column for
-//!   everything else (fractions, strings, lists, mixed types). A validity bitmap
+//!   column per other attribute while it holds integers only, and a
+//!   `Vec<Value>` overflow column for everything else (fractions, strings,
+//!   lists, mixed types). A validity bitmap
 //!   plus a slot free-list keeps physical slots stable across churn. The
 //!   columns hold the only copy of a tuple's values: the primary-key index
 //!   is a vector of live slot numbers kept in key order and compared through
@@ -50,17 +51,18 @@
 //! sequence**: the anchor posting list is chosen identically (first
 //! strictly-smallest among the indexed bound columns), posting lists append
 //! on insert and compact on remove in the same order, the no-bound-column
-//! scan iterates in primary-key order, and the residual bound columns are
-//! verified with one shared predicate (`matches_normalized`, the in-place
-//! form of [`normalize_for_index`]). That is what lets the engine prove runs
-//! bit-identical across backings.
+//! scan iterates in primary-key order, and every bound column — posting-list
+//! key or residual — matches with `==`, the one equality of
+//! [`crate::value`]. That is what lets the engine prove runs bit-identical
+//! across backings. Storage only meets tuples that fit their schema
+//! ([`RelationSchema::check`]): the engine lets no other in.
 
 mod columnar;
 
 use crate::catalog::RelationSchema;
 use crate::few::Few;
 use crate::tuple::{Tuple, TupleId};
-use crate::value::{values_match, IdMap, NodeId, Sym, Value};
+use crate::value::{IdMap, NodeId, Sym, Value};
 use columnar::{ColProbe, ColumnStore};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -159,38 +161,6 @@ pub enum TableBacking {
     Row,
 }
 
-/// The key a value is posted under in a secondary index: the value with
-/// every `Addr` as the `Str` of its text, lists elementwise. [`values_match`]
-/// equates an `Addr` with a `Str` of the same text (programs write location
-/// constants as strings; tuples carry addresses) while `Eq` and `Hash` keep
-/// them apart, so without this an index probe would miss tuples the scan
-/// path finds. (A dictionary-encoded column resolves a probe text to its
-/// pool code instead.) Numbers need nothing: equal numbers are equal and
-/// hash alike however they are spelled ([`crate::value`]).
-pub fn normalize_for_index(v: &Value) -> Value {
-    match v {
-        Value::Addr(a) => Value::Str(a.as_str().to_string()),
-        Value::List(l) => Value::List(l.iter().map(normalize_for_index).collect()),
-        other => other.clone(),
-    }
-}
-
-/// Does a stored value match an already-normalized probe key? Exactly the
-/// predicate `normalize_for_index(v) == norm`, evaluated without cloning
-/// `v`. Both storage backings verify residual bound columns with this, so
-/// their probe results cannot drift apart.
-fn matches_normalized(v: &Value, norm: &Value) -> bool {
-    match v {
-        Value::Addr(a) => matches!(norm, Value::Str(s) if a.as_str() == s),
-        Value::List(l) => matches!(
-            norm,
-            Value::List(n) if l.len() == n.len()
-                && l.iter().zip(n.iter()).all(|(a, b)| matches_normalized(a, b))
-        ),
-        other => other == norm,
-    }
-}
-
 // --------------------------------------------------------------------------
 // row backing (the reference layout)
 // --------------------------------------------------------------------------
@@ -209,8 +179,8 @@ struct RowStore {
     /// The columns that carry an index, ascending (the same set the columnar
     /// backing of this table would index).
     indexed: Arc<Vec<usize>>,
-    /// value (normalized) -> ids of the tuples carrying it, per column; the
-    /// maps of the columns outside `indexed` stay empty.
+    /// value -> ids of the tuples carrying it, per column; the maps of the
+    /// columns outside `indexed` stay empty.
     col_indexes: Vec<IdMap<Value, Vec<TupleId>>>,
 }
 
@@ -231,7 +201,7 @@ impl RowStore {
     fn index_tuple_values(&mut self, id: TupleId, values: &[Value]) {
         for &col in self.indexed.iter() {
             if let (Some(index), Some(v)) = (self.col_indexes.get_mut(col), values.get(col)) {
-                index.entry(normalize_for_index(v)).or_default().push(id);
+                index.entry(v.clone()).or_default().push(id);
             }
         }
     }
@@ -239,11 +209,10 @@ impl RowStore {
     fn unindex_tuple_values(&mut self, id: TupleId, values: &[Value]) {
         for &col in self.indexed.iter() {
             if let (Some(index), Some(v)) = (self.col_indexes.get_mut(col), values.get(col)) {
-                let key = normalize_for_index(v);
-                if let Some(ids) = index.get_mut(&key) {
+                if let Some(ids) = index.get_mut(v) {
                     ids.retain(|i| *i != id);
                     if ids.is_empty() {
-                        index.remove(&key);
+                        index.remove(v);
                     }
                 }
             }
@@ -343,11 +312,10 @@ impl<'a> TupleRef<'a> {
         }
     }
 
-    /// `values_match` semantics against one attribute, without
-    /// materializing.
+    /// Whether one attribute `==` `v`, without materializing.
     pub fn matches(&self, col: usize, v: &Value) -> bool {
         match self.0 {
-            RefInner::Stored(st) => values_match(v, &st.tuple.values()[col]),
+            RefInner::Stored(st) => st.tuple.values()[col] == *v,
             RefInner::Slot(store, slot) => store.matches_at(slot, col, v),
         }
     }
@@ -384,7 +352,7 @@ enum ProbeInner<'a> {
     RowIds {
         store: &'a RowStore,
         ids: std::slice::Iter<'a, TupleId>,
-        /// Residual bound columns as (column, normalized key).
+        /// Residual bound columns as (column, value).
         filter: Vec<(usize, Value)>,
     },
     /// Row backing, no bound columns (or stale indexes): key-order scan.
@@ -396,6 +364,11 @@ enum ProbeInner<'a> {
     /// the key index when no column is bound — verified directly against
     /// the column vectors.
     Col(ColProbe<'a>),
+}
+
+/// Whether a row carries every residual bound value.
+fn passes(st: &StoredTuple, filter: &[(usize, Value)]) -> bool {
+    (filter.iter()).all(|(col, value)| st.tuple.values()[*col] == *value)
 }
 
 /// Iterator returned by [`Table::probe`]. Yields exactly the stored tuples
@@ -414,10 +387,7 @@ impl<'a> Iterator for ProbeIter<'a> {
                     let Some(st) = store.get_by_id(*id) else {
                         continue;
                     };
-                    if filter
-                        .iter()
-                        .all(|(col, key)| matches_normalized(&st.tuple.values()[*col], key))
-                    {
+                    if passes(st, filter) {
                         return Some(TupleRef(RefInner::Stored(st)));
                     }
                 }
@@ -425,10 +395,7 @@ impl<'a> Iterator for ProbeIter<'a> {
             }
             ProbeInner::RowScan { values, filter } => {
                 for st in values.by_ref() {
-                    if filter
-                        .iter()
-                        .all(|(col, key)| matches_normalized(&st.tuple.values()[*col], key))
-                    {
+                    if passes(st, filter) {
                         return Some(TupleRef(RefInner::Stored(st)));
                     }
                 }
@@ -588,18 +555,14 @@ impl Table {
             }
             Repr::Row(row) => row,
         };
-        let norm: Vec<(usize, Value)> = bound_cols
-            .iter()
-            .map(|(col, v)| (*col, normalize_for_index(v)))
-            .collect();
         let mut best: Option<(usize, &Vec<TupleId>)> = None;
         // Stale indexes (post-surgery) anchor nothing.
         if row.col_indexes.len() == self.schema.arity {
-            for (pos, (col, key)) in norm.iter().enumerate() {
+            for (pos, (col, value)) in bound_cols.iter().enumerate() {
                 if row.indexed.binary_search(col).is_err() {
                     continue;
                 }
-                match row.col_indexes[*col].get(key) {
+                match row.col_indexes[*col].get(value) {
                     None => return ProbeIter(ProbeInner::Empty),
                     Some(ids) => {
                         if best.is_none_or(|(_, b)| ids.len() < b.len()) {
@@ -614,14 +577,12 @@ impl Table {
             // scan, filtered.
             return ProbeIter(ProbeInner::RowScan {
                 values: row.tuples.values(),
-                filter: norm,
+                filter: bound_cols.to_vec(),
             });
         };
-        let filter: Vec<(usize, Value)> = norm
-            .into_iter()
-            .enumerate()
+        let filter: Vec<(usize, Value)> = (bound_cols.iter().enumerate())
             .filter(|(pos, _)| *pos != anchor)
-            .map(|(_, entry)| entry)
+            .map(|(_, entry)| entry.clone())
             .collect();
         ProbeIter(ProbeInner::RowIds {
             store: row,
@@ -902,8 +863,6 @@ pub struct Database {
     /// `outbox`. Each list is a set, kept sorted by the handles' integer
     /// values; [`Database::dependents_of`] puts it in name order.
     dependents: IdMap<TupleId, Few<DependentKey>>,
-    /// Backing used for tables registered on this database.
-    backing: TableBacking,
 }
 
 impl Database {
@@ -932,25 +891,23 @@ impl Database {
                     Table::of(spec.relation, schema, probed, backing)
                 })
                 .collect(),
-            backing,
             ..Database::default()
         }
     }
 
-    /// The backing newly registered tables use.
-    pub fn backing(&self) -> TableBacking {
-        self.backing
-    }
-
     /// Register an additional relation (idempotent). Its table indexes
-    /// every column.
+    /// every column and has the backing the database's tables have.
     pub fn register(&mut self, schema: RelationSchema) {
         let sym = Sym::new(&schema.name);
         if self.position(sym).is_none() {
+            let backing = self
+                .tables
+                .first()
+                .map_or(TableBacking::default(), Table::backing);
             let pos = self.order.partition_point(|s| *s < sym);
             self.order.insert(pos, sym);
             self.tables
-                .insert(pos, Table::with_backing(schema, self.backing));
+                .insert(pos, Table::with_backing(schema, backing));
         }
     }
 
@@ -1135,9 +1092,6 @@ impl Deserialize for Database {
     fn deserialize<'de, D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
         let (mut tables, outbox) = <(Vec<(Sym, Table)>, Vec<OutboxEntry>)>::deserialize(d)?;
         let mut db = Database::default();
-        if let Some((_, table)) = tables.first() {
-            db.backing = table.backing();
-        }
         tables.sort_by_key(|(sym, _)| *sym);
         tables.dedup_by_key(|(sym, _)| *sym);
         (db.order, db.tables) = tables.into_iter().unzip();
@@ -1150,11 +1104,14 @@ impl Deserialize for Database {
 mod tests {
     use super::*;
 
+    /// `link(@S,D,C)` holds addresses in its first two columns, every other
+    /// test relation in its first.
     fn schema(name: &str, arity: usize, keys: Vec<usize>) -> RelationSchema {
         RelationSchema {
             name: name.into(),
             arity,
             location_col: 0,
+            addr_cols: if name == "link" { 0b11 } else { 0b1 },
             key_cols: keys,
             is_base: true,
             lifetime: None,
@@ -1452,21 +1409,25 @@ mod tests {
     }
 
     #[test]
-    fn probe_matches_addr_and_str_interchangeably() {
+    fn a_str_probe_never_finds_an_addr() {
         for_both_backings(|backing| {
             let mut t = Table::with_backing(schema("link", 3, vec![0, 1, 2]), backing);
             t.add_derivation(&link("a", "b", 1), Derivation::base("a"));
-            // Tuples carry Addr values; programs may probe with Str
-            // constants.
-            assert_eq!(t.probe(&[(0, Value::str("a"))]).count(), 1);
+            // Tuples carry addresses; a text of the same spelling is another
+            // value, as a probe key and as a residual column.
             assert_eq!(t.probe(&[(0, Value::addr("a"))]).count(), 1);
-            // Str probes also verify as residual columns against the
-            // dictionary-encoded column.
+            assert_eq!(t.probe(&[(0, Value::str("a"))]).count(), 0);
             assert_eq!(
-                t.probe(&[(0, Value::str("a")), (1, Value::str("b"))])
+                t.probe(&[(0, Value::addr("a")), (1, Value::str("b"))])
                     .count(),
-                1
+                0
             );
+            // Outside address columns too.
+            let mut obs = Table::with_backing(schema("obs", 2, vec![0, 1]), backing);
+            let text = Tuple::new("obs", vec![Value::addr("a"), Value::str("b")]);
+            obs.add_derivation(&text, Derivation::base("a"));
+            assert_eq!(obs.probe(&[(1, Value::addr("b"))]).count(), 0);
+            assert_eq!(obs.probe(&[(1, Value::str("b"))]).count(), 1);
         });
     }
 
@@ -1488,17 +1449,18 @@ mod tests {
             assert_eq!(t.probe(&[(2, Value::Int(3))]).count(), 1);
             // Non-integral doubles match nothing here.
             assert_eq!(t.probe(&[(2, Value::Double(2.5))]).count(), 0);
-            // Lists normalize their elements too.
+            // Lists compare elementwise, and one widens the integer column.
             let list_tuple = Tuple::new(
                 "link",
                 vec![
                     Value::addr("z"),
+                    Value::addr("y"),
                     Value::list(vec![Value::Double(1.0)]),
-                    Value::Int(9),
                 ],
             );
             t.add_derivation(&list_tuple, Derivation::base("z"));
-            assert_eq!(t.probe(&[(1, Value::list(vec![Value::Int(1)]))]).count(), 1);
+            assert_eq!(t.probe(&[(2, Value::list(vec![Value::Int(1)]))]).count(), 1);
+            assert_eq!(t.probe(&[(2, Value::Double(2.0))]).count(), 1);
         });
     }
 
@@ -1630,7 +1592,7 @@ mod tests {
             t.add_derivation(
                 &Tuple::new(
                     "link",
-                    vec![Value::addr("b"), Value::str("s"), Value::Double(4.0)],
+                    vec![Value::addr("b"), Value::addr("s"), Value::str("s")],
                 ),
                 Derivation::base("b"),
             );
@@ -1652,12 +1614,12 @@ mod tests {
             // canonical key order (the churned table had the replacement
             // appended last). Rebuild the original the same way, then every
             // probe must answer identically through the reconstructed
-            // arenas, bitmap and posting lists — including normalized
-            // cross-type keys.
+            // arenas, bitmap and posting lists — including numbers spelled
+            // either way.
             t.rebuild_index();
             let probes: Vec<Vec<(usize, Value)>> = vec![
                 vec![(0, Value::addr("a"))],
-                vec![(0, Value::str("a"))],
+                vec![(2, Value::str("s"))],
                 vec![(1, Value::addr("n5"))],
                 vec![(0, Value::addr("a")), (2, Value::Int(3))],
                 vec![(2, Value::Int(4))],

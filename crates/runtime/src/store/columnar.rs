@@ -2,12 +2,16 @@
 //! copy of every stored value, a key index of sorted slot numbers and posting
 //! lists on the columns a plan probes. See the parent module for how it sits
 //! beside the row reference layout.
+//!
+//! An address column of the schema is a dictionary column posted by pool
+//! code; any other holds integers or `Value`s posted by value. Matching is
+//! `==`: a text finds no address anywhere.
 
-use super::{matches_normalized, normalize_for_index, Derivation, Membership};
+use super::{Derivation, Membership};
 use crate::catalog::RelationSchema;
 use crate::few::Few;
 use crate::tuple::{Tuple, TupleId};
-use crate::value::{values_match, IdMap, NodeId, Sym, Value};
+use crate::value::{IdMap, NodeId, Sym, Value};
 use std::cell::Cell;
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -29,41 +33,24 @@ pub fn tuple_materializations() -> u64 {
     TUPLE_MATERIALIZATIONS.with(Cell::get)
 }
 
-/// One attribute's storage in a columnar table. The kind is picked from the
-/// first value written while the table has no physical slots; a later write
-/// of an incompatible variant promotes the column to `Other` (materializing
-/// the existing codes — always possible because the intern pool is
-/// append-only, so every dictionary code stays decodable).
+/// One attribute's storage in a columnar table. An address column of the
+/// schema is a `Dict` column from the start and holds pool codes only. Any
+/// other column starts as `Int` and widens to `Other` when the first value
+/// that is not an integer is written.
 #[derive(Debug, Clone)]
 enum Column {
-    /// Dictionary-encoded `Addr` attribute: the `u32` codes are raw intern
+    /// Dictionary-encoded address column: the `u32` codes are raw intern
     /// pool indexes, so encoding a tuple is free and decoding is one array
     /// index into the pool.
     Dict(Vec<u32>),
     /// Plain integers (every integral number: a stored value is canonical).
     Int(Vec<i64>),
-    /// Overflow: fractional doubles, strings, lists, bools, ids, infinity, or
-    /// mixed types.
+    /// Overflow: fractional doubles, strings, lists, bools, ids, infinity,
+    /// addresses outside address columns, or mixed types.
     Other(Vec<Value>),
 }
 
 impl Column {
-    fn new_for(v: &Value) -> Column {
-        match v {
-            Value::Addr(_) => Column::Dict(Vec::new()),
-            Value::Int(_) => Column::Int(Vec::new()),
-            _ => Column::Other(Vec::new()),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Column::Dict(xs) => xs.len(),
-            Column::Int(xs) => xs.len(),
-            Column::Other(xs) => xs.len(),
-        }
-    }
-
     /// Decode the value at a physical slot. Zero-allocation for the typed
     /// columns; `Other` clones the stored value.
     fn value_at(&self, slot: usize) -> Value {
@@ -84,84 +71,51 @@ impl Column {
         }
     }
 
-    /// `values_match` semantics (structural equality plus `Addr`↔`Str` text
-    /// equality) against the slot, without materializing.
+    /// Whether the slot's value `==` `v`, without materializing.
     fn matches_value(&self, slot: usize, v: &Value) -> bool {
         match self {
-            Column::Dict(xs) => match v {
-                Value::Addr(a) => a.index() == xs[slot],
-                Value::Str(s) => decode_dict(xs[slot]).as_str() == s,
-                _ => false,
-            },
-            Column::Int(xs) => values_match(v, &Value::Int(xs[slot])),
-            Column::Other(xs) => values_match(v, &xs[slot]),
+            Column::Dict(xs) => dict_code(v) == Some(xs[slot]),
+            Column::Int(xs) => *v == Value::Int(xs[slot]),
+            Column::Other(xs) => *v == xs[slot],
         }
     }
 
-    /// The slot's value as a posting-list key ([`normalize_for_index`]).
-    fn norm_key(&self, slot: usize) -> Value {
-        match self {
-            Column::Other(xs) => normalize_for_index(&xs[slot]),
-            typed => normalize_for_index(&typed.value_at(slot)),
-        }
-    }
-
-    /// [`matches_normalized`] against the slot, without materializing.
-    fn matches_norm(&self, slot: usize, norm: &Value) -> bool {
-        match self {
-            Column::Dict(xs) => {
-                matches!(norm, Value::Str(s) if decode_dict(xs[slot]).as_str() == s)
-            }
-            Column::Int(xs) => Value::Int(xs[slot]) == *norm,
-            Column::Other(xs) => matches_normalized(&xs[slot], norm),
-        }
-    }
-
-    /// Append a physical slot holding `v` (promoting the column first if the
-    /// variant does not fit).
+    /// Append a physical slot holding `v`.
     fn push(&mut self, v: &Value) {
-        if self.len() == 0 {
-            *self = Column::new_for(v);
-        }
         match (&mut *self, v) {
-            (Column::Dict(xs), Value::Addr(a)) => xs.push(a.index()),
+            (Column::Dict(xs), v) => {
+                xs.push(dict_code(v).expect("an address column holds addresses"))
+            }
             (Column::Int(xs), Value::Int(i)) => xs.push(*i),
             (Column::Other(xs), v) => xs.push(v.clone()),
-            _ => {
-                self.promote();
-                match self {
-                    Column::Other(xs) => xs.push(v.clone()),
-                    _ => unreachable!("promotion yields Other"),
-                }
+            (Column::Int(_), v) => {
+                self.widen();
+                self.push(v);
             }
         }
     }
 
-    /// Overwrite an existing physical slot with `v` (promoting if needed).
+    /// Overwrite an existing physical slot with `v`.
     fn write(&mut self, slot: usize, v: &Value) {
         match (&mut *self, v) {
-            (Column::Dict(xs), Value::Addr(a)) => xs[slot] = a.index(),
+            (Column::Dict(xs), v) => {
+                xs[slot] = dict_code(v).expect("an address column holds addresses")
+            }
             (Column::Int(xs), Value::Int(i)) => xs[slot] = *i,
             (Column::Other(xs), v) => xs[slot] = v.clone(),
-            _ => {
-                self.promote();
-                match self {
-                    Column::Other(xs) => xs[slot] = v.clone(),
-                    _ => unreachable!("promotion yields Other"),
-                }
+            (Column::Int(_), v) => {
+                self.widen();
+                self.write(slot, v);
             }
         }
     }
 
-    /// Widen the column to `Other`, materializing every physical slot (dead
-    /// slots still carry a decodable last value).
-    fn promote(&mut self) {
-        let widened = match self {
-            Column::Dict(xs) => xs.iter().map(|c| Value::Addr(decode_dict(*c))).collect(),
-            Column::Int(xs) => xs.iter().map(|i| Value::Int(*i)).collect(),
-            Column::Other(_) => return,
-        };
-        *self = Column::Other(widened);
+    /// Widen an `Int` column to `Other`, materializing every physical slot
+    /// (dead slots still carry a last value).
+    fn widen(&mut self) {
+        if let Column::Int(xs) = self {
+            *self = Column::Other(xs.iter().map(|i| Value::Int(*i)).collect());
+        }
     }
 
     /// Resident bytes of the column's payload (dictionary columns are 4
@@ -183,55 +137,40 @@ fn decode_dict(code: u32) -> NodeId {
     NodeId::from_index(code).expect("dictionary code decodes against the intern pool")
 }
 
-/// The pool code an address column would hold for a probe value, resolved
-/// without interning: `None` when no stored address can equal the value (a
-/// text never interned, or not a text at all).
+/// The pool code an address column holds for `v`: `None` unless `v` is an
+/// address, which no stored address equals then.
 fn dict_code(v: &Value) -> Option<u32> {
     match v {
         Value::Addr(a) => Some(a.index()),
-        Value::Str(s) => NodeId::lookup(s).map(NodeId::index),
         _ => None,
     }
 }
 
 /// The posting lists of one indexed column: value -> live slots carrying it,
-/// in the order they were indexed. Keyed the way the column is typed, so the
-/// address columns — every column the shipped programs probe — hash a pool
-/// code and never build a string.
+/// in the order they were indexed. Keyed the way the column is typed, which
+/// is fixed when the table is built: an address column — every column the
+/// shipped programs probe — by pool code, so a probe hashes a code and never
+/// builds a value; any other by value.
 #[derive(Debug, Clone)]
 enum Postings {
     /// A [`Column::Dict`] column, by pool code.
     Code(IdMap<u32, Vec<u32>>),
-    /// Any other column, by [`normalize_for_index`] key.
-    Norm(IdMap<Value, Vec<u32>>),
+    /// Any other column, by value.
+    Value(IdMap<Value, Vec<u32>>),
 }
 
 impl Postings {
-    /// Key the lists the way `column` is typed now. A column changes type
-    /// while it has no physical slot (nothing is indexed then) or by
-    /// promotion out of `Dict`, which turns each code into the text key the
-    /// widened column's addresses normalize to.
-    fn follow(&mut self, column: &Column) {
-        let dict = matches!(column, Column::Dict(_));
+    fn clear(&mut self) {
         match self {
-            Postings::Norm(lists) if dict => {
-                debug_assert!(lists.is_empty(), "a column only becomes Dict while empty");
-                *self = Postings::Code(IdMap::default());
-            }
-            Postings::Code(lists) if !dict => {
-                let by_text = std::mem::take(lists).into_iter().map(|(code, slots)| {
-                    (Value::Str(decode_dict(code).as_str().to_string()), slots)
-                });
-                *self = Postings::Norm(by_text.collect());
-            }
-            _ => {}
+            Postings::Code(lists) => lists.clear(),
+            Postings::Value(lists) => lists.clear(),
         }
     }
 
     fn entries(&self) -> usize {
         match self {
             Postings::Code(lists) => lists.values().map(Vec::len).sum(),
-            Postings::Norm(lists) => lists.values().map(Vec::len).sum(),
+            Postings::Value(lists) => lists.values().map(Vec::len).sum(),
         }
     }
 }
@@ -245,21 +184,12 @@ fn unlist<K: std::hash::Hash + Eq>(lists: &mut IdMap<K, Vec<u32>>, key: K, slot:
     }
 }
 
-/// One bound column of a probe, encoded the way its column is typed so the
-/// per-candidate work is a typed compare against a contiguous vector.
-enum ColFilter {
-    /// Dictionary column: compare raw codes.
-    DictCode(usize, u32),
-    /// Any other column: compare against the normalized probe key.
-    Norm(usize, Value),
-}
-
 /// The candidates of a columnar probe: slots of the anchor posting list (or
 /// of the key index, for a scan) that pass every residual bound column.
 pub(super) struct ColProbe<'a> {
     store: &'a ColumnStore,
     slots: std::slice::Iter<'a, u32>,
-    filter: Vec<ColFilter>,
+    filter: Vec<(usize, Value)>,
 }
 
 impl<'a> ColProbe<'a> {
@@ -275,13 +205,7 @@ impl Iterator for ColProbe<'_> {
         let cols = &self.store.cols;
         self.slots.by_ref().copied().find(|&slot| {
             debug_assert!(self.store.is_live(slot), "indexes only hold live slots");
-            self.filter.iter().all(|f| match f {
-                ColFilter::DictCode(col, code) => match &cols[*col] {
-                    Column::Dict(xs) => xs[slot as usize] == *code,
-                    _ => unreachable!("DictCode filters target Dict columns"),
-                },
-                ColFilter::Norm(col, key) => cols[*col].matches_norm(slot as usize, key),
-            })
+            (self.filter.iter()).all(|(col, v)| cols[*col].matches_value(slot as usize, v))
         })
     }
 }
@@ -505,7 +429,7 @@ impl ColumnStore {
     /// Append a deserialized entry (rows arrive in key order; a repeated key
     /// is ignored).
     pub(super) fn insert_stored(&mut self, tuple: &Tuple, derivations: Vec<Derivation>) {
-        if tuple.values().len() != self.schema.arity {
+        if self.schema.check(tuple.values()).is_err() {
             return;
         }
         if let Err(pos) = self.find(tuple) {
@@ -518,10 +442,19 @@ impl ColumnStore {
     fn insert_row(&mut self, pos: usize, tuple: &Tuple, derivations: Few<Derivation>) {
         let id = tuple.id();
         if self.cols.is_empty() {
-            self.cols = (0..self.schema.arity)
-                .map(|_| Column::Other(Vec::new()))
+            let schema = &self.schema;
+            self.cols = (0..schema.arity)
+                .map(|c| match schema.is_addr(c) {
+                    true => Column::Dict(Vec::new()),
+                    false => Column::Int(Vec::new()),
+                })
                 .collect();
-            self.postings = vec![Postings::Norm(IdMap::default()); self.indexed.len()];
+            self.postings = (self.indexed.iter())
+                .map(|&c| match schema.is_addr(c) {
+                    true => Postings::Code(IdMap::default()),
+                    false => Postings::Value(IdMap::default()),
+                })
+                .collect();
         }
         let slot = match self.free.pop() {
             Some(slot) => {
@@ -552,17 +485,15 @@ impl ColumnStore {
     /// indexed column.
     fn index_slot(&mut self, slot: u32) {
         for (&col, postings) in self.indexed.iter().zip(&mut self.postings) {
-            let column = &self.cols[col];
-            postings.follow(column);
-            match (postings, column) {
+            match (postings, &self.cols[col]) {
                 (Postings::Code(lists), Column::Dict(xs)) => {
                     lists.entry(xs[slot as usize]).or_default().push(slot)
                 }
-                (Postings::Norm(lists), column) => lists
-                    .entry(column.norm_key(slot as usize))
+                (Postings::Value(lists), column) => lists
+                    .entry(column.value_at(slot as usize))
                     .or_default()
                     .push(slot),
-                (Postings::Code(_), _) => unreachable!("postings follow the column's type"),
+                (Postings::Code(_), _) => unreachable!("an address column stays one"),
             }
         }
     }
@@ -573,10 +504,10 @@ impl ColumnStore {
         for (&col, postings) in self.indexed.iter().zip(&mut self.postings) {
             match (postings, &self.cols[col]) {
                 (Postings::Code(lists), Column::Dict(xs)) => unlist(lists, xs[slot as usize], slot),
-                (Postings::Norm(lists), column) => {
-                    unlist(lists, column.norm_key(slot as usize), slot)
+                (Postings::Value(lists), column) => {
+                    unlist(lists, column.value_at(slot as usize), slot)
                 }
-                (Postings::Code(_), _) => unreachable!("postings follow the column's type"),
+                (Postings::Code(_), _) => unreachable!("an address column stays one"),
             }
         }
     }
@@ -607,24 +538,19 @@ impl ColumnStore {
     /// the same order.
     pub(super) fn probe(&self, bound_cols: &[(usize, Value)]) -> Option<ColProbe<'_>> {
         let mut anchor: Option<(usize, &Vec<u32>)> = None;
-        let mut filter = Vec::with_capacity(bound_cols.len());
+        let mut filter = bound_cols.to_vec();
         for (pos, (col, value)) in bound_cols.iter().enumerate() {
             // No column yet means no tuple yet.
-            let bound = match self.cols.get(*col)? {
-                Column::Dict(_) => ColFilter::DictCode(*col, dict_code(value)?),
-                _ => ColFilter::Norm(*col, normalize_for_index(value)),
-            };
+            self.cols.get(*col)?;
             if let Ok(i) = self.indexed.binary_search(col) {
-                let slots = match (&self.postings[i], &bound) {
-                    (Postings::Code(lists), ColFilter::DictCode(_, code)) => lists.get(code),
-                    (Postings::Norm(lists), ColFilter::Norm(_, key)) => lists.get(key),
-                    _ => unreachable!("postings follow the column's type"),
+                let slots = match &self.postings[i] {
+                    Postings::Code(lists) => lists.get(&dict_code(value)?),
+                    Postings::Value(lists) => lists.get(value),
                 }?;
                 if anchor.is_none_or(|(_, best)| slots.len() < best.len()) {
                     anchor = Some((pos, slots));
                 }
             }
-            filter.push(bound);
         }
         let slots = match anchor {
             Some((pos, slots)) => {
@@ -671,9 +597,7 @@ impl ColumnStore {
     pub(super) fn clear_indexes(&mut self) {
         self.live.iter_mut().for_each(|w| *w = 0);
         self.by_id.clear();
-        for postings in &mut self.postings {
-            *postings = Postings::Norm(IdMap::default());
-        }
+        self.postings.iter_mut().for_each(Postings::clear);
     }
 
     /// Test view: (physical slots, free slots).

@@ -25,9 +25,10 @@
 //! reads the handle — and canonicalizing a list someone else holds copies it
 //! (never writes through the handle), so the other holder keeps its spelling.
 //!
-//! [`values_match`] also equates an `Addr` with the `Str` of the same text.
-//! That is the evaluation layer's matching predicate, not identity: the two
-//! are unequal, hash apart and make different tuple ids.
+//! **An address is not a text.** `Addr("n3")` and `Str("n3")` are unequal,
+//! hash apart and make different tuple ids; the compiler turns the texts a
+//! program writes where addresses go into addresses ([`crate::catalog`]), so
+//! every layer matches values with `==` and nothing else.
 
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
@@ -120,22 +121,15 @@ impl Value {
         }
     }
 
-    /// The address, if this is an address value.
+    /// The address's text, if this is an address value.
     pub fn as_addr(&self) -> Option<&str> {
-        match self {
-            Value::Addr(a) => Some(a.as_str()),
-            // Location columns written as string constants also work.
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
+        self.as_node_id().map(NodeId::as_str)
     }
 
-    /// The interned node id, if this is an address value (string constants in
-    /// location columns are interned on the way out).
+    /// The interned node id, if this is an address value.
     pub fn as_node_id(&self) -> Option<NodeId> {
         match self {
             Value::Addr(a) => Some(*a),
-            Value::Str(s) => Some(NodeId::new(s)),
             _ => None,
         }
     }
@@ -302,21 +296,6 @@ impl std::hash::Hash for Value {
         let mut sh = StableHasher::new();
         self.stable_hash_into(&mut sh);
         state.write_u64(sh.finish());
-    }
-}
-
-/// Value equality that treats `Addr` and `Str` with the same text as equal
-/// (programs write location constants as strings; tuples carry addresses).
-/// This is the matching predicate of the whole evaluation layer — join
-/// binding checks, literal matching and the storage layer's column matchers
-/// all agree on it.
-pub fn values_match(a: &Value, b: &Value) -> bool {
-    if a == b {
-        return true;
-    }
-    match (a, b) {
-        (Value::Addr(x), Value::Str(y)) | (Value::Str(y), Value::Addr(x)) => *x == **y,
-        _ => false,
     }
 }
 
@@ -500,9 +479,12 @@ mod tests {
     }
 
     #[test]
-    fn addr_accessor_accepts_strings_too() {
+    fn an_address_is_not_its_text() {
         assert_eq!(Value::addr("n1").as_addr(), Some("n1"));
-        assert_eq!(Value::str("n2").as_addr(), Some("n2"));
+        assert_eq!(Value::addr("n1").as_node_id(), Some(NodeId::new("n1")));
+        assert_eq!(Value::str("n1").as_addr(), None);
+        assert_eq!(Value::str("n1").as_node_id(), None);
         assert_eq!(Value::Int(1).as_addr(), None);
+        assert_ne!(Value::addr("n1"), Value::str("n1"));
     }
 }

@@ -35,7 +35,7 @@ fn small_generations_never_touch_the_pool() {
     let before = nt_pool::jobs_executed();
     for round in 0..4i64 {
         for a in 0..8i64 {
-            engine.insert_base(fact(round * 8 + a, a));
+            engine.insert_base(fact(round * 8 + a, a)).unwrap();
         }
         engine.run();
     }
@@ -49,7 +49,7 @@ fn small_generations_never_touch_the_pool() {
     // rules fire per inserted tuple) must take the dispatch path.
     let before = nt_pool::jobs_executed();
     for a in 0..FIXPOINT_DISPATCH_THRESHOLD as i64 {
-        engine.insert_base(fact(1000 + a, a));
+        engine.insert_base(fact(1000 + a, a)).unwrap();
     }
     engine.run();
     assert!(
@@ -62,7 +62,7 @@ fn small_generations_never_touch_the_pool() {
     let mut sequential = NodeEngine::new(program, EngineConfig::new("n1"));
     let before = nt_pool::jobs_executed();
     for a in 0..2 * FIXPOINT_DISPATCH_THRESHOLD as i64 {
-        sequential.insert_base(fact(a, a));
+        sequential.insert_base(fact(a, a)).unwrap();
     }
     sequential.run();
     assert_eq!(

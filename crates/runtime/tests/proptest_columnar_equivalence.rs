@@ -15,8 +15,10 @@
 //! columns in place; the row store's is a `BTreeMap` over cloned keys.
 //! `key_order_matches_the_row_store` holds the first to the second over keys
 //! that mix every variant. Seeded mutations it caught: ordering the key index
-//! by slot number (insert at the end), and leaving the last key column out of
-//! the comparator (`ColumnStore::find`).
+//! by slot number (insert at the end), leaving the last key column out of
+//! the comparator (`ColumnStore::find`), and a text probe finding the
+//! address it spells (a `Str` arm back in the columnar `dict_code` and in the
+//! row store's residual filter).
 
 use nt_runtime::{
     CompiledProgram, Derivation, EngineConfig, EngineStats, Membership, NodeEngine, RelationSchema,
@@ -72,22 +74,26 @@ fn run_ops(
     batch: usize,
 ) -> (Vec<StepOutput>, TableDump, EngineStats) {
     let mut engine = NodeEngine::new(program.clone(), config);
-    engine.insert_base(Tuple::new(
-        "peer",
-        vec![Value::addr("n1"), Value::addr("n2")],
-    ));
-    engine.insert_base(Tuple::new(
-        "peer",
-        vec![Value::addr("n1"), Value::addr("n3")],
-    ));
+    engine
+        .insert_base(Tuple::new(
+            "peer",
+            vec![Value::addr("n1"), Value::addr("n2")],
+        ))
+        .unwrap();
+    engine
+        .insert_base(Tuple::new(
+            "peer",
+            vec![Value::addr("n1"), Value::addr("n3")],
+        ))
+        .unwrap();
     let mut outputs = vec![engine.run()];
     for chunk in ops.chunks(batch.max(1)) {
         for (insert, use_e, a, b, b_double) in chunk {
             let tuple = fact(if *use_e { "e" } else { "f" }, *a, *b, *b_double);
             if *insert {
-                engine.insert_base(tuple);
+                engine.insert_base(tuple).unwrap();
             } else {
-                engine.delete_base(tuple);
+                engine.delete_base(tuple).unwrap();
             }
         }
         outputs.push(engine.run());
@@ -109,9 +115,15 @@ fn run_ops(
     (outputs, state, engine.stats().clone())
 }
 
-/// A key value: numbers whose `Int` and `Double` spellings compare equal
-/// (all inside ±2^53, where the order is transitive), addresses and strings
-/// with the same text, lists, and the infinity sentinel.
+/// A value of an address column.
+fn address(code: u8) -> Value {
+    Value::addr(["a", "b", "c"][code as usize % 3])
+}
+
+/// A key value of any other column: numbers whose `Int` and `Double`
+/// spellings compare equal (all inside ±2^53, where the order is
+/// transitive), addresses and strings with the same text, lists, and the
+/// infinity sentinel.
 fn key_value(code: u8) -> Value {
     const BIG: i64 = (1 << 53) - 1;
     match code % 16 {
@@ -145,12 +157,14 @@ proptest! {
     fn key_order_matches_the_row_store(
         ops in proptest::collection::vec((0u8..3, any::<u8>(), any::<u8>(), 0i64..3), 1..60),
     ) {
-        // Two key columns, one payload column: an insert that changes only
-        // the payload replaces by key.
+        // Two key columns, an address column and one mixing every variant,
+        // and one payload column: an insert that changes only the payload
+        // replaces by key.
         let schema = RelationSchema {
             name: "t".into(),
             arity: 3,
             location_col: 0,
+            addr_cols: 0b1,
             key_cols: vec![0, 1],
             is_base: true,
             lifetime: None,
@@ -163,7 +177,7 @@ proptest! {
         };
         for (kind, k0, k1, payload) in ops {
             let mut tuple =
-                Tuple::new("t", vec![key_value(k0), key_value(k1), Value::Int(payload)]);
+                Tuple::new("t", vec![address(k0), key_value(k1), Value::Int(payload)]);
             // The engine addresses a stored tuple in its stored spelling; a
             // removal takes whatever payload the key holds.
             let held = row.iter().find(|r| {
@@ -187,6 +201,13 @@ proptest! {
                 col.get(&tuple).map(|r| r.id()),
                 row.get(&tuple).map(|r| r.id())
             );
+            // A text never finds an address, in either key column.
+            let text = Value::str(tuple.values()[0].as_addr().expect("an address"));
+            for c in [0, 1] {
+                for table in [&col, &row] {
+                    prop_assert!(table.probe(&[(c, text.clone())]).all(|r| r.value(c) == text));
+                }
+            }
         }
     }
 

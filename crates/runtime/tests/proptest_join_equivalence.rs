@@ -56,9 +56,9 @@ fn run_ops(
     for (insert, use_e, a, b, b_double) in ops {
         let tuple = fact(if *use_e { "e" } else { "f" }, *a, *b, *b_double);
         if *insert {
-            engine.insert_base(tuple);
+            engine.insert_base(tuple).unwrap();
         } else {
-            engine.delete_base(tuple);
+            engine.delete_base(tuple).unwrap();
         }
         engine.run();
     }

@@ -68,22 +68,26 @@ fn run_ops(
 ) -> (Vec<StepOutput>, TableDump, EngineStats) {
     let mut engine = NodeEngine::new(program.clone(), config);
     // Peers for the remote-head program; inert facts for the others.
-    engine.insert_base(Tuple::new(
-        "peer",
-        vec![Value::addr("n1"), Value::addr("n2")],
-    ));
-    engine.insert_base(Tuple::new(
-        "peer",
-        vec![Value::addr("n1"), Value::addr("n3")],
-    ));
+    engine
+        .insert_base(Tuple::new(
+            "peer",
+            vec![Value::addr("n1"), Value::addr("n2")],
+        ))
+        .unwrap();
+    engine
+        .insert_base(Tuple::new(
+            "peer",
+            vec![Value::addr("n1"), Value::addr("n3")],
+        ))
+        .unwrap();
     let mut outputs = vec![engine.run()];
     for chunk in ops.chunks(batch.max(1)) {
         for (insert, use_e, a, b, b_double) in chunk {
             let tuple = fact(if *use_e { "e" } else { "f" }, *a, *b, *b_double);
             if *insert {
-                engine.insert_base(tuple);
+                engine.insert_base(tuple).unwrap();
             } else {
-                engine.delete_base(tuple);
+                engine.delete_base(tuple).unwrap();
             }
         }
         outputs.push(engine.run());

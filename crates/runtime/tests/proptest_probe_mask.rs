@@ -14,7 +14,10 @@
 //!   liveness assertion);
 //! * `ColumnStore::probe` anchoring an unindexed bound column on posting
 //!   lists that are not its own — probes binding such a column beside an
-//!   indexed one come back empty.
+//!   indexed one come back empty;
+//! * a text probe finding the address it spells (a `Str` arm back in the
+//!   columnar `dict_code` and in the row store's residual filter) — the
+//!   respelled probes yield addresses.
 
 use nt_runtime::{
     Derivation, Membership, RelationSchema, Table, TableBacking, Tuple, TupleId, Value,
@@ -22,16 +25,14 @@ use nt_runtime::{
 use proptest::prelude::*;
 
 /// What a column of a given palette can hold. Palette 0 is an address column
-/// (dictionary-encoded until the rare string arrives and widens it), palette
-/// 1 a numeric one whose `Int`/`Double` twins compare equal, palette 2 mixes
-/// everything, lists included.
+/// of the schema (addresses only, dictionary-encoded), palette 1 a numeric
+/// one whose `Int`/`Double` twins compare equal and whose fraction or
+/// infinity widens an integer column, palette 2 mixes everything — addresses
+/// and texts of the same spelling, lists included.
 fn cell(palette: u8, code: u8) -> Value {
     let addrs = [Value::addr("a"), Value::addr("b"), Value::addr("c")];
     match palette {
-        0 => match code {
-            15 => Value::str("a"),
-            c => addrs[c as usize % 3].clone(),
-        },
+        0 => addrs[code as usize % 3].clone(),
         1 => [
             Value::Int(0),
             Value::Int(1),
@@ -53,8 +54,8 @@ fn cell(palette: u8, code: u8) -> Value {
     }
 }
 
-/// The same value as a program might write it: an address as a string
-/// constant, an integer as a double. Probes must not tell the difference.
+/// The same number spelled the other way, which a probe must not tell from
+/// the first; an address spelled as a text, which is another value.
 fn respelled(v: &Value) -> Value {
     match v {
         Value::Addr(a) => Value::str(a.as_str()),
@@ -103,6 +104,7 @@ proptest! {
             name: "t".into(),
             arity,
             location_col: 0,
+            addr_cols: (0..arity).filter(|c| palettes[*c] == 0).map(|c| 1 << c).sum(),
             key_cols,
             is_base: true,
             lifetime: None,
@@ -164,6 +166,11 @@ proptest! {
                         })
                         .collect();
                     let want: Vec<_> = reference.probe(&bound).map(seen).collect();
+                    // Every candidate holds what is bound, by `==`: a text
+                    // never finds an address.
+                    for r in reference.probe(&bound) {
+                        prop_assert!(bound.iter().all(|(c, v)| r.value(*c) == *v), "{:?}", bound);
+                    }
                     for (which, table) in tables.iter().enumerate() {
                         prop_assert_eq!(
                             table.probe(&bound).map(seen).collect::<Vec<_>>(),

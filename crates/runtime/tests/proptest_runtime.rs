@@ -61,6 +61,8 @@ proptest! {
             name: "t".into(),
             arity: 1,
             location_col: 0,
+            // Integers: this table stands outside any program.
+            addr_cols: 0,
             key_cols: vec![0],
             is_base: true,
             lifetime: None,

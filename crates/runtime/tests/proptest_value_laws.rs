@@ -419,8 +419,8 @@ fn a_group_key_spelled_as_int_and_as_double_is_one_group() {
                 false => Value::Int(3),
             };
             match insert {
-                true => engine.insert_base(e(g, k, b)),
-                false => engine.delete_base(e(g, k, b)),
+                true => engine.insert_base(e(g, k, b)).unwrap(),
+                false => engine.delete_base(e(g, k, b)).unwrap(),
             }
             let out = engine.run();
             let firings = out.firings.iter().filter(|f| f.rule == "t1");

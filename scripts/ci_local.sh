@@ -46,6 +46,16 @@ test_job() {
     #     tuple under pinned ceilings, live blocks once seeded no higher than
     #     before shared handles, the exact allocations from seeding to the
     #     fixpoint, and all of it back on drop.
+    # the oracles of the one equality (the compiler decides which columns
+    # hold addresses; storage and every matcher follow with ==):
+    #   scenario address_census — over every shipped program after
+    #     convergence and churn, no non-address in an address column, no
+    #     address elsewhere, no refused fact;
+    #   scenario provenance_rewrite — the paper's prov / ruleExec rewrite of
+    #     every shipped program compiles, prov's RLoc an address column and
+    #     ruleExec's rule name not;
+    #   nt-runtime proptest_probe_mask, proptest_columnar_equivalence,
+    #     proptest_slot_equivalence — a text probe never finds an address;
     # the laws of one identity per value, shared or not:
     #   nt-runtime proptest_value_laws (a_shared_list_is_its_content,
     #     canonicalizing_a_shared_list_copies_it) — a clone and a rebuilt

@@ -271,22 +271,23 @@ fn delta_batches_are_decodable_in_delivery_order() {
         let events = churn_trace(&topology, 12, seed);
         let mut net = Engines::new(&topology);
         for (node, tuple) in protocols::link_tuples(&topology) {
-            net.engine(&node).insert_base(tuple);
+            net.engine(&node).insert_base(tuple).unwrap();
         }
         for anchor in ANCHORS {
             net.engine(anchor)
-                .insert_base(scenario::programs::anchor_tuple(anchor));
+                .insert_base(scenario::programs::anchor_tuple(anchor))
+                .unwrap();
         }
         net.settle();
         for event in &events {
             let (added, removed) = topology.apply(event);
             for link in removed {
                 let tuple = protocols::link_tuple(&link.from, &link.to, link.cost);
-                net.engine(&link.from).delete_base(tuple);
+                net.engine(&link.from).delete_base(tuple).unwrap();
             }
             for link in added {
                 let tuple = protocols::link_tuple(&link.from, &link.to, link.cost);
-                net.engine(&link.from).insert_base(tuple);
+                net.engine(&link.from).insert_base(tuple).unwrap();
             }
             net.settle();
         }

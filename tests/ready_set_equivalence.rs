@@ -128,7 +128,8 @@ impl Platform for FullScan {
         self.engines
             .get_mut(&Addr::new(node))
             .unwrap()
-            .insert_base(tuple);
+            .insert_base(tuple)
+            .unwrap();
     }
 
     fn run(&mut self) -> RunReport {
@@ -180,7 +181,7 @@ impl Platform for FullScan {
         for link in removed {
             let tuple = protocols::link_tuple(&link.from, &link.to, link.cost);
             let engine = self.engines.get_mut(&Addr::new(&link.from)).unwrap();
-            engine.delete_base(tuple);
+            engine.delete_base(tuple).unwrap();
         }
         for link in added {
             self.insert(
