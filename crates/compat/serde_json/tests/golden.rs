@@ -1,7 +1,8 @@
-//! The bytes the log store frames. `to_string` of one fixed checkpoint and
-//! one fixed delta is pinned character for character, so the segment-file
-//! payloads (and with them `wire_bytes_per_op` and every stored-byte count)
-//! cannot drift while the reader changes; and both must decode back.
+//! The JSON of log records. `to_string` of one fixed checkpoint and one
+//! fixed delta is pinned character for character, so the serde shape of the
+//! records — what `LogStore::to_json` exports for the visualizer and
+//! `from_json` loads — cannot drift unnoticed; and both must decode back.
+//! (Segment files carry the binary codec, not this text.)
 
 use logstore::{LogRecord, NodeSnapshot, SnapshotDelta, SystemSnapshot};
 use nt_runtime::{InternerSnapshot, Tuple, Value};

@@ -27,6 +27,9 @@
 //!   names in a deployment is small and bounded, which is exactly the case
 //!   dictionary encoding is designed for.
 //!
+//! [`codec`] is the binary encoding built on the handles: a frame carries its
+//! own name table and every handle in it is an index into that table.
+//!
 //! The crate also owns both hashers, which do two different jobs:
 //!
 //! * [`StableHasher`] makes *identities* — runtime tuple ids, provenance
@@ -37,6 +40,9 @@
 //! * [`IdHasher`] *probes maps*: one multiply per word, keyed per process.
 //!   What it returns is never stored, shipped or compared across processes.
 
+pub mod codec;
+
+use codec::{Decode, DecodeError, Encode, Reader, Writer};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::fmt;
@@ -187,6 +193,28 @@ impl InternerSnapshot {
     /// One-time wire cost of shipping the dictionary.
     pub fn wire_size(&self) -> usize {
         dict_wire_size(&self.strings)
+    }
+}
+
+/// The dictionary's strings are names: each is an index into the frame's
+/// name table, which already holds it once the snapshot's contents named it.
+impl Encode for InternerSnapshot {
+    fn encode(&self, w: &mut Writer) {
+        w.usize(self.strings.len());
+        for s in &self.strings {
+            w.name(s);
+        }
+    }
+}
+
+impl Decode for InternerSnapshot {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let n = r.count()?;
+        let mut strings = Vec::with_capacity(n);
+        for _ in 0..n {
+            strings.push(r.name()?.to_string());
+        }
+        Ok(InternerSnapshot { strings })
     }
 }
 

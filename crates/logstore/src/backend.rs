@@ -10,6 +10,7 @@
 
 use crate::delta::SnapshotDelta;
 use crate::snapshot::SystemSnapshot;
+use nt_runtime::codec::{Decode, DecodeError, Encode, Reader, Writer};
 use serde::{Deserialize, Serialize};
 use simnet::SimTime;
 
@@ -57,6 +58,32 @@ impl LogRecord {
         match self {
             LogRecord::Checkpoint(s) => s.dictionary.wire_size(),
             LogRecord::Delta(d) => d.dict_diff.wire_size(),
+        }
+    }
+}
+
+/// A kind tag (0 checkpoint, 1 delta), then the record.
+impl Encode for LogRecord {
+    fn encode(&self, w: &mut Writer) {
+        match self {
+            LogRecord::Checkpoint(s) => {
+                w.u8(0);
+                s.encode(w);
+            }
+            LogRecord::Delta(d) => {
+                w.u8(1);
+                d.encode(w);
+            }
+        }
+    }
+}
+
+impl Decode for LogRecord {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        match r.u8()? {
+            0 => Ok(LogRecord::Checkpoint(SystemSnapshot::decode(r)?)),
+            1 => Ok(LogRecord::Delta(SnapshotDelta::decode(r)?)),
+            _ => Err(r.error(r.offset() - 1, "an unknown record kind")),
         }
     }
 }

@@ -12,7 +12,10 @@
 //! materialized snapshot reproduces the next snapshot bit-for-bit, which the
 //! equivalence proptest verifies across every backend.
 
-use crate::snapshot::{tuple_sort_key, NodeSnapshot, SystemSnapshot};
+use crate::snapshot::{
+    decode_by_relation, encode_by_relation, tuple_sort_key, NodeSnapshot, SystemSnapshot,
+};
+use nt_runtime::codec::{Decode, DecodeError, Encode, Reader, Writer};
 use nt_runtime::{Addr, InternerSnapshot, Tuple, TupleId};
 use provenance::{ProvEdge, ProvStoreStats, ProvVertex, VertexId};
 use serde::{Deserialize, Serialize};
@@ -304,6 +307,81 @@ impl SnapshotDelta {
                 .map(TrafficStats::wire_size)
                 .unwrap_or(0)
             + self.dict_diff.wire_size()
+    }
+}
+
+impl Encode for NodeDelta {
+    fn encode(&self, w: &mut Writer) {
+        encode_by_relation(&self.added, w);
+        encode_by_relation(&self.removed, w);
+        self.provenance.encode(w);
+    }
+}
+
+impl Decode for NodeDelta {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(NodeDelta {
+            added: decode_by_relation(r)?,
+            removed: decode_by_relation(r)?,
+            provenance: Option::decode(r)?,
+        })
+    }
+}
+
+/// Added vertices are written as vertices: each one's key is its own id.
+impl Encode for GraphDelta {
+    fn encode(&self, w: &mut Writer) {
+        w.usize(self.vertices_added.len());
+        for (id, vertex) in &self.vertices_added {
+            debug_assert_eq!(*id, vertex.id(), "a vertex is keyed by its own id");
+            vertex.encode(w);
+        }
+        self.vertices_removed.encode(w);
+        self.edges_added.encode(w);
+        self.edges_removed.encode(w);
+    }
+}
+
+impl Decode for GraphDelta {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let n = r.count()?;
+        let mut vertices_added = Vec::with_capacity(n);
+        for _ in 0..n {
+            let vertex = ProvVertex::decode(r)?;
+            vertices_added.push((vertex.id(), vertex));
+        }
+        Ok(GraphDelta {
+            vertices_added,
+            vertices_removed: Vec::decode(r)?,
+            edges_added: Vec::decode(r)?,
+            edges_removed: Vec::decode(r)?,
+        })
+    }
+}
+
+impl Encode for SnapshotDelta {
+    fn encode(&self, w: &mut Writer) {
+        self.time.encode(w);
+        self.nodes.encode(w);
+        self.nodes_removed.encode(w);
+        self.topology.encode(w);
+        self.graph.encode(w);
+        self.traffic.encode(w);
+        self.dict_diff.encode(w);
+    }
+}
+
+impl Decode for SnapshotDelta {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(SnapshotDelta {
+            time: SimTime::decode(r)?,
+            nodes: BTreeMap::decode(r)?,
+            nodes_removed: Vec::decode(r)?,
+            topology: Option::decode(r)?,
+            graph: GraphDelta::decode(r)?,
+            traffic: Option::decode(r)?,
+            dict_diff: InternerSnapshot::decode(r)?,
+        })
     }
 }
 

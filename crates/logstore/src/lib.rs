@@ -42,8 +42,10 @@
 //! the step's [`SnapshotDiff`] is built from the delta and the tuples it
 //! took out; only a step onto a checkpoint compares two snapshots.
 //! `append_record` and `compact` drop the cursor. The segment-file backend
-//! checks every payload it reads against its frame checksum, one pass over
-//! the bytes.
+//! checks every frame it reads against its checksum, one pass over the
+//! bytes, and decodes the payload with the binary codec
+//! (`nt_runtime::codec`) straight into the types: no intermediate tree, each
+//! distinct name interned once per record.
 
 pub mod backend;
 pub mod capture;

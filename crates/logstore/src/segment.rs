@@ -3,38 +3,50 @@
 //! Records are framed into numbered segment files (`seg-00000.ntl`):
 //!
 //! ```text
-//! frame   := [u32 payload_len][u8 kind][u64 time_us][u64 fnv64(payload)][payload]
-//! footer  := [u32 0xFFFF_FFFF][u32 count][count × (u64 offset, u64 time_us, u8 kind)][u64 magic]
+//! frame    := [u32 payload_len][u8 kind][u64 time_us][u64 checksum][payload]
+//! checksum := fnv64 of payload_len, kind, time_us and the payload
+//! payload  := the record in the binary codec (`nt_runtime::codec`):
+//!             its name table, then its body
+//! footer   := [u32 0xFFFF_FFFF][u32 count][count × (u64 offset, u64 time_us, u8 kind)][u64 magic]
 //! ```
 //!
 //! A segment is *sealed* once it reaches its record capacity: the footer
 //! index is appended and the file is fsynced, making the segment immutable.
 //! Opening a directory recovers every record by scanning frames (the header
-//! carries time and kind, so recovery never decodes JSON payloads). A torn
+//! carries time and kind, so recovery never decodes payloads). A torn
 //! tail — an incomplete header, an incomplete payload, or a *last* frame
-//! whose payload fails its checksum, i.e. a crash mid-append — silently ends
-//! that segment's scan, keeping the intact prefix. A complete frame that
-//! fails its checksum but whose length lands on a frame that verifies, or on
-//! the footer, is a bit flipped mid-segment: the scan counts it
+//! that fails its checksum, i.e. a crash mid-append — silently ends that
+//! segment's scan, keeping the intact prefix. A complete frame that fails
+//! its checksum but whose length lands on a frame that verifies, or on the
+//! footer, is a bit flipped mid-segment: the scan counts it
 //! ([`SegmentFileBackend::skipped_frames`]) and goes on to the records
 //! behind it. The corrupt frame keeps its place in the index and fails every
 //! read, like one that rots after `open`: a delta names no base, so leaving
 //! the record out would chain the deltas behind it onto the wrong snapshot,
 //! while an unreadable record makes the rest of its chain absent.
 //!
-//! The checksum covers the payload only. A flip in `len` (the frame no longer
-//! lands on one that verifies) or one that makes `kind` invalid still ends
-//! the scan there; one that makes `kind` the other valid value, or changes
-//! `time_us`, is not detected.
+//! The checksum covers the header as well as the payload. A flip in `len`
+//! (the frame no longer lands on one that verifies) or one that makes `kind`
+//! invalid ends the scan there; any other flip, in the header or the
+//! payload, costs exactly its record. Only the length of a corrupt frame is
+//! vouched for (by the frame it lands on), so its time is held between its
+//! neighbours' — no earlier than the frame before it in the segment, no
+//! later than the frame it lands on — which keeps its place in the index its
+//! place in the file.
 //!
 //! Compaction rewrites all live records into fresh sealed segments,
 //! reclaiming dead tail bytes; if any record fails to read it rewrites
 //! nothing.
 //!
-//! Every read checks the payload against the frame checksum again, so bytes
-//! that rot after `open` are a "checksum mismatch" error, never a record.
+//! Every read checks the frame against its checksum again, so bytes that rot
+//! after `open` are a "checksum mismatch" error, never a record; a payload
+//! that verifies but does not decode is `InvalidData` as well. Frames of the
+//! earlier format, whose checksum covered a JSON payload alone, are scanned
+//! like corrupt frames that something follows: each keeps its place in the
+//! index and every read of it is a "checksum mismatch". Nothing reads them.
 
 use crate::backend::{CompactionStats, LogBackend, LogRecord, RecordKind};
+use nt_runtime::codec::{self, Writer};
 use simnet::SimTime;
 use std::cell::RefCell;
 use std::fs::{self, File, OpenOptions};
@@ -44,17 +56,26 @@ use std::path::{Path, PathBuf};
 const FOOTER_SENTINEL: u32 = 0xFFFF_FFFF;
 const FOOTER_MAGIC: u64 = 0x4e54_4c4f_4753_4547; // "NTLOGSEG"
 const FRAME_HEADER: usize = 4 + 1 + 8 + 8;
+/// The header bytes the checksum covers: length, kind and time.
+const CHECKED_HEADER: usize = 4 + 1 + 8;
 
 /// How many records a segment holds before it is sealed.
 pub const DEFAULT_SEGMENT_CAPACITY: usize = 8;
 
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+fn fnv64(mut h: u64, bytes: &[u8]) -> u64 {
     for b in bytes {
         h ^= u64::from(*b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// The checksum of a frame: its header up to the checksum field, then its
+/// payload.
+fn checksum(header: &[u8], payload: &[u8]) -> u64 {
+    fnv64(fnv64(FNV_BASIS, &header[..CHECKED_HEADER]), payload)
 }
 
 fn kind_byte(kind: RecordKind) -> u8 {
@@ -107,6 +128,8 @@ pub struct SegmentFileBackend {
     /// The read handle of the segment last read from, kept open across
     /// reads: a replay reads a segment's records one after another.
     reader: RefCell<Option<(u32, File)>>,
+    /// The record encoder, reused from append to append.
+    writer: Writer,
 }
 
 impl SegmentFileBackend {
@@ -143,6 +166,7 @@ impl SegmentFileBackend {
             storage_bytes: 0,
             skipped_frames: 0,
             reader: RefCell::new(None),
+            writer: Writer::default(),
         };
         let mut recovered: Vec<Slot> = Vec::new();
         for (number, path) in &segment_files {
@@ -216,18 +240,17 @@ impl SegmentFileBackend {
 
     fn append_record(&mut self, record: &LogRecord) -> std::io::Result<Slot> {
         self.ensure_active()?;
-        let payload = serde_json::to_string(record)
-            .map_err(|e| std::io::Error::other(e.to_string()))?
-            .into_bytes();
         let time = record.time();
         let kind = record.kind();
-        let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.push(kind_byte(kind));
-        frame.extend_from_slice(&time.as_micros().to_le_bytes());
-        let checksum = fnv64(&payload);
-        frame.extend_from_slice(&checksum.to_le_bytes());
-        frame.extend_from_slice(&payload);
+        let mut frame = vec![0; FRAME_HEADER];
+        self.writer.frame(record, &mut frame);
+        let payload_len = (frame.len() - FRAME_HEADER) as u32;
+        frame[..4].copy_from_slice(&payload_len.to_le_bytes());
+        frame[4] = kind_byte(kind);
+        frame[5..CHECKED_HEADER].copy_from_slice(&time.as_micros().to_le_bytes());
+        let (header, payload) = frame.split_at(FRAME_HEADER);
+        let checksum = checksum(header, payload);
+        frame[CHECKED_HEADER..FRAME_HEADER].copy_from_slice(&checksum.to_le_bytes());
 
         let active = self.active.as_mut().expect("active segment");
         let offset = active.bytes;
@@ -238,7 +261,7 @@ impl SegmentFileBackend {
         let slot = Slot {
             segment: active.number,
             offset,
-            payload_len: payload.len() as u32,
+            payload_len,
             checksum,
             time,
             kind,
@@ -251,15 +274,16 @@ impl SegmentFileBackend {
 
     /// Read and decode the record at a logical index. Unlike
     /// [`LogBackend::get`], which answers `None`, this says what went wrong:
-    /// an I/O error, a payload that no longer matches its frame checksum
+    /// an I/O error, a frame that no longer matches its checksum
     /// (`InvalidData`, "checksum mismatch in seg-N at offset O"), or a
-    /// payload that does not decode.
+    /// payload that does not decode (`InvalidData`, "undecodable record
+    /// (the codec's [`codec::DecodeError`]) in seg-N at offset O").
     pub fn read(&self, index: usize) -> io::Result<LogRecord> {
         let slot = self
             .slots
             .get(index)
             .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("no record {index}")))?;
-        let mut payload = vec![0u8; slot.payload_len as usize];
+        let mut frame = vec![0u8; FRAME_HEADER + slot.payload_len as usize];
         {
             let mut reader = self.reader.borrow_mut();
             let file = match &mut *reader {
@@ -269,20 +293,23 @@ impl SegmentFileBackend {
                     &mut other.insert((slot.segment, file)).1
                 }
             };
-            file.seek(SeekFrom::Start(slot.offset + FRAME_HEADER as u64))?;
-            file.read_exact(&mut payload)?;
+            file.seek(SeekFrom::Start(slot.offset))?;
+            file.read_exact(&mut frame)?;
         }
-        if fnv64(&payload) != slot.checksum {
-            return Err(io::Error::new(
+        let invalid = |what: String| {
+            io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!(
-                    "checksum mismatch in seg-{:05} at offset {}",
+                    "{what} in seg-{:05} at offset {}",
                     slot.segment, slot.offset
                 ),
-            ));
+            )
+        };
+        let (header, payload) = frame.split_at(FRAME_HEADER);
+        if checksum(header, payload) != slot.checksum {
+            return Err(invalid("checksum mismatch".into()));
         }
-        let text = String::from_utf8(payload).map_err(|e| io::Error::other(e.to_string()))?;
-        serde_json::from_str(&text).map_err(|e| io::Error::other(e.to_string()))
+        codec::decode(payload).map_err(|e| invalid(format!("undecodable record ({e})")))
     }
 }
 
@@ -296,8 +323,8 @@ fn frame_at(number: u32, bytes: &[u8], offset: usize) -> Option<(Slot, usize, bo
         return None; // sealed segment's footer index
     }
     let kind = byte_kind(header[4])?;
-    let time_us = u64::from_le_bytes(header[5..13].try_into().unwrap());
-    let checksum = u64::from_le_bytes(header[13..21].try_into().unwrap());
+    let time_us = u64::from_le_bytes(header[5..CHECKED_HEADER].try_into().unwrap());
+    let stored = u64::from_le_bytes(header[CHECKED_HEADER..].try_into().unwrap());
     let payload_start = offset + FRAME_HEADER;
     let payload_end = payload_start.checked_add(len as usize)?;
     let payload = bytes.get(payload_start..payload_end)?;
@@ -305,28 +332,41 @@ fn frame_at(number: u32, bytes: &[u8], offset: usize) -> Option<(Slot, usize, bo
         segment: number,
         offset: offset as u64,
         payload_len: len,
-        checksum,
+        checksum: stored,
         time: SimTime::from_micros(time_us),
         kind,
     };
-    Some((slot, payload_end, fnv64(payload) == checksum))
+    Some((slot, payload_end, checksum(header, payload) == stored))
 }
 
 /// Scan one segment's bytes, appending the slot of every frame to `slots`;
 /// returns how many of them are corrupt. A torn tail ends the scan, the
 /// footer sentinel ends it cleanly; a frame that fails its checksum is a torn
-/// tail unless its length lands on the footer or on a frame that verifies
-/// (module documentation).
+/// tail unless its length lands on the footer or on a frame that verifies, or
+/// it is a frame of the earlier format, and then its time is held between its
+/// neighbours' (module documentation).
 fn scan_segment(number: u32, bytes: &[u8], slots: &mut Vec<Slot>) -> usize {
     let footer = FOOTER_SENTINEL.to_le_bytes();
+    let first = slots.len();
     let mut skipped = 0;
     let mut offset = 0usize;
-    while let Some((slot, next, intact)) = frame_at(number, bytes, offset) {
+    while let Some((mut slot, next, intact)) = frame_at(number, bytes, offset) {
         if !intact {
-            let resumes = bytes[next..].starts_with(&footer)
-                || frame_at(number, bytes, next).is_some_and(|(_, _, intact)| intact);
-            if !resumes {
+            let after = frame_at(number, bytes, next).filter(|(_, _, intact)| *intact);
+            // The earlier format's checksum covered the (JSON) payload alone:
+            // such a frame is whole, and stays in the index unreadable.
+            let payload = &bytes[next - slot.payload_len as usize..next];
+            if after.is_none()
+                && !bytes[next..].starts_with(&footer)
+                && fnv64(FNV_BASIS, payload) != slot.checksum
+            {
                 break; // torn write
+            }
+            if let Some(before) = slots[first..].last() {
+                slot.time = slot.time.max(before.time);
+            }
+            if let Some((after, _, _)) = after {
+                slot.time = slot.time.min(after.time);
             }
             skipped += 1;
         }

@@ -1,5 +1,6 @@
 //! Snapshot types.
 
+use nt_runtime::codec::{Decode, DecodeError, Encode, Reader, Writer};
 use nt_runtime::{Addr, Database, InternerSnapshot, Tuple};
 use provenance::{ProvGraph, ProvStoreStats, ProvenanceSystem};
 use serde::{Deserialize, Serialize};
@@ -39,7 +40,7 @@ impl NodeSnapshot {
                 continue;
             }
             let mut tuples = table.tuples();
-            tuples.sort_by_key(tuple_sort_key);
+            tuples.sort_by_cached_key(tuple_sort_key);
             relations.insert(table.schema.name.clone(), tuples);
         }
         NodeSnapshot {
@@ -184,6 +185,68 @@ fn insert_names(tuple: &Tuple, names: &mut BTreeSet<&str>) {
     tuple.visit_names(&mut |name| {
         names.insert(name.as_str());
     });
+}
+
+/// A map keyed by relation name: each key is a name of the frame.
+pub(crate) fn encode_by_relation<V: Encode>(map: &BTreeMap<String, V>, w: &mut Writer) {
+    w.usize(map.len());
+    for (relation, v) in map {
+        w.name(relation);
+        v.encode(w);
+    }
+}
+
+pub(crate) fn decode_by_relation<V: Decode>(
+    r: &mut Reader<'_>,
+) -> Result<BTreeMap<String, V>, DecodeError> {
+    let mut map = BTreeMap::new();
+    for _ in 0..r.count()? {
+        let relation = r.name()?.to_string();
+        map.insert(relation, V::decode(r)?);
+    }
+    Ok(map)
+}
+
+impl Encode for NodeSnapshot {
+    fn encode(&self, w: &mut Writer) {
+        w.node(self.node);
+        encode_by_relation(&self.relations, w);
+        self.provenance.encode(w);
+    }
+}
+
+impl Decode for NodeSnapshot {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(NodeSnapshot {
+            node: r.node()?,
+            relations: decode_by_relation(r)?,
+            provenance: ProvStoreStats::decode(r)?,
+        })
+    }
+}
+
+impl Encode for SystemSnapshot {
+    fn encode(&self, w: &mut Writer) {
+        self.time.encode(w);
+        self.nodes.encode(w);
+        self.topology.encode(w);
+        self.graph.encode(w);
+        self.traffic.encode(w);
+        self.dictionary.encode(w);
+    }
+}
+
+impl Decode for SystemSnapshot {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(SystemSnapshot {
+            time: SimTime::decode(r)?,
+            nodes: BTreeMap::decode(r)?,
+            topology: Topology::decode(r)?,
+            graph: ProvGraph::decode(r)?,
+            traffic: TrafficStats::decode(r)?,
+            dictionary: InternerSnapshot::decode(r)?,
+        })
+    }
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! Satellite: serde round-trip + recovery for the segment-file backend.
+//! Round trip and recovery for the segment-file backend.
 //!
 //! Write a checkpoint/delta stream through `SnapshotCapturer` into a
 //! `SegmentFileBackend`, drop the handle, reopen the directory from disk —
@@ -8,15 +8,19 @@
 //! the read must fail its checksum, not decode to a different record, and a
 //! compaction must refuse to run rather than rewrite the log without it.
 //!
-//! And bytes damaged *before* open: every single-bit flip in the payload or
-//! the checksum field of a record that another frame (or the footer) follows
-//! costs exactly that record, in a sealed and in an unsealed segment; every
-//! truncation offset keeps exactly the intact prefix; a flip in `len` or one
-//! that makes `kind` invalid still ends the scan at that frame.
+//! And bytes damaged *before* open: every single-bit flip in the payload, the
+//! checksum field, `time_us` or the bit of `kind` that names the other kind,
+//! of a record that another frame (or the footer) follows, costs exactly that
+//! record, in a sealed and in an unsealed segment; every truncation offset
+//! keeps exactly the intact prefix; a flip in `len` or one that makes `kind`
+//! invalid still ends the scan at that frame. And JSON frames, as frames were
+//! once written, read as `InvalidData`.
 
 use logstore::snapshot::{tuple_sort_key, NodeSnapshot};
-use logstore::{LogBackend, LogStore, SegmentFileBackend, SnapshotCapturer, SystemSnapshot};
-use nt_runtime::{Tuple, Value};
+use logstore::{
+    LogBackend, LogRecord, LogStore, SegmentFileBackend, SnapshotCapturer, SystemSnapshot,
+};
+use nt_runtime::{codec, Tuple, Value};
 use simnet::{SimTime, Topology};
 use std::fs;
 use std::path::PathBuf;
@@ -36,15 +40,16 @@ fn segment_names(dir: &std::path::Path) -> Vec<String> {
     names
 }
 
+fn cost(c: i64) -> Tuple {
+    Tuple::new("cost", vec![Value::addr("n1"), Value::Int(c)])
+}
+
 fn snapshot(secs: u64, costs: &[i64], topo: Topology) -> SystemSnapshot {
     let mut node = NodeSnapshot {
         node: "n1".into(),
         ..Default::default()
     };
-    let mut tuples: Vec<Tuple> = costs
-        .iter()
-        .map(|c| Tuple::new("cost", vec![Value::addr("n1"), Value::Int(*c)]))
-        .collect();
+    let mut tuples: Vec<Tuple> = costs.iter().map(|c| cost(*c)).collect();
     tuples.sort_by_key(tuple_sort_key);
     node.relations.insert("cost".into(), tuples);
     let mut snap = SystemSnapshot {
@@ -180,20 +185,40 @@ fn a_bit_flipped_after_open_fails_the_checksum_on_read() {
     // Reading first leaves the segment's read handle open across the flip.
     let intact = backend.read(1).unwrap();
 
-    // Record 1 is a delta adding `cost(n1,2)`; turn its `2` into a `3`.
-    // The payload is still well-formed JSON and would decode.
+    // Record 1 is a delta adding `cost(n1,2)`; turn its `2` into a `3`. The
+    // codec says where: the two records' frames differ in that one byte, by
+    // one bit, and the flipped payload decodes to the other record.
     let seg_file = dir.join("seg-00000.ntl");
     let mut bytes = fs::read(&seg_file).unwrap();
     let frame1 = FRAME_HEADER + u32::from_le_bytes(bytes[..4].try_into().unwrap()) as usize;
-    let needle = br#"{"Int":2}"#;
-    let digit = frame1
-        + bytes[frame1..]
-            .windows(needle.len())
-            .position(|w| w == needle)
-            .expect("the delta carries the new cost")
-        + needle.len()
-        - 2;
-    bytes[digit] ^= 0x01;
+    let len1 = u32::from_le_bytes(bytes[frame1..frame1 + 4].try_into().unwrap()) as usize;
+    let payload1 = frame1 + FRAME_HEADER..frame1 + FRAME_HEADER + len1;
+    let written = codec::encode(&intact);
+    assert_eq!(
+        bytes[payload1.clone()],
+        written[..],
+        "the payload is the codec's frame"
+    );
+    let LogRecord::Delta(mut three) = intact.clone() else {
+        panic!("record 1 is a delta");
+    };
+    let node = three.nodes.get_mut(&"n1".into()).unwrap();
+    let added = node.added.get_mut("cost").unwrap();
+    assert_eq!(added[..], [cost(2)], "the delta carries the new cost");
+    added[0] = cost(3);
+    let three = LogRecord::Delta(three);
+    let rewritten = codec::encode(&three);
+    let differ: Vec<usize> = (0..written.len())
+        .filter(|&i| written[i] != rewritten[i])
+        .collect();
+    let [at] = differ[..] else {
+        panic!("one byte differs: {differ:?}");
+    };
+    let mask = written[at] ^ rewritten[at];
+    assert_eq!(mask.count_ones(), 1);
+    let digit = payload1.start + at;
+    bytes[digit] ^= mask;
+    assert_eq!(codec::decode::<LogRecord>(&bytes[payload1]), Ok(three));
     fs::write(&seg_file, &bytes).unwrap();
 
     let err = backend.read(1).unwrap_err();
@@ -225,7 +250,7 @@ fn a_bit_flipped_after_open_fails_the_checksum_on_read() {
     assert_eq!(store.get(1), None);
 
     // Flipping the bit back heals it, and the compaction goes through.
-    bytes[digit] ^= 0x01;
+    bytes[digit] ^= mask;
     fs::write(&seg_file, &bytes).unwrap();
     assert_eq!(store.record(1), Some(intact));
     assert_eq!(store.get(2).as_ref(), Some(&snaps[2]));
@@ -270,9 +295,11 @@ fn reopen_with(dir: &std::path::Path, bytes: &[u8]) -> SegmentFileBackend {
     SegmentFileBackend::open(dir).unwrap()
 }
 
-/// Every single-bit flip in the checksum field or the payload of every record
-/// that something follows: the record is unreadable, the other five are the
-/// records that were written.
+/// Every single-bit flip in the header but `len` (the bit of `kind` that names
+/// the other kind, every bit of `time_us` and of the checksum) or in the
+/// payload of every record that something follows: the record is unreadable,
+/// the other five are the records that were written, at their places and
+/// times. The corrupt record's time is held between its neighbours'.
 fn flip_every_bit(sealed: bool) {
     let (dir, bytes, frames) = one_segment(&format!("flip-{sealed}"), sealed);
     let intact = reopen_with(&dir, &bytes);
@@ -284,16 +311,26 @@ fn flip_every_bit(sealed: bool) {
     let followed = if sealed { 6 } else { 5 };
     let mut flips = 0usize;
     for (r, &(offset, len)) in frames.iter().enumerate().take(followed) {
-        let field = offset + 13..offset + 21;
-        let payload = offset + FRAME_HEADER..offset + FRAME_HEADER + len;
-        for byte in field.chain(payload) {
-            for bit in 0..8 {
+        let kind = (offset + 4, 0..1);
+        let rest = (offset + 5..offset + FRAME_HEADER + len).map(|byte| (byte, 0..8));
+        for (byte, bits) in std::iter::once(kind).chain(rest) {
+            for bit in bits {
                 let mut damaged = bytes.clone();
                 damaged[byte] ^= 1 << bit;
                 let b = reopen_with(&dir, &damaged);
+                let header = &damaged[offset + 5..offset + 13];
+                let mut time = SimTime::from_micros(u64::from_le_bytes(header.try_into().unwrap()));
+                if r > 0 {
+                    time = time.max(times[r - 1]);
+                }
+                if r < 5 {
+                    time = time.min(times[r + 1]);
+                }
+                let mut expected = times.clone();
+                expected[r] = time;
                 assert_eq!(
                     (b.len(), b.skipped_frames(), b.time_index()),
-                    (6, 1, &times[..]),
+                    (6, 1, &expected[..]),
                     "record {r}, byte {byte}, bit {bit}, sealed {sealed}"
                 );
                 assert!(b.get(r).is_none(), "record {r}, byte {byte}, bit {bit}");
@@ -308,7 +345,9 @@ fn flip_every_bit(sealed: bool) {
             }
         }
     }
-    assert!(flips > 8 * 64 * followed);
+    let header_bits = 1 + 8 * (FRAME_HEADER - 5);
+    let payload_bits: usize = frames[..followed].iter().map(|(_, len)| 8 * len).sum();
+    assert_eq!(flips, followed * header_bits + payload_bits);
     fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -348,7 +387,8 @@ fn a_flip_in_the_length_or_to_an_invalid_kind_still_ends_the_scan_there() {
     let (dir, bytes, frames) = one_segment("header", true);
     for (r, &(offset, _)) in frames.iter().enumerate() {
         // All 32 bits of `len`; bits 1..8 of `kind` (bit 0 names the other
-        // valid kind, which no checksum covers).
+        // valid kind: the checksum catches that flip, as it does a payload
+        // flip).
         for bit in (0..32).chain(33..40) {
             let mut damaged = bytes.clone();
             damaged[offset + bit / 8] ^= 1 << (bit % 8);
@@ -384,5 +424,78 @@ fn a_store_reopened_over_a_corrupt_delta_keeps_the_chains_behind_it() {
     let stats = store.compact();
     assert_eq!(stats.bytes_after, stats.bytes_before);
     assert_eq!(fs::read(dir.join("seg-00000.ntl")).unwrap(), bytes);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+fn fnv64(mut h: u64, bytes: &[u8]) -> u64 {
+    for b in bytes {
+        h = (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// A frame of `payload`; its checksum covers the header too, as the writer's
+/// does, or the payload alone, as the earlier format's did.
+fn frame_of(record: &LogRecord, payload: &[u8], header_checked: bool) -> Vec<u8> {
+    let mut frame = Vec::new();
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.push(matches!(record, LogRecord::Delta(_)) as u8);
+    frame.extend_from_slice(&record.time().as_micros().to_le_bytes());
+    let basis = 0xcbf2_9ce4_8422_2325;
+    let basis = if header_checked {
+        fnv64(basis, &frame)
+    } else {
+        basis
+    };
+    frame.extend_from_slice(&fnv64(basis, payload).to_le_bytes());
+    frame.extend_from_slice(payload);
+    frame
+}
+
+/// JSON payloads, the format frames once carried, are never read. A segment
+/// of the earlier format (checksums over the payload alone) opens with every
+/// record in the index and each read a checksum mismatch; a JSON payload
+/// under a header that verifies is an undecodable record. Both are
+/// `InvalidData`.
+#[test]
+fn a_json_frame_reads_as_invalid_data() {
+    let dir = tempdir("json");
+    fs::create_dir_all(&dir).unwrap();
+    let mut capturer = SnapshotCapturer::new(3);
+    let records: Vec<LogRecord> = captures()
+        .into_iter()
+        .map(|c| capturer.capture(c))
+        .collect();
+    let json = |r: &LogRecord| serde_json::to_string(r).unwrap().into_bytes();
+
+    let earlier: Vec<u8> = records
+        .iter()
+        .flat_map(|r| frame_of(r, &json(r), false))
+        .collect();
+    let b = reopen_with(&dir, &earlier);
+    assert_eq!((b.len(), b.skipped_frames()), (6, 6));
+    let times: Vec<SimTime> = records.iter().map(LogRecord::time).collect();
+    assert_eq!(b.time_index(), &times[..]);
+    for i in 0..6 {
+        let err = b.read(i).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().starts_with("checksum mismatch"), "{err}");
+    }
+
+    let b = reopen_with(&dir, &frame_of(&records[0], &json(&records[0]), true));
+    assert_eq!((b.len(), b.skipped_frames()), (1, 0));
+    let err = b.read(0).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    let text = err.to_string();
+    assert!(text.starts_with("undecodable record ("), "{text}");
+    assert!(text.ends_with(") in seg-00000 at offset 0"), "{text}");
+    assert!(b.get(0).is_none());
+
+    // The writer's own frame of the record, for contrast, reads back.
+    let b = reopen_with(
+        &dir,
+        &frame_of(&records[0], &codec::encode(&records[0]), true),
+    );
+    assert_eq!(b.read(0).unwrap(), records[0]);
     fs::remove_dir_all(&dir).unwrap();
 }

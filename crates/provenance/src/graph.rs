@@ -11,6 +11,7 @@
 
 use crate::store::RuleExecId;
 use crate::system::ProvenanceSystem;
+use nt_runtime::codec::{Decode, DecodeError, Encode, Reader, Writer};
 use nt_runtime::{Addr, IdMap, NodeId, Sym, Tuple, TupleId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -135,7 +136,155 @@ where
     Ok(entries.into_iter().collect())
 }
 
+impl Encode for VertexId {
+    fn encode(&self, w: &mut Writer) {
+        match self {
+            VertexId::Tuple(vid) => {
+                w.u8(0);
+                w.fixed64(vid.0);
+            }
+            VertexId::RuleExec(rid) => {
+                w.u8(1);
+                w.fixed64(rid.0);
+            }
+        }
+    }
+}
+
+impl Decode for VertexId {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        match r.u8()? {
+            0 => Ok(VertexId::Tuple(TupleId(r.fixed64()?))),
+            1 => Ok(VertexId::RuleExec(RuleExecId(r.fixed64()?))),
+            _ => Err(r.error(r.offset() - 1, "an unknown vertex id tag")),
+        }
+    }
+}
+
+impl Encode for ProvEdge {
+    fn encode(&self, w: &mut Writer) {
+        self.from.encode(w);
+        self.to.encode(w);
+    }
+}
+
+impl Decode for ProvEdge {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(ProvEdge {
+            from: VertexId::decode(r)?,
+            to: VertexId::decode(r)?,
+        })
+    }
+}
+
+// Tags: a rule execution; a tuple vertex without its tuple; with its tuple,
+// whose id is the vertex id and is not written; with a tuple of another id.
+const RULE_EXEC: u8 = 0;
+const TUPLE_UNKNOWN: u8 = 1;
+const TUPLE_KNOWN: u8 = 2;
+const TUPLE_OTHER_ID: u8 = 3;
+
+impl Encode for ProvVertex {
+    fn encode(&self, w: &mut Writer) {
+        match self {
+            ProvVertex::RuleExec { rid, rule, node } => {
+                w.u8(RULE_EXEC);
+                w.fixed64(rid.0);
+                w.sym(*rule);
+                w.node(*node);
+            }
+            ProvVertex::Tuple {
+                vid,
+                tuple,
+                home,
+                is_base,
+            } => {
+                match tuple {
+                    None => {
+                        w.u8(TUPLE_UNKNOWN);
+                        w.fixed64(vid.0);
+                    }
+                    Some(t) if t.id() == *vid => {
+                        w.u8(TUPLE_KNOWN);
+                        t.encode(w);
+                    }
+                    Some(t) => {
+                        w.u8(TUPLE_OTHER_ID);
+                        w.fixed64(vid.0);
+                        t.encode(w);
+                    }
+                }
+                w.node(*home);
+                w.bool(*is_base);
+            }
+        }
+    }
+}
+
+impl Decode for ProvVertex {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let (vid, tuple) = match r.u8()? {
+            RULE_EXEC => {
+                return Ok(ProvVertex::RuleExec {
+                    rid: RuleExecId(r.fixed64()?),
+                    rule: r.sym()?,
+                    node: r.node()?,
+                })
+            }
+            TUPLE_UNKNOWN => (TupleId(r.fixed64()?), None),
+            TUPLE_KNOWN => {
+                let t = Tuple::decode(r)?;
+                (t.id(), Some(t))
+            }
+            TUPLE_OTHER_ID => (TupleId(r.fixed64()?), Some(Tuple::decode(r)?)),
+            _ => return Err(r.error(r.offset() - 1, "an unknown vertex tag")),
+        };
+        Ok(ProvVertex::Tuple {
+            vid,
+            tuple,
+            home: r.node()?,
+            is_base: r.bool()?,
+        })
+    }
+}
+
+/// The vertices, each once: a vertex's key is its own id, so it is not
+/// written beside it. Adjacency is left to be rebuilt, as serde leaves it.
+impl Encode for ProvGraph {
+    fn encode(&self, w: &mut Writer) {
+        w.usize(self.vertices.len());
+        for (id, vertex) in &self.vertices {
+            debug_assert_eq!(*id, vertex.id(), "a vertex is keyed by its own id");
+            vertex.encode(w);
+        }
+        self.edges.encode(w);
+    }
+}
+
+impl Decode for ProvGraph {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let mut vertices = BTreeMap::new();
+        for _ in 0..r.count()? {
+            let vertex = ProvVertex::decode(r)?;
+            vertices.insert(vertex.id(), vertex);
+        }
+        Ok(ProvGraph {
+            vertices,
+            edges: Vec::decode(r)?,
+            ..Default::default()
+        })
+    }
+}
+
 impl ProvVertex {
+    /// The vertex's identifier: the key it is stored under in a graph.
+    pub fn id(&self) -> VertexId {
+        match self {
+            ProvVertex::Tuple { vid, .. } => VertexId::Tuple(*vid),
+            ProvVertex::RuleExec { rid, .. } => VertexId::RuleExec(*rid),
+        }
+    }
+
     /// Approximate upload cost of shipping this vertex in a snapshot: the
     /// identifier, the interned location id, flags, and (for known tuples)
     /// the tuple payload. Names travel once in the snapshot dictionary.

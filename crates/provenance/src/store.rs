@@ -27,6 +27,7 @@
 //! re-hashes strings; the string dictionary travels once per snapshot (see
 //! [`ProvStoreStats::dict_bytes`]), not once per entry.
 
+use nt_runtime::codec::{Decode, DecodeError, Encode, Reader, Writer};
 use nt_runtime::{
     dict_entry_wire_size, rule_exec_digest, Dictionary, IdMap, NodeId, StableHasher, Sym, Tuple,
     TupleId,
@@ -135,6 +136,32 @@ pub struct ProvStoreStats {
     /// Approximate bytes of provenance state (fixed-width interned records
     /// plus the one-time dictionary).
     pub bytes: usize,
+}
+
+impl Encode for ProvStoreStats {
+    fn encode(&self, w: &mut Writer) {
+        for v in [
+            self.prov_entries,
+            self.rule_execs,
+            self.tuple_vertices,
+            self.dict_bytes,
+            self.bytes,
+        ] {
+            w.usize(v);
+        }
+    }
+}
+
+impl Decode for ProvStoreStats {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(ProvStoreStats {
+            prov_entries: r.usize()?,
+            rule_execs: r.usize()?,
+            tuple_vertices: r.usize()?,
+            dict_bytes: r.usize()?,
+            bytes: r.usize()?,
+        })
+    }
 }
 
 /// A vertex slot in the store arena.

@@ -48,6 +48,6 @@ pub use store::{
 };
 pub use tuple::{Delta, Tuple, TupleId};
 pub use value::{
-    dict_entry_wire_size, dict_wire_size, rule_exec_digest, shard_route, Addr, Dictionary,
+    codec, dict_entry_wire_size, dict_wire_size, rule_exec_digest, shard_route, Addr, Dictionary,
     IdHasher, IdMap, IdSet, Interner, InternerSnapshot, NodeId, StableHasher, Sym, Value,
 };

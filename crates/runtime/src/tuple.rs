@@ -1,6 +1,7 @@
 //! Tuples and tuple identifiers.
 
 use crate::value::{StableHasher, Sym, Value};
+use nt_intern::codec::{Decode, DecodeError, Encode, Reader, Writer};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
@@ -27,7 +28,8 @@ impl fmt::Display for TupleId {
 /// copies a value. Relation comparisons on the join/provenance hot paths are
 /// integer compares.
 ///
-/// Sealed: [`Tuple::new`] is the one way to make one (serde goes through it).
+/// Sealed: [`Tuple::new`] is the one way to make one (serde and the codec go
+/// through it).
 /// It stores every value in canonical form (the identity rule at the top of
 /// [`crate::value`]) and hashes once, so equal tuples have one id and one
 /// representation, and [`Tuple::id`] is a field read. Equality, hashing,
@@ -148,6 +150,34 @@ impl Deserialize for Tuple {
         }
         let wire = Wire::deserialize(d)?;
         Ok(Tuple::new(wire.relation, wire.values))
+    }
+}
+
+// The relation and the values; reading goes through the constructor, so the
+// id and the canonical numbers are recomputed, never trusted.
+impl Encode for Tuple {
+    fn encode(&self, w: &mut Writer) {
+        w.sym(self.relation);
+        self.values.encode(w);
+    }
+}
+
+impl Decode for Tuple {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let relation = r.sym()?;
+        Ok(Tuple::new(relation, Vec::<Value>::decode(r)?))
+    }
+}
+
+impl Encode for TupleId {
+    fn encode(&self, w: &mut Writer) {
+        w.fixed64(self.0);
+    }
+}
+
+impl Decode for TupleId {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(TupleId(r.fixed64()?))
     }
 }
 

@@ -30,14 +30,15 @@
 //! program writes where addresses go into addresses ([`crate::catalog`]), so
 //! every layer matches values with `==` and nothing else.
 
+use nt_intern::codec::{Decode, DecodeError, Encode, Reader, Writer};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
 
 pub use nt_intern::{
-    dict_entry_wire_size, dict_wire_size, rule_exec_digest, shard_route, Dictionary, IdHasher,
-    IdMap, IdSet, Interner, InternerSnapshot, NodeId, StableHasher, Sym,
+    codec, dict_entry_wire_size, dict_wire_size, rule_exec_digest, shard_route, Dictionary,
+    IdHasher, IdMap, IdSet, Interner, InternerSnapshot, NodeId, StableHasher, Sym,
 };
 
 /// A network address / node name. NetTrails identifies nodes by name (the
@@ -372,6 +373,65 @@ impl fmt::Display for Value {
             Value::Id(v) => write!(f, "#{v:x}"),
             Value::Infinity => write!(f, "infinity"),
         }
+    }
+}
+
+/// A tag byte, then the variant's payload: `Int` zigzag, `Double` raw bits,
+/// `Str` its bytes, `Addr` a name, `List` its items, `Id` eight bytes.
+impl Encode for Value {
+    fn encode(&self, w: &mut Writer) {
+        match self {
+            Value::Int(v) => {
+                w.u8(0);
+                w.zigzag(*v);
+            }
+            Value::Double(v) => {
+                w.u8(1);
+                w.f64(*v);
+            }
+            Value::Str(s) => {
+                w.u8(2);
+                w.str(s);
+            }
+            Value::Bool(b) => {
+                w.u8(3);
+                w.bool(*b);
+            }
+            Value::Addr(a) => {
+                w.u8(4);
+                w.node(*a);
+            }
+            Value::List(l) => {
+                w.u8(5);
+                l.encode(w);
+            }
+            Value::Id(v) => {
+                w.u8(6);
+                w.fixed64(*v);
+            }
+            Value::Infinity => w.u8(7),
+        }
+    }
+}
+
+impl Decode for Value {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(match r.u8()? {
+            0 => Value::Int(r.zigzag()?),
+            1 => Value::Double(r.f64()?),
+            2 => Value::Str(r.str()?.to_string()),
+            3 => Value::Bool(r.bool()?),
+            4 => Value::Addr(r.node()?),
+            5 => {
+                r.enter()?;
+                let items = Vec::<Value>::decode(r)?;
+                r.leave();
+                Value::List(items.into())
+            }
+            6 => Value::Id(r.fixed64()?),
+            7 => Value::Infinity,
+            _ => return Err(r.error(r.offset() - 1, "an unknown value tag")),
+        })
     }
 }
 

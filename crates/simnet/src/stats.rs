@@ -16,7 +16,9 @@
 //! one place, the private `view` form below, which `Serialize`,
 //! `Deserialize` and `Debug` all go through; snapshot JSON and the `{:?}`
 //! text are what the string-keyed maps this replaced produced, byte for byte.
+//! The binary codec writes the handles themselves, as names of the frame.
 
+use nt_intern::codec::{Decode, DecodeError, Encode, Reader, Writer};
 use nt_intern::{IdMap, NodeId, Sym};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -170,6 +172,52 @@ mod view {
                 by_link,
             })
         }
+    }
+}
+
+/// The totals, the categories in name order, then the links in (src, dst)
+/// name order, so the bytes do not follow the map's hash order.
+impl Encode for TrafficStats {
+    fn encode(&self, w: &mut Writer) {
+        w.varint(self.messages);
+        w.varint(self.bytes);
+        w.varint(self.records);
+        w.usize(self.by_category.len());
+        for (category, (messages, bytes)) in &self.by_category {
+            w.name(category);
+            w.varint(*messages);
+            w.varint(*bytes);
+        }
+        let mut links: Vec<(NodeId, NodeId, u64)> = self.links().collect();
+        links.sort_unstable();
+        w.usize(links.len());
+        for (src, dst, messages) in links {
+            w.node(src);
+            w.node(dst);
+            w.varint(messages);
+        }
+    }
+}
+
+impl Decode for TrafficStats {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let mut stats = TrafficStats {
+            messages: r.varint()?,
+            bytes: r.varint()?,
+            records: r.varint()?,
+            ..Default::default()
+        };
+        for _ in 0..r.count()? {
+            let category = r.name()?;
+            stats
+                .by_category
+                .insert(category, (r.varint()?, r.varint()?));
+        }
+        for _ in 0..r.count()? {
+            let link = (r.node()?, r.node()?);
+            stats.by_link.insert(link, r.varint()?);
+        }
+        Ok(stats)
     }
 }
 

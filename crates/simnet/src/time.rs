@@ -1,5 +1,6 @@
 //! Simulated time.
 
+use nt_intern::codec::{Decode, DecodeError, Encode, Reader, Writer};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
@@ -43,6 +44,18 @@ impl SimTime {
     /// The time as whole microseconds.
     pub fn as_micros(self) -> u64 {
         self.0
+    }
+}
+
+impl Encode for SimTime {
+    fn encode(&self, w: &mut Writer) {
+        w.varint(self.0);
+    }
+}
+
+impl Decode for SimTime {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(SimTime(r.varint()?))
     }
 }
 

@@ -10,6 +10,7 @@
 //! Watts–Strogatz small-world meshes. Every seeded generator is a pure
 //! function of its parameters and a `u64` seed.
 
+use nt_intern::codec::{Decode, DecodeError, Encode, Reader, Writer};
 use nt_intern::{IdMap, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -118,6 +119,42 @@ impl Deserialize for LinkMap {
             links.insert(link);
         }
         Ok(links)
+    }
+}
+
+/// The nodes, then the links in (from, to) order; every node name is a name
+/// of the frame.
+impl Encode for Topology {
+    fn encode(&self, w: &mut Writer) {
+        w.usize(self.nodes.len());
+        for node in &self.nodes {
+            w.name(node);
+        }
+        w.usize(self.link_count());
+        for link in self.links() {
+            w.name(&link.from);
+            w.name(&link.to);
+            w.zigzag(link.cost);
+            w.varint(link.latency_ms);
+        }
+    }
+}
+
+impl Decode for Topology {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let mut topology = Topology::new();
+        for _ in 0..r.count()? {
+            topology.nodes.insert(r.name()?.to_string());
+        }
+        for _ in 0..r.count()? {
+            topology.links.insert(Link {
+                from: r.name()?.to_string(),
+                to: r.name()?.to_string(),
+                cost: r.zigzag()?,
+                latency_ms: r.varint()?,
+            });
+        }
+        Ok(topology)
     }
 }
 

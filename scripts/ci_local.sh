@@ -72,6 +72,14 @@ test_job() {
     #   simnet send_allocations, nettrails allocations_per_session — counted
     #     heap allocations per message (none once its link is counted) and
     #     per query session (under a pinned ceiling);
+    # the oracles of the log store's binary codec:
+    #   nettrails codec_equivalence — every record of seeded platform capture
+    #     streams (the snapshot_replay network, the four replay_determinism
+    #     families) round-trips through nt_runtime::codec and agrees with the
+    #     JSON round trip; hand-built values bit for bit;
+    #   logstore hostile_bytes — every truncation, seeded mutations and
+    #     random buffers: the decoder never panics, never reserves past the
+    #     bytes left, caps list nesting;
     # the laws of the one map hasher:
     #   nt-intern id_hasher — equal keys hash equal, and the low 16 bits and
     #     the top-7-bit tags of four key families (sequential handles, tuple
