@@ -5,7 +5,7 @@
 //! (Segment files carry the binary codec, not this text.)
 
 use logstore::{LogRecord, NodeSnapshot, SnapshotDelta, SystemSnapshot};
-use nt_runtime::{InternerSnapshot, Tuple, Value};
+use nt_runtime::{Tuple, Value};
 use provenance::{ProvEdge, ProvVertex, RuleExecId, VertexId};
 use simnet::{SimTime, Topology};
 
@@ -75,15 +75,12 @@ fn capture(secs: u64, routes: Vec<Tuple>, nodes: usize) -> SystemSnapshot {
 fn records() -> (LogRecord, LogRecord) {
     let first = capture(1, vec![route(1, "g2"), route(4, "g3")], 2);
     let second = capture(2, vec![route(2, "g2"), route(4, "g3")], 3);
-    let dict_diff = InternerSnapshot {
-        strings: vec!["g3".into()],
-    };
-    let delta = SnapshotDelta::between(&first, &second, dict_diff);
+    let delta = SnapshotDelta::between(&first, &second);
     (LogRecord::Checkpoint(first), LogRecord::Delta(delta))
 }
 
 const CHECKPOINT: &str = r##"{"Checkpoint":{"time":1000000,"nodes":{"g1":{"node":"g1","relations":{"note":[{"relation":"note","values":[{"Str":"tab\t \"quoted\" back\\slash é中😀 \u0001"},{"Double":1.5},{"Bool":true},{"Id":255},"Infinity"]}],"route":[{"relation":"route","values":[{"Addr":"g1"},{"Int":1},{"List":[{"Addr":"g1"},{"Addr":"g2"}]}]},{"relation":"route","values":[{"Addr":"g1"},{"Int":4},{"List":[{"Addr":"g1"},{"Addr":"g3"}]}]}]},"provenance":{"prov_entries":2,"rule_execs":0,"tuple_vertices":0,"dict_bytes":0,"bytes":0}}},"topology":{"nodes":["n1","n2"],"links":[{"from":"n1","to":"n2","cost":1,"latency_ms":1},{"from":"n2","to":"n1","cost":1,"latency_ms":1}]},"graph":{"vertices":[[{"Tuple":14596721363408416608},{"Tuple":{"vid":14596721363408416608,"tuple":{"relation":"route","values":[{"Addr":"g1"},{"Int":1},{"List":[{"Addr":"g1"},{"Addr":"g2"}]}]},"home":"g1","is_base":false}}],[{"RuleExec":1},{"RuleExec":{"rid":1,"rule":"gr1","node":"g2"}}]],"edges":[{"from":{"RuleExec":1},"to":{"Tuple":14596721363408416608}}]},"traffic":{"messages":1,"bytes":0,"records":0,"by_category":{},"by_link":{}},"dictionary":{"strings":["g1","g2","g3","gr1","note","route"]}}}"##;
-const DELTA: &str = r##"{"Delta":{"time":2000000,"nodes":{"g1":{"added":{"route":[{"relation":"route","values":[{"Addr":"g1"},{"Int":2},{"List":[{"Addr":"g1"},{"Addr":"g2"}]}]}]},"removed":{"route":[14596721363408416608]},"provenance":null}},"nodes_removed":[],"topology":{"nodes":["n1","n2","n3"],"links":[{"from":"n1","to":"n2","cost":1,"latency_ms":1},{"from":"n2","to":"n1","cost":1,"latency_ms":1},{"from":"n2","to":"n3","cost":1,"latency_ms":1},{"from":"n3","to":"n2","cost":1,"latency_ms":1}]},"graph":{"vertices_added":[[{"Tuple":13763600181487461817},{"Tuple":{"vid":13763600181487461817,"tuple":{"relation":"route","values":[{"Addr":"g1"},{"Int":2},{"List":[{"Addr":"g1"},{"Addr":"g2"}]}]},"home":"g1","is_base":false}}],[{"RuleExec":2},{"RuleExec":{"rid":2,"rule":"gr1","node":"g2"}}]],"vertices_removed":[{"Tuple":14596721363408416608},{"RuleExec":1}],"edges_added":[{"from":{"RuleExec":2},"to":{"Tuple":13763600181487461817}}],"edges_removed":[{"from":{"RuleExec":1},"to":{"Tuple":14596721363408416608}}]},"traffic":{"messages":2,"bytes":0,"records":0,"by_category":{},"by_link":{}},"dict_diff":{"strings":["g3"]}}}"##;
+const DELTA: &str = r##"{"Delta":{"time":2000000,"nodes":{"g1":{"added":{"route":[{"relation":"route","values":[{"Addr":"g1"},{"Int":2},{"List":[{"Addr":"g1"},{"Addr":"g2"}]}]}]},"removed":{"route":[14596721363408416608]},"provenance":null}},"nodes_removed":[],"topology":{"nodes":["n1","n2","n3"],"links":[{"from":"n1","to":"n2","cost":1,"latency_ms":1},{"from":"n2","to":"n1","cost":1,"latency_ms":1},{"from":"n2","to":"n3","cost":1,"latency_ms":1},{"from":"n3","to":"n2","cost":1,"latency_ms":1}]},"graph":{"vertices_added":[[{"Tuple":13763600181487461817},{"Tuple":{"vid":13763600181487461817,"tuple":{"relation":"route","values":[{"Addr":"g1"},{"Int":2},{"List":[{"Addr":"g1"},{"Addr":"g2"}]}]},"home":"g1","is_base":false}}],[{"RuleExec":2},{"RuleExec":{"rid":2,"rule":"gr1","node":"g2"}}]],"vertices_removed":[{"Tuple":14596721363408416608},{"RuleExec":1}],"edges_added":[{"from":{"RuleExec":2},"to":{"Tuple":13763600181487461817}}],"edges_removed":[{"from":{"RuleExec":1},"to":{"Tuple":14596721363408416608}}]},"traffic":{"messages":2,"bytes":0,"records":0,"by_category":{},"by_link":{}}}}"##;
 
 #[test]
 fn the_writer_emits_exactly_these_bytes() {

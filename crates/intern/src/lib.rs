@@ -122,23 +122,23 @@ impl Interner {
 /// A sender's memory of the names one destination has been sent.
 ///
 /// **The dictionary discipline.** Everything NetTrails ships between nodes —
-/// protocol deltas (`DeltaBatch`), provenance query frames (`QueryBatch`) and
-/// system snapshots to the central log store — carries names as fixed-width
-/// handles ([`Sym::WIRE_SIZE`] bytes each) plus a dictionary header: the
-/// strings behind the handles the destination has not been sent before. A
-/// sender keeps one `Dictionary` per destination; for every record it ships
-/// it walks the record's names once (a tuple's walk is
-/// `nt_runtime::Tuple::visit_names`) and puts a name in the frame's header
-/// exactly when [`Dictionary::first_use`] says so; the header is priced by
-/// [`dict_wire_size`]. So a name costs its string once per (sender,
-/// destination) and four bytes ever after, and a receiver that adds each
-/// frame's header to what it knows, in delivery order, can decode every
-/// record it is handed. Forgetting is the sender's to decide and always
+/// protocol deltas (`DeltaBatch`) and provenance query frames (`QueryBatch`)
+/// — carries names as fixed-width handles ([`Sym::WIRE_SIZE`] bytes each)
+/// plus a dictionary header: the strings behind the handles the destination
+/// has not been sent before. A sender keeps one `Dictionary` per
+/// destination; for every record it ships it walks the record's names once
+/// (a tuple's walk is `nt_runtime::Tuple::visit_names`) and puts a name in
+/// the frame's header exactly when [`Dictionary::first_use`] says so; the
+/// header is priced by [`dict_wire_size`]. So a name costs its string once
+/// per (sender, destination) and four bytes ever after, and a receiver that
+/// adds each frame's header to what it knows, in delivery order, can decode
+/// every record it is handed. Forgetting is the sender's to decide and always
 /// whole: [`Dictionary::clear`] re-ships everything (a benchmark resetting
-/// between configurations; a checkpoint, which must stand on its own because
-/// replay starts there). The order of entries inside one header belongs to
-/// the wire (first use for `DeltaBatch`, sorted for `QueryBatch` and
-/// snapshots); which entries it holds is decided here and nowhere else.
+/// between configurations). The order of entries inside one header belongs
+/// to the wire (first use for `DeltaBatch`, sorted for `QueryBatch`); which
+/// entries it holds is decided here and nowhere else. (Log-store records
+/// need no memory: each encoded frame carries the strings of the names it
+/// uses in its own name table, see [`codec`].)
 ///
 /// The memory is a set of handles: node and rule/relation handles index one
 /// pool (one string, one handle), so that is exactly a set of strings. It is
@@ -169,10 +169,8 @@ impl Dictionary {
     }
 }
 
-/// The strings a snapshot or a snapshot delta carries *once* so that every
-/// fixed-width id inside it resolves on the receiving side (a [`Dictionary`]
-/// header in serializable form). Handles serialize as strings, so nothing
-/// depends on raw id values.
+/// The names a snapshot refers to, sorted, in serializable form. Handles
+/// serialize as strings, so nothing depends on raw id values.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct InternerSnapshot {
     /// Dictionary entries, sorted.
@@ -188,11 +186,6 @@ impl InternerSnapshot {
     /// True when the dictionary is empty.
     pub fn is_empty(&self) -> bool {
         self.strings.is_empty()
-    }
-
-    /// One-time wire cost of shipping the dictionary.
-    pub fn wire_size(&self) -> usize {
-        dict_wire_size(&self.strings)
     }
 }
 
@@ -698,13 +691,11 @@ mod tests {
             strings: vec!["link".to_string(), "snapshot-node".to_string()],
         };
         assert_eq!(snap.len(), 2);
-        assert_eq!(snap.wire_size(), (8 + 4) + (8 + 13));
-        assert_eq!(snap.wire_size(), dict_wire_size(&snap.strings));
+        assert_eq!(dict_wire_size(&snap.strings), (8 + 4) + (8 + 13));
         let back: InternerSnapshot =
             serde::from_content(serde::to_content(&snap).unwrap()).unwrap();
         assert_eq!(back, snap);
         assert!(InternerSnapshot::default().is_empty());
-        assert_eq!(InternerSnapshot::default().wire_size(), 0);
     }
 
     #[test]

@@ -2,9 +2,12 @@
 //!
 //! The Log Store of Section 2.3 is an append-only sequence of records — full
 //! [`SystemSnapshot`] checkpoints interleaved with [`SnapshotDelta`]s that
-//! carry only what changed since the previous capture. *Where* those records
-//! live is a [`LogBackend`] decision: in memory ([`MemBackend`]) or in
-//! append-only segment files ([`crate::SegmentFileBackend`]). The façade
+//! carry only what changed since the previous capture. A record is its
+//! encoded payload: the façade encodes it once (`nt_runtime::codec`),
+//! charges the payload's length as the upload, and hands the bytes to a
+//! [`LogBackend`], which stores them in memory ([`MemBackend`]) or in
+//! append-only segment files ([`crate::SegmentFileBackend`]). Backends
+//! neither encode nor decode; the façade decodes what they return and
 //! materializes point-in-time snapshots from checkpoint + delta chains
 //! regardless of the backend.
 
@@ -13,6 +16,8 @@ use crate::snapshot::SystemSnapshot;
 use nt_runtime::codec::{Decode, DecodeError, Encode, Reader, Writer};
 use serde::{Deserialize, Serialize};
 use simnet::SimTime;
+use std::borrow::Cow;
+use std::io;
 
 /// One record of the log: a full checkpoint or an incremental delta against
 /// the previous record's materialized state.
@@ -38,26 +43,6 @@ impl LogRecord {
         match self {
             LogRecord::Checkpoint(_) => RecordKind::Checkpoint,
             LogRecord::Delta(_) => RecordKind::Delta,
-        }
-    }
-
-    /// Upload cost of shipping this record to the central store.
-    pub fn upload_bytes(&self) -> usize {
-        match self {
-            LogRecord::Checkpoint(s) => s.upload_bytes(),
-            LogRecord::Delta(d) => d.upload_bytes(),
-        }
-    }
-
-    /// The dictionary bytes this record carries: the full stamped dictionary
-    /// for a checkpoint, only the names nothing since that checkpoint has
-    /// shipped for a delta. Deltas' dictionary cost goes to zero once
-    /// captures stop referencing new names — the "sublinear after warmup"
-    /// property.
-    pub fn dict_bytes(&self) -> usize {
-        match self {
-            LogRecord::Checkpoint(s) => s.dictionary.wire_size(),
-            LogRecord::Delta(d) => d.dict_diff.wire_size(),
         }
     }
 }
@@ -111,24 +96,25 @@ pub struct CompactionStats {
     pub records: usize,
 }
 
-/// A storage backend for the log: an ordered sequence of [`LogRecord`]s.
+/// A storage backend for the log: an ordered sequence of record payloads.
 ///
-/// Backends keep records in capture-time order (ties broken by arrival) and
+/// Backends keep payloads in capture-time order (ties broken by arrival) and
 /// maintain an in-memory `(time, kind)` index so `at` is a binary search and
-/// chain walks never touch the payload encoding. `append` inserts at the
-/// position its time dictates; the [`crate::LogStore`] façade enforces the
-/// chain invariants (deltas append at the end, checkpoints never split an
-/// existing checkpoint→delta chain) before calling in.
+/// chain walks never read a payload. `append` inserts at the position its
+/// time dictates; the [`crate::LogStore`] façade encodes the record and
+/// enforces the chain invariants (deltas append at the end, checkpoints
+/// never split an existing checkpoint→delta chain) before calling in.
 pub trait LogBackend: std::fmt::Debug {
     /// A short name for reports ("mem", "segment_file").
     fn name(&self) -> &'static str;
 
-    /// Insert a record at the position its capture time dictates (records
-    /// with equal times keep arrival order).
-    fn append(&mut self, record: LogRecord);
+    /// Insert a record's payload at the position its capture time dictates
+    /// (records with equal times keep arrival order).
+    fn append(&mut self, time: SimTime, kind: RecordKind, payload: &[u8]);
 
-    /// Decode the record at a logical index.
-    fn get(&self, index: usize) -> Option<LogRecord>;
+    /// The payload at a logical index, byte for byte as appended: an error
+    /// when there is no such record or its bytes no longer verify.
+    fn payload(&self, index: usize) -> io::Result<Cow<'_, [u8]>>;
 
     /// Capture times of every record, in logical order.
     fn time_index(&self) -> &[SimTime];
@@ -154,28 +140,28 @@ pub trait LogBackend: std::fmt::Debug {
             .checked_sub(1)
     }
 
-    /// Iterate over every record in logical order.
-    fn iter(&self) -> Box<dyn Iterator<Item = LogRecord> + '_> {
-        Box::new((0..self.len()).filter_map(move |i| self.get(i)))
-    }
-
     /// Push buffered writes to durable storage (no-op for volatile backends).
     fn flush(&mut self) {}
 
     /// Reclaim dead storage (truncated tails, superseded segments) without
-    /// changing any `get`/`at` answer. A backend that cannot read one of its
-    /// records changes nothing and reports `bytes_after == bytes_before`.
+    /// changing any payload. A backend that cannot read one of its payloads
+    /// changes nothing and reports `bytes_after == bytes_before`.
     fn compact(&mut self) -> CompactionStats;
 
     /// Current storage footprint in bytes.
     fn storage_bytes(&self) -> usize;
 }
 
-/// The default backend: records held in a `Vec`, exactly the pre-refactor
-/// behavior of `LogStore`'s internal `Vec<SystemSnapshot>`.
+/// The error for an index past the last record.
+pub(crate) fn no_record(index: usize) -> io::Error {
+    io::Error::new(io::ErrorKind::NotFound, format!("no record {index}"))
+}
+
+/// The default backend: the payloads held in memory. Its footprint is their
+/// sum, which is what the façade charged for them.
 #[derive(Debug, Default)]
 pub struct MemBackend {
-    records: Vec<LogRecord>,
+    payloads: Vec<Box<[u8]>>,
     times: Vec<SimTime>,
     kinds: Vec<RecordKind>,
 }
@@ -192,16 +178,16 @@ impl LogBackend for MemBackend {
         "mem"
     }
 
-    fn append(&mut self, record: LogRecord) {
-        let time = record.time();
+    fn append(&mut self, time: SimTime, kind: RecordKind, payload: &[u8]) {
         let pos = self.times.partition_point(|t| *t <= time);
         self.times.insert(pos, time);
-        self.kinds.insert(pos, record.kind());
-        self.records.insert(pos, record);
+        self.kinds.insert(pos, kind);
+        self.payloads.insert(pos, payload.into());
     }
 
-    fn get(&self, index: usize) -> Option<LogRecord> {
-        self.records.get(index).cloned()
+    fn payload(&self, index: usize) -> io::Result<Cow<'_, [u8]>> {
+        let payload = self.payloads.get(index).ok_or_else(|| no_record(index))?;
+        Ok(Cow::Borrowed(payload))
     }
 
     fn time_index(&self) -> &[SimTime] {
@@ -217,12 +203,12 @@ impl LogBackend for MemBackend {
         CompactionStats {
             bytes_before: bytes,
             bytes_after: bytes,
-            records: self.records.len(),
+            records: self.payloads.len(),
         }
     }
 
     fn storage_bytes(&self) -> usize {
-        self.records.iter().map(LogRecord::upload_bytes).sum()
+        self.payloads.iter().map(|p| p.len()).sum()
     }
 }
 
@@ -230,33 +216,36 @@ impl LogBackend for MemBackend {
 mod tests {
     use super::*;
 
-    fn checkpoint_at(secs: u64) -> LogRecord {
-        LogRecord::Checkpoint(SystemSnapshot {
-            time: SimTime::from_secs(secs),
-            ..Default::default()
-        })
+    fn append_at(b: &mut MemBackend, secs: u64) {
+        let payload = format!("record at {secs} s");
+        b.append(
+            SimTime::from_secs(secs),
+            RecordKind::Checkpoint,
+            payload.as_bytes(),
+        );
     }
 
     #[test]
     fn mem_backend_keeps_records_in_time_order() {
         let mut b = MemBackend::new();
-        b.append(checkpoint_at(10));
-        b.append(checkpoint_at(5));
-        b.append(checkpoint_at(7));
+        for s in [10, 5, 7] {
+            append_at(&mut b, s);
+        }
         let secs: Vec<u64> = b
             .time_index()
             .iter()
             .map(|t| t.as_micros() / 1_000_000)
             .collect();
         assert_eq!(secs, vec![5, 7, 10]);
-        assert_eq!(b.get(0).unwrap().time(), SimTime::from_secs(5));
+        assert_eq!(&*b.payload(0).unwrap(), b"record at 5 s");
+        assert_eq!(b.payload(3).unwrap_err().kind(), io::ErrorKind::NotFound);
     }
 
     #[test]
     fn at_is_a_binary_search_over_the_time_index() {
         let mut b = MemBackend::new();
         for s in [2, 4, 6, 8] {
-            b.append(checkpoint_at(s));
+            append_at(&mut b, s);
         }
         assert_eq!(b.at(SimTime::from_secs(5)), Some(1));
         assert_eq!(b.at(SimTime::from_secs(8)), Some(3));
@@ -267,8 +256,9 @@ mod tests {
     #[test]
     fn mem_compaction_is_a_noop_that_reports_the_footprint() {
         let mut b = MemBackend::new();
-        b.append(checkpoint_at(1));
+        append_at(&mut b, 1);
         let stats = b.compact();
+        assert_eq!(stats.bytes_before, "record at 1 s".len());
         assert_eq!(stats.bytes_before, stats.bytes_after);
         assert_eq!(stats.records, 1);
     }

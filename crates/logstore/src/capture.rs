@@ -4,18 +4,15 @@
 //! into the checkpoint + delta record stream the log stores: the first
 //! capture (and every `checkpoint_every`-th after it) becomes a full
 //! [`LogRecord::Checkpoint`]; every other capture becomes a
-//! [`LogRecord::Delta`] against the previous capture. The capturer is one
-//! more sender under the dictionary discipline (`nt_runtime::Dictionary`),
-//! its one destination the log store: a checkpoint ships its whole
-//! dictionary and starts the memory over, because replay starts there; a
-//! delta ships the names of its capture the store has not been sent since.
-//! What a record ships depends on the captures alone, never on what else
-//! the process interned.
+//! [`LogRecord::Delta`] against the previous capture. A record needs no
+//! dictionary from the records before it: its encoded frame carries the
+//! strings of the names it uses in its own name table (`nt_runtime::codec`),
+//! so what it costs depends on the captures alone, never on what else the
+//! process interned.
 
 use crate::backend::LogRecord;
 use crate::delta::SnapshotDelta;
 use crate::snapshot::SystemSnapshot;
-use nt_runtime::{Dictionary, InternerSnapshot, Sym};
 
 /// Converts consecutive full captures into checkpoint/delta records.
 #[derive(Debug)]
@@ -23,8 +20,6 @@ pub struct SnapshotCapturer {
     checkpoint_every: usize,
     since_checkpoint: usize,
     last: Option<SystemSnapshot>,
-    /// What the log store has been sent since the last checkpoint.
-    sent: Dictionary,
 }
 
 impl SnapshotCapturer {
@@ -36,7 +31,6 @@ impl SnapshotCapturer {
             checkpoint_every: checkpoint_every.max(1),
             since_checkpoint: 0,
             last: None,
-            sent: Dictionary::default(),
         }
     }
 
@@ -46,23 +40,10 @@ impl SnapshotCapturer {
             .last
             .as_ref()
             .filter(|_| self.since_checkpoint < self.checkpoint_every);
-        if prev.is_none() {
-            self.sent.clear();
-        }
-        // A name the previous capture held is in the memory, and a name this
-        // one holds and that one did not is in the delta, so the capture's
-        // unsent names are exactly the delta's. A checkpoint carries its
-        // dictionary itself and only feeds the memory.
-        let mut dict_diff = InternerSnapshot::default();
-        for name in &snapshot.shipped_dictionary().strings {
-            if self.sent.first_use(Sym::new(name)) && prev.is_some() {
-                dict_diff.strings.push(name.clone());
-            }
-        }
         let record = match prev {
             Some(prev) => {
                 self.since_checkpoint += 1;
-                LogRecord::Delta(SnapshotDelta::between(prev, &snapshot, dict_diff))
+                LogRecord::Delta(SnapshotDelta::between(prev, &snapshot))
             }
             None => {
                 self.since_checkpoint = 1;
@@ -106,17 +87,5 @@ mod tests {
         for i in 0..4 {
             assert_eq!(cap.capture(snapshot_at(i)).kind(), RecordKind::Checkpoint);
         }
-    }
-
-    #[test]
-    fn delta_dict_diff_is_empty_when_no_symbols_were_minted() {
-        let mut cap = SnapshotCapturer::new(8);
-        cap.capture(snapshot_at(1));
-        let record = cap.capture(snapshot_at(2));
-        let LogRecord::Delta(delta) = record else {
-            panic!("second capture must be a delta");
-        };
-        assert!(delta.dict_diff.is_empty());
-        assert_eq!(LogRecord::Delta(delta).dict_bytes(), 0);
     }
 }

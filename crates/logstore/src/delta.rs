@@ -3,20 +3,19 @@
 //! Uploading a full [`SystemSnapshot`] at every capture re-ships everything —
 //! full tables, the full provenance graph, and the full identifier
 //! dictionary. A [`SnapshotDelta`] instead carries only what changed since
-//! the previous capture: per-node tuple additions/removals (removals priced
-//! as bare [`TupleId`]s), provenance-graph vertex/edge edits, the topology
-//! and traffic counters only when they moved, and a *dictionary diff* — just
-//! the names the log store has not been sent since the last checkpoint
-//! (`nt_runtime::Dictionary`; [`crate::SnapshotCapturer`] keeps the memory).
-//! Applying a delta to the previous
-//! materialized snapshot reproduces the next snapshot bit-for-bit, which the
-//! equivalence proptest verifies across every backend.
+//! the previous capture: per-node tuple additions/removals (removals written
+//! as bare [`TupleId`]s), provenance-graph vertex/edge edits, and the
+//! topology and traffic counters only when they moved. It names nothing it
+//! does not hold: the names it uses travel in its own frame's name table
+//! (`nt_runtime::codec`). Applying a delta to the previous materialized
+//! snapshot reproduces the next snapshot bit-for-bit, which the equivalence
+//! proptest verifies across every backend.
 
 use crate::snapshot::{
     decode_by_relation, encode_by_relation, tuple_sort_key, NodeSnapshot, SystemSnapshot,
 };
 use nt_runtime::codec::{Decode, DecodeError, Encode, Reader, Writer};
-use nt_runtime::{Addr, InternerSnapshot, Tuple, TupleId};
+use nt_runtime::{Addr, Tuple, TupleId};
 use provenance::{ProvEdge, ProvStoreStats, ProvVertex, VertexId};
 use serde::{Deserialize, Serialize};
 use simnet::{SimTime, Topology, TrafficStats};
@@ -29,7 +28,7 @@ pub struct NodeDelta {
     /// order).
     pub added: BTreeMap<String, Vec<Tuple>>,
     /// Tuples that disappeared, per relation, as content-addressed ids — an
-    /// id is 8 bytes on the wire, the tuple itself is not re-shipped.
+    /// id is 8 bytes in the frame, the tuple itself is not re-shipped.
     pub removed: BTreeMap<String, Vec<TupleId>>,
     /// New provenance-store sizes, when they changed.
     pub provenance: Option<ProvStoreStats>,
@@ -74,23 +73,6 @@ impl NodeDelta {
         }
         delta
     }
-
-    /// Upload cost: added tuples at full wire size, removals at one id each,
-    /// changed provenance stats as a fixed-width record.
-    pub fn upload_bytes(&self) -> usize {
-        let added: usize = self
-            .added
-            .values()
-            .flat_map(|ts| ts.iter().map(Tuple::wire_size))
-            .sum();
-        let removed: usize = self.removed.values().map(|ids| ids.len() * 8).sum();
-        // One interned relation id per touched relation, plus the stats
-        // record (five counters) when it changed.
-        added
-            + removed
-            + (self.added.len() + self.removed.len()) * 4
-            + if self.provenance.is_some() { 40 } else { 0 }
-    }
 }
 
 /// Changes to the centralized provenance graph.
@@ -134,17 +116,6 @@ impl GraphDelta {
         delta.edges_removed = before.difference(&after).copied().collect();
         delta
     }
-
-    /// Upload cost: full vertices for additions, bare ids for removals, two
-    /// vertex ids per edge edit.
-    pub fn upload_bytes(&self) -> usize {
-        self.vertices_added
-            .iter()
-            .map(|(_, v)| 8 + v.wire_size())
-            .sum::<usize>()
-            + self.vertices_removed.len() * 8
-            + (self.edges_added.len() + self.edges_removed.len()) * 16
-    }
 }
 
 /// The changes between two consecutive system captures. Applying a delta to
@@ -164,24 +135,13 @@ pub struct SnapshotDelta {
     pub graph: GraphDelta,
     /// The new cumulative traffic counters, when they moved.
     pub traffic: Option<TrafficStats>,
-    /// The names this delta references that no record since the last
-    /// checkpoint (that checkpoint included) has shipped, sorted — the *only*
-    /// dictionary content this delta ships. Empty once captures stop
-    /// referencing new names.
-    pub dict_diff: InternerSnapshot,
 }
 
 impl SnapshotDelta {
-    /// Diff two consecutive captures. `dict_diff` is what the capture path
-    /// ([`crate::SnapshotCapturer`]) found unsent among `next`'s names.
-    pub fn between(
-        prev: &SystemSnapshot,
-        next: &SystemSnapshot,
-        dict_diff: InternerSnapshot,
-    ) -> Self {
+    /// Diff two consecutive captures.
+    pub fn between(prev: &SystemSnapshot, next: &SystemSnapshot) -> Self {
         let mut delta = SnapshotDelta {
             time: next.time,
-            dict_diff,
             ..Default::default()
         };
         for (addr, next_node) in &next.nodes {
@@ -289,25 +249,6 @@ impl SnapshotDelta {
         }
         taken
     }
-
-    /// Upload cost of shipping this delta: per-node edits, graph edits, the
-    /// topology/traffic payloads only when present, the dictionary diff, and
-    /// a small fixed header. An empty delta still costs the header — capture
-    /// cadence is not free.
-    pub fn upload_bytes(&self) -> usize {
-        let nodes: usize = self.nodes.values().map(NodeDelta::upload_bytes).sum();
-        8 + nodes
-            + self.nodes.len() * 4
-            + self.nodes_removed.len() * 4
-            + self.topology.as_ref().map(Topology::wire_size).unwrap_or(0)
-            + self.graph.upload_bytes()
-            + self
-                .traffic
-                .as_ref()
-                .map(TrafficStats::wire_size)
-                .unwrap_or(0)
-            + self.dict_diff.wire_size()
-    }
 }
 
 impl Encode for NodeDelta {
@@ -367,7 +308,6 @@ impl Encode for SnapshotDelta {
         self.topology.encode(w);
         self.graph.encode(w);
         self.traffic.encode(w);
-        self.dict_diff.encode(w);
     }
 }
 
@@ -380,7 +320,6 @@ impl Decode for SnapshotDelta {
             topology: Option::decode(r)?,
             graph: GraphDelta::decode(r)?,
             traffic: Option::decode(r)?,
-            dict_diff: InternerSnapshot::decode(r)?,
         })
     }
 }
@@ -388,7 +327,7 @@ impl Decode for SnapshotDelta {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nt_runtime::Value;
+    use nt_runtime::{codec, Value};
 
     fn node_with(name: &str, costs: &[i64]) -> NodeSnapshot {
         let mut node = NodeSnapshot {
@@ -418,7 +357,7 @@ mod tests {
     fn delta_round_trips_to_the_next_snapshot() {
         let a = snapshot_with(1, &[1, 2, 3]);
         let b = snapshot_with(2, &[2, 3, 4, 5]);
-        let delta = SnapshotDelta::between(&a, &b, InternerSnapshot::default());
+        let delta = SnapshotDelta::between(&a, &b);
         let mut materialized = a.clone();
         delta.apply(&mut materialized);
         materialized.stamp_dictionary();
@@ -427,28 +366,34 @@ mod tests {
 
     #[test]
     fn removals_are_priced_as_ids_not_tuples() {
-        let a = snapshot_with(1, &[1, 2, 3]);
-        let b = snapshot_with(2, &[1]);
-        let delta = SnapshotDelta::between(&a, &b, InternerSnapshot::default());
-        let full = b.upload_bytes();
-        assert!(
-            delta.upload_bytes() < full,
-            "a shrinking capture must cost less than re-shipping it: {} vs {}",
-            delta.upload_bytes(),
-            full
-        );
+        // The removed tuples hold 100-byte strings; each costs its 8-byte id.
+        let wide = |keys: &[i64]| {
+            let mut snap = snapshot_with(1, &[1]);
+            let padding = Value::str("x".repeat(100));
+            let tuples = keys
+                .iter()
+                .map(|k| Tuple::new("wide", vec![Value::Int(*k), padding.clone()]));
+            let node = snap.nodes.get_mut(&"n1".into()).unwrap();
+            node.relations.insert("wide".into(), tuples.collect());
+            snap
+        };
+        let after = snapshot_with(2, &[1]);
+        let removing =
+            |keys: &[i64]| codec::encode(&SnapshotDelta::between(&wide(keys), &after)).len();
+        assert_eq!(removing(&[2, 3]) - removing(&[2]), 8);
     }
 
     #[test]
     fn unchanged_capture_produces_a_near_empty_delta() {
         let a = snapshot_with(1, &[1, 2]);
         let b = snapshot_with(2, &[1, 2]);
-        let delta = SnapshotDelta::between(&a, &b, InternerSnapshot::default());
+        let delta = SnapshotDelta::between(&a, &b);
         assert!(delta.nodes.is_empty());
         assert!(delta.topology.is_none());
         assert!(delta.graph.is_empty());
         assert!(delta.traffic.is_none());
-        assert_eq!(delta.upload_bytes(), 8, "only the header remains");
+        // An empty name table, the time and eight empty sections.
+        assert_eq!(codec::encode(&delta).len(), 1 + 3 + 8);
     }
 
     #[test]
@@ -457,7 +402,7 @@ mod tests {
         let mut b = snapshot_with(2, &[1]);
         b.nodes.insert("n2".into(), node_with("n2", &[7]));
         b.stamp_dictionary();
-        let delta = SnapshotDelta::between(&a, &b, InternerSnapshot::default());
+        let delta = SnapshotDelta::between(&a, &b);
         let mut forward = a.clone();
         delta.apply(&mut forward);
         forward.stamp_dictionary();
@@ -465,7 +410,7 @@ mod tests {
 
         // And the reverse direction drops the node again.
         std::mem::swap(&mut a, &mut b);
-        let delta = SnapshotDelta::between(&a, &b, InternerSnapshot::default());
+        let delta = SnapshotDelta::between(&a, &b);
         assert_eq!(delta.nodes_removed, vec![Addr::new("n2")]);
         let mut back = a.clone();
         delta.apply(&mut back);

@@ -16,16 +16,19 @@
 //! * [`SystemSnapshot`] — the combined snapshot of every node plus the
 //!   topology and the assembled provenance graph;
 //! * [`SnapshotDelta`] — the changes between two consecutive captures:
-//!   per-node tuple diffs, graph edits, and a *dictionary diff* carrying only
-//!   the names the store has not been sent since the last checkpoint;
+//!   per-node tuple diffs, graph edits, and the topology and traffic
+//!   counters when they moved;
 //! * [`SnapshotCapturer`] — the capture path that turns full captures into a
 //!   checkpoint + delta record stream ([`LogRecord`]);
-//! * [`LogBackend`] — the pluggable storage layer: [`MemBackend`] (default,
+//! * [`LogBackend`] — the pluggable byte store: [`MemBackend`] (default,
 //!   volatile) and [`SegmentFileBackend`] (append-only segment files with
 //!   footer indexes, fsync on seal, and truncated-tail recovery on open);
-//! * [`LogStore`] — the central store, a thin façade over a backend: reads
-//!   materialize full snapshots from checkpoint + delta chains, JSON
-//!   (de)serialization and upload-size accounting are unchanged;
+//!   compaction copies payloads byte for byte;
+//! * [`LogStore`] — the central store, a thin façade over a backend: it
+//!   encodes each record once with the binary codec (`nt_runtime::codec`)
+//!   and charges the payload's length as the upload; reads decode payloads
+//!   and materialize full snapshots from checkpoint + delta chains; JSON
+//!   (de)serialization is the visualizer's export;
 //! * [`Replay`] — iteration over the stored snapshots with per-step diffs
 //!   (which tuples appeared / disappeared between consecutive snapshots),
 //!   which is what the visualizer's replay slider consumes.
@@ -43,9 +46,9 @@
 //! took out; only a step onto a checkpoint compares two snapshots.
 //! `append_record` and `compact` drop the cursor. The segment-file backend
 //! checks every frame it reads against its checksum, one pass over the
-//! bytes, and decodes the payload with the binary codec
-//! (`nt_runtime::codec`) straight into the types: no intermediate tree, each
-//! distinct name interned once per record.
+//! bytes; the façade decodes the payload, on every backend, with the binary
+//! codec straight into the types: no intermediate tree, each distinct name
+//! interned once per record.
 
 pub mod backend;
 pub mod capture;

@@ -34,20 +34,26 @@
 //! later than the frame it lands on — which keeps its place in the index its
 //! place in the file.
 //!
-//! Compaction rewrites all live records into fresh sealed segments,
-//! reclaiming dead tail bytes; if any record fails to read it rewrites
-//! nothing.
+//! Compaction copies every live record's payload, byte for byte, into fresh
+//! segments, reclaiming dead tail bytes: it checks each frame against its
+//! checksum and neither decodes nor re-encodes, so a payload that verifies
+//! but does not decode is carried over as it was. If any frame fails its
+//! checksum it rewrites nothing.
 //!
 //! Every read checks the frame against its checksum again, so bytes that rot
 //! after `open` are a "checksum mismatch" error, never a record; a payload
-//! that verifies but does not decode is `InvalidData` as well. Frames of the
-//! earlier format, whose checksum covered a JSON payload alone, are scanned
-//! like corrupt frames that something follows: each keeps its place in the
-//! index and every read of it is a "checksum mismatch". Nothing reads them.
+//! that verifies but does not decode is `InvalidData` as well
+//! ([`SegmentFileBackend::read`]). The backend stores bytes: the façade
+//! encodes each record and decodes what [`LogBackend::payload`] returns.
+//! Frames of the earlier format, whose checksum covered a JSON payload
+//! alone, are scanned like corrupt frames that something follows: each keeps
+//! its place in the index and every read of it is a "checksum mismatch".
+//! Nothing reads them.
 
-use crate::backend::{CompactionStats, LogBackend, LogRecord, RecordKind};
-use nt_runtime::codec::{self, Writer};
+use crate::backend::{no_record, CompactionStats, LogBackend, LogRecord, RecordKind};
+use nt_runtime::codec;
 use simnet::SimTime;
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -128,8 +134,6 @@ pub struct SegmentFileBackend {
     /// The read handle of the segment last read from, kept open across
     /// reads: a replay reads a segment's records one after another.
     reader: RefCell<Option<(u32, File)>>,
-    /// The record encoder, reused from append to append.
-    writer: Writer,
 }
 
 impl SegmentFileBackend {
@@ -166,7 +170,6 @@ impl SegmentFileBackend {
             storage_bytes: 0,
             skipped_frames: 0,
             reader: RefCell::new(None),
-            writer: Writer::default(),
         };
         let mut recovered: Vec<Slot> = Vec::new();
         for (number, path) in &segment_files {
@@ -238,19 +241,22 @@ impl SegmentFileBackend {
         Ok(())
     }
 
-    fn append_record(&mut self, record: &LogRecord) -> std::io::Result<Slot> {
+    fn append_frame(
+        &mut self,
+        time: SimTime,
+        kind: RecordKind,
+        payload: &[u8],
+    ) -> std::io::Result<Slot> {
+        let payload_len = u32::try_from(payload.len())
+            .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "a payload of 4 GiB"))?;
         self.ensure_active()?;
-        let time = record.time();
-        let kind = record.kind();
-        let mut frame = vec![0; FRAME_HEADER];
-        self.writer.frame(record, &mut frame);
-        let payload_len = (frame.len() - FRAME_HEADER) as u32;
-        frame[..4].copy_from_slice(&payload_len.to_le_bytes());
-        frame[4] = kind_byte(kind);
-        frame[5..CHECKED_HEADER].copy_from_slice(&time.as_micros().to_le_bytes());
-        let (header, payload) = frame.split_at(FRAME_HEADER);
-        let checksum = checksum(header, payload);
-        frame[CHECKED_HEADER..FRAME_HEADER].copy_from_slice(&checksum.to_le_bytes());
+        let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
+        frame.extend_from_slice(&payload_len.to_le_bytes());
+        frame.push(kind_byte(kind));
+        frame.extend_from_slice(&time.as_micros().to_le_bytes());
+        let checksum = checksum(&frame, payload);
+        frame.extend_from_slice(&checksum.to_le_bytes());
+        frame.extend_from_slice(payload);
 
         let active = self.active.as_mut().expect("active segment");
         let offset = active.bytes;
@@ -272,45 +278,27 @@ impl SegmentFileBackend {
         Ok(slot)
     }
 
-    /// Read and decode the record at a logical index. Unlike
-    /// [`LogBackend::get`], which answers `None`, this says what went wrong:
-    /// an I/O error, a frame that no longer matches its checksum
-    /// (`InvalidData`, "checksum mismatch in seg-N at offset O"), or a
-    /// payload that does not decode (`InvalidData`, "undecodable record
-    /// (the codec's [`codec::DecodeError`]) in seg-N at offset O").
+    /// Read and decode the record at a logical index, saying what went
+    /// wrong when that fails: an I/O error, a frame that no longer matches
+    /// its checksum (`InvalidData`, "checksum mismatch in seg-N at offset
+    /// O"), or a payload that does not decode (`InvalidData`, "undecodable
+    /// record (the codec's [`codec::DecodeError`]) in seg-N at offset O").
     pub fn read(&self, index: usize) -> io::Result<LogRecord> {
-        let slot = self
-            .slots
-            .get(index)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("no record {index}")))?;
-        let mut frame = vec![0u8; FRAME_HEADER + slot.payload_len as usize];
-        {
-            let mut reader = self.reader.borrow_mut();
-            let file = match &mut *reader {
-                Some((segment, file)) if *segment == slot.segment => file,
-                other => {
-                    let file = File::open(self.segment_path(slot.segment))?;
-                    &mut other.insert((slot.segment, file)).1
-                }
-            };
-            file.seek(SeekFrom::Start(slot.offset))?;
-            file.read_exact(&mut frame)?;
-        }
-        let invalid = |what: String| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "{what} in seg-{:05} at offset {}",
-                    slot.segment, slot.offset
-                ),
-            )
-        };
-        let (header, payload) = frame.split_at(FRAME_HEADER);
-        if checksum(header, payload) != slot.checksum {
-            return Err(invalid("checksum mismatch".into()));
-        }
-        codec::decode(payload).map_err(|e| invalid(format!("undecodable record ({e})")))
+        let payload = self.payload(index)?;
+        codec::decode(&payload)
+            .map_err(|e| invalid(&self.slots[index], format!("undecodable record ({e})")))
     }
+}
+
+/// `InvalidData` about the frame in `slot`: what is wrong, and where.
+fn invalid(slot: &Slot, what: String) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!(
+            "{what} in seg-{:05} at offset {}",
+            slot.segment, slot.offset
+        ),
+    )
 }
 
 /// The complete frame at `offset`: its slot, where the next frame starts, and
@@ -381,9 +369,9 @@ impl LogBackend for SegmentFileBackend {
         "segment_file"
     }
 
-    fn append(&mut self, record: LogRecord) {
+    fn append(&mut self, time: SimTime, kind: RecordKind, payload: &[u8]) {
         let slot = self
-            .append_record(&record)
+            .append_frame(time, kind, payload)
             .expect("segment append must not fail");
         let pos = self.times.partition_point(|t| *t <= slot.time);
         self.times.insert(pos, slot.time);
@@ -391,8 +379,27 @@ impl LogBackend for SegmentFileBackend {
         self.slots.insert(pos, slot);
     }
 
-    fn get(&self, index: usize) -> Option<LogRecord> {
-        self.read(index).ok()
+    fn payload(&self, index: usize) -> io::Result<Cow<'_, [u8]>> {
+        let slot = self.slots.get(index).ok_or_else(|| no_record(index))?;
+        let mut frame = vec![0u8; FRAME_HEADER + slot.payload_len as usize];
+        {
+            let mut reader = self.reader.borrow_mut();
+            let file = match &mut *reader {
+                Some((segment, file)) if *segment == slot.segment => file,
+                other => {
+                    let file = File::open(self.segment_path(slot.segment))?;
+                    &mut other.insert((slot.segment, file)).1
+                }
+            };
+            file.seek(SeekFrom::Start(slot.offset))?;
+            file.read_exact(&mut frame)?;
+        }
+        let (header, payload) = frame.split_at(FRAME_HEADER);
+        if checksum(header, payload) != slot.checksum {
+            return Err(invalid(slot, "checksum mismatch".into()));
+        }
+        frame.drain(..FRAME_HEADER);
+        Ok(Cow::Owned(frame))
     }
 
     fn time_index(&self) -> &[SimTime] {
@@ -412,10 +419,12 @@ impl LogBackend for SegmentFileBackend {
     fn compact(&mut self) -> CompactionStats {
         let bytes_before = self.storage_bytes as usize;
         // The old segments are the only copy and are deleted below, so a
-        // record that cannot be read stops the pass before anything changes;
-        // it is never left out of the rewrite.
-        let records: io::Result<Vec<LogRecord>> = (0..self.len()).map(|i| self.read(i)).collect();
-        let Ok(records) = records else {
+        // frame that fails its checksum stops the pass before anything
+        // changes; it is never left out of the rewrite.
+        let frames: io::Result<Vec<(Slot, Vec<u8>)>> = (0..self.len())
+            .map(|i| Ok((self.slots[i], self.payload(i)?.into_owned())))
+            .collect();
+        let Ok(frames) = frames else {
             return CompactionStats {
                 bytes_before,
                 bytes_after: bytes_before,
@@ -429,8 +438,8 @@ impl LogBackend for SegmentFileBackend {
         self.times.clear();
         self.kinds.clear();
         self.storage_bytes = 0;
-        for record in records {
-            LogBackend::append(self, record);
+        for (slot, payload) in frames {
+            LogBackend::append(self, slot.time, slot.kind, &payload);
         }
         // The tail segment stays unsealed, exactly as after normal appends —
         // sealing it here would *add* a footer and grow the footprint.
@@ -466,11 +475,12 @@ mod tests {
         dir
     }
 
-    fn checkpoint_at(secs: u64) -> LogRecord {
-        LogRecord::Checkpoint(SystemSnapshot {
+    fn append_checkpoint(b: &mut SegmentFileBackend, secs: u64) {
+        let record = LogRecord::Checkpoint(SystemSnapshot {
             time: SimTime::from_secs(secs),
             ..Default::default()
-        })
+        });
+        b.append(record.time(), record.kind(), &codec::encode(&record));
     }
 
     #[test]
@@ -479,13 +489,13 @@ mod tests {
         {
             let mut b = SegmentFileBackend::open(&dir).unwrap();
             for s in [1, 2, 3] {
-                b.append(checkpoint_at(s));
+                append_checkpoint(&mut b, s);
             }
             b.flush();
         }
         let b = SegmentFileBackend::open(&dir).unwrap();
         assert_eq!(b.len(), 3);
-        assert_eq!(b.get(2).unwrap().time(), SimTime::from_secs(3));
+        assert_eq!(b.read(2).unwrap().time(), SimTime::from_secs(3));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -497,7 +507,7 @@ mod tests {
                 .unwrap()
                 .with_segment_capacity(100);
             for s in [1, 2, 3] {
-                b.append(checkpoint_at(s));
+                append_checkpoint(&mut b, s);
             }
             b.flush();
         }
@@ -508,7 +518,7 @@ mod tests {
         fs::write(&seg, &bytes[..bytes.len() - 10]).unwrap();
         let b = SegmentFileBackend::open(&dir).unwrap();
         assert_eq!(b.len(), 2, "intact prefix survives, torn record dropped");
-        assert_eq!(b.get(1).unwrap().time(), SimTime::from_secs(2));
+        assert_eq!(b.read(1).unwrap().time(), SimTime::from_secs(2));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -520,7 +530,7 @@ mod tests {
                 .unwrap()
                 .with_segment_capacity(100);
             for s in [1, 2, 3, 4] {
-                b.append(checkpoint_at(s));
+                append_checkpoint(&mut b, s);
             }
             b.flush();
         }
@@ -533,7 +543,7 @@ mod tests {
         assert!(stats.bytes_after <= stats.bytes_before);
         assert_eq!(stats.records, 3);
         assert_eq!(b.len(), 3);
-        assert_eq!(b.get(0).unwrap().time(), SimTime::from_secs(1));
+        assert_eq!(b.read(0).unwrap().time(), SimTime::from_secs(1));
         fs::remove_dir_all(&dir).unwrap();
     }
 }

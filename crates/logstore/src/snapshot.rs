@@ -5,7 +5,6 @@ use nt_runtime::{Addr, Database, InternerSnapshot, Tuple};
 use provenance::{ProvGraph, ProvStoreStats, ProvenanceSystem};
 use serde::{Deserialize, Serialize};
 use simnet::{SimTime, Topology, TrafficStats};
-use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One node's captured state at a point in (simulated) time.
@@ -57,17 +56,6 @@ impl NodeSnapshot {
     pub fn tuple_count(&self) -> usize {
         self.relations.values().map(Vec::len).sum()
     }
-
-    /// Approximate serialized size in bytes — the cost of uploading this
-    /// snapshot to the central log store.
-    pub fn upload_bytes(&self) -> usize {
-        let tuples: usize = self
-            .relations
-            .values()
-            .flat_map(|ts| ts.iter().map(Tuple::wire_size))
-            .sum();
-        tuples + 64
-    }
 }
 
 /// A whole-system snapshot: every node plus the topology and the centralized
@@ -86,24 +74,19 @@ pub struct SystemSnapshot {
     /// utilization" the paper mentions).
     pub traffic: TrafficStats,
     /// The identifier dictionary: every node/rule/relation name the
-    /// snapshot's fixed-width ids refer to, sorted — what a checkpoint ships
-    /// so that it stands on its own (see `nt_runtime::Dictionary`).
+    /// snapshot's contents refer to, sorted. Encoded, it is a list of
+    /// indices into the frame's name table, which holds those names already.
     pub dictionary: InternerSnapshot,
 }
 
 impl SystemSnapshot {
     /// Stamp the snapshot with its identifier dictionary: exactly the node,
-    /// relation and rule names referenced by the snapshot's contents (call
-    /// after filling in the per-node state and the graph). Deliberately not
-    /// the whole process intern pool — the upload cost must depend only on
-    /// the snapshot, not on what else the process has interned.
+    /// relation and rule names referenced by the snapshot's contents — every
+    /// one reachable from the per-node state and the graph (call after
+    /// filling those in). Deliberately not the whole process intern pool:
+    /// the snapshot must depend only on itself, not on what else the process
+    /// has interned.
     pub fn stamp_dictionary(&mut self) {
-        self.dictionary = self.referenced_dictionary();
-    }
-
-    /// The dictionary this snapshot's contents require: every node, relation
-    /// and rule name reachable from the per-node state and the graph.
-    fn referenced_dictionary(&self) -> InternerSnapshot {
         let mut names: BTreeSet<&str> = BTreeSet::new();
         for (node, snap) in &self.nodes {
             names.insert(node.as_str());
@@ -128,42 +111,14 @@ impl SystemSnapshot {
                 }
             }
         }
-        InternerSnapshot {
+        self.dictionary = InternerSnapshot {
             strings: names.into_iter().map(str::to_string).collect(),
-        }
-    }
-
-    /// The dictionary an upload of this snapshot is charged for: the stamped
-    /// one, or the one stamping would produce.
-    pub(crate) fn shipped_dictionary(&self) -> Cow<'_, InternerSnapshot> {
-        if self.dictionary.is_empty() {
-            Cow::Owned(self.referenced_dictionary())
-        } else {
-            Cow::Borrowed(&self.dictionary)
-        }
+        };
     }
 
     /// Total tuples across every node.
     pub fn tuple_count(&self) -> usize {
         self.nodes.values().map(NodeSnapshot::tuple_count).sum()
-    }
-
-    /// Total upload size: all per-node snapshots, the topology, the
-    /// provenance graph, the traffic counters, plus the one-time dictionary
-    /// shipped alongside them. An unstamped snapshot is priced as if its
-    /// dictionary had been stamped — the cost is derived state, so
-    /// accounting cannot be silently skipped by forgetting
-    /// [`SystemSnapshot::stamp_dictionary`].
-    pub fn upload_bytes(&self) -> usize {
-        let dict_bytes = self.shipped_dictionary().wire_size();
-        self.nodes
-            .values()
-            .map(NodeSnapshot::upload_bytes)
-            .sum::<usize>()
-            + self.topology.wire_size()
-            + self.graph.wire_size()
-            + self.traffic.wire_size()
-            + dict_bytes
     }
 
     /// All tuples of a relation across nodes (sorted, for comparisons).
@@ -276,7 +231,6 @@ mod tests {
         assert_eq!(snap.tuple_count(), 2, "link + cost");
         assert!(snap.relations.contains_key("link"));
         assert!(snap.relations.contains_key("cost"));
-        assert!(snap.upload_bytes() > 0);
     }
 
     #[test]
@@ -294,6 +248,5 @@ mod tests {
         assert_eq!(snapshot.tuple_count(), 2);
         assert_eq!(snapshot.relation("cost").len(), 1);
         assert_eq!(snapshot.relation("nope").len(), 0);
-        assert!(snapshot.upload_bytes() >= snapshot.nodes[&Addr::new("n1")].upload_bytes());
     }
 }

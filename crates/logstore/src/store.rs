@@ -2,8 +2,10 @@
 
 use crate::backend::{CompactionStats, LogBackend, LogRecord, MemBackend, RecordKind};
 use crate::snapshot::SystemSnapshot;
+use nt_runtime::codec::{self, Writer};
 use serde::{Deserialize, Serialize};
 use simnet::SimTime;
+use std::borrow::Cow;
 use std::cell::RefCell;
 
 /// A materialized snapshot and the record index it stands at.
@@ -14,12 +16,12 @@ pub(crate) struct Cursor {
 }
 
 /// The store of system snapshots that lives at the visualization node,
-/// now a thin façade over a pluggable [`LogBackend`]. Records are full
+/// a thin façade over a pluggable [`LogBackend`]. Records are full
 /// checkpoints or incremental deltas; every read (`get`, `at`, `snapshots`)
 /// *materializes* a full [`SystemSnapshot`], so callers never see the
-/// encoding. The store tracks how many bytes have been uploaded to it (the
-/// centralization cost of Section 2.3), with delta dictionary bytes broken
-/// out separately.
+/// encoding. A record is its encoded payload: [`LogStore::append_record`]
+/// encodes it once, hands the bytes to the backend and charges their length
+/// to [`LogStore::uploaded_bytes`] — the centralization cost of Section 2.3.
 ///
 /// # What a read costs
 ///
@@ -36,8 +38,10 @@ pub(crate) struct Cursor {
 #[derive(Debug)]
 pub struct LogStore {
     backend: Box<dyn LogBackend>,
+    /// The record encoder and its output, reused from append to append.
+    writer: Writer,
+    encoded: Vec<u8>,
     uploaded_bytes: u64,
-    delta_dict_bytes: u64,
     checkpoints: usize,
     deltas: usize,
     cursor: RefCell<Option<Cursor>>,
@@ -59,8 +63,9 @@ impl LogStore {
     pub fn with_backend(backend: Box<dyn LogBackend>) -> Self {
         LogStore {
             backend,
+            writer: Writer::default(),
+            encoded: Vec::new(),
             uploaded_bytes: 0,
-            delta_dict_bytes: 0,
             checkpoints: 0,
             deltas: 0,
             cursor: RefCell::new(None),
@@ -81,7 +86,8 @@ impl LogStore {
         self.append_record(LogRecord::Checkpoint(snapshot));
     }
 
-    /// Append a checkpoint or delta record, charging its upload cost.
+    /// Append a checkpoint or delta record: encode it, charge the payload's
+    /// length as its upload, and store the payload.
     ///
     /// Chain invariants are enforced here, once, for every backend: a delta
     /// only makes sense appended at the end (it diffs against the previous
@@ -90,9 +96,9 @@ impl LogStore {
     /// foreign base under an existing chain and corrupt every materialization
     /// after it.
     pub fn append_record(&mut self, record: LogRecord) {
-        let time = record.time();
+        let (time, kind) = (record.time(), record.kind());
         let pos = self.backend.time_index().partition_point(|t| *t <= time);
-        match record.kind() {
+        match kind {
             RecordKind::Delta => {
                 assert!(
                     pos == self.backend.len() && !self.backend.is_empty(),
@@ -101,7 +107,6 @@ impl LogStore {
                     self.backend.len()
                 );
                 self.deltas += 1;
-                self.delta_dict_bytes += record.dict_bytes() as u64;
             }
             RecordKind::Checkpoint => {
                 assert!(
@@ -111,8 +116,10 @@ impl LogStore {
                 self.checkpoints += 1;
             }
         }
-        self.uploaded_bytes += record.upload_bytes() as u64;
-        self.backend.append(record);
+        self.encoded.clear();
+        self.writer.frame(&record, &mut self.encoded);
+        self.uploaded_bytes += self.encoded.len() as u64;
+        self.backend.append(time, kind, &self.encoded);
         *self.cursor.get_mut() = None;
     }
 
@@ -126,16 +133,10 @@ impl LogStore {
         self.backend.is_empty()
     }
 
-    /// Total bytes uploaded to the store.
+    /// Total bytes uploaded to the store: the sum of the appended records'
+    /// payload lengths.
     pub fn uploaded_bytes(&self) -> u64 {
         self.uploaded_bytes
-    }
-
-    /// Dictionary bytes carried by delta records alone — the incremental
-    /// dictionary cost. Sublinear in snapshot count after warmup: once the
-    /// system stops minting names, every further delta ships zero.
-    pub fn delta_dict_bytes(&self) -> u64 {
-        self.delta_dict_bytes
     }
 
     /// Number of checkpoint records.
@@ -164,15 +165,28 @@ impl LogStore {
         self.backend.compact()
     }
 
-    /// The raw record at an index (checkpoint or delta, undecoded by any
-    /// materialization) — what the replay timeline reads.
-    pub fn record(&self, index: usize) -> Option<LogRecord> {
-        self.backend.get(index)
+    /// The payload of the record at an index, byte for byte as
+    /// [`LogStore::append_record`] encoded it; its length is what the record
+    /// cost to upload. `None` when there is no such record or its bytes no
+    /// longer verify.
+    pub fn payload(&self, index: usize) -> Option<Cow<'_, [u8]>> {
+        self.backend.payload(index).ok()
     }
 
-    /// Every record in time order.
-    pub fn records(&self) -> Vec<LogRecord> {
-        self.backend.iter().collect()
+    /// The record at an index, decoded from its payload (a checkpoint or a
+    /// delta, not materialized) — what a replay step reads.
+    pub fn record(&self, index: usize) -> Option<LogRecord> {
+        codec::decode(&self.payload(index)?).ok()
+    }
+
+    /// Every readable record in time order, each with its payload's length
+    /// — what the replay timeline draws.
+    pub fn records(&self) -> Vec<(LogRecord, usize)> {
+        let read = |i| {
+            let payload = self.payload(i)?;
+            Some((codec::decode(&payload).ok()?, payload.len()))
+        };
+        (0..self.len()).filter_map(read).collect()
     }
 
     /// All snapshots in time order, materialized.
@@ -203,7 +217,7 @@ impl LogStore {
         let mut cursor = match self.cursor.take() {
             Some(cursor) if (base..=index).contains(&cursor.index) => cursor,
             _ => {
-                let LogRecord::Checkpoint(snapshot) = self.backend.get(base)? else {
+                let LogRecord::Checkpoint(snapshot) = self.record(base)? else {
                     return None;
                 };
                 Cursor {
@@ -214,7 +228,7 @@ impl LogStore {
         };
         if cursor.index < index {
             for i in cursor.index + 1..=index {
-                let LogRecord::Delta(delta) = self.backend.get(i)? else {
+                let LogRecord::Delta(delta) = self.record(i)? else {
                     return None;
                 };
                 delta.apply(&mut cursor.snapshot);
@@ -255,25 +269,18 @@ impl LogStore {
         serde_json::to_string_pretty(&doc)
     }
 
-    /// Load a store (in-memory backend) from JSON. Handles are written as
-    /// strings and interned as they are read, so the snapshots need no
-    /// dictionary to resolve.
+    /// Load a store (in-memory backend) from JSON, one checkpoint per
+    /// snapshot. Handles are written as strings and interned as they are
+    /// read, so the snapshots need no dictionary to resolve. The upload
+    /// counter is the document's, so an export loads back to itself.
     pub fn from_json(json: &str) -> serde_json::Result<Self> {
         let doc: StoreJson = serde_json::from_str(json)?;
-        let mut backend = MemBackend::new();
-        let mut checkpoints = 0;
-        for snap in doc.snapshots {
-            backend.append(LogRecord::Checkpoint(snap));
-            checkpoints += 1;
+        let mut store = LogStore::new();
+        for snapshot in doc.snapshots {
+            store.add(snapshot);
         }
-        Ok(LogStore {
-            backend: Box::new(backend),
-            uploaded_bytes: doc.uploaded_bytes,
-            delta_dict_bytes: 0,
-            checkpoints,
-            deltas: 0,
-            cursor: RefCell::new(None),
-        })
+        store.uploaded_bytes = doc.uploaded_bytes;
+        Ok(store)
     }
 }
 
@@ -291,7 +298,7 @@ mod tests {
     use crate::capture::SnapshotCapturer;
     use crate::segment::SegmentFileBackend;
     use crate::snapshot::NodeSnapshot;
-    use nt_runtime::{InternerSnapshot, Tuple, Value};
+    use nt_runtime::{Tuple, Value};
 
     fn snapshot_at(secs: u64) -> SystemSnapshot {
         SystemSnapshot {
@@ -374,11 +381,21 @@ mod tests {
     }
 
     #[test]
-    fn upload_bytes_accumulate() {
+    fn uploaded_bytes_accumulate() {
         let mut store = LogStore::new();
         assert_eq!(store.uploaded_bytes(), 0);
-        store.add(snapshot_at(1));
-        assert_eq!(store.uploaded_bytes(), 0, "empty snapshot uploads nothing");
+        let snapshots = [snapshot_at(1), snapshot_with_costs(2, &[1, 2])];
+        let mut encoded = 0;
+        for snapshot in snapshots {
+            encoded += codec::encode(&LogRecord::Checkpoint(snapshot.clone())).len();
+            store.add(snapshot);
+            assert_eq!(
+                store.uploaded_bytes(),
+                encoded as u64,
+                "a record costs its bytes"
+            );
+        }
+        assert_eq!(store.storage_bytes(), encoded);
         assert!(store.get(0).is_some());
         assert!(store.get(5).is_none());
     }
@@ -433,7 +450,6 @@ mod tests {
         store.add(snapshot_at(10));
         store.append_record(LogRecord::Delta(crate::delta::SnapshotDelta {
             time: SimTime::from_secs(5),
-            dict_diff: InternerSnapshot::default(),
             ..Default::default()
         }));
     }

@@ -227,7 +227,7 @@ fn a_bit_flipped_after_open_fails_the_checksum_on_read() {
         err.to_string(),
         format!("checksum mismatch in seg-00000 at offset {frame1}")
     );
-    assert!(backend.get(1).is_none());
+    assert!(backend.payload(1).is_err());
     assert!(backend.read(0).is_ok(), "other records still read");
 
     // Through the façade the rotten delta and the rest of its chain are
@@ -333,7 +333,7 @@ fn flip_every_bit(sealed: bool) {
                     (6, 1, &expected[..]),
                     "record {r}, byte {byte}, bit {bit}, sealed {sealed}"
                 );
-                assert!(b.get(r).is_none(), "record {r}, byte {byte}, bit {bit}");
+                assert!(b.payload(r).is_err(), "record {r}, byte {byte}, bit {bit}");
                 // Decoding the five survivors is the slow part: every flip
                 // reads one of them, every 61st reads them all.
                 flips += 1;
@@ -489,7 +489,10 @@ fn a_json_frame_reads_as_invalid_data() {
     let text = err.to_string();
     assert!(text.starts_with("undecodable record ("), "{text}");
     assert!(text.ends_with(") in seg-00000 at offset 0"), "{text}");
-    assert!(b.get(0).is_none());
+    assert!(
+        b.payload(0).is_ok(),
+        "the frame verifies, its payload does not decode"
+    );
 
     // The writer's own frame of the record, for contrast, reads back.
     let b = reopen_with(

@@ -133,6 +133,9 @@ where
     D: serde::Deserializer<'de>,
 {
     let entries = Vec::<(VertexId, ProvVertex)>::deserialize(deserializer)?;
+    if entries.iter().any(|(id, vertex)| *id != vertex.id()) {
+        return Err(serde::Error::custom("a vertex keyed by another id").into());
+    }
     Ok(entries.into_iter().collect())
 }
 
@@ -284,18 +287,6 @@ impl ProvVertex {
             ProvVertex::RuleExec { rid, .. } => VertexId::RuleExec(*rid),
         }
     }
-
-    /// Approximate upload cost of shipping this vertex in a snapshot: the
-    /// identifier, the interned location id, flags, and (for known tuples)
-    /// the tuple payload. Names travel once in the snapshot dictionary.
-    pub fn wire_size(&self) -> usize {
-        match self {
-            ProvVertex::Tuple { tuple, .. } => {
-                8 + 4 + 1 + tuple.as_ref().map(Tuple::wire_size).unwrap_or(0)
-            }
-            ProvVertex::RuleExec { .. } => 8 + 4 + 4,
-        }
-    }
 }
 
 impl ProvGraph {
@@ -380,16 +371,6 @@ impl ProvGraph {
     /// True when the posting lists are in sync with `edges`.
     fn adjacency_built(&self) -> bool {
         self.edges.is_empty() || !self.out_adj.is_empty()
-    }
-
-    /// Approximate upload cost of shipping the whole graph in a snapshot:
-    /// every vertex plus two vertex ids per edge.
-    pub fn wire_size(&self) -> usize {
-        self.vertices
-            .values()
-            .map(ProvVertex::wire_size)
-            .sum::<usize>()
-            + self.edges.len() * 16
     }
 
     /// Number of tuple vertices.

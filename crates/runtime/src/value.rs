@@ -246,9 +246,9 @@ impl Value {
             Value::Int(_) | Value::Double(_) | Value::Id(_) => 8,
             Value::Bool(_) => 1,
             Value::Str(s) => 4 + s.len(),
-            // Addresses ship as fixed-width interned ids; the dictionary is
-            // carried once per snapshot (see `InternerSnapshot::wire_size`),
-            // not per message.
+            // Addresses ship as fixed-width interned ids; their strings
+            // travel once per destination in a dictionary header (see
+            // `nt_intern::Dictionary`), not per message.
             Value::Addr(_) => NodeId::WIRE_SIZE,
             Value::List(l) => 4 + l.iter().map(Value::wire_size).sum::<usize>(),
             Value::Infinity => 1,

@@ -82,18 +82,6 @@ impl TrafficStats {
         self.by_link.iter().map(|(&(src, dst), &m)| (src, dst, m))
     }
 
-    /// Approximate upload cost of shipping these counters inside a snapshot:
-    /// the three u64 totals plus per-category and per-link entries (a 4-byte
-    /// interned id stands in for each key — names travel once in the
-    /// snapshot's dictionary). Stats that counted nothing price to zero so
-    /// an empty snapshot uploads nothing.
-    pub fn wire_size(&self) -> usize {
-        if self.messages == 0 {
-            return 0;
-        }
-        24 + self.by_category.len() * (4 + 16) + self.by_link.len() * (4 + 8)
-    }
-
     /// Merge another stats object into this one.
     pub fn merge(&mut self, other: &TrafficStats) {
         self.messages += other.messages;

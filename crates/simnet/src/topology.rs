@@ -196,15 +196,6 @@ impl Topology {
         self.remove_link(b, a);
     }
 
-    /// Approximate upload cost of shipping the topology inside a snapshot:
-    /// a 4-byte interned id per node plus, per directed link, two ids, the
-    /// cost and the latency. Node/link *names* are not charged here — they
-    /// travel once in the snapshot's dictionary (see `nt_intern`), like every
-    /// other identifier on the wire.
-    pub fn wire_size(&self) -> usize {
-        self.nodes.len() * 4 + self.link_count() * (4 + 4 + 8 + 8)
-    }
-
     /// Node names in deterministic order.
     pub fn nodes(&self) -> impl Iterator<Item = &str> {
         self.nodes.iter().map(String::as_str)

@@ -3,15 +3,15 @@
 //! The replay slider of the visualizer is backed by the central Log Store's
 //! checkpoint/delta record stream. This renders that stream for terminal
 //! exploration: one line per record showing its capture time, whether it is
-//! a full checkpoint (`C`) or an incremental delta (`Δ`), its upload cost
-//! and a bar proportional to it — making the incremental savings visible at
-//! a glance. The renderer reads the store purely through the
-//! [`logstore::LogBackend`] trait surface ([`logstore::LogStore::record`]),
-//! so it works identically over the in-memory, segment-file and KV backends.
+//! a full checkpoint (`C`) or an incremental delta (`Δ`), its upload cost —
+//! the length of its encoded payload — and a bar proportional to it, making
+//! the incremental savings visible at a glance. The renderer reads the store
+//! through [`logstore::LogStore::records`] only, so it works identically
+//! over the in-memory and segment-file backends.
 
 use logstore::{LogRecord, LogStore};
 
-/// Render one line per stored record: time, kind, upload bytes, cost bar.
+/// Render one line per stored record: time, kind, payload bytes, cost bar.
 pub fn render_replay_timeline(store: &LogStore) -> String {
     let records = store.records();
     let mut out = format!(
@@ -24,23 +24,15 @@ pub fn render_replay_timeline(store: &LogStore) -> String {
     );
     let max_bytes = records
         .iter()
-        .map(LogRecord::upload_bytes)
+        .map(|(_, bytes)| *bytes)
         .max()
         .unwrap_or(0)
         .max(1);
-    for record in &records {
-        let bytes = record.upload_bytes();
+    for (record, bytes) in &records {
         let bar = "#".repeat((bytes * 40).div_ceil(max_bytes).min(40));
         let (tag, label) = match record {
             LogRecord::Checkpoint(s) => ("C", format!("{} nodes", s.nodes.len())),
-            LogRecord::Delta(d) => (
-                "Δ",
-                format!(
-                    "{} node edits, {} dict entries",
-                    d.nodes.len(),
-                    d.dict_diff.len()
-                ),
-            ),
+            LogRecord::Delta(d) => ("Δ", format!("{} node edits", d.nodes.len())),
         };
         out.push_str(&format!(
             "{:>10.3}s {tag} {bytes:>8} B {bar:<40} {label}\n",
@@ -77,6 +69,22 @@ mod tests {
         assert!(
             rendered.lines().count() == 5,
             "header + one line per record"
+        );
+        let drawn: u64 = rendered
+            .lines()
+            .skip(1)
+            .map(|line| {
+                line.split_whitespace()
+                    .nth(2)
+                    .unwrap()
+                    .parse::<u64>()
+                    .unwrap()
+            })
+            .sum();
+        assert_eq!(
+            drawn,
+            store.uploaded_bytes(),
+            "a bar is its payload's length"
         );
     }
 

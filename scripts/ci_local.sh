@@ -62,12 +62,15 @@ test_job() {
     #     copy are one value to ==, Ord, Hash, {:?}, JSON and tuple id, and a
     #     tuple never rewrites a list another holder keeps;
     # the oracle of the dictionary discipline:
-    #   nettrails dictionary_discipline — every DeltaBatch, QueryBatch and log
-    #     record decodable from the headers delivered before it, a name
-    #     shipped once, header bytes pinned;
+    #   nettrails dictionary_discipline — every DeltaBatch and QueryBatch
+    #     decodable from the headers delivered before it, a name shipped
+    #     once, header bytes pinned; and a log record's bytes depend on the
+    #     record alone: every payload decodes on its own with exactly its
+    #     names in its table, one capture stream appended twice (once while
+    #     another thread mints names) is the same bytes;
     # the oracle and the price of the message plane's bookkeeping:
     #   simnet proptest_traffic_view — TrafficStats counts under handles and
-    #     reads (JSON, {:?}, wire_size, merge) like the string-keyed counters
+    #     reads (JSON, {:?}, merge) like the string-keyed counters
     #     it replaced, which the test file keeps;
     #   simnet send_allocations, nettrails allocations_per_session — counted
     #     heap allocations per message (none once its link is counted) and
@@ -80,6 +83,13 @@ test_job() {
     #   logstore hostile_bytes — every truncation, seeded mutations and
     #     random buffers: the decoder never panics, never reserves past the
     #     bytes left, caps list nesting;
+    #   logstore byte_accounting — on both backends uploaded_bytes is the
+    #     sum of codec::encode lengths, the memory footprint equals it, the
+    #     segment footprint adds 21 B per frame and the footers; compaction
+    #     carries a payload that does not decode byte for byte;
+    #   logstore hostile_json — LogStore::from_json on every truncation and
+    #     seeded mutations of the store_pr21_* fixtures and arrays nested past
+    #     the depth cap: never a panic, every failure an Err;
     # the laws of the one map hasher:
     #   nt-intern id_hasher — equal keys hash equal, and the low 16 bits and
     #     the top-7-bit tags of four key families (sequential handles, tuple

@@ -1,7 +1,9 @@
 //! The dictionary discipline (`nt_runtime::Dictionary`), checked from the
-//! receiving side: every frame NetTrails ships — `DeltaBatch`, `QueryBatch`,
-//! checkpoint and delta records to the log store — must be decodable by a
-//! receiver that knows only the headers of the frames delivered before it.
+//! receiving side: every frame NetTrails ships between nodes — `DeltaBatch`
+//! and `QueryBatch` — must be decodable by a receiver that knows only the
+//! headers of the frames delivered before it. And the log store's records,
+//! which follow no discipline because they need none: a record's payload
+//! decodes on its own and its bytes depend on the record alone.
 //!
 //! The oracle here walks names on its own ([`tuple_names`] and the walks
 //! built on it; never `Tuple::visit_names`) and keeps one [`Receiver`] per
@@ -9,30 +11,28 @@
 //! reference): the header must be new to the receiver entry by entry (a name
 //! ships once), and name the frame's own records only (nothing rides along);
 //! every referenced name must then be known. Exact header byte totals are
-//! pinned beside it.
+//! pinned beside it. A log record's payload is read by the frame grammar
+//! ([`name_table`]): its table must hold each of the record's names once and
+//! nothing else, and the payload bytes are pinned.
 //!
 //! Seeded mutations and who caught them:
 //!
 //! | mutation | caught by |
 //! |---|---|
-//! | `Dictionary::first_use` always false | the three decodability tests, "not decodable" (batch 0, frame 161, record 4 at `checkpoint_every` 3), and `a_delta_ships_…` |
-//! | `Dictionary::first_use` always true | the three decodability tests, "shipped twice" / "in no record", both delta tests; every pinned byte total would move |
+//! | `Dictionary::first_use` always false | both decodability tests, "not decodable" (batch 0, frame 161) |
+//! | `Dictionary::first_use` always true | both decodability tests, "shipped twice"; both pinned byte totals would move |
 //! | `Tuple::visit_names` not descending into lists | `delta_batches_…`: batch 350 `as1->as2`, `"as51"` first met inside a route's path |
-//! | capturer not resetting at a checkpoint | `log_records_…` at `checkpoint_every` 3, record 4: the re-advertised anchors' names, `"anchor"` not decodable |
-//! | capturer not fed by its checkpoint | `log_records_…` record 1 ("in the header and in no record") and both delta tests |
-//!
-//! At the parent commit (a watermark over the process-global pool) the two
-//! delta tests and `log_records_…` fail and the other two pass with these
-//! pins: `DeltaBatch` and `QueryBatch` headers did not move.
+//! | `codec::Writer` keeping its name table from frame to frame | `every_log_record_…` ("a name index outside the name table", every 1, record 1) and `a_delta_payload_…` |
+//! | a name table built from a watermark over the pool (every name interned since the writer's first frame) | `a_records_bytes_…`: record 1 of the store appended beside the minting thread differs |
 
-use logstore::{LogRecord, SnapshotCapturer, SnapshotDelta, SystemSnapshot};
+use logstore::{LogRecord, LogStore, SnapshotCapturer, SnapshotDelta, SystemSnapshot};
 use nettrails::{NetTrails, NetTrailsConfig};
-use nt_runtime::{Addr, CompiledProgram, EngineConfig, NodeEngine, Sym, Tuple, Value};
+use nt_runtime::{codec, Addr, CompiledProgram, EngineConfig, NodeEngine, Sym, Tuple, Value};
 use provenance::{
     ProofTree, ProvVertex, QueryBatch, QueryExecutor, QueryKind, QueryMode, QueryOp, QueryOptions,
     QuerySpec, RuleExecNode, TraversalOrder,
 };
-use simnet::{Link, SimTime, Topology, TopologyEvent};
+use simnet::{Link, SimTime, Topology, TopologyEvent, TrafficStats};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -414,54 +414,126 @@ fn churned_captures() -> Vec<SystemSnapshot> {
     captures
 }
 
+// ---------------------------------------------------------------------------
+// a log record's bytes depend on the record alone
+// ---------------------------------------------------------------------------
+
+/// A LEB128 varint of `bytes` at `*at`, moving `*at` past it.
+fn varint(bytes: &[u8], at: &mut usize) -> usize {
+    let mut v = 0;
+    for shift in (0..).step_by(7) {
+        let b = bytes[*at];
+        *at += 1;
+        v |= usize::from(b & 0x7f) << shift;
+        if b & 0x80 == 0 {
+            break;
+        }
+    }
+    v
+}
+
+/// The frame's name table, read by the frame grammar alone (`varint(n)`,
+/// then `n` × `varint(len)` and the bytes).
+fn name_table(payload: &[u8]) -> Vec<String> {
+    let mut at = 0;
+    let n = varint(payload, &mut at);
+    (0..n)
+        .map(|_| {
+            let len = varint(payload, &mut at);
+            at += len;
+            String::from_utf8(payload[at - len..at].to_vec()).unwrap()
+        })
+        .collect()
+}
+
+fn topology_names(topology: &Topology, out: &mut BTreeSet<String>) {
+    out.extend(topology.nodes().map(str::to_string));
+    for link in topology.links() {
+        out.insert(link.from.clone());
+        out.insert(link.to.clone());
+    }
+}
+
+fn traffic_names(traffic: &TrafficStats, out: &mut BTreeSet<String>) {
+    for (src, dst, _) in traffic.links() {
+        out.insert(src.to_string());
+        out.insert(dst.to_string());
+    }
+}
+
+/// Every name a record holds, by the oracle's own walks, and its traffic
+/// counters (whose categories are names too).
+fn record_names(record: &LogRecord) -> (BTreeSet<String>, Option<&TrafficStats>) {
+    match record {
+        LogRecord::Checkpoint(snapshot) => {
+            let mut names = snapshot_names(snapshot);
+            topology_names(&snapshot.topology, &mut names);
+            traffic_names(&snapshot.traffic, &mut names);
+            (names, Some(&snapshot.traffic))
+        }
+        LogRecord::Delta(delta) => {
+            let mut names = delta_names(delta);
+            if let Some(topology) = &delta.topology {
+                topology_names(topology, &mut names);
+            }
+            if let Some(traffic) = &delta.traffic {
+                traffic_names(traffic, &mut names);
+            }
+            (names, delta.traffic.as_ref())
+        }
+    }
+}
+
+/// Every record the log store holds reads from its own payload: the payload
+/// decodes alone to the record the capturer made, and its name table holds
+/// each name of that record once and nothing else — no name from an earlier
+/// frame, none the process interned meanwhile. What the store was charged is
+/// the payloads' bytes, pinned per cadence.
 #[test]
-fn log_records_are_decodable_from_their_checkpoint_on() {
+fn every_log_record_decodes_from_its_own_payload() {
     let captures = churned_captures();
-    for (checkpoint_every, pinned) in [(1usize, 9_812usize), (3, 3_624), (8, 1_812)] {
+    for (checkpoint_every, pinned) in [(1usize, 995_194u64), (3, 476_607), (8, 342_396)] {
         let mut capturer = SnapshotCapturer::new(checkpoint_every);
-        let mut store = Receiver::default();
-        let mut shipped = 0;
+        let mut store = LogStore::new();
+        let mut charged = 0;
         for (i, capture) in captures.iter().enumerate() {
             let record = capturer.capture(capture.clone());
             let what = format!("every {checkpoint_every}, record {i}");
-            assert_eq!(
-                i % checkpoint_every == 0,
-                matches!(record, LogRecord::Checkpoint(_))
-            );
-            shipped += record.dict_bytes();
-            match &record {
-                // Replay starts at a checkpoint: it is read by a store that
-                // knows nothing.
-                LogRecord::Checkpoint(snapshot) => {
-                    store = Receiver::default();
-                    let referenced = snapshot_names(snapshot);
-                    store.frame(&snapshot.dictionary.strings, &referenced, &what);
-                    assert_eq!(
-                        store.known, referenced,
-                        "{what}: a checkpoint ships its names"
-                    );
-                }
-                LogRecord::Delta(delta) => {
-                    store.frame(&delta.dict_diff.strings, &delta_names(delta), &what);
-                }
+            store.append_record(record.clone());
+            let payload = store.payload(i).expect("stored");
+            charged += payload.len() as u64;
+            let decoded: LogRecord =
+                codec::decode(&payload).unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert_eq!(decoded, record, "{what}");
+
+            let table = name_table(&payload);
+            let (names, traffic) = record_names(&record);
+            let mut seen = BTreeSet::new();
+            for entry in &table {
+                assert!(seen.insert(entry), "{what}: {entry:?} twice in the table");
+                let category = traffic.is_some_and(|t| t.category_messages(entry) > 0);
+                assert!(
+                    names.contains(entry) || category,
+                    "{what}: {entry:?} is in the table and in no record"
+                );
+            }
+            for name in &names {
+                assert!(seen.contains(name), "{what}: {name:?} not in the table");
             }
         }
+        assert_eq!(store.uploaded_bytes(), charged, "every {checkpoint_every}");
         assert_eq!(
-            shipped, pinned,
-            "every {checkpoint_every}: dictionary bytes moved"
+            charged, pinned,
+            "every {checkpoint_every}: record bytes moved"
         );
     }
 }
 
-// ---------------------------------------------------------------------------
-// what a delta ships depends on the captures alone
-// ---------------------------------------------------------------------------
-
-/// PR 17's fact, which the process-global watermark could state only
-/// single-threaded: once captures stop referencing new names, deltas ship
-/// no dictionary — whatever else the process interns meanwhile.
+/// The same captures appended into two stores, the second while another
+/// thread mints unrelated names before every append: the payloads are the
+/// same bytes, and the stores were charged the same.
 #[test]
-fn the_last_delta_ships_no_dictionary_whatever_else_is_interned() {
+fn a_records_bytes_do_not_depend_on_what_else_is_interned() {
     let topology = Topology::ladder(3);
     let mut nt = NetTrails::new(
         protocols::mincost::PROGRAM,
@@ -471,36 +543,43 @@ fn the_last_delta_ships_no_dictionary_whatever_else_is_interned() {
     .unwrap();
     nt.seed_links_from_topology();
     nt.run_to_fixpoint();
-    let mut capturer = SnapshotCapturer::new(8);
-    let mut records = vec![capturer.capture(nt.capture_snapshot())];
-    for (i, event) in churn_trace(&topology, 2, 7).iter().enumerate() {
-        nt.apply_topology_event(event);
-        // Another thread mints names between every two captures, as the
-        // tests running beside this one do.
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                for j in 0..8 {
-                    Sym::new(&format!("unrelated-name-{i}-{j}"));
-                }
-            });
-        });
-        records.push(capturer.capture(nt.capture_snapshot()));
+    let mut captures = vec![nt.capture_snapshot()];
+    for event in churn_trace(&topology, 3, 7) {
+        nt.apply_topology_event(&event);
+        captures.push(nt.capture_snapshot());
     }
-    assert!(
-        records[0].dict_bytes() > 0,
-        "the checkpoint ships its names"
-    );
-    for (i, record) in records.iter().enumerate().skip(1) {
-        assert!(matches!(record, LogRecord::Delta(_)));
-        assert_eq!(record.dict_bytes(), 0, "delta {i} ships a dictionary");
+    let fill = |mint: bool| {
+        let mut capturer = SnapshotCapturer::new(4);
+        let mut store = LogStore::new();
+        for (i, capture) in captures.iter().enumerate() {
+            if mint {
+                std::thread::scope(|s| {
+                    s.spawn(|| {
+                        for j in 0..8 {
+                            Sym::new(&format!("unrelated-name-{i}-{j}"));
+                        }
+                    });
+                });
+            }
+            store.append_record(capturer.capture(capture.clone()));
+        }
+        store
+    };
+    let (quiet, busy) = (fill(false), fill(true));
+    assert_eq!(quiet.len(), captures.len());
+    assert!(quiet.delta_count() > 0);
+    for i in 0..quiet.len() {
+        assert!(quiet.payload(i) == busy.payload(i), "record {i} differs");
     }
+    assert_eq!(quiet.uploaded_bytes(), busy.uploaded_bytes());
 }
 
-/// The converse: a name interned before the checkpoint and first referenced
-/// after it is owed to the store by the delta that references it. (A
-/// watermark over the pool omits it: the name was minted too early.)
+/// A name interned before the checkpoint and first used after it travels
+/// in the name table of the delta that uses it (a dictionary of the names
+/// minted since the checkpoint would miss it): that delta's payload,
+/// decoded on its own, adds the tuple.
 #[test]
-fn a_delta_ships_a_name_interned_before_its_checkpoint() {
+fn a_delta_payload_decodes_on_its_own() {
     let mut nt = NetTrails::new(
         protocols::mincost::PROGRAM,
         Topology::line(3),
@@ -511,24 +590,22 @@ fn a_delta_ships_a_name_interned_before_its_checkpoint() {
     nt.run_to_fixpoint();
     let probe = Tuple::new("earlyProbe", vec![Value::addr("n2"), Value::Int(1)]);
     let mut capturer = SnapshotCapturer::new(8);
-    let checkpoint = capturer.capture(nt.capture_snapshot());
-    let LogRecord::Checkpoint(snapshot) = &checkpoint else {
-        panic!("first capture is a checkpoint");
-    };
-    assert!(!snapshot
-        .dictionary
-        .strings
-        .iter()
-        .any(|s| s == "earlyProbe"));
-    nt.insert_fact("n2", probe);
+    let mut store = LogStore::new();
+    store.append_record(capturer.capture(nt.capture_snapshot()));
+    nt.insert_fact("n2", probe.clone());
     nt.run_to_fixpoint();
-    let LogRecord::Delta(delta) = capturer.capture(nt.capture_snapshot()) else {
-        panic!("second capture is a delta");
+    store.append_record(capturer.capture(nt.capture_snapshot()));
+    store.append_record(capturer.capture(nt.capture_snapshot()));
+    let tables: Vec<Vec<String>> = (0..3)
+        .map(|i| name_table(&store.payload(i).unwrap()))
+        .collect();
+    let has_probe = |table: &Vec<String>| table.iter().any(|n| n == "earlyProbe");
+    assert!(!has_probe(&tables[0]), "the checkpoint does not name it");
+    assert!(has_probe(&tables[1]), "the delta that adds it does");
+    assert!(tables[2].is_empty(), "an unchanged capture names nothing");
+
+    let LogRecord::Delta(delta) = codec::decode(&store.payload(1).unwrap()).unwrap() else {
+        panic!("second record is a delta");
     };
-    assert_eq!(delta.dict_diff.strings, ["earlyProbe"]);
-    // Shipped once: the next delta owes nothing.
-    let LogRecord::Delta(next) = capturer.capture(nt.capture_snapshot()) else {
-        panic!("third capture is a delta");
-    };
-    assert!(next.dict_diff.is_empty());
+    assert_eq!(delta.nodes[&Addr::new("n2")].added["earlyProbe"], [probe]);
 }

@@ -174,7 +174,7 @@ fn incremental_chain_replays_and_renders_through_a_kv_backend() {
     assert!(removed.contains(&("n1".into(), "n2".into())));
     assert!(removed.contains(&("n2".into(), "n5".into())));
 
-    // The timeline renderer reads the store through the backend trait only.
+    // The timeline renderer reads the store through `LogStore::records` only.
     let timeline = render_replay_timeline(&store);
     assert!(timeline.contains("[segment_file]"));
     assert!(timeline.contains("4 records (2 checkpoints, 2 deltas)"));
