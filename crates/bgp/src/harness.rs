@@ -206,22 +206,20 @@ impl BgpHarness {
         let key = (asn.to_string(), prefix.to_string());
         let new_firing = current.as_ref().map(|route| {
             let head = Self::route_tuple(asn, route);
-            let (rule, inputs, input_tuples): (Sym, Arc<[TupleId]>, Vec<Tuple>) =
-                match &route.learned_from {
-                    Some(neighbor) => {
-                        let input =
-                            Proxy::input_route_tuple(asn, neighbor, &route.prefix, &route.as_path);
-                        (Sym::new(SELECT_RULE), [input.id()].into(), vec![input])
-                    }
-                    None => (Sym::new(BASE_RULE), Arc::default(), vec![]),
-                };
+            let (rule, inputs): (Sym, Arc<[TupleId]>) = match &route.learned_from {
+                Some(neighbor) => {
+                    let input =
+                        Proxy::input_route_tuple(asn, neighbor, &route.prefix, &route.as_path);
+                    (Sym::new(SELECT_RULE), [input.id()].into())
+                }
+                None => (Sym::new(BASE_RULE), Arc::default()),
+            };
             Firing {
                 rule,
                 node: asn.into(),
                 head,
                 head_home: asn.into(),
                 inputs,
-                input_tuples,
                 insert: true,
             }
         });
@@ -234,7 +232,6 @@ impl BgpHarness {
         self.stats.fib_changes += 1;
         if let Some(mut old) = old_firing {
             old.insert = false;
-            old.input_tuples.clear();
             self.provenance.apply_firing(&old);
             self.fib_provenance.remove(&key);
         }

@@ -34,7 +34,7 @@
 use crate::speaker::BgpMessage;
 use ndlog::{Rule, RuleKind};
 use nt_runtime::eval::{Frame, SlotProgram};
-use nt_runtime::{Firing, NodeId, Sym, Tuple, Value, BASE_RULE};
+use nt_runtime::{Firing, NodeId, Sym, Tuple, TupleId, Value, BASE_RULE};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -174,7 +174,6 @@ impl Proxy {
                 head: output.clone(),
                 head_home: NodeId::new(&observation.from),
                 inputs: Arc::default(),
-                input_tuples: vec![],
                 insert: true,
             });
         } else {
@@ -185,8 +184,7 @@ impl Proxy {
                     node: NodeId::new(&observation.from),
                     head: output.clone(),
                     head_home: NodeId::new(&observation.from),
-                    inputs: [cause.id()].into(),
-                    input_tuples: vec![cause],
+                    inputs: [cause].into(),
                     insert: true,
                 });
             }
@@ -200,7 +198,6 @@ impl Proxy {
             head: input.clone(),
             head_home: NodeId::new(&observation.to),
             inputs: [output.id()].into(),
-            input_tuples: vec![output],
             insert: true,
         });
 
@@ -222,7 +219,7 @@ impl Proxy {
         asn: &str,
         output: &Tuple,
         candidates: &[Tuple],
-    ) -> Vec<(String, Tuple)> {
+    ) -> Vec<(String, TupleId)> {
         let mut causes = Vec::new();
         let mut frame = Frame::new();
         for (rule, program) in self.maybe_rules.iter().zip(&self.programs) {
@@ -246,7 +243,7 @@ impl Proxy {
                     .all(|atom| atom.match_row(candidate, &mut frame))
                     && program.apply_steps(&mut frame);
                 if caused {
-                    causes.push((rule.name.clone(), candidate.clone()));
+                    causes.push((rule.name.clone(), candidate.id()));
                 }
                 frame.undo_to(head_bound);
             }
@@ -293,7 +290,8 @@ mod tests {
         // The outputRoute at AS200 is attributed to the inputRoute it extends.
         let br1 = firings.iter().find(|f| f.rule == "br1").expect("br1 fired");
         assert_eq!(br1.node, "AS200");
-        assert_eq!(br1.input_tuples[0].relation(), "inputRoute");
+        let received = Proxy::input_route_tuple("AS200", "AS1000", "p", &["AS1000".into()]);
+        assert_eq!(br1.inputs[..], [received.id()]);
         assert_eq!(proxy.matched_outputs, 1);
     }
 

@@ -12,7 +12,10 @@
 //! 6,046 B per node and 2,251 B per tuple. Before tuples, lists, input lists
 //! and dictionary headers were shared handles (PR 25) it read 3,204 B per
 //! node, 7,114 blocks after seeding, 335,214 allocations from seeding to the
-//! fixpoint (34.8 per stored tuple) and 1,322 B per tuple.
+//! fixpoint (34.8 per stored tuple) and 1,322 B per tuple. Before a
+//! provenance vertex held its own tuple and firings named their inputs by
+//! id, it read 2,964 B per node, 203,000 allocations (21.1 per stored tuple)
+//! and 1,072 B per tuple.
 
 use nettrails::{NetTrails, NetTrailsConfig};
 use simnet::Topology;
@@ -74,20 +77,24 @@ static ALLOC: Counting = Counting;
 
 const NODES: usize = 400;
 
-/// Live heap per node right after `NetTrails::new`: measured 2,965; 3,202
-/// while every map carried std's 16-byte `RandomState`.
-const NEW_BYTES_PER_NODE: usize = 3_262;
-/// Live blocks once every base fact is queued: measured 7,114, as at the
+/// Live heap per node right after `NetTrails::new`: measured 2,862; 2,964
+/// while each empty provenance store also carried a content map and two
+/// free lists, 3,202 while every map carried std's 16-byte `RandomState`.
+const NEW_BYTES_PER_NODE: usize = 3_148;
+/// Live blocks once every base fact is queued: measured 7,109, as at the
 /// parent, and the ceiling. An empty input list built as `Vec::new().into()`
 /// allocates — one block per base derivation — where `Arc::default()`
 /// shares one.
-const SEEDED_BLOCKS: usize = 7_114;
-/// Allocations from seeding to the fixpoint, exactly: 21.1 per stored tuple
-/// (9,627 tuples).
-const CONVERGE_ALLOCATIONS: usize = 203_000;
-/// Live heap per stored tuple at the fixpoint: measured 1,072; 1,085 under
+const SEEDED_BLOCKS: usize = 7_109;
+/// Allocations from seeding to the fixpoint, exactly: 19.6 per stored tuple
+/// (9,627 tuples). 203,000 when the join kernel rebuilt every stored input
+/// out of its columns to hand the firing a copy: 14,540 fewer now that a
+/// candidate carries its inputs' ids.
+const CONVERGE_ALLOCATIONS: usize = 188_460;
+/// Live heap per stored tuple at the fixpoint: measured 1,016; 1,072 while
+/// provenance stores kept a content map beside their vertices, 1,085 under
 /// `RandomState`.
-const FIXPOINT_BYTES_PER_TUPLE: usize = 1_179;
+const FIXPOINT_BYTES_PER_TUPLE: usize = 1_118;
 
 /// What one convergence costs, by phase.
 struct Phases {

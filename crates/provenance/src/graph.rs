@@ -295,13 +295,13 @@ impl ProvGraph {
         let mut graph = ProvGraph::default();
         // Tuple vertices from prov tables.
         for store in system.stores() {
-            for (vid, entries) in store.iter_prov() {
+            for (tuple, entries) in store.iter_prov() {
                 let is_base = entries.iter().any(|e| e.is_base());
                 graph.vertices.insert(
-                    VertexId::Tuple(vid),
+                    VertexId::Tuple(tuple.id()),
                     ProvVertex::Tuple {
-                        vid,
-                        tuple: system.tuple_at(store.node, vid).cloned(),
+                        vid: tuple.id(),
+                        tuple: Some(tuple.clone()),
                         home: store.node,
                         is_base,
                     },
@@ -340,12 +340,12 @@ impl ProvGraph {
                 }
             }
             // Edges from rule executions to the tuples they derive.
-            for (vid, entries) in store.iter_prov() {
+            for (tuple, entries) in store.iter_prov() {
                 for entry in entries {
                     if let Some(rid) = entry.rid {
                         graph.edges.push(ProvEdge {
                             from: VertexId::RuleExec(rid),
-                            to: VertexId::Tuple(vid),
+                            to: VertexId::Tuple(tuple.id()),
                         });
                     }
                 }
@@ -483,7 +483,6 @@ mod tests {
             head: link.clone(),
             head_home: "n1".into(),
             inputs: Default::default(),
-            input_tuples: vec![],
             insert: true,
         });
         sys.apply_firing(&Firing {
@@ -492,7 +491,6 @@ mod tests {
             head: cost.clone(),
             head_home: "n2".into(),
             inputs: [link.id()].into(),
-            input_tuples: vec![link],
             insert: true,
         });
         sys

@@ -235,7 +235,6 @@ mod tests {
                 head: link.clone(),
                 head_home: "n1".into(),
                 inputs: Default::default(),
-                input_tuples: vec![],
                 insert: true,
             },
             Firing {
@@ -244,7 +243,6 @@ mod tests {
                 head: cost.clone(),
                 head_home: "n1".into(),
                 inputs: [link.id()].into(),
-                input_tuples: vec![link.clone()],
                 insert: true,
             },
             Firing {
@@ -253,7 +251,6 @@ mod tests {
                 head: min_cost.clone(),
                 head_home: "n2".into(),
                 inputs: [cost.id()].into(),
-                input_tuples: vec![cost.clone()],
                 insert: true,
             },
         ] {

@@ -140,6 +140,20 @@ impl QueryCache {
     }
 }
 
+/// A vertex read at `node`, the node it is expanded at: its tuple and its
+/// `prov` entries in one probe. A node without the vertex has no entries
+/// for it, and the tuple is read at the vertex's home.
+fn read_vertex(
+    system: &ProvenanceSystem,
+    node: NodeId,
+    vid: TupleId,
+) -> (Option<&Tuple>, &[ProvEntry]) {
+    match system.store(node).and_then(|s| s.vertex(vid)) {
+        Some((tuple, entries)) => (Some(tuple), entries),
+        None => (system.tuple_at(node, vid), &[]),
+    }
+}
+
 // ---------------------------------------------------------------------------
 // the legacy in-process engine (QueryMode::Local)
 // ---------------------------------------------------------------------------
@@ -271,16 +285,16 @@ impl QueryEngine {
         visited: &mut IdSet<TupleId>,
     ) -> ProofTree {
         stats.vertices_visited += 1;
-        let tuple = system.tuple_at(node, vid).cloned();
         if options.use_cache {
             if let Some(cached) = self.cache.lookup(system, vid, node) {
                 stats.cache_hits += 1;
                 return cached.clone();
             }
         }
+        let (tuple, entries) = read_vertex(system, node, vid);
         let mut tree = ProofTree {
             vid,
-            tuple,
+            tuple: tuple.cloned(),
             home: node,
             is_base: false,
             derivations: Vec::new(),
@@ -298,13 +312,9 @@ impl QueryEngine {
                 return tree;
             }
         }
-        let entries = system
-            .store(node)
-            .map(|s| s.prov_entries(vid))
-            .unwrap_or_default();
         let mut expanded = 0usize;
         let mut frontier_hops: Vec<f64> = Vec::new();
-        for entry in &entries {
+        for entry in entries {
             if entry.is_base() {
                 tree.is_base = true;
                 continue;
@@ -1022,8 +1032,8 @@ impl Session {
                 return;
             }
         }
-        let tuple = ctx.system.tuple_at(node, vid).cloned();
-        self.vertex(f).tree.tuple = tuple;
+        let (tuple, entries) = read_vertex(ctx.system, node, vid);
+        self.vertex(f).tree.tuple = tuple.cloned();
         if path_has_self {
             // Cycle guard: return the bare vertex, never cached. Checked
             // BEFORE the in-flight defer below — on a cyclic (malformed)
@@ -1065,12 +1075,7 @@ impl Session {
                 return;
             }
         }
-        let entries = ctx
-            .system
-            .store(node)
-            .map(|s| s.prov_entries(vid))
-            .unwrap_or_default();
-        self.vertex(f).entries = entries;
+        self.vertex(f).entries = entries.to_vec();
         match self.spec.options.traversal {
             TraversalOrder::DepthFirst => self.advance_vertex(f, ctx),
             TraversalOrder::BreadthFirst => {
@@ -1457,7 +1462,6 @@ mod tests {
             head: t.clone(),
             head_home: node.into(),
             inputs: Default::default(),
-            input_tuples: vec![],
             insert: true,
         });
     }
@@ -1476,7 +1480,6 @@ mod tests {
             head: head.clone(),
             head_home: home.into(),
             inputs: inputs.iter().map(Tuple::id).collect(),
-            input_tuples: inputs.to_vec(),
             insert: true,
         });
     }
@@ -1644,7 +1647,6 @@ mod tests {
             head: best.clone(),
             head_home: "n3".into(),
             inputs: [l2.id()].into(),
-            input_tuples: vec![],
             insert: false,
         });
         let (after, _) = qe.query(&sys, "n3", &best, QueryKind::Lineage, &opts);
@@ -1691,7 +1693,6 @@ mod tests {
             head: cost,
             head_home: "n2".into(),
             inputs: [l1.id()].into(),
-            input_tuples: vec![],
             insert: false,
         });
         assert_eq!(

@@ -16,16 +16,15 @@
 //!    counted ([`ShardStats`]), not priced: no wire, no dictionary.
 //! 2. **Apply** (parallel, scoped threads over disjoint `&mut` shard
 //!    slices): each shard merge-applies its routed substream (the `prov`
-//!    entry + head registration of each firing, plus the `ruleExec` half
-//!    when the executing node is local) and its incoming [`MaintRecord`]s,
-//!    in ascending sequence order.
+//!    entry of each firing, which brings the head's content when it creates
+//!    the vertex, plus the `ruleExec` half when the executing node is local)
+//!    and its incoming [`MaintRecord`]s, in ascending sequence order.
 //!
 //! Determinism: every operation on one store happens at the shard that owns
 //! it, and the sequence-ordered merge applies those operations in exactly
 //! the order the sequential single-shard engine would. The resulting stores
-//! — including the order-sensitive tuple display cache — are bit-identical
-//! for every shard count; only the cross-shard exchange metrics
-//! ([`ShardStats`]) vary with `S`.
+//! are bit-identical for every shard count; only the cross-shard exchange
+//! metrics ([`ShardStats`]) vary with `S`.
 
 use crate::store::{ProvEntry, ProvenanceStore, RuleExec, RuleExecId};
 use nt_runtime::{Firing, IdMap, NodeId, Sym, Tuple, TupleId};
@@ -39,9 +38,9 @@ pub const MAINTENANCE_CATEGORY: &str = "prov-maintenance";
 
 /// The `ruleExec` half of a firing whose executing node is homed on another
 /// shard: everything the destination shard needs to maintain its `ruleExec`
-/// table and input-tuple display cache at the right stream position: the
-/// sequence number, polarity, rule and node, the input posting list and, for
-/// insertions, the input tuple contents.
+/// table at the right stream position — the sequence number, polarity, rule
+/// and node, and the input posting list. Inputs travel as ids only: an
+/// input's content is its vertex's, at its own home.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MaintRecord {
     /// Round-local stream sequence number of the originating firing; the
@@ -56,8 +55,6 @@ pub struct MaintRecord {
     pub node: NodeId,
     /// Input tuple identifiers, in body order (the firing's list, shared).
     pub inputs: Arc<[TupleId]>,
-    /// Input tuple contents (empty for retractions, which carry only ids).
-    pub input_tuples: Vec<Tuple>,
 }
 
 impl MaintRecord {
@@ -74,12 +71,6 @@ impl MaintRecord {
             rule: firing.rule,
             node: firing.node,
             inputs: firing.inputs.clone(),
-            input_tuples: if firing.insert {
-                firing.input_tuples.clone()
-            } else {
-                // Engines ship retractions without input tuple contents.
-                Vec::new()
-            },
         }
     }
 
@@ -237,11 +228,11 @@ impl ProvenanceShard {
     pub(crate) fn insert_store(&mut self, store: ProvenanceStore) {
         let slot = self.slot(store.node);
         let replaced = std::mem::replace(&mut self.stores[slot], store);
-        for (vid, _) in replaced.iter_prov() {
-            self.homes.dropped(vid, slot as u32);
+        for (tuple, _) in replaced.iter_prov() {
+            self.homes.dropped(tuple.id(), slot as u32);
         }
-        for (vid, _) in self.stores[slot].iter_prov() {
-            self.homes.created(vid, slot as u32);
+        for (tuple, _) in self.stores[slot].iter_prov() {
+            self.homes.created(tuple.id(), slot as u32);
         }
     }
 
@@ -253,17 +244,17 @@ impl ProvenanceShard {
             .map(|&slot| self.stores[slot as usize].node)
     }
 
-    /// Record one derivation of `head` at `home`'s store: the tuple's content
-    /// and its `prov` entry. Every vertex of this shard is created here, so
-    /// this is where the home index learns of it.
+    /// Record one derivation of `head` at `home`'s store: its `prov` entry,
+    /// and the vertex with the tuple's content if this is the first. Every
+    /// vertex of this shard is created here, so this is where the home index
+    /// learns of it.
     pub(crate) fn add_prov(&mut self, home: NodeId, head: &Tuple, entry: ProvEntry) {
-        let (slot, vid) = (self.slot(home), head.id());
+        let slot = self.slot(home);
         let store = &mut self.stores[slot];
-        store.register_tuple(head);
         let vertices = store.vertex_count();
-        store.add_prov(vid, entry);
+        store.add_prov(head, entry);
         if store.vertex_count() != vertices {
-            self.homes.created(vid, slot as u32);
+            self.homes.created(head.id(), slot as u32);
         }
     }
 
@@ -284,11 +275,11 @@ impl ProvenanceShard {
         self.stores.iter()
     }
 
-    /// Apply the home half of one firing: the `prov` entry and head-tuple
-    /// registration at `head_home` (which must be homed on this shard), plus
-    /// the `ruleExec` half when `exec_local` says the executing node lives
-    /// here too (when it does not, the router has already shipped the
-    /// corresponding [`MaintRecord`] to the owning shard).
+    /// Apply the home half of one firing: the `prov` entry for the head at
+    /// `head_home` (which must be homed on this shard), plus the `ruleExec`
+    /// half when `exec_local` says the executing node lives here too (when
+    /// it does not, the router has already shipped the corresponding
+    /// [`MaintRecord`] to the owning shard).
     ///
     /// Cross-**node** maintenance traffic (the paper's E4 overhead metric) is
     /// recorded into `traffic` exactly as the single-shard engine does — that
@@ -319,18 +310,12 @@ impl ProvenanceShard {
         // ruleExec lives where the rule fired; apply it here when that is
         // this shard.
         if exec_local {
-            let store = self.store_mut(firing.node);
-            store.add_rule_exec(RuleExec {
+            self.store_mut(firing.node).add_rule_exec(RuleExec {
                 rid,
                 rule: firing.rule,
                 node: firing.node,
                 inputs: firing.inputs.clone(),
             });
-            // The input tuples are local to the executing node
-            // (post-localization), so remember their contents for display.
-            for input in &firing.input_tuples {
-                store.register_tuple(input);
-            }
         }
         // prov entry lives at the head tuple's home.
         let entry = ProvEntry {
@@ -391,18 +376,12 @@ impl ProvenanceShard {
     pub(crate) fn apply_exec(&mut self, record: &MaintRecord) {
         let rid = record.rid();
         if record.insert {
-            let store = self.store_mut(record.node);
-            store.add_rule_exec(RuleExec {
+            self.store_mut(record.node).add_rule_exec(RuleExec {
                 rid,
                 rule: record.rule,
                 node: record.node,
                 inputs: record.inputs.clone(),
             });
-            // The input tuples are local to the executing node
-            // (post-localization), so remember their contents for display.
-            for input in &record.input_tuples {
-                store.register_tuple(input);
-            }
         } else {
             self.store_mut(record.node).remove_rule_exec(rid);
         }
@@ -424,7 +403,6 @@ mod tests {
             head,
             head_home: NodeId::new("n2"),
             inputs: [input.id()].into(),
-            input_tuples: vec![input.clone()],
             insert: true,
         };
         let rec = MaintRecord::from_firing(7, &firing);
@@ -434,13 +412,10 @@ mod tests {
             rec.rid(),
             RuleExecId::compute(firing.rule, firing.node, &firing.inputs)
         );
-        assert_eq!(rec.input_tuples, vec![input]);
+        assert_eq!(rec.inputs, firing.inputs, "inputs travel as ids");
         firing.insert = false;
         let retract = MaintRecord::from_firing(8, &firing);
         assert!(!retract.insert);
-        assert!(
-            retract.input_tuples.is_empty(),
-            "retractions ship without input contents"
-        );
+        assert_eq!(retract.rid(), rec.rid());
     }
 }

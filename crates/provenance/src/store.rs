@@ -16,16 +16,25 @@
 //!
 //! ## Storage layout
 //!
-//! The store is arena-backed: vertices and rule executions live in dense
-//! `Vec` slots (with free-list reuse) addressed through `IdMap` id → slot
-//! indexes. The ids are `StableHasher` digests, the same on every node; an
-//! index probe re-hashes one through `IdHasher`, one multiply, keyed per
-//! process. Every record is fixed-size — a [`ProvEntry`] is a `Copy`
-//! 16-byte record (8-byte rid + interned 4-byte `rloc`), a [`RuleExec`] is a
-//! fixed header plus the posting list of its input VIDs. Rule and node names
-//! are interned ([`Sym`]/[`NodeId`]), so maintenance never clones or
-//! re-hashes strings; the string dictionary travels once per snapshot (see
-//! [`ProvStoreStats::dict_bytes`]), not once per entry.
+//! The store is two dense arenas addressed through `IdMap` id → slot
+//! indexes: one of tuple vertices, one of rule executions. Removing a record
+//! moves the arena's last one into its slot, so every slot is live and there
+//! is no free list. The ids are `StableHasher` digests, the same on every
+//! node; an index probe re-hashes one through `IdHasher`, one multiply, keyed
+//! per process.
+//!
+//! A tuple vertex holds the tuple itself (its id is the VID; the `Tuple` is
+//! a shared handle, so the engine's copy and this one share their values)
+//! and its `prov` entries, so one probe answers both "what is this tuple"
+//! and "how was it derived" ([`ProvenanceStore::vertex`]); the content
+//! arrives with the entry that creates the vertex and leaves with the entry
+//! that drops it. A [`ProvEntry`] is a `Copy` 16-byte record (8-byte rid +
+//! interned 4-byte `rloc`), a [`RuleExec`] a fixed header plus the posting
+//! list of its input VIDs: an input is named by id, and its content is the
+//! input's own vertex. Rule and node names are interned ([`Sym`]/[`NodeId`]),
+//! so maintenance never clones or re-hashes strings; the string dictionary
+//! travels once per snapshot (see [`ProvStoreStats::dict_bytes`]), not once
+//! per entry.
 
 use nt_runtime::codec::{Decode, DecodeError, Encode, Reader, Writer};
 use nt_runtime::{
@@ -164,31 +173,13 @@ impl Decode for ProvStoreStats {
     }
 }
 
-/// A vertex slot in the store arena.
+/// A tuple vertex: the tuple (its id is the vid) and its `prov` entries,
+/// sorted and deduplicated (canonical order, independent of the
+/// insert/retract interleaving that produced them).
 #[derive(Debug, Clone)]
-struct VertexSlot {
-    vid: TupleId,
-    /// Sorted, deduplicated entries (canonical order, independent of the
-    /// insert/retract interleaving that produced them).
+struct Vertex {
+    tuple: Tuple,
     entries: Vec<ProvEntry>,
-    live: bool,
-}
-
-impl Default for VertexSlot {
-    fn default() -> Self {
-        VertexSlot {
-            vid: TupleId(0),
-            entries: Vec::new(),
-            live: false,
-        }
-    }
-}
-
-/// An execution slot in the store arena.
-#[derive(Debug, Clone)]
-struct ExecSlot {
-    exec: RuleExec,
-    live: bool,
 }
 
 /// One node's partition of the provenance graph (arena-backed; see the module
@@ -197,19 +188,29 @@ struct ExecSlot {
 pub struct ProvenanceStore {
     /// The node this store belongs to.
     pub node: NodeId,
-    vertices: Vec<VertexSlot>,
+    vertices: Vec<Vertex>,
     vertex_index: IdMap<TupleId, u32>,
-    free_vertices: Vec<u32>,
-    execs: Vec<ExecSlot>,
+    execs: Vec<RuleExec>,
     exec_index: IdMap<RuleExecId, u32>,
-    free_execs: Vec<u32>,
-    /// Display information: VID -> tuple content, for tuples homed here.
-    tuples: IdMap<TupleId, Tuple>,
     /// Mutation counter: bumped whenever the store's content actually
     /// changes (idempotent re-inserts do not count). Query caches stamp
     /// their entries with this version, so incremental maintenance — deletes
     /// included — invalidates exactly the sub-results it could have changed.
     version: u64,
+}
+
+/// Remove `slot` from a dense arena by moving the last record into it, and
+/// re-point the index entry of the record that moved.
+fn swap_out<K: std::hash::Hash + Eq, T>(
+    arena: &mut Vec<T>,
+    index: &mut IdMap<K, u32>,
+    slot: u32,
+    key: impl Fn(&T) -> K,
+) {
+    arena.swap_remove(slot as usize);
+    if let Some(moved) = arena.get(slot as usize) {
+        index.insert(key(moved), slot);
+    }
 }
 
 impl ProvenanceStore {
@@ -226,43 +227,23 @@ impl ProvenanceStore {
         self.version
     }
 
-    /// Record the content of a tuple homed at this node (so queries and the
-    /// visualizer can show attribute values, as in Figure 2(c) of the paper).
-    /// Called for every input of every firing, so a known id costs a probe
-    /// and nothing else (equal ids are equal tuples: `Tuple` is sealed).
-    pub fn register_tuple(&mut self, tuple: &Tuple) {
-        if let Entry::Vacant(slot) = self.tuples.entry(tuple.id()) {
-            slot.insert(tuple.clone());
-            self.version += 1;
-        }
-    }
-
-    /// The recorded content of a tuple, if known.
-    pub fn tuple(&self, vid: TupleId) -> Option<&Tuple> {
-        self.tuples.get(&vid)
-    }
-
-    /// Add a `prov` entry (idempotent). Returns true when it was new.
-    pub fn add_prov(&mut self, vid: TupleId, entry: ProvEntry) -> bool {
-        let slot = match self.vertex_index.get(&vid) {
-            Some(&slot) => slot as usize,
-            None => {
-                let slot = match self.free_vertices.pop() {
-                    Some(free) => free as usize,
-                    None => {
-                        self.vertices.push(VertexSlot::default());
-                        self.vertices.len() - 1
-                    }
-                };
+    /// Add a `prov` entry for `tuple` (idempotent). The first entry creates
+    /// the vertex, which keeps the tuple for display (queries and the
+    /// visualizer show attribute values, as in Figure 2(c) of the paper).
+    /// Returns true when the entry was new.
+    pub fn add_prov(&mut self, tuple: &Tuple, entry: ProvEntry) -> bool {
+        let vid = tuple.id();
+        let slot = match self.vertex_index.entry(vid) {
+            Entry::Occupied(slot) => *slot.get() as usize,
+            Entry::Vacant(slot) => {
+                slot.insert(self.vertices.len() as u32);
                 // Nearly every vertex has one derivation; a growing empty
                 // `Vec` would start at room for four.
-                self.vertices[slot] = VertexSlot {
-                    vid,
+                self.vertices.push(Vertex {
+                    tuple: tuple.clone(),
                     entries: Vec::with_capacity(1),
-                    live: true,
-                };
-                self.vertex_index.insert(vid, slot as u32);
-                slot
+                });
+                self.vertices.len() - 1
             }
         };
         let entries = &mut self.vertices[slot].entries;
@@ -277,38 +258,33 @@ impl ProvenanceStore {
     }
 
     /// Remove a `prov` entry. Returns true when it was present. When the last
-    /// entry of a VID disappears the vertex itself is dropped.
+    /// entry of a VID disappears the vertex, tuple and all, is dropped.
     pub fn remove_prov(&mut self, vid: TupleId, entry: &ProvEntry) -> bool {
         let Some(&slot) = self.vertex_index.get(&vid) else {
             return false;
         };
-        let vertex = &mut self.vertices[slot as usize];
-        let Ok(pos) = vertex.entries.binary_search(entry) else {
+        let entries = &mut self.vertices[slot as usize].entries;
+        let Ok(pos) = entries.binary_search(entry) else {
             return false;
         };
-        vertex.entries.remove(pos);
-        if vertex.entries.is_empty() {
-            vertex.live = false;
+        entries.remove(pos);
+        if entries.is_empty() {
             self.vertex_index.remove(&vid);
-            self.free_vertices.push(slot);
-            self.tuples.remove(&vid);
+            swap_out(&mut self.vertices, &mut self.vertex_index, slot, |v| {
+                v.tuple.id()
+            });
         }
         self.version += 1;
         true
     }
 
-    /// The derivations of a tuple homed at this node (sorted canonical
-    /// order).
-    pub fn prov_entries(&self, vid: TupleId) -> Vec<ProvEntry> {
-        self.entries_of(vid).to_vec()
-    }
-
-    /// Borrowed view of a vertex's entries (empty slice for unknown VIDs).
-    pub fn entries_of(&self, vid: TupleId) -> &[ProvEntry] {
-        self.vertex_index
-            .get(&vid)
-            .map(|&slot| self.vertices[slot as usize].entries.as_slice())
-            .unwrap_or(&[])
+    /// A tuple vertex homed at this node: the tuple and its derivations
+    /// (sorted canonical order), in one probe.
+    pub fn vertex(&self, vid: TupleId) -> Option<(&Tuple, &[ProvEntry])> {
+        self.vertex_index.get(&vid).map(|&slot| {
+            let vertex = &self.vertices[slot as usize];
+            (&vertex.tuple, vertex.entries.as_slice())
+        })
     }
 
     /// True when the tuple vertex exists at this node.
@@ -321,34 +297,23 @@ impl ProvenanceStore {
     /// one, which is how the owning shard keeps its home index in step
     /// without a second probe per entry.
     pub(crate) fn vertex_count(&self) -> usize {
-        self.vertex_index.len()
+        self.vertices.len()
     }
 
-    /// Iterate over all (VID, entries) pairs in arena order.
-    pub fn iter_prov(&self) -> impl Iterator<Item = (TupleId, &[ProvEntry])> {
+    /// Iterate over all vertices (tuple, entries) in arena order.
+    pub fn iter_prov(&self) -> impl Iterator<Item = (&Tuple, &[ProvEntry])> {
         self.vertices
             .iter()
-            .filter(|v| v.live)
-            .map(|v| (v.vid, v.entries.as_slice()))
+            .map(|v| (&v.tuple, v.entries.as_slice()))
     }
 
     /// Add a `ruleExec` entry (idempotent). Returns true when it was new.
     pub fn add_rule_exec(&mut self, exec: RuleExec) -> bool {
-        if self.exec_index.contains_key(&exec.rid) {
+        let Entry::Vacant(slot) = self.exec_index.entry(exec.rid) else {
             return false;
-        }
-        let rid = exec.rid;
-        let slot = match self.free_execs.pop() {
-            Some(free) => {
-                self.execs[free as usize] = ExecSlot { exec, live: true };
-                free
-            }
-            None => {
-                self.execs.push(ExecSlot { exec, live: true });
-                (self.execs.len() - 1) as u32
-            }
         };
-        self.exec_index.insert(rid, slot);
+        slot.insert(self.execs.len() as u32);
+        self.execs.push(exec);
         self.version += 1;
         true
     }
@@ -358,9 +323,7 @@ impl ProvenanceStore {
         let Some(slot) = self.exec_index.remove(&rid) else {
             return false;
         };
-        self.execs[slot as usize].live = false;
-        self.execs[slot as usize].exec.inputs = Arc::default();
-        self.free_execs.push(slot);
+        swap_out(&mut self.execs, &mut self.exec_index, slot, |e| e.rid);
         self.version += 1;
         true
     }
@@ -369,12 +332,12 @@ impl ProvenanceStore {
     pub fn rule_exec(&self, rid: RuleExecId) -> Option<&RuleExec> {
         self.exec_index
             .get(&rid)
-            .map(|&slot| &self.execs[slot as usize].exec)
+            .map(|&slot| &self.execs[slot as usize])
     }
 
     /// Iterate over rule executions recorded at this node, in arena order.
     pub fn iter_rule_execs(&self) -> impl Iterator<Item = &RuleExec> {
-        self.execs.iter().filter(|s| s.live).map(|s| &s.exec)
+        self.execs.iter()
     }
 
     /// The one-time dictionary a snapshot of this store must carry: every
@@ -390,17 +353,15 @@ impl ProvenanceStore {
             }
         };
         price(self.node.as_sym());
-        for v in self.vertices.iter().filter(|v| v.live) {
+        for v in &self.vertices {
             for e in &v.entries {
                 price(e.rloc.as_sym());
             }
+            v.tuple.visit_names(&mut price);
         }
-        for s in self.execs.iter().filter(|s| s.live) {
-            price(s.exec.rule);
-            price(s.exec.node.as_sym());
-        }
-        for t in self.tuples.values() {
-            t.visit_names(&mut price);
+        for e in &self.execs {
+            price(e.rule);
+            price(e.node.as_sym());
         }
         bytes
     }
@@ -409,21 +370,17 @@ impl ProvenanceStore {
     pub fn stats(&self) -> ProvStoreStats {
         let mut prov_entries = 0usize;
         let mut record_bytes = 0usize;
-        for v in self.vertices.iter().filter(|v| v.live) {
+        for v in &self.vertices {
             prov_entries += v.entries.len();
             record_bytes += v.entries.iter().map(ProvEntry::wire_size).sum::<usize>();
+            record_bytes += v.tuple.wire_size();
         }
-        let mut rule_execs = 0usize;
-        for s in self.execs.iter().filter(|s| s.live) {
-            rule_execs += 1;
-            record_bytes += s.exec.wire_size();
-        }
-        record_bytes += self.tuples.values().map(Tuple::wire_size).sum::<usize>();
+        record_bytes += self.execs.iter().map(RuleExec::wire_size).sum::<usize>();
         let dict_bytes = self.dict_bytes();
         ProvStoreStats {
             prov_entries,
-            rule_execs,
-            tuple_vertices: self.vertex_index.len(),
+            rule_execs: self.execs.len(),
+            tuple_vertices: self.vertices.len(),
             dict_bytes,
             bytes: record_bytes + dict_bytes,
         }
@@ -433,20 +390,18 @@ impl ProvenanceStore {
     /// equality — two stores holding the same graph compare equal regardless
     /// of the arena history that produced them.
     fn dump(&self) -> StoreDump {
-        let mut prov: Vec<(TupleId, Vec<ProvEntry>)> = self
-            .iter_prov()
-            .map(|(vid, entries)| (vid, entries.to_vec()))
-            .collect();
-        prov.sort_by_key(|(vid, _)| *vid);
-        let mut rule_execs: Vec<RuleExec> = self.iter_rule_execs().cloned().collect();
+        let mut vertices: Vec<&Vertex> = self.vertices.iter().collect();
+        vertices.sort_by_key(|v| v.tuple.id());
+        let mut rule_execs = self.execs.clone();
         rule_execs.sort_by_key(|e| e.rid);
-        let mut tuples: Vec<Tuple> = self.tuples.values().cloned().collect();
-        tuples.sort_by_key(Tuple::id);
         StoreDump {
             node: self.node,
-            prov,
+            prov: vertices
+                .iter()
+                .map(|v| (v.tuple.id(), v.entries.clone()))
+                .collect(),
             rule_execs,
-            tuples,
+            tuples: vertices.iter().map(|v| v.tuple.clone()).collect(),
         }
     }
 
@@ -485,7 +440,8 @@ impl PartialEq for ProvenanceStore {
     }
 }
 
-/// Canonical serialized form of a store.
+/// Canonical serialized form of a store: every vertex's entries by vid, and
+/// its tuple in `tuples` (both in vid order).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct StoreDump {
     node: NodeId,
@@ -501,19 +457,23 @@ impl Serialize for ProvenanceStore {
 }
 
 impl Deserialize for ProvenanceStore {
+    /// A vertex whose tuple the dump does not carry is an error; a tuple no
+    /// vertex names is dropped.
     fn deserialize<'de, D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
         let dump = StoreDump::deserialize(d)?;
+        let tuples: IdMap<TupleId, Tuple> = dump.tuples.into_iter().map(|t| (t.id(), t)).collect();
         let mut store = ProvenanceStore::new(dump.node);
         for (vid, entries) in dump.prov {
+            let Some(tuple) = tuples.get(&vid) else {
+                let msg = format!("provenance vertex {vid} of {} has no tuple", dump.node);
+                return Err(serde::Error::custom(msg).into());
+            };
             for entry in entries {
-                store.add_prov(vid, entry);
+                store.add_prov(tuple, entry);
             }
         }
         for exec in dump.rule_execs {
             store.add_rule_exec(exec);
-        }
-        for tuple in dump.tuples {
-            store.register_tuple(&tuple);
         }
         Ok(store)
     }
@@ -559,81 +519,97 @@ mod tests {
         );
     }
 
+    fn base(node: &str) -> ProvEntry {
+        ProvEntry {
+            rid: None,
+            rloc: node.into(),
+        }
+    }
+
     #[test]
     fn prov_entries_are_idempotent_and_removable() {
         let mut store = ProvenanceStore::new("n1");
         let t = tuple("cost", "n1", 3);
         let vid = t.id();
-        store.register_tuple(&t);
-        let base = ProvEntry {
-            rid: None,
-            rloc: "n1".into(),
-        };
-        assert!(store.add_prov(vid, base));
-        assert!(!store.add_prov(vid, base), "idempotent");
+        assert!(store.add_prov(&t, base("n1")));
+        assert!(!store.add_prov(&t, base("n1")), "idempotent");
         let exec = ProvEntry {
             rid: Some(RuleExecId::compute(sym("r1"), nid("n2"), &[TupleId(9)])),
             rloc: "n2".into(),
         };
-        store.add_prov(vid, exec);
-        assert_eq!(store.prov_entries(vid).len(), 2);
-        assert!(store.remove_prov(vid, &base));
-        assert!(!store.remove_prov(vid, &base));
+        store.add_prov(&t, exec);
+        let (held, entries) = store.vertex(vid).unwrap();
+        assert_eq!(held, &t, "the vertex holds its tuple");
+        assert_eq!(entries.len(), 2);
+        assert!(store.remove_prov(vid, &base("n1")));
+        assert!(!store.remove_prov(vid, &base("n1")));
         assert!(store.has_vertex(vid));
         assert!(store.remove_prov(vid, &exec));
-        assert!(!store.has_vertex(vid), "vertex dropped with last entry");
-        assert!(store.tuple(vid).is_none(), "tuple content dropped too");
+        assert!(
+            store.vertex(vid).is_none(),
+            "vertex and tuple dropped with last entry"
+        );
+        let stats = store.stats();
+        assert_eq!((stats.tuple_vertices, stats.prov_entries), (0, 0));
+        assert_eq!(
+            stats.bytes, stats.dict_bytes,
+            "only the node's name is left"
+        );
     }
 
     #[test]
     fn vertex_slots_are_reused_after_removal() {
         let mut store = ProvenanceStore::new("n1");
-        let base = ProvEntry {
-            rid: None,
-            rloc: "n1".into(),
-        };
+        let tuples: Vec<Tuple> = (0..10).map(|i| tuple("cost", "n1", i)).collect();
         for round in 0..3 {
-            for i in 0..10 {
-                store.add_prov(TupleId(100 + i), base);
+            for t in &tuples {
+                store.add_prov(t, base("n1"));
             }
-            for i in 0..10 {
-                assert!(store.remove_prov(TupleId(100 + i), &base));
+            // Dropping every other vertex moves later ones into the holes;
+            // each survivor must still be found with its own tuple.
+            for t in tuples.iter().step_by(2) {
+                assert!(store.remove_prov(t.id(), &base("n1")));
+            }
+            for t in tuples.iter().skip(1).step_by(2) {
+                assert_eq!(store.vertex(t.id()).map(|(held, _)| held), Some(t));
+            }
+            assert_eq!(store.vertices.len(), 5, "round {round}");
+            for t in tuples.iter().skip(1).step_by(2) {
+                assert!(store.remove_prov(t.id(), &base("n1")));
             }
             assert_eq!(store.stats().tuple_vertices, 0, "round {round}");
         }
-        // The arena never grew past one generation of vertices.
-        assert!(store.vertices.len() <= 10);
     }
 
     #[test]
     fn rule_execs_round_trip() {
         let mut store = ProvenanceStore::new("n1");
-        let rid = RuleExecId::compute(sym("r2"), nid("n1"), &[TupleId(1), TupleId(2)]);
-        let exec = RuleExec {
-            rid,
-            rule: "r2".into(),
-            node: "n1".into(),
-            inputs: [TupleId(1), TupleId(2)].into(),
-        };
-        assert!(store.add_rule_exec(exec.clone()));
-        assert!(!store.add_rule_exec(exec.clone()));
-        assert_eq!(store.rule_exec(rid), Some(&exec));
-        assert!(store.remove_rule_exec(rid));
-        assert!(store.rule_exec(rid).is_none());
+        let execs: Vec<RuleExec> = (1..=3)
+            .map(|i| RuleExec {
+                rid: RuleExecId::compute(sym("r2"), nid("n1"), &[TupleId(i), TupleId(2)]),
+                rule: "r2".into(),
+                node: "n1".into(),
+                inputs: [TupleId(i), TupleId(2)].into(),
+            })
+            .collect();
+        for exec in &execs {
+            assert!(store.add_rule_exec(exec.clone()));
+            assert!(!store.add_rule_exec(exec.clone()));
+        }
+        assert!(store.remove_rule_exec(execs[0].rid));
+        assert!(!store.remove_rule_exec(execs[0].rid));
+        assert!(store.rule_exec(execs[0].rid).is_none());
+        // The last record moved into the freed slot and is still found.
+        for exec in &execs[1..] {
+            assert_eq!(store.rule_exec(exec.rid), Some(exec));
+        }
     }
 
     #[test]
     fn stats_reflect_contents_and_price_the_dictionary() {
         let mut store = ProvenanceStore::new("n1");
         let t = tuple("cost", "n1", 3);
-        store.register_tuple(&t);
-        store.add_prov(
-            t.id(),
-            ProvEntry {
-                rid: None,
-                rloc: "n1".into(),
-            },
-        );
+        store.add_prov(&t, base("n1"));
         store.add_rule_exec(RuleExec {
             rid: RuleExecId::compute(sym("r1"), nid("n1"), &[t.id()]),
             rule: "r1".into(),
@@ -646,7 +622,9 @@ mod tests {
         assert_eq!(stats.tuple_vertices, 1);
         // Dictionary: "n1", "r1", "cost".
         assert_eq!(stats.dict_bytes, (8 + 2) + (8 + 2) + (8 + 4));
-        assert!(stats.bytes > stats.dict_bytes);
+        // Records: the entry, the execution with one input, the tuple.
+        let records = base("n1").wire_size() + (8 + 4 + 4 + 8) + t.wire_size();
+        assert_eq!(stats.bytes, records + stats.dict_bytes);
     }
 
     #[test]
@@ -654,65 +632,46 @@ mod tests {
         let mut store = ProvenanceStore::new("n1");
         assert_eq!(store.version(), 0);
         let t = tuple("cost", "n1", 3);
-        store.register_tuple(&t);
+        store.add_prov(&t, base("n1"));
         let v1 = store.version();
         assert!(v1 > 0);
-        // Idempotent re-registration of identical content: no bump.
-        store.register_tuple(&t);
-        assert_eq!(store.version(), v1);
-        let base = ProvEntry {
-            rid: None,
-            rloc: "n1".into(),
-        };
-        store.add_prov(t.id(), base);
-        let v2 = store.version();
-        assert!(v2 > v1);
-        store.add_prov(t.id(), base);
-        assert_eq!(store.version(), v2, "duplicate prov entry is a no-op");
+        store.add_prov(&t, base("n1"));
+        assert_eq!(store.version(), v1, "duplicate prov entry is a no-op");
         // Deletes bump too — the property the query cache relies on.
-        store.remove_prov(t.id(), &base);
-        assert!(store.version() > v2);
-        let v3 = store.version();
-        store.remove_prov(t.id(), &base);
-        assert_eq!(store.version(), v3, "removing a missing entry is a no-op");
+        store.remove_prov(t.id(), &base("n1"));
+        assert!(store.version() > v1);
+        let v2 = store.version();
+        store.remove_prov(t.id(), &base("n1"));
+        assert_eq!(store.version(), v2, "removing a missing entry is a no-op");
     }
 
     #[test]
     fn equality_and_digest_ignore_arena_history() {
-        let base = ProvEntry {
-            rid: None,
-            rloc: "n1".into(),
-        };
         let other = ProvEntry {
             rid: Some(RuleExecId(7)),
             rloc: "n2".into(),
         };
+        let (t1, t9) = (tuple("cost", "n1", 1), tuple("cost", "n1", 9));
         // Store A: churn before reaching the final state.
         let mut a = ProvenanceStore::new("n1");
-        a.add_prov(TupleId(1), base);
-        a.add_prov(TupleId(9), base);
-        a.remove_prov(TupleId(9), &base);
-        a.add_prov(TupleId(1), other);
+        a.add_prov(&t9, base("n1"));
+        a.add_prov(&t1, base("n1"));
+        a.remove_prov(t9.id(), &base("n1"));
+        a.add_prov(&t1, other);
         // Store B: the final state directly, in a different order.
         let mut b = ProvenanceStore::new("n1");
-        b.add_prov(TupleId(1), other);
-        b.add_prov(TupleId(1), base);
+        b.add_prov(&t1, other);
+        b.add_prov(&t1, base("n1"));
         assert_eq!(a, b);
         assert_eq!(a.content_digest(), b.content_digest());
+        assert_eq!(a.stats(), b.stats());
     }
 
     #[test]
     fn serde_round_trips_through_the_canonical_dump() {
         let mut store = ProvenanceStore::new("n1");
         let t = tuple("cost", "n1", 3);
-        store.register_tuple(&t);
-        store.add_prov(
-            t.id(),
-            ProvEntry {
-                rid: None,
-                rloc: "n1".into(),
-            },
-        );
+        store.add_prov(&t, base("n1"));
         store.add_rule_exec(RuleExec {
             rid: RuleExecId(42),
             rule: "r1".into(),
@@ -723,5 +682,15 @@ mod tests {
         let back: ProvenanceStore = serde::from_content(content).unwrap();
         assert_eq!(store, back);
         assert_eq!(store.stats(), back.stats());
+        assert_eq!(back.vertex(t.id()).map(|(held, _)| held), Some(&t));
+
+        // A vertex the dump carries no tuple for is refused, not a panic.
+        let headless = StoreDump {
+            tuples: Vec::new(),
+            ..store.dump()
+        };
+        let content = serde::to_content(&headless).unwrap();
+        let err = serde::from_content::<ProvenanceStore>(content).unwrap_err();
+        assert!(err.to_string().contains("has no tuple"), "{err}");
     }
 }

@@ -36,8 +36,9 @@
 //! Resolving a vertex is a keyed read, as `prov(@Loc, VID, ..)` keyed by VID
 //! at `Loc` is in the paper: [`ProvenanceSystem::vertex_home`] reads the
 //! `vid → store` home index each shard maintains with its writes, and
-//! [`ProvenanceSystem::tuple_at`] reads the store of the node the vertex is
-//! expanded at. Neither grows with the number of nodes.
+//! [`ProvenanceSystem::tuple_at`] reads the vertex — which holds its tuple —
+//! at the node it is expanded at, or else at its home. Neither grows with
+//! the number of nodes.
 //!
 //! The cross-node shipments of `prov` entries are the **maintenance traffic**
 //! of provenance capture; the system records it in a
@@ -325,17 +326,13 @@ impl ProvenanceSystem {
     }
 
     /// The content of a tuple vertex, read at `node` — the node the vertex
-    /// is being expanded at, which has the content whenever the vertex
-    /// exists there. Tuple identifiers are content digests, so every store
-    /// that knows a VID knows the same content; only a miss at `node` falls
-    /// back to asking every store.
+    /// is being expanded at — or, when `node` lacks the vertex, at its
+    /// [`Self::vertex_home`]. Tuple identifiers are content digests, so
+    /// every vertex of a VID holds the same content; a VID with no vertex
+    /// anywhere has none.
     pub fn tuple_at(&self, node: NodeId, vid: TupleId) -> Option<&Tuple> {
-        self.store(node).and_then(|s| s.tuple(vid)).or_else(|| {
-            self.shards
-                .iter()
-                .flat_map(ProvenanceShard::stores)
-                .find_map(|s| s.tuple(vid))
-        })
+        let at = |node| self.store(node)?.vertex(vid).map(|(tuple, _)| tuple);
+        at(node).or_else(|| at(self.vertex_home(vid)?))
     }
 
     /// The home node of a tuple vertex: the node whose `prov` table has it
@@ -476,7 +473,6 @@ mod tests {
             head: t.clone(),
             head_home: node.into(),
             inputs: Default::default(),
-            input_tuples: vec![],
             insert: true,
         }
     }
@@ -488,7 +484,6 @@ mod tests {
             head: head.clone(),
             head_home: home.into(),
             inputs: inputs.iter().map(Tuple::id).collect(),
-            input_tuples: inputs.to_vec(),
             insert: true,
         }
     }
@@ -512,8 +507,8 @@ mod tests {
         let n2 = sys.store("n2").unwrap();
         assert!(n1.has_vertex(link.id()));
         assert_eq!(n1.iter_rule_execs().count(), 1);
-        assert!(n2.has_vertex(cost.id()));
-        let entries = n2.prov_entries(cost.id());
+        let (tuple, entries) = n2.vertex(cost.id()).unwrap();
+        assert_eq!(tuple, &cost);
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].rloc, "n1");
         // Maintenance traffic was charged for the cross-node prov entry.
@@ -524,9 +519,11 @@ mod tests {
         );
         assert_eq!(sys.vertex_home(cost.id()), Some(NodeId::new("n2")));
         assert_eq!(sys.tuple_at("n1".into(), link.id()), Some(&link));
-        // A miss at the asked node still finds the content elsewhere.
+        // A miss at the asked node reads the vertex at its home.
         assert_eq!(sys.tuple_at("n2".into(), link.id()), Some(&link));
         assert_eq!(sys.tuple_at("n2".into(), TupleId(0)), None);
+        // An input is named by id: n1 holds no copy of a tuple homed at n2.
+        assert!(!n1.has_vertex(cost.id()));
     }
 
     #[test]
@@ -542,7 +539,6 @@ mod tests {
 
         let mut retraction = f.clone();
         retraction.insert = false;
-        retraction.input_tuples.clear();
         sys.apply_firing(&retraction);
         assert_eq!(sys.stats().rule_execs, 0);
         assert!(!sys.store("n1").unwrap().has_vertex(cost.id()));
@@ -577,11 +573,8 @@ mod tests {
         sys.apply_firing(&base_firing(&l2, "n1"));
         sys.apply_firing(&rule_firing("r1", "n1", &reach, "n1", &[l1]));
         sys.apply_firing(&rule_firing("r1", "n1", &reach, "n1", &[l2]));
-        assert_eq!(
-            sys.store("n1").unwrap().prov_entries(reach.id()).len(),
-            2,
-            "two alternative derivations recorded"
-        );
+        let (_, entries) = sys.store("n1").unwrap().vertex(reach.id()).unwrap();
+        assert_eq!(entries.len(), 2, "two alternative derivations recorded");
     }
 
     #[test]
@@ -667,7 +660,6 @@ mod tests {
                 std::slice::from_ref(link),
             );
             r.insert = false;
-            r.input_tuples.clear();
             stream.push(r);
         }
 

@@ -1,6 +1,5 @@
 //! Shared harness of the provenance equivalence suites: a deterministic pool
-//! of candidate firings over a small multi-node network, plus the
-//! graph-shape projection the suites compare up to isomorphism.
+//! of candidate firings over a small multi-node network.
 //!
 //! Used by `proptest_prov_equivalence.rs` (incremental churn vs scratch
 //! rebuild), `proptest_sharded_equivalence.rs` (sharded vs single-shard
@@ -8,7 +7,6 @@
 //! any-store scan); `size_independence.rs` borrows [`base_firing`].
 
 use nt_runtime::{base_rule_sym, Firing, NodeId, Sym, Tuple, Value};
-use provenance::ProvGraph;
 
 /// The nodes of the harness network. Eight nodes so that shard counts 2 and
 /// 4 both split them across several shards.
@@ -33,7 +31,6 @@ pub fn base_firing(head: &Tuple, home: NodeId, insert: bool) -> Firing {
         head: head.clone(),
         head_home: home,
         inputs: Default::default(),
-        input_tuples: vec![],
         insert,
     }
 }
@@ -58,7 +55,6 @@ pub fn firing_pool(layers: usize, width: usize) -> Vec<Firing> {
                 head: tuple(layer, i),
                 head_home: node(i + 1),
                 inputs: [a.id(), b.id()].into(),
-                input_tuples: vec![a.clone(), b],
                 insert: true,
             });
             if i % 3 == 0 {
@@ -69,7 +65,6 @@ pub fn firing_pool(layers: usize, width: usize) -> Vec<Firing> {
                     head: tuple(layer, i),
                     head_home: node(i + 1),
                     inputs: [a.id()].into(),
-                    input_tuples: vec![a],
                     insert: true,
                 });
             }
@@ -81,30 +76,5 @@ pub fn firing_pool(layers: usize, width: usize) -> Vec<Firing> {
 pub fn retraction_of(f: &Firing) -> Firing {
     let mut r = f.clone();
     r.insert = false;
-    // Engines ship retractions without input tuple contents.
-    r.input_tuples.clear();
     r
-}
-
-/// The structure of a graph up to isomorphism on the display cache: vertex
-/// ids with their home and base flag (and rule/node for executions), plus the
-/// sorted edge list. Tuple *contents* are deliberately excluded — they are a
-/// best-effort display cache whose population is order-dependent (a store
-/// drops a tuple's content when its vertex dies, even if a neighbour
-/// execution registered the same content earlier).
-pub fn graph_shape(g: &ProvGraph) -> Vec<String> {
-    let mut shape: Vec<String> = g
-        .vertices
-        .iter()
-        .map(|(id, v)| match v {
-            provenance::ProvVertex::Tuple { home, is_base, .. } => {
-                format!("{id:?}@{home} base={is_base}")
-            }
-            provenance::ProvVertex::RuleExec { rule, node, .. } => {
-                format!("{id:?}@{node} rule={rule}")
-            }
-        })
-        .collect();
-    shape.extend(g.edges.iter().map(|e| format!("{:?}->{:?}", e.from, e.to)));
-    shape
 }

@@ -33,12 +33,14 @@ fn scan_home(system: &ProvenanceSystem, vid: TupleId) -> Option<NodeId> {
         .map(|s| s.node)
 }
 
-/// The oracle for `tuple_at`: the first store that knows the content.
+/// The oracle for `tuple_at`: the tuple of the first vertex of `vid` in any
+/// store.
 fn scan_tuple(system: &ProvenanceSystem, vid: TupleId) -> Option<&Tuple> {
     system
         .shards()
         .flat_map(ProvenanceShard::stores)
-        .find_map(|s| s.tuple(vid))
+        .find_map(|s| s.vertex(vid))
+        .map(|(tuple, _)| tuple)
 }
 
 /// Both reads equal the scan for every vid of `universe`, whichever node the
@@ -178,8 +180,8 @@ fn deleting_the_first_home_leaves_the_second() {
     assert_eq!(system.tuple_at(node(1), t.id()), None);
 }
 
-/// A store recycles the arena slot of a dropped vertex for the next one it
-/// creates; the index follows vids, not slots.
+/// A store moves its last vertex into the arena slot of a dropped one; the
+/// index follows vids, not slots.
 #[test]
 fn a_vertex_recreated_into_a_recycled_slot_is_found_again() {
     let (a, b, c) = (tuple(0, 0), tuple(0, 1), tuple(0, 2));
@@ -189,8 +191,8 @@ fn a_vertex_recreated_into_a_recycled_slot_is_found_again() {
         let steps = [
             base_firing(&a, node(0), true),
             base_firing(&b, node(0), true),
+            // `b` moves into the slot `a` frees.
             base_firing(&a, node(0), false),
-            // Takes the slot `a` freed.
             base_firing(&c, node(0), true),
             base_firing(&a, node(1), true),
             base_firing(&c, node(0), false),

@@ -25,7 +25,6 @@ fn layered_firings(layers: usize, width: usize, nodes: usize) -> Vec<Firing> {
             head: tuple(0, i),
             head_home: node(i),
             inputs: Default::default(),
-            input_tuples: vec![],
             insert: true,
         });
     }
@@ -39,7 +38,6 @@ fn layered_firings(layers: usize, width: usize, nodes: usize) -> Vec<Firing> {
                 head: tuple(layer, i),
                 head_home: node(i + 1),
                 inputs: [input_a.id(), input_b.id()].into(),
-                input_tuples: vec![input_a, input_b],
                 insert: true,
             });
         }
@@ -74,7 +72,6 @@ proptest! {
         for f in firings.iter().rev() {
             let mut retraction = f.clone();
             retraction.insert = false;
-            retraction.input_tuples.clear();
             sys.apply_firing(&retraction);
         }
         let stats = sys.stats();

@@ -60,7 +60,6 @@ fn ring(n: usize) -> ProvenanceSystem {
             head: Tuple::new("cost", vec![Value::addr(next), Value::Int(i as i64)]),
             head_home: next.into(),
             inputs: [l.id()].into(),
-            input_tuples: vec![l],
             insert: true,
         });
     }

@@ -9,13 +9,12 @@
 //! [`QueryService::pump`] then drives three stages against the shared
 //! platform:
 //!
-//! 1. **Admit** — deficit-round-robin across tenants with queued work: each
-//!    visit to a tenant grants [`ServiceConfig::quantum`] session credits,
-//!    and sessions are submitted (one credit each) while credit and the
-//!    global [`ServiceConfig::max_in_flight`] budget last. A flash-crowd
-//!    tenant can fill its own queue but never the dispatch ring: every
-//!    other backlogged tenant is visited once per round, so admission
-//!    stays proportional to quantum, not to offered load.
+//! 1. **Admit** — round-robin across tenants with queued work: each visit
+//!    to a tenant submits its next session, while the global
+//!    [`ServiceConfig::max_in_flight`] budget lasts. A flash-crowd tenant
+//!    can fill its own queue but never the dispatch ring: every other
+//!    backlogged tenant is visited once per round, so each backlogged
+//!    tenant is admitted one session per round, whatever its offered load.
 //! 2. **Pump** — one [`NetTrails::poll_queries`] step: staged query frames
 //!    flush (merged per destination when the platform runs with
 //!    `merge_query_frames`), the network advances, deliveries dispatch.
@@ -48,10 +47,6 @@ pub struct ServiceConfig {
     /// Per-tenant queue cap: an `enqueue` that would push a tenant's queue
     /// past this is rejected with [`Overloaded`].
     pub queue_cap: usize,
-    /// Deficit-round-robin quantum: session credits granted per visit to a
-    /// backlogged tenant. `1` (the default) is strict round-robin; larger
-    /// values trade fairness granularity for burstier per-tenant dispatch.
-    pub quantum: usize,
 }
 
 impl Default for ServiceConfig {
@@ -59,7 +54,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             max_in_flight: 64,
             queue_cap: 256,
-            quantum: 1,
         }
     }
 }
@@ -139,7 +133,6 @@ struct InFlight {
 #[derive(Debug, Default)]
 struct TenantState {
     queue: VecDeque<Pending>,
-    deficit: usize,
     stats: TenantStats,
 }
 
@@ -159,7 +152,6 @@ impl QueryService {
     /// A service with the given admission parameters.
     pub fn new(config: ServiceConfig) -> Self {
         assert!(config.max_in_flight > 0, "budget must admit something");
-        assert!(config.quantum > 0, "quantum must make progress");
         QueryService {
             config,
             tenants: BTreeMap::new(),
@@ -201,9 +193,10 @@ impl QueryService {
         Ok(ticket)
     }
 
-    /// One service step: admit (DRR), pump the query plane once, reap.
-    /// Returns true while anything moved — false means the service is idle
-    /// (or genuinely stuck, which [`QueryService::run`] treats as a bug).
+    /// One service step: admit (round-robin), pump the query plane once,
+    /// reap. Returns true while anything moved — false means the service is
+    /// idle (or genuinely stuck, which [`QueryService::run`] treats as a
+    /// bug).
     pub fn pump(&mut self, nt: &mut NetTrails) -> bool {
         let admitted = self.admit(nt);
         let pumped = nt.poll_queries();
@@ -225,8 +218,9 @@ impl QueryService {
         self.in_flight.is_empty() && self.tenants.values().all(|t| t.queue.is_empty())
     }
 
-    /// Deficit-round-robin admission; returns true when any session was
-    /// submitted or dropped at admission.
+    /// Round-robin admission: each visit to a tenant submits its next live
+    /// session. Returns true when any session was submitted or dropped at
+    /// admission.
     fn admit(&mut self, nt: &mut NetTrails) -> bool {
         let mut progressed = false;
         while self.in_flight.len() < self.config.max_in_flight {
@@ -234,16 +228,12 @@ impl QueryService {
                 break;
             };
             let state = self.tenants.get_mut(&tenant).expect("ring tenant exists");
-            state.deficit += self.config.quantum;
-            while state.deficit > 0 && self.in_flight.len() < self.config.max_in_flight {
-                let Some(pending) = state.queue.pop_front() else {
-                    break;
-                };
+            while let Some(pending) = state.queue.pop_front() {
                 progressed = true;
                 let now = nt.now();
                 if pending.deadline.is_some_and(|d| d <= now) {
                     // Expired while waiting: dropped without ever touching
-                    // the executor, and without spending deficit.
+                    // the executor, and without using the tenant's turn.
                     state.stats.expired += 1;
                     self.completions.push(Completion {
                         ticket: pending.ticket,
@@ -254,7 +244,6 @@ impl QueryService {
                     });
                     continue;
                 }
-                state.deficit -= 1;
                 state.stats.admitted += 1;
                 let handle = nt.submit_query(pending.request.spec);
                 self.in_flight.push(InFlight {
@@ -263,11 +252,9 @@ impl QueryService {
                     handle,
                     deadline: pending.deadline,
                 });
+                break;
             }
-            if state.queue.is_empty() {
-                // Out of the ring; credit does not carry across idle spells.
-                state.deficit = 0;
-            } else {
+            if !state.queue.is_empty() {
                 self.ring.push_back(tenant);
             }
         }
@@ -464,7 +451,6 @@ mod tests {
         let mut svc = QueryService::new(ServiceConfig {
             max_in_flight: 1,
             queue_cap: 2,
-            ..ServiceConfig::default()
         });
         for _ in 0..2 {
             let req = request(&mut nt, "crowd", &target);

@@ -182,7 +182,9 @@ pub struct EngineStats {
 
 /// A rule-execution event, reported for provenance capture. Every identifier
 /// in a firing is interned, so the provenance layer consumes fixed-width
-/// records without string traffic.
+/// records without string traffic. A firing carries one tuple, its head:
+/// inputs are named by id, as in the paper's `ruleExec(@RLoc, RID, Rule,
+/// VIDList)`, and their contents live with their own vertices.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Firing {
     /// Rule name ([`crate::store::BASE_RULE`] for base-tuple events).
@@ -196,9 +198,6 @@ pub struct Firing {
     /// Identifiers of the body tuples, in body order: the derivation's own
     /// list, shared.
     pub inputs: Arc<[TupleId]>,
-    /// The body tuples themselves (present for insert firings; retractions
-    /// carry only the identifiers).
-    pub input_tuples: Vec<Tuple>,
     /// True for a derivation, false for a retraction.
     pub insert: bool,
 }
@@ -571,7 +570,6 @@ impl NodeEngine {
                     head: tuple.clone(),
                     head_home: self.config.node,
                     inputs: Arc::default(),
-                    input_tuples: Vec::new(),
                     insert,
                 }),
                 GenEvent::Appeared(tuple) => {
@@ -732,16 +730,9 @@ impl NodeEngine {
         let derivation = Derivation {
             rule: rule.name_sym,
             node: self.config.node,
-            inputs: candidate.inputs.iter().map(Tuple::id).collect(),
+            inputs: candidate.inputs,
         };
-        self.emit_derivation(
-            candidate.head,
-            loc_col,
-            derivation,
-            true,
-            candidate.inputs,
-            out,
-        );
+        self.emit_derivation(candidate.head, loc_col, derivation, true, out);
     }
 
     // ----------------------------------------------------------------------
@@ -938,7 +929,6 @@ impl NodeEngine {
                     head: dependent.tuple.clone(),
                     head_home: home,
                     inputs: derivation.inputs.clone(),
-                    input_tuples: Vec::new(),
                     insert: false,
                 });
                 if dependent.destination.is_some() {
@@ -989,7 +979,6 @@ impl NodeEngine {
         loc_col: usize,
         derivation: Derivation,
         insert: bool,
-        input_tuples: Vec<Tuple>,
         out: &mut StepOutput,
     ) {
         let home = head
@@ -1008,7 +997,6 @@ impl NodeEngine {
             head: head.clone(),
             head_home: home,
             inputs: derivation.inputs.clone(),
-            input_tuples,
             insert,
         });
         if home == self.config.node {
@@ -1091,37 +1079,21 @@ impl NodeEngine {
                 node: self.config.node,
                 inputs: aggregate.witnesses.iter().map(|w| w.id()).collect(),
             };
-            Some((head, derivation, aggregate.witnesses))
+            Some((head, derivation))
         });
 
         let key = (rule.index, group);
-        if let (Some((old_head, old_deriv)), Some((new_head, new_deriv, _))) =
-            (self.agg_state.get(&key), &new_state)
-        {
-            if old_head == new_head && old_deriv == new_deriv {
-                // Nothing changed, nothing materialized.
-                return;
-            }
+        if self.agg_state.get(&key) == new_state.as_ref() {
+            // Nothing changed.
+            return;
         }
-        // The group moved: the witness tuples leave storage only now.
-        let new_state = new_state.map(|(head, derivation, witnesses)| {
-            let witnesses: Vec<Tuple> = witnesses.iter().map(|w| w.to_tuple()).collect();
-            (head, derivation, witnesses)
-        });
         if let Some((old_head, old_deriv)) = self.agg_state.remove(&key) {
-            self.emit_derivation(
-                old_head,
-                rule.head_loc_col,
-                old_deriv,
-                false,
-                Vec::new(),
-                out,
-            );
+            self.emit_derivation(old_head, rule.head_loc_col, old_deriv, false, out);
         }
-        if let Some((new_head, new_deriv, witnesses)) = new_state {
+        if let Some((new_head, new_deriv)) = new_state {
             self.agg_state
                 .insert(key, (new_head.clone(), new_deriv.clone()));
-            self.emit_derivation(new_head, rule.head_loc_col, new_deriv, true, witnesses, out);
+            self.emit_derivation(new_head, rule.head_loc_col, new_deriv, true, out);
         }
     }
 
@@ -1153,18 +1125,18 @@ impl NodeEngine {
             &mut probes,
         );
         self.stats.join_probes += probes;
-        let mut new_derivations: Vec<(Tuple, Derivation, Vec<Tuple>)> = Vec::new();
+        let mut new_derivations: Vec<(Tuple, Derivation)> = Vec::new();
         for found in matches {
             let derivation = Derivation {
                 rule: rule.name_sym,
                 node: self.config.node,
-                inputs: found.inputs.iter().map(Tuple::id).collect(),
+                inputs: found.inputs,
             };
             if !new_derivations
                 .iter()
-                .any(|(h, d, _)| *h == found.head && *d == derivation)
+                .any(|(h, d)| *h == found.head && *d == derivation)
             {
-                new_derivations.push((found.head, derivation, found.inputs));
+                new_derivations.push((found.head, derivation));
             }
         }
 
@@ -1197,7 +1169,7 @@ impl NodeEngine {
         for (remote, tuple, derivation) in &old_derivations {
             let still_valid = new_derivations
                 .iter()
-                .any(|(h, d, _)| h == tuple && d == derivation);
+                .any(|(h, d)| h == tuple && d == derivation);
             if !still_valid {
                 if *remote {
                     self.emit_derivation(
@@ -1205,7 +1177,6 @@ impl NodeEngine {
                         rule.head_loc_col,
                         derivation.clone(),
                         false,
-                        Vec::new(),
                         out,
                     );
                 } else {
@@ -1215,7 +1186,6 @@ impl NodeEngine {
                         head: tuple.clone(),
                         head_home: self.config.node,
                         inputs: derivation.inputs.clone(),
-                        input_tuples: Vec::new(),
                         insert: false,
                     });
                     self.stats.retractions += 1;
@@ -1227,12 +1197,12 @@ impl NodeEngine {
             }
         }
         // Add derivations that are new.
-        for (head, derivation, inputs) in new_derivations {
+        for (head, derivation) in new_derivations {
             let already = old_derivations
                 .iter()
                 .any(|(_, t, d)| *t == head && *d == derivation);
             if !already {
-                self.emit_derivation(head, rule.head_loc_col, derivation, true, inputs, out);
+                self.emit_derivation(head, rule.head_loc_col, derivation, true, out);
             }
         }
     }
@@ -1297,6 +1267,40 @@ mod tests {
         assert!(out.firings.iter().any(|f| f.rule == BASE_RULE));
         assert!(out.firings.iter().any(|f| f.rule == "r1"));
         assert!(out.firings.iter().any(|f| f.rule == "r3"));
+    }
+
+    /// The join kernel reads a stored input's id from its slot and never
+    /// rebuilds the tuple: a run whose every firing joins the delta with
+    /// stored tuples — local heads, remote heads, an aggregate whose
+    /// witnesses are stored — materializes nothing out of the columns.
+    #[test]
+    fn firing_over_stored_inputs_materializes_no_tuple() {
+        let mut e = engine(
+            "n1",
+            "r1 pair(@S,X,Y) :- a(@S,X), b(@S,Y).\n\
+             r2 far(@Y,S,X) :- a(@S,X), b(@S,Y).\n\
+             r3 total(@S,count<X>) :- a(@S,X).",
+        );
+        for y in 0..8 {
+            let b = Tuple::new("b", vec![Value::addr("n1"), Value::addr(format!("m{y}"))]);
+            e.insert_base(b).unwrap();
+        }
+        e.run();
+        for x in 0..8 {
+            e.insert_base(Tuple::new("a", vec![Value::addr("n1"), Value::Int(x)]))
+                .unwrap();
+        }
+        let before = crate::tuple_materializations();
+        let out = e.run();
+        assert_eq!(
+            crate::tuple_materializations(),
+            before,
+            "the kernel materialized a stored input"
+        );
+        let joined = out.firings.iter().filter(|f| f.rule == "r1").count();
+        assert_eq!(joined, 64, "every a joined every stored b");
+        assert!(out.firings.iter().any(|f| f.rule == "r3"));
+        assert_eq!(out.sends.len(), 8, "one batch per remote home");
     }
 
     #[test]

@@ -45,16 +45,19 @@
 //! trail mark at each join level), holds the matched atoms as borrowed
 //! [`Matched`] handles, and runs the assignments, filters and negated-atom
 //! checks in place at the join leaf. A join result that a filter rejects has
-//! cost no allocation: tuples are materialized out of their columnar slots
-//! only for a result that built a head. Candidate order is probe order, and
-//! `join_probes` counts every candidate examined.
+//! cost no allocation, and no stored tuple is ever materialized out of its
+//! columnar slots: a result that built a head keeps the head and the ids of
+//! its matched atoms (read from the slots, never hashed), one shared list
+//! that the derivation, the firing and the outbox go on to share. Candidate
+//! order is probe order, and `join_probes` counts every candidate examined.
 
 use crate::compile::{AggSpec, BoundTerm, CompiledProgram, CompiledRule, PlanStep};
 use crate::eval::{Frame, SlotAtom, SlotTerm};
 use crate::store::{Database, TupleRef};
-use crate::tuple::Tuple;
+use crate::tuple::{Tuple, TupleId};
 use crate::value::Value;
 use ndlog::AggregateFunc;
+use std::sync::Arc;
 
 /// Tasks per morsel. Small enough that a generation of a few hundred tasks
 /// still load-balances across workers, large enough that the per-dispatch
@@ -75,20 +78,19 @@ pub(crate) struct MonoTask<'a> {
 }
 
 /// A candidate firing produced by the join kernel: the constructed head and
-/// the body tuples that matched, in body order (each carrying the id storage
-/// held for it). The derivation record is built at commit time by the merge
-/// phase (it only needs the rule symbol, the engine's node and the input
-/// ids).
+/// the ids of the body tuples that matched, in body order — the list the
+/// derivation record shares. The record itself is built at commit time by
+/// the merge phase (it adds only the rule symbol and the engine's node).
 #[derive(Debug, Clone)]
 pub(crate) struct Candidate {
     pub rule_idx: usize,
     pub head: Tuple,
-    pub inputs: Vec<Tuple>,
+    pub inputs: Arc<[TupleId]>,
 }
 
 /// A body atom's match while a join is in flight: the trigger delta by
-/// reference, a probe candidate as its storage handle. Materialized only when
-/// the join result builds a head.
+/// reference, a probe candidate as its storage handle. Neither is ever
+/// materialized: a join result is its head and its inputs' ids.
 #[derive(Clone, Copy)]
 pub(crate) enum Matched<'a> {
     Trigger(&'a Tuple),
@@ -96,17 +98,18 @@ pub(crate) enum Matched<'a> {
 }
 
 impl Matched<'_> {
-    fn to_tuple(self) -> Tuple {
+    fn id(self) -> TupleId {
         match self {
-            Matched::Trigger(tuple) => tuple.clone(),
-            Matched::Stored(stored) => stored.to_tuple(),
+            Matched::Trigger(tuple) => tuple.id(),
+            Matched::Stored(stored) => stored.id(),
         }
     }
 }
 
 /// What an aggregate group currently evaluates to: the aggregate value and
 /// the stored tuples that witness it (the winner alone for `min`/`max`, every
-/// contribution for `count`/`sum`), still unmaterialized.
+/// contribution for `count`/`sum`), as storage handles: the derivation reads
+/// their ids.
 pub(crate) struct GroupAggregate<'a> {
     pub value: Value,
     pub witnesses: Vec<TupleRef<'a>>,
@@ -192,7 +195,8 @@ impl<'a> EvalContext<'a> {
 
     /// The join leaf: apply assignments and filters in place, check the
     /// negated atoms, build the head. Only a result that gets this far
-    /// materializes its matched tuples; the frame is left as it was found.
+    /// allocates: its head and its input id list. The frame is left as it
+    /// was found.
     fn leaf(
         &self,
         rule: &CompiledRule,
@@ -211,11 +215,13 @@ impl<'a> EvalContext<'a> {
                 .any(|(neg, probe_cols)| self.exists_match(neg, probe_cols, frame, probes));
         if accepted {
             if let Some(head) = rule.slots.head.build(frame, rule.head_addr_cols, None) {
-                let rows = || matched.iter().map(|m| m.expect("all atoms matched"));
                 out.push(Candidate {
                     rule_idx: rule.index,
                     head,
-                    inputs: rows().map(Matched::to_tuple).collect(),
+                    inputs: matched
+                        .iter()
+                        .map(|m| m.expect("all atoms matched").id())
+                        .collect(),
                 });
             }
         }

@@ -247,7 +247,6 @@ fn run_mode(spec: &ServiceScenarioSpec, merge_frames: bool, workers: usize) -> M
     let mut svc = QueryService::new(ServiceConfig {
         max_in_flight: spec.max_in_flight,
         queue_cap: spec.queue_cap,
-        quantum: 1,
     });
     let mut qrng = StdRng::seed_from_u64(spec.seed ^ 0x9e37_79b9_7f4a_7c15);
     let mut crng = StdRng::seed_from_u64(spec.seed ^ 0x3c6e_f372_fe94_f82b);

@@ -110,7 +110,6 @@ mod tests {
             head: link.clone(),
             head_home: "n1".into(),
             inputs: Default::default(),
-            input_tuples: vec![],
             insert: true,
         });
         sys.apply_firing(&Firing {
@@ -119,7 +118,6 @@ mod tests {
             head: cost,
             head_home: "n1".into(),
             inputs: [link.id()].into(),
-            input_tuples: vec![link],
             insert: true,
         });
         ProvGraph::from_system(&sys)

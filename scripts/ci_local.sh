@@ -90,6 +90,16 @@ test_job() {
     #   logstore hostile_json — LogStore::from_json on every truncation and
     #     seeded mutations of the store_pr21_* fixtures and arrays nested past
     #     the depth cap: never a panic, every failure an Err;
+    # the oracles of what a provenance vertex and a firing carry:
+    #   nettrails integration_incremental
+    #     (provenance_stats_after_link_churn_equal_a_fresh_computation) — MINCOST
+    #     on ring(4) and internet_as(200, 2, 2011) under seeded link downs and
+    #     recoveries: after every event the provenance size counters equal a
+    #     fresh computation's, so no store keeps a tuple for a vertex it dropped;
+    #   nt-runtime engine::tests::firing_over_stored_inputs_materializes_no_tuple
+    #     — an engine run whose firings join stored inputs (local and remote
+    #     heads, an aggregate) leaves tuple_materializations() where it was: a
+    #     firing names its inputs by id;
     # the laws of the one map hasher:
     #   nt-intern id_hasher — equal keys hash equal, and the low 16 bits and
     #     the top-7-bit tags of four key families (sequential handles, tuple

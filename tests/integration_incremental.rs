@@ -193,3 +193,59 @@ fn a_remote_head_shipped_as_int_and_as_double_is_retracted() {
         "both base facts are gone, so nothing derives h any more"
     );
 }
+
+/// Provenance maintained through link churn is the provenance a fresh
+/// computation over the resulting topology builds, down to its size
+/// counters: a store holds content only for its own vertices. An engine can
+/// fire a rule on an input whose `prov` entry its sender has already
+/// retracted; a store that recorded every input's content kept that tuple
+/// for a vertex it no longer had, priced it in `bytes` and `dict_bytes`, and
+/// never removed it. Seeded link downs, each followed by the link's
+/// recovery, compared after every event: a down with a fresh computation, a
+/// recovery (the starting topology again) with the starting convergence.
+#[test]
+fn provenance_stats_after_link_churn_equal_a_fresh_computation() {
+    let maintained = |nt: &NetTrails| provenance::SystemStats {
+        firings_applied: 0,
+        retractions_applied: 0,
+        ..nt.provenance().stats()
+    };
+    for (topology, downs) in [
+        (Topology::ring(4), 1),
+        (Topology::internet_as(200, 2, 2011), 3),
+    ] {
+        let links: Vec<Link> = topology
+            .links()
+            .filter(|l| l.from < l.to)
+            .cloned()
+            .collect();
+        let mut nt = NetTrails::new(
+            protocols::mincost::PROGRAM,
+            topology,
+            NetTrailsConfig::default(),
+        )
+        .unwrap();
+        nt.seed_links_from_topology();
+        nt.run_to_fixpoint();
+        let at_rest = maintained(&nt);
+        let mut seed = 0x5eed_u64;
+        for _ in 0..downs {
+            // splitmix64: a seeded pick that needs no generator.
+            seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = seed;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            let link = &links[((z ^ (z >> 31)) % links.len() as u64) as usize];
+            let down = TopologyEvent::LinkDown {
+                a: link.from.clone(),
+                b: link.to.clone(),
+            };
+            nt.apply_topology_event(&down);
+            let (fresh, _) = nt.recompute_from_scratch().unwrap();
+            assert_eq!(maintained(&nt), maintained(&fresh), "after {down:?}");
+            let up = TopologyEvent::LinkUp(link.clone());
+            nt.apply_topology_event(&up);
+            assert_eq!(maintained(&nt), at_rest, "after {up:?}");
+        }
+    }
+}
