@@ -21,7 +21,6 @@ use crate::trace::{TraceEvent, TraceEventKind};
 use nt_runtime::NodeId;
 use nt_runtime::{Firing, Sym, Tuple, TupleId, Value, BASE_RULE};
 use provenance::ProvenanceSystem;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
@@ -30,7 +29,7 @@ use std::sync::Arc;
 pub const SELECT_RULE: &str = "select";
 
 /// Counters describing a harness run.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HarnessStats {
     /// Trace events applied.
     pub trace_events: usize,

@@ -12,11 +12,10 @@
 //! messages entering and leaving each speaker (via the [`crate::proxy`]),
 //! exactly as the paper's proxy intercepts Quagga's BGP messages.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Business relationship of a neighbour, from the local AS's point of view.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Relation {
     /// The neighbour buys transit from us.
     Customer,
@@ -39,7 +38,7 @@ impl Relation {
 }
 
 /// A route to a prefix.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Route {
     /// Destination prefix (e.g. `10.1.0.0/16`).
     pub prefix: String,
@@ -66,7 +65,7 @@ impl Route {
 }
 
 /// A BGP update message between two speakers.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BgpMessage {
     /// Announce a path to a prefix.
     Announce {
@@ -92,7 +91,7 @@ impl BgpMessage {
 }
 
 /// One AS's BGP speaker.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Speaker {
     /// This speaker's AS name.
     pub asn: String,
@@ -107,7 +106,7 @@ pub struct Speaker {
 }
 
 /// A message to deliver to a neighbour.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Outgoing {
     /// Destination AS.
     pub to: String,

@@ -2,7 +2,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::speaker::Relation;
@@ -12,7 +11,7 @@ use crate::speaker::Relation;
 /// Relationships are stored once per unordered pair, from the perspective of
 /// the first AS: `Relation::Customer` in `(a, b)` means *b is a customer of
 /// a* (a provides transit to b).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AsTopology {
     ases: BTreeSet<String>,
     /// (a, b) -> relationship of b as seen from a (Customer / Peer /

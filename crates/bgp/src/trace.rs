@@ -9,10 +9,9 @@
 use crate::topology::AsTopology;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// The kind of a trace event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEventKind {
     /// The origin AS starts announcing the prefix.
     Announce,
@@ -22,7 +21,7 @@ pub enum TraceEventKind {
 
 /// One BGP update event (the RouteViews schema, reduced to what the
 /// demonstration uses).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Event time in (simulated) seconds since the trace start.
     pub at_secs: u64,

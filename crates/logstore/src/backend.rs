@@ -76,7 +76,7 @@ impl Decode for LogRecord {
 /// The kind of a [`LogRecord`], kept in every backend's in-memory index so
 /// chain walks (find the nearest checkpoint at or before an index) never
 /// decode record payloads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecordKind {
     /// A full snapshot.
     Checkpoint,
@@ -85,7 +85,7 @@ pub enum RecordKind {
 }
 
 /// What a compaction pass reclaimed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CompactionStats {
     /// Backend storage footprint before the pass.
     pub bytes_before: usize,

@@ -12,12 +12,11 @@ use crate::delta::SnapshotDelta;
 use crate::snapshot::{NodeSnapshot, SystemSnapshot};
 use crate::store::{Cursor, LogStore};
 use nt_runtime::{Addr, Tuple};
-use serde::{Deserialize, Serialize};
 use simnet::{SimTime, Topology};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The difference between two consecutive snapshots.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SnapshotDiff {
     /// Time of the earlier snapshot.
     pub from: SimTime,

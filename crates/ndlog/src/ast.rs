@@ -18,11 +18,10 @@
 //! exactly one location attribute, and a tuple of that relation is stored at
 //! the node named by that attribute.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A literal constant appearing in a program.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Literal {
     /// Signed integer literal, e.g. `42` or `-3`.
     Int(i64),
@@ -50,7 +49,7 @@ impl fmt::Display for Literal {
 }
 
 /// Binary operators usable inside expressions and selection predicates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinOp {
     /// `+`
     Add,
@@ -117,7 +116,7 @@ impl BinOp {
 }
 
 /// Unary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UnOp {
     /// Arithmetic negation `-x`.
     Neg,
@@ -127,7 +126,7 @@ pub enum UnOp {
 
 /// Expressions: the right-hand side of assignments, arguments of functions and
 /// selection predicates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// A variable reference, e.g. `C1`.
     Var(String),
@@ -217,7 +216,7 @@ impl fmt::Display for Expr {
 }
 
 /// A term appearing as an argument of a predicate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Term {
     /// A plain variable, e.g. `D`. The boolean marks a location specifier
     /// (`@D`).
@@ -299,7 +298,7 @@ impl fmt::Display for Term {
 }
 
 /// Aggregate functions allowed in rule heads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AggregateFunc {
     /// `min<X>`
     Min,
@@ -335,7 +334,7 @@ impl AggregateFunc {
 }
 
 /// An aggregate head term: function plus aggregated variable.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Aggregate {
     /// Which aggregate to compute.
     pub func: AggregateFunc,
@@ -350,7 +349,7 @@ impl fmt::Display for Aggregate {
 }
 
 /// A predicate (atom): relation name plus argument terms.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Predicate {
     /// Relation name, e.g. `link`.
     pub relation: String,
@@ -431,7 +430,7 @@ impl fmt::Display for Predicate {
 }
 
 /// One element of a rule body.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum BodyElem {
     /// A (possibly negated) relational atom.
     Atom(Predicate),
@@ -472,7 +471,7 @@ impl fmt::Display for BodyElem {
 /// between the inputs and outputs of a legacy (black-box) application; their
 /// heads are observed rather than derived, and the rule is used by the proxy to
 /// attribute provenance to the observation (Section 2.2 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RuleKind {
     /// Ordinary derivation rule (`:-`).
     Derive,
@@ -481,7 +480,7 @@ pub enum RuleKind {
 }
 
 /// A single NDlog rule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Rule {
     /// Rule name (e.g. `r1`, `br1`). Auto-generated (`rule_<n>`) when the
     /// source omits it.
@@ -534,7 +533,7 @@ impl fmt::Display for Rule {
 /// (as opposed to event streams), how long tuples live and which columns form
 /// the primary key. The runtime uses the key columns for update-in-place
 /// semantics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Materialize {
     /// Relation being declared.
     pub relation: String,
@@ -569,7 +568,7 @@ impl fmt::Display for Materialize {
 }
 
 /// A full NDlog program: declarations plus rules.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Program {
     /// `materialize` declarations, in source order.
     pub materializations: Vec<Materialize>,

@@ -6,12 +6,10 @@
 //! unknown functions or calls with the wrong arity before execution, which is
 //! the behaviour of the RapidNet compiler.
 
-use serde::{Deserialize, Serialize};
-
 /// A builtin function as compiled code refers to it: resolved from its name
 /// once ([`BuiltinFn::lookup`]), then a `Copy` tag the evaluator switches on.
 /// Declared in the order of [`BUILTINS`], so a tag indexes its row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BuiltinFn {
     /// `f_concat(A, B)` — concatenate lists (a non-list counts as one item).
     Concat,

@@ -26,10 +26,9 @@
 
 use crate::ast::{Rule, Term};
 use crate::error::{NdlogError, Result};
-use serde::{Deserialize, Serialize};
 
 /// Where a rule executes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RuleLocation {
     /// Execution location is the value bound to this variable (the common
     /// case: all body atoms share a location variable).
@@ -50,7 +49,7 @@ impl RuleLocation {
 }
 
 /// The result of localizing a single rule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LocalizedRule {
     /// The rule itself (unmodified).
     pub rule: Rule,

@@ -11,11 +11,10 @@
 use crate::platform::{NetTrails, NetTrailsConfig, RunReport};
 use nt_runtime::{Result, Tuple};
 use provenance::{QueryKind, QueryOptions, QueryResult, QueryStats};
-use serde::{Deserialize, Serialize};
 use simnet::{Topology, TopologyEvent};
 
 /// One step of a demonstration script.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum DemoStep {
     /// Run the system to a fixpoint.
     Converge,
@@ -38,7 +37,7 @@ pub enum DemoStep {
 }
 
 /// What one executed step produced.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum DemoOutcome {
     /// Convergence / reconvergence work report.
     Converged(RunReport),

@@ -18,7 +18,7 @@ use std::sync::Arc;
 pub const PROTOCOL_CATEGORY: &str = "protocol";
 
 /// The payload carried by simulator messages between NetTrails nodes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum NetMessage {
     /// An inserted or deleted tuple together with the derivation that
     /// justifies it — the per-tuple wire format, kept as the measurable
@@ -189,7 +189,7 @@ impl NetTrailsConfig {
 }
 
 /// What happened during one `run_to_fixpoint` call.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunReport {
     /// Engine/network scheduling rounds executed.
     pub rounds: usize,
@@ -218,7 +218,7 @@ impl RunReport {
 }
 
 /// Aggregated statistics of a platform instance.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PlatformStats {
     /// Sum of per-node engine counters.
     pub engine: EngineStats,

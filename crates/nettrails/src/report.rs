@@ -6,11 +6,10 @@
 //! claim and the measured shape can be read side by side. This module holds
 //! the tiny table type used for that output.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One row of an experiment table: a label plus named metric columns.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentRow {
     /// Row label (e.g. a parameter setting such as `n=16` or `caching=on`).
     pub label: String,
@@ -43,7 +42,7 @@ impl ExperimentRow {
 }
 
 /// A titled table of experiment rows.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ReportTable {
     /// Experiment identifier (e.g. `E3 incremental maintenance`).
     pub title: String,

@@ -25,7 +25,10 @@
 //! The [`graph`] module assembles a global (centralized) view of the
 //! distributed graph for the visualizer and the log store, matching the
 //! "system snapshots propagated to a central Log Store" workflow of Section
-//! 2.3.
+//! 2.3. That graph, its vertex, edge and id types and [`ProvStoreStats`] are
+//! what a snapshot carries of provenance, and the only types here with a
+//! serialized form. The stores, the system, firings and query batches have
+//! none: nothing rebuilds them from bytes, only maintenance writes them.
 
 pub mod graph;
 pub mod proql;

@@ -23,11 +23,10 @@
 
 use crate::graph::{ProvGraph, ProvVertex, VertexId};
 use nt_runtime::Addr;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// One step of a ProQL-style query.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProqlStep {
     /// Follow provenance upstream (toward inputs); `None` = to the sources.
     Back(Option<usize>),
@@ -42,7 +41,7 @@ pub enum ProqlStep {
 }
 
 /// A parsed query: a starting pattern plus steps.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProqlQuery {
     /// Relation name the query starts from.
     pub relation: String,
@@ -53,7 +52,7 @@ pub struct ProqlQuery {
 }
 
 /// Result of evaluating a query.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ProqlResult {
     /// A set of vertices (rendered through their labels).
     Vertices(Vec<String>),

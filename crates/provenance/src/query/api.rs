@@ -10,14 +10,13 @@
 
 use crate::store::RuleExecId;
 use nt_runtime::{Addr, NodeId, Sym, Tuple, TupleId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Traffic category used for provenance query messages.
 pub const QUERY_CATEGORY: &str = "prov-query";
 
 /// Which provenance question to ask.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QueryKind {
     /// Full proof tree (lineage).
     Lineage,
@@ -30,7 +29,7 @@ pub enum QueryKind {
 }
 
 /// Order in which the distributed traversal visits the graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TraversalOrder {
     /// Sequential depth-first traversal: one outstanding request at a time.
     /// Fewest simultaneous messages, highest latency.
@@ -43,7 +42,7 @@ pub enum TraversalOrder {
 }
 
 /// How a query is executed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum QueryMode {
     /// Message-driven execution over the simulated network: cross-node hops
     /// are real [`crate::query::wire::QueryBatch`] frames, and
@@ -62,7 +61,7 @@ pub enum QueryMode {
 /// [`QueryMode::Distributed`] it is whatever the network's per-link delay
 /// config yields, measured; the local engine estimates with its own
 /// [`crate::QueryEngine::hop_rtt_ms`] knob.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct QueryOptions {
     /// Reuse cached sub-results from previous queries.
     pub use_cache: bool,
@@ -89,7 +88,7 @@ impl QueryOptions {
 /// A fully-specified query: what to ask, from where, and how to execute it.
 /// This is what a session builder compiles down to and what both execution
 /// engines consume.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuerySpec {
     /// Node issuing the query.
     pub querier: NodeId,
@@ -106,11 +105,11 @@ pub struct QuerySpec {
 /// Handle of a submitted query session. Cheap to copy; redeem it against the
 /// executor (or the platform) for partial results, cancellation, or the
 /// final result.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct QueryHandle(pub u64);
 
 /// A proof tree: the lineage of a tuple.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProofTree {
     /// The tuple vertex.
     pub vid: TupleId,
@@ -128,7 +127,7 @@ pub struct ProofTree {
 }
 
 /// A rule-execution vertex in a proof tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RuleExecNode {
     /// Identifier of the rule execution.
     pub rid: RuleExecId,
@@ -180,7 +179,7 @@ impl ProofTree {
 }
 
 /// Result of a provenance query.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum QueryResult {
     /// Lineage result.
     Lineage(ProofTree),
@@ -193,7 +192,7 @@ pub enum QueryResult {
 }
 
 /// Work and traffic measurements for a single query.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct QueryStats {
     /// Cross-node frames exchanged (request + response messages). Batched
     /// fan-out packs several records into one frame, so under

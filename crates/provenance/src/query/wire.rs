@@ -23,13 +23,12 @@
 use crate::query::api::{ProofTree, RuleExecNode};
 use crate::store::RuleExecId;
 use nt_runtime::{NodeId, Sym, TupleId};
-use serde::{Deserialize, Serialize};
 
 /// One record of the query protocol. `qid` names the session, `frame` the
 /// continuation in the session's frame arena that the record targets (the
 /// remote frame to start for requests, the awaiting frame to resume for
 /// responses).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum QueryOp {
     /// Expand the proof tree of `vid`, whose `prov` entries live at the
     /// destination (the initial querier → home hop). `path` carries the
@@ -142,14 +141,14 @@ impl QueryOp {
 /// One executor flush's records from one node to another, sealed for
 /// shipment behind the dictionary entries the destination has not been sent
 /// before.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryBatch {
     /// Sending node.
     pub from: NodeId,
     /// Receiving node.
     pub to: NodeId,
     /// Dictionary entries first shipped to `to` by this frame, in sorted
-    /// (string) order. Handles: each serializes as its string.
+    /// (string) order.
     pub dict: Vec<Sym>,
     /// The records.
     pub ops: Vec<QueryOp>,

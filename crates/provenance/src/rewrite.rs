@@ -21,8 +21,7 @@
 //! the engine's firing stream (see [`crate::system`]), which is semantically
 //! equivalent and avoids re-deriving identifiers inside the interpreter; the
 //! rewrite is nevertheless provided (and tested for validity) because it *is*
-//! the paper's algorithm and is used to report the instrumentation overhead in
-//! rules (how many extra rules / relations provenance capture adds).
+//! the paper's algorithm.
 
 use ndlog::{
     Aggregate, AggregateFunc, BodyElem, Expr, Literal, Materialize, Predicate, Program, Rule,
@@ -34,23 +33,10 @@ pub const PROV_RELATION: &str = "prov";
 /// Name of the rule-execution relation (`ruleExec(@RLoc, RID, Rule, VIDList)`).
 pub const RULE_EXEC_RELATION: &str = "ruleExec";
 
-/// Statistics about a provenance rewrite, used to report instrumentation
-/// overhead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RewriteStats {
-    /// Rules in the input program.
-    pub input_rules: usize,
-    /// Rules in the rewritten program.
-    pub output_rules: usize,
-    /// Extra relations introduced (always 2: `prov` and `ruleExec`).
-    pub extra_relations: usize,
-}
-
 /// Rewrite a (localized) program so that it additionally derives the `prov`
-/// and `ruleExec` relations. Returns the rewritten program and overhead
-/// statistics. `maybe` rules are copied through unchanged — their provenance
-/// is attributed by the legacy proxy at run time.
-pub fn rewrite_for_provenance(program: &Program) -> (Program, RewriteStats) {
+/// and `ruleExec` relations. `maybe` rules are copied through unchanged —
+/// their provenance is attributed by the legacy proxy at run time.
+pub fn rewrite_for_provenance(program: &Program) -> Program {
     let mut out = program.clone();
     out.materializations.push(Materialize {
         relation: PROV_RELATION.to_string(),
@@ -74,13 +60,8 @@ pub fn rewrite_for_provenance(program: &Program) -> (Program, RewriteStats) {
             generated.extend(pair);
         }
     }
-    let stats = RewriteStats {
-        input_rules: program.rules.len(),
-        output_rules: program.rules.len() + generated.len(),
-        extra_relations: 2,
-    };
     out.rules.extend(generated);
-    (out, stats)
+    out
 }
 
 /// Generate the `ruleExec` and `prov` capture rules for one derivation rule.
@@ -254,10 +235,9 @@ mod tests {
     #[test]
     fn rewrite_adds_two_rules_per_derivation_rule() {
         let program = parse_program(MINCOST).unwrap();
-        let (rewritten, stats) = rewrite_for_provenance(&program);
-        assert_eq!(stats.input_rules, 3);
-        assert_eq!(stats.output_rules, 3 + 6);
-        assert_eq!(rewritten.rules.len(), 9);
+        let rewritten = rewrite_for_provenance(&program);
+        assert_eq!(program.rules.len(), 3);
+        assert_eq!(rewritten.rules.len(), 3 + 6);
         assert!(rewritten.rule("r1_exec").is_some());
         assert!(rewritten.rule("r1_prov").is_some());
         assert!(rewritten.materialization(PROV_RELATION).is_some());
@@ -267,7 +247,7 @@ mod tests {
     #[test]
     fn rewritten_program_is_valid_ndlog() {
         let program = parse_program(MINCOST).unwrap();
-        let (rewritten, _) = rewrite_for_provenance(&program);
+        let rewritten = rewrite_for_provenance(&program);
         validate_program(&rewritten).expect("rewritten program validates");
         // And it survives a print/parse round trip.
         let reparsed = parse_program(&rewritten.to_string()).unwrap();
@@ -280,15 +260,14 @@ mod tests {
             "br1 outputRoute(@AS,R2) ?- inputRoute(@AS,R1), f_isExtend(R2,R1,AS) == 1.",
         )
         .unwrap();
-        let (rewritten, stats) = rewrite_for_provenance(&program);
-        assert_eq!(stats.output_rules, 1);
+        let rewritten = rewrite_for_provenance(&program);
         assert_eq!(rewritten.rules.len(), 1);
     }
 
     #[test]
     fn prov_rule_targets_the_head_home_node() {
         let program = parse_program("r1 reach(@D,S) :- link(@S,D,C).").unwrap();
-        let (rewritten, _) = rewrite_for_provenance(&program);
+        let rewritten = rewrite_for_provenance(&program);
         let prov_rule = rewritten.rule("r1_prov").unwrap();
         // prov entries are stored where the head tuple lives (@D), while the
         // rule executes at S.

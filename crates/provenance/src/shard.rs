@@ -28,7 +28,6 @@
 
 use crate::store::{ProvEntry, ProvenanceStore, RuleExec, RuleExecId};
 use nt_runtime::{Firing, IdMap, NodeId, Sym, Tuple, TupleId};
-use serde::{Deserialize, Serialize};
 use simnet::TrafficStats;
 use std::collections::hash_map::Entry;
 use std::sync::Arc;
@@ -41,7 +40,7 @@ pub const MAINTENANCE_CATEGORY: &str = "prov-maintenance";
 /// table at the right stream position — the sequence number, polarity, rule
 /// and node, and the input posting list. Inputs travel as ids only: an
 /// input's content is its vertex's, at its own home.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MaintRecord {
     /// Round-local stream sequence number of the originating firing; the
     /// destination shard merge-applies records and its own substream in
@@ -83,7 +82,7 @@ impl MaintRecord {
 /// Cross-shard exchange metrics of the sharded maintenance engine. These are
 /// the only numbers that legitimately vary with the shard count; the graph,
 /// per-store digests and [`crate::SystemStats`] are shard-count-invariant.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardStats {
     /// Number of shards the arena is partitioned into.
     pub shards: usize,
@@ -105,8 +104,8 @@ pub struct ShardStats {
 /// store has the vertex.
 ///
 /// A lookup structure, not state: derived from the stores' `prov` tables,
-/// maintained where a vertex is created or dropped, rebuilt when a store is
-/// adopted, never iterated, serialized, compared or priced.
+/// maintained where a vertex is created or dropped, never iterated, compared
+/// or priced.
 #[derive(Debug, Clone, Default)]
 struct HomeIndex {
     /// The lowest arena slot whose store has the vertex.
@@ -165,26 +164,12 @@ impl HomeIndex {
 /// through the `vid → store` home index the shard maintains with its writes.
 #[derive(Debug, Clone, Default)]
 pub struct ProvenanceShard {
-    index: usize,
     stores: Vec<ProvenanceStore>,
     by_node: IdMap<NodeId, u32>,
     homes: HomeIndex,
 }
 
 impl ProvenanceShard {
-    /// Create an empty shard.
-    pub(crate) fn new(index: usize) -> Self {
-        ProvenanceShard {
-            index,
-            ..ProvenanceShard::default()
-        }
-    }
-
-    /// This shard's position in the router.
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
     /// Number of stores homed on this shard.
     pub fn len(&self) -> usize {
         self.stores.len()
@@ -220,20 +205,6 @@ impl ProvenanceShard {
         self.by_node
             .get(&node)
             .map(|&slot| &self.stores[slot as usize])
-    }
-
-    /// Adopt a fully built store (snapshot restore path), re-indexing the
-    /// vertices of the slot it takes. A dump naming one node twice replaces
-    /// the store adopted first, so its vertices leave the index too.
-    pub(crate) fn insert_store(&mut self, store: ProvenanceStore) {
-        let slot = self.slot(store.node);
-        let replaced = std::mem::replace(&mut self.stores[slot], store);
-        for (tuple, _) in replaced.iter_prov() {
-            self.homes.dropped(tuple.id(), slot as u32);
-        }
-        for (tuple, _) in self.stores[slot].iter_prov() {
-            self.homes.created(tuple.id(), slot as u32);
-        }
     }
 
     /// The first store in arena order whose `prov` table has the vertex.

@@ -77,7 +77,7 @@ impl fmt::Display for RuleExecId {
 
 /// One entry of the `prov` relation: a derivation of a tuple. A fixed-size
 /// `Copy` record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProvEntry {
     /// The rule execution that produced the tuple; `None` marks a base tuple
     /// inserted by the environment.
@@ -106,7 +106,7 @@ impl ProvEntry {
 /// One entry of the `ruleExec` relation: a fixed-size header (rid + interned
 /// rule and node ids) plus the posting list of input VIDs — the list of the
 /// derivation that fired, shared with it, not a copy.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RuleExec {
     /// Identifier of this execution.
     pub rid: RuleExecId,
@@ -176,7 +176,7 @@ impl Decode for ProvStoreStats {
 /// A tuple vertex: the tuple (its id is the vid) and its `prov` entries,
 /// sorted and deduplicated (canonical order, independent of the
 /// insert/retract interleaving that produced them).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct Vertex {
     tuple: Tuple,
     entries: Vec<ProvEntry>,
@@ -386,42 +386,34 @@ impl ProvenanceStore {
         }
     }
 
-    /// A canonical (sorted) dump of the store, used for serialization and
-    /// equality — two stores holding the same graph compare equal regardless
-    /// of the arena history that produced them.
-    fn dump(&self) -> StoreDump {
+    /// The vertices in vid order and the executions in rid order: what
+    /// equality and the digest read, so two stores holding the same graph
+    /// agree whatever arena history produced them.
+    fn sorted(&self) -> (Vec<&Vertex>, Vec<&RuleExec>) {
         let mut vertices: Vec<&Vertex> = self.vertices.iter().collect();
         vertices.sort_by_key(|v| v.tuple.id());
-        let mut rule_execs = self.execs.clone();
-        rule_execs.sort_by_key(|e| e.rid);
-        StoreDump {
-            node: self.node,
-            prov: vertices
-                .iter()
-                .map(|v| (v.tuple.id(), v.entries.clone()))
-                .collect(),
-            rule_execs,
-            tuples: vertices.iter().map(|v| v.tuple.clone()).collect(),
-        }
+        let mut execs: Vec<&RuleExec> = self.execs.iter().collect();
+        execs.sort_by_key(|e| e.rid);
+        (vertices, execs)
     }
 
     /// A stable digest of the store's canonical content (used by tests and
     /// the log-store integrity check).
     pub fn content_digest(&self) -> u64 {
-        let dump = self.dump();
+        let (vertices, execs) = self.sorted();
         let mut h = StableHasher::new();
-        h.write_str(dump.node.as_str());
-        h.write_u64(dump.prov.len() as u64);
-        for (vid, entries) in &dump.prov {
-            h.write_u64(vid.0);
-            h.write_u64(entries.len() as u64);
-            for e in entries {
+        h.write_str(self.node.as_str());
+        h.write_u64(vertices.len() as u64);
+        for v in vertices {
+            h.write_u64(v.tuple.id().0);
+            h.write_u64(v.entries.len() as u64);
+            for e in &v.entries {
                 h.write_u64(e.rid.map(|r| r.0).unwrap_or(0));
                 h.write_str(e.rloc.as_str());
             }
         }
-        h.write_u64(dump.rule_execs.len() as u64);
-        for e in &dump.rule_execs {
+        h.write_u64(execs.len() as u64);
+        for e in execs {
             h.write_u64(e.rid.0);
             h.write_str(e.rule.as_str());
             h.write_str(e.node.as_str());
@@ -434,48 +426,11 @@ impl ProvenanceStore {
     }
 }
 
+/// Equal when the node, every vertex (tuple and entries) and every execution
+/// are equal.
 impl PartialEq for ProvenanceStore {
     fn eq(&self, other: &Self) -> bool {
-        self.dump() == other.dump()
-    }
-}
-
-/// Canonical serialized form of a store: every vertex's entries by vid, and
-/// its tuple in `tuples` (both in vid order).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct StoreDump {
-    node: NodeId,
-    prov: Vec<(TupleId, Vec<ProvEntry>)>,
-    rule_execs: Vec<RuleExec>,
-    tuples: Vec<Tuple>,
-}
-
-impl Serialize for ProvenanceStore {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        self.dump().serialize(serializer)
-    }
-}
-
-impl Deserialize for ProvenanceStore {
-    /// A vertex whose tuple the dump does not carry is an error; a tuple no
-    /// vertex names is dropped.
-    fn deserialize<'de, D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let dump = StoreDump::deserialize(d)?;
-        let tuples: IdMap<TupleId, Tuple> = dump.tuples.into_iter().map(|t| (t.id(), t)).collect();
-        let mut store = ProvenanceStore::new(dump.node);
-        for (vid, entries) in dump.prov {
-            let Some(tuple) = tuples.get(&vid) else {
-                let msg = format!("provenance vertex {vid} of {} has no tuple", dump.node);
-                return Err(serde::Error::custom(msg).into());
-            };
-            for entry in entries {
-                store.add_prov(tuple, entry);
-            }
-        }
-        for exec in dump.rule_execs {
-            store.add_rule_exec(exec);
-        }
-        Ok(store)
+        self.node == other.node && self.sorted() == other.sorted()
     }
 }
 
@@ -665,32 +620,5 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.content_digest(), b.content_digest());
         assert_eq!(a.stats(), b.stats());
-    }
-
-    #[test]
-    fn serde_round_trips_through_the_canonical_dump() {
-        let mut store = ProvenanceStore::new("n1");
-        let t = tuple("cost", "n1", 3);
-        store.add_prov(&t, base("n1"));
-        store.add_rule_exec(RuleExec {
-            rid: RuleExecId(42),
-            rule: "r1".into(),
-            node: "n1".into(),
-            inputs: [t.id()].into(),
-        });
-        let content = serde::to_content(&store).unwrap();
-        let back: ProvenanceStore = serde::from_content(content).unwrap();
-        assert_eq!(store, back);
-        assert_eq!(store.stats(), back.stats());
-        assert_eq!(back.vertex(t.id()).map(|(held, _)| held), Some(&t));
-
-        // A vertex the dump carries no tuple for is refused, not a panic.
-        let headless = StoreDump {
-            tuples: Vec::new(),
-            ..store.dump()
-        };
-        let content = serde::to_content(&headless).unwrap();
-        let err = serde::from_content::<ProvenanceStore>(content).unwrap_err();
-        assert!(err.to_string().contains("has no tuple"), "{err}");
     }
 }

@@ -47,13 +47,16 @@
 //! next to the protocol's own traffic. Cross-**shard** exchange is a
 //! separate, shard-count-dependent metric reported by
 //! [`ProvenanceSystem::shard_stats`].
+//!
+//! A system has no serialized form. A snapshot carries the graph assembled
+//! from it ([`crate::ProvGraph`]) and each store's sizes, so a system is
+//! built only by applying firings.
 
 pub use crate::shard::MAINTENANCE_CATEGORY;
 
 use crate::shard::{MaintRecord, ProvenanceShard, ShardStats};
 use crate::store::ProvenanceStore;
 use nt_runtime::{shard_route, Addr, Firing, NodeId, Tuple, TupleId};
-use serde::{Deserialize, Serialize};
 use simnet::TrafficStats;
 use std::sync::OnceLock;
 
@@ -77,7 +80,7 @@ fn workers_available() -> bool {
 }
 
 /// Aggregate statistics across every node's provenance store.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SystemStats {
     /// Total `prov` entries.
     pub prov_entries: usize,
@@ -131,7 +134,7 @@ impl ProvenanceSystem {
     fn with_shard_count(shards: usize) -> Self {
         let shards = shards.max(1);
         ProvenanceSystem {
-            shards: (0..shards).map(ProvenanceShard::new).collect(),
+            shards: vec![ProvenanceShard::default(); shards],
             traffic: TrafficStats::default(),
             firings_applied: 0,
             retractions_applied: 0,
@@ -404,56 +407,15 @@ fn apply_pass(
     }
 }
 
+/// Equal when the counters and every store, in node-name order, are equal.
 impl PartialEq for ProvenanceSystem {
     fn eq(&self, other: &Self) -> bool {
-        self.dump() == other.dump()
-    }
-}
-
-/// Canonical serialized form of a system (stores in node-name order).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct SystemDump {
-    shards: usize,
-    stores: Vec<ProvenanceStore>,
-    traffic: TrafficStats,
-    firings_applied: u64,
-    retractions_applied: u64,
-    shard_stats: ShardStats,
-}
-
-impl ProvenanceSystem {
-    fn dump(&self) -> SystemDump {
-        SystemDump {
-            shards: self.shards.len(),
-            stores: self.stores().cloned().collect(),
-            traffic: self.traffic.clone(),
-            firings_applied: self.firings_applied,
-            retractions_applied: self.retractions_applied,
-            shard_stats: self.shard_stats.clone(),
-        }
-    }
-}
-
-impl Serialize for ProvenanceSystem {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        self.dump().serialize(serializer)
-    }
-}
-
-impl Deserialize for ProvenanceSystem {
-    fn deserialize<'de, D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let dump = SystemDump::deserialize(d)?;
-        let mut system = ProvenanceSystem::with_shard_count(dump.shards);
-        system.traffic = dump.traffic;
-        system.firings_applied = dump.firings_applied;
-        system.retractions_applied = dump.retractions_applied;
-        system.shard_stats = dump.shard_stats;
-        // Re-home every store through the same routing hash.
-        for store in dump.stores {
-            let shard = system.shard_of(store.node);
-            system.shards[shard].insert_store(store);
-        }
-        Ok(system)
+        self.shards.len() == other.shards.len()
+            && self.traffic == other.traffic
+            && self.firings_applied == other.firings_applied
+            && self.retractions_applied == other.retractions_applied
+            && self.shard_stats == other.shard_stats
+            && self.stores().eq(other.stores())
     }
 }
 
@@ -584,45 +546,6 @@ mod tests {
         sys.apply_firing(&base_firing(&link, "n7"));
         assert!(sys.store("n7").unwrap().has_vertex(link.id()));
         assert_eq!(sys.nodes(), vec![NodeId::new("n7")]);
-    }
-
-    #[test]
-    fn serde_round_trips_the_whole_system() {
-        let mut sys = ProvenanceSystem::new(["n1", "n2"]);
-        let link = tuple("link", "n1", 5);
-        let cost = tuple("cost", "n2", 5);
-        sys.apply_firing(&base_firing(&link, "n1"));
-        sys.apply_firing(&rule_firing(
-            "r1",
-            "n1",
-            &cost,
-            "n2",
-            std::slice::from_ref(&link),
-        ));
-        let content = serde::to_content(&sys).unwrap();
-        let back: ProvenanceSystem = serde::from_content(content).unwrap();
-        assert_eq!(sys, back);
-        assert_eq!(sys.stats(), back.stats());
-        assert_eq!(back.vertex_home(cost.id()), Some(NodeId::new("n2")));
-    }
-
-    #[test]
-    fn sharded_system_round_trips_and_rehomes_stores() {
-        let mut sys = ProvenanceSystem::with_shards(["n1", "n2", "n3", "n4"], 4);
-        for (i, node) in ["n1", "n2", "n3", "n4"].iter().enumerate() {
-            let link = tuple("link", node, i as i64);
-            sys.apply_firing(&base_firing(&link, node));
-        }
-        let content = serde::to_content(&sys).unwrap();
-        let back: ProvenanceSystem = serde::from_content(content).unwrap();
-        assert_eq!(sys, back);
-        assert_eq!(back.num_shards(), 4);
-        // Every store sits on the shard its name hashes to.
-        for shard in back.shards() {
-            for store in shard.stores() {
-                assert_eq!(back.shard_of(store.node), shard.index());
-            }
-        }
     }
 
     /// The same firing stream produces the same graph, stats and digest for

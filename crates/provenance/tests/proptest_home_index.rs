@@ -207,34 +207,3 @@ fn a_vertex_recreated_into_a_recycled_slot_is_found_again() {
         assert!(system.vertex_home(a.id()).is_some());
     }
 }
-
-/// The index is not serialized: a restored system rebuilds it from the
-/// stores it adopts, and keeps it through the churn that follows.
-#[test]
-fn a_restored_system_rebuilds_the_index_and_keeps_it_under_churn() {
-    let pool = multi_homed_pool(3, 5);
-    let universe = universe_of(&pool);
-    for shards in [1usize, 2, 4] {
-        let mut system = ProvenanceSystem::with_shards(NODES, shards);
-        system.apply_round(&pool);
-        let content = serde::to_content(&system).unwrap();
-        let mut restored: ProvenanceSystem = serde::from_content(content).unwrap();
-        assert_eq!(restored, system);
-        assert_reads_match_the_scan(&restored, &universe, "after the round trip");
-        for vid in &universe {
-            assert_eq!(
-                restored.vertex_home(*vid).is_some(),
-                system.vertex_home(*vid).is_some()
-            );
-        }
-        // Drop every other firing, then bring a third of those back.
-        let dropped: Vec<Firing> = pool.iter().step_by(2).map(retraction_of).collect();
-        for (round, firings) in dropped.chunks(7).enumerate() {
-            restored.apply_round(firings);
-            assert_reads_match_the_scan(&restored, &universe, &format!("dropping, round {round}"));
-        }
-        let back: Vec<Firing> = pool.iter().step_by(6).cloned().collect();
-        restored.apply_round(&back);
-        assert_reads_match_the_scan(&restored, &universe, "after re-inserting");
-    }
-}

@@ -81,7 +81,7 @@ impl fmt::Display for Overloaded {
 impl std::error::Error for Overloaded {}
 
 /// Per-tenant accounting, updated as sessions move through the service.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TenantStats {
     /// Requests offered through `enqueue` (accepted + rejected).
     pub offered: u64,

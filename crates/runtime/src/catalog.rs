@@ -16,12 +16,11 @@
 use crate::error::{Result, RuntimeError};
 use crate::value::Value;
 use ndlog::{BinOp, BodyElem, Expr, Predicate, Program, Rule};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Schema of a single relation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RelationSchema {
     /// Relation name.
     pub name: String,
@@ -84,7 +83,7 @@ fn atoms(rule: &Rule) -> impl Iterator<Item = &Predicate> {
 /// The catalog of every relation used by a program. A schema is allocated
 /// once and shared from here: every engine's table of the relation points at
 /// the same one.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Catalog {
     relations: BTreeMap<String, Arc<RelationSchema>>,
 }

@@ -24,13 +24,11 @@ use crate::store::TableSpec;
 use crate::value::{IdMap, Sym, Value};
 use ndlog::builtins::BuiltinFn;
 use ndlog::{AggregateFunc, BinOp, BodyElem, Expr, Predicate, Program, Rule, RuleKind, Term};
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Aggregate specification for rules such as `minCost(@S,D,min<C>) :- ...`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AggSpec {
     /// The aggregate function.
     pub func: AggregateFunc,
@@ -41,7 +39,7 @@ pub struct AggSpec {
 }
 
 /// How a column of a body atom is bound at probe time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum BoundTerm {
     /// The column carries a constant from the rule text.
     Const(Value),
@@ -67,7 +65,7 @@ pub enum ProbeStrategy {
 /// One step of a join plan: which atom to join next and which of its columns
 /// are already bound — the columns [`crate::store::Table::probe`] can use for
 /// an index lookup instead of a scan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlanStep {
     /// Index into [`SlotProgram::positive`].
     pub atom: usize,
@@ -90,7 +88,7 @@ impl PlanStep {
 /// are joined after a delta arrives, chosen greedily by bound-variable
 /// connectivity (most bound columns first, earliest atom on ties). Computed
 /// once at compile time so the engine never re-derives it per delta.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JoinPlan {
     /// The triggering atom position (`None` for full recomputation plans,
     /// where every atom appears in `steps`).
@@ -263,7 +261,7 @@ fn build_join_plan(slots: &SlotProgram, trigger: Option<usize>) -> JoinPlan {
 }
 
 /// One executable rule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledRule {
     /// The (localized) source rule.
     pub rule: Rule,
@@ -304,7 +302,7 @@ impl CompiledRule {
 }
 
 /// A fully compiled program, shared by all node engines.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledProgram {
     /// The program as written by the user (pre-localization).
     pub source: Program,
@@ -317,11 +315,9 @@ pub struct CompiledProgram {
     pub rules: Vec<CompiledRule>,
     /// relation symbol -> (rule index, positive-atom index) pairs to evaluate
     /// when a delta of that relation arrives.
-    #[serde(serialize_with = "serialize_by_relation")]
     pub triggers: IdMap<Sym, Vec<(usize, usize)>>,
     /// relation symbol -> rule indices that must be *reconciled* when the
     /// relation changes (rules where the relation appears negated).
-    #[serde(serialize_with = "serialize_by_relation")]
     pub negation_triggers: IdMap<Sym, Vec<usize>>,
     /// One entry per relation of the catalog, in relation-name order: its
     /// shared schema and the columns the plans above probe. An engine builds
@@ -394,19 +390,6 @@ impl CompiledProgram {
     pub fn rule(&self, name: &str) -> Option<&CompiledRule> {
         self.rules.iter().find(|r| r.rule.name == name)
     }
-}
-
-/// A trigger map in relation-name order: map order differs between processes,
-/// and one program must serialize to the same bytes in every one of them.
-fn serialize_by_relation<V, S>(
-    map: &IdMap<Sym, V>,
-    serializer: S,
-) -> std::result::Result<S::Ok, S::Error>
-where
-    V: Serialize,
-    S: serde::Serializer,
-{
-    map.iter().collect::<BTreeMap<_, _>>().serialize(serializer)
 }
 
 /// The table of every relation in the catalog, with the columns `rules` can
@@ -899,41 +882,5 @@ mod tests {
         frame.reset(p.slot_count());
         frame.set(p.slot_of("X").unwrap(), Value::Int(1));
         assert!(!p.apply_steps(&mut frame));
-    }
-
-    #[test]
-    fn slot_programs_survive_serialization() {
-        // The slot tables are data like the plans are: a deserialized program
-        // evaluates without being recompiled.
-        let cp = CompiledProgram::from_source(
-            "materialize(m, infinity, infinity, keys(1)).\n\
-             r1 m(@S,min<L>) :- p(@S,_,P), L := f_size(P) + 0.5.\n\
-             r2 q(@S,A) :- e(@S,A,1), !f(@S,A,\"x\"), f_member(f_initlist(A), A) == 1.",
-        )
-        .unwrap();
-        let json = serde_json::to_string(&cp).expect("program serializes");
-        let restored: CompiledProgram = serde_json::from_str(&json).expect("program deserializes");
-        assert_eq!(restored, cp);
-        assert!(!restored.rules[1].slots.steps.is_empty());
-    }
-
-    #[test]
-    fn equal_programs_serialize_to_equal_bytes() {
-        // Two maps with the same entries iterate in different orders when
-        // their tables differ in size; the JSON must not follow either.
-        let source: String = (0..24)
-            .map(|i| format!("r{i} h{i}(@S,X) :- b{i}(@S,X), !n{i}(@S,X).\n"))
-            .collect();
-        let cp = CompiledProgram::from_source(&source).unwrap();
-        let mut wide = cp.clone();
-        wide.triggers = IdMap::with_capacity_and_hasher(4096, Default::default());
-        wide.triggers.extend(cp.triggers.clone());
-        wide.negation_triggers = IdMap::with_capacity_and_hasher(4096, Default::default());
-        wide.negation_triggers.extend(cp.negation_triggers.clone());
-        assert_eq!(wide, cp);
-        assert_eq!(
-            serde_json::to_string(&wide).unwrap(),
-            serde_json::to_string(&cp).unwrap()
-        );
     }
 }

@@ -60,7 +60,6 @@ use crate::store::BASE_RULE;
 use crate::store::{base_rule_sym, Database, Derivation, Membership, TableBacking};
 use crate::tuple::{Delta, Tuple, TupleId};
 use crate::value::{Addr, Dictionary, IdMap, IdSet, Sym, Value};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::Arc;
@@ -69,7 +68,7 @@ use std::sync::Arc;
 pub const OUTBOX_PREFIX: &str = "__out::";
 
 /// Engine configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
     /// The node this engine runs on (its address / name).
     pub node: Addr,
@@ -149,7 +148,7 @@ impl EngineConfig {
 
 /// Counters describing the work an engine has done. Used by the maintenance
 /// overhead and incremental-vs-recompute experiments.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Deltas dequeued and applied.
     pub deltas_processed: u64,
@@ -185,7 +184,7 @@ pub struct EngineStats {
 /// records without string traffic. A firing carries one tuple, its head:
 /// inputs are named by id, as in the paper's `ruleExec(@RLoc, RID, Rule,
 /// VIDList)`, and their contents live with their own vertices.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Firing {
     /// Rule name ([`crate::store::BASE_RULE`] for base-tuple events).
     pub rule: Sym,
@@ -220,7 +219,7 @@ impl Firing {
 }
 
 /// A delta destined for another node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RemoteDelta {
     /// Destination node.
     pub dest: Addr,
@@ -233,7 +232,7 @@ pub struct RemoteDelta {
 /// One record inside a [`DeltaBatch`]: the shipped change plus the derivation
 /// that justifies it. Every identifier in the body is a fixed-width interned
 /// handle.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeltaRecord {
     /// The insertion or deletion to apply at the destination.
     pub delta: Delta,
@@ -253,12 +252,12 @@ impl DeltaRecord {
 /// dictionary header [`Dictionary`] owes that destination. The network layer
 /// prices a batch as `header_bytes + Σ record bytes` and charges one
 /// per-message framing header for the whole batch instead of one per tuple.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeltaBatch {
     /// Destination node.
     pub dest: Addr,
     /// Dictionary entries first shipped to `dest` by this batch, in
-    /// first-use order. Handles: each serializes as its string.
+    /// first-use order.
     pub dict: Vec<Sym>,
     /// The shipped records, in emission order.
     pub records: Vec<DeltaRecord>,
@@ -292,7 +291,7 @@ impl DeltaBatch {
 }
 
 /// Everything produced by one [`NodeEngine::run`] call.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StepOutput {
     /// Per-destination batches of tuples to ship to other nodes (one batch
     /// per destination per round).

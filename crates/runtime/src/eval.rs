@@ -18,7 +18,6 @@ use crate::tuple::Tuple;
 use crate::value::{StableHasher, Sym, Value};
 use ndlog::builtins::BuiltinFn;
 use ndlog::{BinOp, Literal, UnOp};
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::sync::Arc;
 
@@ -167,7 +166,7 @@ fn list_arg(func: BuiltinFn, v: &Value) -> Result<&[Value]> {
 /// An expression over slots: the right-hand side of an assignment or a
 /// selection predicate, with variables resolved to slot indices, constants to
 /// values and calls to [`BuiltinFn`]s.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SlotExpr {
     /// The variable held in a slot.
     Slot(usize),
@@ -343,7 +342,7 @@ pub fn is_extend(route2: &Value, route1: &Value, node: &Value) -> bool {
 // --------------------------------------------------------------------------
 
 /// One argument of a body or head atom after slot resolution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SlotTerm {
     /// `_`: matches anything, binds nothing.
     Wild,
@@ -368,7 +367,7 @@ impl SlotTerm {
 }
 
 /// An atom whose relation is interned and whose terms are slot-resolved.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SlotAtom {
     /// The relation the atom ranges over.
     pub relation: Sym,
@@ -469,7 +468,7 @@ impl SlotAtom {
 }
 
 /// An assignment or filter of a rule body, over slots.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SlotStep {
     /// `Var := Expr`.
     Assign {
@@ -485,7 +484,7 @@ pub enum SlotStep {
 /// One rule lowered to slots (built by `SlotProgram::compile` in
 /// [`crate::compile`]): the slot table plus the head, the body atoms and the
 /// assignment/filter steps expressed over it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SlotProgram {
     /// The slot table: `names[i]` is the variable slot `i` stands for. One
     /// slot per distinct variable across atoms, steps and head.

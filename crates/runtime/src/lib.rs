@@ -44,7 +44,7 @@ pub use engine::{
 pub use error::{Result, RuntimeError};
 pub use store::{
     base_rule_sym, tuple_materializations, Database, Dependent, Derivation, Membership,
-    OutboxEntry, ProbeIter, StoredTuple, Table, TableBacking, TableSpec, TupleRef, BASE_RULE,
+    OutboxEntry, ProbeIter, Table, TableBacking, TableSpec, TupleRef, BASE_RULE,
 };
 pub use tuple::{Delta, Tuple, TupleId};
 pub use value::{

@@ -56,6 +56,10 @@
 //! [`crate::value`]. That is what lets the engine prove runs bit-identical
 //! across backings. Storage only meets tuples that fit their schema
 //! ([`RelationSchema::check`]): the engine lets no other in.
+//!
+//! Neither a table nor a database has a serialized form. A snapshot carries
+//! a node's tuples, never its storage, so a table is filled only through
+//! [`Table::add_derivation`] and its indexes are never rebuilt from bytes.
 
 mod columnar;
 
@@ -64,7 +68,6 @@ use crate::few::Few;
 use crate::tuple::{Tuple, TupleId};
 use crate::value::{IdMap, NodeId, Sym, Value};
 use columnar::{ColProbe, ColumnStore};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -84,7 +87,7 @@ pub fn base_rule_sym() -> Sym {
 /// the input-id list is shared, so a `Derivation` clone copies three machine
 /// words and bumps a count: the firing, the provenance `ruleExec`, the outbox
 /// and the shipped record of one derivation hold one list.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Derivation {
     /// Rule that fired (or [`BASE_RULE`]).
     pub rule: Sym,
@@ -119,13 +122,12 @@ impl Derivation {
     }
 }
 
-/// A tuple plus its supporting derivations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StoredTuple {
-    /// The tuple.
-    pub tuple: Tuple,
+/// A row of the row backing: a tuple plus its supporting derivations.
+#[derive(Debug, Clone, PartialEq)]
+struct StoredTuple {
+    tuple: Tuple,
     /// Current supporting derivations (deduplicated).
-    pub derivations: Vec<Derivation>,
+    derivations: Vec<Derivation>,
 }
 
 /// Outcome of adding or removing a derivation.
@@ -151,7 +153,7 @@ pub enum Membership {
 }
 
 /// Which physical layout a [`Table`] stores its tuples in.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum TableBacking {
     /// Column-major slots with dictionary-encoded address columns (the
     /// default).
@@ -216,23 +218,6 @@ impl RowStore {
                     }
                 }
             }
-        }
-    }
-
-    fn rebuild_indexes(&mut self, arity: usize) {
-        self.by_id = self
-            .tuples
-            .iter()
-            .map(|(k, st)| (st.tuple.id(), k.clone()))
-            .collect();
-        self.col_indexes = vec![IdMap::default(); arity];
-        let entries: Vec<(TupleId, Vec<Value>)> = self
-            .tuples
-            .values()
-            .map(|st| (st.tuple.id(), st.tuple.values().to_vec()))
-            .collect();
-        for (id, values) in entries {
-            self.index_tuple_values(id, &values);
         }
     }
 
@@ -328,17 +313,6 @@ impl<'a> TupleRef<'a> {
             RefInner::Slot(store, slot) => store.tuple_at(slot),
         }
     }
-
-    /// Materialize the stored entry (tuple + derivations).
-    pub fn to_stored(&self) -> StoredTuple {
-        match self.0 {
-            RefInner::Stored(st) => st.clone(),
-            RefInner::Slot(store, slot) => StoredTuple {
-                tuple: store.tuple_at(slot),
-                derivations: store.derivations_at(slot).to_vec(),
-            },
-        }
-    }
 }
 
 // --------------------------------------------------------------------------
@@ -355,7 +329,7 @@ enum ProbeInner<'a> {
         /// Residual bound columns as (column, value).
         filter: Vec<(usize, Value)>,
     },
-    /// Row backing, no bound columns (or stale indexes): key-order scan.
+    /// Row backing, no indexed bound column: key-order scan.
     RowScan {
         values: std::collections::btree_map::Values<'a, Vec<Value>, StoredTuple>,
         filter: Vec<(usize, Value)>,
@@ -442,7 +416,7 @@ impl<'a> Iterator for TableIter<'a> {
 /// What a compiled program fixes about one relation's table. Computed once
 /// per program ([`crate::CompiledProgram::tables`]) and shared, by reference
 /// count, with the table of every engine that runs it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TableSpec {
     /// The relation, interned.
     pub relation: Sym,
@@ -528,16 +502,6 @@ impl Table {
         }
     }
 
-    /// Rebuild the secondary indexes (bitmap, id map and posting lists) from
-    /// the primary data — needed after deserialization-like surgery; cheap
-    /// no-op state-wise otherwise.
-    pub fn rebuild_index(&mut self) {
-        match &mut self.repr {
-            Repr::Row(row) => row.rebuild_indexes(self.schema.arity),
-            Repr::Col(col) => col.rebuild_indexes(),
-        }
-    }
-
     /// Iterate over the candidate tuples for a join probe with the given
     /// bound columns. The most selective posting list among the indexed
     /// bound columns anchors the probe and the remaining bound columns are
@@ -556,18 +520,15 @@ impl Table {
             Repr::Row(row) => row,
         };
         let mut best: Option<(usize, &Vec<TupleId>)> = None;
-        // Stale indexes (post-surgery) anchor nothing.
-        if row.col_indexes.len() == self.schema.arity {
-            for (pos, (col, value)) in bound_cols.iter().enumerate() {
-                if row.indexed.binary_search(col).is_err() {
-                    continue;
-                }
-                match row.col_indexes[*col].get(value) {
-                    None => return ProbeIter(ProbeInner::Empty),
-                    Some(ids) => {
-                        if best.is_none_or(|(_, b)| ids.len() < b.len()) {
-                            best = Some((pos, ids));
-                        }
+        for (pos, (col, value)) in bound_cols.iter().enumerate() {
+            if row.indexed.binary_search(col).is_err() {
+                continue;
+            }
+            match row.col_indexes[*col].get(value) {
+                None => return ProbeIter(ProbeInner::Empty),
+                Some(ids) => {
+                    if best.is_none_or(|(_, b)| ids.len() < b.len()) {
+                        best = Some((pos, ids));
                     }
                 }
             }
@@ -741,50 +702,12 @@ impl Table {
             Repr::Col(col) => col.resident_bytes(),
         }
     }
-
-    /// Insert a deserialized entry (key must be vacant — used by the serde
-    /// rebuild path).
-    fn insert_stored(&mut self, stored: StoredTuple) {
-        match &mut self.repr {
-            Repr::Row(row) => {
-                let key = stored.tuple.project(&self.schema.key_cols);
-                let id = stored.tuple.id();
-                row.by_id.insert(id, key.clone());
-                row.index_tuple_values(id, stored.tuple.values());
-                row.tuples.insert(key, stored);
-            }
-            Repr::Col(col) => col.insert_stored(&stored.tuple, stored.derivations),
-        }
-    }
-}
-
-// A table serializes as (schema, backing, rows in key order): dictionary
-// codes and slot numbers are process-local and never leave the process —
-// deserialization re-encodes every row, rebuilding the column arenas,
-// bitmap, free-list and posting lists (on every column) from scratch.
-impl Serialize for Table {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let rows: Vec<StoredTuple> = self.iter().map(|r| r.to_stored()).collect();
-        (&*self.schema, self.backing(), rows).serialize(serializer)
-    }
-}
-
-impl Deserialize for Table {
-    fn deserialize<'de, D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let (schema, backing, rows) =
-            <(RelationSchema, TableBacking, Vec<StoredTuple>)>::deserialize(d)?;
-        let mut table = Table::with_backing(schema, backing);
-        for row in rows {
-            table.insert_stored(row);
-        }
-        Ok(table)
-    }
 }
 
 /// One remote head in a [`Database`]'s outbox: a tuple this node derived for
 /// another node, where it was shipped, and the local derivations behind it —
 /// what a later input deletion needs to retract it there.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OutboxEntry {
     /// The shipped head tuple.
     pub tuple: Tuple,
@@ -847,7 +770,7 @@ type DependentKey = (Held, Sym, TupleId);
 #[derive(Debug, Clone, Default)]
 pub struct Database {
     /// Relation symbols in name order (maintained on register): iteration
-    /// and serialization order, and the key of [`Database::table_sym`]. A
+    /// order, and the key of [`Database::table_sym`]. A
     /// program has a handful of relations, so the join hot path finds a
     /// table by comparing interned handles along one cache line — no hash,
     /// and none of the string compares `Sym`'s `Ord` would put in a search.
@@ -1074,32 +997,6 @@ impl Database {
     }
 }
 
-// Serialized as a name-ordered (relation, table) list plus the outbox entries
-// in id order. The outbox is state — nothing else remembers what was shipped;
-// the dependency index is derived and is rebuilt by the engine as derivations
-// re-index.
-impl Serialize for Database {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let tables: Vec<(Sym, &Table)> = self.tables_with_syms().collect();
-        let mut outbox: Vec<(&TupleId, &OutboxEntry)> = self.outbox.iter().collect();
-        outbox.sort_by_key(|(id, _)| **id);
-        let outbox: Vec<&OutboxEntry> = outbox.into_iter().map(|(_, e)| e).collect();
-        (tables, outbox).serialize(serializer)
-    }
-}
-
-impl Deserialize for Database {
-    fn deserialize<'de, D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let (mut tables, outbox) = <(Vec<(Sym, Table)>, Vec<OutboxEntry>)>::deserialize(d)?;
-        let mut db = Database::default();
-        tables.sort_by_key(|(sym, _)| *sym);
-        tables.dedup_by_key(|(sym, _)| *sym);
-        (db.order, db.tables) = tables.into_iter().unzip();
-        db.outbox = outbox.into_iter().map(|e| (e.tuple.id(), e)).collect();
-        Ok(db)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1319,33 +1216,6 @@ mod tests {
     }
 
     #[test]
-    fn database_serde_round_trip_keeps_the_outbox() {
-        let mut db = Database::new(vec![schema("link", 3, vec![0, 1, 2])]);
-        let e = link("a", "b", 3);
-        db.table_mut("link")
-            .unwrap()
-            .add_derivation(&e, Derivation::base("a"));
-        for c in [Value::Int(3), Value::Double(3.5), Value::Int(4)] {
-            let h = head("h", "b", c);
-            db.outbox_insert(&h, "b".into(), &fired("r1", &[&e]));
-        }
-        let h = head("h", "b", Value::Int(4));
-        db.outbox_insert(&h, "b".into(), &fired("r2", &[&e]));
-
-        let json = serde_json::to_string(&db).expect("database serializes");
-        let mut back: Database = serde_json::from_str(&json).expect("database deserializes");
-        assert_eq!(back.outbox_len(), 3);
-        assert_eq!(back.outbox_of("h".into()), db.outbox_of("h".into()));
-        assert_eq!(back.relation_tuples("link"), vec![e.clone()]);
-        assert_eq!(back.storage_bytes(), db.storage_bytes());
-        assert_eq!(serde_json::to_string(&back).unwrap(), json);
-        // The restored entries retract by id like the originals.
-        assert!(back.outbox_remove(h.id(), &fired("r2", &[&e])));
-        assert!(back.outbox_remove(h.id(), &fired("r1", &[&e])));
-        assert_eq!(back.outbox_len(), 2);
-    }
-
-    #[test]
     fn relation_tuples_of_unknown_relation_is_empty() {
         let db = Database::default();
         assert!(db.relation_tuples("nope").is_empty());
@@ -1550,95 +1420,6 @@ mod tests {
         let first = t.probe(&[(0, Value::addr("a"))]).next().unwrap().to_tuple();
         assert_eq!(first.relation().as_str(), "link");
         assert_eq!(tuple_materializations(), before + 1);
-    }
-
-    #[test]
-    fn rebuild_index_restores_probing() {
-        for_both_backings(|backing| {
-            let mut t = Table::with_backing(schema("link", 3, vec![0, 1, 2]), backing);
-            t.add_derivation(&link("a", "b", 1), Derivation::base("a"));
-            t.add_derivation(&link("a", "c", 2), Derivation::base("a"));
-            // Wreck the secondary structures, then rebuild.
-            match &mut t.repr {
-                Repr::Row(row) => {
-                    row.by_id.clear();
-                    row.col_indexes.clear();
-                    // Stale row indexes degrade to a (filtered) scan rather
-                    // than missing tuples.
-                    assert_eq!(t.probe(&[(0, Value::addr("a"))]).count(), 2);
-                }
-                Repr::Col(col) => col.clear_indexes(),
-            }
-            t.rebuild_index();
-            assert_eq!(t.probe(&[(0, Value::addr("a"))]).count(), 2);
-            assert_eq!(t.probe(&[(1, Value::addr("b"))]).count(), 1);
-            assert_eq!(
-                t.get_by_id(link("a", "b", 1).id()).unwrap().to_tuple(),
-                link("a", "b", 1)
-            );
-        });
-    }
-
-    #[test]
-    fn serde_round_trip_rebuilds_column_arenas_and_probes_identically() {
-        for_both_backings(|backing| {
-            let mut t = Table::with_backing(schema("link", 3, vec![0, 1]), backing);
-            for i in 0..8 {
-                t.add_derivation(&link("a", &format!("n{i}"), i), Derivation::base("a"));
-            }
-            // Churn: removals punch holes, a replacement rewrites a slot.
-            t.remove_derivation(&link("a", "n2", 2), &Derivation::base("a"));
-            t.add_derivation(&link("a", "n5", 50), Derivation::base("a"));
-            t.add_derivation(
-                &Tuple::new(
-                    "link",
-                    vec![Value::addr("b"), Value::addr("s"), Value::str("s")],
-                ),
-                Derivation::base("b"),
-            );
-
-            let json = serde_json::to_string(&t).expect("table serializes");
-            let restored: Table = serde_json::from_str(&json).expect("table deserializes");
-            assert_eq!(restored.backing(), backing);
-            assert_eq!(restored.len(), t.len());
-
-            // Identical contents, key order and derivations.
-            let dump = |t: &Table| -> Vec<(String, usize)> {
-                t.iter()
-                    .map(|r| (r.to_tuple().to_string(), r.derivations().len()))
-                    .collect()
-            };
-            assert_eq!(dump(&restored), dump(&t));
-
-            // A round trip is an index rebuild: posting lists come back in
-            // canonical key order (the churned table had the replacement
-            // appended last). Rebuild the original the same way, then every
-            // probe must answer identically through the reconstructed
-            // arenas, bitmap and posting lists — including numbers spelled
-            // either way.
-            t.rebuild_index();
-            let probes: Vec<Vec<(usize, Value)>> = vec![
-                vec![(0, Value::addr("a"))],
-                vec![(2, Value::str("s"))],
-                vec![(1, Value::addr("n5"))],
-                vec![(0, Value::addr("a")), (2, Value::Int(3))],
-                vec![(2, Value::Int(4))],
-                vec![(2, Value::Double(3.0))],
-                vec![],
-            ];
-            for bound in &probes {
-                let a: Vec<String> = t.probe(bound).map(|r| r.to_tuple().to_string()).collect();
-                let b: Vec<String> = restored
-                    .probe(bound)
-                    .map(|r| r.to_tuple().to_string())
-                    .collect();
-                assert_eq!(a, b, "probe {bound:?} diverged after round trip");
-            }
-            // Id-addressed lookups survive the rebuild.
-            for r in t.iter() {
-                assert!(restored.get_by_id(r.id()).is_some());
-            }
-        });
     }
 
     #[test]

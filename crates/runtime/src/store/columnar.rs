@@ -19,8 +19,7 @@ use std::sync::Arc;
 thread_local! {
     /// This thread's count of tuples materialized out of columnar slots.
     /// Probing and column matching never materialize; only
-    /// [`super::TupleRef::to_tuple`] / [`super::TupleRef::to_stored`] (and
-    /// replacement bookkeeping) do. The regression test for the vectorized
+    /// [`super::TupleRef::to_tuple`] (and replacement bookkeeping) does. The regression test for the vectorized
     /// probe kernel asserts this stays flat while candidates are scanned and
     /// filtered — per thread, so tests running beside it cannot move the
     /// count under it.
@@ -160,13 +159,6 @@ enum Postings {
 }
 
 impl Postings {
-    fn clear(&mut self) {
-        match self {
-            Postings::Code(lists) => lists.clear(),
-            Postings::Value(lists) => lists.clear(),
-        }
-    }
-
     fn entries(&self) -> usize {
         match self {
             Postings::Code(lists) => lists.values().map(Vec::len).sum(),
@@ -426,17 +418,6 @@ impl ColumnStore {
         }
     }
 
-    /// Append a deserialized entry (rows arrive in key order; a repeated key
-    /// is ignored).
-    pub(super) fn insert_stored(&mut self, tuple: &Tuple, derivations: Vec<Derivation>) {
-        if self.schema.check(tuple.values()).is_err() {
-            return;
-        }
-        if let Err(pos) = self.find(tuple) {
-            self.insert_row(pos, tuple, derivations.into());
-        }
-    }
-
     /// Store a tuple whose key is vacant at position `pos` of the key index,
     /// reusing a free slot when one exists.
     fn insert_row(&mut self, pos: usize, tuple: &Tuple, derivations: Few<Derivation>) {
@@ -512,23 +493,6 @@ impl ColumnStore {
         }
     }
 
-    /// Rebuild the bitmap, id map, free list and posting lists from the key
-    /// index and the column arenas (key order, like the row store's
-    /// rebuild).
-    pub(super) fn rebuild_indexes(&mut self) {
-        self.clear_indexes();
-        for pos in 0..self.by_key.len() {
-            let slot = self.by_key[pos];
-            self.set_live(slot, true);
-            self.by_id.insert(self.ids[slot as usize], slot);
-            self.index_slot(slot);
-        }
-        self.free = (0..self.ids.len() as u32)
-            .filter(|s| !self.is_live(*s))
-            .rev()
-            .collect();
-    }
-
     /// See [`super::Table::probe`]. `None` when some bound value is carried
     /// by no stored tuple.
     ///
@@ -590,14 +554,6 @@ impl ColumnStore {
                 .iter()
                 .flat_map(|ds| ds.as_slice().iter().map(Derivation::wire_size))
                 .sum::<usize>()
-    }
-
-    /// Empty the bitmap, the id map and every posting list (what
-    /// [`ColumnStore::rebuild_indexes`] refills).
-    pub(super) fn clear_indexes(&mut self) {
-        self.live.iter_mut().for_each(|w| *w = 0);
-        self.by_id.clear();
-        self.postings.iter_mut().for_each(Postings::clear);
     }
 
     /// Test view: (physical slots, free slots).

@@ -207,7 +207,7 @@ impl fmt::Display for Tuple {
 
 /// A change to a relation: the unit the incremental engine processes and the
 /// unit that travels between nodes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Delta {
     /// The tuple is inserted (or re-derived).
     Insert(Tuple),

@@ -21,13 +21,12 @@ use nt_runtime::StableHasher;
 use provenance::{QueryKind, TraversalOrder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use simnet::{SimTime, Topology};
 
 /// What a scenario replay produced. Every field — and
 /// [`ScenarioOutcome::replay_digest`] in particular — is a pure function of
 /// the [`ScenarioSpec`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScenarioOutcome {
     /// Row identifier (`family_size_workload`).
     pub name: String,

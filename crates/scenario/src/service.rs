@@ -27,12 +27,11 @@ use provenance::{QueryKind, TraversalOrder};
 use qsvc::{QueryService, ServiceConfig, TenantStats};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use simnet::{Link, TopologyEvent};
 
 /// One query-service scenario row: an `internet_as` topology, a tenant
 /// population, and a wave schedule of offered sessions.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ServiceScenarioSpec {
     /// Seed for the topology, the request sequence and the churn.
     pub seed: u64,
@@ -80,7 +79,7 @@ impl ServiceScenarioSpec {
 /// What one query-service scenario produced. Every field —
 /// [`ServiceScenarioOutcome::service_digest`] in particular — is a pure
 /// function of the spec.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ServiceScenarioOutcome {
     /// Row identifier (see [`ServiceScenarioSpec::name`]).
     pub name: String,

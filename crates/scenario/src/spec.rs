@@ -2,12 +2,11 @@
 //! seed. A spec is the *entire* input of a scenario — everything else is
 //! derived deterministically from it.
 
-use serde::{Deserialize, Serialize};
 use simnet::{MobilityModel, RandomWaypoint, Topology};
 
 /// A seeded topology family of the suite. Parameters are plain integers so
-/// specs are `Eq` and serialize exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// specs are `Eq`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TopologyFamily {
     /// `k`-ary data-center fat-tree (`k` even): `5k^2/4 + k^3/4` nodes.
     FatTree {
@@ -79,7 +78,7 @@ impl TopologyFamily {
 }
 
 /// Which trace the workload driver replays.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkloadKind {
     /// Sustained link churn (downs, recoveries, cost changes) with periodic
     /// latency probes.
@@ -104,7 +103,7 @@ impl WorkloadKind {
 
 /// A fully-specified scenario. The replay driver, the trace and the topology
 /// are all pure functions of this value.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScenarioSpec {
     /// Topology family and its size parameters.
     pub family: TopologyFamily,

@@ -11,11 +11,10 @@ use crate::spec::{ScenarioSpec, TopologyFamily, WorkloadKind};
 use nt_runtime::StableHasher;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use simnet::{Link, Topology, TopologyEvent};
 
 /// One scheduled action.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TraceAction {
     /// A topology change (both directions of a link).
     Churn(TopologyEvent),
@@ -28,7 +27,7 @@ pub enum TraceAction {
 }
 
 /// A timestamped trace step.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceStep {
     /// Offset from replay start, in simulated milliseconds.
     pub at_ms: u64,
@@ -37,7 +36,7 @@ pub struct TraceStep {
 }
 
 /// A full trace schedule.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WorkloadTrace {
     /// Steps in nondecreasing `at_ms` order.
     pub steps: Vec<TraceStep>,

@@ -17,10 +17,9 @@ pub type LinkChanges = (Vec<(String, String)>, Vec<(String, String)>);
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A position in the simulation field (meters).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Point {
     /// X coordinate.
     pub x: f64,
@@ -46,7 +45,7 @@ pub trait MobilityModel {
     fn topology_at(&self, t_secs: f64) -> Topology;
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct NodeMotion {
     name: String,
     /// Waypoint schedule: (start_time, start_pos, end_time, end_pos) legs,
@@ -55,7 +54,7 @@ struct NodeMotion {
 }
 
 /// Random-waypoint mobility over a rectangular field.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RandomWaypoint {
     field: (f64, f64),
     range: f64,

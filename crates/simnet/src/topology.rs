@@ -44,7 +44,7 @@ impl Link {
 
 /// A topology change event, used to drive the "network state is incrementally
 /// recomputed as the underlying topology changes" demonstrations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TopologyEvent {
     /// A (bidirectional) link comes up.
     LinkUp(Link),

@@ -19,11 +19,10 @@
 //!   parameter).
 
 use provenance::query::{ProofTree, RuleExecNode};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A point inside the Poincaré unit disk.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HyperPoint {
     /// X coordinate, |(x,y)| < 1.
     pub x: f64,
@@ -59,7 +58,7 @@ impl HyperPoint {
 pub type LayoutKey = Vec<usize>;
 
 /// One laid-out vertex.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayoutVertex {
     /// Position in the unit disk.
     pub position: HyperPoint,
@@ -73,7 +72,7 @@ pub struct LayoutVertex {
 
 /// A hypertree layout: positions for every vertex of a proof tree plus the
 /// parent/child edges.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct HypertreeLayout {
     /// Vertices keyed by their path from the root.
     pub vertices: BTreeMap<LayoutKey, LayoutVertex>,

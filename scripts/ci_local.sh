@@ -50,7 +50,8 @@ test_job() {
     # hold addresses; storage and every matcher follow with ==):
     #   scenario address_census — over every shipped program after
     #     convergence and churn, no non-address in an address column, no
-    #     address elsewhere, no refused fact;
+    #     address elsewhere, no refused fact; and no non-address column of a
+    #     workload program holding two kinds (Int, Double, other);
     #   scenario provenance_rewrite — the paper's prov / ruleExec rewrite of
     #     every shipped program compiles, prov's RLoc an address column and
     #     ruleExec's rule name not;
