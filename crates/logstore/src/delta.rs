@@ -9,11 +9,11 @@
 //! does not hold: the names it uses travel in its own frame's name table
 //! (`nt_runtime::codec`). Applying a delta to the previous materialized
 //! snapshot reproduces the next snapshot bit-for-bit, which the equivalence
-//! proptest verifies across every backend.
+//! proptest verifies across every backend: added tuples travel in `Tuple`'s
+//! order, and applying them merges them into their relation by that order,
+//! touching no relation the delta does not add to.
 
-use crate::snapshot::{
-    decode_by_relation, encode_by_relation, tuple_sort_key, NodeSnapshot, SystemSnapshot,
-};
+use crate::snapshot::{decode_by_relation, encode_by_relation, NodeSnapshot, SystemSnapshot};
 use nt_runtime::codec::{Decode, DecodeError, Encode, Reader, Writer};
 use nt_runtime::{Addr, Tuple, TupleId};
 use provenance::{ProvEdge, ProvStoreStats, ProvVertex, VertexId};
@@ -174,10 +174,12 @@ impl SnapshotDelta {
     }
 
     /// Apply the delta in place, turning the previous capture's materialized
-    /// snapshot into the next one. Tuple vectors are re-sorted into the
-    /// canonical capture order so the result is bit-identical to the full
-    /// snapshot; the caller re-stamps the dictionary afterwards
-    /// (see [`SystemSnapshot::stamp_dictionary`]).
+    /// snapshot into the next one. Removals keep a relation's order; a
+    /// relation that gained tuples gets them appended and is stable-sorted
+    /// by `Tuple`'s order, which merges the two sorted runs with integer and
+    /// handle compares, so the result is bit-identical to the full snapshot.
+    /// The caller re-stamps the dictionary afterwards (see
+    /// [`SystemSnapshot::stamp_dictionary`]).
     ///
     /// Returns the tuples it took out of `base`, each with its node: the
     /// delta names removals by id only, and a replay step reports the tuples.
@@ -208,15 +210,9 @@ impl SnapshotDelta {
                 }
             }
             for (rel, added) in &nd.added {
-                node.relations
-                    .entry(rel.clone())
-                    .or_default()
-                    .extend(added.iter().cloned());
-            }
-            for rel in nd.removed.keys().chain(nd.added.keys()) {
-                if let Some(tuples) = node.relations.get_mut(rel) {
-                    tuples.sort_by_cached_key(tuple_sort_key);
-                }
+                let tuples = node.relations.entry(rel.clone()).or_default();
+                tuples.extend(added.iter().cloned());
+                tuples.sort();
             }
             node.relations.retain(|_, tuples| !tuples.is_empty());
             if let Some(stats) = nd.provenance {
@@ -338,7 +334,7 @@ mod tests {
             .iter()
             .map(|c| Tuple::new("cost", vec![Value::addr(name), Value::Int(*c)]))
             .collect();
-        tuples.sort_by_key(tuple_sort_key);
+        tuples.sort();
         node.relations.insert("cost".into(), tuples);
         node
     }

@@ -48,7 +48,10 @@
 //! checks every frame it reads against its checksum, one pass over the
 //! bytes; the façade decodes the payload, on every backend, with the binary
 //! codec straight into the types: no intermediate tree, each distinct name
-//! interned once per record.
+//! interned once per record. A relation's tuples are held in `Tuple`'s
+//! order, the one canonical order of a snapshot: a capture sorts each table
+//! by it, and a delta step re-sorts only the relations it added to, merging
+//! by value and handle compares without rendering a tuple.
 
 pub mod backend;
 pub mod capture;

@@ -1,11 +1,18 @@
 //! Snapshot types.
+//!
+//! A snapshot is canonical: each relation's tuples are in `Tuple`'s order
+//! (relation, then values by `Value::cmp`, which agrees with `==` and the
+//! tuple id), so captures of one state are one value whatever the table
+//! slot order, and a delta applied to the previous capture reproduces the
+//! next bit for bit. Its dictionary is every name its contents mention,
+//! sorted.
 
 use nt_runtime::codec::{Decode, DecodeError, Encode, Reader, Writer};
-use nt_runtime::{Addr, Database, InternerSnapshot, Tuple};
+use nt_runtime::{Addr, Database, IdSet, InternerSnapshot, Sym, Tuple};
 use provenance::{ProvGraph, ProvStoreStats, ProvenanceSystem};
 use serde::{Deserialize, Serialize};
 use simnet::{SimTime, Topology, TrafficStats};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// One node's captured state at a point in (simulated) time.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -18,20 +25,12 @@ pub struct NodeSnapshot {
     pub provenance: ProvStoreStats,
 }
 
-/// The canonical intra-relation tuple order used by captures and delta
-/// application. The debug rendering distinguishes value variants (`Str` vs
-/// `Addr`) that display identically, so the key is injective enough to make
-/// "same multiset of tuples" imply "same vector" — the property the
-/// bit-identical delta materialization relies on.
-pub fn tuple_sort_key(t: &Tuple) -> String {
-    format!("{t:?}")
-}
-
 impl NodeSnapshot {
     /// Capture a node's state from its runtime database and provenance
-    /// store. Tuples are stored in the canonical [`tuple_sort_key`] order so
-    /// that a delta applied to the previous capture reproduces this one
-    /// bit-for-bit regardless of table slot order.
+    /// store. Each relation's tuples are stored in `Tuple`'s order, the one
+    /// canonical order of a snapshot, so that a delta applied to the previous
+    /// capture reproduces this one bit-for-bit regardless of table slot
+    /// order.
     pub fn capture(node: &str, db: &Database, provenance: &ProvenanceSystem) -> Self {
         let mut relations = BTreeMap::new();
         for table in db.tables() {
@@ -39,7 +38,7 @@ impl NodeSnapshot {
                 continue;
             }
             let mut tuples = table.tuples();
-            tuples.sort_by_cached_key(tuple_sort_key);
+            tuples.sort_unstable();
             relations.insert(table.schema.name.clone(), tuples);
         }
         NodeSnapshot {
@@ -86,31 +85,41 @@ impl SystemSnapshot {
     /// filling those in). Deliberately not the whole process intern pool:
     /// the snapshot must depend only on itself, not on what else the process
     /// has interned.
+    ///
+    /// Every mention is a handle put in a set; each distinct name is then
+    /// resolved and sorted once, with the relation keys beside them.
     pub fn stamp_dictionary(&mut self) {
-        let mut names: BTreeSet<&str> = BTreeSet::new();
+        let mut handles: IdSet<Sym> = IdSet::default();
+        let mut names: Vec<&str> = Vec::new();
+        let mut insert = |name: Sym| {
+            handles.insert(name);
+        };
         for (node, snap) in &self.nodes {
-            names.insert(node.as_str());
+            insert(node.as_sym());
             for (relation, tuples) in &snap.relations {
-                names.insert(relation);
+                names.push(relation);
                 for t in tuples {
-                    insert_names(t, &mut names);
+                    t.visit_names(&mut insert);
                 }
             }
         }
         for vertex in self.graph.vertices.values() {
             match vertex {
                 provenance::ProvVertex::Tuple { tuple, home, .. } => {
-                    names.insert(home.as_str());
+                    insert(home.as_sym());
                     if let Some(t) = tuple {
-                        insert_names(t, &mut names);
+                        t.visit_names(&mut insert);
                     }
                 }
                 provenance::ProvVertex::RuleExec { rule, node, .. } => {
-                    names.insert(rule.as_str());
-                    names.insert(node.as_str());
+                    insert(*rule);
+                    insert(node.as_sym());
                 }
             }
         }
+        names.extend(handles.iter().map(|name| -> &str { name.as_str() }));
+        names.sort_unstable();
+        names.dedup();
         self.dictionary = InternerSnapshot {
             strings: names.into_iter().map(str::to_string).collect(),
         };
@@ -121,7 +130,8 @@ impl SystemSnapshot {
         self.nodes.values().map(NodeSnapshot::tuple_count).sum()
     }
 
-    /// All tuples of a relation across nodes (sorted, for comparisons).
+    /// All tuples of a relation across nodes (sorted by node, then `Tuple`'s
+    /// order, for comparisons).
     pub fn relation(&self, relation: &str) -> Vec<(Addr, Tuple)> {
         let mut out = Vec::new();
         for (node, snap) in &self.nodes {
@@ -131,15 +141,9 @@ impl SystemSnapshot {
                 }
             }
         }
-        out.sort_by_key(|(n, t)| (*n, t.to_string()));
+        out.sort_unstable();
         out
     }
-}
-
-fn insert_names(tuple: &Tuple, names: &mut BTreeSet<&str>) {
-    tuple.visit_names(&mut |name| {
-        names.insert(name.as_str());
-    });
 }
 
 /// A map keyed by relation name: each key is a name of the frame.
@@ -231,6 +235,48 @@ mod tests {
         assert_eq!(snap.tuple_count(), 2, "link + cost");
         assert!(snap.relations.contains_key("link"));
         assert!(snap.relations.contains_key("cost"));
+    }
+
+    /// A capture orders each relation by `Tuple`'s order, not by table
+    /// slot: the same facts inserted in two orders, the second with a delete
+    /// between them so a freed slot is reused, capture alike.
+    #[test]
+    fn a_capture_does_not_depend_on_insertion_order_or_slot_reuse() {
+        let program =
+            Arc::new(CompiledProgram::from_source("r1 cost(@S,D,C) :- link(@S,D,C).").unwrap());
+        let prov = ProvenanceSystem::new(["n1"]);
+        let link = |d: &str, c: i64| {
+            Tuple::new(
+                "link",
+                vec![Value::addr("n1"), Value::addr(d), Value::Int(c)],
+            )
+        };
+        let facts = [link("n2", 10), link("n3", 3), link("n4", 7), link("n5", -1)];
+        let capture = |steps: &[(bool, usize)]| {
+            let mut e = NodeEngine::new(program.clone(), EngineConfig::new("n1"));
+            for (insert, i) in steps {
+                match insert {
+                    true => e.insert_base(facts[*i].clone()).unwrap(),
+                    false => e.delete_base(facts[*i].clone()).unwrap(),
+                }
+                e.run();
+            }
+            NodeSnapshot::capture("n1", e.database(), &prov)
+        };
+        let forward = capture(&[(true, 0), (true, 1), (true, 2), (true, 3)]);
+        let reused = capture(&[
+            (true, 3),
+            (true, 2),
+            (false, 2),
+            (true, 1),
+            (true, 0),
+            (true, 2),
+        ]);
+        assert_eq!(forward, reused);
+        assert_eq!(forward.tuple_count(), 8);
+        for tuples in forward.relations.values() {
+            assert!(tuples.windows(2).all(|w| w[0] < w[1]), "{tuples:?}");
+        }
     }
 
     #[test]

@@ -316,7 +316,7 @@ mod tests {
             .iter()
             .map(|c| Tuple::new("cost", vec![Value::addr("n1"), Value::Int(*c)]))
             .collect();
-        tuples.sort_by_key(crate::snapshot::tuple_sort_key);
+        tuples.sort();
         node.relations.insert("cost".into(), tuples);
         let mut snap = snapshot_at(secs);
         snap.nodes.insert("n1".into(), node);

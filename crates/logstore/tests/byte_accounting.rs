@@ -14,7 +14,7 @@
 //! | `append_record` charging what the backend's footprint grew by (the frame header and footers) | `uploaded_bytes_are_…`, segment backend at seed 12: 15,619 charged for 15,094 encoded |
 //! | compaction decoding every record before copying it | `a_payload_that_…`: the pass refuses, the old segments stay |
 
-use logstore::snapshot::{tuple_sort_key, NodeSnapshot};
+use logstore::snapshot::NodeSnapshot;
 use logstore::{
     LogBackend, LogRecord, LogStore, MemBackend, RecordKind, SegmentFileBackend, SnapshotCapturer,
     SystemSnapshot,
@@ -80,7 +80,7 @@ fn records(seed: u64) -> Vec<LogRecord> {
                     let values = vec![Value::addr(name.as_str()), Value::Int(k), via];
                     tuples.push(Tuple::new("route", values));
                 }
-                tuples.sort_by_key(tuple_sort_key);
+                tuples.sort();
                 for t in &tuples {
                     let rid = RuleExecId(rng.below(64));
                     let (vid, exec) = (VertexId::Tuple(t.id()), VertexId::RuleExec(rid));

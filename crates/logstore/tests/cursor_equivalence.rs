@@ -7,9 +7,14 @@
 //! code they replaced, kept here: a `get` that walks back to the nearest
 //! checkpoint and applies every delta on every call, and a step diff that
 //! renders every tuple of both snapshots. Reads come in random order,
-//! interleaved with `append_record` and `compact`.
+//! interleaved with `append_record` and `compact`. Every dictionary stamped
+//! on a generated capture or a materialized read equals the text-set stamp
+//! kept in `common` (caught: the stamp taking a tuple's relation and not
+//! the addresses among its values).
 
-use logstore::snapshot::{tuple_sort_key, NodeSnapshot};
+mod common;
+
+use logstore::snapshot::NodeSnapshot;
 use logstore::{
     LogBackend, LogRecord, LogStore, MemBackend, Replay, SegmentFileBackend, SnapshotCapturer,
     SnapshotDiff, SystemSnapshot,
@@ -171,7 +176,7 @@ fn captures(edits: &[(Vec<Fact>, usize)]) -> Vec<SystemSnapshot> {
         }
         for node_snap in snap.nodes.values_mut() {
             for tuples in node_snap.relations.values_mut() {
-                tuples.sort_by_key(tuple_sort_key);
+                tuples.sort();
             }
         }
         snap.graph.edges = chain
@@ -184,6 +189,7 @@ fn captures(edits: &[(Vec<Fact>, usize)]) -> Vec<SystemSnapshot> {
         snap.graph.edges.sort();
         snap.traffic.messages = facts.len() as u64;
         snap.stamp_dictionary();
+        assert_eq!(snap.dictionary, common::stamp_reference(&snap));
         out.push(snap);
     }
     out
@@ -255,6 +261,9 @@ proptest! {
                             let got = store.get(i);
                             prop_assert_eq!(&got, &chain_walk(&store, i), "{} get({})", name, i);
                             prop_assert_eq!(got.as_ref(), captured[..len].get(i), "{} get({})", name, i);
+                            if let Some(got) = &got {
+                                prop_assert_eq!(&got.dictionary, &common::stamp_reference(got));
+                            }
                         }
                         1 => {
                             prop_assert_eq!(store.at(t).as_ref(), latest_at(t), "{} at({:?})", name, t);

@@ -15,7 +15,7 @@
 //! | `Reader::count` bounded by 2^24 instead of the bytes left | `seeded_mutations_…` (196,416 bytes allocated decoding 666) and `random_buffers_…` |
 //! | no nesting cap in `Reader::enter` | `list_nesting_is_capped_at_max_depth` |
 
-use logstore::snapshot::{tuple_sort_key, NodeSnapshot};
+use logstore::snapshot::NodeSnapshot;
 use logstore::{LogRecord, SnapshotCapturer, SystemSnapshot};
 use nt_runtime::codec::{self, DecodeError, MAX_DEPTH};
 use nt_runtime::{Interner, Sym, Tuple, TupleId, Value};
@@ -141,7 +141,7 @@ fn capture(i: u64) -> SystemSnapshot {
                 )
             })
             .collect();
-        tuples.sort_by_key(tuple_sort_key);
+        tuples.sort();
         let mut node = NodeSnapshot {
             node: name.as_str().into(),
             ..Default::default()

@@ -16,7 +16,7 @@
 //! invalid still ends the scan at that frame. And JSON frames, as frames were
 //! once written, read as `InvalidData`.
 
-use logstore::snapshot::{tuple_sort_key, NodeSnapshot};
+use logstore::snapshot::NodeSnapshot;
 use logstore::{
     LogBackend, LogRecord, LogStore, SegmentFileBackend, SnapshotCapturer, SystemSnapshot,
 };
@@ -50,7 +50,7 @@ fn snapshot(secs: u64, costs: &[i64], topo: Topology) -> SystemSnapshot {
         ..Default::default()
     };
     let mut tuples: Vec<Tuple> = costs.iter().map(|c| cost(*c)).collect();
-    tuples.sort_by_key(tuple_sort_key);
+    tuples.sort();
     node.relations.insert("cost".into(), tuples);
     let mut snap = SystemSnapshot {
         time: SimTime::from_secs(secs),

@@ -358,13 +358,10 @@ impl NetTrails {
     /// ([`logstore::SnapshotCapturer`]) can materialize it back
     /// bit-identically from a checkpoint + delta chain.
     pub fn capture_snapshot(&self) -> logstore::SystemSnapshot {
-        let mut graph = self.provenance_graph();
-        graph.edges.sort();
-        graph.rebuild_adjacency();
         let mut snap = logstore::SystemSnapshot {
             time: self.now(),
             topology: self.network.topology().clone(),
-            graph,
+            graph: self.provenance_graph(),
             traffic: self.network.stats().clone(),
             ..Default::default()
         };
@@ -376,6 +373,12 @@ impl NetTrails {
         }
         snap.stamp_dictionary();
         snap
+    }
+
+    /// Capture the system and turn the capture into the capturer's next log
+    /// record: a checkpoint or a delta against its previous capture.
+    pub fn capture_record(&self, capturer: &mut logstore::SnapshotCapturer) -> logstore::LogRecord {
+        capturer.capture(self.capture_snapshot())
     }
 
     /// A node's engine, if it exists.
@@ -1058,8 +1061,8 @@ mod tests {
         let (fresh, _) = nt.recompute_from_scratch().unwrap();
         let mut incremental = nt.relation("minCost");
         let mut scratch = fresh.relation("minCost");
-        incremental.sort_by_key(|(n, t)| (*n, t.to_string()));
-        scratch.sort_by_key(|(n, t)| (*n, t.to_string()));
+        incremental.sort();
+        scratch.sort();
         assert_eq!(incremental, scratch);
     }
 
@@ -1559,7 +1562,7 @@ mod tests {
             nt.seed_links_from_topology();
             nt.run_to_fixpoint();
             let mut rows = nt.relation("minCost");
-            rows.sort_by_key(|(n, t)| (*n, t.to_string()));
+            rows.sort();
             rows
         };
         assert_eq!(
@@ -1589,7 +1592,7 @@ mod tests {
                 b: "n3".into(),
             });
             let mut rows = nt.relation("bestPathCost");
-            rows.sort_by_key(|(n, t)| (*n, t.to_string()));
+            rows.sort();
             (
                 rows,
                 nt.provenance().stats(),

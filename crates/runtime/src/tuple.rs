@@ -3,6 +3,7 @@
 use crate::value::{StableHasher, Sym, Value};
 use nt_intern::codec::{Decode, DecodeError, Encode, Reader, Writer};
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
 
@@ -32,9 +33,9 @@ impl fmt::Display for TupleId {
 /// through it).
 /// It stores every value in canonical form (the identity rule at the top of
 /// [`crate::value`]) and hashes once, so equal tuples have one id and one
-/// representation, and [`Tuple::id`] is a field read. Equality, hashing,
-/// `Debug` and serde read the content, never the handle: two tuples built
-/// apart are as equal as two clones of one.
+/// representation, and [`Tuple::id`] is a field read. Equality, order,
+/// hashing, `Debug` and serde read the content, never the handle: two tuples
+/// built apart are as equal as two clones of one.
 #[derive(Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct Tuple {
     relation: Sym,
@@ -181,8 +182,27 @@ impl Decode for TupleId {
     }
 }
 
-// The content only, as before the id was carried: snapshot captures order
-// their tuples by this text.
+// Relation, then the values by `Value::cmp`: the one order of a snapshot's
+// relations. One relation is one integer compare (`Sym`'s fast path), so a
+// relation's tuples compare by value alone. Equal relations and equal values
+// are one canonical tuple, so `Equal` is exactly `==` and one id; the id
+// itself decides nothing.
+impl Ord for Tuple {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.relation
+            .cmp(&other.relation)
+            .then_with(|| self.values.cmp(&other.values))
+    }
+}
+
+impl PartialOrd for Tuple {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+// The content only: relation and values, never the id. Nothing orders by
+// this text.
 impl fmt::Debug for Tuple {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Tuple")

@@ -33,6 +33,15 @@
 //! (CHANGES.md, PR 25): list equality by `Arc::ptr_eq` and hashing a list's
 //! pointer (the first test, every case with a non-empty list); skipping
 //! canonicalization when `Arc::get_mut` fails (the second).
+//!
+//! `Tuple`'s order is the one order of a snapshot's relations (a capture
+//! sorts by it, a replayed delta merges by it).
+//! `tuple_order_is_a_total_order_consistent_with_eq_and_id` holds `Equal`
+//! to `==` and to one id, antisymmetry and transitivity over random tuples
+//! under two relations; `tuple_order_reads_names_not_handles` holds the
+//! order to names, never to interning order. Seeded mutations, each caught:
+//! `Tuple::cmp` ignoring the relation (both tests); the relation, or
+//! `Value::cmp` on two `Addr`s, compared by pool index (the second).
 
 use nt_runtime::{CompiledProgram, EngineConfig, NodeEngine, StableHasher, Tuple, Value};
 use proptest::prelude::*;
@@ -251,6 +260,45 @@ fn equal_tuples_have_one_id_one_text_one_json() {
     );
 }
 
+/// `Tuple`'s order over one triple — the order of a snapshot's relations:
+/// `Equal` exactly when `==` and exactly when one id, antisymmetric,
+/// transitive.
+fn tuple_order_laws(a: &Tuple, b: &Tuple, c: &Tuple) -> Result<(), String> {
+    let fail = |law: &str| Err(format!("{law}: a = {a:?}, b = {b:?}, c = {c:?}"));
+    let equal = a.cmp(b) == Ordering::Equal;
+    if equal != (a == b) || equal != (a.id() == b.id()) {
+        return fail("Equal iff == iff one id");
+    }
+    if a.cmp(b) != b.cmp(a).reverse() {
+        return fail("antisymmetric");
+    }
+    if a <= b && b <= c && a > c {
+        return fail("transitive");
+    }
+    Ok(())
+}
+
+/// A tuple is ordered by the names of its relation and its addresses, never
+/// by the order they were interned in: names minted here last-first sort
+/// first-last.
+#[test]
+fn tuple_order_reads_names_not_handles() {
+    let late = Tuple::new("order-law-zz", vec![]);
+    let early = Tuple::new("order-law-aa", vec![]);
+    assert!(early < late);
+    let at = |name: &str| Tuple::new("t", vec![Value::addr(name)]);
+    let (late, early) = (at("order-law-n9"), at("order-law-n1"));
+    assert!(early < late);
+    // `3` and `3.0` are one tuple; a text and an address of one name are
+    // two, under one relation or two.
+    assert_eq!(
+        Tuple::new("t", vec![Value::Int(3)]).cmp(&Tuple::new("t", vec![Value::Double(3.0)])),
+        Ordering::Equal
+    );
+    assert_ne!(at("n1"), Tuple::new("t", vec![Value::str("n1")]));
+    assert_ne!(at("n1"), Tuple::new("u", vec![Value::addr("n1")]));
+}
+
 /// A palette scalar, or a list (of lists) of them.
 fn value_strategy() -> impl Strategy<Value = Value> {
     let scalar = || {
@@ -264,6 +312,18 @@ fn value_strategy() -> impl Strategy<Value = Value> {
         list(),
         collection::vec(prop_oneof![scalar(), list()], 0..3).prop_map(Value::list),
     ]
+}
+
+/// A relation index and values: palette values, lists of them, and the
+/// text and the address `n1`.
+fn tuple_strategy() -> impl Strategy<Value = (usize, Vec<Value>)> {
+    let value = prop_oneof![
+        value_strategy(),
+        value_strategy(),
+        Just(Value::str("n1")),
+        Just(Value::addr("n1")),
+    ];
+    (0usize..2, collection::vec(value, 0..3))
 }
 
 /// `v` with every number respelled where another spelling exists: an
@@ -330,6 +390,42 @@ proptest! {
         hash_laws(&a, &twin).map_err(TestCaseError::fail)?;
         order_laws(&a, &twin, &b).map_err(TestCaseError::fail)?;
         order_laws(&twin, &b, &c).map_err(TestCaseError::fail)?;
+    }
+
+    /// Tuples over palette values, lists of them, `Str("n1")` and
+    /// `Addr(n1)`, under two relations; the second of a triple is drawn
+    /// apart, is the first respelled, or holds the first's values under the
+    /// other relation (as a node's tables and its outbox do).
+    #[test]
+    fn tuple_order_is_a_total_order_consistent_with_eq_and_id(
+        a in tuple_strategy(),
+        b in tuple_strategy(),
+        c in tuple_strategy(),
+        twin in 0usize..3,
+    ) {
+        const RELATIONS: [&str; 2] = ["t", "u"];
+        let tuple = |(r, values): &(usize, Vec<Value>)| Tuple::new(RELATIONS[*r], values.clone());
+        let (ta, tc) = (tuple(&a), tuple(&c));
+        let tb = match twin {
+            0 => tuple(&b),
+            1 => Tuple::new(RELATIONS[a.0], a.1.iter().map(respelled).collect::<Vec<_>>()),
+            _ => Tuple::new(RELATIONS[1 - a.0], a.1.clone()),
+        };
+        let triple = [&ta, &tb, &tc];
+        for (i, j, k) in [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)] {
+            tuple_order_laws(triple[i], triple[j], triple[k]).map_err(TestCaseError::fail)?;
+        }
+        // One multiset, one vector: any arrangement of any spelling sorts
+        // to the same tuples.
+        let mut forward = vec![ta.clone(), tb.clone(), tc.clone()];
+        let mut backward: Vec<Tuple> = forward
+            .iter()
+            .rev()
+            .map(|t| Tuple::new(t.relation(), t.values().iter().map(respelled).collect::<Vec<_>>()))
+            .collect();
+        forward.sort();
+        backward.sort_unstable();
+        prop_assert_eq!(format!("{forward:?}"), format!("{backward:?}"));
     }
 
     #[test]

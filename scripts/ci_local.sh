@@ -91,6 +91,17 @@ test_job() {
     #   logstore hostile_json — LogStore::from_json on every truncation and
     #     seeded mutations of the store_pr21_* fixtures and arrays nested past
     #     the depth cap: never a panic, every failure an Err;
+    # the oracles of a snapshot's one order and its dictionary:
+    #   nt-runtime proptest_value_laws (tuple_order_is_a_total_order_consistent_with_eq_and_id,
+    #     tuple_order_reads_names_not_handles) — Tuple's Ord is Equal exactly
+    #     when == and one id, antisymmetric, transitive, and reads names, not
+    #     interning order;
+    #   logstore snapshot::tests::a_capture_does_not_depend_on_insertion_order_or_slot_reuse
+    #     — one set of facts inserted in two orders, with slot reuse, captures alike;
+    #   logstore cursor_equivalence, nettrails codec_equivalence — every stamped
+    #     dictionary equals the text-set stamp kept in
+    #     crates/logstore/tests/common, and capture_record's records equal the
+    #     capture-then-capturer stream byte for byte;
     # the oracles of what a provenance vertex and a firing carry:
     #   nettrails integration_incremental
     #     (provenance_stats_after_link_churn_equal_a_fresh_computation) — MINCOST

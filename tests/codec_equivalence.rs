@@ -19,15 +19,37 @@
 //! |---|---|
 //! | `Value::Str` encoded as an address (`Addr`'s tag, the text as a name) | `hand_built_tuples_…` (`v("n1",n1)` reads back as two addresses) and `hand_built_values_…` |
 //! | a tuple vertex's `is_base` not written (read back `false`) | every stream (its first checkpoint's base `link` vertices) and `hand_built_tuples_…` |
+//!
+//! Every capture's dictionary, and every snapshot the reopened store
+//! materializes, equals the text-set stamp of `crates/logstore/tests/common`
+//! (caught: `stamp_dictionary` skipping the graph's rule names, in every
+//! stream). `capture_record` is checked against the two calls it stands for
+//! on the `snapshot_replay` network, byte for byte.
 
-use logstore::{snapshot::tuple_sort_key, SystemSnapshot};
-use logstore::{LogRecord, LogStore, NodeSnapshot, SegmentFileBackend, SnapshotCapturer};
+#[path = "../crates/logstore/tests/common/mod.rs"]
+mod common;
+
+use logstore::{
+    LogRecord, LogStore, NodeSnapshot, RecordKind, SegmentFileBackend, SnapshotCapturer,
+    SystemSnapshot,
+};
 use nettrails::{NetTrails, NetTrailsConfig};
 use nt_runtime::{codec, Tuple, TupleId, Value};
 use provenance::{ProvEdge, ProvVertex, RuleExecId, VertexId};
 use scenario::programs::{anchor_tuple, anchored_pathvector, mixed_protocols};
 use scenario::TopologyFamily;
 use simnet::{Link, SimTime, Topology, TopologyEvent};
+
+/// A network running `program` on `topology`, anchored and converged.
+fn converged(program: &str, topology: &Topology, anchors: &[&str]) -> NetTrails {
+    let mut nt = NetTrails::new(program, topology.clone(), NetTrailsConfig::default()).unwrap();
+    nt.seed_links_from_topology();
+    for anchor in anchors {
+        nt.insert_fact(anchor, anchor_tuple(anchor));
+    }
+    nt.run_to_fixpoint();
+    nt
+}
 
 /// The captures of a converged network after each event.
 fn stream(
@@ -36,12 +58,7 @@ fn stream(
     anchors: &[&str],
     events: &[TopologyEvent],
 ) -> Vec<SystemSnapshot> {
-    let mut nt = NetTrails::new(program, topology.clone(), NetTrailsConfig::default()).unwrap();
-    nt.seed_links_from_topology();
-    for anchor in anchors {
-        nt.insert_fact(anchor, anchor_tuple(anchor));
-    }
-    nt.run_to_fixpoint();
+    let mut nt = converged(program, topology, anchors);
     let mut captures = vec![nt.capture_snapshot()];
     for event in events {
         nt.apply_topology_event(event);
@@ -75,6 +92,14 @@ fn link_cycle<'a>(links: impl IntoIterator<Item = &'a Link>) -> Vec<TopologyEven
 /// Every record of the stream through the codec, then the stream through a
 /// segment store on disk against the JSON export.
 fn check_stream(name: &str, captures: &[SystemSnapshot]) {
+    for (i, capture) in captures.iter().enumerate() {
+        let stamped = &capture.dictionary;
+        assert_eq!(
+            stamped,
+            &common::stamp_reference(capture),
+            "{name}: dictionary {i}"
+        );
+    }
     let mut capturer = SnapshotCapturer::new(3);
     let records: Vec<LogRecord> = captures
         .iter()
@@ -100,6 +125,14 @@ fn check_stream(name: &str, captures: &[SystemSnapshot]) {
         store.flush();
     }
     let reopened = LogStore::with_backend(Box::new(SegmentFileBackend::open(&dir).unwrap()));
+    for (i, snapshot) in reopened.snapshots().iter().enumerate() {
+        let stamped = &snapshot.dictionary;
+        assert_eq!(
+            stamped,
+            &common::stamp_reference(snapshot),
+            "{name}: materialized {i}"
+        );
+    }
     let export = |snapshots: Vec<SystemSnapshot>| {
         let mut store = LogStore::new();
         snapshots.into_iter().for_each(|s| store.add(s));
@@ -113,16 +146,46 @@ fn check_stream(name: &str, captures: &[SystemSnapshot]) {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-#[test]
-fn the_path_vector_link_cycle_round_trips_through_the_codec() {
+/// The 8-node network of `snapshot_replay`, its anchors and its link cycle.
+fn snapshot_replay_network() -> (Topology, Vec<String>, Vec<TopologyEvent>) {
     let topology = Topology::internet_as(8, 2, 2011);
     let names: Vec<&str> = topology.nodes().collect();
-    let anchors = [names[0], names[2], names[5], names[7]];
+    let anchors = [0, 2, 5, 7].map(|i| names[i].to_string()).to_vec();
     let links: Vec<&Link> = topology.links().filter(|l| l.from < l.to).collect();
     let events = link_cycle(links.iter().step_by(2).take(4).copied());
+    (topology, anchors, events)
+}
+
+#[test]
+fn the_path_vector_link_cycle_round_trips_through_the_codec() {
+    let (topology, anchors, events) = snapshot_replay_network();
+    let anchors: Vec<&str> = anchors.iter().map(String::as_str).collect();
     let captures = stream(&anchored_pathvector(3), &topology, &anchors, &events);
     assert_eq!(captures.len(), 13);
     check_stream("pathvector", &captures);
+}
+
+/// `capture_record` is the capture handed to the capturer: on the
+/// `snapshot_replay` network through its link cycle, with that workload's
+/// checkpoint cadence, its records are the two-call stream's, byte for byte.
+#[test]
+fn capture_record_is_the_capture_handed_to_the_capturer() {
+    let (topology, anchors, events) = snapshot_replay_network();
+    let anchors: Vec<&str> = anchors.iter().map(String::as_str).collect();
+    let mut nt = converged(&anchored_pathvector(3), &topology, &anchors);
+    let (mut one_call, mut two_calls) = (SnapshotCapturer::new(4), SnapshotCapturer::new(4));
+    let mut kinds = Vec::new();
+    for event in std::iter::once(None).chain(events.iter().map(Some)) {
+        if let Some(event) = event {
+            nt.apply_topology_event(event);
+        }
+        let record = nt.capture_record(&mut one_call);
+        let expected = two_calls.capture(nt.capture_snapshot());
+        assert_eq!(codec::encode(&record), codec::encode(&expected));
+        kinds.push(record.kind());
+    }
+    assert_eq!(kinds.len(), 13);
+    assert!(kinds.contains(&RecordKind::Checkpoint) && kinds.contains(&RecordKind::Delta));
 }
 
 #[test]
@@ -218,7 +281,7 @@ fn hand_built_tuples_round_trip_and_match_json() {
             .map(|v| Tuple::new("v", vec![Value::addr("n1"), v]))
             .collect();
         tuples.push(Tuple::new("v", vec![Value::str("n1"), Value::addr("n1")]));
-        tuples.sort_by_key(tuple_sort_key);
+        tuples.sort();
         let mut node = NodeSnapshot {
             node: "n1".into(),
             ..Default::default()
