@@ -5,18 +5,30 @@
 //! thread, so the count repeats exactly; a ceiling that fails here names a
 //! per-frame or per-vertex allocation that came back.
 //!
-//! The ceiling is the measured value + 10 %. At the parent of the change
-//! that added this test the same run read 265 allocations per session at the
-//! same 12.9 frames: every frame paid for two strings to find its link, a
-//! formatted link key and a category string in each of two sets of counters,
-//! a category string in the queue, and two vectors sealing copied through.
-//! What was left then (scratch tags, by owner, per session): the root-level
-//! derivations cloned for `take_partials` 24.8, `start_vertex` 23.1,
-//! `issue_exec` 19.5, sealing 13.9, `start_exec` and `advance_vertex` 12.9
-//! each, `spawn_input` 10.9, `advance_exec` 6.4. Sharing tuples, input lists
-//! and dictionary entries (PR 25) took the count from 127 to 95: a tuple or a
-//! `ruleExec`'s inputs copied into a frame or a tree is a count bump, and a
-//! header entry is a handle, not a `String`.
+//! The ceiling is the measured value + 10 %: 58 allocations per session at
+//! 12.9 frames. By owner, per session (scratch tags on a copy of the
+//! executor, a thread-local owner read by this allocator):
+//!
+//! | owner | per session | what |
+//! |---|---:|---|
+//! | sealing (`QueryExecutor::poll`) | 13.9 | per-flush groups, frame records and headers, the batch list |
+//! | `on_exec_done` | 12.9 | root-level derivations cloned for `take_partials` |
+//! | `issue_exec` | 7.6 | one cycle-guard path per derivation, frame and staging growth |
+//! | `start_vertex` | 6.4 | depth-first: the entries of a vertex with a derivation |
+//! | `advance_vertex` | 6.4 | one derivation slot vector per expanded vertex |
+//! | `start_exec` | 6.4 | one input slot vector per rule execution |
+//! | `spawn_input` | 1.7 | frame arena growth |
+//! | the rest | 2.6 | submission, delivery, redemption |
+//!
+//! Before paths were shared the run read 95: every frame cloned its
+//! cycle-guard path (`issue_exec` 19.5, `spawn_input` 10.9), a finished
+//! vertex or execution collected its slots into a new vector
+//! (`advance_vertex` 12.9, `advance_exec` 6.4), and `start_vertex` copied
+//! every vertex's entries (10.2). A path is now one shared slice built once
+//! per derivation, slots become the tree in their own buffer, and a leaf's
+//! entries are read in place. Before that, sharing tuples, input lists and
+//! dictionary entries took the count from 127 to 95, and traffic handles
+//! from 265 to 127.
 
 use nettrails::{NetTrails, NetTrailsConfig};
 use nt_runtime::Tuple;
@@ -66,8 +78,8 @@ static ALLOC: Counting = Counting;
 const NODES: usize = 400;
 const SESSIONS: usize = 256;
 
-/// Allocations per session: measured 95.
-const ALLOCATIONS_PER_SESSION: usize = 105;
+/// Allocations per session: measured 58.
+const ALLOCATIONS_PER_SESSION: usize = 64;
 
 /// Offer one wave — session `i` asks node `7i mod N` for the lineage of every
 /// `stride`-th route — pump it dry and redeem every handle. Returns the

@@ -31,6 +31,17 @@
 //! sub-query under caching are deferred onto the in-flight computation
 //! instead of racing it, preserving the sequential engine's hit counts.
 //!
+//! A session allocates what its answer holds, little more. The cycle-guard
+//! path is an `Arc<[TupleId]>`: [`QueryOp::ExpandExec`] and every input
+//! frame of one derivation share the one slice built for it. A finished
+//! frame's slots become its tree's `derivations` / `inputs` in their own
+//! buffer. A breadth-first vertex issues its derivations from the store's
+//! entries in place, and a depth-first one copies them only when it has a
+//! derivation, because only then does its scan resume later. Sealing walks
+//! each record once and stores the body length in the [`QueryBatch`].
+//! `crates/nettrails/tests/allocations_per_session.rs` counts what is left,
+//! by owner.
+//!
 //! ## The legacy engine
 //!
 //! [`QueryEngine`] is the original synchronous recursion over
@@ -405,10 +416,13 @@ struct VertexFrame {
     vid: TupleId,
     depth: usize,
     /// Ancestor vertices of the traversal (cycle guard; equals the legacy
-    /// recursion's `visited` path).
-    path: Vec<TupleId>,
+    /// recursion's `visited` path), shared with the exec frame that spawned
+    /// this one and its sibling inputs.
+    path: Arc<[TupleId]>,
     parent: Parent,
     tree: ProofTree,
+    /// Depth-first: the vertex's entries from its first derivation on,
+    /// scanned from `next_entry` as derivations complete.
     entries: Vec<ProvEntry>,
     next_entry: usize,
     expanded: usize,
@@ -435,8 +449,9 @@ struct ExecFrame {
     /// Depth of the requesting vertex (inputs expand at `depth + 1`).
     depth: usize,
     /// Cycle-guard path for the input subtrees (requester's path plus the
-    /// requesting vid).
-    path: Vec<TupleId>,
+    /// requesting vid): built once, shared by the request record and every
+    /// input frame.
+    path: Arc<[TupleId]>,
     /// Awaiting vertex frame and its derivation slot.
     parent_frame: u32,
     parent_slot: u32,
@@ -498,6 +513,13 @@ fn take_tree(slot: &mut ProofTree) -> ProofTree {
             pruned: false,
         },
     )
+}
+
+/// The filled slots of a finished frame, in slot order. Collecting from the
+/// slots' own iterator reuses their buffer; `flatten()` would allocate anew.
+#[allow(clippy::filter_map_identity)]
+fn filled<T>(slots: Vec<Option<T>>) -> Vec<T> {
+    slots.into_iter().filter_map(|slot| slot).collect()
 }
 
 /// A record staged for shipment, waiting for the next [`QueryExecutor::poll`]
@@ -650,7 +672,7 @@ impl QueryExecutor {
             node: home,
             vid: session.spec.vid,
             depth: 0,
-            path: Vec::new(),
+            path: Arc::default(),
             parent: Parent::Root { remote },
             tree: ProofTree {
                 vid: session.spec.vid,
@@ -680,7 +702,7 @@ impl QueryExecutor {
                     frame: 0,
                     vid: session.spec.vid,
                     depth: 0,
-                    path: Vec::new(),
+                    path: Arc::default(),
                 },
             });
             self.sessions.insert(qid, session);
@@ -755,7 +777,8 @@ impl QueryExecutor {
             let sent = self.dict_sent.entry(to).or_default();
             let mut dict: Vec<Sym> = Vec::new();
             let mut ops: Vec<QueryOp> = Vec::new();
-            let mut frame_bytes = 0usize;
+            let mut frame_header = 0usize;
+            let mut frame_body = 0usize;
             for key in members {
                 let qid = key.0;
                 let group = groups.remove(key).expect("group exists");
@@ -786,7 +809,8 @@ impl QueryExecutor {
                     stats.bytes += (body + header) as u64;
                     stats.dict_bytes += header as u64;
                 }
-                frame_bytes += body + header;
+                frame_header += header;
+                frame_body += body;
                 // The first member's records become the frame's: a
                 // single-session frame never copies them.
                 if ops.is_empty() {
@@ -797,14 +821,14 @@ impl QueryExecutor {
             }
             // Keep the wire contract: dictionary entries travel sorted.
             dict.sort();
-            self.traffic
-                .record_batch(from, to, QUERY_CATEGORY, frame_bytes, ops.len());
-            batches.push(QueryBatch {
+            self.traffic.record_batch(
                 from,
                 to,
-                dict,
-                ops,
-            });
+                QUERY_CATEGORY,
+                frame_header + frame_body,
+                ops.len(),
+            );
+            batches.push(QueryBatch::sealed(from, to, dict, ops, frame_body));
         }
         batches
     }
@@ -814,7 +838,7 @@ impl QueryExecutor {
     /// cancellation buys: the subtree they would have continued stops
     /// generating traffic.
     pub fn deliver(&mut self, system: &ProvenanceSystem, batch: QueryBatch, now: SimTime) {
-        for op in batch.ops {
+        for op in batch.into_ops() {
             let qid = op.qid();
             let Some(session) = self.sessions.get_mut(&qid) else {
                 continue;
@@ -1032,7 +1056,10 @@ impl Session {
                 return;
             }
         }
-        let (tuple, entries) = read_vertex(ctx.system, node, vid);
+        // Copied out of `ctx`, so the entries stay borrowed from the store
+        // while derivations are issued through `ctx`.
+        let system = ctx.system;
+        let (tuple, entries) = read_vertex(system, node, vid);
         self.vertex(f).tree.tuple = tuple.cloned();
         if path_has_self {
             // Cycle guard: return the bare vertex, never cached. Checked
@@ -1075,39 +1102,43 @@ impl Session {
                 return;
             }
         }
-        self.vertex(f).entries = entries.to_vec();
         match self.spec.options.traversal {
-            TraversalOrder::DepthFirst => self.advance_vertex(f, ctx),
-            TraversalOrder::BreadthFirst => {
-                // Fan out: issue every expandable derivation concurrently.
-                let limit = self.spec.options.max_derivations_per_vertex;
-                let mut to_issue: Vec<(u32, ProvEntry)> = Vec::new();
-                {
-                    let frame = self.vertex(f);
-                    while frame.next_entry < frame.entries.len() {
-                        let entry = frame.entries[frame.next_entry];
-                        frame.next_entry += 1;
-                        if entry.is_base() {
-                            frame.tree.is_base = true;
-                            continue;
-                        }
-                        if let Some(limit) = limit {
-                            if frame.expanded >= limit {
-                                frame.tree.pruned = true;
-                                break;
-                            }
-                        }
-                        frame.expanded += 1;
-                        let slot = frame.children.len() as u32;
-                        frame.children.push(None);
-                        to_issue.push((slot, entry));
-                    }
-                    frame.outstanding = to_issue.len();
-                    frame.scanned = true;
+            TraversalOrder::DepthFirst => {
+                // Base entries ahead of the first derivation mark the vertex
+                // as base and need no second look. The scan resumes after
+                // each derivation completes, so the entries from the first
+                // derivation on are copied into the frame, and only then.
+                let first = entries.iter().position(|entry| !entry.is_base());
+                let frame = self.vertex(f);
+                frame.tree.is_base = first.unwrap_or(entries.len()) > 0;
+                if let Some(first) = first {
+                    frame.entries = entries[first..].to_vec();
                 }
-                for (slot, entry) in to_issue {
+                self.advance_vertex(f, ctx);
+            }
+            TraversalOrder::BreadthFirst => {
+                // Fan out: issue every expandable derivation concurrently,
+                // straight from the store's entries. Issuing only stages
+                // records and queues events, so nothing completes before
+                // the scan ends.
+                let limit = self.spec.options.max_derivations_per_vertex;
+                for &entry in entries {
+                    let frame = self.vertex(f);
+                    if entry.is_base() {
+                        frame.tree.is_base = true;
+                        continue;
+                    }
+                    if limit.is_some_and(|limit| frame.expanded >= limit) {
+                        frame.tree.pruned = true;
+                        break;
+                    }
+                    frame.expanded += 1;
+                    frame.outstanding += 1;
+                    let slot = frame.children.len() as u32;
+                    frame.children.push(None);
                     self.issue_exec(f, slot, entry, ctx);
                 }
+                self.vertex(f).scanned = true;
                 self.queue.push_back(Event::AdvanceVertex(f));
             }
         }
@@ -1169,10 +1200,7 @@ impl Session {
             let frame = self.vertex(f);
             frame.completed = true;
             let mut tree = take_tree(&mut frame.tree);
-            tree.derivations = std::mem::take(&mut frame.children)
-                .into_iter()
-                .flatten()
-                .collect();
+            tree.derivations = filled(std::mem::take(&mut frame.children));
             tree
         };
         self.queue.push_back(Event::VertexDone {
@@ -1187,11 +1215,13 @@ impl Session {
     /// [`QueryOp::ExpandExec`] request to the executing node.
     fn issue_exec(&mut self, f: u32, slot: u32, entry: ProvEntry, ctx: &mut Ctx<'_>) {
         let rid = entry.rid.expect("non-base entry has rid");
-        let (node, vid, depth, mut path) = {
+        let (node, depth, path) = {
             let frame = self.vertex(f);
-            (frame.node, frame.vid, frame.depth, frame.path.clone())
+            // The inputs' cycle guard: this vertex's path plus its vid, in
+            // one allocation that the request and every input frame share.
+            let path: Arc<[TupleId]> = frame.path.iter().copied().chain([frame.vid]).collect();
+            (frame.node, frame.depth, path)
         };
-        path.push(vid);
         let remote = entry.rloc != node;
         let e = self.frames.len() as u32;
         self.frames.push(Frame::Exec(ExecFrame {
@@ -1301,10 +1331,7 @@ impl Session {
         let exec_node = {
             let frame = self.exec(e);
             let mut header = frame.header.take().expect("exec header set");
-            header.inputs = std::mem::take(&mut frame.inputs)
-                .into_iter()
-                .flatten()
-                .collect();
+            header.inputs = filled(std::mem::take(&mut frame.inputs));
             header
         };
         self.complete_exec(e, Some(exec_node), ctx);
@@ -1757,6 +1784,114 @@ mod tests {
         }
     }
 
+    /// A cycle that crosses a node boundary: `a@n1` is derived at n2 from
+    /// `b@n2`, which is derived at n1 from `a`, beside a base entry and a
+    /// second derivation of `a` from `c@n1`. The cycle guard at the second
+    /// `a` reads a path that travelled inside two `ExpandExec` requests,
+    /// and every combination of cache, traversal and derivation limit must
+    /// answer as the recursion does. Mutations caught: a child path not
+    /// extended with the requesting vid (`issue_exec` passing its vertex's
+    /// own path on) re-expands `a` and never converges ("the session
+    /// converged"); a request record carrying the unextended path while the
+    /// frame keeps the extended one ships `[a]` ("the cycle guard crossed
+    /// the wire").
+    #[test]
+    fn cyclic_stores_across_nodes_terminate() {
+        use crate::store::{ProvEntry, RuleExec};
+        let mut sys = ProvenanceSystem::new(["n1", "n2"]);
+        let a = tuple("a", "n1", 1);
+        let b = tuple("b", "n2", 2);
+        let c = tuple("c", "n1", 3);
+        base(&mut sys, &a, "n1");
+        base(&mut sys, &c, "n1");
+        derive(&mut sys, "ra", "n1", &a, "n1", std::slice::from_ref(&c));
+        for (rule, exec, head, input) in [("rb", "n1", &b, &a), ("rc", "n2", &a, &b)] {
+            let rid = RuleExecId::compute(rule.into(), exec.into(), &[input.id()]);
+            sys.store_mut(exec).add_rule_exec(RuleExec {
+                rid,
+                rule: rule.into(),
+                node: exec.into(),
+                inputs: [input.id()].into(),
+            });
+            let home = if head == &a { "n1" } else { "n2" };
+            sys.add_prov(
+                home.into(),
+                head,
+                ProvEntry {
+                    rid: Some(rid),
+                    rloc: exec.into(),
+                },
+            );
+        }
+        // Under a limit of one derivation the cycle is what `a` expands.
+        let (_, entries) = sys
+            .store(NodeId::new("n1"))
+            .unwrap()
+            .vertex(a.id())
+            .unwrap();
+        let first = entries.iter().find(|entry| !entry.is_base()).unwrap();
+        assert_eq!(first.rloc, NodeId::new("n2"), "{entries:?}");
+        // The cycle's path reaches the wire: [a, b] rides the request that
+        // asks n1 for `rb`.
+        let mut ex = QueryExecutor::new();
+        let spec = QuerySpec {
+            querier: NodeId::new("n2"),
+            vid: a.id(),
+            kind: QueryKind::Lineage,
+            mode: QueryMode::Distributed,
+            options: QueryOptions::default(),
+        };
+        let handle = ex.submit(&sys, spec, SimTime::ZERO);
+        let mut longest = 0;
+        for _ in 0..100 {
+            if ex.is_done(handle) {
+                break;
+            }
+            for batch in ex.poll() {
+                for op in batch.ops() {
+                    if let QueryOp::ExpandExec { path, .. } = op {
+                        longest = longest.max(path.len());
+                    }
+                }
+                ex.deliver(&sys, batch, SimTime::ZERO);
+            }
+        }
+        assert!(ex.is_done(handle), "the session converged");
+        assert_eq!(longest, 2, "the cycle guard crossed the wire");
+        for querier in ["n1", "n2"] {
+            for use_cache in [false, true] {
+                for traversal in [TraversalOrder::DepthFirst, TraversalOrder::BreadthFirst] {
+                    for max_derivations_per_vertex in [None, Some(1)] {
+                        let opts = QueryOptions {
+                            use_cache,
+                            traversal,
+                            max_derivations_per_vertex,
+                            ..QueryOptions::default()
+                        };
+                        let what = format!("{querier} {opts:?}");
+                        let mut local = QueryEngine::new();
+                        let mut dist = QueryExecutor::new();
+                        for _ in 0..2 {
+                            let (lr, ls) =
+                                local.query(&sys, querier, &a, QueryKind::Lineage, &opts);
+                            let (dr, ds) = run_distributed(
+                                &mut dist,
+                                &sys,
+                                querier,
+                                &a,
+                                QueryKind::Lineage,
+                                &opts,
+                            );
+                            assert_eq!(lr, dr, "{what}");
+                            assert_eq!(ls.vertices_visited, ds.vertices_visited, "{what}");
+                            assert_eq!(ls.cache_hits, ds.cache_hits, "{what}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn pruning_limits_expansion() {
         let (sys, best) = sample_system();
@@ -1985,9 +2120,10 @@ mod tests {
         assert!(ex.is_done(handle));
         // The staged cancel frame still flies (and is charged).
         let cancels = ex.poll();
-        assert!(cancels
+        assert!(cancels.iter().any(|b| b
+            .ops()
             .iter()
-            .any(|b| b.ops.iter().any(|op| matches!(op, QueryOp::Cancel { .. }))));
+            .any(|op| matches!(op, QueryOp::Cancel { .. }))));
         // Late deliveries for the dead session are dropped without effect.
         for batch in batches {
             ex.deliver(&sys, batch, SimTime::ZERO);
@@ -2071,7 +2207,7 @@ mod tests {
             assert!(!batches.is_empty());
             for batch in &batches {
                 let seen = shipped.entry(batch.to).or_default();
-                for entry in &batch.dict {
+                for entry in batch.dict() {
                     assert!(
                         seen.insert(*entry),
                         "symbol {entry:?} re-shipped to {}",

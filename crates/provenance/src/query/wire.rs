@@ -6,7 +6,8 @@
 //! destination is coalesced into a single [`QueryBatch`] frame: fixed-width
 //! record headers, interned identifiers priced at 4 bytes, and a dictionary
 //! header under the discipline of [`nt_runtime::Dictionary`] (the executor
-//! keeps one per destination), entries sorted.
+//! keeps one per destination), entries sorted. The sealing walk's body
+//! length travels with the frame, so pricing a frame walks nothing.
 //!
 //! Requests are tiny and string-free (ids and digests only); responses carry
 //! completed proof subtrees, whose interned rule/node/relation names are what
@@ -23,6 +24,7 @@
 use crate::query::api::{ProofTree, RuleExecNode};
 use crate::store::RuleExecId;
 use nt_runtime::{NodeId, Sym, TupleId};
+use std::sync::Arc;
 
 /// One record of the query protocol. `qid` names the session, `frame` the
 /// continuation in the session's frame arena that the record targets (the
@@ -42,8 +44,9 @@ pub enum QueryOp {
         vid: TupleId,
         /// Depth of the vertex in the traversal.
         depth: u32,
-        /// Ancestor vertices (cycle guard).
-        path: Vec<TupleId>,
+        /// Ancestor vertices (cycle guard), shared with the frames that
+        /// carry the same path.
+        path: Arc<[TupleId]>,
     },
     /// Expand rule execution `rid` stored at the destination, including the
     /// proof subtrees of its input tuples (which are local to the executing
@@ -57,8 +60,9 @@ pub enum QueryOp {
         rid: RuleExecId,
         /// Depth of the requesting vertex.
         depth: u32,
-        /// Ancestor vertices (cycle guard).
-        path: Vec<TupleId>,
+        /// Ancestor vertices (cycle guard), shared with the frames that
+        /// carry the same path.
+        path: Arc<[TupleId]>,
     },
     /// Completed vertex subtree, returned to the awaiting frame.
     VertexDone {
@@ -115,6 +119,9 @@ impl QueryOp {
     /// 8-byte digests/vids (with 8 bytes per path ancestor) for requests,
     /// the interned subtree payload for responses. Dictionary cost is
     /// carried by the batch header ([`QueryBatch::header_bytes`]), not here.
+    ///
+    /// A frame's price is its sealed length ([`QueryBatch::body_bytes`]);
+    /// this walk of one record is what tests check that length against.
     pub fn wire_size(&self) -> usize {
         self.seal(&mut |_| {})
     }
@@ -141,33 +148,72 @@ impl QueryOp {
 /// One executor flush's records from one node to another, sealed for
 /// shipment behind the dictionary entries the destination has not been sent
 /// before.
+///
+/// Only [`QueryExecutor::poll`](crate::QueryExecutor::poll) builds one: its
+/// one walk per record finds the names and the body length together, and the
+/// length travels with the frame, so pricing it walks nothing. The header
+/// and records are read-only for that reason, until the receiving executor
+/// consumes the frame whole.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryBatch {
     /// Sending node.
     pub from: NodeId,
     /// Receiving node.
     pub to: NodeId,
-    /// Dictionary entries first shipped to `to` by this frame, in sorted
-    /// (string) order.
-    pub dict: Vec<Sym>,
-    /// The records.
-    pub ops: Vec<QueryOp>,
+    dict: Vec<Sym>,
+    ops: Vec<QueryOp>,
+    /// Sum of the records' [`QueryOp::wire_size`], found while sealing.
+    body: usize,
 }
 
 impl QueryBatch {
+    /// A sealed frame: `body` is the records' body length, found by the
+    /// sealing walk.
+    pub(crate) fn sealed(
+        from: NodeId,
+        to: NodeId,
+        dict: Vec<Sym>,
+        ops: Vec<QueryOp>,
+        body: usize,
+    ) -> Self {
+        QueryBatch {
+            from,
+            to,
+            dict,
+            ops,
+            body,
+        }
+    }
+
+    /// Dictionary entries first shipped to `to` by this frame, in sorted
+    /// (string) order.
+    pub fn dict(&self) -> &[Sym] {
+        &self.dict
+    }
+
+    /// The records, grouped by session in staging order.
+    pub fn ops(&self) -> &[QueryOp] {
+        &self.ops
+    }
+
+    /// The records, for the receiver to consume.
+    pub(crate) fn into_ops(self) -> Vec<QueryOp> {
+        self.ops
+    }
+
     /// Bytes of the dictionary header.
     pub fn header_bytes(&self) -> usize {
         nt_runtime::dict_wire_size(&self.dict)
     }
 
-    /// Bytes of the record bodies.
+    /// Bytes of the record bodies, as sealed.
     pub fn body_bytes(&self) -> usize {
-        self.ops.iter().map(QueryOp::wire_size).sum()
+        self.body
     }
 
     /// Total priced payload: dictionary header + record bodies.
     pub fn wire_size(&self) -> usize {
-        self.header_bytes() + self.body_bytes()
+        self.header_bytes() + self.body
     }
 
     /// Number of records in the frame.
@@ -185,16 +231,6 @@ impl QueryBatch {
     /// sessions — direction is part of the merge key).
     pub fn is_request(&self) -> bool {
         self.ops.iter().all(QueryOp::is_request)
-    }
-
-    /// Number of distinct sessions whose records ride this frame. `1` for
-    /// every frame under per-session sealing; merged frames report how many
-    /// concurrent sessions shared this shipment (and its dictionary header).
-    pub fn session_count(&self) -> usize {
-        let mut qids: Vec<u64> = self.ops.iter().map(QueryOp::qid).collect();
-        qids.sort_unstable();
-        qids.dedup();
-        qids.len()
     }
 }
 
@@ -259,7 +295,7 @@ mod tests {
             frame: 2,
             rid: RuleExecId(9),
             depth: 3,
-            path: vec![TupleId(1), TupleId(2)],
+            path: [TupleId(1), TupleId(2)].into(),
         };
         assert_eq!(op.wire_size(), (1 + 8 + 4) + 8 + 4 + 16);
         assert!(op.is_request());
@@ -281,42 +317,60 @@ mod tests {
         for name in ["link", "n1"] {
             assert!(dict.contains(name), "{name} missing from dictionary");
         }
+
+        // One derivation deep: the rule-execution vertex and its input's
+        // subtree are priced and named inside the head's.
+        let mut head = leaf("path", "n2", 7);
+        let head_bytes = head.tuple.as_ref().unwrap().wire_size();
+        head.is_base = false;
+        head.derivations.push(RuleExecNode {
+            rid: RuleExecId(3),
+            rule: Sym::new("r1"),
+            node: NodeId::new("n2"),
+            inputs: vec![tree],
+        });
+        let op = QueryOp::VertexDone {
+            qid: 1,
+            frame: 0,
+            tree: head,
+        };
+        assert_eq!(
+            op.wire_size(),
+            (1 + 8 + 4) + (8 + 4 + 2 + head_bytes) + (8 + 4 + 4) + (8 + 4 + 2 + tuple_bytes)
+        );
+        let dict = names_of(&op);
+        for name in ["path", "n2", "r1", "link", "n1"] {
+            assert!(dict.contains(name), "{name} missing from dictionary");
+        }
     }
 
     #[test]
     fn batches_price_header_and_bodies_separately() {
-        let batch = QueryBatch {
-            from: NodeId::new("n1"),
-            to: NodeId::new("n2"),
-            dict: vec![Sym::new("link")],
-            ops: vec![
-                QueryOp::Cancel { qid: 4 },
-                QueryOp::ExecDone {
-                    qid: 4,
-                    frame: 1,
-                    exec: None,
-                },
-            ],
-        };
+        let ops = vec![
+            QueryOp::Cancel { qid: 4 },
+            QueryOp::ExecDone {
+                qid: 4,
+                frame: 1,
+                exec: None,
+            },
+        ];
+        let walked: usize = ops.iter().map(QueryOp::wire_size).sum();
+        let batch = QueryBatch::sealed(
+            NodeId::new("n1"),
+            NodeId::new("n2"),
+            vec![Sym::new("link")],
+            ops,
+            (1 + 8 + 4) + (1 + 8 + 4) + 1,
+        );
         assert_eq!(batch.header_bytes(), 4 + 4 + 4);
         assert_eq!(batch.body_bytes(), (1 + 8 + 4) + (1 + 8 + 4) + 1);
+        assert_eq!(batch.body_bytes(), walked, "sealed length is the walk's");
         assert_eq!(batch.wire_size(), batch.header_bytes() + batch.body_bytes());
         assert_eq!(batch.len(), 2);
         assert!(!batch.is_empty());
         assert!(!batch.is_request(), "mixed frames count as responses");
-        assert_eq!(batch.ops[0].qid(), 4);
-    }
-
-    #[test]
-    fn session_count_reports_distinct_qids() {
-        let mut batch = QueryBatch {
-            from: NodeId::new("n1"),
-            to: NodeId::new("n2"),
-            dict: Vec::new(),
-            ops: vec![QueryOp::Cancel { qid: 4 }, QueryOp::Cancel { qid: 4 }],
-        };
-        assert_eq!(batch.session_count(), 1);
-        batch.ops.push(QueryOp::Cancel { qid: 9 });
-        assert_eq!(batch.session_count(), 2, "merged frames count sessions");
+        assert_eq!(batch.dict(), [Sym::new("link")]);
+        assert_eq!(batch.ops()[0].qid(), 4);
+        assert_eq!(batch.into_ops().len(), 2);
     }
 }

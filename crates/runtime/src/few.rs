@@ -65,16 +65,6 @@ impl<T> Few<T> {
     }
 }
 
-impl<T> From<Vec<T>> for Few<T> {
-    fn from(mut items: Vec<T>) -> Self {
-        if items.len() == 1 {
-            Few::One(items.pop().expect("one element"))
-        } else {
-            Few::Many(items)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,12 +87,5 @@ mod tests {
         assert_eq!(few.as_slice(), [7]);
         few.retain(|x| *x != 7);
         assert_eq!(few, Few::default());
-    }
-
-    #[test]
-    fn a_one_element_vec_moves_inline() {
-        assert!(matches!(Few::from(vec![9]), Few::One(9)));
-        assert_eq!(Few::from(vec![1, 2]).as_slice(), [1, 2]);
-        assert_eq!(Few::<u8>::from(Vec::new()), Few::default());
     }
 }

@@ -112,6 +112,14 @@ test_job() {
     #     — an engine run whose firings join stored inputs (local and remote
     #     heads, an aggregate) leaves tuple_materializations() where it was: a
     #     firing names its inputs by id;
+    # the oracles of the query executor's frames and cycle guard:
+    #   nettrails dictionary_discipline (check_sealed) — every QueryBatch's
+    #     stored length is its header plus the per-record walk
+    #     (QueryOp::wire_size);
+    #   provenance query::executor::tests::cyclic_stores_across_nodes_terminate
+    #     — a two-node cycle whose path rides ExpandExec requests ends as the
+    #     recursion does, cache on and off, both traversals, one derivation
+    #     per vertex or all;
     # the laws of the one map hasher:
     #   nt-intern id_hasher — equal keys hash equal, and the low 16 bits and
     #     the top-7-bit tags of four key families (sequential handles, tuple

@@ -13,7 +13,10 @@
 //! every referenced name must then be known. Exact header byte totals are
 //! pinned beside it. A log record's payload is read by the frame grammar
 //! ([`name_table`]): its table must hold each of the record's names once and
-//! nothing else, and the payload bytes are pinned.
+//! nothing else, and the payload bytes are pinned. Every `QueryBatch` is
+//! also checked against a walk of its records ([`check_sealed`]): the length
+//! sealing stored in it is the header plus `QueryOp::wire_size` of each
+//! record.
 //!
 //! Seeded mutations and who caught them:
 //!
@@ -24,6 +27,7 @@
 //! | `Tuple::visit_names` not descending into lists | `delta_batches_…`: batch 350 `as1->as2`, `"as51"` first met inside a route's path |
 //! | `codec::Writer` keeping its name table from frame to frame | `every_log_record_…` ("a name index outside the name table", every 1, record 1) and `a_delta_payload_…` |
 //! | a name table built from a watermark over the pool (every name interned since the writer's first frame) | `a_records_bytes_…`: record 1 of the store appended beside the minting thread differs |
+//! | `QueryExecutor::poll` storing header + body as the body length | `query_frames_…`, "sealed length" (frame 161, 168 B against 120) |
 
 use logstore::{LogRecord, LogStore, SnapshotCapturer, SnapshotDelta, SystemSnapshot};
 use nettrails::{NetTrails, NetTrailsConfig};
@@ -322,6 +326,25 @@ fn op_names(op: &QueryOp, out: &mut BTreeSet<String>) {
     }
 }
 
+/// What a sealed frame says about itself against a walk of its records: its
+/// length is the header plus the per-record walk (`QueryOp::wire_size`), and
+/// its direction is every record's.
+fn check_sealed(batch: &QueryBatch, what: &str) {
+    let walked: usize = batch.ops().iter().map(QueryOp::wire_size).sum();
+    assert_eq!(
+        batch.wire_size(),
+        nt_runtime::dict_wire_size(batch.dict()) + walked,
+        "{what}: sealed length"
+    );
+    assert!(
+        batch
+            .ops()
+            .iter()
+            .all(|op| op.is_request() == batch.is_request()),
+        "{what}: direction"
+    );
+}
+
 #[test]
 fn query_frames_are_decodable_in_delivery_order() {
     let topology = Topology::internet_as(64, 2, 12);
@@ -360,14 +383,15 @@ fn query_frames_are_decodable_in_delivery_order() {
             for batch in batches {
                 let mut referenced = BTreeSet::new();
                 batch
-                    .ops
+                    .ops()
                     .iter()
                     .for_each(|op| op_names(op, &mut referenced));
                 let what = format!("frame {frames} {}->{}", batch.from, batch.to);
+                check_sealed(&batch, &what);
                 receivers
                     .entry(batch.to)
                     .or_default()
-                    .frame(&batch.dict, &referenced, &what);
+                    .frame(batch.dict(), &referenced, &what);
                 frames += 1;
                 executor.deliver(system, batch, SimTime::ZERO);
             }
