@@ -15,7 +15,9 @@
 //! fixpoint (34.8 per stored tuple) and 1,322 B per tuple. Before a
 //! provenance vertex held its own tuple and firings named their inputs by
 //! id, it read 2,964 B per node, 203,000 allocations (21.1 per stored tuple)
-//! and 1,072 B per tuple.
+//! and 1,072 B per tuple. Before the dependency index kept only what its own
+//! cascade retracts, it read 7,109 blocks after seeding, 188,460 allocations
+//! (19.6 per stored tuple) and 1,016 B per tuple.
 
 use nettrails::{NetTrails, NetTrailsConfig};
 use simnet::Topology;
@@ -81,20 +83,24 @@ const NODES: usize = 400;
 /// while each empty provenance store also carried a content map and two
 /// free lists, 3,202 while every map carried std's 16-byte `RandomState`.
 const NEW_BYTES_PER_NODE: usize = 3_148;
-/// Live blocks once every base fact is queued: measured 7,109, as at the
-/// parent, and the ceiling. An empty input list built as `Vec::new().into()`
-/// allocates — one block per base derivation — where `Arc::default()`
-/// shares one.
-const SEEDED_BLOCKS: usize = 7_109;
-/// Allocations from seeding to the fixpoint, exactly: 19.6 per stored tuple
-/// (9,627 tuples). 203,000 when the join kernel rebuilt every stored input
-/// out of its columns to hand the firing a copy: 14,540 fewer now that a
-/// candidate carries its inputs' ids.
-const CONVERGE_ALLOCATIONS: usize = 188_460;
-/// Live heap per stored tuple at the fixpoint: measured 1,016; 1,072 while
+/// Live blocks once every base fact is queued: measured 7,110, and the
+/// ceiling. 7,109 before the compiled program carried its set of monotonic
+/// rules — one block per program, not per node. An empty input list built as
+/// `Vec::new().into()` allocates — one block per base derivation — where
+/// `Arc::default()` shares one.
+const SEEDED_BLOCKS: usize = 7_110;
+/// Allocations from seeding to the fixpoint, exactly: 19.0 per stored tuple
+/// (9,627 tuples). 188,460 while the dependency index also held the inputs
+/// of derivations received from other nodes and of aggregate and negation
+/// derivations, which no cascade of this node retracts: 5,875 fewer now.
+/// 203,000 when the join kernel rebuilt every stored input out of its
+/// columns to hand the firing a copy.
+const CONVERGE_ALLOCATIONS: usize = 182_585;
+/// Live heap per stored tuple at the fixpoint: measured 961; 1,016 while the
+/// dependency index held what no cascade of this node retracts, 1,072 while
 /// provenance stores kept a content map beside their vertices, 1,085 under
 /// `RandomState`.
-const FIXPOINT_BYTES_PER_TUPLE: usize = 1_118;
+const FIXPOINT_BYTES_PER_TUPLE: usize = 1_057;
 
 /// What one convergence costs, by phase.
 struct Phases {

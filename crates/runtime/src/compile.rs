@@ -21,7 +21,7 @@ use crate::catalog::Catalog;
 use crate::error::{Result, RuntimeError};
 use crate::eval::{literal_value, SlotAtom, SlotExpr, SlotProgram, SlotStep, SlotTerm};
 use crate::store::TableSpec;
-use crate::value::{IdMap, Sym, Value};
+use crate::value::{IdMap, IdSet, Sym, Value};
 use ndlog::builtins::BuiltinFn;
 use ndlog::{AggregateFunc, BinOp, BodyElem, Expr, Predicate, Program, Rule, RuleKind, Term};
 use std::cmp::Reverse;
@@ -324,6 +324,8 @@ pub struct CompiledProgram {
     /// its tables from this list, so a column no plan reads carries no index
     /// on any node.
     pub tables: Vec<TableSpec>,
+    /// Names of the monotonic rules ([`CompiledProgram::cascades`]).
+    cascaded: IdSet<Sym>,
 }
 
 impl CompiledProgram {
@@ -343,6 +345,7 @@ impl CompiledProgram {
         let mut rules = Vec::new();
         let mut triggers: IdMap<Sym, Vec<(usize, usize)>> = IdMap::default();
         let mut negation_triggers: IdMap<Sym, Vec<usize>> = IdMap::default();
+        let mut cascaded: IdSet<Sym> = IdSet::default();
 
         for rule in &localized.rules {
             if rule.kind == RuleKind::Maybe {
@@ -362,6 +365,9 @@ impl CompiledProgram {
                     .or_default()
                     .push(index);
             }
+            if compiled.aggregate.is_none() && !compiled.has_negation() {
+                cascaded.insert(compiled.name_sym);
+            }
             rules.push(compiled);
         }
 
@@ -374,7 +380,14 @@ impl CompiledProgram {
             triggers,
             negation_triggers,
             tables,
+            cascaded,
         })
+    }
+
+    /// True when `rule` is monotonic: the dependency cascade of the node that
+    /// ran it retracts its derivations, not a recomputation.
+    pub fn cascades(&self, rule: Sym) -> bool {
+        self.cascaded.contains(&rule)
     }
 
     /// The `maybe` rules of the source program (used by the legacy proxy).

@@ -33,15 +33,23 @@
 //! Every derived tuple carries the derivations that support it
 //! ([`crate::store`]), and every structure here names a tuple by the id it
 //! carries: equal tuples have one (the identity rule atop [`crate::value`]),
-//! however a rule or a sender spelled their numbers. When a tuple disappears, the engine looks up — through
-//! the reverse-dependency index — every derivation that used it, in the
-//! outbox first and then in the tables, retracts those derivations, and
-//! cascades. This is the counting form of incremental
-//! view maintenance; it is exact for the protocol programs shipped with
-//! NetTrails (their recursion goes through strictly increasing costs or
-//! loop-suppressed paths, so no tuple can support itself). Aggregate rules are
-//! maintained by group recomputation, and rules containing negation are
-//! maintained by per-rule reconciliation.
+//! however a rule or a sender spelled their numbers. Each lost derivation is
+//! retracted once, by the mechanism that owns it:
+//!
+//! * a **monotonic** rule's, by the dependency cascade of the node that ran
+//!   it. Only these are in the reverse-dependency index
+//!   ([`CompiledProgram::cascades`] decides at compile time), so every key is
+//!   a tuple stored here. When a tuple disappears, the engine looks up every
+//!   derivation that used it, in the outbox first and then in the tables,
+//!   retracts those derivations, and cascades. This is the counting form of
+//!   incremental view maintenance; it is exact for the protocol programs
+//!   shipped with NetTrails (their recursion goes through strictly
+//!   increasing costs or loop-suppressed paths, so no tuple can support
+//!   itself);
+//! * an **aggregate** rule's, by group recomputation, and a **negation**
+//!   rule's, by per-rule reconciliation;
+//! * one **received from another node**, by the sender's cascade, which
+//!   ships the `Delete`.
 //!
 //! ## Provenance hooks
 //!
@@ -154,7 +162,9 @@ pub struct EngineStats {
     pub deltas_processed: u64,
     /// Rule firings (derivations created).
     pub rule_firings: u64,
-    /// Derivations retracted.
+    /// Derivations retracted, each exactly once: by the dependency cascade
+    /// for a monotonic rule, by recomputation for an aggregate or negation
+    /// rule.
     pub retractions: u64,
     /// Tuples handed to the network layer.
     pub tuples_sent: u64,
@@ -852,7 +862,9 @@ impl NodeEngine {
     fn apply_add(&mut self, tuple: Tuple, derivation: Derivation, events: &mut Vec<GenEvent>) {
         self.ensure_table(&tuple);
         let is_base = derivation.is_base();
-        let inputs = derivation.inputs.clone();
+        let cascaded = self
+            .cascades(&derivation)
+            .then(|| derivation.inputs.clone());
         let membership = self
             .db
             .table_mut_sym(tuple.relation())
@@ -863,7 +875,7 @@ impl NodeEngine {
             membership,
             Membership::Appeared | Membership::AddedDerivation | Membership::Replaced(_)
         ) {
-            for input in inputs.iter() {
+            for input in cascaded.iter().flat_map(|inputs| inputs.iter()) {
                 self.db
                     .index_dependency(*input, tuple.relation(), tuple.id());
             }
@@ -909,34 +921,26 @@ impl NodeEngine {
         }
     }
 
+    /// True when the dependency cascade retracts `derivation`: a monotonic
+    /// rule ran it at this node.
+    fn cascades(&self, derivation: &Derivation) -> bool {
+        derivation.node == self.config.node && self.program.cascades(derivation.rule)
+    }
+
     /// A tuple lost its last derivation: cascade through the dependency index
     /// and re-trigger aggregate / negation rules. Runs at the event's merge
     /// position, so its queue pushes interleave with the generation's other
     /// emissions in sequence order.
     fn on_disappear(&mut self, tuple: &Tuple, reconciled: &mut IdSet<usize>, out: &mut StepOutput) {
-        let dependents = self.db.dependents_of(tuple.id());
-        self.db.clear_dependency(tuple.id());
-        for dependent in dependents {
+        for dependent in self.db.take_dependents(tuple.id()) {
             // A remote head is retracted from the outbox and at its home; a
-            // stored tuple loses the derivation in the next generation.
+            // stored tuple loses the derivation in the next generation. A
+            // head that a monotonic and a recomputed rule both derive lists
+            // both derivations; the recomputation retracts its own.
             let home = dependent.destination.unwrap_or(self.config.node);
             for derivation in dependent.derivations {
-                self.stats.retractions += 1;
-                out.firings.push(Firing {
-                    rule: derivation.rule,
-                    node: self.config.node,
-                    head: dependent.tuple.clone(),
-                    head_home: home,
-                    inputs: derivation.inputs.clone(),
-                    insert: false,
-                });
-                if dependent.destination.is_some() {
-                    self.retract_outbox(&dependent.tuple, derivation, home);
-                } else {
-                    self.queue.push_back(WorkItem::Remove {
-                        tuple: dependent.tuple.clone(),
-                        derivation,
-                    });
+                if self.cascades(&derivation) {
+                    self.emit_at(home, dependent.tuple.clone(), derivation, false, out);
                 }
             }
         }
@@ -985,6 +989,19 @@ impl NodeEngine {
             .get(loc_col)
             .and_then(Value::as_node_id)
             .unwrap_or(self.config.node);
+        self.emit_at(home, head, derivation, insert, out);
+    }
+
+    /// [`Self::emit_derivation`] for a head whose home is known: the one path
+    /// every derivation and every retraction takes.
+    fn emit_at(
+        &mut self,
+        home: Addr,
+        tuple: Tuple,
+        derivation: Derivation,
+        insert: bool,
+        out: &mut StepOutput,
+    ) {
         if insert {
             self.stats.rule_firings += 1;
         } else {
@@ -993,39 +1010,36 @@ impl NodeEngine {
         out.firings.push(Firing {
             rule: derivation.rule,
             node: self.config.node,
-            head: head.clone(),
+            head: tuple.clone(),
             head_home: home,
             inputs: derivation.inputs.clone(),
             insert,
         });
         if home == self.config.node {
-            if insert {
-                self.queue.push_back(WorkItem::Add {
-                    tuple: head,
-                    derivation,
-                });
-            } else {
-                self.queue.push_back(WorkItem::Remove {
-                    tuple: head,
-                    derivation,
-                });
-            }
+            self.queue.push_back(match insert {
+                true => WorkItem::Add { tuple, derivation },
+                false => WorkItem::Remove { tuple, derivation },
+            });
             return;
         }
-        // Remote head: remember it in the outbox so that later input
-        // deletions can retract the remote derivation, and ship the delta.
+        // Remote head: remember it in the outbox so that a later retraction
+        // can reach the remote derivation, and ship the delta.
         if !insert {
-            self.retract_outbox(&head, derivation, home);
-        } else if self.db.outbox_insert(&head, home, &derivation) {
-            self.queue_send(home, Delta::Insert(head), derivation);
+            self.retract_outbox(&tuple, derivation, home);
+        } else {
+            let cascaded = self.program.cascades(derivation.rule);
+            if self.db.outbox_insert(&tuple, home, &derivation, cascaded) {
+                self.queue_send(home, Delta::Insert(tuple), derivation);
+            }
         }
     }
 
-    /// The single outbox-retraction path. Every caller — the input-cascade in
-    /// [`Self::on_disappear`] and the aggregate/negation reconciliation in
-    /// [`Self::emit_derivation`] — funnels through here, so a remote
-    /// retraction is queued for shipment exactly when the outbox held the
-    /// (tuple, derivation) pair, at most once per round.
+    /// The single outbox-retraction path. A monotonic rule's remote head is
+    /// retracted by the input cascade in [`Self::on_disappear`], an aggregate
+    /// or negation rule's by its recomputation through
+    /// [`Self::emit_derivation`] — each derivation by one of them, so a
+    /// remote retraction is queued for shipment exactly when the outbox held
+    /// the (tuple, derivation) pair, once.
     fn retract_outbox(&mut self, tuple: &Tuple, derivation: Derivation, home: Addr) {
         if self.db.outbox_remove(tuple.id(), &derivation) {
             self.queue_send(home, Delta::Delete(tuple.clone()), derivation);
@@ -1131,11 +1145,9 @@ impl NodeEngine {
                 node: self.config.node,
                 inputs: found.inputs,
             };
-            if !new_derivations
-                .iter()
-                .any(|(h, d)| *h == found.head && *d == derivation)
-            {
-                new_derivations.push((found.head, derivation));
+            let pair = (found.head, derivation);
+            if !new_derivations.contains(&pair) {
+                new_derivations.push(pair);
             }
         }
 
@@ -1144,11 +1156,10 @@ impl NodeEngine {
         // relation (met first), then that relation's table.
         let head_relation = rule.slots.head.relation;
         let mine = |d: &&Derivation| d.rule == rule.name_sym && d.node == self.config.node;
-        // (held in the outbox?, head, derivation)
-        let mut old_derivations: Vec<(bool, Tuple, Derivation)> = Vec::new();
+        let mut old_derivations: Vec<(Tuple, Derivation)> = Vec::new();
         for entry in self.db.outbox_of(head_relation) {
             for d in entry.derivations.iter().filter(mine) {
-                old_derivations.push((true, entry.tuple.clone(), d.clone()));
+                old_derivations.push((entry.tuple.clone(), d.clone()));
             }
         }
         for stored in self
@@ -1160,49 +1171,24 @@ impl NodeEngine {
             let mut tuple = None;
             for d in stored.derivations().iter().filter(mine) {
                 let tuple = tuple.get_or_insert_with(|| stored.to_tuple());
-                old_derivations.push((false, tuple.clone(), d.clone()));
+                old_derivations.push((tuple.clone(), d.clone()));
             }
         }
 
-        // Retract derivations that no longer hold.
-        for (remote, tuple, derivation) in &old_derivations {
-            let still_valid = new_derivations
-                .iter()
-                .any(|(h, d)| h == tuple && d == derivation);
-            if !still_valid {
-                if *remote {
-                    self.emit_derivation(
-                        tuple.clone(),
-                        rule.head_loc_col,
-                        derivation.clone(),
-                        false,
-                        out,
-                    );
-                } else {
-                    out.firings.push(Firing {
-                        rule: derivation.rule,
-                        node: self.config.node,
-                        head: tuple.clone(),
-                        head_home: self.config.node,
-                        inputs: derivation.inputs.clone(),
-                        insert: false,
-                    });
-                    self.stats.retractions += 1;
-                    self.queue.push_back(WorkItem::Remove {
-                        tuple: tuple.clone(),
-                        derivation: derivation.clone(),
-                    });
-                }
-            }
+        // Retract derivations that no longer hold, stored and shipped alike,
+        // then add the new ones.
+        for pair in old_derivations
+            .iter()
+            .filter(|p| !new_derivations.contains(p))
+        {
+            let (tuple, derivation) = pair.clone();
+            self.emit_derivation(tuple, rule.head_loc_col, derivation, false, out);
         }
-        // Add derivations that are new.
-        for (head, derivation) in new_derivations {
-            let already = old_derivations
-                .iter()
-                .any(|(_, t, d)| *t == head && *d == derivation);
-            if !already {
-                self.emit_derivation(head, rule.head_loc_col, derivation, true, out);
-            }
+        for (head, derivation) in new_derivations
+            .into_iter()
+            .filter(|p| !old_derivations.contains(p))
+        {
+            self.emit_derivation(head, rule.head_loc_col, derivation, true, out);
         }
     }
 }
@@ -1345,6 +1331,93 @@ mod tests {
         }
         receiver.run();
         assert_eq!(receiver.relation("reach").len(), 1);
+    }
+
+    /// The dependency index holds only what this node's cascade retracts:
+    /// every key is a tuple stored here, and no entry names the aggregate
+    /// head. Indexing a derivation received from another node (its inputs
+    /// live at the sender) fails the first assertion; indexing the `min<>`
+    /// derivation fails the second.
+    #[test]
+    fn the_dependency_index_keeps_only_what_its_cascade_retracts() {
+        let program = Arc::new(
+            CompiledProgram::from_source(
+                "materialize(best, infinity, infinity, keys(1,2)).\n\
+                 r1 reach(@D,S,C) :- link(@S,D,C).\n\
+                 r2 best(@D,S,min<C>) :- reach(@D,S,C).\n\
+                 r3 hop(@D,S) :- best(@D,S,C).",
+            )
+            .unwrap(),
+        );
+        let mut engines: Vec<NodeEngine> = ["n1", "n2"]
+            .map(|n| NodeEngine::new(program.clone(), EngineConfig::new(n)))
+            .into();
+        let converge = |engines: &mut Vec<NodeEngine>| loop {
+            let sends: Vec<DeltaBatch> = engines.iter_mut().flat_map(|e| e.run().sends).collect();
+            if sends.is_empty() {
+                break;
+            }
+            for batch in sends {
+                let to = engines.iter_mut().find(|e| batch.dest == e.node());
+                let to = to.expect("a destination engine");
+                for record in batch.records {
+                    to.apply_remote(record.delta, record.derivation);
+                }
+            }
+        };
+        let check = |engines: &[NodeEngine]| {
+            for e in engines {
+                let db = e.database();
+                let stored = |id| db.tables().any(|t| t.get_by_id(id).is_some());
+                let entries: Vec<(TupleId, Sym)> = db.dependency_entries().collect();
+                assert!(!entries.is_empty(), "{} indexes its own firings", e.node());
+                for (input, relation) in entries {
+                    assert!(stored(input), "{}: a key stored elsewhere", e.node());
+                    assert!(relation != "best", "{}: an aggregate head", e.node());
+                }
+            }
+        };
+        for (s, d, c) in [("n1", "n2", 1), ("n1", "n2", 5), ("n2", "n1", 2)] {
+            engines[usize::from(s == "n2")]
+                .insert_base(link(s, d, c))
+                .unwrap();
+        }
+        converge(&mut engines);
+        check(&engines);
+        engines[0].delete_base(link("n1", "n2", 1)).unwrap();
+        converge(&mut engines);
+        check(&engines);
+        let best = engines[1].relation("best");
+        assert_eq!(best.len(), 1);
+        assert_eq!(best[0].values()[2], Value::Int(5));
+    }
+
+    /// A head that a monotonic rule and an aggregate both derive from one
+    /// input loses each derivation once when the input goes: the cascade
+    /// retracts the monotonic one and the recomputation its own. (Letting
+    /// the cascade retract every derivation it finds on the head retracts
+    /// the aggregate's twice.)
+    #[test]
+    fn a_head_with_a_monotonic_and_an_aggregate_derivation_loses_each_once() {
+        let mut e = engine(
+            "n1",
+            "r1 best(@S,D,C) :- link(@S,D,C), C < 3.\n\
+             r2 best(@S,D,min<C>) :- link(@S,D,C).",
+        );
+        e.insert_base(link("n1", "n2", 2)).unwrap();
+        e.run();
+        let best = e.database().table("best").unwrap();
+        assert_eq!(best.iter().map(|t| t.derivations().len()).sum::<usize>(), 2);
+        e.delete_base(link("n1", "n2", 2)).unwrap();
+        let out = e.run();
+        let mut lost: Vec<&str> = (out.firings.iter())
+            .filter(|f| !f.insert && f.rule != BASE_RULE)
+            .map(|f| f.rule.as_str())
+            .collect();
+        lost.sort();
+        assert_eq!(lost, ["r1", "r2"]);
+        assert_eq!(e.stats().retractions, 2);
+        assert!(e.relation("best").is_empty());
     }
 
     #[test]

@@ -726,7 +726,7 @@ enum Held {
 }
 
 /// One tuple with derivations that used a given input
-/// ([`Database::dependents_of`]).
+/// ([`Database::take_dependents`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Dependent {
     /// Where a remote head was shipped; `None` for a tuple stored in one of
@@ -781,10 +781,12 @@ pub struct Database {
     /// Remote heads by tuple id. No join reads them, so they are not a
     /// table: no key order, no posting lists.
     outbox: IdMap<TupleId, OutboxEntry>,
-    /// input tuple id -> (where held, relation, derived tuple id) of
-    /// derivations that used it: a tuple stored in `tables` or an entry of
-    /// `outbox`. Each list is a set, kept sorted by the handles' integer
-    /// values; [`Database::dependents_of`] puts it in name order.
+    /// input tuple id -> (where held, relation, derived tuple id) of the
+    /// derivations that used it and that the engine's cascade retracts (a
+    /// monotonic rule ran them here, so every input is stored here): a tuple
+    /// in `tables` or an entry of `outbox`. Each list is a set, kept sorted
+    /// by the handles' integer values; [`Database::take_dependents`] puts it
+    /// in name order.
     dependents: IdMap<TupleId, Few<DependentKey>>,
 }
 
@@ -883,14 +885,16 @@ impl Database {
     }
 
     /// Record that `derivation` derives the remote head `tuple` living at
-    /// `destination`, and index its inputs. True when the (tuple, derivation)
-    /// pair is new to the outbox: the caller ships it. A repeated pair is
-    /// recorded, and shipped, once.
+    /// `destination`, and index its inputs when the dependency cascade
+    /// retracts it (`cascaded`). True when the (tuple, derivation) pair is
+    /// new to the outbox: the caller ships it. A repeated pair is recorded,
+    /// and shipped, once.
     pub fn outbox_insert(
         &mut self,
         tuple: &Tuple,
         destination: NodeId,
         derivation: &Derivation,
+        cascaded: bool,
     ) -> bool {
         let id = tuple.id();
         let entry = self.outbox.entry(id).or_insert_with(|| OutboxEntry {
@@ -902,8 +906,10 @@ impl Database {
             return false;
         }
         entry.derivations.push(derivation.clone());
-        for input in derivation.inputs.iter() {
-            self.add_dependent(*input, (Held::Outbox, tuple.relation(), id));
+        if cascaded {
+            for input in derivation.inputs.iter() {
+                self.add_dependent(*input, (Held::Outbox, tuple.relation(), id));
+            }
         }
         true
     }
@@ -949,10 +955,11 @@ impl Database {
         self.add_dependent(input, (Held::Table, relation, derived));
     }
 
-    /// Tuples that have a derivation using `input`: outbox entries first,
-    /// then stored tuples, each group in (relation name, tuple id) order.
-    pub fn dependents_of(&self, input: TupleId) -> Vec<Dependent> {
-        let Some(deps) = self.dependents.get(&input) else {
+    /// Tuples that have a derivation using `input`, which has gone: outbox
+    /// entries first, then stored tuples, each group in (relation name,
+    /// tuple id) order. The index forgets `input`.
+    pub fn take_dependents(&mut self, input: TupleId) -> Vec<Dependent> {
+        let Some(deps) = self.dependents.remove(&input) else {
             return Vec::new();
         };
         let mut deps = deps.as_slice().to_vec();
@@ -971,12 +978,6 @@ impl Database {
             });
         }
         out
-    }
-
-    /// Drop the dependency-index entry for `input` (after its dependents have
-    /// been processed).
-    pub fn clear_dependency(&mut self, input: TupleId) {
-        self.dependents.remove(&input);
     }
 
     /// Resident bytes: every table (see [`Table::storage_bytes`]) plus the
@@ -1000,6 +1001,15 @@ impl Database {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Database {
+        /// Every (input, dependent's relation) pair of the dependency index.
+        pub(crate) fn dependency_entries(&self) -> impl Iterator<Item = (TupleId, Sym)> + '_ {
+            let entries = self.dependents.iter();
+            entries
+                .flat_map(|(input, deps)| deps.as_slice().iter().map(|(_, rel, _)| (*input, *rel)))
+        }
+    }
 
     /// `link(@S,D,C)` holds addresses in its first two columns, every other
     /// test relation in its first.
@@ -1109,16 +1119,15 @@ mod tests {
         db.index_dependency(base.id(), Sym::new("cost"), derived.id());
 
         assert_eq!(
-            db.dependents_of(base.id()),
+            db.take_dependents(base.id()),
             vec![Dependent {
                 destination: None,
                 tuple: derived,
                 derivations: vec![deriv],
             }]
         );
-
-        db.clear_dependency(base.id());
-        assert!(db.dependents_of(base.id()).is_empty());
+        // Taken once: the index forgets the input.
+        assert!(db.take_dependents(base.id()).is_empty());
     }
 
     /// A rule firing at node `a` over `inputs`.
@@ -1140,15 +1149,15 @@ mod tests {
         let (e, f) = (link("a", "b", 3), link("a", "b", 4));
         let h = head("h", "b", Value::Int(3));
         let (d1, d2) = (fired("r1", &[&e]), fired("r2", &[&f]));
-        assert!(db.outbox_insert(&h, "b".into(), &d1));
+        assert!(db.outbox_insert(&h, "b".into(), &d1, true));
         // A repeated derivation is not shipped twice; a second one is.
-        assert!(!db.outbox_insert(&h, "b".into(), &d1));
-        assert!(db.outbox_insert(&h, "b".into(), &d2));
+        assert!(!db.outbox_insert(&h, "b".into(), &d1, true));
+        assert!(db.outbox_insert(&h, "b".into(), &d2, true));
         assert_eq!(db.outbox_len(), 1);
         // The same head spelled with a double is the same entry.
         let h_double = head("h", "b", Value::Double(3.0));
         assert_eq!((&h, h.id()), (&h_double, h_double.id()));
-        assert!(!db.outbox_insert(&h_double, "b".into(), &d1));
+        assert!(!db.outbox_insert(&h_double, "b".into(), &d1, true));
         assert_eq!(db.outbox_len(), 1);
 
         // Removing an unknown pair ships nothing and changes nothing.
@@ -1165,7 +1174,7 @@ mod tests {
         assert_eq!(db.outbox_len(), 0);
         assert!(!db.outbox_remove(h.id(), &d2));
         // The index entries outlive the derivations and yield nothing.
-        assert!(db.dependents_of(e.id()).is_empty());
+        assert!(db.take_dependents(e.id()).is_empty());
     }
 
     #[test]
@@ -1193,18 +1202,21 @@ mod tests {
         for relation in ["mm", "bb"] {
             for c in [1, 2] {
                 let t = head(relation, "b", Value::Int(c));
-                assert!(db.outbox_insert(&t, "b".into(), &deriv));
+                assert!(db.outbox_insert(&t, "b".into(), &deriv, true));
                 shipped.push(t);
             }
         }
-        // One more outbox derivation that does not use the input.
+        // One more outbox derivation that does not use the input, and one
+        // that does but that the cascade does not retract.
         let other = head("bb", "b", Value::Int(9));
-        db.outbox_insert(&other, "b".into(), &fired("r1", &[&other]));
+        db.outbox_insert(&other, "b".into(), &fired("r1", &[&other]), true);
+        let recomputed = head("cc", "b", Value::Int(1));
+        db.outbox_insert(&recomputed, "b".into(), &fired("r2", &[&input]), false);
 
         let order = |ts: &mut Vec<Tuple>| ts.sort_by_key(|t| (t.relation(), t.id()));
         order(&mut shipped);
         order(&mut stored);
-        let got = db.dependents_of(input.id());
+        let got = db.take_dependents(input.id());
         assert_eq!(got.len(), 8);
         for (dependent, want) in got.iter().zip(shipped.iter().chain(&stored)) {
             assert_eq!(dependent.tuple, *want);

@@ -112,6 +112,13 @@ test_job() {
     #     — an engine run whose firings join stored inputs (local and remote
     #     heads, an aggregate) leaves tuple_materializations() where it was: a
     #     firing names its inputs by id;
+    # the oracles of one retraction per lost derivation:
+    #   nt-runtime engine::tests::the_dependency_index_keeps_only_what_its_cascade_retracts
+    #     — two engines exchange a remote derivation and one holds a min<>
+    #     head: every dependency key is a tuple stored at its node and no
+    #     entry names the aggregate head;
+    #   nt-runtime proptest_slot_equivalence — every derivation that went
+    #     fires once, aggregate and negation rules included;
     # the oracles of the query executor's frames and cycle guard:
     #   nettrails dictionary_discipline (check_sealed) — every QueryBatch's
     #     stored length is its header plus the per-record walk
