@@ -13,7 +13,7 @@ use crate::snapshot::{NodeSnapshot, SystemSnapshot};
 use crate::store::{Cursor, LogStore};
 use nt_runtime::{Addr, Tuple};
 use simnet::{SimTime, Topology};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// The difference between two consecutive snapshots.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -32,29 +32,21 @@ pub struct SnapshotDiff {
     pub links_removed: Vec<(String, String)>,
 }
 
-/// A node's tuples by rendering; of two tuples that render alike, the first
-/// in relation order stands for both.
-fn tuples_by_text(node: Option<&NodeSnapshot>) -> BTreeMap<String, &Tuple> {
-    let mut by_text = BTreeMap::new();
-    for t in node
-        .into_iter()
+/// A node's tuples, each once, in `Tuple`'s order (equal exactly when one
+/// id).
+fn node_tuples(node: Option<&NodeSnapshot>) -> BTreeSet<&Tuple> {
+    node.into_iter()
         .flat_map(|n| n.relations.values().flatten())
-    {
-        by_text.entry(t.to_string()).or_insert(t);
-    }
-    by_text
+        .collect()
 }
 
 /// Changed tuples in the order [`SnapshotDiff::between`] lists them: by node,
-/// then by rendering, one entry per rendering.
+/// then by tuple, each once.
 fn in_diff_order(tuples: impl IntoIterator<Item = (Addr, Tuple)>) -> Vec<(Addr, Tuple)> {
-    let mut keyed: Vec<(Addr, String, Tuple)> = tuples
-        .into_iter()
-        .map(|(node, t)| (node, t.to_string(), t))
-        .collect();
-    keyed.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
-    keyed.dedup_by(|later, first| (later.0, &later.1) == (first.0, &first.1));
-    keyed.into_iter().map(|(node, _, t)| (node, t)).collect()
+    let mut tuples: Vec<(Addr, Tuple)> = tuples.into_iter().collect();
+    tuples.sort_unstable();
+    tuples.dedup();
+    tuples
 }
 
 /// Directed links `(added, removed)` going from topology `a` to `b`.
@@ -80,9 +72,9 @@ impl SnapshotDiff {
             && self.links_removed.is_empty()
     }
 
-    /// Compute the diff between two snapshots. Tuples are compared by their
-    /// rendering, node by node; a node whose relations are equal on both
-    /// sides is skipped without rendering anything.
+    /// Compute the diff between two snapshots. Tuples are compared by
+    /// identity, node by node; a node whose relations are equal on both
+    /// sides is skipped.
     pub fn between(a: &SystemSnapshot, b: &SystemSnapshot) -> Self {
         let mut appeared = Vec::new();
         let mut disappeared = Vec::new();
@@ -92,15 +84,9 @@ impl SnapshotDiff {
             if node_a.map(|n| &n.relations) == node_b.map(|n| &n.relations) {
                 continue;
             }
-            let (in_a, in_b) = (tuples_by_text(node_a), tuples_by_text(node_b));
-            let only_in = |x: &BTreeMap<String, &Tuple>, y: &BTreeMap<String, &Tuple>| {
-                x.iter()
-                    .filter(|(text, _)| !y.contains_key(*text))
-                    .map(|(_, t)| (node, (*t).clone()))
-                    .collect::<Vec<_>>()
-            };
-            appeared.extend(only_in(&in_b, &in_a));
-            disappeared.extend(only_in(&in_a, &in_b));
+            let (in_a, in_b) = (node_tuples(node_a), node_tuples(node_b));
+            appeared.extend(in_b.difference(&in_a).map(|t| (node, (*t).clone())));
+            disappeared.extend(in_a.difference(&in_b).map(|t| (node, (*t).clone())));
         }
         let (links_added, links_removed) = link_changes(&a.topology, &b.topology);
         SnapshotDiff {
@@ -116,9 +102,7 @@ impl SnapshotDiff {
     /// Turn `snapshot` into the next capture by applying `delta` in place,
     /// and report the step from the delta's added tuples and the tuples it
     /// took out of the snapshot. Equal to [`SnapshotDiff::between`] of the
-    /// two snapshots whenever distinct tuples of a node render distinctly
-    /// (captured tables do; `true` beside the address `true` would not), at
-    /// the cost of the delta instead of both snapshots.
+    /// two snapshots, at the cost of the delta instead of both snapshots.
     fn stepping(snapshot: &mut SystemSnapshot, delta: &SnapshotDelta) -> Self {
         let from = snapshot.time;
         let (links_added, links_removed) = match &delta.topology {

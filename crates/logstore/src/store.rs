@@ -257,10 +257,11 @@ impl LogStore {
         self.get(self.index_at(time)?)
     }
 
-    /// Serialize the whole store to pretty JSON (the on-disk format consumed
-    /// by the visualizer). Snapshots are materialized, so the export is
-    /// backend- and encoding-independent — exactly what the pre-incremental
-    /// format contained.
+    /// Serialize the whole store to pretty JSON, an export for tools outside
+    /// the process (the visualizer reads [`LogStore::records`], not this).
+    /// Snapshots are materialized, so the export is backend- and
+    /// encoding-independent — exactly what the pre-incremental format
+    /// contained.
     pub fn to_json(&self) -> serde_json::Result<String> {
         let doc = StoreJson {
             snapshots: self.snapshots(),

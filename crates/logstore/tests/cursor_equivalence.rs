@@ -19,7 +19,7 @@ use logstore::{
     LogBackend, LogRecord, LogStore, MemBackend, Replay, SegmentFileBackend, SnapshotCapturer,
     SnapshotDiff, SystemSnapshot,
 };
-use nt_runtime::{Addr, Tuple, Value};
+use nt_runtime::{Addr, Tuple, TupleId, Value};
 use proptest::prelude::*;
 use provenance::{ProvEdge, ProvVertex, VertexId};
 use simnet::{SimTime, Topology};
@@ -50,30 +50,34 @@ fn chain_walk(store: &LogStore, index: usize) -> Option<SystemSnapshot> {
     Some(snapshot)
 }
 
-/// The `SnapshotDiff::between` this PR replaced: render every tuple of both
-/// snapshots into two sets, then look each changed rendering up again.
+/// The `SnapshotDiff::between` the indexed one replaced, keyed by identity:
+/// collect every (node, tuple id) of both snapshots into two sets, look each
+/// changed id up again, and list the changes by node, then by tuple.
 fn between_reference(a: &SystemSnapshot, b: &SystemSnapshot) -> SnapshotDiff {
-    let tuples = |s: &SystemSnapshot| -> BTreeSet<(Addr, String)> {
+    let ids = |s: &SystemSnapshot| -> BTreeSet<(Addr, TupleId)> {
         s.nodes
             .iter()
             .flat_map(|(node, ns)| {
                 ns.relations
                     .values()
                     .flatten()
-                    .map(move |t| (*node, t.to_string()))
+                    .map(move |t| (*node, t.id()))
             })
             .collect()
     };
-    let set_a = tuples(a);
-    let set_b = tuples(b);
-    let lookup = |s: &SystemSnapshot, key: &(Addr, String)| -> Option<(Addr, Tuple)> {
-        s.nodes.get(&key.0).and_then(|ns| {
-            ns.relations
-                .values()
-                .flatten()
-                .find(|t| t.to_string() == key.1)
-                .map(|t| (key.0, t.clone()))
-        })
+    let set_a = ids(a);
+    let set_b = ids(b);
+    let changed = |s: &SystemSnapshot, x: &BTreeSet<(Addr, TupleId)>, y| {
+        let mut found: Vec<(Addr, Tuple)> = x
+            .difference(y)
+            .filter_map(|(node, id)| {
+                let ns = s.nodes.get(node)?;
+                let t = ns.relations.values().flatten().find(|t| t.id() == *id)?;
+                Some((*node, t.clone()))
+            })
+            .collect();
+        found.sort();
+        found
     };
     let links = |s: &SystemSnapshot| -> BTreeSet<(String, String)> {
         s.topology
@@ -86,14 +90,8 @@ fn between_reference(a: &SystemSnapshot, b: &SystemSnapshot) -> SnapshotDiff {
     SnapshotDiff {
         from: a.time,
         to: b.time,
-        appeared: set_b
-            .difference(&set_a)
-            .filter_map(|k| lookup(b, k))
-            .collect(),
-        disappeared: set_a
-            .difference(&set_b)
-            .filter_map(|k| lookup(a, k))
-            .collect(),
+        appeared: changed(b, &set_b, &set_a),
+        disappeared: changed(a, &set_a, &set_b),
         links_added: links_b.difference(&links_a).cloned().collect(),
         links_removed: links_a.difference(&links_b).cloned().collect(),
     }
@@ -311,10 +309,11 @@ proptest! {
     }
 }
 
-/// `between` collapses tuples of a node that render alike (the first in
-/// relation order stands for both), compares nodes present on one side only,
-/// and lists changes by node, then by rendering. The indexed `between` keeps
-/// all of that.
+/// `between` keys a node's tuples by identity: `3` and `3.0` are one tuple,
+/// `true` and the address `true` two, a repeated tuple counts once, a tuple
+/// filed under another relation's name still counts. It compares nodes
+/// present on one side only and lists changes by node, then by tuple, as
+/// the reference does.
 #[test]
 fn between_keeps_the_reference_semantics_on_awkward_snapshots() {
     let node = |name: &str, relations: Vec<(&str, Vec<Tuple>)>| {
@@ -340,7 +339,7 @@ fn between_keeps_the_reference_semantics_on_awkward_snapshots() {
             .collect::<BTreeMap<_, _>>();
         s
     };
-    // `3` and `3.0` render alike, as do `true` and the address `true`;
+    // `3` and `3.0` are one tuple, `true` and the address `true` are not;
     // tuples are unsorted and one is repeated; `w3` exists on one side only.
     let a = snapshot(
         1,
@@ -400,5 +399,13 @@ fn between_keeps_the_reference_semantics_on_awkward_snapshots() {
     for (x, y) in [(&a, &b), (&b, &a), (&a, &a)] {
         assert_eq!(SnapshotDiff::between(x, y), between_reference(x, y));
     }
-    assert!(!SnapshotDiff::between(&a, &b).appeared.is_empty());
+    let diff = SnapshotDiff::between(&a, &b);
+    let w1: Addr = "w1".into();
+    assert!(diff
+        .disappeared
+        .contains(&(w1, t("k", vec![Value::Bool(true)]))));
+    assert!(diff
+        .appeared
+        .contains(&(w1, t("k", vec![Value::addr("true")]))));
+    assert!(!diff.appeared.contains(&(w1, t("m", vec![Value::Int(3)]))));
 }

@@ -16,13 +16,14 @@
 //!   possible causal relationships in legacy applications),
 //! * a typed [`ast`] with pretty-printing,
 //! * semantic [`validate`] checks (safety, location well-formedness,
-//!   link-restriction, aggregate stratification),
-//! * [`localize`] analysis that determines, for every rule, where it executes
-//!   and whether its head tuples must be shipped to a different node, and
+//!   aggregates, builtins, safe negation),
+//! * [`localize`]: where every rule runs ([`exec_location`]) and the
+//!   rewrite that splits link-restricted rules into single-location ones
+//!   ([`localize_program`]), which also enforces the link restriction, and
 //! * a registry of [`builtins`] (`f_isExtend`, `f_concat`, ...) shared with the
 //!   runtime.
 //!
-//! The runtime crate (`nt-runtime`) interprets the validated AST; the
+//! The runtime crate (`nt-runtime`) compiles the localized program; the
 //! `provenance` crate rewrites it to capture network provenance as described in
 //! the ExSPAN/NetTrails papers.
 //!
@@ -58,7 +59,7 @@ pub use ast::{
     Rule, RuleKind, Term, UnOp,
 };
 pub use error::{NdlogError, Result};
-pub use localize::{LocalizedRule, RuleLocation};
+pub use localize::{exec_location, localize_program};
 pub use parser::{parse_program, parse_rule};
 pub use validate::validate_program;
 

@@ -1,199 +1,201 @@
-//! Rule localization analysis.
+//! Localization: where a rule runs, and the rewrite that leaves every rule
+//! body at one location.
 //!
-//! NDlog rules are evaluated in a *distributed* fashion: every tuple lives at
-//! the node named by its location specifier, and a rule can only join tuples
-//! that are co-located. The RapidNet/ExSPAN convention (inherited from the
-//! original Declarative Networking work) is:
+//! Every tuple lives at the node its location specifier names, and a node
+//! joins only the tuples it holds. A rule runs at the location of its first
+//! located positive body atom, or at its head's when the body has none
+//! ([`exec_location`], the one reading of that convention); a head that
+//! lives elsewhere is shipped to its home. A *link-restricted* rule joins
+//! atoms at two locations that some positive atom mentions together, e.g.
+//! the path-vector step
 //!
-//! * a rule whose positive body atoms all share the same location variable is
-//!   a **local rule** — it executes at that node;
-//! * a rule whose head location differs from the body location is a **send
-//!   rule** — it executes where the body lives and the derived head tuple is
-//!   shipped to the node named by the head's location attribute;
-//! * a rule whose body atoms mention two different location variables is only
-//!   legal when one atom is *link-restricted*: some body atom (typically
-//!   `link(@S,Z,...)`) mentions both location variables, so the rule can be
-//!   evaluated at the first location and the remote atom's tuples are
-//!   *streamed* to it by a prior send rule. In this implementation we follow
-//!   ExSPAN and require the programmer (or the protocol library) to have
-//!   already localized such rules; the analysis flags non-localizable rules.
+//! ```text
+//! r2 cost(@S,D,C) :- link(@S,Z,C1), cost(@Z,D,C2), C := C1 + C2.
+//! ```
 //!
-//! The output of the analysis — a [`LocalizedRule`] — records which variable
-//! names the rule's execution location and whether head tuples must be
-//! shipped. The runtime uses it to decide where to run joins and when to hand
-//! tuples to the network layer; the provenance rewriter uses it to place
-//! `ruleExec` tuples at the correct node.
+//! The declarative-networking localization rewrite (Loo et al., as RapidNet
+//! implements it), [`localize_program`], splits such a rule into one that
+//! ships what the remote side needs in an auxiliary relation and one that
+//! runs there:
+//!
+//! ```text
+//! r2_s1 r2_aux(@Z,S,C1)  :- link(@S,Z,C1).
+//! r2    cost(@S,D,C)     :- r2_aux(@Z,S,C1), cost(@Z,D,C2), C := C1 + C2.
+//! ```
+//!
+//! Afterwards only head tuples travel. The runtime compiles the localized
+//! program, and the provenance rewrite places `ruleExec` through
+//! [`exec_location`], so both read one placement.
 
-use crate::ast::{Rule, Term};
+use crate::ast::{BodyElem, Materialize, Predicate, Program, Rule, RuleKind, Term};
 use crate::error::{NdlogError, Result};
+use std::collections::BTreeSet;
 
-/// Where a rule executes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RuleLocation {
-    /// Execution location is the value bound to this variable (the common
-    /// case: all body atoms share a location variable).
-    Variable(String),
-    /// Execution location is a constant node name (body atoms pinned with
-    /// `@"n1"`).
-    Constant(String),
+/// Where `rule` runs: the location term (a variable or a constant node) of
+/// its first located positive body atom, else its head's. `None` only for a
+/// rule with no location specifier at all.
+pub fn exec_location(rule: &Rule) -> Option<&Term> {
+    let mut atoms = rule.positive_atoms().chain(std::iter::once(&rule.head));
+    atoms.find_map(|atom| atom.terms.iter().find(|t| t.is_location()))
 }
 
-impl RuleLocation {
-    /// The variable name, if the location is variable-valued.
-    pub fn as_variable(&self) -> Option<&str> {
-        match self {
-            RuleLocation::Variable(v) => Some(v),
-            RuleLocation::Constant(_) => None,
-        }
-    }
-}
-
-/// The result of localizing a single rule.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LocalizedRule {
-    /// The rule itself (unmodified).
-    pub rule: Rule,
-    /// Where the rule's joins are evaluated.
-    pub exec_location: RuleLocation,
-    /// True when the head's location differs from the execution location, in
-    /// which case the derived tuple is shipped over the network to its home
-    /// node.
-    pub sends_head: bool,
-    /// Location variables appearing in body atoms other than the execution
-    /// location (the "remote" side of a link-restricted rule). Empty for
-    /// purely local rules.
-    pub remote_locations: Vec<String>,
-}
-
-/// Localize every rule of a program.
-pub fn localize_rules(rules: &[Rule]) -> Result<Vec<LocalizedRule>> {
-    rules.iter().map(localize_rule).collect()
-}
-
-/// Localize one rule. Fails when the rule cannot be executed at a single node
-/// (its body atoms disagree on location and no atom bridges the locations).
-pub fn localize_rule(rule: &Rule) -> Result<LocalizedRule> {
-    let mut body_locs: Vec<LocSpec> = Vec::new();
-    for atom in rule.positive_atoms() {
-        if let Some(spec) = atom_location(atom) {
-            if !body_locs.contains(&spec) {
-                body_locs.push(spec);
-            }
-        }
-    }
-    if body_locs.is_empty() {
-        // No positive atoms with a location (e.g. a rule driven only by
-        // constants); execute at the head's location.
-        let head = atom_location(&rule.head).ok_or_else(|| {
-            NdlogError::validation(Some(&rule.name), "rule has no location specifier at all")
-        })?;
-        return Ok(LocalizedRule {
-            rule: rule.clone(),
-            exec_location: head.clone().into_rule_location(),
-            sends_head: false,
-            remote_locations: Vec::new(),
-        });
-    }
-
-    // Pick the execution location: the location of the *first* body atom, the
-    // standard NDlog convention ("the rule is evaluated where its event /
-    // first predicate resides").
-    let exec = body_locs[0].clone();
-
-    // Any other body location must be "bridged": some positive atom must
-    // mention both the execution location variable and the other location
-    // variable among its (non-location) arguments — the classic
-    // link-restriction. Otherwise the program should have been rewritten.
-    let mut remote = Vec::new();
-    for other in body_locs.iter().skip(1) {
-        match (&exec, other) {
-            (LocSpec::Var(ev), LocSpec::Var(ov)) => {
-                let bridged = rule.positive_atoms().any(|a| {
-                    let vars: Vec<String> = a.variables();
-                    vars.iter().any(|v| v == ev) && vars.iter().any(|v| v == ov)
-                });
-                if !bridged {
-                    return Err(NdlogError::validation(
-                        Some(&rule.name),
-                        format!(
-                            "body atoms live at different, unlinked locations `{ev}` and `{ov}`; \
-                             rewrite the rule (link restriction) before execution"
-                        ),
-                    ));
-                }
-                remote.push(ov.clone());
-            }
-            // Mixed constant/variable locations are always allowed: the
-            // runtime ships tuples explicitly.
-            (_, LocSpec::Var(ov)) => remote.push(ov.clone()),
-            (_, LocSpec::Const(_)) => {}
-        }
-    }
-
-    let head_loc = atom_location(&rule.head);
-    let sends_head = match (&exec, &head_loc) {
-        (LocSpec::Var(ev), Some(LocSpec::Var(hv))) => ev != hv,
-        (LocSpec::Const(ec), Some(LocSpec::Const(hc))) => ec != hc,
-        (_, Some(_)) => true,
-        (_, None) => false,
+/// Rewrite `program` so that every rule's positive body atoms share one
+/// location; rules that do already, and `maybe` rules (run by the legacy
+/// proxy, not the engine), are kept verbatim. A link-restricted rule `rN`
+/// becomes the ship rule `rN_s1` deriving `rN_aux` (declared with set
+/// semantics, so late remote tuples still join) followed by `rN` over it.
+pub fn localize_program(program: &Program) -> Result<Program> {
+    let mut out = Program {
+        materializations: program.materializations.clone(),
+        rules: Vec::new(),
     };
-
-    Ok(LocalizedRule {
-        rule: rule.clone(),
-        exec_location: exec.into_rule_location(),
-        sends_head,
-        remote_locations: remote,
-    })
+    for rule in &program.rules {
+        let split = match rule.kind {
+            RuleKind::Maybe => None,
+            RuleKind::Derive => locations(rule)?,
+        };
+        let Some((exec, remote)) = split else {
+            out.rules.push(rule.clone());
+            continue;
+        };
+        let (ship, local) = split_rule(rule, exec, remote);
+        out.materializations.push(Materialize {
+            relation: ship.head.relation.clone(),
+            lifetime: None,
+            max_size: None,
+            keys: (1..=ship.head.terms.len()).collect(),
+        });
+        out.rules.extend([ship, local]);
+    }
+    Ok(out)
 }
 
-/// Internal representation of an atom's location specifier.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum LocSpec {
-    Var(String),
-    Const(String),
-}
-
-impl LocSpec {
-    fn into_rule_location(self) -> RuleLocation {
-        match self {
-            LocSpec::Var(v) => RuleLocation::Variable(v),
-            LocSpec::Const(c) => RuleLocation::Constant(c),
+/// The execution and remote location variables of a rule whose body spans
+/// two locations; `None` for a rule that runs where all its atoms live.
+/// Refuses, in this order: a second variable location no positive atom links
+/// to the first, more than two locations, and a first atom pinned to a
+/// constant beside a remote variable.
+fn locations(rule: &Rule) -> Result<Option<(&str, &str)>> {
+    let refuse = |message: String| Err(NdlogError::validation(Some(&rule.name), message));
+    let Some(exec) = exec_location(rule) else {
+        return refuse("rule has no location specifier at all".into());
+    };
+    let exec_var = exec.as_variable();
+    let mut remote: Vec<&str> = Vec::new();
+    for atom in rule.positive_atoms() {
+        // Constant-located atoms stay with the local rule; the engine ships
+        // their tuples explicitly.
+        let Some(loc) = atom.location_variable() else {
+            continue;
+        };
+        if Some(loc) == exec_var || remote.contains(&loc) {
+            continue;
         }
+        if let Some(ev) = exec_var {
+            let linked = rule.positive_atoms().any(|a| {
+                let vars = a.variables();
+                vars.iter().any(|v| v == ev) && vars.iter().any(|v| v == loc)
+            });
+            if !linked {
+                return refuse(format!(
+                    "body atoms live at different, unlinked locations `{ev}` and `{loc}`; \
+                     rewrite the rule (link restriction) before execution"
+                ));
+            }
+        }
+        remote.push(loc);
+    }
+    match (exec_var, remote.as_slice()) {
+        (_, []) => Ok(None),
+        (_, [_, _, ..]) => refuse(
+            "rules spanning more than two locations are not supported; split the rule manually"
+                .into(),
+        ),
+        (None, _) => refuse(
+            "cannot localize a rule whose first atom is pinned to a constant location".into(),
+        ),
+        (Some(exec), &[remote]) => Ok(Some((exec, remote))),
     }
 }
 
-fn atom_location(p: &crate::ast::Predicate) -> Option<LocSpec> {
-    p.terms.iter().find(|t| t.is_location()).map(|t| match t {
-        Term::Variable { name, .. } => LocSpec::Var(name.clone()),
-        Term::Constant { value, .. } => {
-            LocSpec::Const(value.to_string().trim_matches('"').to_string())
+/// Split one link-restricted rule into its ship rule and its local rule.
+fn split_rule(rule: &Rule, exec: &str, remote: &str) -> (Rule, Rule) {
+    let (mut exec_atoms, mut remote_atoms, mut rest) = (Vec::new(), Vec::new(), Vec::new());
+    for elem in &rule.body {
+        match elem {
+            BodyElem::Atom(p) if !p.negated && p.location_variable() == Some(exec) => {
+                exec_atoms.push(elem.clone())
+            }
+            BodyElem::Atom(p) if !p.negated => remote_atoms.push(elem.clone()),
+            other => rest.push(other.clone()),
         }
-        _ => unreachable!("aggregates/wildcards cannot carry @"),
-    })
+    }
+    // What the rest of the rule reads: remote atoms, filters, assignments,
+    // negated atoms and the head.
+    let mut needed: BTreeSet<String> = rule.head.variables().into_iter().collect();
+    for elem in remote_atoms.iter().chain(&rest) {
+        match elem {
+            BodyElem::Atom(p) => needed.extend(p.variables()),
+            BodyElem::Assign { expr, .. } | BodyElem::Filter(expr) => {
+                let mut vars = Vec::new();
+                expr.variables(&mut vars);
+                needed.extend(vars);
+            }
+        }
+    }
+    // The aux tuple lives at the remote location and carries, sorted, every
+    // exec-side variable the rest reads.
+    let exec_vars: BTreeSet<String> = exec_atoms
+        .iter()
+        .filter_map(BodyElem::as_atom)
+        .flat_map(Predicate::variables)
+        .collect();
+    let mut aux_terms = vec![Term::loc_var(remote)];
+    aux_terms.extend(
+        exec_vars
+            .iter()
+            .filter(|v| needed.contains(*v) && *v != remote)
+            .map(Term::var),
+    );
+    let aux = Predicate::new(format!("{}_aux", rule.name), aux_terms);
+    let ship = Rule {
+        name: format!("{}_s1", rule.name),
+        head: aux.clone(),
+        body: exec_atoms,
+        kind: RuleKind::Derive,
+    };
+    let mut body = vec![BodyElem::Atom(aux)];
+    body.extend(remote_atoms);
+    body.extend(rest);
+    let local = Rule {
+        body,
+        ..rule.clone()
+    };
+    (ship, local)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse_rule;
+    use crate::{parse_program, parse_rule};
+
+    fn exec_of(src: &str) -> String {
+        exec_location(&parse_rule(src).unwrap())
+            .unwrap()
+            .to_string()
+    }
 
     #[test]
     fn local_rule_is_not_a_send_rule() {
         let rule = parse_rule("r1 cost(@S,D,C) :- link(@S,D,C).").unwrap();
-        let lr = localize_rule(&rule).unwrap();
-        assert_eq!(lr.exec_location, RuleLocation::Variable("S".into()));
-        assert!(!lr.sends_head);
-        assert!(lr.remote_locations.is_empty());
+        assert_eq!(exec_location(&rule), Some(&Term::loc_var("S")));
+        assert_eq!(locations(&rule).unwrap(), None);
     }
 
     #[test]
     fn send_rule_detected_when_head_location_differs() {
-        // Executes at S (location of the first atom) and ships `cost` to Z? No:
-        // head is at @D which is a plain variable of the body -> shipped.
-        let rule = parse_rule("r1 reach(@D,S) :- link(@S,D,C).").unwrap();
-        let lr = localize_rule(&rule).unwrap();
-        assert_eq!(lr.exec_location, RuleLocation::Variable("S".into()));
-        assert!(lr.sends_head);
+        // Runs at S, where `link` lives; `reach` is shipped to D.
+        assert_eq!(exec_of("r1 reach(@D,S) :- link(@S,D,C)."), "@S");
     }
 
     #[test]
@@ -202,35 +204,42 @@ mod tests {
         // legal (the classic path-vector pattern).
         let rule =
             parse_rule("r2 cost(@S,D,C) :- link(@S,Z,C1), cost(@Z,D,C2), C := C1 + C2.").unwrap();
-        let lr = localize_rule(&rule).unwrap();
-        assert_eq!(lr.exec_location, RuleLocation::Variable("S".into()));
-        assert_eq!(lr.remote_locations, vec!["Z".to_string()]);
-        assert!(!lr.sends_head);
+        assert_eq!(locations(&rule).unwrap(), Some(("S", "Z")));
     }
 
     #[test]
     fn unlinked_locations_are_rejected() {
         let rule = parse_rule("r1 bad(@S,D) :- a(@S,X), b(@D,Y).").unwrap();
-        let err = localize_rule(&rule).unwrap_err();
-        assert!(err.to_string().contains("unlinked"));
+        let err = locations(&rule).unwrap_err().to_string();
+        assert!(err.contains("unlinked") && err.contains("`r1`"), "{err}");
     }
 
     #[test]
     fn constant_location_rule() {
-        let rule = parse_rule("r1 report(@\"collector\",N,C) :- status(@N,C).").unwrap();
-        let lr = localize_rule(&rule).unwrap();
-        assert_eq!(lr.exec_location, RuleLocation::Variable("N".into()));
-        assert!(lr.sends_head);
+        // A constant head: the rule runs at N and ships to the collector.
+        assert_eq!(
+            exec_of("r1 report(@\"collector\",N,C) :- status(@N,C)."),
+            "@N"
+        );
+        // A first atom pinned to a constant: the rule runs at that node.
+        assert_eq!(exec_of("r1 x(@S) :- y(@\"n1\",S)."), "@\"n1\"");
+        // No located body atom: the head's location.
+        assert_eq!(exec_of("r1 x(@\"n1\",X) :- X := 1."), "@\"n1\"");
     }
 
     #[test]
     fn localize_rules_processes_all() {
-        let rules = vec![
-            parse_rule("r1 cost(@S,D,C) :- link(@S,D,C).").unwrap(),
-            parse_rule("r3 minCost(@S,D,min<C>) :- cost(@S,D,C).").unwrap(),
-        ];
-        let localized = localize_rules(&rules).unwrap();
-        assert_eq!(localized.len(), 2);
-        assert!(localized.iter().all(|lr| !lr.sends_head));
+        let program = parse_program(
+            "r1 cost(@S,D,C) :- link(@S,D,C).\n\
+             r2 cost(@S,D,C) :- link(@S,Z,C1), cost(@Z,D,C2), C := C1 + C2.\n\
+             r3 minCost(@S,D,min<C>) :- cost(@S,D,C).",
+        )
+        .unwrap();
+        let localized = localize_program(&program).unwrap();
+        let names: Vec<&str> = localized.rules.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(names, ["r1", "r2_s1", "r2", "r3"]);
+        for rule in &localized.rules {
+            assert_eq!(locations(rule).unwrap(), None, "{}", rule.name);
+        }
     }
 }

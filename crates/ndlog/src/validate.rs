@@ -9,10 +9,10 @@
 //! 2. **Location well-formedness**: every atom of a rule must have exactly one
 //!    location specifier (the convention in NDlog is that the first attribute
 //!    carries `@`), and the head must have one too.
-//! 3. **Link restriction** (distribution safety): all positive body atoms must
-//!    agree on a single location variable *or* be joined through a `link`-like
-//!    predicate that mentions both locations, so the rule can be evaluated at
-//!    one node and its results shipped (see [`crate::localize`]).
+//! 3. **Link restriction** (distribution safety) is not checked here:
+//!    [`crate::localize::localize_program`] enforces it when it splits a rule
+//!    across two locations, and refuses a rule whose locations no positive
+//!    atom links.
 //! 4. **Aggregates**: at most one aggregate per head, and the aggregated
 //!    variable must be bound in the body.
 //! 5. **Builtins**: called functions must exist and have the right arity.

@@ -49,7 +49,10 @@ mod tests {
     #[test]
     fn recursive_rule_is_link_restricted() {
         let program = ndlog::compile(PROGRAM).unwrap();
-        let localized = ndlog::localize::localize_rule(program.rule("mc2").unwrap()).unwrap();
-        assert_eq!(localized.remote_locations, vec!["Z".to_string()]);
+        let localized = ndlog::localize_program(&program).unwrap();
+        let names: Vec<&str> = localized.rules.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(names, ["mc1", "mc2_s1", "mc2", "mc3"]);
+        let ship = localized.rule("mc2_s1").unwrap();
+        assert_eq!(ship.head.location_variable(), Some("Z"));
     }
 }

@@ -7,14 +7,18 @@
 //! views over base and derived tuples" (NetTrails, Section 2.2).
 //!
 //! [`rewrite_for_provenance`] reproduces that rewrite at the NDlog level: for
-//! every derivation rule `rN h(@L, ...) :- b1(@L, ...), ..., bk(@L, ...)` of a
-//! (localized) program it appends
+//! every derivation rule `rN h(@HLoc, ...) :- b1(@L, ...), ..., bk(@L, ...)` of
+//! a (localized) program it appends
 //!
 //! ```text
 //! rN_exec ruleExec(@L, RID, "rN", VIDLIST) :- b1(@L,...), ..., bk(@L,...),
 //!         VID1 := f_sha1(...), ..., VIDLIST := ..., RID := f_sha1(...).
-//! rN_prov prov(@HLoc, VID, RID, @L)        :- ruleExec(@L, RID, "rN", ...), ...
+//! rN_prov prov(@HLoc, VID, RID, L)         :- b1(@L,...), ..., bk(@L,...),
+//!         ..., RID := f_sha1(...), VID := f_sha1(...).
 //! ```
+//!
+//! `L`, where the rule runs, is [`ndlog::exec_location`]'s: the one placement
+//! the runtime's localization reads too, a variable or a constant node.
 //!
 //! The rewritten program is what a pure NDlog deployment would execute. The
 //! NetTrails runtime in this repository captures the same information through
@@ -24,8 +28,8 @@
 //! the paper's algorithm.
 
 use ndlog::{
-    Aggregate, AggregateFunc, BodyElem, Expr, Literal, Materialize, Predicate, Program, Rule,
-    RuleKind, Term,
+    exec_location, Aggregate, AggregateFunc, BodyElem, Expr, Literal, Materialize, Predicate,
+    Program, Rule, RuleKind, Term,
 };
 
 /// Name of the provenance relation (`prov(@Loc, VID, RID, RLoc)`).
@@ -66,11 +70,13 @@ pub fn rewrite_for_provenance(program: &Program) -> Program {
 
 /// Generate the `ruleExec` and `prov` capture rules for one derivation rule.
 fn rewrite_rule(rule: &Rule) -> Option<Vec<Rule>> {
-    let exec_loc = rule
-        .positive_atoms()
-        .next()
-        .and_then(|a| a.location_variable().map(str::to_string))
-        .or_else(|| rule.head.location_variable().map(str::to_string))?;
+    // Where the rule runs, as localization decides it: `ruleExec`'s location
+    // and, as a plain attribute, `prov`'s RLoc.
+    let exec_loc = exec_location(rule)?.clone();
+    let mut rloc = exec_loc.clone();
+    if let Term::Variable { location, .. } | Term::Constant { location, .. } = &mut rloc {
+        *location = false;
+    }
     let head_loc = rule.head.location_variable().map(str::to_string)?;
 
     // VID expressions for every positive body atom: f_sha1 over a list of the
@@ -117,7 +123,7 @@ fn rewrite_rule(rule: &Rule) -> Option<Vec<Rule>> {
         head: Predicate::new(
             RULE_EXEC_RELATION,
             vec![
-                Term::loc_var(&exec_loc),
+                exec_loc,
                 Term::var("Rid"),
                 Term::Constant {
                     value: Literal::Str(rule.name.clone()),
@@ -151,7 +157,7 @@ fn rewrite_rule(rule: &Rule) -> Option<Vec<Rule>> {
                 Term::loc_var(&head_loc),
                 Term::var("HeadVid"),
                 Term::var("Rid"),
-                Term::var(&exec_loc),
+                rloc,
             ],
         ),
         body: prov_body,
@@ -274,5 +280,18 @@ mod tests {
         assert_eq!(prov_rule.head.location_variable(), Some("D"));
         let exec_rule = rewritten.rule("r1_exec").unwrap();
         assert_eq!(exec_rule.head.location_variable(), Some("S"));
+    }
+
+    #[test]
+    fn a_rule_whose_first_atom_is_pinned_runs_at_that_node() {
+        // `y` lives at n1, so the rule runs there, not at the head's S.
+        let program = parse_program("r1 x(@S) :- y(@\"n1\",S).").unwrap();
+        let rewritten = rewrite_for_provenance(&program);
+        validate_program(&rewritten).unwrap();
+        let exec_head = &rewritten.rule("r1_exec").unwrap().head;
+        assert_eq!(exec_head.terms[0].to_string(), "@\"n1\"");
+        let prov_head = &rewritten.rule("r1_prov").unwrap().head;
+        assert_eq!(prov_head.location_variable(), Some("S"));
+        assert_eq!(prov_head.terms[3].to_string(), "\"n1\"");
     }
 }

@@ -310,7 +310,7 @@ mod tests {
         // it as `mc2_aux`'s location; `cost.1` and `minCost.1` only through
         // the rules that copy it, one of which comes before `mc2_s1`.
         let program = parse_program(MINCOST).unwrap();
-        let localized = crate::transform::localize_program(&program).unwrap();
+        let localized = ndlog::localize_program(&program).unwrap();
         let catalog = Catalog::from_program(&localized).unwrap();
         for relation in ["link", "cost", "minCost"] {
             assert_eq!(addr_cols(&catalog, relation), [0, 1], "{relation}");

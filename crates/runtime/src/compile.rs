@@ -1,9 +1,8 @@
 //! Compilation of validated NDlog programs into the runtime representation.
 //!
 //! Compilation performs, in order: validation, automatic localization
-//! ([`crate::transform::localize_program`]), catalog construction, and
-//! per-rule analysis (execution location, aggregate detection, trigger
-//! tables). Everything a rule evaluation would otherwise look up by name is
+//! ([`ndlog::localize_program`]), catalog construction, and
+//! per-rule analysis (aggregate detection, trigger tables). Everything a rule evaluation would otherwise look up by name is
 //! resolved here, once: the join order per trigger position, the columns each
 //! join step can probe on, and — [`SlotProgram::compile`] — every variable to
 //! a dense slot index, every constant to a [`Value`] — a text where an
@@ -338,7 +337,7 @@ impl CompiledProgram {
     /// Compile an already-parsed program (it is re-validated).
     pub fn from_program(program: Program) -> Result<Self> {
         ndlog::validate_program(&program)?;
-        let localized = crate::transform::localize_program(&program)?;
+        let localized = ndlog::localize_program(&program)?;
         ndlog::validate_program(&localized)?;
         let catalog = Catalog::from_program(&localized)?;
 
@@ -600,6 +599,56 @@ mod tests {
         assert_eq!(link_triggers.len(), 2);
         // The aux relation exists in the catalog.
         assert!(cp.catalog.schema("r2_aux").is_some());
+    }
+
+    /// Localization's refusals, each naming its rule, in the order it checks
+    /// them: unlinked locations, then more than two, then a first atom pinned
+    /// to a constant; and the shapes it accepts beside them. Caught: dropping
+    /// the link check, and checking the constant before the count.
+    #[test]
+    fn localization_refusals_come_in_order_and_name_the_rule() {
+        let refused = [
+            ("r1 bad(@S,D) :- a(@S,X), b(@D,Y).", "unlinked"),
+            (
+                "r1 tri(@S,X) :- link(@S,Z,C1), link2(@Z,W,C2), data(@W,X).",
+                "unlinked",
+            ),
+            (
+                "r1 tri(@S,X) :- link(@S,Z,W), a(@Z,X), b(@W,Y).",
+                "more than two",
+            ),
+            (
+                "r1 x(@S,X) :- y(@\"n1\",S), z(@S,X).",
+                "pinned to a constant",
+            ),
+            (
+                "r1 x(@S,Y) :- y(@\"n1\",S,X), z(@S,W), w(@X,Y).",
+                "more than two",
+            ),
+        ];
+        for (src, why) in refused {
+            let err = match CompiledProgram::from_source(src) {
+                Ok(_) => panic!("{src} compiled"),
+                Err(e) => e.to_string(),
+            };
+            assert!(err.contains("`r1`") && err.contains(why), "{src}: {err}");
+        }
+        // A link-restricted rule ships to its remote location Z.
+        let cp = CompiledProgram::from_source(
+            "r2 cost(@S,D,C) :- link(@S,Z,C1), cost(@Z,D,C2), C := C1 + C2.",
+        )
+        .unwrap();
+        let ship = cp.localized.rule("r2_s1").unwrap();
+        assert_eq!(ship.head.location_variable(), Some("Z"));
+        // A constant head, and a rule pinned to a constant with no remote
+        // side, compile as they are.
+        for src in [
+            "r1 report(@\"collector\",N,C) :- status(@N,C).",
+            "r1 x(@S) :- y(@\"n1\",S).",
+        ] {
+            let cp = CompiledProgram::from_source(src).unwrap();
+            assert_eq!(cp.localized, cp.source, "{src}");
+        }
     }
 
     #[test]

@@ -14,8 +14,6 @@
 //! * [`catalog::Catalog`] — relation schemas inferred from a program;
 //! * [`store::Database`] — per-node tables with derivation tracking, the
 //!   outbox of remote heads and the reverse dependency index;
-//! * [`transform::localize_program`] — the automatic localization rewrite that
-//!   turns link-restricted rules into purely local rules plus tuple shipping;
 //! * [`compile::CompiledProgram`] — a validated, localized, executable program:
 //!   join plans plus one [`eval::SlotProgram`] per rule;
 //! * [`eval::Frame`] / [`eval::SlotExpr`] — the slot-program interpreter (the
@@ -31,7 +29,6 @@ pub mod eval;
 mod few;
 mod morsel;
 pub mod store;
-pub mod transform;
 pub mod tuple;
 pub mod value;
 

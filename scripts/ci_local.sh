@@ -57,6 +57,17 @@ test_job() {
     #     ruleExec's rule name not;
     #   nt-runtime proptest_probe_mask, proptest_columnar_equivalence,
     #     proptest_slot_equivalence — a text probe never finds an address;
+    # the oracles of one placement (ndlog::localize decides where a rule runs):
+    #   scenario provenance_rewrite
+    #     (rule_exec_and_prov_sit_where_localization_runs_the_rule) — for every
+    #     derivation rule of every shipped localized program, ruleExec's @ and
+    #     prov's RLoc are ndlog::exec_location's term;
+    #   nt-runtime compile::tests::localization_refusals_come_in_order_and_name_the_rule
+    #     — unlinked locations, then more than two, then a first atom pinned
+    #     to a constant, each an Err naming the rule;
+    # the oracle of a replay diff keyed by identity:
+    #   logstore cursor_equivalence — between and the in-place step equal a
+    #     between_reference keyed by (node, tuple id), never by rendering;
     # the laws of one identity per value, shared or not:
     #   nt-runtime proptest_value_laws (a_shared_list_is_its_content,
     #     canonicalizing_a_shared_list_copies_it) — a clone and a rebuilt
