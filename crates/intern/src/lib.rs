@@ -33,10 +33,9 @@
 //! The crate also owns both hashers, which do two different jobs:
 //!
 //! * [`StableHasher`] makes *identities* — runtime tuple ids, provenance
-//!   rule-execution ids ([`rule_exec_digest`]), shard routes: FNV-1a, byte by
-//!   byte, the same in every process, so every layer derives identifiers from
-//!   one implementation and interned vs. string inputs cannot silently
-//!   diverge.
+//!   rule-execution ids ([`rule_exec_digest`]): FNV-1a, byte by byte, the
+//!   same in every process, so every layer derives identifiers from one
+//!   implementation and interned vs. string inputs cannot silently diverge.
 //! * [`IdHasher`] *probes maps*: one multiply per word, keyed per process.
 //!   What it returns is never stored, shipped or compared across processes.
 
@@ -87,9 +86,8 @@ thread_local! {
     /// Per-thread id → string cache. Interned strings are immutable and
     /// leaked and ids are assigned once, so a cached entry can never go
     /// stale — after the first resolution of an id on a thread, `as_str` is
-    /// lock-free. This matters for shard-parallel provenance maintenance:
-    /// worker threads resolve names in every digest, and a shared
-    /// `RwLock::read` on that path serializes them on one cache line.
+    /// lock-free. Every digest and every encoded frame resolves names, and a
+    /// shared `RwLock::read` on that path would be taken each time.
     static RESOLVED: RefCell<Vec<Option<&'static str>>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -516,23 +514,6 @@ impl StableHasher {
     }
 }
 
-/// The single implementation of shard routing: map an interned node to one of
-/// `shards` home shards by a stable hash of its *name*.
-///
-/// Every layer that partitions work by node — the runtime's firing stream
-/// tags, the provenance shard router — calls this function, so a node can
-/// never be homed to different shards by different layers. The hash covers
-/// the resolved string (never the intern id), making placement identical
-/// across processes and independent of interning order.
-pub fn shard_route(node: NodeId, shards: usize) -> usize {
-    if shards <= 1 {
-        return 0;
-    }
-    let mut h = StableHasher::new();
-    h.write_str(node.as_str());
-    (h.finish() % shards as u64) as usize
-}
-
 /// The single implementation of the rule-execution digest: a stable hash of
 /// the rule name, the executing node and the input tuple identifiers.
 ///
@@ -720,31 +701,6 @@ mod tests {
         assert_eq!(content.as_str(), Some("serde-node"));
         let back: NodeId = serde::from_content(content).unwrap();
         assert_eq!(back, n);
-    }
-
-    #[test]
-    fn shard_route_is_stable_and_name_based() {
-        let n = NodeId::new("route-node");
-        // Single shard always routes home 0, any shard count is in range and
-        // deterministic across calls (the hash covers the name, not the id).
-        assert_eq!(shard_route(n, 0), 0);
-        assert_eq!(shard_route(n, 1), 0);
-        for shards in [2usize, 4, 8, 13] {
-            let s = shard_route(n, shards);
-            assert!(s < shards);
-            assert_eq!(s, shard_route(NodeId::new("route-node"), shards));
-        }
-        // A reasonable spread: 64 nodes over 4 shards never collapse into one.
-        let mut seen = [false; 4];
-        for i in 0..64 {
-            seen[shard_route(NodeId::new(&format!("spread{i}")), 4)] = true;
-        }
-        assert!(seen.iter().all(|&s| s), "all 4 shards receive nodes");
-        // Absolute pins: placement is part of the cross-shard record counts
-        // every sharded run reports, so a change to the hash must fail here.
-        for (name, shards, home) in [("n1", 4, 2), ("n17", 8, 4), ("route-node", 4, 3)] {
-            assert_eq!(shard_route(NodeId::new(name), shards), home, "{name}");
-        }
     }
 
     #[test]

@@ -59,6 +59,8 @@
 
 pub mod demo;
 mod engines;
+#[doc(hidden)]
+pub mod fence;
 pub mod platform;
 pub mod report;
 

@@ -7,8 +7,8 @@ use nt_runtime::{
 };
 use provenance::{
     ProvGraph, ProvenanceSystem, QueryBatch, QueryEngine, QueryExecutor, QueryHandle, QueryKind,
-    QueryMode, QueryOptions, QueryResult, QuerySpec, QueryStats, RuleExecNode, ShardStats,
-    SystemStats, TraversalOrder, QUERY_CATEGORY,
+    QueryMode, QueryOptions, QueryResult, QuerySpec, QueryStats, RuleExecNode, SystemStats,
+    TraversalOrder, QUERY_CATEGORY,
 };
 use serde::{Deserialize, Serialize};
 use simnet::{Delivered, Network, NetworkConfig, SimTime, Topology, TopologyEvent, TrafficStats};
@@ -82,23 +82,20 @@ pub struct NetTrailsConfig {
     /// misrouted delta fails loudly in debug builds — it means the program
     /// derived a head whose location attribute names an unknown node.
     pub tolerate_misrouted: bool,
-    /// Number of worker shards the provenance arena is partitioned across.
-    /// Each round's firing stream is partitioned by `head_home` and
-    /// maintained shard-parallel; cross-shard `ruleExec` halves travel in
-    /// per-destination maintenance batches. `1` (the default) is the
-    /// sequential reference path; any value yields a bit-identical graph
-    /// (see `provenance::shard`).
+    /// Accepts 1 only: provenance is one arena. [`NetTrails::new`] refuses
+    /// any other value.
+    // fence: benchmark/src/layered.rs:250
+    #[doc(hidden)]
     pub prov_shards: usize,
-    /// Evaluate each engine generation's monotonic rule triggers with up to
-    /// this many shared-pool workers (the morsel-driven parallel fixpoint).
-    /// `1` (the default) is the inline sequential path; any value yields
-    /// bit-identical engine output (see `nt_runtime::engine`).
+    /// Accepts 1 only: a generation evaluates on its engine's thread.
+    /// [`NetTrails::new`] refuses any other value.
+    // fence: benchmark/src/layered.rs:242
+    #[doc(hidden)]
     pub fixpoint_workers: usize,
-    /// Minimum trigger tasks in an engine generation before morsels are
-    /// dispatched to the pool (below it evaluation runs inline with zero
-    /// pool traffic). Defaults to `nt_runtime::FIXPOINT_DISPATCH_THRESHOLD`;
-    /// `0` forces every parallel-configured generation through the pool —
-    /// used by the end-to-end equivalence tests.
+    /// Accepts 64 only: nothing is dispatched. [`NetTrails::new`] refuses
+    /// any other value.
+    // fence: benchmark/src/layered.rs:243
+    #[doc(hidden)]
     pub fixpoint_dispatch_threshold: usize,
     /// Store engine tables column-major with dictionary-encoded address
     /// columns and vectorized join probes (the default). Disable for the
@@ -124,9 +121,9 @@ impl Default for NetTrailsConfig {
             use_join_indexes: true,
             batch_shipping: true,
             tolerate_misrouted: false,
-            prov_shards: 1,
-            fixpoint_workers: 1,
-            fixpoint_dispatch_threshold: nt_runtime::FIXPOINT_DISPATCH_THRESHOLD,
+            prov_shards: provenance::fence::PROV_SHARDS,
+            fixpoint_workers: nt_runtime::fence::FIXPOINT_WORKERS,
+            fixpoint_dispatch_threshold: nt_runtime::fence::FIXPOINT_DISPATCH_THRESHOLD,
             columnar_storage: true,
             merge_query_frames: false,
         }
@@ -156,24 +153,6 @@ impl NetTrailsConfig {
     pub fn without_batching() -> Self {
         NetTrailsConfig {
             batch_shipping: false,
-            ..NetTrailsConfig::default()
-        }
-    }
-
-    /// A configuration that maintains provenance across `shards` worker
-    /// shards.
-    pub fn with_prov_shards(shards: usize) -> Self {
-        NetTrailsConfig {
-            prov_shards: shards,
-            ..NetTrailsConfig::default()
-        }
-    }
-
-    /// A configuration whose engines evaluate rule triggers with up to
-    /// `workers` shared-pool workers per generation.
-    pub fn with_fixpoint_workers(workers: usize) -> Self {
-        NetTrailsConfig {
-            fixpoint_workers: workers,
             ..NetTrailsConfig::default()
         }
     }
@@ -228,9 +207,11 @@ pub struct PlatformStats {
     pub provenance: SystemStats,
     /// Cross-node provenance maintenance traffic.
     pub provenance_traffic: TrafficStats,
-    /// Cross-shard exchange of the sharded maintenance engine (batches,
-    /// records, dictionary bytes). All zeros when `prov_shards == 1`.
-    pub provenance_sharding: ShardStats,
+    /// No cross-shard exchange: provenance is one arena.
+    // fence: benchmark/src/layered.rs:349
+    // fence: benchmark/src/runs.rs:369
+    #[doc(hidden)]
+    pub provenance_sharding: provenance::fence::ShardStats,
     /// Tuples currently stored across all nodes.
     pub stored_tuples: usize,
 }
@@ -257,21 +238,24 @@ pub struct NetTrails {
 
 impl NetTrails {
     /// Compile `program_src` and instantiate one engine per topology node.
+    ///
+    /// Fails with [`nt_runtime::RuntimeError::Config`] naming the field when
+    /// a fenced field of `config` holds anything but its one legal value
+    /// (see [`crate::fence`]).
     pub fn new(
         program_src: &str,
         topology: Topology,
         config: NetTrailsConfig,
     ) -> nt_runtime::Result<Self> {
+        crate::fence::check_config(&config)?;
         let program = Arc::new(CompiledProgram::from_source(program_src)?);
         let engines = EngineTable::new(topology.nodes().map(|node| {
             let mut engine_config = EngineConfig::new(node);
             engine_config.use_join_indexes = config.use_join_indexes;
-            engine_config.fixpoint_workers = config.fixpoint_workers.max(1);
-            engine_config.fixpoint_dispatch_threshold = config.fixpoint_dispatch_threshold;
             engine_config.columnar_storage = config.columnar_storage;
             NodeEngine::new(program.clone(), engine_config)
         }));
-        let provenance = ProvenanceSystem::with_shards(topology.nodes(), config.prov_shards);
+        let provenance = ProvenanceSystem::new(topology.nodes());
         let network = Network::new(topology, config.network.clone());
         // The local engine's estimate charges one round trip (request +
         // response) at the network's default per-link delay, so its numbers
@@ -424,8 +408,8 @@ impl NetTrails {
     pub fn run_to_fixpoint(&mut self) -> RunReport {
         let mut report = RunReport::default();
         // One round's firing stream: collected across engines (in
-        // deterministic node order) and applied once per round through the
-        // sharded maintenance pipeline, which partitions it by `head_home`.
+        // deterministic node order) and applied once per round, in stream
+        // order.
         let mut round_firings: Vec<Firing> = Vec::new();
         loop {
             // 1. Run every engine with pending deltas to its local fixpoint.
@@ -842,7 +826,7 @@ impl NetTrails {
             network: self.network.stats().clone(),
             provenance: self.provenance.stats(),
             provenance_traffic: self.provenance.maintenance_traffic().clone(),
-            provenance_sharding: self.provenance.shard_stats().clone(),
+            provenance_sharding: Default::default(),
             stored_tuples,
         }
     }
@@ -1568,67 +1552,6 @@ mod tests {
         assert_eq!(
             run(NetTrailsConfig::default()),
             run(NetTrailsConfig::without_batching())
-        );
-    }
-
-    /// Sharded provenance maintenance is invisible to the result: sorted
-    /// protocol output, provenance stats and the per-store content digests
-    /// are bit-identical to the single-shard run for every shard count.
-    #[test]
-    fn sharded_maintenance_matches_single_shard_run() {
-        let run = |shards: usize| {
-            let mut nt = NetTrails::new(
-                protocols::pathvector::PROGRAM,
-                Topology::ladder(3),
-                NetTrailsConfig::with_prov_shards(shards),
-            )
-            .unwrap();
-            nt.seed_links_from_topology();
-            nt.run_to_fixpoint();
-            // Churn: drop a link and re-converge, so retraction maintenance
-            // also goes through the sharded pipeline.
-            nt.apply_topology_event(&TopologyEvent::LinkDown {
-                a: "n2".into(),
-                b: "n3".into(),
-            });
-            let mut rows = nt.relation("bestPathCost");
-            rows.sort();
-            (
-                rows,
-                nt.provenance().stats(),
-                nt.provenance().content_digest(),
-            )
-        };
-        let (rows1, stats1, digest1) = run(1);
-        for shards in [2usize, 4, 8] {
-            let (rows, stats, digest) = run(shards);
-            assert_eq!(rows, rows1, "sorted output identical at S={shards}");
-            assert_eq!(stats, stats1, "provenance stats identical at S={shards}");
-            assert_eq!(digest, digest1, "provenance graph identical at S={shards}");
-        }
-    }
-
-    /// With more than one shard, cross-shard maintenance exchange shows up
-    /// in the platform stats.
-    #[test]
-    fn cross_shard_exchange_is_reported() {
-        let mut nt = NetTrails::new(
-            protocols::mincost::PROGRAM,
-            Topology::ladder(3),
-            NetTrailsConfig::with_prov_shards(4),
-        )
-        .unwrap();
-        nt.seed_links_from_topology();
-        nt.run_to_fixpoint();
-        let sharding = nt.stats().provenance_sharding;
-        assert_eq!(sharding.shards, 4);
-        assert!(sharding.phased_rounds > 0);
-        // Exact: routing is a stable name hash and hand-offs are counted per
-        // shard pair per round, so a moved count is a behaviour change.
-        assert_eq!(
-            (sharding.cross_shard_batches, sharding.cross_shard_records),
-            (24, 98),
-            "a ladder's rules fire across shard boundaries"
         );
     }
 

@@ -1,210 +1,20 @@
-//! Process-wide persistent worker pool.
-//!
-//! The sharded provenance maintenance engine used to spawn scoped threads for
-//! every round's apply phase; on deep fixpoints (hundreds of rounds) the
-//! spawn and join cost dominated the phase itself. This crate keeps one
-//! process-wide pool of long-lived workers — spawned once, parked on a shared
-//! queue — and lets callers dispatch borrowed closures to them. It is shared
-//! by the provenance shard router (per-shard apply passes), the query
-//! executor pump, and the runtime's morsel-driven parallel fixpoint
-//! (per-morsel rule evaluation), which is why it lives in its own crate
-//! below both `nt-runtime` and `provenance`.
-//!
-//! The closures borrow per-round state (shard slices, firing streams, the
-//! engine's database), so they are **not** `'static`. [`run_borrowed`] makes
-//! that sound the same way `std::thread::scope` does: the caller blocks on a
-//! completion barrier (one acknowledgement per task) before returning, so
-//! every borrow strictly outlives the workers' use of it. The lifetime is
-//! erased only to cross the queue, never to outlive the call.
-//!
-//! [`run_borrowed_limited`] additionally caps how many tasks are in flight at
-//! once — the knob the parallel fixpoint sweeps to measure W ∈ {1, 2, 4}
-//! scaling on one machine without re-sizing the pool.
-//!
-//! Workers survive task panics (the panic is caught, the acknowledgement
-//! channel closes, and the dispatching caller propagates the failure), so
-//! one poisoned round cannot leak threads or strand the next round.
+//! What is left of the in-process worker pool: two counters the benchmark
+//! still reads. Engine generations and provenance rounds run on the caller's
+//! thread, so no worker exists and nothing runs jobs.
 
-use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Mutex, OnceLock};
+pub use fence::{jobs_executed, workers};
 
-/// A type-erased unit of work.
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-struct Pool {
-    queue: Sender<Job>,
-    workers: usize,
-}
-
-static POOL: OnceLock<Pool> = OnceLock::new();
-static JOBS_EXECUTED: AtomicU64 = AtomicU64::new(0);
-
-/// Build (once) and return the process-wide pool. One worker per available
-/// core: no caller ever has more runnable tasks than cores worth running
-/// in parallel, and excess tasks simply queue.
-fn pool() -> &'static Pool {
-    POOL.get_or_init(|| {
-        let workers = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        let (tx, rx) = channel::<Job>();
-        let rx = std::sync::Arc::new(Mutex::new(rx));
-        for i in 0..workers {
-            let rx: std::sync::Arc<Mutex<Receiver<Job>>> = rx.clone();
-            std::thread::Builder::new()
-                .name(format!("nt-pool-{i}"))
-                .spawn(move || loop {
-                    let job = {
-                        let guard = rx.lock().expect("pool queue lock");
-                        guard.recv()
-                    };
-                    match job {
-                        Ok(job) => {
-                            JOBS_EXECUTED.fetch_add(1, Ordering::Relaxed);
-                            // Keep the worker alive across task panics; the
-                            // dispatcher notices the missing acknowledgement.
-                            let _ = std::panic::catch_unwind(AssertUnwindSafe(job));
-                        }
-                        // The queue sender lives in a static: this only
-                        // happens at process teardown.
-                        Err(_) => return,
-                    }
-                })
-                .expect("spawn pool worker");
-        }
-        Pool { queue: tx, workers }
-    })
-}
-
-/// Number of long-lived workers in the pool (0 until first use).
-pub fn workers() -> usize {
-    POOL.get().map(|p| p.workers).unwrap_or(0)
-}
-
-/// Total jobs ever executed by the pool (tests assert reuse: this grows
-/// while [`workers`] stays constant).
-pub fn jobs_executed() -> u64 {
-    JOBS_EXECUTED.load(Ordering::Relaxed)
-}
-
-/// Run every task on the persistent pool and return their results in task
-/// order. Blocks until all tasks finished — the completion barrier that
-/// makes the borrowed (non-`'static`) closures sound.
-///
-/// Panics if a task panicked (mirroring the `join().expect(..)` behavior of
-/// the scoped-thread code this replaces).
-pub fn run_borrowed<'env, R: Send + 'env>(
-    tasks: Vec<Box<dyn FnOnce() -> R + Send + 'env>>,
-) -> Vec<R> {
-    let limit = tasks.len();
-    run_borrowed_limited(tasks, limit)
-}
-
-/// Like [`run_borrowed`], but keeps at most `limit` tasks in flight at once:
-/// the first `limit` tasks are dispatched immediately and each completion
-/// acknowledgement releases the next. With `limit >= tasks.len()` this is
-/// exactly [`run_borrowed`]; with `limit == 1` the tasks run one at a time
-/// (still on pool threads). Results come back in task order either way.
-///
-/// Panics if a task panicked or if `limit == 0` with tasks pending.
-pub fn run_borrowed_limited<'env, R: Send + 'env>(
-    tasks: Vec<Box<dyn FnOnce() -> R + Send + 'env>>,
-    limit: usize,
-) -> Vec<R> {
-    let n = tasks.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    assert!(limit > 0, "cannot run tasks with a zero in-flight limit");
-    let (done_tx, done_rx) = channel::<(usize, R)>();
-    let dispatch = |index: usize, task: Box<dyn FnOnce() -> R + Send + 'env>| {
-        let done = done_tx.clone();
-        let job: Box<dyn FnOnce() + Send + 'env> = Box::new(move || {
-            let result = task();
-            // The dispatcher may have given up (it panics on a lost task
-            // and drops the receiver); a failed send is then irrelevant.
-            let _ = done.send((index, result));
-        });
-        // SAFETY: the job only borrows data alive for 'env, and this
-        // function does not return until every job has acknowledged
-        // completion (or a loss is detected, which panics and aborts the
-        // round) — so the erased borrows never dangle. This is the same
-        // contract std::thread::scope enforces, expressed over a queue.
-        let job: Job = unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Job>(job) };
-        pool().queue.send(job).expect("pool queue closed");
-    };
-    let mut pending = tasks.into_iter().enumerate();
-    for (index, task) in pending.by_ref().take(limit) {
-        dispatch(index, task);
-    }
-    let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    for _ in 0..n {
-        let (index, result) = done_rx.recv().expect("pool worker task panicked");
-        results[index] = Some(result);
-        if let Some((next_index, task)) = pending.next() {
-            dispatch(next_index, task);
-        }
-    }
-    drop(done_tx);
-    results
-        .into_iter()
-        .map(|r| r.expect("every task reported"))
-        .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn results_come_back_in_task_order() {
-        let inputs: Vec<usize> = (0..32).collect();
-        let tasks: Vec<Box<dyn FnOnce() -> usize + Send + '_>> = inputs
-            .iter()
-            .map(|&i| Box::new(move || i * 2) as Box<dyn FnOnce() -> usize + Send + '_>)
-            .collect();
-        let results = run_borrowed(tasks);
-        assert_eq!(results, (0..32).map(|i| i * 2).collect::<Vec<_>>());
+#[doc(hidden)]
+pub mod fence {
+    /// Jobs run by pool workers: none.
+    // fence: benchmark/src/runs.rs:343
+    pub fn jobs_executed() -> u64 {
+        0
     }
 
-    #[test]
-    fn workers_are_spawned_once_and_reused() {
-        let borrowed = vec![1u64, 2, 3, 4];
-        let run = |data: &Vec<u64>| {
-            let tasks: Vec<Box<dyn FnOnce() -> u64 + Send + '_>> = data
-                .iter()
-                .map(|v| Box::new(move || *v + 1) as Box<dyn FnOnce() -> u64 + Send + '_>)
-                .collect();
-            run_borrowed(tasks)
-        };
-        let first = run(&borrowed);
-        let spawned = workers();
-        let jobs_after_first = jobs_executed();
-        let second = run(&borrowed);
-        assert_eq!(first, vec![2, 3, 4, 5]);
-        assert_eq!(first, second);
-        assert_eq!(workers(), spawned, "no re-spawning between rounds");
-        assert!(jobs_executed() >= jobs_after_first + borrowed.len() as u64);
-    }
-
-    #[test]
-    fn limited_dispatch_returns_results_in_task_order() {
-        let inputs: Vec<usize> = (0..48).collect();
-        for limit in [1usize, 2, 4, 64] {
-            let tasks: Vec<Box<dyn FnOnce() -> usize + Send + '_>> = inputs
-                .iter()
-                .map(|&i| Box::new(move || i * 3) as Box<dyn FnOnce() -> usize + Send + '_>)
-                .collect();
-            let results = run_borrowed_limited(tasks, limit);
-            assert_eq!(results, (0..48).map(|i| i * 3).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn empty_task_list_is_a_no_op() {
-        let tasks: Vec<Box<dyn FnOnce() -> u8 + Send + 'static>> = Vec::new();
-        assert!(run_borrowed_limited(tasks, 1).is_empty());
+    /// Pool workers spawned: none.
+    // fence: benchmark/src/runs.rs:344
+    pub fn workers() -> usize {
+        0
     }
 }

@@ -34,15 +34,11 @@ pub mod graph;
 pub mod proql;
 pub mod query;
 pub mod rewrite;
-pub mod shard;
 pub mod store;
 pub mod system;
 
-/// The process-wide persistent worker pool, hoisted into its own `nt-pool`
-/// crate so the runtime's parallel fixpoint can share it without a dependency
-/// cycle. Re-exported here so existing `provenance::pool::*` callers (the
-/// sharded apply phase, the query executor pump) keep working unchanged.
-pub use nt_pool as pool;
+#[doc(hidden)]
+pub mod fence;
 
 pub use graph::{ProvEdge, ProvGraph, ProvVertex, VertexId};
 pub use proql::{parse_query as parse_proql, ProqlQuery, ProqlResult};
@@ -51,6 +47,5 @@ pub use query::{
     QueryOptions, QueryResult, QuerySpec, QueryStats, RuleExecNode, TraversalOrder, QUERY_CATEGORY,
 };
 pub use rewrite::{rewrite_for_provenance, PROV_RELATION, RULE_EXEC_RELATION};
-pub use shard::{MaintRecord, ProvenanceShard, ShardStats, MAINTENANCE_CATEGORY};
 pub use store::{ProvEntry, ProvStoreStats, ProvenanceStore, RuleExec, RuleExecId};
-pub use system::{ProvenanceSystem, SystemStats};
+pub use system::{ProvenanceSystem, SystemStats, MAINTENANCE_CATEGORY};

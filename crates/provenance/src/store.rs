@@ -294,7 +294,7 @@ impl ProvenanceStore {
 
     /// Number of tuple vertices at this node. It moves exactly when
     /// [`Self::add_prov`] creates a vertex or [`Self::remove_prov`] drops
-    /// one, which is how the owning shard keeps its home index in step
+    /// one, which is how the system keeps its home index in step
     /// without a second probe per entry.
     pub(crate) fn vertex_count(&self) -> usize {
         self.vertices.len()

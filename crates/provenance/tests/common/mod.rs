@@ -2,14 +2,12 @@
 //! of candidate firings over a small multi-node network.
 //!
 //! Used by `proptest_prov_equivalence.rs` (incremental churn vs scratch
-//! rebuild), `proptest_sharded_equivalence.rs` (sharded vs single-shard
-//! maintenance) and `proptest_home_index.rs` (keyed vertex reads vs the
+//! rebuild) and `proptest_home_index.rs` (keyed vertex reads vs the
 //! any-store scan); `size_independence.rs` borrows [`base_firing`].
 
 use nt_runtime::{base_rule_sym, Firing, NodeId, Sym, Tuple, Value};
 
-/// The nodes of the harness network. Eight nodes so that shard counts 2 and
-/// 4 both split them across several shards.
+/// The nodes of the harness network.
 pub const NODES: [&str; 8] = ["n1", "n2", "n3", "n4", "n5", "n6", "n7", "n8"];
 
 pub fn node(i: usize) -> NodeId {
@@ -39,7 +37,7 @@ pub fn base_firing(head: &Tuple, home: NodeId, insert: bool) -> Firing {
 /// and for each later layer one derived firing per position joining two
 /// layer-below tuples, plus an alternative derivation every third position
 /// (so some heads have multiple prov entries). Heads are homed one node over
-/// from the executing node, so derived firings cross nodes (and shards).
+/// from the executing node, so derived firings cross nodes.
 pub fn firing_pool(layers: usize, width: usize) -> Vec<Firing> {
     let mut pool = Vec::new();
     for i in 0..width {

@@ -1,18 +1,19 @@
 //! A vertex lookup is a keyed read, and it answers exactly as the scan did.
 //!
-//! `ProvenanceSystem::vertex_home` reads each shard's `vid → store` home
+//! `ProvenanceSystem::vertex_home` reads the system's `vid → store` home
 //! index, and `ProvenanceSystem::tuple_at` reads the store of the node it is
-//! given before anything else. Both replaced a `find` over every store of
-//! every shard. That scan lives on here as the oracle: after every round of
-//! random insert/retract churn, at S ∈ {1, 2, 4}, both reads must equal it
-//! for every vid the stream could ever mention — homed, multi-homed, dropped
-//! or never homed at all.
+//! given before anything else. Both replaced a `find` over every store. That
+//! scan lives on here as the oracle: after every round of random
+//! insert/retract churn, both reads must equal it for every vid the stream
+//! could ever mention — homed, multi-homed, dropped or never homed at all.
 //!
 //! The firing pool is the shared one of `tests/common` plus re-homed copies,
 //! so that one vid is regularly homed at several nodes at once (the product
 //! reaches that state when one base fact is inserted at two nodes). The scan
-//! then returns the first store in (shard, creation) order, and dropping that
-//! one must fall to the next.
+//! then returns the first store in creation order, and dropping that one
+//! must fall to the next. Every system here is built with a store for each
+//! of `NODES`, in that order, and every firing names one of them, so
+//! creation order is `NODES` order.
 
 #[allow(dead_code)]
 mod common;
@@ -20,25 +21,24 @@ mod common;
 use common::{base_firing, firing_pool, node, retraction_of, tuple, NODES};
 use nt_runtime::{base_rule_sym, Firing, NodeId, Tuple, TupleId};
 use proptest::prelude::*;
-use provenance::{ProvenanceShard, ProvenanceSystem};
+use provenance::{ProvenanceStore, ProvenanceSystem};
 use std::collections::BTreeSet;
 
-/// The oracle for `vertex_home`: the first store, in (shard, creation)
-/// order, whose `prov` table has the vertex.
+/// Every store in creation order.
+fn arena(system: &ProvenanceSystem) -> impl Iterator<Item = &ProvenanceStore> {
+    NODES.iter().filter_map(|&n| system.store(n))
+}
+
+/// The oracle for `vertex_home`: the first store, in creation order, whose
+/// `prov` table has the vertex.
 fn scan_home(system: &ProvenanceSystem, vid: TupleId) -> Option<NodeId> {
-    system
-        .shards()
-        .flat_map(ProvenanceShard::stores)
-        .find(|s| s.has_vertex(vid))
-        .map(|s| s.node)
+    arena(system).find(|s| s.has_vertex(vid)).map(|s| s.node)
 }
 
 /// The oracle for `tuple_at`: the tuple of the first vertex of `vid` in any
 /// store.
 fn scan_tuple(system: &ProvenanceSystem, vid: TupleId) -> Option<&Tuple> {
-    system
-        .shards()
-        .flat_map(ProvenanceShard::stores)
+    arena(system)
         .find_map(|s| s.vertex(vid))
         .map(|(tuple, _)| tuple)
 }
@@ -50,16 +50,14 @@ fn assert_reads_match_the_scan(system: &ProvenanceSystem, universe: &BTreeSet<Tu
         assert_eq!(
             system.vertex_home(vid),
             scan_home(system, vid),
-            "vertex_home({vid}) at S={} {at}",
-            system.num_shards()
+            "vertex_home({vid}) {at}"
         );
         let content = scan_tuple(system, vid);
         for hint in NODES.iter().copied().chain(["nowhere"]) {
             assert_eq!(
                 system.tuple_at(hint.into(), vid),
                 content,
-                "tuple_at({hint}, {vid}) at S={} {at}",
-                system.num_shards()
+                "tuple_at({hint}, {vid}) {at}"
             );
         }
     }
@@ -76,7 +74,7 @@ fn rehomed(f: &Firing, home: NodeId) -> Firing {
 }
 
 /// The shared pool plus, for every firing, copies homed two and five nodes
-/// over: three candidate homes per vid, spread over the shards.
+/// over: three candidate homes per vid.
 fn multi_homed_pool(layers: usize, width: usize) -> Vec<Firing> {
     let pool = firing_pool(layers, width);
     let mut all = pool.clone();
@@ -116,13 +114,11 @@ proptest! {
                 if insert { f.clone() } else { retraction_of(f) }
             })
             .collect();
-        for shards in [1usize, 2, 4] {
-            let mut system = ProvenanceSystem::with_shards(NODES, shards);
-            assert_reads_match_the_scan(&system, &universe, "before any round");
-            for (round, firings) in stream.chunks(round_size).enumerate() {
-                system.apply_round(firings);
-                assert_reads_match_the_scan(&system, &universe, &format!("after round {round}"));
-            }
+        let mut system = ProvenanceSystem::new(NODES);
+        assert_reads_match_the_scan(&system, &universe, "before any round");
+        for (round, firings) in stream.chunks(round_size).enumerate() {
+            system.apply_round(firings);
+            assert_reads_match_the_scan(&system, &universe, &format!("after round {round}"));
         }
     }
 }
@@ -143,22 +139,20 @@ fn a_fact_homed_at_several_nodes_falls_to_the_next_home_when_one_is_deleted() {
         [2, 0, 1],
         [2, 1, 0],
     ];
-    for shards in [1usize, 2, 4] {
-        for order in orders {
-            let mut system = ProvenanceSystem::with_shards(NODES, shards);
-            for home in homes {
-                system.apply_firing(&base_firing(&t, home, true));
-                assert_reads_match_the_scan(&system, &universe, "while inserting");
-            }
-            let mut left: Vec<NodeId> = homes.to_vec();
-            for i in order {
-                system.apply_firing(&base_firing(&t, homes[i], false));
-                left.retain(|n| *n != homes[i]);
-                assert_reads_match_the_scan(&system, &universe, &format!("deleting {order:?}"));
-                match system.vertex_home(t.id()) {
-                    Some(home) => assert!(left.contains(&home), "{home} of {left:?}"),
-                    None => assert!(left.is_empty(), "no home, yet homed at {left:?}"),
-                }
+    for order in orders {
+        let mut system = ProvenanceSystem::new(NODES);
+        for home in homes {
+            system.apply_firing(&base_firing(&t, home, true));
+            assert_reads_match_the_scan(&system, &universe, "while inserting");
+        }
+        let mut left: Vec<NodeId> = homes.to_vec();
+        for i in order {
+            system.apply_firing(&base_firing(&t, homes[i], false));
+            left.retain(|n| *n != homes[i]);
+            assert_reads_match_the_scan(&system, &universe, &format!("deleting {order:?}"));
+            match system.vertex_home(t.id()) {
+                Some(home) => assert!(left.contains(&home), "{home} of {left:?}"),
+                None => assert!(left.is_empty(), "no home, yet homed at {left:?}"),
             }
         }
     }
@@ -168,7 +162,7 @@ fn a_fact_homed_at_several_nodes_falls_to_the_next_home_when_one_is_deleted() {
 #[test]
 fn deleting_the_first_home_leaves_the_second() {
     let t = tuple(0, 0);
-    let mut system = ProvenanceSystem::with_shards(NODES, 1);
+    let mut system = ProvenanceSystem::new(NODES);
     system.apply_firing(&base_firing(&t, node(0), true));
     system.apply_firing(&base_firing(&t, node(1), true));
     assert_eq!(system.vertex_home(t.id()), Some(node(0)));
@@ -186,24 +180,22 @@ fn deleting_the_first_home_leaves_the_second() {
 fn a_vertex_recreated_into_a_recycled_slot_is_found_again() {
     let (a, b, c) = (tuple(0, 0), tuple(0, 1), tuple(0, 2));
     let universe: BTreeSet<TupleId> = [a.id(), b.id(), c.id()].into();
-    for shards in [1usize, 2, 4] {
-        let mut system = ProvenanceSystem::with_shards(NODES, shards);
-        let steps = [
-            base_firing(&a, node(0), true),
-            base_firing(&b, node(0), true),
-            // `b` moves into the slot `a` frees.
-            base_firing(&a, node(0), false),
-            base_firing(&c, node(0), true),
-            base_firing(&a, node(1), true),
-            base_firing(&c, node(0), false),
-            base_firing(&a, node(0), true),
-        ];
-        for (i, step) in steps.iter().enumerate() {
-            system.apply_firing(step);
-            assert_reads_match_the_scan(&system, &universe, &format!("after step {i}"));
-        }
-        assert_eq!(system.vertex_home(b.id()), Some(node(0)));
-        assert_eq!(system.vertex_home(c.id()), None);
-        assert!(system.vertex_home(a.id()).is_some());
+    let mut system = ProvenanceSystem::new(NODES);
+    let steps = [
+        base_firing(&a, node(0), true),
+        base_firing(&b, node(0), true),
+        // `b` moves into the slot `a` frees.
+        base_firing(&a, node(0), false),
+        base_firing(&c, node(0), true),
+        base_firing(&a, node(1), true),
+        base_firing(&c, node(0), false),
+        base_firing(&a, node(0), true),
+    ];
+    for (i, step) in steps.iter().enumerate() {
+        system.apply_firing(step);
+        assert_reads_match_the_scan(&system, &universe, &format!("after step {i}"));
     }
+    assert_eq!(system.vertex_home(b.id()), Some(node(0)));
+    assert_eq!(system.vertex_home(c.id()), None);
+    assert!(system.vertex_home(a.id()).is_some());
 }

@@ -14,8 +14,8 @@
 //! vertex holds its own tuple, so the graphs, the stores and their size
 //! counters are equal outright, tuple contents included.
 //!
-//! The firing pool lives in `tests/common`, shared with the
-//! sharded-maintenance equivalence suite.
+//! The firing pool lives in `tests/common`, shared with the home-index
+//! suite.
 
 mod common;
 

@@ -1,11 +1,11 @@
 //! What a vertex read costs does not depend on how many nodes there are.
 //!
-//! `vertex_home` and the tuple read used to `find` over every store of every
-//! shard, so a query visit cost O(N) and assembling the graph O(V·N). These
-//! guards are wall-clock bounds set between the two, unoptimised: 40,000
-//! keyed reads take about 30 ms against a bound of 1 s where the scans took
-//! 3 s, and a doubled network assembles in 2.1x the time against a bound of
-//! 3x where a scan per vertex gave 3.9x.
+//! `vertex_home` and the tuple read used to `find` over every store, so a
+//! query visit cost O(N) and assembling the graph O(V·N). These guards are
+//! wall-clock bounds set between the two, unoptimised: 40,000 keyed reads
+//! take about 30 ms against a bound of 1 s where the scans took 3 s, and a
+//! doubled network assembles in 2.1x the time against a bound of 3x where a
+//! scan per vertex gave 3.9x.
 
 #[allow(dead_code)]
 mod common;
@@ -30,7 +30,7 @@ fn link(node: &str, x: i64) -> Tuple {
 #[test]
 fn vertex_reads_do_not_slow_down_with_the_number_of_stores() {
     let nodes = names(4096);
-    let mut system = ProvenanceSystem::with_shards(nodes.iter(), 1);
+    let mut system = ProvenanceSystem::new(nodes.iter());
     let last = nodes.last().unwrap();
     let t = link(last, 7);
     system.apply_firing(&base_firing(&t, last.into(), true));
@@ -63,7 +63,7 @@ fn ring(n: usize) -> ProvenanceSystem {
             insert: true,
         });
     }
-    let mut system = ProvenanceSystem::with_shards(nodes.iter(), 1);
+    let mut system = ProvenanceSystem::new(nodes.iter());
     system.apply_round(&firings);
     system
 }

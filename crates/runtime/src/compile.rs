@@ -9,7 +9,7 @@
 //! address goes to an address (the catalog decides where, see
 //! [`crate::catalog`]) — and every builtin call
 //! to a [`BuiltinFn`], so the evaluator (module `eval`, driven by the join
-//! kernel in module `morsel`) never sees a variable name. The plans also
+//! kernel in module `kernel`) never sees a variable name. The plans also
 //! decide what storage indexes: [`CompiledProgram::tables`] lists, per
 //! relation, the columns some plan probes. The result is
 //! shared (via `Arc`) by every node engine in a deployment — nodes differ

@@ -6,20 +6,17 @@
 //! queue in generations: all currently queued insertions and deletions are
 //! applied to the tables first (sequentially, in stream order), then the
 //! surviving membership changes are expanded into rule-evaluation trigger
-//! tasks. Monotonic tasks are pure reads against the now-frozen tables, so
-//! the morsel-driven dispatcher (module `morsel`) can fan them out across
-//! the shared worker pool (when [`EngineConfig::fixpoint_workers`] > 1 and
-//! the generation clears the dispatch threshold); their candidate firings are
-//! merged back on one thread in sequence order, which is where all mutation —
-//! derivation emission, aggregate recomputation, negation reconciliation,
-//! cascade deletion — happens. Derived tuples feed the next generation's
-//! queue until a local fixpoint is reached, and the output — tables,
-//! [`EngineStats`], outbox batches, provenance firings — is bit-identical at
-//! every worker count. Derived tuples whose home (location attribute) is
-//! another node are not stored locally; instead the engine records them in
-//! the database's *outbox* ([`Database::outbox_insert`]: remote heads by
-//! tuple id with their destination and derivations — a structure of its own,
-//! not a relation), ships a (tuple, derivation) pair when it is new there and
+//! tasks. Monotonic tasks are pure reads against the now-frozen tables: the
+//! join kernel (module `kernel`) evaluates them all first, and their
+//! candidate firings are then merged in sequence order, which is where all
+//! mutation — derivation emission, aggregate recomputation, negation
+//! reconciliation, cascade deletion — happens. Derived tuples feed the next
+//! generation's queue until a local fixpoint is reached. Derived tuples
+//! whose home (location attribute) is another node are not stored locally;
+//! instead the engine records them in the database's *outbox*
+//! ([`Database::outbox_insert`]: remote heads by tuple id with their
+//! destination and derivations — a structure of its own, not a relation),
+//! ships a (tuple, derivation) pair when it is new there and
 //! its retraction when the pair was there, coalesces the implied sends (an
 //! insert/delete pair for the same tuple and derivation within one round
 //! cancels; identical re-emissions dedupe) and flushes them as
@@ -62,7 +59,7 @@ use crate::catalog::{fits, RelationSchema};
 use crate::compile::{CompiledProgram, CompiledRule};
 use crate::error::Result;
 use crate::eval::{Frame, SlotAtom, SlotTerm};
-use crate::morsel::{self, Candidate, EvalContext, MonoTask};
+use crate::kernel::{self, Candidate, EvalContext, MonoTask};
 #[cfg(test)]
 use crate::store::BASE_RULE;
 use crate::store::{base_rule_sym, Database, Derivation, Membership, TableBacking};
@@ -72,8 +69,8 @@ use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::Arc;
 
-/// Names nothing any more; stays while `benchmark/src/layered.rs`, fenced off, refers to it.
-pub const OUTBOX_PREFIX: &str = "__out::";
+#[doc(hidden)]
+pub use crate::fence::OUTBOX_PREFIX;
 
 /// Engine configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -90,26 +87,19 @@ pub struct EngineConfig {
     /// the equivalence tests and the index regression tests compare against
     /// it.
     pub use_join_indexes: bool,
-    /// Worker-pool parallelism for the morsel-driven fixpoint: the maximum
-    /// number of [`nt_pool`] workers a generation's monotonic trigger tasks
-    /// are spread across. `1` (the default) evaluates every generation
-    /// inline with zero pool traffic; any value produces bit-identical
-    /// output (see module `morsel` for the determinism discipline).
+    /// Accepts 1 only: a generation evaluates on the engine's thread.
+    // fence: benchmark/src/layered.rs:242
+    #[doc(hidden)]
     pub fixpoint_workers: usize,
-    /// Minimum number of trigger tasks in a generation before the engine
-    /// dispatches to the pool at all. Below it the per-job overhead dwarfs
-    /// the work (the same ≥64 heuristic the sharded provenance apply phase
-    /// uses), so small generations run inline even when
-    /// [`EngineConfig::fixpoint_workers`] > 1.
+    /// Accepts 64 only: nothing is dispatched.
+    // fence: benchmark/src/layered.rs:243
+    #[doc(hidden)]
     pub fixpoint_dispatch_threshold: usize,
     /// Store tables column-major (the default). When disabled the engine
     /// keeps the row-major reference layout — used by the equivalence
     /// proptests, which prove both backings bit-identical.
     pub columnar_storage: bool,
 }
-
-/// Default for [`EngineConfig::fixpoint_dispatch_threshold`].
-pub const FIXPOINT_DISPATCH_THRESHOLD: usize = 64;
 
 impl EngineConfig {
     /// Config for a node with default limits.
@@ -118,8 +108,8 @@ impl EngineConfig {
             node: node.into(),
             max_deltas_per_run: 1_000_000,
             use_join_indexes: true,
-            fixpoint_workers: 1,
-            fixpoint_dispatch_threshold: FIXPOINT_DISPATCH_THRESHOLD,
+            fixpoint_workers: crate::fence::FIXPOINT_WORKERS,
+            fixpoint_dispatch_threshold: crate::fence::FIXPOINT_DISPATCH_THRESHOLD,
             columnar_storage: true,
         }
     }
@@ -128,21 +118,6 @@ impl EngineConfig {
     /// full-scan evaluation).
     pub fn without_indexes(mut self) -> Self {
         self.use_join_indexes = false;
-        self
-    }
-
-    /// Same config evaluating each generation's monotonic trigger tasks with
-    /// up to `workers` pool workers (clamped to at least 1).
-    pub fn with_fixpoint_workers(mut self, workers: usize) -> Self {
-        self.fixpoint_workers = workers.max(1);
-        self
-    }
-
-    /// Same config with a custom dispatch threshold (`0` forces every
-    /// parallel-configured generation through the pool — used by the
-    /// equivalence tests to exercise the dispatch path on tiny inputs).
-    pub fn with_fixpoint_dispatch_threshold(mut self, threshold: usize) -> Self {
-        self.fixpoint_dispatch_threshold = threshold;
         self
     }
 
@@ -209,23 +184,6 @@ pub struct Firing {
     pub inputs: Arc<[TupleId]>,
     /// True for a derivation, false for a retraction.
     pub insert: bool,
-}
-
-impl Firing {
-    /// The shard that owns the head tuple's home store under an `S`-way
-    /// partitioning of the provenance arena — the routing tag a sharded
-    /// maintenance engine partitions the firing stream by. Stable name hash
-    /// ([`crate::shard_route`]), so every layer agrees on placement.
-    pub fn home_shard(&self, shards: usize) -> usize {
-        crate::shard_route(self.head_home, shards)
-    }
-
-    /// The shard that owns the executing node's store (where the `ruleExec`
-    /// half of this firing must be applied). When it differs from
-    /// [`Firing::home_shard`] the maintenance entry crosses shards.
-    pub fn exec_shard(&self, shards: usize) -> usize {
-        crate::shard_route(self.node, shards)
-    }
 }
 
 /// A delta destined for another node.
@@ -353,9 +311,9 @@ enum GenEvent {
 }
 
 /// One rule trigger planned for an [`GenEvent::Appeared`] event. `Mono`
-/// triggers are evaluated (possibly in parallel) before the merge phase and
-/// consume their precomputed candidates in task order; aggregate and
-/// negation triggers always run sequentially in the merge.
+/// triggers are evaluated before the merge phase and consume their
+/// precomputed candidates in task order; aggregate and negation triggers
+/// run in the merge.
 #[derive(Debug, Clone, Copy)]
 enum TriggerOp {
     /// Consume the next precomputed `(candidates, probes)` result.
@@ -388,15 +346,20 @@ pub struct NodeEngine {
     /// What each destination has been sent ([`Dictionary`]): a batch's
     /// header carries only the strings its destination has never seen.
     dict_sent: IdMap<Addr, Dictionary>,
-    /// The slot frame every evaluation on this engine's thread binds
-    /// variables in (pool morsels use their own).
+    /// The slot frame every evaluation on this engine binds variables in.
     frame: Frame,
     stats: EngineStats,
 }
 
 impl NodeEngine {
     /// Create an engine for `config.node` executing `program`.
+    ///
+    /// Panics when a fenced field of `config` holds anything but its one
+    /// legal value (see [`crate::fence`]).
     pub fn new(program: Arc<CompiledProgram>, config: EngineConfig) -> Self {
+        if let Err(e) = crate::fence::check_engine_config(&config) {
+            panic!("{e}");
+        }
         let backing = if config.columnar_storage {
             TableBacking::Columnar
         } else {
@@ -517,10 +480,9 @@ impl NodeEngine {
     ///   are skipped: their net effect on the frozen tables is nothing, so
     ///   the rules they would have fired transiently never observe them.
     /// * **evaluate** — the monotonic trigger tasks are pure reads against
-    ///   the frozen tables; [`morsel::evaluate_tasks`] runs them inline or
-    ///   fans them out across the worker pool, returning candidates in task
-    ///   order either way.
-    /// * **merge** — events replay in sequence order on this thread:
+    ///   the frozen tables; [`kernel::evaluate_tasks`] runs them all and
+    ///   returns their candidates in task order.
+    /// * **merge** — events replay in sequence order:
     ///   firings and local changes are reported, candidates commit through
     ///   [`Self::emit_derivation`], aggregates recompute, negation rules
     ///   reconcile (once per generation) and disappearances cascade.
@@ -553,15 +515,13 @@ impl NodeEngine {
                 }
                 op_ranges.push(start..ops.len());
             }
-            morsel::evaluate_tasks(
+            kernel::evaluate_tasks(
                 &EvalContext {
                     db: &self.db,
                     program: self.program.as_ref(),
                     use_join_indexes: self.config.use_join_indexes,
                 },
                 &tasks,
-                self.config.fixpoint_workers,
-                self.config.fixpoint_dispatch_threshold,
                 &mut self.frame,
             )
         };
@@ -1060,7 +1020,7 @@ impl NodeEngine {
         if !rule.slots.positive[0].match_row(changed, &mut self.frame) {
             return;
         }
-        let Some(group) = morsel::group_key(rule, spec, &self.frame) else {
+        let Some(group) = kernel::group_key(rule, spec, &self.frame) else {
             return;
         };
         self.recompute_group(rule, group, out);

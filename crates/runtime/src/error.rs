@@ -22,6 +22,13 @@ pub enum RuntimeError {
     Eval(String),
     /// A tuple does not match the schema of its relation.
     BadTuple(String),
+    /// A configuration field holds a value the runtime refuses.
+    Config {
+        /// The refused field.
+        field: &'static str,
+        /// Why it is refused.
+        message: String,
+    },
 }
 
 impl RuntimeError {
@@ -59,6 +66,7 @@ impl fmt::Display for RuntimeError {
             },
             RuntimeError::Eval(m) => write!(f, "evaluation error: {m}"),
             RuntimeError::BadTuple(m) => write!(f, "bad tuple: {m}"),
+            RuntimeError::Config { field, message } => write!(f, "config `{field}`: {message}"),
         }
     }
 }

@@ -8,7 +8,7 @@
 //! [`Frame`] — one `Option<Value>` per slot plus an undo trail — so matching a
 //! stored tuple, applying an assignment or rejecting a candidate never touches
 //! a variable name. This module is the only expression interpreter in the
-//! tree: the engine's join kernel (module `morsel`) and the legacy-application
+//! tree: the engine's join kernel (module `kernel`) and the legacy-application
 //! proxy's `maybe` rules (crate `bgp`) both walk slot programs through it.
 
 use crate::catalog::fits;
@@ -40,7 +40,7 @@ pub fn literal_value(lit: &Literal) -> Value {
 /// rule's [`SlotProgram`], all empty after [`Frame::reset`]. Every write is
 /// recorded on a trail, so a join level (or a failed match) restores the
 /// frame with [`Frame::undo_to`] instead of cloning it. A frame carries no
-/// borrow and is reused across tasks; each evaluating thread owns its own.
+/// borrow and is reused across tasks; each engine owns its own.
 #[derive(Debug, Clone, Default)]
 pub struct Frame {
     slots: Vec<Option<Value>>,

@@ -1,55 +1,30 @@
-//! Morsel-driven parallel rule evaluation for the generation-based
-//! semi-naive fixpoint.
+//! The join kernel of the generation-based semi-naive fixpoint.
 //!
 //! A [`crate::NodeEngine`] processes its delta queue in *generations*: all
-//! currently queued deltas are applied to the tables first (sequential, in
-//! stream order), and only then are the surviving insertions expanded into
-//! rule-evaluation trigger tasks. Because the tables do not change again
-//! until the next generation, every monotonic (non-aggregate, negation-free)
-//! trigger task is a pure read over the database — the join plan, the
-//! assignment/filter steps and the head construction touch nothing mutable.
-//! That is what makes them safe to farm out.
-//!
-//! [`evaluate_tasks`] partitions the generation's task list into fixed-size
-//! *morsels* and dispatches them to the process-wide [`nt_pool`] workers,
-//! keeping at most `workers` morsels in flight. Workers pull morsels off the
-//! shared queue as they free up (the morsel-driven scheduling discipline), so
-//! a skewed task — one delta joining against a huge posting list — does not
-//! stall the rest of the generation behind it.
-//!
-//! ## Determinism discipline
-//!
-//! Parallelism must never show through in the output. Three properties make
-//! every worker count — including the inline sequential path — bit-identical:
-//!
-//! 1. each task's candidate list depends only on the (frozen) database, so a
-//!    task computes the same candidates on any thread;
-//! 2. morsel results come back in task order ([`nt_pool::run_borrowed_limited`]
-//!    indexes acknowledgements), so the flattened candidate stream equals the
-//!    sequential one;
-//! 3. all mutation — derivation emission, outbox sends, aggregate and
-//!    negation reconciliation, cascade deletion — happens in the engine's
-//!    sequence-ordered merge phase, which consumes the candidate stream in
-//!    task order on one thread.
-//!
-//! Probe counters are summed per task and folded in task order, so
-//! `EngineStats` is identical too.
-//!
-//! ## The join kernel
+//! currently queued deltas are applied to the tables first (in stream
+//! order), and only then are the surviving insertions expanded into
+//! rule-evaluation trigger tasks. The tables do not change again until the
+//! next generation, so every monotonic (non-aggregate, negation-free)
+//! trigger task is a pure read over the database. [`evaluate_tasks`]
+//! evaluates them all, in task order, before anything is committed; the
+//! engine then merges the candidates in that order on the same thread,
+//! which is where all mutation happens — derivation emission, outbox sends,
+//! aggregate and negation reconciliation, cascade deletion. Probe counters
+//! are summed per task and folded in task order.
 //!
 //! Rules arrive here already lowered to slot programs (module `compile`), so
 //! one kernel serves all three evaluation paths — monotonic triggers,
 //! negation reconciliation ([`EvalContext::join`]) and aggregate group
 //! recomputation ([`EvalContext::aggregate_group`]). It binds variables in a
-//! flat [`Frame`] (one per evaluating thread, reset between tasks, undone by
-//! trail mark at each join level), holds the matched atoms as borrowed
-//! [`Matched`] handles, and runs the assignments, filters and negated-atom
-//! checks in place at the join leaf. A join result that a filter rejects has
-//! cost no allocation, and no stored tuple is ever materialized out of its
-//! columnar slots: a result that built a head keeps the head and the ids of
-//! its matched atoms (read from the slots, never hashed), one shared list
-//! that the derivation, the firing and the outbox go on to share. Candidate
-//! order is probe order, and `join_probes` counts every candidate examined.
+//! flat [`Frame`] (the engine's, reset between tasks, undone by trail mark
+//! at each join level), holds the matched atoms as borrowed [`Matched`]
+//! handles, and runs the assignments, filters and negated-atom checks in
+//! place at the join leaf. A join result that a filter rejects has cost no
+//! allocation, and no stored tuple is ever materialized out of its columnar
+//! slots: a result that built a head keeps the head and the ids of its
+//! matched atoms (read from the slots, never hashed), one shared list that
+//! the derivation, the firing and the outbox go on to share. Candidate order
+//! is probe order, and `join_probes` counts every candidate examined.
 
 use crate::compile::{AggSpec, BoundTerm, CompiledProgram, CompiledRule, PlanStep};
 use crate::eval::{Frame, SlotAtom, SlotTerm};
@@ -59,16 +34,10 @@ use crate::value::Value;
 use ndlog::AggregateFunc;
 use std::sync::Arc;
 
-/// Tasks per morsel. Small enough that a generation of a few hundred tasks
-/// still load-balances across workers, large enough that the per-dispatch
-/// overhead (one boxed closure + one acknowledgement) is amortized. Morsel
-/// boundaries never affect output — results are flattened in task order.
-pub(crate) const MORSEL_TASKS: usize = 32;
-
-/// One parallelizable trigger: evaluate rule `rule_idx` with the delta tuple
-/// bound to body atom `atom_idx`, following the precomputed join plan for
-/// that trigger position. Only monotonic rules (no aggregate, no negation)
-/// become `MonoTask`s; everything else stays on the sequential merge path.
+/// One trigger evaluated before the merge: rule `rule_idx` with the delta
+/// tuple bound to body atom `atom_idx`, following the precomputed join plan
+/// for that trigger position. Only monotonic rules (no aggregate, no
+/// negation) become `MonoTask`s; everything else runs in the merge.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct MonoTask<'a> {
     pub rule_idx: usize,
@@ -116,10 +85,7 @@ pub(crate) struct GroupAggregate<'a> {
 }
 
 /// A read-only view of everything rule evaluation needs: the frozen tables,
-/// the compiled program and the probe configuration. `Copy` so closures can
-/// capture it by value; all referents are shared borrows, which is exactly
-/// why a task can run on any pool thread.
-#[derive(Clone, Copy)]
+/// the compiled program and the probe configuration.
 pub(crate) struct EvalContext<'a> {
     pub db: &'a Database,
     pub program: &'a CompiledProgram,
@@ -446,42 +412,16 @@ impl<'a> Fold<'a> {
     }
 }
 
-/// Evaluate every task, returning `(candidates, probes)` per task in task
-/// order. Dispatches morsels to the shared worker pool only when the engine
-/// is configured for parallelism *and* the generation is large enough to
-/// amortize dispatch — small generations run inline, on the caller's frame,
-/// with zero pool traffic; a pool morsel evaluates on a frame of its own.
-/// Both paths produce identical output (see the module documentation).
+/// Evaluate every task on the caller's frame, returning `(candidates,
+/// probes)` per task in task order: the order the merge consumes them in.
 pub(crate) fn evaluate_tasks<'a>(
     ctx: &EvalContext<'a>,
     tasks: &[MonoTask<'a>],
-    workers: usize,
-    dispatch_threshold: usize,
     frame: &mut Frame,
 ) -> Vec<(Vec<Candidate>, u64)> {
-    type MorselJob<'env> = Box<dyn FnOnce() -> Vec<(Vec<Candidate>, u64)> + Send + 'env>;
-    if workers <= 1 || tasks.is_empty() || tasks.len() < dispatch_threshold {
-        let mut matched = Vec::new();
-        return tasks
-            .iter()
-            .map(|t| ctx.eval_task(t, frame, &mut matched))
-            .collect();
-    }
-    let jobs: Vec<MorselJob<'_>> = tasks
-        .chunks(MORSEL_TASKS)
-        .map(|morsel| {
-            let ctx = *ctx;
-            Box::new(move || {
-                let (mut frame, mut matched) = (Frame::new(), Vec::new());
-                morsel
-                    .iter()
-                    .map(|t| ctx.eval_task(t, &mut frame, &mut matched))
-                    .collect()
-            }) as MorselJob<'_>
-        })
-        .collect();
-    nt_pool::run_borrowed_limited(jobs, workers)
-        .into_iter()
-        .flatten()
+    let mut matched = Vec::new();
+    tasks
+        .iter()
+        .map(|t| ctx.eval_task(t, frame, &mut matched))
         .collect()
 }

@@ -4,9 +4,8 @@
 //! original system: every simulated node runs one [`engine::NodeEngine`] that
 //! stores that node's partition of every relation, evaluates the localized
 //! NDlog rules incrementally (generation-based semi-naive evaluation with
-//! derivation-counted deletions, optionally parallelized across the shared
-//! worker pool) and hands tuples destined for other nodes to the network
-//! layer.
+//! derivation-counted deletions) and hands tuples destined for other nodes
+//! to the network layer.
 //!
 //! The main types are:
 //!
@@ -26,8 +25,10 @@ pub mod compile;
 pub mod engine;
 pub mod error;
 pub mod eval;
+#[doc(hidden)]
+pub mod fence;
 mod few;
-mod morsel;
+mod kernel;
 pub mod store;
 pub mod tuple;
 pub mod value;
@@ -35,8 +36,7 @@ pub mod value;
 pub use catalog::{Catalog, RelationSchema};
 pub use compile::{CompiledProgram, CompiledRule, ProbeStrategy};
 pub use engine::{
-    DeltaBatch, DeltaRecord, EngineConfig, EngineStats, Firing, NodeEngine, RemoteDelta,
-    StepOutput, FIXPOINT_DISPATCH_THRESHOLD,
+    DeltaBatch, DeltaRecord, EngineConfig, EngineStats, Firing, NodeEngine, RemoteDelta, StepOutput,
 };
 pub use error::{Result, RuntimeError};
 pub use store::{
@@ -45,6 +45,6 @@ pub use store::{
 };
 pub use tuple::{Delta, Tuple, TupleId};
 pub use value::{
-    codec, dict_entry_wire_size, dict_wire_size, rule_exec_digest, shard_route, Addr, Dictionary,
-    IdHasher, IdMap, IdSet, Interner, InternerSnapshot, NodeId, StableHasher, Sym, Value,
+    codec, dict_entry_wire_size, dict_wire_size, rule_exec_digest, Addr, Dictionary, IdHasher,
+    IdMap, IdSet, Interner, InternerSnapshot, NodeId, StableHasher, Sym, Value,
 };

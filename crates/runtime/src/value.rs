@@ -37,8 +37,8 @@ use std::fmt;
 use std::sync::Arc;
 
 pub use nt_intern::{
-    codec, dict_entry_wire_size, dict_wire_size, rule_exec_digest, shard_route, Dictionary,
-    IdHasher, IdMap, IdSet, Interner, InternerSnapshot, NodeId, StableHasher, Sym,
+    codec, dict_entry_wire_size, dict_wire_size, rule_exec_digest, Dictionary, IdHasher, IdMap,
+    IdSet, Interner, InternerSnapshot, NodeId, StableHasher, Sym,
 };
 
 /// A network address / node name. NetTrails identifies nodes by name (the

@@ -8,8 +8,7 @@
 //! flag — the same final tables with the same supporting derivations, and
 //! the same [`nt_runtime::EngineStats`] (`join_probes` included: the
 //! vectorized probe kernel must yield exactly the candidates the row store's
-//! probe yields, in the same order) as a row-backed engine, at every worker
-//! count.
+//! probe yields, in the same order) as a row-backed engine.
 //!
 //! The columnar key index is a vector of slot numbers ordered by comparing key
 //! columns in place; the row store's is a `BTreeMap` over cloned keys.
@@ -212,9 +211,7 @@ proptest! {
     }
 
     /// Columnar storage equals the row reference bit for bit: per-run
-    /// outputs, final tables and counters, at W ∈ {1, 4} (the parallel
-    /// configuration pins the dispatch threshold to 0 so every generation
-    /// takes the pool path over the columnar probe kernel).
+    /// outputs, final tables and counters.
     #[test]
     fn columnar_matches_row_store(
         program_idx in 0usize..6,
@@ -227,34 +224,15 @@ proptest! {
         let program = Arc::new(
             CompiledProgram::from_source(PROGRAMS[program_idx]).expect("pool programs compile"),
         );
-        for workers in [1usize, 4] {
-            let mut row_config = EngineConfig::new("n1").with_row_storage();
-            let mut col_config = EngineConfig::new("n1");
-            if workers > 1 {
-                row_config = row_config
-                    .with_fixpoint_workers(workers)
-                    .with_fixpoint_dispatch_threshold(0);
-                col_config = col_config
-                    .with_fixpoint_workers(workers)
-                    .with_fixpoint_dispatch_threshold(0);
-            }
-            prop_assert_eq!(col_config.columnar_storage, true);
-            prop_assert_eq!(row_config.columnar_storage, false);
-            let row = run_ops(&program, row_config, &ops, batch);
-            let col = run_ops(&program, col_config, &ops, batch);
-            prop_assert_eq!(
-                &row.0, &col.0,
-                "per-run outputs diverged between backings at W={}", workers
-            );
-            prop_assert_eq!(
-                &row.1, &col.1,
-                "final tables diverged between backings at W={}", workers
-            );
-            prop_assert_eq!(
-                &row.2, &col.2,
-                "engine stats diverged between backings at W={}", workers
-            );
-        }
+        let row_config = EngineConfig::new("n1").with_row_storage();
+        let col_config = EngineConfig::new("n1");
+        prop_assert_eq!(col_config.columnar_storage, true);
+        prop_assert_eq!(row_config.columnar_storage, false);
+        let row = run_ops(&program, row_config, &ops, batch);
+        let col = run_ops(&program, col_config, &ops, batch);
+        prop_assert_eq!(&row.0, &col.0, "per-run outputs diverged between backings");
+        prop_assert_eq!(&row.1, &col.1, "final tables diverged between backings");
+        prop_assert_eq!(&row.2, &col.2, "engine stats diverged between backings");
     }
 
     /// Full retraction drains every relation under the columnar backing

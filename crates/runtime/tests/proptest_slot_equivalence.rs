@@ -22,9 +22,8 @@
 //! known: a monotonic rule fires once per trigger position the inserted tuple
 //! fills, everything else once.
 //!
-//! Each engine configuration — inline and W = 2 with the dispatch threshold
-//! at 0 so every generation really goes through the pool, join indexes on and
-//! off — must agree with the oracle on the firing multiset of every step and
+//! Each engine configuration — join indexes on and off — must agree with the
+//! oracle on the firing multiset of every step and
 //! on the sorted tables (tuples and their derivations) after it. A text
 //! neither matches a stored address nor finds one through an index (a `Str`
 //! arm put back in the columnar `dict_code` and the row store's residual
@@ -454,16 +453,9 @@ fn engine_tables(engine: &NodeEngine, unordered: &BTreeSet<String>) -> Tables {
 }
 
 fn configs() -> Vec<(&'static str, EngineConfig)> {
-    let pooled = || {
-        EngineConfig::new("n1")
-            .with_fixpoint_workers(2)
-            .with_fixpoint_dispatch_threshold(0)
-    };
     vec![
-        ("W=1 indexed", EngineConfig::new("n1")),
-        ("W=1 scan", EngineConfig::new("n1").without_indexes()),
-        ("W=2 indexed", pooled()),
-        ("W=2 scan", pooled().without_indexes()),
+        ("indexed", EngineConfig::new("n1")),
+        ("scan", EngineConfig::new("n1").without_indexes()),
     ]
 }
 

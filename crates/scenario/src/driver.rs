@@ -97,15 +97,8 @@ pub fn topology_digest(topology: &Topology) -> u64 {
     h.finish()
 }
 
-/// Run a scenario with the default single-worker engine configuration.
+/// Run a scenario on the default platform configuration.
 pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
-    run_scenario_with_workers(spec, 1)
-}
-
-/// Run a scenario with `workers` fixpoint workers per engine generation. The
-/// replay digest is identical at every worker count (the PR 6 bit-identity
-/// contract) — the proptests hold the driver to that.
-pub fn run_scenario_with_workers(spec: &ScenarioSpec, workers: usize) -> ScenarioOutcome {
     let topology = spec.family.build(spec.seed);
     let topo_digest = topology_digest(&topology);
     let trace = WorkloadTrace::generate(spec, &topology);
@@ -118,14 +111,10 @@ pub fn run_scenario_with_workers(spec: &ScenarioSpec, workers: usize) -> Scenari
             PATHVECTOR_RESULTS,
         ),
     };
-    let config = NetTrailsConfig {
-        fixpoint_workers: workers,
-        ..NetTrailsConfig::default()
-    };
     let nodes = topology.node_count();
     let links = topology.link_count();
-    let mut nt =
-        NetTrails::new(&program, topology, config).expect("scenario program compiles and loads");
+    let mut nt = NetTrails::new(&program, topology, NetTrailsConfig::default())
+        .expect("scenario program compiles and loads");
 
     // Seed base state: every link tuple plus the anchor advertisements.
     nt.seed_links_from_topology();

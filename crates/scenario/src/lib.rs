@@ -13,7 +13,7 @@
 //! Everything downstream of a [`ScenarioSpec`] is a pure function of its
 //! `u64` seed: the topology, the trace, the replayed engine state and the
 //! replay digest. `tests/replay_determinism.rs` holds the driver to that:
-//! [`verify_seed`], bit-identical reruns at every worker count, and one
+//! [`verify_seed`], bit-identical reruns, and one
 //! golden replay digest per topology family.
 
 pub mod driver;
@@ -22,7 +22,7 @@ pub mod service;
 pub mod spec;
 pub mod trace;
 
-pub use driver::{run_scenario, run_scenario_with_workers, verify_seed, ScenarioOutcome};
+pub use driver::{run_scenario, verify_seed, ScenarioOutcome};
 pub use service::{run_service_scenario, ServiceScenarioOutcome, ServiceScenarioSpec};
 pub use spec::{ScenarioSpec, TopologyFamily, WorkloadKind};
 pub use trace::{TraceAction, TraceStep, WorkloadTrace};

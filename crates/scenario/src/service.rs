@@ -59,9 +59,6 @@ pub struct ServiceScenarioSpec {
     pub deadline_ms: f64,
     /// Session stride between deadlines (`0` disables deadlines).
     pub deadline_every: usize,
-    /// Also rerun the merged mode with 2 fixpoint workers and require a
-    /// bit-identical digest (worker-count independence).
-    pub verify_workers: bool,
 }
 
 impl ServiceScenarioSpec {
@@ -127,9 +124,6 @@ pub struct ServiceScenarioOutcome {
     pub merged_matches_split: bool,
     /// A second merged run reproduced the digest bit-for-bit.
     pub matches_rerun: bool,
-    /// The digest is identical with 2 fixpoint workers (`true` when the
-    /// spec did not request the check).
-    pub matches_workers: bool,
     /// Digest of the merged run: completions, tenant accounting, frame and
     /// dictionary counters.
     pub service_digest: u64,
@@ -177,14 +171,9 @@ struct ModeRun {
 /// Run one scenario in both sealing modes (plus determinism reruns) and
 /// assemble the comparison.
 pub fn run_service_scenario(spec: &ServiceScenarioSpec) -> ServiceScenarioOutcome {
-    let merged = run_mode(spec, true, 1);
-    let split = run_mode(spec, false, 1);
-    let rerun = run_mode(spec, true, 1);
-    let matches_workers = if spec.verify_workers {
-        run_mode(spec, true, 2).digest == merged.digest
-    } else {
-        true
-    };
+    let merged = run_mode(spec, true);
+    let split = run_mode(spec, false);
+    let rerun = run_mode(spec, true);
     let mut latencies_ms = merged.latencies_ms.clone();
     latencies_ms.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
     ServiceScenarioOutcome {
@@ -213,14 +202,13 @@ pub fn run_service_scenario(spec: &ServiceScenarioSpec) -> ServiceScenarioOutcom
         fairness_ratio: merged.fairness,
         merged_matches_split: merged.digest == split.digest,
         matches_rerun: merged.digest == rerun.digest,
-        matches_workers,
         service_digest: merged.digest,
         sim_ms: merged.sim_ms,
     }
 }
 
 /// One full run of the wave schedule in one sealing mode.
-fn run_mode(spec: &ServiceScenarioSpec, merge_frames: bool, workers: usize) -> ModeRun {
+fn run_mode(spec: &ServiceScenarioSpec, merge_frames: bool) -> ModeRun {
     let topology = TopologyFamily::InternetAs {
         n: spec.nodes,
         m: spec.degree,
@@ -230,7 +218,6 @@ fn run_mode(spec: &ServiceScenarioSpec, merge_frames: bool, workers: usize) -> M
     let program = programs::anchored_pathvector(spec.max_hops);
     let config = NetTrailsConfig {
         merge_query_frames: merge_frames,
-        fixpoint_workers: workers,
         ..NetTrailsConfig::default()
     };
     let mut nt = NetTrails::new(&program, topology, config).expect("service program compiles");
@@ -421,7 +408,6 @@ mod tests {
             queue_cap: 4,
             deadline_ms: 2.0,
             deadline_every: 5,
-            verify_workers: true,
         }
     }
 
@@ -430,7 +416,6 @@ mod tests {
         let outcome = run_service_scenario(&tiny_spec());
         assert!(outcome.merged_matches_split, "sealing modes must agree");
         assert!(outcome.matches_rerun, "reruns must agree");
-        assert!(outcome.matches_workers, "worker counts must agree");
         assert_eq!(outcome.offered, 40);
         assert!(outcome.rejected > 0, "queue cap of 4 rejects a 6-deep wave");
         assert!(outcome.completed > 0);
@@ -473,7 +458,6 @@ mod tests {
             queue_cap: 112,
             deadline_ms: 3.0,
             deadline_every: 13,
-            verify_workers: false,
         });
         assert!(outcome.merged_matches_split && outcome.matches_rerun);
         assert_eq!(

@@ -1,13 +1,10 @@
 //! End-to-end scenario replay: sanity of a full run, the bit-identity
-//! contract — a trace replays identically across runs and across engine
-//! worker counts — and one golden replay digest per topology family, which
-//! is what catches behaviour drift from one commit to the next.
+//! contract — a trace replays identically across runs — and one golden
+//! replay digest per topology family, which is what catches behaviour drift
+//! from one commit to the next.
 
 use proptest::prelude::*;
-use scenario::{
-    run_scenario, run_scenario_with_workers, verify_seed, ScenarioSpec, TopologyFamily,
-    WorkloadKind,
-};
+use scenario::{run_scenario, verify_seed, ScenarioSpec, TopologyFamily, WorkloadKind};
 
 const SMALL_WORLD: TopologyFamily = TopologyFamily::SmallWorld {
     n: 32,
@@ -102,7 +99,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     #[test]
-    fn replay_is_bit_identical_across_runs_and_worker_counts(
+    fn replay_is_bit_identical_across_runs(
         seed in any::<u64>(),
         workload_idx in 0usize..3,
     ) {
@@ -113,17 +110,6 @@ proptest! {
         let again = run_scenario(&spec);
         prop_assert_eq!(base.replay_digest, again.replay_digest);
         prop_assert_eq!(&base.latencies_ms, &again.latencies_ms);
-        for workers in [2usize, 4] {
-            let parallel = run_scenario_with_workers(&spec, workers);
-            prop_assert_eq!(
-                base.replay_digest,
-                parallel.replay_digest,
-                "worker count {} must not change the replay",
-                workers
-            );
-            prop_assert_eq!(base.queries, parallel.queries);
-            prop_assert_eq!(base.tuples_touched, parallel.tuples_touched);
-        }
         prop_assert!(verify_seed(&spec, &base));
     }
 }

@@ -5,6 +5,7 @@
 #   scripts/ci_local.sh          # everything (lint job, then test job)
 #   scripts/ci_local.sh lint     # just the lint job
 #   scripts/ci_local.sh test     # just the test job
+#   scripts/ci_local.sh fence    # the benchmark fence ledger, citations checked
 #   scripts/ci_local.sh lines    # non-test product lines, per file and total
 #   scripts/ci_local.sh lines <git-ref>   # the same, <git-ref> -> working tree:
 #                                         # every file that differs, both totals
@@ -148,6 +149,12 @@ test_job() {
     echo "==> [test] cargo test -q --workspace"
     cargo test -q --workspace
 
+    # The shims benchmark/ still compiles against: every cited benchmark
+    # line must still name its shim (tests/benchmark_fence.rs holds what the
+    # shims do).
+    echo "==> [test] benchmark fence ledger"
+    fence
+
     # The counting-allocator probe behind those ceilings, at 200 nodes: one
     # line per phase (start / new / seed / fixpoint / drop) with live bytes,
     # blocks, per node, per tuple and VmHWM. `-- 2000` is converge_as.
@@ -184,6 +191,58 @@ test_job() {
         echo "==> [test] ntbench traced smoke: $workload, 2 s"
         bash benchmark/run.sh --workload "$workload" --seed 12 --seconds 2 --trace 1 > /dev/null
     done
+}
+
+# The fence ledger: every name benchmark/ still compiles against after the
+# machinery behind it was deleted. A shim is the item below a tag
+#     // fence: benchmark/src/<file>:<line>     (Rust: fn, const, static, field)
+#     # fence: benchmark/Cargo.lock             (a crate's Cargo.toml dependency)
+# and several tags may stack on one item. Prints one line per citation, then
+# the ledger length; fails when a cited benchmark line no longer contains the
+# shim's name, or the lock no longer lists the dependency for that crate.
+fence() {
+    local entries status=0 shims=0 citations=0
+    entries=$(find crates -path crates/compat -prune -o \( -name '*.rs' -o -name Cargo.toml \) -print |
+        sort | xargs awk '
+            FNR == 1 { n = 0 }
+            match($0, /^[ \t]*(\/\/|#) fence: benchmark\/[^ ]+/) {
+                cite[n++] = substr($0, index($0, "benchmark/"))
+                next
+            }
+            n > 0 && $0 !~ /^[ \t]*(\/\/|#\[|$)/ {
+                line = $0
+                sub(/^[ \t]*(pub(\([a-z]+\))? )?/, "", line)
+                sub(/^(fn|const|static) /, "", line)
+                match(line, /^[A-Za-z_][A-Za-z0-9_-]*/)
+                name = substr(line, 1, RLENGTH)
+                for (i = 0; i < n; i++) print FILENAME, name, cite[i]
+                n = 0
+            }')
+    while read -r file name cite; do
+        [ -n "$file" ] || continue
+        citations=$((citations + 1))
+        local where="${cite%%:*}" line="${cite#*:}" ok=no
+        if [ "$where" = benchmark/Cargo.lock ]; then
+            local package
+            package=$(sed -n 's/^name = "\(.*\)"$/\1/p' "$file" | head -1)
+            awk -v pkg="$package" -v dep="$name" '
+                /^\[\[package\]\]/ { inpkg = 0 }
+                $0 == "name = \"" pkg "\"" { inpkg = 1 }
+                inpkg && $0 ~ "^ \"" dep "\",?$" { found = 1 }
+                END { exit !found }' benchmark/Cargo.lock && ok=yes
+        elif [ "$line" != "$cite" ] && sed -n "${line}p" "$where" | grep -qw -- "$name"; then
+            ok=yes
+        fi
+        if [ $ok = yes ]; then
+            printf '  %-44s %-28s %s\n' "$file" "$name" "$cite"
+        else
+            printf '  %-44s %-28s %s  STALE: the cited line does not name it\n' "$file" "$name" "$cite"
+            status=1
+        fi
+    done <<< "$entries"
+    shims=$(printf '%s\n' "$entries" | awk 'NF { print $1, $2 }' | sort -u | wc -l)
+    echo "fence ledger: $shims shims, $citations citations"
+    return $status
 }
 
 # What a [simplicity] PR reports (ROADMAP ground rules): the lines of every
@@ -234,6 +293,7 @@ lines_since() {
 case "${1:-all}" in
     lint) lint ;;
     test) test_job ;;
+    fence) fence ;;
     lines)
         if [ $# -ge 2 ]; then lines_since "$2"; else lines; fi
         exit 0
@@ -243,7 +303,7 @@ case "${1:-all}" in
         test_job
         ;;
     *)
-        echo "usage: $0 [lint|test|lines [<git-ref>]|all]" >&2
+        echo "usage: $0 [lint|test|fence|lines [<git-ref>]|all]" >&2
         exit 2
         ;;
 esac

@@ -126,41 +126,6 @@ fn incremental_work_is_less_than_recompute_for_local_changes() {
     );
 }
 
-/// End-to-end check of the morsel-driven parallel fixpoint: a platform whose
-/// engines dispatch every generation through the worker pool
-/// (`fixpoint_workers` 4, dispatch threshold 0) must converge — and churn —
-/// to exactly the state and provenance digest of the sequential platform.
-#[test]
-fn parallel_fixpoint_platform_matches_sequential() {
-    let run = |workers: usize| {
-        let config = NetTrailsConfig {
-            fixpoint_workers: workers,
-            fixpoint_dispatch_threshold: if workers > 1 { 0 } else { 64 },
-            ..NetTrailsConfig::default()
-        };
-        let mut nt =
-            NetTrails::new(protocols::mincost::PROGRAM, Topology::ladder(4), config).unwrap();
-        nt.seed_links_from_topology();
-        nt.run_to_fixpoint();
-        for event in event_sequence() {
-            nt.apply_topology_event(&event);
-        }
-        (
-            normalized(&nt, "minCost"),
-            normalized(&nt, "cost"),
-            format!("{:?}", nt.stats()),
-        )
-    };
-    let sequential = run(1);
-    for workers in [2, 4] {
-        assert_eq!(
-            sequential,
-            run(workers),
-            "parallel platform (W={workers}) diverged from the sequential run"
-        );
-    }
-}
-
 /// One remote head derived from two spellings of one number: `r1` reads
 /// `e(n1,n2,3)` and `r2` reads `f(n1,n2,3.0)`, and both ship `h(n2,3)`. The
 /// sender must remember both derivations so that both are retracted; when

@@ -7,8 +7,7 @@
 //! whose head representation depends on which atom triggered it, a remote
 //! aggregate, a remote negation, and a second hop over a received tuple. Once
 //! every base fact is deleted again, every table at every node is empty and
-//! every engine's outbox is empty — under both table backings, inline and
-//! through the worker pool.
+//! every engine's outbox is empty — under both table backings.
 
 use nettrails::{NetTrails, NetTrailsConfig};
 use nt_runtime::{Tuple, Value};
@@ -71,11 +70,9 @@ proptest! {
             1..24,
         ),
     ) {
-        for (columnar, workers) in [(true, 1), (true, 2), (false, 1), (false, 2)] {
+        for columnar in [true, false] {
             let config = NetTrailsConfig {
                 columnar_storage: columnar,
-                fixpoint_workers: workers,
-                fixpoint_dispatch_threshold: if workers > 1 { 0 } else { 64 },
                 ..NetTrailsConfig::default()
             };
             let mut nt = NetTrails::new(PROGRAM, Topology::line(3), config).unwrap();
@@ -110,7 +107,7 @@ proptest! {
             prop_assert_eq!(
                 stored_and_shipped(&nt),
                 Vec::<String>::new(),
-                "columnar {}, W = {}", columnar, workers
+                "columnar {}", columnar
             );
         }
     }

@@ -102,7 +102,7 @@ impl FullScan {
                 .nodes()
                 .map(|n| (Addr::new(n), engine(n)))
                 .collect(),
-            provenance: ProvenanceSystem::with_shards(topology.nodes(), config.prov_shards),
+            provenance: ProvenanceSystem::new(topology.nodes()),
             network: Network::new(topology, config.network.clone()),
             max_rounds: config.max_rounds,
         }
@@ -219,7 +219,7 @@ impl Platform for FullScan {
                 network: self.network.stats().clone(),
                 provenance: self.provenance.stats(),
                 provenance_traffic: self.provenance.maintenance_traffic().clone(),
-                provenance_sharding: self.provenance.shard_stats().clone(),
+                provenance_sharding: Default::default(),
                 stored_tuples,
             },
             routes: sorted(routes),
