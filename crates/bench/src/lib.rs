@@ -186,7 +186,8 @@ pub fn experiment_bgp(as_counts: &[(usize, usize, usize)]) -> ReportTable {
     table
 }
 
-/// E6 — the query types of the paper over the same targets.
+/// E6 — the query types of the paper over the same targets. Every kind
+/// visits and messages alike; the bytes are what its responses carry.
 pub fn experiment_query_types() -> ReportTable {
     let mut table = ReportTable::new("E6 provenance query types");
     let mut nt = converged(protocols::pathvector::PROGRAM, Topology::ladder(4), true);
@@ -199,16 +200,19 @@ pub fn experiment_query_types() -> ReportTable {
     ] {
         let mut messages = 0u64;
         let mut vertices = 0u64;
+        let mut bytes = 0u64;
         for (node, tuple) in &targets {
             let (_, stats) = nt.query(tuple).from_node(node).kind(kind).run();
             messages += stats.messages;
             vertices += stats.vertices_visited;
+            bytes += stats.bytes;
         }
         table.push(
             ExperimentRow::new(format!("{kind:?}"))
                 .with("queries", targets.len() as f64)
                 .with("messages", messages as f64)
-                .with("vertices_visited", vertices as f64),
+                .with("vertices_visited", vertices as f64)
+                .with("bytes", bytes as f64),
         );
     }
     table

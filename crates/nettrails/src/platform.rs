@@ -733,9 +733,10 @@ impl NetTrails {
         self.query_executor.stats_so_far(handle).unwrap_or_default()
     }
 
-    /// Drain the root-level derivations a session has streamed so far
-    /// (partial results; works while running, after completion and after
-    /// cancellation).
+    /// Drain the root-level derivations a lineage session has streamed so
+    /// far (partial results; works while running, after completion and
+    /// after cancellation). Other kinds stream nothing: their derivations
+    /// are folded into values, not trees.
     pub fn take_query_partials(&mut self, handle: QueryHandle) -> Vec<RuleExecNode> {
         self.query_executor.take_partials(handle)
     }

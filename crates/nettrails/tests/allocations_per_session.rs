@@ -1,13 +1,18 @@
 //! What a provenance query session allocates, counted — not sampled — by
 //! wrapping the system allocator: 256 uncached lineage sessions offered at
 //! once to a converged 400-node network and pumped to completion, the way
-//! the query service runs a wave. One test in its own binary counting its own
-//! thread, so the count repeats exactly; a ceiling that fails here names a
-//! per-frame or per-vertex allocation that came back.
+//! the query service runs a wave; then the same 256 as derivation counts.
+//! One test in its own binary counting its own thread, so the count repeats
+//! exactly; a ceiling that fails here names a per-frame or per-vertex
+//! allocation that came back.
 //!
-//! The ceiling is the measured value + 10 %: 58 allocations per session at
-//! 12.9 frames. By owner, per session (scratch tags on a copy of the
-//! executor, a thread-local owner read by this allocator):
+//! Each ceiling is the measured value + 10 %: 58 allocations per lineage
+//! session and 45 per derivation-count session, both at 12.9 frames. A
+//! count folds where the data is and streams no partials: its 45 are the
+//! lineage owners below less `on_exec_done`'s clones, its slot vectors
+//! dropped at completion where lineage's become the tree. By owner, per lineage
+//! session (scratch tags on a copy of the executor, a thread-local owner
+//! read by this allocator):
 //!
 //! | owner | per session | what |
 //! |---|---:|---|
@@ -32,6 +37,7 @@
 
 use nettrails::{NetTrails, NetTrailsConfig};
 use nt_runtime::Tuple;
+use provenance::QueryKind;
 use simnet::Topology;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -78,19 +84,23 @@ static ALLOC: Counting = Counting;
 const NODES: usize = 400;
 const SESSIONS: usize = 256;
 
-/// Allocations per session: measured 58.
+/// Allocations per lineage session: measured 58.
 const ALLOCATIONS_PER_SESSION: usize = 64;
 
-/// Offer one wave — session `i` asks node `7i mod N` for the lineage of every
-/// `stride`-th route — pump it dry and redeem every handle. Returns the
-/// frames the wave put on the wire.
-fn wave(nt: &mut NetTrails, targets: &[Tuple], queriers: &[String]) -> u64 {
+/// Allocations per derivation-count session: measured 45.
+const ALLOCATIONS_PER_COUNT_SESSION: usize = 50;
+
+/// Offer one wave — session `i` asks node `7i mod N` the `kind` question of
+/// every `stride`-th route — pump it dry and redeem every handle. Returns
+/// the frames the wave put on the wire.
+fn wave(nt: &mut NetTrails, targets: &[Tuple], queriers: &[String], kind: QueryKind) -> u64 {
     let frames = nt.query_executor().traffic().messages;
     let stride = targets.len() / SESSIONS;
     let handles: Vec<_> = (0..SESSIONS)
         .map(|i| {
             nt.query(&targets[i * stride])
                 .from_node(&queriers[i * 7 % queriers.len()])
+                .kind(kind)
                 .submit()
         })
         .collect();
@@ -132,22 +142,27 @@ fn a_session_allocates_under_its_ceiling() {
     // Warm-up: every link and destination dictionary the wave touches has
     // been counted and shipped once, so the measured wave is the steady
     // state the benchmark's second block is.
-    wave(&mut nt, &targets, &queriers);
+    wave(&mut nt, &targets, &queriers, QueryKind::Lineage);
 
-    MEASURED.set(true);
-    let before = ALLOCATIONS.load(Relaxed);
-    let frames = wave(&mut nt, &targets, &queriers);
-    let allocations = ALLOCATIONS.load(Relaxed) - before;
-    MEASURED.set(false);
+    for (kind, ceiling) in [
+        (QueryKind::Lineage, ALLOCATIONS_PER_SESSION),
+        (QueryKind::DerivationCount, ALLOCATIONS_PER_COUNT_SESSION),
+    ] {
+        MEASURED.set(true);
+        let before = ALLOCATIONS.load(Relaxed);
+        let frames = wave(&mut nt, &targets, &queriers, kind);
+        let allocations = ALLOCATIONS.load(Relaxed) - before;
+        MEASURED.set(false);
 
-    println!(
-        "{SESSIONS} sessions, {frames} frames, {allocations} allocations: {} per session",
-        allocations / SESSIONS
-    );
-    assert!(frames as usize > 4 * SESSIONS, "sessions crossed the wire");
-    assert!(
-        allocations / SESSIONS <= ALLOCATIONS_PER_SESSION,
-        "a session costs {} allocations, over the {ALLOCATIONS_PER_SESSION} ceiling",
-        allocations / SESSIONS
-    );
+        println!(
+            "{kind:?}: {SESSIONS} sessions, {frames} frames, {allocations} allocations: {} per session",
+            allocations / SESSIONS
+        );
+        assert!(frames as usize > 4 * SESSIONS, "sessions crossed the wire");
+        assert!(
+            allocations / SESSIONS <= ceiling,
+            "a {kind:?} session costs {} allocations, over the {ceiling} ceiling",
+            allocations / SESSIONS
+        );
+    }
 }

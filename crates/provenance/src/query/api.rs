@@ -158,32 +158,21 @@ impl ProofTree {
             .max()
             .unwrap_or(0)
     }
-
-    /// Leaves of the tree that are base tuples.
-    pub fn base_leaves(&self) -> Vec<&ProofTree> {
-        let mut out = Vec::new();
-        self.collect_base_leaves(&mut out);
-        out
-    }
-
-    fn collect_base_leaves<'a>(&'a self, out: &mut Vec<&'a ProofTree>) {
-        if self.is_base {
-            out.push(self);
-        }
-        for d in &self.derivations {
-            for input in &d.inputs {
-                input.collect_base_leaves(out);
-            }
-        }
-    }
 }
 
-/// Result of a provenance query.
+/// Result of a provenance query: the value its kind folds the proof to.
+///
+/// Every kind is one fold over the proof graph (`query::fold`), evaluated at
+/// the node that holds each vertex, so a traversal passes these values up
+/// instead of trees. `T` is the lineage form of the subtree a value covers:
+/// [`ProofTree`] for a tuple vertex, which is what a caller redeems, and
+/// [`RuleExecNode`] for a rule execution inside a traversal.
 #[derive(Debug, Clone, PartialEq)]
-pub enum QueryResult {
+pub enum QueryResult<T = ProofTree> {
     /// Lineage result.
-    Lineage(ProofTree),
-    /// Contributing base tuple identifiers (with contents when known).
+    Lineage(T),
+    /// Contributing base tuple identifiers (with contents when known), by
+    /// vid; each vid's tuple is its first occurrence in pre-order.
     BaseTuples(Vec<(TupleId, Option<Tuple>)>),
     /// Participating node names.
     ParticipatingNodes(BTreeSet<Addr>),
@@ -216,63 +205,4 @@ pub struct QueryStats {
     /// depth-first pays every hop sequentially. Under [`QueryMode::Local`]
     /// it is the legacy per-hop estimate.
     pub latency_ms: f64,
-}
-
-/// Project a completed lineage tree into the requested result form. Shared
-/// by the local and distributed engines, so the two paths cannot diverge in
-/// anything but how the tree was obtained.
-pub(crate) fn project_result(kind: QueryKind, tree: ProofTree) -> QueryResult {
-    match kind {
-        QueryKind::Lineage => QueryResult::Lineage(tree),
-        QueryKind::BaseTuples => {
-            let mut out: Vec<(TupleId, Option<Tuple>)> = tree
-                .base_leaves()
-                .iter()
-                .map(|t| (t.vid, t.tuple.clone()))
-                .collect();
-            out.sort_by_key(|(vid, _)| *vid);
-            out.dedup_by_key(|(vid, _)| *vid);
-            QueryResult::BaseTuples(out)
-        }
-        QueryKind::ParticipatingNodes => {
-            let mut nodes = BTreeSet::new();
-            collect_nodes(&tree, &mut nodes);
-            QueryResult::ParticipatingNodes(nodes)
-        }
-        QueryKind::DerivationCount => QueryResult::DerivationCount(count_derivations(&tree)),
-    }
-}
-
-/// Every node a proof tree touches: each vertex's home and each rule
-/// execution's node. Doubles as the set of stores the tree was *read* from,
-/// which is what the query cache stamps entries with.
-pub(crate) fn collect_nodes(tree: &ProofTree, out: &mut BTreeSet<Addr>) {
-    out.insert(tree.home);
-    for d in &tree.derivations {
-        out.insert(d.node);
-        for input in &d.inputs {
-            collect_nodes(input, out);
-        }
-    }
-}
-
-/// Number of alternative derivations (proof trees) represented by a lineage
-/// tree: base vertices contribute one derivation, every rule execution
-/// contributes the product of its inputs' counts, and a tuple's count is the
-/// sum over its derivations.
-fn count_derivations(tree: &ProofTree) -> u64 {
-    let mut count: u64 = if tree.is_base { 1 } else { 0 };
-    for d in &tree.derivations {
-        let mut product = 1u64;
-        for input in &d.inputs {
-            product = product.saturating_mul(count_derivations(input).max(1));
-        }
-        count = count.saturating_add(product);
-    }
-    if count == 0 && tree.pruned {
-        // A pruned vertex still represents at least one derivation.
-        1
-    } else {
-        count
-    }
 }

@@ -16,6 +16,13 @@
 //! driver — the platform's round loop — ships them through the simulated
 //! network and hands deliveries back to [`QueryExecutor::deliver`].
 //!
+//! What travels back is the session kind's fold (`query::fold`): each frame
+//! holds its vertex's facts and one slot per child value, and completes by
+//! folding them. A lineage frame's value is its proof subtree; a count, base
+//! set or node set frame's is that value, so a [`QueryOp::VertexDone`] or
+//! [`QueryOp::ExecDone`] carries eight bytes or a set, not a tree, and only
+//! lineage and base-set sessions copy tuples.
+//!
 //! Traversal order is therefore an *execution schedule*, not a latency
 //! formula: [`TraversalOrder::DepthFirst`] keeps exactly one request
 //! outstanding per session, while [`TraversalOrder::BreadthFirst`] fans out
@@ -25,7 +32,7 @@
 //!
 //! The state machines replay the legacy recursion *exactly* — same visit
 //! counts, same pruning decisions, same cache-consultation points, same
-//! resulting trees — which is what the distributed-vs-local equivalence
+//! resulting values — which is what the distributed-vs-local equivalence
 //! suite (`tests/proptest_query_equivalence.rs` at the workspace root)
 //! verifies. Concurrent breadth-first expansions of the same `(vid, node)`
 //! sub-query under caching are deferred onto the in-flight computation
@@ -34,8 +41,8 @@
 //! A session allocates what its answer holds, little more. The cycle-guard
 //! path is an `Arc<[TupleId]>`: [`QueryOp::ExpandExec`] and every input
 //! frame of one derivation share the one slice built for it. A finished
-//! frame's slots become its tree's `derivations` / `inputs` in their own
-//! buffer. A breadth-first vertex issues its derivations from the store's
+//! lineage frame's slots become its tree's `derivations` / `inputs` in their
+//! own buffer, and only lineage streams root-level derivations as partials. A breadth-first vertex issues its derivations from the store's
 //! entries in place, and a depth-first one copies them only when it has a
 //! derivation, because only then does its scan resume later. Sealing walks
 //! each record once and stores the body length in the [`QueryBatch`].
@@ -45,20 +52,26 @@
 //! ## The legacy engine
 //!
 //! [`QueryEngine`] is the original synchronous recursion over
-//! [`ProvenanceSystem`]. It generates no wire traffic and *estimates* hop
+//! [`ProvenanceSystem`], folding through the same `query::fold` as the
+//! executor. It generates no wire traffic and *estimates* hop
 //! latency from [`QueryEngine::hop_rtt_ms`]. It remains the
 //! [`QueryMode::Local`] path: the equivalence oracle, and the natural
 //! choice for single-process embeddings (the BGP harness, the log store).
 //!
 //! Both engines share one [`QueryCache`] design: entries are keyed
-//! `(vid, node)` and stamped with the owning store's mutation version, so a
-//! sub-result cached before an incremental delete can never be served after
-//! it — the cache is consulted, found stale, evicted and recomputed.
+//! `(vid, node, kind)`, hold the kind's value of the subtree, and are
+//! stamped with the mutation version of every store the subtree was read
+//! from, so a sub-result cached before an incremental delete can never be
+//! served after it — the cache is consulted, found stale, evicted and
+//! recomputed. A lineage tree names those stores and a node set is them;
+//! a cached count or base set has its frames carry the node set beside the
+//! value (`Folded::nodes`), which is what its stamp is made of.
 
 use crate::query::api::{
-    collect_nodes, project_result, ProofTree, QueryHandle, QueryKind, QueryMode, QueryOptions,
-    QueryResult, QuerySpec, QueryStats, RuleExecNode, TraversalOrder, QUERY_CATEGORY,
+    ProofTree, QueryHandle, QueryKind, QueryMode, QueryOptions, QueryResult, QuerySpec, QueryStats,
+    RuleExecNode, TraversalOrder, QUERY_CATEGORY,
 };
+use crate::query::fold::{Fold, Folded, Head};
 use crate::query::wire::{QueryBatch, QueryOp};
 use crate::store::{ProvEntry, RuleExecId};
 use crate::system::ProvenanceSystem;
@@ -73,43 +86,50 @@ use std::sync::Arc;
 
 #[derive(Debug, Clone)]
 struct CacheEntry {
-    tree: ProofTree,
+    value: QueryResult,
     /// Mutation version of every store the subtree was read from (its own
     /// home plus every descendant vertex's home and executing node), at the
     /// time it was computed. `None` records a store that did not exist.
     deps: Vec<(NodeId, Option<u64>)>,
 }
 
-/// Result cache shared in design by both engines: `(vid, node)` → lineage
-/// subtree, validated on every lookup against the mutation versions of
-/// **all** the stores the subtree was read from — not just the root's home,
-/// since a descendant node's churn changes the tree without touching the
-/// root's own store. Maintenance that touches any involved store
-/// (incremental deletes included) bumps its version, so stale entries are
-/// evicted instead of served.
+/// Result cache shared in design by both engines: `(vid, node, kind)` → the
+/// kind's value of the subtree, validated on every lookup against the
+/// mutation versions of **all** the stores the subtree was read from — not
+/// just the root's home, since a descendant node's churn changes the
+/// subtree without touching the root's own store. Maintenance that touches
+/// any involved store (incremental deletes included) bumps its version, so
+/// stale entries are evicted instead of served.
 #[derive(Debug, Default)]
 pub struct QueryCache {
-    map: IdMap<(TupleId, NodeId), CacheEntry>,
+    map: IdMap<(TupleId, NodeId, QueryKind), CacheEntry>,
 }
 
 impl QueryCache {
     /// Look up a cached subtree, evicting it if any store it depends on has
-    /// changed since it was computed.
+    /// changed since it was computed. A stamped fold's hit carries the
+    /// entry's stamp as its node set.
     fn lookup(
         &mut self,
         system: &ProvenanceSystem,
         vid: TupleId,
         node: NodeId,
-    ) -> Option<&ProofTree> {
-        match self.map.entry((vid, node)) {
+        fold: Fold,
+    ) -> Option<Folded<ProofTree>> {
+        match self.map.entry((vid, node, fold.kind)) {
             std::collections::hash_map::Entry::Occupied(e) => {
-                let fresh = e
-                    .get()
+                let entry = e.get();
+                let fresh = entry
                     .deps
                     .iter()
                     .all(|(dep, version)| system.store(*dep).map(|s| s.version()) == *version);
                 if fresh {
-                    Some(&e.into_mut().tree)
+                    Some(Folded {
+                        value: entry.value.clone(),
+                        nodes: fold
+                            .stamped
+                            .then(|| entry.deps.iter().map(|(dep, _)| *dep).collect()),
+                    })
                 } else {
                     e.remove();
                     None
@@ -121,18 +141,37 @@ impl QueryCache {
 
     /// Cache a computed subtree, stamped with the current version of every
     /// store it was read from.
-    fn insert(&mut self, system: &ProvenanceSystem, vid: TupleId, node: NodeId, tree: ProofTree) {
-        // The dep set is derived from the finished tree (every vertex home
-        // and executing node it was read from), so both engines stamp
-        // identically by construction.
+    fn insert(
+        &mut self,
+        system: &ProvenanceSystem,
+        vid: TupleId,
+        node: NodeId,
+        kind: QueryKind,
+        done: &Folded<ProofTree>,
+    ) {
+        // The stores a subtree was read from are the nodes its tree names:
+        // a lineage value is that tree, a node-set value is that set, and
+        // a stamped fold carries the set beside its value. Both engines
+        // stamp identically by construction.
         let mut nodes: BTreeSet<NodeId> = BTreeSet::new();
         nodes.insert(node);
-        collect_nodes(&tree, &mut nodes);
+        match (&done.nodes, &done.value) {
+            (Some(stamp), _) => nodes.extend(stamp),
+            (None, QueryResult::Lineage(tree)) => collect_nodes(tree, &mut nodes),
+            (None, QueryResult::ParticipatingNodes(set)) => nodes.extend(set),
+            (None, _) => unreachable!("a stamped fold carries its node set"),
+        }
         let deps = nodes
             .into_iter()
             .map(|n| (n, system.store(n).map(|s| s.version())))
             .collect();
-        self.map.insert((vid, node), CacheEntry { tree, deps });
+        self.map.insert(
+            (vid, node, kind),
+            CacheEntry {
+                value: done.value.clone(),
+                deps,
+            },
+        );
     }
 
     /// Number of cached subtrees.
@@ -148,6 +187,25 @@ impl QueryCache {
     /// Drop every cached subtree.
     pub fn clear(&mut self) {
         self.map.clear();
+    }
+}
+
+/// Every node a proof tree touches: each vertex's home and each rule
+/// execution's node, the stores the tree was read from.
+fn collect_nodes(tree: &ProofTree, out: &mut BTreeSet<NodeId>) {
+    out.insert(tree.home);
+    for d in &tree.derivations {
+        out.insert(d.node);
+        for input in &d.inputs {
+            collect_nodes(input, out);
+        }
+    }
+}
+
+/// Add a child subtree's node set to its parent's, under a stamped fold.
+fn absorb(nodes: &mut Option<BTreeSet<NodeId>>, child: Option<BTreeSet<NodeId>>) {
+    if let (Some(nodes), Some(child)) = (nodes, child) {
+        nodes.extend(child);
     }
 }
 
@@ -271,19 +329,21 @@ impl QueryEngine {
             self.charge(&mut stats, spec.querier, home, 64);
         }
         let mut visited = IdSet::default();
-        let tree = self.expand(
+        let fold = Fold::new(spec.kind, spec.options.use_cache);
+        let done = self.expand(
             system,
             home,
             spec.vid,
             0,
+            fold,
             &spec.options,
             &mut stats,
             &mut visited,
         );
-        (project_result(spec.kind, tree), stats)
+        (done.value, stats)
     }
 
-    /// Expand the proof tree of `vid`, whose `prov` entries live at `node`.
+    /// Fold the proof of `vid`, whose `prov` entries live at `node`.
     #[allow(clippy::too_many_arguments)]
     fn expand(
         &mut self,
@@ -291,48 +351,50 @@ impl QueryEngine {
         node: NodeId,
         vid: TupleId,
         depth: usize,
+        fold: Fold,
         options: &QueryOptions,
         stats: &mut QueryStats,
         visited: &mut IdSet<TupleId>,
-    ) -> ProofTree {
+    ) -> Folded<ProofTree> {
         stats.vertices_visited += 1;
         if options.use_cache {
-            if let Some(cached) = self.cache.lookup(system, vid, node) {
+            if let Some(hit) = self.cache.lookup(system, vid, node, fold) {
                 stats.cache_hits += 1;
-                return cached.clone();
+                return hit;
             }
         }
         let (tuple, entries) = read_vertex(system, node, vid);
-        let mut tree = ProofTree {
-            vid,
-            tuple: tuple.cloned(),
-            home: node,
-            is_base: false,
-            derivations: Vec::new(),
-            pruned: false,
-        };
+        let mut head = Head::new(vid, node, fold.tuple(tuple, entries));
+        let mut nodes = fold.nodes(node);
         // Cycle guard (the provenance graph is acyclic by construction, but a
         // malformed store must not hang the query engine).
         if !visited.insert(vid) {
-            return tree;
+            return Folded {
+                value: fold.vertex(head, Vec::new()),
+                nodes,
+            };
         }
         if let Some(max_depth) = options.max_depth {
             if depth >= max_depth {
-                tree.pruned = true;
+                head.pruned = true;
                 visited.remove(&vid);
-                return tree;
+                return Folded {
+                    value: fold.vertex(head, Vec::new()),
+                    nodes,
+                };
             }
         }
         let mut expanded = 0usize;
+        let mut derivations = Vec::new();
         let mut frontier_hops: Vec<f64> = Vec::new();
         for entry in entries {
             if entry.is_base() {
-                tree.is_base = true;
+                head.is_base = true;
                 continue;
             }
             if let Some(limit) = options.max_derivations_per_vertex {
                 if expanded >= limit {
-                    tree.pruned = true;
+                    head.pruned = true;
                     break;
                 }
             }
@@ -346,30 +408,37 @@ impl QueryEngine {
             let Some(exec) = system.store(entry.rloc).and_then(|s| s.rule_exec(rid)) else {
                 continue;
             };
-            let mut exec_node = RuleExecNode {
-                rid,
-                rule: exec.rule,
-                node: exec.node,
-                inputs: Vec::new(),
-            };
+            let mut exec_nodes = fold.nodes(exec.node);
             // Inputs are local to the executing node: recurse there.
-            for input in exec.inputs.iter() {
-                let subtree = self.expand(
-                    system,
-                    entry.rloc,
-                    *input,
-                    depth + 1,
-                    options,
-                    stats,
-                    visited,
-                );
-                exec_node.inputs.push(subtree);
-            }
-            tree.derivations.push(exec_node);
+            let inputs = exec
+                .inputs
+                .iter()
+                .map(|input| {
+                    let done = self.expand(
+                        system,
+                        entry.rloc,
+                        *input,
+                        depth + 1,
+                        fold,
+                        options,
+                        stats,
+                        visited,
+                    );
+                    absorb(&mut exec_nodes, done.nodes);
+                    Some(done.value)
+                })
+                .collect();
+            derivations.push(Some(fold.exec(rid, exec.rule, exec.node, inputs)));
+            absorb(&mut nodes, exec_nodes);
         }
         visited.remove(&vid);
-        if options.use_cache && !tree.pruned {
-            self.cache.insert(system, vid, node, tree.clone());
+        let pruned = head.pruned;
+        let done = Folded {
+            value: fold.vertex(head, derivations),
+            nodes,
+        };
+        if options.use_cache && !pruned {
+            self.cache.insert(system, vid, node, fold.kind, &done);
         }
         // Latency model: depth-first pays every hop sequentially; breadth-first
         // overlaps the hops of sibling derivations.
@@ -381,7 +450,7 @@ impl QueryEngine {
                 stats.latency_ms += frontier_hops.iter().cloned().fold(0.0, f64::max);
             }
         }
-        tree
+        done
     }
 
     fn charge(&mut self, stats: &mut QueryStats, from: NodeId, to: NodeId, bytes: usize) {
@@ -402,7 +471,7 @@ impl QueryEngine {
 #[derive(Debug, Clone, Copy)]
 enum Parent {
     /// Session root; `remote` means the querier is a different node than the
-    /// target's home, so the finished tree travels back as a
+    /// target's home, so the finished value travels back as a
     /// [`QueryOp::VertexDone`] frame.
     Root { remote: bool },
     /// Input slot of an exec frame at the same node.
@@ -420,15 +489,18 @@ struct VertexFrame {
     /// this one and its sibling inputs.
     path: Arc<[TupleId]>,
     parent: Parent,
-    tree: ProofTree,
+    /// The vertex's own facts, folded with `children` at completion.
+    head: Head,
     /// Depth-first: the vertex's entries from its first derivation on,
     /// scanned from `next_entry` as derivations complete.
     entries: Vec<ProvEntry>,
     next_entry: usize,
     expanded: usize,
-    /// One slot per issued derivation, in entry order; compacted (dropping
-    /// missing execs) into `tree.derivations` at completion.
-    children: Vec<Option<RuleExecNode>>,
+    /// One slot per issued derivation, in entry order (`None` for a missing
+    /// exec), folded at completion.
+    children: Vec<Option<QueryResult<RuleExecNode>>>,
+    /// A stamped fold's node set so far.
+    nodes: Option<BTreeSet<NodeId>>,
     outstanding: usize,
     /// Breadth-first: all children were issued at start.
     scanned: bool,
@@ -438,6 +510,28 @@ struct VertexFrame {
     /// Completion was already scheduled; duplicate advance events (fan-out
     /// queues one per child completion) must not re-complete the frame.
     completed: bool,
+}
+
+impl VertexFrame {
+    fn new(node: NodeId, vid: TupleId, depth: usize, path: Arc<[TupleId]>, parent: Parent) -> Self {
+        VertexFrame {
+            node,
+            vid,
+            depth,
+            path,
+            parent,
+            head: Head::new(vid, node, None),
+            entries: Vec::new(),
+            next_entry: 0,
+            expanded: 0,
+            children: Vec::new(),
+            nodes: None,
+            outstanding: 0,
+            scanned: false,
+            registered: false,
+            completed: false,
+        }
+    }
 }
 
 /// Per-rule-execution expansion state (runs at `node`, where the rule
@@ -455,13 +549,17 @@ struct ExecFrame {
     /// Awaiting vertex frame and its derivation slot.
     parent_frame: u32,
     parent_slot: u32,
-    /// The awaiting vertex lives on another node: the finished subtree
+    /// The awaiting vertex lives on another node: the finished value
     /// travels back as a [`QueryOp::ExecDone`] frame.
     remote: bool,
-    header: Option<RuleExecNode>,
+    /// The stored `ruleExec`'s rule and node, once found.
+    record: Option<(Sym, NodeId)>,
     /// The stored `ruleExec`'s input list, shared.
     input_vids: Arc<[TupleId]>,
-    inputs: Vec<Option<ProofTree>>,
+    /// One slot per input, in body order, folded at completion.
+    inputs: Vec<Option<QueryResult>>,
+    /// A stamped fold's node set so far.
+    nodes: Option<BTreeSet<NodeId>>,
     next_input: usize,
     outstanding: usize,
     scanned: bool,
@@ -488,38 +586,15 @@ enum Event {
     AdvanceExec(u32),
     VertexDone {
         frame: u32,
-        tree: ProofTree,
-        /// False for cycle-guard and cache-served completions, which the
-        /// legacy engine never inserts into the cache.
+        done: Folded<ProofTree>,
+        /// False for cycle-guard, cache-served and pruned completions, which
+        /// the legacy engine never inserts into the cache.
         cacheable: bool,
     },
     ExecDone {
         frame: u32,
-        exec: Option<RuleExecNode>,
+        exec: Option<Folded<RuleExecNode>>,
     },
-}
-
-/// Move a frame's tree out, leaving a cheap placeholder behind (the frame
-/// retires right after, so nothing reads it again).
-fn take_tree(slot: &mut ProofTree) -> ProofTree {
-    std::mem::replace(
-        slot,
-        ProofTree {
-            vid: TupleId(0),
-            tuple: None,
-            home: NodeId::default(),
-            is_base: false,
-            derivations: Vec::new(),
-            pruned: false,
-        },
-    )
-}
-
-/// The filled slots of a finished frame, in slot order. Collecting from the
-/// slots' own iterator reuses their buffer; `flatten()` would allocate anew.
-#[allow(clippy::filter_map_identity)]
-fn filled<T>(slots: Vec<Option<T>>) -> Vec<T> {
-    slots.into_iter().filter_map(|slot| slot).collect()
 }
 
 /// A record staged for shipment, waiting for the next [`QueryExecutor::poll`]
@@ -543,20 +618,21 @@ struct Ctx<'a> {
 struct Session {
     qid: u64,
     spec: QuerySpec,
+    fold: Fold,
     started_at: SimTime,
     frames: Vec<Frame>,
     queue: VecDeque<Event>,
     stats: QueryStats,
-    /// Completed root-level derivations, streamed as they finish (drained by
-    /// [`QueryExecutor::take_partials`]).
+    /// Lineage: completed root-level derivations, streamed as they finish
+    /// (drained by [`QueryExecutor::take_partials`]).
     partials: Vec<RuleExecNode>,
     /// Caching on: `(vid, node)` sub-queries currently being computed, so
     /// concurrent breadth-first duplicates defer instead of racing.
     in_flight: IdMap<(TupleId, NodeId), u32>,
     /// Frames deferred onto an in-flight computation, woken at completion.
     waiters: IdMap<u32, Vec<u32>>,
-    /// Set when the root tree is complete; the executor finalizes it.
-    root_result: Option<ProofTree>,
+    /// Set when the root value is complete; the executor finalizes it.
+    root_result: Option<QueryResult>,
 }
 
 /// A finished (or cancelled) session, retained until the caller redeems its
@@ -658,6 +734,7 @@ impl QueryExecutor {
         let remote = home != spec.querier;
         let mut session = Session {
             qid,
+            fold: Fold::new(spec.kind, spec.options.use_cache),
             spec,
             started_at: now,
             frames: Vec::new(),
@@ -668,29 +745,13 @@ impl QueryExecutor {
             waiters: IdMap::default(),
             root_result: None,
         };
-        session.frames.push(Frame::Vertex(VertexFrame {
-            node: home,
-            vid: session.spec.vid,
-            depth: 0,
-            path: Arc::default(),
-            parent: Parent::Root { remote },
-            tree: ProofTree {
-                vid: session.spec.vid,
-                tuple: None,
-                home,
-                is_base: false,
-                derivations: Vec::new(),
-                pruned: false,
-            },
-            entries: Vec::new(),
-            next_entry: 0,
-            expanded: 0,
-            children: Vec::new(),
-            outstanding: 0,
-            scanned: false,
-            registered: false,
-            completed: false,
-        }));
+        session.frames.push(Frame::Vertex(VertexFrame::new(
+            home,
+            session.spec.vid,
+            0,
+            Arc::default(),
+            Parent::Root { remote },
+        )));
         if remote {
             // The querying node contacts the tuple's home node.
             self.staged.push(StagedOp {
@@ -850,9 +911,9 @@ impl QueryExecutor {
                 QueryOp::ExpandExec { frame, .. } => {
                     session.queue.push_back(Event::StartExec(frame));
                 }
-                QueryOp::VertexDone { frame, tree, .. } => {
+                QueryOp::VertexDone { frame, value, .. } => {
                     debug_assert_eq!(frame, 0, "only the root vertex crosses the wire");
-                    session.root_result = Some(tree);
+                    session.root_result = Some(value);
                 }
                 QueryOp::ExecDone { frame, exec, .. } => {
                     session.queue.push_back(Event::ExecDone { frame, exec });
@@ -901,9 +962,11 @@ impl QueryExecutor {
         Some((finished.result, finished.stats))
     }
 
-    /// Drain the completed root-level derivations streamed so far (partial
-    /// results). Works both while the session is executing and after it
-    /// finished or was cancelled.
+    /// Drain the completed root-level derivations of a lineage session
+    /// streamed so far (partial results). Works both while the session is
+    /// executing and after it finished or was cancelled. Only lineage
+    /// streams: any other kind's derivations are values, not trees, and its
+    /// sessions return nothing here.
     pub fn take_partials(&mut self, handle: QueryHandle) -> Vec<RuleExecNode> {
         if let Some(session) = self.sessions.get_mut(&handle.0) {
             return std::mem::take(&mut session.partials);
@@ -966,7 +1029,7 @@ impl QueryExecutor {
         );
     }
 
-    /// Drain a session's event queue, then finalize it if its root tree
+    /// Drain a session's event queue, then finalize it if its root value
     /// completed.
     fn run_session(&mut self, qid: u64, system: &ProvenanceSystem, now: SimTime) {
         let Some(session) = self.sessions.get_mut(&qid) else {
@@ -980,13 +1043,13 @@ impl QueryExecutor {
         session.drain(&mut ctx);
         if session.root_result.is_some() {
             let mut session = self.sessions.remove(&qid).expect("session exists");
-            let tree = session.root_result.take().expect("root result set");
+            let result = session.root_result.take();
             let mut stats = session.stats;
             stats.latency_ms = (now - session.started_at).as_micros() as f64 / 1000.0;
             self.finished.insert(
                 qid,
                 Finished {
-                    result: Some(project_result(session.spec.kind, tree)),
+                    result,
                     stats,
                     partials: session.partials,
                 },
@@ -1005,9 +1068,9 @@ impl Session {
                 Event::AdvanceExec(e) => self.advance_exec(e, ctx),
                 Event::VertexDone {
                     frame,
-                    tree,
+                    done,
                     cacheable,
-                } => self.on_vertex_done(frame, tree, cacheable, ctx),
+                } => self.on_vertex_done(frame, done, cacheable, ctx),
                 Event::ExecDone { frame, exec } => self.on_exec_done(frame, exec),
             }
         }
@@ -1034,6 +1097,7 @@ impl Session {
     fn start_vertex(&mut self, f: u32, ctx: &mut Ctx<'_>) {
         self.stats.vertices_visited += 1;
         let use_cache = self.spec.options.use_cache;
+        let fold = self.fold;
         let (node, vid, depth, path_has_self) = {
             let frame = self.vertex(f);
             (
@@ -1044,13 +1108,12 @@ impl Session {
             )
         };
         if use_cache {
-            if let Some(cached) = ctx.cache.lookup(ctx.system, vid, node) {
+            if let Some(done) = ctx.cache.lookup(ctx.system, vid, node, fold) {
                 self.stats.cache_hits += 1;
-                let tree = cached.clone();
                 self.vertex(f).completed = true;
                 self.queue.push_back(Event::VertexDone {
                     frame: f,
-                    tree,
+                    done,
                     cacheable: false,
                 });
                 return;
@@ -1060,20 +1123,17 @@ impl Session {
         // while derivations are issued through `ctx`.
         let system = ctx.system;
         let (tuple, entries) = read_vertex(system, node, vid);
-        self.vertex(f).tree.tuple = tuple.cloned();
+        {
+            let frame = self.vertex(f);
+            frame.head.tuple = fold.tuple(tuple, entries);
+            frame.nodes = fold.nodes(node);
+        }
         if path_has_self {
             // Cycle guard: return the bare vertex, never cached. Checked
             // BEFORE the in-flight defer below — on a cyclic (malformed)
             // store an ancestor frame is necessarily the one computing this
             // key, so deferring onto it would deadlock the session.
-            let frame = self.vertex(f);
-            frame.completed = true;
-            let tree = take_tree(&mut frame.tree);
-            self.queue.push_back(Event::VertexDone {
-                frame: f,
-                tree,
-                cacheable: false,
-            });
+            self.complete_vertex(f, false);
             return;
         }
         if use_cache {
@@ -1090,15 +1150,8 @@ impl Session {
         }
         if let Some(max_depth) = self.spec.options.max_depth {
             if depth >= max_depth {
-                let frame = self.vertex(f);
-                frame.completed = true;
-                frame.tree.pruned = true;
-                let tree = take_tree(&mut frame.tree);
-                self.queue.push_back(Event::VertexDone {
-                    frame: f,
-                    tree,
-                    cacheable: true,
-                });
+                self.vertex(f).head.pruned = true;
+                self.complete_vertex(f, true);
                 return;
             }
         }
@@ -1110,7 +1163,7 @@ impl Session {
                 // derivation on are copied into the frame, and only then.
                 let first = entries.iter().position(|entry| !entry.is_base());
                 let frame = self.vertex(f);
-                frame.tree.is_base = first.unwrap_or(entries.len()) > 0;
+                frame.head.is_base = first.unwrap_or(entries.len()) > 0;
                 if let Some(first) = first {
                     frame.entries = entries[first..].to_vec();
                 }
@@ -1125,11 +1178,11 @@ impl Session {
                 for &entry in entries {
                     let frame = self.vertex(f);
                     if entry.is_base() {
-                        frame.tree.is_base = true;
+                        frame.head.is_base = true;
                         continue;
                     }
                     if limit.is_some_and(|limit| frame.expanded >= limit) {
-                        frame.tree.pruned = true;
+                        frame.head.pruned = true;
                         break;
                     }
                     frame.expanded += 1;
@@ -1168,12 +1221,12 @@ impl Session {
                     let entry = frame.entries[frame.next_entry];
                     frame.next_entry += 1;
                     if entry.is_base() {
-                        frame.tree.is_base = true;
+                        frame.head.is_base = true;
                         continue;
                     }
                     if let Some(limit) = limit {
                         if frame.expanded >= limit {
-                            frame.tree.pruned = true;
+                            frame.head.pruned = true;
                             frame.next_entry = frame.entries.len();
                             break;
                         }
@@ -1193,20 +1246,28 @@ impl Session {
             return;
         }
         // Entry scan exhausted, nothing outstanding: the vertex is complete.
-        // The frame is about to retire, so its tree and children are moved
-        // out, not cloned — completion costs O(result), not O(result) per
-        // ancestor level.
-        let tree = {
-            let frame = self.vertex(f);
-            frame.completed = true;
-            let mut tree = take_tree(&mut frame.tree);
-            tree.derivations = filled(std::mem::take(&mut frame.children));
-            tree
+        self.complete_vertex(f, true);
+    }
+
+    /// Fold a vertex frame's facts and children into its value and schedule
+    /// its completion. The frame is about to retire, so its parts are moved
+    /// out, not cloned — completion costs O(value), not O(value) per
+    /// ancestor level.
+    fn complete_vertex(&mut self, f: u32, cacheable: bool) {
+        let fold = self.fold;
+        let frame = self.vertex(f);
+        frame.completed = true;
+        let head = std::mem::replace(&mut frame.head, Head::new(frame.vid, frame.node, None));
+        // A vertex pruning cut is never cached.
+        let cacheable = cacheable && !head.pruned;
+        let done = Folded {
+            value: fold.vertex(head, std::mem::take(&mut frame.children)),
+            nodes: frame.nodes.take(),
         };
         self.queue.push_back(Event::VertexDone {
             frame: f,
-            tree,
-            cacheable: true,
+            done,
+            cacheable,
         });
     }
 
@@ -1232,9 +1293,10 @@ impl Session {
             parent_frame: f,
             parent_slot: slot,
             remote,
-            header: None,
+            record: None,
             input_vids: Arc::default(),
             inputs: Vec::new(),
+            nodes: None,
             next_input: 0,
             outstanding: 0,
             scanned: false,
@@ -1262,6 +1324,7 @@ impl Session {
     /// locally, then expand the proof subtrees of its inputs (which are
     /// local to the executing node) in the traversal's schedule.
     fn start_exec(&mut self, e: u32, ctx: &mut Ctx<'_>) {
+        let fold = self.fold;
         let (node, rid) = {
             let frame = self.exec(e);
             (frame.node, frame.rid)
@@ -1272,16 +1335,11 @@ impl Session {
             self.complete_exec(e, None, ctx);
             return;
         };
-        let header = RuleExecNode {
-            rid,
-            rule: exec.rule,
-            node: exec.node,
-            inputs: Vec::new(),
-        };
         let input_vids = exec.inputs.clone();
         {
             let frame = self.exec(e);
-            frame.header = Some(header);
+            frame.record = Some((exec.rule, exec.node));
+            frame.nodes = fold.nodes(exec.node);
             frame.inputs = vec![None; input_vids.len()];
             frame.input_vids = input_vids;
         }
@@ -1328,13 +1386,16 @@ impl Session {
         } else if !self.exec(e).scanned {
             return;
         }
-        let exec_node = {
+        let fold = self.fold;
+        let done = {
             let frame = self.exec(e);
-            let mut header = frame.header.take().expect("exec header set");
-            header.inputs = filled(std::mem::take(&mut frame.inputs));
-            header
+            let (rule, node) = frame.record.expect("exec record found");
+            Folded {
+                value: fold.exec(frame.rid, rule, node, std::mem::take(&mut frame.inputs)),
+                nodes: frame.nodes.take(),
+            }
         };
-        self.complete_exec(e, Some(exec_node), ctx);
+        self.complete_exec(e, Some(done), ctx);
     }
 
     /// Create and start the vertex frame of one input tuple (always local to
@@ -1350,35 +1411,19 @@ impl Session {
             )
         };
         let f = self.frames.len() as u32;
-        self.frames.push(Frame::Vertex(VertexFrame {
+        self.frames.push(Frame::Vertex(VertexFrame::new(
             node,
             vid,
             depth,
             path,
-            parent: Parent::Exec { frame: e, slot },
-            tree: ProofTree {
-                vid,
-                tuple: None,
-                home: node,
-                is_base: false,
-                derivations: Vec::new(),
-                pruned: false,
-            },
-            entries: Vec::new(),
-            next_entry: 0,
-            expanded: 0,
-            children: Vec::new(),
-            outstanding: 0,
-            scanned: false,
-            registered: false,
-            completed: false,
-        }));
+            Parent::Exec { frame: e, slot },
+        )));
         self.queue.push_back(Event::StartVertex(f));
     }
 
     /// An exec frame finished computing (or failed to find its record):
     /// either respond over the wire or resume the awaiting vertex directly.
-    fn complete_exec(&mut self, e: u32, exec: Option<RuleExecNode>, ctx: &mut Ctx<'_>) {
+    fn complete_exec(&mut self, e: u32, exec: Option<Folded<RuleExecNode>>, ctx: &mut Ctx<'_>) {
         let (remote, node, parent_frame) = {
             let frame = self.exec(e);
             frame.completed = true;
@@ -1404,31 +1449,38 @@ impl Session {
         }
     }
 
-    /// A completed rule-execution subtree reached its awaiting vertex.
-    fn on_exec_done(&mut self, e: u32, exec: Option<RuleExecNode>) {
+    /// A completed rule-execution value reached its awaiting vertex.
+    fn on_exec_done(&mut self, e: u32, exec: Option<Folded<RuleExecNode>>) {
         let (parent_frame, parent_slot) = {
             let frame = self.exec(e);
             (frame.parent_frame, frame.parent_slot)
         };
         self.frames[e as usize] = Frame::Done;
-        {
-            if parent_frame == 0 {
-                // Root-level derivation: stream it as a partial result.
-                if let Some(exec) = &exec {
-                    self.partials.push(exec.clone());
-                }
+        if parent_frame == 0 {
+            // Root-level lineage derivation: stream it as a partial result.
+            if let Some(QueryResult::Lineage(exec)) = exec.as_ref().map(|exec| &exec.value) {
+                self.partials.push(exec.clone());
             }
-            let frame = self.vertex(parent_frame);
-            frame.children[parent_slot as usize] = exec;
-            frame.outstanding -= 1;
         }
+        let frame = self.vertex(parent_frame);
+        if let Some(exec) = exec {
+            absorb(&mut frame.nodes, exec.nodes);
+            frame.children[parent_slot as usize] = Some(exec.value);
+        }
+        frame.outstanding -= 1;
         self.queue.push_back(Event::AdvanceVertex(parent_frame));
     }
 
     /// A vertex subtree is complete: maintain the cache and in-flight
-    /// bookkeeping, wake deferred duplicates, and route the tree to its
+    /// bookkeeping, wake deferred duplicates, and route the value to its
     /// parent (the session root or an exec frame's input slot).
-    fn on_vertex_done(&mut self, f: u32, tree: ProofTree, cacheable: bool, ctx: &mut Ctx<'_>) {
+    fn on_vertex_done(
+        &mut self,
+        f: u32,
+        done: Folded<ProofTree>,
+        cacheable: bool,
+        ctx: &mut Ctx<'_>,
+    ) {
         let (node, vid, parent, registered) = {
             let frame = self.vertex(f);
             (frame.node, frame.vid, frame.parent, frame.registered)
@@ -1436,8 +1488,9 @@ impl Session {
         self.frames[f as usize] = Frame::Done;
         if registered {
             self.in_flight.remove(&(vid, node));
-            if cacheable && !tree.pruned {
-                ctx.cache.insert(ctx.system, vid, node, tree.clone());
+            if cacheable {
+                ctx.cache
+                    .insert(ctx.system, vid, node, self.spec.kind, &done);
             }
             if let Some(waiters) = self.waiters.remove(&f) {
                 for w in waiters {
@@ -1447,7 +1500,7 @@ impl Session {
         }
         match parent {
             Parent::Root { remote: false } => {
-                self.root_result = Some(tree);
+                self.root_result = Some(done.value);
             }
             Parent::Root { remote: true } => {
                 ctx.staged.push(StagedOp {
@@ -1457,14 +1510,15 @@ impl Session {
                     op: QueryOp::VertexDone {
                         qid: self.qid,
                         frame: f,
-                        tree,
+                        value: done.value,
                     },
                 });
             }
             Parent::Exec { frame: e, slot } => {
                 {
                     let frame = self.exec(e);
-                    frame.inputs[slot as usize] = Some(tree);
+                    absorb(&mut frame.nodes, done.nodes);
+                    frame.inputs[slot as usize] = Some(done.value);
                     frame.outstanding -= 1;
                 }
                 self.queue.push_back(Event::AdvanceExec(e));

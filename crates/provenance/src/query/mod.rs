@@ -12,6 +12,11 @@
 //!   [`QuerySpec`] (the compiled form a session builder produces),
 //!   [`QueryHandle`], and the result types ([`ProofTree`], [`QueryResult`],
 //!   [`QueryStats`]).
+//! * [`fold`] — each [`QueryKind`] as one fold over the proof graph (a
+//!   vertex's own facts, a rule execution over its inputs' values, a
+//!   vertex's alternatives), evaluated where the data is, so responses carry
+//!   the kind's value — a count, a node set, a base set or, for lineage, the
+//!   proof subtree — instead of the lineage tree.
 //! * [`wire`] — the message-driven protocol: [`QueryOp`] records carried in
 //!   per-destination [`QueryBatch`] frames behind first-use dictionary
 //!   headers (the same wire discipline as delta and maintenance batches).
@@ -31,8 +36,9 @@
 //!   derivations".
 //!
 //! and implement the three optimizations of Section 2.2: **caching** of
-//! previously queried sub-results (invalidated by store version, so
-//! incremental deletes can never serve stale trees), **alternative
+//! previously queried sub-results, keyed by vertex, node and kind
+//! (invalidated by store version, so incremental deletes can never serve
+//! stale values), **alternative
 //! tree-traversal orders** (sequential depth-first vs. parallel
 //! breadth-first), and **threshold-based pruning**. Under the distributed
 //! executor, the traversal-order trade-off is *measured*, not modelled: DFS
@@ -46,6 +52,7 @@
 
 pub mod api;
 pub mod executor;
+pub mod fold;
 pub mod wire;
 
 pub use api::{
@@ -53,4 +60,5 @@ pub use api::{
     RuleExecNode, TraversalOrder, QUERY_CATEGORY,
 };
 pub use executor::{QueryEngine, QueryExecutor};
+pub use fold::Folded;
 pub use wire::{QueryBatch, QueryOp};

@@ -10,8 +10,10 @@
 //! length travels with the frame, so pricing a frame walks nothing.
 //!
 //! Requests are tiny and string-free (ids and digests only); responses carry
-//! completed proof subtrees, whose interned rule/node/relation names are what
-//! the dictionary headers pay for.
+//! the kind's value of a completed subtree (`query::fold`): a lineage
+//! subtree, a base set, a node set or a count. Their interned
+//! rule/node/relation names are what the dictionary headers pay for, and a
+//! count names none.
 //!
 //! With cross-session merging on (`QueryExecutor::set_frame_merging`), one
 //! frame may carry records from several concurrent sessions: each session's
@@ -21,9 +23,11 @@
 //! however many sessions reference the same symbol. Receivers need no new
 //! decoding logic: every record still names its session via [`QueryOp::qid`].
 
-use crate::query::api::{ProofTree, RuleExecNode};
+use crate::query::api::{ProofTree, QueryResult, RuleExecNode};
+use crate::query::fold::Folded;
 use crate::store::RuleExecId;
 use nt_runtime::{NodeId, Sym, TupleId};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// One record of the query protocol. `qid` names the session, `frame` the
@@ -64,24 +68,26 @@ pub enum QueryOp {
         /// carry the same path.
         path: Arc<[TupleId]>,
     },
-    /// Completed vertex subtree, returned to the awaiting frame.
+    /// The value of a completed vertex subtree, returned to the awaiting
+    /// frame (only the session root's crosses the wire).
     VertexDone {
         /// Session id.
         qid: u64,
         /// Awaiting frame at the destination.
         frame: u32,
-        /// The completed subtree.
-        tree: ProofTree,
+        /// The kind's value of the subtree.
+        value: QueryResult,
     },
-    /// Completed rule-execution subtree (`None` when the rid is unknown at
-    /// the responding node), returned to the awaiting frame.
+    /// The value of a completed rule-execution subtree (`None` when the rid
+    /// is unknown at the responding node), returned to the awaiting frame.
     ExecDone {
         /// Session id.
         qid: u64,
         /// Awaiting frame at the destination.
         frame: u32,
-        /// The completed subtree, if the execution was found.
-        exec: Option<RuleExecNode>,
+        /// The subtree's value and, under a stamped fold, its node set, if
+        /// the execution was found.
+        exec: Option<Folded<RuleExecNode>>,
     },
     /// Abandon all of the session's outstanding work at the destination
     /// (cancellation / pruning propagation): in-progress frames there are
@@ -106,7 +112,7 @@ impl QueryOp {
 
     /// True for records that ask the destination to do expansion work
     /// (carried in `NetMessage::QueryRequest` frames); false for completed
-    /// subtrees travelling back (`NetMessage::QueryResponse`).
+    /// subtrees' values travelling back (`NetMessage::QueryResponse`).
     pub fn is_request(&self) -> bool {
         matches!(
             self,
@@ -117,8 +123,14 @@ impl QueryOp {
     /// Wire size of the record body in the interned encoding: a 1-byte tag,
     /// an 8-byte session id and a 4-byte frame id, plus the variant payload —
     /// 8-byte digests/vids (with 8 bytes per path ancestor) for requests,
-    /// the interned subtree payload for responses. Dictionary cost is
-    /// carried by the batch header ([`QueryBatch::header_bytes`]), not here.
+    /// the interned value for responses: a lineage subtree at 14 bytes per
+    /// tuple vertex plus its tuple and 16 per rule execution, a count in 8
+    /// bytes, a node set in 2 bytes plus 4 per node, a base set in 2 bytes
+    /// plus, per entry, an 8-byte vid, a 1-byte flag and the tuple. An
+    /// [`QueryOp::ExecDone`] adds a 1-byte found flag and, when a count or
+    /// a base set is cached, the subtree's node set. Dictionary cost is
+    /// carried by the batch header ([`QueryBatch::header_bytes`]), not
+    /// here.
     ///
     /// A frame's price is its sealed length ([`QueryBatch::body_bytes`]);
     /// this walk of one record is what tests check that length against.
@@ -136,9 +148,15 @@ impl QueryOp {
             + match self {
                 QueryOp::ExpandVertex { path, .. } => 8 + 4 + 8 * path.len(),
                 QueryOp::ExpandExec { path, .. } => 8 + 4 + 8 * path.len(),
-                QueryOp::VertexDone { tree, .. } => walk_tree(tree, names),
+                QueryOp::VertexDone { value, .. } => walk_value(value, walk_tree, names),
                 QueryOp::ExecDone { exec, .. } => {
-                    1 + exec.as_ref().map_or(0, |exec| walk_exec(exec, names))
+                    1 + exec.as_ref().map_or(0, |exec| {
+                        walk_value(&exec.value, walk_exec, names)
+                            + exec
+                                .nodes
+                                .as_ref()
+                                .map_or(0, |nodes| walk_nodes(nodes, names))
+                    })
                 }
                 QueryOp::Cancel { .. } => 0,
             }
@@ -234,6 +252,39 @@ impl QueryBatch {
     }
 }
 
+/// Size and names of a subtree's value; `lineage` walks its tree form.
+fn walk_value<T, F: FnMut(Sym)>(
+    value: &QueryResult<T>,
+    lineage: fn(&T, &mut F) -> usize,
+    names: &mut F,
+) -> usize {
+    match value {
+        QueryResult::Lineage(tree) => lineage(tree, names),
+        QueryResult::BaseTuples(bases) => {
+            2 + bases
+                .iter()
+                .map(|(_, tuple)| {
+                    8 + 1
+                        + tuple.as_ref().map_or(0, |tuple| {
+                            tuple.visit_names(names);
+                            tuple.wire_size()
+                        })
+                })
+                .sum::<usize>()
+        }
+        QueryResult::ParticipatingNodes(nodes) => walk_nodes(nodes, names),
+        QueryResult::DerivationCount(_) => 8,
+    }
+}
+
+/// Size and names of a node set: a 2-byte length and a 4-byte id per node.
+fn walk_nodes<F: FnMut(Sym)>(nodes: &BTreeSet<NodeId>, names: &mut F) -> usize {
+    for node in nodes {
+        names(node.as_sym());
+    }
+    2 + NodeId::WIRE_SIZE * nodes.len()
+}
+
 /// Size and names of a proof subtree in the interned encoding: per tuple
 /// vertex an 8-byte vid, 4-byte home id and 2 flag bytes plus the optional
 /// tuple payload; per rule-execution vertex an 8-byte rid and 4-byte
@@ -309,7 +360,7 @@ mod tests {
         let op = QueryOp::VertexDone {
             qid: 1,
             frame: 0,
-            tree: tree.clone(),
+            value: QueryResult::Lineage(tree.clone()),
         };
         assert_eq!(op.wire_size(), (1 + 8 + 4) + 8 + 4 + 2 + tuple_bytes);
         assert!(!op.is_request());
@@ -332,7 +383,7 @@ mod tests {
         let op = QueryOp::VertexDone {
             qid: 1,
             frame: 0,
-            tree: head,
+            value: QueryResult::Lineage(head),
         };
         assert_eq!(
             op.wire_size(),
@@ -342,6 +393,99 @@ mod tests {
         for name in ["path", "n2", "r1", "link", "n1"] {
             assert!(dict.contains(name), "{name} missing from dictionary");
         }
+    }
+
+    #[test]
+    fn a_count_is_eight_bytes_and_ships_no_names() {
+        let op = QueryOp::VertexDone {
+            qid: 1,
+            frame: 0,
+            value: QueryResult::DerivationCount(u64::MAX),
+        };
+        assert_eq!(op.wire_size(), (1 + 8 + 4) + 8);
+        assert!(names_of(&op).is_empty(), "a count names nothing");
+        let op = QueryOp::ExecDone {
+            qid: 1,
+            frame: 3,
+            exec: Some(Folded {
+                value: QueryResult::DerivationCount(2),
+                nodes: None,
+            }),
+        };
+        assert_eq!(op.wire_size(), (1 + 8 + 4) + 1 + 8);
+        assert!(names_of(&op).is_empty(), "a count names nothing");
+        // Under caching the node set that stamps the cache entry rides
+        // along, and names its nodes only.
+        let op = QueryOp::ExecDone {
+            qid: 1,
+            frame: 3,
+            exec: Some(Folded {
+                value: QueryResult::DerivationCount(2),
+                nodes: Some(BTreeSet::from([NodeId::new("n1"), NodeId::new("n2")])),
+            }),
+        };
+        assert_eq!(op.wire_size(), (1 + 8 + 4) + 1 + 8 + (2 + 4 * 2));
+        assert_eq!(names_of(&op), BTreeSet::from(["n1", "n2"]));
+    }
+
+    #[test]
+    fn a_node_set_is_two_bytes_and_four_per_node_and_names_only_nodes() {
+        let nodes = BTreeSet::from([NodeId::new("n1"), NodeId::new("n2"), NodeId::new("n3")]);
+        let op = QueryOp::VertexDone {
+            qid: 1,
+            frame: 0,
+            value: QueryResult::ParticipatingNodes(nodes.clone()),
+        };
+        assert_eq!(op.wire_size(), (1 + 8 + 4) + 2 + 4 * 3);
+        assert_eq!(names_of(&op), BTreeSet::from(["n1", "n2", "n3"]));
+        // A node-set value already is its stamp: nothing rides beside it.
+        let op = QueryOp::ExecDone {
+            qid: 1,
+            frame: 3,
+            exec: Some(Folded {
+                value: QueryResult::ParticipatingNodes(nodes),
+                nodes: None,
+            }),
+        };
+        assert_eq!(op.wire_size(), (1 + 8 + 4) + 1 + 2 + 4 * 3);
+        assert_eq!(names_of(&op), BTreeSet::from(["n1", "n2", "n3"]));
+    }
+
+    #[test]
+    fn a_base_set_prices_a_vid_a_flag_and_the_tuple_per_entry() {
+        let link = Tuple::new("link", vec![Value::addr("n1"), Value::Int(7)]);
+        let cost = Tuple::new("cost", vec![Value::addr("n2"), Value::addr("n4")]);
+        let (link_bytes, cost_bytes) = (link.wire_size(), cost.wire_size());
+        let bases = vec![
+            (link.id(), Some(link)),
+            (TupleId(5), None),
+            (cost.id(), Some(cost)),
+        ];
+        let op = QueryOp::VertexDone {
+            qid: 1,
+            frame: 0,
+            value: QueryResult::BaseTuples(bases.clone()),
+        };
+        let body = 2 + (8 + 1 + link_bytes) + (8 + 1) + (8 + 1 + cost_bytes);
+        assert_eq!(op.wire_size(), (1 + 8 + 4) + body);
+        assert_eq!(
+            names_of(&op),
+            BTreeSet::from(["link", "n1", "cost", "n2", "n4"]),
+            "a base set names its tuples' relations and values"
+        );
+        let op = QueryOp::ExecDone {
+            qid: 1,
+            frame: 3,
+            exec: Some(Folded {
+                value: QueryResult::BaseTuples(bases),
+                nodes: Some(BTreeSet::from([NodeId::new("n9")])),
+            }),
+        };
+        assert_eq!(op.wire_size(), (1 + 8 + 4) + 1 + body + (2 + 4));
+        assert_eq!(
+            names_of(&op),
+            BTreeSet::from(["link", "n1", "cost", "n2", "n4", "n9"])
+        );
     }
 
     #[test]

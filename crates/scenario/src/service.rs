@@ -22,8 +22,8 @@ use crate::driver::pick_anchors;
 use crate::programs::{self, PATHVECTOR_RESULTS};
 use crate::spec::TopologyFamily;
 use nettrails::{NetTrails, NetTrailsConfig};
-use nt_runtime::{IdSet, NodeId, StableHasher, Tuple};
-use provenance::{QueryKind, TraversalOrder};
+use nt_runtime::{IdMap, IdSet, NodeId, StableHasher, Tuple};
+use provenance::{QueryKind, QueryResult, QuerySpec, TraversalOrder};
 use qsvc::{QueryService, ServiceConfig, TenantStats};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -171,9 +171,20 @@ struct ModeRun {
 /// Run one scenario in both sealing modes (plus determinism reruns) and
 /// assemble the comparison.
 pub fn run_service_scenario(spec: &ServiceScenarioSpec) -> ServiceScenarioOutcome {
-    let merged = run_mode(spec, true);
-    let split = run_mode(spec, false);
-    let rerun = run_mode(spec, true);
+    run_checked(spec, &mut |_, _, _| {})
+}
+
+/// What a check sees of one completed session: the platform in the state
+/// the session ran against, what was asked, and the answer.
+type SessionCheck<'a> = dyn FnMut(&NetTrails, &QuerySpec, &QueryResult) + 'a;
+
+/// [`run_service_scenario`], handing every completed session of the first
+/// merged run to `check` at the end of its wave (no churn runs within a
+/// wave, so the platform is the one the session read).
+fn run_checked(spec: &ServiceScenarioSpec, check: &mut SessionCheck<'_>) -> ServiceScenarioOutcome {
+    let merged = run_mode(spec, true, check);
+    let split = run_mode(spec, false, &mut |_, _, _| {});
+    let rerun = run_mode(spec, true, &mut |_, _, _| {});
     let mut latencies_ms = merged.latencies_ms.clone();
     latencies_ms.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
     ServiceScenarioOutcome {
@@ -207,8 +218,13 @@ pub fn run_service_scenario(spec: &ServiceScenarioSpec) -> ServiceScenarioOutcom
     }
 }
 
-/// One full run of the wave schedule in one sealing mode.
-fn run_mode(spec: &ServiceScenarioSpec, merge_frames: bool) -> ModeRun {
+/// One full run of the wave schedule in one sealing mode; `check` sees
+/// every completed session (see [`run_checked`]).
+fn run_mode(
+    spec: &ServiceScenarioSpec,
+    merge_frames: bool,
+    check: &mut SessionCheck<'_>,
+) -> ModeRun {
     let topology = TopologyFamily::InternetAs {
         n: spec.nodes,
         m: spec.degree,
@@ -241,6 +257,7 @@ fn run_mode(spec: &ServiceScenarioSpec, merge_frames: bool) -> ModeRun {
     let mut completions = Vec::new();
     let mut downed: Vec<Link> = Vec::new();
     let mut session = 0usize;
+    let mut asked: IdMap<u64, QuerySpec> = IdMap::default();
     for (wave, &count) in spec.waves.iter().enumerate() {
         if wave > 0 {
             // Failed links recover, fresh ones fail: the topology churns but
@@ -304,12 +321,22 @@ fn run_mode(spec: &ServiceScenarioSpec, merge_frames: bool) -> ModeRun {
             }
             session += 1;
             let request = builder.request();
-            if svc.enqueue(&nt, request).is_err() {
-                rejected += 1;
+            let query = request.spec.clone();
+            match svc.enqueue(&nt, request) {
+                Ok(ticket) => {
+                    asked.insert(ticket, query);
+                }
+                Err(_) => rejected += 1,
             }
         }
         svc.run(&mut nt);
-        completions.extend(svc.take_completions());
+        let done = svc.take_completions();
+        for c in &done {
+            if let Some(result) = &c.result {
+                check(&nt, &asked[&c.ticket], result);
+            }
+        }
+        completions.extend(done);
     }
     let sim_ms = (nt.now().as_secs_f64() - t0.as_secs_f64()) * 1000.0;
 
@@ -391,8 +418,13 @@ fn run_mode(spec: &ServiceScenarioSpec, merge_frames: bool) -> ModeRun {
 }
 
 #[cfg(test)]
+#[path = "../../provenance/tests/common/oracle.rs"]
+mod oracle;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use provenance::{QueryEngine, QueryMode};
 
     fn tiny_spec() -> ServiceScenarioSpec {
         ServiceScenarioSpec {
@@ -443,22 +475,56 @@ mod tests {
     /// for its last 16. Every number is a function of the spec alone (same
     /// in debug and release, on any host); one that moves means behaviour
     /// changed, and the PR that moves it must say why.
+    ///
+    /// Every completed session's answer is also checked against the fold
+    /// oracle: the projection of the lineage tree an uncached in-process
+    /// engine computes for the same query on the same platform.
+    ///
+    /// `dict_bytes_*` and `service_digest` (which hashes the run's total
+    /// bytes) moved when responses began to carry their kind's value instead
+    /// of the lineage tree: three kinds in four ship fewer names and bytes
+    /// (77,040 -> 68,036 dictionary bytes; digest was 0xf24b_e4a2_efd2_8cb0).
     #[test]
     fn flash_crowd_of_1280_sessions_holds_its_exact_counts() {
-        let outcome = run_service_scenario(&ServiceScenarioSpec {
-            seed: 10102,
-            nodes: 192,
-            degree: 2,
-            anchors: 4,
-            max_hops: 4,
-            tenants: 8,
-            waves: vec![128, 128, 1024],
-            churn_per_wave: 6,
-            max_in_flight: 256,
-            queue_cap: 112,
-            deadline_ms: 3.0,
-            deadline_every: 13,
-        });
+        let mut checked = 0;
+        let mut oracle = |nt: &NetTrails, asked: &QuerySpec, answer: &QueryResult| {
+            assert!(!asked.options.use_cache, "an uncached engine is the shadow");
+            let (lineage, _) = QueryEngine::new().run(
+                nt.provenance(),
+                &QuerySpec {
+                    kind: QueryKind::Lineage,
+                    mode: QueryMode::Local,
+                    ..asked.clone()
+                },
+            );
+            let QueryResult::Lineage(tree) = lineage else {
+                unreachable!("a lineage query answers with a tree")
+            };
+            assert_eq!(
+                answer,
+                &oracle::project_result(asked.kind, tree),
+                "{asked:?}"
+            );
+            checked += 1;
+        };
+        let outcome = run_checked(
+            &ServiceScenarioSpec {
+                seed: 10102,
+                nodes: 192,
+                degree: 2,
+                anchors: 4,
+                max_hops: 4,
+                tenants: 8,
+                waves: vec![128, 128, 1024],
+                churn_per_wave: 6,
+                max_in_flight: 256,
+                queue_cap: 112,
+                deadline_ms: 3.0,
+                deadline_every: 13,
+            },
+            &mut oracle,
+        );
+        assert_eq!(checked, 1064, "every completed session met the oracle");
         assert!(outcome.merged_matches_split && outcome.matches_rerun);
         assert_eq!(
             (outcome.offered, outcome.completed, outcome.expired),
@@ -472,12 +538,12 @@ mod tests {
         );
         assert_eq!(
             (outcome.dict_bytes_merged, outcome.dict_bytes_split),
-            (77040, 77040)
+            (68036, 68036)
         );
         assert!(outcome.fairness_ratio <= 1.5, "{}", outcome.fairness_ratio);
         assert!(outcome.p99_ms() >= outcome.p50_ms());
         assert_eq!(
-            outcome.service_digest, 0xf24b_e4a2_efd2_8cb0,
+            outcome.service_digest, 0xa83d_c705_4d5f_0eae,
             "service digest moved to {:016x}",
             outcome.service_digest
         );

@@ -139,6 +139,23 @@ test_job() {
     #     — a two-node cycle whose path rides ExpandExec requests ends as the
     #     recursion does, cache on and off, both traversals, one derivation
     #     per vertex or all;
+    # the fold oracle (each query kind is one fold, evaluated where the data
+    # is; crates/provenance/tests/common/oracle.rs keeps the whole-tree
+    # projection it replaced):
+    #   provenance size_independence
+    #     (every_kind_folds_to_its_lineage_projection_at_any_size) — every
+    #     kind x traversal x cache x depth bound equals project_result of the
+    #     lineage tree a per-kind shadow engine computes, on 500- and
+    #     1,000-node rings carrying a proof of 2^64 derivations; it caught the
+    #     three seeded mutations: a pruned vertex counted 0, a rule
+    #     execution's node missing from the node set, a non-saturating count;
+    #   nettrails proptest_query_equivalence, scenario
+    #     service::tests::flash_crowd_of_1280_sessions_holds_its_exact_counts
+    #     — the same oracle on random protocol networks under churn and on
+    #     every completed session of the flash crowd;
+    #   provenance query::wire::tests — a count is 8 B and names nothing, a
+    #     node set 2 + 4 B per node and names only nodes, a base set names its
+    #     tuples;
     # the laws of the one map hasher:
     #   nt-intern id_hasher — equal keys hash equal, and the low 16 bits and
     #     the top-7-bit tags of four key families (sequential handles, tuple

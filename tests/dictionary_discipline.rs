@@ -16,7 +16,8 @@
 //! nothing else, and the payload bytes are pinned. Every `QueryBatch` is
 //! also checked against a walk of its records ([`check_sealed`]): the length
 //! sealing stored in it is the header plus `QueryOp::wire_size` of each
-//! record.
+//! record. The query waves run all four kinds, whose responses carry trees,
+//! base sets, node sets and counts ([`value_names`]).
 //!
 //! Seeded mutations and who caught them:
 //!
@@ -28,13 +29,14 @@
 //! | `codec::Writer` keeping its name table from frame to frame | `every_log_record_…` ("a name index outside the name table", every 1, record 1) and `a_delta_payload_…` |
 //! | a name table built from a watermark over the pool (every name interned since the writer's first frame) | `a_records_bytes_…`: record 1 of the store appended beside the minting thread differs |
 //! | `QueryExecutor::poll` storing header + body as the body length | `query_frames_…`, "sealed length" (frame 161, 168 B against 120) |
+//! | a node set's sealing walk (`wire.rs`, `walk_nodes`) reporting no names | `query_frames_…`, "not decodable" (frame 156 `as5->as1`, `"as5"`) |
 
 use logstore::{LogRecord, LogStore, SnapshotCapturer, SnapshotDelta, SystemSnapshot};
 use nettrails::{NetTrails, NetTrailsConfig};
 use nt_runtime::{codec, Addr, CompiledProgram, EngineConfig, NodeEngine, Sym, Tuple, Value};
 use provenance::{
-    ProofTree, ProvVertex, QueryBatch, QueryExecutor, QueryKind, QueryMode, QueryOp, QueryOptions,
-    QuerySpec, RuleExecNode, TraversalOrder,
+    ProofTree, ProvVertex, QueryBatch, QueryExecutor, QueryHandle, QueryKind, QueryMode, QueryOp,
+    QueryOptions, QueryResult, QuerySpec, RuleExecNode, TraversalOrder,
 };
 use simnet::{Link, SimTime, Topology, TopologyEvent, TrafficStats};
 use std::collections::{BTreeMap, BTreeSet};
@@ -316,12 +318,36 @@ fn delta_batches_are_decodable_in_delivery_order() {
     }
 }
 
+/// The names of a response's value: a tree's, a base set's tuples', a node
+/// set's nodes; a count has none.
+fn value_names<T>(
+    value: &QueryResult<T>,
+    lineage: fn(&T, &mut BTreeSet<String>),
+    out: &mut BTreeSet<String>,
+) {
+    match value {
+        QueryResult::Lineage(tree) => lineage(tree, out),
+        QueryResult::BaseTuples(bases) => {
+            for tuple in bases.iter().filter_map(|(_, tuple)| tuple.as_ref()) {
+                tuple_names(tuple, out);
+            }
+        }
+        QueryResult::ParticipatingNodes(nodes) => {
+            out.extend(nodes.iter().map(ToString::to_string));
+        }
+        QueryResult::DerivationCount(_) => {}
+    }
+}
+
 fn op_names(op: &QueryOp, out: &mut BTreeSet<String>) {
     match op {
-        QueryOp::VertexDone { tree, .. } => tree_names(tree, out),
+        QueryOp::VertexDone { value, .. } => value_names(value, tree_names, out),
         QueryOp::ExecDone {
             exec: Some(exec), ..
-        } => exec_names(exec, out),
+        } => {
+            value_names(&exec.value, exec_names, out);
+            out.extend(exec.nodes.iter().flatten().map(ToString::to_string));
+        }
         _ => {}
     }
 }
@@ -345,6 +371,55 @@ fn check_sealed(batch: &QueryBatch, what: &str) {
     );
 }
 
+const KINDS: [QueryKind; 4] = [
+    QueryKind::Lineage,
+    QueryKind::BaseTuples,
+    QueryKind::ParticipatingNodes,
+    QueryKind::DerivationCount,
+];
+
+/// Pump `handles` dry, handing every frame to the receivers and the sealing
+/// check. Returns the dictionary bytes the sessions paid.
+fn drain_checked(
+    executor: &mut QueryExecutor,
+    system: &provenance::ProvenanceSystem,
+    handles: Vec<QueryHandle>,
+    receivers: &mut BTreeMap<Addr, Receiver>,
+    frames: &mut usize,
+) -> usize {
+    while !handles.iter().all(|h| executor.is_done(*h)) {
+        let batches: Vec<QueryBatch> = executor.poll();
+        assert!(!batches.is_empty(), "a wave stalled");
+        for batch in batches {
+            let mut referenced = BTreeSet::new();
+            batch
+                .ops()
+                .iter()
+                .for_each(|op| op_names(op, &mut referenced));
+            let what = format!("frame {frames} {}->{}", batch.from, batch.to);
+            check_sealed(&batch, &what);
+            receivers
+                .entry(batch.to)
+                .or_default()
+                .frame(batch.dict(), &referenced, &what);
+            *frames += 1;
+            executor.deliver(system, batch, SimTime::ZERO);
+        }
+    }
+    let mut paid = 0;
+    for handle in handles {
+        let (result, stats) = executor.take_result(handle).expect("done");
+        assert!(result.is_some());
+        paid += stats.dict_bytes as usize;
+    }
+    paid
+}
+
+/// Two waves of 64 cached sessions, the four kinds in turn, breadth- and
+/// depth-first in turn by fours; then a wave of 64 derivation counts over
+/// the same targets and queriers, which ships no dictionary entry: a count
+/// names nothing, and the node sets that stamp its cache entries name nodes
+/// those links have already been sent.
 #[test]
 fn query_frames_are_decodable_in_delivery_order() {
     let topology = Topology::internet_as(64, 2, 12);
@@ -358,56 +433,49 @@ fn query_frames_are_decodable_in_delivery_order() {
     let mut receivers: BTreeMap<Addr, Receiver> = BTreeMap::new();
     let mut frames = 0usize;
     let mut rng = Rng(12);
-    for wave in 0..2 {
-        let handles: Vec<_> = (0..64)
-            .map(|_| {
-                let (_, target) = &targets[rng.below(targets.len())];
-                let querier = Addr::new(&format!("as{}", rng.below(64)));
-                let spec = QuerySpec {
-                    querier,
-                    vid: target.id(),
-                    kind: QueryKind::Lineage,
-                    mode: QueryMode::Distributed,
-                    options: QueryOptions {
-                        traversal: TraversalOrder::BreadthFirst,
-                        use_cache: true,
-                        ..QueryOptions::default()
-                    },
-                };
-                executor.submit(system, spec, SimTime::ZERO)
-            })
+    let pairs: Vec<(Addr, nt_runtime::TupleId)> = (0..128)
+        .map(|_| {
+            let (_, target) = &targets[rng.below(targets.len())];
+            (Addr::new(&format!("as{}", rng.below(64))), target.id())
+        })
+        .collect();
+    let spec = |i: usize, kind: QueryKind| {
+        let (querier, vid) = pairs[i];
+        QuerySpec {
+            querier,
+            vid,
+            kind,
+            mode: QueryMode::Distributed,
+            options: QueryOptions {
+                traversal: if (i / 4).is_multiple_of(2) {
+                    TraversalOrder::BreadthFirst
+                } else {
+                    TraversalOrder::DepthFirst
+                },
+                use_cache: true,
+                ..QueryOptions::default()
+            },
+        }
+    };
+    let mut before = 0;
+    for (wave, pinned) in [(0, 7_889), (1, 11_423)] {
+        let handles: Vec<_> = (64 * wave..64 * (wave + 1))
+            .map(|i| executor.submit(system, spec(i, KINDS[i % 4]), SimTime::ZERO))
             .collect();
-        while !handles.iter().all(|h| executor.is_done(*h)) {
-            let batches: Vec<QueryBatch> = executor.poll();
-            assert!(!batches.is_empty(), "wave {wave} stalled");
-            for batch in batches {
-                let mut referenced = BTreeSet::new();
-                batch
-                    .ops()
-                    .iter()
-                    .for_each(|op| op_names(op, &mut referenced));
-                let what = format!("frame {frames} {}->{}", batch.from, batch.to);
-                check_sealed(&batch, &what);
-                receivers
-                    .entry(batch.to)
-                    .or_default()
-                    .frame(batch.dict(), &referenced, &what);
-                frames += 1;
-                executor.deliver(system, batch, SimTime::ZERO);
-            }
-        }
-        let mut paid = 0;
-        for handle in handles {
-            let (result, stats) = executor.take_result(handle).expect("done");
-            assert!(result.is_some());
-            paid += stats.dict_bytes as usize;
-        }
+        let paid = drain_checked(&mut executor, system, handles, &mut receivers, &mut frames);
         let shipped: usize = receivers.values().map(|r| r.header_bytes).sum();
-        let pinned = [11_589, 14_806][wave];
         assert_eq!(shipped, pinned, "wave {wave}: dictionary bytes moved");
-        let before = if wave == 0 { 0 } else { 11_589 };
         assert_eq!(paid, shipped - before, "sessions pay what is shipped");
+        before = shipped;
     }
+    let warm = frames;
+    let handles: Vec<_> = (0..128)
+        .map(|i| executor.submit(system, spec(i, QueryKind::DerivationCount), SimTime::ZERO))
+        .collect();
+    let paid = drain_checked(&mut executor, system, handles, &mut receivers, &mut frames);
+    let shipped: usize = receivers.values().map(|r| r.header_bytes).sum();
+    assert!(frames > warm, "the count wave crossed the wire");
+    assert_eq!((paid, shipped), (0, before), "a count wave ships no names");
     assert!(frames > 500, "{frames} frames");
 }
 

@@ -11,6 +11,12 @@
 //! and its measured completion latency on multi-hop proofs must not exceed
 //! depth-first's.
 //!
+//! Beside it runs the fold oracle (`crates/provenance/tests/common/oracle.rs`):
+//! every kind's answer, which the executor folds where the data is and never
+//! builds a tree for, must equal `project_result(kind, tree)` of the lineage
+//! tree that a shadow engine computes for the same query, options and cache
+//! history (one shadow per kind, since the cache is keyed by kind).
+//!
 //! The third property covers the query service's cross-session frame
 //! merging: with `NetTrailsConfig::merge_query_frames`, concurrent
 //! sessions' records share one frame per (source, destination, direction),
@@ -18,10 +24,14 @@
 //! hits, records, frames charged, measured latency — to per-session
 //! sealing, across kinds × traversals × cancellation storms.
 
+#[path = "../crates/provenance/tests/common/oracle.rs"]
+mod oracle;
+
 use nettrails::{NetTrails, NetTrailsConfig};
 use proptest::prelude::*;
 use provenance::{
-    QueryHandle, QueryKind, QueryMode, QueryOptions, QueryResult, QueryStats, TraversalOrder,
+    QueryEngine, QueryHandle, QueryKind, QueryMode, QueryOptions, QueryResult, QuerySpec,
+    QueryStats, TraversalOrder,
 };
 use simnet::{Topology, TopologyEvent};
 use std::collections::BTreeMap;
@@ -100,6 +110,7 @@ proptest! {
 
         // Run the random query mix twice per mode, in the same order, so
         // cache evolution is comparable between the two engines.
+        let mut shadows: [QueryEngine; 4] = Default::default();
         for (t, kind_and_traversal, cache, depth, derivs) in queries {
             let (querier, target) = &targets[t % targets.len()];
             let kind = kind_for(kind_and_traversal % 4);
@@ -119,6 +130,24 @@ proptest! {
                     .options(options.clone())
                     .run();
                 prop_assert_eq!(&local, &dist, "result for {:?} {:?}", kind, options);
+                let (lineage, _) = shadows[kind_and_traversal % 4].run(
+                    nt.provenance(),
+                    &QuerySpec {
+                        querier: *querier,
+                        vid: target.id(),
+                        kind: QueryKind::Lineage,
+                        mode: QueryMode::Local,
+                        options: options.clone(),
+                    },
+                );
+                let QueryResult::Lineage(tree) = lineage else {
+                    unreachable!("a lineage query answers with a tree")
+                };
+                prop_assert_eq!(
+                    &oracle::project_result(kind, tree),
+                    &dist,
+                    "fold oracle for {:?} {:?}", kind, options
+                );
                 if let QueryResult::Lineage(tree) = &dist {
                     let QueryResult::Lineage(local_tree) = &local else {
                         unreachable!()
