@@ -1,9 +1,9 @@
 //! Platform names `benchmark/` still compiles against after the machinery
-//! behind them was deleted: three `NetTrailsConfig` fields that keep one
-//! legal value each, and `PlatformStats::provenance_sharding`, which reads
-//! 0. Each carries a `fence:` tag at its struct citing the benchmark line
-//! that uses it; `scripts/ci_local.sh fence` lists them and checks the
-//! citations.
+//! behind them was deleted: five `NetTrailsConfig` fields that keep one
+//! legal value each, the `NetMessage::Delta` variant nothing constructs, and
+//! `PlatformStats::provenance_sharding`, which reads 0. Each carries a
+//! `fence:` tag at its item citing the benchmark line that uses it;
+//! `scripts/ci_local.sh fence` lists them and checks the citations.
 
 use crate::NetTrailsConfig;
 use nt_runtime::fence::{only, FIXPOINT_DISPATCH_THRESHOLD, FIXPOINT_WORKERS};
@@ -12,6 +12,7 @@ use provenance::fence::PROV_SHARDS;
 /// Refuse a config whose fenced fields select anything but the one
 /// production path, naming the first such field.
 pub(crate) fn check_config(config: &NetTrailsConfig) -> nt_runtime::Result<()> {
+    only("use_join_indexes", config.use_join_indexes, true)?;
     only("prov_shards", config.prov_shards, PROV_SHARDS)?;
     only(
         "fixpoint_workers",
@@ -22,5 +23,6 @@ pub(crate) fn check_config(config: &NetTrailsConfig) -> nt_runtime::Result<()> {
         "fixpoint_dispatch_threshold",
         config.fixpoint_dispatch_threshold,
         FIXPOINT_DISPATCH_THRESHOLD,
-    )
+    )?;
+    only("columnar_storage", config.columnar_storage, true)
 }

@@ -20,10 +20,10 @@ pub const PROTOCOL_CATEGORY: &str = "protocol";
 /// The payload carried by simulator messages between NetTrails nodes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum NetMessage {
-    /// An inserted or deleted tuple together with the derivation that
-    /// justifies it — the per-tuple wire format, kept as the measurable
-    /// baseline batched shipping is compared against
-    /// (`NetTrailsConfig::without_batching`).
+    /// One delta and its derivation. Nothing constructs it: deltas travel
+    /// in [`NetMessage::DeltaBatch`]es.
+    // fence: benchmark/src/layered.rs:184
+    #[doc(hidden)]
     Delta {
         /// The change.
         delta: Delta,
@@ -67,16 +67,11 @@ pub struct NetTrailsConfig {
     /// Safety cap on the number of engine/network rounds per
     /// [`NetTrails::run_to_fixpoint`] call.
     pub max_rounds: usize,
-    /// Let engines probe secondary indexes through their join plans (the
-    /// default). Disable for the reference full-scan evaluation used by the
-    /// join-probe regression experiments.
+    /// Accepts `true` only: engines probe the posting lists of the columns
+    /// their join plans bind. [`NetTrails::new`] refuses `false`.
+    // fence: benchmark/src/layered.rs:241
+    #[doc(hidden)]
     pub use_join_indexes: bool,
-    /// Ship engine outboxes as one [`NetMessage::DeltaBatch`] per
-    /// (round, destination) — the default. Disable for the per-tuple
-    /// baseline (one `NetMessage::Delta` per record) the delta-shipping
-    /// experiment compares against; payload pricing is identical in both
-    /// modes, so the difference is purely per-message framing overhead.
-    pub batch_shipping: bool,
     /// Tolerate deltas addressed to nodes that do not exist (they are
     /// counted in [`RunReport::misrouted`] and dropped). By default a
     /// misrouted delta fails loudly in debug builds — it means the program
@@ -97,10 +92,10 @@ pub struct NetTrailsConfig {
     // fence: benchmark/src/layered.rs:243
     #[doc(hidden)]
     pub fixpoint_dispatch_threshold: usize,
-    /// Store engine tables column-major with dictionary-encoded address
-    /// columns and vectorized join probes (the default). Disable for the
-    /// row-major reference layout; either backing yields bit-identical
-    /// engine output (see `nt_runtime::store`).
+    /// Accepts `true` only: engine tables are stored column-major (see
+    /// `nt_runtime::store`). [`NetTrails::new`] refuses `false`.
+    // fence: benchmark/src/layered.rs:244
+    #[doc(hidden)]
     pub columnar_storage: bool,
     /// Merge concurrent query sessions' records into one frame per
     /// (source, destination, direction) at each flush, sharing one first-use
@@ -119,7 +114,6 @@ impl Default for NetTrailsConfig {
             network: NetworkConfig::default(),
             max_rounds: 1_000_000,
             use_join_indexes: true,
-            batch_shipping: true,
             tolerate_misrouted: false,
             prov_shards: provenance::fence::PROV_SHARDS,
             fixpoint_workers: nt_runtime::fence::FIXPOINT_WORKERS,
@@ -135,24 +129,6 @@ impl NetTrailsConfig {
     pub fn without_provenance() -> Self {
         NetTrailsConfig {
             capture_provenance: false,
-            ..NetTrailsConfig::default()
-        }
-    }
-
-    /// A configuration whose engines evaluate joins by full scans (the
-    /// pre-index baseline).
-    pub fn without_join_indexes() -> Self {
-        NetTrailsConfig {
-            use_join_indexes: false,
-            ..NetTrailsConfig::default()
-        }
-    }
-
-    /// A configuration that ships one message per tuple (the pre-batching
-    /// baseline the delta-shipping experiment compares against).
-    pub fn without_batching() -> Self {
-        NetTrailsConfig {
-            batch_shipping: false,
             ..NetTrailsConfig::default()
         }
     }
@@ -249,12 +225,11 @@ impl NetTrails {
     ) -> nt_runtime::Result<Self> {
         crate::fence::check_config(&config)?;
         let program = Arc::new(CompiledProgram::from_source(program_src)?);
-        let engines = EngineTable::new(topology.nodes().map(|node| {
-            let mut engine_config = EngineConfig::new(node);
-            engine_config.use_join_indexes = config.use_join_indexes;
-            engine_config.columnar_storage = config.columnar_storage;
-            NodeEngine::new(program.clone(), engine_config)
-        }));
+        let engines = EngineTable::new(
+            topology
+                .nodes()
+                .map(|node| NodeEngine::new(program.clone(), EngineConfig::new(node))),
+        );
         let provenance = ProvenanceSystem::new(topology.nodes());
         let network = Network::new(topology, config.network.clone());
         // The local engine's estimate charges one round trip (request +
@@ -428,42 +403,18 @@ impl NetTrails {
                     if batch.is_empty() {
                         continue;
                     }
-                    let dest = batch.dest;
-                    if self.config.batch_shipping {
-                        // One message per (round, dest), priced as the
-                        // engine accounted it: dictionary header + n
-                        // fixed-width record bodies.
-                        let bytes = batch.wire_size();
-                        let records = batch.len();
-                        self.network.send_batch(
-                            node,
-                            dest,
-                            NetMessage::DeltaBatch { batch },
-                            bytes,
-                            records,
-                            PROTOCOL_CATEGORY,
-                        );
-                    } else {
-                        // Per-tuple baseline: one message per record. The
-                        // batch's dictionary header still has to reach the
-                        // destination exactly once; charge it to the first
-                        // record's message so total payload bytes match the
-                        // engine's accounting in both modes.
-                        let mut dict_bytes = batch.header_bytes();
-                        for record in batch.records {
-                            let bytes = record.wire_size() + std::mem::take(&mut dict_bytes);
-                            self.network.send(
-                                node,
-                                dest,
-                                NetMessage::Delta {
-                                    delta: record.delta,
-                                    derivation: record.derivation,
-                                },
-                                bytes,
-                                PROTOCOL_CATEGORY,
-                            );
-                        }
-                    }
+                    // One message per (round, dest), priced as the engine
+                    // accounted it: dictionary header + n fixed-width
+                    // record bodies.
+                    let (dest, bytes, records) = (batch.dest, batch.wire_size(), batch.len());
+                    self.network.send_batch(
+                        node,
+                        dest,
+                        NetMessage::DeltaBatch { batch },
+                        bytes,
+                        records,
+                        PROTOCOL_CATEGORY,
+                    );
                 }
             });
             if !round_firings.is_empty() {
@@ -780,14 +731,12 @@ impl NetTrails {
                     return;
                 };
                 match payload {
-                    NetMessage::Delta { delta, derivation } => {
-                        engine.apply_remote(delta, derivation)
-                    }
                     NetMessage::DeltaBatch { batch } => {
                         for record in batch.records {
                             engine.apply_remote(record.delta, record.derivation);
                         }
                     }
+                    NetMessage::Delta { .. } => unreachable!("deltas ship in batches only"),
                     NetMessage::QueryRequest { .. } | NetMessage::QueryResponse { .. } => {
                         unreachable!("query frames are dispatched above")
                     }
@@ -1481,79 +1430,49 @@ mod tests {
 
     /// The engine is the single source of truth for protocol payload bytes:
     /// what the network charged (minus its per-message framing headers) must
-    /// equal `EngineStats::bytes_sent` exactly — in both shipping modes.
+    /// equal `EngineStats::bytes_sent` exactly.
     #[test]
     fn engine_bytes_equal_network_bytes() {
-        for config in [
-            NetTrailsConfig::default(),
-            NetTrailsConfig::without_batching(),
-        ] {
-            let header = config.network.header_bytes as u64;
-            let mut nt =
-                NetTrails::new(protocols::mincost::PROGRAM, Topology::ladder(3), config).unwrap();
-            nt.seed_links_from_topology();
-            nt.run_to_fixpoint();
-            let stats = nt.stats();
-            let msgs = stats.network.category_messages(PROTOCOL_CATEGORY);
-            let payload = stats.network.category_bytes(PROTOCOL_CATEGORY) - msgs * header;
-            assert_eq!(
-                stats.engine.bytes_sent, payload,
-                "engine accounting must match the network charge"
-            );
-            assert_eq!(stats.engine.tuples_sent, stats.network.records);
-        }
+        let config = NetTrailsConfig::default();
+        let header = config.network.header_bytes as u64;
+        let mut nt =
+            NetTrails::new(protocols::mincost::PROGRAM, Topology::ladder(3), config).unwrap();
+        nt.seed_links_from_topology();
+        nt.run_to_fixpoint();
+        let stats = nt.stats();
+        let msgs = stats.network.category_messages(PROTOCOL_CATEGORY);
+        let payload = stats.network.category_bytes(PROTOCOL_CATEGORY) - msgs * header;
+        assert_eq!(
+            stats.engine.bytes_sent, payload,
+            "engine accounting must match the network charge"
+        );
+        assert_eq!(stats.engine.tuples_sent, stats.network.records);
     }
 
     /// Batched shipping actually coalesces: fewer protocol messages than
-    /// shipped records, and fewer total protocol bytes than the per-tuple
-    /// baseline (per-message framing headers are paid once per batch).
+    /// shipped records, so the framing headers cost less than one per
+    /// record would.
     #[test]
     fn batching_coalesces_messages_and_reduces_bytes() {
-        let run = |config: NetTrailsConfig| {
-            let mut nt =
-                NetTrails::new(protocols::pathvector::PROGRAM, Topology::ladder(3), config)
-                    .unwrap();
-            nt.seed_links_from_topology();
-            nt.run_to_fixpoint();
-            nt.stats()
-        };
-        let batched = run(NetTrailsConfig::default());
-        let per_tuple = run(NetTrailsConfig::without_batching());
+        let config = NetTrailsConfig::default();
+        let header = config.network.header_bytes as u64;
+        let mut nt =
+            NetTrails::new(protocols::pathvector::PROGRAM, Topology::ladder(3), config).unwrap();
+        nt.seed_links_from_topology();
+        nt.run_to_fixpoint();
+        let stats = nt.stats();
         assert!(
-            batched.network.messages < batched.network.records,
+            stats.network.messages < stats.network.records,
             "coalescing happened: {} messages carried {} records",
-            batched.network.messages,
-            batched.network.records,
+            stats.network.messages,
+            stats.network.records,
         );
-        assert_eq!(per_tuple.network.messages, per_tuple.network.records);
-        // Identical engine work and payload in both modes...
-        assert_eq!(batched.engine.tuples_sent, per_tuple.engine.tuples_sent);
-        assert_eq!(batched.engine.bytes_sent, per_tuple.engine.bytes_sent);
-        // ... so the byte saving is exactly the amortized framing headers.
-        assert!(
-            batched.network.bytes < per_tuple.network.bytes,
-            "batched {} >= per-tuple {}",
-            batched.network.bytes,
-            per_tuple.network.bytes,
-        );
-    }
-
-    /// Both shipping modes converge to identical protocol state.
-    #[test]
-    fn batched_and_per_tuple_shipping_reach_the_same_fixpoint() {
-        let run = |config: NetTrailsConfig| {
-            let mut nt =
-                NetTrails::new(protocols::mincost::PROGRAM, Topology::ring(5), config).unwrap();
-            nt.seed_links_from_topology();
-            nt.run_to_fixpoint();
-            let mut rows = nt.relation("minCost");
-            rows.sort();
-            rows
-        };
+        // Every byte is payload or one header per message.
         assert_eq!(
-            run(NetTrailsConfig::default()),
-            run(NetTrailsConfig::without_batching())
+            stats.network.bytes,
+            stats.engine.bytes_sent + stats.network.messages * header
         );
+        assert!(stats.network.bytes < stats.engine.bytes_sent + stats.network.records * header);
     }
 
     /// Deltas addressed to unknown nodes are counted, not silently dropped.

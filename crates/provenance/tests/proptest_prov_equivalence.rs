@@ -5,7 +5,7 @@
 //! drives it with random insert/delete churn and checks that the resulting
 //! provenance graph is exactly the graph a fresh system reaches when it
 //! replays only the *surviving* firings once, in canonical order — the
-//! provenance-layer mirror of `proptest_join_equivalence.rs` in `nt-runtime`.
+//! provenance-layer mirror of `proptest_slot_equivalence.rs` in `nt-runtime`.
 //!
 //! Because the stores are set-semantics tables keyed by content-addressed
 //! identifiers, the surviving state of each firing is decided by its last

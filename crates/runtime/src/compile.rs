@@ -47,20 +47,6 @@ pub enum BoundTerm {
     Slot(usize),
 }
 
-/// How a plan step expects [`crate::store::Table::probe`] to find its
-/// candidates: a property of its bound set ([`PlanStep::strategy`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProbeStrategy {
-    /// No column is bound when the step runs: the probe degrades to a
-    /// key-order scan of the whole table (a contiguous column sweep in the
-    /// columnar backing).
-    ColumnScan,
-    /// At least one bound column: the probe anchors on the most selective
-    /// posting list among them and verifies the residual bound columns
-    /// against the stored columns.
-    PostingList,
-}
-
 /// One step of a join plan: which atom to join next and which of its columns
 /// are already bound — the columns [`crate::store::Table::probe`] can use for
 /// an index lookup instead of a scan.
@@ -70,17 +56,6 @@ pub struct PlanStep {
     pub atom: usize,
     /// `(column, binding source)` pairs known bound when this step runs.
     pub bound_cols: Vec<(usize, BoundTerm)>,
-}
-
-impl PlanStep {
-    /// How the probe kernel will evaluate this step.
-    pub fn strategy(&self) -> ProbeStrategy {
-        if self.bound_cols.is_empty() {
-            ProbeStrategy::ColumnScan
-        } else {
-            ProbeStrategy::PostingList
-        }
-    }
 }
 
 /// A per-trigger join plan: the order in which the remaining positive atoms
@@ -681,7 +656,9 @@ mod tests {
         let rule = cp.rule("r1").unwrap();
         assert_eq!(rule.plans.len(), 2);
 
-        // Triggered by atom 0 (binds S, Z): atom 1 probes on columns 0 and 1.
+        // A delta-triggered step always has bound columns, the trigger
+        // binding the shared variables. Triggered by atom 0 (binds S, Z):
+        // atom 1 probes on columns 0 and 1.
         let plan = &rule.plans[0];
         assert_eq!(plan.trigger, Some(0));
         assert_eq!(plan.steps.len(), 1);
@@ -698,36 +675,12 @@ mod tests {
         assert_eq!(plan.steps[0].atom, 0);
         assert_eq!(plan.steps[0].bound_cols.len(), 2);
 
-        // Full plan starts from a scan and then probes.
+        // A full-recompute plan starts from a key-order scan (nothing
+        // bound) and then probes.
         assert_eq!(rule.full_plan.trigger, None);
         assert_eq!(rule.full_plan.steps.len(), 2);
         assert!(rule.full_plan.steps[0].bound_cols.is_empty());
         assert!(!rule.full_plan.steps[1].bound_cols.is_empty());
-    }
-
-    #[test]
-    fn plan_steps_pick_scan_or_posting_list_per_bound_set() {
-        let cp = CompiledProgram::from_source("r1 out(@S,D) :- a(@S,Z), b(@S,Z,D).").unwrap();
-        let rule = cp.rule("r1").unwrap();
-        // Delta-triggered steps always have bound columns (the trigger binds
-        // shared variables) -> posting-list probes.
-        assert_eq!(
-            rule.plans[0].steps[0].strategy(),
-            ProbeStrategy::PostingList
-        );
-        assert_eq!(
-            rule.plans[1].steps[0].strategy(),
-            ProbeStrategy::PostingList
-        );
-        // A full-recompute plan starts unbound -> column scan, then probes.
-        assert_eq!(
-            rule.full_plan.steps[0].strategy(),
-            ProbeStrategy::ColumnScan
-        );
-        assert_eq!(
-            rule.full_plan.steps[1].strategy(),
-            ProbeStrategy::PostingList
-        );
     }
 
     #[test]

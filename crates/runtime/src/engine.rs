@@ -62,7 +62,7 @@ use crate::eval::{Frame, SlotAtom, SlotTerm};
 use crate::kernel::{self, Candidate, EvalContext, MonoTask};
 #[cfg(test)]
 use crate::store::BASE_RULE;
-use crate::store::{base_rule_sym, Database, Derivation, Membership, TableBacking};
+use crate::store::{base_rule_sym, Database, Derivation, Membership};
 use crate::tuple::{Delta, Tuple, TupleId};
 use crate::value::{Addr, Dictionary, IdMap, IdSet, Sym, Value};
 use std::collections::VecDeque;
@@ -80,12 +80,10 @@ pub struct EngineConfig {
     /// Safety cap on the number of deltas processed by a single [`NodeEngine::run`]
     /// call; prevents a diverging program from hanging the simulator.
     pub max_deltas_per_run: usize,
-    /// Use the precomputed join plans' bound columns to probe secondary
-    /// indexes (the default). When disabled the join kernel probes with no
-    /// bound columns, so every step scans its whole table and the matching
-    /// that follows does the filtering — the same kernel, not a second path;
-    /// the equivalence tests and the index regression tests compare against
-    /// it.
+    /// Accepts `true` only: every join step probes the posting lists of
+    /// the columns its plan binds.
+    // fence: benchmark/src/layered.rs:241
+    #[doc(hidden)]
     pub use_join_indexes: bool,
     /// Accepts 1 only: a generation evaluates on the engine's thread.
     // fence: benchmark/src/layered.rs:242
@@ -95,9 +93,9 @@ pub struct EngineConfig {
     // fence: benchmark/src/layered.rs:243
     #[doc(hidden)]
     pub fixpoint_dispatch_threshold: usize,
-    /// Store tables column-major (the default). When disabled the engine
-    /// keeps the row-major reference layout — used by the equivalence
-    /// proptests, which prove both backings bit-identical.
+    /// Accepts `true` only: tables are stored column-major.
+    // fence: benchmark/src/layered.rs:244
+    #[doc(hidden)]
     pub columnar_storage: bool,
 }
 
@@ -112,20 +110,6 @@ impl EngineConfig {
             fixpoint_dispatch_threshold: crate::fence::FIXPOINT_DISPATCH_THRESHOLD,
             columnar_storage: true,
         }
-    }
-
-    /// Same config with index-backed probing switched off (reference
-    /// full-scan evaluation).
-    pub fn without_indexes(mut self) -> Self {
-        self.use_join_indexes = false;
-        self
-    }
-
-    /// Same config storing tables in the row-major reference layout instead
-    /// of the columnar default.
-    pub fn with_row_storage(mut self) -> Self {
-        self.columnar_storage = false;
-        self
     }
 }
 
@@ -152,11 +136,9 @@ pub struct EngineStats {
     /// once per (destination, first use).
     pub dict_bytes_sent: u64,
     /// Candidate tuples actually examined while joining body atoms,
-    /// checking negated atoms and recomputing aggregate groups. With
-    /// index-backed probing this counts only the tuples the probe kernel
-    /// yields — the anchor posting list already filtered on every bound
-    /// column — and is identical across storage backings; with scans it
-    /// counts every stored tuple visited.
+    /// checking negated atoms and recomputing aggregate groups: the tuples
+    /// the probe kernel yields, the anchor posting list already filtered on
+    /// every bound column (every stored tuple for a step that binds none).
     pub join_probes: u64,
     /// Aggregate group recomputations.
     pub agg_recomputes: u64,
@@ -360,12 +342,7 @@ impl NodeEngine {
         if let Err(e) = crate::fence::check_engine_config(&config) {
             panic!("{e}");
         }
-        let backing = if config.columnar_storage {
-            TableBacking::Columnar
-        } else {
-            TableBacking::Row
-        };
-        let db = Database::for_program(&program.tables, backing);
+        let db = Database::for_program(&program.tables);
         NodeEngine {
             config,
             program,
@@ -519,7 +496,6 @@ impl NodeEngine {
                 &EvalContext {
                     db: &self.db,
                     program: self.program.as_ref(),
-                    use_join_indexes: self.config.use_join_indexes,
                 },
                 &tasks,
                 &mut self.frame,
@@ -1034,7 +1010,6 @@ impl NodeEngine {
         let (aggregate, probes) = EvalContext {
             db: &self.db,
             program: self.program.as_ref(),
-            use_join_indexes: self.config.use_join_indexes,
         }
         .aggregate_group(rule, spec, &group, &mut self.frame);
         self.stats.join_probes += probes;
@@ -1087,7 +1062,6 @@ impl NodeEngine {
         EvalContext {
             db: &self.db,
             program: program.as_ref(),
-            use_join_indexes: self.config.use_join_indexes,
         }
         .join(
             rule,

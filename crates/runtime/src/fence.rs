@@ -21,8 +21,13 @@ pub const FIXPOINT_DISPATCH_THRESHOLD: usize = 64;
 pub const OUTBOX_PREFIX: &str = "__out::";
 
 /// `Ok` when a fenced `field` holds its one `legal` value, else
-/// [`RuntimeError::Config`] naming the field.
-pub fn only(field: &'static str, value: usize, legal: usize) -> Result<()> {
+/// [`RuntimeError::Config`] naming the field. A count field and a switch
+/// (`bool`) alike.
+pub fn only<T: PartialEq + std::fmt::Display>(
+    field: &'static str,
+    value: T,
+    legal: T,
+) -> Result<()> {
     if value == legal {
         return Ok(());
     }
@@ -37,6 +42,7 @@ pub fn only(field: &'static str, value: usize, legal: usize) -> Result<()> {
 /// Refuse an engine config whose fenced fields select anything but the one
 /// production path.
 pub fn check_engine_config(config: &EngineConfig) -> Result<()> {
+    only("use_join_indexes", config.use_join_indexes, true)?;
     only(
         "fixpoint_workers",
         config.fixpoint_workers,
@@ -46,5 +52,6 @@ pub fn check_engine_config(config: &EngineConfig) -> Result<()> {
         "fixpoint_dispatch_threshold",
         config.fixpoint_dispatch_threshold,
         FIXPOINT_DISPATCH_THRESHOLD,
-    )
+    )?;
+    only("columnar_storage", config.columnar_storage, true)
 }

@@ -84,12 +84,11 @@ pub(crate) struct GroupAggregate<'a> {
     pub witnesses: Vec<TupleRef<'a>>,
 }
 
-/// A read-only view of everything rule evaluation needs: the frozen tables,
-/// the compiled program and the probe configuration.
+/// A read-only view of everything rule evaluation needs: the frozen tables
+/// and the compiled program.
 pub(crate) struct EvalContext<'a> {
     pub db: &'a Database,
     pub program: &'a CompiledProgram,
-    pub use_join_indexes: bool,
 }
 
 impl<'a> EvalContext<'a> {
@@ -124,9 +123,8 @@ impl<'a> EvalContext<'a> {
     }
 
     /// Recursively join the atoms of a plan. Each step probes its table
-    /// through the bound columns the plan computed at compile time (none
-    /// when join indexes are off), so the candidate set is an index posting
-    /// list rather than the whole table; the frame is extended in place and
+    /// through the bound columns the plan computed at compile time, so the
+    /// candidate set is an index posting list rather than the whole table; the frame is extended in place and
     /// undone by trail mark. With every atom matched, [`Self::leaf`] decides
     /// whether the join result becomes a candidate. `probes` counts the
     /// candidates actually examined.
@@ -221,16 +219,12 @@ impl<'a> EvalContext<'a> {
     }
 
     /// Resolve a plan's bound columns against the frame into concrete probe
-    /// values. With join indexes off every probe is unbound: a scan of the
-    /// whole table, filtered by the matching that follows.
+    /// values.
     fn resolve_bound_cols(
         &self,
         bound_cols: &[(usize, BoundTerm)],
         frame: &Frame,
     ) -> Vec<(usize, Value)> {
-        if !self.use_join_indexes {
-            return Vec::new();
-        }
         bound_cols
             .iter()
             .filter_map(|(col, bound)| match bound {

@@ -34,14 +34,14 @@ pub mod tuple;
 pub mod value;
 
 pub use catalog::{Catalog, RelationSchema};
-pub use compile::{CompiledProgram, CompiledRule, ProbeStrategy};
+pub use compile::{CompiledProgram, CompiledRule};
 pub use engine::{
     DeltaBatch, DeltaRecord, EngineConfig, EngineStats, Firing, NodeEngine, RemoteDelta, StepOutput,
 };
 pub use error::{Result, RuntimeError};
 pub use store::{
     base_rule_sym, tuple_materializations, Database, Dependent, Derivation, Membership,
-    OutboxEntry, ProbeIter, Table, TableBacking, TableSpec, TupleRef, BASE_RULE,
+    OutboxEntry, ProbeIter, Table, TableSpec, TupleRef, BASE_RULE,
 };
 pub use tuple::{Delta, Tuple, TupleId};
 pub use value::{

@@ -20,42 +20,35 @@
 //! dependency index says of each dependent whether it is stored or in the
 //! outbox.
 //!
-//! ## Storage backings
+//! ## Table layout
 //!
-//! A [`Table`] has two interchangeable representations behind one API:
-//!
-//! * **Columnar** (the default, module `columnar`): tuples live
-//!   column-major in a `ColumnStore`-shaped arena — one dictionary-encoded
-//!   `u32` column per address column of the schema (the dictionary *is* the
-//!   process-global intern pool, so encoding is free), a plain `Vec<i64>`
-//!   column per other attribute while it holds integers only, and a
-//!   `Vec<Value>` overflow column for everything else (fractions, strings,
-//!   lists, mixed types). A validity bitmap
-//!   plus a slot free-list keeps physical slots stable across churn. The
-//!   columns hold the only copy of a tuple's values: the primary-key index
-//!   is a vector of live slot numbers kept in key order and compared through
-//!   the columns, and the secondary indexes are posting lists of slot
-//!   numbers. Join probes verify bound columns directly against the
-//!   contiguous column vectors — no per-candidate pointer chase and no
-//!   per-candidate allocation (see [`tuple_materializations`]).
-//! * **Row** (`TableBacking::Row`): the original `BTreeMap<key,
-//!   StoredTuple>` layout, kept as the reference implementation the
-//!   equivalence proptests compare the columnar path against.
+//! A [`Table`] stores its tuples column-major (module `columnar`): one
+//! dictionary-encoded `u32` column per address column of the schema (the
+//! dictionary *is* the process-global intern pool, so encoding is free), a
+//! plain `Vec<i64>` column per other attribute while it holds integers only,
+//! and a `Vec<Value>` overflow column for everything else (fractions,
+//! strings, lists, mixed types). A validity bitmap plus a slot free-list
+//! keeps physical slots stable across churn. The columns hold the only copy
+//! of a tuple's values: the primary-key index is a vector of live slot
+//! numbers kept in key order and compared through the columns, and the
+//! secondary indexes are posting lists of slot numbers. Join probes verify
+//! bound columns directly against the contiguous column vectors — no
+//! per-candidate pointer chase and no per-candidate allocation (see
+//! [`tuple_materializations`]).
 //!
 //! A table carries posting lists on its **indexed columns** only. For an
 //! engine's table those are the columns some plan of the compiled program
 //! probes ([`TableSpec::probed`], computed once per program); a table built
 //! without a program indexes every column.
 //!
-//! Both backings answer [`Table::probe`] with **exactly the same candidate
-//! sequence**: the anchor posting list is chosen identically (first
-//! strictly-smallest among the indexed bound columns), posting lists append
-//! on insert and compact on remove in the same order, the no-bound-column
-//! scan iterates in primary-key order, and every bound column — posting-list
-//! key or residual — matches with `==`, the one equality of
-//! [`crate::value`]. That is what lets the engine prove runs bit-identical
-//! across backings. Storage only meets tuples that fit their schema
-//! ([`RelationSchema::check`]): the engine lets no other in.
+//! [`Table::probe`] anchors on the first strictly-smallest posting list
+//! among the indexed bound columns; posting lists append on insert and
+//! compact on remove, so whichever column anchors, the candidates are the
+//! same subsequence of one order. A probe that binds nothing iterates in
+//! primary-key order, and every bound column — posting-list key or residual
+//! — matches with `==`, the one equality of [`crate::value`]. Storage only
+//! meets tuples that fit their schema ([`RelationSchema::check`]): the
+//! engine lets no other in.
 //!
 //! Neither a table nor a database has a serialized form. A snapshot carries
 //! a node's tuples, never its storage, so a table is filled only through
@@ -68,7 +61,6 @@ use crate::few::Few;
 use crate::tuple::{Tuple, TupleId};
 use crate::value::{IdMap, NodeId, Sym, Value};
 use columnar::{ColProbe, ColumnStore};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 pub use columnar::tuple_materializations;
@@ -122,14 +114,6 @@ impl Derivation {
     }
 }
 
-/// A row of the row backing: a tuple plus its supporting derivations.
-#[derive(Debug, Clone, PartialEq)]
-struct StoredTuple {
-    tuple: Tuple,
-    /// Current supporting derivations (deduplicated).
-    derivations: Vec<Derivation>,
-}
-
 /// Outcome of adding or removing a derivation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Membership {
@@ -152,266 +136,85 @@ pub enum Membership {
     NotFound,
 }
 
-/// Which physical layout a [`Table`] stores its tuples in.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum TableBacking {
-    /// Column-major slots with dictionary-encoded address columns (the
-    /// default).
-    #[default]
-    Columnar,
-    /// The row-major `BTreeMap` reference layout.
-    Row,
-}
-
-// --------------------------------------------------------------------------
-// row backing (the reference layout)
-// --------------------------------------------------------------------------
-
-/// What a tuple held as a row costs: its wire size plus its derivations'.
-fn entry_wire_size(tuple: &Tuple, derivations: &[Derivation]) -> usize {
-    tuple.wire_size() + derivations.iter().map(Derivation::wire_size).sum::<usize>()
-}
-
-/// The original row-major layout: stored tuples keyed by their primary-key
-/// projection, with id and per-column secondary indexes on the side.
-#[derive(Debug, Clone)]
-struct RowStore {
-    tuples: BTreeMap<Vec<Value>, StoredTuple>,
-    by_id: IdMap<TupleId, Vec<Value>>,
-    /// The columns that carry an index, ascending (the same set the columnar
-    /// backing of this table would index).
-    indexed: Arc<Vec<usize>>,
-    /// value -> ids of the tuples carrying it, per column; the maps of the
-    /// columns outside `indexed` stay empty.
-    col_indexes: Vec<IdMap<Value, Vec<TupleId>>>,
-}
-
-impl RowStore {
-    fn new(arity: usize, indexed: Arc<Vec<usize>>) -> Self {
-        RowStore {
-            tuples: BTreeMap::new(),
-            by_id: IdMap::default(),
-            indexed,
-            col_indexes: vec![IdMap::default(); arity],
-        }
-    }
-
-    fn get_by_id(&self, id: TupleId) -> Option<&StoredTuple> {
-        self.by_id.get(&id).and_then(|k| self.tuples.get(k))
-    }
-
-    fn index_tuple_values(&mut self, id: TupleId, values: &[Value]) {
-        for &col in self.indexed.iter() {
-            if let (Some(index), Some(v)) = (self.col_indexes.get_mut(col), values.get(col)) {
-                index.entry(v.clone()).or_default().push(id);
-            }
-        }
-    }
-
-    fn unindex_tuple_values(&mut self, id: TupleId, values: &[Value]) {
-        for &col in self.indexed.iter() {
-            if let (Some(index), Some(v)) = (self.col_indexes.get_mut(col), values.get(col)) {
-                if let Some(ids) = index.get_mut(v) {
-                    ids.retain(|i| *i != id);
-                    if ids.is_empty() {
-                        index.remove(v);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Resident bytes: tuple and derivation records (priced like their wire
-    /// encoding) plus the posting lists (8-byte tuple-id entries — twice the
-    /// columnar layout's 4-byte slot entries).
-    fn resident_bytes(&self) -> usize {
-        self.tuples
-            .values()
-            .map(|st| entry_wire_size(&st.tuple, &st.derivations))
-            .sum::<usize>()
-            + 8 * self
-                .col_indexes
-                .iter()
-                .flat_map(|index| index.values().map(Vec::len))
-                .sum::<usize>()
-    }
-}
-
-// --------------------------------------------------------------------------
-// shared candidate handle
-// --------------------------------------------------------------------------
-
-#[derive(Clone, Copy)]
-enum RefInner<'a> {
-    Stored(&'a StoredTuple),
-    Slot(&'a ColumnStore, u32),
-}
-
-/// A borrowed handle to one stored tuple, independent of the table's
-/// backing. Probe candidates, point lookups and table iteration all yield
+/// A borrowed handle to one stored tuple: its table's columns and its slot.
+/// Probe candidates, point lookups and table iteration all yield
 /// `TupleRef`s; the join kernels match columns through it without
 /// materializing a `Tuple` until a candidate actually survives.
 #[derive(Clone, Copy)]
-pub struct TupleRef<'a>(RefInner<'a>);
+pub struct TupleRef<'a> {
+    store: &'a ColumnStore,
+    slot: u32,
+}
 
 impl<'a> TupleRef<'a> {
     /// The relation the tuple belongs to.
     pub fn relation(&self) -> Sym {
-        match self.0 {
-            RefInner::Stored(st) => st.tuple.relation(),
-            RefInner::Slot(store, _) => store.relation(),
-        }
+        self.store.relation()
     }
 
     /// Number of attributes.
     pub fn arity(&self) -> usize {
-        match self.0 {
-            RefInner::Stored(st) => st.tuple.values().len(),
-            RefInner::Slot(store, _) => store.arity(),
-        }
+        self.store.arity()
     }
 
-    /// The content-addressed tuple identifier (precomputed for columnar
-    /// slots — no hashing).
+    /// The content-addressed tuple identifier (precomputed per slot — no
+    /// hashing).
     pub fn id(&self) -> TupleId {
-        match self.0 {
-            RefInner::Stored(st) => st.tuple.id(),
-            RefInner::Slot(store, slot) => store.id_at(slot),
-        }
+        self.store.id_at(self.slot)
     }
 
     /// The supporting derivations.
     pub fn derivations(&self) -> &'a [Derivation] {
-        match self.0 {
-            RefInner::Stored(st) => &st.derivations,
-            RefInner::Slot(store, slot) => store.derivations_at(slot),
-        }
+        self.store.derivations_at(self.slot)
     }
 
     /// Decode one attribute as an owned value (allocation-free for
     /// dictionary and numeric columns).
     pub fn value(&self, col: usize) -> Value {
-        match self.0 {
-            RefInner::Stored(st) => st.tuple.values()[col].clone(),
-            RefInner::Slot(store, slot) => store.value_at(slot, col),
-        }
+        self.store.value_at(self.slot, col)
     }
 
     /// Whether one attribute `==` `v`, without materializing.
     pub fn matches(&self, col: usize, v: &Value) -> bool {
-        match self.0 {
-            RefInner::Stored(st) => st.tuple.values()[col] == *v,
-            RefInner::Slot(store, slot) => store.matches_at(slot, col, v),
-        }
+        self.store.matches_at(self.slot, col, v)
     }
 
-    /// Materialize an owned tuple (for columnar slots this is the counted
-    /// materialization — see [`tuple_materializations`]).
+    /// Materialize an owned tuple (counted — see
+    /// [`tuple_materializations`]).
     pub fn to_tuple(&self) -> Tuple {
-        match self.0 {
-            RefInner::Stored(st) => st.tuple.clone(),
-            RefInner::Slot(store, slot) => store.tuple_at(slot),
-        }
+        self.store.tuple_at(self.slot)
     }
-}
-
-// --------------------------------------------------------------------------
-// probe iterator (the vectorized kernel's cursor)
-// --------------------------------------------------------------------------
-
-enum ProbeInner<'a> {
-    Empty,
-    /// Row backing, posting-list anchored: candidate ids chase `by_id` (the
-    /// pointer-heavy baseline the columnar layout exists to replace).
-    RowIds {
-        store: &'a RowStore,
-        ids: std::slice::Iter<'a, TupleId>,
-        /// Residual bound columns as (column, value).
-        filter: Vec<(usize, Value)>,
-    },
-    /// Row backing, no indexed bound column: key-order scan.
-    RowScan {
-        values: std::collections::btree_map::Values<'a, Vec<Value>, StoredTuple>,
-        filter: Vec<(usize, Value)>,
-    },
-    /// Columnar backing: candidate slots — of the anchor posting list, or of
-    /// the key index when no column is bound — verified directly against
-    /// the column vectors.
-    Col(ColProbe<'a>),
-}
-
-/// Whether a row carries every residual bound value.
-fn passes(st: &StoredTuple, filter: &[(usize, Value)]) -> bool {
-    (filter.iter()).all(|(col, value)| st.tuple.values()[*col] == *value)
 }
 
 /// Iterator returned by [`Table::probe`]. Yields exactly the stored tuples
-/// matching **all** bound columns, in a deterministic order that is
-/// identical across storage backings (see the module documentation).
-pub struct ProbeIter<'a>(ProbeInner<'a>);
+/// matching **all** bound columns, in posting-list order (key order for a
+/// probe that binds nothing).
+pub struct ProbeIter<'a>(Option<ColProbe<'a>>);
 
 impl<'a> Iterator for ProbeIter<'a> {
     type Item = TupleRef<'a>;
 
     fn next(&mut self) -> Option<TupleRef<'a>> {
-        match &mut self.0 {
-            ProbeInner::Empty => None,
-            ProbeInner::RowIds { store, ids, filter } => {
-                for id in ids.by_ref() {
-                    let Some(st) = store.get_by_id(*id) else {
-                        continue;
-                    };
-                    if passes(st, filter) {
-                        return Some(TupleRef(RefInner::Stored(st)));
-                    }
-                }
-                None
-            }
-            ProbeInner::RowScan { values, filter } => {
-                for st in values.by_ref() {
-                    if passes(st, filter) {
-                        return Some(TupleRef(RefInner::Stored(st)));
-                    }
-                }
-                None
-            }
-            ProbeInner::Col(probe) => {
-                let store = probe.store();
-                probe
-                    .next()
-                    .map(|slot| TupleRef(RefInner::Slot(store, slot)))
-            }
-        }
+        let probe = self.0.as_mut()?;
+        let store = probe.store();
+        probe.next().map(|slot| TupleRef { store, slot })
     }
 }
 
 /// Iterator over a table's live tuples in primary-key order.
-pub struct TableIter<'a>(TableIterInner<'a>);
-
-enum TableIterInner<'a> {
-    Row(std::collections::btree_map::Values<'a, Vec<Value>, StoredTuple>),
-    Col {
-        store: &'a ColumnStore,
-        slots: std::slice::Iter<'a, u32>,
-    },
+pub struct TableIter<'a> {
+    store: &'a ColumnStore,
+    slots: std::slice::Iter<'a, u32>,
 }
 
 impl<'a> Iterator for TableIter<'a> {
     type Item = TupleRef<'a>;
 
     fn next(&mut self) -> Option<TupleRef<'a>> {
-        match &mut self.0 {
-            TableIterInner::Row(values) => values.next().map(|st| TupleRef(RefInner::Stored(st))),
-            TableIterInner::Col { store, slots } => slots
-                .next()
-                .map(|slot| TupleRef(RefInner::Slot(store, *slot))),
-        }
+        let store = self.store;
+        self.slots.next().map(|&slot| TupleRef { store, slot })
     }
 }
-
-// --------------------------------------------------------------------------
-// the table
-// --------------------------------------------------------------------------
 
 /// What a compiled program fixes about one relation's table. Computed once
 /// per program ([`crate::CompiledProgram::tables`]) and shared, by reference
@@ -428,44 +231,27 @@ pub struct TableSpec {
     pub probed: Arc<Vec<usize>>,
 }
 
-#[derive(Debug, Clone)]
-enum Repr {
-    Row(RowStore),
-    Col(ColumnStore),
-}
-
-/// A single relation's storage (columnar by default; see the module
-/// documentation for the layout).
+/// A single relation's storage (see the module documentation for the
+/// layout).
 #[derive(Debug, Clone)]
 pub struct Table {
     /// Schema of the relation.
     pub schema: Arc<RelationSchema>,
-    repr: Repr,
+    store: ColumnStore,
 }
 
 impl Table {
-    /// Create an empty table with the default (columnar) backing, indexing
-    /// every column.
+    /// Create an empty table indexing every column.
     pub fn new(schema: impl Into<Arc<RelationSchema>>) -> Self {
-        Table::with_backing(schema, TableBacking::default())
-    }
-
-    /// Create an empty table with an explicit backing, indexing every
-    /// column.
-    pub fn with_backing(schema: impl Into<Arc<RelationSchema>>, backing: TableBacking) -> Self {
         let schema = schema.into();
         let every_column: Vec<usize> = (0..schema.arity).collect();
-        Table::indexing(schema, backing, &every_column)
+        Table::indexing(schema, &every_column)
     }
 
     /// Create an empty table that keeps posting lists on `columns` only. A
-    /// probe that binds none of them (and binds something) degrades to a
-    /// filtered key-order scan.
-    pub fn indexing(
-        schema: impl Into<Arc<RelationSchema>>,
-        backing: TableBacking,
-        columns: &[usize],
-    ) -> Self {
+    /// probe must bind one of them or nothing: one that binds nothing is a
+    /// key-order scan.
+    pub fn indexing(schema: impl Into<Arc<RelationSchema>>, columns: &[usize]) -> Self {
         let schema = schema.into();
         let mut columns: Vec<usize> = columns
             .iter()
@@ -474,100 +260,36 @@ impl Table {
             .collect();
         columns.sort_unstable();
         columns.dedup();
-        Table::of(Sym::new(&schema.name), schema, Arc::new(columns), backing)
+        Table::of(Sym::new(&schema.name), schema, Arc::new(columns))
     }
 
     /// `relation` is `Sym::new(&schema.name)`; `indexed` is ascending and
     /// within the arity.
-    fn of(
-        relation: Sym,
-        schema: Arc<RelationSchema>,
-        indexed: Arc<Vec<usize>>,
-        backing: TableBacking,
-    ) -> Self {
-        let repr = match backing {
-            TableBacking::Row => Repr::Row(RowStore::new(schema.arity, indexed)),
-            TableBacking::Columnar => {
-                Repr::Col(ColumnStore::new(relation, schema.clone(), indexed))
-            }
-        };
-        Table { schema, repr }
-    }
-
-    /// Which physical layout this table uses.
-    pub fn backing(&self) -> TableBacking {
-        match &self.repr {
-            Repr::Row(_) => TableBacking::Row,
-            Repr::Col(_) => TableBacking::Columnar,
-        }
+    fn of(relation: Sym, schema: Arc<RelationSchema>, indexed: Arc<Vec<usize>>) -> Self {
+        let store = ColumnStore::new(relation, schema.clone(), indexed);
+        Table { schema, store }
     }
 
     /// Iterate over the candidate tuples for a join probe with the given
-    /// bound columns. The most selective posting list among the indexed
-    /// bound columns anchors the probe and the remaining bound columns are
+    /// bound columns. The most selective posting list among the bound
+    /// columns anchors the probe and the remaining bound columns are
     /// verified against the stored columns directly, so the iterator yields
     /// exactly the tuples matching every bound column. With no bound
-    /// columns it degrades to a key-order scan. A bound value absent from
-    /// its posting index short-circuits to an empty iterator.
+    /// columns it is a key-order scan. A bound value absent from its
+    /// posting index short-circuits to an empty iterator.
     pub fn probe<'a>(&'a self, bound_cols: &[(usize, Value)]) -> ProbeIter<'a> {
-        let row = match &self.repr {
-            Repr::Col(col) => {
-                return ProbeIter(
-                    col.probe(bound_cols)
-                        .map_or(ProbeInner::Empty, ProbeInner::Col),
-                )
-            }
-            Repr::Row(row) => row,
-        };
-        let mut best: Option<(usize, &Vec<TupleId>)> = None;
-        for (pos, (col, value)) in bound_cols.iter().enumerate() {
-            if row.indexed.binary_search(col).is_err() {
-                continue;
-            }
-            match row.col_indexes[*col].get(value) {
-                None => return ProbeIter(ProbeInner::Empty),
-                Some(ids) => {
-                    if best.is_none_or(|(_, b)| ids.len() < b.len()) {
-                        best = Some((pos, ids));
-                    }
-                }
-            }
-        }
-        let Some((anchor, ids)) = best else {
-            // Nothing bound, or nothing bound that is indexed: key-order
-            // scan, filtered.
-            return ProbeIter(ProbeInner::RowScan {
-                values: row.tuples.values(),
-                filter: bound_cols.to_vec(),
-            });
-        };
-        let filter: Vec<(usize, Value)> = (bound_cols.iter().enumerate())
-            .filter(|(pos, _)| *pos != anchor)
-            .map(|(_, entry)| entry.clone())
-            .collect();
-        ProbeIter(ProbeInner::RowIds {
-            store: row,
-            ids: ids.iter(),
-            filter,
-        })
+        ProbeIter(self.store.probe(bound_cols))
     }
 
     /// Look up a stored tuple by its content-addressed identifier.
     pub fn get_by_id(&self, id: TupleId) -> Option<TupleRef<'_>> {
-        match &self.repr {
-            Repr::Row(row) => row.get_by_id(id).map(|st| TupleRef(RefInner::Stored(st))),
-            Repr::Col(col) => col
-                .slot_of_id(id)
-                .map(|slot| TupleRef(RefInner::Slot(col, slot))),
-        }
+        let store = &self.store;
+        store.slot_of_id(id).map(|slot| TupleRef { store, slot })
     }
 
     /// Number of stored (present) tuples.
     pub fn len(&self) -> usize {
-        match &self.repr {
-            Repr::Row(row) => row.tuples.len(),
-            Repr::Col(col) => col.len(),
-        }
+        self.store.len()
     }
 
     /// True when no tuple is present.
@@ -577,13 +299,10 @@ impl Table {
 
     /// Iterate over present tuples in deterministic (key) order.
     pub fn iter(&self) -> TableIter<'_> {
-        TableIter(match &self.repr {
-            Repr::Row(row) => TableIterInner::Row(row.tuples.values()),
-            Repr::Col(col) => TableIterInner::Col {
-                store: col,
-                slots: col.slots(),
-            },
-        })
+        TableIter {
+            store: &self.store,
+            slots: self.store.slots(),
+        }
     }
 
     /// Look up the stored entry for an exact tuple: equal tuples have one id.
@@ -609,82 +328,13 @@ impl Table {
             self.schema.name,
             "a table stores tuples of its own relation only"
         );
-        let row = match &mut self.repr {
-            Repr::Col(col) => return col.add_derivation(tuple, derivation),
-            Repr::Row(row) => row,
-        };
-        let (id, key) = (tuple.id(), tuple.project(&self.schema.key_cols));
-        match row.tuples.get_mut(&key) {
-            Some(existing) if existing.tuple == *tuple => {
-                if existing.derivations.contains(&derivation) {
-                    Membership::Unchanged
-                } else {
-                    existing.derivations.push(derivation);
-                    Membership::AddedDerivation
-                }
-            }
-            Some(_) => {
-                // Key collision with different content: replace.
-                let old = row
-                    .tuples
-                    .insert(
-                        key.clone(),
-                        StoredTuple {
-                            tuple: tuple.clone(),
-                            derivations: vec![derivation],
-                        },
-                    )
-                    .expect("entry existed");
-                let old_id = old.tuple.id();
-                row.by_id.remove(&old_id);
-                row.by_id.insert(id, key);
-                row.unindex_tuple_values(old_id, old.tuple.values());
-                row.index_tuple_values(id, tuple.values());
-                Membership::Replaced(old.tuple)
-            }
-            None => {
-                row.tuples.insert(
-                    key.clone(),
-                    StoredTuple {
-                        tuple: tuple.clone(),
-                        derivations: vec![derivation],
-                    },
-                );
-                row.by_id.insert(id, key);
-                row.index_tuple_values(id, tuple.values());
-                Membership::Appeared
-            }
-        }
+        self.store.add_derivation(tuple, derivation)
     }
 
     /// Remove one derivation of `tuple` (matching exactly). Returns
     /// [`Membership::Disappeared`] when that was the last derivation.
     pub fn remove_derivation(&mut self, tuple: &Tuple, derivation: &Derivation) -> Membership {
-        let row = match &mut self.repr {
-            Repr::Col(col) => return col.remove_derivation(tuple, derivation),
-            Repr::Row(row) => row,
-        };
-        let key = tuple.project(&self.schema.key_cols);
-        let Some(existing) = row.tuples.get_mut(&key) else {
-            return Membership::NotFound;
-        };
-        if existing.tuple != *tuple {
-            return Membership::NotFound;
-        }
-        let before = existing.derivations.len();
-        existing.derivations.retain(|d| d != derivation);
-        if existing.derivations.len() == before {
-            return Membership::NotFound;
-        }
-        if existing.derivations.is_empty() {
-            let id = tuple.id();
-            row.tuples.remove(&key);
-            row.by_id.remove(&id);
-            row.unindex_tuple_values(id, tuple.values());
-            Membership::Disappeared
-        } else {
-            Membership::RemovedDerivation
-        }
+        self.store.remove_derivation(tuple, derivation)
     }
 
     /// All tuples currently present, cloned (snapshot order is deterministic).
@@ -692,15 +342,11 @@ impl Table {
         self.iter().map(|r| r.to_tuple()).collect()
     }
 
-    /// Resident bytes of the table's payload under its current backing:
-    /// column vectors + slot ids + bitmap (+ derivations) for columnar,
-    /// wire-priced stored tuples for row. `ntbench` reports it as
+    /// Resident bytes of the table's payload: column vectors, slot ids,
+    /// bitmap, posting lists and derivations. `ntbench` reports it as
     /// `runtime.storage_bytes`.
     pub fn storage_bytes(&self) -> usize {
-        match &self.repr {
-            Repr::Row(row) => row.resident_bytes(),
-            Repr::Col(col) => col.resident_bytes(),
-        }
+        self.store.resident_bytes()
     }
 }
 
@@ -791,8 +437,8 @@ pub struct Database {
 }
 
 impl Database {
-    /// Create an empty database with the given relation schemas (columnar
-    /// tables indexing every column).
+    /// Create an empty database with the given relation schemas (tables
+    /// indexing every column).
     pub fn new(schemas: impl IntoIterator<Item = RelationSchema>) -> Self {
         let mut db = Database::default();
         for s in schemas {
@@ -805,7 +451,7 @@ impl Database {
     /// one table per [`TableSpec`] (in relation-name order, as
     /// [`crate::CompiledProgram::tables`] lists them), sharing the program's
     /// schemas and indexing the columns its plans probe.
-    pub fn for_program(specs: &[TableSpec], backing: TableBacking) -> Self {
+    pub fn for_program(specs: &[TableSpec]) -> Self {
         debug_assert!(specs.windows(2).all(|w| w[0].relation < w[1].relation));
         Database {
             order: specs.iter().map(|spec| spec.relation).collect(),
@@ -813,7 +459,7 @@ impl Database {
                 .iter()
                 .map(|spec| {
                     let (schema, probed) = (spec.schema.clone(), spec.probed.clone());
-                    Table::of(spec.relation, schema, probed, backing)
+                    Table::of(spec.relation, schema, probed)
                 })
                 .collect(),
             ..Database::default()
@@ -821,18 +467,13 @@ impl Database {
     }
 
     /// Register an additional relation (idempotent). Its table indexes
-    /// every column and has the backing the database's tables have.
+    /// every column.
     pub fn register(&mut self, schema: RelationSchema) {
         let sym = Sym::new(&schema.name);
         if self.position(sym).is_none() {
-            let backing = self
-                .tables
-                .first()
-                .map_or(TableBacking::default(), Table::backing);
             let pos = self.order.partition_point(|s| *s < sym);
             self.order.insert(pos, sym);
-            self.tables
-                .insert(pos, Table::with_backing(schema, backing));
+            self.tables.insert(pos, Table::new(schema));
         }
     }
 
@@ -981,13 +622,18 @@ impl Database {
     }
 
     /// Resident bytes: every table (see [`Table::storage_bytes`]) plus the
-    /// outbox, an entry priced like a row entry — the wire sizes of its
-    /// tuple and derivations.
+    /// outbox, an entry priced at the wire sizes of its tuple and
+    /// derivations.
     pub fn storage_bytes(&self) -> usize {
         let tables: usize = self.tables.iter().map(Table::storage_bytes).sum();
-        let outbox = self.outbox.values();
-        let outbox: usize = outbox
-            .map(|e| entry_wire_size(&e.tuple, &e.derivations))
+        let outbox: usize = (self.outbox.values())
+            .map(|e| {
+                e.tuple.wire_size()
+                    + e.derivations
+                        .iter()
+                        .map(Derivation::wire_size)
+                        .sum::<usize>()
+            })
             .sum();
         tables + outbox
     }
@@ -1029,60 +675,50 @@ mod tests {
         Tuple::new("link", vec![Value::addr(s), Value::addr(d), Value::Int(c)])
     }
 
-    /// Run a test body against both backings.
-    fn for_both_backings(f: impl Fn(TableBacking)) {
-        f(TableBacking::Columnar);
-        f(TableBacking::Row);
-    }
-
     #[test]
     fn add_and_remove_derivations_track_membership() {
-        for_both_backings(|backing| {
-            let mut t = Table::with_backing(schema("link", 3, vec![0, 1, 2]), backing);
-            let tup = link("a", "b", 1);
-            let d1 = Derivation::base("a");
-            let d2 = Derivation {
-                rule: "r1".into(),
-                node: "a".into(),
-                inputs: [TupleId(42)].into(),
-            };
-            assert_eq!(t.add_derivation(&tup, d1.clone()), Membership::Appeared);
-            assert_eq!(
-                t.add_derivation(&tup, d2.clone()),
-                Membership::AddedDerivation
-            );
-            // Duplicate derivations are ignored.
-            assert_eq!(t.add_derivation(&tup, d2.clone()), Membership::Unchanged);
-            assert_eq!(t.get(&tup).unwrap().derivations().len(), 2);
-            assert_eq!(t.get_by_id(tup.id()).unwrap().to_tuple(), tup);
-            assert_eq!(
-                t.remove_derivation(&tup, &d1),
-                Membership::RemovedDerivation
-            );
-            assert_eq!(t.remove_derivation(&tup, &d1), Membership::NotFound);
-            assert_eq!(t.remove_derivation(&tup, &d2), Membership::Disappeared);
-            assert!(t.is_empty());
-            assert!(t.get_by_id(tup.id()).is_none());
-        });
+        let mut t = Table::new(schema("link", 3, vec![0, 1, 2]));
+        let tup = link("a", "b", 1);
+        let d1 = Derivation::base("a");
+        let d2 = Derivation {
+            rule: "r1".into(),
+            node: "a".into(),
+            inputs: [TupleId(42)].into(),
+        };
+        assert_eq!(t.add_derivation(&tup, d1.clone()), Membership::Appeared);
+        assert_eq!(
+            t.add_derivation(&tup, d2.clone()),
+            Membership::AddedDerivation
+        );
+        // Duplicate derivations are ignored.
+        assert_eq!(t.add_derivation(&tup, d2.clone()), Membership::Unchanged);
+        assert_eq!(t.get(&tup).unwrap().derivations().len(), 2);
+        assert_eq!(t.get_by_id(tup.id()).unwrap().to_tuple(), tup);
+        assert_eq!(
+            t.remove_derivation(&tup, &d1),
+            Membership::RemovedDerivation
+        );
+        assert_eq!(t.remove_derivation(&tup, &d1), Membership::NotFound);
+        assert_eq!(t.remove_derivation(&tup, &d2), Membership::Disappeared);
+        assert!(t.is_empty());
+        assert!(t.get_by_id(tup.id()).is_none());
     }
 
     #[test]
     fn update_in_place_replaces_by_key() {
-        for_both_backings(|backing| {
-            // keys(1,2): the cost column is not part of the key.
-            let mut t = Table::with_backing(schema("link", 3, vec![0, 1]), backing);
-            assert_eq!(
-                t.add_derivation(&link("a", "b", 1), Derivation::base("a")),
-                Membership::Appeared
-            );
-            match t.add_derivation(&link("a", "b", 7), Derivation::base("a")) {
-                Membership::Replaced(old) => assert_eq!(old, link("a", "b", 1)),
-                other => panic!("expected replacement, got {other:?}"),
-            }
-            assert_eq!(t.len(), 1);
-            assert!(t.contains(&link("a", "b", 7)));
-            assert!(!t.contains(&link("a", "b", 1)));
-        });
+        // keys(1,2): the cost column is not part of the key.
+        let mut t = Table::new(schema("link", 3, vec![0, 1]));
+        assert_eq!(
+            t.add_derivation(&link("a", "b", 1), Derivation::base("a")),
+            Membership::Appeared
+        );
+        match t.add_derivation(&link("a", "b", 7), Derivation::base("a")) {
+            Membership::Replaced(old) => assert_eq!(old, link("a", "b", 1)),
+            other => panic!("expected replacement, got {other:?}"),
+        }
+        assert_eq!(t.len(), 1);
+        assert!(t.contains(&link("a", "b", 7)));
+        assert!(!t.contains(&link("a", "b", 1)));
     }
 
     /// Two handles and a shared input list: 24 bytes (32 while the list was
@@ -1235,28 +871,26 @@ mod tests {
 
     #[test]
     fn probe_uses_the_most_selective_index() {
-        for_both_backings(|backing| {
-            let mut t = Table::with_backing(schema("link", 3, vec![0, 1, 2]), backing);
-            for i in 0..10 {
-                t.add_derivation(&link("a", &format!("n{i}"), i), Derivation::base("a"));
-            }
-            t.add_derivation(&link("b", "n0", 99), Derivation::base("b"));
+        let mut t = Table::new(schema("link", 3, vec![0, 1, 2]));
+        for i in 0..10 {
+            t.add_derivation(&link("a", &format!("n{i}"), i), Derivation::base("a"));
+        }
+        t.add_derivation(&link("b", "n0", 99), Derivation::base("b"));
 
-            // Column 0 = "a" matches 10 tuples; column 1 = "n3" matches 1.
-            let candidates: Vec<_> = t
-                .probe(&[(0, Value::addr("a")), (1, Value::addr("n3"))])
-                .collect();
-            assert_eq!(candidates.len(), 1);
-            assert_eq!(candidates[0].to_tuple(), link("a", "n3", 3));
+        // Column 0 = "a" matches 10 tuples; column 1 = "n3" matches 1.
+        let candidates: Vec<_> = t
+            .probe(&[(0, Value::addr("a")), (1, Value::addr("n3"))])
+            .collect();
+        assert_eq!(candidates.len(), 1);
+        assert_eq!(candidates[0].to_tuple(), link("a", "n3", 3));
 
-            // A single bound column still narrows to its posting list.
-            assert_eq!(t.probe(&[(0, Value::addr("b"))]).count(), 1);
-            // No bound columns: full scan.
-            assert_eq!(t.probe(&[]).count(), 11);
-            // A bound value absent from the index proves emptiness
-            // immediately.
-            assert_eq!(t.probe(&[(0, Value::addr("zz"))]).count(), 0);
-        });
+        // A single bound column still narrows to its posting list.
+        assert_eq!(t.probe(&[(0, Value::addr("b"))]).count(), 1);
+        // No bound columns: full scan.
+        assert_eq!(t.probe(&[]).count(), 11);
+        // A bound value absent from the index proves emptiness
+        // immediately.
+        assert_eq!(t.probe(&[(0, Value::addr("zz"))]).count(), 0);
     }
 
     #[test]
@@ -1264,101 +898,93 @@ mod tests {
         // The probe contract: candidates match ALL bound columns, not just
         // the anchor posting list (the vectorized kernel verifies the
         // residual columns against the column vectors).
-        for_both_backings(|backing| {
-            let mut t = Table::with_backing(schema("link", 3, vec![0, 1, 2]), backing);
-            t.add_derivation(&link("a", "x", 1), Derivation::base("a"));
-            t.add_derivation(&link("a", "y", 2), Derivation::base("a"));
-            t.add_derivation(&link("b", "x", 3), Derivation::base("b"));
-            // Both columns have posting lists of length 2; only one tuple
-            // matches both.
-            let hits: Vec<_> = t
-                .probe(&[(0, Value::addr("a")), (1, Value::addr("x"))])
-                .map(|r| r.to_tuple())
-                .collect();
-            assert_eq!(hits, vec![link("a", "x", 1)]);
-            // Residual verification on a numeric column too.
-            assert_eq!(
-                t.probe(&[(0, Value::addr("a")), (2, Value::Int(2))])
-                    .count(),
-                1
-            );
-            assert_eq!(
-                t.probe(&[(0, Value::addr("a")), (2, Value::Int(3))])
-                    .count(),
-                0
-            );
-        });
+        let mut t = Table::new(schema("link", 3, vec![0, 1, 2]));
+        t.add_derivation(&link("a", "x", 1), Derivation::base("a"));
+        t.add_derivation(&link("a", "y", 2), Derivation::base("a"));
+        t.add_derivation(&link("b", "x", 3), Derivation::base("b"));
+        // Both columns have posting lists of length 2; only one tuple
+        // matches both.
+        let hits: Vec<_> = t
+            .probe(&[(0, Value::addr("a")), (1, Value::addr("x"))])
+            .map(|r| r.to_tuple())
+            .collect();
+        assert_eq!(hits, vec![link("a", "x", 1)]);
+        // Residual verification on a numeric column too.
+        assert_eq!(
+            t.probe(&[(0, Value::addr("a")), (2, Value::Int(2))])
+                .count(),
+            1
+        );
+        assert_eq!(
+            t.probe(&[(0, Value::addr("a")), (2, Value::Int(3))])
+                .count(),
+            0
+        );
     }
 
     #[test]
     fn a_str_probe_never_finds_an_addr() {
-        for_both_backings(|backing| {
-            let mut t = Table::with_backing(schema("link", 3, vec![0, 1, 2]), backing);
-            t.add_derivation(&link("a", "b", 1), Derivation::base("a"));
-            // Tuples carry addresses; a text of the same spelling is another
-            // value, as a probe key and as a residual column.
-            assert_eq!(t.probe(&[(0, Value::addr("a"))]).count(), 1);
-            assert_eq!(t.probe(&[(0, Value::str("a"))]).count(), 0);
-            assert_eq!(
-                t.probe(&[(0, Value::addr("a")), (1, Value::str("b"))])
-                    .count(),
-                0
-            );
-            // Outside address columns too.
-            let mut obs = Table::with_backing(schema("obs", 2, vec![0, 1]), backing);
-            let text = Tuple::new("obs", vec![Value::addr("a"), Value::str("b")]);
-            obs.add_derivation(&text, Derivation::base("a"));
-            assert_eq!(obs.probe(&[(1, Value::addr("b"))]).count(), 0);
-            assert_eq!(obs.probe(&[(1, Value::str("b"))]).count(), 1);
-        });
+        let mut t = Table::new(schema("link", 3, vec![0, 1, 2]));
+        t.add_derivation(&link("a", "b", 1), Derivation::base("a"));
+        // Tuples carry addresses; a text of the same spelling is another
+        // value, as a probe key and as a residual column.
+        assert_eq!(t.probe(&[(0, Value::addr("a"))]).count(), 1);
+        assert_eq!(t.probe(&[(0, Value::str("a"))]).count(), 0);
+        assert_eq!(
+            t.probe(&[(0, Value::addr("a")), (1, Value::str("b"))])
+                .count(),
+            0
+        );
+        // Outside address columns too.
+        let mut obs = Table::new(schema("obs", 2, vec![0, 1]));
+        let text = Tuple::new("obs", vec![Value::addr("a"), Value::str("b")]);
+        obs.add_derivation(&text, Derivation::base("a"));
+        assert_eq!(obs.probe(&[(1, Value::addr("b"))]).count(), 0);
+        assert_eq!(obs.probe(&[(1, Value::str("b"))]).count(), 1);
     }
 
     #[test]
     fn probe_matches_int_and_double_interchangeably() {
-        for_both_backings(|backing| {
-            // Value's total order equates Int(2) and Double(2.0); the index
-            // must agree with the scan path on such cross-type matches.
-            let mut t = Table::with_backing(schema("link", 3, vec![0, 1, 2]), backing);
-            t.add_derivation(&link("a", "b", 2), Derivation::base("a"));
-            let double_tuple = Tuple::new(
-                "link",
-                vec![Value::addr("a"), Value::addr("c"), Value::Double(3.0)],
-            );
-            t.add_derivation(&double_tuple, Derivation::base("a"));
+        // Value's total order equates Int(2) and Double(2.0); the index
+        // must agree with the scan path on such cross-type matches.
+        let mut t = Table::new(schema("link", 3, vec![0, 1, 2]));
+        t.add_derivation(&link("a", "b", 2), Derivation::base("a"));
+        let double_tuple = Tuple::new(
+            "link",
+            vec![Value::addr("a"), Value::addr("c"), Value::Double(3.0)],
+        );
+        t.add_derivation(&double_tuple, Derivation::base("a"));
 
-            // Stored Int probed with an equal Double, and vice versa.
-            assert_eq!(t.probe(&[(2, Value::Double(2.0))]).count(), 1);
-            assert_eq!(t.probe(&[(2, Value::Int(3))]).count(), 1);
-            // Non-integral doubles match nothing here.
-            assert_eq!(t.probe(&[(2, Value::Double(2.5))]).count(), 0);
-            // Lists compare elementwise, and one widens the integer column.
-            let list_tuple = Tuple::new(
-                "link",
-                vec![
-                    Value::addr("z"),
-                    Value::addr("y"),
-                    Value::list(vec![Value::Double(1.0)]),
-                ],
-            );
-            t.add_derivation(&list_tuple, Derivation::base("z"));
-            assert_eq!(t.probe(&[(2, Value::list(vec![Value::Int(1)]))]).count(), 1);
-            assert_eq!(t.probe(&[(2, Value::Double(2.0))]).count(), 1);
-        });
+        // Stored Int probed with an equal Double, and vice versa.
+        assert_eq!(t.probe(&[(2, Value::Double(2.0))]).count(), 1);
+        assert_eq!(t.probe(&[(2, Value::Int(3))]).count(), 1);
+        // Non-integral doubles match nothing here.
+        assert_eq!(t.probe(&[(2, Value::Double(2.5))]).count(), 0);
+        // Lists compare elementwise, and one widens the integer column.
+        let list_tuple = Tuple::new(
+            "link",
+            vec![
+                Value::addr("z"),
+                Value::addr("y"),
+                Value::list(vec![Value::Double(1.0)]),
+            ],
+        );
+        t.add_derivation(&list_tuple, Derivation::base("z"));
+        assert_eq!(t.probe(&[(2, Value::list(vec![Value::Int(1)]))]).count(), 1);
+        assert_eq!(t.probe(&[(2, Value::Double(2.0))]).count(), 1);
     }
 
     #[test]
     fn indexes_track_removals_and_replacements() {
-        for_both_backings(|backing| {
-            let mut t = Table::with_backing(schema("link", 3, vec![0, 1]), backing);
-            t.add_derivation(&link("a", "b", 1), Derivation::base("a"));
-            // Update-in-place: cost column changes, index entries must
-            // follow.
-            t.add_derivation(&link("a", "b", 7), Derivation::base("a"));
-            assert_eq!(t.probe(&[(2, Value::Int(7))]).count(), 1);
-            assert_eq!(t.probe(&[(2, Value::Int(1))]).count(), 0);
-            t.remove_derivation(&link("a", "b", 7), &Derivation::base("a"));
-            assert_eq!(t.probe(&[(0, Value::addr("a"))]).count(), 0);
-        });
+        let mut t = Table::new(schema("link", 3, vec![0, 1]));
+        t.add_derivation(&link("a", "b", 1), Derivation::base("a"));
+        // Update-in-place: cost column changes, index entries must
+        // follow.
+        t.add_derivation(&link("a", "b", 7), Derivation::base("a"));
+        assert_eq!(t.probe(&[(2, Value::Int(7))]).count(), 1);
+        assert_eq!(t.probe(&[(2, Value::Int(1))]).count(), 0);
+        t.remove_derivation(&link("a", "b", 7), &Derivation::base("a"));
+        assert_eq!(t.probe(&[(0, Value::addr("a"))]).count(), 0);
     }
 
     #[test]
@@ -1373,13 +999,8 @@ mod tests {
         // Re-inserting reuses dead slots: the physical arena stays at 4.
         t.add_derivation(&link("b", "m1", 10), Derivation::base("b"));
         t.add_derivation(&link("b", "m2", 11), Derivation::base("b"));
-        match &t.repr {
-            Repr::Col(col) => {
-                assert_eq!(col.arena(), (4, 0), "free slots were not reused");
-                assert_eq!(col.len(), 4);
-            }
-            Repr::Row(_) => unreachable!("default backing is columnar"),
-        }
+        assert_eq!(t.store.arena(), (4, 0), "free slots were not reused");
+        assert_eq!(t.store.len(), 4);
         assert_eq!(t.probe(&[(0, Value::addr("b"))]).count(), 2);
         assert_eq!(t.probe(&[(0, Value::addr("a"))]).count(), 2);
     }
@@ -1434,25 +1055,34 @@ mod tests {
         assert_eq!(tuple_materializations(), before + 1);
     }
 
+    /// The price of the layout, term by term: per slot two 4 B address
+    /// codes, one 8 B integer, an 8 B tuple id and a base derivation at its
+    /// wire size (4 B rule, 4 B node, 4 B input count); 8 B of validity
+    /// bitmap per 64 slots; 4 B per posting entry, one per indexed column
+    /// per tuple. An overflow column prices each value at its wire size.
     #[test]
     fn storage_bytes_reflect_columnar_layout() {
-        let sch = schema("link", 3, vec![0, 1, 2]);
-        let mut col = Table::with_backing(sch.clone(), TableBacking::Columnar);
-        let mut row = Table::with_backing(sch, TableBacking::Row);
+        let mut t = Table::new(schema("link", 3, vec![0, 1, 2]));
+        assert_eq!(t.storage_bytes(), 0);
         for i in 0..32 {
-            let t = link("a", &format!("n{i}"), i);
-            col.add_derivation(&t, Derivation::base("a"));
-            row.add_derivation(&t, Derivation::base("a"));
+            t.add_derivation(&link("a", &format!("n{i}"), i), Derivation::base("a"));
         }
-        assert!(col.storage_bytes() > 0);
-        assert!(row.storage_bytes() > 0);
-        // Dictionary-encoded addresses are 4 bytes/slot in columnar form;
-        // the row layout prices each tuple's full wire encoding.
-        assert!(
-            col.storage_bytes() < row.storage_bytes(),
-            "columnar {} should undercut row {} on an address-heavy relation",
-            col.storage_bytes(),
-            row.storage_bytes()
+        assert_eq!(Derivation::base("a").wire_size(), 12);
+        let per_slot = 4 + 4 + 8 + 8 + 12;
+        assert_eq!(t.storage_bytes(), 32 * per_slot + 8 + 4 * 3 * 32);
+        assert_eq!(t.storage_bytes(), 1544);
+        // A fraction widens the cost column to values: 32 integers and the
+        // fraction at their wire sizes replace 32 x 8 B.
+        let half = Tuple::new(
+            "link",
+            vec![Value::addr("a"), Value::addr("z"), Value::Double(0.5)],
+        );
+        t.add_derivation(&half, Derivation::base("a"));
+        let values: usize = (0..32).map(|i| Value::Int(i).wire_size()).sum::<usize>()
+            + Value::Double(0.5).wire_size();
+        assert_eq!(
+            t.storage_bytes(),
+            33 * (4 + 4 + 8 + 12) + values + 8 + 4 * 3 * 33
         );
     }
 }

@@ -1,7 +1,7 @@
-//! The columnar table backing: column vectors indexed by physical slot, one
-//! copy of every stored value, a key index of sorted slot numbers and posting
-//! lists on the columns a plan probes. See the parent module for how it sits
-//! beside the row reference layout.
+//! A table's storage: column vectors indexed by physical slot, one copy of
+//! every stored value, a key index of sorted slot numbers and posting lists
+//! on the columns a plan probes. The parent module states what a probe
+//! yields and in which order.
 //!
 //! An address column of the schema is a dictionary column posted by pool
 //! code; any other holds integers or `Value`s posted by value. Matching is
@@ -364,8 +364,7 @@ impl ColumnStore {
                     // Key collision with different content: rewrite the slot
                     // in place. It keeps its physical slot and — the keys
                     // being equal — its place in the key index; it gets a
-                    // fresh id and is appended to its posting lists, exactly
-                    // like the row store's replacement.
+                    // fresh id and is appended to its posting lists.
                     let old = self.tuple_at(slot);
                     self.unindex_slot(slot);
                     self.by_id.remove(&self.ids[slot as usize]);

@@ -1,27 +1,30 @@
-//! Property: the columnar table backing is *bit-identical* to the row-major
-//! reference layout. For random programs (joins, filters, assignments,
-//! negation, `min` aggregation, remote heads) and random batched
-//! insert/delete sequences, an engine storing its tables column-major must
-//! produce, run for run, exactly the same [`nt_runtime::StepOutput`] —
-//! outbox [`nt_runtime::DeltaBatch`]es including their dictionary headers,
-//! the provenance firing stream, local membership changes and the truncation
-//! flag — the same final tables with the same supporting derivations, and
-//! the same [`nt_runtime::EngineStats`] (`join_probes` included: the
-//! vectorized probe kernel must yield exactly the candidates the row store's
-//! probe yields, in the same order) as a row-backed engine.
+//! Properties of the columnar table layout that the slot-kernel oracle
+//! (`proptest_slot_equivalence.rs`) does not reach: the order of the key
+//! index, lookups and probes on the tables an engine builds, and remote
+//! heads taken back. The reference is a row store kept in this file — a
+//! `BTreeMap` from the cloned key projection to the tuple, which is
+//! `Vec<Value>`'s order by construction.
 //!
-//! The columnar key index is a vector of slot numbers ordered by comparing key
-//! columns in place; the row store's is a `BTreeMap` over cloned keys.
-//! `key_order_matches_the_row_store` holds the first to the second over keys
-//! that mix every variant. Seeded mutations it caught: ordering the key index
+//! `key_order_matches_the_row_store` holds one table to the row store over
+//! keys that mix every variant, through interleaved inserts, removals and
+//! replacements by key. Seeded mutations it catches: ordering the key index
 //! by slot number (insert at the end), leaving the last key column out of
 //! the comparator (`ColumnStore::find`), and a text probe finding the
-//! address it spells (a `Str` arm back in the columnar `dict_code` and in the
-//! row store's residual filter).
+//! address it spells (a `Str` arm back in `dict_code`).
+//!
+//! `columnar_matches_row_store` runs random programs (joins, filters,
+//! assignments, negation, `min` aggregation, remote heads) over random
+//! batched insert/delete streams and replays every run's local membership
+//! changes into one row store per relation: after every run each table
+//! iterates, in key order, and finds by `get` and by id exactly the tuples
+//! its row store holds (`proptest_probe_mask.rs` holds probes to a scan). `full_retraction_drains_both_backings` does
+//! the same over streams that are then retracted in full: every derived
+//! table, its row store and the outbox end empty, and every (destination,
+//! tuple, derivation) shipped is shipped once while live and retracted once.
 
 use nt_runtime::{
-    CompiledProgram, Derivation, EngineConfig, EngineStats, Membership, NodeEngine, RelationSchema,
-    StepOutput, Table, TableBacking, Tuple, TupleId, Value,
+    CompiledProgram, Delta, Derivation, EngineConfig, Membership, NodeEngine, RelationSchema,
+    StepOutput, Table, Tuple, TupleId, Value,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -44,7 +47,7 @@ const PROGRAMS: &[&str] = &[
     // per step.
     "r1 chain(@S,A,D) :- e(@S,A,B), f(@S,B,C), e(@S,C,D).",
     // Remote heads: shipped derivations are remembered in the outbox, not in
-    // a table, and their retractions must ship under either backing.
+    // a table, and their retractions must ship.
     "r1 ship(@D,A,B) :- e(@S,A,B), peer(@S,D).\n\
      r2 h(@S,A,C) :- e(@S,A,B), f(@S,B,C).",
 ];
@@ -61,31 +64,74 @@ fn fact(relation: &str, a: i64, b: i64, b_double: bool) -> Tuple {
     Tuple::new(relation, vec![Value::addr("n1"), Value::Int(a), b_value])
 }
 
-/// relation -> tuple -> sorted derivation debug strings.
-type TableDump = BTreeMap<String, BTreeMap<String, Vec<String>>>;
+/// One row store per relation, by name.
+type RowStores = BTreeMap<String, RowModel>;
 
-/// Apply the ops in batches of `batch` deltas per run and return every run's
-/// full output, the final table dump and the engine counters.
+/// Replay one run's local membership changes into the row stores, then hold
+/// every table of the engine to its row store: iteration order and ids,
+/// `get` and `get_by_id`.
+fn replay_and_compare(
+    engine: &NodeEngine,
+    out: &StepOutput,
+    rows: &mut RowStores,
+) -> Result<(), TestCaseError> {
+    let db = engine.database();
+    for change in &out.local_changes {
+        let (tuple, insert) = match change {
+            Delta::Insert(t) => (t, true),
+            Delta::Delete(t) => (t, false),
+        };
+        let schema = &db
+            .table_sym(tuple.relation())
+            .expect("a stored relation")
+            .schema;
+        let key = tuple.project(&schema.key_cols);
+        let model = rows.entry(schema.name.clone()).or_default();
+        match insert {
+            true => prop_assert!(
+                model.insert(key, tuple.clone()).is_none(),
+                "{} over a held key",
+                tuple
+            ),
+            false => prop_assert_eq!(model.remove(&key).as_ref(), Some(tuple)),
+        }
+    }
+    for table in db.tables() {
+        let model = rows.entry(table.schema.name.clone()).or_default();
+        let seen: Vec<(String, TupleId)> = table
+            .iter()
+            .map(|r| (r.to_tuple().to_string(), r.id()))
+            .collect();
+        let modelled: Vec<(String, TupleId)> =
+            model.values().map(|t| (t.to_string(), t.id())).collect();
+        prop_assert_eq!(seen, modelled, "relation {} diverged", table.schema.name);
+        for tuple in model.values() {
+            prop_assert_eq!(table.get(tuple).map(|r| r.id()), Some(tuple.id()));
+            let by_id = table
+                .get_by_id(tuple.id())
+                .map(|r| r.to_tuple().to_string());
+            prop_assert_eq!(by_id, Some(tuple.to_string()));
+        }
+    }
+    Ok(())
+}
+
+/// Apply the ops in batches of `batch` deltas per run, holding the tables to
+/// their row stores after every run; return every run's output, the engine
+/// and the row stores.
 fn run_ops(
     program: &Arc<CompiledProgram>,
-    config: EngineConfig,
     ops: &[Op],
     batch: usize,
-) -> (Vec<StepOutput>, TableDump, EngineStats) {
-    let mut engine = NodeEngine::new(program.clone(), config);
-    engine
-        .insert_base(Tuple::new(
-            "peer",
-            vec![Value::addr("n1"), Value::addr("n2")],
-        ))
-        .unwrap();
-    engine
-        .insert_base(Tuple::new(
-            "peer",
-            vec![Value::addr("n1"), Value::addr("n3")],
-        ))
-        .unwrap();
+) -> Result<(Vec<StepOutput>, NodeEngine, RowStores), TestCaseError> {
+    let mut engine = NodeEngine::new(program.clone(), EngineConfig::new("n1"));
+    let mut rows = RowStores::new();
+    for peer in ["n2", "n3"] {
+        let tuple = Tuple::new("peer", vec![Value::addr("n1"), Value::addr(peer)]);
+        engine.insert_base(tuple).unwrap();
+    }
     let mut outputs = vec![engine.run()];
+    replay_and_compare(&engine, &outputs[0], &mut rows)?;
     for chunk in ops.chunks(batch.max(1)) {
         for (insert, use_e, a, b, b_double) in chunk {
             let tuple = fact(if *use_e { "e" } else { "f" }, *a, *b, *b_double);
@@ -95,23 +141,11 @@ fn run_ops(
                 engine.delete_base(tuple).unwrap();
             }
         }
-        outputs.push(engine.run());
+        let out = engine.run();
+        replay_and_compare(&engine, &out, &mut rows)?;
+        outputs.push(out);
     }
-    let mut state = BTreeMap::new();
-    for table in engine.database().tables() {
-        let mut tuples = BTreeMap::new();
-        for stored in table.iter() {
-            let mut derivations: Vec<String> = stored
-                .derivations()
-                .iter()
-                .map(|d| format!("{d:?}"))
-                .collect();
-            derivations.sort();
-            tuples.insert(stored.to_tuple().to_string(), derivations);
-        }
-        state.insert(table.schema.name.clone(), tuples);
-    }
-    (outputs, state, engine.stats().clone())
+    Ok((outputs, engine, rows))
 }
 
 /// A value of an address column.
@@ -145,6 +179,34 @@ fn key_value(code: u8) -> Value {
     }
 }
 
+/// The row store: each stored tuple under its key projection, in
+/// `Vec<Value>`'s order.
+type RowModel = BTreeMap<Vec<Value>, Tuple>;
+
+/// What adding (`add`) or removing one derivation does to the row store,
+/// with every tuple supported by one and the same derivation.
+fn row_store_apply(
+    rows: &mut RowModel,
+    key_cols: &[usize],
+    tuple: &Tuple,
+    add: bool,
+) -> Membership {
+    let key = tuple.project(key_cols);
+    match (rows.get(&key), add) {
+        (None, true) => {
+            rows.insert(key, tuple.clone());
+            Membership::Appeared
+        }
+        (Some(held), true) if held == tuple => Membership::Unchanged,
+        (Some(_), true) => Membership::Replaced(rows.insert(key, tuple.clone()).unwrap()),
+        (Some(held), false) if held == tuple => {
+            rows.remove(&key);
+            Membership::Disappeared
+        }
+        (_, false) => Membership::NotFound,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -168,50 +230,49 @@ proptest! {
             is_base: true,
             lifetime: None,
         };
-        let mut col = Table::with_backing(schema.clone(), TableBacking::Columnar);
-        let mut row = Table::with_backing(schema, TableBacking::Row);
+        let key_cols = schema.key_cols.clone();
+        let mut table = Table::new(schema);
+        let mut rows = RowModel::new();
         let base = Derivation { rule: "r".into(), node: "n1".into(), inputs: [TupleId(1)].into() };
-        let seen = |t: &Table| -> Vec<(String, TupleId, usize)> {
-            t.iter().map(|r| (r.to_tuple().to_string(), r.id(), r.derivations().len())).collect()
-        };
         for (kind, k0, k1, payload) in ops {
             let mut tuple =
                 Tuple::new("t", vec![address(k0), key_value(k1), Value::Int(payload)]);
             // The engine addresses a stored tuple in its stored spelling; a
             // removal takes whatever payload the key holds.
-            let held = row.iter().find(|r| {
-                (kind == 2 || r.value(2) == tuple.values()[2])
-                    && r.value(0) == tuple.values()[0]
-                    && r.value(1) == tuple.values()[1]
+            let held = rows.values().find(|held| {
+                (kind == 2 || held.values()[2] == tuple.values()[2])
+                    && held.values()[..2] == tuple.values()[..2]
             });
-            if let Some(stored) = held {
-                tuple = stored.to_tuple();
+            if let Some(held) = held {
+                tuple = held.clone();
             }
-            let outcomes: Vec<Membership> = [&mut col, &mut row]
-                .into_iter()
-                .map(|t| match kind {
-                    0 | 1 => t.add_derivation(&tuple, base.clone()),
-                    _ => t.remove_derivation(&tuple, &base),
-                })
+            let outcome = match kind {
+                0 | 1 => table.add_derivation(&tuple, base.clone()),
+                _ => table.remove_derivation(&tuple, &base),
+            };
+            let want = row_store_apply(&mut rows, &key_cols, &tuple, kind != 2);
+            prop_assert_eq!(outcome, want);
+            let seen: Vec<(String, TupleId, usize)> = table
+                .iter()
+                .map(|r| (r.to_tuple().to_string(), r.id(), r.derivations().len()))
                 .collect();
-            prop_assert_eq!(&outcomes[0], &outcomes[1]);
-            prop_assert_eq!(seen(&col), seen(&row), "key order diverged after {}", tuple);
+            let modelled: Vec<(String, TupleId, usize)> =
+                rows.values().map(|t| (t.to_string(), t.id(), 1)).collect();
+            prop_assert_eq!(seen, modelled, "key order diverged after {}", tuple);
             prop_assert_eq!(
-                col.get(&tuple).map(|r| r.id()),
-                row.get(&tuple).map(|r| r.id())
+                table.get(&tuple).map(|r| r.id()),
+                rows.get(&tuple.project(&key_cols)).filter(|t| **t == tuple).map(Tuple::id)
             );
             // A text never finds an address, in either key column.
             let text = Value::str(tuple.values()[0].as_addr().expect("an address"));
             for c in [0, 1] {
-                for table in [&col, &row] {
-                    prop_assert!(table.probe(&[(c, text.clone())]).all(|r| r.value(c) == text));
-                }
+                prop_assert!(table.probe(&[(c, text.clone())]).all(|r| r.value(c) == text));
             }
         }
     }
 
-    /// Columnar storage equals the row reference bit for bit: per-run
-    /// outputs, final tables and counters.
+    /// Random batched insert/delete streams: after every run each table
+    /// iterates and finds exactly what its row store holds.
     #[test]
     fn columnar_matches_row_store(
         program_idx in 0usize..6,
@@ -224,23 +285,18 @@ proptest! {
         let program = Arc::new(
             CompiledProgram::from_source(PROGRAMS[program_idx]).expect("pool programs compile"),
         );
-        let row_config = EngineConfig::new("n1").with_row_storage();
-        let col_config = EngineConfig::new("n1");
-        prop_assert_eq!(col_config.columnar_storage, true);
-        prop_assert_eq!(row_config.columnar_storage, false);
-        let row = run_ops(&program, row_config, &ops, batch);
-        let col = run_ops(&program, col_config, &ops, batch);
-        prop_assert_eq!(&row.0, &col.0, "per-run outputs diverged between backings");
-        prop_assert_eq!(&row.1, &col.1, "final tables diverged between backings");
-        prop_assert_eq!(&row.2, &col.2, "engine stats diverged between backings");
+        run_ops(&program, &ops, batch)?;
     }
 
-    /// Full retraction drains every relation under the columnar backing
-    /// exactly as it does under the row backing — slot recycling through the
-    /// free list must never resurrect a tuple or strand an outbox entry.
+    /// Inserting facts in batches and retracting them all leaves every
+    /// derived table, its row store and the outbox empty; slot recycling
+    /// through the free list never resurrects a tuple or strands an outbox
+    /// entry. Every shipped (destination, tuple, derivation) is live at most
+    /// once and is retracted by the end.
     #[test]
     fn full_retraction_drains_both_backings(
         program_idx in 0usize..6,
+        batch in 1usize..6,
         facts in proptest::collection::vec(
             (any::<bool>(), 0i64..4, 0i64..4, any::<bool>()),
             1..12,
@@ -254,24 +310,32 @@ proptest! {
             .map(|(e, a, b, d)| (true, *e, *a, *b, *d))
             .collect();
         ops.extend(facts.iter().map(|(e, a, b, d)| (false, *e, *a, *b, *d)));
-        for backing in [TableBacking::Columnar, TableBacking::Row] {
-            let config = match backing {
-                TableBacking::Columnar => EngineConfig::new("n1"),
-                TableBacking::Row => EngineConfig::new("n1").with_row_storage(),
-            };
-            let (_, state, _) = run_ops(&program, config, &ops, 4);
-            for (relation, tuples) in &state {
-                if relation == "peer" {
-                    continue;
-                }
-                prop_assert!(
-                    tuples.is_empty(),
-                    "relation {} still holds {} tuples after full retraction ({:?} backing)",
-                    relation,
-                    tuples.len(),
-                    backing
-                );
+        let (outputs, engine, rows) = run_ops(&program, &ops, batch)?;
+        for table in engine.database().tables() {
+            if table.schema.name == "peer" {
+                continue;
+            }
+            prop_assert!(
+                table.is_empty() && rows[&table.schema.name].is_empty(),
+                "relation {} still holds {} tuples after full retraction",
+                table.schema.name,
+                table.len()
+            );
+        }
+        prop_assert_eq!(engine.database().outbox_len(), 0);
+        let mut live: BTreeMap<String, i64> = BTreeMap::new();
+        for batch in outputs.iter().flat_map(|out| &out.sends) {
+            for record in &batch.records {
+                let (tuple, step) = match &record.delta {
+                    Delta::Insert(t) => (t, 1),
+                    Delta::Delete(t) => (t, -1),
+                };
+                let shipped = format!("{} {} {:?}", batch.dest, tuple, record.derivation);
+                let count = live.entry(shipped.clone()).or_default();
+                *count += step;
+                prop_assert!((0..=1).contains(count), "{} shipped {} times", shipped, count);
             }
         }
+        prop_assert!(live.values().all(|c| *c == 0), "unretracted: {:?}", live);
     }
 }

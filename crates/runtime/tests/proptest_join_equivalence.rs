@@ -1,16 +1,28 @@
 //! Property: the planned, index-backed join pipeline derives exactly the
-//! same fixpoint as the reference full-scan evaluation, over random programs
-//! and random insert/delete sequences — while never examining more join
-//! candidates.
+//! same fixpoint as a full-scan evaluation, over random programs and random
+//! insert/delete sequences.
+//!
+//! The full scan is the naive evaluator of `common/oracle.rs`: nested loops
+//! over every stored tuple of each body atom, no plan and no index,
+//! re-deriving every rule from scratch. After every operation the engine's
+//! relations (tuples and their supporting derivations) and base tables must
+//! be what that evaluation derives. `proptest_slot_equivalence.rs` holds the
+//! engine's firings to the same oracle step by step; the number of
+//! candidates the indexed path examines is pinned by
+//! `crates/bench/tests/join_probes_regression.rs`.
 //!
 //! The program pool exercises every evaluation path the planner touches:
 //! single-atom projection, two-atom joins probing on shared variables,
 //! constants in probe columns, filters + assignments, negation
 //! (reconciliation) and `min` aggregation (group recomputation).
 
+#[path = "common/oracle.rs"]
+mod oracle;
+
 use nt_runtime::{CompiledProgram, EngineConfig, NodeEngine, Tuple, Value};
+use oracle::{engine_tables, unordered_witnesses, Oracle, Tables};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 const PROGRAMS: &[&str] = &[
@@ -36,7 +48,7 @@ type Op = (bool, bool, i64, i64, bool);
 fn fact(relation: &str, a: i64, b: i64, b_double: bool) -> Tuple {
     // `b_double` stores the last column as an equal Double instead of an Int
     // (Value's total order equates them), exercising the index-key
-    // normalization against the scan path's cross-type matching.
+    // normalization against the full scan's cross-type matching.
     let b_value = if b_double {
         Value::Double(b as f64)
     } else {
@@ -45,46 +57,69 @@ fn fact(relation: &str, a: i64, b: i64, b_double: bool) -> Tuple {
     Tuple::new(relation, vec![Value::addr("n1"), Value::Int(a), b_value])
 }
 
-/// Apply the ops to an engine and return its final database as a
-/// comparison-friendly map: relation -> tuple -> sorted derivation dump.
-fn run_ops(
-    program: &Arc<CompiledProgram>,
-    config: EngineConfig,
-    ops: &[Op],
-) -> (BTreeMap<String, BTreeMap<String, Vec<String>>>, u64) {
-    let mut engine = NodeEngine::new(program.clone(), config);
-    for (insert, use_e, a, b, b_double) in ops {
+/// A relation's stored tuples, printed, in iteration order.
+fn contents(tuples: impl Iterator<Item = Tuple>) -> Vec<String> {
+    tuples.map(|t| t.to_string()).collect()
+}
+
+/// Apply the ops to an indexed engine and to the full-scan oracle, checking
+/// after each one that both hold the same relations; returns the engine.
+fn run_ops(program_idx: usize, ops: &[Op]) -> Result<NodeEngine, TestCaseError> {
+    let program = Arc::new(
+        CompiledProgram::from_source(PROGRAMS[program_idx]).expect("pool programs compile"),
+    );
+    let unordered: BTreeSet<String> = (program.source.rules.iter())
+        .filter(|r| unordered_witnesses(r))
+        .map(|r| r.name.clone())
+        .collect();
+    let mut engine = NodeEngine::new(program.clone(), EngineConfig::new("n1"));
+    let mut oracle = Oracle::new(&program);
+    for (step, (insert, use_e, a, b, b_double)) in ops.iter().enumerate() {
         let tuple = fact(if *use_e { "e" } else { "f" }, *a, *b, *b_double);
+        oracle.apply(tuple.clone(), *insert);
         if *insert {
             engine.insert_base(tuple).unwrap();
         } else {
             engine.delete_base(tuple).unwrap();
         }
         engine.run();
-    }
-    let mut state = BTreeMap::new();
-    for table in engine.database().tables() {
-        let mut tuples = BTreeMap::new();
-        for stored in table.iter() {
-            let mut derivations: Vec<String> = stored
-                .derivations()
-                .iter()
-                .map(|d| format!("{d:?}"))
-                .collect();
-            derivations.sort();
-            tuples.insert(stored.to_tuple().to_string(), derivations);
+
+        let mut expected = Tables::new();
+        for derived in oracle.derive_all().into_keys() {
+            expected
+                .entry(derived.head.clone())
+                .or_default()
+                .insert(derived);
         }
-        state.insert(table.schema.name.clone(), tuples);
+        prop_assert_eq!(
+            engine_tables(&engine, &unordered),
+            expected,
+            "derived relations after step {}\n{}",
+            step,
+            PROGRAMS[program_idx]
+        );
+        let base: BTreeMap<&String, Vec<String>> = (oracle.base.iter())
+            .map(|(name, table)| (name, contents(table.iter().map(|r| r.to_tuple()))))
+            .collect();
+        for (name, tuples) in base {
+            prop_assert_eq!(
+                contents(engine.relation(name).into_iter()),
+                tuples,
+                "base relation {} after step {}",
+                name,
+                step
+            );
+        }
     }
-    (state, engine.stats().join_probes)
+    Ok(engine)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Indexed and full-scan evaluation agree on every relation (tuples AND
-    /// their supporting derivations) after any insert/delete sequence, and
-    /// the indexed path never examines more candidates.
+    /// Indexed evaluation and the full-scan fixpoint agree on every relation
+    /// (tuples AND their supporting derivations) after every step of any
+    /// insert/delete sequence.
     #[test]
     fn indexed_join_matches_full_scan_fixpoint(
         program_idx in 0usize..5,
@@ -93,20 +128,7 @@ proptest! {
             1..25,
         ),
     ) {
-        let program = Arc::new(
-            CompiledProgram::from_source(PROGRAMS[program_idx]).expect("pool programs compile"),
-        );
-        let (indexed_state, indexed_probes) =
-            run_ops(&program, EngineConfig::new("n1"), &ops);
-        let (scan_state, scan_probes) =
-            run_ops(&program, EngineConfig::new("n1").without_indexes(), &ops);
-        prop_assert_eq!(indexed_state, scan_state);
-        prop_assert!(
-            indexed_probes <= scan_probes,
-            "indexed path examined {} candidates, scan path {}",
-            indexed_probes,
-            scan_probes
-        );
+        run_ops(program_idx, &ops)?;
     }
 
     /// Deleting everything that was inserted leaves every relation empty on
@@ -119,24 +141,19 @@ proptest! {
             1..12,
         ),
     ) {
-        let program = Arc::new(
-            CompiledProgram::from_source(PROGRAMS[program_idx]).expect("pool programs compile"),
-        );
         let mut ops: Vec<Op> = facts
             .iter()
             .map(|(e, a, b, d)| (true, *e, *a, *b, *d))
             .collect();
         ops.extend(facts.iter().map(|(e, a, b, d)| (false, *e, *a, *b, *d)));
-        for config in [EngineConfig::new("n1"), EngineConfig::new("n1").without_indexes()] {
-            let (state, _) = run_ops(&program, config, &ops);
-            for (relation, tuples) in &state {
-                prop_assert!(
-                    tuples.is_empty(),
-                    "relation {} still holds {} tuples after full retraction",
-                    relation,
-                    tuples.len()
-                );
-            }
+        let engine = run_ops(program_idx, &ops)?;
+        for table in engine.database().tables() {
+            prop_assert!(
+                table.is_empty(),
+                "relation {} still holds {} tuples after full retraction",
+                table.schema.name,
+                table.len()
+            );
         }
     }
 }

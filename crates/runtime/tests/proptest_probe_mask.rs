@@ -3,8 +3,7 @@
 //! binds at least one of them with exactly the candidate sequence of a table
 //! indexing every column — and iterates, and answers `get` / `get_by_id`,
 //! identically — through any interleaving of inserts, added and removed
-//! derivations, replacements by key and slot reuse, on both backings, and
-//! the two backings agree with each other under the same set. That is what
+//! derivations, replacements by key and slot reuse. That is what
 //! lets an engine keep posting lists on the columns its program's plans probe
 //! and nowhere else.
 //!
@@ -15,13 +14,10 @@
 //! * `ColumnStore::probe` anchoring an unindexed bound column on posting
 //!   lists that are not its own — probes binding such a column beside an
 //!   indexed one come back empty;
-//! * a text probe finding the address it spells (a `Str` arm back in the
-//!   columnar `dict_code` and in the row store's residual filter) — the
-//!   respelled probes yield addresses.
+//! * a text probe finding the address it spells (a `Str` arm back in
+//!   `dict_code`) — the respelled probes yield addresses.
 
-use nt_runtime::{
-    Derivation, Membership, RelationSchema, Table, TableBacking, Tuple, TupleId, Value,
-};
+use nt_runtime::{Derivation, Membership, RelationSchema, Table, Tuple, TupleId, Value};
 use proptest::prelude::*;
 
 /// What a column of a given palette can hold. Palette 0 is an address column
@@ -109,13 +105,8 @@ proptest! {
             is_base: true,
             lifetime: None,
         };
-        // [columnar masked, columnar full, row masked, row full]
-        let mut tables = [
-            Table::indexing(schema.clone(), TableBacking::Columnar, &indexed),
-            Table::with_backing(schema.clone(), TableBacking::Columnar),
-            Table::indexing(schema.clone(), TableBacking::Row, &indexed),
-            Table::with_backing(schema, TableBacking::Row),
-        ];
+        // [masked, full]
+        let mut tables = [Table::indexing(schema.clone(), &indexed), Table::new(schema)];
 
         for (kind, codes, d) in ops {
             let values: Vec<Value> = (0..arity).map(|c| cell(palettes[c], codes[c])).collect();

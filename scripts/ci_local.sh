@@ -37,9 +37,19 @@ test_job() {
 
     # Among them, the oracles of the storage layout:
     #   nt-runtime proptest_probe_mask — a table indexing a random column set
-    #     reads like one indexing every column, on both backings;
+    #     reads like one indexing every column;
     #   nt-runtime proptest_columnar_equivalence (key_order_matches_the_row_store)
-    #     — the sorted-slot key index orders tuples as the row store's B-tree;
+    #     — the sorted-slot key index orders tuples as a B-tree row store kept
+    #     in the test file does; it catches a key index ordered by slot, the
+    #     last key column left out of ColumnStore::find, and a Str arm in
+    #     dict_code; full retraction empties every table and the outbox and
+    #     retracts every shipped derivation once;
+    #   nt-runtime proptest_slot_equivalence — the one join kernel derives,
+    #     step by step, what a naive name-keyed evaluator kept in the test
+    #     file derives;
+    #   nettrails-bench join_probes_regression — the exact join candidates of
+    #     two ladder convergences, at least 2x under the full-scan counts
+    #     they replaced;
     #   scenario programs::tests (every_probe_site_of_every_shipped_program_is_indexed,
     #     the_benchmark_programs_index_a_third_of_their_columns) — the probe
     #     sets of the shipped programs, pinned, and no probe site outside them;

@@ -12,7 +12,8 @@
 //! counters read 0 after a convergence plus churn.
 //!
 //! Mutations it caught: a `NetTrails::new` that accepts `prov_shards: 2`
-//! without a word.
+//! without a word. `NetMessage::Delta` is a variant nothing constructs; the
+//! platform's arm for it is `unreachable!`.
 
 use nettrails::{NetTrails, NetTrailsConfig};
 use nt_runtime::{
@@ -26,11 +27,14 @@ use std::sync::Arc;
 
 /// Every shim, as `crate file: item`. A tag added to or removed from the
 /// source without this list changing fails `the_ledger_lists_every_tag`.
-const LEDGER: [&str; 14] = [
+const LEDGER: [&str; 19] = [
+    "crates/nettrails/src/platform.rs: Delta",
+    "crates/nettrails/src/platform.rs: columnar_storage",
     "crates/nettrails/src/platform.rs: fixpoint_dispatch_threshold",
     "crates/nettrails/src/platform.rs: fixpoint_workers",
     "crates/nettrails/src/platform.rs: prov_shards",
     "crates/nettrails/src/platform.rs: provenance_sharding",
+    "crates/nettrails/src/platform.rs: use_join_indexes",
     "crates/pool/src/lib.rs: jobs_executed",
     "crates/pool/src/lib.rs: workers",
     "crates/provenance/Cargo.toml: nt-pool",
@@ -38,8 +42,10 @@ const LEDGER: [&str; 14] = [
     "crates/provenance/src/fence.rs: shard_stats",
     "crates/provenance/src/fence.rs: with_shards",
     "crates/runtime/Cargo.toml: nt-pool",
+    "crates/runtime/src/engine.rs: columnar_storage",
     "crates/runtime/src/engine.rs: fixpoint_dispatch_threshold",
     "crates/runtime/src/engine.rs: fixpoint_workers",
+    "crates/runtime/src/engine.rs: use_join_indexes",
     "crates/runtime/src/fence.rs: OUTBOX_PREFIX",
 ];
 
@@ -135,17 +141,21 @@ fn replay_digest(config: NetTrailsConfig) -> u64 {
 #[test]
 fn the_legal_values_give_the_default_platform() {
     let spelled_out = NetTrailsConfig {
+        use_join_indexes: true,
         prov_shards: 1,
         fixpoint_workers: 1,
         fixpoint_dispatch_threshold: 64,
+        columnar_storage: true,
         ..NetTrailsConfig::default()
     };
     assert_eq!(spelled_out, NetTrailsConfig::default());
     assert_eq!(replay_digest(spelled_out), DEFAULT_REPLAY_DIGEST);
 
     let engine = EngineConfig {
+        use_join_indexes: true,
         fixpoint_workers: 1,
         fixpoint_dispatch_threshold: 64,
+        columnar_storage: true,
         ..EngineConfig::new("n1")
     };
     assert_eq!(engine, EngineConfig::new("n1"));
@@ -232,6 +242,38 @@ fn every_other_platform_value_is_refused_naming_its_field() {
         );
         assert!(e.to_string().contains("fence"), "{e}");
     }
+    let config = NetTrailsConfig {
+        use_join_indexes: false,
+        ..NetTrailsConfig::default()
+    };
+    let e = refused(config);
+    assert!(
+        matches!(
+            e,
+            RuntimeError::Config {
+                field: "use_join_indexes",
+                ..
+            }
+        ),
+        "{e}"
+    );
+    assert!(e.to_string().contains("false is refused"), "{e}");
+    let config = NetTrailsConfig {
+        columnar_storage: false,
+        ..NetTrailsConfig::default()
+    };
+    let e = refused(config);
+    assert!(
+        matches!(
+            e,
+            RuntimeError::Config {
+                field: "columnar_storage",
+                ..
+            }
+        ),
+        "{e}"
+    );
+    assert!(e.to_string().contains("accepts only true"), "{e}");
 }
 
 fn engine_with(config: EngineConfig) -> NodeEngine {
@@ -268,6 +310,28 @@ fn an_engine_refuses_two_workers() {
 fn an_engine_refuses_another_dispatch_threshold() {
     engine_with(EngineConfig {
         fixpoint_dispatch_threshold: 0,
+        ..EngineConfig::new("n1")
+    });
+}
+
+#[test]
+#[should_panic(
+    expected = "config `use_join_indexes`: false is refused: the field is a benchmark fence"
+)]
+fn an_engine_refuses_scan_joins() {
+    engine_with(EngineConfig {
+        use_join_indexes: false,
+        ..EngineConfig::new("n1")
+    });
+}
+
+#[test]
+#[should_panic(
+    expected = "config `columnar_storage`: false is refused: the field is a benchmark fence"
+)]
+fn an_engine_refuses_row_storage() {
+    engine_with(EngineConfig {
+        columnar_storage: false,
         ..EngineConfig::new("n1")
     });
 }
