@@ -178,7 +178,7 @@ impl BgpHarness {
                 })
                 .collect();
             let firings = self.proxy.observe_batch(&observations);
-            self.provenance.apply_firings(firings.iter());
+            self.provenance.apply_round(&firings);
 
             for outgoing in messages {
                 let prefix = outgoing.message.prefix().to_string();

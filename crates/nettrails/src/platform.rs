@@ -2,8 +2,8 @@
 
 use crate::engines::EngineTable;
 use nt_runtime::{
-    Addr, CompiledProgram, Delta, DeltaBatch, Derivation, EngineConfig, EngineStats, Firing,
-    NodeEngine, Tuple, TupleId,
+    Addr, CompiledProgram, Delta, DeltaBatch, Derivation, EngineConfig, EngineStats, NodeEngine,
+    Tuple, TupleId,
 };
 use provenance::{
     ProvGraph, ProvenanceSystem, QueryBatch, QueryEngine, QueryExecutor, QueryHandle, QueryKind,
@@ -382,13 +382,9 @@ impl NetTrails {
     /// size of the network: only the table's ready set is visited.
     pub fn run_to_fixpoint(&mut self) -> RunReport {
         let mut report = RunReport::default();
-        // One round's firing stream: collected across engines (in
-        // deterministic node order) and applied once per round, in stream
-        // order.
-        let mut round_firings: Vec<Firing> = Vec::new();
         loop {
             // 1. Run every engine with pending deltas to its local fixpoint.
-            let mut progressed = self.engines.run_ready(|node, mut out| {
+            let mut progressed = self.engines.run_ready(|node, out| {
                 report.truncated |= out.truncated;
                 for change in &out.local_changes {
                     match change {
@@ -396,8 +392,11 @@ impl NetTrails {
                         Delta::Delete(_) => report.deletions += 1,
                     }
                 }
+                // Engines run in node order and nothing in a run reads
+                // provenance, so applying each run's firings as it returns
+                // applies the round's stream in stream order.
                 if self.config.capture_provenance {
-                    round_firings.append(&mut out.firings);
+                    self.provenance.apply_round(&out.firings);
                 }
                 for batch in out.sends {
                     if batch.is_empty() {
@@ -417,10 +416,6 @@ impl NetTrails {
                     );
                 }
             });
-            if !round_firings.is_empty() {
-                self.provenance.apply_round(&round_firings);
-                round_firings.clear();
-            }
             // 2. Ship whatever the query executor staged (concurrent query
             // sessions ride the same wire discipline as everything else).
             progressed |= self.flush_query_frames();

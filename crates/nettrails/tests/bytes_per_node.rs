@@ -79,8 +79,10 @@ static ALLOC: Counting = Counting;
 
 const NODES: usize = 400;
 
-/// Live heap per node right after `NetTrails::new`: measured 2,863
-/// (1,145,361 B; 120 B more while the provenance stores sat in a
+/// Live heap per node right after `NetTrails::new`: measured 2,887
+/// (2,863 before each engine kept the matched-id scratch of
+/// its joins beside its frame, one empty vector; 120 B more while the
+/// provenance stores sat in a
 /// one-element shard vector); 2,964 while each empty provenance store also
 /// carried a content map and two free lists, 3,202 while every map carried
 /// std's 16-byte `RandomState`.
@@ -92,16 +94,22 @@ const NEW_BYTES_PER_NODE: usize = 3_148;
 /// `Vec::new().into()` allocates — one block per base derivation — where
 /// `Arc::default()` shares one.
 const SEEDED_BLOCKS: usize = 7_109;
-/// Allocations from seeding to the fixpoint, exactly: 19.0 per stored tuple
-/// (9,627 tuples). 182,585 while each provenance round collected its firings
+/// Allocations from seeding to the fixpoint, exactly: 18.0 per stored tuple
+/// (9,627 tuples). 182,580 while each engine generation planned its
+/// triggers into an op list, a range list and a task list, evaluated every
+/// monotonic task into a buffered result list before replaying its events,
+/// and kept each join's matched atoms in a list per generation; a trigger
+/// now joins where its event replays, into the engine's scratch.
+/// 182,585 while each provenance round collected its firings
 /// into a vector of references first, one allocation per round that applied
 /// any. 188,460 while the dependency index also held the inputs
 /// of derivations received from other nodes and of aggregate and negation
 /// derivations, which no cascade of this node retracts: 5,875 fewer now.
 /// 203,000 when the join kernel rebuilt every stored input out of its
 /// columns to hand the firing a copy.
-const CONVERGE_ALLOCATIONS: usize = 182_580;
-/// Live heap per stored tuple at the fixpoint: measured 961; 1,016 while the
+const CONVERGE_ALLOCATIONS: usize = 173_641;
+/// Live heap per stored tuple at the fixpoint: measured 962 (961 before the
+/// engines' matched-id scratch, 24 B per engine); 1,016 while the
 /// dependency index held what no cascade of this node retracts, 1,072 while
 /// provenance stores kept a content map beside their vertices, 1,085 under
 /// `RandomState`.

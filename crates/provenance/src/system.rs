@@ -14,9 +14,9 @@
 //!
 //! The stores sit in one dense arena in creation order, found by node through
 //! an integer-keyed map, so one firing is applied with integer-keyed lookups
-//! and no string clone or comparison. A round of firings
-//! ([`ProvenanceSystem::apply_round`]) is applied in stream order on the
-//! caller's thread.
+//! and no string clone or comparison. A firing stream — an engine run's or a
+//! round's ([`ProvenanceSystem::apply_round`]) — is applied in stream order
+//! on the caller's thread.
 //!
 //! ## Reads
 //!
@@ -205,16 +205,11 @@ impl ProvenanceSystem {
         }
     }
 
-    /// Apply every firing in a batch (the usual pattern after an engine run).
-    pub fn apply_firings<'a>(&mut self, firings: impl IntoIterator<Item = &'a Firing>) {
+    /// Apply a firing stream (an engine run's or a round's), in stream order.
+    pub fn apply_round(&mut self, firings: &[Firing]) {
         for firing in firings {
             self.apply_firing(firing);
         }
-    }
-
-    /// Apply one round's firing stream, in stream order.
-    pub fn apply_round(&mut self, firings: &[Firing]) {
-        self.apply_firings(firings);
     }
 
     /// Record one derivation of `head` at `home`'s store: its `prov` entry,

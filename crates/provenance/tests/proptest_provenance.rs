@@ -54,7 +54,7 @@ proptest! {
     fn layered_graphs_are_acyclic(layers in 1usize..5, width in 1usize..5, nodes in 1usize..4) {
         let firings = layered_firings(layers, width, nodes);
         let mut sys = ProvenanceSystem::new((1..=nodes).map(|i| format!("n{i}")));
-        sys.apply_firings(firings.iter());
+        sys.apply_round(&firings);
         let graph = ProvGraph::from_system(&sys);
         prop_assert!(graph.is_acyclic());
         prop_assert_eq!(graph.tuple_vertex_count(), layers * width);
@@ -67,7 +67,7 @@ proptest! {
     fn insert_then_retract_everything_is_empty(layers in 1usize..5, width in 1usize..5) {
         let firings = layered_firings(layers, width, 3);
         let mut sys = ProvenanceSystem::new(["n1", "n2", "n3"]);
-        sys.apply_firings(firings.iter());
+        sys.apply_round(&firings);
         prop_assert!(sys.stats().prov_entries > 0);
         for f in firings.iter().rev() {
             let mut retraction = f.clone();
@@ -84,10 +84,10 @@ proptest! {
     fn duplicate_application_is_idempotent(layers in 1usize..4, width in 1usize..4) {
         let firings = layered_firings(layers, width, 2);
         let mut once = ProvenanceSystem::new(["n1", "n2"]);
-        once.apply_firings(firings.iter());
+        once.apply_round(&firings);
         let mut twice = ProvenanceSystem::new(["n1", "n2"]);
-        twice.apply_firings(firings.iter());
-        twice.apply_firings(firings.iter());
+        twice.apply_round(&firings);
+        twice.apply_round(&firings);
         prop_assert_eq!(once.stats().prov_entries, twice.stats().prov_entries);
         prop_assert_eq!(once.stats().rule_execs, twice.stats().rule_execs);
     }

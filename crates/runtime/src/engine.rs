@@ -5,12 +5,12 @@
 //! semi-naive* evaluation. Each [`NodeEngine::run`] call drains the delta
 //! queue in generations: all currently queued insertions and deletions are
 //! applied to the tables first (sequentially, in stream order), then the
-//! surviving membership changes are expanded into rule-evaluation trigger
-//! tasks. Monotonic tasks are pure reads against the now-frozen tables: the
-//! join kernel (module `kernel`) evaluates them all first, and their
-//! candidate firings are then merged in sequence order, which is where all
-//! mutation — derivation emission, aggregate recomputation, negation
-//! reconciliation, cascade deletion — happens. Derived tuples feed the next
+//! surviving membership changes replay once, in stream order, and each fires
+//! the rules its relation triggers right there — a monotonic rule joins
+//! through the kernel (module `kernel`) and commits its candidates, an
+//! aggregate recomputes its group, a negation rule reconciles, a
+//! disappearance cascades first. The replay writes no table, so every join
+//! reads the tables the apply phase left. Derived tuples feed the next
 //! generation's queue until a local fixpoint is reached. Derived tuples
 //! whose home (location attribute) is another node are not stored locally;
 //! instead the engine records them in the database's *outbox*
@@ -59,14 +59,13 @@ use crate::catalog::{fits, RelationSchema};
 use crate::compile::{CompiledProgram, CompiledRule};
 use crate::error::Result;
 use crate::eval::{Frame, SlotAtom, SlotTerm};
-use crate::kernel::{self, Candidate, EvalContext, MonoTask};
+use crate::kernel::{self, Candidate, EvalContext};
 #[cfg(test)]
 use crate::store::BASE_RULE;
 use crate::store::{base_rule_sym, Database, Derivation, Membership};
 use crate::tuple::{Delta, Tuple, TupleId};
 use crate::value::{Addr, Dictionary, IdMap, IdSet, Sym, Value};
 use std::collections::VecDeque;
-use std::ops::Range;
 use std::sync::Arc;
 
 #[doc(hidden)]
@@ -254,17 +253,6 @@ pub struct StepOutput {
     pub truncated: bool,
 }
 
-impl StepOutput {
-    /// Merge another output into this one (used by drivers that call `run`
-    /// repeatedly).
-    pub fn merge(&mut self, other: StepOutput) {
-        self.sends.extend(other.sends);
-        self.firings.extend(other.firings);
-        self.local_changes.extend(other.local_changes);
-        self.truncated |= other.truncated;
-    }
-}
-
 #[derive(Debug, Clone)]
 enum WorkItem {
     Add {
@@ -279,32 +267,17 @@ enum WorkItem {
 
 /// A membership transition observed while applying one generation's deltas,
 /// recorded in stream order. The apply phase only mutates tables; everything
-/// the old pipelined engine did *at* the transition — firings, local-change
-/// reporting, rule triggering, cascade deletion — replays from these events
-/// during the merge phase, at the same sequence position.
+/// done *at* the transition — firings, local-change reporting, rule
+/// triggering, cascade deletion — replays from these events afterwards, in
+/// the same order.
 #[derive(Debug, Clone)]
 enum GenEvent {
     /// A base tuple gained or lost a derivation (reported to provenance).
     BaseFire { tuple: Tuple, insert: bool },
     /// A tuple became visible.
     Appeared(Tuple),
-    /// A tuple lost its last derivation (cascade runs at merge time).
+    /// A tuple lost its last derivation (its cascade runs in the replay).
     Disappeared(Tuple),
-}
-
-/// One rule trigger planned for an [`GenEvent::Appeared`] event. `Mono`
-/// triggers are evaluated before the merge phase and consume their
-/// precomputed candidates in task order; aggregate and negation triggers
-/// run in the merge.
-#[derive(Debug, Clone, Copy)]
-enum TriggerOp {
-    /// Consume the next precomputed `(candidates, probes)` result.
-    Mono,
-    /// Recompute the aggregate group(s) of this rule for the event's tuple.
-    Aggregate { rule_idx: usize },
-    /// Reconcile a rule containing negation (at most once per generation —
-    /// the tables it reads are frozen, so repeats compute the same result).
-    Reconcile { rule_idx: usize },
 }
 
 /// The per-node incremental evaluator. See the module documentation.
@@ -330,6 +303,8 @@ pub struct NodeEngine {
     dict_sent: IdMap<Addr, Dictionary>,
     /// The slot frame every evaluation on this engine binds variables in.
     frame: Frame,
+    /// The ids of the atoms matched by the join in flight, beside `frame`.
+    matched: Vec<TupleId>,
     stats: EngineStats,
 }
 
@@ -353,6 +328,7 @@ impl NodeEngine {
             pending_index: IdMap::default(),
             dict_sent: IdMap::default(),
             frame: Frame::new(),
+            matched: Vec::new(),
             stats: EngineStats::default(),
         }
     }
@@ -440,29 +416,26 @@ impl NodeEngine {
             self.process_generation(generation, &mut out);
         }
         self.flush_sends(&mut out);
-        // An engine may never run again; its scratch frame goes with the run
+        // An engine may never run again; its join scratch goes with the run
         // (the queue and the send index went the same way above).
         self.frame = Frame::new();
+        self.matched = Vec::new();
         out
     }
 
-    /// Evaluate one generation. Four phases:
+    /// Evaluate one generation, in two phases:
     ///
     /// * **apply** — every delta performs its membership transition
     ///   (sequentially, in stream order); transitions are recorded as
-    ///   [`GenEvent`]s and the tables do not change again until the merge
-    ///   emits into the *next* generation's queue.
-    /// * **plan** — each surviving `Appeared` event expands into its rule
-    ///   triggers. Insertions whose tuple died later in the same generation
-    ///   are skipped: their net effect on the frozen tables is nothing, so
-    ///   the rules they would have fired transiently never observe them.
-    /// * **evaluate** — the monotonic trigger tasks are pure reads against
-    ///   the frozen tables; [`kernel::evaluate_tasks`] runs them all and
-    ///   returns their candidates in task order.
-    /// * **merge** — events replay in sequence order:
-    ///   firings and local changes are reported, candidates commit through
-    ///   [`Self::emit_derivation`], aggregates recompute, negation rules
-    ///   reconcile (once per generation) and disappearances cascade.
+    ///   [`GenEvent`]s, and the tables do not change again until the next
+    ///   generation: the replay emits into that generation's queue.
+    /// * **replay** — the events replay in stream order: firings and local
+    ///   changes are reported, an appearance fires its triggers and a
+    ///   disappearance cascades and then fires its triggers
+    ///   ([`Self::fire_triggers`]). Events that [`Self::net_events`] finds
+    ///   to be transient churn are skipped: their net effect on the frozen
+    ///   tables is nothing, so the rules they would have fired never observe
+    ///   them.
     fn process_generation(&mut self, items: Vec<WorkItem>, out: &mut StepOutput) {
         let mut events: Vec<GenEvent> = Vec::new();
         for item in items {
@@ -476,36 +449,9 @@ impl NodeEngine {
             }
         }
         let skip = self.net_events(&events);
-
-        // One flat op list; event `idx` owns `ops[op_ranges[idx]]`.
-        let mut ops: Vec<TriggerOp> = Vec::new();
-        let mut op_ranges: Vec<Range<usize>> = Vec::with_capacity(events.len());
-        let evaluated = {
-            // Tasks borrow their delta tuples from `events`.
-            let mut tasks: Vec<MonoTask<'_>> = Vec::new();
-            for (idx, event) in events.iter().enumerate() {
-                let start = ops.len();
-                if let GenEvent::Appeared(tuple) = event {
-                    if !skip[idx] {
-                        self.plan_insert_triggers(tuple, &mut ops, &mut tasks);
-                    }
-                }
-                op_ranges.push(start..ops.len());
-            }
-            kernel::evaluate_tasks(
-                &EvalContext {
-                    db: &self.db,
-                    program: self.program.as_ref(),
-                },
-                &tasks,
-                &mut self.frame,
-            )
-        };
-
-        let mut results = evaluated.into_iter();
         let mut reconciled: IdSet<usize> = IdSet::default();
-        for ((idx, event), op_range) in events.into_iter().enumerate().zip(op_ranges) {
-            if skip[idx] {
+        for (event, skip) in events.into_iter().zip(skip) {
+            if skip {
                 continue;
             }
             match event {
@@ -519,26 +465,7 @@ impl NodeEngine {
                 }),
                 GenEvent::Appeared(tuple) => {
                     out.local_changes.push(Delta::Insert(tuple.clone()));
-                    for &op in &ops[op_range] {
-                        match op {
-                            TriggerOp::Mono => {
-                                let (candidates, probes) =
-                                    results.next().expect("one result per planned task");
-                                self.stats.join_probes += probes;
-                                for candidate in candidates {
-                                    self.commit_candidate(candidate, out);
-                                }
-                            }
-                            TriggerOp::Aggregate { rule_idx } => {
-                                self.recompute_aggregate_for(rule_idx, &tuple, out)
-                            }
-                            TriggerOp::Reconcile { rule_idx } => {
-                                if reconciled.insert(rule_idx) {
-                                    self.reconcile_rule(rule_idx, out);
-                                }
-                            }
-                        }
-                    }
+                    self.fire_triggers(&tuple, true, &mut reconciled, out);
                 }
                 GenEvent::Disappeared(tuple) => {
                     out.local_changes.push(Delta::Delete(tuple.clone()));
@@ -635,49 +562,60 @@ impl NodeEngine {
         skip
     }
 
-    /// Expand an appeared tuple into its trigger ops (in the program's
-    /// trigger order), appending the monotonic ones to `tasks`.
-    fn plan_insert_triggers<'e>(
-        &self,
-        tuple: &'e Tuple,
-        ops: &mut Vec<TriggerOp>,
-        tasks: &mut Vec<MonoTask<'e>>,
+    /// Fire the rules a change to `tuple` triggers, in the program's order:
+    /// `program.triggers` of its relation, then its `negation_triggers`. An
+    /// aggregate recomputes the group `tuple` falls in and a negation rule
+    /// reconciles (once per generation: the tables it reads are frozen, so a
+    /// repeat computes the same result). A monotonic rule fires only on an
+    /// appearance: it joins `tuple` with the stored atoms and commits every
+    /// candidate; a disappearance's monotonic derivations went with its
+    /// cascade.
+    fn fire_triggers(
+        &mut self,
+        tuple: &Tuple,
+        appeared: bool,
+        reconciled: &mut IdSet<usize>,
+        out: &mut StepOutput,
     ) {
-        if let Some(triggers) = self.program.triggers.get(&tuple.relation()) {
-            for &(rule_idx, atom_idx) in triggers {
-                let rule = &self.program.rules[rule_idx];
-                if rule.aggregate.is_some() {
-                    ops.push(TriggerOp::Aggregate { rule_idx });
-                } else if rule.has_negation() {
-                    ops.push(TriggerOp::Reconcile { rule_idx });
-                } else {
-                    tasks.push(MonoTask {
-                        rule_idx,
-                        atom_idx,
-                        tuple,
-                    });
-                    ops.push(TriggerOp::Mono);
+        let (program, relation) = (Arc::clone(&self.program), tuple.relation());
+        for &(rule_idx, atom_idx) in program.triggers.get(&relation).into_iter().flatten() {
+            let rule = &program.rules[rule_idx];
+            if rule.aggregate.is_some() {
+                self.recompute_aggregate_for(rule_idx, tuple, out);
+            } else if rule.has_negation() {
+                if reconciled.insert(rule_idx) {
+                    self.reconcile_rule(rule_idx, out);
+                }
+            } else if appeared {
+                let mut candidates = Vec::new();
+                self.stats.join_probes += EvalContext {
+                    db: &self.db,
+                    program: &program,
+                }
+                .eval_task(
+                    rule_idx,
+                    atom_idx,
+                    tuple,
+                    &mut self.frame,
+                    &mut self.matched,
+                    &mut candidates,
+                );
+                for Candidate { head, inputs } in candidates {
+                    let derivation = Derivation {
+                        rule: rule.name_sym,
+                        node: self.config.node,
+                        inputs,
+                    };
+                    self.emit_derivation(head, rule.head_loc_col, derivation, true, out);
                 }
             }
         }
-        if let Some(neg) = self.program.negation_triggers.get(&tuple.relation()) {
-            for &rule_idx in neg {
-                ops.push(TriggerOp::Reconcile { rule_idx });
+        let negated_in = program.negation_triggers.get(&relation);
+        for &rule_idx in negated_in.into_iter().flatten() {
+            if reconciled.insert(rule_idx) {
+                self.reconcile_rule(rule_idx, out);
             }
         }
-    }
-
-    /// Commit one precomputed candidate firing: build its derivation record
-    /// and route it through the normal emission path.
-    fn commit_candidate(&mut self, candidate: Candidate, out: &mut StepOutput) {
-        let rule = &self.program.rules[candidate.rule_idx];
-        let loc_col = rule.head_loc_col;
-        let derivation = Derivation {
-            rule: rule.name_sym,
-            node: self.config.node,
-            inputs: candidate.inputs,
-        };
-        self.emit_derivation(candidate.head, loc_col, derivation, true, out);
     }
 
     // ----------------------------------------------------------------------
@@ -864,9 +802,9 @@ impl NodeEngine {
     }
 
     /// A tuple lost its last derivation: cascade through the dependency index
-    /// and re-trigger aggregate / negation rules. Runs at the event's merge
+    /// and re-trigger aggregate / negation rules. Runs at the event's replay
     /// position, so its queue pushes interleave with the generation's other
-    /// emissions in sequence order.
+    /// emissions in stream order.
     fn on_disappear(&mut self, tuple: &Tuple, reconciled: &mut IdSet<usize>, out: &mut StepOutput) {
         for dependent in self.db.take_dependents(tuple.id()) {
             // A remote head is retracted from the outbox and at its home; a
@@ -881,32 +819,7 @@ impl NodeEngine {
             }
         }
         // Aggregate and negation rules re-examine the affected groups.
-        self.trigger_nonmonotonic(tuple, reconciled, out);
-    }
-
-    /// Aggregate-group recomputation and negation reconciliation triggered by
-    /// a disappearance.
-    fn trigger_nonmonotonic(
-        &mut self,
-        tuple: &Tuple,
-        reconciled: &mut IdSet<usize>,
-        out: &mut StepOutput,
-    ) {
-        let (program, relation) = (Arc::clone(&self.program), tuple.relation());
-        for &(rule_idx, _) in program.triggers.get(&relation).into_iter().flatten() {
-            let rule = &program.rules[rule_idx];
-            if rule.aggregate.is_some() {
-                self.recompute_aggregate_for(rule_idx, tuple, out);
-            } else if rule.has_negation() && reconciled.insert(rule_idx) {
-                self.reconcile_rule(rule_idx, out);
-            }
-        }
-        let negated_in = program.negation_triggers.get(&relation);
-        for &rule_idx in negated_in.into_iter().flatten() {
-            if reconciled.insert(rule_idx) {
-                self.reconcile_rule(rule_idx, out);
-            }
-        }
+        self.fire_triggers(tuple, false, reconciled, out);
     }
 
     /// Route a derivation of `head`: apply locally when the head lives here,
@@ -1059,6 +972,7 @@ impl NodeEngine {
         let mut matches: Vec<Candidate> = Vec::new();
         let mut probes = 0u64;
         self.frame.reset(rule.slots.slot_count());
+        self.matched.resize(rule.slots.positive.len(), TupleId(0));
         EvalContext {
             db: &self.db,
             program: program.as_ref(),
@@ -1067,7 +981,7 @@ impl NodeEngine {
             rule,
             &rule.full_plan.steps,
             &mut self.frame,
-            &mut vec![None; rule.slots.positive.len()],
+            &mut self.matched,
             &mut matches,
             &mut probes,
         );

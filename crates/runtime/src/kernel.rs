@@ -2,29 +2,27 @@
 //!
 //! A [`crate::NodeEngine`] processes its delta queue in *generations*: all
 //! currently queued deltas are applied to the tables first (in stream
-//! order), and only then are the surviving insertions expanded into
-//! rule-evaluation trigger tasks. The tables do not change again until the
-//! next generation, so every monotonic (non-aggregate, negation-free)
-//! trigger task is a pure read over the database. [`evaluate_tasks`]
-//! evaluates them all, in task order, before anything is committed; the
-//! engine then merges the candidates in that order on the same thread,
-//! which is where all mutation happens — derivation emission, outbox sends,
-//! aggregate and negation reconciliation, cascade deletion. Probe counters
-//! are summed per task and folded in task order.
+//! order), and only then do the surviving membership changes replay, each
+//! firing the rules its relation triggers. Nothing the replay does writes a
+//! table — emissions go to the next generation's queue, the outbox, the
+//! dependency index and the aggregate state — so every evaluation here is a
+//! pure read of tables frozen for the generation, wherever in the replay it
+//! runs.
 //!
 //! Rules arrive here already lowered to slot programs (module `compile`), so
-//! one kernel serves all three evaluation paths — monotonic triggers,
-//! negation reconciliation ([`EvalContext::join`]) and aggregate group
-//! recomputation ([`EvalContext::aggregate_group`]). It binds variables in a
-//! flat [`Frame`] (the engine's, reset between tasks, undone by trail mark
-//! at each join level), holds the matched atoms as borrowed [`Matched`]
-//! handles, and runs the assignments, filters and negated-atom checks in
+//! one kernel serves all three evaluation paths — monotonic triggers
+//! ([`EvalContext::eval_task`]), negation reconciliation
+//! ([`EvalContext::join`]) and aggregate group recomputation
+//! ([`EvalContext::aggregate_group`]). It binds variables in a flat
+//! [`Frame`] (the engine's, reset per evaluation, undone by trail mark at
+//! each join level), keeps the matched atoms' ids in the engine's scratch
+//! beside it, and runs the assignments, filters and negated-atom checks in
 //! place at the join leaf. A join result that a filter rejects has cost no
 //! allocation, and no stored tuple is ever materialized out of its columnar
 //! slots: a result that built a head keeps the head and the ids of its
-//! matched atoms (read from the slots, never hashed), one shared list that
-//! the derivation, the firing and the outbox go on to share. Candidate order
-//! is probe order, and `join_probes` counts every candidate examined.
+//! matched atoms, one shared list that the derivation, the firing and the
+//! outbox go on to share. Candidate order is probe order, and `join_probes`
+//! counts every candidate examined.
 
 use crate::compile::{AggSpec, BoundTerm, CompiledProgram, CompiledRule, PlanStep};
 use crate::eval::{Frame, SlotAtom, SlotTerm};
@@ -34,45 +32,14 @@ use crate::value::Value;
 use ndlog::AggregateFunc;
 use std::sync::Arc;
 
-/// One trigger evaluated before the merge: rule `rule_idx` with the delta
-/// tuple bound to body atom `atom_idx`, following the precomputed join plan
-/// for that trigger position. Only monotonic rules (no aggregate, no
-/// negation) become `MonoTask`s; everything else runs in the merge.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct MonoTask<'a> {
-    pub rule_idx: usize,
-    pub atom_idx: usize,
-    /// The delta tuple (borrowed from the generation's event list).
-    pub tuple: &'a Tuple,
-}
-
 /// A candidate firing produced by the join kernel: the constructed head and
 /// the ids of the body tuples that matched, in body order — the list the
-/// derivation record shares. The record itself is built at commit time by
-/// the merge phase (it adds only the rule symbol and the engine's node).
+/// derivation record shares. The engine builds the record when it commits
+/// the candidate (it adds only the rule symbol and the engine's node).
 #[derive(Debug, Clone)]
 pub(crate) struct Candidate {
-    pub rule_idx: usize,
     pub head: Tuple,
     pub inputs: Arc<[TupleId]>,
-}
-
-/// A body atom's match while a join is in flight: the trigger delta by
-/// reference, a probe candidate as its storage handle. Neither is ever
-/// materialized: a join result is its head and its inputs' ids.
-#[derive(Clone, Copy)]
-pub(crate) enum Matched<'a> {
-    Trigger(&'a Tuple),
-    Stored(TupleRef<'a>),
-}
-
-impl Matched<'_> {
-    fn id(self) -> TupleId {
-        match self {
-            Matched::Trigger(tuple) => tuple.id(),
-            Matched::Stored(stored) => stored.id(),
-        }
-    }
 }
 
 /// What an aggregate group currently evaluates to: the aggregate value and
@@ -92,48 +59,46 @@ pub(crate) struct EvalContext<'a> {
 }
 
 impl<'a> EvalContext<'a> {
-    /// Evaluate one monotonic trigger task: match the delta against its
-    /// trigger atom, then join the remaining atoms along the precomputed
-    /// plan. Returns the candidates in discovery order plus the number of
-    /// join candidates examined.
+    /// Evaluate one monotonic trigger: match `tuple` against body atom
+    /// `atom_idx` of rule `rule_idx`, then join the remaining atoms along the
+    /// plan precomputed for that trigger position. Appends the candidates to
+    /// `out` in discovery order and returns the number of join candidates
+    /// examined.
     pub fn eval_task(
         &self,
-        task: &MonoTask<'a>,
+        rule_idx: usize,
+        atom_idx: usize,
+        tuple: &Tuple,
         frame: &mut Frame,
-        matched: &mut Vec<Option<Matched<'a>>>,
-    ) -> (Vec<Candidate>, u64) {
-        let rule = &self.program.rules[task.rule_idx];
-        let mut candidates = Vec::new();
+        matched: &mut Vec<TupleId>,
+        out: &mut Vec<Candidate>,
+    ) -> u64 {
+        let rule = &self.program.rules[rule_idx];
         let mut probes = 0u64;
         frame.reset(rule.slots.slot_count());
-        if rule.slots.positive[task.atom_idx].match_row(task.tuple, frame) {
-            matched.clear();
-            matched.resize(rule.slots.positive.len(), None);
-            matched[task.atom_idx] = Some(Matched::Trigger(task.tuple));
-            self.join(
-                rule,
-                &rule.plans[task.atom_idx].steps,
-                frame,
-                matched,
-                &mut candidates,
-                &mut probes,
-            );
+        if rule.slots.positive[atom_idx].match_row(tuple, frame) {
+            matched.resize(rule.slots.positive.len(), TupleId(0));
+            matched[atom_idx] = tuple.id();
+            let steps = &rule.plans[atom_idx].steps;
+            self.join(rule, steps, frame, matched, out, &mut probes);
         }
-        (candidates, probes)
+        probes
     }
 
     /// Recursively join the atoms of a plan. Each step probes its table
     /// through the bound columns the plan computed at compile time, so the
-    /// candidate set is an index posting list rather than the whole table; the frame is extended in place and
-    /// undone by trail mark. With every atom matched, [`Self::leaf`] decides
-    /// whether the join result becomes a candidate. `probes` counts the
-    /// candidates actually examined.
+    /// candidate set is an index posting list rather than the whole table;
+    /// the frame is extended in place and undone by trail mark, and the
+    /// step's atom records its match's id in `matched` (one entry per
+    /// positive atom; the plan writes every entry the caller did not). With
+    /// every atom matched, [`Self::leaf`] decides whether the join result
+    /// becomes a candidate. `probes` counts the candidates actually examined.
     pub fn join(
         &self,
         rule: &CompiledRule,
         steps: &[PlanStep],
         frame: &mut Frame,
-        matched: &mut Vec<Option<Matched<'a>>>,
+        matched: &mut [TupleId],
         out: &mut Vec<Candidate>,
         probes: &mut u64,
     ) {
@@ -150,7 +115,7 @@ impl<'a> EvalContext<'a> {
             *probes += 1;
             let mark = frame.mark();
             if atom.match_row(&cand, frame) {
-                matched[step.atom] = Some(Matched::Stored(cand));
+                matched[step.atom] = cand.id();
                 self.join(rule, rest, frame, matched, out, probes);
                 frame.undo_to(mark);
             }
@@ -165,7 +130,7 @@ impl<'a> EvalContext<'a> {
         &self,
         rule: &CompiledRule,
         frame: &mut Frame,
-        matched: &[Option<Matched<'a>>],
+        matched: &[TupleId],
         out: &mut Vec<Candidate>,
         probes: &mut u64,
     ) {
@@ -180,12 +145,8 @@ impl<'a> EvalContext<'a> {
         if accepted {
             if let Some(head) = rule.slots.head.build(frame, rule.head_addr_cols, None) {
                 out.push(Candidate {
-                    rule_idx: rule.index,
                     head,
-                    inputs: matched
-                        .iter()
-                        .map(|m| m.expect("all atoms matched").id())
-                        .collect(),
+                    inputs: matched.into(),
                 });
             }
         }
@@ -404,18 +365,4 @@ impl<'a> Fold<'a> {
         };
         (!witnesses.is_empty()).then_some(GroupAggregate { value, witnesses })
     }
-}
-
-/// Evaluate every task on the caller's frame, returning `(candidates,
-/// probes)` per task in task order: the order the merge consumes them in.
-pub(crate) fn evaluate_tasks<'a>(
-    ctx: &EvalContext<'a>,
-    tasks: &[MonoTask<'a>],
-    frame: &mut Frame,
-) -> Vec<(Vec<Candidate>, u64)> {
-    let mut matched = Vec::new();
-    tasks
-        .iter()
-        .map(|t| ctx.eval_task(t, frame, &mut matched))
-        .collect()
 }

@@ -134,6 +134,16 @@ test_job() {
     #     — an engine run whose firings join stored inputs (local and remote
     #     heads, an aggregate) leaves tuple_materializations() where it was: a
     #     firing names its inputs by id;
+    # the pin of the engine's output stream (a generation applies its deltas,
+    # then replays its events once, each trigger fired where its event replays):
+    #   nettrails engine_output_stream — every StepOutput (firings, local
+    #     changes, each DeltaBatch's dictionary and records) of seeded
+    #     convergences and churn on four programs (anchored path vectors, the
+    #     same with a negation rule, MINCOST, PATH-VECTOR), in order, digested
+    #     with the engines' counters; pinned before the generation loop became
+    #     one pass, it caught an appearance that runs its monotonic triggers
+    #     after its aggregate and negation triggers, and a disappearance that
+    #     fires monotonic rules;
     # the oracles of one retraction per lost derivation:
     #   nt-runtime engine::tests::the_dependency_index_keeps_only_what_its_cascade_retracts
     #     — two engines exchange a remote derivation and one holds a min<>
