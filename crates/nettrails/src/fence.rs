@@ -1,5 +1,5 @@
 //! Platform names `benchmark/` still compiles against after the machinery
-//! behind them was deleted: five `NetTrailsConfig` fields that keep one
+//! behind them was deleted: six `NetTrailsConfig` fields that keep one
 //! legal value each, the `NetMessage::Delta` variant nothing constructs, and
 //! `PlatformStats::provenance_sharding`, which reads 0. Each carries a
 //! `fence:` tag at its item citing the benchmark line that uses it;
@@ -24,5 +24,6 @@ pub(crate) fn check_config(config: &NetTrailsConfig) -> nt_runtime::Result<()> {
         config.fixpoint_dispatch_threshold,
         FIXPOINT_DISPATCH_THRESHOLD,
     )?;
-    only("columnar_storage", config.columnar_storage, true)
+    only("columnar_storage", config.columnar_storage, true)?;
+    only("merge_query_frames", config.merge_query_frames, true)
 }

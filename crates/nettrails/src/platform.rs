@@ -97,13 +97,11 @@ pub struct NetTrailsConfig {
     // fence: benchmark/src/layered.rs:244
     #[doc(hidden)]
     pub columnar_storage: bool,
-    /// Merge concurrent query sessions' records into one frame per
-    /// (source, destination, direction) at each flush, sharing one first-use
-    /// dictionary charge (`QueryExecutor::set_frame_merging`). Off by
-    /// default: one frame per session, the PR 5 baseline the query-service
-    /// experiment compares against. Either mode yields bit-identical
-    /// results, visits, cache hits and per-session stats — merging only
-    /// collapses frame counts and per-message framing overhead.
+    /// Accepts `true` only: a query flush ships one frame per (source,
+    /// destination, direction), shared by every session staging toward it.
+    /// [`NetTrails::new`] refuses `false`.
+    // fence: benchmark/src/layered.rs:253
+    #[doc(hidden)]
     pub merge_query_frames: bool,
 }
 
@@ -119,7 +117,7 @@ impl Default for NetTrailsConfig {
             fixpoint_workers: nt_runtime::fence::FIXPOINT_WORKERS,
             fixpoint_dispatch_threshold: nt_runtime::fence::FIXPOINT_DISPATCH_THRESHOLD,
             columnar_storage: true,
-            merge_query_frames: false,
+            merge_query_frames: true,
         }
     }
 }
@@ -129,15 +127,6 @@ impl NetTrailsConfig {
     pub fn without_provenance() -> Self {
         NetTrailsConfig {
             capture_provenance: false,
-            ..NetTrailsConfig::default()
-        }
-    }
-
-    /// A configuration that merges concurrent query sessions' frames per
-    /// destination (the query-service wire discipline).
-    pub fn with_merged_query_frames() -> Self {
-        NetTrailsConfig {
-            merge_query_frames: true,
             ..NetTrailsConfig::default()
         }
     }
@@ -238,15 +227,13 @@ impl NetTrails {
         // topologies.
         let query_engine =
             QueryEngine::with_hop_rtt_ms(2.0 * config.network.default_latency_ms as f64);
-        let mut query_executor = QueryExecutor::new();
-        query_executor.set_frame_merging(config.merge_query_frames);
         Ok(NetTrails {
             program,
             engines,
             network,
             provenance,
             query_engine,
-            query_executor,
+            query_executor: QueryExecutor::new(),
             stray_misrouted: 0,
             config,
             source: program_src.to_string(),
@@ -1162,77 +1149,6 @@ mod tests {
         nt.cancel_query(cancelled);
         assert!(nt.query_done(cancelled));
         assert!(nt.try_wait_query(cancelled).is_none());
-    }
-
-    /// End-to-end over the simulated network, merged sealing is
-    /// observationally identical to per-session sealing for concurrent
-    /// sessions — same results and same per-session stats (including
-    /// measured latency) — while shipping strictly fewer query frames.
-    #[test]
-    fn merged_query_frames_match_per_session_sealing_end_to_end() {
-        let run = |config: NetTrailsConfig| {
-            let mut nt =
-                NetTrails::new(protocols::mincost::PROGRAM, Topology::ring(5), config).unwrap();
-            nt.seed_links_from_topology();
-            nt.run_to_fixpoint();
-            let (_, target) = nt
-                .find_tuple("minCost", |t| {
-                    t.values()[0].as_addr() == Some("n1") && t.values()[1].as_addr() == Some("n3")
-                })
-                .unwrap();
-            let handles: Vec<QueryHandle> = ["n3", "n3", "n5", "n1"]
-                .iter()
-                .enumerate()
-                .map(|(i, querier)| {
-                    let traversal = if i % 2 == 0 {
-                        TraversalOrder::BreadthFirst
-                    } else {
-                        TraversalOrder::DepthFirst
-                    };
-                    nt.query(&target)
-                        .from_node(querier)
-                        .traversal(traversal)
-                        .submit()
-                })
-                .collect();
-            while handles.iter().any(|h| !nt.query_done(*h)) {
-                assert!(nt.poll_queries(), "sessions stalled");
-            }
-            let outcomes: Vec<_> = handles
-                .iter()
-                .map(|h| nt.try_wait_query(*h).expect("completed"))
-                .collect();
-            // Per-session bytes/dict_bytes are excluded: first-use
-            // dictionary attribution follows frame order within a flush, so
-            // merging may shift a shared symbol's charge between concurrent
-            // sessions. The totals are compared instead.
-            let per_session: Vec<_> = outcomes
-                .iter()
-                .map(|(result, s)| {
-                    (
-                        result.clone(),
-                        s.messages,
-                        s.records,
-                        s.vertices_visited,
-                        s.cache_hits,
-                        s.latency_ms,
-                    )
-                })
-                .collect();
-            let totals: (u64, u64) = outcomes
-                .iter()
-                .fold((0, 0), |(b, d), (_, s)| (b + s.bytes, d + s.dict_bytes));
-            (per_session, totals, nt.query_executor().traffic().messages)
-        };
-        let (merged, merged_totals, merged_frames) =
-            run(NetTrailsConfig::with_merged_query_frames());
-        let (split, split_totals, split_frames) = run(NetTrailsConfig::default());
-        assert_eq!(merged, split, "results and per-session stats");
-        assert_eq!(merged_totals, split_totals, "total bytes and dict bytes");
-        assert!(
-            merged_frames < split_frames,
-            "merging collapses concurrent frames ({merged_frames} vs {split_frames})"
-        );
     }
 
     /// The service builder compiles tenant-attributed requests without

@@ -1,11 +1,12 @@
-//! Names `benchmark/` still compiles against after the shard router behind
-//! them was deleted. A shim selects nothing: [`ProvenanceSystem::with_shards`]
-//! accepts one shard only, and [`ShardStats`] reports the exchange of a
-//! system with one arena, which is none. Each shim carries a `fence:` tag
-//! citing the benchmark line that uses it; `scripts/ci_local.sh fence` lists
-//! them and checks the citations.
+//! Names `benchmark/` still compiles against after the shard router and
+//! per-session frame sealing behind them were deleted. A shim selects
+//! nothing: [`ProvenanceSystem::with_shards`] accepts one shard only,
+//! [`QueryExecutor::set_frame_merging`] accepts `true` only, and
+//! [`ShardStats`] reports the exchange of a system with one arena, which is
+//! none. Each shim carries a `fence:` tag citing the benchmark line that
+//! uses it; `scripts/ci_local.sh fence` lists them and checks the citations.
 
-use crate::ProvenanceSystem;
+use crate::{ProvenanceSystem, QueryExecutor};
 use nt_runtime::NodeId;
 
 /// The one legal shard count (and `NetTrailsConfig::prov_shards` value).
@@ -39,5 +40,18 @@ impl ProvenanceSystem {
     #[doc(hidden)]
     pub fn shard_stats(&self) -> &ShardStats {
         &NO_EXCHANGE
+    }
+}
+
+impl QueryExecutor {
+    /// Accepts `true` only: a flush always ships one frame per (source,
+    /// destination, direction), shared by the sessions that stage toward
+    /// it. Panics on `false`.
+    // fence: benchmark/src/layered.rs:253
+    #[doc(hidden)]
+    pub fn set_frame_merging(&mut self, on: bool) {
+        if let Err(e) = nt_runtime::fence::only("frame_merging", on, true) {
+            panic!("{e}");
+        }
     }
 }

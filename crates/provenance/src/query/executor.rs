@@ -10,11 +10,12 @@
 //! which are local to the executing node) from another node is a real
 //! [`QueryOp::ExpandExec`] request that must round-trip through the message
 //! layer before the traversal continues. The executor itself never moves a
-//! message: [`QueryExecutor::poll`] seals everything its frames staged since
-//! the last flush into per-destination [`QueryBatch`] frames (first-use
-//! dictionary headers, one frame per direction and destination), and the
-//! driver — the platform's round loop — ships them through the simulated
-//! network and hands deliveries back to [`QueryExecutor::deliver`].
+//! message: [`QueryExecutor::poll`] seals everything every session staged
+//! since the last flush into [`QueryBatch`] frames — one per (source,
+//! destination, direction), shared by the sessions staging toward it, each
+//! behind a first-use dictionary header — and the driver — the platform's
+//! round loop — ships them through the simulated network and hands
+//! deliveries back to [`QueryExecutor::deliver`].
 //!
 //! What travels back is the session kind's fold (`query::fold`): each frame
 //! holds its vertex's facts and one slot per child value, and completes by
@@ -656,11 +657,6 @@ pub struct QueryExecutor {
     /// header carries only the strings its destination has never seen.
     dict_sent: IdMap<NodeId, Dictionary>,
     staged: Vec<StagedOp>,
-    /// Merge concurrent sessions' records into one frame per (endpoints,
-    /// direction) at [`QueryExecutor::poll`] time (see
-    /// [`QueryExecutor::set_frame_merging`]). Off by default: one frame per
-    /// session, the PR 5 baseline.
-    merge_frames: bool,
     /// Cumulative traffic across sessions.
     traffic: TrafficStats,
 }
@@ -693,18 +689,6 @@ impl QueryExecutor {
     /// configuration with savings it did not earn).
     pub fn reset_dictionaries(&mut self) {
         self.dict_sent.clear();
-    }
-
-    /// Enable (or disable) cross-session frame merging: when on, one
-    /// [`QueryExecutor::poll`] seals all concurrent sessions' records for a
-    /// destination into a single frame per direction instead of one frame
-    /// per session, sharing the destination's first-use dictionary charge.
-    /// Per-destination delivery order is unchanged — within a merged frame
-    /// records stay grouped by session in the order the per-session frames
-    /// would have been sealed — so results, visit counts and cache hits are
-    /// bit-identical to per-session sealing; only the frame count drops.
-    pub fn set_frame_merging(&mut self, on: bool) {
-        self.merge_frames = on;
     }
 
     /// Number of sessions still executing.
@@ -778,71 +762,61 @@ impl QueryExecutor {
     /// Seal every staged record into per-destination [`QueryBatch`] frames
     /// with first-use dictionary headers and return them for shipment.
     ///
-    /// By default each frame carries one session's records (one frame per
-    /// session, direction and destination — the PR 5 baseline). With
-    /// [`QueryExecutor::set_frame_merging`] on, concurrent sessions' records
-    /// for the same (endpoints, direction) seal into a single shared frame.
-    /// Either way the records stay grouped by session, in the first-staged
-    /// order the per-session frames would have been sealed and delivered in,
-    /// so merging never reorders per-destination processing.
+    /// One flush ships one frame per (source, destination, direction), in
+    /// the order each was first staged. Concurrent sessions share it: each
+    /// session's records stay together and in staging order, and sessions
+    /// follow in the order they first staged toward the frame, so
+    /// per-destination processing never depends on how many sessions a
+    /// flush carried.
     ///
     /// Accounting happens here, per contributing session: one message, its
     /// own record bodies, and the dictionary entries its records are first
-    /// to reference toward that destination. For single-session frames this
-    /// degenerates to charging the whole frame to its session.
+    /// to reference toward that destination. A single-session frame is
+    /// charged whole to its session.
     pub fn poll(&mut self) -> Vec<QueryBatch> {
         if self.staged.is_empty() {
             return Vec::new();
         }
         let staged = std::mem::take(&mut self.staged);
-        // Group by (session, endpoints, direction) in first-appearance order
-        // so frame sealing — and therefore dictionary first-use accounting —
-        // is deterministic.
-        type SessionKey = (u64, NodeId, NodeId, bool);
-        let mut order: Vec<SessionKey> = Vec::new();
-        let mut groups: IdMap<SessionKey, Vec<QueryOp>> = IdMap::default();
+        // One pass numbers each frame at its first record (endpoints and
+        // record count) and each session group at its first record; a
+        // stable sort by frame then lines the groups up frame by frame,
+        // each frame's in first-staged order. Staging order decides
+        // dictionary first use, so sealing is deterministic. A flush has
+        // no more frames or groups than records, so nothing here regrows.
+        let n = staged.len();
+        let mut frame_ids: IdMap<(NodeId, NodeId, bool), u32> =
+            IdMap::with_capacity_and_hasher(n, Default::default());
+        let mut frames: Vec<(NodeId, NodeId, usize)> = Vec::with_capacity(n);
+        let mut group_ids: IdMap<(u32, u64), usize> =
+            IdMap::with_capacity_and_hasher(n, Default::default());
+        let mut groups: Vec<(u32, u64, Vec<QueryOp>)> = Vec::with_capacity(n);
         for s in staged {
-            let key = (s.qid, s.from, s.to, s.op.is_request());
-            let group = groups.entry(key).or_default();
-            if group.is_empty() {
-                order.push(key);
-            }
-            group.push(s.op);
+            let next = frames.len() as u32;
+            let frame = *frame_ids
+                .entry((s.from, s.to, s.op.is_request()))
+                .or_insert_with(|| {
+                    frames.push((s.from, s.to, 0));
+                    next
+                });
+            frames[frame as usize].2 += 1;
+            let next = groups.len();
+            let group = *group_ids.entry((frame, s.qid)).or_insert_with(|| {
+                groups.push((frame, s.qid, Vec::new()));
+                next
+            });
+            groups[group].2.push(s.op);
         }
-        // Fold session groups into frames: merged mode coalesces every
-        // session group sharing (endpoints, direction) into the frame keyed
-        // by the first of them; per-session mode keeps one group per frame.
-        let merged: Vec<Vec<SessionKey>>;
-        let frames: Vec<&[SessionKey]> = if self.merge_frames {
-            let mut frame_order: Vec<(NodeId, NodeId, bool)> = Vec::new();
-            let mut folded: IdMap<(NodeId, NodeId, bool), Vec<SessionKey>> = IdMap::default();
-            for &key in &order {
-                let fkey = (key.1, key.2, key.3);
-                let members = folded.entry(fkey).or_default();
-                if members.is_empty() {
-                    frame_order.push(fkey);
-                }
-                members.push(key);
-            }
-            merged = frame_order
-                .into_iter()
-                .map(|fkey| folded.remove(&fkey).expect("frame exists"))
-                .collect();
-            merged.iter().map(Vec::as_slice).collect()
-        } else {
-            order.chunks(1).collect()
-        };
+        groups.sort_by_key(|&(frame, _, _)| frame);
+        let mut groups = groups.into_iter().peekable();
         let mut batches = Vec::with_capacity(frames.len());
-        for members in frames {
-            let (_, from, to, _) = members[0];
+        for (frame, (from, to, records)) in frames.into_iter().enumerate() {
             let sent = self.dict_sent.entry(to).or_default();
             let mut dict: Vec<Sym> = Vec::new();
             let mut ops: Vec<QueryOp> = Vec::new();
             let mut frame_header = 0usize;
             let mut frame_body = 0usize;
-            for key in members {
-                let qid = key.0;
-                let group = groups.remove(key).expect("group exists");
+            while let Some((_, qid, group)) = groups.next_if(|g| g.0 as usize == frame) {
                 // One walk per record gives its body size and its names.
                 // The session pays for exactly the entries its records are
                 // first to ship toward this destination; a name the
@@ -872,10 +846,11 @@ impl QueryExecutor {
                 }
                 frame_header += header;
                 frame_body += body;
-                // The first member's records become the frame's: a
-                // single-session frame never copies them.
+                // The first member's records become the frame's, with room
+                // for the rest: a single-session frame never copies them.
                 if ops.is_empty() {
                     ops = group;
+                    ops.reserve_exact(records - ops.len());
                 } else {
                     ops.extend(group);
                 }
@@ -2220,11 +2195,11 @@ mod tests {
         }
     }
 
-    /// Satellite regression: with cross-session merging on, interleaved
-    /// sessions never re-ship a symbol already charged to a destination in
-    /// the same poll — the second session rides the first's shared first-use
-    /// dictionary header — and [`QueryExecutor::reset_dictionaries`]
-    /// restores exactly one full charge for the next interleaved pair.
+    /// Interleaved sessions never re-ship a symbol already charged to a
+    /// destination in the same poll — the second session rides the first's
+    /// shared first-use dictionary header — and
+    /// [`QueryExecutor::reset_dictionaries`] restores exactly one full charge
+    /// for the next interleaved pair.
     #[test]
     fn merged_frames_never_reship_a_symbol_within_one_poll() {
         let (sys, best) = sample_system();
@@ -2237,7 +2212,6 @@ mod tests {
         };
         // Solo baseline: the dictionary charge one session pays alone.
         let mut solo = QueryExecutor::new();
-        solo.set_frame_merging(true);
         let (_, solo_stats) = run_distributed(
             &mut solo,
             &sys,
@@ -2249,7 +2223,6 @@ mod tests {
         assert!(solo_stats.dict_bytes > 0, "responses carry strings");
 
         let mut ex = QueryExecutor::new();
-        ex.set_frame_merging(true);
         let a = ex.submit(&sys, spec("n1"), SimTime::ZERO);
         let b = ex.submit(&sys, spec("n1"), SimTime::ZERO);
         // Interleaved drain, asserting per poll that no destination is ever
@@ -2282,8 +2255,8 @@ mod tests {
             solo_stats.dict_bytes,
             "two interleaved sessions pay one shared first-use charge"
         );
-        // reset_dictionaries survives merging: the next interleaved pair
-        // re-ships the full charge exactly once more.
+        // After reset_dictionaries the next interleaved pair re-ships the
+        // full charge exactly once more.
         ex.reset_dictionaries();
         let c = ex.submit(&sys, spec("n1"), SimTime::ZERO);
         let d = ex.submit(&sys, spec("n1"), SimTime::ZERO);
@@ -2293,74 +2266,224 @@ mod tests {
         assert_eq!(sc.dict_bytes + sd.dict_bytes, solo_stats.dict_bytes);
     }
 
-    /// Merged sealing is observationally identical to per-session sealing
-    /// for interleaved sessions: per-session results and stats (messages,
-    /// records, bytes, dictionary bytes, visits, cache hits) are equal —
-    /// merging collapses frames on the wire without touching any session's
-    /// view of its own execution.
+    /// What the next poll will seal: `(qid, from, to, is_request, op)` per
+    /// staged record, in staging order.
+    type Staged = Vec<(u64, NodeId, NodeId, bool, QueryOp)>;
+
+    fn staged_of(ex: &QueryExecutor) -> Staged {
+        ex.staged
+            .iter()
+            .map(|s| (s.qid, s.from, s.to, s.op.is_request(), s.op.clone()))
+            .collect()
+    }
+
+    /// The frames one poll must ship for `staged`, built the obvious way:
+    /// one per (from, to, direction) in first-staged order, and inside each
+    /// the sessions in first-staged order, each session's records together
+    /// and in staging order.
+    fn expected_frames(staged: &Staged) -> Vec<(NodeId, NodeId, bool, Vec<QueryOp>)> {
+        let mut frames: Vec<(NodeId, NodeId, bool, Vec<QueryOp>)> = Vec::new();
+        for &(_, from, to, request, _) in staged {
+            if !frames
+                .iter()
+                .any(|f| (f.0, f.1, f.2) == (from, to, request))
+            {
+                frames.push((from, to, request, Vec::new()));
+            }
+        }
+        for (from, to, request, ops) in &mut frames {
+            let toward = |s: &&(u64, NodeId, NodeId, bool, QueryOp)| {
+                (s.1, s.2, s.3) == (*from, *to, *request)
+            };
+            let mut sessions: Vec<u64> = Vec::new();
+            for s in staged.iter().filter(toward) {
+                if !sessions.contains(&s.0) {
+                    sessions.push(s.0);
+                }
+            }
+            for qid in sessions {
+                ops.extend(
+                    staged
+                        .iter()
+                        .filter(toward)
+                        .filter(|s| s.0 == qid)
+                        .map(|s| s.4.clone()),
+                );
+            }
+        }
+        frames
+    }
+
+    /// One poll's frames against what was staged for it: no frame mixes
+    /// directions, at most one frame per (from, to, direction), and the
+    /// frames are [`expected_frames`]. Returns how many carried more than
+    /// one session.
+    fn check_poll(staged: &Staged, batches: &[QueryBatch]) -> usize {
+        let mut keys = BTreeSet::new();
+        for batch in batches {
+            let request = batch.ops()[0].is_request();
+            assert!(
+                batch.ops().iter().all(|op| op.is_request() == request),
+                "a frame mixes directions: {batch:?}"
+            );
+            assert!(
+                keys.insert((batch.from, batch.to, request)),
+                "two frames for {} -> {} (request: {request})",
+                batch.from,
+                batch.to
+            );
+        }
+        let shipped: Vec<_> = batches
+            .iter()
+            .map(|b| (b.from, b.to, b.is_request(), b.ops().to_vec()))
+            .collect();
+        assert_eq!(shipped, expected_frames(staged));
+        batches
+            .iter()
+            .filter(|b| b.ops().iter().any(|op| op.qid() != b.ops()[0].qid()))
+            .count()
+    }
+
+    /// One `poll` seals one frame per (from, to, direction): sessions share
+    /// it, each session's records contiguous and in staging order, and each
+    /// contributing session is charged one message, its own records and the
+    /// dictionary entries it is first to ship. A hand-staged flush makes
+    /// sessions interleave and both directions meet on one pair of nodes;
+    /// concurrent drains of both traversals check every poll they make.
     #[test]
-    fn merged_sealing_matches_per_session_sealing_for_interleaved_sessions() {
+    fn one_poll_ships_one_frame_per_endpoints_and_direction() {
         let (sys, best) = sample_system();
-        for traversal in [TraversalOrder::DepthFirst, TraversalOrder::BreadthFirst] {
-            let options = QueryOptions {
+        let spec = |querier: &str, traversal| QuerySpec {
+            querier: NodeId::new(querier),
+            vid: best.id(),
+            kind: QueryKind::Lineage,
+            mode: QueryMode::Distributed,
+            options: QueryOptions {
                 traversal,
                 use_cache: true,
                 ..QueryOptions::default()
-            };
-            let specs: Vec<QuerySpec> = ["n1", "n1", "n2", "n3"]
-                .iter()
-                .map(|querier| QuerySpec {
-                    querier: NodeId::new(querier),
-                    vid: best.id(),
-                    kind: QueryKind::Lineage,
-                    mode: QueryMode::Distributed,
-                    options: options.clone(),
-                })
-                .collect();
-            let run = |merge: bool| {
-                let mut ex = QueryExecutor::new();
-                ex.set_frame_merging(merge);
-                let handles: Vec<QueryHandle> = specs
-                    .iter()
-                    .map(|spec| ex.submit(&sys, spec.clone(), SimTime::ZERO))
-                    .collect();
-                drain_concurrent(&mut ex, &sys, &handles);
-                let outcomes: Vec<_> = handles
-                    .iter()
-                    .map(|h| ex.take_result(*h).expect("done"))
-                    .collect();
-                // Per-session bytes/dict_bytes are excluded: first-use
-                // dictionary attribution follows frame order within a
-                // flush, so merging may shift a shared symbol's charge
-                // between concurrent sessions. Totals are compared instead.
-                let per_session: Vec<_> = outcomes
-                    .iter()
-                    .map(|(result, s)| {
-                        (
-                            result.clone(),
-                            s.messages,
-                            s.records,
-                            s.vertices_visited,
-                            s.cache_hits,
-                            s.latency_ms,
-                        )
-                    })
-                    .collect();
-                let totals: (u64, u64) = outcomes
-                    .iter()
-                    .fold((0, 0), |(b, d), (_, s)| (b + s.bytes, d + s.dict_bytes));
-                (per_session, totals, ex.traffic().messages)
-            };
-            let (merged, merged_totals, merged_frames) = run(true);
-            let (split, split_totals, split_frames) = run(false);
-            assert_eq!(merged, split, "{traversal:?}: per-session outcomes");
-            assert_eq!(merged_totals, split_totals, "{traversal:?}: totals");
-            assert!(
-                merged_frames < split_frames,
-                "{traversal:?}: merging must collapse concurrent frames \
-                 ({merged_frames} vs {split_frames})"
-            );
+            },
+        };
+        let mut ex = QueryExecutor::new();
+        let handles: Vec<QueryHandle> = (0..3)
+            .map(|_| {
+                ex.submit(
+                    &sys,
+                    spec("n1", TraversalOrder::BreadthFirst),
+                    SimTime::ZERO,
+                )
+            })
+            .collect();
+        let [a, b, c] = [handles[0].0, handles[1].0, handles[2].0];
+        let (n1, n2, n3) = (NodeId::new("n1"), NodeId::new("n2"), NodeId::new("n3"));
+        let nodes =
+            |names: &[NodeId]| QueryResult::ParticipatingNodes(names.iter().copied().collect());
+        // Each submit staged an ExpandVertex n1 -> n3; stage after them a
+        // second request of a's toward n3, responses both ways between n1
+        // and n3 whose node sets overlap, and a lone request n3 -> n2.
+        for (qid, from, to, op) in [
+            (
+                b,
+                n3,
+                n1,
+                QueryOp::VertexDone {
+                    qid: b,
+                    frame: 0,
+                    value: nodes(&[n2]),
+                },
+            ),
+            (a, n1, n3, QueryOp::Cancel { qid: a }),
+            (
+                c,
+                n1,
+                n3,
+                QueryOp::VertexDone {
+                    qid: c,
+                    frame: 1,
+                    value: nodes(&[n1]),
+                },
+            ),
+            (
+                a,
+                n3,
+                n1,
+                QueryOp::VertexDone {
+                    qid: a,
+                    frame: 0,
+                    value: nodes(&[n2, n3]),
+                },
+            ),
+            (
+                b,
+                n3,
+                n1,
+                QueryOp::ExecDone {
+                    qid: b,
+                    frame: 2,
+                    exec: None,
+                },
+            ),
+            (c, n3, n2, QueryOp::Cancel { qid: c }),
+        ] {
+            ex.staged.push(StagedOp { qid, from, to, op });
         }
+        let staged = staged_of(&ex);
+        let batches = ex.poll();
+        assert_eq!(check_poll(&staged, &batches), 2);
+        let shape: Vec<_> = batches
+            .iter()
+            .map(|batch| {
+                let qids: Vec<u64> = batch.ops().iter().map(QueryOp::qid).collect();
+                (batch.from, batch.to, batch.is_request(), qids)
+            })
+            .collect();
+        assert_eq!(
+            shape,
+            [
+                (n1, n3, true, vec![a, a, b, c]),
+                (n3, n1, false, vec![b, b, a]),
+                (n1, n3, false, vec![c]),
+                (n3, n2, true, vec![c]),
+            ]
+        );
+        // a rides two frames, b two, c three; n2 is first named by b and
+        // n3 by a toward n1, n1 by c toward n3.
+        let stats: Vec<QueryStats> = handles
+            .iter()
+            .map(|h| ex.stats_so_far(*h).expect("running"))
+            .collect();
+        let messages: Vec<u64> = stats.iter().map(|s| s.messages).collect();
+        let records: Vec<u64> = stats.iter().map(|s| s.records).collect();
+        assert_eq!((messages, records), (vec![2, 2, 3], vec![3, 3, 3]));
+        let entry = |n: NodeId| nt_runtime::dict_entry_wire_size(n.as_sym().as_str()) as u64;
+        let dict: Vec<u64> = stats.iter().map(|s| s.dict_bytes).collect();
+        assert_eq!(dict, vec![entry(n3), entry(n2), entry(n1)]);
+        let wire: usize = batches.iter().map(QueryBatch::wire_size).sum();
+        assert_eq!(stats.iter().map(|s| s.bytes).sum::<u64>(), wire as u64);
+        assert_eq!(ex.traffic().bytes, wire as u64);
+
+        // Real concurrent sessions: every poll of the drain.
+        let mut shared = 0;
+        for traversal in [TraversalOrder::DepthFirst, TraversalOrder::BreadthFirst] {
+            let mut ex = QueryExecutor::new();
+            let handles: Vec<QueryHandle> = ["n1", "n1", "n2", "n3"]
+                .iter()
+                .map(|querier| ex.submit(&sys, spec(querier, traversal), SimTime::ZERO))
+                .collect();
+            let mut safety = 0;
+            while handles.iter().any(|h| !ex.is_done(*h)) {
+                let staged = staged_of(&ex);
+                let batches = ex.poll();
+                assert!(!batches.is_empty(), "pending sessions must stage frames");
+                shared += check_poll(&staged, &batches);
+                for batch in batches {
+                    ex.deliver(&sys, batch, SimTime::ZERO);
+                }
+                safety += 1;
+                assert!(safety < 10_000, "sessions failed to converge");
+            }
+        }
+        assert!(shared > 0, "concurrent sessions share frames");
     }
 
     /// Partial results stream as root-level derivations complete.

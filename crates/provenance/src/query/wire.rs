@@ -3,10 +3,11 @@
 //!
 //! Cross-node hops of the distributed traversal are [`QueryOp`] records.
 //! Within one executor flush, every record a node produces for one
-//! destination is coalesced into a single [`QueryBatch`] frame: fixed-width
-//! record headers, interned identifiers priced at 4 bytes, and a dictionary
-//! header under the discipline of [`nt_runtime::Dictionary`] (the executor
-//! keeps one per destination), entries sorted. The sealing walk's body
+//! destination and direction is coalesced into a single [`QueryBatch`]
+//! frame: fixed-width record headers, interned identifiers priced at 4
+//! bytes, and a dictionary header under the discipline of
+//! [`nt_runtime::Dictionary`] (the executor keeps one per destination),
+//! entries sorted. The sealing walk's body
 //! length travels with the frame, so pricing a frame walks nothing.
 //!
 //! Requests are tiny and string-free (ids and digests only); responses carry
@@ -15,13 +16,14 @@
 //! rule/node/relation names are what the dictionary headers pay for, and a
 //! count names none.
 //!
-//! With cross-session merging on (`QueryExecutor::set_frame_merging`), one
-//! frame may carry records from several concurrent sessions: each session's
+//! One frame carries the records of every concurrent session that staged
+//! toward its (source, destination, direction) in the flush: each session's
 //! records stay contiguous and in staging order, sessions appear in
 //! first-staging order, and the frame's dictionary header is the union of
 //! first-use entries across all of them — charged to the destination once,
-//! however many sessions reference the same symbol. Receivers need no new
-//! decoding logic: every record still names its session via [`QueryOp::qid`].
+//! however many sessions reference the same symbol. Receivers need no
+//! session-aware decoding: every record names its session via
+//! [`QueryOp::qid`].
 
 use crate::query::api::{ProofTree, QueryResult, RuleExecNode};
 use crate::query::fold::Folded;
@@ -244,9 +246,9 @@ impl QueryBatch {
         self.ops.is_empty()
     }
 
-    /// True when every record is a request (frames are homogeneous: the
-    /// executor never mixes directions within one frame, even when merging
-    /// sessions — direction is part of the merge key).
+    /// True when every record is a request (frames are homogeneous:
+    /// direction is part of the key a flush seals frames by, so no frame
+    /// mixes requests and responses).
     pub fn is_request(&self) -> bool {
         self.ops.iter().all(QueryOp::is_request)
     }

@@ -16,8 +16,9 @@
 //!    backlogged tenant is visited once per round, so each backlogged
 //!    tenant is admitted one session per round, whatever its offered load.
 //! 2. **Pump** — one [`NetTrails::poll_queries`] step: staged query frames
-//!    flush (merged per destination when the platform runs with
-//!    `merge_query_frames`), the network advances, deliveries dispatch.
+//!    flush (one frame per source, destination and direction, shared by
+//!    every session staging toward it), the network advances, deliveries
+//!    dispatch.
 //! 3. **Reap** — finished sessions are redeemed through the non-panicking
 //!    [`NetTrails::try_wait_query`]; in-flight sessions past their
 //!    deadline are cancelled ([`NetTrails::cancel_query`] keeps the
@@ -372,7 +373,7 @@ mod tests {
         let mut nt = NetTrails::new(
             protocols::mincost::PROGRAM,
             Topology::line(4),
-            NetTrailsConfig::with_merged_query_frames(),
+            NetTrailsConfig::default(),
         )
         .unwrap();
         nt.seed_links_from_topology();

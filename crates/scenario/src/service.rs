@@ -9,14 +9,13 @@
 //! wave drains. Every wave's offering is equal across tenants, so the
 //! completed-session fairness ratio is a meaningful gate (≤ 1.5).
 //!
-//! Every row runs **twice**: once with cross-session frame merging
-//! ([`NetTrailsConfig::with_merged_query_frames`]) and once with per-session
-//! sealing, over the identical request sequence. The per-session digest —
-//! tenants, expiry flags, every [`provenance::QueryStats`] field including
-//! measured latency — must be bit-identical across the two modes
-//! ([`ServiceScenarioOutcome::merged_matches_split`]): merging collapses
-//! frames on the wire without perturbing any session's execution. The only
-//! sanctioned difference is the frame count itself.
+//! Concurrent sessions share the wire: each flush ships one query frame per
+//! (source, destination, direction), whichever sessions staged toward it.
+//! Every row runs **twice** over the identical request sequence, and the
+//! digest — every completion's tenant, expiry flag and
+//! [`provenance::QueryStats`] (measured latency included), the run's byte
+//! totals and the per-tenant accounting — must reproduce bit for bit
+//! ([`ServiceScenarioOutcome::matches_rerun`]).
 
 use crate::driver::pick_anchors;
 use crate::programs::{self, PATHVECTOR_RESULTS};
@@ -97,37 +96,24 @@ pub struct ServiceScenarioOutcome {
     /// Link churn events applied between waves.
     pub churn_events: usize,
     /// Completed sessions' measured latencies, sorted ascending (simulated
-    /// clock; identical in both sealing modes).
+    /// clock).
     pub latencies_ms: Vec<f64>,
-    /// Query frames shipped under merged sealing.
-    pub frames_merged: u64,
-    /// Query frames shipped under per-session sealing.
-    pub frames_split: u64,
-    /// Distinct frame destinations (identical in both modes).
+    /// Query frames shipped.
+    pub frames: u64,
+    /// Distinct frame destinations.
     pub dests: usize,
-    /// `frames_merged / dests`.
-    pub frames_per_dest_merged: f64,
-    /// `frames_split / dests`.
-    pub frames_per_dest_split: f64,
-    /// Dictionary bytes charged across all sessions, merged sealing.
-    pub dict_bytes_merged: u64,
-    /// Dictionary bytes charged across all sessions, per-session sealing
-    /// (equal to merged: first-use dictionary state is per destination,
-    /// shared across sessions, in both modes).
-    pub dict_bytes_split: u64,
+    /// Dictionary bytes charged across all sessions (first-use dictionary
+    /// state is per destination, shared across sessions).
+    pub dict_bytes: u64,
     /// Completed sessions per tenant, in tenant-name order.
     pub per_tenant_completed: Vec<(String, u64)>,
     /// Max/min completed sessions across tenants.
     pub fairness_ratio: f64,
-    /// Per-session digests (tenant, expiry, every `QueryStats` field) are
-    /// bit-identical between merged and per-session sealing.
-    pub merged_matches_split: bool,
-    /// A second merged run reproduced the digest bit-for-bit.
+    /// A second run reproduced the digest bit-for-bit.
     pub matches_rerun: bool,
-    /// Digest of the merged run: completions, tenant accounting, frame and
-    /// dictionary counters.
+    /// Digest of the run: completions, byte totals and tenant accounting.
     pub service_digest: u64,
-    /// Simulated span of the merged run.
+    /// Simulated span of the run.
     pub sim_ms: f64,
 }
 
@@ -150,8 +136,8 @@ const SERVICE_KINDS: [QueryKind; 4] = [
     QueryKind::DerivationCount,
 ];
 
-/// Everything one sealing-mode run measures.
-struct ModeRun {
+/// Everything one run of a row measures.
+struct Run {
     digest: u64,
     latencies_ms: Vec<f64>,
     offered: usize,
@@ -168,8 +154,7 @@ struct ModeRun {
     sim_ms: f64,
 }
 
-/// Run one scenario in both sealing modes (plus determinism reruns) and
-/// assemble the comparison.
+/// Run one scenario (plus its determinism rerun) and assemble the outcome.
 pub fn run_service_scenario(spec: &ServiceScenarioSpec) -> ServiceScenarioOutcome {
     run_checked(spec, &mut |_, _, _| {})
 }
@@ -179,52 +164,42 @@ pub fn run_service_scenario(spec: &ServiceScenarioSpec) -> ServiceScenarioOutcom
 type SessionCheck<'a> = dyn FnMut(&NetTrails, &QuerySpec, &QueryResult) + 'a;
 
 /// [`run_service_scenario`], handing every completed session of the first
-/// merged run to `check` at the end of its wave (no churn runs within a
-/// wave, so the platform is the one the session read).
+/// run to `check` at the end of its wave (no churn runs within a wave, so
+/// the platform is the one the session read).
 fn run_checked(spec: &ServiceScenarioSpec, check: &mut SessionCheck<'_>) -> ServiceScenarioOutcome {
-    let merged = run_mode(spec, true, check);
-    let split = run_mode(spec, false, &mut |_, _, _| {});
-    let rerun = run_mode(spec, true, &mut |_, _, _| {});
-    let mut latencies_ms = merged.latencies_ms.clone();
+    let run = run_once(spec, check);
+    let rerun = run_once(spec, &mut |_, _, _| {});
+    let mut latencies_ms = run.latencies_ms;
     latencies_ms.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
     ServiceScenarioOutcome {
         name: spec.name(),
         nodes: spec.nodes,
-        links: merged.links,
+        links: run.links,
         tenants: spec.tenants,
-        offered: merged.offered,
-        rejected: merged.rejected as usize,
-        completed: merged.completed,
-        expired: merged.expired,
-        churn_events: merged.churn_events,
+        offered: run.offered,
+        rejected: run.rejected as usize,
+        completed: run.completed,
+        expired: run.expired,
+        churn_events: run.churn_events,
         latencies_ms,
-        frames_merged: merged.frames,
-        frames_split: split.frames,
-        dests: merged.dests,
-        frames_per_dest_merged: merged.frames as f64 / merged.dests.max(1) as f64,
-        frames_per_dest_split: split.frames as f64 / split.dests.max(1) as f64,
-        dict_bytes_merged: merged.dict_bytes,
-        dict_bytes_split: split.dict_bytes,
-        per_tenant_completed: merged
+        frames: run.frames,
+        dests: run.dests,
+        dict_bytes: run.dict_bytes,
+        per_tenant_completed: run
             .per_tenant
             .iter()
             .map(|(name, stats)| (name.clone(), stats.completed))
             .collect(),
-        fairness_ratio: merged.fairness,
-        merged_matches_split: merged.digest == split.digest,
-        matches_rerun: merged.digest == rerun.digest,
-        service_digest: merged.digest,
-        sim_ms: merged.sim_ms,
+        fairness_ratio: run.fairness,
+        matches_rerun: run.digest == rerun.digest,
+        service_digest: run.digest,
+        sim_ms: run.sim_ms,
     }
 }
 
-/// One full run of the wave schedule in one sealing mode; `check` sees
-/// every completed session (see [`run_checked`]).
-fn run_mode(
-    spec: &ServiceScenarioSpec,
-    merge_frames: bool,
-    check: &mut SessionCheck<'_>,
-) -> ModeRun {
+/// One full run of the wave schedule; `check` sees every completed session
+/// (see [`run_checked`]).
+fn run_once(spec: &ServiceScenarioSpec, check: &mut SessionCheck<'_>) -> Run {
     let topology = TopologyFamily::InternetAs {
         n: spec.nodes,
         m: spec.degree,
@@ -232,11 +207,8 @@ fn run_mode(
     .build(spec.seed);
     let links = topology.link_count();
     let program = programs::anchored_pathvector(spec.max_hops);
-    let config = NetTrailsConfig {
-        merge_query_frames: merge_frames,
-        ..NetTrailsConfig::default()
-    };
-    let mut nt = NetTrails::new(&program, topology, config).expect("service program compiles");
+    let mut nt = NetTrails::new(&program, topology, NetTrailsConfig::default())
+        .expect("service program compiles");
 
     nt.seed_links_from_topology();
     for anchor in pick_anchors(nt.network().topology(), spec.seed, spec.anchors) {
@@ -349,15 +321,11 @@ fn run_mode(
         .sum();
 
     // Digest: every completion (tenant, expiry, per-session stats) in
-    // completion order, plus per-tenant accounting. Two measures are
-    // deliberately kept out of the per-session digest: frame counts (the
-    // one sanctioned difference between sealing modes) and per-session
-    // `bytes`/`dict_bytes` (first-use dictionary *attribution* follows
-    // frame order within a flush, so merging may shift a shared symbol's
-    // charge between concurrent sessions — the run-wide totals, hashed
-    // below, are mode-invariant). Everything else — messages, records,
-    // visits, cache hits, measured latency — must be bit-identical across
-    // merged, per-session and rerun digests.
+    // completion order, plus per-tenant accounting. Per-session
+    // `bytes`/`dict_bytes` enter as run-wide totals: first-use dictionary
+    // attribution follows staging order within a flush, so which of two
+    // concurrent sessions pays for a shared name is a scheduling fact, not
+    // a property of either session. Frame counts are pinned by the tests.
     let mut h = StableHasher::new();
     let mut latencies_ms = Vec::new();
     let mut completed = 0usize;
@@ -399,7 +367,7 @@ fn run_mode(
     h.write_u64(churn_events as u64);
     h.write_u64(sim_ms.to_bits());
 
-    ModeRun {
+    Run {
         digest: h.finish(),
         latencies_ms,
         offered: spec.offered(),
@@ -446,7 +414,6 @@ mod tests {
     #[test]
     fn service_scenarios_are_deterministic_and_mode_equivalent() {
         let outcome = run_service_scenario(&tiny_spec());
-        assert!(outcome.merged_matches_split, "sealing modes must agree");
         assert!(outcome.matches_rerun, "reruns must agree");
         assert_eq!(outcome.offered, 40);
         assert!(outcome.rejected > 0, "queue cap of 4 rejects a 6-deep wave");
@@ -456,16 +423,6 @@ mod tests {
             outcome.offered
         );
         assert!(outcome.churn_events > 0);
-        assert!(
-            outcome.frames_merged < outcome.frames_split,
-            "merging must collapse concurrent frames ({} vs {})",
-            outcome.frames_merged,
-            outcome.frames_split
-        );
-        assert_eq!(
-            outcome.dict_bytes_merged, outcome.dict_bytes_split,
-            "first-use dictionary state is shared per destination in both modes"
-        );
         assert!(outcome.p99_ms() >= outcome.p50_ms());
         assert!(outcome.fairness_ratio.is_finite());
     }
@@ -480,7 +437,7 @@ mod tests {
     /// oracle: the projection of the lineage tree an uncached in-process
     /// engine computes for the same query on the same platform.
     ///
-    /// `dict_bytes_*` and `service_digest` (which hashes the run's total
+    /// `dict_bytes` and `service_digest` (which hashes the run's total
     /// bytes) moved when responses began to carry their kind's value instead
     /// of the lineage tree: three kinds in four ship fewer names and bytes
     /// (77,040 -> 68,036 dictionary bytes; digest was 0xf24b_e4a2_efd2_8cb0).
@@ -525,21 +482,15 @@ mod tests {
             &mut oracle,
         );
         assert_eq!(checked, 1064, "every completed session met the oracle");
-        assert!(outcome.merged_matches_split && outcome.matches_rerun);
+        assert!(outcome.matches_rerun);
         assert_eq!(
             (outcome.offered, outcome.completed, outcome.expired),
             (1280, 1064, 88)
         );
         assert_eq!(outcome.rejected, 8 * 16);
         assert_eq!(outcome.dests, 192);
-        assert_eq!(
-            (outcome.frames_merged, outcome.frames_split),
-            (10192, 16052)
-        );
-        assert_eq!(
-            (outcome.dict_bytes_merged, outcome.dict_bytes_split),
-            (68036, 68036)
-        );
+        assert_eq!(outcome.frames, 10192);
+        assert_eq!(outcome.dict_bytes, 68036);
         assert!(outcome.fairness_ratio <= 1.5, "{}", outcome.fairness_ratio);
         assert!(outcome.p99_ms() >= outcome.p50_ms());
         assert_eq!(

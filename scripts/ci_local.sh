@@ -152,6 +152,22 @@ test_job() {
     #   nt-runtime proptest_slot_equivalence — every derivation that went
     #     fires once, aggregate and negation rules included;
     # the oracles of the query executor's frames and cycle guard:
+    #   provenance query::executor::tests::one_poll_ships_one_frame_per_endpoints_and_direction
+    #     — a hand-staged flush and every poll of concurrent drains against
+    #     frames built the obvious way: one per (from, to, direction) in
+    #     first-staged order, none mixing directions, each session's records
+    #     together and in staging order, each contributing session charged
+    #     one message, its records and the names it is first to ship; it
+    #     caught records sealed in staging order, a frame's message charged
+    #     to its first session only, every member charged the whole frame's
+    #     dictionary header, and direction left out of the frame key;
+    #   nettrails proptest_query_equivalence (concurrent_sessions_match_their_solo_runs)
+    #     — under cancellation storms every session that is not cancelled
+    #     equals its query run alone on an identically built platform, the
+    #     sessions' bytes add up to the executor's, and the run ships no
+    #     more frames than the solo runs; it caught a frame's message
+    #     charged to its first session only and every member charged the
+    #     whole frame's dictionary header;
     #   nettrails dictionary_discipline (check_sealed) — every QueryBatch's
     #     stored length is its header plus the per-record walk
     #     (QueryOp::wire_size);

@@ -8,7 +8,8 @@
 //! without the list), shows that the legal values give the default
 //! platform's replay digest, that every other value is refused — an `Err`
 //! naming the field from `NetTrails::new`, a panic naming the fence from the
-//! constructors whose fenced signatures return `Self` — and that the
+//! constructors whose fenced signatures return `Self` and from
+//! `QueryExecutor::set_frame_merging` — and that the
 //! counters read 0 after a convergence plus churn.
 //!
 //! Mutations it caught: a `NetTrails::new` that accepts `prov_shards: 2`
@@ -19,7 +20,7 @@ use nettrails::{NetTrails, NetTrailsConfig};
 use nt_runtime::{
     CompiledProgram, EngineConfig, NodeEngine, RuntimeError, StableHasher, Tuple, Value,
 };
-use provenance::ProvenanceSystem;
+use provenance::{ProvenanceSystem, QueryExecutor};
 use simnet::{Link, Topology, TopologyEvent};
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -27,11 +28,12 @@ use std::sync::Arc;
 
 /// Every shim, as `crate file: item`. A tag added to or removed from the
 /// source without this list changing fails `the_ledger_lists_every_tag`.
-const LEDGER: [&str; 19] = [
+const LEDGER: [&str; 21] = [
     "crates/nettrails/src/platform.rs: Delta",
     "crates/nettrails/src/platform.rs: columnar_storage",
     "crates/nettrails/src/platform.rs: fixpoint_dispatch_threshold",
     "crates/nettrails/src/platform.rs: fixpoint_workers",
+    "crates/nettrails/src/platform.rs: merge_query_frames",
     "crates/nettrails/src/platform.rs: prov_shards",
     "crates/nettrails/src/platform.rs: provenance_sharding",
     "crates/nettrails/src/platform.rs: use_join_indexes",
@@ -39,6 +41,7 @@ const LEDGER: [&str; 19] = [
     "crates/pool/src/lib.rs: workers",
     "crates/provenance/Cargo.toml: nt-pool",
     "crates/provenance/src/fence.rs: cross_shard_records",
+    "crates/provenance/src/fence.rs: set_frame_merging",
     "crates/provenance/src/fence.rs: shard_stats",
     "crates/provenance/src/fence.rs: with_shards",
     "crates/runtime/Cargo.toml: nt-pool",
@@ -146,6 +149,7 @@ fn the_legal_values_give_the_default_platform() {
         fixpoint_workers: 1,
         fixpoint_dispatch_threshold: 64,
         columnar_storage: true,
+        merge_query_frames: true,
         ..NetTrailsConfig::default()
     };
     assert_eq!(spelled_out, NetTrailsConfig::default());
@@ -159,6 +163,8 @@ fn the_legal_values_give_the_default_platform() {
         ..EngineConfig::new("n1")
     };
     assert_eq!(engine, EngineConfig::new("n1"));
+
+    QueryExecutor::new().set_frame_merging(true);
 }
 
 /// `with_shards(nodes, 1)` is `new(nodes)`, before and after one engine's
@@ -274,6 +280,22 @@ fn every_other_platform_value_is_refused_naming_its_field() {
         "{e}"
     );
     assert!(e.to_string().contains("accepts only true"), "{e}");
+    let config = NetTrailsConfig {
+        merge_query_frames: false,
+        ..NetTrailsConfig::default()
+    };
+    let e = refused(config);
+    assert!(
+        matches!(
+            e,
+            RuntimeError::Config {
+                field: "merge_query_frames",
+                ..
+            }
+        ),
+        "{e}"
+    );
+    assert!(e.to_string().contains("false is refused"), "{e}");
 }
 
 fn engine_with(config: EngineConfig) -> NodeEngine {
@@ -346,6 +368,14 @@ fn with_shards_refuses_zero() {
 #[should_panic(expected = "config `shards`: 2 is refused: the field is a benchmark fence")]
 fn with_shards_refuses_two() {
     ProvenanceSystem::with_shards(["n1"], 2);
+}
+
+#[test]
+#[should_panic(
+    expected = "config `frame_merging`: false is refused: the field is a benchmark fence"
+)]
+fn set_frame_merging_refuses_false() {
+    QueryExecutor::new().set_frame_merging(false);
 }
 
 /// After a convergence plus churn nothing ran on a pool, no shard exchanged
