@@ -140,31 +140,88 @@ impl Interner {
 ///
 /// The memory is a set of handles: node and rule/relation handles index one
 /// pool (one string, one handle), so that is exactly a set of strings. It is
-/// asked once per name of every record shipped, so it is a bitmap over pool
-/// indexes — a shift and a mask per question, one bit per name the process
-/// has interned up to the highest one sent.
-#[derive(Debug, Clone, Default)]
+/// asked once per name of every record shipped, and it costs what was sent.
+/// It starts as a sorted list of the handles (four bytes a name, a binary
+/// search per question). When the list is full it doubles (from 16 handles)
+/// or, if that is no bigger, becomes a bitmap over pool indexes — one bit per
+/// name the process has interned up to the highest one sent, a shift and a
+/// mask per question — and stays one: either is one allocation, and neither
+/// form is bigger than the bitmap alone was. A destination sent a few names
+/// minted late holds a few handles, not a bit for every name minted before
+/// them.
+#[derive(Debug, Clone)]
 pub struct Dictionary {
-    sent: Vec<u64>,
+    sent: Sent,
+}
+
+/// Room a sorted list starts with: most destinations are sent fewer names.
+const FIRST_HANDLES: usize = 16;
+
+/// The two forms of a [`Dictionary`]'s set; one set, whichever is smaller.
+#[derive(Debug, Clone)]
+enum Sent {
+    /// The handles sent, ascending.
+    Sorted(Vec<u32>),
+    /// One bit per pool index, up to the highest one sent.
+    Bitmap(Vec<u64>),
+}
+
+impl Default for Dictionary {
+    fn default() -> Self {
+        Dictionary {
+            sent: Sent::Sorted(Vec::new()),
+        }
+    }
 }
 
 impl Dictionary {
     /// True exactly the first time `name` is asked about since the memory
     /// was created or cleared: the caller ships the string with this frame.
     pub fn first_use(&mut self, name: Sym) -> bool {
-        let (word, bit) = ((name.0 / 64) as usize, 1u64 << (name.0 % 64));
-        if word >= self.sent.len() {
-            self.sent.resize(word + 1, 0);
+        match &mut self.sent {
+            Sent::Bitmap(words) => set_bit(words, name.0),
+            Sent::Sorted(handles) => {
+                let Err(at) = handles.binary_search(&name.0) else {
+                    return false;
+                };
+                if handles.len() == handles.capacity() {
+                    // Full: grow the list, or become the bitmap if that is
+                    // no bigger. Either is one allocation.
+                    let highest = handles.last().map_or(name.0, |&h| h.max(name.0));
+                    let words = highest as usize / 64 + 1;
+                    let grown = (2 * handles.capacity()).max(FIRST_HANDLES);
+                    if words * 8 <= grown * 4 {
+                        let mut bitmap = vec![0; words];
+                        for &handle in handles.iter().chain([&name.0]) {
+                            set_bit(&mut bitmap, handle);
+                        }
+                        self.sent = Sent::Bitmap(bitmap);
+                        return true;
+                    }
+                    handles.reserve_exact(grown - handles.len());
+                }
+                handles.insert(at, name.0);
+                true
+            }
         }
-        let first = self.sent[word] & bit == 0;
-        self.sent[word] |= bit;
-        first
     }
 
     /// Forget everything: the destination is treated as new.
     pub fn clear(&mut self) {
-        self.sent.clear();
+        *self = Dictionary::default();
     }
+}
+
+/// Set `handle`'s bit, growing the bitmap to reach it; true when it was
+/// clear.
+fn set_bit(words: &mut Vec<u64>, handle: u32) -> bool {
+    let (word, bit) = ((handle / 64) as usize, 1u64 << (handle % 64));
+    if word >= words.len() {
+        words.resize(word + 1, 0);
+    }
+    let first = words[word] & bit == 0;
+    words[word] |= bit;
+    first
 }
 
 /// The names a snapshot refers to, sorted, in serializable form. Handles
@@ -692,6 +749,39 @@ mod tests {
         to_n2.clear();
         assert!(to_n2.first_use(link), "a cleared destination is new");
         assert!(!to_n3.first_use(link));
+    }
+
+    /// Handles low and high, in both forms: a list that becomes a bitmap
+    /// answers what a set of the handles asked so far answers.
+    #[test]
+    fn a_dictionary_answers_alike_as_a_list_and_as_a_bitmap() {
+        let mut state = 12u64;
+        let mut next = |below: u64| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (state ^ (state >> 31)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            ((z ^ (z >> 27)) % below) as u32
+        };
+        let cases = [
+            (10, 100_000, false),
+            (200, 100_000, false),
+            (3_000, 100_000, true),
+            (300, 2_000, true),
+            (50, 64, true),
+        ];
+        for (names, below, becomes_bitmap) in cases {
+            let mut dict = Dictionary::default();
+            let mut asked = std::collections::BTreeSet::new();
+            for _ in 0..names {
+                let handle = next(below);
+                assert_eq!(dict.first_use(Sym(handle)), asked.insert(handle));
+                assert!(!dict.first_use(Sym(handle)));
+            }
+            let bitmap = matches!(dict.sent, Sent::Bitmap(_));
+            assert_eq!(bitmap, becomes_bitmap, "{names} names below {below}");
+            for handle in 0..below.min(5_000) as u32 {
+                assert_eq!(dict.first_use(Sym(handle)), asked.insert(handle));
+            }
+        }
     }
 
     #[test]

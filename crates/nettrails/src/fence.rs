@@ -1,7 +1,8 @@
 //! Platform names `benchmark/` still compiles against after the machinery
 //! behind them was deleted: six `NetTrailsConfig` fields that keep one
-//! legal value each, the `NetMessage::Delta` variant nothing constructs, and
-//! `PlatformStats::provenance_sharding`, which reads 0. Each carries a
+//! legal value each, the `NetMessage::Delta` variant nothing constructs,
+//! `PlatformStats::provenance_sharding`, which reads 0, and
+//! `PlatformStats::provenance_traffic`, which is empty. Each carries a
 //! `fence:` tag at its item citing the benchmark line that uses it;
 //! `scripts/ci_local.sh fence` lists them and checks the citations.
 

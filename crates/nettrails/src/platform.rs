@@ -170,7 +170,12 @@ pub struct PlatformStats {
     pub network: TrafficStats,
     /// Provenance store sizes and firing counts.
     pub provenance: SystemStats,
-    /// Cross-node provenance maintenance traffic.
+    /// No provenance maintenance traffic: a remote derivation's `prov`
+    /// entry arrives on its protocol record. Always empty.
+    // fence: benchmark/src/workloads.rs:303
+    // fence: benchmark/src/runs.rs:366
+    // fence: benchmark/src/layered.rs:348
+    #[doc(hidden)]
     pub provenance_traffic: TrafficStats,
     /// No cross-shard exchange: provenance is one arena.
     // fence: benchmark/src/layered.rs:349
@@ -757,7 +762,7 @@ impl NetTrails {
             engine,
             network: self.network.stats().clone(),
             provenance: self.provenance.stats(),
-            provenance_traffic: self.provenance.maintenance_traffic().clone(),
+            provenance_traffic: Default::default(),
             provenance_sharding: Default::default(),
             stored_tuples,
         }

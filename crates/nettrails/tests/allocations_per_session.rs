@@ -6,11 +6,13 @@
 //! exactly; a ceiling that fails here names a per-frame or per-vertex
 //! allocation that came back.
 //!
-//! Each ceiling is the measured value + 10 %: 57 allocations per lineage
-//! session and 44 per derivation-count session, both at 8.2 frames (one
+//! Each ceiling is the measured value + 10 %: 52 allocations per lineage
+//! session and 39 per derivation-count session, both at 8.2 frames (one
 //! frame per flush, destination and direction, shared by the sessions
-//! staging toward it; one frame per session and flush was 12.9). A
-//! count folds where the data is and streams no partials: its 45 are the
+//! staging toward it; one frame per session and flush was 12.9). They were
+//! 57 and 44 while sealing collected each session's records toward a frame
+//! into a vector of their own, about one per record. A
+//! count folds where the data is and streams no partials: its 40 are the
 //! lineage owners below less `on_exec_done`'s clones, its slot vectors
 //! dropped at completion where lineage's become the tree. By owner, per lineage
 //! session (scratch tags on a copy of the executor, a thread-local owner
@@ -18,7 +20,7 @@
 //!
 //! | owner | per session | what |
 //! |---|---:|---|
-//! | sealing (`QueryExecutor::poll`) | 13.6 | per-flush frame and session-group tables, group records, dictionary headers, the batch list |
+//! | sealing (`QueryExecutor::poll`) | 8.6 | per-flush frame and session-group tables and record places, one record vector and one dictionary header per frame, the batch list |
 //! | `on_exec_done` | 12.9 | root-level derivations cloned for `take_partials` |
 //! | `issue_exec` | 7.6 | one cycle-guard path per derivation, frame and staging growth |
 //! | `start_vertex` | 6.4 | depth-first: the entries of a vertex with a derivation |
@@ -26,6 +28,11 @@
 //! | `start_exec` | 6.4 | one input slot vector per rule execution |
 //! | `spawn_input` | 1.7 | frame arena growth |
 //! | the rest | 2.6 | submission, delivery, redemption |
+//!
+//! The sealing row is the tagged 13.6 less what one record vector per frame
+//! saved over one per session group: the lineage wave went from 14,798 to
+//! 13,531 allocations (4.95 per session), the count wave from 11,498 to
+//! 10,231.
 //!
 //! Before paths were shared the run read 95: every frame cloned its
 //! cycle-guard path (`issue_exec` 19.5, `spawn_input` 10.9), a finished
@@ -86,11 +93,13 @@ static ALLOC: Counting = Counting;
 const NODES: usize = 400;
 const SESSIONS: usize = 256;
 
-/// Allocations per lineage session: measured 57.
-const ALLOCATIONS_PER_SESSION: usize = 63;
+/// Allocations per lineage session: measured 52 (57 with a record vector
+/// per session group).
+const ALLOCATIONS_PER_SESSION: usize = 58;
 
-/// Allocations per derivation-count session: measured 44.
-const ALLOCATIONS_PER_COUNT_SESSION: usize = 49;
+/// Allocations per derivation-count session: measured 39 (44 with a record
+/// vector per session group).
+const ALLOCATIONS_PER_COUNT_SESSION: usize = 43;
 
 /// Offer one wave — session `i` asks node `7i mod N` the `kind` question of
 /// every `stride`-th route — pump it dry and redeem every handle. Returns

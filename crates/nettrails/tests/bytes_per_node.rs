@@ -7,7 +7,8 @@
 //! that grew on every node (`examples/bytes_per_node.rs` prints the same
 //! phases at any size).
 //!
-//! Ceilings are the measured value + ≈10 %; the allocation count is exact.
+//! Ceilings are the measured value + ≈10 %; the allocation count and the
+//! live heap at the fixpoint are exact.
 //! At the parent of the change that added this test the same run read
 //! 6,046 B per node and 2,251 B per tuple. Before tuples, lists, input lists
 //! and dictionary headers were shared handles (PR 25) it read 3,204 B per
@@ -95,7 +96,13 @@ const NEW_BYTES_PER_NODE: usize = 3_148;
 /// `Arc::default()` shares one.
 const SEEDED_BLOCKS: usize = 7_109;
 /// Allocations from seeding to the fixpoint, exactly: 18.0 per stored tuple
-/// (9,627 tuples). 182,580 while each engine generation planned its
+/// (9,627 tuples). 173,641 while a remote head's firing was reported by the
+/// run that derived it and each run's firing list grew from empty; a run
+/// now reserves a firing for every record and fact it starts with, since
+/// each reports one as it applies (174,092 without the reservation). The
+/// sorted-list form of the names a destination was sent allocates no more
+/// than the bitmap did: at this size every one starts as the bitmap.
+/// 182,580 while each engine generation planned its
 /// triggers into an op list, a range list and a task list, evaluated every
 /// monotonic task into a buffered result list before replaying its events,
 /// and kept each join's matched atoms in a list per generation; a trigger
@@ -107,8 +114,14 @@ const SEEDED_BLOCKS: usize = 7_109;
 /// derivations, which no cascade of this node retracts: 5,875 fewer now.
 /// 203,000 when the join kernel rebuilt every stored input out of its
 /// columns to hand the firing a copy.
-const CONVERGE_ALLOCATIONS: usize = 173_641;
-/// Live heap per stored tuple at the fixpoint: measured 962 (961 before the
+const CONVERGE_ALLOCATIONS: usize = 173_608;
+/// Live heap at the fixpoint, exactly: 9,255,389 B. 9,269,213 while the
+/// names a destination was sent were always a bitmap grown by doubling; a
+/// bitmap is now built at its size when a sorted list of the handles would
+/// no longer be smaller.
+const FIXPOINT_LIVE_BYTES: usize = 9_255_389;
+/// Live heap per stored tuple at the fixpoint: measured 961 (962 while the
+/// names sent were a doubling bitmap, 961 before the
 /// engines' matched-id scratch, 24 B per engine); 1,016 while the
 /// dependency index held what no cascade of this node retracts, 1,072 while
 /// provenance stores kept a content map beside their vertices, 1,085 under
@@ -193,6 +206,10 @@ fn heap_per_node_and_per_tuple_stay_under_their_ceilings() {
     assert_eq!(
         phases.converge_allocations, CONVERGE_ALLOCATIONS,
         "allocations from seeding to the fixpoint ({tuples} tuples)"
+    );
+    assert_eq!(
+        at_fixpoint, FIXPOINT_LIVE_BYTES,
+        "live heap at the fixpoint ({tuples} tuples)"
     );
     assert!(
         at_fixpoint / tuples <= FIXPOINT_BYTES_PER_TUPLE,

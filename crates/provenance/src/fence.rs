@@ -1,13 +1,18 @@
-//! Names `benchmark/` still compiles against after the shard router and
-//! per-session frame sealing behind them were deleted. A shim selects
-//! nothing: [`ProvenanceSystem::with_shards`] accepts one shard only,
-//! [`QueryExecutor::set_frame_merging`] accepts `true` only, and
-//! [`ShardStats`] reports the exchange of a system with one arena, which is
-//! none. Each shim carries a `fence:` tag citing the benchmark line that
-//! uses it; `scripts/ci_local.sh fence` lists them and checks the citations.
+//! Names `benchmark/` still compiles against after the shard router,
+//! per-session frame sealing and the maintenance shipment behind them were
+//! deleted. A shim selects nothing: [`ProvenanceSystem::with_shards`]
+//! accepts one shard only, [`QueryExecutor::set_frame_merging`] accepts
+//! `true` only, [`ShardStats`] reports the exchange of a system with one
+//! arena, which is none, and [`ProvenanceSystem::maintenance_traffic`]
+//! reports the shipments of a system whose remote `prov` entries arrive on
+//! their records, which are none. Each shim carries a `fence:` tag citing the
+//! benchmark line that uses it; `scripts/ci_local.sh fence` lists them and
+//! checks the citations.
 
 use crate::{ProvenanceSystem, QueryExecutor};
 use nt_runtime::NodeId;
+use simnet::TrafficStats;
+use std::sync::OnceLock;
 
 /// The one legal shard count (and `NetTrailsConfig::prov_shards` value).
 pub const PROV_SHARDS: usize = 1;
@@ -40,6 +45,18 @@ impl ProvenanceSystem {
     #[doc(hidden)]
     pub fn shard_stats(&self) -> &ShardStats {
         &NO_EXCHANGE
+    }
+
+    /// No maintenance shipment: a remote derivation's `prov` entry is
+    /// written where its record is delivered, so provenance sends nothing
+    /// beside the protocol's records. Always empty.
+    // fence: benchmark/src/layered.rs:348
+    // fence: benchmark/src/layered.rs:403
+    // fence: benchmark/src/platform.rs:402
+    #[doc(hidden)]
+    pub fn maintenance_traffic(&self) -> &TrafficStats {
+        static NO_TRAFFIC: OnceLock<TrafficStats> = OnceLock::new();
+        NO_TRAFFIC.get_or_init(TrafficStats::default)
     }
 }
 

@@ -48,4 +48,4 @@ pub use query::{
 };
 pub use rewrite::{rewrite_for_provenance, PROV_RELATION, RULE_EXEC_RELATION};
 pub use store::{ProvEntry, ProvStoreStats, ProvenanceStore, RuleExec, RuleExecId};
-pub use system::{ProvenanceSystem, SystemStats, MAINTENANCE_CATEGORY};
+pub use system::{ProvenanceSystem, SystemStats};

@@ -602,7 +602,6 @@ enum Event {
 /// flush to seal it into a per-destination frame.
 #[derive(Debug)]
 struct StagedOp {
-    qid: u64,
     from: NodeId,
     to: NodeId,
     op: QueryOp,
@@ -739,7 +738,6 @@ impl QueryExecutor {
         if remote {
             // The querying node contacts the tuple's home node.
             self.staged.push(StagedOp {
-                qid,
                 from: session.spec.querier,
                 to: home,
                 op: QueryOp::ExpandVertex {
@@ -777,46 +775,79 @@ impl QueryExecutor {
         if self.staged.is_empty() {
             return Vec::new();
         }
-        let staged = std::mem::take(&mut self.staged);
+        let mut staged = std::mem::take(&mut self.staged);
         // One pass numbers each frame at its first record (endpoints and
-        // record count) and each session group at its first record; a
-        // stable sort by frame then lines the groups up frame by frame,
-        // each frame's in first-staged order. Staging order decides
-        // dictionary first use, so sealing is deterministic. A flush has
-        // no more frames or groups than records, so nothing here regrows.
+        // record count) and each session group at its first record (frame
+        // and record count), and notes every record's group. A counting sort
+        // then gives each record its place: frames in first-staged order,
+        // a frame's groups in the order they first staged toward it, a
+        // group's records in staging order. Staging order decides
+        // dictionary first use, so sealing is deterministic. A flush has no
+        // more frames or groups than records, so nothing here regrows, and
+        // each frame's records move into one vector of exactly their count.
         let n = staged.len();
         let mut frame_ids: IdMap<(NodeId, NodeId, bool), u32> =
             IdMap::with_capacity_and_hasher(n, Default::default());
-        let mut frames: Vec<(NodeId, NodeId, usize)> = Vec::with_capacity(n);
-        let mut group_ids: IdMap<(u32, u64), usize> =
+        // (from, to, records, next free place)
+        let mut frames: Vec<(NodeId, NodeId, u32, u32)> = Vec::with_capacity(n);
+        let mut group_ids: IdMap<(u32, u64), u32> =
             IdMap::with_capacity_and_hasher(n, Default::default());
-        let mut groups: Vec<(u32, u64, Vec<QueryOp>)> = Vec::with_capacity(n);
-        for s in staged {
+        // (frame, records; then the group's next free place)
+        let mut groups: Vec<(u32, u32)> = Vec::with_capacity(n);
+        // Each record's group; then its place.
+        let mut place: Vec<u32> = Vec::with_capacity(n);
+        for s in &staged {
             let next = frames.len() as u32;
             let frame = *frame_ids
                 .entry((s.from, s.to, s.op.is_request()))
                 .or_insert_with(|| {
-                    frames.push((s.from, s.to, 0));
+                    frames.push((s.from, s.to, 0, 0));
                     next
                 });
             frames[frame as usize].2 += 1;
-            let next = groups.len();
-            let group = *group_ids.entry((frame, s.qid)).or_insert_with(|| {
-                groups.push((frame, s.qid, Vec::new()));
+            let next = groups.len() as u32;
+            let group = *group_ids.entry((frame, s.op.qid())).or_insert_with(|| {
+                groups.push((frame, 0));
                 next
             });
-            groups[group].2.push(s.op);
+            groups[group as usize].1 += 1;
+            place.push(group);
         }
-        groups.sort_by_key(|&(frame, _, _)| frame);
-        let mut groups = groups.into_iter().peekable();
+        let mut at = 0;
+        for frame in &mut frames {
+            frame.3 = at;
+            at += frame.2;
+        }
+        for group in &mut groups {
+            let frame = &mut frames[group.0 as usize];
+            let records = group.1;
+            group.1 = frame.3;
+            frame.3 += records;
+        }
+        for group in &mut place {
+            let next = &mut groups[*group as usize].1;
+            *group = *next;
+            *next += 1;
+        }
+        // Move every record to its place, one swap each.
+        for i in 0..n {
+            while place[i] as usize != i {
+                let j = place[i] as usize;
+                staged.swap(i, j);
+                place.swap(i, j);
+            }
+        }
+        let mut staged = staged.into_iter();
         let mut batches = Vec::with_capacity(frames.len());
-        for (frame, (from, to, records)) in frames.into_iter().enumerate() {
+        for (from, to, records, _) in frames {
+            let mut ops: Vec<QueryOp> = Vec::with_capacity(records as usize);
+            ops.extend(staged.by_ref().take(records as usize).map(|s| s.op));
             let sent = self.dict_sent.entry(to).or_default();
             let mut dict: Vec<Sym> = Vec::new();
-            let mut ops: Vec<QueryOp> = Vec::new();
             let mut frame_header = 0usize;
             let mut frame_body = 0usize;
-            while let Some((_, qid, group)) = groups.next_if(|g| g.0 as usize == frame) {
+            // A frame's groups are its runs of one session's records.
+            for group in ops.chunk_by(|a, b| a.qid() == b.qid()) {
                 // One walk per record gives its body size and its names.
                 // The session pays for exactly the entries its records are
                 // first to ship toward this destination; a name the
@@ -824,7 +855,7 @@ impl QueryExecutor {
                 // work.
                 let mut header = 0usize;
                 let mut body = 0usize;
-                for op in &group {
+                for op in group {
                     body += op.seal(&mut |name| {
                         if sent.first_use(name) {
                             header += nt_runtime::dict_entry_wire_size(name.as_str());
@@ -832,6 +863,7 @@ impl QueryExecutor {
                         }
                     });
                 }
+                let qid = group[0].qid();
                 let stats = match self.sessions.get_mut(&qid) {
                     Some(session) => Some(&mut session.stats),
                     None => self.finished.get_mut(&qid).map(|f| &mut f.stats),
@@ -846,14 +878,6 @@ impl QueryExecutor {
                 }
                 frame_header += header;
                 frame_body += body;
-                // The first member's records become the frame's, with room
-                // for the rest: a single-session frame never copies them.
-                if ops.is_empty() {
-                    ops = group;
-                    ops.reserve_exact(records - ops.len());
-                } else {
-                    ops.extend(group);
-                }
             }
             // Keep the wire contract: dictionary entries travel sorted.
             dict.sort();
@@ -985,7 +1009,6 @@ impl QueryExecutor {
         for node in nodes {
             if node != session.spec.querier {
                 self.staged.push(StagedOp {
-                    qid,
                     from: session.spec.querier,
                     to: node,
                     op: QueryOp::Cancel { qid },
@@ -1279,7 +1302,6 @@ impl Session {
         }));
         if remote {
             ctx.staged.push(StagedOp {
-                qid: self.qid,
                 from: node,
                 to: entry.rloc,
                 op: QueryOp::ExpandExec {
@@ -1410,7 +1432,6 @@ impl Session {
                 other => panic!("exec parent is not a vertex: {other:?}"),
             };
             ctx.staged.push(StagedOp {
-                qid: self.qid,
                 from: node,
                 to,
                 op: QueryOp::ExecDone {
@@ -1479,7 +1500,6 @@ impl Session {
             }
             Parent::Root { remote: true } => {
                 ctx.staged.push(StagedOp {
-                    qid: self.qid,
                     from: node,
                     to: self.spec.querier,
                     op: QueryOp::VertexDone {
@@ -2273,7 +2293,7 @@ mod tests {
     fn staged_of(ex: &QueryExecutor) -> Staged {
         ex.staged
             .iter()
-            .map(|s| (s.qid, s.from, s.to, s.op.is_request(), s.op.clone()))
+            .map(|s| (s.op.qid(), s.from, s.to, s.op.is_request(), s.op.clone()))
             .collect()
     }
 
@@ -2425,7 +2445,8 @@ mod tests {
             ),
             (c, n3, n2, QueryOp::Cancel { qid: c }),
         ] {
-            ex.staged.push(StagedOp { qid, from, to, op });
+            assert_eq!(op.qid(), qid);
+            ex.staged.push(StagedOp { from, to, op });
         }
         let staged = staged_of(&ex);
         let batches = ex.poll();

@@ -22,10 +22,14 @@
 //!
 //! The rewritten program is what a pure NDlog deployment would execute. The
 //! NetTrails runtime in this repository captures the same information through
-//! the engine's firing stream (see [`crate::system`]), which is semantically
-//! equivalent and avoids re-deriving identifiers inside the interpreter; the
-//! rewrite is nevertheless provided (and tested for validity) because it *is*
-//! the paper's algorithm.
+//! the engine's firing stream (see [`crate::system`]), which avoids
+//! re-deriving identifiers inside the interpreter. It writes the same facts
+//! at the same time: `rN_prov` derives a remote head's `prov` tuple at the
+//! rule's node and ships it to `@HLoc`, where it exists once delivered, and
+//! the runtime reports that derivation where the head's own record is
+//! delivered, from the rule, node and input ids the record carries. The
+//! rewrite is nevertheless provided (and tested for validity) because it
+//! *is* the paper's algorithm.
 
 use ndlog::{
     exec_location, Aggregate, AggregateFunc, BodyElem, Expr, Literal, Materialize, Predicate,

@@ -5,8 +5,14 @@
 //! engines. For every derivation it:
 //!
 //! 1. stores a `ruleExec` record at the node where the rule executed, and
-//! 2. stores (or ships, when the head lives elsewhere) a `prov` entry at the
-//!    head tuple's home node.
+//! 2. stores a `prov` entry at the head tuple's home node.
+//!
+//! A derivation whose head lives on another node is reported by the engine
+//! that applies its shipped record at the head's home, not by the one that
+//! ran the rule: the record already carries the rule, the executing node and
+//! the input ids the rule-execution id digests. So a remote head's `prov`
+//! entry is written where its record is delivered, and provenance ships
+//! nothing of its own.
 //!
 //! Retraction firings remove the corresponding entries, so the provenance
 //! graph is maintained *incrementally* as network state changes — the property
@@ -27,23 +33,13 @@
 //! at the node it is expanded at, or else at its home. Neither grows with
 //! the number of nodes.
 //!
-//! The cross-node shipments of `prov` entries are the **maintenance traffic**
-//! of provenance capture; the system records it in a
-//! [`simnet::TrafficStats`] under the `"prov-maintenance"` category so the
-//! overhead experiment (E4 of `nettrails-bench`'s `report`) can report it
-//! next to the protocol's own traffic.
-//!
 //! A system has no serialized form. A snapshot carries the graph assembled
 //! from it ([`crate::ProvGraph`]) and each store's sizes, so a system is
 //! built only by applying firings.
 
 use crate::store::{ProvEntry, ProvenanceStore, RuleExec, RuleExecId};
 use nt_runtime::{base_rule_sym, Addr, Firing, IdMap, NodeId, Tuple, TupleId};
-use simnet::TrafficStats;
 use std::collections::hash_map::Entry;
-
-/// Category name used for provenance-maintenance traffic.
-pub const MAINTENANCE_CATEGORY: &str = "prov-maintenance";
 
 /// Aggregate statistics across every node's provenance store.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -132,7 +128,6 @@ pub struct ProvenanceSystem {
     stores: Vec<ProvenanceStore>,
     by_node: IdMap<NodeId, u32>,
     homes: HomeIndex,
-    traffic: TrafficStats,
     firings_applied: u64,
     retractions_applied: u64,
 }
@@ -189,11 +184,6 @@ impl ProvenanceSystem {
         self.stores().map(|s| s.node).collect()
     }
 
-    /// Cross-node provenance maintenance traffic recorded so far.
-    pub fn maintenance_traffic(&self) -> &TrafficStats {
-        &self.traffic
-    }
-
     /// Apply one rule-execution event from a runtime engine.
     pub fn apply_firing(&mut self, firing: &Firing) {
         if firing.insert {
@@ -238,8 +228,7 @@ impl ProvenanceSystem {
     }
 
     /// A derivation: the `ruleExec` record where the rule fired, and the
-    /// `prov` entry at the head's home, whose shipment from another node is
-    /// counted as maintenance traffic.
+    /// `prov` entry at the head's home.
     fn apply_insert(&mut self, firing: &Firing) {
         if firing.rule == base_rule_sym() {
             let home = firing.head_home;
@@ -260,14 +249,6 @@ impl ProvenanceSystem {
             rid: Some(rid),
             rloc: firing.node,
         };
-        if firing.head_home != firing.node {
-            self.traffic.record(
-                firing.node,
-                firing.head_home,
-                MAINTENANCE_CATEGORY,
-                entry.wire_size() + firing.head.wire_size(),
-            );
-        }
         self.add_prov(firing.head_home, &firing.head, entry);
     }
 
@@ -288,14 +269,6 @@ impl ProvenanceSystem {
             rid: Some(rid),
             rloc: firing.node,
         };
-        if firing.head_home != firing.node {
-            self.traffic.record(
-                firing.node,
-                firing.head_home,
-                MAINTENANCE_CATEGORY,
-                entry.wire_size(),
-            );
-        }
         self.remove_prov(firing.head_home, vid, &entry);
     }
 
@@ -351,8 +324,7 @@ impl ProvenanceSystem {
 /// Equal when the counters and every store, in node-name order, are equal.
 impl PartialEq for ProvenanceSystem {
     fn eq(&self, other: &Self) -> bool {
-        self.traffic == other.traffic
-            && self.firings_applied == other.firings_applied
+        self.firings_applied == other.firings_applied
             && self.retractions_applied == other.retractions_applied
             && self.stores().eq(other.stores())
     }
@@ -395,7 +367,8 @@ mod tests {
         let link = tuple("link", "n1", 5);
         let cost = tuple("cost", "n2", 5);
         sys.apply_firing(&base_firing(&link, "n1"));
-        // Rule fires at n1 but the head lives at n2 -> prov entry shipped.
+        // Rule fires at n1 but the head lives at n2: the firing n2 reports
+        // when the record arrives.
         sys.apply_firing(&rule_firing(
             "r1",
             "n1",
@@ -412,12 +385,6 @@ mod tests {
         assert_eq!(tuple, &cost);
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].rloc, "n1");
-        // Maintenance traffic was charged for the cross-node prov entry.
-        assert_eq!(
-            sys.maintenance_traffic()
-                .category_messages(MAINTENANCE_CATEGORY),
-            1
-        );
         assert_eq!(sys.vertex_home(cost.id()), Some(NodeId::new("n2")));
         assert_eq!(sys.tuple_at("n1".into(), link.id()), Some(&link));
         // A miss at the asked node reads the vertex at its home.

@@ -53,7 +53,12 @@
 //! Every derivation added or retracted is reported as a [`Firing`]; the
 //! `provenance` crate turns firings into the distributed `prov` / `ruleExec`
 //! relations of ExSPAN. Base-tuple insertions are reported too so the
-//! provenance graph contains the base vertices.
+//! provenance graph contains the base vertices. A derivation of a head that
+//! lives here is reported by the run that derives it; one whose head lives
+//! on another node is reported by the run that applies its shipped record
+//! there, from the derivation the record carries — so a remote head's `prov`
+//! entry is written where its record is delivered, and provenance ships
+//! nothing of its own.
 
 use crate::catalog::{fits, RelationSchema};
 use crate::compile::{CompiledProgram, CompiledRule};
@@ -154,11 +159,14 @@ pub struct EngineStats {
 pub struct Firing {
     /// Rule name ([`crate::store::BASE_RULE`] for base-tuple events).
     pub rule: Sym,
-    /// Node where the rule executed (always this engine's node).
+    /// Node where the rule executed: this engine's node, or for a record
+    /// received from another node, the sender that ran the rule.
     pub node: Addr,
     /// The derived (or retracted) head tuple.
     pub head: Tuple,
-    /// The node where the head tuple lives.
+    /// The node where the head tuple lives. An engine reports only heads
+    /// that live at its node: a remote head is reported where its record
+    /// arrives.
     pub head_home: Addr,
     /// Identifiers of the body tuples, in body order: the derivation's own
     /// list, shared.
@@ -384,7 +392,11 @@ impl NodeEngine {
         Ok(())
     }
 
-    /// Queue a delta received from another node.
+    /// Queue a delta received from another node, with the derivation its
+    /// record carries. The run that applies it reports that derivation as a
+    /// [`Firing`] — rule and executing node from the derivation, this node
+    /// as the head's home, the delta's polarity — whatever the table makes of
+    /// it: the sender reports none for a head that lives elsewhere.
     pub fn apply_remote(&mut self, delta: Delta, derivation: Derivation) {
         match delta {
             Delta::Insert(tuple) => self.queue.push_back(WorkItem::Add { tuple, derivation }),
@@ -396,7 +408,11 @@ impl NodeEngine {
     /// everything queued when a generation starts is applied and evaluated
     /// together, and the derivations it emits form the next generation.
     pub fn run(&mut self) -> StepOutput {
-        let mut out = StepOutput::default();
+        // Every queued record and base fact reports a firing as it applies.
+        let mut out = StepOutput {
+            firings: Vec::with_capacity(self.queue.len()),
+            ..StepOutput::default()
+        };
         let mut budget = self.config.max_deltas_per_run;
         while !self.queue.is_empty() {
             if budget == 0 {
@@ -441,9 +457,11 @@ impl NodeEngine {
         for item in items {
             match item {
                 WorkItem::Add { tuple, derivation } => {
+                    self.report_arrival(&tuple, &derivation, true, out);
                     self.apply_add(tuple, derivation, &mut events)
                 }
                 WorkItem::Remove { tuple, derivation } => {
+                    self.report_arrival(&tuple, &derivation, false, out);
                     self.apply_remove(tuple, derivation, &mut events)
                 }
             }
@@ -472,6 +490,30 @@ impl NodeEngine {
                     self.on_disappear(&tuple, &mut reconciled, out);
                 }
             }
+        }
+    }
+
+    /// A record delivered from another node (its derivation ran there) is
+    /// reported as the firing its sender ran, with this node as the head's
+    /// home: provenance writes the head's `prov` entry where the record
+    /// arrives. One firing per record applied, whatever the table makes of
+    /// it, so every shipped insert and delete reaches provenance once.
+    fn report_arrival(
+        &self,
+        tuple: &Tuple,
+        derivation: &Derivation,
+        insert: bool,
+        out: &mut StepOutput,
+    ) {
+        if derivation.node != self.config.node {
+            out.firings.push(Firing {
+                rule: derivation.rule,
+                node: derivation.node,
+                head: tuple.clone(),
+                head_home: self.config.node,
+                inputs: derivation.inputs.clone(),
+                insert,
+            });
         }
     }
 
@@ -856,15 +898,15 @@ impl NodeEngine {
         } else {
             self.stats.retractions += 1;
         }
-        out.firings.push(Firing {
-            rule: derivation.rule,
-            node: self.config.node,
-            head: tuple.clone(),
-            head_home: home,
-            inputs: derivation.inputs.clone(),
-            insert,
-        });
         if home == self.config.node {
+            out.firings.push(Firing {
+                rule: derivation.rule,
+                node: self.config.node,
+                head: tuple.clone(),
+                head_home: home,
+                inputs: derivation.inputs.clone(),
+                insert,
+            });
             self.queue.push_back(match insert {
                 true => WorkItem::Add { tuple, derivation },
                 false => WorkItem::Remove { tuple, derivation },
@@ -872,7 +914,8 @@ impl NodeEngine {
             return;
         }
         // Remote head: remember it in the outbox so that a later retraction
-        // can reach the remote derivation, and ship the delta.
+        // can reach the remote derivation, and ship the delta. Its firing is
+        // reported where the record arrives (`Self::report_arrival`).
         if !insert {
             self.retract_outbox(&tuple, derivation, home);
         } else {

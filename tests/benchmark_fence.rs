@@ -28,19 +28,21 @@ use std::sync::Arc;
 
 /// Every shim, as `crate file: item`. A tag added to or removed from the
 /// source without this list changing fails `the_ledger_lists_every_tag`.
-const LEDGER: [&str; 21] = [
+const LEDGER: [&str; 23] = [
     "crates/nettrails/src/platform.rs: Delta",
     "crates/nettrails/src/platform.rs: columnar_storage",
     "crates/nettrails/src/platform.rs: fixpoint_dispatch_threshold",
     "crates/nettrails/src/platform.rs: fixpoint_workers",
     "crates/nettrails/src/platform.rs: merge_query_frames",
     "crates/nettrails/src/platform.rs: prov_shards",
+    "crates/nettrails/src/platform.rs: provenance_traffic",
     "crates/nettrails/src/platform.rs: provenance_sharding",
     "crates/nettrails/src/platform.rs: use_join_indexes",
     "crates/pool/src/lib.rs: jobs_executed",
     "crates/pool/src/lib.rs: workers",
     "crates/provenance/Cargo.toml: nt-pool",
     "crates/provenance/src/fence.rs: cross_shard_records",
+    "crates/provenance/src/fence.rs: maintenance_traffic",
     "crates/provenance/src/fence.rs: set_frame_merging",
     "crates/provenance/src/fence.rs: shard_stats",
     "crates/provenance/src/fence.rs: with_shards",
@@ -99,8 +101,11 @@ fn the_ledger_lists_every_tag() {
 }
 
 /// The replay digest of the default platform. The same function read the
-/// same value before the parallel paths were deleted.
-const DEFAULT_REPLAY_DIGEST: u64 = 0xde77_798d_deee_0409;
+/// same value before the parallel paths were deleted. It read
+/// `0xde77_798d_deee_0409` while provenance charged a maintenance shipment
+/// for every remote head; every other part it hashes (rows, engine, network
+/// and provenance stats, store content, clock) is what that value hashed.
+const DEFAULT_REPLAY_DIGEST: u64 = 0xf834_0b34_298c_3873;
 
 /// A converge of a 24-node AS-like network under MINCOST, then link churn;
 /// the digest of what the platform ends in: every `minCost` row, the stats,
@@ -379,7 +384,8 @@ fn set_frame_merging_refuses_false() {
 }
 
 /// After a convergence plus churn nothing ran on a pool, no shard exchanged
-/// a record, and no relation carries the outbox prefix.
+/// a record, provenance shipped nothing of its own (a remote head's `prov`
+/// entry arrived on its record), and no relation carries the outbox prefix.
 #[test]
 fn the_counters_read_zero_after_a_converge_and_churn() {
     let topology = Topology::ring(6);
@@ -401,6 +407,9 @@ fn the_counters_read_zero_after_a_converge_and_churn() {
     assert_eq!(nt_pool::workers(), 0);
     assert_eq!(nt.stats().provenance_sharding.cross_shard_records, 0);
     assert_eq!(nt.provenance().shard_stats().cross_shard_records, 0);
+    assert_eq!(nt.stats().provenance_traffic, Default::default());
+    assert_eq!(nt.provenance().maintenance_traffic(), &Default::default());
+    assert!(nt.stats().provenance.prov_entries > 0);
     let engine = nt.engine("n1").unwrap();
     assert!(engine
         .database()

@@ -218,7 +218,7 @@ impl Platform for FullScan {
                 engine,
                 network: self.network.stats().clone(),
                 provenance: self.provenance.stats(),
-                provenance_traffic: self.provenance.maintenance_traffic().clone(),
+                provenance_traffic: Default::default(),
                 provenance_sharding: Default::default(),
                 stored_tuples,
             },
