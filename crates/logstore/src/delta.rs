@@ -237,9 +237,6 @@ impl SnapshotDelta {
             base.graph.edges.sort();
             base.graph.edges.dedup();
         }
-        if !self.graph.is_empty() {
-            base.graph.rebuild_adjacency();
-        }
         if let Some(traffic) = &self.traffic {
             base.traffic = traffic.clone();
         }

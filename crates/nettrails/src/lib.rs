@@ -57,14 +57,13 @@
 //! assert!(stats.latency_ms > 0.0, "measured, not modelled");
 //! ```
 
-pub mod demo;
 mod engines;
 #[doc(hidden)]
 pub mod fence;
 pub mod platform;
+mod proql;
 pub mod report;
 
-pub use demo::{DemoOutcome, DemoScript, DemoStep};
 pub use platform::{
     NetMessage, NetTrails, NetTrailsConfig, PlatformStats, QuerySession, RunReport, ServiceBuilder,
     ServiceRequest,

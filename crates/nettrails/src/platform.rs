@@ -948,7 +948,15 @@ mod tests {
 
     #[test]
     fn mincost_converges_on_a_line() {
-        let nt = mincost_on(Topology::line(4));
+        let mut nt = NetTrails::new(
+            protocols::mincost::PROGRAM,
+            Topology::line(4),
+            NetTrailsConfig::default(),
+        )
+        .unwrap();
+        nt.seed_links_from_topology();
+        let report = nt.run_to_fixpoint();
+        assert!(report.insertions > 0, "converging did real work");
         assert_eq!(min_cost(&nt, "n1", "n2"), Some(1));
         assert_eq!(min_cost(&nt, "n1", "n3"), Some(2));
         assert_eq!(min_cost(&nt, "n1", "n4"), Some(3));
@@ -1039,6 +1047,13 @@ mod tests {
             "base tuples of minCost are links"
         );
         assert!(!bases.is_empty());
+
+        let (result, stats) = nt.query(&target).from_node("n1").run();
+        let QueryResult::Lineage(tree) = result else {
+            panic!()
+        };
+        assert!(tree.size() > 1, "minCost(n1,n3) has a derivation");
+        assert!(stats.vertices_visited > 0);
     }
 
     /// The distributed session and the in-process oracle agree on every
@@ -1230,6 +1245,16 @@ mod tests {
             "stale cache entries must be evicted, not served"
         );
         assert_ne!(before, cached_after, "the link failure changed the proof");
+        let (nodes, _) = nt
+            .query(&fresh_target)
+            .from_node(node.as_str())
+            .kind(QueryKind::ParticipatingNodes)
+            .cached()
+            .run();
+        let QueryResult::ParticipatingNodes(nodes) = nodes else {
+            panic!()
+        };
+        assert!(nodes.contains(&nt_runtime::NodeId::new("n1")));
     }
 
     #[test]

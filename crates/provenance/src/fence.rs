@@ -1,15 +1,17 @@
 //! Names `benchmark/` still compiles against after the shard router,
-//! per-session frame sealing and the maintenance shipment behind them were
-//! deleted. A shim selects nothing: [`ProvenanceSystem::with_shards`]
-//! accepts one shard only, [`QueryExecutor::set_frame_merging`] accepts
-//! `true` only, [`ShardStats`] reports the exchange of a system with one
-//! arena, which is none, and [`ProvenanceSystem::maintenance_traffic`]
-//! reports the shipments of a system whose remote `prov` entries arrive on
-//! their records, which are none. Each shim carries a `fence:` tag citing the
-//! benchmark line that uses it; `scripts/ci_local.sh fence` lists them and
-//! checks the citations.
+//! per-session frame sealing, the maintenance shipment and the graph's
+//! adjacency index behind them were deleted. A shim selects nothing:
+//! [`ProvenanceSystem::with_shards`] accepts one shard only,
+//! [`QueryExecutor::set_frame_merging`] accepts `true` only, [`ShardStats`]
+//! reports the exchange of a system with one arena, which is none,
+//! [`ProvenanceSystem::maintenance_traffic`] reports the shipments of a
+//! system whose remote `prov` entries arrive on their records, which are
+//! none, and [`ProvGraph::rebuild_adjacency`] rebuilds nothing, since a graph
+//! holds only its vertices and edges. Each shim carries a `fence:` tag citing
+//! the benchmark line that uses it; `scripts/ci_local.sh fence` lists them
+//! and checks the citations.
 
-use crate::{ProvenanceSystem, QueryExecutor};
+use crate::{ProvGraph, ProvenanceSystem, QueryExecutor};
 use nt_runtime::NodeId;
 use simnet::TrafficStats;
 use std::sync::OnceLock;
@@ -71,4 +73,11 @@ impl QueryExecutor {
             panic!("{e}");
         }
     }
+}
+
+impl ProvGraph {
+    /// Does nothing: a graph keeps no index beside its vertices and edges.
+    // fence: benchmark/src/layered.rs:368
+    #[doc(hidden)]
+    pub fn rebuild_adjacency(&mut self) {}
 }

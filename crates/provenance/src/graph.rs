@@ -5,14 +5,15 @@
 //! results" (Section 2.3): per-node provenance is periodically captured in
 //! snapshots and propagated to the Log Store at the visualization node. This
 //! module builds that centralized graph — the acyclic graph G(V,E) with tuple
-//! vertices and rule-execution vertices — from a [`ProvenanceSystem`], for
-//! consumption by the `vis` crate (DOT export, hypertree layout) and the
-//! `logstore` crate (snapshots).
+//! vertices and rule-execution vertices — from a [`ProvenanceSystem`], as a
+//! record for the `logstore` crate (snapshots) and the `vis` crate (DOT
+//! export, hypertree layout). Queries do not read it: they run as sessions
+//! over the distributed stores.
 
 use crate::store::RuleExecId;
 use crate::system::ProvenanceSystem;
 use nt_runtime::codec::{Decode, DecodeError, Encode, Reader, Writer};
-use nt_runtime::{Addr, IdMap, NodeId, Sym, Tuple, TupleId};
+use nt_runtime::{Addr, NodeId, Sym, Tuple, TupleId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -86,14 +87,9 @@ pub struct ProvEdge {
     pub to: VertexId,
 }
 
-/// The assembled, centralized provenance graph.
-///
-/// Adjacency is materialized as posting lists (`out_adj`/`in_adj`), so
-/// [`ProvGraph::successors`] / [`ProvGraph::predecessors`] are O(degree)
-/// lookups instead of a scan over every edge. The lists are derived data:
-/// they are skipped by serialization and rebuilt on demand (equality compares
-/// vertices and edges only).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// The assembled, centralized provenance graph: a snapshot record of every
+/// vertex and every edge, nothing derived from them.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ProvGraph {
     /// Vertices keyed by identifier. Serialized as an entry list so the graph
     /// can be embedded in JSON snapshots (JSON maps need string keys).
@@ -104,18 +100,6 @@ pub struct ProvGraph {
     pub vertices: BTreeMap<VertexId, ProvVertex>,
     /// Edges (deduplicated, deterministic order).
     pub edges: Vec<ProvEdge>,
-    /// Posting lists: vertex -> successors (dataflow direction).
-    #[serde(skip)]
-    out_adj: IdMap<VertexId, Vec<VertexId>>,
-    /// Posting lists: vertex -> predecessors.
-    #[serde(skip)]
-    in_adj: IdMap<VertexId, Vec<VertexId>>,
-}
-
-impl PartialEq for ProvGraph {
-    fn eq(&self, other: &Self) -> bool {
-        self.vertices == other.vertices && self.edges == other.edges
-    }
 }
 
 fn serialize_vertices<S>(
@@ -252,7 +236,7 @@ impl Decode for ProvVertex {
 }
 
 /// The vertices, each once: a vertex's key is its own id, so it is not
-/// written beside it. Adjacency is left to be rebuilt, as serde leaves it.
+/// written beside it.
 impl Encode for ProvGraph {
     fn encode(&self, w: &mut Writer) {
         w.usize(self.vertices.len());
@@ -274,7 +258,6 @@ impl Decode for ProvGraph {
         Ok(ProvGraph {
             vertices,
             edges: Vec::decode(r)?,
-            ..Default::default()
         })
     }
 }
@@ -353,24 +336,7 @@ impl ProvGraph {
         }
         graph.edges.sort();
         graph.edges.dedup();
-        graph.rebuild_adjacency();
         graph
-    }
-
-    /// (Re)build the adjacency posting lists from `edges` (needed after
-    /// deserialization, where they are skipped).
-    pub fn rebuild_adjacency(&mut self) {
-        self.out_adj.clear();
-        self.in_adj.clear();
-        for e in &self.edges {
-            self.out_adj.entry(e.from).or_default().push(e.to);
-            self.in_adj.entry(e.to).or_default().push(e.from);
-        }
-    }
-
-    /// True when the posting lists are in sync with `edges`.
-    fn adjacency_built(&self) -> bool {
-        self.edges.is_empty() || !self.out_adj.is_empty()
     }
 
     /// Number of tuple vertices.
@@ -389,31 +355,6 @@ impl ProvGraph {
             .count()
     }
 
-    /// Outgoing edges of a vertex (posting-list lookup; falls back to an
-    /// edge scan when the lists have not been rebuilt after deserialization).
-    pub fn successors(&self, v: VertexId) -> Vec<VertexId> {
-        if self.adjacency_built() {
-            return self.out_adj.get(&v).cloned().unwrap_or_default();
-        }
-        self.edges
-            .iter()
-            .filter(|e| e.from == v)
-            .map(|e| e.to)
-            .collect()
-    }
-
-    /// Incoming edges of a vertex (posting-list lookup with scan fallback).
-    pub fn predecessors(&self, v: VertexId) -> Vec<VertexId> {
-        if self.adjacency_built() {
-            return self.in_adj.get(&v).cloned().unwrap_or_default();
-        }
-        self.edges
-            .iter()
-            .filter(|e| e.to == v)
-            .map(|e| e.from)
-            .collect()
-    }
-
     /// Base tuple vertices (the graph's sources).
     pub fn base_vertices(&self) -> Vec<VertexId> {
         self.vertices
@@ -425,14 +366,16 @@ impl ProvGraph {
             .collect()
     }
 
-    /// True when the graph contains no directed cycle (it never should; the
-    /// check is used by property tests and by the log-store integrity check).
+    /// True when the graph contains no directed cycle (it never should).
+    /// Tests call it; it reads `edges` in any order, decoded ones included.
     pub fn is_acyclic(&self) -> bool {
-        // Kahn's algorithm.
+        // Kahn's algorithm over successor lists built from the edges.
         let mut indegree: BTreeMap<VertexId, usize> =
             self.vertices.keys().map(|v| (*v, 0)).collect();
+        let mut successors: BTreeMap<VertexId, Vec<VertexId>> = BTreeMap::new();
         for e in &self.edges {
             *indegree.entry(e.to).or_insert(0) += 1;
+            successors.entry(e.from).or_default().push(e.to);
         }
         let mut queue: Vec<VertexId> = indegree
             .iter()
@@ -442,7 +385,7 @@ impl ProvGraph {
         let mut removed = 0usize;
         while let Some(v) = queue.pop() {
             removed += 1;
-            for succ in self.successors(v) {
+            for succ in successors.remove(&v).unwrap_or_default() {
                 let d = indegree.get_mut(&succ).expect("known vertex");
                 *d -= 1;
                 if *d == 0 {
@@ -499,12 +442,21 @@ mod tests {
     #[test]
     fn graph_has_tuple_and_rule_vertices_and_is_acyclic() {
         let sys = sample_system();
-        let graph = ProvGraph::from_system(&sys);
+        let mut graph = ProvGraph::from_system(&sys);
         assert_eq!(graph.tuple_vertex_count(), 2);
         assert_eq!(graph.rule_exec_count(), 1);
         assert_eq!(graph.edges.len(), 2);
         assert!(graph.is_acyclic());
         assert_eq!(graph.base_vertices().len(), 1);
+        // Decoded edges need not be sorted, and a back edge is a cycle.
+        graph.edges.reverse();
+        assert!(graph.is_acyclic());
+        let back = ProvEdge {
+            from: graph.edges[0].to,
+            to: graph.edges[0].from,
+        };
+        graph.edges.push(back);
+        assert!(!graph.is_acyclic());
     }
 
     #[test]
@@ -512,12 +464,30 @@ mod tests {
         let sys = sample_system();
         let graph = ProvGraph::from_system(&sys);
         let base = graph.base_vertices()[0];
-        let succs = graph.successors(base);
+        let from = |v: VertexId| -> Vec<VertexId> {
+            graph
+                .edges
+                .iter()
+                .filter(|e| e.from == v)
+                .map(|e| e.to)
+                .collect()
+        };
+        let to = |v: VertexId| -> Vec<VertexId> {
+            graph
+                .edges
+                .iter()
+                .filter(|e| e.to == v)
+                .map(|e| e.from)
+                .collect()
+        };
+        let succs = from(base);
         assert_eq!(succs.len(), 1);
         assert!(matches!(succs[0], VertexId::RuleExec(_)));
-        let derived = graph.successors(succs[0]);
+        let derived = from(succs[0]);
         assert_eq!(derived.len(), 1);
-        assert_eq!(graph.predecessors(derived[0]), succs);
+        assert!(matches!(derived[0], VertexId::Tuple(_)));
+        assert_eq!(to(derived[0]), succs);
+        assert_eq!(to(succs[0]), vec![base]);
     }
 
     #[test]

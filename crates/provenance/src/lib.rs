@@ -22,11 +22,17 @@
 //!   or through the legacy in-process recursion ([`QueryEngine`],
 //!   `QueryMode::Local`), with a property suite proving the two bit-identical.
 //!
+//! The [`proql`] module parses a small ProQL-style path language (the
+//! paper's ongoing-work note); `NetTrails::proql` compiles its queries to
+//! lineage sessions of the distributed query engine, so no query reads a
+//! central graph.
+//!
 //! The [`graph`] module assembles a global (centralized) view of the
 //! distributed graph for the visualizer and the log store, matching the
 //! "system snapshots propagated to a central Log Store" workflow of Section
-//! 2.3. That graph, its vertex, edge and id types and [`ProvStoreStats`] are
-//! what a snapshot carries of provenance, and the only types here with a
+//! 2.3. It is a snapshot record, not a query structure: vertices and edges,
+//! no index. That graph, its vertex, edge and id types and [`ProvStoreStats`]
+//! are what a snapshot carries of provenance, and the only types here with a
 //! serialized form. The stores, the system, firings and query batches have
 //! none: nothing rebuilds them from bytes, only maintenance writes them.
 

@@ -6,30 +6,11 @@
 //! cargo run --example mincost_demo
 //! ```
 
-use logstore::{LogStore, NodeSnapshot, Replay, SystemSnapshot};
+use logstore::{LogStore, Replay};
 use nettrails::{NetTrails, NetTrailsConfig};
 use provenance::{QueryKind, QueryResult};
 use simnet::{Topology, TopologyEvent};
 use vis::{focus_on, render_topology_summary, HypertreeLayout};
-
-fn snapshot(nt: &NetTrails) -> SystemSnapshot {
-    let mut snap = SystemSnapshot {
-        time: nt.now(),
-        topology: nt.network().topology().clone(),
-        graph: nt.provenance_graph(),
-        traffic: nt.network().stats().clone(),
-        ..Default::default()
-    };
-    for node in nt.nodes() {
-        let engine = nt.engine(&node).expect("engine exists");
-        snap.nodes.insert(
-            node,
-            NodeSnapshot::capture(&node, engine.database(), nt.provenance()),
-        );
-    }
-    snap.stamp_dictionary();
-    snap
-}
 
 fn main() {
     let topology = Topology::ladder(4); // 2x4 grid: several alternative paths.
@@ -45,7 +26,7 @@ fn main() {
     nt.run_to_fixpoint();
 
     let mut log_store = LogStore::new();
-    log_store.add(snapshot(&nt));
+    log_store.add(nt.capture_snapshot());
 
     // Screenshot (a): the system-wide snapshot at time T.
     let graph = nt.provenance_graph();
@@ -104,7 +85,7 @@ fn main() {
         report.tuples_touched(),
         report.deliveries
     );
-    log_store.add(snapshot(&nt));
+    log_store.add(nt.capture_snapshot());
 
     // Replay the stored snapshots the way the visualizer would.
     let mut replay = Replay::new(&log_store);

@@ -192,6 +192,15 @@ test_job() {
     #   provenance query::wire::tests — a count is 8 B and names nothing, a
     #     node set 2 + 4 B per node and names only nodes, a base set names its
     #     tuples;
+    # the ProQL oracle (NetTrails::proql compiles a query to lineage
+    # sessions; tests/proql_sessions.rs keeps the graph walk it replaced):
+    #   nettrails proql_sessions (sessions_answer_what_the_graph_walk_answers)
+    #     — every shipped protocol on a ladder, at quiescence and after a
+    #     link down, every derived relation with and without a node, through
+    #     fourteen step lists, equals the walk over provenance_graph(); it
+    #     caught `back N` issued as max_depth N+1, `bases` keeping every
+    #     pruned leaf, `@n` ignored and `nodes` taken from a
+    #     ParticipatingNodes fold;
     # the laws of the one map hasher:
     #   nt-intern id_hasher — equal keys hash equal, and the low 16 bits and
     #     the top-7-bit tags of four key families (sequential handles, tuple

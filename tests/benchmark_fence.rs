@@ -9,8 +9,9 @@
 //! platform's replay digest, that every other value is refused — an `Err`
 //! naming the field from `NetTrails::new`, a panic naming the fence from the
 //! constructors whose fenced signatures return `Self` and from
-//! `QueryExecutor::set_frame_merging` — and that the
-//! counters read 0 after a convergence plus churn.
+//! `QueryExecutor::set_frame_merging` — that the
+//! counters read 0 after a convergence plus churn, and that
+//! `ProvGraph::rebuild_adjacency` leaves a captured graph as it was.
 //!
 //! Mutations it caught: a `NetTrails::new` that accepts `prov_shards: 2`
 //! without a word. `NetMessage::Delta` is a variant nothing constructs; the
@@ -18,7 +19,7 @@
 
 use nettrails::{NetTrails, NetTrailsConfig};
 use nt_runtime::{
-    CompiledProgram, EngineConfig, NodeEngine, RuntimeError, StableHasher, Tuple, Value,
+    codec, CompiledProgram, EngineConfig, NodeEngine, RuntimeError, StableHasher, Tuple, Value,
 };
 use provenance::{ProvenanceSystem, QueryExecutor};
 use simnet::{Link, Topology, TopologyEvent};
@@ -28,7 +29,7 @@ use std::sync::Arc;
 
 /// Every shim, as `crate file: item`. A tag added to or removed from the
 /// source without this list changing fails `the_ledger_lists_every_tag`.
-const LEDGER: [&str; 23] = [
+const LEDGER: [&str; 24] = [
     "crates/nettrails/src/platform.rs: Delta",
     "crates/nettrails/src/platform.rs: columnar_storage",
     "crates/nettrails/src/platform.rs: fixpoint_dispatch_threshold",
@@ -43,6 +44,7 @@ const LEDGER: [&str; 23] = [
     "crates/provenance/Cargo.toml: nt-pool",
     "crates/provenance/src/fence.rs: cross_shard_records",
     "crates/provenance/src/fence.rs: maintenance_traffic",
+    "crates/provenance/src/fence.rs: rebuild_adjacency",
     "crates/provenance/src/fence.rs: set_frame_merging",
     "crates/provenance/src/fence.rs: shard_stats",
     "crates/provenance/src/fence.rs: with_shards",
@@ -415,4 +417,25 @@ fn the_counters_read_zero_after_a_converge_and_churn() {
         .database()
         .tables()
         .all(|t| !t.schema.name.starts_with(nt_runtime::engine::OUTBOX_PREFIX)));
+}
+
+/// A graph is its vertices and edges: rebuilding the adjacency the
+/// benchmark's capture still asks for leaves a captured graph equal, and
+/// its encoded bytes identical.
+#[test]
+fn rebuild_adjacency_leaves_a_captured_graph_as_it_was() {
+    let mut nt = NetTrails::new(
+        protocols::mincost::PROGRAM,
+        Topology::ladder(3),
+        NetTrailsConfig::default(),
+    )
+    .unwrap();
+    nt.seed_links_from_topology();
+    nt.run_to_fixpoint();
+    let captured = nt.capture_snapshot().graph;
+    assert!(!captured.edges.is_empty());
+    let mut graph = captured.clone();
+    graph.rebuild_adjacency();
+    assert_eq!(graph, captured);
+    assert_eq!(codec::encode(&graph), codec::encode(&captured));
 }

@@ -5,7 +5,7 @@
 //! measured off the network clock.
 
 use nettrails::{NetTrails, NetTrailsConfig};
-use provenance::{proql, QueryKind, QueryMode, QueryResult, TraversalOrder};
+use provenance::{parse_proql, QueryKind, QueryMode, QueryResult, TraversalOrder};
 use simnet::Topology;
 
 fn platform() -> NetTrails {
@@ -177,10 +177,9 @@ fn distributed_mode_matches_local_mode() {
 #[test]
 fn proql_queries_agree_with_the_query_engine() {
     let mut nt = platform();
-    let graph = nt.provenance_graph();
     // ProQL: all base tuples reachable backwards from bestPathCost tuples at n1.
-    let q = proql::parse_query("from bestPathCost@n1 back bases").unwrap();
-    let proql_bases = match proql::evaluate(&graph, &q) {
+    let q = parse_proql("from bestPathCost@n1 back bases").unwrap();
+    let proql_bases = match nt.proql(&q) {
         provenance::ProqlResult::Vertices(v) => v,
         other => panic!("unexpected {other:?}"),
     };
