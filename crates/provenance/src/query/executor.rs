@@ -1,5 +1,5 @@
 //! Query execution engines: the step-driven distributed [`QueryExecutor`]
-//! and the legacy in-process [`QueryEngine`].
+//! and the legacy in-process [`QueryEngine`](super::local::QueryEngine).
 //!
 //! ## The distributed executor
 //!
@@ -49,171 +49,25 @@
 //! each record once and stores the body length in the [`QueryBatch`].
 //! `crates/nettrails/tests/allocations_per_session.rs` counts what is left,
 //! by owner.
-//!
-//! ## The legacy engine
-//!
-//! [`QueryEngine`] is the original synchronous recursion over
-//! [`ProvenanceSystem`], folding through the same `query::fold` as the
-//! executor. It generates no wire traffic and *estimates* hop
-//! latency from [`QueryEngine::hop_rtt_ms`]. It remains the
-//! [`QueryMode::Local`] path: the equivalence oracle, and the natural
-//! choice for single-process embeddings (the BGP harness, the log store).
-//!
-//! Both engines share one [`QueryCache`] design: entries are keyed
-//! `(vid, node, kind)`, hold the kind's value of the subtree, and are
-//! stamped with the mutation version of every store the subtree was read
-//! from, so a sub-result cached before an incremental delete can never be
-//! served after it — the cache is consulted, found stale, evicted and
-//! recomputed. A lineage tree names those stores and a node set is them;
-//! a cached count or base set has its frames carry the node set beside the
-//! value (`Folded::nodes`), which is what its stamp is made of.
 
 use crate::query::api::{
-    ProofTree, QueryHandle, QueryKind, QueryMode, QueryOptions, QueryResult, QuerySpec, QueryStats,
-    RuleExecNode, TraversalOrder, QUERY_CATEGORY,
+    ProofTree, QueryHandle, QueryResult, QuerySpec, QueryStats, RuleExecNode, TraversalOrder,
+    QUERY_CATEGORY,
 };
+use crate::query::cache::{absorb, QueryCache};
 use crate::query::fold::{Fold, Folded, Head};
 use crate::query::wire::{QueryBatch, QueryOp};
 use crate::store::{ProvEntry, RuleExecId};
 use crate::system::ProvenanceSystem;
-use nt_runtime::{Dictionary, IdMap, IdSet, NodeId, Sym, Tuple, TupleId};
+use nt_runtime::{Dictionary, IdMap, NodeId, Sym, Tuple, TupleId};
 use simnet::{SimTime, TrafficStats};
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
-// ---------------------------------------------------------------------------
-// shared result cache
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone)]
-struct CacheEntry {
-    value: QueryResult,
-    /// Mutation version of every store the subtree was read from (its own
-    /// home plus every descendant vertex's home and executing node), at the
-    /// time it was computed. `None` records a store that did not exist.
-    deps: Vec<(NodeId, Option<u64>)>,
-}
-
-/// Result cache shared in design by both engines: `(vid, node, kind)` → the
-/// kind's value of the subtree, validated on every lookup against the
-/// mutation versions of **all** the stores the subtree was read from — not
-/// just the root's home, since a descendant node's churn changes the
-/// subtree without touching the root's own store. Maintenance that touches
-/// any involved store (incremental deletes included) bumps its version, so
-/// stale entries are evicted instead of served.
-#[derive(Debug, Default)]
-pub struct QueryCache {
-    map: IdMap<(TupleId, NodeId, QueryKind), CacheEntry>,
-}
-
-impl QueryCache {
-    /// Look up a cached subtree, evicting it if any store it depends on has
-    /// changed since it was computed. A stamped fold's hit carries the
-    /// entry's stamp as its node set.
-    fn lookup(
-        &mut self,
-        system: &ProvenanceSystem,
-        vid: TupleId,
-        node: NodeId,
-        fold: Fold,
-    ) -> Option<Folded<ProofTree>> {
-        match self.map.entry((vid, node, fold.kind)) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                let entry = e.get();
-                let fresh = entry
-                    .deps
-                    .iter()
-                    .all(|(dep, version)| system.store(*dep).map(|s| s.version()) == *version);
-                if fresh {
-                    Some(Folded {
-                        value: entry.value.clone(),
-                        nodes: fold
-                            .stamped
-                            .then(|| entry.deps.iter().map(|(dep, _)| *dep).collect()),
-                    })
-                } else {
-                    e.remove();
-                    None
-                }
-            }
-            std::collections::hash_map::Entry::Vacant(_) => None,
-        }
-    }
-
-    /// Cache a computed subtree, stamped with the current version of every
-    /// store it was read from.
-    fn insert(
-        &mut self,
-        system: &ProvenanceSystem,
-        vid: TupleId,
-        node: NodeId,
-        kind: QueryKind,
-        done: &Folded<ProofTree>,
-    ) {
-        // The stores a subtree was read from are the nodes its tree names:
-        // a lineage value is that tree, a node-set value is that set, and
-        // a stamped fold carries the set beside its value. Both engines
-        // stamp identically by construction.
-        let mut nodes: BTreeSet<NodeId> = BTreeSet::new();
-        nodes.insert(node);
-        match (&done.nodes, &done.value) {
-            (Some(stamp), _) => nodes.extend(stamp),
-            (None, QueryResult::Lineage(tree)) => collect_nodes(tree, &mut nodes),
-            (None, QueryResult::ParticipatingNodes(set)) => nodes.extend(set),
-            (None, _) => unreachable!("a stamped fold carries its node set"),
-        }
-        let deps = nodes
-            .into_iter()
-            .map(|n| (n, system.store(n).map(|s| s.version())))
-            .collect();
-        self.map.insert(
-            (vid, node, kind),
-            CacheEntry {
-                value: done.value.clone(),
-                deps,
-            },
-        );
-    }
-
-    /// Number of cached subtrees.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Drop every cached subtree.
-    pub fn clear(&mut self) {
-        self.map.clear();
-    }
-}
-
-/// Every node a proof tree touches: each vertex's home and each rule
-/// execution's node, the stores the tree was read from.
-fn collect_nodes(tree: &ProofTree, out: &mut BTreeSet<NodeId>) {
-    out.insert(tree.home);
-    for d in &tree.derivations {
-        out.insert(d.node);
-        for input in &d.inputs {
-            collect_nodes(input, out);
-        }
-    }
-}
-
-/// Add a child subtree's node set to its parent's, under a stamped fold.
-fn absorb(nodes: &mut Option<BTreeSet<NodeId>>, child: Option<BTreeSet<NodeId>>) {
-    if let (Some(nodes), Some(child)) = (nodes, child) {
-        nodes.extend(child);
-    }
-}
-
 /// A vertex read at `node`, the node it is expanded at: its tuple and its
 /// `prov` entries in one probe. A node without the vertex has no entries
 /// for it, and the tuple is read at the vertex's home.
-fn read_vertex(
+pub(super) fn read_vertex(
     system: &ProvenanceSystem,
     node: NodeId,
     vid: TupleId,
@@ -221,246 +75,6 @@ fn read_vertex(
     match system.store(node).and_then(|s| s.vertex(vid)) {
         Some((tuple, entries)) => (Some(tuple), entries),
         None => (system.tuple_at(node, vid), &[]),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// the legacy in-process engine (QueryMode::Local)
-// ---------------------------------------------------------------------------
-
-/// The in-process provenance query engine: a synchronous recursion over the
-/// distributed stores, with modelled (not measured) hop latency. This is the
-/// [`QueryMode::Local`] execution path; see the module documentation.
-#[derive(Debug)]
-pub struct QueryEngine {
-    cache: QueryCache,
-    /// Cumulative traffic across queries.
-    traffic: TrafficStats,
-    /// Modelled round-trip time charged per cross-node hop, in milliseconds
-    /// (the distributed executor *measures* this instead). Drivers that also
-    /// run a network should set it to twice the network's per-link delay so
-    /// the estimate matches what the wire would measure.
-    pub hop_rtt_ms: f64,
-}
-
-impl Default for QueryEngine {
-    fn default() -> Self {
-        QueryEngine {
-            cache: QueryCache::default(),
-            traffic: TrafficStats::default(),
-            hop_rtt_ms: 2.0,
-        }
-    }
-}
-
-impl QueryEngine {
-    /// Create an engine with an empty cache and the default hop estimate.
-    pub fn new() -> Self {
-        QueryEngine::default()
-    }
-
-    /// Create an engine whose latency estimate charges `hop_rtt_ms` per
-    /// cross-node hop.
-    pub fn with_hop_rtt_ms(hop_rtt_ms: f64) -> Self {
-        QueryEngine {
-            hop_rtt_ms,
-            ..QueryEngine::default()
-        }
-    }
-
-    /// Cumulative query traffic (all queries so far).
-    pub fn traffic(&self) -> &TrafficStats {
-        &self.traffic
-    }
-
-    /// Clear the result cache.
-    pub fn clear_cache(&mut self) {
-        self.cache.clear();
-    }
-
-    /// Number of cached subtrees.
-    pub fn cache_size(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// Run a query of `kind` for the tuple `target`, issued from `querier`.
-    ///
-    /// The tuple's home node is looked up in the provenance system; an
-    /// unknown tuple yields an empty result.
-    pub fn query(
-        &mut self,
-        system: &ProvenanceSystem,
-        querier: &str,
-        target: &Tuple,
-        kind: QueryKind,
-        options: &QueryOptions,
-    ) -> (QueryResult, QueryStats) {
-        self.query_vid(system, querier, target.id(), kind, options)
-    }
-
-    /// Run a query addressed directly by VID.
-    pub fn query_vid(
-        &mut self,
-        system: &ProvenanceSystem,
-        querier: &str,
-        vid: TupleId,
-        kind: QueryKind,
-        options: &QueryOptions,
-    ) -> (QueryResult, QueryStats) {
-        let spec = QuerySpec {
-            querier: NodeId::new(querier),
-            vid,
-            kind,
-            mode: QueryMode::Local,
-            options: options.clone(),
-        };
-        self.run(system, &spec)
-    }
-
-    /// Run a compiled [`QuerySpec`] synchronously.
-    pub fn run(
-        &mut self,
-        system: &ProvenanceSystem,
-        spec: &QuerySpec,
-    ) -> (QueryResult, QueryStats) {
-        let mut stats = QueryStats::default();
-        let home = system.vertex_home(spec.vid).unwrap_or(spec.querier);
-        // The querying node contacts the tuple's home node.
-        if home != spec.querier {
-            self.charge(&mut stats, spec.querier, home, 64);
-        }
-        let mut visited = IdSet::default();
-        let fold = Fold::new(spec.kind, spec.options.use_cache);
-        let done = self.expand(
-            system,
-            home,
-            spec.vid,
-            0,
-            fold,
-            &spec.options,
-            &mut stats,
-            &mut visited,
-        );
-        (done.value, stats)
-    }
-
-    /// Fold the proof of `vid`, whose `prov` entries live at `node`.
-    #[allow(clippy::too_many_arguments)]
-    fn expand(
-        &mut self,
-        system: &ProvenanceSystem,
-        node: NodeId,
-        vid: TupleId,
-        depth: usize,
-        fold: Fold,
-        options: &QueryOptions,
-        stats: &mut QueryStats,
-        visited: &mut IdSet<TupleId>,
-    ) -> Folded<ProofTree> {
-        stats.vertices_visited += 1;
-        if options.use_cache {
-            if let Some(hit) = self.cache.lookup(system, vid, node, fold) {
-                stats.cache_hits += 1;
-                return hit;
-            }
-        }
-        let (tuple, entries) = read_vertex(system, node, vid);
-        let mut head = Head::new(vid, node, fold.tuple(tuple, entries));
-        let mut nodes = fold.nodes(node);
-        // Cycle guard (the provenance graph is acyclic by construction, but a
-        // malformed store must not hang the query engine).
-        if !visited.insert(vid) {
-            return Folded {
-                value: fold.vertex(head, Vec::new()),
-                nodes,
-            };
-        }
-        if let Some(max_depth) = options.max_depth {
-            if depth >= max_depth {
-                head.pruned = true;
-                visited.remove(&vid);
-                return Folded {
-                    value: fold.vertex(head, Vec::new()),
-                    nodes,
-                };
-            }
-        }
-        let mut expanded = 0usize;
-        let mut derivations = Vec::new();
-        let mut frontier_hops: Vec<f64> = Vec::new();
-        for entry in entries {
-            if entry.is_base() {
-                head.is_base = true;
-                continue;
-            }
-            if let Some(limit) = options.max_derivations_per_vertex {
-                if expanded >= limit {
-                    head.pruned = true;
-                    break;
-                }
-            }
-            expanded += 1;
-            let rid = entry.rid.expect("non-base entry has rid");
-            // Fetch the ruleExec record from the node where the rule fired.
-            if entry.rloc != node {
-                self.charge(stats, node, entry.rloc, 96);
-                frontier_hops.push(self.hop_rtt_ms);
-            }
-            let Some(exec) = system.store(entry.rloc).and_then(|s| s.rule_exec(rid)) else {
-                continue;
-            };
-            let mut exec_nodes = fold.nodes(exec.node);
-            // Inputs are local to the executing node: recurse there.
-            let inputs = exec
-                .inputs
-                .iter()
-                .map(|input| {
-                    let done = self.expand(
-                        system,
-                        entry.rloc,
-                        *input,
-                        depth + 1,
-                        fold,
-                        options,
-                        stats,
-                        visited,
-                    );
-                    absorb(&mut exec_nodes, done.nodes);
-                    Some(done.value)
-                })
-                .collect();
-            derivations.push(Some(fold.exec(rid, exec.rule, exec.node, inputs)));
-            absorb(&mut nodes, exec_nodes);
-        }
-        visited.remove(&vid);
-        let pruned = head.pruned;
-        let done = Folded {
-            value: fold.vertex(head, derivations),
-            nodes,
-        };
-        if options.use_cache && !pruned {
-            self.cache.insert(system, vid, node, fold.kind, &done);
-        }
-        // Latency model: depth-first pays every hop sequentially; breadth-first
-        // overlaps the hops of sibling derivations.
-        match options.traversal {
-            TraversalOrder::DepthFirst => {
-                stats.latency_ms += frontier_hops.iter().sum::<f64>();
-            }
-            TraversalOrder::BreadthFirst => {
-                stats.latency_ms += frontier_hops.iter().cloned().fold(0.0, f64::max);
-            }
-        }
-        done
-    }
-
-    fn charge(&mut self, stats: &mut QueryStats, from: NodeId, to: NodeId, bytes: usize) {
-        // Request + reply.
-        stats.messages += 2;
-        stats.records += 2;
-        stats.bytes += (bytes + 64) as u64;
-        self.traffic.record(from, to, QUERY_CATEGORY, bytes);
-        self.traffic.record(to, from, QUERY_CATEGORY, 64);
     }
 }
 
@@ -1525,6 +1139,9 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::api::{QueryKind, QueryMode, QueryOptions};
+    use crate::query::local::QueryEngine;
+    use nt_runtime::IdSet;
     use nt_runtime::{Firing, Value, BASE_RULE};
 
     fn tuple(rel: &str, node: &str, x: i64) -> Tuple {

@@ -51,14 +51,17 @@
 //! optimizations "effectively reduce the network traffic".
 
 pub mod api;
+pub mod cache;
 pub mod executor;
 pub mod fold;
+pub mod local;
 pub mod wire;
 
 pub use api::{
     ProofTree, QueryHandle, QueryKind, QueryMode, QueryOptions, QueryResult, QuerySpec, QueryStats,
     RuleExecNode, TraversalOrder, QUERY_CATEGORY,
 };
-pub use executor::{QueryEngine, QueryExecutor};
+pub use executor::QueryExecutor;
 pub use fold::Folded;
+pub use local::QueryEngine;
 pub use wire::{QueryBatch, QueryOp};
