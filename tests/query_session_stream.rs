@@ -1,38 +1,43 @@
 //! The query executor's session stream, pinned: every frame each
 //! [`QueryExecutor::poll`] seals and every session's answer, in order.
 //!
-//! A converged network's provenance is queried by a standalone executor that
-//! ships its frames through a simulated network of the same topology, one
-//! poll per delivery instant. For every poll the digest takes each frame's
-//! endpoints, direction, dictionary and records (qid, frame id and payload
-//! included); for every session its result, [`QueryStats`] (latency
-//! included) and what `take_partials` drains. The sweep is {depth-first,
-//! breadth-first} × the four kinds × cache on / off × {no bound,
-//! `max_depth`, `max_derivations_per_vertex`}, each a wave of concurrent
-//! sessions from local and remote queriers, then one wave with a
-//! cancellation, on MINCOST and the anchored path-vector program, at
-//! convergence and again after a link down (one executor throughout, so
-//! cached waves meet entries made stale by the link down).
+//! A provenance system is queried by a standalone executor that ships its
+//! frames through a simulated network of the same nodes, one poll per
+//! delivery instant. For every poll the digest takes each frame's endpoints,
+//! direction, dictionary and records (qid, frame id and payload included);
+//! for every session its result, [`QueryStats`] (latency included) and what
+//! `take_partials` drains. The sweep is {depth-first, breadth-first} × the
+//! four kinds × cache on / off × {no bound, `max_depth`,
+//! `max_derivations_per_vertex`}, each a wave of six concurrent sessions
+//! from local and remote queriers, then a cancellation wave per kind. It runs
+//! on MINCOST and the anchored path-vector program, at convergence and again
+//! after a link down (one executor throughout, so cached waves meet entries
+//! made stale by the link down), and on a seeded graph whose derivations
+//! mostly fire at home, with every wave starting cold, so a wave's sessions
+//! meet what its earlier sessions cached.
 //!
 //! Tests that compare answers or multisets do not see the order a session
-//! stages its records in, nor which frame ids it hands out. This one does.
-//! It was pinned before the executor's frame scan was made one routine, and
-//! caught three seeded mutations of that scan:
+//! stages its records and streams its partials in, nor which frame ids it
+//! hands out. This one does. Its digests were taken before the executor's
+//! frame scan was made one routine, and it caught three seeded mutations of
+//! that scan:
 //!
 //! * a breadth-first frame with no child that completes inline instead of
-//!   through its queued advance;
-//! * depth-first at width 2;
-//! * a rule execution's inputs issued in reverse order.
+//!   through its queued advance (the seeded graph: a root's two local
+//!   derivations stream in the other order when one waits on a base vertex
+//!   and the other on a cached one);
+//! * depth-first at width 2 (all three);
+//! * a rule execution's inputs issued in reverse order (all three).
 
 #[path = "common/engine_runs.rs"]
 #[allow(dead_code)]
 mod engine_runs;
 
 use nettrails::{NetTrails, NetTrailsConfig};
-use nt_runtime::{Addr, NodeId, StableHasher, Tuple, Value};
+use nt_runtime::{Addr, Firing, NodeId, StableHasher, Tuple, Value, BASE_RULE};
 use provenance::{
-    QueryBatch, QueryExecutor, QueryHandle, QueryKind, QueryMode, QueryOptions, QuerySpec,
-    TraversalOrder, QUERY_CATEGORY,
+    ProvenanceSystem, QueryBatch, QueryExecutor, QueryHandle, QueryKind, QueryMode, QueryOptions,
+    QuerySpec, TraversalOrder, QUERY_CATEGORY,
 };
 use simnet::{Network, NetworkConfig, Topology, TopologyEvent};
 
@@ -101,15 +106,14 @@ impl Stream {
 
     /// One pump step: flush, then deliver everything due at the next
     /// instant. False when nothing was in flight.
-    fn step(&mut self, nt: &NetTrails) -> bool {
+    fn step(&mut self, system: &ProvenanceSystem) -> bool {
         self.flush();
         if self.network.idle() {
             return false;
         }
         for delivered in self.network.advance() {
             let now = self.network.now();
-            self.executor
-                .deliver(nt.provenance(), delivered.payload, now);
+            self.executor.deliver(system, delivered.payload, now);
         }
         true
     }
@@ -117,11 +121,11 @@ impl Stream {
     /// Submit `specs` at once, pump to the end and digest every session's
     /// outcome in submission order. With `cancel_at`, the first session
     /// still running after that many pump steps is cancelled.
-    fn wave(&mut self, nt: &NetTrails, specs: Vec<QuerySpec>, cancel_at: Option<usize>) {
+    fn wave(&mut self, system: &ProvenanceSystem, specs: Vec<QuerySpec>, cancel_at: Option<usize>) {
         let now = self.network.now();
         let handles: Vec<QueryHandle> = specs
             .into_iter()
-            .map(|spec| self.executor.submit(nt.provenance(), spec, now))
+            .map(|spec| self.executor.submit(system, spec, now))
             .collect();
         let mut steps = 0;
         while handles.iter().any(|h| !self.executor.is_done(*h)) || !self.network.idle() {
@@ -131,7 +135,10 @@ impl Stream {
                     self.executor.cancel(victim, now);
                 }
             }
-            assert!(self.step(nt) || self.executor.idle(), "sessions stalled");
+            assert!(
+                self.step(system) || self.executor.idle(),
+                "sessions stalled"
+            );
             steps += 1;
             assert!(steps < 100_000, "sessions failed to converge");
         }
@@ -175,12 +182,17 @@ fn specs(
         .collect()
 }
 
-/// The whole sweep, then a cancellation wave per kind, at the network's
-/// current state.
-fn sweep(stream: &mut Stream, nt: &NetTrails, relation: &str) {
-    let targets = nt.relation(relation);
-    assert!(targets.len() >= 6, "{relation} has targets");
-    let nodes: Vec<NodeId> = nt.nodes();
+/// The whole sweep over `targets`, then a cancellation wave per kind, at the
+/// system's current state. With `cold`, every wave starts with an empty
+/// cache, so its sessions meet only what the wave's earlier sessions cached.
+fn sweep(
+    stream: &mut Stream,
+    system: &ProvenanceSystem,
+    targets: &[(Addr, Tuple)],
+    nodes: &[NodeId],
+    cold: bool,
+) {
+    assert!(targets.len() >= 6, "enough targets");
     let mut first = 0;
     for traversal in [TraversalOrder::DepthFirst, TraversalOrder::BreadthFirst] {
         for kind in KINDS {
@@ -192,7 +204,11 @@ fn sweep(stream: &mut Stream, nt: &NetTrails, relation: &str) {
                         max_depth: (bound == 1).then_some(2),
                         max_derivations_per_vertex: (bound == 2).then_some(1),
                     };
-                    stream.wave(nt, specs(&targets, &nodes, first, kind, &options), None);
+                    let wave = specs(targets, nodes, first, kind, &options);
+                    if cold {
+                        stream.executor.clear_cache();
+                    }
+                    stream.wave(system, wave, None);
                     first += 1;
                 }
             }
@@ -208,8 +224,8 @@ fn sweep(stream: &mut Stream, nt: &NetTrails, relation: &str) {
             traversal,
             ..QueryOptions::default()
         };
-        let wave = specs(&targets, &nodes, first + i, kind, &options);
-        stream.wave(nt, wave, Some(1 + i % 2));
+        let wave = specs(targets, nodes, first + i, kind, &options);
+        stream.wave(system, wave, Some(1 + i % 2));
     }
 }
 
@@ -231,14 +247,26 @@ fn session_stream(
     }
     nt.run_to_fixpoint();
     let mut stream = Stream::new(topology);
-    sweep(&mut stream, &nt, relation);
+    sweep(
+        &mut stream,
+        nt.provenance(),
+        &nt.relation(relation),
+        &nt.nodes(),
+        false,
+    );
     let event = TopologyEvent::LinkDown {
         a: down.0.to_string(),
         b: down.1.to_string(),
     };
     nt.apply_topology_event(&event);
     stream.network.topology_mut().apply(&event);
-    sweep(&mut stream, &nt, relation);
+    sweep(
+        &mut stream,
+        nt.provenance(),
+        &nt.relation(relation),
+        &nt.nodes(),
+        false,
+    );
     assert!(stream.executor.idle(), "every session ended");
     assert_eq!(stream.cancelled, 8, "every cancellation wave cancelled one");
     let digest = stream.digest.finish();
@@ -271,6 +299,117 @@ fn anchored_path_vector_sessions_keep_their_stream() {
         (&down.0, &down.1),
     );
     assert_eq!(got, (917, 2730, 624, 17574258075903984077));
+}
+
+#[test]
+fn a_seeded_provenance_graph_keeps_its_stream() {
+    let topology = Topology::ring(5);
+    let nodes: Vec<NodeId> = topology.nodes().map(NodeId::new).collect();
+    let (system, targets) = seeded_graph(&nodes, 48, 12);
+    let mut stream = Stream::new(topology);
+    sweep(&mut stream, &system, &targets, &nodes, true);
+    assert!(stream.executor.idle(), "every session ended");
+    assert_eq!(stream.cancelled, 4, "every cancellation wave cancelled one");
+    let got = (
+        stream.polls,
+        stream.frames,
+        stream.sessions,
+        stream.digest.finish(),
+    );
+    assert_eq!(got, (493, 809, 312, 18278895229064243519));
+}
+
+/// SplitMix64.
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        ((z ^ (z >> 31)) % n as u64) as usize
+    }
+}
+
+/// A seeded provenance graph of shapes the protocol programs rarely grow:
+/// vertices that are base and derived at once, up to three derivations per
+/// vertex, fired at the vertex's home or at another node, and inputs drawn
+/// from a few vertices per node, so many executions share them and
+/// breadth-first sessions under caching defer onto in-flight duplicates.
+/// Returns the system and its derived vertices, each with its home.
+fn seeded_graph(
+    nodes: &[NodeId],
+    vertices: i64,
+    seed: u64,
+) -> (ProvenanceSystem, Vec<(Addr, Tuple)>) {
+    let mut rng = Rng(seed);
+    let mut system = ProvenanceSystem::new(nodes.iter().copied());
+    let mut at: Vec<Vec<Tuple>> = vec![Vec::new(); nodes.len()];
+    let mut derived = Vec::new();
+    let fire = |system: &mut ProvenanceSystem,
+                rule: &str,
+                node: NodeId,
+                head: &Tuple,
+                home: NodeId,
+                inputs: &[Tuple]| {
+        system.apply_firing(&Firing {
+            rule: rule.into(),
+            node,
+            head: head.clone(),
+            head_home: home,
+            inputs: inputs.iter().map(Tuple::id).collect(),
+            insert: true,
+        });
+    };
+    for i in 0..vertices {
+        let home = rng.below(nodes.len());
+        let tuple = Tuple::new("v", vec![Value::Addr(nodes[home]), Value::Int(i)]);
+        let derivations = if i < 2 * nodes.len() as i64 {
+            0
+        } else {
+            1 + rng.below(3)
+        };
+        if derivations == 0 || rng.below(4) == 0 {
+            fire(
+                &mut system,
+                BASE_RULE,
+                nodes[home],
+                &tuple,
+                nodes[home],
+                &[],
+            );
+        }
+        for d in 0..derivations {
+            // Inputs live where the rule fires.
+            let exec = if rng.below(4) != 0 {
+                home
+            } else {
+                rng.below(nodes.len())
+            };
+            let pool = &at[exec];
+            if pool.is_empty() {
+                continue;
+            }
+            let inputs: Vec<Tuple> = (0..1 + rng.below(3))
+                .map(|_| pool[rng.below(pool.len())].clone())
+                .collect();
+            let rule = format!("r{d}");
+            fire(
+                &mut system,
+                &rule,
+                nodes[exec],
+                &tuple,
+                nodes[home],
+                &inputs,
+            );
+        }
+        if derivations > 0 {
+            derived.push((nodes[home], tuple.clone()));
+        }
+        at[home].push(tuple);
+    }
+    (system, derived)
 }
 
 /// The topology's first link in its own order.
