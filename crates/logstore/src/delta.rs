@@ -89,14 +89,6 @@ pub struct GraphDelta {
 }
 
 impl GraphDelta {
-    /// True when the graph did not change.
-    pub fn is_empty(&self) -> bool {
-        self.vertices_added.is_empty()
-            && self.vertices_removed.is_empty()
-            && self.edges_added.is_empty()
-            && self.edges_removed.is_empty()
-    }
-
     /// Diff the graph between two captures.
     pub fn between(prev: &provenance::ProvGraph, next: &provenance::ProvGraph) -> Self {
         let mut delta = GraphDelta::default();
@@ -383,7 +375,7 @@ mod tests {
         let delta = SnapshotDelta::between(&a, &b);
         assert!(delta.nodes.is_empty());
         assert!(delta.topology.is_none());
-        assert!(delta.graph.is_empty());
+        assert_eq!(delta.graph, GraphDelta::default());
         assert!(delta.traffic.is_none());
         // An empty name table, the time and eight empty sections.
         assert_eq!(codec::encode(&delta).len(), 1 + 3 + 8);

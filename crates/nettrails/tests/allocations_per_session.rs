@@ -6,39 +6,40 @@
 //! exactly; a ceiling that fails here names a per-frame or per-vertex
 //! allocation that came back.
 //!
-//! Each ceiling is the measured value + 10 %: 52 allocations per lineage
-//! session and 39 per derivation-count session, both at 8.2 frames (one
-//! frame per flush, destination and direction, shared by the sessions
-//! staging toward it; one frame per session and flush was 12.9). They were
-//! 57 and 44 while sealing collected each session's records toward a frame
-//! into a vector of their own, about one per record. A
-//! count folds where the data is and streams no partials: its 40 are the
-//! lineage owners below less `on_exec_done`'s clones, its slot vectors
-//! dropped at completion where lineage's become the tree. By owner, per lineage
-//! session (scratch tags on a copy of the executor, a thread-local owner
-//! read by this allocator):
+//! Each ceiling is the measured value + 10 %: 46 allocations per lineage
+//! session and 33 per derivation-count session (11,881 and 8,581 for the
+//! waves), both at 8.2 frames (one frame per flush, destination and
+//! direction, shared by the sessions staging toward it; one frame per
+//! session and flush was 12.9). They were 52 and 39 while a depth-first
+//! vertex copied its entries from its first derivation on, and 57 and 44
+//! while sealing collected each session's records toward a frame into a
+//! vector of their own, about one per record. A count folds where the data
+//! is and streams no partials: its 33 are the lineage owners below less
+//! `finish`'s clones, its slot vectors dropped at completion where
+//! lineage's become the tree. By owner, per lineage session (scratch tags
+//! on a copy of the executor, a thread-local owner read by this allocator):
 //!
 //! | owner | per session | what |
 //! |---|---:|---|
-//! | sealing (`QueryExecutor::poll`) | 8.6 | per-flush frame and session-group tables and record places, one record vector and one dictionary header per frame, the batch list |
-//! | `on_exec_done` | 12.9 | root-level derivations cloned for `take_partials` |
-//! | `issue_exec` | 7.6 | one cycle-guard path per derivation, frame and staging growth |
-//! | `start_vertex` | 6.4 | depth-first: the entries of a vertex with a derivation |
-//! | `advance_vertex` | 6.4 | one derivation slot vector per expanded vertex |
-//! | `start_exec` | 6.4 | one input slot vector per rule execution |
-//! | `spawn_input` | 1.7 | frame arena growth |
-//! | the rest | 2.6 | submission, delivery, redemption |
+//! | sealing (`QueryExecutor::poll`) | 8.7 | per-flush frame and session-group tables and record places, one record vector and one dictionary header per frame, the batch list |
+//! | `finish` | 12.9 | root-level derivations cloned for `take_partials` |
+//! | `scan`: paths | 6.4 | one cycle-guard path per derivation |
+//! | `scan`: slots | 6.4 | one derivation slot vector per expanded vertex |
+//! | `scan`: the rest of the entries | 0.0 | a depth-first vertex with a derivation after the first copies its remaining entries; here none has one |
+//! | `scan`: growth | 2.9 | frame arena, staging and event queue growth |
+//! | `open_exec` | 6.4 | one input slot vector per rule execution |
+//! | the rest | 2.6 | submission, delivery, responses, redemption |
 //!
-//! The sealing row is the tagged 13.6 less what one record vector per frame
-//! saved over one per session group: the lineage wave went from 14,798 to
-//! 13,531 allocations (4.95 per session), the count wave from 11,498 to
-//! 10,231.
+//! The sealing row holds one record vector per frame: with one per session
+//! group, the lineage wave read 14,798 allocations and the count wave
+//! 11,498. The scan took the entries row from 6.4 (`start_vertex` copied a
+//! depth-first vertex's entries from its first derivation on) to nothing.
 //!
-//! Before paths were shared the run read 95: every frame cloned its
-//! cycle-guard path (`issue_exec` 19.5, `spawn_input` 10.9), a finished
-//! vertex or execution collected its slots into a new vector
-//! (`advance_vertex` 12.9, `advance_exec` 6.4), and `start_vertex` copied
-//! every vertex's entries (10.2). A path is now one shared slice built once
+//! Before paths were shared the run read 95 (owners as named then): every
+//! frame cloned its cycle-guard path (`issue_exec` 19.5, `spawn_input`
+//! 10.9), a finished vertex or execution collected its slots into a new
+//! vector (`advance_vertex` 12.9, `advance_exec` 6.4), and `start_vertex`
+//! copied every vertex's entries (10.2). A path is now one shared slice built once
 //! per derivation, slots become the tree in their own buffer, and a leaf's
 //! entries are read in place. Before that, sharing tuples, input lists and
 //! dictionary entries took the count from 127 to 95, and traffic handles
@@ -93,13 +94,15 @@ static ALLOC: Counting = Counting;
 const NODES: usize = 400;
 const SESSIONS: usize = 256;
 
-/// Allocations per lineage session: measured 52 (57 with a record vector
-/// per session group).
-const ALLOCATIONS_PER_SESSION: usize = 58;
-
-/// Allocations per derivation-count session: measured 39 (44 with a record
+/// Allocations per lineage session: measured 46 (52 while a depth-first
+/// vertex copied its entries from its first derivation on, 57 with a record
 /// vector per session group).
-const ALLOCATIONS_PER_COUNT_SESSION: usize = 43;
+const ALLOCATIONS_PER_SESSION: usize = 51;
+
+/// Allocations per derivation-count session: measured 33 (39 while a
+/// depth-first vertex copied its entries, 44 with a record vector per
+/// session group).
+const ALLOCATIONS_PER_COUNT_SESSION: usize = 37;
 
 /// Offer one wave — session `i` asks node `7i mod N` the `kind` question of
 /// every `stride`-th route — pump it dry and redeem every handle. Returns

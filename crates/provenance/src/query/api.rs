@@ -31,13 +31,14 @@ pub enum QueryKind {
 /// Order in which the distributed traversal visits the graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TraversalOrder {
-    /// Sequential depth-first traversal: one outstanding request at a time.
-    /// Fewest simultaneous messages, highest latency.
+    /// Sequential depth-first traversal: the width of every frame's scan is
+    /// 1, so a frame keeps one child outstanding at a time. Fewest
+    /// simultaneous messages, highest latency.
     #[default]
     DepthFirst,
-    /// Parallel breadth-first traversal: every child of a frontier is queried
-    /// concurrently. Latency grows with the *depth* of the proof tree instead
-    /// of its size.
+    /// Parallel breadth-first traversal: the width of every frame's scan is
+    /// unbounded, so a frame issues all its children at once. Latency grows
+    /// with the *depth* of the proof tree instead of its size.
     BreadthFirst,
 }
 

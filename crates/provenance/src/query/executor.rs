@@ -1,7 +1,4 @@
-//! Query execution engines: the step-driven distributed [`QueryExecutor`]
-//! and the legacy in-process [`QueryEngine`](super::local::QueryEngine).
-//!
-//! ## The distributed executor
+//! The step-driven distributed query executor.
 //!
 //! [`QueryExecutor`] runs each submitted [`QuerySpec`] as a session of
 //! per-node **frontier state machines**. Expanding a tuple vertex is work
@@ -17,35 +14,56 @@
 //! round loop — ships them through the simulated network and hands
 //! deliveries back to [`QueryExecutor::deliver`].
 //!
+//! ## One frame, one scan
+//!
+//! A vertex and a rule execution are one kind of frame: a node, a depth, a
+//! cycle-guard path, the parent slot its value fills, a child cursor and a
+//! count of children outstanding. A vertex's children are the executions of
+//! its derivations, in entry order; an execution's are the vertices of its
+//! inputs, in body order. Each frame starts by reading its own facts, then
+//! runs the one scan: it issues its next child while fewer than the
+//! session's *width* are outstanding, and folds once the cursor is exhausted
+//! and nothing is outstanding. Every finished child goes through one slot
+//! fill that advances its parent.
+//!
+//! The width is the traversal order, the paper's second optimization. It is
+//! 1 under [`TraversalOrder::DepthFirst`], which keeps exactly one request
+//! outstanding per frame, and unbounded under
+//! [`TraversalOrder::BreadthFirst`], which fans out every child at once
+//! (coalesced per destination). The order is an *execution schedule*, not a
+//! latency formula: the session's [`QueryStats::latency_ms`] is measured off
+//! the simulated clock between submission and the final frame. The one
+//! other place the orders differ is a frame with no child to wait for:
+//! depth-first folds it at once, breadth-first through a queued advance.
+//!
 //! What travels back is the session kind's fold (`query::fold`): each frame
-//! holds its vertex's facts and one slot per child value, and completes by
+//! holds its own facts and one slot per child value, and completes by
 //! folding them. A lineage frame's value is its proof subtree; a count, base
 //! set or node set frame's is that value, so a [`QueryOp::VertexDone`] or
 //! [`QueryOp::ExecDone`] carries eight bytes or a set, not a tree, and only
 //! lineage and base-set sessions copy tuples.
 //!
-//! Traversal order is therefore an *execution schedule*, not a latency
-//! formula: [`TraversalOrder::DepthFirst`] keeps exactly one request
-//! outstanding per session, while [`TraversalOrder::BreadthFirst`] fans out
-//! every frontier child concurrently (coalesced per destination), and the
-//! session's [`QueryStats::latency_ms`] is measured off the simulated clock
-//! between submission and the final frame.
+//! The state machines replay the legacy recursion (`query::local`)
+//! *exactly* — same visit counts, same pruning decisions, same
+//! cache-consultation points, same resulting values — which is what the
+//! distributed-vs-local equivalence suite (`tests/proptest_query_equivalence.rs`
+//! at the workspace root) verifies; `tests/query_session_stream.rs` pins the
+//! records each poll seals. Concurrent breadth-first expansions of the same
+//! `(vid, node)` sub-query under caching are deferred onto the in-flight
+//! computation instead of racing it, preserving the sequential engine's hit
+//! counts.
 //!
-//! The state machines replay the legacy recursion *exactly* — same visit
-//! counts, same pruning decisions, same cache-consultation points, same
-//! resulting values — which is what the distributed-vs-local equivalence
-//! suite (`tests/proptest_query_equivalence.rs` at the workspace root)
-//! verifies. Concurrent breadth-first expansions of the same `(vid, node)`
-//! sub-query under caching are deferred onto the in-flight computation
-//! instead of racing it, preserving the sequential engine's hit counts.
+//! ## Allocations
 //!
 //! A session allocates what its answer holds, little more. The cycle-guard
 //! path is an `Arc<[TupleId]>`: [`QueryOp::ExpandExec`] and every input
 //! frame of one derivation share the one slice built for it. A finished
 //! lineage frame's slots become its tree's `derivations` / `inputs` in their
-//! own buffer, and only lineage streams root-level derivations as partials. A breadth-first vertex issues its derivations from the store's
-//! entries in place, and a depth-first one copies them only when it has a
-//! derivation, because only then does its scan resume later. Sealing walks
+//! own buffer, and only lineage streams root-level derivations as partials.
+//!
+//! A vertex scans its store entries in place. Only a scan that stops at the
+//! width can stop with entries left, so only a depth-first vertex with a
+//! derivation after the first copies them: the rest, once. Sealing walks
 //! each record once and stores the body length in the [`QueryBatch`].
 //! `crates/nettrails/tests/allocations_per_session.rs` counts what is left,
 //! by owner.
@@ -82,112 +100,118 @@ pub(super) fn read_vertex(
 // the step-driven distributed executor (QueryMode::Distributed)
 // ---------------------------------------------------------------------------
 
-/// Where a completed frame's result goes.
-#[derive(Debug, Clone, Copy)]
-enum Parent {
-    /// Session root; `remote` means the querier is a different node than the
-    /// target's home, so the finished value travels back as a
-    /// [`QueryOp::VertexDone`] frame.
-    Root { remote: bool },
-    /// Input slot of an exec frame at the same node.
-    Exec { frame: u32, slot: u32 },
-}
-
-/// Per-vertex expansion state (runs at `node`, the vertex's home).
+/// Per-frame expansion state: a tuple vertex expanded at `node`, the node
+/// that holds its `prov` entries, or a rule execution expanded at `node`,
+/// where the rule fired. A frame's children are the other kind: a vertex's
+/// are the executions of its derivations, an execution's the vertices of
+/// its inputs.
 #[derive(Debug)]
-struct VertexFrame {
+struct Frame {
     node: NodeId,
-    vid: TupleId,
+    /// A vertex's depth; an execution's is its requesting vertex's (its
+    /// inputs expand one level deeper).
     depth: usize,
     /// Ancestor vertices of the traversal (cycle guard; equals the legacy
-    /// recursion's `visited` path), shared with the exec frame that spawned
-    /// this one and its sibling inputs.
+    /// recursion's `visited` path). An execution's adds its requesting
+    /// vertex, built once and shared with the request record and every
+    /// input frame.
     path: Arc<[TupleId]>,
-    parent: Parent,
-    /// The vertex's own facts, folded with `children` at completion.
-    head: Head,
-    /// Depth-first: the vertex's entries from its first derivation on,
-    /// scanned from `next_entry` as derivations complete.
-    entries: Vec<ProvEntry>,
-    next_entry: usize,
-    expanded: usize,
-    /// One slot per issued derivation, in entry order (`None` for a missing
-    /// exec), folded at completion.
-    children: Vec<Option<QueryResult<RuleExecNode>>>,
+    /// The frame and slot awaiting this frame's value; `None` for the
+    /// session root.
+    parent: Option<(u32, u32)>,
     /// A stamped fold's node set so far.
     nodes: Option<BTreeSet<NodeId>>,
+    /// The child scan's cursor: a vertex's next entry, an execution's next
+    /// input.
+    next: usize,
+    /// Children issued and not yet folded in.
     outstanding: usize,
-    /// Breadth-first: all children were issued at start.
-    scanned: bool,
+    /// Completion was already scheduled; duplicate advance events (one is
+    /// queued per child completion) must not re-complete the frame.
+    completed: bool,
+    kind: Kind,
+}
+
+#[derive(Debug)]
+enum Kind {
+    Vertex(Vertex),
+    Exec(Exec),
+}
+
+/// What only a vertex frame holds.
+#[derive(Debug)]
+struct Vertex {
+    /// The vertex's own facts, folded with `slots` at completion.
+    head: Head,
+    /// The entries its scan had left when it stopped early (width 1 only),
+    /// copied once; the cursor then scans these.
+    rest: Vec<ProvEntry>,
+    /// One slot per issued derivation, in entry order (`None` for a missing
+    /// exec), folded at completion.
+    slots: Vec<Option<QueryResult<RuleExecNode>>>,
     /// This frame registered itself as the in-flight computation for
     /// `(vid, node)` (caching on).
     registered: bool,
-    /// Completion was already scheduled; duplicate advance events (fan-out
-    /// queues one per child completion) must not re-complete the frame.
-    completed: bool,
 }
 
-impl VertexFrame {
-    fn new(node: NodeId, vid: TupleId, depth: usize, path: Arc<[TupleId]>, parent: Parent) -> Self {
-        VertexFrame {
+/// What only a rule-execution frame holds.
+#[derive(Debug)]
+struct Exec {
+    rid: RuleExecId,
+    /// The stored `ruleExec`'s rule and node, once found.
+    record: Option<(Sym, NodeId)>,
+    /// The stored `ruleExec`'s input list, shared.
+    inputs: Arc<[TupleId]>,
+    /// One slot per input, in body order, folded at completion.
+    slots: Vec<Option<QueryResult>>,
+}
+
+impl Frame {
+    fn new(
+        node: NodeId,
+        depth: usize,
+        path: Arc<[TupleId]>,
+        parent: Option<(u32, u32)>,
+        kind: Kind,
+    ) -> Self {
+        Frame {
             node,
-            vid,
             depth,
             path,
             parent,
-            head: Head::new(vid, node, None),
-            entries: Vec::new(),
-            next_entry: 0,
-            expanded: 0,
-            children: Vec::new(),
             nodes: None,
+            next: 0,
             outstanding: 0,
-            scanned: false,
-            registered: false,
             completed: false,
+            kind,
         }
     }
 }
 
-/// Per-rule-execution expansion state (runs at `node`, where the rule
-/// fired).
-#[derive(Debug)]
-struct ExecFrame {
-    node: NodeId,
-    rid: RuleExecId,
-    /// Depth of the requesting vertex (inputs expand at `depth + 1`).
-    depth: usize,
-    /// Cycle-guard path for the input subtrees (requester's path plus the
-    /// requesting vid): built once, shared by the request record and every
-    /// input frame.
-    path: Arc<[TupleId]>,
-    /// Awaiting vertex frame and its derivation slot.
-    parent_frame: u32,
-    parent_slot: u32,
-    /// The awaiting vertex lives on another node: the finished value
-    /// travels back as a [`QueryOp::ExecDone`] frame.
-    remote: bool,
-    /// The stored `ruleExec`'s rule and node, once found.
-    record: Option<(Sym, NodeId)>,
-    /// The stored `ruleExec`'s input list, shared.
-    input_vids: Arc<[TupleId]>,
-    /// One slot per input, in body order, folded at completion.
-    inputs: Vec<Option<QueryResult>>,
-    /// A stamped fold's node set so far.
-    nodes: Option<BTreeSet<NodeId>>,
-    next_input: usize,
-    outstanding: usize,
-    scanned: bool,
-    /// Completion was already scheduled (see [`VertexFrame::completed`]).
-    completed: bool,
+impl Kind {
+    /// A vertex expanded at `node`, with no facts yet.
+    fn vertex(vid: TupleId, node: NodeId) -> Self {
+        Kind::Vertex(Vertex {
+            head: Head::new(vid, node, None),
+            rest: Vec::new(),
+            slots: Vec::new(),
+            registered: false,
+        })
+    }
 }
 
+/// A finished frame's value on its way to the frame awaiting it.
 #[derive(Debug)]
-enum Frame {
-    Vertex(VertexFrame),
-    Exec(ExecFrame),
-    /// Retired after completion.
-    Done,
+enum Completed {
+    Vertex {
+        done: Folded<ProofTree>,
+        /// False for pruned and cache-served completions, which the legacy
+        /// engine never inserts into the cache (only a registered frame's
+        /// value is inserted, and a cycle-guard completion never registers).
+        cacheable: bool,
+    },
+    /// `None` when the execution's record was not found.
+    Exec(Option<Folded<RuleExecNode>>),
 }
 
 /// Session-local scheduling events, drained in FIFO order. The flat event
@@ -195,21 +219,9 @@ enum Frame {
 /// proof size and makes the processing order deterministic.
 #[derive(Debug)]
 enum Event {
-    StartVertex(u32),
-    StartExec(u32),
-    AdvanceVertex(u32),
-    AdvanceExec(u32),
-    VertexDone {
-        frame: u32,
-        done: Folded<ProofTree>,
-        /// False for cycle-guard, cache-served and pruned completions, which
-        /// the legacy engine never inserts into the cache.
-        cacheable: bool,
-    },
-    ExecDone {
-        frame: u32,
-        exec: Option<Folded<RuleExecNode>>,
-    },
+    Start(u32),
+    Advance(u32),
+    Done { frame: u32, completed: Completed },
 }
 
 /// A record staged for shipment, waiting for the next [`QueryExecutor::poll`]
@@ -233,8 +245,12 @@ struct Session {
     qid: u64,
     spec: QuerySpec,
     fold: Fold,
+    /// How many children a frame keeps outstanding at once: the traversal
+    /// order (one for depth-first, unbounded for breadth-first).
+    width: usize,
     started_at: SimTime,
-    frames: Vec<Frame>,
+    /// The frame arena, indexed by frame id; `None` once a frame retired.
+    frames: Vec<Option<Frame>>,
     queue: VecDeque<Event>,
     stats: QueryStats,
     /// Lineage: completed root-level derivations, streamed as they finish
@@ -332,6 +348,10 @@ impl QueryExecutor {
         let mut session = Session {
             qid,
             fold: Fold::new(spec.kind, spec.options.use_cache),
+            width: match spec.options.traversal {
+                TraversalOrder::DepthFirst => 1,
+                TraversalOrder::BreadthFirst => usize::MAX,
+            },
             spec,
             started_at: now,
             frames: Vec::new(),
@@ -342,13 +362,12 @@ impl QueryExecutor {
             waiters: IdMap::default(),
             root_result: None,
         };
-        session.frames.push(Frame::Vertex(VertexFrame::new(
-            home,
-            session.spec.vid,
-            0,
-            Arc::default(),
-            Parent::Root { remote },
-        )));
+        let root = Kind::vertex(session.spec.vid, home);
+        let root = Frame::new(home, 0, Arc::default(), None, root);
+        // Pushed into the empty arena, so its first allocation is a growth
+        // step that the next frames fit in (`vec![root]` holds one frame,
+        // and the first child reallocates it).
+        session.frames.push(Some(root));
         if remote {
             // The querying node contacts the tuple's home node.
             self.staged.push(StagedOp {
@@ -364,7 +383,7 @@ impl QueryExecutor {
             });
             self.sessions.insert(qid, session);
         } else {
-            session.queue.push_back(Event::StartVertex(0));
+            session.queue.push_back(Event::Start(0));
             self.sessions.insert(qid, session);
             self.run_session(qid, system, now);
         }
@@ -518,18 +537,16 @@ impl QueryExecutor {
                 continue;
             };
             match op {
-                QueryOp::ExpandVertex { frame, .. } => {
-                    session.queue.push_back(Event::StartVertex(frame));
-                }
-                QueryOp::ExpandExec { frame, .. } => {
-                    session.queue.push_back(Event::StartExec(frame));
+                QueryOp::ExpandVertex { frame, .. } | QueryOp::ExpandExec { frame, .. } => {
+                    session.queue.push_back(Event::Start(frame));
                 }
                 QueryOp::VertexDone { frame, value, .. } => {
                     debug_assert_eq!(frame, 0, "only the root vertex crosses the wire");
                     session.root_result = Some(value);
                 }
                 QueryOp::ExecDone { frame, exec, .. } => {
-                    session.queue.push_back(Event::ExecDone { frame, exec });
+                    let completed = Completed::Exec(exec);
+                    session.queue.push_back(Event::Done { frame, completed });
                 }
                 QueryOp::Cancel { .. } => {
                     // State lives centrally; a cancel frame's job is done the
@@ -609,16 +626,8 @@ impl QueryExecutor {
         };
         // One cancel frame per distinct remote node with live frames.
         let mut nodes: BTreeSet<NodeId> = BTreeSet::new();
-        for frame in &session.frames {
-            match frame {
-                Frame::Vertex(v) => {
-                    nodes.insert(v.node);
-                }
-                Frame::Exec(e) => {
-                    nodes.insert(e.node);
-                }
-                Frame::Done => {}
-            }
+        for frame in session.frames.iter().flatten() {
+            nodes.insert(frame.node);
         }
         for node in nodes {
             if node != session.spec.querier {
@@ -674,79 +683,91 @@ impl Session {
     fn drain(&mut self, ctx: &mut Ctx<'_>) {
         while let Some(event) = self.queue.pop_front() {
             match event {
-                Event::StartVertex(f) => self.start_vertex(f, ctx),
-                Event::StartExec(e) => self.start_exec(e, ctx),
-                Event::AdvanceVertex(f) => self.advance_vertex(f, ctx),
-                Event::AdvanceExec(e) => self.advance_exec(e, ctx),
-                Event::VertexDone {
-                    frame,
-                    done,
-                    cacheable,
-                } => self.on_vertex_done(frame, done, cacheable, ctx),
-                Event::ExecDone { frame, exec } => self.on_exec_done(frame, exec),
+                Event::Start(f) => self.start(f, ctx),
+                Event::Advance(f) => self.advance(f, ctx),
+                Event::Done { frame, completed } => self.finish(frame, completed, ctx),
             }
         }
     }
 
-    fn vertex(&mut self, f: u32) -> &mut VertexFrame {
-        match &mut self.frames[f as usize] {
-            Frame::Vertex(v) => v,
-            other => panic!("frame {f} is not a vertex frame: {other:?}"),
+    fn frame(&mut self, f: u32) -> &mut Frame {
+        self.frames[f as usize].as_mut().expect("a live frame")
+    }
+
+    fn vertex(&mut self, f: u32) -> &mut Vertex {
+        match &mut self.frame(f).kind {
+            Kind::Vertex(v) => v,
+            Kind::Exec(_) => panic!("frame {f} is not a vertex frame"),
         }
     }
 
-    fn exec(&mut self, e: u32) -> &mut ExecFrame {
-        match &mut self.frames[e as usize] {
-            Frame::Exec(x) => x,
-            other => panic!("frame {e} is not an exec frame: {other:?}"),
+    /// Begin expanding a frame: read its own facts, then scan its children
+    /// in the traversal's schedule.
+    fn start(&mut self, f: u32, ctx: &mut Ctx<'_>) {
+        let entries = if matches!(self.frame(f).kind, Kind::Vertex(_)) {
+            match self.open_vertex(f, ctx) {
+                Some(entries) => entries,
+                None => return,
+            }
+        } else if self.open_exec(f, ctx) {
+            &[]
+        } else {
+            return;
+        };
+        if self.scan(f, entries, ctx) {
+            // Nothing to wait for: depth-first completes the frame here,
+            // breadth-first through a queued advance behind the events
+            // already queued. The order a frame's children complete in, and
+            // a root's derivations stream in, depends on it.
+            if self.width == 1 {
+                self.complete(f, ctx);
+            } else {
+                self.queue.push_back(Event::Advance(f));
+            }
         }
     }
 
-    /// Begin expanding a vertex: the exact decision sequence of the legacy
-    /// recursion — count the visit, consult the cache, guard against cycles,
-    /// apply depth pruning, then read the local `prov` entries and expand
-    /// derivations in the traversal's schedule.
-    fn start_vertex(&mut self, f: u32, ctx: &mut Ctx<'_>) {
+    /// A vertex's own facts, in the legacy recursion's order: count the
+    /// visit, consult the cache, read the local `prov` entries, guard
+    /// against cycles, defer onto an in-flight duplicate, prune by depth.
+    /// Returns the entries to scan, or `None` when the vertex completed or
+    /// deferred without a scan.
+    fn open_vertex<'a>(&mut self, f: u32, ctx: &mut Ctx<'a>) -> Option<&'a [ProvEntry]> {
         self.stats.vertices_visited += 1;
         let use_cache = self.spec.options.use_cache;
         let fold = self.fold;
-        let (node, vid, depth, path_has_self) = {
-            let frame = self.vertex(f);
-            (
-                frame.node,
-                frame.vid,
-                frame.depth,
-                frame.path.contains(&frame.vid),
-            )
-        };
+        let vid = self.vertex(f).head.vid;
+        let (node, depth) = (self.frame(f).node, self.frame(f).depth);
         if use_cache {
             if let Some(done) = ctx.cache.lookup(ctx.system, vid, node, fold) {
                 self.stats.cache_hits += 1;
-                self.vertex(f).completed = true;
-                self.queue.push_back(Event::VertexDone {
-                    frame: f,
+                let completed = Completed::Vertex {
                     done,
                     cacheable: false,
+                };
+                self.queue.push_back(Event::Done {
+                    frame: f,
+                    completed,
                 });
-                return;
+                return None;
             }
         }
         // Copied out of `ctx`, so the entries stay borrowed from the store
         // while derivations are issued through `ctx`.
         let system = ctx.system;
         let (tuple, entries) = read_vertex(system, node, vid);
-        {
-            let frame = self.vertex(f);
-            frame.head.tuple = fold.tuple(tuple, entries);
-            frame.nodes = fold.nodes(node);
-        }
-        if path_has_self {
-            // Cycle guard: return the bare vertex, never cached. Checked
-            // BEFORE the in-flight defer below — on a cyclic (malformed)
-            // store an ancestor frame is necessarily the one computing this
-            // key, so deferring onto it would deadlock the session.
-            self.complete_vertex(f, false);
-            return;
+        let frame = self.frame(f);
+        frame.nodes = fold.nodes(node);
+        let cyclic = frame.path.contains(&vid);
+        self.vertex(f).head.tuple = fold.tuple(tuple, entries);
+        if cyclic {
+            // Cycle guard: return the bare vertex, never cached (it never
+            // registers). Checked BEFORE the in-flight defer below — on a
+            // cyclic (malformed) store an ancestor frame is necessarily the
+            // one computing this key, so deferring onto it would deadlock
+            // the session.
+            self.complete(f, ctx);
+            return None;
         }
         if use_cache {
             if let Some(&computing) = self.in_flight.get(&(vid, node)) {
@@ -755,384 +776,266 @@ impl Session {
                 // sequential engine's cache-hit accounting).
                 self.stats.vertices_visited -= 1; // re-counted on wake
                 self.waiters.entry(computing).or_default().push(f);
-                return;
+                return None;
             }
             self.in_flight.insert((vid, node), f);
             self.vertex(f).registered = true;
         }
-        if let Some(max_depth) = self.spec.options.max_depth {
-            if depth >= max_depth {
-                self.vertex(f).head.pruned = true;
-                self.complete_vertex(f, true);
-                return;
-            }
+        if self.spec.options.max_depth.is_some_and(|max| depth >= max) {
+            self.vertex(f).head.pruned = true;
+            self.complete(f, ctx);
+            return None;
         }
-        match self.spec.options.traversal {
-            TraversalOrder::DepthFirst => {
-                // Base entries ahead of the first derivation mark the vertex
-                // as base and need no second look. The scan resumes after
-                // each derivation completes, so the entries from the first
-                // derivation on are copied into the frame, and only then.
-                let first = entries.iter().position(|entry| !entry.is_base());
-                let frame = self.vertex(f);
-                frame.head.is_base = first.unwrap_or(entries.len()) > 0;
-                if let Some(first) = first {
-                    frame.entries = entries[first..].to_vec();
-                }
-                self.advance_vertex(f, ctx);
-            }
-            TraversalOrder::BreadthFirst => {
-                // Fan out: issue every expandable derivation concurrently,
-                // straight from the store's entries. Issuing only stages
-                // records and queues events, so nothing completes before
-                // the scan ends.
-                let limit = self.spec.options.max_derivations_per_vertex;
-                for &entry in entries {
-                    let frame = self.vertex(f);
-                    if entry.is_base() {
-                        frame.head.is_base = true;
-                        continue;
-                    }
-                    if limit.is_some_and(|limit| frame.expanded >= limit) {
-                        frame.head.pruned = true;
-                        break;
-                    }
-                    frame.expanded += 1;
-                    frame.outstanding += 1;
-                    let slot = frame.children.len() as u32;
-                    frame.children.push(None);
-                    self.issue_exec(f, slot, entry, ctx);
-                }
-                self.vertex(f).scanned = true;
-                self.queue.push_back(Event::AdvanceVertex(f));
-            }
-        }
+        Some(entries)
     }
 
-    /// Depth-first: issue the next expandable derivation (one outstanding at
-    /// a time); both orders: complete the vertex once nothing is
-    /// outstanding and the entry scan is exhausted.
-    fn advance_vertex(&mut self, f: u32, ctx: &mut Ctx<'_>) {
-        // Duplicate advance events are normal under fan-out (one is queued
-        // per child completion); a frame advances past completion only once,
-        // and events for already-retired frames are ignored.
-        let Frame::Vertex(frame) = &self.frames[f as usize] else {
-            return;
-        };
-        if frame.completed || frame.outstanding > 0 {
-            return;
-        }
-        if self.spec.options.traversal == TraversalOrder::DepthFirst {
-            let limit = self.spec.options.max_derivations_per_vertex;
-            loop {
-                let next = {
-                    let frame = self.vertex(f);
-                    if frame.next_entry >= frame.entries.len() {
-                        break;
-                    }
-                    let entry = frame.entries[frame.next_entry];
-                    frame.next_entry += 1;
-                    if entry.is_base() {
-                        frame.head.is_base = true;
-                        continue;
-                    }
-                    if let Some(limit) = limit {
-                        if frame.expanded >= limit {
-                            frame.head.pruned = true;
-                            frame.next_entry = frame.entries.len();
-                            break;
-                        }
-                    }
-                    frame.expanded += 1;
-                    let slot = frame.children.len() as u32;
-                    frame.children.push(None);
-                    frame.outstanding = 1;
-                    Some((slot, entry))
-                };
-                if let Some((slot, entry)) = next {
-                    self.issue_exec(f, slot, entry, ctx);
-                    return;
-                }
-            }
-        } else if !self.vertex(f).scanned {
-            return;
-        }
-        // Entry scan exhausted, nothing outstanding: the vertex is complete.
-        self.complete_vertex(f, true);
-    }
-
-    /// Fold a vertex frame's facts and children into its value and schedule
-    /// its completion. The frame is about to retire, so its parts are moved
-    /// out, not cloned — completion costs O(value), not O(value) per
-    /// ancestor level.
-    fn complete_vertex(&mut self, f: u32, cacheable: bool) {
+    /// An execution's record, looked up at its node. False when it is not
+    /// there: the derivation contributes nothing (the legacy engine's
+    /// `continue`), and the frame responds at once.
+    fn open_exec(&mut self, e: u32, ctx: &mut Ctx<'_>) -> bool {
         let fold = self.fold;
-        let frame = self.vertex(f);
+        let frame = self.frame(e);
+        let Kind::Exec(x) = &mut frame.kind else {
+            panic!("frame {e} is not an exec frame");
+        };
+        let Some(exec) = ctx
+            .system
+            .store(frame.node)
+            .and_then(|s| s.rule_exec(x.rid))
+        else {
+            self.respond(e, None, ctx);
+            return false;
+        };
+        x.record = Some((exec.rule, exec.node));
+        x.slots = vec![None; exec.inputs.len()];
+        x.inputs = exec.inputs.clone();
+        frame.nodes = fold.nodes(exec.node);
+        true
+    }
+
+    /// The one scan: issue frame `f`'s next children, in order, while fewer
+    /// than the width are outstanding. A vertex's children are its
+    /// derivations (base entries mark it base; the derivation bound prunes
+    /// it and ends the scan), an execution's its inputs.
+    ///
+    /// A starting vertex reads `entries`, its store entries, in place. Only
+    /// a scan that stops at the width can stop with entries left; it copies
+    /// the rest, once, and later scans (given no entries) read that. Returns
+    /// true once the scan is exhausted and nothing is outstanding.
+    fn scan(&mut self, f: u32, entries: &[ProvEntry], ctx: &mut Ctx<'_>) -> bool {
+        let width = self.width;
+        let limit = self.spec.options.max_derivations_per_vertex;
+        loop {
+            let frame = self.frame(f);
+            if frame.outstanding >= width {
+                if let Kind::Vertex(v) = &mut frame.kind {
+                    if frame.next < entries.len() {
+                        v.rest = entries[frame.next..].to_vec();
+                        frame.next = 0;
+                    }
+                }
+                return false;
+            }
+            let child = match &mut frame.kind {
+                Kind::Vertex(v) => {
+                    let scanned = if entries.is_empty() { &v.rest } else { entries };
+                    let Some(&entry) = scanned.get(frame.next) else {
+                        break;
+                    };
+                    frame.next += 1;
+                    if entry.is_base() {
+                        v.head.is_base = true;
+                        continue;
+                    }
+                    if limit.is_some_and(|limit| v.slots.len() >= limit) {
+                        v.head.pruned = true;
+                        frame.next = scanned.len();
+                        break;
+                    }
+                    let slot = v.slots.len() as u32;
+                    v.slots.push(None);
+                    // The inputs' cycle guard: this vertex's path plus its
+                    // vid, in one allocation that the request and every
+                    // input frame share.
+                    let path = frame.path.iter().copied().chain([v.head.vid]).collect();
+                    let exec = Exec {
+                        rid: entry.rid.expect("non-base entry has rid"),
+                        record: None,
+                        inputs: Arc::default(),
+                        slots: Vec::new(),
+                    };
+                    let parent = Some((f, slot));
+                    Frame::new(entry.rloc, frame.depth, path, parent, Kind::Exec(exec))
+                }
+                Kind::Exec(x) => {
+                    let Some(&vid) = x.inputs.get(frame.next) else {
+                        break;
+                    };
+                    let slot = frame.next as u32;
+                    frame.next += 1;
+                    let (node, path, parent) = (frame.node, frame.path.clone(), Some((f, slot)));
+                    Frame::new(node, frame.depth + 1, path, parent, Kind::vertex(vid, node))
+                }
+            };
+            frame.outstanding += 1;
+            // A derivation that fired on another node is a real request to
+            // it; everything else starts here.
+            let (from, to, c) = (frame.node, child.node, self.frames.len() as u32);
+            let request = match &child.kind {
+                Kind::Exec(x) if to != from => Some(QueryOp::ExpandExec {
+                    qid: self.qid,
+                    frame: c,
+                    rid: x.rid,
+                    depth: child.depth as u32,
+                    path: child.path.clone(),
+                }),
+                _ => None,
+            };
+            self.frames.push(Some(child));
+            match request {
+                Some(op) => ctx.staged.push(StagedOp { from, to, op }),
+                None => self.queue.push_back(Event::Start(c)),
+            }
+        }
+        self.frame(f).outstanding == 0
+    }
+
+    /// A child of frame `f` finished: issue its next children, or complete
+    /// it once its scan is exhausted and nothing is outstanding. Duplicate
+    /// advances (one is queued per child completion) and advances of
+    /// retired frames do nothing.
+    fn advance(&mut self, f: u32, ctx: &mut Ctx<'_>) {
+        let live = self.frames[f as usize].as_ref();
+        if live.is_some_and(|frame| !frame.completed) && self.scan(f, &[], ctx) {
+            self.complete(f, ctx);
+        }
+    }
+
+    /// Fold a frame's facts and slots into its value and send it on. The
+    /// frame is about to retire, so its parts are moved out, not cloned —
+    /// completion costs O(value), not O(value) per ancestor level.
+    fn complete(&mut self, f: u32, ctx: &mut Ctx<'_>) {
+        let fold = self.fold;
+        let frame = self.frame(f);
         frame.completed = true;
-        let head = std::mem::replace(&mut frame.head, Head::new(frame.vid, frame.node, None));
-        // A vertex pruning cut is never cached.
-        let cacheable = cacheable && !head.pruned;
-        let done = Folded {
-            value: fold.vertex(head, std::mem::take(&mut frame.children)),
-            nodes: frame.nodes.take(),
-        };
-        self.queue.push_back(Event::VertexDone {
-            frame: f,
-            done,
-            cacheable,
-        });
-    }
-
-    /// Create the exec frame for one derivation of vertex `f`. Local when
-    /// the rule fired at the vertex's own node; otherwise a real
-    /// [`QueryOp::ExpandExec`] request to the executing node.
-    fn issue_exec(&mut self, f: u32, slot: u32, entry: ProvEntry, ctx: &mut Ctx<'_>) {
-        let rid = entry.rid.expect("non-base entry has rid");
-        let (node, depth, path) = {
-            let frame = self.vertex(f);
-            // The inputs' cycle guard: this vertex's path plus its vid, in
-            // one allocation that the request and every input frame share.
-            let path: Arc<[TupleId]> = frame.path.iter().copied().chain([frame.vid]).collect();
-            (frame.node, frame.depth, path)
-        };
-        let remote = entry.rloc != node;
-        let e = self.frames.len() as u32;
-        self.frames.push(Frame::Exec(ExecFrame {
-            node: entry.rloc,
-            rid,
-            depth,
-            path: path.clone(),
-            parent_frame: f,
-            parent_slot: slot,
-            remote,
-            record: None,
-            input_vids: Arc::default(),
-            inputs: Vec::new(),
-            nodes: None,
-            next_input: 0,
-            outstanding: 0,
-            scanned: false,
-            completed: false,
-        }));
-        if remote {
-            ctx.staged.push(StagedOp {
-                from: node,
-                to: entry.rloc,
-                op: QueryOp::ExpandExec {
-                    qid: self.qid,
-                    frame: e,
-                    rid,
-                    depth: depth as u32,
-                    path,
-                },
-            });
-        } else {
-            self.queue.push_back(Event::StartExec(e));
-        }
-    }
-
-    /// Begin expanding a rule execution at its node: look the record up
-    /// locally, then expand the proof subtrees of its inputs (which are
-    /// local to the executing node) in the traversal's schedule.
-    fn start_exec(&mut self, e: u32, ctx: &mut Ctx<'_>) {
-        let fold = self.fold;
-        let (node, rid) = {
-            let frame = self.exec(e);
-            (frame.node, frame.rid)
-        };
-        let Some(exec) = ctx.system.store(node).and_then(|s| s.rule_exec(rid)) else {
-            // Unknown rid at the node: the derivation contributes nothing
-            // (mirrors the legacy engine's `continue`).
-            self.complete_exec(e, None, ctx);
-            return;
-        };
-        let input_vids = exec.inputs.clone();
-        {
-            let frame = self.exec(e);
-            frame.record = Some((exec.rule, exec.node));
-            frame.nodes = fold.nodes(exec.node);
-            frame.inputs = vec![None; input_vids.len()];
-            frame.input_vids = input_vids;
-        }
-        match self.spec.options.traversal {
-            TraversalOrder::DepthFirst => self.advance_exec(e, ctx),
-            TraversalOrder::BreadthFirst => {
-                let n = {
-                    let frame = self.exec(e);
-                    frame.outstanding = frame.input_vids.len();
-                    frame.scanned = true;
-                    frame.input_vids.len()
+        let nodes = frame.nodes.take();
+        match &mut frame.kind {
+            Kind::Vertex(v) => {
+                let vid = v.head.vid;
+                let head = std::mem::replace(&mut v.head, Head::new(vid, frame.node, None));
+                // A vertex pruning cut is never cached.
+                let cacheable = !head.pruned;
+                let done = Folded {
+                    value: fold.vertex(head, std::mem::take(&mut v.slots)),
+                    nodes,
                 };
-                for i in 0..n {
-                    self.spawn_input(e, i as u32);
-                }
-                self.queue.push_back(Event::AdvanceExec(e));
+                let completed = Completed::Vertex { done, cacheable };
+                self.queue.push_back(Event::Done {
+                    frame: f,
+                    completed,
+                });
+            }
+            Kind::Exec(x) => {
+                let (rule, node) = x.record.expect("exec record found");
+                let exec = Folded {
+                    value: fold.exec(x.rid, rule, node, std::mem::take(&mut x.slots)),
+                    nodes,
+                };
+                self.respond(f, Some(exec), ctx);
             }
         }
     }
 
-    fn advance_exec(&mut self, e: u32, ctx: &mut Ctx<'_>) {
-        let Frame::Exec(frame) = &self.frames[e as usize] else {
-            return;
-        };
-        if frame.completed || frame.outstanding > 0 {
-            return;
-        }
-        if self.spec.options.traversal == TraversalOrder::DepthFirst {
-            let spawn = {
-                let frame = self.exec(e);
-                if frame.next_input < frame.input_vids.len() {
-                    let i = frame.next_input as u32;
-                    frame.next_input += 1;
-                    frame.outstanding = 1;
-                    Some(i)
-                } else {
-                    None
-                }
-            };
-            if let Some(i) = spawn {
-                self.spawn_input(e, i);
-                return;
-            }
-        } else if !self.exec(e).scanned {
-            return;
-        }
-        let fold = self.fold;
-        let done = {
-            let frame = self.exec(e);
-            let (rule, node) = frame.record.expect("exec record found");
-            Folded {
-                value: fold.exec(frame.rid, rule, node, std::mem::take(&mut frame.inputs)),
-                nodes: frame.nodes.take(),
-            }
-        };
-        self.complete_exec(e, Some(done), ctx);
-    }
-
-    /// Create and start the vertex frame of one input tuple (always local to
-    /// the executing node).
-    fn spawn_input(&mut self, e: u32, slot: u32) {
-        let (node, vid, depth, path) = {
-            let frame = self.exec(e);
-            (
-                frame.node,
-                frame.input_vids[slot as usize],
-                frame.depth + 1,
-                frame.path.clone(),
-            )
-        };
-        let f = self.frames.len() as u32;
-        self.frames.push(Frame::Vertex(VertexFrame::new(
-            node,
-            vid,
-            depth,
-            path,
-            Parent::Exec { frame: e, slot },
-        )));
-        self.queue.push_back(Event::StartVertex(f));
-    }
-
-    /// An exec frame finished computing (or failed to find its record):
-    /// either respond over the wire or resume the awaiting vertex directly.
-    fn complete_exec(&mut self, e: u32, exec: Option<Folded<RuleExecNode>>, ctx: &mut Ctx<'_>) {
-        let (remote, node, parent_frame) = {
-            let frame = self.exec(e);
-            frame.completed = true;
-            (frame.remote, frame.node, frame.parent_frame)
-        };
-        if remote {
-            let to = match &self.frames[parent_frame as usize] {
-                Frame::Vertex(v) => v.node,
-                other => panic!("exec parent is not a vertex: {other:?}"),
-            };
-            ctx.staged.push(StagedOp {
-                from: node,
-                to,
-                op: QueryOp::ExecDone {
-                    qid: self.qid,
-                    frame: e,
-                    exec,
-                },
+    /// An execution's value goes to the vertex awaiting it: as a
+    /// [`QueryOp::ExecDone`] record when that vertex lives on another node.
+    fn respond(&mut self, e: u32, exec: Option<Folded<RuleExecNode>>, ctx: &mut Ctx<'_>) {
+        let frame = self.frame(e);
+        let (from, (parent, _)) = (frame.node, frame.parent.expect("an exec has a parent"));
+        let to = self.frame(parent).node;
+        if from == to {
+            let completed = Completed::Exec(exec);
+            self.queue.push_back(Event::Done {
+                frame: e,
+                completed,
             });
         } else {
-            self.queue.push_back(Event::ExecDone { frame: e, exec });
+            let qid = self.qid;
+            let op = QueryOp::ExecDone {
+                qid,
+                frame: e,
+                exec,
+            };
+            ctx.staged.push(StagedOp { from, to, op });
         }
     }
 
-    /// A completed rule-execution value reached its awaiting vertex.
-    fn on_exec_done(&mut self, e: u32, exec: Option<Folded<RuleExecNode>>) {
-        let (parent_frame, parent_slot) = {
-            let frame = self.exec(e);
-            (frame.parent_frame, frame.parent_slot)
+    /// A frame's value reached its node's side of the session: retire the
+    /// frame; for a registered vertex, maintain the cache and in-flight
+    /// bookkeeping and wake deferred duplicates; then settle the value at
+    /// the session root or in its parent's slot, and advance the parent.
+    fn finish(&mut self, f: u32, completed: Completed, ctx: &mut Ctx<'_>) {
+        let frame = self.frames[f as usize]
+            .take()
+            .expect("a frame finishes once");
+        if let (Kind::Vertex(v), Completed::Vertex { done, cacheable }) = (&frame.kind, &completed)
+        {
+            if v.registered {
+                let (vid, node) = (v.head.vid, frame.node);
+                self.in_flight.remove(&(vid, node));
+                if *cacheable {
+                    ctx.cache
+                        .insert(ctx.system, vid, node, self.spec.kind, done);
+                }
+                if let Some(waiters) = self.waiters.remove(&f) {
+                    for w in waiters {
+                        self.queue.push_back(Event::Start(w));
+                    }
+                }
+            }
+        }
+        let Some((p, slot)) = frame.parent else {
+            let Completed::Vertex { done, .. } = completed else {
+                unreachable!("the session root is a vertex");
+            };
+            if frame.node == self.spec.querier {
+                self.root_result = Some(done.value);
+            } else {
+                let (qid, value) = (self.qid, done.value);
+                let op = QueryOp::VertexDone {
+                    qid,
+                    frame: f,
+                    value,
+                };
+                let (from, to) = (frame.node, self.spec.querier);
+                ctx.staged.push(StagedOp { from, to, op });
+            }
+            return;
         };
-        self.frames[e as usize] = Frame::Done;
-        if parent_frame == 0 {
+        if p == 0 {
             // Root-level lineage derivation: stream it as a partial result.
-            if let Some(QueryResult::Lineage(exec)) = exec.as_ref().map(|exec| &exec.value) {
+            if let Completed::Exec(Some(Folded {
+                value: QueryResult::Lineage(exec),
+                ..
+            })) = &completed
+            {
                 self.partials.push(exec.clone());
             }
         }
-        let frame = self.vertex(parent_frame);
-        if let Some(exec) = exec {
-            absorb(&mut frame.nodes, exec.nodes);
-            frame.children[parent_slot as usize] = Some(exec.value);
+        let parent = self.frame(p);
+        match (&mut parent.kind, completed) {
+            (Kind::Vertex(v), Completed::Exec(Some(exec))) => {
+                absorb(&mut parent.nodes, exec.nodes);
+                v.slots[slot as usize] = Some(exec.value);
+            }
+            (Kind::Vertex(_), Completed::Exec(None)) => {}
+            (Kind::Exec(x), Completed::Vertex { done, .. }) => {
+                absorb(&mut parent.nodes, done.nodes);
+                x.slots[slot as usize] = Some(done.value);
+            }
+            _ => unreachable!("a vertex awaits executions and an execution awaits vertices"),
         }
-        frame.outstanding -= 1;
-        self.queue.push_back(Event::AdvanceVertex(parent_frame));
-    }
-
-    /// A vertex subtree is complete: maintain the cache and in-flight
-    /// bookkeeping, wake deferred duplicates, and route the value to its
-    /// parent (the session root or an exec frame's input slot).
-    fn on_vertex_done(
-        &mut self,
-        f: u32,
-        done: Folded<ProofTree>,
-        cacheable: bool,
-        ctx: &mut Ctx<'_>,
-    ) {
-        let (node, vid, parent, registered) = {
-            let frame = self.vertex(f);
-            (frame.node, frame.vid, frame.parent, frame.registered)
-        };
-        self.frames[f as usize] = Frame::Done;
-        if registered {
-            self.in_flight.remove(&(vid, node));
-            if cacheable {
-                ctx.cache
-                    .insert(ctx.system, vid, node, self.spec.kind, &done);
-            }
-            if let Some(waiters) = self.waiters.remove(&f) {
-                for w in waiters {
-                    self.queue.push_back(Event::StartVertex(w));
-                }
-            }
-        }
-        match parent {
-            Parent::Root { remote: false } => {
-                self.root_result = Some(done.value);
-            }
-            Parent::Root { remote: true } => {
-                ctx.staged.push(StagedOp {
-                    from: node,
-                    to: self.spec.querier,
-                    op: QueryOp::VertexDone {
-                        qid: self.qid,
-                        frame: f,
-                        value: done.value,
-                    },
-                });
-            }
-            Parent::Exec { frame: e, slot } => {
-                {
-                    let frame = self.exec(e);
-                    absorb(&mut frame.nodes, done.nodes);
-                    frame.inputs[slot as usize] = Some(done.value);
-                    frame.outstanding -= 1;
-                }
-                self.queue.push_back(Event::AdvanceExec(e));
-            }
-        }
+        parent.outstanding -= 1;
+        self.queue.push_back(Event::Advance(p));
     }
 }
 
@@ -1456,7 +1359,7 @@ mod tests {
     /// `a` reads a path that travelled inside two `ExpandExec` requests,
     /// and every combination of cache, traversal and derivation limit must
     /// answer as the recursion does. Mutations caught: a child path not
-    /// extended with the requesting vid (`issue_exec` passing its vertex's
+    /// extended with the requesting vid (`scan` passing its vertex's
     /// own path on) re-expands `a` and never converges ("the session
     /// converged"); a request record carrying the unextended path while the
     /// frame keeps the extended one ships `[a]` ("the cycle guard crossed

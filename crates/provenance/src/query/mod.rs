@@ -20,11 +20,15 @@
 //! * [`wire`] — the message-driven protocol: [`QueryOp`] records carried in
 //!   per-destination [`QueryBatch`] frames behind first-use dictionary
 //!   headers (the same wire discipline as delta and maintenance batches).
-//! * [`executor`] — two interchangeable execution engines: the step-driven
-//!   [`QueryExecutor`] that runs sessions as per-node frontier state machines
-//!   over a real message layer ([`QueryMode::Distributed`]), and the legacy
-//!   in-process recursive [`QueryEngine`] kept as the equivalence oracle and
-//!   single-node path ([`QueryMode::Local`]).
+//! * [`executor`] — the step-driven [`QueryExecutor`] that runs sessions as
+//!   per-node frontier state machines over a real message layer
+//!   ([`QueryMode::Distributed`]): one frame kind for vertices and rule
+//!   executions, one scan whose width is the traversal order.
+//! * [`local`] — the legacy in-process recursive [`QueryEngine`], kept as the
+//!   equivalence oracle and single-node path ([`QueryMode::Local`]).
+//! * [`cache`] — the sub-result cache both engines consult, keyed by vertex,
+//!   node and kind and validated against every store a subtree was read
+//!   from.
 //!
 //! Both engines answer the query types the paper demonstrates:
 //!
@@ -38,13 +42,12 @@
 //! and implement the three optimizations of Section 2.2: **caching** of
 //! previously queried sub-results, keyed by vertex, node and kind
 //! (invalidated by store version, so incremental deletes can never serve
-//! stale values), **alternative
-//! tree-traversal orders** (sequential depth-first vs. parallel
-//! breadth-first), and **threshold-based pruning**. Under the distributed
-//! executor, the traversal-order trade-off is *measured*, not modelled: DFS
-//! keeps one request outstanding while BFS fans the whole frontier out
-//! concurrently, and [`QueryStats::latency_ms`] is read off the simulated
-//! network clock.
+//! stale values), **alternative tree-traversal orders** (sequential
+//! depth-first vs. parallel breadth-first), and **threshold-based pruning**.
+//! Under the distributed executor, the traversal-order trade-off is
+//! *measured*, not modelled: the order is the width of every frame's scan —
+//! DFS keeps one child outstanding, BFS fans every child out concurrently —
+//! and [`QueryStats::latency_ms`] is read off the simulated network clock.
 //!
 //! Every cross-node frame is charged to the `"prov-query"` traffic category,
 //! so the benchmarks can show — as the demonstration does — that the

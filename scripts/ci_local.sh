@@ -144,6 +144,17 @@ test_job() {
     #     one pass, it caught an appearance that runs its monotonic triggers
     #     after its aggregate and negation triggers, and a disappearance that
     #     fires monotonic rules;
+    # the pin of the query executor's session stream (one frame kind for
+    # vertices and rule executions, one scan whose width is the traversal
+    # order):
+    #   nettrails query_session_stream — every frame each poll seals (records,
+    #     qids, frame ids, dictionaries) and every session's result, stats and
+    #     partials, over depth-/breadth-first x kinds x cache x bounds plus a
+    #     cancellation wave per kind, on MINCOST and anchored path vectors
+    #     before and after a link down and on a seeded graph swept with cold
+    #     caches; digested before the scan became one routine, it caught a
+    #     childless breadth-first frame completing inline, depth-first at
+    #     width 2 and a rule execution's inputs issued in reverse order;
     # the oracles of one retraction per lost derivation:
     #   nt-runtime engine::tests::the_dependency_index_keeps_only_what_its_cascade_retracts
     #     — two engines exchange a remote derivation and one holds a min<>
