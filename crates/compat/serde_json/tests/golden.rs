@@ -1,86 +1,127 @@
-//! The JSON of log records. `to_string` of one fixed checkpoint and one
-//! fixed delta is pinned character for character, so the serde shape of the
-//! records — what `LogStore::to_json` exports for the visualizer and
-//! `from_json` loads — cannot drift unnoticed; and both must decode back.
-//! (Segment files carry the binary codec, not this text.)
+//! The writer's bytes, pinned. `to_string` of two fixed records of derived
+//! types kept in this file is compared character for character, and both
+//! texts must decode back: string escapes (tab, quote, backslash, a control
+//! character, non-ASCII and an astral-plane character), floats, a `u64` past
+//! `i64::MAX`, unit, newtype and struct variants, string-keyed maps, tuples,
+//! nested lists and `null`.
 
-use logstore::{LogRecord, NodeSnapshot, SnapshotDelta, SystemSnapshot};
-use nt_runtime::{Tuple, Value};
-use provenance::{ProvEdge, ProvVertex, RuleExecId, VertexId};
-use simnet::{SimTime, Topology};
+use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
-fn route(cost: i64, via: &str) -> Tuple {
-    Tuple::new(
-        "route",
-        vec![
-            Value::addr("g1"),
-            Value::Int(cost),
-            Value::list(vec![Value::addr("g1"), Value::addr(via)]),
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+enum Cell {
+    Int(i64),
+    Double(f64),
+    Str(String),
+    Bool(bool),
+    Addr(String),
+    List(Vec<Cell>),
+    Id(u64),
+    Infinity,
+}
+
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct Row {
+    relation: String,
+    values: Vec<Cell>,
+}
+
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+enum Vertex {
+    Row { vid: u64, row: Option<Row> },
+    Exec { rid: u64, rule: String },
+}
+
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct Counters {
+    messages: u64,
+    by_category: BTreeMap<String, (u64, u64)>,
+}
+
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct Page {
+    time: u64,
+    relations: BTreeMap<String, Vec<Row>>,
+    vertices: Vec<(u64, Vertex)>,
+    removed: Vec<u64>,
+    provenance: Option<u64>,
+    traffic: Counters,
+}
+
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+enum Record {
+    Checkpoint(Page),
+    Delta(Page),
+}
+
+fn route(cost: i64, via: &str) -> Row {
+    Row {
+        relation: "route".into(),
+        values: vec![
+            Cell::Addr("g1".into()),
+            Cell::Int(cost),
+            Cell::List(vec![Cell::Addr("g1".into()), Cell::Addr(via.into())]),
         ],
-    )
+    }
 }
 
-fn capture(secs: u64, routes: Vec<Tuple>, nodes: usize) -> SystemSnapshot {
-    let mut node = NodeSnapshot {
-        node: "g1".into(),
-        ..Default::default()
+fn records() -> (Record, Record) {
+    let note = Row {
+        relation: "note".into(),
+        values: vec![
+            Cell::Str("tab\t \"quoted\" back\\slash é中😀 \u{1}".into()),
+            Cell::Double(1.5),
+            Cell::Bool(true),
+            Cell::Id(255),
+            Cell::Infinity,
+        ],
     };
-    node.provenance.prov_entries = routes.len();
-    node.relations.insert("route".into(), routes);
-    node.relations.insert(
-        "note".into(),
-        vec![Tuple::new(
-            "note",
-            vec![
-                Value::str("tab\t \"quoted\" back\\slash é中😀 \u{1}"),
-                Value::Double(1.5),
-                Value::Bool(true),
-                Value::Id(255),
-                Value::Infinity,
-            ],
-        )],
-    );
-    let mut snap = SystemSnapshot {
-        time: SimTime::from_secs(secs),
-        topology: Topology::line(nodes),
-        ..Default::default()
+    let checkpoint = Page {
+        time: 1_000_000,
+        relations: [
+            ("route".to_string(), vec![route(1, "g2"), route(4, "g3")]),
+            ("note".to_string(), vec![note]),
+        ]
+        .into(),
+        vertices: vec![
+            (
+                14_596_721_363_408_416_608,
+                Vertex::Row {
+                    vid: 14_596_721_363_408_416_608,
+                    row: Some(route(1, "g2")),
+                },
+            ),
+            (
+                1,
+                Vertex::Exec {
+                    rid: 1,
+                    rule: "gr1".into(),
+                },
+            ),
+        ],
+        removed: vec![],
+        provenance: Some(2),
+        traffic: Counters {
+            messages: 1,
+            by_category: BTreeMap::new(),
+        },
     };
-    snap.nodes.insert("g1".into(), node);
-    let tuple = route(secs as i64, "g2");
-    let vid = VertexId::Tuple(tuple.id());
-    let rid = VertexId::RuleExec(RuleExecId(secs));
-    snap.graph.vertices.insert(
-        vid,
-        ProvVertex::Tuple {
-            vid: tuple.id(),
-            tuple: Some(tuple),
-            home: "g1".into(),
-            is_base: false,
+    let delta = Page {
+        time: 2_000_000,
+        relations: [("route".to_string(), vec![route(2, "g2")])].into(),
+        vertices: vec![(7, Vertex::Row { vid: 7, row: None })],
+        removed: vec![14_596_721_363_408_416_608],
+        provenance: None,
+        traffic: Counters {
+            messages: 2,
+            by_category: [("protocol".to_string(), (2, 96))].into(),
         },
-    );
-    snap.graph.vertices.insert(
-        rid,
-        ProvVertex::RuleExec {
-            rid: RuleExecId(secs),
-            rule: "gr1".into(),
-            node: "g2".into(),
-        },
-    );
-    snap.graph.edges.push(ProvEdge { from: rid, to: vid });
-    snap.traffic.messages = secs;
-    snap.stamp_dictionary();
-    snap
+    };
+    (Record::Checkpoint(checkpoint), Record::Delta(delta))
 }
 
-fn records() -> (LogRecord, LogRecord) {
-    let first = capture(1, vec![route(1, "g2"), route(4, "g3")], 2);
-    let second = capture(2, vec![route(2, "g2"), route(4, "g3")], 3);
-    let delta = SnapshotDelta::between(&first, &second);
-    (LogRecord::Checkpoint(first), LogRecord::Delta(delta))
-}
-
-const CHECKPOINT: &str = r##"{"Checkpoint":{"time":1000000,"nodes":{"g1":{"node":"g1","relations":{"note":[{"relation":"note","values":[{"Str":"tab\t \"quoted\" back\\slash é中😀 \u0001"},{"Double":1.5},{"Bool":true},{"Id":255},"Infinity"]}],"route":[{"relation":"route","values":[{"Addr":"g1"},{"Int":1},{"List":[{"Addr":"g1"},{"Addr":"g2"}]}]},{"relation":"route","values":[{"Addr":"g1"},{"Int":4},{"List":[{"Addr":"g1"},{"Addr":"g3"}]}]}]},"provenance":{"prov_entries":2,"rule_execs":0,"tuple_vertices":0,"dict_bytes":0,"bytes":0}}},"topology":{"nodes":["n1","n2"],"links":[{"from":"n1","to":"n2","cost":1,"latency_ms":1},{"from":"n2","to":"n1","cost":1,"latency_ms":1}]},"graph":{"vertices":[[{"Tuple":14596721363408416608},{"Tuple":{"vid":14596721363408416608,"tuple":{"relation":"route","values":[{"Addr":"g1"},{"Int":1},{"List":[{"Addr":"g1"},{"Addr":"g2"}]}]},"home":"g1","is_base":false}}],[{"RuleExec":1},{"RuleExec":{"rid":1,"rule":"gr1","node":"g2"}}]],"edges":[{"from":{"RuleExec":1},"to":{"Tuple":14596721363408416608}}]},"traffic":{"messages":1,"bytes":0,"records":0,"by_category":{},"by_link":{}},"dictionary":{"strings":["g1","g2","g3","gr1","note","route"]}}}"##;
-const DELTA: &str = r##"{"Delta":{"time":2000000,"nodes":{"g1":{"added":{"route":[{"relation":"route","values":[{"Addr":"g1"},{"Int":2},{"List":[{"Addr":"g1"},{"Addr":"g2"}]}]}]},"removed":{"route":[14596721363408416608]},"provenance":null}},"nodes_removed":[],"topology":{"nodes":["n1","n2","n3"],"links":[{"from":"n1","to":"n2","cost":1,"latency_ms":1},{"from":"n2","to":"n1","cost":1,"latency_ms":1},{"from":"n2","to":"n3","cost":1,"latency_ms":1},{"from":"n3","to":"n2","cost":1,"latency_ms":1}]},"graph":{"vertices_added":[[{"Tuple":13763600181487461817},{"Tuple":{"vid":13763600181487461817,"tuple":{"relation":"route","values":[{"Addr":"g1"},{"Int":2},{"List":[{"Addr":"g1"},{"Addr":"g2"}]}]},"home":"g1","is_base":false}}],[{"RuleExec":2},{"RuleExec":{"rid":2,"rule":"gr1","node":"g2"}}]],"vertices_removed":[{"Tuple":14596721363408416608},{"RuleExec":1}],"edges_added":[{"from":{"RuleExec":2},"to":{"Tuple":13763600181487461817}}],"edges_removed":[{"from":{"RuleExec":1},"to":{"Tuple":14596721363408416608}}]},"traffic":{"messages":2,"bytes":0,"records":0,"by_category":{},"by_link":{}}}}"##;
+const CHECKPOINT: &str = r##"{"Checkpoint":{"time":1000000,"relations":{"note":[{"relation":"note","values":[{"Str":"tab\t \"quoted\" back\\slash é中😀 \u0001"},{"Double":1.5},{"Bool":true},{"Id":255},"Infinity"]}],"route":[{"relation":"route","values":[{"Addr":"g1"},{"Int":1},{"List":[{"Addr":"g1"},{"Addr":"g2"}]}]},{"relation":"route","values":[{"Addr":"g1"},{"Int":4},{"List":[{"Addr":"g1"},{"Addr":"g3"}]}]}]},"vertices":[[14596721363408416608,{"Row":{"vid":14596721363408416608,"row":{"relation":"route","values":[{"Addr":"g1"},{"Int":1},{"List":[{"Addr":"g1"},{"Addr":"g2"}]}]}}}],[1,{"Exec":{"rid":1,"rule":"gr1"}}]],"removed":[],"provenance":2,"traffic":{"messages":1,"by_category":{}}}}"##;
+const DELTA: &str = r##"{"Delta":{"time":2000000,"relations":{"route":[{"relation":"route","values":[{"Addr":"g1"},{"Int":2},{"List":[{"Addr":"g1"},{"Addr":"g2"}]}]}]},"vertices":[[7,{"Row":{"vid":7,"row":null}}]],"removed":[14596721363408416608],"provenance":null,"traffic":{"messages":2,"by_category":{"protocol":[2,96]}}}}"##;
 
 #[test]
 fn the_writer_emits_exactly_these_bytes() {
@@ -93,8 +134,8 @@ fn the_writer_emits_exactly_these_bytes() {
 fn the_pinned_bytes_decode_to_the_records() {
     let (checkpoint, delta) = records();
     assert_eq!(
-        serde_json::from_str::<LogRecord>(CHECKPOINT).unwrap(),
+        serde_json::from_str::<Record>(CHECKPOINT).unwrap(),
         checkpoint
     );
-    assert_eq!(serde_json::from_str::<LogRecord>(DELTA).unwrap(), delta);
+    assert_eq!(serde_json::from_str::<Record>(DELTA).unwrap(), delta);
 }

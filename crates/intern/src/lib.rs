@@ -18,8 +18,8 @@
 //! * **Ordering** compares the *resolved strings*, so `BTreeMap` iteration
 //!   order, sorted reports and test expectations are identical to the old
 //!   `String`-keyed code and independent of interning order.
-//! * **Serialization** writes the string, never the raw id: snapshots stay
-//!   self-describing and can be reloaded by a process with a differently
+//! * **Encoding** ([`codec`]) writes the string, never the raw id: a frame
+//!   is self-describing and decodes in a process with a differently
 //!   populated pool. What shipping fixed-width ids costs a receiver that has
 //!   never seen the strings is modelled by [`Dictionary`], which states the
 //!   discipline every wire of the system follows.
@@ -41,8 +41,6 @@
 
 pub mod codec;
 
-use codec::{Decode, DecodeError, Encode, Reader, Writer};
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::fmt;
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
@@ -222,48 +220,6 @@ fn set_bit(words: &mut Vec<u64>, handle: u32) -> bool {
     let first = words[word] & bit == 0;
     words[word] |= bit;
     first
-}
-
-/// The names a snapshot refers to, sorted, in serializable form. Handles
-/// serialize as strings, so nothing depends on raw id values.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct InternerSnapshot {
-    /// Dictionary entries, sorted.
-    pub strings: Vec<String>,
-}
-
-impl InternerSnapshot {
-    /// Number of dictionary entries.
-    pub fn len(&self) -> usize {
-        self.strings.len()
-    }
-
-    /// True when the dictionary is empty.
-    pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
-    }
-}
-
-/// The dictionary's strings are names: each is an index into the frame's
-/// name table, which already holds it once the snapshot's contents named it.
-impl Encode for InternerSnapshot {
-    fn encode(&self, w: &mut Writer) {
-        w.usize(self.strings.len());
-        for s in &self.strings {
-            w.name(s);
-        }
-    }
-}
-
-impl Decode for InternerSnapshot {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let n = r.count()?;
-        let mut strings = Vec::with_capacity(n);
-        for _ in 0..n {
-            strings.push(r.name()?.to_string());
-        }
-        Ok(InternerSnapshot { strings })
-    }
 }
 
 /// The wire cost of one dictionary entry: a 4-byte id plus a length-prefixed
@@ -465,18 +421,6 @@ macro_rules! handle_type {
         impl PartialEq<$name> for String {
             fn eq(&self, other: &$name) -> bool {
                 self.as_str() == other.as_str()
-            }
-        }
-
-        impl Serialize for $name {
-            fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-                self.as_str().serialize(serializer)
-            }
-        }
-
-        impl Deserialize for $name {
-            fn deserialize<'de, D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-                Ok($name::new(&String::deserialize(d)?))
             }
         }
     };
@@ -724,19 +668,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_round_trips_and_prices_the_dictionary() {
-        let snap = InternerSnapshot {
-            strings: vec!["link".to_string(), "snapshot-node".to_string()],
-        };
-        assert_eq!(snap.len(), 2);
-        assert_eq!(dict_wire_size(&snap.strings), (8 + 4) + (8 + 13));
-        let back: InternerSnapshot =
-            serde::from_content(serde::to_content(&snap).unwrap()).unwrap();
-        assert_eq!(back, snap);
-        assert!(InternerSnapshot::default().is_empty());
-    }
-
-    #[test]
     fn a_dictionary_ships_a_name_once_until_it_is_cleared() {
         let mut to_n2 = Dictionary::default();
         let mut to_n3 = Dictionary::default();
@@ -749,6 +680,8 @@ mod tests {
         to_n2.clear();
         assert!(to_n2.first_use(link), "a cleared destination is new");
         assert!(!to_n3.first_use(link));
+        // An entry is its 4-byte id and its length-prefixed string.
+        assert_eq!(dict_wire_size(&["link", "dict-node"]), (8 + 4) + (8 + 9));
     }
 
     /// Handles low and high, in both forms: a list that becomes a bitmap
@@ -782,15 +715,6 @@ mod tests {
                 assert_eq!(dict.first_use(Sym(handle)), asked.insert(handle));
             }
         }
-    }
-
-    #[test]
-    fn serde_uses_strings_not_ids() {
-        let n = NodeId::new("serde-node");
-        let content = serde::to_content(&n).unwrap();
-        assert_eq!(content.as_str(), Some("serde-node"));
-        let back: NodeId = serde::from_content(content).unwrap();
-        assert_eq!(back, n);
     }
 
     #[test]

@@ -14,14 +14,13 @@
 use crate::delta::SnapshotDelta;
 use crate::snapshot::SystemSnapshot;
 use nt_runtime::codec::{Decode, DecodeError, Encode, Reader, Writer};
-use serde::{Deserialize, Serialize};
 use simnet::SimTime;
 use std::borrow::Cow;
 use std::io;
 
 /// One record of the log: a full checkpoint or an incremental delta against
 /// the previous record's materialized state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LogRecord {
     /// A full system snapshot (self-contained recovery point).
     Checkpoint(SystemSnapshot),

@@ -1,11 +1,11 @@
 //! Incremental snapshot deltas.
 //!
 //! Uploading a full [`SystemSnapshot`] at every capture re-ships everything —
-//! full tables, the full provenance graph, and the full identifier
-//! dictionary. A [`SnapshotDelta`] instead carries only what changed since
-//! the previous capture: per-node tuple additions/removals (removals written
-//! as bare [`TupleId`]s), provenance-graph vertex/edge edits, and the
-//! topology and traffic counters only when they moved. It names nothing it
+//! full tables, the full provenance graph and every name they mention. A
+//! [`SnapshotDelta`] instead carries only what changed since the previous
+//! capture: per-node tuple additions/removals (removals written as bare
+//! [`TupleId`]s), provenance-graph vertex/edge edits, and the topology and
+//! traffic counters only when they moved. It names nothing it
 //! does not hold: the names it uses travel in its own frame's name table
 //! (`nt_runtime::codec`). Applying a delta to the previous materialized
 //! snapshot reproduces the next snapshot bit-for-bit, which the equivalence
@@ -17,12 +17,11 @@ use crate::snapshot::{decode_by_relation, encode_by_relation, NodeSnapshot, Syst
 use nt_runtime::codec::{Decode, DecodeError, Encode, Reader, Writer};
 use nt_runtime::{Addr, Tuple, TupleId};
 use provenance::{ProvEdge, ProvStoreStats, ProvVertex, VertexId};
-use serde::{Deserialize, Serialize};
 use simnet::{SimTime, Topology, TrafficStats};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Changes to one node's captured state.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct NodeDelta {
     /// Tuples that appeared, per relation (in the relation's canonical
     /// order).
@@ -76,7 +75,7 @@ impl NodeDelta {
 }
 
 /// Changes to the centralized provenance graph.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct GraphDelta {
     /// Vertices that appeared or changed (applied as overwrites).
     pub vertices_added: Vec<(VertexId, ProvVertex)>,
@@ -113,7 +112,7 @@ impl GraphDelta {
 /// The changes between two consecutive system captures. Applying a delta to
 /// the previous capture's materialized snapshot yields the next one,
 /// bit-identical.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SnapshotDelta {
     /// Capture time of the *next* snapshot (the one this delta materializes).
     pub time: SimTime,
@@ -170,8 +169,6 @@ impl SnapshotDelta {
     /// relation that gained tuples gets them appended and is stable-sorted
     /// by `Tuple`'s order, which merges the two sorted runs with integer and
     /// handle compares, so the result is bit-identical to the full snapshot.
-    /// The caller re-stamps the dictionary afterwards (see
-    /// [`SystemSnapshot::stamp_dictionary`]).
     ///
     /// Returns the tuples it took out of `base`, each with its node: the
     /// delta names removals by id only, and a replay step reports the tuples.
@@ -334,7 +331,6 @@ mod tests {
             ..Default::default()
         };
         snap.nodes.insert("n1".into(), node_with("n1", costs));
-        snap.stamp_dictionary();
         snap
     }
 
@@ -345,7 +341,6 @@ mod tests {
         let delta = SnapshotDelta::between(&a, &b);
         let mut materialized = a.clone();
         delta.apply(&mut materialized);
-        materialized.stamp_dictionary();
         assert_eq!(materialized, b);
     }
 
@@ -386,11 +381,9 @@ mod tests {
         let mut a = snapshot_with(1, &[1]);
         let mut b = snapshot_with(2, &[1]);
         b.nodes.insert("n2".into(), node_with("n2", &[7]));
-        b.stamp_dictionary();
         let delta = SnapshotDelta::between(&a, &b);
         let mut forward = a.clone();
         delta.apply(&mut forward);
-        forward.stamp_dictionary();
         assert_eq!(forward, b);
 
         // And the reverse direction drops the node again.
@@ -399,7 +392,6 @@ mod tests {
         assert_eq!(delta.nodes_removed, vec![Addr::new("n2")]);
         let mut back = a.clone();
         delta.apply(&mut back);
-        back.stamp_dictionary();
         assert_eq!(back, b);
     }
 }

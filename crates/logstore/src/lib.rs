@@ -27,8 +27,8 @@
 //! * [`LogStore`] — the central store, a thin façade over a backend: it
 //!   encodes each record once with the binary codec (`nt_runtime::codec`)
 //!   and charges the payload's length as the upload; reads decode payloads
-//!   and materialize full snapshots from checkpoint + delta chains; JSON
-//!   (de)serialization is the visualizer's export;
+//!   and materialize full snapshots from checkpoint + delta chains. That
+//!   codec is the one byte form of every record;
 //! * [`Replay`] — iteration over the stored snapshots with per-step diffs
 //!   (which tuples appeared / disappeared between consecutive snapshots),
 //!   which is what the visualizer's replay slider consumes.
@@ -56,6 +56,7 @@
 pub mod backend;
 pub mod capture;
 pub mod delta;
+pub mod fence;
 pub mod replay;
 pub mod segment;
 pub mod snapshot;

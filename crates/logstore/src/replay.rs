@@ -110,7 +110,6 @@ impl SnapshotDiff {
             None => Default::default(),
         };
         let taken = delta.apply(snapshot);
-        snapshot.stamp_dictionary();
         let added = delta.nodes.iter().flat_map(|(node, nd)| {
             let tuples = nd.added.values().flatten();
             tuples.map(|t| (*node, t.clone()))

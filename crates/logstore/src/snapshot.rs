@@ -4,18 +4,18 @@
 //! (relation, then values by `Value::cmp`, which agrees with `==` and the
 //! tuple id), so captures of one state are one value whatever the table
 //! slot order, and a delta applied to the previous capture reproduces the
-//! next bit for bit. Its dictionary is every name its contents mention,
-//! sorted.
+//! next bit for bit. A snapshot holds no list of the names it mentions: its
+//! encoded frame's name table (`nt_runtime::codec`) is that list, in
+//! first-use order.
 
 use nt_runtime::codec::{Decode, DecodeError, Encode, Reader, Writer};
-use nt_runtime::{Addr, Database, IdSet, InternerSnapshot, Sym, Tuple};
+use nt_runtime::{Addr, Database, Tuple};
 use provenance::{ProvGraph, ProvStoreStats, ProvenanceSystem};
-use serde::{Deserialize, Serialize};
 use simnet::{SimTime, Topology, TrafficStats};
 use std::collections::BTreeMap;
 
 /// One node's captured state at a point in (simulated) time.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct NodeSnapshot {
     /// Node name.
     pub node: Addr,
@@ -59,7 +59,7 @@ impl NodeSnapshot {
 
 /// A whole-system snapshot: every node plus the topology and the centralized
 /// provenance graph, stamped with the capture time.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SystemSnapshot {
     /// Capture time.
     pub time: SimTime,
@@ -72,59 +72,9 @@ pub struct SystemSnapshot {
     /// Cumulative traffic counters at capture time (the "bandwidth
     /// utilization" the paper mentions).
     pub traffic: TrafficStats,
-    /// The identifier dictionary: every node/rule/relation name the
-    /// snapshot's contents refer to, sorted. Encoded, it is a list of
-    /// indices into the frame's name table, which holds those names already.
-    pub dictionary: InternerSnapshot,
 }
 
 impl SystemSnapshot {
-    /// Stamp the snapshot with its identifier dictionary: exactly the node,
-    /// relation and rule names referenced by the snapshot's contents — every
-    /// one reachable from the per-node state and the graph (call after
-    /// filling those in). Deliberately not the whole process intern pool:
-    /// the snapshot must depend only on itself, not on what else the process
-    /// has interned.
-    ///
-    /// Every mention is a handle put in a set; each distinct name is then
-    /// resolved and sorted once, with the relation keys beside them.
-    pub fn stamp_dictionary(&mut self) {
-        let mut handles: IdSet<Sym> = IdSet::default();
-        let mut names: Vec<&str> = Vec::new();
-        let mut insert = |name: Sym| {
-            handles.insert(name);
-        };
-        for (node, snap) in &self.nodes {
-            insert(node.as_sym());
-            for (relation, tuples) in &snap.relations {
-                names.push(relation);
-                for t in tuples {
-                    t.visit_names(&mut insert);
-                }
-            }
-        }
-        for vertex in self.graph.vertices.values() {
-            match vertex {
-                provenance::ProvVertex::Tuple { tuple, home, .. } => {
-                    insert(home.as_sym());
-                    if let Some(t) = tuple {
-                        t.visit_names(&mut insert);
-                    }
-                }
-                provenance::ProvVertex::RuleExec { rule, node, .. } => {
-                    insert(*rule);
-                    insert(node.as_sym());
-                }
-            }
-        }
-        names.extend(handles.iter().map(|name| -> &str { name.as_str() }));
-        names.sort_unstable();
-        names.dedup();
-        self.dictionary = InternerSnapshot {
-            strings: names.into_iter().map(str::to_string).collect(),
-        };
-    }
-
     /// Total tuples across every node.
     pub fn tuple_count(&self) -> usize {
         self.nodes.values().map(NodeSnapshot::tuple_count).sum()
@@ -191,7 +141,6 @@ impl Encode for SystemSnapshot {
         self.topology.encode(w);
         self.graph.encode(w);
         self.traffic.encode(w);
-        self.dictionary.encode(w);
     }
 }
 
@@ -203,7 +152,6 @@ impl Decode for SystemSnapshot {
             topology: Topology::decode(r)?,
             graph: ProvGraph::decode(r)?,
             traffic: TrafficStats::decode(r)?,
-            dictionary: InternerSnapshot::decode(r)?,
         })
     }
 }

@@ -3,7 +3,6 @@
 use crate::backend::{CompactionStats, LogBackend, LogRecord, MemBackend, RecordKind};
 use crate::snapshot::SystemSnapshot;
 use nt_runtime::codec::{self, Writer};
-use serde::{Deserialize, Serialize};
 use simnet::SimTime;
 use std::borrow::Cow;
 use std::cell::RefCell;
@@ -233,7 +232,6 @@ impl LogStore {
                 };
                 delta.apply(&mut cursor.snapshot);
             }
-            cursor.snapshot.stamp_dictionary();
             cursor.index = index;
         }
         Some(cursor)
@@ -256,41 +254,6 @@ impl LogStore {
     pub fn at(&self, time: SimTime) -> Option<SystemSnapshot> {
         self.get(self.index_at(time)?)
     }
-
-    /// Serialize the whole store to pretty JSON, an export for tools outside
-    /// the process (the visualizer reads [`LogStore::records`], not this).
-    /// Snapshots are materialized, so the export is backend- and
-    /// encoding-independent — exactly what the pre-incremental format
-    /// contained.
-    pub fn to_json(&self) -> serde_json::Result<String> {
-        let doc = StoreJson {
-            snapshots: self.snapshots(),
-            uploaded_bytes: self.uploaded_bytes,
-        };
-        serde_json::to_string_pretty(&doc)
-    }
-
-    /// Load a store (in-memory backend) from JSON, one checkpoint per
-    /// snapshot. Handles are written as strings and interned as they are
-    /// read, so the snapshots need no dictionary to resolve. The upload
-    /// counter is the document's, so an export loads back to itself.
-    pub fn from_json(json: &str) -> serde_json::Result<Self> {
-        let doc: StoreJson = serde_json::from_str(json)?;
-        let mut store = LogStore::new();
-        for snapshot in doc.snapshots {
-            store.add(snapshot);
-        }
-        store.uploaded_bytes = doc.uploaded_bytes;
-        Ok(store)
-    }
-}
-
-/// The stable JSON document shape: materialized snapshots plus the upload
-/// counter, unchanged from the pre-backend format.
-#[derive(Serialize, Deserialize)]
-struct StoreJson {
-    snapshots: Vec<SystemSnapshot>,
-    uploaded_bytes: u64,
 }
 
 #[cfg(test)]
@@ -321,7 +284,6 @@ mod tests {
         node.relations.insert("cost".into(), tuples);
         let mut snap = snapshot_at(secs);
         snap.nodes.insert("n1".into(), node);
-        snap.stamp_dictionary();
         snap
     }
 
@@ -354,31 +316,6 @@ mod tests {
             SimTime::from_secs(10)
         );
         assert!(store.at(SimTime::from_secs(1)).is_none());
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let mut store = LogStore::new();
-        store.add(snapshot_at(5));
-        let json = store.to_json().unwrap();
-        let loaded = LogStore::from_json(&json).unwrap();
-        assert_eq!(loaded.len(), 1);
-        assert_eq!(loaded.snapshots()[0].time, SimTime::from_secs(5));
-    }
-
-    #[test]
-    fn json_round_trip_materializes_delta_records() {
-        let mut capturer = SnapshotCapturer::new(2);
-        let mut store = LogStore::new();
-        for (secs, costs) in [(1, vec![1]), (2, vec![1, 2]), (3, vec![2, 3])] {
-            store.append_record(capturer.capture(snapshot_with_costs(secs, &costs)));
-        }
-        assert!(store.delta_count() > 0);
-        let json = store.to_json().unwrap();
-        let loaded = LogStore::from_json(&json).unwrap();
-        assert_eq!(loaded.len(), 3);
-        assert_eq!(loaded.snapshots(), store.snapshots());
-        assert_eq!(loaded.uploaded_bytes(), store.uploaded_bytes());
     }
 
     #[test]

@@ -113,7 +113,6 @@ fn records(seed: u64) -> Vec<LogRecord> {
             }
             snap.graph.edges.sort();
             snap.graph.edges.dedup();
-            snap.stamp_dictionary();
             capturer.capture(snap)
         })
         .collect()

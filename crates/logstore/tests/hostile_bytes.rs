@@ -188,7 +188,6 @@ fn capture(i: u64) -> SystemSnapshot {
         },
     );
     snap.graph.edges.sort();
-    snap.stamp_dictionary();
     snap
 }
 

@@ -7,8 +7,8 @@ use nt_runtime::{
 };
 use provenance::{
     ProvGraph, ProvenanceSystem, QueryBatch, QueryEngine, QueryExecutor, QueryHandle, QueryKind,
-    QueryMode, QueryOptions, QueryResult, QuerySpec, QueryStats, RuleExecNode, SystemStats,
-    TraversalOrder, QUERY_CATEGORY,
+    QueryMode, QueryOptions, QueryResult, QuerySpec, QueryStats, SystemStats, TraversalOrder,
+    QUERY_CATEGORY,
 };
 use serde::{Deserialize, Serialize};
 use simnet::{Delivered, Network, NetworkConfig, SimTime, Topology, TopologyEvent, TrafficStats};
@@ -303,9 +303,9 @@ impl NetTrails {
 
     /// Capture the whole system as a [`logstore::SystemSnapshot`]: every
     /// node's visible relations, the topology, the assembled provenance
-    /// graph, the traffic counters, stamped with the identifier dictionary.
-    /// The snapshot is *canonical* — tuple vectors and graph edges are in
-    /// their sorted capture order — so the incremental capture path
+    /// graph and the traffic counters, one walk of each. The snapshot is
+    /// *canonical* — tuple vectors and graph edges are in their sorted
+    /// capture order — so the incremental capture path
     /// ([`logstore::SnapshotCapturer`]) can materialize it back
     /// bit-identically from a checkpoint + delta chain.
     pub fn capture_snapshot(&self) -> logstore::SystemSnapshot {
@@ -322,7 +322,6 @@ impl NetTrails {
                 logstore::NodeSnapshot::capture(node.as_str(), engine.database(), &self.provenance),
             );
         }
-        snap.stamp_dictionary();
         snap
     }
 
@@ -658,8 +657,7 @@ impl NetTrails {
 
     /// Cancel a running session: outstanding subtrees are abandoned, one
     /// cancel frame per affected node is shipped (and charged), and the
-    /// traffic spent so far is returned. Partial results remain redeemable
-    /// through [`NetTrails::take_query_partials`].
+    /// traffic spent so far is returned.
     pub fn cancel_query(&mut self, handle: QueryHandle) -> QueryStats {
         let now = self.network.now();
         self.query_executor.cancel(handle, now);
@@ -669,14 +667,6 @@ impl NetTrails {
         // dropped whenever the driver next advances deliveries.
         self.flush_query_frames();
         self.query_executor.stats_so_far(handle).unwrap_or_default()
-    }
-
-    /// Drain the root-level derivations a lineage session has streamed so
-    /// far (partial results; works while running, after completion and
-    /// after cancellation). Other kinds stream nothing: their derivations
-    /// are folded into values, not trees.
-    pub fn take_query_partials(&mut self, handle: QueryHandle) -> Vec<RuleExecNode> {
-        self.query_executor.take_partials(handle)
     }
 
     /// Ship every staged query frame through the network. Returns true when
@@ -1110,7 +1100,7 @@ mod tests {
         assert!(bfs.messages <= dfs.messages, "fan-out coalesces frames");
     }
 
-    /// Cancelling a session stops its traffic; partials stay redeemable.
+    /// Cancelling a session stops its traffic.
     #[test]
     fn queries_can_be_cancelled_mid_flight() {
         let mut nt = mincost_on(Topology::line(4));
@@ -1133,7 +1123,6 @@ mod tests {
             cancelled.records,
             full.records
         );
-        let _ = nt.take_query_partials(handle);
     }
 
     /// `try_wait_query` is the non-panicking redemption path: `None` while

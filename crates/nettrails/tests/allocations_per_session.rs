@@ -6,23 +6,23 @@
 //! exactly; a ceiling that fails here names a per-frame or per-vertex
 //! allocation that came back.
 //!
-//! Each ceiling is the measured value + 10 %: 46 allocations per lineage
-//! session and 33 per derivation-count session (11,881 and 8,581 for the
-//! waves), both at 8.2 frames (one frame per flush, destination and
-//! direction, shared by the sessions staging toward it; one frame per
-//! session and flush was 12.9). They were 52 and 39 while a depth-first
-//! vertex copied its entries from its first derivation on, and 57 and 44
-//! while sealing collected each session's records toward a frame into a
-//! vector of their own, about one per record. A count folds where the data
-//! is and streams no partials: its 33 are the lineage owners below less
-//! `finish`'s clones, its slot vectors dropped at completion where
-//! lineage's become the tree. By owner, per lineage session (scratch tags
-//! on a copy of the executor, a thread-local owner read by this allocator):
+//! Each ceiling is the measured value + 10 %: 33 allocations per lineage
+//! session and 33 per derivation-count session (8,581 for each wave), both
+//! at 8.2 frames (one frame per flush, destination and direction, shared by
+//! the sessions staging toward it; one frame per session and flush was
+//! 12.9). Lineage read 46 (11,881) while `finish` cloned every root-level
+//! derivation into a partial-results buffer (12.9 per session), 52 and 39
+//! while a depth-first vertex copied its entries from its first derivation
+//! on, and 57 and 44 while sealing collected each session's records toward
+//! a frame into a vector of their own, about one per record. A count folds
+//! where the data is: its slot vectors are dropped at completion where
+//! lineage's become the tree, in as many allocations. By owner, per lineage
+//! session (scratch tags on a copy of the executor, a thread-local owner
+//! read by this allocator):
 //!
 //! | owner | per session | what |
 //! |---|---:|---|
 //! | sealing (`QueryExecutor::poll`) | 8.7 | per-flush frame and session-group tables and record places, one record vector and one dictionary header per frame, the batch list |
-//! | `finish` | 12.9 | root-level derivations cloned for `take_partials` |
 //! | `scan`: paths | 6.4 | one cycle-guard path per derivation |
 //! | `scan`: slots | 6.4 | one derivation slot vector per expanded vertex |
 //! | `scan`: the rest of the entries | 0.0 | a depth-first vertex with a derivation after the first copies its remaining entries; here none has one |
@@ -94,10 +94,11 @@ static ALLOC: Counting = Counting;
 const NODES: usize = 400;
 const SESSIONS: usize = 256;
 
-/// Allocations per lineage session: measured 46 (52 while a depth-first
-/// vertex copied its entries from its first derivation on, 57 with a record
-/// vector per session group).
-const ALLOCATIONS_PER_SESSION: usize = 51;
+/// Allocations per lineage session: measured 33 (46 while root-level
+/// derivations were cloned as partial results, 52 while a depth-first vertex
+/// copied its entries from its first derivation on, 57 with a record vector
+/// per session group).
+const ALLOCATIONS_PER_SESSION: usize = 37;
 
 /// Allocations per derivation-count session: measured 33 (39 while a
 /// depth-first vertex copied its entries, 44 with a record vector per

@@ -14,11 +14,10 @@ use crate::store::RuleExecId;
 use crate::system::ProvenanceSystem;
 use nt_runtime::codec::{Decode, DecodeError, Encode, Reader, Writer};
 use nt_runtime::{Addr, NodeId, Sym, Tuple, TupleId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A vertex of the provenance graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ProvVertex {
     /// A tuple vertex (base tuple or computation result).
     Tuple {
@@ -69,7 +68,7 @@ impl ProvVertex {
 }
 
 /// Identifier of a vertex in the assembled graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum VertexId {
     /// A tuple vertex.
     Tuple(TupleId),
@@ -79,7 +78,7 @@ pub enum VertexId {
 
 /// A directed edge of the provenance graph (dataflow direction: from inputs
 /// toward outputs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct ProvEdge {
     /// Source vertex.
     pub from: VertexId,
@@ -89,38 +88,12 @@ pub struct ProvEdge {
 
 /// The assembled, centralized provenance graph: a snapshot record of every
 /// vertex and every edge, nothing derived from them.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ProvGraph {
-    /// Vertices keyed by identifier. Serialized as an entry list so the graph
-    /// can be embedded in JSON snapshots (JSON maps need string keys).
-    #[serde(
-        serialize_with = "serialize_vertices",
-        deserialize_with = "deserialize_vertices"
-    )]
+    /// Vertices keyed by identifier.
     pub vertices: BTreeMap<VertexId, ProvVertex>,
     /// Edges (deduplicated, deterministic order).
     pub edges: Vec<ProvEdge>,
-}
-
-fn serialize_vertices<S>(
-    vertices: &BTreeMap<VertexId, ProvVertex>,
-    serializer: S,
-) -> Result<S::Ok, S::Error>
-where
-    S: serde::Serializer,
-{
-    serializer.collect_seq(vertices.iter())
-}
-
-fn deserialize_vertices<'de, D>(deserializer: D) -> Result<BTreeMap<VertexId, ProvVertex>, D::Error>
-where
-    D: serde::Deserializer<'de>,
-{
-    let entries = Vec::<(VertexId, ProvVertex)>::deserialize(deserializer)?;
-    if entries.iter().any(|(id, vertex)| *id != vertex.id()) {
-        return Err(serde::Error::custom("a vertex keyed by another id").into());
-    }
-    Ok(entries.into_iter().collect())
 }
 
 impl Encode for VertexId {

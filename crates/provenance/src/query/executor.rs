@@ -59,7 +59,7 @@
 //! path is an `Arc<[TupleId]>`: [`QueryOp::ExpandExec`] and every input
 //! frame of one derivation share the one slice built for it. A finished
 //! lineage frame's slots become its tree's `derivations` / `inputs` in their
-//! own buffer, and only lineage streams root-level derivations as partials.
+//! own buffer.
 //!
 //! A vertex scans its store entries in place. Only a scan that stops at the
 //! width can stop with entries left, so only a depth-first vertex with a
@@ -253,9 +253,6 @@ struct Session {
     frames: Vec<Option<Frame>>,
     queue: VecDeque<Event>,
     stats: QueryStats,
-    /// Lineage: completed root-level derivations, streamed as they finish
-    /// (drained by [`QueryExecutor::take_partials`]).
-    partials: Vec<RuleExecNode>,
     /// Caching on: `(vid, node)` sub-queries currently being computed, so
     /// concurrent breadth-first duplicates defer instead of racing.
     in_flight: IdMap<(TupleId, NodeId), u32>,
@@ -272,7 +269,6 @@ struct Finished {
     /// `None` for cancelled sessions.
     result: Option<QueryResult>,
     stats: QueryStats,
-    partials: Vec<RuleExecNode>,
 }
 
 /// The step-driven distributed query executor. See the module documentation.
@@ -357,7 +353,6 @@ impl QueryExecutor {
             frames: Vec::new(),
             queue: VecDeque::new(),
             stats: QueryStats::default(),
-            partials: Vec::new(),
             in_flight: IdMap::default(),
             waiters: IdMap::default(),
             root_result: None,
@@ -569,7 +564,6 @@ impl QueryExecutor {
             Finished {
                 result: Some(result),
                 stats,
-                partials: Vec::new(),
             },
         );
         QueryHandle(qid)
@@ -592,21 +586,6 @@ impl QueryExecutor {
         Some((finished.result, finished.stats))
     }
 
-    /// Drain the completed root-level derivations of a lineage session
-    /// streamed so far (partial results). Works both while the session is
-    /// executing and after it finished or was cancelled. Only lineage
-    /// streams: any other kind's derivations are values, not trees, and its
-    /// sessions return nothing here.
-    pub fn take_partials(&mut self, handle: QueryHandle) -> Vec<RuleExecNode> {
-        if let Some(session) = self.sessions.get_mut(&handle.0) {
-            return std::mem::take(&mut session.partials);
-        }
-        if let Some(finished) = self.finished.get_mut(&handle.0) {
-            return std::mem::take(&mut finished.partials);
-        }
-        Vec::new()
-    }
-
     /// Snapshot of a running (or finished) session's stats so far.
     pub fn stats_so_far(&self, handle: QueryHandle) -> Option<QueryStats> {
         if let Some(session) = self.sessions.get(&handle.0) {
@@ -618,7 +597,7 @@ impl QueryExecutor {
     /// Cancel a session: its state machines stop, in-flight responses will
     /// be dropped on delivery, and one [`QueryOp::Cancel`] frame per remote
     /// node with abandoned work is staged so the pruning itself is charged
-    /// to the wire. Partial results remain redeemable.
+    /// to the wire.
     pub fn cancel(&mut self, handle: QueryHandle, now: SimTime) {
         let qid = handle.0;
         let Some(session) = self.sessions.remove(&qid) else {
@@ -645,7 +624,6 @@ impl QueryExecutor {
             Finished {
                 result: None,
                 stats,
-                partials: session.partials,
             },
         );
     }
@@ -667,14 +645,7 @@ impl QueryExecutor {
             let result = session.root_result.take();
             let mut stats = session.stats;
             stats.latency_ms = (now - session.started_at).as_micros() as f64 / 1000.0;
-            self.finished.insert(
-                qid,
-                Finished {
-                    result,
-                    stats,
-                    partials: session.partials,
-                },
-            );
+            self.finished.insert(qid, Finished { result, stats });
         }
     }
 }
@@ -717,8 +688,8 @@ impl Session {
         if self.scan(f, entries, ctx) {
             // Nothing to wait for: depth-first completes the frame here,
             // breadth-first through a queued advance behind the events
-            // already queued. The order a frame's children complete in, and
-            // a root's derivations stream in, depends on it.
+            // already queued. The order a frame's children complete in
+            // depends on it; no answer, statistic or sealed frame does.
             if self.width == 1 {
                 self.complete(f, ctx);
             } else {
@@ -1011,16 +982,6 @@ impl Session {
             }
             return;
         };
-        if p == 0 {
-            // Root-level lineage derivation: stream it as a partial result.
-            if let Completed::Exec(Some(Folded {
-                value: QueryResult::Lineage(exec),
-                ..
-            })) = &completed
-            {
-                self.partials.push(exec.clone());
-            }
-        }
         let parent = self.frame(p);
         match (&mut parent.kind, completed) {
             (Kind::Vertex(v), Completed::Exec(Some(exec))) => {
@@ -1671,7 +1632,7 @@ mod tests {
     /// frames are dropped, and one cancel record per abandoned node is
     /// charged to the wire.
     #[test]
-    fn cancellation_stops_traffic_and_keeps_partials_redeemable() {
+    fn cancellation_stops_traffic() {
         let (sys, best) = sample_system();
         let mut ex = QueryExecutor::new();
         let spec = QuerySpec {
@@ -2025,37 +1986,5 @@ mod tests {
             }
         }
         assert!(shared > 0, "concurrent sessions share frames");
-    }
-
-    /// Partial results stream as root-level derivations complete.
-    #[test]
-    fn partial_results_stream_during_execution() {
-        let (sys, best) = sample_system();
-        let mut ex = QueryExecutor::new();
-        let spec = QuerySpec {
-            querier: NodeId::new("n3"),
-            vid: best.id(),
-            kind: QueryKind::Lineage,
-            mode: QueryMode::Distributed,
-            options: QueryOptions::default(),
-        };
-        let handle = ex.submit(&sys, spec, SimTime::ZERO);
-        let mut streamed = Vec::new();
-        let mut safety = 0;
-        while !ex.is_done(handle) {
-            for batch in ex.poll() {
-                ex.deliver(&sys, batch, SimTime::ZERO);
-            }
-            streamed.extend(ex.take_partials(handle));
-            safety += 1;
-            assert!(safety < 10_000);
-        }
-        streamed.extend(ex.take_partials(handle));
-        let (result, _) = ex.take_result(handle).expect("finished");
-        let Some(QueryResult::Lineage(tree)) = result else {
-            panic!()
-        };
-        assert_eq!(streamed.len(), tree.derivations.len());
-        assert_eq!(streamed, tree.derivations);
     }
 }

@@ -9,14 +9,13 @@
 
 use crate::query::api::{
     ProofTree, QueryKind, QueryMode, QueryOptions, QueryResult, QuerySpec, QueryStats,
-    TraversalOrder, QUERY_CATEGORY,
+    TraversalOrder,
 };
 use crate::query::cache::{absorb, QueryCache};
 use crate::query::executor::read_vertex;
 use crate::query::fold::{Fold, Folded, Head};
 use crate::system::ProvenanceSystem;
 use nt_runtime::{IdSet, NodeId, Tuple, TupleId};
-use simnet::TrafficStats;
 
 // ---------------------------------------------------------------------------
 // the legacy in-process engine (QueryMode::Local)
@@ -28,8 +27,6 @@ use simnet::TrafficStats;
 #[derive(Debug)]
 pub struct QueryEngine {
     cache: QueryCache,
-    /// Cumulative traffic across queries.
-    traffic: TrafficStats,
     /// Modelled round-trip time charged per cross-node hop, in milliseconds
     /// (the distributed executor *measures* this instead). Drivers that also
     /// run a network should set it to twice the network's per-link delay so
@@ -41,7 +38,6 @@ impl Default for QueryEngine {
     fn default() -> Self {
         QueryEngine {
             cache: QueryCache::default(),
-            traffic: TrafficStats::default(),
             hop_rtt_ms: 2.0,
         }
     }
@@ -60,11 +56,6 @@ impl QueryEngine {
             hop_rtt_ms,
             ..QueryEngine::default()
         }
-    }
-
-    /// Cumulative query traffic (all queries so far).
-    pub fn traffic(&self) -> &TrafficStats {
-        &self.traffic
     }
 
     /// Clear the result cache.
@@ -121,7 +112,7 @@ impl QueryEngine {
         let home = system.vertex_home(spec.vid).unwrap_or(spec.querier);
         // The querying node contacts the tuple's home node.
         if home != spec.querier {
-            self.charge(&mut stats, spec.querier, home, 64);
+            charge(&mut stats, 64);
         }
         let mut visited = IdSet::default();
         let fold = Fold::new(spec.kind, spec.options.use_cache);
@@ -197,7 +188,7 @@ impl QueryEngine {
             let rid = entry.rid.expect("non-base entry has rid");
             // Fetch the ruleExec record from the node where the rule fired.
             if entry.rloc != node {
-                self.charge(stats, node, entry.rloc, 96);
+                charge(stats, 96);
                 frontier_hops.push(self.hop_rtt_ms);
             }
             let Some(exec) = system.store(entry.rloc).and_then(|s| s.rule_exec(rid)) else {
@@ -247,13 +238,12 @@ impl QueryEngine {
         }
         done
     }
+}
 
-    fn charge(&mut self, stats: &mut QueryStats, from: NodeId, to: NodeId, bytes: usize) {
-        // Request + reply.
-        stats.messages += 2;
-        stats.records += 2;
-        stats.bytes += (bytes + 64) as u64;
-        self.traffic.record(from, to, QUERY_CATEGORY, bytes);
-        self.traffic.record(to, from, QUERY_CATEGORY, 64);
-    }
+/// Count one cross-node hop: a request of `bytes` and a 64-byte reply, one
+/// record each.
+fn charge(stats: &mut QueryStats, bytes: usize) {
+    stats.messages += 2;
+    stats.records += 2;
+    stats.bytes += (bytes + 64) as u64;
 }

@@ -41,14 +41,13 @@ use nt_runtime::{
     dict_entry_wire_size, rule_exec_digest, Dictionary, IdMap, NodeId, StableHasher, Sym, Tuple,
     TupleId,
 };
-use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
 use std::fmt;
 use std::sync::Arc;
 
 /// Identifier of a rule-execution vertex: a stable digest of the rule name,
 /// the executing node and the input tuple identifiers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RuleExecId(pub u64);
 
 impl RuleExecId {
@@ -129,7 +128,7 @@ impl RuleExec {
 
 /// Size counters for one node's provenance state; the maintenance-overhead
 /// experiment (E4) sums these across nodes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProvStoreStats {
     /// Number of `prov` entries stored at this node.
     pub prov_entries: usize,

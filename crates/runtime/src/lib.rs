@@ -46,5 +46,5 @@ pub use store::{
 pub use tuple::{Delta, Tuple, TupleId};
 pub use value::{
     codec, dict_entry_wire_size, dict_wire_size, rule_exec_digest, Addr, Dictionary, IdHasher,
-    IdMap, IdSet, Interner, InternerSnapshot, NodeId, StableHasher, Sym, Value,
+    IdMap, IdSet, Interner, NodeId, StableHasher, Sym, Value,
 };

@@ -2,7 +2,6 @@
 
 use crate::value::{StableHasher, Sym, Value};
 use nt_intern::codec::{Decode, DecodeError, Encode, Reader, Writer};
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
@@ -13,7 +12,7 @@ use std::sync::Arc;
 /// any node that holds (or merely mentions) a tuple computes the same
 /// identifier without coordination. VIDs are the vertices of the distributed
 /// provenance graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TupleId(pub u64);
 
 impl fmt::Display for TupleId {
@@ -29,18 +28,17 @@ impl fmt::Display for TupleId {
 /// copies a value. Relation comparisons on the join/provenance hot paths are
 /// integer compares.
 ///
-/// Sealed: [`Tuple::new`] is the one way to make one (serde and the codec go
-/// through it).
+/// Sealed: [`Tuple::new`] is the one way to make one (the codec's decoder
+/// goes through it).
 /// It stores every value in canonical form (the identity rule at the top of
 /// [`crate::value`]) and hashes once, so equal tuples have one id and one
 /// representation, and [`Tuple::id`] is a field read. Equality, order,
-/// hashing, `Debug` and serde read the content, never the handle: two tuples
-/// built apart are as equal as two clones of one.
-#[derive(Clone, PartialEq, Eq, Hash, Serialize)]
+/// hashing, `Debug` and the codec read the content, never the handle: two
+/// tuples built apart are as equal as two clones of one.
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Tuple {
     relation: Sym,
     /// Derived from the other two; compared before the values.
-    #[serde(skip)]
     id: TupleId,
     values: Arc<[Value]>,
 }
@@ -137,20 +135,6 @@ impl Tuple {
         cols.iter()
             .filter_map(|&c| self.values.get(c).cloned())
             .collect()
-    }
-}
-
-// `{relation, values}` on the wire, as before the id was carried; reading
-// goes through the constructor, so a tuple written as `3.0` loads as `3`.
-impl Deserialize for Tuple {
-    fn deserialize<'de, D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        #[derive(Deserialize)]
-        struct Wire {
-            relation: Sym,
-            values: Vec<Value>,
-        }
-        let wire = Wire::deserialize(d)?;
-        Ok(Tuple::new(wire.relation, wire.values))
     }
 }
 

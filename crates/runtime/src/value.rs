@@ -16,7 +16,7 @@
 //! read numbers through it — `Int` against `Double` exactly, never through
 //! `as f64` — so `a == b` implies equal hashes and `Ord` is a total order;
 //! lists follow elementwise. A [`crate::Tuple`] stores the canonical form, so
-//! equal tuples have one id and one stored, displayed and serialized
+//! equal tuples have one id and one stored, displayed and encoded
 //! representation. A value in flight (a rule constant, an arithmetic result)
 //! keeps its spelling, and arithmetic reads it: `3.0 / 2` is `1.5`.
 //!
@@ -31,14 +31,13 @@
 //! every layer matches values with `==` and nothing else.
 
 use nt_intern::codec::{Decode, DecodeError, Encode, Reader, Writer};
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
 
 pub use nt_intern::{
     codec, dict_entry_wire_size, dict_wire_size, rule_exec_digest, Dictionary, IdHasher, IdMap,
-    IdSet, Interner, InternerSnapshot, NodeId, StableHasher, Sym,
+    IdSet, Interner, NodeId, StableHasher, Sym,
 };
 
 /// A network address / node name. NetTrails identifies nodes by name (the
@@ -46,11 +45,12 @@ pub use nt_intern::{
 /// simulated endpoints. Addresses are interned: an `Addr` is a 4-byte handle
 /// ([`NodeId`]) into the process-global string arena, so cloning, hashing and
 /// equality on the maintenance and query hot paths never touch string data.
-/// Strings appear only at the API boundary (`&str` in, `Display`/serde out).
+/// Strings appear only at the API boundary (`&str` in, `Display` and the
+/// codec's name table out).
 pub type Addr = NodeId;
 
 /// Dynamically typed runtime value.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Value {
     /// Signed 64-bit integer.
     Int(i64),

@@ -2,7 +2,7 @@
 //! stated at the top of `value.rs`): `Eq` is an equivalence, `Ord` a total
 //! order consistent with it, equal values hash alike under `Hash` and under
 //! the stable hash, and equal tuples have one id, one printed form and one
-//! serialized form. Checked over values as any caller can spell them —
+//! encoding (`codec::encode` bytes). Checked over values as any caller can spell them —
 //! un-normalized doubles included — and over the numbers where `as f64`
 //! comparison breaks: `±2^53±1`, `i64::MIN/MAX`, `±2^63` as doubles, `-0.0`,
 //! several NaN payloads, `Infinity`.
@@ -13,7 +13,7 @@
 //!
 //! What fails before numeric identity was decided in one place (on the commit
 //! that compared `Int` with `Double` through `as f64` and hashed them apart):
-//! `equal_values_hash_alike` and `equal_tuples_have_one_id_one_text_one_json`
+//! `equal_values_hash_alike` and `equal_tuples_have_one_id_one_text_one_encoding`
 //! (`Int(3)` / `Double(3.0)`, `0.0` / `-0.0`, two NaN payloads),
 //! `ord_is_a_total_order_consistent_with_eq` (`2^53 + 1 == 2^53 as f64 ==
 //! 2^53` yet `2^53 + 1 != 2^53`), the nested forms of both, and
@@ -26,7 +26,7 @@
 //! tests hold sharing invisible. `a_shared_list_is_its_content` compares a
 //! value with its clone (which shares every list) and with a copy rebuilt
 //! from nothing (which shares none), bare and inside tuples, under `==`,
-//! `Ord`, `Hash`, `{:?}`, JSON and tuple id.
+//! `Ord`, `Hash`, `{:?}`, encoding and tuple id.
 //! `canonicalizing_a_shared_list_copies_it` puts a list that another holder
 //! keeps, holding `Double(3.0)`, into a tuple: the tuple stores `Int(3)`, the
 //! other holder still reads `Double(3.0)`. Seeded mutations, each caught
@@ -43,7 +43,7 @@
 //! `Tuple::cmp` ignoring the relation (both tests); the relation, or
 //! `Value::cmp` on two `Addr`s, compared by pool index (the second).
 
-use nt_runtime::{CompiledProgram, EngineConfig, NodeEngine, StableHasher, Tuple, Value};
+use nt_runtime::{codec, CompiledProgram, EngineConfig, NodeEngine, StableHasher, Tuple, Value};
 use proptest::prelude::*;
 use std::cmp::Ordering;
 use std::collections::hash_map::DefaultHasher;
@@ -163,19 +163,14 @@ fn tuple_laws(a: &Tuple, b: &Tuple) -> Result<(), String> {
     if a != b {
         return Ok(());
     }
-    let json = |t: &Tuple| serde_json::to_string(t).expect("tuples serialize");
     if a.id() != b.id() {
         return Err(format!("equal tuples, two ids: {a:?} / {b:?}"));
     }
     if a.to_string() != b.to_string() {
         return Err(format!("equal tuples, two texts: {a} / {b}"));
     }
-    if json(a) != json(b) {
-        return Err(format!(
-            "equal tuples, two JSONs: {} / {}",
-            json(a),
-            json(b)
-        ));
+    if codec::encode(a) != codec::encode(b) {
+        return Err(format!("equal tuples, two encodings: {a:?} / {b:?}"));
     }
     if std_hash(a) != std_hash(b) {
         return Err(format!("equal tuples, two hashes: {a:?} / {b:?}"));
@@ -244,7 +239,7 @@ fn equal_values_hash_alike() {
 }
 
 #[test]
-fn equal_tuples_have_one_id_one_text_one_json() {
+fn equal_tuples_have_one_id_one_text_one_encoding() {
     let values = palette();
     for a in &values {
         for b in &values {
@@ -254,10 +249,9 @@ fn equal_tuples_have_one_id_one_text_one_json() {
     }
     let three = Tuple::new("t", vec![Value::Double(3.0), Value::Double(-0.0)]);
     assert_eq!(three.to_string(), "t(3,0)");
-    assert_eq!(
-        serde_json::to_string(&three).expect("tuples serialize"),
-        r#"{"relation":"t","values":[{"Int":3},{"Int":0}]}"#
-    );
+    // Name table ["t"]; relation 0; two values, each `Int`'s tag and a
+    // zigzag varint.
+    assert_eq!(codec::encode(&three), [1, 1, b't', 0, 2, 0, 6, 0, 0]);
 }
 
 /// `Tuple`'s order over one triple — the order of a snapshot's relations:
@@ -353,7 +347,6 @@ proptest! {
 
     #[test]
     fn a_shared_list_is_its_content(a in value_strategy(), b in value_strategy()) {
-        let json = |v: &Value| serde_json::to_string(v).expect("values serialize");
         // A clone shares every list of `a`; a rebuilt copy shares none.
         for twin in [a.clone(), rebuilt(&a)] {
             prop_assert_eq!(&a, &twin);
@@ -362,7 +355,7 @@ proptest! {
             prop_assert_eq!(std_hash(&a), std_hash(&twin));
             prop_assert_eq!(stable_hash(&a), stable_hash(&twin));
             prop_assert_eq!(format!("{a:?}"), format!("{twin:?}"));
-            prop_assert_eq!(json(&a), json(&twin));
+            prop_assert_eq!(codec::encode(&a), codec::encode(&twin));
         }
         // Tuples holding `a` twice, over its lists, over rebuilt ones, and a
         // clone of the first (one shared slice of values).
@@ -438,14 +431,11 @@ proptest! {
         let twin = Tuple::new("t", a.iter().map(respelled).collect::<Vec<_>>());
         prop_assert_eq!(&ta, &twin);
         tuple_laws(&ta, &twin).map_err(TestCaseError::fail)?;
-        // What is stored is what is read: a round trip changes nothing. (JSON
-        // has no NaN or infinite number; the writer prints `null`.)
-        let json = serde_json::to_string(&ta).expect("tuples serialize");
-        if !json.contains("null") {
-            let back: Tuple = serde_json::from_str(&json).expect("tuples deserialize");
-            prop_assert_eq!(back.id(), ta.id());
-            prop_assert_eq!(serde_json::to_string(&back).expect("tuples serialize"), json);
-        }
+        // What is stored is what is read: a round trip changes nothing.
+        let bytes = codec::encode(&ta);
+        let back: Tuple = codec::decode(&bytes).expect("tuples decode");
+        prop_assert_eq!(back.id(), ta.id());
+        prop_assert_eq!(codec::encode(&back), bytes);
     }
 }
 

@@ -12,15 +12,12 @@
 //! endpoints as [`NodeId`] handles and the category as the `&'static str`
 //! constant its caller already holds, and does integer adds and one hash
 //! probe — no formatting, no allocation, no intern-pool lock. The
-//! `"src->dst"` keys and category names of the stored format are spelled in
-//! one place, the private `view` form below, which `Serialize`,
-//! `Deserialize` and `Debug` all go through; snapshot JSON and the `{:?}`
-//! text are what the string-keyed maps this replaced produced, byte for byte.
+//! `"src->dst"` keys a person reads are spelled in one place, `Debug`, whose
+//! text is what the string-keyed maps this replaced printed, byte for byte.
 //! The binary codec writes the handles themselves, as names of the frame.
 
 use nt_intern::codec::{Decode, DecodeError, Encode, Reader, Writer};
-use nt_intern::{IdMap, NodeId, Sym};
-use serde::{Deserialize, Serialize};
+use nt_intern::{IdMap, NodeId};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -98,71 +95,6 @@ impl TrafficStats {
     }
 }
 
-/// The counters as a file or a person reads them: every key a string, every
-/// map sorted by it. This is the stored format (field names, field order,
-/// `"src->dst"` link keys), and the only place that spells a link key.
-mod view {
-    use super::*;
-
-    #[derive(Debug, Serialize, Deserialize)]
-    pub(super) struct TrafficStats {
-        messages: u64,
-        bytes: u64,
-        records: u64,
-        by_category: BTreeMap<String, (u64, u64)>,
-        by_link: BTreeMap<String, u64>,
-    }
-
-    impl From<&super::TrafficStats> for TrafficStats {
-        fn from(stats: &super::TrafficStats) -> Self {
-            TrafficStats {
-                messages: stats.messages,
-                bytes: stats.bytes,
-                records: stats.records,
-                by_category: stats
-                    .by_category
-                    .iter()
-                    .map(|(category, counts)| (category.to_string(), *counts))
-                    .collect(),
-                by_link: stats
-                    .links()
-                    .map(|(src, dst, m)| (format!("{src}->{dst}"), m))
-                    .collect(),
-            }
-        }
-    }
-
-    impl TryFrom<TrafficStats> for super::TrafficStats {
-        type Error = serde::Error;
-
-        /// A link key splits at its first `->`: the format cannot hold a
-        /// source name containing one, a destination name may.
-        fn try_from(view: TrafficStats) -> Result<Self, serde::Error> {
-            let mut by_link =
-                IdMap::with_capacity_and_hasher(view.by_link.len(), Default::default());
-            for (key, m) in view.by_link {
-                let (src, dst) = key.split_once("->").ok_or_else(|| {
-                    serde::Error::custom(format!("traffic link key {key:?} is not src->dst"))
-                })?;
-                by_link.insert((NodeId::new(src), NodeId::new(dst)), m);
-            }
-            Ok(super::TrafficStats {
-                messages: view.messages,
-                bytes: view.bytes,
-                records: view.records,
-                // Interning is what turns a stored name into the `'static`
-                // string a category is keyed by, once per distinct name.
-                by_category: view
-                    .by_category
-                    .into_iter()
-                    .map(|(category, counts)| (Sym::new(&category).as_str(), counts))
-                    .collect(),
-                by_link,
-            })
-        }
-    }
-}
-
 /// The totals, the categories in name order, then the links in (src, dst)
 /// name order, so the bytes do not follow the map's hash order.
 impl Encode for TrafficStats {
@@ -209,21 +141,22 @@ impl Decode for TrafficStats {
     }
 }
 
+/// The counters as a person reads them: every map in key order, a link
+/// keyed `"src->dst"` (the one place that spells a link key), so the text
+/// does not follow the map's hash order.
 impl fmt::Debug for TrafficStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        view::TrafficStats::from(self).fmt(f)
-    }
-}
-
-impl Serialize for TrafficStats {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        view::TrafficStats::from(self).serialize(serializer)
-    }
-}
-
-impl Deserialize for TrafficStats {
-    fn deserialize<'de, D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        Ok(view::TrafficStats::deserialize(d)?.try_into()?)
+        let by_link: BTreeMap<String, u64> = self
+            .links()
+            .map(|(src, dst, m)| (format!("{src}->{dst}"), m))
+            .collect();
+        f.debug_struct("TrafficStats")
+            .field("messages", &self.messages)
+            .field("bytes", &self.bytes)
+            .field("records", &self.records)
+            .field("by_category", &self.by_category)
+            .field("by_link", &by_link)
+            .finish()
     }
 }
 

@@ -1,15 +1,12 @@
 //! Simulated time.
 
 use nt_intern::codec::{Decode, DecodeError, Encode, Reader, Writer};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
 /// A point in simulated time, stored as integer microseconds so that event
 /// ordering is exact and platform independent.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(pub u64);
 
 impl SimTime {

@@ -14,11 +14,10 @@ use nt_intern::codec::{Decode, DecodeError, Encode, Reader, Writer};
 use nt_intern::{IdMap, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A directed link between two named nodes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Link {
     /// Source node name.
     pub from: String,
@@ -67,7 +66,7 @@ pub enum TopologyEvent {
 }
 
 /// A set of nodes and directed links.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Topology {
     nodes: BTreeSet<String>,
     links: LinkMap,
@@ -78,8 +77,7 @@ pub struct Topology {
 /// a comparison is a plain string comparison and no key is a copy of a name.
 /// `latency_ms` answers the one question asked per message — a pair's
 /// latency, which most pairs answer with "no link" — by one hash probe of
-/// the two handles. Serialized as a plain list of links so snapshots can be
-/// stored as JSON (JSON maps need string keys).
+/// the two handles.
 #[derive(Debug, Clone, Default, PartialEq)]
 struct LinkMap {
     ordered: BTreeMap<(&'static str, &'static str), Link>,
@@ -104,22 +102,6 @@ impl LinkMap {
 /// names no node of any topology.
 fn interned(name: &str) -> Option<&'static str> {
     Some(NodeId::lookup(name)?.as_str())
-}
-
-impl Serialize for LinkMap {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.collect_seq(self.ordered.values())
-    }
-}
-
-impl Deserialize for LinkMap {
-    fn deserialize<'de, D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let mut links = LinkMap::default();
-        for link in Vec::<Link>::deserialize(deserializer)? {
-            links.insert(link);
-        }
-        Ok(links)
-    }
 }
 
 /// The nodes, then the links in (from, to) order; every node name is a name

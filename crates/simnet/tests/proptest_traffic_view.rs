@@ -1,9 +1,10 @@
 //! `TrafficStats` counts under handles and shows strings. The oracle is the
-//! string-keyed counter it replaced, kept here in its original form: for any
-//! sequence of charges the two must serialize to the same JSON bytes, print
-//! the same `{:?}` and `{:#?}` text and merge to the same result in either
-//! order, and the JSON must load back into counters that re-serialize to the
-//! bytes they came from and hold the links that were charged.
+//! string-keyed counter it replaced, kept here in its original form, with
+//! an encoder written from the codec's grammar: for any sequence of charges
+//! the two must encode to the same `codec::encode` bytes, print the same
+//! `{:?}` and `{:#?}` text and merge to the same result in either order, and
+//! the bytes must decode back into counters that encode to the bytes they
+//! came from and hold the links that were charged.
 //!
 //! Node names are drawn to break a view that sorts or splits carelessly:
 //! prefixes of one another (`a`, `ab`, `n1`, `n10`), a name ending in `-`
@@ -13,19 +14,23 @@
 //! Mutations of `crates/simnet/src/stats.rs` this file was run against, and
 //! the property that caught each:
 //!
-//! * link view left in (src, dst) name order, not key order — JSON bytes of
-//!   all three properties (`a->a` before `a-->n10`);
-//! * `src` / `dst` swapped in the view — JSON bytes of all three;
-//! * `merge` skipping a category `self` has not seen — JSON bytes after
-//!   merge, `merge_is_the_sum_in_either_order`;
-//! * deserialization splitting a key at its last `->` — the links of the
-//!   loaded counters, `json_round_trips` (its JSON and `{:?}` cannot tell:
-//!   `a` + `x->y` and `a->x` + `y` spell one key).
+//! * `Debug` listing links in (src, dst) name order, not key order — the
+//!   `{:?}` text of `counters_read_like_…` and `codec_round_trips`
+//!   (`a->a` before `a-->n10`);
+//! * `src` / `dst` swapped in `Debug` — the same two;
+//! * `merge` skipping a category `self` has not seen —
+//!   `merge_is_the_sum_in_either_order`;
+//! * the encoder writing links in the map's hash order — the bytes of all
+//!   three;
+//! * the decoder reading a link's ends in the other order — the links of
+//!   the decoded counters, `codec_round_trips` (its bytes cannot tell: the
+//!   swapped counters encode as they were read).
 //!
-//! At the parent of the change that added this file the three properties
-//! pass against the string-keyed `TrafficStats` itself (charging by `&str`),
+//! At the parent of the change that added this file the properties passed
+//! against the string-keyed `TrafficStats` itself (charging by `&str`),
 //! which is what makes the copy below the oracle.
 
+use nt_intern::codec::{self, Encode, Writer};
 use nt_intern::NodeId;
 use proptest::prelude::*;
 use simnet::TrafficStats;
@@ -33,10 +38,9 @@ use std::collections::BTreeMap;
 
 /// The counters as they were when their keys were strings.
 mod reference {
-    use serde::{Deserialize, Serialize};
     use std::collections::BTreeMap;
 
-    #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Default, PartialEq)]
     pub struct TrafficStats {
         pub messages: u64,
         pub bytes: u64,
@@ -110,15 +114,43 @@ fn drive(charges: &[Charge]) -> (TrafficStats, reference::TrafficStats) {
     (stats, oracle)
 }
 
-fn json<T: serde::Serialize>(value: &T) -> String {
-    serde_json::to_string(value).expect("counters serialize")
+/// The codec's layout of the counters: the totals, the categories in name
+/// order, then the links in (src, dst) name order. A key splits at its first
+/// `->`, since no source holds one.
+impl Encode for reference::TrafficStats {
+    fn encode(&self, w: &mut Writer) {
+        w.varint(self.messages);
+        w.varint(self.bytes);
+        w.varint(self.records);
+        w.usize(self.by_category.len());
+        for (category, (messages, bytes)) in &self.by_category {
+            w.name(category);
+            w.varint(*messages);
+            w.varint(*bytes);
+        }
+        let mut links: Vec<(&str, &str, u64)> = self
+            .by_link
+            .iter()
+            .map(|(key, m)| {
+                let (src, dst) = key.split_once("->").expect("src->dst");
+                (src, dst, *m)
+            })
+            .collect();
+        links.sort_unstable();
+        w.usize(links.len());
+        for (src, dst, messages) in links {
+            w.name(src);
+            w.name(dst);
+            w.varint(messages);
+        }
+    }
 }
 
 proptest! {
     #[test]
     fn counters_read_like_the_string_keyed_reference(charges in charges(60)) {
         let (stats, oracle) = drive(&charges);
-        prop_assert_eq!(json(&stats), json(&oracle));
+        prop_assert_eq!(codec::encode(&stats), codec::encode(&oracle));
         prop_assert_eq!(format!("{stats:?}"), format!("{oracle:?}"));
         prop_assert_eq!(format!("{stats:#?}"), format!("{oracle:#?}"));
         prop_assert_eq!(
@@ -142,23 +174,23 @@ proptest! {
         let (mut ab, mut oracle_ab) = (a.clone(), oracle_a.clone());
         ab.merge(&b);
         oracle_ab.merge(&oracle_b);
-        prop_assert_eq!(json(&ab), json(&oracle_ab));
+        prop_assert_eq!(codec::encode(&ab), codec::encode(&oracle_ab));
 
         let (mut ba, mut oracle_ba) = (b, oracle_b);
         ba.merge(&a);
         oracle_ba.merge(&oracle_a);
-        prop_assert_eq!(json(&ba), json(&oracle_ba));
+        prop_assert_eq!(codec::encode(&ba), codec::encode(&oracle_ba));
 
         prop_assert_eq!(&ab, &ba);
         prop_assert_eq!(&ab, &sum);
     }
 
     #[test]
-    fn json_round_trips(charges in charges(60)) {
+    fn codec_round_trips(charges in charges(60)) {
         let (stats, oracle) = drive(&charges);
-        let text = json(&oracle);
-        let loaded: TrafficStats = serde_json::from_str(&text).expect("stored counters load");
-        prop_assert_eq!(json(&loaded), text);
+        let bytes = codec::encode(&oracle);
+        let loaded: TrafficStats = codec::decode(&bytes).expect("encoded counters decode");
+        prop_assert_eq!(codec::encode(&loaded), bytes);
         prop_assert_eq!(format!("{loaded:?}"), format!("{oracle:?}"));
 
         let mut charged: BTreeMap<(NodeId, NodeId), u64> = BTreeMap::new();
@@ -172,10 +204,4 @@ proptest! {
         prop_assert_eq!(links, charged);
         prop_assert_eq!(&loaded, &stats);
     }
-}
-
-#[test]
-fn a_link_key_without_an_arrow_is_refused() {
-    let text = r#"{"messages":1,"bytes":0,"records":1,"by_category":{},"by_link":{"n1n2":1}}"#;
-    assert!(serde_json::from_str::<TrafficStats>(text).is_err());
 }

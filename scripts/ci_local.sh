@@ -82,7 +82,7 @@ test_job() {
     # the laws of one identity per value, shared or not:
     #   nt-runtime proptest_value_laws (a_shared_list_is_its_content,
     #     canonicalizing_a_shared_list_copies_it) — a clone and a rebuilt
-    #     copy are one value to ==, Ord, Hash, {:?}, JSON and tuple id, and a
+    #     copy are one value to ==, Ord, Hash, {:?}, encoding and tuple id, and a
     #     tuple never rewrites a list another holder keeps;
     # the oracle of the dictionary discipline:
     #   nettrails dictionary_discipline — every DeltaBatch and QueryBatch
@@ -93,7 +93,7 @@ test_job() {
     #     another thread mints names) is the same bytes;
     # the oracle and the price of the message plane's bookkeeping:
     #   simnet proptest_traffic_view — TrafficStats counts under handles and
-    #     reads (JSON, {:?}, merge) like the string-keyed counters
+    #     reads (codec bytes, {:?}, merge) like the string-keyed counters
     #     it replaced, which the test file keeps;
     #   simnet send_allocations, nettrails allocations_per_session — counted
     #     heap allocations per message (none once its link is counted) and
@@ -101,8 +101,10 @@ test_job() {
     # the oracles of the log store's binary codec:
     #   nettrails codec_equivalence — every record of seeded platform capture
     #     streams (the snapshot_replay network, the four replay_determinism
-    #     families) round-trips through nt_runtime::codec and agrees with the
-    #     JSON round trip; hand-built values bit for bit;
+    #     families) round-trips through nt_runtime::codec to itself and its
+    #     bytes, a reopened segment store materializes the captures; hand-built
+    #     values bit for bit; a hand-written frame spelling 3 as 3.0 decodes
+    #     to the Int spelling's tuple;
     #   logstore hostile_bytes — every truncation, seeded mutations and
     #     random buffers: the decoder never panics, never reserves past the
     #     bytes left, caps list nesting;
@@ -110,20 +112,18 @@ test_job() {
     #     sum of codec::encode lengths, the memory footprint equals it, the
     #     segment footprint adds 21 B per frame and the footers; compaction
     #     carries a payload that does not decode byte for byte;
-    #   logstore hostile_json — LogStore::from_json on every truncation and
-    #     seeded mutations of the store_pr21_* fixtures and arrays nested past
-    #     the depth cap: never a panic, every failure an Err;
-    # the oracles of a snapshot's one order and its dictionary:
+    # the oracles of a snapshot's one order and its names:
     #   nt-runtime proptest_value_laws (tuple_order_is_a_total_order_consistent_with_eq_and_id,
     #     tuple_order_reads_names_not_handles) — Tuple's Ord is Equal exactly
     #     when == and one id, antisymmetric, transitive, and reads names, not
     #     interning order;
     #   logstore snapshot::tests::a_capture_does_not_depend_on_insertion_order_or_slot_reuse
     #     — one set of facts inserted in two orders, with slot reuse, captures alike;
-    #   logstore cursor_equivalence, nettrails codec_equivalence — every stamped
-    #     dictionary equals the text-set stamp kept in
-    #     crates/logstore/tests/common, and capture_record's records equal the
-    #     capture-then-capturer stream byte for byte;
+    #   logstore cursor_equivalence, nettrails codec_equivalence — the name
+    #     table of every checkpoint's and materialized snapshot's frame equals
+    #     the text-set walk kept in crates/logstore/tests/common, and
+    #     capture_record's records equal the capture-then-capturer stream
+    #     byte for byte;
     # the oracles of what a provenance vertex and a firing carry:
     #   nettrails integration_incremental
     #     (provenance_stats_after_link_churn_equal_a_fresh_computation) — MINCOST
@@ -148,8 +148,8 @@ test_job() {
     # vertices and rule executions, one scan whose width is the traversal
     # order):
     #   nettrails query_session_stream — every frame each poll seals (records,
-    #     qids, frame ids, dictionaries) and every session's result, stats and
-    #     partials, over depth-/breadth-first x kinds x cache x bounds plus a
+    #     qids, frame ids, dictionaries) and every session's result and
+    #     stats, over depth-/breadth-first x kinds x cache x bounds plus a
     #     cancellation wave per kind, on MINCOST and anchored path vectors
     #     before and after a link down and on a seeded graph swept with cold
     #     caches; digested before the scan became one routine, it caught a

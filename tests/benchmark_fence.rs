@@ -11,7 +11,8 @@
 //! constructors whose fenced signatures return `Self` and from
 //! `QueryExecutor::set_frame_merging` — that the
 //! counters read 0 after a convergence plus churn, and that
-//! `ProvGraph::rebuild_adjacency` leaves a captured graph as it was.
+//! `ProvGraph::rebuild_adjacency` and `SystemSnapshot::stamp_dictionary`
+//! leave a captured graph and a capture as they were.
 //!
 //! Mutations it caught: a `NetTrails::new` that accepts `prov_shards: 2`
 //! without a word. `NetMessage::Delta` is a variant nothing constructs; the
@@ -29,7 +30,11 @@ use std::sync::Arc;
 
 /// Every shim, as `crate file: item`. A tag added to or removed from the
 /// source without this list changing fails `the_ledger_lists_every_tag`.
-const LEDGER: [&str; 24] = [
+const LEDGER: [&str; 30] = [
+    "crates/intern/Cargo.toml: serde",
+    "crates/logstore/Cargo.toml: serde",
+    "crates/logstore/Cargo.toml: serde_json",
+    "crates/logstore/src/fence.rs: stamp_dictionary",
     "crates/nettrails/src/platform.rs: Delta",
     "crates/nettrails/src/platform.rs: columnar_storage",
     "crates/nettrails/src/platform.rs: fixpoint_dispatch_threshold",
@@ -42,6 +47,7 @@ const LEDGER: [&str; 24] = [
     "crates/pool/src/lib.rs: jobs_executed",
     "crates/pool/src/lib.rs: workers",
     "crates/provenance/Cargo.toml: nt-pool",
+    "crates/provenance/Cargo.toml: serde",
     "crates/provenance/src/fence.rs: cross_shard_records",
     "crates/provenance/src/fence.rs: maintenance_traffic",
     "crates/provenance/src/fence.rs: rebuild_adjacency",
@@ -49,6 +55,7 @@ const LEDGER: [&str; 24] = [
     "crates/provenance/src/fence.rs: shard_stats",
     "crates/provenance/src/fence.rs: with_shards",
     "crates/runtime/Cargo.toml: nt-pool",
+    "crates/runtime/Cargo.toml: serde",
     "crates/runtime/src/engine.rs: columnar_storage",
     "crates/runtime/src/engine.rs: fixpoint_dispatch_threshold",
     "crates/runtime/src/engine.rs: fixpoint_workers",
@@ -438,4 +445,25 @@ fn rebuild_adjacency_leaves_a_captured_graph_as_it_was() {
     graph.rebuild_adjacency();
     assert_eq!(graph, captured);
     assert_eq!(codec::encode(&graph), codec::encode(&captured));
+}
+
+/// A snapshot's names travel in its frame's name table: the stamp the
+/// benchmark's capture still asks for leaves a capture equal, and its
+/// encoded bytes identical.
+#[test]
+fn stamp_dictionary_leaves_a_capture_as_it_was() {
+    let mut nt = NetTrails::new(
+        protocols::mincost::PROGRAM,
+        Topology::ladder(3),
+        NetTrailsConfig::default(),
+    )
+    .unwrap();
+    nt.seed_links_from_topology();
+    nt.run_to_fixpoint();
+    let captured = nt.capture_snapshot();
+    assert!(captured.tuple_count() > 0);
+    let mut snapshot = captured.clone();
+    snapshot.stamp_dictionary();
+    assert_eq!(snapshot, captured);
+    assert_eq!(codec::encode(&snapshot), codec::encode(&captured));
 }

@@ -583,11 +583,14 @@ fn record_names(record: &LogRecord) -> (BTreeSet<String>, Option<&TrafficStats>)
 /// the payloads' bytes, pinned per cadence. They read 995,194 / 476,607 /
 /// 342,396 while a store could keep a tuple's content after dropping its
 /// vertex: 35 such entries at 28 of the 64 nodes in captures 2 and 3, priced
-/// into those nodes' `ProvStoreStats` (40 / 40 / 21 bytes of varints).
+/// into those nodes' `ProvStoreStats` (40 / 40 / 21 bytes of varints), and
+/// 995,154 / 476,567 / 342,375 while a checkpoint carried its snapshot's
+/// dictionary, a count and an index per name (824 / 298 / 152 bytes over
+/// its 6 / 2 / 1 checkpoints).
 #[test]
 fn every_log_record_decodes_from_its_own_payload() {
     let captures = churned_captures();
-    for (checkpoint_every, pinned) in [(1usize, 995_154u64), (3, 476_567), (8, 342_375)] {
+    for (checkpoint_every, pinned) in [(1usize, 994_330u64), (3, 476_269), (8, 342_223)] {
         let mut capturer = SnapshotCapturer::new(checkpoint_every);
         let mut store = LogStore::new();
         let mut charged = 0;

@@ -48,25 +48,6 @@ fn snapshots_capture_the_live_state_faithfully() {
 }
 
 #[test]
-fn log_store_json_round_trip_preserves_snapshots() {
-    let mut nt = platform();
-    let mut store = LogStore::new();
-    store.add(snapshot(&nt));
-    nt.apply_topology_event(&TopologyEvent::LinkDown {
-        a: "n1".into(),
-        b: "n2".into(),
-    });
-    store.add(snapshot(&nt));
-    let json = store.to_json().unwrap();
-    let loaded = LogStore::from_json(&json).unwrap();
-    assert_eq!(loaded.len(), 2);
-    assert_eq!(
-        loaded.snapshots()[0].relation("minCost"),
-        store.snapshots()[0].relation("minCost")
-    );
-}
-
-#[test]
 fn replay_diffs_reflect_the_topology_change() {
     let mut nt = platform();
     let mut store = LogStore::new();
