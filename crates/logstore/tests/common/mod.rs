@@ -1,4 +1,4 @@
-//! The names a snapshot's frame carries, by a walk of its contents, and the
+//! The names a snapshot's frame carries, by a walk of its contents, and a
 //! frame's name table read back by the frame grammar alone.
 //!
 //! `stamp_reference` is the text-set walk `SystemSnapshot::stamp_dictionary`
@@ -8,7 +8,8 @@
 //! exactly these names in its name table, so its bytes depend on the
 //! snapshot alone; `cursor_equivalence` and the root `codec_equivalence`
 //! compare the table of every checkpoint and materialized snapshot they see
-//! with it.
+//! with it; the root `dictionary_discipline` reads log payloads' tables with
+//! `name_table`.
 
 use logstore::SystemSnapshot;
 use nt_runtime::{codec, Tuple};
@@ -70,30 +71,40 @@ pub fn stamp_reference(snapshot: &SystemSnapshot) -> Vec<String> {
     names.into_iter().collect()
 }
 
-/// The name table of `snapshot`'s frame, sorted; panics on a name written
-/// twice. Read by the grammar (`varint(n)`, then `n` × `varint(len)` and the
-/// bytes), not by the decoder under test.
-pub fn frame_names(snapshot: &SystemSnapshot) -> Vec<String> {
+/// A frame's name table in first-use order, read by the frame grammar alone
+/// (`varint(n)`, then `n` × `varint(len)` and the bytes), not by the decoder
+/// under test.
+pub fn name_table(frame: &[u8]) -> Vec<String> {
     fn varint(bytes: &[u8], at: &mut usize) -> usize {
         let mut v = 0;
         for shift in (0..).step_by(7) {
             let b = bytes[*at];
             *at += 1;
-            v |= ((b & 0x7f) as usize) << shift;
+            v |= usize::from(b & 0x7f) << shift;
             if b & 0x80 == 0 {
                 break;
             }
         }
         v
     }
-    let frame = codec::encode(snapshot);
     let mut at = 0;
-    let mut names = BTreeSet::new();
-    for _ in 0..varint(&frame, &mut at) {
-        let len = varint(&frame, &mut at);
-        let name = String::from_utf8(frame[at..at + len].to_vec()).expect("UTF-8");
-        at += len;
-        assert!(names.insert(name), "a name written twice");
-    }
-    names.into_iter().collect()
+    let n = varint(frame, &mut at);
+    (0..n)
+        .map(|_| {
+            let len = varint(frame, &mut at);
+            at += len;
+            String::from_utf8(frame[at - len..at].to_vec()).expect("UTF-8")
+        })
+        .collect()
+}
+
+/// The name table of `snapshot`'s frame, sorted; panics on a name written
+/// twice.
+pub fn frame_names(snapshot: &SystemSnapshot) -> Vec<String> {
+    let mut names = name_table(&codec::encode(snapshot));
+    names.sort_unstable();
+    let count = names.len();
+    names.dedup();
+    assert_eq!(names.len(), count, "a name written twice");
+    names
 }

@@ -4,9 +4,8 @@
 //! question ([`QueryKind`]), execution mode ([`QueryMode`]) and optimization
 //! knobs ([`QueryOptions`]). Callers usually build one through a fluent
 //! session builder (`NetTrails::query(&tuple).kind(..).traversal(..)` in the
-//! platform crate) and get back a [`QueryHandle`] they can poll, stream
-//! partial results from, cancel, or wait on for the final
-//! ([`QueryResult`], [`QueryStats`]) pair.
+//! platform crate) and get back a [`QueryHandle`] they can poll, cancel, or
+//! wait on for the final ([`QueryResult`], [`QueryStats`]) pair.
 
 use crate::store::RuleExecId;
 use nt_runtime::{Addr, NodeId, Sym, Tuple, TupleId};
@@ -104,8 +103,7 @@ pub struct QuerySpec {
 }
 
 /// Handle of a submitted query session. Cheap to copy; redeem it against the
-/// executor (or the platform) for partial results, cancellation, or the
-/// final result.
+/// executor (or the platform) for cancellation or the final result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct QueryHandle(pub u64);
 

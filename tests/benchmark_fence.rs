@@ -426,9 +426,10 @@ fn the_counters_read_zero_after_a_converge_and_churn() {
         .all(|t| !t.schema.name.starts_with(nt_runtime::engine::OUTBOX_PREFIX)));
 }
 
-/// A graph is its vertices and edges: rebuilding the adjacency the
-/// benchmark's capture still asks for leaves a captured graph equal, and
-/// its encoded bytes identical.
+/// A graph is its vertices and edges, and a snapshot's names travel in its
+/// frame's name table: rebuilding the adjacency and stamping the dictionary,
+/// which the benchmark's capture still asks for, leave a captured graph and
+/// a capture equal, and their encoded bytes identical.
 #[test]
 fn rebuild_adjacency_leaves_a_captured_graph_as_it_was() {
     let mut nt = NetTrails::new(
@@ -439,31 +440,15 @@ fn rebuild_adjacency_leaves_a_captured_graph_as_it_was() {
     .unwrap();
     nt.seed_links_from_topology();
     nt.run_to_fixpoint();
-    let captured = nt.capture_snapshot().graph;
+    let capture = nt.capture_snapshot();
+    let captured = &capture.graph;
     assert!(!captured.edges.is_empty());
     let mut graph = captured.clone();
     graph.rebuild_adjacency();
-    assert_eq!(graph, captured);
-    assert_eq!(codec::encode(&graph), codec::encode(&captured));
-}
-
-/// A snapshot's names travel in its frame's name table: the stamp the
-/// benchmark's capture still asks for leaves a capture equal, and its
-/// encoded bytes identical.
-#[test]
-fn stamp_dictionary_leaves_a_capture_as_it_was() {
-    let mut nt = NetTrails::new(
-        protocols::mincost::PROGRAM,
-        Topology::ladder(3),
-        NetTrailsConfig::default(),
-    )
-    .unwrap();
-    nt.seed_links_from_topology();
-    nt.run_to_fixpoint();
-    let captured = nt.capture_snapshot();
-    assert!(captured.tuple_count() > 0);
-    let mut snapshot = captured.clone();
+    assert_eq!(&graph, captured);
+    assert_eq!(codec::encode(&graph), codec::encode(captured));
+    let mut snapshot = capture.clone();
     snapshot.stamp_dictionary();
-    assert_eq!(snapshot, captured);
-    assert_eq!(codec::encode(&snapshot), codec::encode(&captured));
+    assert_eq!(snapshot, capture);
+    assert_eq!(codec::encode(&snapshot), codec::encode(&capture));
 }

@@ -12,7 +12,7 @@
 //! ships once), and name the frame's own records only (nothing rides along);
 //! every referenced name must then be known. Exact header byte totals are
 //! pinned beside it. A log record's payload is read by the frame grammar
-//! ([`name_table`]): its table must hold each of the record's names once and
+//! (`common::name_table`): its table must hold each of the record's names once and
 //! nothing else, and the payload bytes are pinned. Every `QueryBatch` is
 //! also checked against a walk of its records ([`check_sealed`]): the length
 //! sealing stored in it is the header plus `QueryOp::wire_size` of each
@@ -30,6 +30,10 @@
 //! | a name table built from a watermark over the pool (every name interned since the writer's first frame) | `a_records_bytes_…`: record 1 of the store appended beside the minting thread differs |
 //! | `QueryExecutor::poll` storing header + body as the body length | `query_frames_…`, "sealed length" (frame 161, 168 B against 120) |
 //! | a node set's sealing walk (`wire.rs`, `walk_nodes`) reporting no names | `query_frames_…`, "not decodable" (frame 156 `as5->as1`, `"as5"`) |
+
+#[path = "../crates/logstore/tests/common/mod.rs"]
+#[allow(dead_code)]
+mod common;
 
 use logstore::{LogRecord, LogStore, SnapshotCapturer, SnapshotDelta, SystemSnapshot};
 use nettrails::{NetTrails, NetTrailsConfig};
@@ -510,34 +514,6 @@ fn churned_captures() -> Vec<SystemSnapshot> {
 // a log record's bytes depend on the record alone
 // ---------------------------------------------------------------------------
 
-/// A LEB128 varint of `bytes` at `*at`, moving `*at` past it.
-fn varint(bytes: &[u8], at: &mut usize) -> usize {
-    let mut v = 0;
-    for shift in (0..).step_by(7) {
-        let b = bytes[*at];
-        *at += 1;
-        v |= usize::from(b & 0x7f) << shift;
-        if b & 0x80 == 0 {
-            break;
-        }
-    }
-    v
-}
-
-/// The frame's name table, read by the frame grammar alone (`varint(n)`,
-/// then `n` × `varint(len)` and the bytes).
-fn name_table(payload: &[u8]) -> Vec<String> {
-    let mut at = 0;
-    let n = varint(payload, &mut at);
-    (0..n)
-        .map(|_| {
-            let len = varint(payload, &mut at);
-            at += len;
-            String::from_utf8(payload[at - len..at].to_vec()).unwrap()
-        })
-        .collect()
-}
-
 fn topology_names(topology: &Topology, out: &mut BTreeSet<String>) {
     out.extend(topology.nodes().map(str::to_string));
     for link in topology.links() {
@@ -604,7 +580,7 @@ fn every_log_record_decodes_from_its_own_payload() {
                 codec::decode(&payload).unwrap_or_else(|e| panic!("{what}: {e}"));
             assert_eq!(decoded, record, "{what}");
 
-            let table = name_table(&payload);
+            let table = common::name_table(&payload);
             let (names, traffic) = record_names(&record);
             let mut seen = BTreeSet::new();
             for entry in &table {
@@ -695,7 +671,7 @@ fn a_delta_payload_decodes_on_its_own() {
     store.append_record(capturer.capture(nt.capture_snapshot()));
     store.append_record(capturer.capture(nt.capture_snapshot()));
     let tables: Vec<Vec<String>> = (0..3)
-        .map(|i| name_table(&store.payload(i).unwrap()))
+        .map(|i| common::name_table(&store.payload(i).unwrap()))
         .collect();
     let has_probe = |table: &Vec<String>| table.iter().any(|n| n == "earlyProbe");
     assert!(!has_probe(&tables[0]), "the checkpoint does not name it");
