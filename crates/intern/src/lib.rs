@@ -40,6 +40,7 @@
 //!   What it returns is never stored, shipped or compared across processes.
 
 pub mod codec;
+pub mod heap;
 
 use std::cell::RefCell;
 use std::fmt;
@@ -143,10 +144,13 @@ impl Interner {
 /// search per question). When the list is full it doubles (from 16 handles)
 /// or, if that is no bigger, becomes a bitmap over pool indexes — one bit per
 /// name the process has interned up to the highest one sent, a shift and a
-/// mask per question — and stays one: either is one allocation, and neither
-/// form is bigger than the bitmap alone was. A destination sent a few names
-/// minted late holds a few handles, not a bit for every name minted before
-/// them.
+/// mask per question. The form is decided again whenever the bitmap would
+/// grow: if the grown bitmap is bigger than the list of its handles and the
+/// new one (in the list's doubling steps), it goes back to the list. Either
+/// change is one allocation. So the form follows the handles sent, not the
+/// order the pool minted them in: a destination sent a few names minted
+/// late holds a few handles, not a bit for every name minted before them,
+/// even when the names it was sent first were minted early.
 #[derive(Debug, Clone)]
 pub struct Dictionary {
     sent: Sent,
@@ -177,7 +181,26 @@ impl Dictionary {
     /// was created or cleared: the caller ships the string with this frame.
     pub fn first_use(&mut self, name: Sym) -> bool {
         match &mut self.sent {
-            Sent::Bitmap(words) => set_bit(words, name.0),
+            Sent::Bitmap(words) => {
+                let word = name.0 as usize / 64;
+                if word >= words.len() {
+                    // The bitmap would grow to a handle above every one it
+                    // holds: keep it only while no bigger than the list.
+                    let count = words.iter().map(|w| w.count_ones() as usize).sum::<usize>() + 1;
+                    let room = list_room(count);
+                    if (word + 1) * 8 > room * 4 {
+                        let mut handles = Vec::with_capacity(room);
+                        for (at, &bits) in (0u32..).zip(words.iter()) {
+                            let set = (0..64).filter(|bit| bits & (1 << bit) != 0);
+                            handles.extend(set.map(|bit| at * 64 + bit));
+                        }
+                        handles.push(name.0);
+                        self.sent = Sent::Sorted(handles);
+                        return true;
+                    }
+                }
+                set_bit(words, name.0)
+            }
             Sent::Sorted(handles) => {
                 let Err(at) = handles.binary_search(&name.0) else {
                     return false;
@@ -208,6 +231,36 @@ impl Dictionary {
     pub fn clear(&mut self) {
         *self = Dictionary::default();
     }
+
+    /// The number of names sent.
+    pub fn len(&self) -> usize {
+        match &self.sent {
+            Sent::Sorted(handles) => handles.len(),
+            Sent::Bitmap(words) => words.iter().map(|w| w.count_ones() as usize).sum(),
+        }
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The one block either form holds.
+    pub fn heap(&self) -> heap::Heap {
+        match &self.sent {
+            Sent::Sorted(handles) => heap::Heap::vec(handles),
+            Sent::Bitmap(words) => heap::Heap::vec(words),
+        }
+    }
+}
+
+/// The room a sorted list holding `count` handles has: [`FIRST_HANDLES`],
+/// doubled until it fits, as the list grows.
+fn list_room(count: usize) -> usize {
+    let mut room = FIRST_HANDLES;
+    while room < count {
+        room *= 2;
+    }
+    room
 }
 
 /// Set `handle`'s bit, growing the bitmap to reach it; true when it was
@@ -715,6 +768,41 @@ mod tests {
                 assert_eq!(dict.first_use(Sym(handle)), asked.insert(handle));
             }
         }
+    }
+
+    /// Names minted early make a bitmap; a name minted late goes back to
+    /// the list rather than grow the bitmap to reach it, and the list still
+    /// answers for every handle asked before.
+    #[test]
+    fn a_bitmap_goes_back_to_the_list_rather_than_grow_past_it() {
+        let mut dict = Dictionary::default();
+        for handle in 0..20 {
+            assert!(dict.first_use(Sym(handle * 3)));
+        }
+        assert!(matches!(&dict.sent, Sent::Bitmap(words) if words.len() == 1));
+        // Within the bitmap's words it stays a bitmap.
+        assert!(dict.first_use(Sym(63)));
+        assert!(matches!(&dict.sent, Sent::Bitmap(words) if words.len() == 1));
+        assert!(dict.first_use(Sym(100_000)));
+        let Sent::Sorted(handles) = &dict.sent else {
+            panic!("a bitmap of 1,563 words holds 22 handles");
+        };
+        assert_eq!((handles.len(), handles.capacity()), (22, 32));
+        assert!(handles.windows(2).all(|w| w[0] < w[1]));
+        for handle in 0..64 {
+            let asked = handle % 3 == 0 && handle < 60 || handle == 63;
+            assert_eq!(dict.first_use(Sym(handle)), !asked, "handle {handle}");
+        }
+        assert!(!dict.first_use(Sym(100_000)));
+        // A growth the list would not beat keeps the bitmap: 64 handles
+        // below 512 are an 8-word bitmap, and a 65th at 1,000 needs 16
+        // words (128 B) where a list needs room for 128 handles (512 B).
+        let mut dense = Dictionary::default();
+        for handle in 0..64 {
+            dense.first_use(Sym(handle * 8));
+        }
+        dense.first_use(Sym(1_000));
+        assert!(matches!(&dense.sent, Sent::Bitmap(words) if words.len() == 16));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! truncated by `max_rounds`, or a delta delivered by `poll_queries` between
 //! runs, leaves its slots marked for the next one.
 
-use nt_runtime::{Addr, IdMap, NodeEngine, StepOutput};
+use nt_runtime::{Addr, Census, Heap, IdMap, NodeEngine, StepOutput};
 
 /// Dense, name-ordered engine storage with a ready set.
 #[derive(Debug)]
@@ -47,6 +47,15 @@ impl EngineTable {
             ready: Vec::new(),
             round: Vec::new(),
         }
+    }
+
+    /// Charge every engine (see [`NodeEngine::heap`]) and the table's own
+    /// vectors and slot map, to `engine.shell`.
+    pub fn heap(&self, census: &mut Census) {
+        self.engines.iter().for_each(|engine| engine.heap(census));
+        let vectors = Heap::vec(&self.names) + Heap::vec(&self.engines) + Heap::vec(&self.ready);
+        let slots = Heap::map(&self.slots) + Heap::vec(&self.marked) + Heap::vec(&self.round);
+        census.add("engine.shell", vectors + slots);
     }
 
     /// Node names in slot (string) order.

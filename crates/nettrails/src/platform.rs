@@ -2,8 +2,8 @@
 
 use crate::engines::EngineTable;
 use nt_runtime::{
-    Addr, CompiledProgram, Delta, DeltaBatch, Derivation, EngineConfig, EngineStats, NodeEngine,
-    Tuple, TupleId,
+    Addr, Census, CompiledProgram, Delta, DeltaBatch, Derivation, EngineConfig, EngineStats,
+    NodeEngine, Tuple, TupleId,
 };
 use provenance::{
     ProvGraph, ProvenanceSystem, QueryBatch, QueryEngine, QueryExecutor, QueryHandle, QueryKind,
@@ -729,6 +729,23 @@ impl NetTrails {
         self.query_engine.clear_cache();
         self.query_executor.clear_cache();
         self.query_executor.reset_dictionaries();
+    }
+
+    /// Who holds the platform's heap, in live blocks and requested bytes,
+    /// read off the structures (`nt_runtime::heap`): every engine's tables
+    /// (`table.*`), outbox, dependency index, aggregate state, dictionaries
+    /// and run buffers (`engine.*`, the engine table included), the
+    /// provenance stores and home index (`prov.*`), and the `network`. A
+    /// block several owners share is charged to the first, in that order.
+    /// Not read: the compiled program, the topology's B-tree nodes, the
+    /// query plane and the platform's own strings — what `new` allocates
+    /// and a convergence does not grow.
+    pub fn heap_census(&self) -> Census {
+        let mut census = Census::default();
+        self.engines.heap(&mut census);
+        self.provenance.heap(&mut census);
+        census.add("network", self.network.heap());
+        census
     }
 
     /// Aggregated statistics.

@@ -32,9 +32,8 @@
 //! [`TraversalOrder::BreadthFirst`], which fans out every child at once
 //! (coalesced per destination). The order is an *execution schedule*, not a
 //! latency formula: the session's [`QueryStats::latency_ms`] is measured off
-//! the simulated clock between submission and the final frame. The one
-//! other place the orders differ is a frame with no child to wait for:
-//! depth-first folds it at once, breadth-first through a queued advance.
+//! the simulated clock between submission and the final frame. A frame with
+//! no child to wait for folds at once under either order.
 //!
 //! What travels back is the session kind's fold (`query::fold`): each frame
 //! holds its own facts and one slot per child value, and completes by
@@ -686,15 +685,9 @@ impl Session {
             return;
         };
         if self.scan(f, entries, ctx) {
-            // Nothing to wait for: depth-first completes the frame here,
-            // breadth-first through a queued advance behind the events
-            // already queued. The order a frame's children complete in
-            // depends on it; no answer, statistic or sealed frame does.
-            if self.width == 1 {
-                self.complete(f, ctx);
-            } else {
-                self.queue.push_back(Event::Advance(f));
-            }
+            // Nothing to wait for: the frame completes here, in either
+            // traversal order.
+            self.complete(f, ctx);
         }
     }
 

@@ -38,8 +38,8 @@
 
 use nt_runtime::codec::{Decode, DecodeError, Encode, Reader, Writer};
 use nt_runtime::{
-    dict_entry_wire_size, rule_exec_digest, Dictionary, IdMap, NodeId, StableHasher, Sym, Tuple,
-    TupleId,
+    dict_entry_wire_size, rule_exec_digest, Census, Dictionary, Few, Heap, IdMap, NodeId,
+    StableHasher, Sym, Tuple, TupleId,
 };
 use std::collections::hash_map::Entry;
 use std::fmt;
@@ -178,7 +178,7 @@ impl Decode for ProvStoreStats {
 #[derive(Debug, Clone, PartialEq)]
 struct Vertex {
     tuple: Tuple,
-    entries: Vec<ProvEntry>,
+    entries: Few<ProvEntry>,
 }
 
 /// One node's partition of the provenance graph (arena-backed; see the module
@@ -221,6 +221,23 @@ impl ProvenanceStore {
         }
     }
 
+    /// Charge the store's heap: `prov.vertices` (the arena, spilled entry
+    /// lists and the tuples), `prov.execs` (the arena and the input lists)
+    /// and `prov.indexes` (the two id maps).
+    pub fn heap(&self, census: &mut Census) {
+        census.add("prov.vertices", Heap::vec(&self.vertices));
+        for vertex in &self.vertices {
+            census.add("prov.vertices", vertex.entries.heap());
+            vertex.tuple.heap(census, "prov.vertices");
+        }
+        census.add("prov.execs", Heap::vec(&self.execs));
+        for exec in &self.execs {
+            census.shared("prov.execs", &exec.inputs);
+        }
+        let indexes = Heap::map(&self.vertex_index) + Heap::map(&self.exec_index);
+        census.add("prov.indexes", indexes);
+    }
+
     /// The store's mutation version (see the `version` field).
     pub fn version(&self) -> u64 {
         self.version
@@ -236,11 +253,10 @@ impl ProvenanceStore {
             Entry::Occupied(slot) => *slot.get() as usize,
             Entry::Vacant(slot) => {
                 slot.insert(self.vertices.len() as u32);
-                // Nearly every vertex has one derivation; a growing empty
-                // `Vec` would start at room for four.
+                // Nearly every vertex has one derivation, held inline.
                 self.vertices.push(Vertex {
                     tuple: tuple.clone(),
-                    entries: Vec::with_capacity(1),
+                    entries: Few::default(),
                 });
                 self.vertices.len() - 1
             }
@@ -282,7 +298,7 @@ impl ProvenanceStore {
     pub fn vertex(&self, vid: TupleId) -> Option<(&Tuple, &[ProvEntry])> {
         self.vertex_index.get(&vid).map(|&slot| {
             let vertex = &self.vertices[slot as usize];
-            (&vertex.tuple, vertex.entries.as_slice())
+            (&vertex.tuple, &vertex.entries[..])
         })
     }
 
@@ -301,9 +317,7 @@ impl ProvenanceStore {
 
     /// Iterate over all vertices (tuple, entries) in arena order.
     pub fn iter_prov(&self) -> impl Iterator<Item = (&Tuple, &[ProvEntry])> {
-        self.vertices
-            .iter()
-            .map(|v| (&v.tuple, v.entries.as_slice()))
+        self.vertices.iter().map(|v| (&v.tuple, &v.entries[..]))
     }
 
     /// Add a `ruleExec` entry (idempotent). Returns true when it was new.

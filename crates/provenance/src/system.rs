@@ -38,7 +38,7 @@
 //! built only by applying firings.
 
 use crate::store::{ProvEntry, ProvenanceStore, RuleExec, RuleExecId};
-use nt_runtime::{base_rule_sym, Addr, Firing, IdMap, NodeId, Tuple, TupleId};
+use nt_runtime::{base_rule_sym, Addr, Census, Firing, Heap, IdMap, NodeId, Tuple, TupleId};
 use std::collections::hash_map::Entry;
 
 /// Aggregate statistics across every node's provenance store.
@@ -153,6 +153,22 @@ impl ProvenanceSystem {
                 slot
             }
         }
+    }
+
+    /// Charge the system's heap: every store (see
+    /// [`ProvenanceStore::heap`]), the home index to `prov.homes` and the
+    /// store arena and its node map to `prov.shell`.
+    pub fn heap(&self, census: &mut Census) {
+        self.stores.iter().for_each(|store| store.heap(census));
+        let rest: Heap = self.homes.rest.values().map(Heap::vec).sum();
+        census.add(
+            "prov.homes",
+            Heap::map(&self.homes.first) + Heap::map(&self.homes.rest) + rest,
+        );
+        census.add(
+            "prov.shell",
+            Heap::vec(&self.stores) + Heap::map(&self.by_node),
+        );
     }
 
     /// Access a node's store (creating it lazily if unknown). Crate-private:

@@ -70,6 +70,7 @@ use crate::store::BASE_RULE;
 use crate::store::{base_rule_sym, Database, Derivation, Membership};
 use crate::tuple::{Delta, Tuple, TupleId};
 use crate::value::{Addr, Dictionary, IdMap, IdSet, Sym, Value};
+use nt_intern::heap::{Census, Heap};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -288,6 +289,10 @@ enum GenEvent {
     Disappeared(Tuple),
 }
 
+/// An aggregate group: its rule's index and its key, one block of exactly
+/// the group's values.
+type GroupKey = (usize, Box<[Value]>);
+
 /// The per-node incremental evaluator. See the module documentation.
 #[derive(Debug, Clone)]
 pub struct NodeEngine {
@@ -296,7 +301,7 @@ pub struct NodeEngine {
     db: Database,
     queue: VecDeque<WorkItem>,
     /// (rule index, group key) -> current aggregate head tuple + derivation.
-    agg_state: IdMap<(usize, Vec<Value>), (Tuple, Derivation)>,
+    agg_state: IdMap<GroupKey, (Tuple, Derivation)>,
     /// Sends queued during the current run, coalesced into per-destination
     /// batches when the run flushes. A slot is `None` when a later opposite
     /// delta for the same (dest, tuple, derivation) cancelled it.
@@ -354,6 +359,53 @@ impl NodeEngine {
     /// The node's database (read-only view).
     pub fn database(&self) -> &Database {
         &self.db
+    }
+
+    /// Charge the engine's heap to its owners: the database (see
+    /// [`Database::heap`]), `engine.agg_state` (group keys and current heads
+    /// included), `engine.dict_sent`, and `engine.shell` for the buffers a
+    /// run reuses — the work queue, the pending sends and their index, the
+    /// frame and the matched ids, with what they still hold. The compiled
+    /// program is shared by every engine and charged to none.
+    pub fn heap(&self, census: &mut Census) {
+        self.db.heap(census);
+        census.add("engine.agg_state", Heap::map(&self.agg_state));
+        for ((_, key), (head, derivation)) in &self.agg_state {
+            census.add(
+                "engine.agg_state",
+                Heap::block(std::mem::size_of_val(&**key)),
+            );
+            key.iter().for_each(|v| v.heap(census, "engine.agg_state"));
+            head.heap(census, "engine.agg_state");
+            census.shared("engine.agg_state", &derivation.inputs);
+        }
+        census.add("engine.dict_sent", Heap::map(&self.dict_sent));
+        let dictionaries: Heap = self.dict_sent.values().map(Dictionary::heap).sum();
+        census.add("engine.dict_sent", dictionaries);
+        let shell = "engine.shell";
+        census.add(
+            shell,
+            Heap::deque(&self.queue) + Heap::vec(&self.pending_sends),
+        );
+        for item in &self.queue {
+            let (WorkItem::Add { tuple, derivation } | WorkItem::Remove { tuple, derivation }) =
+                item;
+            tuple.heap(census, shell);
+            census.shared(shell, &derivation.inputs);
+        }
+        for send in self.pending_sends.iter().flatten() {
+            send.delta.tuple().heap(census, shell);
+            census.shared(shell, &send.derivation.inputs);
+        }
+        census.add(shell, Heap::map(&self.pending_index));
+        let slot_lists: Heap = self.pending_index.values().map(Heap::vec).sum();
+        census.add(shell, slot_lists + Heap::vec(&self.matched));
+        self.frame.heap(census, shell);
+    }
+
+    /// What each destination has been sent ([`Dictionary`]), in no order.
+    pub fn dictionaries(&self) -> impl Iterator<Item = &Dictionary> {
+        self.dict_sent.values()
     }
 
     /// Work counters.
@@ -958,7 +1010,7 @@ impl NodeEngine {
         self.recompute_group(rule, group, out);
     }
 
-    fn recompute_group(&mut self, rule: &CompiledRule, group: Vec<Value>, out: &mut StepOutput) {
+    fn recompute_group(&mut self, rule: &CompiledRule, group: Box<[Value]>, out: &mut StepOutput) {
         self.stats.agg_recomputes += 1;
         let spec = rule.aggregate.as_ref().expect("aggregate rule");
         // Collect contributions to this group, probing by the group-key

@@ -18,6 +18,7 @@ use crate::tuple::Tuple;
 use crate::value::{StableHasher, Sym, Value};
 use ndlog::builtins::BuiltinFn;
 use ndlog::{BinOp, Literal, UnOp};
+use nt_intern::heap::{Census, Heap};
 use std::borrow::Cow;
 use std::sync::Arc;
 
@@ -49,6 +50,14 @@ pub struct Frame {
 }
 
 impl Frame {
+    /// Charge the slot and trail buffers, and what the values left in them
+    /// hold, to `owner`.
+    pub fn heap(&self, census: &mut Census, owner: &'static str) {
+        census.add(owner, Heap::vec(&self.slots) + Heap::vec(&self.trail));
+        let held = self.slots.iter().chain(self.trail.iter().map(|(_, v)| v));
+        held.flatten().for_each(|v| v.heap(census, owner));
+    }
+
     /// An empty frame; [`Frame::reset`] sizes it for a rule.
     pub fn new() -> Self {
         Frame::default()

@@ -261,16 +261,23 @@ fn group_terms<'r>(
         .map(|(_, term)| term)
 }
 
-/// The group key of an aggregate head under the frame; `None` when a group
+/// The group key of an aggregate head under the frame, one block of exactly
+/// its values (it keys the engine's aggregate state); `None` when a group
 /// variable is unbound.
-pub(crate) fn group_key(rule: &CompiledRule, spec: &AggSpec, frame: &Frame) -> Option<Vec<Value>> {
-    group_terms(rule, spec)
-        .map(|term| match term {
+pub(crate) fn group_key(
+    rule: &CompiledRule,
+    spec: &AggSpec,
+    frame: &Frame,
+) -> Option<Box<[Value]>> {
+    let mut key = Vec::with_capacity(group_terms(rule, spec).count());
+    for term in group_terms(rule, spec) {
+        key.push(match term {
             SlotTerm::Slot(slot) => frame.get(*slot).cloned(),
             SlotTerm::Const(value) => Some(value.clone()),
             SlotTerm::Wild | SlotTerm::Agg => None,
-        })
-        .collect()
+        }?);
+    }
+    Some(key.into_boxed_slice())
 }
 
 /// `group_key(..) == Some(group)`, compared in place.

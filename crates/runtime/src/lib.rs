@@ -27,7 +27,7 @@ pub mod error;
 pub mod eval;
 #[doc(hidden)]
 pub mod fence;
-mod few;
+pub mod few;
 mod kernel;
 pub mod store;
 pub mod tuple;
@@ -39,6 +39,8 @@ pub use engine::{
     DeltaBatch, DeltaRecord, EngineConfig, EngineStats, Firing, NodeEngine, RemoteDelta, StepOutput,
 };
 pub use error::{Result, RuntimeError};
+pub use few::Few;
+pub use nt_intern::heap::{self, Census, Heap};
 pub use store::{
     base_rule_sym, tuple_materializations, Database, Dependent, Derivation, Membership,
     OutboxEntry, ProbeIter, Table, TableSpec, TupleRef, BASE_RULE,

@@ -27,8 +27,8 @@
 //! dictionary *is* the process-global intern pool, so encoding is free), a
 //! plain `Vec<i64>` column per other attribute while it holds integers only,
 //! and a `Vec<Value>` overflow column for everything else (fractions,
-//! strings, lists, mixed types). A validity bitmap plus a slot free-list
-//! keeps physical slots stable across churn. The columns hold the only copy
+//! strings, lists, mixed types). A slot free-list keeps physical slots
+//! stable across churn. The columns hold the only copy
 //! of a tuple's values: the primary-key index is a vector of live slot
 //! numbers kept in key order and compared through the columns, and the
 //! secondary indexes are posting lists of slot numbers. Join probes verify
@@ -61,6 +61,7 @@ use crate::few::Few;
 use crate::tuple::{Tuple, TupleId};
 use crate::value::{IdMap, NodeId, Sym, Value};
 use columnar::{ColProbe, ColumnStore};
+use nt_intern::heap::{Census, Heap};
 use std::sync::Arc;
 
 pub use columnar::tuple_materializations;
@@ -342,8 +343,14 @@ impl Table {
         self.iter().map(|r| r.to_tuple()).collect()
     }
 
+    /// Charge the table's heap to its `table.*` owners (the schema is the
+    /// program's).
+    pub fn heap(&self, census: &mut Census) {
+        self.store.heap(census);
+    }
+
     /// Resident bytes of the table's payload: column vectors, slot ids,
-    /// bitmap, posting lists and derivations. `ntbench` reports it as
+    /// posting lists and derivations. `ntbench` reports it as
     /// `runtime.storage_bytes`.
     pub fn storage_bytes(&self) -> usize {
         self.store.resident_bytes()
@@ -359,8 +366,9 @@ pub struct OutboxEntry {
     pub tuple: Tuple,
     /// The node the tuple lives at.
     pub destination: NodeId,
-    /// The derivations shipped and not retracted since, in emission order.
-    pub derivations: Vec<Derivation>,
+    /// The derivations shipped and not retracted since, in emission order:
+    /// nearly always one, held inline.
+    pub derivations: Few<Derivation>,
 }
 
 /// Where a dependent of the dependency index is held. Ordered: the cascade
@@ -517,9 +525,7 @@ impl Database {
     fn add_dependent(&mut self, input: TupleId, dependent: DependentKey) {
         let by_handle = |(held, relation, id): &DependentKey| (*held, relation.index(), *id);
         let dependents = self.dependents.entry(input).or_default();
-        let at = dependents
-            .as_slice()
-            .binary_search_by_key(&by_handle(&dependent), by_handle);
+        let at = dependents.binary_search_by_key(&by_handle(&dependent), by_handle);
         if let Err(pos) = at {
             dependents.insert(pos, dependent);
         }
@@ -541,7 +547,7 @@ impl Database {
         let entry = self.outbox.entry(id).or_insert_with(|| OutboxEntry {
             tuple: tuple.clone(),
             destination,
-            derivations: Vec::new(),
+            derivations: Few::default(),
         });
         if entry.derivations.contains(derivation) {
             return false;
@@ -603,7 +609,7 @@ impl Database {
         let Some(deps) = self.dependents.remove(&input) else {
             return Vec::new();
         };
-        let mut deps = deps.as_slice().to_vec();
+        let mut deps = deps.to_vec();
         deps.sort();
         let mut out = Vec::new();
         for (held, relation, id) in deps {
@@ -619,6 +625,28 @@ impl Database {
             });
         }
         out
+    }
+
+    /// Charge the database's heap: each table to its `table.*` owners, the
+    /// outbox (entries, tuples, spilled derivation lists, input lists) to
+    /// `engine.outbox`, the dependency index to `engine.dependents`, and the
+    /// table list to `engine.shell`.
+    pub fn heap(&self, census: &mut Census) {
+        self.tables.iter().for_each(|table| table.heap(census));
+        census.add(
+            "engine.shell",
+            Heap::vec(&self.order) + Heap::vec(&self.tables),
+        );
+        census.add("engine.outbox", Heap::map(&self.outbox));
+        for entry in self.outbox.values() {
+            entry.tuple.heap(census, "engine.outbox");
+            census.add("engine.outbox", entry.derivations.heap());
+            for d in &entry.derivations {
+                census.shared("engine.outbox", &d.inputs);
+            }
+        }
+        let lists: Heap = self.dependents.values().map(Few::heap).sum();
+        census.add("engine.dependents", Heap::map(&self.dependents) + lists);
     }
 
     /// Resident bytes: every table (see [`Table::storage_bytes`]) plus the
@@ -652,8 +680,7 @@ mod tests {
         /// Every (input, dependent's relation) pair of the dependency index.
         pub(crate) fn dependency_entries(&self) -> impl Iterator<Item = (TupleId, Sym)> + '_ {
             let entries = self.dependents.iter();
-            entries
-                .flat_map(|(input, deps)| deps.as_slice().iter().map(|(_, rel, _)| (*input, *rel)))
+            entries.flat_map(|(input, deps)| deps.iter().map(|(_, rel, _)| (*input, *rel)))
         }
     }
 
@@ -800,7 +827,7 @@ mod tests {
         assert!(!db.outbox_remove(head("h", "b", Value::Double(3.5)).id(), &d1));
         assert!(!db.outbox_remove(h.id(), &fired("r3", &[&e])));
         assert_eq!(
-            db.outbox_of("h".into())[0].derivations,
+            *db.outbox_of("h".into())[0].derivations,
             [d1.clone(), d2.clone()]
         );
         // Removing the last derivation drops the entry.
@@ -1057,9 +1084,11 @@ mod tests {
 
     /// The price of the layout, term by term: per slot two 4 B address
     /// codes, one 8 B integer, an 8 B tuple id and a base derivation at its
-    /// wire size (4 B rule, 4 B node, 4 B input count); 8 B of validity
-    /// bitmap per 64 slots; 4 B per posting entry, one per indexed column
-    /// per tuple. An overflow column prices each value at its wire size.
+    /// wire size (4 B rule, 4 B node, 4 B input count); 4 B per posting
+    /// entry, one per indexed column per tuple. An overflow column prices
+    /// each value at its wire size. (1,544 and 8 B more per 64 slots while a
+    /// validity bitmap said which slots were live; the tuple-id map says
+    /// it.)
     #[test]
     fn storage_bytes_reflect_columnar_layout() {
         let mut t = Table::new(schema("link", 3, vec![0, 1, 2]));
@@ -1069,8 +1098,8 @@ mod tests {
         }
         assert_eq!(Derivation::base("a").wire_size(), 12);
         let per_slot = 4 + 4 + 8 + 8 + 12;
-        assert_eq!(t.storage_bytes(), 32 * per_slot + 8 + 4 * 3 * 32);
-        assert_eq!(t.storage_bytes(), 1544);
+        assert_eq!(t.storage_bytes(), 32 * per_slot + 4 * 3 * 32);
+        assert_eq!(t.storage_bytes(), 1536);
         // A fraction widens the cost column to values: 32 integers and the
         // fraction at their wire sizes replace 32 x 8 B.
         let half = Tuple::new(
@@ -1082,7 +1111,7 @@ mod tests {
             + Value::Double(0.5).wire_size();
         assert_eq!(
             t.storage_bytes(),
-            33 * (4 + 4 + 8 + 12) + values + 8 + 4 * 3 * 33
+            33 * (4 + 4 + 8 + 12) + values + 4 * 3 * 33
         );
     }
 }

@@ -12,6 +12,7 @@ use crate::catalog::RelationSchema;
 use crate::few::Few;
 use crate::tuple::{Tuple, TupleId};
 use crate::value::{IdMap, NodeId, Sym, Value};
+use nt_intern::heap::{Census, Heap};
 use std::cell::Cell;
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -153,23 +154,25 @@ fn dict_code(v: &Value) -> Option<u32> {
 #[derive(Debug, Clone)]
 enum Postings {
     /// A [`Column::Dict`] column, by pool code.
-    Code(IdMap<u32, Vec<u32>>),
+    Code(IdMap<u32, Few<u32>>),
     /// Any other column, by value.
-    Value(IdMap<Value, Vec<u32>>),
+    Value(IdMap<Value, Few<u32>>),
 }
 
 impl Postings {
     fn entries(&self) -> usize {
         match self {
-            Postings::Code(lists) => lists.values().map(Vec::len).sum(),
-            Postings::Value(lists) => lists.values().map(Vec::len).sum(),
+            Postings::Code(lists) => lists.values().map(|slots| slots.len()).sum(),
+            Postings::Value(lists) => lists.values().map(|slots| slots.len()).sum(),
         }
     }
 }
 
-fn unlist<K: std::hash::Hash + Eq>(lists: &mut IdMap<K, Vec<u32>>, key: K, slot: u32) {
+fn unlist<K: std::hash::Hash + Eq>(lists: &mut IdMap<K, Few<u32>>, key: K, slot: u32) {
     if let Some(slots) = lists.get_mut(&key) {
-        slots.retain(|s| *s != slot);
+        if let Some(pos) = slots.iter().position(|s| *s == slot) {
+            slots.remove(pos);
+        }
         if slots.is_empty() {
             lists.remove(&key);
         }
@@ -203,10 +206,10 @@ impl Iterator for ColProbe<'_> {
 }
 
 /// Column-major storage for one relation: parallel column vectors indexed by
-/// physical slot, a validity bitmap, a slot free-list, and the lookaside
-/// structures (key index, tuple-id map, posting lists) that answer point
-/// lookups and probes. A tuple's values are stored once, in the columns;
-/// every index holds slot numbers.
+/// physical slot, a slot free-list, and the lookaside structures (key index,
+/// tuple-id map, posting lists) that answer point lookups and probes. A
+/// tuple's values are stored once, in the columns; every index holds slot
+/// numbers. A slot is live when the tuple-id map points its id at it.
 #[derive(Debug, Clone)]
 pub(super) struct ColumnStore {
     /// The relation every stored tuple belongs to (the table's own).
@@ -222,8 +225,6 @@ pub(super) struct ColumnStore {
     /// One column per attribute, each with `ids.len()` physical slots. Empty
     /// until the first tuple arrives: an empty table owns no heap block.
     cols: Vec<Column>,
-    /// Validity bitmap: bit = slot holds a live tuple.
-    live: Vec<u64>,
     /// Dead slots available for reuse (keeps `TupleId`-addressed state and
     /// the posting lists stable across churn instead of shifting slots).
     free: Vec<u32>,
@@ -249,7 +250,6 @@ impl ColumnStore {
             ids: Vec::new(),
             derivs: Vec::new(),
             cols: Vec::new(),
-            live: Vec::new(),
             free: Vec::new(),
             by_key: Vec::new(),
             by_id: IdMap::default(),
@@ -283,7 +283,7 @@ impl ColumnStore {
     }
 
     pub(super) fn derivations_at(&self, slot: u32) -> &[Derivation] {
-        self.derivs[slot as usize].as_slice()
+        &self.derivs[slot as usize]
     }
 
     pub(super) fn value_at(&self, slot: u32, col: usize) -> Value {
@@ -295,20 +295,8 @@ impl ColumnStore {
     }
 
     fn is_live(&self, slot: u32) -> bool {
-        let (word, bit) = (slot as usize / 64, slot as usize % 64);
-        self.live.get(word).is_some_and(|w| w & (1 << bit) != 0)
-    }
-
-    fn set_live(&mut self, slot: u32, value: bool) {
-        let (word, bit) = (slot as usize / 64, slot as usize % 64);
-        if self.live.len() <= word {
-            self.live.resize(word + 1, 0);
-        }
-        if value {
-            self.live[word] |= 1 << bit;
-        } else {
-            self.live[word] &= !(1 << bit);
-        }
+        let id = self.ids.get(slot as usize);
+        id.is_some_and(|id| self.by_id.get(id) == Some(&slot))
     }
 
     /// Where `tuple`'s primary key sits in the key index: `Ok(position)` of
@@ -354,7 +342,7 @@ impl ColumnStore {
                 // under the same key.
                 if self.ids[slot as usize] == tuple.id() {
                     let derivs = &mut self.derivs[slot as usize];
-                    if derivs.as_slice().contains(&derivation) {
+                    if derivs.contains(&derivation) {
                         Membership::Unchanged
                     } else {
                         derivs.push(derivation);
@@ -395,12 +383,11 @@ impl ColumnStore {
             return Membership::NotFound;
         };
         let derivs = &mut self.derivs[slot as usize];
-        let before = derivs.as_slice().len();
-        derivs.retain(|d| d != derivation);
-        let after = derivs.as_slice().len();
-        if after == before {
-            Membership::NotFound
-        } else if after > 0 {
+        let Some(pos) = derivs.iter().position(|d| d == derivation) else {
+            return Membership::NotFound;
+        };
+        derivs.remove(pos);
+        if !derivs.is_empty() {
             Membership::RemovedDerivation
         } else {
             // The slot dies; its columns keep their values until it is
@@ -411,7 +398,6 @@ impl ColumnStore {
                 .expect("a stored tuple is in the key index");
             self.by_key.remove(pos);
             self.by_id.remove(&tuple.id());
-            self.set_live(slot, false);
             self.free.push(slot);
             Membership::Disappeared
         }
@@ -455,7 +441,6 @@ impl ColumnStore {
                 slot
             }
         };
-        self.set_live(slot, true);
         self.by_id.insert(id, slot);
         self.by_key.insert(pos, slot);
         self.index_slot(slot);
@@ -500,13 +485,13 @@ impl ColumnStore {
     /// column anchors a probe, the candidates are the same subsequence of
     /// the same order.
     pub(super) fn probe(&self, bound_cols: &[(usize, Value)]) -> Option<ColProbe<'_>> {
-        let mut anchor: Option<(usize, &Vec<u32>)> = None;
+        let mut anchor: Option<(usize, &[u32])> = None;
         let mut filter = bound_cols.to_vec();
         for (pos, (col, value)) in bound_cols.iter().enumerate() {
             // No column yet means no tuple yet.
             self.cols.get(*col)?;
             if let Ok(i) = self.indexed.binary_search(col) {
-                let slots = match &self.postings[i] {
+                let slots: &[u32] = match &self.postings[i] {
                     Postings::Code(lists) => lists.get(&dict_code(value)?),
                     Postings::Value(lists) => lists.get(value),
                 }?;
@@ -540,19 +525,66 @@ impl ColumnStore {
         })
     }
 
-    /// Resident bytes: column payloads, per-slot ids, bitmap, posting lists
-    /// (4-byte slot entries), and derivation records (priced like their wire
+    /// Resident bytes: column payloads, per-slot ids, posting lists (4-byte
+    /// slot entries), and derivation records (priced like their wire
     /// encoding).
     pub(super) fn resident_bytes(&self) -> usize {
         self.cols.iter().map(Column::resident_bytes).sum::<usize>()
             + 8 * self.ids.len()
-            + 8 * self.live.len()
             + 4 * self.postings.iter().map(Postings::entries).sum::<usize>()
             + self
                 .derivs
                 .iter()
-                .flat_map(|ds| ds.as_slice().iter().map(Derivation::wire_size))
+                .flat_map(|ds| ds.iter().map(Derivation::wire_size))
                 .sum::<usize>()
+    }
+
+    /// Charge the table's heap to its owners: `table.ids`,
+    /// `table.derivations` (spilled lists and input lists),
+    /// `table.columns` (the overflow column's values included),
+    /// `table.key_index`, `table.by_id`, `table.postings` (keys and spilled
+    /// lists included) and `table.slots` (the free list).
+    pub(super) fn heap(&self, census: &mut Census) {
+        census.add("table.ids", Heap::vec(&self.ids));
+        census.add("table.derivations", Heap::vec(&self.derivs));
+        for derivs in &self.derivs {
+            census.add("table.derivations", derivs.heap());
+            for d in derivs {
+                census.shared("table.derivations", &d.inputs);
+            }
+        }
+        census.add("table.columns", Heap::vec(&self.cols));
+        for column in &self.cols {
+            census.add(
+                "table.columns",
+                match column {
+                    Column::Dict(xs) => Heap::vec(xs),
+                    Column::Int(xs) => Heap::vec(xs),
+                    Column::Other(xs) => Heap::vec(xs),
+                },
+            );
+            if let Column::Other(xs) = column {
+                xs.iter().for_each(|v| v.heap(census, "table.columns"));
+            }
+        }
+        census.add("table.key_index", Heap::vec(&self.by_key));
+        census.add("table.by_id", Heap::map(&self.by_id));
+        census.add("table.postings", Heap::vec(&self.postings));
+        for postings in &self.postings {
+            let lists = match postings {
+                Postings::Code(lists) => {
+                    census.add("table.postings", Heap::map(lists));
+                    lists.values().map(Few::heap).sum()
+                }
+                Postings::Value(lists) => {
+                    census.add("table.postings", Heap::map(lists));
+                    lists.keys().for_each(|v| v.heap(census, "table.postings"));
+                    lists.values().map(Few::heap).sum()
+                }
+            };
+            census.add("table.postings", lists);
+        }
+        census.add("table.slots", Heap::vec(&self.free));
     }
 
     /// Test view: (physical slots, free slots).

@@ -2,6 +2,7 @@
 
 use crate::value::{StableHasher, Sym, Value};
 use nt_intern::codec::{Decode, DecodeError, Encode, Reader, Writer};
+use nt_intern::heap::Census;
 use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
@@ -44,6 +45,14 @@ pub struct Tuple {
 }
 
 impl Tuple {
+    /// Charge the shared values (once, however many tuples hold them) and
+    /// what they hold to `owner`.
+    pub fn heap(&self, census: &mut Census, owner: &'static str) {
+        if census.shared(owner, &self.values) {
+            self.values.iter().for_each(|v| v.heap(census, owner));
+        }
+    }
+
     /// Create a tuple: interns the relation, canonicalizes the values, hashes.
     /// Values collected straight into a shared slice are stored in it, with
     /// no copy when they are canonical already; a slice someone else holds is

@@ -31,6 +31,7 @@
 //! every layer matches values with `==` and nothing else.
 
 use nt_intern::codec::{Decode, DecodeError, Encode, Reader, Writer};
+use nt_intern::heap::{Census, Heap};
 use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
@@ -74,6 +75,18 @@ pub enum Value {
 }
 
 impl Value {
+    /// Charge what the value holds on the heap to `owner`: a string's
+    /// buffer, a list's shared slice (once) and what its elements hold.
+    pub fn heap(&self, census: &mut Census, owner: &'static str) {
+        match self {
+            Value::Str(s) => census.add(owner, Heap::block(s.capacity())),
+            Value::List(items) if census.shared(owner, items) => {
+                items.iter().for_each(|v| v.heap(census, owner));
+            }
+            _ => {}
+        }
+    }
+
     /// Build an address value (interning the name).
     pub fn addr(a: impl Into<Addr>) -> Value {
         Value::Addr(a.into())

@@ -13,6 +13,7 @@
 use crate::stats::TrafficStats;
 use crate::time::SimTime;
 use crate::topology::Topology;
+use nt_intern::heap::Heap;
 use nt_intern::NodeId;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
@@ -92,6 +93,15 @@ pub struct Network<M> {
 }
 
 impl<M> Network<M> {
+    /// What the network holds on the heap that a census can read off it:
+    /// the in-flight queue's buffer (not the payloads in it), the traffic
+    /// counters and the topology's (see [`Topology::heap`]).
+    pub fn heap(&self) -> Heap {
+        Heap::block(self.queue.capacity() * std::mem::size_of::<Reverse<InFlight<M>>>())
+            + self.stats.heap()
+            + self.topology.heap()
+    }
+
     /// Create a network over a topology.
     pub fn new(topology: Topology, config: NetworkConfig) -> Self {
         Network {

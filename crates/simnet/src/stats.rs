@@ -17,6 +17,7 @@
 //! The binary codec writes the handles themselves, as names of the frame.
 
 use nt_intern::codec::{Decode, DecodeError, Encode, Reader, Writer};
+use nt_intern::heap::Heap;
 use nt_intern::{IdMap, NodeId};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -40,6 +41,12 @@ pub struct TrafficStats {
 }
 
 impl TrafficStats {
+    /// The per-link counters' table (the per-category map is a B-tree of a
+    /// handful of entries, which no layout rule reads).
+    pub fn heap(&self) -> Heap {
+        Heap::map(&self.by_link)
+    }
+
     /// Record one message carrying a single record.
     pub fn record(&mut self, src: NodeId, dst: NodeId, category: &'static str, bytes: usize) {
         self.record_batch(src, dst, category, bytes, 1);

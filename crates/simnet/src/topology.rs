@@ -11,6 +11,7 @@
 //! function of its parameters and a `u64` seed.
 
 use nt_intern::codec::{Decode, DecodeError, Encode, Reader, Writer};
+use nt_intern::heap::Heap;
 use nt_intern::{IdMap, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -141,6 +142,15 @@ impl Decode for Topology {
 }
 
 impl Topology {
+    /// The names and the latency table; the B-tree nodes that order them
+    /// are not read (no layout rule gives their count).
+    pub fn heap(&self) -> Heap {
+        let names = self.nodes.iter().map(|n| Heap::block(n.capacity()));
+        let links = (self.links.ordered.values())
+            .map(|link| Heap::block(link.from.capacity()) + Heap::block(link.to.capacity()));
+        names.chain(links).sum::<Heap>() + Heap::map(&self.links.latency_ms)
+    }
+
     /// Create an empty topology.
     pub fn new() -> Self {
         Topology::default()

@@ -9,10 +9,15 @@
 //! path-vector program with the benchmark's anchors (`converge_as` is this at
 //! 2,000 nodes) and prints one line per phase — start, new, seed, fixpoint,
 //! drop — with the live heap bytes and blocks, both per node and per stored
-//! tuple, and the process's `VmHWM`. The counts are exact and repeat run to
-//! run; `VmHWM` is what `ntbench` reports as `peak_rss_mb`.
+//! tuple, and the process's `VmHWM`. At the fixpoint it also prints who holds
+//! the heap (`NetTrails::heap_census`, one line per owner, largest first, and
+//! what the census does not read) and how full the engines' dictionaries are
+//! (how many, the names and bytes they hold, the most names one holds and
+//! the 99th percentile). The counts are exact and repeat run to run; `VmHWM`
+//! is what `ntbench` reports as `peak_rss_mb`.
 
 use nettrails::{NetTrails, NetTrailsConfig};
+use nt_runtime::Dictionary;
 use simnet::Topology;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
@@ -113,6 +118,53 @@ fn phase(name: &str, base: (usize, usize), nodes: usize, tuples: usize) {
     );
 }
 
+/// The census at the fixpoint, largest owner first, and what the allocator
+/// counts beyond it. Taken after reading the counters, so its own blocks are
+/// not counted.
+fn census(nt: &NetTrails, base: (usize, usize)) {
+    let (bytes, blocks) = (
+        LIVE_BYTES.load(Relaxed) - base.0,
+        LIVE_BLOCKS.load(Relaxed) - base.1,
+    );
+    let census = nt.heap_census();
+    let mut rows = census.rows().to_vec();
+    rows.sort_by_key(|(owner, heap)| (std::cmp::Reverse(heap.bytes), *owner));
+    for (owner, heap) in rows {
+        println!(
+            "census    {owner:<18} blocks={:<8} bytes={:<10} share={:.1}%",
+            heap.blocks,
+            heap.bytes,
+            100.0 * heap.bytes as f64 / bytes as f64
+        );
+    }
+    let total = census.total();
+    println!(
+        "census    {:<18} blocks={:<8} bytes={:<10} share={:.1}%",
+        "not read",
+        blocks - total.blocks,
+        bytes - total.bytes,
+        100.0 * (bytes - total.bytes) as f64 / bytes as f64
+    );
+}
+
+/// How full the engines' dictionaries are: one per (engine, destination).
+fn dictionaries(nt: &NetTrails) {
+    let nodes = nt.nodes();
+    let engines = nodes.iter().filter_map(|n| nt.engine(n.as_str()));
+    let dicts: Vec<&Dictionary> = engines.flat_map(|e| e.dictionaries()).collect();
+    let mut names: Vec<usize> = dicts.iter().map(|d| d.len()).collect();
+    names.sort_unstable();
+    let p99 = names.get((names.len() * 99).div_ceil(100).saturating_sub(1));
+    println!(
+        "dicts     count={} names={} bytes={} max_names={} p99_names={}",
+        dicts.len(),
+        names.iter().sum::<usize>(),
+        dicts.iter().map(|d| d.heap().bytes).sum::<usize>(),
+        names.last().copied().unwrap_or(0),
+        p99.copied().unwrap_or(0)
+    );
+}
+
 fn main() {
     let nodes: usize = match std::env::args().nth(1).map(|a| a.parse()) {
         None => 2000,
@@ -146,6 +198,8 @@ fn main() {
     nt.run_to_fixpoint();
     let stats = nt.stats();
     phase("fixpoint", base, nodes, stats.stored_tuples);
+    census(&nt, base);
+    dictionaries(&nt);
     println!(
         "fixpoint  storage_bytes={} prov_entries={} rule_execs={} join_probes={}",
         nt.nodes()

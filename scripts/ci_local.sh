@@ -56,7 +56,16 @@ test_job() {
     #   nettrails bytes_per_node — counted heap per empty node and per stored
     #     tuple under pinned ceilings, live blocks once seeded no higher than
     #     before shared handles, the exact allocations from seeding to the
-    #     fixpoint, and all of it back on drop.
+    #     fixpoint, and all of it back on drop; the heap census
+    #     (NetTrails::heap_census) row by row at the fixpoint and after 40
+    #     seeded link flaps, held to the counting allocator;
+    #   nt-intern heap_model — the layout rules the census reads (vector
+    #     capacity, hash-table buckets, shared slices) against a counting
+    #     allocator;
+    #   nettrails heap_ladder, heap_ladder_reversed — heap per stored tuple
+    #     flat from 500 to 8,000 nodes, and the same with either network's
+    #     names minted first (a dictionary's form follows the names sent, not
+    #     the mint order).
     # the oracles of the one equality (the compiler decides which columns
     # hold addresses; storage and every matcher follow with ==):
     #   scenario address_census — over every shipped program after
