@@ -16,7 +16,7 @@
 use crate::snapshot::{decode_by_relation, encode_by_relation, NodeSnapshot, SystemSnapshot};
 use nt_runtime::codec::{Decode, DecodeError, Encode, Reader, Writer};
 use nt_runtime::{Addr, Tuple, TupleId};
-use provenance::{ProvEdge, ProvStoreStats, ProvVertex, VertexId};
+use provenance::{ProvEdge, ProvVertex, VertexId};
 use simnet::{SimTime, Topology, TrafficStats};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -29,14 +29,12 @@ pub struct NodeDelta {
     /// Tuples that disappeared, per relation, as content-addressed ids — an
     /// id is 8 bytes in the frame, the tuple itself is not re-shipped.
     pub removed: BTreeMap<String, Vec<TupleId>>,
-    /// New provenance-store sizes, when they changed.
-    pub provenance: Option<ProvStoreStats>,
 }
 
 impl NodeDelta {
     /// True when the node did not change.
     pub fn is_empty(&self) -> bool {
-        self.added.is_empty() && self.removed.is_empty() && self.provenance.is_none()
+        self.added.is_empty() && self.removed.is_empty()
     }
 
     /// Diff one node's state between two captures.
@@ -66,9 +64,6 @@ impl NodeDelta {
             if !removed.is_empty() {
                 delta.removed.insert(rel.clone(), removed);
             }
-        }
-        if prev.provenance != next.provenance {
-            delta.provenance = Some(next.provenance);
         }
         delta
     }
@@ -204,9 +199,6 @@ impl SnapshotDelta {
                 tuples.sort();
             }
             node.relations.retain(|_, tuples| !tuples.is_empty());
-            if let Some(stats) = nd.provenance {
-                node.provenance = stats;
-            }
         }
         if let Some(topology) = &self.topology {
             base.topology = topology.clone();
@@ -237,7 +229,6 @@ impl Encode for NodeDelta {
     fn encode(&self, w: &mut Writer) {
         encode_by_relation(&self.added, w);
         encode_by_relation(&self.removed, w);
-        self.provenance.encode(w);
     }
 }
 
@@ -246,7 +237,6 @@ impl Decode for NodeDelta {
         Ok(NodeDelta {
             added: decode_by_relation(r)?,
             removed: decode_by_relation(r)?,
-            provenance: Option::decode(r)?,
         })
     }
 }

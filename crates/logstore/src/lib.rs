@@ -12,7 +12,7 @@
 //! This crate implements exactly that pipeline:
 //!
 //! * [`NodeSnapshot`] — one node's state at a point in time: its visible
-//!   relations, its provenance-store sizes, and simple utilization counters;
+//!   relations, read from its database alone;
 //! * [`SystemSnapshot`] — the combined snapshot of every node plus the
 //!   topology and the assembled provenance graph;
 //! * [`SnapshotDelta`] — the changes between two consecutive captures:

@@ -10,7 +10,7 @@
 
 use nt_runtime::codec::{Decode, DecodeError, Encode, Reader, Writer};
 use nt_runtime::{Addr, Database, Tuple};
-use provenance::{ProvGraph, ProvStoreStats, ProvenanceSystem};
+use provenance::ProvGraph;
 use simnet::{SimTime, Topology, TrafficStats};
 use std::collections::BTreeMap;
 
@@ -21,17 +21,14 @@ pub struct NodeSnapshot {
     pub node: Addr,
     /// The node's non-empty relations and their tuples.
     pub relations: BTreeMap<String, Vec<Tuple>>,
-    /// Size of the node's provenance partition.
-    pub provenance: ProvStoreStats,
 }
 
 impl NodeSnapshot {
-    /// Capture a node's state from its runtime database and provenance
-    /// store. Each relation's tuples are stored in `Tuple`'s order, the one
-    /// canonical order of a snapshot, so that a delta applied to the previous
-    /// capture reproduces this one bit-for-bit regardless of table slot
-    /// order.
-    pub fn capture(node: &str, db: &Database, provenance: &ProvenanceSystem) -> Self {
+    /// Capture a node's state from its runtime database alone. Each
+    /// relation's tuples are stored in `Tuple`'s order, the one canonical
+    /// order of a snapshot, so that a delta applied to the previous capture
+    /// reproduces this one bit-for-bit regardless of table slot order.
+    pub fn of(node: &str, db: &Database) -> Self {
         let mut relations = BTreeMap::new();
         for table in db.tables() {
             if table.is_empty() {
@@ -44,10 +41,6 @@ impl NodeSnapshot {
         NodeSnapshot {
             node: node.into(),
             relations,
-            provenance: provenance
-                .store(node)
-                .map(|s| s.stats())
-                .unwrap_or_default(),
         }
     }
 
@@ -120,7 +113,6 @@ impl Encode for NodeSnapshot {
     fn encode(&self, w: &mut Writer) {
         w.node(self.node);
         encode_by_relation(&self.relations, w);
-        self.provenance.encode(w);
     }
 }
 
@@ -129,7 +121,6 @@ impl Decode for NodeSnapshot {
         Ok(NodeSnapshot {
             node: r.node()?,
             relations: decode_by_relation(r)?,
-            provenance: ProvStoreStats::decode(r)?,
         })
     }
 }
@@ -178,8 +169,7 @@ mod tests {
     #[test]
     fn node_snapshot_captures_visible_relations() {
         let e = engine_with_links();
-        let prov = ProvenanceSystem::new(["n1"]);
-        let snap = NodeSnapshot::capture("n1", e.database(), &prov);
+        let snap = NodeSnapshot::of("n1", e.database());
         assert_eq!(snap.tuple_count(), 2, "link + cost");
         assert!(snap.relations.contains_key("link"));
         assert!(snap.relations.contains_key("cost"));
@@ -192,7 +182,6 @@ mod tests {
     fn a_capture_does_not_depend_on_insertion_order_or_slot_reuse() {
         let program =
             Arc::new(CompiledProgram::from_source("r1 cost(@S,D,C) :- link(@S,D,C).").unwrap());
-        let prov = ProvenanceSystem::new(["n1"]);
         let link = |d: &str, c: i64| {
             Tuple::new(
                 "link",
@@ -209,7 +198,7 @@ mod tests {
                 }
                 e.run();
             }
-            NodeSnapshot::capture("n1", e.database(), &prov)
+            NodeSnapshot::of("n1", e.database())
         };
         let forward = capture(&[(true, 0), (true, 1), (true, 2), (true, 3)]);
         let reused = capture(&[
@@ -230,15 +219,13 @@ mod tests {
     #[test]
     fn system_snapshot_aggregates_nodes() {
         let e = engine_with_links();
-        let prov = ProvenanceSystem::new(["n1"]);
         let mut snapshot = SystemSnapshot {
             time: SimTime::from_secs(3),
             ..Default::default()
         };
-        snapshot.nodes.insert(
-            "n1".into(),
-            NodeSnapshot::capture("n1", e.database(), &prov),
-        );
+        snapshot
+            .nodes
+            .insert("n1".into(), NodeSnapshot::of("n1", e.database()));
         assert_eq!(snapshot.tuple_count(), 2);
         assert_eq!(snapshot.relation("cost").len(), 1);
         assert_eq!(snapshot.relation("nope").len(), 0);

@@ -104,7 +104,6 @@ fn records(seed: u64) -> Vec<LogRecord> {
                 let node = NodeSnapshot {
                     node: name.as_str().into(),
                     relations: [("route".to_string(), tuples)].into(),
-                    ..Default::default()
                 };
                 snap.nodes.insert(name.as_str().into(), node);
                 let bytes = rng.below(100) as usize;

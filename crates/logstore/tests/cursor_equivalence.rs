@@ -163,7 +163,6 @@ fn captures(edits: &[(Vec<Fact>, usize)]) -> Vec<SystemSnapshot> {
                     node: NODES[*node].into(),
                     ..Default::default()
                 });
-            node_snap.provenance.prov_entries += 1;
             node_snap
                 .relations
                 .entry(RELATIONS[*relation].to_string())

@@ -146,7 +146,6 @@ fn capture(i: u64) -> SystemSnapshot {
             node: name.as_str().into(),
             ..Default::default()
         };
-        node.provenance.prov_entries = tuples.len();
         if n != i % 4 {
             node.relations.insert("route".into(), tuples.clone());
             snap.nodes.insert(name.as_str().into(), node);

@@ -319,7 +319,7 @@ impl NetTrails {
         for (node, engine) in self.engines.iter() {
             snap.nodes.insert(
                 node,
-                logstore::NodeSnapshot::capture(node.as_str(), engine.database(), &self.provenance),
+                logstore::NodeSnapshot::of(node.as_str(), engine.database()),
             );
         }
         snap
@@ -514,7 +514,15 @@ impl NetTrails {
     /// [`QuerySession::submit`] (asynchronous handle) or
     /// [`QuerySession::run`] (drive to completion).
     ///
-    /// ```ignore
+    /// ```
+    /// # use nettrails::provenance::{QueryKind, QueryResult, TraversalOrder};
+    /// # use nettrails::{protocols, simnet::Topology, NetTrails, NetTrailsConfig};
+    /// # let config = NetTrailsConfig::default();
+    /// # let mut nt = NetTrails::new(protocols::mincost::PROGRAM, Topology::ladder(3), config)
+    /// #     .unwrap();
+    /// # nt.seed_links_from_topology();
+    /// # nt.run_to_fixpoint();
+    /// # let (_, tuple) = nt.relation("minCost").into_iter().next().unwrap();
     /// let (result, stats) = nt
     ///     .query(&tuple)
     ///     .from_node("n3")
@@ -522,6 +530,8 @@ impl NetTrails {
     ///     .traversal(TraversalOrder::BreadthFirst)
     ///     .max_depth(4)
     ///     .run();
+    /// # assert!(matches!(result, QueryResult::Lineage(_)));
+    /// # assert!(stats.messages > 0);
     /// ```
     ///
     /// The querier defaults to the target's home node; the mode defaults to
@@ -534,12 +544,22 @@ impl NetTrails {
 
     /// Open a tenant-attributed request builder for the query service:
     ///
-    /// ```ignore
+    /// ```
+    /// # use nettrails::provenance::QueryKind;
+    /// # use nettrails::{protocols, simnet::Topology, NetTrails, NetTrailsConfig};
+    /// # let config = NetTrailsConfig::default();
+    /// # let mut nt = NetTrails::new(protocols::mincost::PROGRAM, Topology::ladder(3), config)
+    /// #     .unwrap();
+    /// # nt.seed_links_from_topology();
+    /// # nt.run_to_fixpoint();
+    /// # let (_, suspicious_route) = nt.relation("minCost").into_iter().next().unwrap();
     /// let request = nt.service("ops")
     ///     .deadline_ms(40.0)
     ///     .query(&suspicious_route)
     ///     .kind(QueryKind::Lineage)
     ///     .request();
+    /// # assert_eq!(request.tenant, "ops");
+    /// # assert_eq!(request.deadline_ms, Some(40.0));
     /// ```
     ///
     /// Unlike [`NetTrails::query`], nothing is submitted here: the built

@@ -112,51 +112,15 @@ const NEW_BYTES_PER_NODE: usize = 3_017;
 /// `Vec::new().into()` allocates — one block per base derivation — where
 /// `Arc::default()` shares one.
 const SEEDED_BLOCKS: usize = 7_109;
-/// Allocations from seeding to the fixpoint, exactly: 16.3 per stored tuple
-/// (9,627 tuples). 158,643 while each non-empty table grew a validity
-/// bitmap beside its tuple-id map. 173,608 (18.0 per tuple) while a remote
-/// head's shipped
-/// derivations, a provenance vertex's `prov` entries and a posting list took
-/// a heap block for their first element; they are held inline now (`Few`).
-/// 173,641 while a remote head's firing was reported by the
-/// run that derived it and each run's firing list grew from empty; a run
-/// now reserves a firing for every record and fact it starts with, since
-/// each reports one as it applies (174,092 without the reservation). The
-/// sorted-list form of the names a destination was sent allocates no more
-/// than the bitmap did: at this size every one starts as the bitmap.
-/// 182,580 while each engine generation planned its
-/// triggers into an op list, a range list and a task list, evaluated every
-/// monotonic task into a buffered result list before replaying its events,
-/// and kept each join's matched atoms in a list per generation; a trigger
-/// now joins where its event replays, into the engine's scratch.
-/// 182,585 while each provenance round collected its firings
-/// into a vector of references first, one allocation per round that applied
-/// any. 188,460 while the dependency index also held the inputs
-/// of derivations received from other nodes and of aggregate and negation
-/// derivations, which no cascade of this node retracts: 5,875 fewer now.
-/// 203,000 when the join kernel rebuilt every stored input out of its
-/// columns to hand the firing a copy.
-const CONVERGE_ALLOCATIONS: usize = 156_657;
-/// Live heap at the fixpoint, exactly: 8,362,821 B. 8,483,973 while each
-/// table also kept a validity bitmap (a 24 B vector and its block). 8,582,469
-/// while an aggregate group's key was a vector grown to room for four values
-/// (96 B for the two of a path-vector group, now a 48 B boxed slice).
-/// 9,255,389 while the
-/// first shipped derivation of a remote head, `prov` entry of a vertex and
-/// slot of a posting list each took a heap block (a 96 B, 24 B and 16 B
-/// block). 9,269,213 while the
-/// names a destination was sent were always a bitmap grown by doubling; a
-/// bitmap is now built at its size when a sorted list of the handles would
-/// no longer be smaller.
-const FIXPOINT_LIVE_BYTES: usize = 8_362_821;
-/// Live heap per stored tuple at the fixpoint: measured 868 (891 with
-/// aggregate keys of room for four and validity bitmaps); 961 while
-/// one-element lists took a heap block each (962 while the
-/// names sent were a doubling bitmap, 961 before the
-/// engines' matched-id scratch, 24 B per engine); 1,016 while the
-/// dependency index held what no cascade of this node retracts, 1,072 while
-/// provenance stores kept a content map beside their vertices, 1,085 under
-/// `RandomState`.
+/// Allocations from seeding to the fixpoint, exactly: 16.0 per stored tuple
+/// (9,627 tuples). A run reserves a firing for every record and fact it
+/// starts with, since each reports one as it applies, and a list's second
+/// element spills it into one block with room for two.
+const CONVERGE_ALLOCATIONS: usize = 154_002;
+/// Live heap at the fixpoint, exactly: 8,297,445 B.
+const FIXPOINT_LIVE_BYTES: usize = 8_297_445;
+/// Live heap per stored tuple at the fixpoint: measured 861, and this
+/// ceiling.
 const FIXPOINT_BYTES_PER_TUPLE: usize = 955;
 
 /// The census at the fixpoint, row by row: (owner, live blocks, requested
@@ -171,11 +135,11 @@ const FIXPOINT_CENSUS: [(&str, usize, usize); 18] = [
     ("table.columns", 10_036, 715_032),
     ("table.key_index", 1_986, 55_056),
     ("table.by_id", 1_986, 300_784),
-    ("table.postings", 4_749, 387_628),
+    ("table.postings", 4_749, 381_100),
     ("table.slots", 23, 368),
     ("engine.shell", 806, 698_720),
     ("engine.outbox", 11_447, 1_698_040),
-    ("engine.dependents", 3_050, 410_968),
+    ("engine.dependents", 3_050, 352_120),
     ("engine.agg_state", 3_605, 440_696),
     ("engine.dict_sent", 1_994, 205_216),
     ("prov.vertices", 2_002, 1_011_696),

@@ -45,12 +45,9 @@ pub const SMALL: usize = 500;
 pub const LARGE: usize = 8_000;
 
 /// Live heap per stored tuple at the 8,000-node fixpoint, in either order:
-/// measured 938 (93,960,747 B with the large network first, 93,960,682 B
-/// with it second); 960 while aggregate keys had room for four values and
-/// tables kept validity bitmaps, 1,027 while one-element lists took a heap
-/// block each. With the 500-node network first it read 1,199 while a
-/// dictionary that had become a bitmap stayed one however far it grew.
-pub const LARGE_BYTES_PER_TUPLE: usize = 938;
+/// measured 927 (92,862,491 B with the large network first, 92,862,426 B
+/// with it second).
+pub const LARGE_BYTES_PER_TUPLE: usize = 927;
 
 /// `count` distinct connected nodes drawn the way `ntbench` draws its
 /// anchors (SplitMix64, stream 1 of the network seed), as

@@ -31,9 +31,9 @@
 //! distributed graph for the visualizer and the log store, matching the
 //! "system snapshots propagated to a central Log Store" workflow of Section
 //! 2.3. It is a snapshot record, not a query structure: vertices and edges,
-//! no index. That graph, its vertex, edge and id types and [`ProvStoreStats`]
-//! are what a snapshot carries of provenance, and the only types here with a
-//! serialized form. The stores, the system, firings and query batches have
+//! no index. That graph with its vertex, edge and id types is what a
+//! snapshot carries of provenance, and the only types here with a serialized
+//! form. The stores, the system, firings and query batches have
 //! none: nothing rebuilds them from bytes, only maintenance writes them.
 
 pub mod graph;
@@ -53,5 +53,5 @@ pub use query::{
     QueryOptions, QueryResult, QuerySpec, QueryStats, RuleExecNode, TraversalOrder, QUERY_CATEGORY,
 };
 pub use rewrite::{rewrite_for_provenance, PROV_RELATION, RULE_EXEC_RELATION};
-pub use store::{ProvEntry, ProvStoreStats, ProvenanceStore, RuleExec, RuleExecId};
+pub use store::{ProvEntry, ProvenanceStore, RuleExec, RuleExecId};
 pub use system::{ProvenanceSystem, SystemStats};

@@ -32,14 +32,10 @@
 //! interned 4-byte `rloc`), a [`RuleExec`] a fixed header plus the posting
 //! list of its input VIDs: an input is named by id, and its content is the
 //! input's own vertex. Rule and node names are interned ([`Sym`]/[`NodeId`]),
-//! so maintenance never clones or re-hashes strings; the string dictionary
-//! travels once per snapshot (see [`ProvStoreStats::dict_bytes`]), not once
-//! per entry.
+//! so maintenance never clones or re-hashes strings.
 
-use nt_runtime::codec::{Decode, DecodeError, Encode, Reader, Writer};
 use nt_runtime::{
-    dict_entry_wire_size, rule_exec_digest, Census, Dictionary, Few, Heap, IdMap, NodeId,
-    StableHasher, Sym, Tuple, TupleId,
+    rule_exec_digest, Census, Few, Heap, IdMap, NodeId, StableHasher, Sym, Tuple, TupleId,
 };
 use std::collections::hash_map::Entry;
 use std::fmt;
@@ -94,9 +90,7 @@ impl ProvEntry {
 
     /// Wire size of the entry in the interned encoding: an 8-byte rid (the
     /// base-tuple case is a reserved encoding, not extra bytes) plus a
-    /// fixed-width interned `rloc` id. The one-time dictionary cost of the
-    /// names behind the ids is accounted separately
-    /// ([`ProvStoreStats::dict_bytes`]).
+    /// fixed-width interned `rloc` id.
     pub fn wire_size(&self) -> usize {
         8 + NodeId::WIRE_SIZE
     }
@@ -119,56 +113,9 @@ pub struct RuleExec {
 
 impl RuleExec {
     /// Wire size of the entry in the interned encoding: 8-byte rid,
-    /// fixed-width rule and node ids, and 8 bytes per input VID. Dictionary
-    /// cost is accounted once per store ([`ProvStoreStats::dict_bytes`]).
+    /// fixed-width rule and node ids, and 8 bytes per input VID.
     pub fn wire_size(&self) -> usize {
         8 + Sym::WIRE_SIZE + NodeId::WIRE_SIZE + 8 * self.inputs.len()
-    }
-}
-
-/// Size counters for one node's provenance state; the maintenance-overhead
-/// experiment (E4) sums these across nodes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ProvStoreStats {
-    /// Number of `prov` entries stored at this node.
-    pub prov_entries: usize,
-    /// Number of `ruleExec` entries stored at this node.
-    pub rule_execs: usize,
-    /// Number of distinct tuple vertices known at this node.
-    pub tuple_vertices: usize,
-    /// One-time dictionary cost: the distinct rule/relation/node names this
-    /// store references, priced as id + length-prefixed string each. This is
-    /// what a snapshot upload pays once so that every fixed-width id in
-    /// `bytes` resolves remotely.
-    pub dict_bytes: usize,
-    /// Approximate bytes of provenance state (fixed-width interned records
-    /// plus the one-time dictionary).
-    pub bytes: usize,
-}
-
-impl Encode for ProvStoreStats {
-    fn encode(&self, w: &mut Writer) {
-        for v in [
-            self.prov_entries,
-            self.rule_execs,
-            self.tuple_vertices,
-            self.dict_bytes,
-            self.bytes,
-        ] {
-            w.usize(v);
-        }
-    }
-}
-
-impl Decode for ProvStoreStats {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(ProvStoreStats {
-            prov_entries: r.usize()?,
-            rule_execs: r.usize()?,
-            tuple_vertices: r.usize()?,
-            dict_bytes: r.usize()?,
-            bytes: r.usize()?,
-        })
     }
 }
 
@@ -353,52 +300,6 @@ impl ProvenanceStore {
         self.execs.iter()
     }
 
-    /// The one-time dictionary a snapshot of this store must carry: every
-    /// distinct name it references (its node, rule locations, rules, and the
-    /// names of its tuples), each priced once — the store shipped as a single
-    /// frame to a destination that knows nothing ([`Dictionary`]).
-    fn dict_bytes(&self) -> usize {
-        let mut sent = Dictionary::default();
-        let mut bytes = 0usize;
-        let mut price = |name: Sym| {
-            if sent.first_use(name) {
-                bytes += dict_entry_wire_size(name.as_str());
-            }
-        };
-        price(self.node.as_sym());
-        for v in &self.vertices {
-            for e in &v.entries {
-                price(e.rloc.as_sym());
-            }
-            v.tuple.visit_names(&mut price);
-        }
-        for e in &self.execs {
-            price(e.rule);
-            price(e.node.as_sym());
-        }
-        bytes
-    }
-
-    /// Size counters.
-    pub fn stats(&self) -> ProvStoreStats {
-        let mut prov_entries = 0usize;
-        let mut record_bytes = 0usize;
-        for v in &self.vertices {
-            prov_entries += v.entries.len();
-            record_bytes += v.entries.iter().map(ProvEntry::wire_size).sum::<usize>();
-            record_bytes += v.tuple.wire_size();
-        }
-        record_bytes += self.execs.iter().map(RuleExec::wire_size).sum::<usize>();
-        let dict_bytes = self.dict_bytes();
-        ProvStoreStats {
-            prov_entries,
-            rule_execs: self.execs.len(),
-            tuple_vertices: self.vertices.len(),
-            dict_bytes,
-            bytes: record_bytes + dict_bytes,
-        }
-    }
-
     /// The vertices in vid order and the executions in rid order: what
     /// equality and the digest read, so two stores holding the same graph
     /// agree whatever arena history produced them.
@@ -517,12 +418,7 @@ mod tests {
             store.vertex(vid).is_none(),
             "vertex and tuple dropped with last entry"
         );
-        let stats = store.stats();
-        assert_eq!((stats.tuple_vertices, stats.prov_entries), (0, 0));
-        assert_eq!(
-            stats.bytes, stats.dict_bytes,
-            "only the node's name is left"
-        );
+        assert_eq!((store.vertex_count(), store.iter_prov().count()), (0, 0));
     }
 
     #[test]
@@ -545,7 +441,7 @@ mod tests {
             for t in tuples.iter().skip(1).step_by(2) {
                 assert!(store.remove_prov(t.id(), &base("n1")));
             }
-            assert_eq!(store.stats().tuple_vertices, 0, "round {round}");
+            assert_eq!(store.vertex_count(), 0, "round {round}");
         }
     }
 
@@ -571,28 +467,6 @@ mod tests {
         for exec in &execs[1..] {
             assert_eq!(store.rule_exec(exec.rid), Some(exec));
         }
-    }
-
-    #[test]
-    fn stats_reflect_contents_and_price_the_dictionary() {
-        let mut store = ProvenanceStore::new("n1");
-        let t = tuple("cost", "n1", 3);
-        store.add_prov(&t, base("n1"));
-        store.add_rule_exec(RuleExec {
-            rid: RuleExecId::compute(sym("r1"), nid("n1"), &[t.id()]),
-            rule: "r1".into(),
-            node: "n1".into(),
-            inputs: [t.id()].into(),
-        });
-        let stats = store.stats();
-        assert_eq!(stats.prov_entries, 1);
-        assert_eq!(stats.rule_execs, 1);
-        assert_eq!(stats.tuple_vertices, 1);
-        // Dictionary: "n1", "r1", "cost".
-        assert_eq!(stats.dict_bytes, (8 + 2) + (8 + 2) + (8 + 4));
-        // Records: the entry, the execution with one input, the tuple.
-        let records = base("n1").wire_size() + (8 + 4 + 4 + 8) + t.wire_size();
-        assert_eq!(stats.bytes, records + stats.dict_bytes);
     }
 
     #[test]
@@ -632,6 +506,5 @@ mod tests {
         b.add_prov(&t1, base("n1"));
         assert_eq!(a, b);
         assert_eq!(a.content_digest(), b.content_digest());
-        assert_eq!(a.stats(), b.stats());
     }
 }

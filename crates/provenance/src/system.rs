@@ -34,8 +34,8 @@
 //! the number of nodes.
 //!
 //! A system has no serialized form. A snapshot carries the graph assembled
-//! from it ([`crate::ProvGraph`]) and each store's sizes, so a system is
-//! built only by applying firings.
+//! from it ([`crate::ProvGraph`]), so a system is built only by applying
+//! firings.
 
 use crate::store::{ProvEntry, ProvenanceStore, RuleExec, RuleExecId};
 use nt_runtime::{base_rule_sym, Addr, Census, Firing, Heap, IdMap, NodeId, Tuple, TupleId};
@@ -50,9 +50,8 @@ pub struct SystemStats {
     pub rule_execs: usize,
     /// Total tuple vertices.
     pub tuple_vertices: usize,
-    /// Total one-time dictionary bytes across stores.
-    pub dict_bytes: usize,
-    /// Total approximate bytes of provenance state.
+    /// Provenance state at its record wire sizes: every `prov` entry, every
+    /// `ruleExec` record and every vertex's tuple.
     pub bytes: usize,
     /// Firings processed (derivations).
     pub firings_applied: u64,
@@ -308,7 +307,7 @@ impl ProvenanceSystem {
             .map(|&slot| self.stores[slot as usize].node)
     }
 
-    /// Aggregate statistics across all stores.
+    /// Aggregate statistics across all stores, counted off their records.
     pub fn stats(&self) -> SystemStats {
         let mut stats = SystemStats {
             firings_applied: self.firings_applied,
@@ -316,12 +315,16 @@ impl ProvenanceSystem {
             ..SystemStats::default()
         };
         for store in &self.stores {
-            let s = store.stats();
-            stats.prov_entries += s.prov_entries;
-            stats.rule_execs += s.rule_execs;
-            stats.tuple_vertices += s.tuple_vertices;
-            stats.dict_bytes += s.dict_bytes;
-            stats.bytes += s.bytes;
+            stats.tuple_vertices += store.vertex_count();
+            for (tuple, entries) in store.iter_prov() {
+                stats.prov_entries += entries.len();
+                stats.bytes += tuple.wire_size();
+                stats.bytes += entries.iter().map(ProvEntry::wire_size).sum::<usize>();
+            }
+            for exec in store.iter_rule_execs() {
+                stats.rule_execs += 1;
+                stats.bytes += exec.wire_size();
+            }
         }
         stats
     }
@@ -432,6 +435,30 @@ mod tests {
         sys.apply_firing(&base_retract);
         assert_eq!(sys.stats().prov_entries, 0);
         assert_eq!(sys.stats().retractions_applied, 2);
+    }
+
+    /// The counters and the record bytes: one base entry, one rule
+    /// execution with one input, and their two vertices' tuples.
+    #[test]
+    fn stats_count_the_stores_records() {
+        let mut sys = ProvenanceSystem::new(["n1"]);
+        let link = tuple("link", "n1", 5);
+        let cost = tuple("cost", "n1", 5);
+        sys.apply_firing(&base_firing(&link, "n1"));
+        sys.apply_firing(&rule_firing(
+            "r1",
+            "n1",
+            &cost,
+            "n1",
+            std::slice::from_ref(&link),
+        ));
+        let stats = sys.stats();
+        assert_eq!(
+            (stats.prov_entries, stats.rule_execs, stats.tuple_vertices),
+            (2, 1, 2)
+        );
+        let records = 2 * (8 + 4) + (8 + 4 + 4 + 8) + link.wire_size() + cost.wire_size();
+        assert_eq!(stats.bytes, records);
     }
 
     #[test]

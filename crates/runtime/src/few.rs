@@ -63,7 +63,8 @@ impl<T> Few<T> {
         }
     }
 
-    /// Insert `item` at `pos`, shifting what follows.
+    /// Insert `item` at `pos`, shifting what follows. A second element
+    /// spills the list into one block with room for exactly two.
     pub fn insert(&mut self, pos: usize, item: T) {
         if let Few::Many(items) = self {
             if !items.is_empty() {
@@ -72,7 +73,8 @@ impl<T> Few<T> {
         }
         *self = match std::mem::take(self) {
             Few::One(held) => {
-                let mut items = vec![held];
+                let mut items = Vec::with_capacity(2);
+                items.push(held);
                 items.insert(pos, item);
                 Few::Many(items)
             }
@@ -136,6 +138,17 @@ mod tests {
         assert_eq!(*few, [7]);
         assert_eq!(few.remove(0), 7);
         assert_eq!(few, Few::default());
+    }
+
+    /// A second element spills the list into one block with room for two,
+    /// at either end.
+    #[test]
+    fn a_spilled_one_element_list_is_one_block_of_two() {
+        for pos in [0, 1] {
+            let mut few = Few::One(1u64);
+            few.insert(pos, 2);
+            assert_eq!(few.heap(), Heap::block(2 * size_of::<u64>()), "at {pos}");
+        }
     }
 
     #[test]

@@ -348,13 +348,6 @@ impl Table {
     pub fn heap(&self, census: &mut Census) {
         self.store.heap(census);
     }
-
-    /// Resident bytes of the table's payload: column vectors, slot ids,
-    /// posting lists and derivations. `ntbench` reports it as
-    /// `runtime.storage_bytes`.
-    pub fn storage_bytes(&self) -> usize {
-        self.store.resident_bytes()
-    }
 }
 
 /// One remote head in a [`Database`]'s outbox: a tuple this node derived for
@@ -649,21 +642,12 @@ impl Database {
         census.add("engine.dependents", Heap::map(&self.dependents) + lists);
     }
 
-    /// Resident bytes: every table (see [`Table::storage_bytes`]) plus the
-    /// outbox, an entry priced at the wire sizes of its tuple and
-    /// derivations.
+    /// Resident bytes: the total of the database's heap census
+    /// ([`Database::heap`]). `ntbench` reports it as `runtime.storage_bytes`.
     pub fn storage_bytes(&self) -> usize {
-        let tables: usize = self.tables.iter().map(Table::storage_bytes).sum();
-        let outbox: usize = (self.outbox.values())
-            .map(|e| {
-                e.tuple.wire_size()
-                    + e.derivations
-                        .iter()
-                        .map(Derivation::wire_size)
-                        .sum::<usize>()
-            })
-            .sum();
-        tables + outbox
+        let mut census = Census::default();
+        self.heap(&mut census);
+        census.total().bytes
     }
 
     /// All tuples of a relation (empty vec when the relation is unknown).
@@ -1080,38 +1064,5 @@ mod tests {
         let first = t.probe(&[(0, Value::addr("a"))]).next().unwrap().to_tuple();
         assert_eq!(first.relation().as_str(), "link");
         assert_eq!(tuple_materializations(), before + 1);
-    }
-
-    /// The price of the layout, term by term: per slot two 4 B address
-    /// codes, one 8 B integer, an 8 B tuple id and a base derivation at its
-    /// wire size (4 B rule, 4 B node, 4 B input count); 4 B per posting
-    /// entry, one per indexed column per tuple. An overflow column prices
-    /// each value at its wire size. (1,544 and 8 B more per 64 slots while a
-    /// validity bitmap said which slots were live; the tuple-id map says
-    /// it.)
-    #[test]
-    fn storage_bytes_reflect_columnar_layout() {
-        let mut t = Table::new(schema("link", 3, vec![0, 1, 2]));
-        assert_eq!(t.storage_bytes(), 0);
-        for i in 0..32 {
-            t.add_derivation(&link("a", &format!("n{i}"), i), Derivation::base("a"));
-        }
-        assert_eq!(Derivation::base("a").wire_size(), 12);
-        let per_slot = 4 + 4 + 8 + 8 + 12;
-        assert_eq!(t.storage_bytes(), 32 * per_slot + 4 * 3 * 32);
-        assert_eq!(t.storage_bytes(), 1536);
-        // A fraction widens the cost column to values: 32 integers and the
-        // fraction at their wire sizes replace 32 x 8 B.
-        let half = Tuple::new(
-            "link",
-            vec![Value::addr("a"), Value::addr("z"), Value::Double(0.5)],
-        );
-        t.add_derivation(&half, Derivation::base("a"));
-        let values: usize = (0..32).map(|i| Value::Int(i).wire_size()).sum::<usize>()
-            + Value::Double(0.5).wire_size();
-        assert_eq!(
-            t.storage_bytes(),
-            33 * (4 + 4 + 8 + 12) + values + 4 * 3 * 33
-        );
     }
 }

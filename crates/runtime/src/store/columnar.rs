@@ -117,17 +117,6 @@ impl Column {
             *self = Column::Other(xs.iter().map(|i| Value::Int(*i)).collect());
         }
     }
-
-    /// Resident bytes of the column's payload (dictionary columns are 4
-    /// bytes per slot — the dictionary itself lives once in the process-wide
-    /// intern pool).
-    fn resident_bytes(&self) -> usize {
-        match self {
-            Column::Dict(xs) => 4 * xs.len(),
-            Column::Int(xs) => 8 * xs.len(),
-            Column::Other(xs) => xs.iter().map(Value::wire_size).sum(),
-        }
-    }
 }
 
 /// Decode a dictionary code written by this process. Codes are only ever
@@ -157,15 +146,6 @@ enum Postings {
     Code(IdMap<u32, Few<u32>>),
     /// Any other column, by value.
     Value(IdMap<Value, Few<u32>>),
-}
-
-impl Postings {
-    fn entries(&self) -> usize {
-        match self {
-            Postings::Code(lists) => lists.values().map(|slots| slots.len()).sum(),
-            Postings::Value(lists) => lists.values().map(|slots| slots.len()).sum(),
-        }
-    }
 }
 
 fn unlist<K: std::hash::Hash + Eq>(lists: &mut IdMap<K, Few<u32>>, key: K, slot: u32) {
@@ -523,20 +503,6 @@ impl ColumnStore {
             slots,
             filter,
         })
-    }
-
-    /// Resident bytes: column payloads, per-slot ids, posting lists (4-byte
-    /// slot entries), and derivation records (priced like their wire
-    /// encoding).
-    pub(super) fn resident_bytes(&self) -> usize {
-        self.cols.iter().map(Column::resident_bytes).sum::<usize>()
-            + 8 * self.ids.len()
-            + 4 * self.postings.iter().map(Postings::entries).sum::<usize>()
-            + self
-                .derivs
-                .iter()
-                .flat_map(|ds| ds.iter().map(Derivation::wire_size))
-                .sum::<usize>()
     }
 
     /// Charge the table's heap to its owners: `table.ids`,

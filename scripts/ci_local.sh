@@ -29,6 +29,14 @@ lint() {
 
     echo '==> [lint] RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps'
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
+    # Every doc example is a doctest that compiles and runs: one marked
+    # `ignore` would be checked by nothing.
+    echo '==> [lint] no ```ignore doc examples under crates/*/src'
+    if grep -rnE '^[[:space:]]*//[/!][[:space:]]*```ignore' crates/*/src; then
+        echo 'lint: a doc example is marked ignore; give it hidden setup lines instead' >&2
+        return 1
+    fi
 }
 
 test_job() {
@@ -98,8 +106,9 @@ test_job() {
     #     decodable from the headers delivered before it, a name shipped
     #     once, header bytes pinned; and a log record's bytes depend on the
     #     record alone: every payload decodes on its own with exactly its
-    #     names in its table, one capture stream appended twice (once while
-    #     another thread mints names) is the same bytes;
+    #     names in its table, the payload bytes of three checkpoint cadences
+    #     pinned, one capture stream appended twice (once while another
+    #     thread mints names) is the same bytes;
     # the oracle and the price of the message plane's bookkeeping:
     #   simnet proptest_traffic_view — TrafficStats counts under handles and
     #     reads (codec bytes, {:?}, merge) like the string-keyed counters
@@ -137,8 +146,10 @@ test_job() {
     #   nettrails integration_incremental
     #     (provenance_stats_after_link_churn_equal_a_fresh_computation) — MINCOST
     #     on ring(4) and internet_as(200, 2, 2011) under seeded link downs and
-    #     recoveries: after every event the provenance size counters equal a
-    #     fresh computation's, so no store keeps a tuple for a vertex it dropped;
+    #     recoveries: after every event the provenance counters (prov entries,
+    #     rule executions, tuple vertices, record bytes) equal a fresh
+    #     computation's, so no store keeps a tuple for a vertex it dropped; it
+    #     catches a vertex kept after its last prov entry goes;
     #   nt-runtime engine::tests::firing_over_stored_inputs_materializes_no_tuple
     #     — an engine run whose firings join stored inputs (local and remote
     #     heads, an aggregate) leaves tuple_materializations() where it was: a

@@ -10,9 +10,11 @@
 //! naming the field from `NetTrails::new`, a panic naming the fence from the
 //! constructors whose fenced signatures return `Self` and from
 //! `QueryExecutor::set_frame_merging` — that the
-//! counters read 0 after a convergence plus churn, and that
+//! counters read 0 after a convergence plus churn, that
 //! `ProvGraph::rebuild_adjacency` and `SystemSnapshot::stamp_dictionary`
-//! leave a captured graph and a capture as they were.
+//! leave a captured graph and a capture as they were, and that
+//! `NodeSnapshot::capture` is `NodeSnapshot::of` whatever provenance it is
+//! handed.
 //!
 //! Mutations it caught: a `NetTrails::new` that accepts `prov_shards: 2`
 //! without a word. `NetMessage::Delta` is a variant nothing constructs; the
@@ -30,10 +32,11 @@ use std::sync::Arc;
 
 /// Every shim, as `crate file: item`. A tag added to or removed from the
 /// source without this list changing fails `the_ledger_lists_every_tag`.
-const LEDGER: [&str; 30] = [
+const LEDGER: [&str; 31] = [
     "crates/intern/Cargo.toml: serde",
     "crates/logstore/Cargo.toml: serde",
     "crates/logstore/Cargo.toml: serde_json",
+    "crates/logstore/src/fence.rs: capture",
     "crates/logstore/src/fence.rs: stamp_dictionary",
     "crates/nettrails/src/platform.rs: Delta",
     "crates/nettrails/src/platform.rs: columnar_storage",
@@ -109,12 +112,9 @@ fn the_ledger_lists_every_tag() {
     assert_eq!(found, listed, "the fence tags and this ledger disagree");
 }
 
-/// The replay digest of the default platform. The same function read the
-/// same value before the parallel paths were deleted. It read
-/// `0xde77_798d_deee_0409` while provenance charged a maintenance shipment
-/// for every remote head; every other part it hashes (rows, engine, network
-/// and provenance stats, store content, clock) is what that value hashed.
-const DEFAULT_REPLAY_DIGEST: u64 = 0xf834_0b34_298c_3873;
+/// The replay digest of the default platform: its rows, engine, network and
+/// provenance stats, store content and clock.
+const DEFAULT_REPLAY_DIGEST: u64 = 0xd784_4f4f_dbde_b11e;
 
 /// A converge of a 24-node AS-like network under MINCOST, then link churn;
 /// the digest of what the platform ends in: every `minCost` row, the stats,
@@ -451,4 +451,30 @@ fn rebuild_adjacency_leaves_a_captured_graph_as_it_was() {
     snapshot.stamp_dictionary();
     assert_eq!(snapshot, capture);
     assert_eq!(codec::encode(&snapshot), codec::encode(&capture));
+}
+
+/// A node snapshot reads its database alone: the benchmark's three-argument
+/// capture, handed the platform's populated provenance or an empty system,
+/// is the two-argument one.
+#[test]
+fn the_capture_shim_is_the_capture_of_the_database() {
+    let mut nt = NetTrails::new(
+        protocols::mincost::PROGRAM,
+        Topology::ladder(3),
+        NetTrailsConfig::default(),
+    )
+    .unwrap();
+    nt.seed_links_from_topology();
+    nt.run_to_fixpoint();
+    assert!(nt.stats().provenance.prov_entries > 0);
+    let empty = ProvenanceSystem::default();
+    for node in nt.nodes() {
+        let db = nt.engine(node.as_str()).unwrap().database();
+        let of = logstore::NodeSnapshot::of(node.as_str(), db);
+        assert!(of.tuple_count() > 0, "{node}");
+        for provenance in [nt.provenance(), &empty] {
+            let shim = logstore::NodeSnapshot::capture(node.as_str(), db, provenance);
+            assert_eq!(shim, of, "{node}");
+        }
+    }
 }

@@ -164,8 +164,8 @@ fn a_remote_head_shipped_as_int_and_as_double_is_retracted() {
 /// counters: a store holds content only for its own vertices. An engine can
 /// fire a rule on an input whose `prov` entry its sender has already
 /// retracted; a store that recorded every input's content kept that tuple
-/// for a vertex it no longer had, priced it in `bytes` and `dict_bytes`, and
-/// never removed it. Seeded link downs, each followed by the link's
+/// for a vertex it no longer had, priced it in `bytes`, and never removed
+/// it. Seeded link downs, each followed by the link's
 /// recovery, compared after every event: a down with a fresh computation, a
 /// recovery (the starting topology again) with the starting convergence.
 #[test]

@@ -47,6 +47,25 @@ fn snapshots_capture_the_live_state_faithfully() {
     assert!(snap.graph.is_acyclic());
 }
 
+/// A node's capture reads its database alone: the same converged network
+/// with and without provenance maintenance captures the same nodes.
+#[test]
+fn a_node_capture_does_not_depend_on_provenance() {
+    let capture = |config: NetTrailsConfig| {
+        let mut nt =
+            NetTrails::new(protocols::mincost::PROGRAM, Topology::ladder(3), config).unwrap();
+        nt.seed_links_from_topology();
+        nt.run_to_fixpoint();
+        nt.capture_snapshot()
+    };
+    let with = capture(NetTrailsConfig::default());
+    let without = capture(NetTrailsConfig::without_provenance());
+    assert!(!with.graph.vertices.is_empty());
+    assert!(without.graph.vertices.is_empty());
+    assert!(with.tuple_count() > 0);
+    assert_eq!(with.nodes, without.nodes);
+}
+
 #[test]
 fn replay_diffs_reflect_the_topology_change() {
     let mut nt = platform();
