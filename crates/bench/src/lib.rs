@@ -329,8 +329,9 @@ pub fn experiment_logstore_replay(cadences: &[usize]) -> ReportTable {
         store.add(nt.capture_snapshot());
         let mut replay = Replay::new(&store);
         let mut total_changes = 0usize;
-        while let Some(diff) = replay.step() {
-            total_changes += diff.appeared.len() + diff.disappeared.len();
+        while let Some(step) = replay.step() {
+            let (added, removed) = step.tuple_counts();
+            total_changes += added + removed;
         }
         table.push(
             ExperimentRow::new(format!("snapshot every {events_per_snapshot} event(s)"))

@@ -134,11 +134,6 @@ impl Speaker {
         self.best.get(prefix)
     }
 
-    /// All currently selected best routes (the FIB).
-    pub fn fib(&self) -> &BTreeMap<String, Route> {
-        &self.best
-    }
-
     /// Candidate routes currently held for a prefix.
     pub fn candidates(&self, prefix: &str) -> Vec<&Route> {
         self.rib

@@ -53,11 +53,6 @@ impl SnapshotCapturer {
         self.last = Some(snapshot);
         record
     }
-
-    /// The snapshot of the most recent capture, if any.
-    pub fn last(&self) -> Option<&SystemSnapshot> {
-        self.last.as_ref()
-    }
 }
 
 #[cfg(test)]

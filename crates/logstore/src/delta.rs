@@ -104,9 +104,10 @@ impl GraphDelta {
     }
 }
 
-/// The changes between two consecutive system captures. Applying a delta to
-/// the previous capture's materialized snapshot yields the next one,
-/// bit-identical.
+/// The changes between two consecutive system captures: what the capturer
+/// writes as a delta record and what a replay step hands out. Applying a
+/// delta to the previous capture's materialized snapshot yields the next
+/// one, bit-identical.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SnapshotDelta {
     /// Capture time of the *next* snapshot (the one this delta materializes).
@@ -124,7 +125,9 @@ pub struct SnapshotDelta {
 }
 
 impl SnapshotDelta {
-    /// Diff two consecutive captures.
+    /// Diff two consecutive captures. Tuples are compared by identity,
+    /// relation by relation; a node whose relations are equal on both sides
+    /// is skipped without collecting its ids.
     pub fn between(prev: &SystemSnapshot, next: &SystemSnapshot) -> Self {
         let mut delta = SnapshotDelta {
             time: next.time,
@@ -132,6 +135,7 @@ impl SnapshotDelta {
         };
         for (addr, next_node) in &next.nodes {
             match prev.nodes.get(addr) {
+                Some(prev_node) if prev_node.relations == next_node.relations => {}
                 Some(prev_node) => {
                     let nd = NodeDelta::between(prev_node, next_node);
                     if !nd.is_empty() {
@@ -159,22 +163,26 @@ impl SnapshotDelta {
         delta
     }
 
+    /// How many tuples the delta adds and how many it removes, over the
+    /// nodes it changes; a node that left is listed in `nodes_removed`, its
+    /// tuples not counted.
+    pub fn tuple_counts(&self) -> (usize, usize) {
+        let nodes = self.nodes.values();
+        let added = nodes.clone().flat_map(|nd| nd.added.values()).map(Vec::len);
+        let removed = nodes.flat_map(|nd| nd.removed.values()).map(Vec::len);
+        (added.sum(), removed.sum())
+    }
+
     /// Apply the delta in place, turning the previous capture's materialized
-    /// snapshot into the next one. Removals keep a relation's order; a
-    /// relation that gained tuples gets them appended and is stable-sorted
-    /// by `Tuple`'s order, which merges the two sorted runs with integer and
-    /// handle compares, so the result is bit-identical to the full snapshot.
-    ///
-    /// Returns the tuples it took out of `base`, each with its node: the
-    /// delta names removals by id only, and a replay step reports the tuples.
-    pub fn apply(&self, base: &mut SystemSnapshot) -> Vec<(Addr, Tuple)> {
-        let mut taken = Vec::new();
+    /// snapshot into the next one. Removals keep a relation's order and
+    /// copy no tuple; a relation that gained tuples
+    /// gets them appended and is stable-sorted by `Tuple`'s order, which
+    /// merges the two sorted runs with integer and handle compares, so the
+    /// result is bit-identical to the full snapshot.
+    pub fn apply(&self, base: &mut SystemSnapshot) {
         base.time = self.time;
         for addr in &self.nodes_removed {
-            if let Some(node) = base.nodes.remove(addr) {
-                let tuples = node.relations.into_values().flatten();
-                taken.extend(tuples.map(|t| (*addr, t)));
-            }
+            base.nodes.remove(addr);
         }
         for (addr, nd) in &self.nodes {
             let node = base.nodes.entry(*addr).or_insert_with(|| NodeSnapshot {
@@ -184,13 +192,7 @@ impl SnapshotDelta {
             for (rel, removed) in &nd.removed {
                 let gone: BTreeSet<TupleId> = removed.iter().copied().collect();
                 if let Some(tuples) = node.relations.get_mut(rel) {
-                    tuples.retain(|t| {
-                        let keep = !gone.contains(&t.id());
-                        if !keep {
-                            taken.push((*addr, t.clone()));
-                        }
-                        keep
-                    });
+                    tuples.retain(|t| !gone.contains(&t.id()));
                 }
             }
             for (rel, added) in &nd.added {
@@ -221,7 +223,6 @@ impl SnapshotDelta {
         if let Some(traffic) = &self.traffic {
             base.traffic = traffic.clone();
         }
-        taken
     }
 }
 

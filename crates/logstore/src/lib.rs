@@ -17,7 +17,8 @@
 //!   topology and the assembled provenance graph;
 //! * [`SnapshotDelta`] — the changes between two consecutive captures:
 //!   per-node tuple diffs, graph edits, and the topology and traffic
-//!   counters when they moved;
+//!   counters when they moved. It is the one form of a change: the
+//!   capturer writes it as a delta record and a replay step hands it out;
 //! * [`SnapshotCapturer`] — the capture path that turns full captures into a
 //!   checkpoint + delta record stream ([`LogRecord`]);
 //! * [`LogBackend`] — the pluggable byte store: [`MemBackend`] (default,
@@ -29,9 +30,9 @@
 //!   and charges the payload's length as the upload; reads decode payloads
 //!   and materialize full snapshots from checkpoint + delta chains. That
 //!   codec is the one byte form of every record;
-//! * [`Replay`] — iteration over the stored snapshots with per-step diffs
-//!   (which tuples appeared / disappeared between consecutive snapshots),
-//!   which is what the visualizer's replay slider consumes.
+//! * [`Replay`] — iteration over the stored snapshots, one
+//!   [`SnapshotDelta`] per step, which is what the visualizer's replay
+//!   slider consumes.
 //!
 //! ## What a read costs
 //!
@@ -42,8 +43,8 @@
 //! between and apply them forward; any other read decodes its chain's
 //! checkpoint and the deltas up to the index, so no read costs more than one
 //! chain. `Replay::step` decodes one record: a delta is applied in place and
-//! the step's [`SnapshotDiff`] is built from the delta and the tuples it
-//! took out; only a step onto a checkpoint compares two snapshots.
+//! is itself the step; only a step onto a checkpoint compares two snapshots,
+//! with [`SnapshotDelta::between`].
 //! `append_record` and `compact` drop the cursor. The segment-file backend
 //! checks every frame it reads against its checksum, one pass over the
 //! bytes; the façade decodes the payload, on every backend, with the binary
@@ -65,7 +66,7 @@ pub mod store;
 pub use backend::{CompactionStats, LogBackend, LogRecord, MemBackend, RecordKind};
 pub use capture::SnapshotCapturer;
 pub use delta::{GraphDelta, NodeDelta, SnapshotDelta};
-pub use replay::{Replay, SnapshotDiff};
+pub use replay::Replay;
 pub use segment::SegmentFileBackend;
 pub use snapshot::{NodeSnapshot, SystemSnapshot};
 pub use store::LogStore;

@@ -3,127 +3,18 @@
 //! The demonstration replays execution logs: the RapidNet visualizer shows the
 //! topology changing while the provenance visualizer shows the provenance at
 //! the paused instant. [`Replay`] walks the snapshots of a [`LogStore`] in
-//! time order and produces, for every step, the [`SnapshotDiff`] between
-//! consecutive snapshots — which tuples appeared and disappeared, and how the
-//! topology changed — which is exactly what an animation layer needs.
+//! time order and hands out, for every step, the [`SnapshotDelta`] that turns
+//! the snapshot it held into the next one: the tuples added and the ids of
+//! those removed, per node and relation, and the new topology when it
+//! changed. The snapshot before the step stays readable through
+//! [`Replay::current`] until the step is taken, which is what an animation
+//! layer diffs against.
 
 use crate::backend::LogRecord;
 use crate::delta::SnapshotDelta;
-use crate::snapshot::{NodeSnapshot, SystemSnapshot};
+use crate::snapshot::SystemSnapshot;
 use crate::store::{Cursor, LogStore};
-use nt_runtime::{Addr, Tuple};
-use simnet::{SimTime, Topology};
-use std::collections::BTreeSet;
-
-/// The difference between two consecutive snapshots.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SnapshotDiff {
-    /// Time of the earlier snapshot.
-    pub from: SimTime,
-    /// Time of the later snapshot.
-    pub to: SimTime,
-    /// Tuples present in the later snapshot but not in the earlier one.
-    pub appeared: Vec<(Addr, Tuple)>,
-    /// Tuples present in the earlier snapshot but not in the later one.
-    pub disappeared: Vec<(Addr, Tuple)>,
-    /// Directed links added to the topology.
-    pub links_added: Vec<(String, String)>,
-    /// Directed links removed from the topology.
-    pub links_removed: Vec<(String, String)>,
-}
-
-/// A node's tuples, each once, in `Tuple`'s order (equal exactly when one
-/// id).
-fn node_tuples(node: Option<&NodeSnapshot>) -> BTreeSet<&Tuple> {
-    node.into_iter()
-        .flat_map(|n| n.relations.values().flatten())
-        .collect()
-}
-
-/// Changed tuples in the order [`SnapshotDiff::between`] lists them: by node,
-/// then by tuple, each once.
-fn in_diff_order(tuples: impl IntoIterator<Item = (Addr, Tuple)>) -> Vec<(Addr, Tuple)> {
-    let mut tuples: Vec<(Addr, Tuple)> = tuples.into_iter().collect();
-    tuples.sort_unstable();
-    tuples.dedup();
-    tuples
-}
-
-/// Directed links `(added, removed)` going from topology `a` to `b`.
-type LinkChanges = (Vec<(String, String)>, Vec<(String, String)>);
-
-fn link_changes(a: &Topology, b: &Topology) -> LinkChanges {
-    let links = |t: &Topology| -> BTreeSet<(String, String)> {
-        t.links().map(|l| (l.from.clone(), l.to.clone())).collect()
-    };
-    let (links_a, links_b) = (links(a), links(b));
-    (
-        links_b.difference(&links_a).cloned().collect(),
-        links_a.difference(&links_b).cloned().collect(),
-    )
-}
-
-impl SnapshotDiff {
-    /// True when nothing changed between the two snapshots.
-    pub fn is_empty(&self) -> bool {
-        self.appeared.is_empty()
-            && self.disappeared.is_empty()
-            && self.links_added.is_empty()
-            && self.links_removed.is_empty()
-    }
-
-    /// Compute the diff between two snapshots. Tuples are compared by
-    /// identity, node by node; a node whose relations are equal on both
-    /// sides is skipped.
-    pub fn between(a: &SystemSnapshot, b: &SystemSnapshot) -> Self {
-        let mut appeared = Vec::new();
-        let mut disappeared = Vec::new();
-        let nodes: BTreeSet<Addr> = a.nodes.keys().chain(b.nodes.keys()).copied().collect();
-        for node in nodes {
-            let (node_a, node_b) = (a.nodes.get(&node), b.nodes.get(&node));
-            if node_a.map(|n| &n.relations) == node_b.map(|n| &n.relations) {
-                continue;
-            }
-            let (in_a, in_b) = (node_tuples(node_a), node_tuples(node_b));
-            appeared.extend(in_b.difference(&in_a).map(|t| (node, (*t).clone())));
-            disappeared.extend(in_a.difference(&in_b).map(|t| (node, (*t).clone())));
-        }
-        let (links_added, links_removed) = link_changes(&a.topology, &b.topology);
-        SnapshotDiff {
-            from: a.time,
-            to: b.time,
-            appeared,
-            disappeared,
-            links_added,
-            links_removed,
-        }
-    }
-
-    /// Turn `snapshot` into the next capture by applying `delta` in place,
-    /// and report the step from the delta's added tuples and the tuples it
-    /// took out of the snapshot. Equal to [`SnapshotDiff::between`] of the
-    /// two snapshots, at the cost of the delta instead of both snapshots.
-    fn stepping(snapshot: &mut SystemSnapshot, delta: &SnapshotDelta) -> Self {
-        let from = snapshot.time;
-        let (links_added, links_removed) = match &delta.topology {
-            Some(next) => link_changes(&snapshot.topology, next),
-            None => Default::default(),
-        };
-        let taken = delta.apply(snapshot);
-        let added = delta.nodes.iter().flat_map(|(node, nd)| {
-            let tuples = nd.added.values().flatten();
-            tuples.map(|t| (*node, t.clone()))
-        });
-        SnapshotDiff {
-            from,
-            to: delta.time,
-            appeared: in_diff_order(added),
-            disappeared: in_diff_order(taken),
-            links_added,
-            links_removed,
-        }
-    }
-}
+use simnet::SimTime;
 
 /// An iterator-style replay cursor over a log store.
 ///
@@ -131,10 +22,10 @@ impl SnapshotDiff {
 /// snapshot out of the store and steps it in place, and a seek hands it back
 /// before taking the cursor at the new index, so seeking forward along a
 /// chain continues from where the replay stands. Stepping over a delta
-/// record decodes that record, applies it to the snapshot held and reports
-/// the step from the delta; stepping onto a checkpoint decodes it and diffs
-/// the two snapshots. A full replay is O(records), not O(records × chain
-/// length).
+/// record decodes that record, applies it to the snapshot held and hands the
+/// record out as the step; stepping onto a checkpoint decodes it and diffs
+/// the two snapshots with [`SnapshotDelta::between`], the diff the capturer
+/// writes. A full replay is O(records), not O(records × chain length).
 #[derive(Debug)]
 pub struct Replay<'a> {
     store: &'a LogStore,
@@ -159,20 +50,25 @@ impl<'a> Replay<'a> {
         self.current.as_ref()
     }
 
-    /// Advance to the next snapshot, returning the diff from the previous one.
-    pub fn step(&mut self) -> Option<SnapshotDiff> {
+    /// Advance to the next snapshot, returning the change from the previous
+    /// one: applying it to the snapshot held before the step gives the one
+    /// held after.
+    pub fn step(&mut self) -> Option<SnapshotDelta> {
         let record = self.store.record(self.position + 1)?;
         let current = self.current.as_mut()?;
-        let diff = match record {
+        let delta = match record {
             LogRecord::Checkpoint(next) => {
-                let diff = SnapshotDiff::between(current, &next);
+                let delta = SnapshotDelta::between(current, &next);
                 *current = next;
-                diff
+                delta
             }
-            LogRecord::Delta(delta) => SnapshotDiff::stepping(current, &delta),
+            LogRecord::Delta(delta) => {
+                delta.apply(current);
+                delta
+            }
         };
         self.position += 1;
-        Some(diff)
+        Some(delta)
     }
 
     /// Remaining steps.
@@ -204,8 +100,9 @@ impl<'a> Replay<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::capture::SnapshotCapturer;
     use crate::snapshot::NodeSnapshot;
-    use nt_runtime::Value;
+    use nt_runtime::{Tuple, Value};
     use simnet::Topology;
 
     fn snapshot(secs: u64, costs: &[i64], topo: Topology) -> SystemSnapshot {
@@ -229,16 +126,33 @@ mod tests {
         snap
     }
 
+    /// The one step from `a` to `b`, stored as two checkpoints and as a
+    /// checkpoint and a delta.
+    fn steps(a: &SystemSnapshot, b: &SystemSnapshot) -> [SnapshotDelta; 2] {
+        let mut checkpoints = LogStore::new();
+        let mut chain = LogStore::new();
+        let mut capturer = SnapshotCapturer::new(2);
+        for snap in [a, b] {
+            checkpoints.add(snap.clone());
+            chain.append_record(capturer.capture(snap.clone()));
+        }
+        [&checkpoints, &chain].map(|store| {
+            let mut replay = Replay::new(store);
+            let step = replay.step().expect("one step");
+            assert_eq!(replay.current(), Some(b));
+            assert!(replay.step().is_none());
+            step
+        })
+    }
+
     #[test]
     fn diff_detects_tuple_and_link_changes() {
         let a = snapshot(1, &[1, 2], Topology::line(3));
         let b = snapshot(2, &[2, 3], Topology::line(2));
-        let diff = SnapshotDiff::between(&a, &b);
-        assert_eq!(diff.appeared.len(), 1);
-        assert_eq!(diff.disappeared.len(), 1);
-        assert_eq!(diff.links_removed.len(), 2, "n2<->n3 disappeared");
-        assert!(diff.links_added.is_empty());
-        assert!(!diff.is_empty());
+        for step in steps(&a, &b) {
+            assert_eq!(step.tuple_counts(), (1, 1));
+            assert_eq!(step.topology, Some(Topology::line(2)), "n2<->n3 went");
+        }
     }
 
     #[test]
@@ -249,10 +163,8 @@ mod tests {
         store.add(snapshot(3, &[2], Topology::line(2)));
         let mut replay = Replay::new(&store);
         assert_eq!(replay.remaining(), 2);
-        let d1 = replay.step().unwrap();
-        assert_eq!(d1.appeared.len(), 1);
-        let d2 = replay.step().unwrap();
-        assert_eq!(d2.disappeared.len(), 1);
+        assert_eq!(replay.step().unwrap().tuple_counts(), (1, 0));
+        assert_eq!(replay.step().unwrap().tuple_counts(), (0, 1));
         assert!(replay.step().is_none());
     }
 
@@ -273,6 +185,12 @@ mod tests {
     fn identical_snapshots_produce_an_empty_diff() {
         let a = snapshot(1, &[1], Topology::line(2));
         let b = snapshot(2, &[1], Topology::line(2));
-        assert!(SnapshotDiff::between(&a, &b).is_empty());
+        for step in steps(&a, &b) {
+            let empty = SnapshotDelta {
+                time: b.time,
+                ..Default::default()
+            };
+            assert_eq!(step, empty);
+        }
     }
 }

@@ -3,22 +3,32 @@
 //!
 //! `LogStore::get`, `at` and `Replay::seek` move one shared cursor forward
 //! where they can instead of re-decoding a chain, and `Replay::step` applies
-//! a delta in place and reports the step from the delta. The oracles are the
-//! code they replaced, kept here: a `get` that walks back to the nearest
-//! checkpoint and applies every delta on every call, and a step diff that
-//! renders every tuple of both snapshots. Reads come in random order,
-//! interleaved with `append_record` and `compact`. The name table of every
+//! a delta record in place and hands it out as the step. The oracles: a
+//! `get` that walks back to the nearest checkpoint and applies every delta on
+//! every call (the code the cursor replaced, kept here), and for every step,
+//! on delta and checkpoint records alike, `SnapshotDelta::between` of the
+//! two captures, which applied to a copy of the earlier capture gives the
+//! later one and lists only the facts keyed by (node, relation, tuple id)
+//! that one side holds. Reads come in random order, interleaved with
+//! `append_record` and `compact`. The name table of every
 //! generated capture's frame and of every materialized read's equals the
 //! text-set walk kept in `common` (caught: an address value written as a
 //! string and read back interned, which round-trips and leaves the address
 //! out of the table).
+//!
+//! Mutations the step oracle caught: in both tests below, `between`
+//! skipping a node whose key (or whose relation names) both sides share, and
+//! an `apply` that appends added tuples without sorting or drops the new
+//! topology; in the proptest, a delta record handed out without being
+//! applied, and a checkpoint step that keeps the old snapshot, diffs in
+//! reverse or returns an empty delta.
 
 mod common;
 
 use logstore::snapshot::NodeSnapshot;
 use logstore::{
     LogBackend, LogRecord, LogStore, MemBackend, Replay, SegmentFileBackend, SnapshotCapturer,
-    SnapshotDiff, SystemSnapshot,
+    SnapshotDelta, SystemSnapshot,
 };
 use nt_runtime::{Addr, Tuple, TupleId, Value};
 use proptest::prelude::*;
@@ -27,7 +37,7 @@ use simnet::{SimTime, Topology};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// The `LogStore::get` this PR replaced: decode the nearest checkpoint at or
+/// The `LogStore::get` the cursor replaced: decode the nearest checkpoint at or
 /// before `index` and every delta after it, on every call.
 fn chain_walk(store: &LogStore, index: usize) -> Option<SystemSnapshot> {
     if index >= store.len() {
@@ -48,51 +58,27 @@ fn chain_walk(store: &LogStore, index: usize) -> Option<SystemSnapshot> {
     Some(snapshot)
 }
 
-/// The `SnapshotDiff::between` the indexed one replaced, keyed by identity:
-/// collect every (node, tuple id) of both snapshots into two sets, look each
-/// changed id up again, and list the changes by node, then by tuple.
-fn between_reference(a: &SystemSnapshot, b: &SystemSnapshot) -> SnapshotDiff {
-    let ids = |s: &SystemSnapshot| -> BTreeSet<(Addr, TupleId)> {
-        s.nodes
-            .iter()
-            .flat_map(|(node, ns)| {
-                ns.relations
-                    .values()
-                    .flatten()
-                    .map(move |t| (*node, t.id()))
-            })
-            .collect()
-    };
-    let set_a = ids(a);
-    let set_b = ids(b);
-    let changed = |s: &SystemSnapshot, x: &BTreeSet<(Addr, TupleId)>, y| {
-        let mut found: Vec<(Addr, Tuple)> = x
-            .difference(y)
-            .filter_map(|(node, id)| {
-                let ns = s.nodes.get(node)?;
-                let t = ns.relations.values().flatten().find(|t| t.id() == *id)?;
-                Some((*node, t.clone()))
-            })
-            .collect();
-        found.sort();
-        found
-    };
-    let links = |s: &SystemSnapshot| -> BTreeSet<(String, String)> {
-        s.topology
-            .links()
-            .map(|l| (l.from.clone(), l.to.clone()))
-            .collect()
-    };
-    let links_a = links(a);
-    let links_b = links(b);
-    SnapshotDiff {
-        from: a.time,
-        to: b.time,
-        appeared: changed(b, &set_b, &set_a),
-        disappeared: changed(a, &set_a, &set_b),
-        links_added: links_b.difference(&links_a).cloned().collect(),
-        links_removed: links_a.difference(&links_b).cloned().collect(),
+/// Every (node, relation, tuple id) a snapshot holds.
+fn facts(s: &SystemSnapshot) -> BTreeSet<(Addr, &str, TupleId)> {
+    let mut facts = BTreeSet::new();
+    for (node, ns) in &s.nodes {
+        for (rel, tuples) in &ns.relations {
+            facts.extend(tuples.iter().map(|t| (*node, rel.as_str(), t.id())));
+        }
     }
+    facts
+}
+
+/// The tuple counts of the smallest step from `a` to `b`, keyed by identity:
+/// the facts held on one side only, leaving out the tuples of a node that
+/// left, which a step names in `nodes_removed` instead.
+fn minimal_counts(a: &SystemSnapshot, b: &SystemSnapshot) -> (usize, usize) {
+    let (in_a, in_b) = (facts(a), facts(b));
+    let added = in_b.difference(&in_a).count();
+    let removed = in_a
+        .difference(&in_b)
+        .filter(|(node, ..)| b.nodes.contains_key(node));
+    (added, removed.count())
 }
 
 const NODES: [&str; 4] = ["c1", "c2", "c3", "c4"];
@@ -271,17 +257,20 @@ proptest! {
                             );
                         }
                         _ => {
-                            let diff = replay.step();
+                            let step = replay.step();
                             if position + 1 == len {
-                                prop_assert_eq!(diff, None);
+                                prop_assert_eq!(step, None);
                             } else {
                                 let (prev, next) = (&captured[position], &captured[position + 1]);
-                                let between = SnapshotDiff::between(prev, next);
-                                prop_assert_eq!(&between, &between_reference(prev, next));
+                                let step = step.expect("a step before the last record");
                                 prop_assert_eq!(
-                                    diff.as_ref(), Some(&between),
+                                    &step, &SnapshotDelta::between(prev, next),
                                     "{} step {} -> {}", name, position, position + 1
                                 );
+                                let mut applied = prev.clone();
+                                step.apply(&mut applied);
+                                prop_assert_eq!(&applied, next);
+                                prop_assert_eq!(step.tuple_counts(), minimal_counts(prev, next));
                                 position += 1;
                                 prop_assert_eq!(replay.current(), Some(next));
                             }
@@ -295,7 +284,7 @@ proptest! {
             let len = store.len();
             let mut replay = Replay::new(&store);
             for (prev, next) in captured[..len].iter().zip(&captured[1..len]) {
-                prop_assert_eq!(replay.step(), Some(between_reference(prev, next)));
+                prop_assert_eq!(replay.step(), Some(SnapshotDelta::between(prev, next)));
                 prop_assert_eq!(replay.current(), Some(next));
             }
             prop_assert_eq!(replay.step(), None);
@@ -305,11 +294,11 @@ proptest! {
     }
 }
 
-/// `between` keys a node's tuples by identity: `3` and `3.0` are one tuple,
-/// `true` and the address `true` two, a repeated tuple counts once, a tuple
-/// filed under another relation's name still counts. It compares nodes
-/// present on one side only and lists changes by node, then by tuple, as
-/// the reference does.
+/// `between` keys a tuple by identity, relation by relation: `3` and `3.0`
+/// are one tuple, `true` and the address `true` two. A node on the later
+/// side only is listed with all its tuples, one on the earlier side only by
+/// name, an unchanged node not at all; applying the step gives the later
+/// snapshot, in both directions.
 #[test]
 fn between_keeps_the_reference_semantics_on_awkward_snapshots() {
     let node = |name: &str, relations: Vec<(&str, Vec<Tuple>)>| {
@@ -317,7 +306,8 @@ fn between_keeps_the_reference_semantics_on_awkward_snapshots() {
             node: name.into(),
             ..Default::default()
         };
-        for (relation, tuples) in relations {
+        for (relation, mut tuples) in relations {
+            tuples.sort();
             n.relations.insert(relation.to_string(), tuples);
         }
         n
@@ -335,8 +325,6 @@ fn between_keeps_the_reference_semantics_on_awkward_snapshots() {
             .collect::<BTreeMap<_, _>>();
         s
     };
-    // `3` and `3.0` are one tuple, `true` and the address `true` are not;
-    // tuples are unsorted and one is repeated; `w3` exists on one side only.
     let a = snapshot(
         1,
         vec![
@@ -347,23 +335,11 @@ fn between_keeps_the_reference_semantics_on_awkward_snapshots() {
                         "m",
                         vec![t("m", vec![Value::Int(3)]), t("m", vec![Value::Int(9)])],
                     ),
-                    (
-                        "k",
-                        vec![
-                            t("m", vec![Value::Double(3.0)]),
-                            t("k", vec![Value::Bool(true)]),
-                        ],
-                    ),
+                    ("k", vec![t("k", vec![Value::Bool(true)])]),
                 ],
             ),
             node("w2", vec![("m", vec![t("m", vec![Value::Int(1)])])]),
-            node(
-                "w3",
-                vec![(
-                    "m",
-                    vec![t("m", vec![Value::Int(5)]), t("m", vec![Value::Int(5)])],
-                )],
-            ),
+            node("w3", vec![("m", vec![t("m", vec![Value::Int(5)])])]),
         ],
     );
     let b = snapshot(
@@ -389,19 +365,35 @@ fn between_keeps_the_reference_semantics_on_awkward_snapshots() {
                 ],
             ),
             node("w2", vec![("m", vec![t("m", vec![Value::Int(1)])])]),
-            node("w4", vec![("z", vec![t("z", vec![]), t("a", vec![])])]),
+            node("w4", vec![("z", vec![t("z", vec![])])]),
         ],
     );
     for (x, y) in [(&a, &b), (&b, &a), (&a, &a)] {
-        assert_eq!(SnapshotDiff::between(x, y), between_reference(x, y));
+        let step = SnapshotDelta::between(x, y);
+        let mut applied = x.clone();
+        step.apply(&mut applied);
+        assert_eq!(&applied, y);
+        assert_eq!(step.tuple_counts(), minimal_counts(x, y));
     }
-    let diff = SnapshotDiff::between(&a, &b);
-    let w1: Addr = "w1".into();
-    assert!(diff
-        .disappeared
-        .contains(&(w1, t("k", vec![Value::Bool(true)]))));
-    assert!(diff
-        .appeared
-        .contains(&(w1, t("k", vec![Value::addr("true")]))));
-    assert!(!diff.appeared.contains(&(w1, t("m", vec![Value::Int(3)]))));
+    let step = SnapshotDelta::between(&a, &b);
+    let (w1, w2, w3, w4): (Addr, Addr, Addr, Addr) =
+        ("w1".into(), "w2".into(), "w3".into(), "w4".into());
+    let changed = &step.nodes[&w1];
+    assert_eq!(changed.added["m"], vec![t("m", vec![Value::Int(2)])]);
+    assert_eq!(changed.removed["m"], vec![t("m", vec![Value::Int(9)]).id()]);
+    assert!(changed.added["k"].contains(&t("k", vec![Value::addr("true")])));
+    assert_eq!(
+        changed.removed["k"],
+        vec![t("k", vec![Value::Bool(true)]).id()]
+    );
+    assert!(!step.nodes.contains_key(&w2));
+    assert_eq!(step.nodes[&w4].added["z"], vec![t("z", vec![])]);
+    assert_eq!(step.nodes_removed, vec![w3]);
+    assert_eq!(
+        SnapshotDelta::between(&a, &a),
+        SnapshotDelta {
+            time: a.time,
+            ..Default::default()
+        }
+    );
 }

@@ -80,21 +80,6 @@ pub enum BinOp {
 }
 
 impl BinOp {
-    /// Whether the operator produces a boolean result.
-    pub fn is_comparison(self) -> bool {
-        matches!(
-            self,
-            BinOp::Eq
-                | BinOp::Ne
-                | BinOp::Lt
-                | BinOp::Le
-                | BinOp::Gt
-                | BinOp::Ge
-                | BinOp::And
-                | BinOp::Or
-        )
-    }
-
     /// Source-level spelling of the operator.
     pub fn symbol(self) -> &'static str {
         match self {

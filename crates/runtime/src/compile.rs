@@ -364,15 +364,6 @@ impl CompiledProgram {
         self.cascaded.contains(&rule)
     }
 
-    /// The `maybe` rules of the source program (used by the legacy proxy).
-    pub fn maybe_rules(&self) -> Vec<&Rule> {
-        self.source
-            .rules
-            .iter()
-            .filter(|r| r.kind == RuleKind::Maybe)
-            .collect()
-    }
-
     /// Find a compiled rule by name.
     pub fn rule(&self, name: &str) -> Option<&CompiledRule> {
         self.rules.iter().find(|r| r.rule.name == name)
@@ -634,8 +625,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(cp.rules.len(), 1);
-        assert_eq!(cp.maybe_rules().len(), 1);
-        assert_eq!(cp.maybe_rules()[0].name, "br1");
+        assert!(cp.rules.iter().all(|r| r.rule.name != "br1"));
     }
 
     #[test]

@@ -212,11 +212,6 @@ impl WorkloadTrace {
             .sum()
     }
 
-    /// Simulated span of the schedule in milliseconds.
-    pub fn span_ms(&self) -> u64 {
-        self.steps.last().map(|s| s.at_ms).unwrap_or(0)
-    }
-
     /// Machine-independent digest of the schedule.
     pub fn digest(&self) -> u64 {
         let mut h = StableHasher::new();

@@ -182,12 +182,6 @@ impl Topology {
         self.links.remove(from, to)
     }
 
-    /// Remove both directions between `a` and `b`.
-    pub fn remove_bidi(&mut self, a: &str, b: &str) {
-        self.remove_link(a, b);
-        self.remove_link(b, a);
-    }
-
     /// Node names in deterministic order.
     pub fn nodes(&self) -> impl Iterator<Item = &str> {
         self.nodes.iter().map(String::as_str)
@@ -223,11 +217,6 @@ impl Topology {
     /// True when the directed link exists.
     pub fn has_link(&self, from: &str, to: &str) -> bool {
         self.link(from, to).is_some()
-    }
-
-    /// Neighbours reachable from `node` over outgoing links.
-    pub fn neighbors(&self, node: &str) -> Vec<&Link> {
-        self.neighbors_iter(node).collect()
     }
 
     /// Iterate over `node`'s outgoing links without allocating.
@@ -595,8 +584,8 @@ mod tests {
     #[test]
     fn star_has_hub() {
         let star = Topology::star(5);
-        assert_eq!(star.neighbors("n1").len(), 4);
-        assert_eq!(star.neighbors("n3").len(), 1);
+        assert_eq!(star.degree("n1"), 4);
+        assert_eq!(star.degree("n3"), 1);
     }
 
     #[test]
@@ -611,7 +600,7 @@ mod tests {
         let mut stack = vec!["n1".to_string()];
         while let Some(n) = stack.pop() {
             if seen.insert(n.clone()) {
-                for l in a.neighbors(&n) {
+                for l in a.neighbors_iter(&n) {
                     stack.push(l.to.clone());
                 }
             }

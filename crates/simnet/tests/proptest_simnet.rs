@@ -14,7 +14,7 @@ proptest! {
         let mut stack = vec!["n1".to_string()];
         while let Some(node) = stack.pop() {
             if seen.insert(node.clone()) {
-                for l in topo.neighbors(&node) {
+                for l in topo.neighbors_iter(&node) {
                     stack.push(l.to.clone());
                 }
             }

@@ -61,7 +61,7 @@ fn render_tuple(tree: &ProofTree, prefix: &str, is_last: bool, is_root: bool, ou
 /// One-paragraph summary of a topology (node count, link count, degree range).
 pub fn render_topology_summary(topology: &Topology) -> String {
     let nodes: Vec<&str> = topology.nodes().collect();
-    let degrees: Vec<usize> = nodes.iter().map(|n| topology.neighbors(n).len()).collect();
+    let degrees: Vec<usize> = nodes.iter().map(|n| topology.degree(n)).collect();
     let min_deg = degrees.iter().min().copied().unwrap_or(0);
     let max_deg = degrees.iter().max().copied().unwrap_or(0);
     format!(

@@ -89,15 +89,18 @@ fn main() {
 
     // Replay the stored snapshots the way the visualizer would.
     let mut replay = Replay::new(&log_store);
-    while let Some(diff) = replay.step() {
+    let mut from = replay.current().map(|s| s.time).unwrap_or_default();
+    while let Some(step) = replay.step() {
+        let (added, removed) = step.tuple_counts();
         println!(
-            "replay {} -> {}: +{} tuples, -{} tuples, -{} links",
-            diff.from,
-            diff.to,
-            diff.appeared.len(),
-            diff.disappeared.len(),
-            diff.links_removed.len()
+            "replay {from} -> {}: +{added} tuples, -{removed} tuples, {}",
+            step.time,
+            match step.topology {
+                Some(_) => "new topology",
+                None => "same topology",
+            }
         );
+        from = step.time;
     }
     println!(
         "log store holds {} snapshots ({} bytes uploaded to the visualization node)",

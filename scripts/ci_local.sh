@@ -93,9 +93,12 @@ test_job() {
     #   nt-runtime compile::tests::localization_refusals_come_in_order_and_name_the_rule
     #     — unlinked locations, then more than two, then a first atom pinned
     #     to a constant, each an Err naming the rule;
-    # the oracle of a replay diff keyed by identity:
-    #   logstore cursor_equivalence — between and the in-place step equal a
-    #     between_reference keyed by (node, tuple id), never by rendering;
+    # the oracle of a replay step (one form of a change, SnapshotDelta):
+    #   logstore cursor_equivalence — every step, over a delta record or onto
+    #     a checkpoint, equals SnapshotDelta::between of the two captures,
+    #     applied to the earlier one gives the later, and lists only the
+    #     facts keyed by (node, relation, tuple id), never by rendering, that
+    #     one side holds;
     # the laws of one identity per value, shared or not:
     #   nt-runtime proptest_value_laws (a_shared_list_is_its_content,
     #     canonicalizing_a_shared_list_copies_it) — a clone and a rebuilt
@@ -253,6 +256,12 @@ test_job() {
     # blocks, per node, per tuple and VmHWM. `-- 2000` is converge_as.
     echo "==> [test] bytes_per_node example, 200 nodes"
     cargo run --release --quiet --example bytes_per_node -- 200
+
+    # Every other example once, so one that panics fails CI.
+    for example in quickstart mincost_demo pathvector_diagnosis bgp_quagga dsr_mobile; do
+        echo "==> [test] $example example"
+        cargo run --release --quiet --example "$example" > /dev/null
+    done
 
     # ntbench's LayeredNet recomposes the platform round loop from the
     # public layer calls and every traced run compares its end state with the

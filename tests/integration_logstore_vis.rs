@@ -1,8 +1,6 @@
 //! Integration tests for the log store, replay and the visualizer backend.
 
-use logstore::{
-    LogStore, Replay, SegmentFileBackend, SnapshotCapturer, SnapshotDiff, SystemSnapshot,
-};
+use logstore::{LogStore, Replay, SegmentFileBackend, SnapshotCapturer, SystemSnapshot};
 use nettrails::{NetTrails, NetTrailsConfig};
 use provenance::{QueryKind, QueryResult};
 use simnet::{Topology, TopologyEvent};
@@ -78,10 +76,17 @@ fn replay_diffs_reflect_the_topology_change() {
     store.add(snapshot(&nt));
 
     let mut replay = Replay::new(&store);
-    let diff: SnapshotDiff = replay.step().expect("one step");
-    assert!(diff.links_removed.contains(&("n1".into(), "n2".into())));
-    assert!(
-        !diff.appeared.is_empty() || !diff.disappeared.is_empty(),
+    assert!(replay.current().unwrap().topology.has_link("n1", "n2"));
+    let step = replay.step().expect("one step");
+    let topology = step
+        .topology
+        .as_ref()
+        .expect("the step carries the new topology");
+    assert!(!topology.has_link("n1", "n2") && !topology.has_link("n2", "n1"));
+    assert_eq!(&replay.current().unwrap().topology, topology);
+    assert_ne!(
+        step.tuple_counts(),
+        (0, 0),
         "protocol state changed with the topology"
     );
     assert!(replay.step().is_none());
@@ -165,11 +170,17 @@ fn incremental_chain_replays_and_renders_through_a_kv_backend() {
     );
 
     // The replay walk over the incremental chain sees the same link churn
-    // the full chain records.
+    // the full chain records: each step that changes the topology carries
+    // the new one, to compare with the topology the replay held before it.
     let mut replay = Replay::new(&store);
+    let mut topology = replay.current().unwrap().topology.clone();
     let mut removed = Vec::new();
-    while let Some(diff) = replay.step() {
-        removed.extend(diff.links_removed);
+    while let Some(step) = replay.step() {
+        if let Some(next) = step.topology {
+            let gone = topology.links().filter(|l| !next.has_link(&l.from, &l.to));
+            removed.extend(gone.map(|l| (l.from.clone(), l.to.clone())));
+            topology = next;
+        }
     }
     assert!(removed.contains(&("n1".into(), "n2".into())));
     assert!(removed.contains(&("n2".into(), "n5".into())));
