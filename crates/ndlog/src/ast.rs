@@ -579,26 +579,6 @@ impl Program {
             .find(|m| m.relation == relation)
     }
 
-    /// Names of relations that only ever appear in bodies (never derived by a
-    /// rule head): these are the program's **base relations** (extensional
-    /// database), populated by the environment (links, preferences, ...).
-    pub fn base_relations(&self) -> Vec<String> {
-        let derived: Vec<&str> = self
-            .rules
-            .iter()
-            .map(|r| r.head.relation.as_str())
-            .collect();
-        let mut out = Vec::new();
-        for rule in &self.rules {
-            for atom in rule.body_atoms() {
-                if !derived.contains(&atom.relation.as_str()) && !out.contains(&atom.relation) {
-                    out.push(atom.relation.clone());
-                }
-            }
-        }
-        out
-    }
-
     /// Names of relations derived by at least one rule (intensional database).
     pub fn derived_relations(&self) -> Vec<String> {
         let mut out = Vec::new();
@@ -687,7 +667,6 @@ mod tests {
              r2 minCost(@S,D,min<C>) :- cost(@S,D,C).",
         )
         .unwrap();
-        assert_eq!(program.base_relations(), vec!["link".to_string()]);
         assert_eq!(
             program.derived_relations(),
             vec!["cost".to_string(), "minCost".to_string()]

@@ -178,11 +178,6 @@ pub fn lookup(name: &str) -> Option<&'static Builtin> {
     BUILTINS.iter().find(|b| b.name == name)
 }
 
-/// True when `name` follows the builtin naming convention (`f_` prefix).
-pub fn is_builtin_name(name: &str) -> bool {
-    name.starts_with("f_")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,8 +191,6 @@ mod tests {
     #[test]
     fn lookup_unknown_is_none() {
         assert!(lookup("f_unknown").is_none());
-        assert!(is_builtin_name("f_unknown"));
-        assert!(!is_builtin_name("link"));
     }
 
     #[test]

@@ -1,8 +1,5 @@
-//! Pretty-printing helpers beyond the `Display` impls in [`crate::ast`].
-//!
-//! These are used by the examples and by the provenance visualizer to show
-//! rule text next to rule-execution vertices, and by the test-suite to check
-//! parse/print round-trips.
+//! Pretty-printing beyond the `Display` impls in [`crate::ast`]: a whole
+//! program in the paper's layout, which parses back to the same program.
 
 use crate::ast::{Program, Rule};
 
@@ -39,20 +36,6 @@ fn pretty_rule_aligned(rule: &Rule, name_width: usize) -> String {
     }
 }
 
-/// One-line summary of a rule: `name: head <- n body atoms`.
-/// Used in provenance visualizations where full rule text is too long.
-pub fn rule_summary(rule: &Rule) -> String {
-    let n_atoms = rule.body_atoms().count();
-    let kind = match rule.kind {
-        crate::ast::RuleKind::Derive => "",
-        crate::ast::RuleKind::Maybe => " (maybe)",
-    };
-    format!(
-        "{}: {} <- {} atom(s){}",
-        rule.name, rule.head.relation, n_atoms, kind
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -72,16 +55,5 @@ mod tests {
         let lines: Vec<&str> = pretty.lines().filter(|l| l.contains(":-")).collect();
         assert_eq!(lines.len(), 2);
         assert_eq!(lines[0].find("cost("), lines[1].find("minCost("));
-    }
-
-    #[test]
-    fn rule_summary_mentions_maybe() {
-        let p = parse_program(
-            "br1 outputRoute(@AS,R2) ?- inputRoute(@AS,R1), f_isExtend(R2,R1,AS) == 1.",
-        )
-        .unwrap();
-        let s = rule_summary(&p.rules[0]);
-        assert!(s.contains("maybe"));
-        assert!(s.contains("outputRoute"));
     }
 }

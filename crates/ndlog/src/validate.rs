@@ -20,7 +20,7 @@
 //!    (safe negation).
 //! 7. **Duplicate rule names** are rejected.
 
-use crate::ast::{BodyElem, Expr, Predicate, Program, Rule, RuleKind, Term};
+use crate::ast::{BodyElem, Expr, Program, Rule, RuleKind, Term};
 use crate::builtins;
 use crate::error::{NdlogError, Result};
 use std::collections::BTreeSet;
@@ -289,20 +289,6 @@ fn check_builtins(rule: &Rule) -> Result<()> {
     Ok(())
 }
 
-/// Check a predicate for consistent arity across a set of uses. Exposed for
-/// catalog construction in the runtime.
-pub fn consistent_arity<'a>(uses: impl IntoIterator<Item = &'a Predicate>) -> Option<usize> {
-    let mut arity = None;
-    for p in uses {
-        match arity {
-            None => arity = Some(p.arity()),
-            Some(a) if a == p.arity() => {}
-            Some(_) => return None,
-        }
-    }
-    arity
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -383,21 +369,5 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.to_string().contains("exceeds arity"));
-    }
-
-    #[test]
-    fn consistent_arity_detects_mismatch() {
-        let p = parse_program(
-            "r1 a(@X,Y) :- b(@X,Y).\n\
-             r2 c(@X) :- b(@X,Y,Z).",
-        )
-        .unwrap();
-        let uses: Vec<&Predicate> = p
-            .rules
-            .iter()
-            .flat_map(|r| r.body_atoms())
-            .filter(|a| a.relation == "b")
-            .collect();
-        assert_eq!(consistent_arity(uses), None);
     }
 }

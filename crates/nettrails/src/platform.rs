@@ -988,6 +988,16 @@ mod tests {
         assert_eq!(min_cost(&nt, "n1", "n3"), Some(2));
         assert_eq!(min_cost(&nt, "n1", "n4"), Some(3));
         assert_eq!(min_cost(&nt, "n4", "n1"), Some(3));
+        // Every engine's table of a relation is one spec of the one program.
+        let program = nt.engine("n1").unwrap().program();
+        for node in nt.nodes() {
+            let engine = nt.engine(node.as_str()).unwrap();
+            let tables: Vec<_> = engine.database().tables().collect();
+            assert_eq!(tables.len(), program.tables.len());
+            for (table, spec) in tables.into_iter().zip(&program.tables) {
+                assert!(std::ptr::eq::<nt_runtime::TableSpec>(&**table, &**spec));
+            }
+        }
     }
 
     #[test]

@@ -96,7 +96,9 @@ static ALLOC: Counting = Counting;
 
 const NODES: usize = 400;
 
-/// Live heap per node right after `NetTrails::new`: measured 2,743; 2,887
+/// Live heap per node right after `NetTrails::new`: measured 2,599; 2,743
+/// while each of a node's six tables kept its relation, schema and probed
+/// columns beside the program's spec; 2,887
 /// while each of a node's six tables carried a validity bitmap's vector
 /// (2,863 before each engine kept the matched-id scratch of
 /// its joins beside its frame, one empty vector; 120 B more while the
@@ -104,7 +106,7 @@ const NODES: usize = 400;
 /// one-element shard vector); 2,964 while each empty provenance store also
 /// carried a content map and two free lists, 3,202 while every map carried
 /// std's 16-byte `RandomState`.
-const NEW_BYTES_PER_NODE: usize = 3_017;
+const NEW_BYTES_PER_NODE: usize = 2_859;
 /// Live blocks once every base fact is queued: measured 7,109, and the
 /// ceiling. 7,110 while the provenance stores sat in a one-element shard
 /// vector; 7,109 before the compiled program carried its set of monotonic
@@ -112,14 +114,15 @@ const NEW_BYTES_PER_NODE: usize = 3_017;
 /// `Vec::new().into()` allocates — one block per base derivation — where
 /// `Arc::default()` shares one.
 const SEEDED_BLOCKS: usize = 7_109;
-/// Allocations from seeding to the fixpoint, exactly: 16.0 per stored tuple
+/// Allocations from seeding to the fixpoint, exactly: 15.3 per stored tuple
 /// (9,627 tuples). A run reserves a firing for every record and fact it
-/// starts with, since each reports one as it applies, and a list's second
-/// element spills it into one block with room for two.
-const CONVERGE_ALLOCATIONS: usize = 154_002;
-/// Live heap at the fixpoint, exactly: 8,297,445 B.
-const FIXPOINT_LIVE_BYTES: usize = 8_297_445;
-/// Live heap per stored tuple at the fixpoint: measured 861, and this
+/// starts with, since each reports one as it applies, a list's second
+/// element spills it into one block with room for two, and a probe that
+/// binds only its anchor column builds no filter of the others.
+const CONVERGE_ALLOCATIONS: usize = 147_633;
+/// Live heap at the fixpoint, exactly: 8,160,805 B.
+const FIXPOINT_LIVE_BYTES: usize = 8_160_805;
+/// Live heap per stored tuple at the fixpoint: measured 847, and this
 /// ceiling.
 const FIXPOINT_BYTES_PER_TUPLE: usize = 955;
 
@@ -137,8 +140,8 @@ const FIXPOINT_CENSUS: [(&str, usize, usize); 18] = [
     ("table.by_id", 1_986, 300_784),
     ("table.postings", 4_749, 381_100),
     ("table.slots", 23, 368),
-    ("engine.shell", 806, 698_720),
-    ("engine.outbox", 11_447, 1_698_040),
+    ("engine.shell", 806, 641_120),
+    ("engine.outbox", 11_447, 1_619_064),
     ("engine.dependents", 3_050, 352_120),
     ("engine.agg_state", 3_605, 440_696),
     ("engine.dict_sent", 1_994, 205_216),

@@ -45,9 +45,9 @@ pub const SMALL: usize = 500;
 pub const LARGE: usize = 8_000;
 
 /// Live heap per stored tuple at the 8,000-node fixpoint, in either order:
-/// measured 927 (92,862,491 B with the large network first, 92,862,426 B
+/// measured 906 (90,821,915 B with the large network first, 90,821,850 B
 /// with it second).
-pub const LARGE_BYTES_PER_TUPLE: usize = 927;
+pub const LARGE_BYTES_PER_TUPLE: usize = 906;
 
 /// `count` distinct connected nodes drawn the way `ntbench` draws its
 /// anchors (SplitMix64, stream 1 of the network seed), as

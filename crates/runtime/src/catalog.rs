@@ -40,11 +40,6 @@ pub struct RelationSchema {
 }
 
 impl RelationSchema {
-    /// Whether the key covers every column (pure set semantics).
-    pub fn set_semantics(&self) -> bool {
-        self.key_cols.len() == self.arity
-    }
-
     /// Whether `col` is an address column.
     pub fn is_addr(&self, col: usize) -> bool {
         is_addr_col(self.addr_cols, col)
@@ -265,7 +260,7 @@ mod tests {
         assert_eq!(link.key_cols, vec![0, 1]);
         let cost = catalog.schema("cost").unwrap();
         assert!(!cost.is_base);
-        assert!(cost.set_semantics());
+        assert_eq!(cost.key_cols, vec![0, 1, 2]);
         let min_cost = catalog.schema("minCost").unwrap();
         assert_eq!(min_cost.key_cols, vec![0, 1]);
         assert_eq!(catalog.len(), 3);

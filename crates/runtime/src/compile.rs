@@ -243,8 +243,6 @@ pub struct CompiledRule {
     pub name_sym: Sym,
     /// Index of this rule within the compiled program.
     pub index: usize,
-    /// Location column of the head relation.
-    pub head_loc_col: usize,
     /// Address columns of the head relation
     /// ([`crate::RelationSchema::addr_cols`]).
     pub head_addr_cols: u64,
@@ -295,9 +293,10 @@ pub struct CompiledProgram {
     pub negation_triggers: IdMap<Sym, Vec<usize>>,
     /// One entry per relation of the catalog, in relation-name order: its
     /// shared schema and the columns the plans above probe. An engine builds
-    /// its tables from this list, so a column no plan reads carries no index
-    /// on any node.
-    pub tables: Vec<TableSpec>,
+    /// its tables from this list, and every engine's table of a relation
+    /// holds the one spec, so a column no plan reads carries no index on any
+    /// node.
+    pub tables: Vec<Arc<TableSpec>>,
     /// Names of the monotonic rules ([`CompiledProgram::cascades`]).
     cascaded: IdSet<Sym>,
 }
@@ -374,7 +373,7 @@ impl CompiledProgram {
 /// probe it on: the bound columns of every join step (delta-triggered and
 /// full), every negated-atom check and every aggregate group scan — each
 /// site [`crate::store::Table::probe`] is called from.
-fn table_specs(catalog: &Catalog, rules: &[CompiledRule]) -> Vec<TableSpec> {
+fn table_specs(catalog: &Catalog, rules: &[CompiledRule]) -> Vec<Arc<TableSpec>> {
     let mut probed: IdMap<Sym, Vec<usize>> = IdMap::default();
     for rule in rules {
         let plans = rule.plans.iter().chain([&rule.full_plan]);
@@ -394,15 +393,8 @@ fn table_specs(catalog: &Catalog, rules: &[CompiledRule]) -> Vec<TableSpec> {
     catalog
         .shared_schemas()
         .map(|schema| {
-            let relation = Sym::new(&schema.name);
-            let mut columns = probed.remove(&relation).unwrap_or_default();
-            columns.sort_unstable();
-            columns.dedup();
-            TableSpec {
-                relation,
-                schema: schema.clone(),
-                probed: Arc::new(columns),
-            }
+            let columns = probed.remove(&Sym::new(&schema.name)).unwrap_or_default();
+            Arc::new(TableSpec::new(schema.clone(), columns))
         })
         .collect()
 }
@@ -529,7 +521,6 @@ fn compile_rule(rule: &Rule, index: usize, catalog: &Catalog) -> Result<Compiled
         name_sym: Sym::new(&rule.name),
         rule: rule.clone(),
         index,
-        head_loc_col: head_schema.location_col,
         head_addr_cols: head_schema.addr_cols,
         slots,
         aggregate,
@@ -722,6 +713,28 @@ mod tests {
         assert_eq!(probed(&cp, "minCost"), [0]);
         assert_eq!(probed(&cp, "r2_aux"), [0]);
         assert!(probed(&cp, "link").is_empty());
+
+        // Every engine's table of a relation is the program's spec, shared
+        // (the platform's engines are held to it in
+        // `nettrails::platform::tests::mincost_converges_on_a_line`).
+        let program = Arc::new(cp);
+        let mut engines = ["a", "b"].map(|node| {
+            let engine = crate::NodeEngine::new(program.clone(), crate::EngineConfig::new(node));
+            (node, engine)
+        });
+        for (node, engine) in &mut engines {
+            let to = if *node == "a" { "b" } else { "a" };
+            let link = vec![Value::addr(*node), Value::addr(to), Value::Int(1)];
+            engine.insert_base(crate::Tuple::new("link", link)).unwrap();
+            engine.run();
+        }
+        for (_, engine) in &engines {
+            let tables: Vec<_> = engine.database().tables().collect();
+            assert_eq!(tables.len(), program.tables.len());
+            for (table, spec) in tables.into_iter().zip(&program.tables) {
+                assert!(std::ptr::eq::<TableSpec>(&**table, &**spec));
+            }
+        }
 
         // Constants, negated atoms and full (reconciliation) plans count.
         let cp =

@@ -15,11 +15,11 @@
 //! whose home (location attribute) is another node are not stored locally;
 //! instead the engine records them in the database's *outbox*
 //! ([`Database::outbox_insert`]: remote heads by tuple id with their
-//! destination and derivations — a structure of its own, not a relation),
-//! ships a (tuple, derivation) pair when it is new there and
-//! its retraction when the pair was there, coalesces the implied sends (an
-//! insert/delete pair for the same tuple and derivation within one round
-//! cancels; identical re-emissions dedupe) and flushes them as
+//! derivations — a structure of its own, not a relation; the home an entry
+//! was shipped to is its tuple's location column), ships a (tuple,
+//! derivation) pair when it is new there and its retraction when the pair
+//! was there, coalesces the implied sends (an insert/delete pair for the
+//! same tuple and derivation within one round cancels) and flushes them as
 //! per-destination [`DeltaBatch`]es — fixed-width [`DeltaRecord`] bodies
 //! behind a dictionary header (the discipline is [`Dictionary`]'s) — for
 //! the network layer (crate `simnet`, orchestrated by the `nettrails`
@@ -67,7 +67,7 @@ use crate::eval::{Frame, SlotAtom, SlotTerm};
 use crate::kernel::{self, Candidate, EvalContext};
 #[cfg(test)]
 use crate::store::BASE_RULE;
-use crate::store::{base_rule_sym, Database, Derivation, Membership};
+use crate::store::{base_rule_sym, Database, Derivation, Membership, TableSpec};
 use crate::tuple::{Delta, Tuple, TupleId};
 use crate::value::{Addr, Dictionary, IdMap, IdSet, Sym, Value};
 use nt_intern::heap::{Census, Heap};
@@ -307,9 +307,9 @@ pub struct NodeEngine {
     /// delta for the same (dest, tuple, derivation) cancelled it.
     pending_sends: Vec<Option<RemoteDelta>>,
     /// Live pending slots per (dest, tuple id) — the coalescing index that
-    /// guarantees a (tuple, derivation) pair is shipped at most once per
-    /// round. Each slot list holds one entry per distinct pending
-    /// derivation of that tuple.
+    /// finds the pending send an opposite delta of the same (tuple,
+    /// derivation) cancels. Each slot list holds one entry per distinct
+    /// pending derivation of that tuple.
     pending_index: IdMap<(Addr, TupleId), Vec<usize>>,
     /// What each destination has been sent ([`Dictionary`]): a batch's
     /// header carries only the strings its destination has never seen.
@@ -700,7 +700,7 @@ impl NodeEngine {
                         node: self.config.node,
                         inputs,
                     };
-                    self.emit_derivation(head, rule.head_loc_col, derivation, true, out);
+                    self.emit_derivation(head, derivation, true, out);
                 }
             }
         }
@@ -719,10 +719,11 @@ impl NodeEngine {
     /// Queue a delta for shipment to `dest`, coalescing against sends already
     /// pending this round: an insert followed by a delete of the same
     /// (tuple, derivation) — or vice versa — is a net no-op at the
-    /// destination and both records are dropped; an identical re-emission is
-    /// deduplicated. The outbox membership transitions guarantee polarities
-    /// for one (tuple, derivation) strictly alternate, so "same pair, same
-    /// polarity" only arises from redundant re-derivation paths.
+    /// destination and both records are dropped. A send is queued only on an
+    /// outbox transition ([`Database::outbox_insert`] of a new pair,
+    /// [`Database::outbox_remove`] of a present one), so the polarities of
+    /// one pair strictly alternate and a pending send never meets its own
+    /// repeat.
     fn queue_send(&mut self, dest: Addr, delta: Delta, derivation: Derivation) {
         let sends = &mut self.pending_sends;
         let pending = (dest, delta.tuple().id());
@@ -735,15 +736,12 @@ impl NodeEngine {
                 .as_ref()
                 .is_some_and(|p| p.derivation == derivation)
         }) {
-            let slot = slots[pos];
-            let prev = sends[slot].take().expect("indexed slot is live");
-            if prev.delta.is_insert() == delta.is_insert() {
-                // Duplicate emission of the same record: keep the first.
-                sends[slot] = Some(prev);
-            } else {
-                // Opposite polarity: the pair cancels; ship neither.
-                slots.swap_remove(pos);
-            }
+            // Opposite polarity: the pair cancels; ship neither.
+            let prev = sends[slots.swap_remove(pos)].take();
+            debug_assert!(
+                prev.is_some_and(|p| p.delta.is_insert() != delta.is_insert()),
+                "an outbox transition repeated a pending send"
+            );
             return;
         }
         slots.push(sends.len());
@@ -814,8 +812,8 @@ impl NodeEngine {
         if self.db.table_sym(tuple.relation()).is_none() {
             // Relations unknown to the program (e.g. environment relations fed
             // for observation only) get a lenient schema: location and
-            // address column 0, set semantics.
-            self.db.register(RelationSchema {
+            // address column 0, set semantics, every column indexed.
+            let schema = Arc::new(RelationSchema {
                 name: tuple.relation().as_str().to_string(),
                 arity: tuple.arity(),
                 location_col: 0,
@@ -824,6 +822,8 @@ impl NodeEngine {
                 is_base: true,
                 lifetime: None,
             });
+            let spec = TableSpec::new(schema, 0..tuple.arity());
+            self.db.register(Arc::new(spec));
         }
     }
 
@@ -905,10 +905,9 @@ impl NodeEngine {
             // stored tuple loses the derivation in the next generation. A
             // head that a monotonic and a recomputed rule both derive lists
             // both derivations; the recomputation retracts its own.
-            let home = dependent.destination.unwrap_or(self.config.node);
             for derivation in dependent.derivations {
                 if self.cascades(&derivation) {
-                    self.emit_at(home, dependent.tuple.clone(), derivation, false, out);
+                    self.emit_derivation(dependent.tuple.clone(), derivation, false, out);
                 }
             }
         }
@@ -916,35 +915,31 @@ impl NodeEngine {
         self.fire_triggers(tuple, false, reconciled, out);
     }
 
-    /// Route a derivation of `head`: apply locally when the head lives here,
-    /// otherwise record it in the outbox and produce a send. `loc_col` is
-    /// the deriving rule's [`CompiledRule::head_loc_col`].
-    fn emit_derivation(
-        &mut self,
-        head: Tuple,
-        loc_col: usize,
-        derivation: Derivation,
-        insert: bool,
-        out: &mut StepOutput,
-    ) {
-        let home = head
-            .values()
-            .get(loc_col)
+    /// The node `tuple` lives at: the address in its relation's location
+    /// column, this node's when the column holds none. A head's relation has
+    /// one location column wherever it is used (the catalog refuses one that
+    /// moves), so this is the home its deriving rule names, and an outbox
+    /// entry's home is read off its tuple the way it was shipped.
+    fn home(&self, tuple: &Tuple) -> Addr {
+        let table = self.db.table_sym(tuple.relation());
+        let loc = table.map(|table| table.schema.location_col);
+        loc.and_then(|col| tuple.values().get(col))
             .and_then(Value::as_node_id)
-            .unwrap_or(self.config.node);
-        self.emit_at(home, head, derivation, insert, out);
+            .unwrap_or(self.config.node)
     }
 
-    /// [`Self::emit_derivation`] for a head whose home is known: the one path
-    /// every derivation and every retraction takes.
-    fn emit_at(
+    /// Route a derivation of `tuple`, or its retraction: apply it locally
+    /// when the tuple's [`Self::home`] is here, otherwise record it in the
+    /// outbox and produce a send. The one path every derivation and every
+    /// retraction takes.
+    fn emit_derivation(
         &mut self,
-        home: Addr,
         tuple: Tuple,
         derivation: Derivation,
         insert: bool,
         out: &mut StepOutput,
     ) {
+        let home = self.home(&tuple);
         if insert {
             self.stats.rule_firings += 1;
         } else {
@@ -972,7 +967,7 @@ impl NodeEngine {
             self.retract_outbox(&tuple, derivation, home);
         } else {
             let cascaded = self.program.cascades(derivation.rule);
-            if self.db.outbox_insert(&tuple, home, &derivation, cascaded) {
+            if self.db.outbox_insert(&tuple, &derivation, cascaded) {
                 self.queue_send(home, Delta::Insert(tuple), derivation);
             }
         }
@@ -1044,12 +1039,12 @@ impl NodeEngine {
             return;
         }
         if let Some((old_head, old_deriv)) = self.agg_state.remove(&key) {
-            self.emit_derivation(old_head, rule.head_loc_col, old_deriv, false, out);
+            self.emit_derivation(old_head, old_deriv, false, out);
         }
         if let Some((new_head, new_deriv)) = new_state {
             self.agg_state
                 .insert(key, (new_head.clone(), new_deriv.clone()));
-            self.emit_derivation(new_head, rule.head_loc_col, new_deriv, true, out);
+            self.emit_derivation(new_head, new_deriv, true, out);
         }
     }
 
@@ -1125,13 +1120,13 @@ impl NodeEngine {
             .filter(|p| !new_derivations.contains(p))
         {
             let (tuple, derivation) = pair.clone();
-            self.emit_derivation(tuple, rule.head_loc_col, derivation, false, out);
+            self.emit_derivation(tuple, derivation, false, out);
         }
         for (head, derivation) in new_derivations
             .into_iter()
             .filter(|p| !old_derivations.contains(p))
         {
-            self.emit_derivation(head, rule.head_loc_col, derivation, true, out);
+            self.emit_derivation(head, derivation, true, out);
         }
     }
 }
@@ -1175,6 +1170,23 @@ mod tests {
     fn engine(node: &str, src: &str) -> NodeEngine {
         let program = Arc::new(CompiledProgram::from_source(src).unwrap());
         NodeEngine::new(program, EngineConfig::new(node))
+    }
+
+    /// Run every engine and deliver what it ships, until nothing ships.
+    fn converge(engines: &mut [NodeEngine]) {
+        loop {
+            let sends: Vec<DeltaBatch> = engines.iter_mut().flat_map(|e| e.run().sends).collect();
+            if sends.is_empty() {
+                return;
+            }
+            for batch in sends {
+                let to = engines.iter_mut().find(|e| batch.dest == e.node());
+                let to = to.expect("a destination engine");
+                for record in batch.records {
+                    to.apply_remote(record.delta, record.derivation);
+                }
+            }
+        }
     }
 
     /// Single-node MINCOST: n1 has links to itself conceptually; here we just
@@ -1292,22 +1304,8 @@ mod tests {
             )
             .unwrap(),
         );
-        let mut engines: Vec<NodeEngine> = ["n1", "n2"]
-            .map(|n| NodeEngine::new(program.clone(), EngineConfig::new(n)))
-            .into();
-        let converge = |engines: &mut Vec<NodeEngine>| loop {
-            let sends: Vec<DeltaBatch> = engines.iter_mut().flat_map(|e| e.run().sends).collect();
-            if sends.is_empty() {
-                break;
-            }
-            for batch in sends {
-                let to = engines.iter_mut().find(|e| batch.dest == e.node());
-                let to = to.expect("a destination engine");
-                for record in batch.records {
-                    to.apply_remote(record.delta, record.derivation);
-                }
-            }
-        };
+        let mut engines =
+            ["n1", "n2"].map(|n| NodeEngine::new(program.clone(), EngineConfig::new(n)));
         let check = |engines: &[NodeEngine]| {
             for e in engines {
                 let db = e.database();
@@ -1333,6 +1331,31 @@ mod tests {
         let best = engines[1].relation("best");
         assert_eq!(best.len(), 1);
         assert_eq!(best[0].values()[2], Value::Int(5));
+    }
+
+    /// A remote head whose location specifier is not its first column ships
+    /// to the address in that column, and the cascade retracts it there: the
+    /// home is read off the tuple through its relation's location column,
+    /// when the head is derived and when its input goes. (Reading column 0
+    /// keeps the head at `n1`.)
+    #[test]
+    fn a_head_located_past_column_zero_ships_to_its_home_and_is_retracted_there() {
+        let program = Arc::new(CompiledProgram::from_source("r1 r(X,@Y) :- link(@X,Y).").unwrap());
+        let mut engines =
+            ["n1", "n2"].map(|n| NodeEngine::new(program.clone(), EngineConfig::new(n)));
+        let link = Tuple::new("link", vec![Value::addr("n1"), Value::addr("n2")]);
+        let head = Tuple::new("r", vec![Value::addr("n1"), Value::addr("n2")]);
+        engines[0].insert_base(link.clone()).unwrap();
+        converge(&mut engines);
+        assert_eq!(engines[1].relation("r"), std::slice::from_ref(&head));
+        assert!(engines[0].relation("r").is_empty());
+        let outbox = engines[0].database().outbox_of(Sym::new("r"));
+        assert_eq!(outbox.iter().map(|e| &e.tuple).collect::<Vec<_>>(), [&head]);
+
+        engines[0].delete_base(link).unwrap();
+        converge(&mut engines);
+        assert!(engines[1].relation("r").is_empty());
+        assert_eq!(engines[0].database().outbox_len(), 0);
     }
 
     /// A head that a monotonic rule and an aggregate both derive from one
@@ -1563,9 +1586,8 @@ mod tests {
 
     /// Regression: re-deriving a head already present in the outbox must not
     /// ship the identical (tuple, derivation) record twice in one round —
-    /// both historical insert paths now funnel through `queue_send`, whose
-    /// pending index keeps at most one live record per (dest, tuple,
-    /// derivation).
+    /// the outbox records the pair once (`Database::outbox_insert` returns
+    /// false for a repeat), so no second send is queued.
     #[test]
     fn rederivation_ships_an_outbox_tuple_at_most_once_per_round() {
         // The same delta matches both body-atom positions, so the rule fires

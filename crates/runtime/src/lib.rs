@@ -43,7 +43,7 @@ pub use few::Few;
 pub use nt_intern::heap::{self, Census, Heap};
 pub use store::{
     base_rule_sym, tuple_materializations, Database, Dependent, Derivation, Membership,
-    OutboxEntry, ProbeIter, Table, TableSpec, TupleRef, BASE_RULE,
+    OutboxEntry, Probe, Table, TableSpec, TupleRef, BASE_RULE,
 };
 pub use tuple::{Delta, Tuple, TupleId};
 pub use value::{

@@ -15,31 +15,36 @@
 //!
 //! A table stores tuples of its own relation. A tuple derived here for
 //! another node is not stored in any table: the [`Database`] remembers it in
-//! its **outbox**, a map from tuple id to [`OutboxEntry`] (tuple, destination,
-//! derivations) that nothing probes and nothing names as a relation. The
-//! dependency index says of each dependent whether it is stored or in the
-//! outbox.
+//! its **outbox**, a map from tuple id to [`OutboxEntry`] (tuple,
+//! derivations) that nothing probes and nothing names as a relation. Where
+//! an entry was shipped is not stored: it is the address in its tuple's
+//! location column, the home the tuple was shipped to. The dependency index
+//! says of each dependent whether it is stored or in the outbox.
 //!
 //! ## Table layout
 //!
-//! A [`Table`] stores its tuples column-major (module `columnar`): one
-//! dictionary-encoded `u32` column per address column of the schema (the
+//! A [`Table`] is one relation's column store, and every fact the program
+//! fixes about it — relation, schema, probed columns — is in its
+//! [`TableSpec`], one allocation per program shared by that relation's table
+//! on every engine. The table itself holds only its tuples, column-major:
+//! one dictionary-encoded `u32` column per address column of the schema (the
 //! dictionary *is* the process-global intern pool, so encoding is free), a
 //! plain `Vec<i64>` column per other attribute while it holds integers only,
 //! and a `Vec<Value>` overflow column for everything else (fractions,
-//! strings, lists, mixed types). A slot free-list keeps physical slots
-//! stable across churn. The columns hold the only copy
-//! of a tuple's values: the primary-key index is a vector of live slot
-//! numbers kept in key order and compared through the columns, and the
-//! secondary indexes are posting lists of slot numbers. Join probes verify
-//! bound columns directly against the contiguous column vectors — no
-//! per-candidate pointer chase and no per-candidate allocation (see
-//! [`tuple_materializations`]).
+//! strings, lists, mixed types); beside them, per physical slot, the tuple's
+//! id and its derivations. A slot free-list keeps physical slots stable
+//! across churn. The columns hold the only copy of a tuple's values: the
+//! primary-key index is a vector of live slot numbers kept in key order and
+//! compared through the columns, and the secondary indexes are posting lists
+//! of slot numbers. Join probes verify bound columns directly against the
+//! contiguous column vectors — no per-candidate pointer chase and no
+//! per-candidate allocation (see [`tuple_materializations`]). Module
+//! `columnar` holds the column and posting-list types and writes the slots.
 //!
-//! A table carries posting lists on its **indexed columns** only. For an
-//! engine's table those are the columns some plan of the compiled program
-//! probes ([`TableSpec::probed`], computed once per program); a table built
-//! without a program indexes every column.
+//! A table carries posting lists on its **indexed columns** only: the
+//! columns some plan of the compiled program probes ([`TableSpec::probed`],
+//! computed once per program). A relation the program does not know gets a
+//! spec when its first fact arrives, and that spec indexes every column.
 //!
 //! [`Table::probe`] anchors on the first strictly-smallest posting list
 //! among the indexed bound columns; posting lists append on insert and
@@ -60,8 +65,9 @@ use crate::catalog::RelationSchema;
 use crate::few::Few;
 use crate::tuple::{Tuple, TupleId};
 use crate::value::{IdMap, NodeId, Sym, Value};
-use columnar::{ColProbe, ColumnStore};
+use columnar::{Column, Postings};
 use nt_intern::heap::{Census, Heap};
+use std::ops::Deref;
 use std::sync::Arc;
 
 pub use columnar::tuple_materializations;
@@ -137,83 +143,75 @@ pub enum Membership {
     NotFound,
 }
 
-/// A borrowed handle to one stored tuple: its table's columns and its slot.
-/// Probe candidates, point lookups and table iteration all yield
-/// `TupleRef`s; the join kernels match columns through it without
-/// materializing a `Tuple` until a candidate actually survives.
+/// A borrowed handle to one stored tuple: its table and its slot. Probe
+/// candidates, point lookups and table iteration all yield `TupleRef`s; the
+/// join kernels match columns through it without materializing a `Tuple`
+/// until a candidate actually survives.
 #[derive(Clone, Copy)]
 pub struct TupleRef<'a> {
-    store: &'a ColumnStore,
+    table: &'a Table,
     slot: u32,
 }
 
 impl<'a> TupleRef<'a> {
     /// The relation the tuple belongs to.
     pub fn relation(&self) -> Sym {
-        self.store.relation()
+        self.table.spec.relation
     }
 
     /// Number of attributes.
     pub fn arity(&self) -> usize {
-        self.store.arity()
+        self.table.spec.schema.arity
     }
 
     /// The content-addressed tuple identifier (precomputed per slot — no
     /// hashing).
     pub fn id(&self) -> TupleId {
-        self.store.id_at(self.slot)
+        self.table.ids[self.slot as usize]
     }
 
     /// The supporting derivations.
     pub fn derivations(&self) -> &'a [Derivation] {
-        self.store.derivations_at(self.slot)
+        &self.table.derivs[self.slot as usize]
     }
 
     /// Decode one attribute as an owned value (allocation-free for
     /// dictionary and numeric columns).
     pub fn value(&self, col: usize) -> Value {
-        self.store.value_at(self.slot, col)
+        self.table.cols[col].value_at(self.slot as usize)
     }
 
     /// Whether one attribute `==` `v`, without materializing.
     pub fn matches(&self, col: usize, v: &Value) -> bool {
-        self.store.matches_at(self.slot, col, v)
+        self.table.cols[col].matches_value(self.slot as usize, v)
     }
 
     /// Materialize an owned tuple (counted — see
     /// [`tuple_materializations`]).
     pub fn to_tuple(&self) -> Tuple {
-        self.store.tuple_at(self.slot)
+        self.table.tuple_at(self.slot)
     }
 }
 
-/// Iterator returned by [`Table::probe`]. Yields exactly the stored tuples
-/// matching **all** bound columns, in posting-list order (key order for a
-/// probe that binds nothing).
-pub struct ProbeIter<'a>(Option<ColProbe<'a>>);
-
-impl<'a> Iterator for ProbeIter<'a> {
-    type Item = TupleRef<'a>;
-
-    fn next(&mut self) -> Option<TupleRef<'a>> {
-        let probe = self.0.as_mut()?;
-        let store = probe.store();
-        probe.next().map(|slot| TupleRef { store, slot })
-    }
-}
-
-/// Iterator over a table's live tuples in primary-key order.
-pub struct TableIter<'a> {
-    store: &'a ColumnStore,
+/// The candidates of [`Table::probe`] (and the whole of [`Table::iter`]):
+/// the slots of one posting list, or of the key index, that pass every
+/// residual bound column.
+pub struct Probe<'a> {
+    table: &'a Table,
     slots: std::slice::Iter<'a, u32>,
+    filter: Vec<(usize, Value)>,
 }
 
-impl<'a> Iterator for TableIter<'a> {
+impl<'a> Iterator for Probe<'a> {
     type Item = TupleRef<'a>;
 
     fn next(&mut self) -> Option<TupleRef<'a>> {
-        let store = self.store;
-        self.slots.next().map(|&slot| TupleRef { store, slot })
+        let (table, filter) = (self.table, &self.filter);
+        let slot = self.slots.by_ref().copied().find(|&slot| {
+            debug_assert!(table.is_live(slot), "indexes only hold live slots");
+            (filter.iter()).all(|(col, v)| table.cols[*col].matches_value(slot as usize, v))
+        })?;
+        Some(TupleRef { table, slot })
     }
 }
 
@@ -226,49 +224,81 @@ pub struct TableSpec {
     pub relation: Sym,
     /// Its schema.
     pub schema: Arc<RelationSchema>,
-    /// The columns some plan of the program probes, ascending: the bound
-    /// columns of every join step, negated-atom check and aggregate group
-    /// scan over this relation. Only these carry posting lists.
-    pub probed: Arc<Vec<usize>>,
+    /// The columns that carry posting lists, ascending, each once and within
+    /// the arity. For a relation of the program they are the columns some
+    /// plan probes: the bound columns of every join step, negated-atom check
+    /// and aggregate group scan over this relation.
+    pub probed: Vec<usize>,
+}
+
+impl TableSpec {
+    /// The spec of `schema`'s relation, with posting lists on `probed`
+    /// (sorted, deduplicated, columns past the arity dropped). A probe must
+    /// bind one of them or nothing: one that binds nothing is a key-order
+    /// scan.
+    pub fn new(schema: Arc<RelationSchema>, probed: impl IntoIterator<Item = usize>) -> Self {
+        let mut probed: Vec<usize> = (probed.into_iter()).filter(|c| *c < schema.arity).collect();
+        probed.sort_unstable();
+        probed.dedup();
+        TableSpec {
+            relation: Sym::new(&schema.name),
+            schema,
+            probed,
+        }
+    }
 }
 
 /// A single relation's storage (see the module documentation for the
-/// layout).
+/// layout). It reads as its [`TableSpec`]: `table.schema`,
+/// `table.relation` and `table.probed` are the program's, shared.
 #[derive(Debug, Clone)]
 pub struct Table {
-    /// Schema of the relation.
-    pub schema: Arc<RelationSchema>,
-    store: ColumnStore,
+    spec: Arc<TableSpec>,
+    /// Per-slot content-addressed tuple id (parallel to the columns).
+    ids: Vec<TupleId>,
+    /// Per-slot supporting derivations.
+    derivs: Vec<Few<Derivation>>,
+    /// One column per attribute, each with `ids.len()` physical slots. Empty
+    /// until the first tuple arrives: an empty table owns no heap block.
+    cols: Vec<Column>,
+    /// Dead slots available for reuse (keeps `TupleId`-addressed state and
+    /// the posting lists stable across churn instead of shifting slots).
+    free: Vec<u32>,
+    /// The live slots in primary-key order (the table's iteration order),
+    /// compared through the columns.
+    by_key: Vec<u32>,
+    /// Tuple id -> slot (provenance queries and cascade deletions address
+    /// tuples by id). A slot is live when this map points its id at it.
+    by_id: IdMap<TupleId, u32>,
+    /// The posting lists of `spec.probed[i]`, parallel to it; allocated
+    /// with `cols`.
+    postings: Vec<Postings>,
+}
+
+/// `table.schema`, `table.relation` and `table.probed` read the shared spec
+/// (the engine's routing and base-fact checks, and `benchmark/src/layered.rs`,
+/// which reads `table.schema.name`).
+impl Deref for Table {
+    type Target = TableSpec;
+
+    fn deref(&self) -> &TableSpec {
+        &self.spec
+    }
 }
 
 impl Table {
-    /// Create an empty table indexing every column.
-    pub fn new(schema: impl Into<Arc<RelationSchema>>) -> Self {
-        let schema = schema.into();
-        let every_column: Vec<usize> = (0..schema.arity).collect();
-        Table::indexing(schema, &every_column)
-    }
-
-    /// Create an empty table that keeps posting lists on `columns` only. A
-    /// probe must bind one of them or nothing: one that binds nothing is a
-    /// key-order scan.
-    pub fn indexing(schema: impl Into<Arc<RelationSchema>>, columns: &[usize]) -> Self {
-        let schema = schema.into();
-        let mut columns: Vec<usize> = columns
-            .iter()
-            .copied()
-            .filter(|c| *c < schema.arity)
-            .collect();
-        columns.sort_unstable();
-        columns.dedup();
-        Table::of(Sym::new(&schema.name), schema, Arc::new(columns))
-    }
-
-    /// `relation` is `Sym::new(&schema.name)`; `indexed` is ascending and
-    /// within the arity.
-    fn of(relation: Sym, schema: Arc<RelationSchema>, indexed: Arc<Vec<usize>>) -> Self {
-        let store = ColumnStore::new(relation, schema.clone(), indexed);
-        Table { schema, store }
+    /// An empty table of `spec`'s relation.
+    pub fn new(spec: Arc<TableSpec>) -> Self {
+        Table {
+            spec,
+            ids: Vec::new(),
+            derivs: Vec::new(),
+            cols: Vec::new(),
+            free: Vec::new(),
+            by_key: Vec::new(),
+            by_id: IdMap::default(),
+            postings: Vec::new(),
+        }
     }
 
     /// Iterate over the candidate tuples for a join probe with the given
@@ -278,19 +308,65 @@ impl Table {
     /// exactly the tuples matching every bound column. With no bound
     /// columns it is a key-order scan. A bound value absent from its
     /// posting index short-circuits to an empty iterator.
-    pub fn probe<'a>(&'a self, bound_cols: &[(usize, Value)]) -> ProbeIter<'a> {
-        ProbeIter(self.store.probe(bound_cols))
+    ///
+    /// Every posting list holds its slots in the order they were indexed and
+    /// the probe verifies every residual bound column, so whichever indexed
+    /// column anchors a probe, the candidates are the same subsequence of
+    /// the same order.
+    pub fn probe<'a>(&'a self, bound_cols: &[(usize, Value)]) -> Probe<'a> {
+        let empty = || Probe {
+            table: self,
+            slots: [].iter(),
+            filter: Vec::new(),
+        };
+        let mut anchor: Option<(usize, &[u32])> = None;
+        for (pos, (col, value)) in bound_cols.iter().enumerate() {
+            // No column yet means no tuple yet.
+            if *col >= self.cols.len() {
+                return empty();
+            }
+            if let Ok(i) = self.spec.probed.binary_search(col) {
+                let Some(slots) = self.postings[i].get(value) else {
+                    return empty();
+                };
+                if anchor.is_none_or(|(_, best)| slots.len() < best.len()) {
+                    anchor = Some((pos, slots));
+                }
+            }
+        }
+        let Some((anchor, slots)) = anchor else {
+            // Plans bind indexed columns only (`CompiledProgram::tables` is
+            // computed from them), so this is a caller outside the plans: a
+            // key-order scan, filtered.
+            debug_assert!(
+                bound_cols.is_empty(),
+                "probe of `{}` binds no indexed column: {:?}",
+                self.spec.schema.name,
+                bound_cols.iter().map(|(c, _)| c).collect::<Vec<_>>()
+            );
+            return Probe {
+                table: self,
+                slots: self.by_key.iter(),
+                filter: bound_cols.to_vec(),
+            };
+        };
+        let residual = (bound_cols.iter().enumerate()).filter(|(pos, _)| *pos != anchor);
+        Probe {
+            table: self,
+            slots: slots.iter(),
+            filter: residual.map(|(_, bound)| bound.clone()).collect(),
+        }
     }
 
     /// Look up a stored tuple by its content-addressed identifier.
     pub fn get_by_id(&self, id: TupleId) -> Option<TupleRef<'_>> {
-        let store = &self.store;
-        store.slot_of_id(id).map(|slot| TupleRef { store, slot })
+        let slot = *self.by_id.get(&id)?;
+        Some(TupleRef { table: self, slot })
     }
 
     /// Number of stored (present) tuples.
     pub fn len(&self) -> usize {
-        self.store.len()
+        self.by_key.len()
     }
 
     /// True when no tuple is present.
@@ -299,11 +375,8 @@ impl Table {
     }
 
     /// Iterate over present tuples in deterministic (key) order.
-    pub fn iter(&self) -> TableIter<'_> {
-        TableIter {
-            store: &self.store,
-            slots: self.store.slots(),
-        }
+    pub fn iter(&self) -> Probe<'_> {
+        self.probe(&[])
     }
 
     /// Look up the stored entry for an exact tuple: equal tuples have one id.
@@ -316,49 +389,20 @@ impl Table {
         self.get(tuple).is_some()
     }
 
-    /// Add a derivation for `tuple`, inserting it if necessary.
-    ///
-    /// Returns how the table membership changed. When the relation has
-    /// update-in-place keys and a *different* tuple with the same key was
-    /// present, that tuple is removed and returned via
-    /// [`Membership::Replaced`]; the caller is responsible for cascading the
-    /// implied deletion.
-    pub fn add_derivation(&mut self, tuple: &Tuple, derivation: Derivation) -> Membership {
-        debug_assert_eq!(
-            tuple.relation().as_str(),
-            self.schema.name,
-            "a table stores tuples of its own relation only"
-        );
-        self.store.add_derivation(tuple, derivation)
-    }
-
-    /// Remove one derivation of `tuple` (matching exactly). Returns
-    /// [`Membership::Disappeared`] when that was the last derivation.
-    pub fn remove_derivation(&mut self, tuple: &Tuple, derivation: &Derivation) -> Membership {
-        self.store.remove_derivation(tuple, derivation)
-    }
-
     /// All tuples currently present, cloned (snapshot order is deterministic).
     pub fn tuples(&self) -> Vec<Tuple> {
         self.iter().map(|r| r.to_tuple()).collect()
     }
-
-    /// Charge the table's heap to its `table.*` owners (the schema is the
-    /// program's).
-    pub fn heap(&self, census: &mut Census) {
-        self.store.heap(census);
-    }
 }
 
 /// One remote head in a [`Database`]'s outbox: a tuple this node derived for
-/// another node, where it was shipped, and the local derivations behind it —
-/// what a later input deletion needs to retract it there.
+/// another node and the local derivations behind it — what a later input
+/// deletion needs to retract it there. The node it was shipped to is the
+/// address in the tuple's location column.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OutboxEntry {
     /// The shipped head tuple.
     pub tuple: Tuple,
-    /// The node the tuple lives at.
-    pub destination: NodeId,
     /// The derivations shipped and not retracted since, in emission order:
     /// nearly always one, held inline.
     pub derivations: Few<Derivation>,
@@ -373,12 +417,10 @@ enum Held {
 }
 
 /// One tuple with derivations that used a given input
-/// ([`Database::take_dependents`]).
+/// ([`Database::take_dependents`]): a tuple stored in one of this node's
+/// tables or a remote head of the outbox, which its home tells apart.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Dependent {
-    /// Where a remote head was shipped; `None` for a tuple stored in one of
-    /// this node's tables.
-    pub destination: Option<NodeId>,
     /// The dependent tuple.
     pub tuple: Tuple,
     /// Its derivations that used the input, in recorded order.
@@ -391,7 +433,6 @@ impl Dependent {
     /// the tuple is materialized only when there is one.
     fn on(
         input: TupleId,
-        destination: Option<NodeId>,
         derivations: &[Derivation],
         tuple: impl FnOnce() -> Tuple,
     ) -> Option<Dependent> {
@@ -401,7 +442,6 @@ impl Dependent {
             .cloned()
             .collect();
         (!derivations.is_empty()).then(|| Dependent {
-            destination,
             tuple: tuple(),
             derivations,
         })
@@ -438,43 +478,26 @@ pub struct Database {
 }
 
 impl Database {
-    /// Create an empty database with the given relation schemas (tables
-    /// indexing every column).
-    pub fn new(schemas: impl IntoIterator<Item = RelationSchema>) -> Self {
-        let mut db = Database::default();
-        for s in schemas {
-            db.register(s);
-        }
-        db
-    }
-
     /// Create the empty database of an engine running a compiled program:
     /// one table per [`TableSpec`] (in relation-name order, as
-    /// [`crate::CompiledProgram::tables`] lists them), sharing the program's
-    /// schemas and indexing the columns its plans probe.
-    pub fn for_program(specs: &[TableSpec]) -> Self {
+    /// [`crate::CompiledProgram::tables`] lists them), sharing the spec.
+    pub fn for_program(specs: &[Arc<TableSpec>]) -> Self {
         debug_assert!(specs.windows(2).all(|w| w[0].relation < w[1].relation));
         Database {
             order: specs.iter().map(|spec| spec.relation).collect(),
-            tables: specs
-                .iter()
-                .map(|spec| {
-                    let (schema, probed) = (spec.schema.clone(), spec.probed.clone());
-                    Table::of(spec.relation, schema, probed)
-                })
-                .collect(),
+            tables: specs.iter().cloned().map(Table::new).collect(),
             ..Database::default()
         }
     }
 
-    /// Register an additional relation (idempotent). Its table indexes
-    /// every column.
-    pub fn register(&mut self, schema: RelationSchema) {
-        let sym = Sym::new(&schema.name);
+    /// Register an additional relation (idempotent: a relation that has a
+    /// table keeps it).
+    pub fn register(&mut self, spec: Arc<TableSpec>) {
+        let sym = spec.relation;
         if self.position(sym).is_none() {
             let pos = self.order.partition_point(|s| *s < sym);
             self.order.insert(pos, sym);
-            self.tables.insert(pos, Table::new(schema));
+            self.tables.insert(pos, Table::new(spec));
         }
     }
 
@@ -508,12 +531,6 @@ impl Database {
         self.tables.iter()
     }
 
-    /// Iterate over `(relation symbol, table)` pairs in relation-name order
-    /// (saves callers re-interning `schema.name`).
-    pub fn tables_with_syms(&self) -> impl Iterator<Item = (Sym, &Table)> {
-        self.order.iter().copied().zip(&self.tables)
-    }
-
     /// Record `dependent` under `input` in the dependency index.
     fn add_dependent(&mut self, input: TupleId, dependent: DependentKey) {
         let by_handle = |(held, relation, id): &DependentKey| (*held, relation.index(), *id);
@@ -524,22 +541,19 @@ impl Database {
         }
     }
 
-    /// Record that `derivation` derives the remote head `tuple` living at
-    /// `destination`, and index its inputs when the dependency cascade
-    /// retracts it (`cascaded`). True when the (tuple, derivation) pair is
-    /// new to the outbox: the caller ships it. A repeated pair is recorded,
-    /// and shipped, once.
+    /// Record that `derivation` derives the remote head `tuple`, and index
+    /// its inputs when the dependency cascade retracts it (`cascaded`). True
+    /// when the (tuple, derivation) pair is new to the outbox: the caller
+    /// ships it. A repeated pair is recorded, and shipped, once.
     pub fn outbox_insert(
         &mut self,
         tuple: &Tuple,
-        destination: NodeId,
         derivation: &Derivation,
         cascaded: bool,
     ) -> bool {
         let id = tuple.id();
         let entry = self.outbox.entry(id).or_insert_with(|| OutboxEntry {
             tuple: tuple.clone(),
-            destination,
             derivations: Few::default(),
         });
         if entry.derivations.contains(derivation) {
@@ -607,14 +621,12 @@ impl Database {
         let mut out = Vec::new();
         for (held, relation, id) in deps {
             out.extend(match held {
-                Held::Outbox => self.outbox.get(&id).and_then(|e| {
-                    let at = Some(e.destination);
-                    Dependent::on(input, at, &e.derivations, || e.tuple.clone())
-                }),
+                Held::Outbox => (self.outbox.get(&id))
+                    .and_then(|e| Dependent::on(input, &e.derivations, || e.tuple.clone())),
                 Held::Table => self
                     .table_sym(relation)
                     .and_then(|table| table.get_by_id(id))
-                    .and_then(|r| Dependent::on(input, None, r.derivations(), || r.to_tuple())),
+                    .and_then(|r| Dependent::on(input, r.derivations(), || r.to_tuple())),
             });
         }
         out
@@ -682,13 +694,29 @@ mod tests {
         }
     }
 
+    /// The spec of `schema`'s relation with every column indexed.
+    fn spec(schema: RelationSchema) -> Arc<TableSpec> {
+        let arity = schema.arity;
+        Arc::new(TableSpec::new(Arc::new(schema), 0..arity))
+    }
+
+    fn table(schema: RelationSchema) -> Table {
+        Table::new(spec(schema))
+    }
+
+    fn database(schemas: Vec<RelationSchema>) -> Database {
+        let mut db = Database::default();
+        schemas.into_iter().for_each(|s| db.register(spec(s)));
+        db
+    }
+
     fn link(s: &str, d: &str, c: i64) -> Tuple {
         Tuple::new("link", vec![Value::addr(s), Value::addr(d), Value::Int(c)])
     }
 
     #[test]
     fn add_and_remove_derivations_track_membership() {
-        let mut t = Table::new(schema("link", 3, vec![0, 1, 2]));
+        let mut t = table(schema("link", 3, vec![0, 1, 2]));
         let tup = link("a", "b", 1);
         let d1 = Derivation::base("a");
         let d2 = Derivation {
@@ -718,7 +746,7 @@ mod tests {
     #[test]
     fn update_in_place_replaces_by_key() {
         // keys(1,2): the cost column is not part of the key.
-        let mut t = Table::new(schema("link", 3, vec![0, 1]));
+        let mut t = table(schema("link", 3, vec![0, 1]));
         assert_eq!(
             t.add_derivation(&link("a", "b", 1), Derivation::base("a")),
             Membership::Appeared
@@ -743,7 +771,7 @@ mod tests {
 
     #[test]
     fn database_dependency_index_round_trip() {
-        let mut db = Database::new(vec![
+        let mut db = database(vec![
             schema("link", 3, vec![0, 1, 2]),
             schema("cost", 3, vec![0, 1, 2]),
         ]);
@@ -768,7 +796,6 @@ mod tests {
         assert_eq!(
             db.take_dependents(base.id()),
             vec![Dependent {
-                destination: None,
                 tuple: derived,
                 derivations: vec![deriv],
             }]
@@ -796,15 +823,15 @@ mod tests {
         let (e, f) = (link("a", "b", 3), link("a", "b", 4));
         let h = head("h", "b", Value::Int(3));
         let (d1, d2) = (fired("r1", &[&e]), fired("r2", &[&f]));
-        assert!(db.outbox_insert(&h, "b".into(), &d1, true));
+        assert!(db.outbox_insert(&h, &d1, true));
         // A repeated derivation is not shipped twice; a second one is.
-        assert!(!db.outbox_insert(&h, "b".into(), &d1, true));
-        assert!(db.outbox_insert(&h, "b".into(), &d2, true));
+        assert!(!db.outbox_insert(&h, &d1, true));
+        assert!(db.outbox_insert(&h, &d2, true));
         assert_eq!(db.outbox_len(), 1);
         // The same head spelled with a double is the same entry.
         let h_double = head("h", "b", Value::Double(3.0));
         assert_eq!((&h, h.id()), (&h_double, h_double.id()));
-        assert!(!db.outbox_insert(&h_double, "b".into(), &d1, true));
+        assert!(!db.outbox_insert(&h_double, &d1, true));
         assert_eq!(db.outbox_len(), 1);
 
         // Removing an unknown pair ships nothing and changes nothing.
@@ -826,7 +853,7 @@ mod tests {
 
     #[test]
     fn dependents_come_outbox_first_each_group_in_relation_then_id_order() {
-        let mut db = Database::new(vec![
+        let mut db = database(vec![
             schema("aa", 2, vec![0, 1]),
             schema("zz", 2, vec![0, 1]),
         ]);
@@ -849,16 +876,16 @@ mod tests {
         for relation in ["mm", "bb"] {
             for c in [1, 2] {
                 let t = head(relation, "b", Value::Int(c));
-                assert!(db.outbox_insert(&t, "b".into(), &deriv, true));
+                assert!(db.outbox_insert(&t, &deriv, true));
                 shipped.push(t);
             }
         }
         // One more outbox derivation that does not use the input, and one
         // that does but that the cascade does not retract.
         let other = head("bb", "b", Value::Int(9));
-        db.outbox_insert(&other, "b".into(), &fired("r1", &[&other]), true);
+        db.outbox_insert(&other, &fired("r1", &[&other]), true);
         let recomputed = head("cc", "b", Value::Int(1));
-        db.outbox_insert(&recomputed, "b".into(), &fired("r2", &[&input]), false);
+        db.outbox_insert(&recomputed, &fired("r2", &[&input]), false);
 
         let order = |ts: &mut Vec<Tuple>| ts.sort_by_key(|t| (t.relation(), t.id()));
         order(&mut shipped);
@@ -870,8 +897,10 @@ mod tests {
             assert_eq!(dependent.tuple.id(), want.id());
             assert_eq!(dependent.derivations, std::slice::from_ref(&deriv));
         }
-        assert!(got[..4].iter().all(|d| d.destination == Some("b".into())));
-        assert!(got[4..].iter().all(|d| d.destination.is_none()));
+        // A remote head's home is read off its tuple.
+        let home = |d: &Dependent| d.tuple.values()[0].clone();
+        assert!(got[..4].iter().all(|d| home(d) == Value::addr("b")));
+        assert!(got[4..].iter().all(|d| home(d) == Value::addr("a")));
     }
 
     #[test]
@@ -882,7 +911,7 @@ mod tests {
 
     #[test]
     fn probe_uses_the_most_selective_index() {
-        let mut t = Table::new(schema("link", 3, vec![0, 1, 2]));
+        let mut t = table(schema("link", 3, vec![0, 1, 2]));
         for i in 0..10 {
             t.add_derivation(&link("a", &format!("n{i}"), i), Derivation::base("a"));
         }
@@ -909,7 +938,7 @@ mod tests {
         // The probe contract: candidates match ALL bound columns, not just
         // the anchor posting list (the vectorized kernel verifies the
         // residual columns against the column vectors).
-        let mut t = Table::new(schema("link", 3, vec![0, 1, 2]));
+        let mut t = table(schema("link", 3, vec![0, 1, 2]));
         t.add_derivation(&link("a", "x", 1), Derivation::base("a"));
         t.add_derivation(&link("a", "y", 2), Derivation::base("a"));
         t.add_derivation(&link("b", "x", 3), Derivation::base("b"));
@@ -935,7 +964,7 @@ mod tests {
 
     #[test]
     fn a_str_probe_never_finds_an_addr() {
-        let mut t = Table::new(schema("link", 3, vec![0, 1, 2]));
+        let mut t = table(schema("link", 3, vec![0, 1, 2]));
         t.add_derivation(&link("a", "b", 1), Derivation::base("a"));
         // Tuples carry addresses; a text of the same spelling is another
         // value, as a probe key and as a residual column.
@@ -947,7 +976,7 @@ mod tests {
             0
         );
         // Outside address columns too.
-        let mut obs = Table::new(schema("obs", 2, vec![0, 1]));
+        let mut obs = table(schema("obs", 2, vec![0, 1]));
         let text = Tuple::new("obs", vec![Value::addr("a"), Value::str("b")]);
         obs.add_derivation(&text, Derivation::base("a"));
         assert_eq!(obs.probe(&[(1, Value::addr("b"))]).count(), 0);
@@ -958,7 +987,7 @@ mod tests {
     fn probe_matches_int_and_double_interchangeably() {
         // Value's total order equates Int(2) and Double(2.0); the index
         // must agree with the scan path on such cross-type matches.
-        let mut t = Table::new(schema("link", 3, vec![0, 1, 2]));
+        let mut t = table(schema("link", 3, vec![0, 1, 2]));
         t.add_derivation(&link("a", "b", 2), Derivation::base("a"));
         let double_tuple = Tuple::new(
             "link",
@@ -987,7 +1016,7 @@ mod tests {
 
     #[test]
     fn indexes_track_removals_and_replacements() {
-        let mut t = Table::new(schema("link", 3, vec![0, 1]));
+        let mut t = table(schema("link", 3, vec![0, 1]));
         t.add_derivation(&link("a", "b", 1), Derivation::base("a"));
         // Update-in-place: cost column changes, index entries must
         // follow.
@@ -1000,7 +1029,7 @@ mod tests {
 
     #[test]
     fn columnar_slots_recycle_through_the_free_list() {
-        let mut t = Table::new(schema("link", 3, vec![0, 1, 2]));
+        let mut t = table(schema("link", 3, vec![0, 1, 2]));
         for i in 0..4 {
             t.add_derivation(&link("a", &format!("n{i}"), i), Derivation::base("a"));
         }
@@ -1010,15 +1039,15 @@ mod tests {
         // Re-inserting reuses dead slots: the physical arena stays at 4.
         t.add_derivation(&link("b", "m1", 10), Derivation::base("b"));
         t.add_derivation(&link("b", "m2", 11), Derivation::base("b"));
-        assert_eq!(t.store.arena(), (4, 0), "free slots were not reused");
-        assert_eq!(t.store.len(), 4);
+        assert_eq!(t.arena(), (4, 0), "free slots were not reused");
+        assert_eq!(t.len(), 4);
         assert_eq!(t.probe(&[(0, Value::addr("b"))]).count(), 2);
         assert_eq!(t.probe(&[(0, Value::addr("a"))]).count(), 2);
     }
 
     #[test]
     fn columnar_mixed_type_columns_promote_to_overflow() {
-        let mut t = Table::new(schema("link", 3, vec![0, 1, 2]));
+        let mut t = table(schema("link", 3, vec![0, 1, 2]));
         t.add_derivation(&link("a", "b", 2), Derivation::base("a"));
         // An integral column receiving a Double promotes to the overflow
         // column without corrupting the earlier value.
@@ -1040,7 +1069,7 @@ mod tests {
         // scanning a posting list and verifying residual bound columns
         // touches only the column vectors. Materialization happens only
         // when a caller explicitly asks for the tuple.
-        let mut t = Table::new(schema("link", 3, vec![0, 1, 2]));
+        let mut t = table(schema("link", 3, vec![0, 1, 2]));
         for i in 0..256 {
             t.add_derivation(&link("a", &format!("n{i}"), i % 7), Derivation::base("a"));
         }

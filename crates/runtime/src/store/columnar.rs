@@ -1,21 +1,20 @@
-//! A table's storage: column vectors indexed by physical slot, one copy of
-//! every stored value, a key index of sorted slot numbers and posting lists
-//! on the columns a plan probes. The parent module states what a probe
-//! yields and in which order.
+//! A table's slots: the column and posting-list types, and the writes that
+//! keep a [`Table`]'s column vectors (one copy of every stored value), its
+//! key index of sorted slot numbers and its posting lists on the columns a
+//! plan probes in step. The parent module states what a probe yields and in
+//! which order.
 //!
 //! An address column of the schema is a dictionary column posted by pool
 //! code; any other holds integers or `Value`s posted by value. Matching is
 //! `==`: a text finds no address anywhere.
 
-use super::{Derivation, Membership};
-use crate::catalog::RelationSchema;
+use super::{Derivation, Membership, Table};
 use crate::few::Few;
-use crate::tuple::{Tuple, TupleId};
-use crate::value::{IdMap, NodeId, Sym, Value};
+use crate::tuple::Tuple;
+use crate::value::{IdMap, NodeId, Value};
 use nt_intern::heap::{Census, Heap};
 use std::cell::Cell;
 use std::cmp::Ordering;
-use std::sync::Arc;
 
 thread_local! {
     /// This thread's count of tuples materialized out of columnar slots.
@@ -38,7 +37,7 @@ pub fn tuple_materializations() -> u64 {
 /// other column starts as `Int` and widens to `Other` when the first value
 /// that is not an integer is written.
 #[derive(Debug, Clone)]
-enum Column {
+pub(super) enum Column {
     /// Dictionary-encoded address column: the `u32` codes are raw intern
     /// pool indexes, so encoding a tuple is free and decoding is one array
     /// index into the pool.
@@ -53,7 +52,7 @@ enum Column {
 impl Column {
     /// Decode the value at a physical slot. Zero-allocation for the typed
     /// columns; `Other` clones the stored value.
-    fn value_at(&self, slot: usize) -> Value {
+    pub(super) fn value_at(&self, slot: usize) -> Value {
         match self {
             Column::Dict(xs) => Value::Addr(decode_dict(xs[slot])),
             Column::Int(xs) => Value::Int(xs[slot]),
@@ -72,7 +71,7 @@ impl Column {
     }
 
     /// Whether the slot's value `==` `v`, without materializing.
-    fn matches_value(&self, slot: usize, v: &Value) -> bool {
+    pub(super) fn matches_value(&self, slot: usize, v: &Value) -> bool {
         match self {
             Column::Dict(xs) => dict_code(v) == Some(xs[slot]),
             Column::Int(xs) => *v == Value::Int(xs[slot]),
@@ -141,11 +140,22 @@ fn dict_code(v: &Value) -> Option<u32> {
 /// shipped programs probe — by pool code, so a probe hashes a code and never
 /// builds a value; any other by value.
 #[derive(Debug, Clone)]
-enum Postings {
+pub(super) enum Postings {
     /// A [`Column::Dict`] column, by pool code.
     Code(IdMap<u32, Few<u32>>),
     /// Any other column, by value.
     Value(IdMap<Value, Few<u32>>),
+}
+
+impl Postings {
+    /// The live slots holding `value`; `None` when no slot does.
+    pub(super) fn get(&self, value: &Value) -> Option<&[u32]> {
+        let slots = match self {
+            Postings::Code(lists) => lists.get(&dict_code(value)?),
+            Postings::Value(lists) => lists.get(value),
+        };
+        slots.map(|slots| &**slots)
+    }
 }
 
 fn unlist<K: std::hash::Hash + Eq>(lists: &mut IdMap<K, Few<u32>>, key: K, slot: u32) {
@@ -159,122 +169,10 @@ fn unlist<K: std::hash::Hash + Eq>(lists: &mut IdMap<K, Few<u32>>, key: K, slot:
     }
 }
 
-/// The candidates of a columnar probe: slots of the anchor posting list (or
-/// of the key index, for a scan) that pass every residual bound column.
-pub(super) struct ColProbe<'a> {
-    store: &'a ColumnStore,
-    slots: std::slice::Iter<'a, u32>,
-    filter: Vec<(usize, Value)>,
-}
-
-impl<'a> ColProbe<'a> {
-    pub(super) fn store(&self) -> &'a ColumnStore {
-        self.store
-    }
-}
-
-impl Iterator for ColProbe<'_> {
-    type Item = u32;
-
-    fn next(&mut self) -> Option<u32> {
-        let cols = &self.store.cols;
-        self.slots.by_ref().copied().find(|&slot| {
-            debug_assert!(self.store.is_live(slot), "indexes only hold live slots");
-            (self.filter.iter()).all(|(col, v)| cols[*col].matches_value(slot as usize, v))
-        })
-    }
-}
-
-/// Column-major storage for one relation: parallel column vectors indexed by
-/// physical slot, a slot free-list, and the lookaside structures (key index,
-/// tuple-id map, posting lists) that answer point lookups and probes. A
-/// tuple's values are stored once, in the columns; every index holds slot
-/// numbers. A slot is live when the tuple-id map points its id at it.
-#[derive(Debug, Clone)]
-pub(super) struct ColumnStore {
-    /// The relation every stored tuple belongs to (the table's own).
-    rel: Sym,
-    schema: Arc<RelationSchema>,
-    /// The columns that carry posting lists, ascending: the ones some plan
-    /// of the program probes, or all of them for a table built without one.
-    indexed: Arc<Vec<usize>>,
-    /// Per-slot content-addressed tuple id (parallel to the columns).
-    ids: Vec<TupleId>,
-    /// Per-slot supporting derivations.
-    derivs: Vec<Few<Derivation>>,
-    /// One column per attribute, each with `ids.len()` physical slots. Empty
-    /// until the first tuple arrives: an empty table owns no heap block.
-    cols: Vec<Column>,
-    /// Dead slots available for reuse (keeps `TupleId`-addressed state and
-    /// the posting lists stable across churn instead of shifting slots).
-    free: Vec<u32>,
-    /// The live slots in primary-key order (the table's iteration order),
-    /// compared through the columns by [`ColumnStore::find`].
-    by_key: Vec<u32>,
-    /// Tuple id -> slot (provenance queries and cascade deletions address
-    /// tuples by id).
-    by_id: IdMap<TupleId, u32>,
-    /// The posting lists of `indexed[i]`, parallel to it; allocated with
-    /// `cols`.
-    postings: Vec<Postings>,
-}
-
-impl ColumnStore {
-    pub(super) fn new(rel: Sym, schema: Arc<RelationSchema>, indexed: Arc<Vec<usize>>) -> Self {
-        debug_assert!(indexed.iter().all(|c| *c < schema.arity));
-        debug_assert!(indexed.windows(2).all(|w| w[0] < w[1]));
-        ColumnStore {
-            rel,
-            schema,
-            indexed,
-            ids: Vec::new(),
-            derivs: Vec::new(),
-            cols: Vec::new(),
-            free: Vec::new(),
-            by_key: Vec::new(),
-            by_id: IdMap::default(),
-            postings: Vec::new(),
-        }
-    }
-
-    pub(super) fn relation(&self) -> Sym {
-        self.rel
-    }
-
-    pub(super) fn arity(&self) -> usize {
-        self.schema.arity
-    }
-
-    pub(super) fn len(&self) -> usize {
-        self.by_key.len()
-    }
-
-    /// The live slots in primary-key order.
-    pub(super) fn slots(&self) -> std::slice::Iter<'_, u32> {
-        self.by_key.iter()
-    }
-
-    pub(super) fn slot_of_id(&self, id: TupleId) -> Option<u32> {
-        self.by_id.get(&id).copied()
-    }
-
-    pub(super) fn id_at(&self, slot: u32) -> TupleId {
-        self.ids[slot as usize]
-    }
-
-    pub(super) fn derivations_at(&self, slot: u32) -> &[Derivation] {
-        &self.derivs[slot as usize]
-    }
-
-    pub(super) fn value_at(&self, slot: u32, col: usize) -> Value {
-        self.cols[col].value_at(slot as usize)
-    }
-
-    pub(super) fn matches_at(&self, slot: u32, col: usize, v: &Value) -> bool {
-        self.cols[col].matches_value(slot as usize, v)
-    }
-
-    fn is_live(&self, slot: u32) -> bool {
+impl Table {
+    /// Whether `slot` holds a stored tuple: the tuple-id map points its id
+    /// at it.
+    pub(super) fn is_live(&self, slot: u32) -> bool {
         let id = self.ids.get(slot as usize);
         id.is_some_and(|id| self.by_id.get(id) == Some(&slot))
     }
@@ -286,8 +184,8 @@ impl ColumnStore {
     /// from `tuple.values()`, so no key is ever built. `tuple` has the table's
     /// arity.
     fn find(&self, tuple: &Tuple) -> Result<usize, usize> {
-        let arity = self.schema.arity;
-        let key_cols = &self.schema.key_cols;
+        let arity = self.spec.schema.arity;
+        let key_cols = &self.spec.schema.key_cols;
         self.by_key.binary_search_by(|&slot| {
             key_cols
                 .iter()
@@ -303,17 +201,29 @@ impl ColumnStore {
     pub(super) fn tuple_at(&self, slot: u32) -> Tuple {
         TUPLE_MATERIALIZATIONS.with(|count| count.set(count.get() + 1));
         let values = self.cols.iter().map(|c| c.value_at(slot as usize));
-        Tuple::stored(self.rel, values.collect(), self.ids[slot as usize])
+        let id = self.ids[slot as usize];
+        Tuple::stored(self.spec.relation, values.collect(), id)
     }
 
-    /// See [`super::Table::add_derivation`].
-    pub(super) fn add_derivation(&mut self, tuple: &Tuple, derivation: Derivation) -> Membership {
+    /// Add a derivation for `tuple`, inserting it if necessary.
+    ///
+    /// Returns how the table membership changed. When the relation has
+    /// update-in-place keys and a *different* tuple with the same key was
+    /// present, that tuple is removed and returned via
+    /// [`Membership::Replaced`]; the caller is responsible for cascading the
+    /// implied deletion.
+    pub fn add_derivation(&mut self, tuple: &Tuple, derivation: Derivation) -> Membership {
+        debug_assert_eq!(
+            tuple.relation(),
+            self.spec.relation,
+            "a table stores tuples of its own relation only"
+        );
         // Every column gets a value per slot, or the slots fall out of step.
         assert_eq!(
             tuple.values().len(),
-            self.schema.arity,
+            self.spec.schema.arity,
             "tuple arity does not match relation `{}`",
-            self.schema.name
+            self.spec.schema.name
         );
         match self.find(tuple) {
             Ok(pos) => {
@@ -353,12 +263,9 @@ impl ColumnStore {
         }
     }
 
-    /// See [`super::Table::remove_derivation`].
-    pub(super) fn remove_derivation(
-        &mut self,
-        tuple: &Tuple,
-        derivation: &Derivation,
-    ) -> Membership {
+    /// Remove one derivation of `tuple` (matching exactly). Returns
+    /// [`Membership::Disappeared`] when that was the last derivation.
+    pub fn remove_derivation(&mut self, tuple: &Tuple, derivation: &Derivation) -> Membership {
         let Some(&slot) = self.by_id.get(&tuple.id()) else {
             return Membership::NotFound;
         };
@@ -388,14 +295,14 @@ impl ColumnStore {
     fn insert_row(&mut self, pos: usize, tuple: &Tuple, derivations: Few<Derivation>) {
         let id = tuple.id();
         if self.cols.is_empty() {
-            let schema = &self.schema;
+            let schema = &self.spec.schema;
             self.cols = (0..schema.arity)
                 .map(|c| match schema.is_addr(c) {
                     true => Column::Dict(Vec::new()),
                     false => Column::Int(Vec::new()),
                 })
                 .collect();
-            self.postings = (self.indexed.iter())
+            self.postings = (self.spec.probed.iter())
                 .map(|&c| match schema.is_addr(c) {
                     true => Postings::Code(IdMap::default()),
                     false => Postings::Value(IdMap::default()),
@@ -429,7 +336,7 @@ impl ColumnStore {
     /// Append `slot` to the posting list of the value it holds in each
     /// indexed column.
     fn index_slot(&mut self, slot: u32) {
-        for (&col, postings) in self.indexed.iter().zip(&mut self.postings) {
+        for (&col, postings) in self.spec.probed.iter().zip(&mut self.postings) {
             match (postings, &self.cols[col]) {
                 (Postings::Code(lists), Column::Dict(xs)) => {
                     lists.entry(xs[slot as usize]).or_default().push(slot)
@@ -446,7 +353,7 @@ impl ColumnStore {
     /// Take `slot` out of its posting lists. Reads the slot's columns, so it
     /// runs before anything overwrites them.
     fn unindex_slot(&mut self, slot: u32) {
-        for (&col, postings) in self.indexed.iter().zip(&mut self.postings) {
+        for (&col, postings) in self.spec.probed.iter().zip(&mut self.postings) {
             match (postings, &self.cols[col]) {
                 (Postings::Code(lists), Column::Dict(xs)) => unlist(lists, xs[slot as usize], slot),
                 (Postings::Value(lists), column) => {
@@ -457,60 +364,13 @@ impl ColumnStore {
         }
     }
 
-    /// See [`super::Table::probe`]. `None` when some bound value is carried
-    /// by no stored tuple.
-    ///
-    /// Every posting list holds its slots in the order they were indexed and
-    /// the probe verifies every residual bound column, so whichever indexed
-    /// column anchors a probe, the candidates are the same subsequence of
-    /// the same order.
-    pub(super) fn probe(&self, bound_cols: &[(usize, Value)]) -> Option<ColProbe<'_>> {
-        let mut anchor: Option<(usize, &[u32])> = None;
-        let mut filter = bound_cols.to_vec();
-        for (pos, (col, value)) in bound_cols.iter().enumerate() {
-            // No column yet means no tuple yet.
-            self.cols.get(*col)?;
-            if let Ok(i) = self.indexed.binary_search(col) {
-                let slots: &[u32] = match &self.postings[i] {
-                    Postings::Code(lists) => lists.get(&dict_code(value)?),
-                    Postings::Value(lists) => lists.get(value),
-                }?;
-                if anchor.is_none_or(|(_, best)| slots.len() < best.len()) {
-                    anchor = Some((pos, slots));
-                }
-            }
-        }
-        let slots = match anchor {
-            Some((pos, slots)) => {
-                filter.remove(pos);
-                slots.iter()
-            }
-            None => {
-                // Plans bind indexed columns only (`CompiledProgram::tables`
-                // is computed from them), so this is a caller outside the
-                // plans: a key-order scan, filtered.
-                debug_assert!(
-                    bound_cols.is_empty(),
-                    "probe of `{}` binds no indexed column: {:?}",
-                    self.schema.name,
-                    bound_cols.iter().map(|(c, _)| c).collect::<Vec<_>>()
-                );
-                self.by_key.iter()
-            }
-        };
-        Some(ColProbe {
-            store: self,
-            slots,
-            filter,
-        })
-    }
-
     /// Charge the table's heap to its owners: `table.ids`,
     /// `table.derivations` (spilled lists and input lists),
     /// `table.columns` (the overflow column's values included),
     /// `table.key_index`, `table.by_id`, `table.postings` (keys and spilled
-    /// lists included) and `table.slots` (the free list).
-    pub(super) fn heap(&self, census: &mut Census) {
+    /// lists included) and `table.slots` (the free list). The spec is the
+    /// program's, charged to no table.
+    pub fn heap(&self, census: &mut Census) {
         census.add("table.ids", Heap::vec(&self.ids));
         census.add("table.derivations", Heap::vec(&self.derivs));
         for derivs in &self.derivs {

@@ -240,15 +240,6 @@ impl Delta {
     pub fn is_insert(&self) -> bool {
         matches!(self, Delta::Insert(_))
     }
-
-    /// Map the delta to the opposite polarity (used when retracting a rule's
-    /// effects).
-    pub fn inverted(&self) -> Delta {
-        match self {
-            Delta::Insert(t) => Delta::Delete(t.clone()),
-            Delta::Delete(t) => Delta::Insert(t.clone()),
-        }
-    }
 }
 
 impl fmt::Display for Delta {
@@ -319,14 +310,6 @@ mod tests {
         assert_eq!(t.location(0), Some("n7"));
         assert_eq!(t.location(1), Some("n9"));
         assert_eq!(t.location(2), None);
-    }
-
-    #[test]
-    fn delta_inversion_round_trips() {
-        let d = Delta::Insert(link("a", "b", 1));
-        assert_eq!(d.inverted().inverted(), d);
-        assert!(d.is_insert());
-        assert!(!d.inverted().is_insert());
     }
 
     #[test]

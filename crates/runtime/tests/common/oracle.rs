@@ -16,9 +16,10 @@
 use ndlog::{AggregateFunc, BinOp, BodyElem, Expr, Predicate, Rule, Term, UnOp};
 use nt_runtime::eval::literal_value;
 use nt_runtime::{
-    CompiledProgram, Derivation, NodeEngine, Table, Tuple, TupleId, Value, BASE_RULE,
+    CompiledProgram, Derivation, NodeEngine, Table, TableSpec, Tuple, TupleId, Value, BASE_RULE,
 };
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 type Env = BTreeMap<String, Value>;
 
@@ -114,8 +115,9 @@ pub struct Derived {
     pub inputs: Vec<TupleId>,
 }
 
-/// The base facts, in real [`Table`]s (storage is not under test here; the
-/// oracle only ever calls `iter`, `get`, `add_derivation`, `remove_derivation`).
+/// The base facts, in real [`Table`]s indexing every column (storage is not
+/// under test here; the oracle only ever calls `iter`, `get`,
+/// `add_derivation`, `remove_derivation`, and a test probes column 0).
 pub struct Oracle {
     rules: Vec<Rule>,
     pub base: BTreeMap<String, Table>,
@@ -127,7 +129,10 @@ impl Oracle {
         let base = ["e", "f", "p"]
             .iter()
             .filter_map(|r| program.catalog.schema(r))
-            .map(|schema| (schema.name.clone(), Table::new(schema.clone())))
+            .map(|schema| {
+                let spec = TableSpec::new(Arc::new(schema.clone()), 0..schema.arity);
+                (schema.name.clone(), Table::new(Arc::new(spec)))
+            })
             .collect();
         Oracle {
             rules: program.source.rules.clone(),

@@ -9,7 +9,7 @@
 //! keys that mix every variant, through interleaved inserts, removals and
 //! replacements by key. Seeded mutations it catches: ordering the key index
 //! by slot number (insert at the end), leaving the last key column out of
-//! the comparator (`ColumnStore::find`), and a text probe finding the
+//! the comparator (`Table::find`), and a text probe finding the
 //! address it spells (a `Str` arm back in `dict_code`).
 //!
 //! `columnar_matches_row_store` runs random programs (joins, filters,
@@ -24,7 +24,7 @@
 
 use nt_runtime::{
     CompiledProgram, Delta, Derivation, EngineConfig, Membership, NodeEngine, RelationSchema,
-    StepOutput, Table, Tuple, TupleId, Value,
+    StepOutput, Table, TableSpec, Tuple, TupleId, Value,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -231,7 +231,7 @@ proptest! {
             lifetime: None,
         };
         let key_cols = schema.key_cols.clone();
-        let mut table = Table::new(schema);
+        let mut table = Table::new(Arc::new(TableSpec::new(Arc::new(schema), 0..3)));
         let mut rows = RowModel::new();
         let base = Derivation { rule: "r".into(), node: "n1".into(), inputs: [TupleId(1)].into() };
         for (kind, k0, k1, payload) in ops {

@@ -8,17 +8,18 @@
 //! and nowhere else.
 //!
 //! Seeded mutations this caught (each fails `masked_table_reads_like_a_fully_indexed_one`):
-//! * `ColumnStore::unindex_slot` skipping the last indexed column — a dead
+//! * `Table::unindex_slot` skipping the last indexed column — a dead
 //!   slot stays in a posting list and a later probe yields it (or trips the
 //!   liveness assertion);
-//! * `ColumnStore::probe` anchoring an unindexed bound column on posting
+//! * `Table::probe` anchoring an unindexed bound column on posting
 //!   lists that are not its own — probes binding such a column beside an
 //!   indexed one come back empty;
 //! * a text probe finding the address it spells (a `Str` arm back in
 //!   `dict_code`) — the respelled probes yield addresses.
 
-use nt_runtime::{Derivation, Membership, RelationSchema, Table, Tuple, TupleId, Value};
+use nt_runtime::{Derivation, Membership, RelationSchema, Table, TableSpec, Tuple, TupleId, Value};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// What a column of a given palette can hold. Palette 0 is an address column
 /// of the schema (addresses only, dictionary-encoded), palette 1 a numeric
@@ -106,7 +107,9 @@ proptest! {
             lifetime: None,
         };
         // [masked, full]
-        let mut tables = [Table::indexing(schema.clone(), &indexed), Table::new(schema)];
+        let schema = Arc::new(schema);
+        let table = |probed: Vec<usize>| Table::new(Arc::new(TableSpec::new(schema.clone(), probed)));
+        let mut tables = [table(indexed.clone()), table((0..arity).collect())];
 
         for (kind, codes, d) in ops {
             let values: Vec<Value> = (0..arity).map(|c| cell(palettes[c], codes[c])).collect();

@@ -1,7 +1,8 @@
 //! Property-based tests for runtime values, tuples and the derivation store.
 
-use nt_runtime::{Derivation, Membership, RelationSchema, Table, Tuple, TupleId, Value};
+use nt_runtime::{Derivation, Membership, RelationSchema, Table, TableSpec, Tuple, TupleId, Value};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn value_strategy() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -67,7 +68,7 @@ proptest! {
             is_base: true,
             lifetime: None,
         };
-        let mut table = Table::new(schema);
+        let mut table = Table::new(Arc::new(TableSpec::new(Arc::new(schema), [0])));
         let tuples: Vec<Tuple> = (0..4)
             .map(|i| Tuple::new("t", vec![Value::Int(i as i64)]))
             .collect();

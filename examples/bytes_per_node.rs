@@ -14,10 +14,13 @@
 //! what the census does not read) and how full the engines' dictionaries are
 //! (how many, the names and bytes they hold, the most names one holds and
 //! the 99th percentile). The counts are exact and repeat run to run; `VmHWM`
-//! is what `ntbench` reports as `peak_rss_mb`.
+//! is what `ntbench` reports as `peak_rss_mb`. A last line prints the inline
+//! sizes (`size_of`) of the types whose counts the census rows multiply: a
+//! table per relation per engine, an outbox entry per remote head, an engine
+//! and its database per node, a tuple and a derivation per stored fact.
 
 use nettrails::{NetTrails, NetTrailsConfig};
-use nt_runtime::Dictionary;
+use nt_runtime::{Database, Derivation, Dictionary, NodeEngine, OutboxEntry, Table, Tuple};
 use simnet::Topology;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
@@ -215,4 +218,19 @@ fn main() {
     drop(nt);
     phase("drop", base, nodes, 0);
     drop(topology);
+    sizes();
+}
+
+/// The inline size of each type a census row counts many of.
+fn sizes() {
+    use std::mem::size_of;
+    println!(
+        "sizes     Table={} OutboxEntry={} NodeEngine={} Database={} Tuple={} Derivation={}",
+        size_of::<Table>(),
+        size_of::<OutboxEntry>(),
+        size_of::<NodeEngine>(),
+        size_of::<Database>(),
+        size_of::<Tuple>(),
+        size_of::<Derivation>()
+    );
 }

@@ -49,7 +49,7 @@ test_job() {
     #   nt-runtime proptest_columnar_equivalence (key_order_matches_the_row_store)
     #     — the sorted-slot key index orders tuples as a B-tree row store kept
     #     in the test file does; it catches a key index ordered by slot, the
-    #     last key column left out of ColumnStore::find, and a Str arm in
+    #     last key column left out of Table::find, and a Str arm in
     #     dict_code; full retraction empties every table and the outbox and
     #     retracts every shipped derivation once;
     #   nt-runtime proptest_slot_equivalence — the one join kernel derives,
@@ -235,6 +235,27 @@ test_job() {
     #     caught `back N` issued as max_depth N+1, `bases` keeping every
     #     pruned leaf, `@n` ignored and `nodes` taken from a
     #     ParticipatingNodes fold;
+    # the oracles of one home per tuple (an outbox entry stores no
+    # destination: its home is its tuple's location column, read through the
+    # relation's schema where the head is derived and where the cascade
+    # retracts it):
+    #   nt-runtime engine::tests::a_head_located_past_column_zero_ships_to_its_home_and_is_retracted_there
+    #     — r(X,@Y) :- link(@X,Y) on two engines: the head ships to Y and
+    #     deleting the link at X retracts it there; it caught the home read
+    #     off column 0, which the rest of nt-runtime's unit tests,
+    #     engine_output_stream and delivered_provenance pass;
+    #   nettrails engine_output_stream — caught the home read off the column
+    #     after the location column;
+    #   nettrails delivered_provenance — at quiescence every outbox entry's
+    #     tuple is at the home its location column names;
+    # the oracles of one spec per relation (a table holds its program's
+    # Arc<TableSpec> and nothing else the program fixes):
+    #   nt-runtime compile::tests::tables_index_exactly_the_columns_plans_probe
+    #     and nettrails platform::tests::mincost_converges_on_a_line — every
+    #     engine's table of a relation is the program's spec (pointer-equal);
+    #   examples/bytes_per_node (run below at 200 nodes) — its last line
+    #     prints the inline sizes of Table, OutboxEntry, NodeEngine, Database,
+    #     Tuple and Derivation, the multipliers of the census rows;
     # the laws of the one map hasher:
     #   nt-intern id_hasher — equal keys hash equal, and the low 16 bits and
     #     the top-7-bit tags of four key families (sequential handles, tuple

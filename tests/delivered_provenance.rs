@@ -109,10 +109,13 @@ impl Observer for Delivered {
         for (node, engine) in engines {
             let db = engine.database();
             let mut listed = 0;
-            for (relation, _) in db.tables_with_syms() {
-                for entry in db.outbox_of(relation) {
+            for table in db.tables() {
+                for entry in db.outbox_of(table.relation) {
                     listed += 1;
-                    let home = self.system.store(entry.destination);
+                    // Shipped to the address in its location column.
+                    let at = entry.tuple.values()[table.schema.location_col].as_node_id();
+                    let at = at.expect("a remote head's location column holds an address");
+                    let home = self.system.store(at);
                     let vertex = home.and_then(|s| s.vertex(entry.tuple.id()));
                     let tuple = vertex.map(|(tuple, _)| tuple);
                     assert_eq!(
@@ -123,7 +126,7 @@ impl Observer for Delivered {
                     for d in &entry.derivations {
                         assert_eq!(d.node, *node, "an outbox holds its own node's derivations");
                         let rid = RuleExecId::compute(d.rule, d.node, &d.inputs);
-                        shipped.insert((entry.destination, entry.tuple.id(), rid, d.node));
+                        shipped.insert((at, entry.tuple.id(), rid, d.node));
                     }
                 }
             }
